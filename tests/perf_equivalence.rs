@@ -16,7 +16,7 @@
 //!   under mobility (drift-bounded cell queries) and chaos faults.
 
 use wireless_adhoc_voip::core::config::VoipAppConfig;
-use wireless_adhoc_voip::core::nodesetup::{deploy, NodeSpec};
+use wireless_adhoc_voip::core::nodesetup::{deploy, NodeSpec, RoutingProtocol};
 use wireless_adhoc_voip::simnet::prelude::*;
 use wireless_adhoc_voip::simnet::trace::TraceKind;
 use wireless_adhoc_voip::sip::uri::Aor;
@@ -183,6 +183,58 @@ fn run_mobile_chaos_threads(seed: u64, spatial: bool, threads: usize) -> u64 {
     world_digest(&w)
 }
 
+/// Full SIPHoc stack over **OLSR** on the lossy default radio: twelve
+/// nodes on random waypoints, one call placed once HELLO/TC gossip has
+/// converged, and the callee's node crashed mid-call and restarted, so that
+/// MPR selection, TC flooding, route computation, `LinkTxFailed` (RTP to
+/// the dead node exhausts its retries) and `NodeRestarted` all run.
+/// Returns the digest and how many frames ran out of link-layer retries.
+fn run_olsr_roam(seed: u64) -> (u64, u64) {
+    let mut w = World::new(WorldConfig::new(seed));
+    let area = Area::new(240.0, 240.0);
+    let params = WaypointParams::new(1.0, 6.0, SimDuration::from_secs(1));
+    let mut rng = SimRng::from_seed_and_stream(seed, 1212);
+    for i in 0..12 {
+        let mut spec = NodeSpec::relay(0.0, 0.0)
+            .with_routing(RoutingProtocol::olsr())
+            .without_connection_provider();
+        if i == 0 || i == 5 {
+            let mut ua = VoipAppConfig::fig2(if i == 0 { "a" } else { "b" }, "voicehoc.ch")
+                .to_ua_config()
+                .expect("config");
+            ua.answer_delay = SimDuration::from_millis(50);
+            if i == 0 {
+                ua = ua.call_at(
+                    SimTime::from_secs(20),
+                    Aor::new("b", "voicehoc.ch"),
+                    SimDuration::from_secs(8),
+                );
+            }
+            spec = spec.with_user(ua);
+        }
+        let start = area.sample(&mut rng);
+        spec = spec.with_mobility(Mobility::random_waypoint(
+            start,
+            params,
+            area,
+            SimTime::ZERO,
+            &mut rng,
+        ));
+        deploy(&mut w, spec);
+    }
+    w.trace_mut().set_enabled(true);
+    w.install_fault_plan(
+        FaultPlan::new()
+            .crash_at(SimTime::from_secs(24), NodeId(5))
+            .restart_at(SimTime::from_secs(27), NodeId(5)),
+    );
+    w.run_for(SimDuration::from_secs(36));
+    (
+        world_digest(&w),
+        w.total_stats().get("drop.l2_fail").packets,
+    )
+}
+
 // ----------------------------------------------------------------------
 // Golden digests (captured from the pre-grid, pre-Arc-payload simulator)
 // ----------------------------------------------------------------------
@@ -208,6 +260,28 @@ fn golden_trace_digests_are_reproduced() {
         assert_eq!(
             got_chaos, want_chaos,
             "mobile chaos digest drifted for seed {seed}: got {got_chaos:#018x}"
+        );
+    }
+}
+
+/// `(seed, OLSR roam digest)` recorded on the commit before OLSR's MPR
+/// selection and route computation became change-tracked bitset kernels
+/// (they rebuilt a `BTreeMap` edge map on every HELLO and TC). The
+/// rewrite is a pure optimization and must reproduce them bit-for-bit.
+/// Captured with the `rand` stand-in under `benchmark/stubs/`.
+const GOLDEN_OLSR: [(u64, u64); 2] = [(2301, 0x1e46ea35d04149f0), (2302, 0x4f628c46f019eeeb)];
+
+#[test]
+fn golden_olsr_digests_are_reproduced() {
+    for (seed, want) in GOLDEN_OLSR {
+        let (got, l2_fail) = run_olsr_roam(seed);
+        assert!(
+            l2_fail > 0,
+            "seed {seed}: no frame exhausted its retries, LinkTxFailed never fired"
+        );
+        assert_eq!(
+            got, want,
+            "OLSR roam digest drifted for seed {seed}: got {got:#018x}"
         );
     }
 }
