@@ -307,9 +307,9 @@ fn advert_bytes() -> (usize, usize, usize, usize) {
     let gw = ServiceEntry::gateway(SocketAddr::new(origin, ports::TUNNEL), origin, 7, 60);
     (
         sip.to_wire().len(),
-        sip.clone().signed(&kp).to_wire().len(),
+        sip.signed(&kp).to_wire().len(),
         gw.to_wire().len(),
-        gw.clone().signed(&kp).to_wire().len(),
+        gw.signed(&kp).to_wire().len(),
     )
 }
 

@@ -3,8 +3,8 @@
 //! Unlike the `exp_*` experiments (which reproduce paper numbers inside
 //! simulated time), this harness measures the *simulator itself*: how many
 //! events per wall-clock second the core event loop sustains on fixed,
-//! broadcast-heavy MANET workloads. Two scenario families, three sizes
-//! each, all seeds fixed:
+//! broadcast-heavy MANET workloads. Three scenario families, all seeds
+//! fixed:
 //!
 //! * `bcast_N` — an N-node constant-density mesh where every node
 //!   broadcasts a 64-byte beacon every 100 ms. Isolates the radio
@@ -13,6 +13,9 @@
 //! * `siphoc_N` — an N-node mesh running the full SIPHoc stack (AODV with
 //!   SLP piggybacking) with staggered calls between user pairs. Measures
 //!   the same hot path under realistic protocol traffic.
+//! * `city_N` — the district/convoy/swarm city of `siphoc_bench::city`,
+//!   beaconing on per-node timers; the full sweep runs it at 10 000 and
+//!   100 000 nodes, where the working set no longer fits in cache.
 //!
 //! Output: an aligned text table on stdout plus `results/BENCH_core.json`
 //! (written with plain string formatting — no JSON dependency) recording
@@ -23,14 +26,6 @@
 //! repetition times are kept in the JSON as `wall_ms_runs`. CI runs
 //! `--smoke` (smallest mesh of each family only, one rep; failure means
 //! panic, never a perf number).
-//!
-//! A third family, `city_N_tT`, runs the district/convoy/swarm city of
-//! `siphoc_bench::city` under the sharded work-stealing executor at `T`
-//! threads; the full sweep includes a 100 000-node city at 1/2/4/8
-//! threads — the headline scaling curve. `--city100k-smoke` is the CI
-//! canary for that path: a 4000-node city (big enough to actually
-//! steal) at t1 and t2, asserting identical event counts and that
-//! stealing engaged.
 //!
 //! `--check <baseline.json>` compares this run against a previously
 //! recorded file: event counts must match exactly (they are
@@ -75,11 +70,6 @@ struct Sample {
     events: u64,
     radio_tx: u64,
     rss_peak_kb: u64,
-    /// Worker threads used by the sharded executor (1 = plain loop).
-    threads: usize,
-    /// Events executed speculatively by cross-window work stealing
-    /// (0 for single-thread runs and the non-city scenarios).
-    steals: u64,
 }
 
 impl Sample {
@@ -162,8 +152,6 @@ fn run_bcast(n: usize, sim_secs: u64) -> Sample {
         events: w.events_processed(),
         radio_tx: w.total_stats().get("radio.tx").packets,
         rss_peak_kb: peak_rss_kb(),
-        threads: 1,
-        steals: 0,
     }
 }
 
@@ -200,30 +188,20 @@ fn run_siphoc(n: usize, sim_secs: u64) -> Sample {
         events: w.events_processed(),
         radio_tx: w.total_stats().get("radio.tx").packets,
         rss_peak_kb: peak_rss_kb(),
-        threads: 1,
-        steals: 0,
     }
 }
 
-/// City-scale workload for the sharded parallel executor: districts on a
-/// coarse super-grid (independent conflict components), mobile convoys
+/// City-scale workload: districts on a coarse super-grid, mobile convoys
 /// and a dense emergency swarm, all beaconing on their own timers so the
-/// whole run is one `run_until_threads` call. The same seed at any
-/// thread count dispatches exactly the same events — `main` asserts it.
-fn run_city(n: usize, sim_secs: u64, threads: usize) -> Sample {
+/// whole run is one `run_until` call.
+fn run_city(n: usize, sim_secs: u64) -> Sample {
     let mut w = World::new(WorldConfig::new(CITY_SEED));
     build_city(&mut w, CityParams::with_nodes(n));
     let started = Instant::now();
-    w.run_until_threads(SimTime::from_secs(sim_secs), threads);
+    w.run_until(SimTime::from_secs(sim_secs));
     let wall_ms = started.elapsed().as_secs_f64() * 1000.0;
-    let (par_w, seq_w) = w.window_counts();
-    let (steal_w, steals) = w.steal_counts();
-    eprintln!(
-        "  city_{n} t{threads}: {par_w} parallel / {seq_w} sequential windows, \
-         {steals} stolen events over {steal_w} windows"
-    );
     Sample {
-        name: format!("city_{n}_t{threads}"),
+        name: format!("city_{n}"),
         nodes: n,
         sim_secs: sim_secs as f64,
         wall_ms,
@@ -231,8 +209,6 @@ fn run_city(n: usize, sim_secs: u64, threads: usize) -> Sample {
         events: w.events_processed(),
         radio_tx: w.total_stats().get("radio.tx").packets,
         rss_peak_kb: peak_rss_kb(),
-        threads,
-        steals,
     }
 }
 
@@ -308,7 +284,7 @@ fn render_json(samples: &[Sample], jobs: usize) -> String {
             out,
             "    {{\"name\": \"{}\", \"nodes\": {}, \"sim_secs\": {:.1}, \"wall_ms\": {:.1}, \
              \"wall_ms_runs\": [{}], \"events\": {}, \"events_per_sec\": {:.0}, \
-             \"radio_tx\": {}, \"rss_peak_kb\": {}, \"threads\": {}, \"steals\": {}}}",
+             \"radio_tx\": {}, \"rss_peak_kb\": {}}}",
             s.name,
             s.nodes,
             s.sim_secs,
@@ -321,9 +297,7 @@ fn render_json(samples: &[Sample], jobs: usize) -> String {
             s.events,
             s.events_per_sec(),
             s.radio_tx,
-            s.rss_peak_kb,
-            s.threads,
-            s.steals
+            s.rss_peak_kb
         );
         out.push_str(if i + 1 < samples.len() { ",\n" } else { "\n" });
     }
@@ -467,11 +441,6 @@ fn check_against_baseline(samples: &[Sample], path: &str) -> Result<Vec<String>,
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    // CI canary for the work-stealing path: a city big enough that the
-    // lookahead window actually steals (the 500-node smoke city is too
-    // small for the conflict-cell exclusion margin), run at t1 and t2,
-    // with the event-identity and stealing-engaged asserts below.
-    let city100k_smoke = args.iter().any(|a| a == "--city100k-smoke");
     // Published numbers must measure the bare hot path: refuse to run if
     // this binary was built with observability compiled in (e.g. via a
     // whole-workspace build that unified the `obs` feature into simnet).
@@ -488,7 +457,7 @@ fn main() {
         .position(|a| a == "--reps")
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke || city100k_smoke { 1 } else { 3 });
+        .unwrap_or(if smoke { 1 } else { 3 });
     let out_path = args
         .iter()
         .position(|a| a == "--out")
@@ -496,9 +465,7 @@ fn main() {
         // Smoke runs get their own default path so a CI canary never
         // clobbers the recorded full-sweep numbers.
         .unwrap_or_else(|| {
-            if city100k_smoke {
-                "results/BENCH_city100k_smoke.json".to_owned()
-            } else if smoke {
+            if smoke {
                 "results/BENCH_core_smoke.json".to_owned()
             } else {
                 "results/BENCH_core.json".to_owned()
@@ -516,37 +483,18 @@ fn main() {
     // full sweep stays in CI-friendly wall time even pre-optimization.
     let bcast_points: &[(usize, u64)] = if smoke {
         &[(50, 5)]
-    } else if city100k_smoke {
-        &[]
     } else {
         &[(50, 30), (200, 20), (1000, 10)]
     };
     let siphoc_points: &[(usize, u64)] = if smoke {
         &[(50, 5)]
-    } else if city100k_smoke {
-        &[]
     } else {
         &[(50, 30), (200, 20), (1000, 10)]
     };
-    // (size, simulated seconds, sharded-executor threads). The same city
-    // at several thread counts: t1 is the sequential reference, the
-    // others measure the sharded speedup — and must dispatch identical
-    // events. The 100k rows at 1/2/4/8 threads are the headline curve
-    // for the work-stealing executor.
-    let city_points: &[(usize, u64, usize)] = if smoke {
-        &[(500, 2, 1), (500, 2, 2)]
-    } else if city100k_smoke {
-        &[(4_000, 1, 1), (4_000, 1, 2)]
+    let city_points: &[(usize, u64)] = if smoke {
+        &[(500, 2)]
     } else {
-        &[
-            (10_000, 3, 1),
-            (10_000, 3, 2),
-            (10_000, 3, 4),
-            (100_000, 2, 1),
-            (100_000, 2, 2),
-            (100_000, 2, 4),
-            (100_000, 2, 8),
-        ]
+        &[(10_000, 3), (100_000, 2)]
     };
 
     println!(
@@ -565,24 +513,23 @@ fn main() {
         "rss_peak_kb"
     );
     // One flat task list so `--jobs` can sweep scenarios concurrently
-    // (results stay in declaration order). City points keep jobs=1
-    // semantics anyway when run alone: with --jobs 1 (the default, and
-    // what scripts/bench.sh uses for recorded numbers) everything runs
-    // inline exactly as before.
+    // (results stay in declaration order). With --jobs 1 (the default,
+    // and what scripts/bench.sh uses for recorded numbers) everything
+    // runs inline.
     enum Point {
         Bcast(usize, u64),
         Siphoc(usize, u64),
-        City(usize, u64, usize),
+        City(usize, u64),
     }
     let mut points: Vec<Point> = Vec::new();
     points.extend(bcast_points.iter().map(|&(n, s)| Point::Bcast(n, s)));
     points.extend(siphoc_points.iter().map(|&(n, s)| Point::Siphoc(n, s)));
-    points.extend(city_points.iter().map(|&(n, s, t)| Point::City(n, s, t)));
+    points.extend(city_points.iter().map(|&(n, s)| Point::City(n, s)));
     let samples: Vec<Sample> =
         siphoc_simnet::parallel::run_indexed(jobs, points.len(), |i| match points[i] {
             Point::Bcast(n, secs) => best_of(reps, || run_bcast(n, secs)),
             Point::Siphoc(n, secs) => best_of(reps, || run_siphoc(n, secs)),
-            Point::City(n, secs, threads) => best_of(reps, || run_city(n, secs, threads)),
+            Point::City(n, secs) => best_of(reps, || run_city(n, secs)),
         });
     for s in &samples {
         println!(
@@ -596,39 +543,6 @@ fn main() {
             s.radio_tx,
             s.rss_peak_kb
         );
-    }
-
-    // The sharded executor must be trace-equivalent: every city sample
-    // of a given size has to dispatch exactly as many events as its
-    // single-thread reference.
-    for s in &samples {
-        if s.threads <= 1 || !s.name.starts_with("city_") {
-            continue;
-        }
-        let reference = samples
-            .iter()
-            .find(|r| r.name == format!("city_{}_t1", s.nodes))
-            .expect("city sweeps always include a t1 reference");
-        assert_eq!(
-            s.events, reference.events,
-            "{}: event count diverged from {} — the sharded executor broke determinism",
-            s.name, reference.name
-        );
-    }
-    // The city100k canary additionally requires that the work-stealing
-    // path *engaged* — otherwise the identity assert above only pins the
-    // barrier path and the canary is vacuous.
-    if city100k_smoke {
-        let stolen: u64 = samples
-            .iter()
-            .filter(|s| s.threads > 1)
-            .map(|s| s.steals)
-            .sum();
-        assert!(
-            stolen > 0,
-            "city100k canary: work stealing never engaged on the multi-thread runs"
-        );
-        println!("\ncity100k canary ok: {stolen} stolen events, t1/t2 event counts identical");
     }
 
     let json = render_json(&samples, jobs);

@@ -1,26 +1,23 @@
-//! City-scale scenario generator for the parallel-execution benchmarks.
+//! City-scale scenario generator for the simulator-core benchmarks.
 //!
 //! Builds a deterministic metropolitan-area MANET out of three
 //! ingredient populations:
 //!
 //! * **Districts** — static neighborhood meshes laid out on a coarse
-//!   super-grid. The super-grid pitch (600 m) is far beyond the
-//!   parallel runner's conflict radius (2.5 × the 100 m radio range), so
-//!   every district is its own conflict component and the sharded
-//!   executor can spread districts across worker threads.
+//!   super-grid. The super-grid pitch (600 m) is far beyond the 100 m
+//!   radio range, so districts never hear each other.
 //! * **Convoys** — mobile columns (delivery routes, bus lines) of
 //!   waypoint-driven nodes sweeping through the map at vehicle speeds.
-//!   They cross district boundaries and force grid rebuilds, exercising
-//!   the runner's freshness checks.
+//!   They cross district boundaries and force the spatial index to
+//!   re-bin them as they drift.
 //! * **Emergency swarm** — one dense fast-beaconing cluster (an incident
-//!   response team) that concentrates traffic and produces a single hot
-//!   component, so load balancing is never uniform.
+//!   response team) that concentrates traffic in a single hot spot, so
+//!   load is never uniform.
 //!
 //! Every node runs [`CityBeacon`]: a timer-driven broadcast beacon whose
 //! phase is drawn from the node's own RNG stream. Timer-driven (rather
-//! than injected from the harness) traffic keeps long simulated
-//! stretches inside a single `run_until_threads` call, which is the
-//! regime the parallel runner optimizes.
+//! than injected from the harness) traffic keeps a whole run inside a
+//! single `run_until` call.
 
 use siphoc_simnet::mobility::{Area, Mobility, WaypointParams};
 use siphoc_simnet::prelude::*;
@@ -28,9 +25,8 @@ use siphoc_simnet::prelude::*;
 /// Broadcast port the beacons use.
 pub const CITY_PORT: u16 = 9950;
 
-/// Super-grid pitch between district origins, metres. Must exceed the
-/// sharding conflict radius (2.5 × radio range) so districts stay
-/// independent components.
+/// Super-grid pitch between district origins, metres. Far beyond the
+/// radio range, so districts stay disconnected from each other.
 pub const DISTRICT_PITCH: f64 = 600.0;
 
 /// Intra-district node pitch, metres (connected mesh at 100 m range).

@@ -6,6 +6,7 @@
 //! the helpers here, measures, and prints aligned text tables whose
 //! numbers are recorded in `EXPERIMENTS.md`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod city;

@@ -18,6 +18,7 @@
 //! compares against; [`metrics`] provides the footprint and overhead
 //! accounting used by the experiment harness.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adversary;

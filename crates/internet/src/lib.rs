@@ -6,6 +6,7 @@
 //! paper §3.2), and wired caller endpoints reusing the `siphoc-sip`
 //! user agent.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dns;

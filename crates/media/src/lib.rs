@@ -6,6 +6,7 @@
 //! simulated network's loss/delay/jitter into per-call MOS reports
 //! (experiment E6).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod codec;

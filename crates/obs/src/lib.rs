@@ -23,6 +23,7 @@
 //! exporters themselves are always compiled: they only run on cold
 //! export paths.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chrome;

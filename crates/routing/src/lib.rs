@@ -5,6 +5,7 @@
 //! interface through which MANET SLP piggybacks service information onto
 //! routing control messages — the paper's core mechanism (see `DESIGN.md`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aodv;

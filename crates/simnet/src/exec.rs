@@ -1,20 +1,15 @@
-//! The event-dispatch engine shared by sequential and sharded execution.
+//! The event-dispatch engine.
 //!
 //! Everything that happens *inside* one event — process calls, effect
 //! application, forwarding, the radio channel, delivery — lives here, in
-//! [`Engine`]. The [`World`](crate::world::World) event loop and the
-//! windowed parallel runner ([`crate::shard`]) both drive the *same*
-//! engine code, which is what makes multi-threaded runs byte-identical to
-//! single-threaded ones: there is no second implementation to drift.
+//! [`Engine`]; the [`World`](crate::world::World) event loop owns
+//! scheduling and drives the engine one event at a time.
 //!
-//! The engine never touches the global event queue, the global trace or
-//! the global address map directly. Instead it writes into an
-//! [`EngineOut`] buffer — children to schedule (in birth order, so the
-//! caller can reproduce the exact `seq` assignment), trace entries (in
-//! capture order), address-map operations, and the dispatched-event
-//! meter. The sequential loop flushes the buffer after every event;
-//! the parallel runner keeps per-worker buffers and merges them
-//! deterministically at window barriers.
+//! The engine never touches the event queue or the packet trace. Instead
+//! it writes into an [`EngineOut`] buffer — children to schedule (in
+//! birth order, which fixes their `seq` assignment), trace entries (in
+//! capture order) and the dispatched-event meter — which the world
+//! flushes after every event.
 
 use std::collections::BTreeSet;
 
@@ -112,37 +107,6 @@ pub(crate) fn event_node(ev: &Event) -> Option<NodeId> {
     }
 }
 
-/// Every node an event reads *and* writes through its own dispatch — the
-/// conflict footprint the parallel runner partitions on. Radio fan-out
-/// reaches beyond this set, but only within one radio disk (see
-/// `crate::shard` for the lookahead argument).
-pub(crate) fn event_nodes(ev: &Event) -> &[NodeId] {
-    match ev {
-        Event::DeliverRadioBatch { receivers, .. } => receivers,
-        _ => match ev {
-            Event::Start { node, .. }
-            | Event::TxStart { node }
-            | Event::Deliver { node, .. }
-            | Event::TxDone { node }
-            | Event::Timer { node, .. }
-            | Event::Local { node, .. }
-            | Event::Replan { node }
-            | Event::PendingSweep { node } => std::slice::from_ref(node),
-            _ => &[],
-        },
-    }
-}
-
-/// A recorded address-map mutation (claim/release of a public address).
-/// In sequential mode these are applied immediately; in parallel mode
-/// they are buffered per worker and applied at the window barrier in
-/// replay order.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum MapOp {
-    Insert(Addr, NodeId),
-    Remove(Addr),
-}
-
 /// Buffered outputs of dispatching events through an [`Engine`].
 #[derive(Default)]
 pub(crate) struct EngineOut {
@@ -151,28 +115,14 @@ pub(crate) struct EngineOut {
     pub children: Vec<(SimTime, Event)>,
     /// Trace entries in capture order (empty unless tracing is enabled).
     pub trace: Vec<TraceEntry>,
-    /// Address-map mutations in execution order. In overlay mode these
-    /// also back the engine's own lookups, so a claim is visible to later
-    /// events dispatched through the same engine.
-    pub map_ops: Vec<MapOp>,
     /// Logical events dispatched (batch fan-outs count per receiver).
     pub events_delta: u64,
 }
 
-impl EngineOut {
-    pub fn clear(&mut self) {
-        self.children.clear();
-        self.trace.clear();
-        self.map_ops.clear();
-        self.events_delta = 0;
-    }
-}
-
 /// Reusable buffers for the per-event hot path: radio-range candidates,
 /// process effects, pending-flush destinations and recycled batch
-/// receiver vectors. One per execution lane (the world owns one for the
-/// sequential loop; each parallel worker owns its own), so steady-state
-/// dispatch allocates nothing.
+/// receiver vectors. Owned by the world, so steady-state dispatch
+/// allocates nothing.
 #[derive(Default)]
 pub(crate) struct EngineScratch {
     pub candidates: Vec<NodeId>,
@@ -181,183 +131,13 @@ pub(crate) struct EngineScratch {
     pub batch_pool: Vec<Vec<NodeId>>,
 }
 
-/// A child event discovered while executing a parallel window. Children
-/// landing inside the window are executed by the same worker
-/// (`Pending` → `Inline` once run); children at or past the window end
-/// stay `Future` and are scheduled by the coordinator during replay, in
-/// exactly the order the sequential loop would have scheduled them.
-#[derive(Debug)]
-pub(crate) enum ChildSlot {
-    /// In-window child, not yet executed by the worker (its time lives
-    /// in the worker's execution heap).
-    Pending(Event),
-    /// Out-of-window child; replay hands it to the world scheduler.
-    Future(SimTime, Event),
-    /// In-window child that was executed; points at its record, which
-    /// replay enqueues once the parent's record assigns it a seq.
-    Inline(u32),
-    /// Placeholder after the slot's payload has been consumed.
-    Taken,
-}
-
-/// Replay record for one executed event: where its outputs live in the
-/// worker's flat buffers.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Rec {
-    pub time: SimTime,
-    pub events_delta: u64,
-    /// Range into [`WorkerOut::trace`].
-    pub trace_range: (u32, u32),
-    /// Range into the bucket's `children` vec.
-    pub child_range: (u32, u32),
-    /// Range into [`WorkerOut::map_ops`].
-    pub map_range: (u32, u32),
-}
-
-/// Everything a worker hands back to the coordinator for replay.
-#[derive(Default)]
-pub(crate) struct WorkerOut {
-    /// One record per executed event, in worker execution order.
-    pub recs: Vec<Rec>,
-    /// `(original seq, record index)` for the window-initial events.
-    pub init_recs: Vec<(u64, u32)>,
-    /// Trace entries, concatenated; indexed by [`Rec::trace_range`].
-    pub trace: Vec<TraceEntry>,
-    /// Address-map ops, concatenated; indexed by [`Rec::map_range`].
-    pub map_ops: Vec<MapOp>,
-}
-
-impl WorkerOut {
-    pub fn clear(&mut self) {
-        self.recs.clear();
-        self.init_recs.clear();
-        self.trace.clear();
-        self.map_ops.clear();
-    }
-}
-
-/// Results of events executed *ahead of time* by the work-stealing
-/// executor (`crate::shard`), parked until the world's clock reaches
-/// their original `(time, seq)` positions.
-///
-/// A stolen component's node state is mutated in place when it runs (the
-/// steal-selection rules prove nothing ordered before it can observe
-/// that state), but its externally visible outputs — trace entries,
-/// child events, the event meter — must merge into the world in exact
-/// global order. Those outputs live here, keyed by the stolen events'
-/// original `(time, seq)`, and every execution path (sequential windows,
-/// replay, the end-of-run drain) yields to stash entries with smaller
-/// keys before dispatching its own next event.
-///
-/// Invariant: the stash is fully drained before `run_until_threads`
-/// returns (stolen events never exceed the run target), so plain
-/// `run_until` never has to know it exists.
-#[derive(Default)]
-pub(crate) struct Stash {
-    /// Pending records as `Reverse((time, seq, group, rec_index))` — a
-    /// min-heap over the original global keys.
-    pub heap: std::collections::BinaryHeap<std::cmp::Reverse<(SimTime, u64, u32, u32)>>,
-    /// Buffers of each stolen bucket, appended per window, cleared once
-    /// the heap empties.
-    pub groups: Vec<StashGroup>,
-}
-
-/// The replay buffers of one stolen bucket (moved out of the worker's
-/// [`WorkerOut`] at the window barrier).
-#[derive(Default)]
-pub(crate) struct StashGroup {
-    pub recs: Vec<Rec>,
-    pub trace: Vec<TraceEntry>,
-    pub children: Vec<ChildSlot>,
-}
-
-/// Node storage access for the engine.
-///
-/// Holds a raw pointer to the world's node slab so the same engine code
-/// serves two regimes:
-///
-/// * **exclusive** (sequential loop): built from `&mut Vec<Node>`; plain
-///   aliasing rules hold trivially.
-/// * **partitioned** (parallel workers): several engines point at the
-///   same slab from different threads. Soundness rests on the window
-///   invariant established in `crate::shard`: within one lookahead
-///   window, a worker takes `&mut` only to nodes of its own conflict
-///   component, and every node it reads through `&` is either in its
-///   component or mutated by no worker during the window (positions,
-///   liveness and interface flags of bystander nodes are frozen — fault
-///   and replan events serialize the whole window).
-pub(crate) struct NodesAccess<'a> {
-    ptr: *mut Node,
-    len: usize,
-    _marker: std::marker::PhantomData<&'a mut [Node]>,
-}
-
-impl<'a> NodesAccess<'a> {
-    pub fn new(nodes: &'a mut [Node]) -> NodesAccess<'a> {
-        NodesAccess {
-            ptr: nodes.as_mut_ptr(),
-            len: nodes.len(),
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Caller guarantees the pointed-to slab outlives `'a` and that the
-    /// partitioned-access invariant above holds for every id accessed.
-    pub unsafe fn from_raw(ptr: *mut Node, len: usize) -> NodesAccess<'a> {
-        NodesAccess {
-            ptr,
-            len,
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    #[inline]
-    pub fn get(&self, id: NodeId) -> &Node {
-        assert!((id.0 as usize) < self.len, "unknown node {id}");
-        unsafe { &*self.ptr.add(id.0 as usize) }
-    }
-
-    #[inline]
-    pub fn get_mut(&mut self, id: NodeId) -> &mut Node {
-        assert!((id.0 as usize) < self.len, "unknown node {id}");
-        unsafe { &mut *self.ptr.add(id.0 as usize) }
-    }
-
-    /// The whole slab as a slice — used only by the exclusive (grid
-    /// rebuild) path, never from a partitioned worker.
-    #[inline]
-    pub fn slice(&self) -> &[Node] {
-        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-    }
-}
-
-/// Address-map access mode.
-pub(crate) enum MapAccess<'a> {
-    /// Sequential loop: mutate the world's map in place.
-    Direct(&'a mut FastMap<Addr, NodeId>),
-    /// Parallel worker: read the frozen map through the engine's own
-    /// buffered [`MapOp`]s (claims made earlier in this worker's lane are
-    /// visible); mutations are deferred to the window barrier.
-    Overlay(&'a FastMap<Addr, NodeId>),
-}
-
-/// Spatial-index access mode.
-pub(crate) enum GridAccess<'a> {
-    /// Sequential loop: queries may lazily rebuild.
-    Mut(&'a mut NeighborGrid),
-    /// Parallel worker: the coordinator proved no rebuild can trigger
-    /// inside the window, so queries are read-only.
-    Frozen(&'a NeighborGrid),
-}
-
-/// One execution lane's view of the world plus its output buffers. See
-/// the module docs; constructed fresh per event batch, cheap (all refs).
+/// The world's state as one event's dispatch sees it, plus its output
+/// buffer. See the module docs; constructed fresh per event, cheap (all
+/// refs).
 pub(crate) struct Engine<'a> {
     pub cfg: &'a WorldConfig,
     pub now: SimTime,
-    pub nodes: NodesAccess<'a>,
+    pub nodes: &'a mut [Node],
     /// Ids of every radio node in creation order (the full-scan fallback
     /// for `use_spatial_index = false`). Maintained by `add_node`;
     /// interface flags never change after creation.
@@ -365,15 +145,13 @@ pub(crate) struct Engine<'a> {
     pub link_cuts: &'a BTreeSet<(u32, u32)>,
     pub partition: &'a Option<BTreeSet<u32>>,
     pub packet_faults: &'a [PacketFault],
-    /// Global fault-sampling stream; `None` in parallel workers, which
-    /// only run windows with no packet faults active.
-    pub fault_rng: Option<&'a mut SimRng>,
-    pub map: MapAccess<'a>,
-    pub grid: GridAccess<'a>,
+    /// Global fault-sampling stream.
+    pub fault_rng: &'a mut SimRng,
+    pub map: &'a mut FastMap<Addr, NodeId>,
+    pub grid: &'a mut NeighborGrid,
     /// Dense liveness/position mirror of the node slab (see
     /// [`HotNode`]); radio fan-out filters read it instead of the full
-    /// `Node` structs. Entries mutate only between windows, so parallel
-    /// workers share it read-only.
+    /// `Node` structs.
     pub hot: &'a [HotNode],
     pub trace_enabled: bool,
     pub scratch: &'a mut EngineScratch,
@@ -381,10 +159,9 @@ pub(crate) struct Engine<'a> {
 }
 
 impl Engine<'_> {
-    /// Dispatches one event and flushes the owning node's pending queue,
-    /// exactly as the sequential event loop always has. `Fault` and
-    /// `Replan` events mutate global state and are handled by the world,
-    /// never dispatched here.
+    /// Dispatches one event and flushes the owning node's pending queue.
+    /// `Fault` and `Replan` events mutate global state and are handled by
+    /// the world, never dispatched here.
     pub fn dispatch_and_flush(&mut self, event: Event) {
         self.out.events_delta += 1;
         let node = event_node(&event);
@@ -405,7 +182,7 @@ impl Engine<'_> {
             Event::DeliverRadioBatch { dgram, receivers } => self.deliver_batch(dgram, receivers),
             Event::TxDone { node } => self.tx_done(node),
             Event::Local { node, exclude, ev } => {
-                let count = self.nodes.get(node).procs.len();
+                let count = self.nodes[node.0 as usize].procs.len();
                 for idx in 0..count {
                     if Some(idx) != exclude {
                         self.call_proc(node, idx, CallKind::Local(ev.clone()));
@@ -414,7 +191,7 @@ impl Engine<'_> {
             }
             Event::PendingSweep { node } => {
                 let now = self.now;
-                let n = self.nodes.get_mut(node);
+                let n = &mut self.nodes[node.0 as usize];
                 let mut dropped = 0usize;
                 let mut dropped_bytes = 0usize;
                 n.pending.retain(|_, pkts| {
@@ -450,37 +227,7 @@ impl Engine<'_> {
     }
 
     fn lookup_addr(&self, addr: Addr) -> Option<NodeId> {
-        match &self.map {
-            MapAccess::Direct(m) => m.get(&addr).copied(),
-            MapAccess::Overlay(base) => {
-                for op in self.out.map_ops.iter().rev() {
-                    match *op {
-                        MapOp::Insert(a, n) if a == addr => return Some(n),
-                        MapOp::Remove(a) if a == addr => return None,
-                        _ => {}
-                    }
-                }
-                base.get(&addr).copied()
-            }
-        }
-    }
-
-    fn map_insert(&mut self, addr: Addr, node: NodeId) {
-        match &mut self.map {
-            MapAccess::Direct(m) => {
-                m.insert(addr, node);
-            }
-            MapAccess::Overlay(_) => self.out.map_ops.push(MapOp::Insert(addr, node)),
-        }
-    }
-
-    fn map_remove(&mut self, addr: Addr) {
-        match &mut self.map {
-            MapAccess::Direct(m) => {
-                m.remove(&addr);
-            }
-            MapAccess::Overlay(_) => self.out.map_ops.push(MapOp::Remove(addr)),
-        }
+        self.map.get(&addr).copied()
     }
 
     fn link_faulted(&self, a: NodeId, b: NodeId) -> bool {
@@ -495,16 +242,16 @@ impl Engine<'_> {
 
     fn call_proc(&mut self, node: NodeId, idx: usize, kind: CallKind) {
         let now = self.now;
-        let n = self.nodes.get_mut(node);
+        let n = &mut self.nodes[node.0 as usize];
         if !n.up || idx >= n.procs.len() {
             return;
         }
         let Some(mut proc) = n.procs[idx].take() else {
             return;
         };
-        // Effects are collected into the lane's reused buffer; process
+        // Effects are collected into the reused scratch buffer; process
         // calls never nest (effect application only schedules), so one
-        // buffer per lane suffices.
+        // buffer suffices.
         let mut effects = std::mem::take(&mut self.scratch.effects);
         debug_assert!(effects.is_empty());
         {
@@ -527,7 +274,7 @@ impl Engine<'_> {
                 CallKind::Local(ev) => proc.on_local_event(&mut ctx, &ev),
             }
         }
-        self.nodes.get_mut(node).procs[idx] = Some(proc);
+        self.nodes[node.0 as usize].procs[idx] = Some(proc);
         self.apply_effects(node, idx, &mut effects);
         effects.clear();
         self.scratch.effects = effects;
@@ -537,8 +284,8 @@ impl Engine<'_> {
         for effect in effects.drain(..) {
             match effect {
                 Effect::Bind(port) => {
-                    let name = self.nodes.get(node).proc_names[idx];
-                    let n = self.nodes.get_mut(node);
+                    let n = &mut self.nodes[node.0 as usize];
+                    let name = n.proc_names[idx];
                     if let Some(prev) = n.port_bindings.insert(port, idx) {
                         if prev != idx {
                             panic!("port {port} on {node} already bound by another process (binder: {name})");
@@ -568,27 +315,27 @@ impl Engine<'_> {
                     );
                 }
                 Effect::AddLocalAddr(a) => {
-                    let n = self.nodes.get_mut(node);
+                    let n = &mut self.nodes[node.0 as usize];
                     if !n.local_addrs.contains(&a) {
                         n.local_addrs.push(a);
                     }
                 }
                 Effect::RemoveLocalAddr(a) => {
-                    let n = self.nodes.get_mut(node);
+                    let n = &mut self.nodes[node.0 as usize];
                     n.local_addrs.retain(|x| *x != a);
                 }
                 Effect::ClaimPublicAddr(a) => {
-                    self.map_insert(a, node);
-                    self.nodes.get_mut(node).addr_handlers.insert(a, idx);
+                    self.map.insert(a, node);
+                    self.nodes[node.0 as usize].addr_handlers.insert(a, idx);
                 }
                 Effect::ReleasePublicAddr(a) => {
                     if self.lookup_addr(a) == Some(node) {
-                        self.map_remove(a);
+                        self.map.remove(&a);
                     }
-                    self.nodes.get_mut(node).addr_handlers.remove(&a);
+                    self.nodes[node.0 as usize].addr_handlers.remove(&a);
                 }
                 Effect::SetDefaultHandler(enabled) => {
-                    let n = self.nodes.get_mut(node);
+                    let n = &mut self.nodes[node.0 as usize];
                     if enabled {
                         n.default_handler = Some(idx);
                     } else if n.default_handler == Some(idx) {
@@ -608,7 +355,7 @@ impl Engine<'_> {
     /// which has its TTL decremented.
     pub fn route_and_send(&mut self, node: NodeId, dgram: Datagram, forwarded: bool) {
         let loopback_delay = self.cfg.loopback_delay;
-        let n = self.nodes.get_mut(node);
+        let n = &mut self.nodes[node.0 as usize];
         if !n.up {
             return;
         }
@@ -642,7 +389,7 @@ impl Engine<'_> {
         }
 
         let now = self.now;
-        let n = self.nodes.get_mut(node);
+        let n = &mut self.nodes[node.0 as usize];
         if let Some(route) = n.routes.lookup_active(dst.addr, now) {
             self.enqueue_frame(node, L2Dst::Unicast(route.next_hop), dgram);
             return;
@@ -670,7 +417,7 @@ impl Engine<'_> {
         if dst.addr.is_manet() && n.has_radio {
             let deadline = now + self.cfg.pending_timeout;
             let wire = dgram.wire_len();
-            let n = self.nodes.get_mut(node);
+            let n = &mut self.nodes[node.0 as usize];
             n.pending
                 .entry(dst.addr)
                 .or_default()
@@ -693,11 +440,11 @@ impl Engine<'_> {
     /// Re-sends parked datagrams for destinations that acquired a route.
     fn flush_pending(&mut self, node: NodeId) {
         let now = self.now;
-        let n = self.nodes.get_mut(node);
+        let n = &mut self.nodes[node.0 as usize];
         if n.pending.is_empty() {
             return;
         }
-        // Destination list goes through the lane's reused buffer
+        // Destination list goes through the reused scratch buffer
         // (route_and_send below never re-enters flush_pending).
         let mut ready = std::mem::take(&mut self.scratch.ready);
         debug_assert!(ready.is_empty());
@@ -711,9 +458,7 @@ impl Engine<'_> {
         // the events they schedule) are independent of hasher internals.
         ready.sort_unstable();
         for &dst in &ready {
-            let pkts = self
-                .nodes
-                .get_mut(node)
+            let pkts = self.nodes[node.0 as usize]
                 .pending
                 .remove(&dst)
                 .unwrap_or_default();
@@ -728,15 +473,13 @@ impl Engine<'_> {
 
     fn wired_send(&mut self, node: NodeId, dgram: Datagram) {
         let Some(target) = self.lookup_addr(dgram.dst.addr) else {
-            self.nodes
-                .get_mut(node)
+            self.nodes[node.0 as usize]
                 .stats
                 .count("drop.wired_unroutable", dgram.wire_len());
             return;
         };
-        if !self.nodes.get(target).has_wired {
-            self.nodes
-                .get_mut(node)
+        if !self.nodes[target.0 as usize].has_wired {
+            self.nodes[node.0 as usize]
                 .stats
                 .count("drop.wired_unroutable", dgram.wire_len());
             return;
@@ -744,14 +487,14 @@ impl Engine<'_> {
         let wire = dgram.wire_len();
         let jitter_us = {
             let max = self.cfg.wired_jitter.as_micros();
-            let n = self.nodes.get_mut(node);
+            let n = &mut self.nodes[node.0 as usize];
             if max == 0 {
                 0
             } else {
                 n.rng.range_u64(0, max)
             }
         };
-        self.nodes.get_mut(node).stats.count("wired.tx", wire);
+        self.nodes[node.0 as usize].stats.count("wired.tx", wire);
         let delay = self.cfg.wired_latency + SimDuration::from_micros(jitter_us);
         self.schedule(
             delay,
@@ -769,7 +512,7 @@ impl Engine<'_> {
 
     pub fn enqueue_frame(&mut self, node: NodeId, dst: L2Dst, dgram: Datagram) {
         let retries = self.cfg.radio.unicast_retries;
-        let n = self.nodes.get_mut(node);
+        let n = &mut self.nodes[node.0 as usize];
         if !n.has_radio {
             n.stats.count("drop.no_radio", dgram.wire_len());
             return;
@@ -792,26 +535,21 @@ impl Engine<'_> {
     /// is a superset of the true in-range set in the same order, and the
     /// caller must still apply exact distance and liveness filters —
     /// which is what makes the two paths trace-identical.
-    /// Takes the lane's reusable candidate buffer filled for `node`;
+    /// Takes the reusable candidate buffer filled for `node`;
     /// return it with [`Engine::recycle_candidates`] when done so the
     /// next transmission reuses the allocation.
     fn radio_candidates(&mut self, node: NodeId, pos: crate::mobility::Position) -> Vec<NodeId> {
         let mut out = std::mem::take(&mut self.scratch.candidates);
         out.clear();
         if self.cfg.use_spatial_index {
-            match &mut self.grid {
-                GridAccess::Mut(g) => g.candidates_into(
-                    self.nodes.slice(),
-                    node,
-                    pos,
-                    self.cfg.radio.range,
-                    self.now,
-                    &mut out,
-                ),
-                GridAccess::Frozen(g) => {
-                    g.candidates_frozen(node, pos, self.cfg.radio.range, self.now, &mut out)
-                }
-            }
+            self.grid.candidates_into(
+                self.nodes,
+                node,
+                pos,
+                self.cfg.radio.range,
+                self.now,
+                &mut out,
+            );
         } else {
             out.extend(self.radio_ids.iter().copied().filter(|&id| id != node));
         }
@@ -825,21 +563,19 @@ impl Engine<'_> {
     fn start_tx(&mut self, node: NodeId) {
         let radio = self.cfg.radio;
         let now = self.now;
-        if self.nodes.get(node).tx_queue.front().is_none() {
-            self.nodes.get_mut(node).tx_busy = false;
+        if self.nodes[node.0 as usize].tx_queue.front().is_none() {
+            self.nodes[node.0 as usize].tx_busy = false;
             return;
         }
         // Carrier sense: defer while any node in range is on the air.
-        // (Cross-node `tx_until` reads make carrier-sense worlds run
-        // their windows sequentially under the parallel runner.)
         if radio.carrier_sense {
-            let pos = self.nodes.get(node).mobility.position(now);
+            let pos = self.nodes[node.0 as usize].mobility.position(now);
             let candidates = self.radio_candidates(node, pos);
             let busy_until = candidates
                 .iter()
                 .filter_map(|&id| {
                     let h = &self.hot[id.0 as usize];
-                    let until = self.nodes.get(id).tx_until;
+                    let until = self.nodes[id.0 as usize].tx_until;
                     (h.up
                         && until > now
                         && crate::mobility::distance(pos, h.position(now)) <= radio.range)
@@ -849,16 +585,16 @@ impl Engine<'_> {
             self.recycle_candidates(candidates);
             if let Some(until) = busy_until {
                 let backoff = {
-                    let n = self.nodes.get_mut(node);
+                    let n = &mut self.nodes[node.0 as usize];
                     let max = radio.backoff_max.as_micros().max(1);
                     SimDuration::from_micros(n.rng.range_u64(0, max))
                 };
-                self.nodes.get_mut(node).stats.count("radio.cs_defer", 0);
+                self.nodes[node.0 as usize].stats.count("radio.cs_defer", 0);
                 self.schedule_at(until + backoff, Event::TxStart { node });
                 return;
             }
         }
-        let n = self.nodes.get_mut(node);
+        let n = &mut self.nodes[node.0 as usize];
         let front = n.tx_queue.front().expect("checked above");
         let wire = front.dgram.wire_len();
         let t = radio.tx_time(wire, &mut n.rng);
@@ -871,7 +607,7 @@ impl Engine<'_> {
         let radio = self.cfg.radio;
         let prop = radio.prop_delay;
         let now = self.now;
-        let n = self.nodes.get_mut(node);
+        let n = &mut self.nodes[node.0 as usize];
         if !n.up {
             n.tx_queue.clear();
             n.tx_busy = false;
@@ -886,7 +622,7 @@ impl Engine<'_> {
 
         match frame.dst {
             L2Dst::Broadcast => {
-                self.nodes.get_mut(node).stats.count("radio.tx", wire);
+                self.nodes[node.0 as usize].stats.count("radio.tx", wire);
                 self.record(node, TraceKind::RadioTx, None, &frame.dgram);
                 // Per-receiver loss draws below consume the transmitter's
                 // RNG in iteration order, so the candidate order (node id)
@@ -916,7 +652,7 @@ impl Engine<'_> {
                         continue;
                     }
                     let lost = {
-                        let n = self.nodes.get_mut(node);
+                        let n = &mut self.nodes[node.0 as usize];
                         loss.sample_loss(dist, &mut n.rng)
                     };
                     if !lost {
@@ -957,7 +693,7 @@ impl Engine<'_> {
                                 pos,
                                 self.hot[target.0 as usize].position(self.now),
                             );
-                            let n = self.nodes.get_mut(node);
+                            let n = &mut self.nodes[node.0 as usize];
                             !radio.loss.sample_loss(dist, radio.range, &mut n.rng)
                         } else {
                             false
@@ -967,27 +703,29 @@ impl Engine<'_> {
                 };
                 if ok {
                     let target = target.expect("delivery succeeded without target");
-                    self.nodes.get_mut(node).stats.count("radio.tx", wire);
+                    self.nodes[node.0 as usize].stats.count("radio.tx", wire);
                     self.record(node, TraceKind::RadioTx, None, &frame.dgram);
                     self.deliver_radio_frame(node, target, frame.dgram.clone(), prop);
                     self.finish_frame(node);
                 } else if frame.retries_left > 0 {
-                    let n = self.nodes.get_mut(node);
+                    let n = &mut self.nodes[node.0 as usize];
                     n.stats.count("radio.retx", wire);
                     if let Some(f) = n.tx_queue.front_mut() {
                         f.retries_left -= 1;
                     }
                     // Stay busy: retransmit after another full TX time.
                     let t = {
-                        let n = self.nodes.get_mut(node);
+                        let n = &mut self.nodes[node.0 as usize];
                         let t = radio.tx_time(wire, &mut n.rng);
                         n.obs.hist_record("radio.airtime_us", t.as_micros());
                         t
                     };
-                    self.nodes.get_mut(node).tx_until = now + t;
+                    self.nodes[node.0 as usize].tx_until = now + t;
                     self.schedule(t, Event::TxDone { node });
                 } else {
-                    self.nodes.get_mut(node).stats.count("drop.l2_fail", wire);
+                    self.nodes[node.0 as usize]
+                        .stats
+                        .count("drop.l2_fail", wire);
                     self.record(
                         node,
                         TraceKind::Drop,
@@ -1026,41 +764,34 @@ impl Engine<'_> {
                 .copied()
                 .collect();
             for f in faults {
-                let fault_rng = self
-                    .fault_rng
-                    .as_deref_mut()
-                    .expect("packet faults active without a fault stream");
-                if !fault_rng.chance(f.probability) {
+                if !self.fault_rng.chance(f.probability) {
                     continue;
                 }
                 let wire = dgram.wire_len();
                 match f.kind {
                     PacketFaultKind::Blackhole => {
-                        self.nodes.get_mut(tx).stats.count("fault.blackhole", wire);
+                        self.nodes[tx.0 as usize]
+                            .stats
+                            .count("fault.blackhole", wire);
                         self.record(tx, TraceKind::Drop, Some("fault-blackhole"), &dgram);
                         return;
                     }
                     PacketFaultKind::Corrupt => {
-                        corrupt_payload(
-                            dgram.payload.make_mut(),
-                            self.fault_rng.as_deref_mut().expect("checked above"),
-                        );
-                        self.nodes.get_mut(tx).stats.count("fault.corrupt", wire);
+                        corrupt_payload(dgram.payload.make_mut(), self.fault_rng);
+                        self.nodes[tx.0 as usize].stats.count("fault.corrupt", wire);
                     }
                     PacketFaultKind::Duplicate => {
                         copies += 1;
-                        self.nodes.get_mut(tx).stats.count("fault.duplicate", wire);
+                        self.nodes[tx.0 as usize]
+                            .stats
+                            .count("fault.duplicate", wire);
                     }
                     PacketFaultKind::Reorder { max_extra } => {
                         let max_us = max_extra.as_micros();
                         if max_us > 0 {
-                            let jitter = self
-                                .fault_rng
-                                .as_deref_mut()
-                                .expect("checked above")
-                                .range_u64(0, max_us);
+                            let jitter = self.fault_rng.range_u64(0, max_us);
                             extra += SimDuration::from_micros(jitter);
-                            self.nodes.get_mut(tx).stats.count("fault.reorder", wire);
+                            self.nodes[tx.0 as usize].stats.count("fault.reorder", wire);
                         }
                     }
                 }
@@ -1083,7 +814,7 @@ impl Engine<'_> {
     }
 
     fn finish_frame(&mut self, node: NodeId) {
-        let n = self.nodes.get_mut(node);
+        let n = &mut self.nodes[node.0 as usize];
         n.tx_queue.pop_front();
         if n.tx_queue.is_empty() {
             n.tx_busy = false;
@@ -1112,7 +843,7 @@ impl Engine<'_> {
     }
 
     fn deliver(&mut self, node: NodeId, dgram: Datagram, via: Via) {
-        let n = self.nodes.get_mut(node);
+        let n = &mut self.nodes[node.0 as usize];
         if !n.up {
             return;
         }
@@ -1132,7 +863,7 @@ impl Engine<'_> {
             Via::Loopback => {}
         }
 
-        let n = self.nodes.get(node);
+        let n = &self.nodes[node.0 as usize];
         let dst = dgram.dst;
         if dst.addr.is_broadcast() {
             if let Some(&idx) = n.port_bindings.get(&dst.port) {
@@ -1148,8 +879,7 @@ impl Engine<'_> {
             if let Some(&idx) = n.port_bindings.get(&dst.port) {
                 self.call_proc(node, idx, CallKind::Datagram(dgram));
             } else {
-                self.nodes
-                    .get_mut(node)
+                self.nodes[node.0 as usize]
                     .stats
                     .count("drop.no_listener", dgram.wire_len());
             }

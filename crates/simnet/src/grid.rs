@@ -167,26 +167,19 @@ impl NeighborGrid {
 
     /// Whether the next query at `now` would rebuild the cells first:
     /// the index is dirty, or accumulated drift exceeds the slack budget.
-    /// The parallel runner uses this to prove no rebuild can fire inside
-    /// a lookahead window — rebuild *timing* is part of the determinism
-    /// contract, because a rebuild changes the candidate superset (and so
-    /// the order of downstream RNG draws).
     pub fn needs_rebuild(&self, now: SimTime) -> bool {
         self.dirty || self.drift(now) > self.cell * MAX_DRIFT_FRACTION
     }
 
-    /// Refreshes now if the next query would have: called by the parallel
-    /// runner at a window boundary so workers can query the index frozen
-    /// for the whole window. Refresh timing is free to differ between
-    /// thread counts — queries return drift-inflated *supersets* that the
-    /// callers trim with exact distance checks before anything observable
-    /// (RNG draws, deliveries) happens, so when a refresh lands is
-    /// invisible in the trace (the grid↔full-scan equivalence tests pin
-    /// exactly this).
+    /// Brings the index up to date for a query at `now`. When a refresh
+    /// lands is invisible in the trace: queries return drift-inflated
+    /// *supersets* that the callers trim with exact distance checks
+    /// before anything observable (RNG draws, deliveries) happens (the
+    /// grid↔full-scan equivalence tests pin exactly this).
     ///
     /// A dirty index (structural change) takes the full O(n) rebuild; a
     /// merely *drifted* one re-bins only the mobile nodes.
-    pub fn ensure_fresh(&mut self, nodes: &[Node], now: SimTime) {
+    fn ensure_fresh(&mut self, nodes: &[Node], now: SimTime) {
         if self.dirty {
             self.rebuild(nodes, now);
         } else if self.drift(now) > self.cell * MAX_DRIFT_FRACTION {
@@ -361,32 +354,6 @@ impl NeighborGrid {
         out: &mut Vec<NodeId>,
     ) {
         self.ensure_fresh(nodes, now);
-        self.query(node, pos, range, now, out);
-    }
-
-    /// As [`candidates_into`](Self::candidates_into) but on a *frozen*
-    /// index: never rebuilds. The caller (the parallel runner) must have
-    /// checked [`needs_rebuild`](Self::needs_rebuild) is false for the
-    /// whole time window it queries in — workers then share the index
-    /// read-only and every query matches what the sequential path would
-    /// have produced.
-    pub fn candidates_frozen(
-        &self,
-        node: NodeId,
-        pos: Position,
-        range: f64,
-        now: SimTime,
-        out: &mut Vec<NodeId>,
-    ) {
-        debug_assert!(
-            !self.needs_rebuild(now),
-            "frozen grid query past its rebuild horizon"
-        );
-        self.query(node, pos, range, now, out);
-    }
-
-    /// The shared (read-only) query body behind both entry points.
-    fn query(&self, node: NodeId, pos: Position, range: f64, now: SimTime, out: &mut Vec<NodeId>) {
         if self.cols == 0 {
             return;
         }

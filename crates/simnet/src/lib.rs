@@ -33,6 +33,7 @@
 //! assert_ne!(world.node(a).addr(), world.node(b).addr());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -63,7 +64,6 @@ pub mod process;
 pub mod radio;
 pub mod rng;
 pub mod route;
-mod shard;
 pub mod stats;
 pub mod time;
 pub mod trace;

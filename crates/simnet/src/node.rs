@@ -123,10 +123,9 @@ pub(crate) struct PendingPacket {
 ///
 /// Positions are interpolated by the same `mobility::leg_position`
 /// function the authoritative `Mobility` model uses, so both paths are
-/// bit-identical. Entries are rewritten only from sequential contexts
-/// (`add_node`, `set_node_up`, replans, explicit moves) — never inside a
-/// parallel window — so workers may read the arena as a plain shared
-/// slice.
+/// bit-identical. Entries are rewritten by every path that changes a
+/// node's liveness or trajectory (`add_node`, `set_node_up`, replans,
+/// explicit moves).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct HotNode {
     pub up: bool,

@@ -18,19 +18,16 @@ use std::sync::Mutex;
 
 /// A take-a-number dispenser for dynamic work distribution: each
 /// [`WorkCursor::claim`] returns a distinct index in `0..limit` (in
-/// arrival order) until the range is exhausted.
-///
-/// Shared by [`run_indexed`]'s sweep pool and the window executor's
-/// steal pool (`crate::shard`): both hand out work units to whichever
-/// thread frees up first, and both depend on every index being claimed
-/// exactly once regardless of thread timing.
-pub(crate) struct WorkCursor {
+/// arrival order) until the range is exhausted. [`run_indexed`] hands
+/// jobs to whichever thread frees up first, and depends on every index
+/// being claimed exactly once regardless of thread timing.
+struct WorkCursor {
     next: AtomicUsize,
     limit: usize,
 }
 
 impl WorkCursor {
-    pub fn new(limit: usize) -> WorkCursor {
+    fn new(limit: usize) -> WorkCursor {
         WorkCursor {
             next: AtomicUsize::new(0),
             limit,
@@ -39,7 +36,7 @@ impl WorkCursor {
 
     /// Claims the next unclaimed index, or `None` once all are taken.
     #[inline]
-    pub fn claim(&self) -> Option<usize> {
+    fn claim(&self) -> Option<usize> {
         let i = self.next.fetch_add(1, Ordering::Relaxed);
         (i < self.limit).then_some(i)
     }

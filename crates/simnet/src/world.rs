@@ -8,17 +8,12 @@
 //! What happens *inside* one event — process calls, forwarding, the radio
 //! channel — lives in [`crate::exec::Engine`]; the world owns scheduling
 //! (the `(time, seq)` queue and slab), global fault state and the node
-//! table, and drives the engine one event at a time. The windowed
-//! parallel runner in [`crate::shard`] drives the same engine from worker
-//! threads and merges results back through the same scheduling machinery,
-//! which is what keeps multi-threaded runs byte-identical.
+//! table, and drives the engine one event at a time.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
 
-use crate::exec::{
-    Engine, EngineOut, EngineScratch, Event, GridAccess, MapAccess, NodesAccess, Stash,
-};
+use crate::exec::{Engine, EngineOut, EngineScratch, Event};
 use crate::fasthash::FastMap;
 use crate::fault::{FaultAction, FaultPlan, PacketFault};
 use crate::grid::NeighborGrid;
@@ -53,13 +48,6 @@ pub struct WorldConfig {
     /// the flag exists so equivalence tests can pin that, and as an
     /// escape hatch while diagnosing suspected index bugs.
     pub use_spatial_index: bool,
-    /// Let [`World::run_until_threads`] workers that finish their window
-    /// bucket early execute provably independent components of the *next*
-    /// lookahead window instead of idling at the barrier (see
-    /// [`crate::shard`]). Traces are byte-identical either way — the flag
-    /// exists so determinism tests can pin that equivalence and as a
-    /// diagnostic escape hatch.
-    pub work_stealing: bool,
 }
 
 impl WorldConfig {
@@ -74,7 +62,6 @@ impl WorldConfig {
             loopback_delay: SimDuration::from_micros(50),
             pending_timeout: SimDuration::from_secs(2),
             use_spatial_index: true,
-            work_stealing: true,
         }
     }
 
@@ -83,22 +70,16 @@ impl WorldConfig {
         self.radio = radio;
         self
     }
-
-    /// Enables or disables cross-window work stealing.
-    pub fn with_work_stealing(mut self, on: bool) -> WorldConfig {
-        self.work_stealing = on;
-        self
-    }
 }
 
 /// Heap entry: ordering key plus a slot index into the world's event
 /// slab. Keeping the (large) `Event` payload out of the heap makes every
 /// sift move 24 bytes instead of 80, which is a measurable share of the
 /// event loop at scale.
-pub(crate) struct Queued {
-    pub(crate) time: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) slot: u32,
+struct Queued {
+    time: SimTime,
+    seq: u64,
+    slot: u32,
 }
 
 impl PartialEq for Queued {
@@ -132,63 +113,48 @@ impl Ord for Queued {
 /// assert_eq!(world.node(a).addr(), Addr::manet(0));
 /// ```
 pub struct World {
-    pub(crate) cfg: WorldConfig,
-    pub(crate) now: SimTime,
-    pub(crate) seq: u64,
+    cfg: WorldConfig,
+    now: SimTime,
+    seq: u64,
     /// Total events dispatched since creation (benchmark harnesses divide
     /// this by wall-clock time to report simulator throughput).
-    pub(crate) events: u64,
-    pub(crate) queue: BinaryHeap<Reverse<Queued>>,
-    pub(crate) nodes: Vec<Node>,
-    pub(crate) addr_map: FastMap<Addr, NodeId>,
-    pub(crate) trace: PacketTrace,
+    events: u64,
+    queue: BinaryHeap<Reverse<Queued>>,
+    nodes: Vec<Node>,
+    addr_map: FastMap<Addr, NodeId>,
+    trace: PacketTrace,
     next_manet_index: u32,
     workload_rng: SimRng,
     /// Administratively cut radio links, as normalized id pairs.
-    pub(crate) link_cuts: BTreeSet<(u32, u32)>,
+    link_cuts: BTreeSet<(u32, u32)>,
     /// Current partition island (node ids); links crossing its boundary
     /// are blocked.
-    pub(crate) partition: Option<BTreeSet<u32>>,
+    partition: Option<BTreeSet<u32>>,
     /// Active probabilistic per-link packet faults.
-    pub(crate) packet_faults: Vec<PacketFault>,
+    packet_faults: Vec<PacketFault>,
     /// Dedicated RNG stream for packet-fault sampling, so chaos draws
     /// never perturb node or workload streams.
-    pub(crate) fault_rng: SimRng,
+    fault_rng: SimRng,
     /// Spatial index over node positions serving radio range queries;
     /// lazily rebuilt (see [`crate::grid`]).
-    pub(crate) grid: NeighborGrid,
+    grid: NeighborGrid,
     /// Ids of every radio node in creation order. Interface flags are
     /// fixed at creation, so this is maintained incrementally by
     /// [`World::add_node`] and replaces the full node scan when the
     /// spatial index is disabled.
-    pub(crate) radio_ids: Vec<NodeId>,
-    /// Reused engine hot-path buffers for the sequential lane (parallel
-    /// workers own their own).
-    pub(crate) scratch: EngineScratch,
-    /// Engine output buffer for the sequential lane, flushed after every
-    /// event.
-    pub(crate) engine_out: EngineOut,
+    radio_ids: Vec<NodeId>,
+    /// Reused engine hot-path buffers.
+    scratch: EngineScratch,
+    /// Engine output buffer, flushed after every event.
+    engine_out: EngineOut,
     /// Backing storage for queued events; `queue` holds only (time, seq,
     /// slot) keys. `None` slots are free and listed in `free_slots`.
-    pub(crate) slab: Vec<Option<Event>>,
-    pub(crate) free_slots: Vec<u32>,
-    /// Lookahead windows executed on the parallel fast path by
-    /// [`World::run_until_threads`].
-    pub(crate) par_windows: u64,
-    /// Lookahead windows that fell back to sequential execution.
-    pub(crate) seq_windows: u64,
-    /// Parallel windows in which at least one next-window component was
-    /// stolen.
-    pub(crate) steal_windows: u64,
-    /// Events executed ahead of time by work stealing.
-    pub(crate) steals: u64,
+    slab: Vec<Option<Event>>,
+    free_slots: Vec<u32>,
     /// Dense mirror of per-node liveness + position state (see
-    /// [`HotNode`]); kept in lockstep with `nodes` by every sequential
-    /// mutation path, read concurrently by parallel workers.
-    pub(crate) hot: Vec<HotNode>,
-    /// Parked outputs of events the work-stealing executor ran ahead of
-    /// time; drained in `(time, seq)` order as the clock catches up.
-    pub(crate) stash: Stash,
+    /// [`HotNode`]); kept in lockstep with `nodes` by every mutation
+    /// path.
+    hot: Vec<HotNode>,
     tracing_default: bool,
 }
 
@@ -219,12 +185,7 @@ impl World {
             engine_out: EngineOut::default(),
             slab: Vec::new(),
             free_slots: Vec::new(),
-            par_windows: 0,
-            seq_windows: 0,
-            steal_windows: 0,
-            steals: 0,
             hot: Vec::new(),
-            stash: Stash::default(),
             tracing_default: false,
         }
     }
@@ -237,22 +198,6 @@ impl World {
     /// Total number of events dispatched by the event loop so far.
     pub fn events_processed(&self) -> u64 {
         self.events
-    }
-
-    /// `(parallel, sequential-fallback)` lookahead-window counts from
-    /// [`World::run_until_threads`]. Both zero under plain `run_until`.
-    /// Lets harnesses verify the parallel fast path actually engaged.
-    pub fn window_counts(&self) -> (u64, u64) {
-        (self.par_windows, self.seq_windows)
-    }
-
-    /// `(windows that stole, events stolen)` counters from the
-    /// work-stealing fast path of [`World::run_until_threads`]. Both zero
-    /// under plain `run_until`, with `work_stealing` disabled, or when no
-    /// next-window component ever passed the isolation rules. Lets
-    /// honesty asserts in tests verify stealing actually engaged.
-    pub fn steal_counts(&self) -> (u64, u64) {
-        (self.steal_windows, self.steals)
     }
 
     /// The world configuration.
@@ -303,9 +248,8 @@ impl World {
         id
     }
 
-    /// Re-mirrors a node's hot fields after a sequential mutation of its
-    /// liveness or mobility. Never called while a parallel window is in
-    /// flight (workers read `hot` as a shared slice).
+    /// Re-mirrors a node's hot fields after a mutation of its liveness
+    /// or mobility.
     fn refresh_hot(&mut self, id: NodeId) {
         self.hot[id.0 as usize] = HotNode::of(&self.nodes[id.0 as usize]);
     }
@@ -582,15 +526,10 @@ impl World {
         }
     }
 
-    /// Runs the event loop until (and including) time `t`.
+    /// Runs the event loop until (and including) time `t`. The clock
+    /// never moves backwards: a `t` in the past dispatches nothing and
+    /// leaves `now()` where it was.
     pub fn run_until(&mut self, t: SimTime) {
-        // Work stealing never leaves results parked across a
-        // `run_until_threads` return (stolen events are capped at the run
-        // target), so the plain loop can ignore the stash entirely.
-        debug_assert!(
-            self.stash.heap.is_empty(),
-            "stolen results leaked out of run_until_threads"
-        );
         while let Some(Reverse(q)) = self.queue.peek() {
             if q.time > t {
                 break;
@@ -599,9 +538,9 @@ impl World {
             debug_assert!(q.time >= self.now, "event queue went backwards");
             self.now = q.time;
             let event = self.take_slot(q.slot);
-            self.dispatch_sequential(event);
+            self.dispatch(event);
         }
-        self.now = t;
+        self.now = self.now.max(t);
     }
 
     /// Runs the event loop for `d` simulated time.
@@ -630,19 +569,10 @@ impl World {
         self.schedule_at(self.now + delay, event);
     }
 
-    pub(crate) fn schedule_at(&mut self, time: SimTime, event: Event) {
+    fn schedule_at(&mut self, time: SimTime, event: Event) {
         let time = if time < self.now { self.now } else { time };
         let seq = self.seq;
         self.seq += 1;
-        let slot = self.park_slot(event);
-        self.queue.push(Reverse(Queued { time, seq, slot }));
-    }
-
-    /// Re-parks a popped event under its *original* `(time, seq)` key —
-    /// used by the parallel runner's fallback path to push an already
-    /// popped window back onto the queue without perturbing the sequence
-    /// numbering that ordering (and hence determinism) depends on.
-    pub(crate) fn requeue(&mut self, time: SimTime, seq: u64, event: Event) {
         let slot = self.park_slot(event);
         self.queue.push(Reverse(Queued { time, seq, slot }));
     }
@@ -662,7 +592,7 @@ impl World {
         }
     }
 
-    pub(crate) fn take_slot(&mut self, slot: u32) -> Event {
+    fn take_slot(&mut self, slot: u32) -> Event {
         let event = self.slab[slot as usize]
             .take()
             .expect("queued slot is empty");
@@ -670,10 +600,10 @@ impl World {
         event
     }
 
-    /// Dispatches one popped event on the sequential lane. Global-state
-    /// events (faults, mobility replans) are handled here directly;
-    /// everything else goes through the shared engine.
-    pub(crate) fn dispatch_sequential(&mut self, event: Event) {
+    /// Dispatches one popped event. Global-state events (faults, mobility
+    /// replans) are handled here directly; everything else goes through
+    /// the engine.
+    fn dispatch(&mut self, event: Event) {
         match event {
             Event::Replan { node } => {
                 self.events += 1;
@@ -699,24 +629,22 @@ impl World {
         }
     }
 
-    /// Runs a closure against a sequential-lane engine view of this world
-    /// (direct map and grid access, global fault stream attached), then
-    /// flushes the engine's buffered outputs: the event meter, trace
-    /// entries and child events, in birth order — reproducing the exact
-    /// `seq` assignment of the pre-extraction inline scheduler.
-    pub(crate) fn with_engine<R>(&mut self, f: impl FnOnce(&mut Engine<'_>) -> R) -> R {
+    /// Runs a closure against an engine view of this world, then flushes
+    /// the engine's buffered outputs: the event meter, trace entries and
+    /// child events, in birth order (which fixes their `seq` assignment).
+    fn with_engine<R>(&mut self, f: impl FnOnce(&mut Engine<'_>) -> R) -> R {
         let r = {
             let mut engine = Engine {
                 cfg: &self.cfg,
                 now: self.now,
-                nodes: NodesAccess::new(&mut self.nodes),
+                nodes: &mut self.nodes,
                 radio_ids: &self.radio_ids,
                 link_cuts: &self.link_cuts,
                 partition: &self.partition,
                 packet_faults: &self.packet_faults,
-                fault_rng: Some(&mut self.fault_rng),
-                map: MapAccess::Direct(&mut self.addr_map),
-                grid: GridAccess::Mut(&mut self.grid),
+                fault_rng: &mut self.fault_rng,
+                map: &mut self.addr_map,
+                grid: &mut self.grid,
                 hot: &self.hot,
                 trace_enabled: self.trace.is_enabled(),
                 scratch: &mut self.scratch,
@@ -726,10 +654,6 @@ impl World {
         };
         self.events += self.engine_out.events_delta;
         self.engine_out.events_delta = 0;
-        debug_assert!(
-            self.engine_out.map_ops.is_empty(),
-            "direct map access never buffers ops"
-        );
         for entry in self.engine_out.trace.drain(..) {
             self.trace.record(entry);
         }
@@ -1206,6 +1130,14 @@ mod tests {
         let drops =
             w.node(a).stats().get("drop.ttl").packets + w.node(b).stats().get("drop.ttl").packets;
         assert_eq!(drops, 1, "loop must terminate via TTL");
+    }
+
+    #[test]
+    fn run_until_a_past_time_does_not_rewind_the_clock() {
+        let mut w = ideal_world(15);
+        w.run_until(SimTime::from_secs(2));
+        w.run_until(SimTime::from_secs(1));
+        assert_eq!(w.now(), SimTime::from_secs(2));
     }
 }
 

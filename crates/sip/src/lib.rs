@@ -6,6 +6,7 @@
 //! application" of the paper's demonstrations (Kphone/Twinkle/Minisip
 //! stand-in). See the workspace `DESIGN.md` for how it plugs into SIPHoc.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod auth;

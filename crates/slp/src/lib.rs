@@ -10,6 +10,7 @@
 //! * [`registry`], [`service`], [`msg`] — the shared state and wire
 //!   formats.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod manet;

@@ -17,17 +17,9 @@
 #                                 # baseline's provenance (cores, CPU)
 #                                 # matches this machine; cross-machine
 #                                 # overruns are warnings
-#   scripts/bench.sh --city100k-smoke
-#                                 # work-stealing canary: 4000-node city
-#                                 # at 1 and 2 threads, asserts identical
-#                                 # event counts and that the cross-window
-#                                 # steal path engaged
 #
-# The full sweep includes the 100k-node city at 1/2/4/8 threads — the
-# work-stealing executor's headline scaling curve. Speedup claims are
-# only meaningful when provenance.cores in the output exceeds the thread
-# count; a 1-core recorder still publishes honest numbers (they show the
-# coordination overhead, not a speedup).
+# The full sweep ends with the 10k- and 100k-node cities (`city_N`), the
+# rows whose working set no longer fits in cache.
 #
 # Building only -p siphoc-bench keeps the `obs` feature out of the build
 # (resolver 2): the binary asserts it measures the bare hot path.

@@ -19,20 +19,8 @@ cargo clippy --all-targets --all-features -- -D warnings \
     -D clippy::unnecessary_to_owned
 # Crash canary for the benchmark harness: smallest workloads, one rep,
 # two concurrent sweep jobs (exercises the multi-seed parallel runner).
-# Failure means a panic, never a perf number. The smoke city scenarios
-# run the sharded executor at 1 and 2 threads and the harness asserts
-# identical event counts.
+# Failure means a panic, never a perf number.
 scripts/bench.sh --smoke --jobs 2
-# Work-stealing canary: a 4000-node city — big enough that the
-# cross-window steal path actually engages, unlike the 500-node smoke
-# city — at 1 and 2 executor threads. The harness asserts identical
-# event counts and that stealing occurred; either failing means the
-# work-stealing executor broke determinism or silently stopped stealing.
-scripts/bench.sh --city100k-smoke --jobs 2
-# Determinism matrix: the sharded executor must reproduce sequential
-# digests at 2 and 4 threads on the city workload (already part of
-# `cargo test` above; named here so a partial test run can't skip it).
-cargo test -q --test determinism_matrix
 # Mid-call gateway handoff canary: one seed, both failover modes. Asserts
 # every call survives, break-before-make stays inside the 5 s detection +
 # re-lease budget, and make-before-break (warm standby promotion) keeps

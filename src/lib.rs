@@ -3,6 +3,8 @@
 //! Umbrella crate for the SIPHoc reproduction. Re-exports the full stack;
 //! see `README.md` and `DESIGN.md` at the repository root.
 
+#![forbid(unsafe_code)]
+
 pub mod scenario;
 
 pub use siphoc_core as core;

@@ -374,23 +374,12 @@ pub struct Scenario {
     /// allocate their leases through the first relay.
     #[serde(default)]
     pub relays: Vec<RelaySpec>,
-    /// Worker threads for the sharded deterministic executor; 1 (the
-    /// default) runs the plain sequential event loop. Any value yields
-    /// the same byte-identical run — this knob only trades wall time.
-    #[serde(default = "default_threads")]
-    pub threads: usize,
     /// Turns on the PKI-less defense layer on every node: signed SLP
     /// adverts verified and pinned at cache insert, challenge-based
     /// REGISTER auth, gateway attestation. Off by default — insecure
     /// scenarios replay byte-identically against their golden digests.
     #[serde(default)]
     pub secure: bool,
-}
-
-// See `default_reorder_ms` on why this needs the allow.
-#[allow(dead_code)]
-fn default_threads() -> usize {
-    1
 }
 
 // See `default_reorder_ms` on why this needs the allow.
@@ -837,11 +826,7 @@ impl Scenario {
             world.install_fault_plan(self.build_fault_plan(chaos, &deployed));
         }
 
-        if self.threads > 1 {
-            world.run_for_threads(SimDuration::from_secs(self.duration_secs), self.threads);
-        } else {
-            world.run_for(SimDuration::from_secs(self.duration_secs));
-        }
+        world.run_for(SimDuration::from_secs(self.duration_secs));
 
         // Collect the report.
         let mut users = Vec::new();
@@ -978,7 +963,6 @@ mod tests {
             keepalive: None,
             standby: None,
             relays: Vec::new(),
-            threads: 1,
             secure: false,
         }
     }

@@ -56,7 +56,6 @@ fn call_scenario() -> Scenario {
         keepalive: None,
         standby: None,
         relays: Vec::new(),
-        threads: 1,
         secure: false,
     }
 }

@@ -7,14 +7,13 @@
 //! pin both properties:
 //!
 //! * golden digests — FNV-1a hashes of the full packet trace (every field,
-//!   payload bytes included) captured from the seed-era simulator before
-//!   the grid/zero-copy changes landed. Any drift in receiver discovery
-//!   order, RNG draw order, loss sampling or fault handling changes the
-//!   digest.
+//!   payload bytes included). Any drift in receiver discovery order, RNG
+//!   draw order, loss sampling or fault handling changes the digest.
 //! * grid ↔ full-scan equivalence — the same scenario run with
 //!   `use_spatial_index` on and off must trace identically, including
 //!   under mobility (drift-bounded cell queries) and chaos faults.
 
+use siphoc_bench::city::{build_city, CityParams};
 use wireless_adhoc_voip::core::config::VoipAppConfig;
 use wireless_adhoc_voip::core::nodesetup::{deploy, NodeSpec, RoutingProtocol};
 use wireless_adhoc_voip::simnet::prelude::*;
@@ -76,10 +75,6 @@ fn world_digest(w: &World) -> u64 {
 /// every 200 ms; per-receiver loss draws make the digest sensitive to
 /// receiver-iteration order.
 fn run_bcast_mesh(seed: u64, spatial: bool) -> u64 {
-    run_bcast_mesh_threads(seed, spatial, 1)
-}
-
-fn run_bcast_mesh_threads(seed: u64, spatial: bool, threads: usize) -> u64 {
     let mut cfg = WorldConfig::new(seed);
     cfg.use_spatial_index = spatial;
     let mut w = World::new(cfg);
@@ -93,11 +88,7 @@ fn run_bcast_mesh_threads(seed: u64, spatial: bool, threads: usize) -> u64 {
     w.trace_mut().set_enabled(true);
     let mut t_ms = 0u64;
     while t_ms < 5_000 {
-        if threads == 1 {
-            w.run_until(SimTime::from_millis(t_ms));
-        } else {
-            w.run_until_threads(SimTime::from_millis(t_ms), threads);
-        }
+        w.run_until(SimTime::from_millis(t_ms));
         for &id in &ids {
             let src = SocketAddr::new(w.node(id).addr(), 9900);
             let dst = SocketAddr::new(Addr::BROADCAST, 9900);
@@ -105,11 +96,7 @@ fn run_bcast_mesh_threads(seed: u64, spatial: bool, threads: usize) -> u64 {
         }
         t_ms += 200;
     }
-    if threads == 1 {
-        w.run_until(SimTime::from_millis(5_000));
-    } else {
-        w.run_until_threads(SimTime::from_millis(5_000), threads);
-    }
+    w.run_until(SimTime::from_millis(5_000));
     world_digest(&w)
 }
 
@@ -118,10 +105,6 @@ fn run_bcast_mesh_threads(seed: u64, spatial: bool, threads: usize) -> u64 {
 /// and corrupt packet faults exercise the fault delivery path (including
 /// payload copy-on-write).
 fn run_mobile_chaos(seed: u64, spatial: bool) -> u64 {
-    run_mobile_chaos_threads(seed, spatial, 1)
-}
-
-fn run_mobile_chaos_threads(seed: u64, spatial: bool, threads: usize) -> u64 {
     let mut cfg = WorldConfig::new(seed);
     cfg.use_spatial_index = spatial;
     let mut w = World::new(cfg);
@@ -175,11 +158,7 @@ fn run_mobile_chaos_threads(seed: u64, spatial: bool, threads: usize) -> u64 {
             SimTime::MAX,
         );
     w.install_fault_plan(plan);
-    if threads == 1 {
-        w.run_for(SimDuration::from_secs(12));
-    } else {
-        w.run_for_threads(SimDuration::from_secs(12), threads);
-    }
+    w.run_for(SimDuration::from_secs(12));
     world_digest(&w)
 }
 
@@ -235,17 +214,32 @@ fn run_olsr_roam(seed: u64) -> (u64, u64) {
     )
 }
 
+/// 1000-node [`siphoc_bench::city`] world (districts, mobile convoys,
+/// emergency swarm) beaconing for two simulated seconds: the scale at
+/// which the hot-node mirror, batched fan-out and the mobile-only grid
+/// refresh all engage. The trace ring is widened so nothing is evicted.
+fn run_city(seed: u64) -> World {
+    let mut w = World::new(WorldConfig::new(seed));
+    build_city(&mut w, CityParams::with_nodes(1000));
+    w.trace_mut().set_enabled(true);
+    w.trace_mut().set_capacity(1 << 20);
+    w.run_until(SimTime::from_secs(2));
+    assert_eq!(w.trace().evicted(), 0, "trace ring too small for the city");
+    w
+}
+
 // ----------------------------------------------------------------------
-// Golden digests (captured from the pre-grid, pre-Arc-payload simulator)
+// Golden digests
 // ----------------------------------------------------------------------
 
 /// `(seed, bcast-mesh digest, mobile-chaos digest)` recorded by running
-/// these exact scenarios on the seed-era hot path (full node scan,
-/// `Vec<u8>` payloads). The optimized simulator must reproduce them
-/// bit-for-bit.
+/// these exact scenarios on the commit before the sharded executor was
+/// deleted and `Engine` flattened to plain borrows; both are pure
+/// simplifications and must reproduce them bit-for-bit. Captured with the
+/// `rand` stand-in under `benchmark/stubs/`.
 const GOLDEN: [(u64, u64, u64); 2] = [
-    (2301, 0xc09cee5e3eec047b, 0x6c221399a060c612),
-    (2302, 0xfc3431acfa0b46a3, 0x5efe7332d5c78b55),
+    (2301, 0x05558af32b531dc2, 0xbfc5def302206d0e),
+    (2302, 0x1a54aec88506258a, 0x3f4ef220e422bc9b),
 ];
 
 #[test]
@@ -286,6 +280,39 @@ fn golden_olsr_digests_are_reproduced() {
     }
 }
 
+/// `(seed, city digest)` for [`run_city`], recorded on the same commit
+/// and with the same `rand` stand-in as [`GOLDEN`].
+const GOLDEN_CITY: [(u64, u64); 2] = [(2301, 0xc64df2e7e19a055b), (2302, 0xcf52c244d7931ed7)];
+
+/// City scale: the golden digests hold, the same seed reproduces its
+/// digest, and trace timestamps never go backwards.
+#[test]
+fn city_digests_are_golden_reproducible_and_time_monotone() {
+    for (seed, want) in GOLDEN_CITY {
+        let w = run_city(seed);
+        let got = world_digest(&w);
+        assert_eq!(
+            got, want,
+            "city digest drifted for seed {seed}: got {got:#018x}"
+        );
+        assert_eq!(
+            world_digest(&run_city(seed)),
+            got,
+            "seed {seed}: same seed must reproduce exactly"
+        );
+        let mut last = SimTime::ZERO;
+        for e in w.trace().entries() {
+            assert!(
+                e.time >= last,
+                "seed {seed}: trace went backwards: {} after {}",
+                e.time,
+                last
+            );
+            last = e.time;
+        }
+    }
+}
+
 #[test]
 fn grid_and_full_scan_trace_identically() {
     for seed in [9301u64, 9302, 9303] {
@@ -307,27 +334,4 @@ fn same_seed_is_deterministic_across_runs() {
     assert_eq!(run_bcast_mesh(4401, true), run_bcast_mesh(4401, true));
     assert_eq!(run_mobile_chaos(4402, true), run_mobile_chaos(4402, true));
     assert_ne!(run_bcast_mesh(4401, true), run_bcast_mesh(4403, true));
-}
-
-/// The sharded parallel runner must reproduce the sequential trace
-/// byte-for-byte: same digests at 1, 2 and 4 threads, for both the
-/// broadcast-heavy mesh (big windows, many conflict components) and the
-/// chaos scenario (packet faults force the sequential fallback on every
-/// window — the fallback itself must also be exact).
-#[test]
-fn thread_matrix_reproduces_sequential_digests() {
-    for (seed, want_bcast, want_chaos) in GOLDEN {
-        for threads in [2usize, 4] {
-            let got = run_bcast_mesh_threads(seed, true, threads);
-            assert_eq!(
-                got, want_bcast,
-                "bcast mesh digest drifted for seed {seed} at {threads} threads: got {got:#018x}"
-            );
-            let got = run_mobile_chaos_threads(seed, true, threads);
-            assert_eq!(
-                got, want_chaos,
-                "mobile chaos digest drifted for seed {seed} at {threads} threads: got {got:#018x}"
-            );
-        }
-    }
 }

@@ -761,77 +761,6 @@ proptest! {
     }
 }
 
-/// A scattered mini-world for the sharded executor: `n` nodes thrown
-/// uniformly over a `span`-metre square (wide enough that several
-/// conflict components usually form), all beaconing every 250 ms.
-/// Returns the finished world.
-fn scattered_beacon_world(seed: u64, n: usize, span: f64, threads: usize) -> World {
-    let mut w = World::new(WorldConfig::new(seed));
-    let mut place = SimRng::from_seed_and_stream(seed, 4242);
-    let mut ids = Vec::with_capacity(n);
-    for _ in 0..n {
-        let x = place.range_f64(0.0, span);
-        let y = place.range_f64(0.0, span);
-        ids.push(w.add_node(NodeConfig::manet(x, y)));
-    }
-    w.trace_mut().set_enabled(true);
-    let mut t_ms = 0u64;
-    while t_ms < 1_500 {
-        if threads == 1 {
-            w.run_until(SimTime::from_millis(t_ms));
-        } else {
-            w.run_until_threads(SimTime::from_millis(t_ms), threads);
-        }
-        for &id in &ids {
-            let src = SocketAddr::new(w.node(id).addr(), 9900);
-            let dst = SocketAddr::new(Addr::BROADCAST, 9900);
-            w.inject(id, Datagram::new(src, dst, id_payload(id)));
-        }
-        t_ms += 250;
-    }
-    if threads == 1 {
-        w.run_until(SimTime::from_millis(1_500));
-    } else {
-        w.run_until_threads(SimTime::from_millis(1_500), threads);
-    }
-    w
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// For arbitrary seeds, node counts and world spans, the sharded
-    /// executor reproduces the sequential run byte-for-byte, and the
-    /// merged trace never violates time order — shard-boundary
-    /// deliveries land exactly where the `(time, seq)` schedule puts
-    /// them. Spans range from one dense blob (everything one component,
-    /// pure fallback) to kilometres of scatter (many components).
-    #[test]
-    fn sharded_execution_never_changes_the_trace(
-        seed in 0u64..100_000,
-        n in 8usize..40,
-        span in 100.0f64..4_000.0,
-    ) {
-        let sequential = scattered_beacon_world(seed, n, span, 1);
-        let threaded = scattered_beacon_world(seed, n, span, 4);
-        prop_assert_eq!(
-            trace_fingerprint(&sequential),
-            trace_fingerprint(&threaded),
-            "threads=4 diverged from sequential (seed {}, n {}, span {:.0})",
-            seed, n, span
-        );
-        let mut last = SimTime::ZERO;
-        for e in threaded.trace().entries() {
-            prop_assert!(
-                e.time >= last,
-                "merged trace went backwards (seed {}, n {}, span {:.0})",
-                seed, n, span
-            );
-            last = e.time;
-        }
-    }
-}
-
 /// As [`beacon_mesh_fingerprint`], but nodes move: a random subset is
 /// teleported between run segments and another subset walks random
 /// waypoints, so the spatial index must re-bin cells incrementally
@@ -900,49 +829,6 @@ proptest! {
         prop_assert_eq!(grid, scan, "incremental grid diverged from full scan (seed {}, n {})", seed, n);
         let again = mobile_mesh_fingerprint(seed, n, &moves, true);
         prop_assert_eq!(grid, again, "same seed not reproducible (seed {}, n {})", seed, n);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Cross-window work stealing is trace-invisible on city-scale
-    /// worlds: for arbitrary seeds and sizes the stealing run matches
-    /// the sequential reference byte-for-byte — and it must actually
-    /// steal (cities this size always have components beyond the
-    /// exclusion margin), so the property pins the stash replay path,
-    /// not the fallback.
-    #[test]
-    fn work_stealing_never_changes_the_trace(
-        seed in 0u64..100_000,
-        n in 1_000usize..1_600,
-    ) {
-        use siphoc_bench::city::{build_city, CityParams};
-        let run = |threads: usize, stealing: bool| {
-            let mut w = World::new(WorldConfig::new(seed).with_work_stealing(stealing));
-            build_city(&mut w, CityParams::with_nodes(n));
-            w.trace_mut().set_enabled(true);
-            if threads == 1 {
-                w.run_until(SimTime::from_secs(1));
-            } else {
-                w.run_until_threads(SimTime::from_secs(1), threads);
-            }
-            w
-        };
-        let sequential = run(1, false);
-        let stolen = run(3, true);
-        let (steal_windows, steals) = stolen.steal_counts();
-        prop_assert!(
-            steals > 0,
-            "no events stolen (seed {}, n {}) — margins regressed?", seed, n
-        );
-        prop_assert!(steal_windows > 0, "steals counted but no steal windows");
-        prop_assert_eq!(
-            trace_fingerprint(&sequential),
-            trace_fingerprint(&stolen),
-            "stealing diverged from sequential (seed {}, n {}, {} steals)",
-            seed, n, steals
-        );
     }
 }
 
