@@ -28,6 +28,7 @@
 
 use std::fmt::Write as _;
 
+use siphoc_bench::record::{arg, render_provenance};
 use siphoc_core::adversary::AdversaryConfig;
 use siphoc_core::config::VoipAppConfig;
 use siphoc_core::nodesetup::{deploy, NodeSpec, RoutingProtocol};
@@ -313,28 +314,6 @@ fn advert_bytes() -> (usize, usize, usize, usize) {
     )
 }
 
-fn render_provenance(jobs: usize) -> String {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(0);
-    let cmd_line = |cmd: &str, args: &[&str]| -> String {
-        std::process::Command::new(cmd)
-            .args(args)
-            .output()
-            .ok()
-            .and_then(|o| String::from_utf8(o.stdout).ok())
-            .map(|s| s.trim().to_owned())
-            .filter(|s| !s.is_empty())
-            .unwrap_or_else(|| "unknown".to_owned())
-    };
-    let rustc = cmd_line("rustc", &["-V"]);
-    let rev = cmd_line("git", &["rev-parse", "--short", "HEAD"]);
-    format!(
-        "  \"provenance\": {{\"cores\": {cores}, \"jobs\": {jobs}, \
-         \"rustc\": \"{rustc}\", \"git_rev\": \"{rev}\"}},\n"
-    )
-}
-
 struct Rates {
     hijack_off: f64,
     hijack_on: f64,
@@ -384,12 +363,7 @@ fn render_json(
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let jobs: usize = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
+    let jobs: usize = arg(&args, "--jobs").unwrap_or(1);
     let seeds: &[u64] = if smoke { &SEEDS[..1] } else { &SEEDS[..] };
     println!(
         "E12: adversarial faults vs PKI-less defenses ({} seed{})\n",

@@ -30,6 +30,9 @@ use std::fmt::Write as _;
 
 use siphoc_bench::load::{run_load, Arrival, LoadReport, LoadScenario, LoadSpec};
 use siphoc_bench::percentile;
+use siphoc_bench::record::{
+    arg, check_or_exit, fastest, peak_rss_kb, refuse_obs_build, render_provenance, Measured,
+};
 use siphoc_simnet::prelude::*;
 
 const LOAD_SEED: u64 = 61_001;
@@ -40,7 +43,6 @@ const USERS: usize = 96;
 struct Sample {
     report: LoadReport,
     wall_ms_runs: Vec<f64>,
-    rss_peak_kb: u64,
 }
 
 /// p50/p95/p99 of the caller-observed setup delay, in milliseconds.
@@ -57,33 +59,14 @@ fn setup_percentiles(report: &LoadReport) -> (f64, f64, f64) {
     )
 }
 
-/// Peak resident set size of this process in kB (Linux `VmHWM`).
-fn peak_rss_kb() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("VmHWM:"))
-                .and_then(|l| l.split_whitespace().nth(1).and_then(|v| v.parse().ok()))
-        })
-        .unwrap_or(0)
-}
-
 /// Runs a spec `reps` times and keeps the fastest repetition (identical
 /// seeds mean identical event counts; only wall time varies).
 fn best_of(reps: usize, spec: &LoadSpec) -> Sample {
     let mut runs: Vec<LoadReport> = (0..reps.max(1)).map(|_| run_load(spec)).collect();
     let wall_ms_runs: Vec<f64> = runs.iter().map(|r| r.wall_ms).collect();
-    let best_idx = wall_ms_runs
-        .iter()
-        .enumerate()
-        .min_by(|a, b| a.1.total_cmp(b.1))
-        .map(|(i, _)| i)
-        .expect("at least one repetition");
     Sample {
-        report: runs.swap_remove(best_idx),
+        report: runs.swap_remove(fastest(&wall_ms_runs)),
         wall_ms_runs,
-        rss_peak_kb: peak_rss_kb(),
     }
 }
 
@@ -106,35 +89,14 @@ fn find_knee(ladder: &[&LoadReport]) -> Option<f64> {
     None
 }
 
-/// Captures where the numbers came from — same block as `BENCH_core.json`.
-fn render_provenance(jobs: usize) -> String {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(0);
-    let cmd_line = |cmd: &str, args: &[&str]| -> String {
-        std::process::Command::new(cmd)
-            .args(args)
-            .output()
-            .ok()
-            .and_then(|o| String::from_utf8(o.stdout).ok())
-            .map(|s| s.trim().to_owned())
-            .filter(|s| !s.is_empty())
-            .unwrap_or_else(|| "unknown".to_owned())
-    };
-    let rustc = cmd_line("rustc", &["-V"]);
-    let rev = cmd_line("git", &["rev-parse", "--short", "HEAD"]);
-    format!(
-        "  \"provenance\": {{\"cores\": {cores}, \"jobs\": {jobs}, \
-         \"rustc\": \"{rustc}\", \"git_rev\": \"{rev}\"}},\n"
-    )
-}
-
 fn render_json(samples: &[Sample], jobs: usize, knee: Option<f64>, peak_cps: f64) -> String {
     let mut out = String::from("{\n  \"bench\": \"exp_call_load\",\n");
     out.push_str(&render_provenance(jobs));
     let _ = write!(
         out,
-        "  \"knee_cps\": {},\n  \"peak_sustained_cps\": {peak_cps:.0},\n",
+        "  \"process_rss_peak_kb\": {},\n  \"knee_cps\": {},\n  \
+         \"peak_sustained_cps\": {peak_cps:.0},\n",
+        peak_rss_kb(),
         knee.map(|k| format!("{k:.0}"))
             .unwrap_or_else(|| "null".to_owned())
     );
@@ -148,8 +110,7 @@ fn render_json(samples: &[Sample], jobs: usize, knee: Option<f64>, peak_cps: f64
              \"sim_secs\": {:.1}, \"wall_ms\": {:.1}, \"wall_ms_runs\": [{}], \"events\": {}, \
              \"offered\": {}, \"established\": {}, \"failed\": {}, \"terminated\": {}, \
              \"registers\": {}, \"reinvites_ok\": {}, \"sustained_cps\": {:.0}, \"rtf\": {:.2}, \
-             \"setup_p50_ms\": {:.2}, \"setup_p95_ms\": {:.2}, \"setup_p99_ms\": {:.2}, \
-             \"rss_peak_kb\": {}}}",
+             \"setup_p50_ms\": {:.2}, \"setup_p95_ms\": {:.2}, \"setup_p99_ms\": {:.2}}}",
             r.name,
             r.users,
             r.rate_cps,
@@ -172,8 +133,7 @@ fn render_json(samples: &[Sample], jobs: usize, knee: Option<f64>, peak_cps: f64
             r.rtf(),
             p50,
             p95,
-            p99,
-            s.rss_peak_kb
+            p99
         );
         out.push_str(if i + 1 < samples.len() { ",\n" } else { "\n" });
     }
@@ -209,129 +169,22 @@ fn carry_pre_block(old: &str, new_json: String) -> String {
     }
 }
 
-/// Extracts `"key": <number>` from a flat JSON object chunk (keys matched
-/// with their trailing colon — `wall_ms` never matches `wall_ms_runs`).
-fn json_num(chunk: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let i = chunk.find(&pat)? + pat.len();
-    let rest = &chunk[i..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// `(name, wall_ms, events)` per scenario of a `render_json` document.
-fn parse_baseline(text: &str) -> Vec<(String, f64, u64)> {
-    let mut out = Vec::new();
-    for chunk in text.split("\"name\":").skip(1) {
-        let Some(name) = chunk.split('"').nth(1) else {
-            continue;
-        };
-        let Some(wall_ms) = json_num(chunk, "wall_ms") else {
-            continue;
-        };
-        let Some(events) = json_num(chunk, "events") else {
-            continue;
-        };
-        out.push((name.to_owned(), wall_ms, events as u64));
-    }
-    out
-}
-
-/// Allowed wall-clock slowdown vs the baseline before `--check` fails.
-const CHECK_THRESHOLD: f64 = 1.20;
-/// Absolute grace on top of the relative threshold (smoke scenarios sit
-/// in scheduler-noise territory).
-const CHECK_NOISE_FLOOR_MS: f64 = 50.0;
-
-/// Compares this run against a checked-in baseline: event counts must
-/// match exactly (deterministic workload), wall time may regress ≤ 20%.
-fn check_against_baseline(samples: &[Sample], path: &str) -> Result<Vec<String>, Vec<String>> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => return Err(vec![format!("cannot read baseline {path}: {e}")]),
-    };
-    let baseline = parse_baseline(&text);
-    let mut failures = Vec::new();
-    let mut report = Vec::new();
-    for s in samples {
-        let name = &s.report.name;
-        let Some((_, base_wall, base_events)) = baseline.iter().find(|(n, _, _)| n == name) else {
-            failures.push(format!(
-                "{name}: not in baseline {path}; regenerate it (exp_call_load --out {path})"
-            ));
-            continue;
-        };
-        if s.report.events != *base_events {
-            failures.push(format!(
-                "{name}: {} events vs {} in the baseline — the deterministic workload \
-                 changed, regenerate the baseline before gating on wall time",
-                s.report.events, base_events
-            ));
-            continue;
-        }
-        let limit = base_wall * CHECK_THRESHOLD + CHECK_NOISE_FLOOR_MS;
-        let ratio = s.report.wall_ms / base_wall.max(f64::MIN_POSITIVE);
-        if s.report.wall_ms > limit {
-            failures.push(format!(
-                "{name}: {:.1} ms vs baseline {:.1} ms ({:+.0}%, limit {:.1} ms)",
-                s.report.wall_ms,
-                base_wall,
-                (ratio - 1.0) * 100.0,
-                limit
-            ));
-        } else {
-            report.push(format!(
-                "{name}: {:.1} ms vs baseline {:.1} ms (limit {:.1} ms) — ok",
-                s.report.wall_ms, base_wall, limit
-            ));
-        }
-    }
-    if failures.is_empty() {
-        Ok(report)
-    } else {
-        Err(failures)
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    // Published capacity numbers must measure the bare hot path.
-    if siphoc_simnet::obs_enabled() && !args.iter().any(|a| a == "--allow-obs") {
-        eprintln!(
-            "exp_call_load: built with the `obs` feature enabled; numbers would not measure \
-             the bare signaling hot path. Build with `cargo build --release -p siphoc-bench` \
-             or pass --allow-obs to measure an instrumented build."
-        );
-        std::process::exit(2);
-    }
-    let reps: usize = args
-        .iter()
-        .position(|a| a == "--reps")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 1 } else { 3 });
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        // Smoke runs get their own default path so a CI canary never
-        // clobbers the recorded full-sweep numbers.
-        .unwrap_or_else(|| {
-            if smoke {
-                "results/BENCH_sip_smoke.json".to_owned()
-            } else {
-                "results/BENCH_sip.json".to_owned()
-            }
-        });
-    let jobs: usize = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
+    refuse_obs_build("exp_call_load", &args);
+    let reps: usize = arg(&args, "--reps").unwrap_or(if smoke { 1 } else { 3 });
+    // Smoke runs get their own default path so a CI canary never
+    // clobbers the recorded full-sweep numbers.
+    let out_path: String = arg(&args, "--out").unwrap_or_else(|| {
+        let default = if smoke {
+            "results/BENCH_sip_smoke.json"
+        } else {
+            "results/BENCH_sip.json"
+        };
+        default.to_owned()
+    });
+    let jobs: usize = arg(&args, "--jobs").unwrap_or(1);
 
     // The steady-rate ladder. Rungs above 400 calls/s run a shorter
     // window so a pre-optimization sweep stays in CI-friendly wall time;
@@ -473,25 +326,15 @@ fn main() {
         Err(e) => eprintln!("cannot write {out_path}: {e}"),
     }
 
-    let check_path = args
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|i| args.get(i + 1).cloned());
-    if let Some(base_path) = check_path {
-        match check_against_baseline(&samples, &base_path) {
-            Ok(report) => {
-                println!("\nregression check vs {base_path}:");
-                for line in report {
-                    println!("  {line}");
-                }
-            }
-            Err(failures) => {
-                eprintln!("\nregression check vs {base_path} FAILED:");
-                for line in failures {
-                    eprintln!("  {line}");
-                }
-                std::process::exit(1);
-            }
-        }
+    if let Some(base_path) = arg::<String>(&args, "--check") {
+        let measured: Vec<Measured<'_>> = samples
+            .iter()
+            .map(|s| Measured {
+                name: &s.report.name,
+                wall_ms: s.report.wall_ms,
+                events: s.report.events,
+            })
+            .collect();
+        check_or_exit(&measured, &base_path);
     }
 }

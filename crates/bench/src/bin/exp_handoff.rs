@@ -23,6 +23,7 @@
 //! the TURN-style relay. Run with `--release`; `--smoke` runs both modes
 //! on the first seed as a CI canary.
 
+use siphoc_bench::record::arg;
 use siphoc_core::config::VoipAppConfig;
 use siphoc_core::nodesetup::{deploy, NodeSpec};
 use siphoc_internet::dns::DnsDirectory;
@@ -233,12 +234,7 @@ fn run_one(seed: u64, mode: Mode, nat_far: bool) -> Option<Run> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let jobs: usize = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
+    let jobs: usize = arg(&args, "--jobs").unwrap_or(1);
     let seeds: &[u64] = if smoke { &SEEDS[..1] } else { &SEEDS[..] };
     println!(
         "E9: mid-call gateway handoff, break-before-make vs make-before-break ({} seed{})\n",

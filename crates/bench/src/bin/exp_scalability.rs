@@ -14,6 +14,7 @@
 //! not per-network. Run with `--release`.
 
 use siphoc_bench::measure::call_measurement;
+use siphoc_bench::record::arg;
 use siphoc_bench::topology::bench_ua;
 use siphoc_core::nodesetup::{deploy, NodeSpec, SiphocNode};
 use siphoc_simnet::prelude::*;
@@ -94,12 +95,7 @@ fn run_one(seed: u64, n: usize) -> Outcome {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs: usize = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
+    let jobs: usize = arg(&args, "--jobs").unwrap_or(1);
     println!(
         "E8: scalability with network size ({} seeds per point)\n",
         SEEDS.len()

@@ -13,6 +13,7 @@ pub mod city;
 pub mod load;
 pub mod location;
 pub mod measure;
+pub mod record;
 pub mod topology;
 
 pub use siphoc_core::metrics::{mean, percentile, Series};

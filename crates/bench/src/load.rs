@@ -182,13 +182,6 @@ fn hub_ua(i: usize, register_expires: SimDuration) -> UaConfig {
     cfg.rtp_port = RTP_PORT_BASE + i as u16;
     cfg.register_expires = register_expires;
     cfg.answer_delay = SimDuration::ZERO;
-    // The load harness opts into the shared retransmit wheel: it changes
-    // timer-event counts (and therefore world digests), which is exactly
-    // the trade the capacity bench wants and golden-trace runs do not.
-    cfg.txn.timer_wheel = true;
-    // No media plane runs on the hub, so media start/stop local events
-    // would only fan out to all N user agents and be ignored.
-    cfg.media_events = false;
     cfg
 }
 

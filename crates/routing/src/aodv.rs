@@ -796,7 +796,6 @@ impl Process for AodvProcess {
                             ctx.span_exit(d.span, false);
                         }
                         ctx.stats().count("aodv.discovery_failed", 1);
-                        ctx.obs().counter_add("aodv.discovery_failed", 1);
                         ctx.emit(LocalEvent::RouteLost { dst });
                         return;
                     }

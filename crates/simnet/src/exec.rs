@@ -1,33 +1,25 @@
-//! The event-dispatch engine.
+//! Event dispatch.
 //!
 //! Everything that happens *inside* one event — process calls, effect
-//! application, forwarding, the radio channel, delivery — lives here, in
-//! [`Engine`]; the [`World`](crate::world::World) event loop owns
-//! scheduling and drives the engine one event at a time.
+//! application, forwarding, the radio channel, delivery — lives here, as
+//! a plain `impl World` block; the event loop, the `(time, seq)` queue
+//! and the global fault state live in [`crate::world`].
 //!
-//! The engine never touches the event queue or the packet trace. Instead
-//! it writes into an [`EngineOut`] buffer — children to schedule (in
-//! birth order, which fixes their `seq` assignment), trace entries (in
-//! capture order) and the dispatched-event meter — which the world
-//! flushes after every event.
+//! Dispatch schedules child events straight into the world's queue in
+//! birth order, which is what fixes their `seq` assignment, and records
+//! trace entries in capture order.
 
-use std::collections::BTreeSet;
-
-use crate::fasthash::FastMap;
 use crate::fault::{corrupt_payload, FaultAction, PacketFault, PacketFaultKind};
-use crate::grid::NeighborGrid;
 use crate::net::{Addr, Datagram, L2Dst};
-use crate::node::{HotNode, Node, NodeId, PendingPacket};
+use crate::node::{NodeId, PendingPacket};
 use crate::process::{Ctx, Effect, LocalEvent};
 use crate::radio::Frame;
-use crate::rng::SimRng;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 use crate::trace::{TraceEntry, TraceKind};
-use crate::world::WorldConfig;
+use crate::world::World;
 
-/// A queued simulation event. Scheduling order (`(time, seq)`) is
-/// maintained by the owner of the event queue; the engine only produces
-/// and consumes these.
+/// A queued simulation event; the world's queue orders them by
+/// `(time, seq)`.
 #[derive(Debug)]
 pub(crate) enum Event {
     Start {
@@ -82,41 +74,11 @@ pub(crate) enum Via {
     Handler(usize),
 }
 
-#[allow(dead_code)] // variants carry data used only through dispatch
-pub(crate) enum CallKind {
+enum CallKind {
     Start,
     Datagram(Datagram),
     Timer(u64),
     Local(LocalEvent),
-}
-
-/// The node whose state an event mutates through its own dispatch (the
-/// per-event pending flush runs against it). Batch deliveries flush each
-/// receiver inline during dispatch; fault actions touch global state.
-pub(crate) fn event_node(ev: &Event) -> Option<NodeId> {
-    match ev {
-        Event::Start { node, .. }
-        | Event::TxStart { node }
-        | Event::Deliver { node, .. }
-        | Event::TxDone { node }
-        | Event::Timer { node, .. }
-        | Event::Local { node, .. }
-        | Event::Replan { node }
-        | Event::PendingSweep { node } => Some(*node),
-        Event::DeliverRadioBatch { .. } | Event::Fault(_) => None,
-    }
-}
-
-/// Buffered outputs of dispatching events through an [`Engine`].
-#[derive(Default)]
-pub(crate) struct EngineOut {
-    /// Child events in birth order with their (already clamped) times.
-    /// The caller assigns `seq`s by flushing in this exact order.
-    pub children: Vec<(SimTime, Event)>,
-    /// Trace entries in capture order (empty unless tracing is enabled).
-    pub trace: Vec<TraceEntry>,
-    /// Logical events dispatched (batch fan-outs count per receiver).
-    pub events_delta: u64,
 }
 
 /// Reusable buffers for the per-event hot path: radio-range candidates,
@@ -131,56 +93,37 @@ pub(crate) struct EngineScratch {
     pub batch_pool: Vec<Vec<NodeId>>,
 }
 
-/// The world's state as one event's dispatch sees it, plus its output
-/// buffer. See the module docs; constructed fresh per event, cheap (all
-/// refs).
-pub(crate) struct Engine<'a> {
-    pub cfg: &'a WorldConfig,
-    pub now: SimTime,
-    pub nodes: &'a mut [Node],
-    /// Ids of every radio node in creation order (the full-scan fallback
-    /// for `use_spatial_index = false`). Maintained by `add_node`;
-    /// interface flags never change after creation.
-    pub radio_ids: &'a [NodeId],
-    pub link_cuts: &'a BTreeSet<(u32, u32)>,
-    pub partition: &'a Option<BTreeSet<u32>>,
-    pub packet_faults: &'a [PacketFault],
-    /// Global fault-sampling stream.
-    pub fault_rng: &'a mut SimRng,
-    pub map: &'a mut FastMap<Addr, NodeId>,
-    pub grid: &'a mut NeighborGrid,
-    /// Dense liveness/position mirror of the node slab (see
-    /// [`HotNode`]); radio fan-out filters read it instead of the full
-    /// `Node` structs.
-    pub hot: &'a [HotNode],
-    pub trace_enabled: bool,
-    pub scratch: &'a mut EngineScratch,
-    pub out: &'a mut EngineOut,
-}
-
-impl Engine<'_> {
-    /// Dispatches one event and flushes the owning node's pending queue.
-    /// `Fault` and `Replan` events mutate global state and are handled by
-    /// the world, never dispatched here.
-    pub fn dispatch_and_flush(&mut self, event: Event) {
-        self.out.events_delta += 1;
-        let node = event_node(&event);
-        self.dispatch(event);
-        if let Some(node) = node {
-            self.flush_pending(node);
-        }
-    }
-
-    fn dispatch(&mut self, event: Event) {
-        match event {
-            Event::Start { node, proc } => self.call_proc(node, proc, CallKind::Start),
-            Event::TxStart { node } => self.start_tx(node),
-            Event::Timer { node, proc, token } => {
-                self.call_proc(node, proc, CallKind::Timer(token))
+impl World {
+    /// Dispatches one popped event, then flushes the pending queue of the
+    /// node it ran on. Batch deliveries flush each receiver inline;
+    /// mobility replans and fault actions change global state and park
+    /// nothing.
+    pub(crate) fn dispatch(&mut self, event: Event) {
+        self.events += 1;
+        let node = match event {
+            Event::Start { node, proc } => {
+                self.call_proc(node, proc, CallKind::Start);
+                node
             }
-            Event::Deliver { node, dgram, via } => self.deliver(node, dgram, via),
-            Event::DeliverRadioBatch { dgram, receivers } => self.deliver_batch(dgram, receivers),
-            Event::TxDone { node } => self.tx_done(node),
+            Event::TxStart { node } => {
+                self.start_tx(node);
+                node
+            }
+            Event::Timer { node, proc, token } => {
+                self.call_proc(node, proc, CallKind::Timer(token));
+                node
+            }
+            Event::Deliver { node, dgram, via } => {
+                self.deliver(node, dgram, via);
+                node
+            }
+            Event::DeliverRadioBatch { dgram, receivers } => {
+                return self.deliver_batch(dgram, receivers)
+            }
+            Event::TxDone { node } => {
+                self.tx_done(node);
+                node
+            }
             Event::Local { node, exclude, ev } => {
                 let count = self.nodes[node.0 as usize].procs.len();
                 for idx in 0..count {
@@ -188,55 +131,38 @@ impl Engine<'_> {
                         self.call_proc(node, idx, CallKind::Local(ev.clone()));
                     }
                 }
+                node
             }
             Event::PendingSweep { node } => {
-                let now = self.now;
-                let n = &mut self.nodes[node.0 as usize];
-                let mut dropped = 0usize;
-                let mut dropped_bytes = 0usize;
-                n.pending.retain(|_, pkts| {
-                    pkts.retain(|p| {
-                        let keep = p.deadline > now;
-                        if !keep {
-                            dropped += 1;
-                            dropped_bytes += p.dgram.wire_len();
-                        }
-                        keep
-                    });
-                    !pkts.is_empty()
-                });
-                for _ in 0..dropped {
-                    n.stats
-                        .count("drop.pending_timeout", dropped_bytes / dropped.max(1));
+                self.sweep_pending(node);
+                node
+            }
+            Event::Replan { node } => return self.replan(node),
+            Event::Fault(action) => return self.apply_fault(action),
+        };
+        self.flush_pending(node);
+    }
+
+    /// Drops parked datagrams whose route-discovery deadline has passed.
+    fn sweep_pending(&mut self, node: NodeId) {
+        let now = self.now;
+        let n = &mut self.nodes[node.0 as usize];
+        let mut dropped = 0usize;
+        let mut dropped_bytes = 0usize;
+        n.pending.retain(|_, pkts| {
+            pkts.retain(|p| {
+                let keep = p.deadline > now;
+                if !keep {
+                    dropped += 1;
+                    dropped_bytes += p.dgram.wire_len();
                 }
-            }
-            Event::Replan { .. } | Event::Fault(_) => {
-                unreachable!("global-state events are dispatched by the world, not the engine")
-            }
-        }
-    }
-
-    fn schedule(&mut self, delay: SimDuration, event: Event) {
-        self.schedule_at(self.now + delay, event);
-    }
-
-    fn schedule_at(&mut self, time: SimTime, event: Event) {
-        // Same past-clamp the world's scheduler applies.
-        let time = if time < self.now { self.now } else { time };
-        self.out.children.push((time, event));
-    }
-
-    fn lookup_addr(&self, addr: Addr) -> Option<NodeId> {
-        self.map.get(&addr).copied()
-    }
-
-    fn link_faulted(&self, a: NodeId, b: NodeId) -> bool {
-        if self.link_cuts.contains(&crate::world::norm_pair(a, b)) {
-            return true;
-        }
-        match self.partition {
-            Some(island) => island.contains(&a.0) != island.contains(&b.0),
-            None => false,
+                keep
+            });
+            !pkts.is_empty()
+        });
+        for _ in 0..dropped {
+            n.stats
+                .count("drop.pending_timeout", dropped_bytes / dropped.max(1));
         }
     }
 
@@ -325,12 +251,12 @@ impl Engine<'_> {
                     n.local_addrs.retain(|x| *x != a);
                 }
                 Effect::ClaimPublicAddr(a) => {
-                    self.map.insert(a, node);
+                    self.addr_map.insert(a, node);
                     self.nodes[node.0 as usize].addr_handlers.insert(a, idx);
                 }
                 Effect::ReleasePublicAddr(a) => {
-                    if self.lookup_addr(a) == Some(node) {
-                        self.map.remove(&a);
+                    if self.node_by_addr(a) == Some(node) {
+                        self.addr_map.remove(&a);
                     }
                     self.nodes[node.0 as usize].addr_handlers.remove(&a);
                 }
@@ -342,7 +268,6 @@ impl Engine<'_> {
                         n.default_handler = None;
                     }
                 }
-                Effect::Reinject(dgram) => self.route_and_send(node, dgram, false),
             }
         }
     }
@@ -353,7 +278,7 @@ impl Engine<'_> {
 
     /// Routes a datagram out of `node`. `forwarded` marks transit traffic,
     /// which has its TTL decremented.
-    pub fn route_and_send(&mut self, node: NodeId, dgram: Datagram, forwarded: bool) {
+    pub(crate) fn route_and_send(&mut self, node: NodeId, dgram: Datagram, forwarded: bool) {
         let loopback_delay = self.cfg.loopback_delay;
         let n = &mut self.nodes[node.0 as usize];
         if !n.up {
@@ -472,7 +397,7 @@ impl Engine<'_> {
     }
 
     fn wired_send(&mut self, node: NodeId, dgram: Datagram) {
-        let Some(target) = self.lookup_addr(dgram.dst.addr) else {
+        let Some(target) = self.node_by_addr(dgram.dst.addr) else {
             self.nodes[node.0 as usize]
                 .stats
                 .count("drop.wired_unroutable", dgram.wire_len());
@@ -510,7 +435,7 @@ impl Engine<'_> {
     // Radio
     // ------------------------------------------------------------------
 
-    pub fn enqueue_frame(&mut self, node: NodeId, dst: L2Dst, dgram: Datagram) {
+    fn enqueue_frame(&mut self, node: NodeId, dst: L2Dst, dgram: Datagram) {
         let retries = self.cfg.radio.unicast_retries;
         let n = &mut self.nodes[node.0 as usize];
         if !n.has_radio {
@@ -529,21 +454,21 @@ impl Engine<'_> {
     }
 
     /// Radio-range candidate set around `pos`, excluding `node` itself and
-    /// non-radio nodes, sorted by node id. With the spatial index enabled
-    /// this inspects only nearby grid cells; otherwise it lists every
-    /// other radio node (the reference full scan). Either way the result
+    /// non-radio nodes, sorted by node id. This inspects only nearby grid
+    /// cells; a [`World::with_full_scan_reference`] world lists every
+    /// other radio node instead. Either way the result
     /// is a superset of the true in-range set in the same order, and the
     /// caller must still apply exact distance and liveness filters —
     /// which is what makes the two paths trace-identical.
     /// Takes the reusable candidate buffer filled for `node`;
-    /// return it with [`Engine::recycle_candidates`] when done so the
+    /// return it with [`World::recycle_candidates`] when done so the
     /// next transmission reuses the allocation.
     fn radio_candidates(&mut self, node: NodeId, pos: crate::mobility::Position) -> Vec<NodeId> {
         let mut out = std::mem::take(&mut self.scratch.candidates);
         out.clear();
-        if self.cfg.use_spatial_index {
+        if !self.full_scan {
             self.grid.candidates_into(
-                self.nodes,
+                &self.nodes,
                 node,
                 pos,
                 self.cfg.radio.range,
@@ -678,7 +603,7 @@ impl Engine<'_> {
                 self.finish_frame(node);
             }
             L2Dst::Unicast(neighbor) => {
-                let target = self.lookup_addr(neighbor);
+                let target = self.node_by_addr(neighbor);
                 let ok = match target {
                     Some(target) => {
                         let up_and_in_range = {
@@ -777,7 +702,7 @@ impl Engine<'_> {
                         return;
                     }
                     PacketFaultKind::Corrupt => {
-                        corrupt_payload(dgram.payload.make_mut(), self.fault_rng);
+                        corrupt_payload(dgram.payload.make_mut(), &mut self.fault_rng);
                         self.nodes[tx.0 as usize].stats.count("fault.corrupt", wire);
                     }
                     PacketFaultKind::Duplicate => {
@@ -833,7 +758,7 @@ impl Engine<'_> {
     /// meter, which counts logical events so throughput numbers stay
     /// comparable with per-event scheduling).
     fn deliver_batch(&mut self, dgram: Datagram, mut receivers: Vec<NodeId>) {
-        self.out.events_delta += receivers.len() as u64 - 1;
+        self.events += receivers.len() as u64 - 1;
         for &rx in &receivers {
             self.deliver(rx, dgram.clone(), Via::Radio);
             self.flush_pending(rx);
@@ -896,8 +821,8 @@ impl Engine<'_> {
         reason: Option<&'static str>,
         dgram: &Datagram,
     ) {
-        if self.trace_enabled {
-            self.out.trace.push(TraceEntry {
+        if self.trace.is_enabled() {
+            self.trace.record(TraceEntry {
                 time: self.now,
                 node,
                 kind,

@@ -329,24 +329,6 @@ impl<const N: usize> PartialEq<&[u8; N]> for Payload {
     }
 }
 
-// Serde transparency (bytes serialize exactly like `Vec<u8>`). Gated
-// behind an off-by-default feature: nothing in the stack serializes
-// datagrams today, and the offline build container only carries
-// resolution stubs of serde.
-#[cfg(feature = "payload-serde")]
-impl Serialize for Payload {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.collect_seq(self.0.iter())
-    }
-}
-
-#[cfg(feature = "payload-serde")]
-impl<'de> Deserialize<'de> for Payload {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Payload, D::Error> {
-        Vec::<u8>::deserialize(deserializer).map(Payload::from)
-    }
-}
-
 /// An unreliable, unordered datagram — the only transport the simulator
 /// offers, mirroring the paper's UDP-based deployment.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -107,7 +107,6 @@ pub enum Effect {
     ClaimPublicAddr(Addr),
     ReleasePublicAddr(Addr),
     SetDefaultHandler(bool),
-    Reinject(Datagram),
 }
 
 /// The capability handle a process uses to observe and act on its node.
@@ -328,7 +327,7 @@ impl<'a> Ctx<'a> {
     /// just been produced locally. Tunnel endpoints use this to forward
     /// decapsulated traffic.
     pub fn reinject(&mut self, dgram: Datagram) {
-        self.effects.push(Effect::Reinject(dgram));
+        self.effects.push(Effect::Send(dgram));
     }
 }
 

@@ -5,15 +5,15 @@
 //! in scheduling order, every random draw comes from a seeded stream, and
 //! all internal collections iterate in stable order.
 //!
-//! What happens *inside* one event — process calls, forwarding, the radio
-//! channel — lives in [`crate::exec::Engine`]; the world owns scheduling
-//! (the `(time, seq)` queue and slab), global fault state and the node
-//! table, and drives the engine one event at a time.
+//! This file holds the public API, scheduling (the `(time, seq)` queue
+//! and slab) and global fault state; what happens *inside* one event —
+//! process calls, forwarding, the radio channel — is the `impl World`
+//! block in [`crate::exec`].
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
 
-use crate::exec::{Engine, EngineOut, EngineScratch, Event};
+use crate::exec::{EngineScratch, Event};
 use crate::fasthash::FastMap;
 use crate::fault::{FaultAction, FaultPlan, PacketFault};
 use crate::grid::NeighborGrid;
@@ -42,12 +42,6 @@ pub struct WorldConfig {
     /// How long a datagram may wait for on-demand route discovery before
     /// being dropped.
     pub pending_timeout: SimDuration,
-    /// Serve radio range queries (carrier sense, broadcast receiver
-    /// discovery) from the spatial neighbor grid instead of scanning
-    /// every node. The two paths are trace-identical by construction —
-    /// the flag exists so equivalence tests can pin that, and as an
-    /// escape hatch while diagnosing suspected index bugs.
-    pub use_spatial_index: bool,
 }
 
 impl WorldConfig {
@@ -61,7 +55,6 @@ impl WorldConfig {
             wired_jitter: SimDuration::from_millis(5),
             loopback_delay: SimDuration::from_micros(50),
             pending_timeout: SimDuration::from_secs(2),
-            use_spatial_index: true,
         }
     }
 
@@ -113,16 +106,17 @@ impl Ord for Queued {
 /// assert_eq!(world.node(a).addr(), Addr::manet(0));
 /// ```
 pub struct World {
-    cfg: WorldConfig,
-    now: SimTime,
+    pub(crate) cfg: WorldConfig,
+    pub(crate) now: SimTime,
     seq: u64,
     /// Total events dispatched since creation (benchmark harnesses divide
-    /// this by wall-clock time to report simulator throughput).
-    events: u64,
+    /// this by wall-clock time to report simulator throughput; batch
+    /// fan-outs count per receiver).
+    pub(crate) events: u64,
     queue: BinaryHeap<Reverse<Queued>>,
-    nodes: Vec<Node>,
-    addr_map: FastMap<Addr, NodeId>,
-    trace: PacketTrace,
+    pub(crate) nodes: Vec<Node>,
+    pub(crate) addr_map: FastMap<Addr, NodeId>,
+    pub(crate) trace: PacketTrace,
     next_manet_index: u32,
     workload_rng: SimRng,
     /// Administratively cut radio links, as normalized id pairs.
@@ -131,30 +125,30 @@ pub struct World {
     /// are blocked.
     partition: Option<BTreeSet<u32>>,
     /// Active probabilistic per-link packet faults.
-    packet_faults: Vec<PacketFault>,
+    pub(crate) packet_faults: Vec<PacketFault>,
     /// Dedicated RNG stream for packet-fault sampling, so chaos draws
     /// never perturb node or workload streams.
-    fault_rng: SimRng,
+    pub(crate) fault_rng: SimRng,
     /// Spatial index over node positions serving radio range queries;
     /// lazily rebuilt (see [`crate::grid`]).
-    grid: NeighborGrid,
-    /// Ids of every radio node in creation order. Interface flags are
-    /// fixed at creation, so this is maintained incrementally by
-    /// [`World::add_node`] and replaces the full node scan when the
-    /// spatial index is disabled.
-    radio_ids: Vec<NodeId>,
-    /// Reused engine hot-path buffers.
-    scratch: EngineScratch,
-    /// Engine output buffer, flushed after every event.
-    engine_out: EngineOut,
+    pub(crate) grid: NeighborGrid,
+    /// Ids of every radio node in creation order: the candidate list of
+    /// the full-scan reference. Interface flags are fixed at creation,
+    /// so [`World::add_node`] maintains this incrementally.
+    pub(crate) radio_ids: Vec<NodeId>,
+    /// Set only by [`World::with_full_scan_reference`].
+    pub(crate) full_scan: bool,
+    /// Reused dispatch hot-path buffers.
+    pub(crate) scratch: EngineScratch,
     /// Backing storage for queued events; `queue` holds only (time, seq,
     /// slot) keys. `None` slots are free and listed in `free_slots`.
     slab: Vec<Option<Event>>,
     free_slots: Vec<u32>,
     /// Dense mirror of per-node liveness + position state (see
     /// [`HotNode`]); kept in lockstep with `nodes` by every mutation
-    /// path.
-    hot: Vec<HotNode>,
+    /// path. Radio fan-out filters read it instead of the full `Node`
+    /// structs.
+    pub(crate) hot: Vec<HotNode>,
     tracing_default: bool,
 }
 
@@ -181,12 +175,24 @@ impl World {
             fault_rng,
             grid,
             radio_ids: Vec::new(),
+            full_scan: false,
             scratch: EngineScratch::default(),
-            engine_out: EngineOut::default(),
             slab: Vec::new(),
             free_slots: Vec::new(),
             hot: Vec::new(),
             tracing_default: false,
+        }
+    }
+
+    /// Test support: a world whose radio range queries scan every radio
+    /// node instead of the spatial grid — the reference implementation
+    /// the equivalence tests compare the grid against. Trace-identical
+    /// to [`World::new`] by construction.
+    #[doc(hidden)]
+    pub fn with_full_scan_reference(cfg: WorldConfig) -> World {
+        World {
+            full_scan: true,
+            ..World::new(cfg)
         }
     }
 
@@ -392,7 +398,6 @@ impl World {
     /// power-up every process receives [`LocalEvent::NodeRestarted`] so it
     /// can re-arm its timers.
     pub fn set_node_up(&mut self, id: NodeId, up: bool) {
-        let now = self.now;
         let n = self.node_mut(id);
         if n.up == up {
             return;
@@ -404,7 +409,6 @@ impl World {
             n.pending.clear();
             n.routes.clear();
         } else {
-            let _ = now;
             self.schedule(
                 SimDuration::ZERO,
                 Event::Local {
@@ -551,7 +555,7 @@ impl World {
     /// Injects a datagram as if a process on `node` had sent it.
     /// Useful for tests and workload drivers.
     pub fn inject(&mut self, node: NodeId, dgram: Datagram) {
-        self.with_engine(|e| e.route_and_send(node, dgram, false));
+        self.route_and_send(node, dgram, false);
     }
 
     /// Installs a static route on a node. Intended for tests and
@@ -565,11 +569,14 @@ impl World {
     // Event machinery
     // ------------------------------------------------------------------
 
-    fn schedule(&mut self, delay: SimDuration, event: Event) {
+    pub(crate) fn schedule(&mut self, delay: SimDuration, event: Event) {
         self.schedule_at(self.now + delay, event);
     }
 
-    fn schedule_at(&mut self, time: SimTime, event: Event) {
+    /// Queues `event`; a time in the past fires at the current time.
+    /// `seq` is assigned in call order, so equal-time events dispatch in
+    /// the order they were scheduled.
+    pub(crate) fn schedule_at(&mut self, time: SimTime, event: Event) {
         let time = if time < self.now { self.now } else { time };
         let seq = self.seq;
         self.seq += 1;
@@ -600,69 +607,20 @@ impl World {
         event
     }
 
-    /// Dispatches one popped event. Global-state events (faults, mobility
-    /// replans) are handled here directly; everything else goes through
-    /// the engine.
-    fn dispatch(&mut self, event: Event) {
-        match event {
-            Event::Replan { node } => {
-                self.events += 1;
-                let now = self.now;
-                let n = self.node_mut(node);
-                n.mobility.replan(now, &mut n.rng);
-                if let Some(t) = n.mobility.next_replan() {
-                    self.schedule_at(t, Event::Replan { node });
-                }
-                // The node's trajectory changed: re-mirror its hot state
-                // and re-bin just this node in the spatial index —
-                // replans are per-node events, and a full rebuild here
-                // made one roaming node cost O(n) per waypoint in an
-                // otherwise static city.
-                self.refresh_hot(node);
-                self.grid.invalidate_node(&self.nodes, node, now);
-            }
-            Event::Fault(action) => {
-                self.events += 1;
-                self.apply_fault(action);
-            }
-            event => self.with_engine(|e| e.dispatch_and_flush(event)),
+    /// Re-plans a mobile node's trajectory at one of its waypoints.
+    pub(crate) fn replan(&mut self, node: NodeId) {
+        let now = self.now;
+        let n = self.node_mut(node);
+        n.mobility.replan(now, &mut n.rng);
+        if let Some(t) = n.mobility.next_replan() {
+            self.schedule_at(t, Event::Replan { node });
         }
-    }
-
-    /// Runs a closure against an engine view of this world, then flushes
-    /// the engine's buffered outputs: the event meter, trace entries and
-    /// child events, in birth order (which fixes their `seq` assignment).
-    fn with_engine<R>(&mut self, f: impl FnOnce(&mut Engine<'_>) -> R) -> R {
-        let r = {
-            let mut engine = Engine {
-                cfg: &self.cfg,
-                now: self.now,
-                nodes: &mut self.nodes,
-                radio_ids: &self.radio_ids,
-                link_cuts: &self.link_cuts,
-                partition: &self.partition,
-                packet_faults: &self.packet_faults,
-                fault_rng: &mut self.fault_rng,
-                map: &mut self.addr_map,
-                grid: &mut self.grid,
-                hot: &self.hot,
-                trace_enabled: self.trace.is_enabled(),
-                scratch: &mut self.scratch,
-                out: &mut self.engine_out,
-            };
-            f(&mut engine)
-        };
-        self.events += self.engine_out.events_delta;
-        self.engine_out.events_delta = 0;
-        for entry in self.engine_out.trace.drain(..) {
-            self.trace.record(entry);
-        }
-        let mut children = std::mem::take(&mut self.engine_out.children);
-        for (time, ev) in children.drain(..) {
-            self.schedule_at(time, ev);
-        }
-        self.engine_out.children = children;
-        r
+        // The node's trajectory changed: re-mirror its hot state and
+        // re-bin just this node in the spatial index — replans are
+        // per-node events, and a full rebuild here made one roaming node
+        // cost O(n) per waypoint in an otherwise static city.
+        self.refresh_hot(node);
+        self.grid.invalidate_node(&self.nodes, node, now);
     }
 }
 
@@ -677,13 +635,14 @@ impl std::fmt::Debug for World {
 }
 
 /// Normalizes an unordered node pair for the link-cut table.
-pub(crate) fn norm_pair(a: NodeId, b: NodeId) -> (u32, u32) {
+fn norm_pair(a: NodeId, b: NodeId) -> (u32, u32) {
     if a.0 <= b.0 {
         (a.0, b.0)
     } else {
         (b.0, a.0)
     }
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;

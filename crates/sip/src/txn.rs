@@ -17,13 +17,12 @@
 //! * client transactions linger in `Completed` until their overall timer
 //!   fires, re-surfacing retransmitted finals so the TU can re-ACK.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use siphoc_simnet::fasthash::FastMap;
 use siphoc_simnet::net::SocketAddr;
 use siphoc_simnet::process::Ctx;
-use siphoc_simnet::time::{SimDuration, SimTime};
+use siphoc_simnet::time::SimDuration;
 
 use crate::headers::{Via, BRANCH_COOKIE};
 use crate::msg::{Method, SipMessage};
@@ -37,13 +36,6 @@ pub struct TxnConfig {
     pub t2: SimDuration,
     /// Overall transaction lifetime in units of T1 (RFC uses 64).
     pub timeout_t1_multiple: u64,
-    /// Coalesce transaction deadlines onto a shared timer wheel with
-    /// 100 ms ticks: 10k concurrent transactions occupy a handful of
-    /// event-heap slots instead of one each. Off by default — the wheel
-    /// quantizes deadlines, which shifts timer event timing, so enabling
-    /// it changes deterministic traces (the load harness opts in; normal
-    /// deployments keep RFC-exact timing).
-    pub timer_wheel: bool,
 }
 
 impl Default for TxnConfig {
@@ -52,7 +44,6 @@ impl Default for TxnConfig {
             t1: SimDuration::from_millis(500),
             t2: SimDuration::from_secs(4),
             timeout_t1_multiple: 64,
-            timer_wheel: false,
         }
     }
 }
@@ -133,13 +124,6 @@ const KIND_TIMEOUT: u64 = 1;
 const KIND_SRV_RETRANS: u64 = 2;
 const KIND_SRV_CLEANUP: u64 = 3;
 
-/// Shared-wheel timer token: low 32 bits all set — an id/kind token can
-/// never look like it (ids are 30-bit).
-const WHEEL_TOKEN_SUFFIX: u64 = 0xffff_ffff;
-/// Wheel granularity. Deadlines are quantized *up* to the next tick, so
-/// every transaction in the same 100 ms window shares one heap timer.
-const WHEEL_TICK_US: u64 = 100_000;
-
 /// The transaction layer. Embed one per SIP element (UA, registrar).
 pub struct TransactionLayer {
     cfg: TxnConfig,
@@ -152,10 +136,6 @@ pub struct TransactionLayer {
     client_by_id: FastMap<u64, Arc<str>>,
     servers: FastMap<Arc<str>, ServerTxn>,
     server_by_id: FastMap<u64, Arc<str>>,
-    /// Shared timer wheel (only populated with `cfg.timer_wheel`):
-    /// quantized deadline → the `(id, kind)` entries due at it. One ctx
-    /// timer is armed per bucket, not per transaction.
-    wheel: BTreeMap<SimTime, Vec<(u64, u8)>>,
     /// Reusable render buffer: every outgoing message is serialized here
     /// exactly once, so steady-state transmit allocates only the datagram
     /// payload itself.
@@ -201,7 +181,6 @@ impl TransactionLayer {
             client_by_id: FastMap::default(),
             servers: FastMap::default(),
             server_by_id: FastMap::default(),
-            wheel: BTreeMap::new(),
             scratch: String::new(),
         }
     }
@@ -226,26 +205,10 @@ impl TransactionLayer {
         format!("{BRANCH_COOKIE}{:016x}", ctx.rng().next_u64())
     }
 
+    /// Timer token of one transaction deadline; every deadline is one ctx
+    /// timer at the RFC-exact instant.
     fn token(&self, id: u64, kind: u64) -> u64 {
         self.token_base | (id << 2) | kind
-    }
-
-    /// Arms a transaction deadline: a dedicated ctx timer normally, or a
-    /// shared-wheel bucket when `cfg.timer_wheel` is set. A bucket arms
-    /// one ctx timer the first time it is created; later transactions
-    /// landing in the same 100 ms window ride along for free.
-    fn arm(&mut self, ctx: &mut Ctx<'_>, delay: SimDuration, id: u64, kind: u64) {
-        if !self.cfg.timer_wheel {
-            ctx.set_timer(delay, self.token(id, kind));
-            return;
-        }
-        let deadline = (ctx.now() + delay).as_micros();
-        let slot = SimTime::from_micros(deadline.div_ceil(WHEEL_TICK_US) * WHEEL_TICK_US);
-        let vacant = !self.wheel.contains_key(&slot);
-        self.wheel.entry(slot).or_default().push((id, kind as u8));
-        if vacant {
-            ctx.set_timer(slot - ctx.now(), self.token_base | WHEEL_TOKEN_SUFFIX);
-        }
     }
 
     /// Sends `self.scratch` (already rendered) and counts it, optionally
@@ -309,12 +272,10 @@ impl TransactionLayer {
             invite,
             started_us: ctx.now_us(),
         };
-        self.arm(ctx, self.cfg.t1, id, KIND_RETRANS);
-        self.arm(
-            ctx,
+        ctx.set_timer(self.cfg.t1, self.token(id, KIND_RETRANS));
+        ctx.set_timer(
             self.cfg.t1 * self.cfg.timeout_t1_multiple,
-            id,
-            KIND_TIMEOUT,
+            self.token(id, KIND_TIMEOUT),
         );
         self.client_by_id.insert(id, branch.clone());
         self.clients.insert(branch, txn);
@@ -343,13 +304,11 @@ impl TransactionLayer {
             .last_response = Some(resp);
         if is_final {
             if invite {
-                self.arm(ctx, self.cfg.t1, id, KIND_SRV_RETRANS);
+                ctx.set_timer(self.cfg.t1, self.token(id, KIND_SRV_RETRANS));
             }
-            self.arm(
-                ctx,
+            ctx.set_timer(
                 self.cfg.t1 * self.cfg.timeout_t1_multiple,
-                id,
-                KIND_SRV_CLEANUP,
+                self.token(id, KIND_SRV_CLEANUP),
             );
         }
         self.send_scratch(ctx, target, None);
@@ -454,45 +413,13 @@ impl TransactionLayer {
         Some(TxnEvent::Response { branch, msg })
     }
 
-    /// Handles one of the layer's timer tokens. A shared-wheel token may
-    /// resolve several coalesced deadlines at once, so the result is a
-    /// list; an empty list performs no allocation.
-    pub fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) -> Vec<TxnEvent> {
+    /// Handles one of the layer's timer tokens, resolving the one
+    /// `(id, kind)` deadline it encodes. O(1): the id maps point straight
+    /// at the transaction, no scan.
+    pub fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) -> Option<TxnEvent> {
         debug_assert!(self.owns_token(token));
-        if token & WHEEL_TOKEN_SUFFIX == WHEEL_TOKEN_SUFFIX {
-            return self.on_wheel(ctx);
-        }
         let kind = token & 0b11;
         let id = (token & 0xffff_ffff) >> 2;
-        match self.fire(ctx, id, kind) {
-            Some(ev) => vec![ev],
-            None => Vec::new(),
-        }
-    }
-
-    /// Drains every due wheel bucket. Entries whose transaction is gone
-    /// (timed out, cleaned up) miss the id map and are skipped — the
-    /// wheel never needs explicit cancellation.
-    fn on_wheel(&mut self, ctx: &mut Ctx<'_>) -> Vec<TxnEvent> {
-        let now = ctx.now();
-        let mut events = Vec::new();
-        while let Some(entry) = self.wheel.first_entry() {
-            if *entry.key() > now {
-                break;
-            }
-            let due = entry.remove();
-            for (id, kind) in due {
-                if let Some(ev) = self.fire(ctx, id, kind as u64) {
-                    events.push(ev);
-                }
-            }
-        }
-        events
-    }
-
-    /// Resolves one `(id, kind)` deadline. O(1): the id maps point
-    /// straight at the transaction, no scan.
-    fn fire(&mut self, ctx: &mut Ctx<'_>, id: u64, kind: u64) -> Option<TxnEvent> {
         match kind {
             KIND_RETRANS => {
                 let branch = self.client_by_id.get(&id)?.clone();
@@ -503,7 +430,7 @@ impl TransactionLayer {
                         txn.interval = if txn.invite {
                             txn.interval * 2
                         } else {
-                            (txn.interval * 2).min_dur(self.cfg.t2)
+                            (txn.interval * 2).min(self.cfg.t2)
                         };
                         txn.msg.render_into(&mut scratch);
                         send = Some((txn.dst, txn.interval));
@@ -512,7 +439,7 @@ impl TransactionLayer {
                 self.scratch = scratch;
                 if let Some((dst, next)) = send {
                     self.send_scratch(ctx, dst, Some("sip.txn_retx"));
-                    self.arm(ctx, next, id, KIND_RETRANS);
+                    ctx.set_timer(next, self.token(id, KIND_RETRANS));
                 }
                 None
             }
@@ -536,7 +463,7 @@ impl TransactionLayer {
                     if txn.state == ServerState::Completed {
                         if let Some(resp) = &txn.last_response {
                             resp.render_into(&mut scratch);
-                            txn.interval = (txn.interval * 2).min_dur(self.cfg.t2);
+                            txn.interval = (txn.interval * 2).min(self.cfg.t2);
                             send = Some((txn.response_target, txn.interval));
                         }
                     }
@@ -544,7 +471,7 @@ impl TransactionLayer {
                 self.scratch = scratch;
                 if let Some((target, next)) = send {
                     self.send_scratch(ctx, target, Some("sip.txn_retx"));
-                    self.arm(ctx, next, id, KIND_SRV_RETRANS);
+                    ctx.set_timer(next, self.token(id, KIND_SRV_RETRANS));
                 }
                 None
             }
@@ -554,20 +481,6 @@ impl TransactionLayer {
                 None
             }
             _ => None,
-        }
-    }
-}
-
-trait MinDur {
-    fn min_dur(self, other: SimDuration) -> SimDuration;
-}
-
-impl MinDur for SimDuration {
-    fn min_dur(self, other: SimDuration) -> SimDuration {
-        if self < other {
-            self
-        } else {
-            other
         }
     }
 }
@@ -582,12 +495,14 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    /// Minimal transaction user: a client that fires one OPTIONS request,
-    /// and a server that answers after an optional delay.
+    /// Minimal transaction user: a client that fires one request (OPTIONS
+    /// unless `method` is changed) and logs its retransmissions, and a
+    /// server that answers or stays silent.
     struct TxnPeer {
         layer: TransactionLayer,
         port: u16,
         send_to: Option<SocketAddr>,
+        method: Method,
         answer: bool,
         log: Rc<RefCell<Vec<String>>>,
     }
@@ -604,6 +519,7 @@ mod tests {
                     layer: TransactionLayer::new(port, 0x1_0000_0000, TxnConfig::default()),
                     port,
                     send_to,
+                    method: Method::Options,
                     answer,
                     log: log.clone(),
                 },
@@ -611,14 +527,15 @@ mod tests {
             )
         }
 
-        fn options(&self, ctx: &mut Ctx<'_>) -> SipMessage {
+        fn request(&self, ctx: &mut Ctx<'_>) -> SipMessage {
             let uri: SipUri = "sip:peer@10.0.0.2".parse().unwrap();
-            let mut m = SipMessage::request(Method::Options, uri);
+            let mut m = SipMessage::request(self.method, uri);
             m.headers_mut().push("From", "<sip:me@10.0.0.1>;tag=a");
             m.headers_mut().push("To", "<sip:peer@10.0.0.2>");
             m.headers_mut()
                 .push("Call-ID", format!("cid-{}", ctx.rng().next_u64()));
-            m.headers_mut().push("CSeq", "1 OPTIONS");
+            m.headers_mut()
+                .push("CSeq", format!("1 {}", self.method.as_str()));
             m.headers_mut().push("Max-Forwards", 70);
             m
         }
@@ -631,7 +548,7 @@ mod tests {
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
             ctx.bind(self.port);
             if let Some(dst) = self.send_to {
-                let msg = self.options(ctx);
+                let msg = self.request(ctx);
                 self.layer.send_request(ctx, msg, dst);
             }
         }
@@ -659,10 +576,14 @@ mod tests {
         }
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
             if self.layer.owns_token(token) {
-                for ev in self.layer.on_timer(ctx, token) {
-                    if matches!(ev, TxnEvent::Timeout { .. }) {
-                        self.log.borrow_mut().push("timeout".into());
-                    }
+                let retx_before = ctx.stats().get("sip.txn_retx").packets;
+                let ev = self.layer.on_timer(ctx, token);
+                if ctx.stats().get("sip.txn_retx").packets > retx_before {
+                    let ms = ctx.now().as_micros() / 1000;
+                    self.log.borrow_mut().push(format!("retx {ms}"));
+                }
+                if let Some(TxnEvent::Timeout { .. }) = ev {
+                    self.log.borrow_mut().push("timeout".into());
                 }
             }
         }
@@ -753,5 +674,40 @@ mod tests {
         w.spawn(b, Box::new(server));
         w.run_for(SimDuration::from_secs(40));
         assert!(clog.borrow().contains(&"timeout".to_string()));
+    }
+
+    /// What an unanswered `method` client transaction logs up to and
+    /// including 64×T1 (the peer receives the request and stays silent).
+    fn unanswered_schedule(method: Method) -> Vec<String> {
+        let (mut w, a, b) = two_nodes(LossModel::IDEAL);
+        let dst = SocketAddr::new(w.node(b).addr(), 5080);
+        let (mut client, clog) = TxnPeer::new(5080, Some(dst), false);
+        client.method = method;
+        let (server, _slog) = TxnPeer::new(5080, None, false);
+        w.spawn(a, Box::new(client));
+        w.spawn(b, Box::new(server));
+        w.run_until(SimTime::from_millis(31_999));
+        assert!(!clog.borrow().contains(&"timeout".to_string()));
+        w.run_until(SimTime::from_secs(32));
+        let log = clog.borrow().clone();
+        log
+    }
+
+    #[test]
+    fn unanswered_requests_follow_the_rfc_3261_timer_schedule() {
+        let schedule = |retx_ms: &[u64]| -> Vec<String> {
+            let retx = retx_ms.iter().map(|ms| format!("retx {ms}"));
+            retx.chain(["timeout".to_owned()]).collect()
+        };
+        // Timer E: T1 doubling, capped at T2 = 4 s; Timer F at 64×T1.
+        assert_eq!(
+            unanswered_schedule(Method::Options),
+            schedule(&[500, 1500, 3500, 7500, 11_500, 15_500, 19_500, 23_500, 27_500, 31_500])
+        );
+        // Timer A: T1 doubling, uncapped; Timer B at 64×T1.
+        assert_eq!(
+            unanswered_schedule(Method::Invite),
+            schedule(&[500, 1500, 3500, 7500, 15_500, 31_500])
+        );
     }
 }

@@ -73,11 +73,6 @@ pub struct UaConfig {
     pub script: Vec<ScriptedAction>,
     /// Transaction timing.
     pub txn: TxnConfig,
-    /// Emit `sip.media_start`/`sip.media_stop` node-local events when
-    /// calls establish and terminate. Local events fan out to every
-    /// process on the node, so signaling-only deployments (no media
-    /// plane listening) can turn this off; call-load benches do.
-    pub media_events: bool,
     /// Self-certifying identity used to answer registrar REGISTER
     /// challenges (`None` = legacy unauthenticated registration; the UA
     /// then treats a 401 as a registration failure).
@@ -98,7 +93,6 @@ impl UaConfig {
             answer_delay: SimDuration::from_millis(200),
             script: Vec::new(),
             txn: TxnConfig::default(),
-            media_events: true,
             identity: None,
         }
     }
@@ -747,9 +741,6 @@ impl UserAgent {
     }
 
     fn start_media(&self, ctx: &mut Ctx<'_>, call_id: &str, remote_rtp: SocketAddr) {
-        if !self.cfg.media_events {
-            return;
-        }
         ctx.span_instant(SpanCat::Media, "media.start", Some(call_id));
         let payload = format!("{call_id}|{}|{}", self.cfg.rtp_port, remote_rtp);
         ctx.emit(LocalEvent::Custom {
@@ -759,9 +750,6 @@ impl UserAgent {
     }
 
     fn end_media(&self, ctx: &mut Ctx<'_>, call_id: &str) {
-        if !self.cfg.media_events {
-            return;
-        }
         ctx.span_instant(SpanCat::Media, "media.stop", Some(call_id));
         ctx.emit(LocalEvent::Custom {
             kind: MEDIA_STOP_EVENT,
@@ -1301,12 +1289,8 @@ impl Process for UserAgent {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         if self.txn.owns_token(token) {
-            // A shared-wheel token can resolve several coalesced
-            // transaction deadlines at once.
-            for ev in self.txn.on_timer(ctx, token) {
-                if let TxnEvent::Timeout { branch, msg } = ev {
-                    self.on_txn_timeout(ctx, branch, msg);
-                }
+            if let Some(TxnEvent::Timeout { branch, msg }) = self.txn.on_timer(ctx, token) {
+                self.on_txn_timeout(ctx, branch, msg);
             }
             ctx.obs()
                 .gauge_set("sip.txn_active", self.txn.active_count() as f64);

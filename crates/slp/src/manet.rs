@@ -325,7 +325,6 @@ impl ManetSlpProcess {
                 .collect();
             if !found.is_empty() {
                 ctx.stats().count("slp.lookup_hit", 1);
-                ctx.obs().counter_add("slp.lookup_hit", 1);
                 ctx.span_instant(SpanCat::Slp, "slp.hit", Some(&key));
                 self.reply(ctx, from, xid, found);
                 return;

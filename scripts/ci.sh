@@ -10,8 +10,8 @@ cargo test -q
 # Perf lints ride the warning gate: the simulator hot path is clone- and
 # allocation-sensitive (see DESIGN.md § performance), so regressions that
 # clippy can see should fail CI. --all-features folds the obs-instrumented
-# configuration (and payload-serde) into the same gate; without it the
-# feature-gated halves of the tree were never linted.
+# configuration into the same gate; without it the feature-gated halves
+# of the tree were never linted.
 cargo clippy --all-targets --all-features -- -D warnings \
     -D clippy::redundant_clone \
     -D clippy::inefficient_to_string \

@@ -8,11 +8,14 @@
 //! structural checks: scenarios are built directly (not via JSON) and no
 //! JSON parser is used, so the test runs in offline environments.
 
+use wireless_adhoc_voip::core::config::VoipAppConfig;
+use wireless_adhoc_voip::core::nodesetup::{deploy, NodeSpec, RoutingProtocol};
 use wireless_adhoc_voip::routing::aodv::{AodvConfig, AodvProcess};
 use wireless_adhoc_voip::scenario::{
     CallSpec, NodeSpecJson, ObsDump, RadioKind, RoutingKind, Scenario, ScenarioReport,
 };
 use wireless_adhoc_voip::simnet::prelude::*;
+use wireless_adhoc_voip::sip::uri::Aor;
 
 fn node(x: f64, user: Option<&str>, calls: Vec<CallSpec>) -> NodeSpecJson {
     NodeSpecJson {
@@ -245,6 +248,66 @@ fn route_discovery_spans_without_piggyback() {
         prom.contains("aodv_discovery_us_count"),
         "discovery latency histogram missing:\n{prom}"
     );
+}
+
+/// Every `NodeStats` counter is bridged into the registry under its own
+/// name and a `node` label. A counter that a process *also* adds to its
+/// `NodeObs` shard under the same name lands on the same registry key
+/// and exports twice the truth.
+fn assert_registry_matches_node_stats(w: &World) {
+    let reg = w.obs_registry();
+    for (name, total) in w.total_stats().iter() {
+        let exported: u64 = w
+            .node_ids()
+            .iter()
+            .map(|id| reg.counter(name, &[("node", &id.to_string())]))
+            .sum();
+        assert_eq!(
+            exported, total.packets,
+            "{name}: --metrics-out exports {exported}, NodeStats counted {}",
+            total.packets
+        );
+    }
+}
+
+#[test]
+fn exported_counters_equal_node_stats() {
+    // Proactive SLP over OLSR: bob's binding replicates to alice's
+    // registry before the call, so her lookup is a local hit.
+    let mut w = World::new(WorldConfig::new(103).with_radio(RadioConfig::ideal()));
+    let ua = |user: &str| {
+        VoipAppConfig::fig2(user, "voicehoc.ch")
+            .to_ua_config()
+            .expect("localhost proxy resolves")
+    };
+    let mk = |x: f64| NodeSpec::relay(x, 0.0).with_routing(RoutingProtocol::olsr());
+    let call = ua("alice").call_at(
+        SimTime::from_secs(25),
+        Aor::new("bob", "voicehoc.ch"),
+        SimDuration::from_secs(6),
+    );
+    deploy(&mut w, mk(0.0).with_user(call));
+    deploy(&mut w, mk(80.0));
+    deploy(&mut w, mk(160.0).with_user(ua("bob")));
+    w.run_for(SimDuration::from_secs(40));
+    assert!(w.total_stats().get("slp.lookup_hit").packets >= 1);
+    assert_registry_matches_node_stats(&w);
+
+    // AODV toward an address nobody owns: discovery exhausts its retries.
+    let mut w = World::new(WorldConfig::new(42).with_radio(RadioConfig::ideal()));
+    let ids: Vec<NodeId> = (0..2)
+        .map(|i| w.add_node(NodeConfig::manet(i as f64 * 60.0, 0.0)))
+        .collect();
+    for &id in &ids {
+        w.spawn(id, Box::new(AodvProcess::new(AodvConfig::default())));
+    }
+    w.run_for(SimDuration::from_millis(200));
+    let src = SocketAddr::new(w.node(ids[0]).addr(), 9000);
+    let nobody = SocketAddr::new(Addr::manet(99), 9000);
+    w.inject(ids[0], Datagram::new(src, nobody, vec![1, 2, 3]));
+    w.run_for(SimDuration::from_secs(30));
+    assert!(w.total_stats().get("aodv.discovery_failed").packets >= 1);
+    assert_registry_matches_node_stats(&w);
 }
 
 #[test]

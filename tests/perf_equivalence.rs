@@ -9,15 +9,17 @@
 //! * golden digests — FNV-1a hashes of the full packet trace (every field,
 //!   payload bytes included). Any drift in receiver discovery order, RNG
 //!   draw order, loss sampling or fault handling changes the digest.
-//! * grid ↔ full-scan equivalence — the same scenario run with
-//!   `use_spatial_index` on and off must trace identically, including
-//!   under mobility (drift-bounded cell queries) and chaos faults.
+//! * grid ↔ full-scan equivalence — the same scenario run on
+//!   `World::new` and on the `World::with_full_scan_reference` test
+//!   world must trace identically, including under mobility
+//!   (drift-bounded cell queries) and chaos faults.
 
 use siphoc_bench::city::{build_city, CityParams};
 use wireless_adhoc_voip::core::config::VoipAppConfig;
 use wireless_adhoc_voip::core::nodesetup::{deploy, NodeSpec, RoutingProtocol};
 use wireless_adhoc_voip::simnet::prelude::*;
 use wireless_adhoc_voip::simnet::trace::TraceKind;
+use wireless_adhoc_voip::sip::ua::{ActionKind, CallEvent, ScriptedAction, UaConfig};
 use wireless_adhoc_voip::sip::uri::Aor;
 
 // ----------------------------------------------------------------------
@@ -71,13 +73,21 @@ fn world_digest(w: &World) -> u64 {
 // Scenarios
 // ----------------------------------------------------------------------
 
+/// The world under test, or the full-scan reference it must equal.
+fn world(seed: u64, spatial: bool) -> World {
+    let cfg = WorldConfig::new(seed);
+    if spatial {
+        World::new(cfg)
+    } else {
+        World::with_full_scan_reference(cfg)
+    }
+}
+
 /// Broadcast-heavy static mesh on the lossy radio: every node beacons
 /// every 200 ms; per-receiver loss draws make the digest sensitive to
 /// receiver-iteration order.
 fn run_bcast_mesh(seed: u64, spatial: bool) -> u64 {
-    let mut cfg = WorldConfig::new(seed);
-    cfg.use_spatial_index = spatial;
-    let mut w = World::new(cfg);
+    let mut w = world(seed, spatial);
     let mut rng = SimRng::from_seed_and_stream(seed, 4242);
     let mut ids = Vec::new();
     for i in 0..25 {
@@ -105,9 +115,7 @@ fn run_bcast_mesh(seed: u64, spatial: bool) -> u64 {
 /// and corrupt packet faults exercise the fault delivery path (including
 /// payload copy-on-write).
 fn run_mobile_chaos(seed: u64, spatial: bool) -> u64 {
-    let mut cfg = WorldConfig::new(seed);
-    cfg.use_spatial_index = spatial;
-    let mut w = World::new(cfg);
+    let mut w = world(seed, spatial);
     let area = Area::new(300.0, 300.0);
     let params = WaypointParams::new(1.0, 15.0, SimDuration::from_secs(1));
     let mut rng = SimRng::from_seed_and_stream(seed, 777);
@@ -228,6 +236,74 @@ fn run_city(seed: u64) -> World {
     w
 }
 
+/// Signalling hub: eight default-[`UaConfig`] user agents on one node,
+/// behind its loopback SIPHoc proxy, place 41 calls. Forty are answered,
+/// held and hung up; the last rings a user who never answers, so the
+/// INVITE is retransmitted on the T1 schedule (each copy replayed a 180)
+/// and the client transaction times out at 64×T1. Covers what the radio
+/// goldens barely touch: transaction timers, media start/stop events
+/// fanning out to every process on the node, and loopback dispatch.
+/// Returns the digest and the caller-side established / failed counts.
+fn run_sip_hub(seed: u64) -> (u64, usize, usize) {
+    const USERS: usize = 8;
+    const SILENT: usize = USERS - 1;
+    let proxy = SocketAddr::new(Addr::LOOPBACK, ports::SIPHOC_PROXY);
+    let aor = |i: usize| Aor::new(&format!("u{i}"), "voicehoc.ch");
+    let mut uas: Vec<UaConfig> = (0..USERS)
+        .map(|i| {
+            let mut ua = UaConfig::new(aor(i), proxy);
+            ua.local_port = 6000 + i as u16;
+            ua.rtp_port = 20_000 + i as u16;
+            ua
+        })
+        .collect();
+    uas[SILENT].auto_answer = false;
+    let mut call = |k: usize, caller: usize, callee: usize| {
+        uas[caller].script.push(ScriptedAction {
+            at: SimTime::from_millis(2_000 + 130 * k as u64),
+            kind: ActionKind::Call {
+                to: aor(callee),
+                duration: SimDuration::from_millis(1_500 + 70 * (k as u64 % 5)),
+            },
+        });
+    };
+    for k in 0..40 {
+        call(k, k % SILENT, (k + 3) % SILENT);
+    }
+    call(40, 0, SILENT);
+
+    let mut w = World::new(WorldConfig::new(seed));
+    let mut spec = NodeSpec::relay(0.0, 0.0).without_connection_provider();
+    spec.users = uas;
+    let hub = deploy(&mut w, spec);
+    w.trace_mut().set_enabled(true);
+    w.run_until(SimTime::from_secs(45));
+    assert_eq!(w.trace().evicted(), 0, "trace ring too small for the hub");
+
+    let (mut established, mut failed) = (0, 0);
+    for log in &hub.ua_logs {
+        let log = log.borrow();
+        let placed: Vec<&str> = log
+            .events()
+            .iter()
+            .filter_map(|(_, e)| match e {
+                CallEvent::OutgoingCall { call_id, .. } => Some(call_id.as_str()),
+                _ => None,
+            })
+            .collect();
+        for (_, e) in log.events() {
+            match e {
+                CallEvent::Established { call_id, .. } if placed.contains(&call_id.as_str()) => {
+                    established += 1
+                }
+                CallEvent::Failed { .. } => failed += 1,
+                _ => {}
+            }
+        }
+    }
+    (world_digest(&w), established, failed)
+}
+
 // ----------------------------------------------------------------------
 // Golden digests
 // ----------------------------------------------------------------------
@@ -310,6 +386,33 @@ fn city_digests_are_golden_reproducible_and_time_monotone() {
             );
             last = e.time;
         }
+    }
+}
+
+/// `(seed, hub digest)` for [`run_sip_hub`], recorded on the commit before
+/// the second SIP retransmit-timer path, the UA's media-event switch and
+/// the per-event dispatch view and output buffer were deleted; all three
+/// are pure simplifications of the default configuration and must
+/// reproduce them bit-for-bit. Captured with the `rand` stand-in under
+/// `benchmark/stubs/`.
+const GOLDEN_HUB: [(u64, u64); 2] = [(2301, 0x7cf4c6875de06658), (2302, 0xb0a4272a05ef3216)];
+
+#[test]
+fn golden_hub_digests_are_reproduced() {
+    for (seed, want) in GOLDEN_HUB {
+        let (got, established, failed) = run_sip_hub(seed);
+        assert_eq!(
+            established, 40,
+            "seed {seed}: answered calls must establish"
+        );
+        assert_eq!(
+            failed, 1,
+            "seed {seed}: the unanswered INVITE must time out"
+        );
+        assert_eq!(
+            got, want,
+            "hub digest drifted for seed {seed}: got {got:#018x}"
+        );
     }
 }
 

@@ -709,12 +709,20 @@ fn trace_fingerprint(w: &World) -> u64 {
     h
 }
 
+/// The world under test, or the full-scan reference it must equal.
+fn mesh_world(seed: u64, spatial: bool) -> World {
+    let cfg = WorldConfig::new(seed);
+    if spatial {
+        World::new(cfg)
+    } else {
+        World::with_full_scan_reference(cfg)
+    }
+}
+
 /// Broadcast-heavy mesh on the default (lossy) radio; per-receiver loss
 /// draws make the fingerprint sensitive to receiver-iteration order.
 fn beacon_mesh_fingerprint(seed: u64, n: usize, spatial: bool) -> u64 {
-    let mut cfg = WorldConfig::new(seed);
-    cfg.use_spatial_index = spatial;
-    let mut w = World::new(cfg);
+    let mut w = mesh_world(seed, spatial);
     let mut rng = SimRng::from_seed_and_stream(seed, 4242);
     let mut ids = Vec::with_capacity(n);
     for i in 0..n {
@@ -768,9 +776,7 @@ proptest! {
 /// whole index).
 fn mobile_mesh_fingerprint(seed: u64, n: usize, moves: &[(usize, f64, f64)], spatial: bool) -> u64 {
     use wireless_adhoc_voip::simnet::mobility::{Area, Mobility, WaypointParams};
-    let mut cfg = WorldConfig::new(seed);
-    cfg.use_spatial_index = spatial;
-    let mut w = World::new(cfg);
+    let mut w = mesh_world(seed, spatial);
     let mut rng = SimRng::from_seed_and_stream(seed, 4242);
     let mut ids = Vec::with_capacity(n);
     for i in 0..n {
