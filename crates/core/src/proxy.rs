@@ -97,6 +97,9 @@ pub struct SiphocProxy {
     /// REGISTER when `cfg.auth` is on (the nonce salt needs the node
     /// address, unavailable at construction).
     reg_auth: Option<RegisterAuth>,
+    /// Reusable render buffer: each transmit serializes here and copies
+    /// the bytes once, into the datagram payload.
+    scratch: String,
 }
 
 impl std::fmt::Debug for SiphocProxy {
@@ -120,6 +123,7 @@ impl SiphocProxy {
             next_xid: 0,
             internet: None,
             reg_auth: None,
+            scratch: String::new(),
         }
     }
 
@@ -140,16 +144,16 @@ impl SiphocProxy {
     /// Transmits a SIP message, choosing the correct source address: the
     /// public lease for Internet-bound traffic, the MANET address
     /// otherwise.
-    fn transmit(&self, ctx: &mut Ctx<'_>, msg: &SipMessage, dst: SocketAddr) {
+    fn transmit(&mut self, ctx: &mut Ctx<'_>, msg: &SipMessage, dst: SocketAddr) {
         let src_addr = if dst.addr.is_public() {
             self.internet.unwrap_or_else(|| ctx.addr())
         } else {
             ctx.addr()
         };
-        let wire = msg.to_bytes();
-        ctx.stats().count("proxy.tx", wire.len());
+        msg.render_into(&mut self.scratch);
+        ctx.stats().count("proxy.tx", self.scratch.len());
         let src = SocketAddr::new(src_addr, ports::SIPHOC_PROXY);
-        ctx.send(Datagram::new(src, dst, wire));
+        ctx.send(Datagram::new(src, dst, self.scratch.as_bytes()));
     }
 
     /// The Via sent-by the proxy stamps when forwarding toward `dst`.
@@ -206,7 +210,7 @@ impl SiphocProxy {
         }
     }
 
-    fn forward(&self, ctx: &mut Ctx<'_>, msg: SipMessage, dst: SocketAddr) {
+    fn forward(&mut self, ctx: &mut Ctx<'_>, msg: SipMessage, dst: SocketAddr) {
         let sent_by = self.sent_by_for(ctx, dst);
         match prepare_forward_request(msg, sent_by) {
             ForwardDecision::Forward(mut fwd) => {
@@ -219,7 +223,7 @@ impl SiphocProxy {
         }
     }
 
-    fn respond(&self, ctx: &mut Ctx<'_>, req: &SipMessage, code: StatusCode) {
+    fn respond(&mut self, ctx: &mut Ctx<'_>, req: &SipMessage, code: StatusCode) {
         if req.method() == Some(Method::Ack) {
             return;
         }

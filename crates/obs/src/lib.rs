@@ -109,6 +109,13 @@ impl NodeObs {
         self.gauges.insert(name, v);
     }
 
+    /// Adds `delta` to a node-local gauge (unset reads as 0), for a gauge
+    /// several processes on the node each contribute a share to.
+    #[inline]
+    pub fn gauge_add(&mut self, name: &'static str, delta: f64) {
+        *self.gauges.entry(name).or_default() += delta;
+    }
+
     /// Records one sample into a node-local histogram.
     #[inline]
     pub fn hist_record(&mut self, name: &'static str, v: u64) {
@@ -209,6 +216,10 @@ impl NodeObs {
     /// Sets a gauge (no-op build: compiled away).
     #[inline(always)]
     pub fn gauge_set(&mut self, _name: &'static str, _v: f64) {}
+
+    /// Adds to a gauge (no-op build: compiled away).
+    #[inline(always)]
+    pub fn gauge_add(&mut self, _name: &'static str, _delta: f64) {}
 
     /// Records a histogram sample (no-op build: compiled away).
     #[inline(always)]

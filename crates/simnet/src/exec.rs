@@ -74,11 +74,11 @@ pub(crate) enum Via {
     Handler(usize),
 }
 
-enum CallKind {
+enum CallKind<'a> {
     Start,
     Datagram(Datagram),
     Timer(u64),
-    Local(LocalEvent),
+    Local(&'a LocalEvent),
 }
 
 /// Reusable buffers for the per-event hot path: radio-range candidates,
@@ -128,7 +128,7 @@ impl World {
                 let count = self.nodes[node.0 as usize].procs.len();
                 for idx in 0..count {
                     if Some(idx) != exclude {
-                        self.call_proc(node, idx, CallKind::Local(ev.clone()));
+                        self.call_proc(node, idx, CallKind::Local(&ev));
                     }
                 }
                 node
@@ -166,7 +166,7 @@ impl World {
         }
     }
 
-    fn call_proc(&mut self, node: NodeId, idx: usize, kind: CallKind) {
+    fn call_proc(&mut self, node: NodeId, idx: usize, kind: CallKind<'_>) {
         let now = self.now;
         let n = &mut self.nodes[node.0 as usize];
         if !n.up || idx >= n.procs.len() {
@@ -197,7 +197,7 @@ impl World {
                 CallKind::Start => proc.on_start(&mut ctx),
                 CallKind::Datagram(d) => proc.on_datagram(&mut ctx, &d),
                 CallKind::Timer(token) => proc.on_timer(&mut ctx, token),
-                CallKind::Local(ev) => proc.on_local_event(&mut ctx, &ev),
+                CallKind::Local(ev) => proc.on_local_event(&mut ctx, ev),
             }
         }
         self.nodes[node.0 as usize].procs[idx] = Some(proc);

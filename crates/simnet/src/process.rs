@@ -12,7 +12,7 @@
 //! applied by the world after the callback returns, keeping dispatch
 //! re-entrancy-free and deterministic.
 
-use crate::net::{Addr, Datagram, L2Dst, SocketAddr};
+use crate::net::{Addr, Datagram, L2Dst, Payload, SocketAddr};
 use crate::rng::SimRng;
 use crate::route::RoutingTable;
 use crate::stats::NodeStats;
@@ -258,7 +258,7 @@ impl<'a> Ctx<'a> {
 
     /// Convenience for [`Ctx::send`]: builds the datagram with this node's
     /// primary address as source.
-    pub fn send_to(&mut self, dst: SocketAddr, src_port: u16, payload: Vec<u8>) {
+    pub fn send_to(&mut self, dst: SocketAddr, src_port: u16, payload: impl Into<Payload>) {
         let src = SocketAddr::new(self.addr, src_port);
         self.send(Datagram::new(src, dst, payload));
     }

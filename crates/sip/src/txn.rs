@@ -15,12 +15,22 @@
 //! * 2xx responses to INVITE are retransmitted by the server *transaction*
 //!   rather than the TU;
 //! * client transactions linger in `Completed` until their overall timer
-//!   fires, re-surfacing retransmitted finals so the TU can re-ACK.
+//!   fires, re-surfacing retransmitted finals so the TU can re-ACK;
+//! * a transaction retains only what its remaining states can still read,
+//!   so one that merely lingers (64×T1 after its final) costs bytes, not
+//!   parsed messages:
+//!
+//!   | role, state              | retained beyond ids, timers and target        |
+//!   |--------------------------|-----------------------------------------------|
+//!   | client `Trying`          | the request (retransmitted; handed to the TU on timeout) and its CSeq method |
+//!   | client `Completed`       | the CSeq method (the response match check)    |
+//!   | server `Proceeding`      | last provisional as rendered bytes, if any    |
+//!   | server `Completed`/`Confirmed` | the final as rendered bytes (the same buffer the first transmission carried) and whether it was a 2xx |
 
 use std::sync::Arc;
 
 use siphoc_simnet::fasthash::FastMap;
-use siphoc_simnet::net::SocketAddr;
+use siphoc_simnet::net::{Payload, SocketAddr};
 use siphoc_simnet::process::Ctx;
 use siphoc_simnet::time::SimDuration;
 
@@ -86,15 +96,18 @@ pub enum TxnEvent {
     },
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ClientState {
-    Trying,
+    /// No final yet: the request is retransmitted, and handed back to the
+    /// TU if the transaction times out.
+    Trying(SipMessage),
+    /// A final arrived; nothing reads the request any more.
     Completed,
 }
 
 struct ClientTxn {
     branch: Arc<str>,
-    msg: SipMessage,
+    /// CSeq method of the request, which a matching response must repeat.
+    cseq_method: Option<String>,
     dst: SocketAddr,
     state: ClientState,
     interval: SimDuration,
@@ -112,7 +125,9 @@ enum ServerState {
 
 struct ServerTxn {
     id: u64,
-    last_response: Option<SipMessage>,
+    /// The last response as transmitted, replayed byte for byte, and
+    /// whether it was a 2xx (decides if an ACK is surfaced to the TU).
+    last_response: Option<(Payload, bool)>,
     response_target: SocketAddr,
     state: ServerState,
     interval: SimDuration,
@@ -137,8 +152,8 @@ pub struct TransactionLayer {
     servers: FastMap<Arc<str>, ServerTxn>,
     server_by_id: FastMap<u64, Arc<str>>,
     /// Reusable render buffer: every outgoing message is serialized here
-    /// exactly once, so steady-state transmit allocates only the datagram
-    /// payload itself.
+    /// and copied once into its datagram payload, so steady-state
+    /// transmit allocates only that payload.
     scratch: String,
 }
 
@@ -211,21 +226,21 @@ impl TransactionLayer {
         self.token_base | (id << 2) | kind
     }
 
-    /// Sends `self.scratch` (already rendered) and counts it, optionally
-    /// under an extra counter first (retransmit/replay bookkeeping).
-    fn send_scratch(&mut self, ctx: &mut Ctx<'_>, dst: SocketAddr, extra: Option<&'static str>) {
-        if let Some(name) = extra {
-            ctx.stats().count(name, self.scratch.len());
-        }
-        ctx.stats().count("sip.txn_tx", self.scratch.len());
-        ctx.send_to(dst, self.local_port, self.scratch.as_bytes().to_vec());
+    /// Renders `msg` through the scratch buffer into payload bytes — the
+    /// one copy a transmission makes.
+    fn render(scratch: &mut String, msg: &SipMessage) -> Payload {
+        msg.render_into(scratch);
+        Payload::from(scratch.as_bytes())
     }
 
-    fn transmit(&mut self, ctx: &mut Ctx<'_>, msg: &SipMessage, dst: SocketAddr) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        msg.render_into(&mut scratch);
-        self.scratch = scratch;
-        self.send_scratch(ctx, dst, None);
+    /// Sends rendered bytes and counts them, optionally under an extra
+    /// counter first (retransmit/replay bookkeeping).
+    fn send(&self, ctx: &mut Ctx<'_>, dst: SocketAddr, wire: Payload, extra: Option<&'static str>) {
+        if let Some(name) = extra {
+            ctx.stats().count(name, wire.len());
+        }
+        ctx.stats().count("sip.txn_tx", wire.len());
+        ctx.send_to(dst, self.local_port, wire);
     }
 
     /// Starts a client transaction: stamps a new Via (sent from this node
@@ -257,7 +272,8 @@ impl TransactionLayer {
     ) {
         let invite = msg.method() == Some(Method::Invite);
         let is_ack = msg.method() == Some(Method::Ack);
-        self.transmit(ctx, &msg, dst);
+        let wire = Self::render(&mut self.scratch, &msg);
+        self.send(ctx, dst, wire, None);
         if is_ack {
             return; // ACK is fire-and-forget at the transaction layer.
         }
@@ -265,9 +281,9 @@ impl TransactionLayer {
         self.next_id += 1;
         let txn = ClientTxn {
             branch: branch.clone(),
-            msg,
+            cseq_method: msg.cseq().map(|c| c.method),
             dst,
-            state: ClientState::Trying,
+            state: ClientState::Trying(msg),
             interval: self.cfg.t1,
             invite,
             started_us: ctx.now_us(),
@@ -288,20 +304,15 @@ impl TransactionLayer {
             return;
         };
         let target = txn.response_target;
-        let is_final = resp.status().map(|s| s.is_final()).unwrap_or(false);
+        let status = resp.status();
+        let is_final = status.is_some_and(|s| s.is_final());
         let (id, invite) = (txn.id, txn.invite);
         if is_final {
             txn.state = ServerState::Completed;
         }
-        // Render once into the scratch buffer, then store the response
-        // without cloning it.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        resp.render_into(&mut scratch);
-        self.scratch = scratch;
-        self.servers
-            .get_mut(key)
-            .expect("looked up above")
-            .last_response = Some(resp);
+        // Render once; the transaction keeps the very bytes it sends.
+        let wire = Self::render(&mut self.scratch, &resp);
+        txn.last_response = Some((wire.clone(), status.is_some_and(|s| s.is_success())));
         if is_final {
             if invite {
                 ctx.set_timer(self.cfg.t1, self.token(id, KIND_SRV_RETRANS));
@@ -311,7 +322,7 @@ impl TransactionLayer {
                 self.token(id, KIND_SRV_CLEANUP),
             );
         }
-        self.send_scratch(ctx, target, None);
+        self.send(ctx, target, wire, None);
     }
 
     /// Handles a SIP message arriving on the layer's port. Returns the
@@ -342,12 +353,7 @@ impl TransactionLayer {
         if method == Method::Ack {
             match self.servers.get_mut(key.as_str()) {
                 Some(txn) => {
-                    let final_was_2xx = txn
-                        .last_response
-                        .as_ref()
-                        .and_then(SipMessage::status)
-                        .map(|s| s.is_success())
-                        .unwrap_or(false);
+                    let final_was_2xx = matches!(txn.last_response, Some((_, true)));
                     let first_ack = txn.state != ServerState::Confirmed;
                     txn.state = ServerState::Confirmed;
                     if final_was_2xx && first_ack {
@@ -360,22 +366,15 @@ impl TransactionLayer {
             }
         }
 
-        if self.servers.contains_key(key.as_str()) {
-            // Retransmitted request: replay the last response, rendered
-            // straight from the stored message — no clone.
-            let mut scratch = std::mem::take(&mut self.scratch);
-            let txn = &self.servers[key.as_str()];
-            let target = txn.response_target;
-            let has_resp = match &txn.last_response {
-                Some(resp) => {
-                    resp.render_into(&mut scratch);
-                    true
-                }
-                None => false,
-            };
-            self.scratch = scratch;
-            if has_resp {
-                self.send_scratch(ctx, target, Some("sip.txn_replay"));
+        if let Some(txn) = self.servers.get(key.as_str()) {
+            // Retransmitted request: replay the stored bytes.
+            if let Some((wire, _)) = &txn.last_response {
+                self.send(
+                    ctx,
+                    txn.response_target,
+                    wire.clone(),
+                    Some("sip.txn_replay"),
+                );
             }
             return None;
         }
@@ -400,11 +399,13 @@ impl TransactionLayer {
         let via = msg.top_via()?;
         let txn = self.clients.get_mut(via.branch.as_str())?;
         // CSeq method must match the request's.
-        if msg.cseq().map(|c| c.method) != txn.msg.cseq().map(|c| c.method) {
+        if msg.cseq().map(|c| c.method) != txn.cseq_method {
             return None;
         }
         let final_resp = msg.status().map(|s| s.is_final()).unwrap_or(false);
-        if final_resp && txn.state == ClientState::Trying {
+        if final_resp && matches!(txn.state, ClientState::Trying(_)) {
+            // Dropping the request here is what keeps a lingering
+            // transaction small.
             txn.state = ClientState::Completed;
             let rtt = ctx.now_us().saturating_sub(txn.started_us);
             ctx.obs().hist_record("sip.txn_rtt_us", rtt);
@@ -422,57 +423,42 @@ impl TransactionLayer {
         let id = (token & 0xffff_ffff) >> 2;
         match kind {
             KIND_RETRANS => {
-                let branch = self.client_by_id.get(&id)?.clone();
-                let mut scratch = std::mem::take(&mut self.scratch);
-                let mut send = None;
-                if let Some(txn) = self.clients.get_mut(&branch) {
-                    if txn.state == ClientState::Trying {
-                        txn.interval = if txn.invite {
-                            txn.interval * 2
-                        } else {
-                            (txn.interval * 2).min(self.cfg.t2)
-                        };
-                        txn.msg.render_into(&mut scratch);
-                        send = Some((txn.dst, txn.interval));
-                    }
-                }
-                self.scratch = scratch;
-                if let Some((dst, next)) = send {
-                    self.send_scratch(ctx, dst, Some("sip.txn_retx"));
-                    ctx.set_timer(next, self.token(id, KIND_RETRANS));
-                }
+                let branch = self.client_by_id.get(&id)?;
+                let txn = self.clients.get_mut(branch)?;
+                let ClientState::Trying(msg) = &txn.state else {
+                    return None;
+                };
+                txn.interval = if txn.invite {
+                    txn.interval * 2
+                } else {
+                    (txn.interval * 2).min(self.cfg.t2)
+                };
+                let (dst, next) = (txn.dst, txn.interval);
+                let wire = Self::render(&mut self.scratch, msg);
+                self.send(ctx, dst, wire, Some("sip.txn_retx"));
+                ctx.set_timer(next, self.token(id, KIND_RETRANS));
                 None
             }
             KIND_TIMEOUT => {
                 let branch = self.client_by_id.remove(&id)?;
                 let txn = self.clients.remove(&branch)?;
-                if txn.state == ClientState::Trying {
-                    Some(TxnEvent::Timeout {
-                        branch,
-                        msg: txn.msg,
-                    })
-                } else {
-                    None
+                match txn.state {
+                    ClientState::Trying(msg) => Some(TxnEvent::Timeout { branch, msg }),
+                    ClientState::Completed => None,
                 }
             }
             KIND_SRV_RETRANS => {
-                let key = self.server_by_id.get(&id)?.clone();
-                let mut scratch = std::mem::take(&mut self.scratch);
-                let mut send = None;
-                if let Some(txn) = self.servers.get_mut(&key) {
-                    if txn.state == ServerState::Completed {
-                        if let Some(resp) = &txn.last_response {
-                            resp.render_into(&mut scratch);
-                            txn.interval = (txn.interval * 2).min(self.cfg.t2);
-                            send = Some((txn.response_target, txn.interval));
-                        }
-                    }
+                let key = self.server_by_id.get(&id)?;
+                let txn = self.servers.get_mut(key)?;
+                if txn.state != ServerState::Completed {
+                    return None;
                 }
-                self.scratch = scratch;
-                if let Some((target, next)) = send {
-                    self.send_scratch(ctx, target, Some("sip.txn_retx"));
-                    ctx.set_timer(next, self.token(id, KIND_SRV_RETRANS));
-                }
+                let (wire, _) = txn.last_response.as_ref()?;
+                let wire = wire.clone();
+                txn.interval = (txn.interval * 2).min(self.cfg.t2);
+                let (target, next) = (txn.response_target, txn.interval);
+                self.send(ctx, target, wire, Some("sip.txn_retx"));
+                ctx.set_timer(next, self.token(id, KIND_SRV_RETRANS));
                 None
             }
             KIND_SRV_CLEANUP => {
@@ -587,6 +573,155 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A layer driven by hand, one call at a time, outside a world.
+    struct HandDriven {
+        layer: TransactionLayer,
+        rng: SimRng,
+        routes: RoutingTable,
+        stats: siphoc_simnet::stats::NodeStats,
+        obs: siphoc_simnet::obs::NodeObs,
+    }
+
+    impl HandDriven {
+        fn new() -> HandDriven {
+            HandDriven {
+                layer: TransactionLayer::new(5080, 0x1_0000_0000, TxnConfig::default()),
+                rng: SimRng::from_seed_and_stream(7, 0),
+                routes: RoutingTable::new(),
+                stats: Default::default(),
+                obs: Default::default(),
+            }
+        }
+
+        /// Runs `f` against the layer and returns its result with the
+        /// payloads it sent.
+        fn call<R>(
+            &mut self,
+            f: impl FnOnce(&mut TransactionLayer, &mut Ctx<'_>) -> R,
+        ) -> (R, Vec<Payload>) {
+            let mut effects = Vec::new();
+            let mut ctx = Ctx::for_test(
+                SimTime::ZERO,
+                NodeId(0),
+                Addr::manet(0),
+                &mut self.rng,
+                &mut self.routes,
+                &mut self.stats,
+                &mut self.obs,
+                &mut effects,
+            );
+            let r = f(&mut self.layer, &mut ctx);
+            let sent = effects
+                .into_iter()
+                .filter_map(|e| match e {
+                    siphoc_simnet::process::Effect::Send(d) => Some(d.payload),
+                    _ => None,
+                })
+                .collect();
+            (r, sent)
+        }
+    }
+
+    fn request(method: Method) -> SipMessage {
+        let mut m = SipMessage::request(method, "sip:peer@10.0.0.2".parse().unwrap());
+        m.headers_mut().push("From", "<sip:me@10.0.0.1>;tag=a");
+        m.headers_mut().push("To", "<sip:peer@10.0.0.2>");
+        m.headers_mut().push("Call-ID", "cid-1");
+        m.headers_mut()
+            .push("CSeq", format!("1 {}", method.as_str()));
+        m
+    }
+
+    fn parsed(wire: &Payload) -> SipMessage {
+        SipMessage::parse(std::str::from_utf8(wire).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn replays_resend_the_first_transmission_byte_for_byte() {
+        let peer = SocketAddr::new(Addr::manet(1), 5080);
+        let mut invite = request(Method::Invite);
+        invite
+            .headers_mut()
+            .push_front("Via", Via::new(peer, "z9hG4bKreplay"));
+        let mut b = HandDriven::new();
+        let (ev, _) = b.call(|l, ctx| l.on_datagram(ctx, invite.clone(), peer));
+        let Some(TxnEvent::Request { key, .. }) = ev else {
+            panic!("first flight must surface: {ev:?}");
+        };
+        let mut ok = SipMessage::response_to(&invite, StatusCode::OK);
+        ok.set_body("v=0\r\n", Some("application/sdp"));
+        let ((), first) = b.call(|l, ctx| l.respond(ctx, &key, ok.clone()));
+        assert_eq!(first.len(), 1);
+        assert_eq!(parsed(&first[0]), ok);
+
+        // A retransmitted INVITE and the server's own 2xx retransmit
+        // timer both resend the stored bytes.
+        let (ev, replay) = b.call(|l, ctx| l.on_datagram(ctx, invite.clone(), peer));
+        assert!(ev.is_none());
+        assert_eq!(replay, first);
+        let retrans = b.layer.token(0, KIND_SRV_RETRANS);
+        let (ev, retx) = b.call(|l, ctx| l.on_timer(ctx, retrans));
+        assert!(ev.is_none());
+        assert_eq!(retx, first);
+
+        // The stored flag, not a stored message, says the final was a
+        // 2xx: the first ACK surfaces, a duplicate does not.
+        let mut ack = request(Method::Ack);
+        ack.headers_mut()
+            .push_front("Via", Via::new(peer, "z9hG4bKreplay"));
+        let (ev, _) = b.call(|l, ctx| l.on_datagram(ctx, ack.clone(), peer));
+        assert!(matches!(ev, Some(TxnEvent::Ack { .. })), "{ev:?}");
+        let (ev, _) = b.call(|l, ctx| l.on_datagram(ctx, ack.clone(), peer));
+        assert!(ev.is_none());
+    }
+
+    #[test]
+    fn completed_client_matches_responses_without_its_request() {
+        let dst = SocketAddr::new(Addr::manet(1), 5080);
+        let mut b = HandDriven::new();
+        let (branch, sent) = b.call(|l, ctx| l.send_request(ctx, request(Method::Options), dst));
+        let ok = SipMessage::response_to(&parsed(&sent[0]), StatusCode::OK);
+        for flight in ["first", "retransmitted"] {
+            let (ev, _) = b.call(|l, ctx| l.on_datagram(ctx, ok.clone(), dst));
+            let Some(TxnEvent::Response { branch: got, msg }) = ev else {
+                panic!("{flight} final must surface: {ev:?}");
+            };
+            assert_eq!((got, msg), (branch.clone(), ok.clone()));
+        }
+        // The CSeq-method check survives the request being dropped.
+        let mut wrong = ok.clone();
+        wrong.headers_mut().set("CSeq", "1 INVITE");
+        let (ev, _) = b.call(|l, ctx| l.on_datagram(ctx, wrong, dst));
+        assert!(ev.is_none(), "{ev:?}");
+        // Completed: no retransmission, and the timeout only cleans up.
+        let (retrans, timeout) = (
+            b.layer.token(0, KIND_RETRANS),
+            b.layer.token(0, KIND_TIMEOUT),
+        );
+        let (ev, sent) = b.call(|l, ctx| l.on_timer(ctx, retrans));
+        assert!(ev.is_none() && sent.is_empty());
+        let (ev, _) = b.call(|l, ctx| l.on_timer(ctx, timeout));
+        assert!(ev.is_none());
+        assert_eq!(b.layer.active_count(), 0);
+    }
+
+    #[test]
+    fn timeout_hands_back_the_request_as_sent() {
+        let dst = SocketAddr::new(Addr::manet(1), 5080);
+        let mut b = HandDriven::new();
+        let (branch, sent) = b.call(|l, ctx| l.send_request(ctx, request(Method::Invite), dst));
+        let retrans = b.layer.token(0, KIND_RETRANS);
+        let (_, retx) = b.call(|l, ctx| l.on_timer(ctx, retrans));
+        assert_eq!(retx, sent, "a retransmission repeats the first flight");
+        let timeout = b.layer.token(0, KIND_TIMEOUT);
+        let (ev, _) = b.call(|l, ctx| l.on_timer(ctx, timeout));
+        let Some(TxnEvent::Timeout { branch: got, msg }) = ev else {
+            panic!("an unanswered request must time out: {ev:?}");
+        };
+        assert_eq!((got, msg), (branch, parsed(&sent[0])));
+        assert_eq!(b.layer.active_count(), 0);
     }
 
     fn two_nodes(loss: LossModel) -> (World, NodeId, NodeId) {

@@ -15,7 +15,7 @@
 //! appended to a shared [`UaLog`].
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use siphoc_simnet::fasthash::FastMap;
@@ -255,12 +255,18 @@ struct Dialog {
     remote_rtp: Option<SocketAddr>,
     invite_branch: Option<Arc<str>>,
     invite_key: Option<Arc<str>>,
+    /// The peer's INVITE, held while the dialog is `Early` — the only
+    /// state that still builds responses (200, 487) from it.
     pending_invite: Option<SipMessage>,
+    /// CSeq of the peer's latest INVITE: tells a retransmit from a
+    /// re-INVITE for as long as the dialog exists.
+    invite_cseq: Option<CSeq>,
     /// Rendered Contact value and SDP body of our last 2xx answer,
     /// replayed on a fresh transaction when a rebranched INVITE
     /// retransmit arrives. Only these parts of the answer survive
     /// verbatim — the replay is rebuilt against the new Via stack — so
     /// storing two strings beats cloning the whole response per call.
+    /// Dropped on termination: a terminated dialog answers nothing.
     answer_resp: Option<(String, String)>,
     duration: Option<SimDuration>,
     cancelled: bool,
@@ -271,6 +277,21 @@ struct Dialog {
     /// CSeq of an in-flight outgoing re-INVITE (gateway handoff re-homing);
     /// `None` when no re-INVITE is outstanding.
     reinvite_cseq: Option<u32>,
+}
+
+impl Dialog {
+    /// Ends the dialog: drops what only a live dialog reads and queues it
+    /// on `terminated` for removal once the linger has lapsed. Idempotent
+    /// — duplicated finals and BYEs reach dialogs that are already over.
+    fn terminate(&mut self, now: SimTime, terminated: &mut VecDeque<(SimTime, u64)>) {
+        if self.state == DialogState::Terminated {
+            return;
+        }
+        self.state = DialogState::Terminated;
+        self.pending_invite = None;
+        self.answer_resp = None;
+        terminated.push_back((now, self.idx));
+    }
 }
 
 const TAG_REGISTER: u64 = 1;
@@ -342,10 +363,18 @@ pub struct UserAgent {
     log: UaLogHandle,
     dialogs: BTreeMap<String, Dialog>,
     render: RenderCache,
-    /// Dialog index → call-id. Timer tokens carry the dialog index, and the
-    /// dialog map retains terminated dialogs, so resolving a token by
-    /// scanning `dialogs` is O(live + dead); this side index keeps it O(1).
+    /// Dialog index → call-id. Timer tokens carry the dialog index;
+    /// this side index resolves them in O(1) instead of a scan.
     dialog_by_idx: FastMap<u64, String>,
+    /// Terminated dialogs in termination order, with when they ended.
+    /// Each stays 64×T1 — as long as the transactions that can still
+    /// deliver a retransmission to it — and is then removed by
+    /// [`UserAgent::settle`].
+    terminated: VecDeque<(SimTime, u64)>,
+    /// `(transactions, dialogs)` last added into the node's
+    /// `sip.txn_active` / `sip.dialogs_live` gauges; UAs sharing a node
+    /// each contribute their delta, so the gauges read the node total.
+    reported: (usize, usize),
     next_dialog: u64,
     register_branch: Option<Arc<str>>,
     register_cseq: u32,
@@ -386,6 +415,8 @@ impl UserAgent {
                 dialogs: BTreeMap::new(),
                 render: RenderCache::default(),
                 dialog_by_idx: FastMap::default(),
+                terminated: VecDeque::new(),
+                reported: (0, 0),
                 next_dialog: 0,
                 register_branch: None,
                 register_cseq: 0,
@@ -553,6 +584,7 @@ impl UserAgent {
             invite_branch: Some(branch),
             invite_key: None,
             pending_invite: None,
+            invite_cseq: None,
             answer_resp: None,
             duration: Some(duration),
             cancelled: false,
@@ -610,7 +642,7 @@ impl UserAgent {
         self.txn.send_request(ctx, m, self.cfg.outbound_proxy);
         self.end_media(ctx, call_id);
         if let Some(d) = self.dialogs.get_mut(call_id) {
-            d.state = DialogState::Terminated;
+            d.terminate(ctx.now(), &mut self.terminated);
         }
         self.emit_log(
             ctx,
@@ -704,7 +736,7 @@ impl UserAgent {
         // Store the refreshed transaction state so a retransmitted
         // re-INVITE replays this 200 (the existing rebranch path).
         if let Some(d) = self.dialogs.get_mut(call_id) {
-            d.pending_invite = Some(msg.clone());
+            d.invite_cseq = msg.cseq();
             d.answer_resp = Some((contact_value, answer_body));
             d.invite_key = Some(key.clone());
         }
@@ -777,7 +809,7 @@ impl UserAgent {
             let retransmit = d.role == Role::Callee
                 && d.state != DialogState::Terminated
                 && from.tag().map(str::to_owned) == d.remote_tag
-                && msg.cseq() == d.pending_invite.as_ref().and_then(|m| m.cseq());
+                && msg.cseq() == d.invite_cseq;
             if retransmit {
                 ctx.stats().count("sip.invite_rebranch", 1);
                 if let Some((contact, body)) = d.answer_resp.clone() {
@@ -812,7 +844,7 @@ impl UserAgent {
                 // INVITE, mangled tag) still busies out.
                 let in_dialog = d.state == DialogState::Confirmed
                     && from.tag().map(str::to_owned) == d.remote_tag
-                    && match (msg.cseq(), d.pending_invite.as_ref().and_then(|m| m.cseq())) {
+                    && match (msg.cseq(), &d.invite_cseq) {
                         (Some(new), Some(orig)) => new.seq > orig.seq,
                         // Caller-side dialogs never stored a peer INVITE:
                         // any tag-matching INVITE on a confirmed dialog is
@@ -843,6 +875,7 @@ impl UserAgent {
         set_to_tag(&mut ringing, &local_tag);
         let remote_aor = from.uri.aor();
         let remote_tag = from.tag().map(str::to_owned);
+        let invite_cseq = msg.cseq();
         let hdr_from = tagged(&self.render_cache(ctx).from_base, &local_tag);
         let hdr_to = match &remote_tag {
             Some(t) => tagged(&name_addr_value(&remote_aor), t),
@@ -864,6 +897,7 @@ impl UserAgent {
             invite_branch: None,
             invite_key: Some(key.clone()),
             pending_invite: Some(msg),
+            invite_cseq,
             answer_resp: None,
             duration: None,
             cancelled: false,
@@ -944,7 +978,7 @@ impl UserAgent {
         if let Some(call_id) = msg.call_id().map(str::to_owned) {
             if let Some(d) = self.dialogs.get_mut(&call_id) {
                 if d.state != DialogState::Terminated {
-                    d.state = DialogState::Terminated;
+                    d.terminate(ctx.now(), &mut self.terminated);
                     self.end_media(ctx, &call_id);
                     self.emit_log(
                         ctx,
@@ -982,7 +1016,7 @@ impl UserAgent {
                     self.txn.respond(ctx, &ikey, resp);
                 }
                 if let Some(d) = self.dialogs.get_mut(&call_id) {
-                    d.state = DialogState::Terminated;
+                    d.terminate(ctx.now(), &mut self.terminated);
                     let span = d.span;
                     ctx.span_exit(span, false);
                 }
@@ -1052,6 +1086,13 @@ impl UserAgent {
                 return;
             }
             if status.is_success() {
+                if d.state == DialogState::Terminated {
+                    // A retransmitted 200 that outlived the call (we sent
+                    // BYE meanwhile): the peer still wants its ACK, but
+                    // the dialog stays over.
+                    self.send_ack(ctx, &call_id);
+                    return;
+                }
                 let was_early = d.state == DialogState::Early;
                 let prev_rtp = d.remote_rtp;
                 d.state = DialogState::Confirmed;
@@ -1121,7 +1162,7 @@ impl UserAgent {
                 };
                 let (ended, cancelled) = {
                     let was_early = d.state == DialogState::Early;
-                    d.state = DialogState::Terminated;
+                    d.terminate(ctx.now(), &mut self.terminated);
                     (was_early, d.cancelled)
                 };
                 let span = d.span;
@@ -1150,6 +1191,35 @@ impl UserAgent {
         // BYE and other in-dialog responses need no further action.
     }
 
+    /// Closes every datagram and timer handler: removes the dialogs whose
+    /// linger has lapsed and publishes what is still live. Riding on the
+    /// handlers costs no timer of its own. It is prompt for a call that
+    /// ended with BYE or a refusal we sent: that transaction starts as the
+    /// dialog ends, so its 64×T1 cleanup timer lands here just as the
+    /// linger lapses. A caller whose INVITE was refused waits for its
+    /// next handler of any kind.
+    fn settle(&mut self, ctx: &mut Ctx<'_>) {
+        let linger = self.cfg.txn.t1 * self.cfg.txn.timeout_t1_multiple;
+        while let Some(&(ended, idx)) = self.terminated.front() {
+            if ended + linger > ctx.now() {
+                break;
+            }
+            self.terminated.pop_front();
+            if let Some(call_id) = self.dialog_by_idx.remove(&idx) {
+                self.dialogs.remove(&call_id);
+            }
+        }
+        let live = (self.txn.active_count(), self.dialogs.len());
+        if live != self.reported {
+            let delta = |now: usize, before: usize| now as f64 - before as f64;
+            ctx.obs()
+                .gauge_add("sip.txn_active", delta(live.0, self.reported.0));
+            ctx.obs()
+                .gauge_add("sip.dialogs_live", delta(live.1, self.reported.1));
+            self.reported = live;
+        }
+    }
+
     fn on_txn_timeout(&mut self, ctx: &mut Ctx<'_>, branch: Arc<str>, msg: SipMessage) {
         if Some(&branch) == self.register_branch.as_ref() {
             ctx.span_exit(self.register_span, false);
@@ -1161,7 +1231,7 @@ impl UserAgent {
             if let Some(call_id) = msg.call_id().map(str::to_owned) {
                 if let Some(d) = self.dialogs.get_mut(&call_id) {
                     if d.state == DialogState::Early {
-                        d.state = DialogState::Terminated;
+                        d.terminate(ctx.now(), &mut self.terminated);
                         let span = d.span;
                         ctx.span_exit(span, false);
                         self.emit_log(
@@ -1193,7 +1263,7 @@ impl Process for UserAgent {
             // Refresh at half-life.
             ctx.set_timer(self.cfg.register_expires / 2, tok(TAG_REGISTER, 0));
         }
-        for (i, action) in self.cfg.script.clone().into_iter().enumerate() {
+        for (i, action) in self.cfg.script.iter().enumerate() {
             let delay = action.at.saturating_since(ctx.now());
             ctx.set_timer(delay, tok(TAG_SCRIPT, i as u64));
         }
@@ -1224,6 +1294,7 @@ impl Process for UserAgent {
                     let info = self.dialogs.get_mut(&call_id).and_then(|d| {
                         if d.state == DialogState::Early && d.role == Role::Callee {
                             d.state = DialogState::Confirmed;
+                            d.pending_invite = None;
                             d.remote_rtp.map(|rtp| (rtp, d.span, d.setup_started_us))
                         } else {
                             None
@@ -1249,8 +1320,7 @@ impl Process for UserAgent {
             Some(TxnEvent::Timeout { branch, msg }) => self.on_txn_timeout(ctx, branch, msg),
             None => {}
         }
-        ctx.obs()
-            .gauge_set("sip.txn_active", self.txn.active_count() as f64);
+        self.settle(ctx);
     }
 
     fn on_local_event(&mut self, ctx: &mut Ctx<'_>, ev: &LocalEvent) {
@@ -1292,10 +1362,15 @@ impl Process for UserAgent {
             if let Some(TxnEvent::Timeout { branch, msg }) = self.txn.on_timer(ctx, token) {
                 self.on_txn_timeout(ctx, branch, msg);
             }
-            ctx.obs()
-                .gauge_set("sip.txn_active", self.txn.active_count() as f64);
-            return;
+        } else {
+            self.on_own_timer(ctx, token);
         }
+        self.settle(ctx);
+    }
+}
+
+impl UserAgent {
+    fn on_own_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         let tag = token & 0xff;
         let idx = token >> 8;
         match tag {
@@ -1378,6 +1453,15 @@ mod tests {
     /// "outbound proxy" directly at each other's SIP port, with static
     /// routes. Exercises INVITE/180/200/ACK/media/BYE end-to-end.
     fn b2b_world() -> (World, UaLogHandle, UaLogHandle) {
+        b2b_world_with(SimDuration::from_secs(5), |cfg| cfg)
+    }
+
+    /// [`b2b_world`] with the scripted call lasting `talk`, and the
+    /// caller's configuration passed through `caller` last.
+    fn b2b_world_with(
+        talk: SimDuration,
+        caller: impl FnOnce(UaConfig) -> UaConfig,
+    ) -> (World, UaLogHandle, UaLogHandle) {
         let mut w = World::new(WorldConfig::new(21).with_radio(RadioConfig::ideal()));
         let a = w.add_node(NodeConfig::manet(0.0, 0.0));
         let b = w.add_node(NodeConfig::manet(50.0, 0.0));
@@ -1407,11 +1491,7 @@ mod tests {
         let bob = Aor::new("bob", "voicehoc.ch");
         let mut cfg_a = UaConfig::new(alice, SocketAddr::new(ba, 5070));
         cfg_a.register = false; // no registrar in this test
-        let cfg_a = cfg_a.call_at(
-            SimTime::from_secs(1),
-            bob.clone(),
-            SimDuration::from_secs(5),
-        );
+        let cfg_a = caller(cfg_a.call_at(SimTime::from_secs(1), bob.clone(), talk));
         let mut cfg_b = UaConfig::new(bob, SocketAddr::new(aa, 5070));
         cfg_b.register = false;
         let (ua_a, log_a) = UserAgent::new(cfg_a);
@@ -1467,6 +1547,37 @@ mod tests {
             .first_time(|e| matches!(e, CallEvent::Terminated { .. }))
             .unwrap();
         assert!(bye.saturating_since(est) >= SimDuration::from_secs(5));
+    }
+
+    #[test]
+    fn retransmitted_200_after_bye_does_not_revive_the_dialog() {
+        // A zero-length call: the caller's BYE leaves in the instant its
+        // ACK does, so the duplicate of the 200 (every callee frame is
+        // delivered twice, 150 µs apart) finds the dialog terminated.
+        let (mut w, log_a, log_b) = b2b_world_with(SimDuration::ZERO, |mut cfg| {
+            cfg.script.push(ScriptedAction {
+                at: SimTime::from_secs(3),
+                kind: ActionKind::HangupAll,
+            });
+            cfg
+        });
+        w.install_fault_plan(FaultPlan::new().packet_fault(
+            LinkSelector::From(NodeId(1)),
+            PacketFaultKind::Duplicate,
+            1.0,
+            SimTime::ZERO,
+            SimTime::MAX,
+        ));
+        w.run_for(SimDuration::from_secs(10));
+        let terminated = |log: &UaLogHandle| {
+            log.borrow()
+                .count(|e| matches!(e, CallEvent::Terminated { .. }))
+        };
+        assert_eq!(terminated(&log_a), 1, "{:?}", log_a.borrow().events());
+        assert_eq!(terminated(&log_b), 1, "{:?}", log_b.borrow().events());
+        // INVITE, ACK, BYE and the re-ACK the duplicate is still owed —
+        // not a second BYE from `HangupAll` finding a revived call.
+        assert_eq!(w.node(NodeId(0)).stats().get("sip.txn_tx").packets, 4);
     }
 
     #[test]

@@ -44,12 +44,15 @@ cargo build --release -p siphoc-bench --bin exp_adversarial
 # Acceptance benchmark canary: benchmark/ is a package of its own that
 # nothing above compiles, so a change to the public API its README lists
 # would otherwise surface only in the acceptance driver. Its unit tests,
-# then the OLSR workload at 1/15 length (~2 s); the run exits 0 only if
-# every output check passed. A crash and correctness gate, never a perf
-# number.
+# then the OLSR workload and the signalling hub (the one workload whose
+# peak memory is SIP transaction and dialog state) at 1/15 length (~2 s
+# each); a run exits 0 only if every output check passed. A crash and
+# correctness gate, never a perf number.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload roam_internet --seed 7 --seconds 1 --trace 0
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload sip_hub --seed 7 --seconds 1 --trace 0
 # Supply-chain audit (deny.toml: advisories, licenses, bans, sources).
 # Skipped with a notice when cargo-deny is not installed — the CI `deny`
 # job always runs it, so the merge gate never loses the check.

@@ -15,6 +15,8 @@ use wireless_adhoc_voip::scenario::{
     CallSpec, NodeSpecJson, ObsDump, RadioKind, RoutingKind, Scenario, ScenarioReport,
 };
 use wireless_adhoc_voip::simnet::prelude::*;
+use wireless_adhoc_voip::simnet::trace::TraceKind;
+use wireless_adhoc_voip::sip::ua::{CallEvent, UaConfig, UaLogHandle};
 use wireless_adhoc_voip::sip::uri::Aor;
 
 fn node(x: f64, user: Option<&str>, calls: Vec<CallSpec>) -> NodeSpecJson {
@@ -320,4 +322,104 @@ fn traced_runs_are_reproducible() {
     );
     assert_eq!(a.metrics_prometheus, b.metrics_prometheus);
     assert_eq!(a.metrics_json, b.metrics_json);
+}
+
+/// SIP state is proportional to live calls: eight UAs on one hub node
+/// place 210 one-second calls. While calls run, `sip.dialogs_live` and
+/// `sip.txn_active` read the node's live totals (every UA contributes its
+/// share); a retransmitted INVITE and BYE arriving inside the 64×T1
+/// linger are absorbed by the state that lingers for exactly that; and
+/// once the linger of the last call has lapsed both gauges read 0.
+#[test]
+fn sip_state_gauges_track_live_calls_and_return_to_zero() {
+    const USERS: usize = 8;
+    const CALLS: u64 = 210;
+    let proxy = SocketAddr::new(Addr::LOOPBACK, ports::SIPHOC_PROXY);
+    let aor = |i: usize| Aor::new(&format!("u{i}"), "voicehoc.ch");
+    let mut uas: Vec<UaConfig> = (0..USERS)
+        .map(|i| {
+            let mut ua = UaConfig::new(aor(i), proxy);
+            ua.local_port = 6000 + i as u16;
+            ua.rtp_port = 20_000 + i as u16;
+            ua
+        })
+        .collect();
+    for k in 0..CALLS {
+        let (caller, callee) = (k as usize % USERS, (k as usize + 3) % USERS);
+        uas[caller] = uas[caller].clone().call_at(
+            SimTime::from_millis(2_000 + 50 * k),
+            aor(callee),
+            SimDuration::from_secs(1),
+        );
+    }
+    let mut w = World::new(WorldConfig::new(77));
+    let mut spec = NodeSpec::relay(0.0, 0.0).without_connection_provider();
+    spec.users = uas;
+    let hub = deploy(&mut w, spec);
+    w.trace_mut().set_enabled(true);
+
+    let gauge = |w: &World, name: &str| {
+        w.obs_registry()
+            .gauge(name, &[("node", &hub.id.to_string())])
+            .unwrap_or_else(|| panic!("{name} never set"))
+    };
+    let count = |logs: &[UaLogHandle], pred: fn(&CallEvent) -> bool| -> usize {
+        logs.iter().map(|l| l.borrow().count(pred)).sum()
+    };
+    let placed = |e: &CallEvent| matches!(e, CallEvent::OutgoingCall { .. });
+    let rang = |e: &CallEvent| matches!(e, CallEvent::IncomingCall { .. });
+    let ended = |e: &CallEvent| matches!(e, CallEvent::Terminated { .. });
+    let hung_up = |e: &CallEvent| {
+        matches!(
+            e,
+            CallEvent::Terminated {
+                by_remote: false,
+                ..
+            }
+        )
+    };
+
+    // Mid-run, before anything can have retired: every call placed so far
+    // holds a dialog on each side and an INVITE transaction on each side,
+    // every call hung up so far a BYE transaction on each side, and each
+    // UA's REGISTER transaction still lingers.
+    w.run_until(SimTime::from_millis(8_020));
+    let (calls, byes) = (count(&hub.ua_logs, placed), count(&hub.ua_logs, hung_up));
+    assert!(calls > 100 && byes > 50 && byes < calls, "{calls} / {byes}");
+    assert_eq!(gauge(&w, "sip.dialogs_live"), (2 * calls) as f64);
+    assert_eq!(
+        gauge(&w, "sip.txn_active"),
+        (USERS + 2 * calls + 2 * byes) as f64
+    );
+
+    // All calls over, none retired: replay to the callee side a copy of
+    // the first INVITE and of the first BYE a UA received.
+    w.run_until(SimTime::from_secs(20));
+    assert_eq!(count(&hub.ua_logs, ended), 2 * CALLS as usize);
+    assert_eq!(gauge(&w, "sip.dialogs_live"), (2 * CALLS) as f64);
+    for start in [&b"INVITE "[..], &b"BYE "[..]] {
+        let to_ua = |port: u16| (6000..6000 + USERS as u16).contains(&port);
+        let copy = w
+            .trace()
+            .find(|e| {
+                e.kind == TraceKind::Loopback
+                    && to_ua(e.dgram.dst.port)
+                    && e.dgram.payload.starts_with(start)
+            })
+            .first()
+            .expect("the trace holds a request delivered to a UA")
+            .dgram
+            .clone();
+        w.inject(hub.id, copy);
+    }
+    w.run_for(SimDuration::from_secs(1));
+    assert_eq!(w.node(hub.id).stats().get("sip.txn_replay").packets, 2);
+    assert_eq!(count(&hub.ua_logs, rang), CALLS as usize, "no second ring");
+    assert_eq!(count(&hub.ua_logs, ended), 2 * CALLS as usize);
+    assert_eq!(gauge(&w, "sip.dialogs_live"), (2 * CALLS) as f64);
+
+    // The last BYE left at about 13.7 s; 64×T1 later nothing is left.
+    w.run_until(SimTime::from_secs(46));
+    assert_eq!(gauge(&w, "sip.dialogs_live"), 0.0);
+    assert_eq!(gauge(&w, "sip.txn_active"), 0.0);
 }
