@@ -89,11 +89,11 @@ fn build(world: &mut World, variant: Variant) -> Vec<NodeId> {
 }
 
 fn dedicated_packets(world: &World) -> u64 {
-    let mut total = 0;
-    for prefix in ["phello.", "slp_std.", "bcast_reg."] {
-        total += siphoc_core::metrics::total_prefix(world, prefix).packets;
-    }
-    total
+    let total = world.total_stats();
+    ["phello.", "slp_std.", "bcast_reg."]
+        .iter()
+        .map(|prefix| total.sum_prefix(prefix).packets)
+        .sum()
 }
 
 fn run(variant: Variant) -> (f64, u64, Option<LookupResult>) {

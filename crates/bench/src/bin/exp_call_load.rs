@@ -21,18 +21,18 @@
 //! stack can no longer keep up with its offered signaling load in real
 //! time — interpolated between the two ladder rungs that straddle it.
 //!
-//! Output: aligned table on stdout plus `results/BENCH_sip.json` with the
-//! same provenance block as `BENCH_core.json`. `--check <baseline>`
-//! enforces exact event counts and bounded wall-time regression, exactly
-//! like `exp_bench_core --check`. Run with `--release`.
+//! Output: aligned table on stdout plus `results/BENCH_sip.json`, opened
+//! by a provenance block (machine, toolchain, revision, obs on or off).
+//! `--check <baseline>` enforces what is deterministic — every rung in
+//! the baseline, exact event counts — and prints wall time beside the
+//! recorded one for information; wall time is gated by `benchmark/`
+//! (`--workload sip_hub`) only. Run with `--release`.
 
 use std::fmt::Write as _;
 
 use siphoc_bench::load::{run_load, Arrival, LoadReport, LoadScenario, LoadSpec};
 use siphoc_bench::percentile;
-use siphoc_bench::record::{
-    arg, check_or_exit, fastest, peak_rss_kb, refuse_obs_build, render_provenance, Measured,
-};
+use siphoc_bench::record::{arg, check_or_exit, fastest, peak_rss_kb, render_provenance, Measured};
 use siphoc_simnet::prelude::*;
 
 const LOAD_SEED: u64 = 61_001;
@@ -141,38 +141,9 @@ fn render_json(samples: &[Sample], jobs: usize, knee: Option<f64>, peak_cps: f64
     out
 }
 
-/// Carries the `pre_optimization` block of an existing output file into a
-/// freshly rendered document. The block is a historical snapshot — it
-/// measured code that no longer exists — so a re-run must preserve it
-/// verbatim rather than silently dropping the 2× comparison point.
-fn carry_pre_block(old: &str, new_json: String) -> String {
-    if new_json.contains("\"pre_optimization\"") {
-        return new_json;
-    }
-    let Some(start) = old.find("  \"pre_optimization\": {") else {
-        return new_json;
-    };
-    const CLOSE: &str = "\n  },\n";
-    let Some(end) = old[start..].find(CLOSE) else {
-        return new_json;
-    };
-    let block = &old[start..start + end + CLOSE.len()];
-    match new_json.find("  \"scenarios\": [") {
-        Some(i) => {
-            let mut out = String::with_capacity(new_json.len() + block.len());
-            out.push_str(&new_json[..i]);
-            out.push_str(block);
-            out.push_str(&new_json[i..]);
-            out
-        }
-        None => new_json,
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    refuse_obs_build("exp_call_load", &args);
     let reps: usize = arg(&args, "--reps").unwrap_or(if smoke { 1 } else { 3 });
     // Smoke runs get their own default path so a CI canary never
     // clobbers the recorded full-sweep numbers.
@@ -314,10 +285,6 @@ fn main() {
     }
 
     let json = render_json(&samples, jobs, knee, peak_cps);
-    let json = match std::fs::read_to_string(&out_path) {
-        Ok(old) => carry_pre_block(&old, json),
-        Err(_) => json,
-    };
     if let Some(dir) = std::path::Path::new(&out_path).parent() {
         let _ = std::fs::create_dir_all(dir);
     }

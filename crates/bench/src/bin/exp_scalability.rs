@@ -81,8 +81,9 @@ fn run_one(seed: u64, n: usize) -> Outcome {
     }
     let ctrl =
         siphoc_bench::measure::control_bytes_per_node_second(&w, SimDuration::from_secs(run_secs));
-    let hits = siphoc_core::metrics::total_counter(&w, "slp.lookup_hit").packets;
-    let misses = siphoc_core::metrics::total_counter(&w, "slp.lookup_miss").packets;
+    let total = w.total_stats();
+    let hits = total.get("slp.lookup_hit").packets;
+    let misses = total.get("slp.lookup_miss").packets;
     Outcome {
         attempted,
         ok,

@@ -1,6 +1,7 @@
 //! Measurement helpers: call setup latency, registration propagation,
 //! control-overhead accounting.
 
+use siphoc_core::metrics::control_bytes;
 use siphoc_core::nodesetup::SiphocNode;
 use siphoc_simnet::prelude::*;
 use siphoc_sip::ua::CallEvent;
@@ -48,29 +49,8 @@ pub fn call_measurement(node: &SiphocNode, k: usize) -> CallMeasurement {
     }
 }
 
-/// Sums the on-air control bytes of a world: routing control traffic plus
-/// any dedicated location-service traffic (standard SLP floods, broadcast
-/// registrations, proactive hellos).
-pub fn control_bytes(world: &World) -> u64 {
-    let mut total = 0u64;
-    for prefix in ["aodv.", "olsr.", "slp_std.", "bcast_reg.", "phello."] {
-        let c = siphoc_core::metrics::total_prefix(world, prefix);
-        total += c.bytes;
-    }
-    // Piggyback bytes are already inside aodv./olsr. message counters;
-    // subtract the lookup-accounting counters that are not on-air.
-    for non_air in [
-        "slp.lookup_hit",
-        "slp.lookup_miss",
-        "slp.lookup_failed",
-        "slp.query_flood",
-    ] {
-        total = total.saturating_sub(siphoc_core::metrics::total_counter(world, non_air).bytes);
-    }
-    total
-}
-
-/// Control bytes per node per second over a run of `duration`.
+/// Control bytes (`siphoc_core::metrics::control_bytes`) per radio node
+/// per second over a run of `duration`.
 pub fn control_bytes_per_node_second(world: &World, duration: SimDuration) -> f64 {
     let n = world
         .node_ids()
@@ -78,7 +58,7 @@ pub fn control_bytes_per_node_second(world: &World, duration: SimDuration) -> f6
         .filter(|id| world.node(**id).has_radio())
         .count()
         .max(1);
-    control_bytes(world) as f64 / n as f64 / duration.as_secs_f64()
+    control_bytes(&world.total_stats()) as f64 / n as f64 / duration.as_secs_f64()
 }
 
 #[cfg(test)]
@@ -121,10 +101,18 @@ mod tests {
 
     #[test]
     fn control_bytes_counts_routing_traffic() {
-        let mut w = ideal_world(10);
-        let _ = siphoc_chain(&mut w, 3, &RoutingProtocol::aodv(), &[]);
-        w.run_for(SimDuration::from_secs(10));
-        assert!(control_bytes(&w) > 0, "hellos must be counted");
-        assert!(control_bytes_per_node_second(&w, SimDuration::from_secs(10)) > 0.0);
+        for (routing, prefix) in [
+            (RoutingProtocol::aodv(), "aodv."),
+            (RoutingProtocol::dsdv(), "dsdv."),
+        ] {
+            let mut w = ideal_world(10);
+            let _ = siphoc_chain(&mut w, 3, &routing, &[]);
+            w.run_for(SimDuration::from_secs(10));
+            let total = w.total_stats();
+            let routed = total.sum_prefix(prefix).bytes;
+            assert!(routed > 0, "{prefix} chain is silent");
+            assert_eq!(control_bytes(&total), routed);
+            assert!(control_bytes_per_node_second(&w, SimDuration::from_secs(10)) > 0.0);
+        }
     }
 }

@@ -9,10 +9,8 @@
 //! static-code figures from the paper are restated alongside in
 //! `EXPERIMENTS.md`.
 
-use std::collections::BTreeMap;
-
 use siphoc_simnet::node::NodeId;
-use siphoc_simnet::stats::{Counter, NodeStats};
+use siphoc_simnet::stats::NodeStats;
 use siphoc_simnet::time::SimTime;
 use siphoc_simnet::world::World;
 
@@ -93,32 +91,23 @@ impl Series {
     }
 }
 
-/// Aggregates a stats counter across all nodes of a world.
-pub fn total_counter(world: &World, name: &str) -> Counter {
-    let mut total = Counter::default();
-    for id in world.node_ids() {
-        total.merge(world.node(id).stats().get(name));
-    }
-    total
-}
-
-/// Aggregates counters by prefix across all nodes.
-pub fn total_prefix(world: &World, prefix: &str) -> Counter {
-    let mut total = Counter::default();
-    for id in world.node_ids() {
-        total.merge(world.node(id).stats().sum_prefix(prefix));
-    }
-    total
-}
-
-/// Collects every counter across all nodes into one map (for overhead
-/// breakdown tables).
-pub fn collect_all(world: &World) -> BTreeMap<&'static str, Counter> {
-    let mut merged = NodeStats::default();
-    for id in world.node_ids() {
-        merged.merge(world.node(id).stats());
-    }
-    merged.iter().collect()
+/// On-air control bytes in `stats` (one node's, or
+/// `World::total_stats()`): routing control traffic — which carries any
+/// piggybacked SLP — plus the dedicated location-service traffic of the
+/// baselines (standard SLP floods, broadcast registrations, proactive
+/// hellos). The one definition every overhead number is built on.
+pub fn control_bytes(stats: &NodeStats) -> u64 {
+    [
+        "aodv.",
+        "olsr.",
+        "dsdv.",
+        "slp_std.",
+        "bcast_reg.",
+        "phello.",
+    ]
+    .iter()
+    .map(|prefix| stats.sum_prefix(prefix).bytes)
+    .sum()
 }
 
 /// Mean of a slice, `None` when empty.
@@ -164,6 +153,18 @@ mod tests {
         assert_eq!(percentile(&v, 100.0), Some(5.0));
         assert_eq!(mean(&[]), None);
         assert_eq!(percentile(&[], 50.0), None);
+    }
+
+    #[test]
+    fn control_bytes_sums_on_air_prefixes_and_deducts_nothing() {
+        let mut s = NodeStats::default();
+        for name in ["aodv.rreq", "dsdv.update", "phello.hello"] {
+            s.count(name, 10);
+        }
+        // Lookup accounting is not on air: neither added nor deducted.
+        s.count("slp.query_flood", 1000);
+        s.count("media.rtp_rx", 1000);
+        assert_eq!(control_bytes(&s), 30);
     }
 
     #[test]

@@ -147,23 +147,17 @@ impl World {
     fn sweep_pending(&mut self, node: NodeId) {
         let now = self.now;
         let n = &mut self.nodes[node.0 as usize];
-        let mut dropped = 0usize;
-        let mut dropped_bytes = 0usize;
+        let stats = &mut n.stats;
         n.pending.retain(|_, pkts| {
             pkts.retain(|p| {
                 let keep = p.deadline > now;
                 if !keep {
-                    dropped += 1;
-                    dropped_bytes += p.dgram.wire_len();
+                    stats.count("drop.pending_timeout", p.dgram.wire_len());
                 }
                 keep
             });
             !pkts.is_empty()
         });
-        for _ in 0..dropped {
-            n.stats
-                .count("drop.pending_timeout", dropped_bytes / dropped.max(1));
-        }
     }
 
     fn call_proc(&mut self, node: NodeId, idx: usize, kind: CallKind<'_>) {

@@ -834,10 +834,15 @@ mod tests {
         let _b = w.add_node(NodeConfig::manet(50.0, 0.0));
         w.run_for(SimDuration::from_millis(1));
         let (aa, ba) = (w.node(NodeId(0)).addr(), w.node(NodeId(1)).addr());
+        // Two lengths to one destination, so one sweep drops both: the
+        // bytes must be the (odd) sum, not packets × the truncated mean.
         w.inject(a, dgram(aa, ba, 9000, b"doomed"));
+        w.inject(a, dgram(aa, ba, 9000, b"doomed!"));
         w.run_for(SimDuration::from_secs(3));
         assert_eq!(w.node(a).pending_packets(), 0);
-        assert_eq!(w.node(a).stats().get("drop.pending_timeout").packets, 1);
+        let dropped = w.node(a).stats().get("drop.pending_timeout");
+        let bytes = (6 + 7 + 2 * crate::net::UDP_IP_OVERHEAD) as u64;
+        assert_eq!((dropped.packets, dropped.bytes), (2, bytes));
     }
 
     #[test]

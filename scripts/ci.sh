@@ -17,42 +17,43 @@ cargo clippy --all-targets --all-features -- -D warnings \
     -D clippy::inefficient_to_string \
     -D clippy::string_add \
     -D clippy::unnecessary_to_owned
-# Crash canary for the benchmark harness: smallest workloads, one rep,
-# two concurrent sweep jobs (exercises the multi-seed parallel runner).
-# Failure means a panic, never a perf number.
-scripts/bench.sh --smoke --jobs 2
+# The three experiment binaries the canaries below run.
+cargo build --release -p siphoc-bench \
+    --bin exp_handoff --bin exp_call_load --bin exp_adversarial
 # Mid-call gateway handoff canary: one seed, both failover modes. Asserts
 # every call survives, break-before-make stays inside the 5 s detection +
 # re-lease budget, and make-before-break (warm standby promotion) keeps
 # the mean handoff ≤ 500 ms.
-cargo build --release -p siphoc-bench --bin exp_handoff --bin exp_call_load
 ./target/release/exp_handoff --smoke
 # SIP control-plane capacity canary: smoke ladder rung + registration
-# storm, gated against the tracked baseline (event counts must match
-# exactly — the workload is deterministic — and wall time may regress
-# ≤ 20%). The `-p siphoc-bench` build above matters: a workspace-wide
-# build unifies the obs feature in, and exp_call_load refuses to publish
-# numbers from an instrumented build.
-./target/release/exp_call_load --smoke --check results/BENCH_sip.json
+# storm against the tracked baseline. Event counts must match exactly
+# (the workload is deterministic); wall time is printed, never gated —
+# benchmark/ is the only wall-clock gate. Two concurrent sweep jobs keep
+# the multi-seed parallel runner (`parallel::run_indexed`) exercised.
+./target/release/exp_call_load --smoke --jobs 2 --check results/BENCH_sip.json
 # Adversarial canary: one seed, both attacks, defenses off then on.
 # Asserts the attacks *work* against the undefended stack (100% hijack /
 # capture) and die completely against signed adverts + pins + gateway
 # attestation. Either half going quiet means the security experiment
 # stopped testing anything.
-cargo build --release -p siphoc-bench --bin exp_adversarial
 ./target/release/exp_adversarial --smoke
 # Acceptance benchmark canary: benchmark/ is a package of its own that
 # nothing above compiles, so a change to the public API its README lists
 # would otherwise surface only in the acceptance driver. Its unit tests,
-# then the OLSR workload and the signalling hub (the one workload whose
-# peak memory is SIP transaction and dialog state) at 1/15 length (~2 s
-# each); a run exits 0 only if every output check passed. A crash and
-# correctness gate, never a perf number.
+# then all four workloads — the OLSR one, the signalling hub (whose peak
+# memory is SIP transaction and dialog state), the 100k-node beacon city
+# (simulator core alone) and the lossy AODV mesh with media (full stack)
+# — at 1/15 length; a run exits 0 only if every output check passed. A
+# crash and correctness gate, never a perf number.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload roam_internet --seed 7 --seconds 1 --trace 0
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload sip_hub --seed 7 --seconds 1 --trace 0
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload city_beacon --seed 7 --seconds 1 --trace 0
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload mesh_calls --seed 7 --seconds 1 --trace 0
 # Supply-chain audit (deny.toml: advisories, licenses, bans, sources).
 # Skipped with a notice when cargo-deny is not installed — the CI `deny`
 # job always runs it, so the merge gate never loses the check.

@@ -854,19 +854,10 @@ impl Scenario {
                     .collect(),
             });
         }
-        let mut control_bytes = 0;
-        for prefix in [
-            "aodv.",
-            "olsr.",
-            "dsdv.",
-            "slp_std.",
-            "bcast_reg.",
-            "phello.",
-        ] {
-            control_bytes += siphoc_core::metrics::total_prefix(&world, prefix).bytes;
-        }
-        let rtp_packets = siphoc_core::metrics::total_counter(&world, "media.rtp_rx").packets;
-        let faults_injected = siphoc_core::metrics::total_prefix(&world, "fault.").packets;
+        let total = world.total_stats();
+        let control_bytes = siphoc_core::metrics::control_bytes(&total);
+        let rtp_packets = total.get("media.rtp_rx").packets;
+        let faults_injected = total.sum_prefix("fault.").packets;
         Ok((
             ScenarioReport {
                 seed: self.seed,
