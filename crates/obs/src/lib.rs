@@ -1,12 +1,15 @@
 //! Observability spine for the SIPHoc reproduction.
 //!
-//! Three pieces, mirroring what a serving stack ships with:
+//! Four pieces, mirroring what a serving stack ships with:
 //!
 //! * [`metrics`] — a typed registry of counters, gauges and HDR-style
 //!   latency histograms with label support, exportable as Prometheus
 //!   text or JSON. Replaces flat string-counter dumps as the export
 //!   surface; the simulator's per-node `NodeStats` shards are merged
 //!   into a [`Registry`] with a `node` label at export time.
+//! * [`store`] — the name-ordered `Vec` store every per-node counter,
+//!   gauge and histogram lives in (`NodeObs` here, `NodeStats` in
+//!   `siphoc-simnet`), sized by what it holds.
 //! * [`span`] — structured span tracing on *virtual sim time*, recorded
 //!   out-of-band so traced and untraced runs are event-identical.
 //! * [`chrome`] — Chrome `trace_event` JSON export plus per-call
@@ -29,10 +32,12 @@
 pub mod chrome;
 pub mod metrics;
 pub mod span;
+pub mod store;
 
 pub use chrome::{call_timelines, chrome_trace_json, CallTimeline, TaggedSpan};
 pub use metrics::{Histogram, MetricKey, Registry};
 pub use span::{SpanCat, SpanId, SpanLog, SpanRecord};
+pub use store::NameMap;
 
 /// Whether this build records observability data.
 pub const fn enabled() -> bool {
@@ -72,9 +77,9 @@ pub(crate) fn esc(s: &str) -> String {
 pub struct NodeObs {
     tracing: bool,
     spans: SpanLog,
-    counters: std::collections::BTreeMap<&'static str, u64>,
-    gauges: std::collections::BTreeMap<&'static str, f64>,
-    hists: std::collections::BTreeMap<&'static str, Histogram>,
+    counters: NameMap<u64>,
+    gauges: NameMap<f64>,
+    hists: NameMap<Histogram>,
 }
 
 /// Per-node observability shard (no-op build): zero-sized, every method
@@ -100,26 +105,26 @@ impl NodeObs {
     /// Adds `v` to a node-local counter.
     #[inline]
     pub fn counter_add(&mut self, name: &'static str, v: u64) {
-        *self.counters.entry(name).or_default() += v;
+        *self.counters.entry(name) += v;
     }
 
     /// Sets a node-local gauge.
     #[inline]
     pub fn gauge_set(&mut self, name: &'static str, v: f64) {
-        self.gauges.insert(name, v);
+        *self.gauges.entry(name) = v;
     }
 
     /// Adds `delta` to a node-local gauge (unset reads as 0), for a gauge
     /// several processes on the node each contribute a share to.
     #[inline]
     pub fn gauge_add(&mut self, name: &'static str, delta: f64) {
-        *self.gauges.entry(name).or_default() += delta;
+        *self.gauges.entry(name) += delta;
     }
 
     /// Records one sample into a node-local histogram.
     #[inline]
     pub fn hist_record(&mut self, name: &'static str, v: u64) {
-        self.hists.entry(name).or_default().record(v);
+        self.hists.entry(name).record(v);
     }
 
     /// Opens a span (no-op unless tracing is on; returns
@@ -182,18 +187,25 @@ impl NodeObs {
     /// with `node`.
     pub fn merge_metrics_into(&self, reg: &mut Registry, node: &str) {
         let labels = [("node", node)];
-        for (name, v) in &self.counters {
+        for (name, v) in self.counters.iter() {
             reg.counter_add(name, &labels, *v);
         }
-        for (name, v) in &self.gauges {
+        for (name, v) in self.gauges.iter() {
             reg.gauge_set(name, &labels, *v);
         }
-        for (name, h) in &self.hists {
+        for (name, h) in self.hists.iter() {
             reg.hist_merge(name, &labels, h);
         }
         if self.spans.dropped() > 0 {
             reg.counter_add("obs.spans_dropped", &labels, self.spans.dropped());
         }
+    }
+
+    /// Bytes of heap this shard's counters, gauges and histograms occupy,
+    /// by capacity (the span log is not metric state and is not counted).
+    pub fn heap_bytes(&self) -> usize {
+        let buckets: usize = self.hists.iter().map(|(_, h)| h.heap_bytes()).sum();
+        self.counters.heap_bytes() + self.gauges.heap_bytes() + self.hists.heap_bytes() + buckets
     }
 }
 
@@ -266,6 +278,11 @@ impl NodeObs {
 
     /// Merges shard metrics into `reg` (no-op build: nothing to merge).
     pub fn merge_metrics_into(&self, _reg: &mut Registry, _node: &str) {}
+
+    /// Bytes of heap the shard's metrics occupy (no-op build: none).
+    pub fn heap_bytes(&self) -> usize {
+        0
+    }
 }
 
 #[cfg(test)]
@@ -302,6 +319,9 @@ mod tests {
                 .count(),
             1
         );
+        // One counter slot, one histogram slot, one bucket.
+        let slots = std::mem::size_of::<(&str, u64)>() + std::mem::size_of::<(&str, Histogram)>();
+        assert_eq!(obs.heap_bytes(), slots + 8);
     }
 
     #[cfg(not(feature = "enabled"))]
@@ -317,5 +337,6 @@ mod tests {
         let mut reg = Registry::new();
         obs.merge_metrics_into(&mut reg, "n0");
         assert!(reg.is_empty());
+        assert_eq!(obs.heap_bytes(), 0);
     }
 }

@@ -22,6 +22,13 @@ const LINEAR_LIMIT: u64 = 1 << (SUB_BITS + 1);
 /// into 16 sub-buckets, so quantile estimates carry at most ~6% relative
 /// error while the whole range of `u64` fits in under a thousand buckets.
 ///
+/// Only the occupied span of buckets is stored, from the one holding the
+/// smallest sample to the one holding the largest: a per-node histogram of
+/// a few samples in one octave costs those few buckets, not the hundred
+/// empty ones below them. The span is a function of the samples alone
+/// (it starts at the minimum's bucket and ends at the maximum's), so `==`
+/// does not depend on recording order.
+///
 /// # Examples
 ///
 /// ```
@@ -42,7 +49,9 @@ pub struct Histogram {
     sum: u64,
     min: u64,
     max: u64,
-    /// Lazily grown; index per [`bucket_index`].
+    /// [`bucket_index`] of `buckets[0]`; 0 while empty.
+    base: usize,
+    /// Counts for bucket indices `base..base + buckets.len()`.
     buckets: Vec<u64>,
 }
 
@@ -67,7 +76,9 @@ fn bucket_upper(idx: usize) -> u64 {
     let sub = (b % (1 << SUB_BITS)) as u64;
     let msb = octave + SUB_BITS + 1;
     let shift = msb - SUB_BITS;
-    (1u64 << msb) + ((sub + 1) << shift) - 1
+    // `- 1` first: the top bucket's bound is `u64::MAX`, one below a sum
+    // that does not fit.
+    (1u64 << msb) - 1 + ((sub + 1) << shift)
 }
 
 impl Histogram {
@@ -83,10 +94,26 @@ impl Histogram {
         self.count += 1;
         self.sum = self.sum.saturating_add(v);
         let idx = bucket_index(v);
-        if idx >= self.buckets.len() {
-            self.buckets.resize(idx + 1, 0);
+        if idx.wrapping_sub(self.base) >= self.buckets.len() {
+            self.widen(idx, idx + 1);
         }
-        self.buckets[idx] += 1;
+        self.buckets[idx - self.base] += 1;
+    }
+
+    /// Extends the stored span to cover bucket indices `lo..hi`, growing
+    /// by exactly the missing buckets at either end. A histogram sees its
+    /// whole range within its first few samples, so doubling would only
+    /// strand capacity on every node.
+    fn widen(&mut self, lo: usize, hi: usize) {
+        if self.buckets.is_empty() {
+            self.base = lo;
+        }
+        let front = self.base.saturating_sub(lo);
+        let back = hi.saturating_sub(self.base + self.buckets.len());
+        self.buckets.reserve_exact(front + back);
+        self.buckets.resize(self.buckets.len() + front + back, 0);
+        self.buckets.rotate_right(front);
+        self.base -= front;
     }
 
     /// Number of recorded samples.
@@ -126,10 +153,10 @@ impl Histogram {
         }
         let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
-        for (idx, &c) in self.buckets.iter().enumerate() {
+        for (i, &c) in self.buckets.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return bucket_upper(idx).min(self.max).max(self.min);
+                return bucket_upper(self.base + i).min(self.max).max(self.min);
             }
         }
         self.max
@@ -148,11 +175,10 @@ impl Histogram {
         self.max = self.max.max(other.max);
         self.count += other.count;
         self.sum = self.sum.saturating_add(other.sum);
-        if other.buckets.len() > self.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (i, &c) in other.buckets.iter().enumerate() {
-            self.buckets[i] += c;
+        self.widen(other.base, other.base + other.buckets.len());
+        let at = other.base - self.base;
+        for (mine, &c) in self.buckets[at..].iter_mut().zip(&other.buckets) {
+            *mine += c;
         }
     }
 
@@ -162,7 +188,12 @@ impl Histogram {
             .iter()
             .enumerate()
             .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_upper(i), c))
+            .map(|(i, &c)| (bucket_upper(self.base + i), c))
+    }
+
+    /// Bytes of heap the bucket span occupies, by capacity.
+    pub fn heap_bytes(&self) -> usize {
+        self.buckets.capacity() * std::mem::size_of::<u64>()
     }
 }
 
@@ -516,6 +547,158 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a, all);
+    }
+
+    /// The dense-from-zero histogram this crate used before buckets were
+    /// span-stored, kept as the reference the span form must agree with.
+    #[derive(Default)]
+    struct DenseHistogram {
+        count: u64,
+        sum: u64,
+        min: u64,
+        max: u64,
+        buckets: Vec<u64>,
+    }
+
+    impl DenseHistogram {
+        fn record(&mut self, v: u64) {
+            if self.count == 0 {
+                self.min = v;
+                self.max = v;
+            } else {
+                self.min = self.min.min(v);
+                self.max = self.max.max(v);
+            }
+            self.count += 1;
+            self.sum = self.sum.saturating_add(v);
+            let idx = bucket_index(v);
+            if idx >= self.buckets.len() {
+                self.buckets.resize(idx + 1, 0);
+            }
+            self.buckets[idx] += 1;
+        }
+
+        fn quantile(&self, q: f64) -> u64 {
+            if self.count == 0 {
+                return 0;
+            }
+            let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
+            let mut seen = 0u64;
+            for (idx, &c) in self.buckets.iter().enumerate() {
+                seen += c;
+                if seen >= rank {
+                    return bucket_upper(idx).min(self.max).max(self.min);
+                }
+            }
+            self.max
+        }
+
+        fn mean(&self) -> f64 {
+            if self.count == 0 {
+                0.0
+            } else {
+                self.sum as f64 / self.count as f64
+            }
+        }
+
+        fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
+            let filled = self.buckets.iter().enumerate().filter(|(_, &c)| c > 0);
+            filled.map(|(i, &c)| (bucket_upper(i), c)).collect()
+        }
+    }
+
+    fn recorded(samples: &[u64]) -> (Histogram, DenseHistogram) {
+        let (mut h, mut dense) = (Histogram::default(), DenseHistogram::default());
+        for &v in samples {
+            h.record(v);
+            dense.record(v);
+            assert_eq!(h.buckets.capacity(), h.buckets.len(), "grown exactly");
+        }
+        (h, dense)
+    }
+
+    fn assert_agrees(h: &Histogram, dense: &DenseHistogram, what: &str) {
+        assert_eq!(
+            (h.count(), h.sum(), h.min(), h.max()),
+            (dense.count, dense.sum, dense.min, dense.max),
+            "{what}"
+        );
+        assert_eq!(h.mean(), dense.mean(), "{what}");
+        for q in [0.0, 0.5, 0.95, 1.0] {
+            assert_eq!(h.quantile(q), dense.quantile(q), "{what}: q = {q}");
+        }
+        let buckets: Vec<_> = h.nonzero_buckets().collect();
+        assert_eq!(buckets, dense.nonzero_buckets(), "{what}");
+        assert_eq!(h.heap_bytes(), 8 * h.buckets.len(), "grown exactly: {what}");
+        if h.count() > 0 {
+            assert_eq!(h.base, bucket_index(h.min()), "{what}");
+            assert_eq!(
+                h.base + h.buckets.len() - 1,
+                bucket_index(h.max()),
+                "{what}"
+            );
+        }
+    }
+
+    /// Sample sets for the oracle: the linear/log boundary and the far end
+    /// of `u64`, then seeded draws whose magnitude (and so whose bucket)
+    /// jumps around, then a tight cluster like a node's airtime samples.
+    fn sample_sets() -> Vec<Vec<u64>> {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut sets = vec![
+            vec![],
+            vec![0],
+            vec![u64::MAX],
+            vec![0, 31, 32, 33, u64::MAX],
+            vec![33, 32, 31],
+        ];
+        for len in [1usize, 2, 9, 200] {
+            sets.push((0..len).map(|_| next() >> (next() % 64)).collect());
+        }
+        sets.push((0..9).map(|_| 370 + next() % 400).collect());
+        sets
+    }
+
+    #[test]
+    fn span_histogram_agrees_with_the_dense_reference() {
+        for samples in sample_sets() {
+            let what = format!("{samples:?}");
+            let (h, dense) = recorded(&samples);
+            assert_agrees(&h, &dense, &what);
+
+            // The span is canonical: the drawn order above, ascending and
+            // descending all compare equal.
+            let mut ascending = samples.clone();
+            ascending.sort_unstable();
+            let descending: Vec<u64> = ascending.iter().rev().copied().collect();
+            assert_eq!(recorded(&ascending).0, h, "ascending {what}");
+            assert_eq!(recorded(&descending).0, h, "descending {what}");
+        }
+    }
+
+    #[test]
+    fn span_histogram_merge_agrees_with_the_dense_reference() {
+        let sets = sample_sets();
+        for a in &sets {
+            for b in &sets {
+                let what = format!("{a:?} + {b:?}");
+                let both: Vec<u64> = a.iter().chain(b).copied().collect();
+                let (all, dense) = recorded(&both);
+                let (mut ab, mut ba) = (recorded(a).0, recorded(b).0);
+                ab.merge(&recorded(b).0);
+                ba.merge(&recorded(a).0);
+                assert_agrees(&ab, &dense, &what);
+                assert_agrees(&ba, &dense, &what);
+                assert_eq!(ab, all, "a.merge(b): {what}");
+                assert_eq!(ba, all, "b.merge(a): {what}");
+            }
+        }
     }
 
     #[test]

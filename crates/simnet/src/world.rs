@@ -311,10 +311,15 @@ impl World {
     /// Each `NodeStats` counter `x.y` is bridged as counter `x.y` (packet
     /// count) and `x.y_bytes`, labelled `node="n<id>"`, so the ad-hoc
     /// string counters stay queryable through the typed exporters. World
-    /// gauges (`sim.now_us`, `sim.events`, `sim.nodes`) ride along.
+    /// gauges (`sim.now_us`, `sim.events`, `sim.nodes`) ride along, with
+    /// `sim.obs_bytes`: the heap every node's counters, gauges and
+    /// histograms themselves occupy (`NodeStats` only in an obs-less
+    /// build), so the cost of the instrumentation is in its own output.
     pub fn obs_registry(&self) -> siphoc_obs::Registry {
         let mut reg = siphoc_obs::Registry::new();
+        let mut obs_bytes = 0usize;
         for n in &self.nodes {
+            obs_bytes += n.stats.heap_bytes() + n.obs.heap_bytes();
             let label = n.id.to_string();
             n.obs.merge_metrics_into(&mut reg, &label);
             for (name, c) in n.stats.iter() {
@@ -325,6 +330,7 @@ impl World {
         reg.gauge_set("sim.now_us", &[], self.now.as_micros() as f64);
         reg.gauge_set("sim.events", &[], self.events as f64);
         reg.gauge_set("sim.nodes", &[], self.nodes.len() as f64);
+        reg.gauge_set("sim.obs_bytes", &[], obs_bytes as f64);
         reg
     }
 

@@ -389,6 +389,37 @@ fn city_digests_are_golden_reproducible_and_time_monotone() {
     }
 }
 
+/// Observation state is sized by what it holds, not by what passed through
+/// it: on the same city, the bytes behind every node's counters, gauges
+/// and histograms (`sim.obs_bytes`, by capacity — deterministic, unlike
+/// RSS) are small once each node has beaconed and stay small under ten
+/// times the traffic. The one thing still allowed to grow is a
+/// histogram's span, up to the width of what it samples: airtime covers
+/// 18 buckets, a node's first six samples about 11 of them (263 B per
+/// node at 2 s, 311 B at 20 s, 313 B at 40 s). With the `obs` feature off
+/// this counts `NodeStats` alone (95 B throughout).
+#[test]
+fn city_observation_bytes_per_node_are_small_and_flat_under_traffic() {
+    let mut w = World::new(WorldConfig::new(2301));
+    build_city(&mut w, CityParams::with_nodes(1000));
+    let mut per_node_at = |secs: u64| {
+        w.run_until(SimTime::from_secs(secs));
+        let reg = w.obs_registry();
+        let gauge = |name| reg.gauge(name, &[]).expect("world gauge");
+        gauge("sim.obs_bytes") / gauge("sim.nodes")
+    };
+    let early = per_node_at(2);
+    let late = per_node_at(20);
+    assert!(
+        early > 0.0 && late <= 512.0,
+        "{early} B of observation state per node at 2 s, {late} B at 20 s"
+    );
+    assert!(
+        late <= early * 1.25,
+        "observation state grew under constant live state: {early} -> {late} B per node"
+    );
+}
+
 /// `(seed, hub digest)` for [`run_sip_hub`], recorded on the commit before
 /// the second SIP retransmit-timer path, the UA's media-event switch and
 /// the per-event dispatch view and output buffer were deleted; all three
