@@ -21,13 +21,11 @@ use std::rc::Rc;
 use siphoc_bench::location::{LookupProbe, LookupResult};
 use siphoc_bench::measure::control_bytes_per_node_second;
 use siphoc_bench::topology::SPACING;
-use siphoc_core::baselines::{BaselineConfig, ProactiveHello};
-use siphoc_routing::aodv::{AodvConfig, AodvProcess};
+use siphoc_core::baselines::ProactiveHello;
+use siphoc_routing::aodv::AodvProcess;
 use siphoc_simnet::node::NodeConfig;
 use siphoc_simnet::prelude::*;
-use siphoc_slp::manet::{
-    shared_registry, Dissemination, ManetSlpConfig, ManetSlpHandler, ManetSlpProcess,
-};
+use siphoc_slp::manet::{shared_registry, Dissemination, ManetSlpHandler, ManetSlpProcess};
 
 const SEED: u64 = 8801;
 const SIDE: usize = 4;
@@ -65,22 +63,16 @@ fn build(world: &mut World, variant: Variant) -> Vec<NodeId> {
                     handler = handler.with_min_readvertise(SimDuration::ZERO);
                 }
                 let handler = Rc::new(RefCell::new(handler));
+                world.spawn(id, Box::new(AodvProcess::new().with_handler(handler)));
                 world.spawn(
                     id,
-                    Box::new(AodvProcess::new(AodvConfig::default()).with_handler(handler)),
-                );
-                world.spawn(
-                    id,
-                    Box::new(ManetSlpProcess::new(ManetSlpConfig::on_demand(), registry)),
+                    Box::new(ManetSlpProcess::new(Dissemination::OnDemand, registry)),
                 );
             }
             Variant::Dedicated => {
-                world.spawn(id, Box::new(AodvProcess::new(AodvConfig::default())));
-                let cfg = BaselineConfig {
-                    refresh_interval: SimDuration::from_secs(8),
-                    ..BaselineConfig::default()
-                };
-                world.spawn(id, Box::new(ProactiveHello::new(cfg)));
+                world.spawn(id, Box::new(AodvProcess::new()));
+                let hello = ProactiveHello::new(SimDuration::from_secs(8));
+                world.spawn(id, Box::new(hello));
             }
         }
         ids.push(id);

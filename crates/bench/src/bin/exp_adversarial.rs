@@ -29,7 +29,6 @@
 use std::fmt::Write as _;
 
 use siphoc_bench::record::{arg, render_provenance};
-use siphoc_core::adversary::AdversaryConfig;
 use siphoc_core::config::VoipAppConfig;
 use siphoc_core::nodesetup::{deploy, NodeSpec, RoutingProtocol};
 use siphoc_internet::dns::DnsDirectory;
@@ -47,7 +46,7 @@ const GW_B: Addr = Addr(0x5282_4101); // 82.130.65.1
 const DOMAIN: &str = "voicehoc.ch";
 
 /// The bogus lease pool handed out by the fake tunnel server
-/// (TEST-NET-3, `AdversaryConfig::default().bogus_public`).
+/// (TEST-NET-3, the /24 of `core::adversary`'s `BOGUS_PUBLIC`).
 const BOGUS_POOL: Addr = Addr(0xcb00_7100); // 203.0.113.0
 
 #[derive(Clone, Copy, PartialEq)]
@@ -97,7 +96,7 @@ struct Outcome {
 }
 
 fn chain_spec(x: f64, secure: bool) -> NodeSpec {
-    let spec = NodeSpec::relay(x, 0.0).with_routing(RoutingProtocol::olsr());
+    let spec = NodeSpec::relay(x, 0.0).with_routing(RoutingProtocol::Olsr);
     if secure {
         spec.with_security()
     } else {
@@ -142,10 +141,7 @@ fn run_hijack(seed: u64, secure: bool, attack: bool) -> Outcome {
         );
     }
     let alice = deploy(&mut w, chain_spec(0.0, secure).with_user(ua));
-    let mallory = deploy(
-        &mut w,
-        chain_spec(60.0, secure).with_adversary(AdversaryConfig::default()),
-    );
+    let mallory = deploy(&mut w, chain_spec(60.0, secure).with_adversary());
     let mut bob_ua = VoipAppConfig::fig2("bob", DOMAIN)
         .to_ua_config()
         .expect("config");
@@ -228,9 +224,7 @@ fn run_rogue(seed: u64, secure: bool) -> Outcome {
     // shuts its own client down before going rogue.
     let mallory = deploy(
         &mut w,
-        tune(120.0)
-            .without_connection_provider()
-            .with_adversary(AdversaryConfig::default()),
+        tune(120.0).without_connection_provider().with_adversary(),
     );
     let gw_b = deploy(&mut w, tune(180.0).with_gateway(GW_B));
 

@@ -23,7 +23,7 @@ fn run_call(seed: u64, hops: usize, carrier_sense: bool) -> Option<(f64, f64)> {
         ..RadioConfig::default_80211b()
     };
     let mut w = World::new(WorldConfig::new(seed).with_radio(radio));
-    let nodes = siphoc_chain(&mut w, hops + 1, &RoutingProtocol::aodv(), &[(hops, "bob")]);
+    let nodes = siphoc_chain(&mut w, hops + 1, RoutingProtocol::Aodv, &[(hops, "bob")]);
     let _ = &nodes;
     let ua = bench_ua("alice").call_at(
         SimTime::from_secs(10),

@@ -24,11 +24,7 @@ fn run(side: usize, users: usize, routing: RoutingProtocol, label: &str) {
         let x = (i % side) as f64 * SPACING;
         let y = (i / side) as f64 * SPACING;
         let mut spec = NodeSpec::relay(x, y)
-            .with_routing(match &routing {
-                RoutingProtocol::Aodv(c) => RoutingProtocol::Aodv(c.clone()),
-                RoutingProtocol::Olsr(c) => RoutingProtocol::Olsr(c.clone()),
-                RoutingProtocol::Dsdv(c) => RoutingProtocol::Dsdv(c.clone()),
-            })
+            .with_routing(routing)
             .without_connection_provider();
         if i < users {
             spec = spec.with_user(bench_ua(&format!("user{i}")));
@@ -68,10 +64,10 @@ fn main() {
         "stack", "nodes", "users", "max routes", "max SLP", "mean bytes"
     );
     for (side, users) in [(3usize, 4usize), (4, 8), (5, 12)] {
-        run(side, users, RoutingProtocol::aodv(), "siphoc/aodv");
+        run(side, users, RoutingProtocol::Aodv, "siphoc/aodv");
     }
     for (side, users) in [(3usize, 4usize), (4, 8), (5, 12)] {
-        run(side, users, RoutingProtocol::olsr(), "siphoc/olsr");
+        run(side, users, RoutingProtocol::Olsr, "siphoc/olsr");
     }
     println!("\npaper's static footprint for context: middleware 1.2 MB,");
     println!("VoIP app 1.0 MB, OS 25 MB of the iPAQ's 32 MB flash.");

@@ -26,10 +26,10 @@ const SEEDS: [u64; 5] = [1101, 1102, 1103, 1104, 1105];
 const MAX_HOPS: usize = 7;
 
 fn run_one(seed: u64, hops: usize, routing: RoutingProtocol, warm: bool) -> Option<(f64, f64)> {
-    let proactive = !matches!(routing, RoutingProtocol::Aodv(_));
+    let proactive = routing != RoutingProtocol::Aodv;
     let mut w = ideal_world(seed);
     // Caller on node 0, callee on node `hops`.
-    let mut nodes = siphoc_chain(&mut w, hops + 1, &routing, &[(hops, "bob")]);
+    let mut nodes = siphoc_chain(&mut w, hops + 1, routing, &[(hops, "bob")]);
     // Give proactive protocols (and their gossip) time to converge; keep
     // AODV cold by calling before periodic floods spread the binding.
     // DSDV needs diameter x update-interval.
@@ -56,11 +56,7 @@ fn run_one(seed: u64, hops: usize, routing: RoutingProtocol, warm: bool) -> Opti
     let caller = siphoc_core::nodesetup::deploy(
         &mut w,
         siphoc_core::nodesetup::NodeSpec::relay(0.0, -60.0)
-            .with_routing(match &routing {
-                RoutingProtocol::Aodv(c) => RoutingProtocol::Aodv(c.clone()),
-                RoutingProtocol::Olsr(c) => RoutingProtocol::Olsr(c.clone()),
-                RoutingProtocol::Dsdv(c) => RoutingProtocol::Dsdv(c.clone()),
-            })
+            .with_routing(routing)
             .without_connection_provider()
             .with_user(ua),
     );
@@ -72,12 +68,12 @@ fn run_one(seed: u64, hops: usize, routing: RoutingProtocol, warm: bool) -> Opti
     m.setup.map(|d| (hops as f64, d.as_millis_f64()))
 }
 
-fn sweep(label: &str, routing: fn() -> RoutingProtocol, warm: bool) -> Series {
+fn sweep(label: &str, routing: RoutingProtocol, warm: bool) -> Series {
     let mut series = Series::new(label);
     for hops in 1..=MAX_HOPS {
         let mut samples = Vec::new();
         for seed in SEEDS {
-            if let Some((_, ms)) = run_one(seed, hops, routing(), warm) {
+            if let Some((_, ms)) = run_one(seed, hops, routing, warm) {
                 samples.push(ms);
             }
         }
@@ -93,10 +89,10 @@ fn main() {
         "E1: session establishment time vs hop count ({} seeds per point)\n",
         SEEDS.len()
     );
-    let cold = sweep("aodv-cold", RoutingProtocol::aodv, false);
-    let warm = sweep("aodv-warm", RoutingProtocol::aodv, true);
-    let olsr = sweep("olsr", RoutingProtocol::olsr, false);
-    let dsdv = sweep("dsdv", RoutingProtocol::dsdv, false);
+    let cold = sweep("aodv-cold", RoutingProtocol::Aodv, false);
+    let warm = sweep("aodv-warm", RoutingProtocol::Aodv, true);
+    let olsr = sweep("olsr", RoutingProtocol::Olsr, false);
+    let dsdv = sweep("dsdv", RoutingProtocol::Dsdv, false);
 
     println!(
         "{:>5} {:>12} {:>12} {:>12} {:>12}",

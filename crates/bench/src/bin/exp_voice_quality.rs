@@ -46,7 +46,7 @@ fn run_call(seed: u64, hops: usize, cbr_streams: usize) -> Option<(f64, f64, f64
     let nodes = siphoc_chain(
         &mut w,
         hops + 1,
-        &RoutingProtocol::aodv(),
+        RoutingProtocol::Aodv,
         &[(0, "alice"), (hops, "bob")],
     );
     // Replace alice's scripted UA: siphoc_chain deploys plain users, so

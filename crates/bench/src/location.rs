@@ -8,18 +8,16 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use siphoc_core::baselines::{BaselineConfig, BroadcastRegistration, ProactiveHello};
-use siphoc_routing::aodv::{AodvConfig, AodvProcess};
-use siphoc_routing::olsr::{OlsrConfig, OlsrProcess};
+use siphoc_core::baselines::{BroadcastRegistration, ProactiveHello};
+use siphoc_routing::aodv::AodvProcess;
+use siphoc_routing::olsr::OlsrProcess;
 use siphoc_simnet::net::{ports, Datagram, SocketAddr};
 use siphoc_simnet::node::NodeConfig;
 use siphoc_simnet::prelude::*;
 use siphoc_simnet::process::{Ctx, Process};
-use siphoc_slp::manet::{
-    shared_registry, Dissemination, ManetSlpConfig, ManetSlpHandler, ManetSlpProcess,
-};
+use siphoc_slp::manet::{shared_registry, Dissemination, ManetSlpHandler, ManetSlpProcess};
 use siphoc_slp::msg::SlpMsg;
-use siphoc_slp::standard::{StandardSlpConfig, StandardSlpProcess};
+use siphoc_slp::standard::StandardSlpProcess;
 
 /// The location-service alternatives under comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,13 +69,10 @@ pub fn add_location_node(world: &mut World, kind: LocationKind, x: f64, y: f64) 
                 registry.clone(),
                 Dissemination::OnDemand,
             )));
+            world.spawn(id, Box::new(AodvProcess::new().with_handler(handler)));
             world.spawn(
                 id,
-                Box::new(AodvProcess::new(AodvConfig::default()).with_handler(handler)),
-            );
-            world.spawn(
-                id,
-                Box::new(ManetSlpProcess::new(ManetSlpConfig::on_demand(), registry)),
+                Box::new(ManetSlpProcess::new(Dissemination::OnDemand, registry)),
             );
         }
         LocationKind::ManetSlpOlsr => {
@@ -86,32 +81,26 @@ pub fn add_location_node(world: &mut World, kind: LocationKind, x: f64, y: f64) 
                 registry.clone(),
                 Dissemination::Proactive,
             )));
+            world.spawn(id, Box::new(OlsrProcess::new().with_handler(handler)));
             world.spawn(
                 id,
-                Box::new(OlsrProcess::new(OlsrConfig::default()).with_handler(handler)),
-            );
-            world.spawn(
-                id,
-                Box::new(ManetSlpProcess::new(ManetSlpConfig::proactive(), registry)),
+                Box::new(ManetSlpProcess::new(Dissemination::Proactive, registry)),
             );
         }
         LocationKind::StandardSlp => {
-            world.spawn(id, Box::new(AodvProcess::new(AodvConfig::default())));
-            world.spawn(
-                id,
-                Box::new(StandardSlpProcess::new(StandardSlpConfig::default())),
-            );
+            world.spawn(id, Box::new(AodvProcess::new()));
+            world.spawn(id, Box::new(StandardSlpProcess::new()));
         }
         LocationKind::BroadcastReg => {
-            world.spawn(id, Box::new(AodvProcess::new(AodvConfig::default())));
-            world.spawn(
-                id,
-                Box::new(BroadcastRegistration::new(BaselineConfig::default())),
-            );
+            world.spawn(id, Box::new(AodvProcess::new()));
+            world.spawn(id, Box::new(BroadcastRegistration::new()));
         }
         LocationKind::ProactiveHello => {
-            world.spawn(id, Box::new(AodvProcess::new(AodvConfig::default())));
-            world.spawn(id, Box::new(ProactiveHello::new(BaselineConfig::default())));
+            world.spawn(id, Box::new(AodvProcess::new()));
+            world.spawn(
+                id,
+                Box::new(ProactiveHello::new(SimDuration::from_secs(10))),
+            );
         }
     }
     id

@@ -71,7 +71,7 @@ mod tests {
     #[test]
     fn call_measurement_extracts_setup_time() {
         let mut w = ideal_world(9);
-        let mut nodes = siphoc_chain(&mut w, 2, &RoutingProtocol::aodv(), &[(0, "a"), (1, "b")]);
+        let mut nodes = siphoc_chain(&mut w, 2, RoutingProtocol::Aodv, &[(0, "a"), (1, "b")]);
         // Schedule a's call by rebuilding its UA config is awkward here;
         // instead use the log-based extraction on a scripted deployment.
         let _ = &mut nodes;
@@ -102,11 +102,11 @@ mod tests {
     #[test]
     fn control_bytes_counts_routing_traffic() {
         for (routing, prefix) in [
-            (RoutingProtocol::aodv(), "aodv."),
-            (RoutingProtocol::dsdv(), "dsdv."),
+            (RoutingProtocol::Aodv, "aodv."),
+            (RoutingProtocol::Dsdv, "dsdv."),
         ] {
             let mut w = ideal_world(10);
-            let _ = siphoc_chain(&mut w, 3, &routing, &[]);
+            let _ = siphoc_chain(&mut w, 3, routing, &[]);
             w.run_for(SimDuration::from_secs(10));
             let total = w.total_stats();
             let routed = total.sum_prefix(prefix).bytes;

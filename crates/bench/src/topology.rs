@@ -26,13 +26,13 @@ pub fn typical_world(seed: u64) -> World {
 pub fn siphoc_chain(
     world: &mut World,
     n: usize,
-    routing: &RoutingProtocol,
+    routing: RoutingProtocol,
     users: &[(usize, &str)],
 ) -> Vec<SiphocNode> {
     let mut out = Vec::with_capacity(n);
     for i in 0..n {
         let mut spec = NodeSpec::relay(i as f64 * SPACING, 0.0)
-            .with_routing(clone_routing(routing))
+            .with_routing(routing)
             .without_connection_provider();
         if let Some((_, name)) = users.iter().find(|(slot, _)| *slot == i) {
             let ua = bench_ua(name);
@@ -59,7 +59,7 @@ pub fn bench_ua(name: &str) -> siphoc_sip::ua::UaConfig {
 pub fn siphoc_grid(
     world: &mut World,
     side: usize,
-    routing: &RoutingProtocol,
+    routing: RoutingProtocol,
     users: &[(usize, &str)],
 ) -> Vec<SiphocNode> {
     let mut out = Vec::with_capacity(side * side);
@@ -67,7 +67,7 @@ pub fn siphoc_grid(
         let x = (i % side) as f64 * SPACING;
         let y = (i / side) as f64 * SPACING;
         let mut spec = NodeSpec::relay(x, y)
-            .with_routing(clone_routing(routing))
+            .with_routing(routing)
             .without_connection_provider();
         if let Some((_, name)) = users.iter().find(|(slot, _)| *slot == i) {
             spec = spec.with_user(bench_ua(name));
@@ -98,14 +98,6 @@ pub fn waypoint(
     )
 }
 
-fn clone_routing(r: &RoutingProtocol) -> RoutingProtocol {
-    match r {
-        RoutingProtocol::Aodv(c) => RoutingProtocol::Aodv(c.clone()),
-        RoutingProtocol::Olsr(c) => RoutingProtocol::Olsr(c.clone()),
-        RoutingProtocol::Dsdv(c) => RoutingProtocol::Dsdv(c.clone()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,7 +105,7 @@ mod tests {
     #[test]
     fn chain_positions_are_spaced() {
         let mut w = ideal_world(1);
-        let nodes = siphoc_chain(&mut w, 3, &RoutingProtocol::aodv(), &[(0, "a"), (2, "b")]);
+        let nodes = siphoc_chain(&mut w, 3, RoutingProtocol::Aodv, &[(0, "a"), (2, "b")]);
         assert_eq!(nodes.len(), 3);
         assert_eq!(w.node(nodes[2].id).position(SimTime::ZERO).0, 2.0 * SPACING);
         assert_eq!(nodes[0].ua_logs.len(), 1);
@@ -123,7 +115,7 @@ mod tests {
     #[test]
     fn grid_is_square() {
         let mut w = ideal_world(2);
-        let nodes = siphoc_grid(&mut w, 3, &RoutingProtocol::olsr(), &[]);
+        let nodes = siphoc_grid(&mut w, 3, RoutingProtocol::Olsr, &[]);
         assert_eq!(nodes.len(), 9);
         let p = w.node(nodes[8].id).position(SimTime::ZERO);
         assert_eq!(p, (2.0 * SPACING, 2.0 * SPACING));

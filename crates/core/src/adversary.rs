@@ -18,7 +18,7 @@
 //! ## Dolev–Yao discipline
 //!
 //! The adversary fabricates, replays and drops messages, but it only ever
-//! signs with its *own* key ([`AdversaryConfig::identity`]): nothing here
+//! signs with its *own* key (the one given to [`Adversary::new`]): nothing here
 //! calls [`siphoc_simnet::ident::unmix64`] on a victim public key, which
 //! is the modeled-unforgeability invariant documented in
 //! `siphoc_simnet::ident` and DESIGN.md. Forged entries therefore carry
@@ -58,30 +58,13 @@ const TAG_POISON: u64 = 1;
 /// steadily-incrementing re-adverts never win the freshness race back.
 const SEQ_BOOST: u64 = 1 << 40;
 
-/// Adversary configuration.
-#[derive(Debug, Clone)]
-pub struct AdversaryConfig {
-    /// Re-poison cadence: how often forged entries are re-registered (and
-    /// newly-cached honest adverts get impersonated too).
-    pub repoison: SimDuration,
-    /// The attacker's own keypair. Set in defense-on worlds so forgeries
-    /// are validly signed *by the attacker* — the strongest attack the
-    /// Dolev–Yao model allows. `None` sends unsigned forgeries.
-    pub identity: Option<KeyPair>,
-    /// Base of the bogus public-address pool handed out by the fake
-    /// tunnel server (TEST-NET-3 by default; never routable).
-    pub bogus_public: Addr,
-}
+/// Re-poison cadence: how often forged entries are re-registered (and
+/// newly-cached honest adverts get impersonated too).
+const REPOISON: SimDuration = SimDuration::from_secs(5);
 
-impl Default for AdversaryConfig {
-    fn default() -> AdversaryConfig {
-        AdversaryConfig {
-            repoison: SimDuration::from_secs(5),
-            identity: None,
-            bogus_public: Addr::new(203, 0, 113, 1),
-        }
-    }
-}
+/// Base of the bogus public-address pool handed out by the fake tunnel
+/// server (TEST-NET-3; never routable).
+const BOGUS_PUBLIC: Addr = Addr::new(203, 0, 113, 1);
 
 /// The adversary process. Dormant until compromised. Gateway-targeting
 /// kinds bind the tunnel port when they go rogue, which a real gateway's
@@ -92,7 +75,10 @@ impl Default for AdversaryConfig {
 /// a dedicated port and coexist with the full stack.
 #[derive(Debug)]
 pub struct Adversary {
-    cfg: AdversaryConfig,
+    /// The attacker's own keypair. Set in defense-on worlds so forgeries
+    /// are validly signed *by the attacker* — the strongest attack the
+    /// Dolev–Yao model allows. `None` sends unsigned forgeries.
+    identity: Option<KeyPair>,
     registry: Option<SharedRegistry>,
     active: Option<MaliciousKind>,
     /// Forged entries by `(service_type, key, origin)`, re-registered
@@ -105,10 +91,11 @@ pub struct Adversary {
 }
 
 impl Adversary {
-    /// Creates a dormant adversary.
-    pub fn new(cfg: AdversaryConfig) -> Adversary {
+    /// Creates a dormant adversary that signs its forgeries with
+    /// `identity`, or not at all.
+    pub fn new(identity: Option<KeyPair>) -> Adversary {
         Adversary {
-            cfg,
+            identity,
             registry: None,
             active: None,
             forged: BTreeMap::new(),
@@ -183,7 +170,7 @@ impl Adversary {
                 lifetime_secs: e.lifetime_secs.max(120),
                 auth: None,
             };
-            let entry = match &self.cfg.identity {
+            let entry = match &self.identity {
                 Some(kp) => entry.signed(kp),
                 None => entry,
             };
@@ -209,7 +196,7 @@ impl Adversary {
         let own = ctx.addr();
         match msg {
             TunnelMsg::Connect => {
-                let next = self.cfg.bogus_public.0 + self.leases.len() as u32;
+                let next = BOGUS_PUBLIC.0 + self.leases.len() as u32;
                 let public = *self
                     .leases
                     .entry(dgram.src.addr)
@@ -291,13 +278,13 @@ impl Process for Adversary {
             ctx.bind(HIJACK_PORT);
         }
         self.poison(ctx);
-        ctx.set_timer(self.cfg.repoison, TAG_POISON);
+        ctx.set_timer(REPOISON, TAG_POISON);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         if token == TAG_POISON && self.active.is_some() {
             self.poison(ctx);
-            ctx.set_timer(self.cfg.repoison, TAG_POISON);
+            ctx.set_timer(REPOISON, TAG_POISON);
         }
     }
 
@@ -354,7 +341,7 @@ mod tests {
     #[test]
     fn dormant_until_compromised() {
         let reg = shared_registry();
-        let mut adv = Adversary::new(AdversaryConfig::default()).with_registry(reg.clone());
+        let mut adv = Adversary::new(None).with_registry(reg.clone());
         let victim = ServiceEntry::gateway(
             SocketAddr::new(Addr::manet(2), ports::TUNNEL),
             Addr::manet(2),
@@ -374,7 +361,7 @@ mod tests {
         let gw = Addr::manet(2);
         let victim = ServiceEntry::gateway(SocketAddr::new(gw, ports::TUNNEL), gw, 3, 600);
         reg.borrow_mut().absorb(victim, SimTime::ZERO);
-        let mut adv = Adversary::new(AdversaryConfig::default()).with_registry(reg.clone());
+        let mut adv = Adversary::new(None).with_registry(reg.clone());
         let (stats, _) = harness(
             |ctx, adv| adv.on_local_event(ctx, &compromise(MaliciousKind::RogueGateway)),
             &mut adv,
@@ -396,7 +383,7 @@ mod tests {
 
     #[test]
     fn rogue_tunnel_grants_bogus_lease_and_blackholes_data() {
-        let mut adv = Adversary::new(AdversaryConfig::default());
+        let mut adv = Adversary::new(None);
         let client = SocketAddr::new(Addr::manet(4), 9000);
         let me = SocketAddr::new(Addr::manet(9), ports::TUNNEL);
         let (stats, effects) = harness(
@@ -427,7 +414,7 @@ mod tests {
 
     #[test]
     fn hijacked_invites_counted_once_per_call() {
-        let mut adv = Adversary::new(AdversaryConfig::default());
+        let mut adv = Adversary::new(None);
         let invite = concat!(
             "INVITE sip:bob@manet.example SIP/2.0\r\n",
             "Via: SIP/2.0/UDP 10.0.0.4:5060\r\n",
@@ -463,11 +450,7 @@ mod tests {
             ServiceEntry::gateway(SocketAddr::new(gw, ports::TUNNEL), gw, 3, 600).signed(&honest);
         reg.borrow_mut().absorb(victim, SimTime::ZERO);
         let attacker = KeyPair::for_addr(Addr::manet(9).0);
-        let cfg = AdversaryConfig {
-            identity: Some(attacker),
-            ..AdversaryConfig::default()
-        };
-        let mut adv = Adversary::new(cfg).with_registry(reg.clone());
+        let mut adv = Adversary::new(Some(attacker)).with_registry(reg.clone());
         harness(
             |ctx, adv| adv.on_local_event(ctx, &compromise(MaliciousKind::ForgedAdverts)),
             &mut adv,

@@ -31,31 +31,14 @@ use siphoc_slp::msg::SlpMsg;
 use siphoc_slp::registry::SlpRegistry;
 use siphoc_slp::service::ServiceEntry;
 
-/// Configuration shared by the baseline location services.
-#[derive(Debug, Clone)]
-pub struct BaselineConfig {
-    /// Refresh period: re-flood (broadcast mode) or HELLO period
-    /// (proactive mode).
-    pub refresh_interval: SimDuration,
-    /// Flood radius for broadcast registrations.
-    pub flood_ttl: u8,
-    /// How long a lookup waits for the replica to fill before reporting
-    /// "not found".
-    pub lookup_timeout: SimDuration,
-    /// Lifetime of disseminated entries.
-    pub entry_lifetime: SimDuration,
-}
+/// Flood radius for broadcast registrations.
+const FLOOD_TTL: u8 = 16;
+/// How long a lookup waits for the replica to fill before reporting
+/// "not found".
+const LOOKUP_TIMEOUT: SimDuration = SimDuration::from_secs(2);
 
-impl Default for BaselineConfig {
-    fn default() -> BaselineConfig {
-        BaselineConfig {
-            refresh_interval: SimDuration::from_secs(10),
-            flood_ttl: 16,
-            lookup_timeout: SimDuration::from_secs(2),
-            entry_lifetime: SimDuration::from_secs(60),
-        }
-    }
-}
+/// Re-flood period of [`BroadcastRegistration`].
+const REFLOOD_INTERVAL: SimDuration = SimDuration::from_secs(10);
 
 const TAG_REFRESH: u64 = 1;
 const TAG_LOOKUP: u64 = 2;
@@ -72,21 +55,13 @@ struct PendingLookup {
 
 /// Common machinery of both baselines: local registry, client API,
 /// pending lookups.
+#[derive(Default)]
 struct BaselineCore {
-    cfg: BaselineConfig,
     registry: SlpRegistry,
     pending: Vec<PendingLookup>,
 }
 
 impl BaselineCore {
-    fn new(cfg: BaselineConfig) -> BaselineCore {
-        BaselineCore {
-            cfg,
-            registry: SlpRegistry::new(),
-            pending: Vec::new(),
-        }
-    }
-
     fn reply(&self, ctx: &mut Ctx<'_>, to: SocketAddr, xid: u32, entries: Vec<ServiceEntry>) {
         let src = SocketAddr::new(Addr::LOOPBACK, ports::SLP);
         ctx.send(Datagram::new(
@@ -153,7 +128,7 @@ impl BaselineCore {
                     .cloned()
                     .collect();
                 if found.is_empty() {
-                    let deadline = now + self.cfg.lookup_timeout;
+                    let deadline = now + LOOKUP_TIMEOUT;
                     self.pending.push(PendingLookup {
                         xid,
                         requester: from,
@@ -161,7 +136,7 @@ impl BaselineCore {
                         key,
                         deadline,
                     });
-                    ctx.set_timer(self.cfg.lookup_timeout, TAG_LOOKUP);
+                    ctx.set_timer(LOOKUP_TIMEOUT, TAG_LOOKUP);
                 } else {
                     self.reply(ctx, from, xid, found);
                 }
@@ -211,6 +186,7 @@ impl BaselineCore {
 
 /// Flooded-REGISTER location service. Wire: `BREG <origin> <fid> <ttl>`
 /// then one entry per line.
+#[derive(Default)]
 pub struct BroadcastRegistration {
     core: BaselineCore,
     seen: BTreeMap<(Addr, u32), SimTime>,
@@ -226,12 +202,8 @@ impl std::fmt::Debug for BroadcastRegistration {
 
 impl BroadcastRegistration {
     /// Creates the baseline process.
-    pub fn new(cfg: BaselineConfig) -> BroadcastRegistration {
-        BroadcastRegistration {
-            core: BaselineCore::new(cfg),
-            seen: BTreeMap::new(),
-            next_fid: 0,
-        }
+    pub fn new() -> BroadcastRegistration {
+        BroadcastRegistration::default()
     }
 
     fn flood_entries(
@@ -261,10 +233,9 @@ impl BroadcastRegistration {
         }
         self.next_fid += 1;
         let fid = self.next_fid;
-        let ttl = self.core.cfg.flood_ttl;
         let origin = ctx.addr();
         self.seen.insert((origin, fid), now);
-        self.flood_entries(ctx, origin, fid, ttl, &own);
+        self.flood_entries(ctx, origin, fid, FLOOD_TTL, &own);
     }
 
     fn on_flood(&mut self, ctx: &mut Ctx<'_>, payload: &[u8]) {
@@ -303,9 +274,7 @@ impl Process for BroadcastRegistration {
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.bind(ports::SLP);
-        let jitter = ctx
-            .rng()
-            .range_u64(0, self.core.cfg.refresh_interval.as_micros().max(1));
+        let jitter = ctx.rng().range_u64(0, REFLOOD_INTERVAL.as_micros());
         ctx.set_timer(SimDuration::from_micros(jitter), TAG_REFRESH);
         ctx.set_timer(SimDuration::from_secs(10), TAG_PURGE);
     }
@@ -328,7 +297,7 @@ impl Process for BroadcastRegistration {
         match token {
             TAG_REFRESH => {
                 self.flood_own(ctx);
-                ctx.set_timer(self.core.cfg.refresh_interval, TAG_REFRESH);
+                ctx.set_timer(REFLOOD_INTERVAL, TAG_REFRESH);
             }
             TAG_LOOKUP => self.core.drain_pending(ctx),
             TAG_PURGE => {
@@ -352,6 +321,7 @@ impl Process for BroadcastRegistration {
 /// learned entries.
 pub struct ProactiveHello {
     core: BaselineCore,
+    hello_interval: SimDuration,
 }
 
 impl std::fmt::Debug for ProactiveHello {
@@ -361,10 +331,11 @@ impl std::fmt::Debug for ProactiveHello {
 }
 
 impl ProactiveHello {
-    /// Creates the baseline process.
-    pub fn new(cfg: BaselineConfig) -> ProactiveHello {
+    /// Creates the baseline process, broadcasting every `hello_interval`.
+    pub fn new(hello_interval: SimDuration) -> ProactiveHello {
         ProactiveHello {
-            core: BaselineCore::new(cfg),
+            core: BaselineCore::default(),
+            hello_interval,
         }
     }
 
@@ -394,7 +365,7 @@ impl Process for ProactiveHello {
         ctx.bind(ports::SLP);
         let jitter = ctx
             .rng()
-            .range_u64(0, self.core.cfg.refresh_interval.as_micros().max(1));
+            .range_u64(0, self.hello_interval.as_micros().max(1));
         ctx.set_timer(SimDuration::from_micros(jitter), TAG_REFRESH);
         ctx.set_timer(SimDuration::from_secs(10), TAG_PURGE);
     }
@@ -421,7 +392,7 @@ impl Process for ProactiveHello {
         match token {
             TAG_REFRESH => {
                 self.hello(ctx);
-                ctx.set_timer(self.core.cfg.refresh_interval, TAG_REFRESH);
+                ctx.set_timer(self.hello_interval, TAG_REFRESH);
             }
             TAG_LOOKUP => self.core.drain_pending(ctx),
             TAG_PURGE => {
@@ -498,9 +469,7 @@ mod tests {
 
     #[test]
     fn broadcast_registration_replicates_to_all_nodes() {
-        let (mut w, ids) = chain(4, || {
-            Box::new(BroadcastRegistration::new(BaselineConfig::default()))
-        });
+        let (mut w, ids) = chain(4, || Box::new(BroadcastRegistration::new()));
         let replies = Rc::new(RefCell::new(Vec::new()));
         w.spawn(
             ids[3],
@@ -528,11 +497,9 @@ mod tests {
 
     #[test]
     fn proactive_hello_converges_within_a_few_periods() {
-        let cfg = BaselineConfig {
-            refresh_interval: SimDuration::from_secs(2),
-            ..BaselineConfig::default()
-        };
-        let (mut w, ids) = chain(4, || Box::new(ProactiveHello::new(cfg.clone())));
+        let (mut w, ids) = chain(4, || {
+            Box::new(ProactiveHello::new(SimDuration::from_secs(2)))
+        });
         let replies = Rc::new(RefCell::new(Vec::new()));
         w.spawn(
             ids[3],
@@ -559,11 +526,9 @@ mod tests {
 
     #[test]
     fn proactive_hello_sends_even_with_no_mappings() {
-        let cfg = BaselineConfig {
-            refresh_interval: SimDuration::from_secs(2),
-            ..BaselineConfig::default()
-        };
-        let (mut w, ids) = chain(2, || Box::new(ProactiveHello::new(cfg.clone())));
+        let (mut w, ids) = chain(2, || {
+            Box::new(ProactiveHello::new(SimDuration::from_secs(2)))
+        });
         w.run_for(SimDuration::from_secs(10));
         // The cited inefficiency: resources burned with zero users.
         assert!(w.node(ids[0]).stats().get("phello.hello").packets >= 4);
@@ -571,9 +536,7 @@ mod tests {
 
     #[test]
     fn lookup_for_missing_key_times_out_empty() {
-        let (mut w, ids) = chain(2, || {
-            Box::new(BroadcastRegistration::new(BaselineConfig::default()))
-        });
+        let (mut w, ids) = chain(2, || Box::new(BroadcastRegistration::new()));
         let replies = Rc::new(RefCell::new(Vec::new()));
         w.spawn(
             ids[0],

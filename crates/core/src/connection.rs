@@ -37,21 +37,22 @@ pub const INTERNET_DOWN_EVENT: &str = "siphoc.internet_down";
 /// Port the Connection Provider uses for its SLP client exchanges.
 const CP_SLP_PORT: u16 = 4271;
 
+/// Period of the gateway-service check (paper: "periodically checks").
+const CHECK_INTERVAL: SimDuration = SimDuration::from_secs(5);
+/// How long to wait for a lease reply before retrying.
+const CONNECT_TIMEOUT: SimDuration = SimDuration::from_secs(2);
+/// Consecutive refresh failures before declaring the tunnel down.
+const MAX_REFRESH_FAILURES: u32 = 2;
+/// Ceiling for the exponential backoff applied to re-probes after
+/// repeated gateway failures (lease refusals, connect timeouts, refresh
+/// losses). The first retry still happens after `CHECK_INTERVAL`; each
+/// further consecutive failure doubles the wait, capped here and jittered
+/// to avoid synchronized probing.
+const BACKOFF_MAX: SimDuration = SimDuration::from_secs(60);
+
 /// Connection Provider configuration.
 #[derive(Debug, Clone)]
 pub struct ConnectionProviderConfig {
-    /// Period of the gateway-service check (paper: "periodically checks").
-    pub check_interval: SimDuration,
-    /// How long to wait for a lease reply before retrying.
-    pub connect_timeout: SimDuration,
-    /// Consecutive refresh failures before declaring the tunnel down.
-    pub max_refresh_failures: u32,
-    /// Ceiling for the exponential backoff applied to re-probes after
-    /// repeated gateway failures (lease refusals, connect timeouts,
-    /// refresh losses). The first retry still happens after
-    /// `check_interval`; each further consecutive failure doubles the
-    /// wait, capped here and jittered to avoid synchronized probing.
-    pub backoff_max: SimDuration,
     /// The node's own wired public address, when it *is* a gateway — the
     /// provider then reports connectivity immediately and never tunnels.
     pub wired_public: Option<Addr>,
@@ -80,10 +81,6 @@ pub struct ConnectionProviderConfig {
 impl Default for ConnectionProviderConfig {
     fn default() -> ConnectionProviderConfig {
         ConnectionProviderConfig {
-            check_interval: SimDuration::from_secs(5),
-            connect_timeout: SimDuration::from_secs(2),
-            max_refresh_failures: 2,
-            backoff_max: SimDuration::from_secs(60),
             wired_public: None,
             keepalive_interval: SimDuration::from_secs(1),
             keepalive_max_missed: 3,
@@ -344,10 +341,11 @@ impl ConnectionProvider {
     /// (with jitter) after consecutive failures so a gateway-less MANET
     /// is not flooded with synchronized probe traffic.
     fn schedule_recheck(&mut self, ctx: &mut Ctx<'_>) {
-        let base = self.cfg.check_interval.as_micros().max(1);
-        let cap = self.cfg.backoff_max.as_micros().max(base);
         let shift = self.consecutive_failures.min(16);
-        let backoff = base.saturating_mul(1u64 << shift).min(cap);
+        let backoff = CHECK_INTERVAL
+            .as_micros()
+            .saturating_mul(1u64 << shift)
+            .min(BACKOFF_MAX.as_micros());
         // Uniform in [backoff/2, backoff): desynchronizes nodes that all
         // lost the same gateway at the same instant.
         let delay = ctx.rng().range_u64((backoff / 2).max(1), backoff.max(2));
@@ -366,7 +364,7 @@ impl ConnectionProvider {
         }
         ctx.stats().count("cp.tconnect", 1);
         ctx.send_to(gateway, ports::TUNNEL, TunnelMsg::Connect.to_wire());
-        ctx.set_timer(self.cfg.connect_timeout, TAG_CONNECT_TIMEOUT);
+        ctx.set_timer(CONNECT_TIMEOUT, TAG_CONNECT_TIMEOUT);
     }
 
     fn teardown(&mut self, ctx: &mut Ctx<'_>) {
@@ -443,7 +441,6 @@ impl ConnectionProvider {
         let lapsed = before - self.standby.len();
         if lapsed > 0 {
             ctx.stats().count("cp.standby_expired", lapsed);
-            ctx.obs().counter_add("cp.standby_expired", lapsed as u64);
         }
         {
             let routes = ctx.routes_ref();
@@ -507,7 +504,6 @@ impl ConnectionProvider {
         let lapsed = before - self.standby.len();
         if lapsed > 0 {
             ctx.stats().count("cp.standby_expired", lapsed);
-            ctx.obs().counter_add("cp.standby_expired", lapsed as u64);
         }
         // Replenish: best-ranked candidates first, cold contacts as a
         // last resort, skipping gateways already in the warm set.
@@ -548,7 +544,7 @@ impl ConnectionProvider {
             });
             ctx.stats().count("cp.standby_connect", 1);
             ctx.send_to(contact, ports::TUNNEL, TunnelMsg::Connect.to_wire());
-            ctx.set_timer(self.cfg.connect_timeout, tok(TAG_STANDBY_TIMEOUT, id));
+            ctx.set_timer(CONNECT_TIMEOUT, tok(TAG_STANDBY_TIMEOUT, id));
         }
         // Still short of the target? The registry holds too few distinct
         // gateways — sweep the network for more. Answers are absorbed into
@@ -560,7 +556,6 @@ impl ConnectionProvider {
             self.next_sweep_at = now + self.cfg.standby_refresh.max(SimDuration::from_secs(5));
             self.next_xid += 1;
             ctx.stats().count("cp.standby_sweep", 1);
-            ctx.obs().counter_add("cp.standby_sweep", 1);
             let m = SlpMsg::SrvRqstX {
                 xid: self.next_xid,
                 service_type: service_types::GATEWAY.to_owned(),
@@ -579,7 +574,6 @@ impl ConnectionProvider {
         let lapsed = before - self.warm.len();
         if lapsed > 0 {
             ctx.stats().count("cp.standby_expired", lapsed);
-            ctx.obs().counter_add("cp.standby_expired", lapsed as u64);
         }
     }
 
@@ -603,7 +597,6 @@ impl ConnectionProvider {
         ctx.add_local_addr(public);
         ctx.set_default_handler(true);
         ctx.stats().count("cp.promote", 1);
-        ctx.obs().counter_add("cp.promote", 1);
         ctx.emit(LocalEvent::Custom {
             kind: INTERNET_UP_EVENT,
             data: public.to_string().into_bytes(),
@@ -627,7 +620,6 @@ impl ConnectionProvider {
             ctx.obs().hist_record("cp.handoff_us", took);
             ctx.obs().hist_record("cp.promote_us", took);
             ctx.stats().count("cp.handoff_ok", 1);
-            ctx.obs().counter_add("cp.handoff_ok", 1);
         }
     }
 
@@ -645,7 +637,6 @@ impl ConnectionProvider {
         };
         let (gateway, public) = (*gateway, *public);
         ctx.stats().count("cp.gateway_dead", 1);
-        ctx.obs().counter_add("cp.gateway_dead", 1);
         self.handoff_span = ctx.span_enter(SpanCat::Tunnel, "tunnel.handoff");
         if ctx.obs().tracing() {
             let corr = gateway.addr.to_string();
@@ -793,7 +784,6 @@ impl ConnectionProvider {
                     let took = ctx.now_us().saturating_sub(self.handoff_started_us);
                     ctx.obs().hist_record("cp.handoff_us", took);
                     ctx.stats().count("cp.handoff_ok", 1);
-                    ctx.obs().counter_add("cp.handoff_ok", 1);
                 }
                 // A standby lease on the now-active gateway merged into
                 // the active one; count it as released, not leaked.
@@ -892,7 +882,6 @@ impl ConnectionProvider {
         let id = s.id;
         if newly_warm {
             ctx.stats().count("cp.standby_warm", 1);
-            ctx.obs().counter_add("cp.standby_warm", 1);
             // The standby gets its own keepalive and refresh chains so
             // it is *verified* warm, not merely leased-once.
             if !ka.is_zero() {
@@ -939,9 +928,7 @@ impl Process for ConnectionProvider {
             return;
         }
         ctx.bind(ports::TUNNEL);
-        let jitter = ctx
-            .rng()
-            .range_u64(0, self.cfg.check_interval.as_micros().max(1));
+        let jitter = ctx.rng().range_u64(0, CHECK_INTERVAL.as_micros());
         ctx.set_timer(SimDuration::from_micros(jitter), TAG_CHECK);
     }
 
@@ -1075,7 +1062,6 @@ impl Process for ConnectionProvider {
                 if gen != self.refresh_gen {
                     return;
                 }
-                let max_failures = self.cfg.max_refresh_failures;
                 if let State::Connected {
                     gateway,
                     lease,
@@ -1087,7 +1073,7 @@ impl Process for ConnectionProvider {
                     if *refresh_outstanding {
                         *refresh_failures += 1;
                     }
-                    if *refresh_failures > max_failures {
+                    if *refresh_failures > MAX_REFRESH_FAILURES {
                         self.teardown(ctx);
                         self.consecutive_failures = self.consecutive_failures.saturating_add(1);
                         self.schedule_recheck(ctx);
@@ -1155,7 +1141,6 @@ impl Process for ConnectionProvider {
                 if self.warm[i].missed_pings >= self.cfg.keepalive_max_missed {
                     self.warm.remove(i);
                     ctx.stats().count("cp.standby_dead", 1);
-                    ctx.obs().counter_add("cp.standby_dead", 1);
                     // Replenished by the next maintenance scan.
                     return;
                 }

@@ -16,43 +16,27 @@ use siphoc_slp::service::service_types;
 /// Port the Gateway Provider uses for its SLP client exchanges.
 const GW_SLP_PORT: u16 = 4272;
 
-/// Gateway Provider configuration.
-#[derive(Debug, Clone)]
-pub struct GatewayProviderConfig {
-    /// Advertised service lifetime.
-    pub advert_lifetime: SimDuration,
-    /// Re-advertisement period (must be < lifetime).
-    pub advert_interval: SimDuration,
-}
-
-impl Default for GatewayProviderConfig {
-    fn default() -> GatewayProviderConfig {
-        GatewayProviderConfig {
-            advert_lifetime: SimDuration::from_secs(60),
-            advert_interval: SimDuration::from_secs(25),
-        }
-    }
-}
+/// Advertised service lifetime.
+const ADVERT_LIFETIME_SECS: u32 = 60;
+/// Re-advertisement period; shorter than the lifetime, so an advert is
+/// refreshed twice before it lapses.
+const ADVERT_INTERVAL: SimDuration = SimDuration::from_secs(25);
+const _: () = assert!(ADVERT_INTERVAL.as_micros() < ADVERT_LIFETIME_SECS as u64 * 1_000_000);
 
 const TAG_ADVERT: u64 = 1;
 
 /// The Gateway Provider process. Spawn next to a [`crate::tunnel::TunnelServer`]
 /// on Internet-connected nodes.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct GatewayProvider {
-    cfg: GatewayProviderConfig,
     next_xid: u32,
     adverts_sent: u64,
 }
 
 impl GatewayProvider {
     /// Creates a Gateway Provider.
-    pub fn new(cfg: GatewayProviderConfig) -> GatewayProvider {
-        GatewayProvider {
-            cfg,
-            next_xid: 0,
-            adverts_sent: 0,
-        }
+    pub fn new() -> GatewayProvider {
+        GatewayProvider::default()
     }
 
     fn advertise(&mut self, ctx: &mut Ctx<'_>) {
@@ -69,7 +53,7 @@ impl GatewayProvider {
             service_type: service_types::GATEWAY.to_owned(),
             key: String::new(),
             contact,
-            lifetime_secs: self.cfg.advert_lifetime.as_micros() as u32 / 1_000_000,
+            lifetime_secs: ADVERT_LIFETIME_SECS,
         };
         ctx.stats().count("gw.advert", 1);
         ctx.send_local(ports::SLP, GW_SLP_PORT, m.to_wire());
@@ -84,33 +68,20 @@ impl Process for GatewayProvider {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.bind(GW_SLP_PORT);
         self.advertise(ctx);
-        ctx.set_timer(self.cfg.advert_interval, TAG_ADVERT);
+        ctx.set_timer(ADVERT_INTERVAL, TAG_ADVERT);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         if token == TAG_ADVERT {
             self.advertise(ctx);
-            ctx.set_timer(self.cfg.advert_interval, TAG_ADVERT);
+            ctx.set_timer(ADVERT_INTERVAL, TAG_ADVERT);
         }
     }
 
     fn on_local_event(&mut self, ctx: &mut Ctx<'_>, ev: &LocalEvent) {
         if matches!(ev, LocalEvent::NodeRestarted) {
             self.advertise(ctx);
-            ctx.set_timer(self.cfg.advert_interval, TAG_ADVERT);
+            ctx.set_timer(ADVERT_INTERVAL, TAG_ADVERT);
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use siphoc_simnet::net::Addr;
-
-    #[test]
-    fn config_interval_shorter_than_lifetime() {
-        let c = GatewayProviderConfig::default();
-        assert!(c.advert_interval < c.advert_lifetime);
-        let _ = Addr::UNSPECIFIED;
     }
 }

@@ -10,22 +10,22 @@ use siphoc_simnet::mobility::Mobility;
 use siphoc_simnet::net::Addr;
 use siphoc_simnet::node::NodeConfig as SimNodeConfig;
 use siphoc_simnet::node::NodeId;
+use siphoc_simnet::process::Process;
 use siphoc_simnet::world::World;
 
 use siphoc_internet::dns::DnsDirectory;
 use siphoc_media::session::{MediaConfig, MediaProcess, ReportLog};
-use siphoc_routing::aodv::{AodvConfig, AodvProcess};
-use siphoc_routing::dsdv::{DsdvConfig, DsdvProcess};
-use siphoc_routing::olsr::{OlsrConfig, OlsrProcess};
+use siphoc_routing::aodv::AodvProcess;
+use siphoc_routing::dsdv::DsdvProcess;
+use siphoc_routing::olsr::OlsrProcess;
 use siphoc_sip::ua::{UaConfig, UaLogHandle, UserAgent};
 use siphoc_slp::manet::{
-    shared_registry, Dissemination, ManetSlpConfig, ManetSlpHandler, ManetSlpProcess,
-    SharedRegistry,
+    shared_registry, Dissemination, ManetSlpHandler, ManetSlpProcess, SharedRegistry,
 };
 
-use crate::adversary::{Adversary, AdversaryConfig};
+use crate::adversary::Adversary;
 use crate::connection::{ConnectionProvider, ConnectionProviderConfig};
-use crate::gateway::{GatewayProvider, GatewayProviderConfig};
+use crate::gateway::GatewayProvider;
 use crate::proxy::{SiphocProxy, SiphocProxyConfig};
 use crate::tunnel::{TunnelServer, TunnelServerConfig};
 
@@ -35,44 +35,27 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 /// Which routing protocol (and thus SLP dissemination style) a node runs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutingProtocol {
     /// AODV with on-demand MANET SLP.
-    Aodv(AodvConfig),
+    Aodv,
     /// OLSR with proactive MANET SLP.
-    Olsr(OlsrConfig),
+    Olsr,
     /// DSDV with proactive MANET SLP (extension beyond the paper's two
     /// shipped handlers, exercising the plugin interface's generality).
-    Dsdv(DsdvConfig),
+    Dsdv,
 }
 
 impl RoutingProtocol {
-    /// AODV with defaults.
-    pub fn aodv() -> RoutingProtocol {
-        RoutingProtocol::Aodv(AodvConfig::default())
-    }
-
-    /// OLSR with defaults.
+    /// [`RoutingProtocol::Olsr`], under the name `benchmark/` calls.
     pub fn olsr() -> RoutingProtocol {
-        RoutingProtocol::Olsr(OlsrConfig::default())
+        RoutingProtocol::Olsr
     }
 
-    /// DSDV with defaults.
-    pub fn dsdv() -> RoutingProtocol {
-        RoutingProtocol::Dsdv(DsdvConfig::default())
-    }
-
-    fn dissemination(&self) -> Dissemination {
+    fn dissemination(self) -> Dissemination {
         match self {
-            RoutingProtocol::Aodv(_) => Dissemination::OnDemand,
-            RoutingProtocol::Olsr(_) | RoutingProtocol::Dsdv(_) => Dissemination::Proactive,
-        }
-    }
-
-    fn slp_config(&self) -> ManetSlpConfig {
-        match self {
-            RoutingProtocol::Aodv(_) => ManetSlpConfig::on_demand(),
-            RoutingProtocol::Olsr(_) | RoutingProtocol::Dsdv(_) => ManetSlpConfig::proactive(),
+            RoutingProtocol::Aodv => Dissemination::OnDemand,
+            RoutingProtocol::Olsr | RoutingProtocol::Dsdv => Dissemination::Proactive,
         }
     }
 }
@@ -124,7 +107,7 @@ pub struct NodeSpec {
     /// `Compromise` action activates it. Only meaningful on plain MANET
     /// nodes (a rogue gateway binds the tunnel port a real gateway's
     /// tunnel server already owns).
-    pub adversary: Option<AdversaryConfig>,
+    pub adversary: bool,
 }
 
 impl NodeSpec {
@@ -133,7 +116,7 @@ impl NodeSpec {
         NodeSpec {
             position: (x, y),
             mobility: None,
-            routing: RoutingProtocol::aodv(),
+            routing: RoutingProtocol::Aodv,
             users: Vec::new(),
             gateway_public: None,
             dns: DnsDirectory::new(),
@@ -143,7 +126,7 @@ impl NodeSpec {
             standby: None,
             gateway_relay: None,
             secure: false,
-            adversary: None,
+            adversary: false,
         }
     }
 
@@ -157,8 +140,8 @@ impl NodeSpec {
     /// plan's `Compromise` action). In secure worlds the attacker signs
     /// its forgeries with its own node key — the strongest attack the
     /// Dolev–Yao model allows.
-    pub fn with_adversary(mut self, cfg: AdversaryConfig) -> NodeSpec {
-        self.adversary = Some(cfg);
+    pub fn with_adversary(mut self) -> NodeSpec {
+        self.adversary = true;
         self
     }
 
@@ -279,29 +262,15 @@ pub fn deploy(world: &mut World, spec: NodeSpec) -> SiphocNode {
         registry.clone(),
         spec.routing.dissemination(),
     )));
-    match &spec.routing {
-        RoutingProtocol::Aodv(c) => {
-            world.spawn(
-                id,
-                Box::new(AodvProcess::new(c.clone()).with_handler(handler)),
-            );
-        }
-        RoutingProtocol::Olsr(c) => {
-            world.spawn(
-                id,
-                Box::new(OlsrProcess::new(c.clone()).with_handler(handler)),
-            );
-        }
-        RoutingProtocol::Dsdv(c) => {
-            world.spawn(
-                id,
-                Box::new(DsdvProcess::new(c.clone()).with_handler(handler)),
-            );
-        }
-    }
+    let routing: Box<dyn Process> = match spec.routing {
+        RoutingProtocol::Aodv => Box::new(AodvProcess::new().with_handler(handler)),
+        RoutingProtocol::Olsr => Box::new(OlsrProcess::new().with_handler(handler)),
+        RoutingProtocol::Dsdv => Box::new(DsdvProcess::new().with_handler(handler)),
+    };
+    world.spawn(id, routing);
 
     // MANET SLP daemon.
-    let mut slp = ManetSlpProcess::new(spec.routing.slp_config(), registry.clone());
+    let mut slp = ManetSlpProcess::new(spec.routing.dissemination(), registry.clone());
     if let Some(kp) = node_key {
         slp = slp.with_identity(kp);
     }
@@ -311,7 +280,6 @@ pub fn deploy(world: &mut World, spec: NodeSpec) -> SiphocNode {
     let proxy_cfg = SiphocProxyConfig {
         dns: spec.dns.clone(),
         auth: spec.secure,
-        ..SiphocProxyConfig::default()
     };
     world.spawn(id, Box::new(SiphocProxy::new(proxy_cfg)));
 
@@ -345,10 +313,7 @@ pub fn deploy(world: &mut World, spec: NodeSpec) -> SiphocNode {
             ..TunnelServerConfig::default()
         };
         world.spawn(id, Box::new(TunnelServer::new(tunnel_cfg)));
-        world.spawn(
-            id,
-            Box::new(GatewayProvider::new(GatewayProviderConfig::default())),
-        );
+        world.spawn(id, Box::new(GatewayProvider::new()));
     }
 
     // Media plane.
@@ -362,13 +327,10 @@ pub fn deploy(world: &mut World, spec: NodeSpec) -> SiphocNode {
     };
 
     // Adversary (dormant until the fault plan compromises the node).
-    if let Some(mut adv_cfg) = spec.adversary {
-        if spec.secure && adv_cfg.identity.is_none() {
-            adv_cfg.identity = node_key;
-        }
+    if spec.adversary {
         world.spawn(
             id,
-            Box::new(Adversary::new(adv_cfg).with_registry(registry.clone())),
+            Box::new(Adversary::new(node_key).with_registry(registry.clone())),
         );
     }
 
@@ -415,9 +377,7 @@ mod tests {
     #[test]
     fn secure_deploy_arms_defenses_and_adversary_stays_dormant() {
         let mut w = World::new(WorldConfig::new(73).with_radio(RadioConfig::ideal()));
-        let spec = NodeSpec::relay(0.0, 0.0)
-            .with_security()
-            .with_adversary(AdversaryConfig::default());
+        let spec = NodeSpec::relay(0.0, 0.0).with_security().with_adversary();
         let n = deploy(&mut w, spec);
         assert!(n.registry.borrow().require_signed());
         let names = w.node(n.id).process_names().to_vec();

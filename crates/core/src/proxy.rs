@@ -50,30 +50,20 @@ use crate::connection::{INTERNET_DOWN_EVENT, INTERNET_UP_EVENT};
 /// Port the proxy uses for its SLP client exchanges.
 const PROXY_SLP_PORT: u16 = 4270;
 
+/// Lifetime of the proxy's MANET SLP advertisements.
+const SLP_LIFETIME_SECS: u32 = 120;
+/// Advertisements are renewed at half their lifetime.
+const READVERT_INTERVAL: SimDuration = SimDuration::from_secs(SLP_LIFETIME_SECS as u64 / 2);
+
 /// SIPHoc proxy configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SiphocProxyConfig {
     /// Domain directory for reaching Internet providers.
     pub dns: DnsDirectory,
-    /// Default lifetime for local UA registrations.
-    pub default_expiry: SimDuration,
-    /// Lifetime of the proxy's MANET SLP advertisements.
-    pub slp_lifetime: SimDuration,
     /// Challenge local REGISTERs with self-certifying identity auth
     /// (401/403, trust-on-first-use AOR pinning). Off by default: the
     /// legacy wire exchange stays byte-identical.
     pub auth: bool,
-}
-
-impl Default for SiphocProxyConfig {
-    fn default() -> SiphocProxyConfig {
-        SiphocProxyConfig {
-            dns: DnsDirectory::new(),
-            default_expiry: SimDuration::from_secs(3600),
-            slp_lifetime: SimDuration::from_secs(120),
-            auth: false,
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -265,9 +255,7 @@ impl SiphocProxy {
             }
         }
         let now = ctx.now();
-        let resp = self
-            .local
-            .handle_register(&msg, now, self.cfg.default_expiry);
+        let resp = self.local.handle_register(&msg, now);
         let accepted = resp.status() == Some(StatusCode::OK);
         if let Some(target) = response_target(&msg) {
             self.transmit(ctx, &resp, target);
@@ -300,7 +288,7 @@ impl SiphocProxy {
                 service_type: service_types::SIP.to_owned(),
                 key: aor.to_string(),
                 contact: SocketAddr::new(ctx.addr(), ports::SIPHOC_PROXY),
-                lifetime_secs: self.cfg.slp_lifetime.as_micros() as u32 / 1_000_000,
+                lifetime_secs: SLP_LIFETIME_SECS,
             }
         };
         ctx.stats().count("proxy.slp_advertise", 1);
@@ -510,7 +498,7 @@ impl SiphocProxy {
                 service_type: service_types::SIP.to_owned(),
                 key,
                 contact: SocketAddr::new(ctx.addr(), ports::SIPHOC_PROXY),
-                lifetime_secs: self.cfg.slp_lifetime.as_micros() as u32 / 1_000_000,
+                lifetime_secs: SLP_LIFETIME_SECS,
             };
             self.slp_request(ctx, m);
         }
@@ -525,7 +513,7 @@ impl Process for SiphocProxy {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.bind(ports::SIPHOC_PROXY);
         ctx.bind(PROXY_SLP_PORT);
-        ctx.set_timer(self.cfg.slp_lifetime / 2, TAG_READVERT);
+        ctx.set_timer(READVERT_INTERVAL, TAG_READVERT);
     }
 
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: &Datagram) {
@@ -557,7 +545,7 @@ impl Process for SiphocProxy {
             ctx.obs()
                 .gauge_set("sip.bindings", self.local.bindings_len() as f64);
             self.readvertise(ctx);
-            ctx.set_timer(self.cfg.slp_lifetime / 2, TAG_READVERT);
+            ctx.set_timer(READVERT_INTERVAL, TAG_READVERT);
         }
     }
 
@@ -582,7 +570,7 @@ impl Process for SiphocProxy {
                 for (_, parked) in std::mem::take(&mut self.pending) {
                     ctx.span_exit(parked.span, false);
                 }
-                ctx.set_timer(self.cfg.slp_lifetime / 2, TAG_READVERT);
+                ctx.set_timer(READVERT_INTERVAL, TAG_READVERT);
             }
             _ => {}
         }

@@ -125,8 +125,6 @@ pub struct TunnelServerConfig {
     pub pool_base: Addr,
     /// Maximum concurrent leases.
     pub pool_size: u32,
-    /// Lease lifetime granted to clients.
-    pub lease_lifetime: SimDuration,
     /// When set, the gateway is NAT'd: it cannot claim backbone-routable
     /// addresses itself, so leases are allocated on this TURN-style relay
     /// and all Internet traffic is hairpinned through it.
@@ -142,7 +140,6 @@ impl Default for TunnelServerConfig {
         TunnelServerConfig {
             pool_base: Addr::new(82, 130, 64, 100),
             pool_size: 64,
-            lease_lifetime: SimDuration::from_secs(60),
             relay: None,
             wired_public: None,
         }
@@ -156,6 +153,10 @@ struct Lease {
 }
 
 const TAG_EXPIRE: u64 = 1;
+
+/// Lease lifetime granted to clients.
+const LEASE_LIFETIME_SECS: u32 = 60;
+const LEASE_LIFETIME: SimDuration = SimDuration::from_secs(LEASE_LIFETIME_SECS as u64);
 
 /// The tunnel server process (runs on the gateway next to the Gateway
 /// Provider).
@@ -192,7 +193,7 @@ impl TunnelServer {
     fn send_lease(&self, ctx: &mut Ctx<'_>, to: SocketAddr, public: Addr) {
         let lease = TunnelMsg::Lease {
             public,
-            lifetime_secs: self.cfg.lease_lifetime.as_micros() as u32 / 1_000_000,
+            lifetime_secs: LEASE_LIFETIME_SECS,
         };
         ctx.send_to(to, ports::TUNNEL, lease.to_wire());
     }
@@ -205,7 +206,7 @@ impl TunnelServer {
 
     fn allocate(&mut self, client: Addr, now: SimTime) -> Option<Addr> {
         if let Some(l) = self.leases.get_mut(&client) {
-            l.expires = now + self.cfg.lease_lifetime;
+            l.expires = now + LEASE_LIFETIME;
             return Some(l.public);
         }
         if self.leases.len() as u32 >= self.cfg.pool_size {
@@ -222,7 +223,7 @@ impl TunnelServer {
                     client,
                     Lease {
                         public: candidate,
-                        expires: now + self.cfg.lease_lifetime,
+                        expires: now + LEASE_LIFETIME,
                     },
                 );
                 return Some(candidate);
@@ -239,7 +240,7 @@ impl Process for TunnelServer {
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.bind(ports::TUNNEL);
-        ctx.set_timer(self.cfg.lease_lifetime, TAG_EXPIRE);
+        ctx.set_timer(LEASE_LIFETIME, TAG_EXPIRE);
     }
 
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: &Datagram) {
@@ -285,7 +286,7 @@ impl Process for TunnelServer {
                     // a fresh connect waits for the relay's AllocOk.
                     // Either way the relay-side allocation is renewed.
                     if let Some(l) = self.leases.get_mut(&client) {
-                        l.expires = now + self.cfg.lease_lifetime;
+                        l.expires = now + LEASE_LIFETIME;
                         let public = l.public;
                         ctx.stats().count("tunnel.lease", 1);
                         self.send_lease(ctx, dgram.src, public);
@@ -341,7 +342,7 @@ impl Process for TunnelServer {
                     client,
                     Lease {
                         public: relayed,
-                        expires: now + self.cfg.lease_lifetime,
+                        expires: now + LEASE_LIFETIME,
                     },
                 );
                 // Absent on renewals — the client already holds its lease.
@@ -401,7 +402,7 @@ impl Process for TunnelServer {
             self.permits_sent.retain(|(relayed, _)| *relayed != public);
             ctx.stats().count("tunnel.lease_expired", 1);
         }
-        ctx.set_timer(self.cfg.lease_lifetime, TAG_EXPIRE);
+        ctx.set_timer(LEASE_LIFETIME, TAG_EXPIRE);
     }
 }
 

@@ -14,7 +14,6 @@
 
 use siphoc_simnet::net::{ports, Datagram, SocketAddr};
 use siphoc_simnet::process::{Ctx, Process};
-use siphoc_simnet::time::SimDuration;
 
 use siphoc_sip::msg::{Method, SipMessage, StatusCode};
 use siphoc_sip::proxy::{
@@ -22,7 +21,7 @@ use siphoc_sip::proxy::{
     transmit, ForwardDecision,
 };
 use siphoc_sip::registrar::BindingTable;
-use siphoc_sip::txn::{TransactionLayer, TxnConfig, TxnEvent};
+use siphoc_sip::txn::{TransactionLayer, TxnEvent};
 use siphoc_sip::uri::SipUri;
 
 use crate::dns::DnsDirectory;
@@ -32,8 +31,6 @@ use crate::dns::DnsDirectory;
 pub struct ProviderConfig {
     /// The domain this provider owns (e.g. `voicehoc.ch`).
     pub domain: String,
-    /// Default registration lifetime.
-    pub default_expiry: SimDuration,
     /// Directory used to reach other providers.
     pub dns: DnsDirectory,
 }
@@ -43,7 +40,6 @@ impl ProviderConfig {
     pub fn new(domain: &str, dns: DnsDirectory) -> ProviderConfig {
         ProviderConfig {
             domain: domain.to_lowercase(),
-            default_expiry: SimDuration::from_secs(3600),
             dns,
         }
     }
@@ -73,7 +69,7 @@ impl SipProviderProcess {
         SipProviderProcess {
             cfg,
             bindings: BindingTable::new(),
-            txn: TransactionLayer::new(ports::SIP, TXN_TOKEN_BASE, TxnConfig::default()),
+            txn: TransactionLayer::new(ports::SIP, TXN_TOKEN_BASE),
         }
     }
 
@@ -151,9 +147,7 @@ impl SipProviderProcess {
                 Some(TxnEvent::Request { key, msg, .. }) => {
                     let now = ctx.now();
                     ctx.stats().count("provider.register", 1);
-                    let resp = self
-                        .bindings
-                        .handle_register(&msg, now, self.cfg.default_expiry);
+                    let resp = self.bindings.handle_register(&msg, now);
                     self.txn.respond(ctx, &key, resp);
                 }
                 _ => { /* retransmission replayed internally */ }

@@ -144,8 +144,6 @@ pub struct RelayConfig {
     pub pool_base: Addr,
     /// Maximum concurrent allocations.
     pub pool_size: u32,
-    /// Allocation lifetime; gateways refresh with repeated `TALLOC`s.
-    pub alloc_lifetime: SimDuration,
 }
 
 impl Default for RelayConfig {
@@ -153,7 +151,6 @@ impl Default for RelayConfig {
         RelayConfig {
             pool_base: Addr::new(82, 130, 66, 100),
             pool_size: 64,
-            alloc_lifetime: SimDuration::from_secs(120),
         }
     }
 }
@@ -166,6 +163,9 @@ struct Alloc {
 }
 
 const TAG_EXPIRE: u64 = 1;
+
+/// Allocation lifetime; gateways refresh with repeated `TALLOC`s.
+const ALLOC_LIFETIME: SimDuration = SimDuration::from_secs(120);
 
 /// Media ports sit at 8000 and up; everything below is signalling.
 fn is_media(d: &Datagram) -> bool {
@@ -205,7 +205,7 @@ impl TurnRelay {
             .iter_mut()
             .find(|(_, a)| a.gateway == gateway && a.client == client)
         {
-            a.expires = now + self.cfg.alloc_lifetime;
+            a.expires = now + ALLOC_LIFETIME;
             return Some(*relayed);
         }
         if self.allocs.len() as u32 >= self.cfg.pool_size {
@@ -221,7 +221,7 @@ impl TurnRelay {
                     Alloc {
                         gateway,
                         client,
-                        expires: now + self.cfg.alloc_lifetime,
+                        expires: now + ALLOC_LIFETIME,
                     },
                 );
                 return Some(candidate);
@@ -238,7 +238,7 @@ impl Process for TurnRelay {
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.bind(ports::TUNNEL);
-        ctx.set_timer(self.cfg.alloc_lifetime, TAG_EXPIRE);
+        ctx.set_timer(ALLOC_LIFETIME, TAG_EXPIRE);
     }
 
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: &Datagram) {
@@ -255,7 +255,6 @@ impl Process for TurnRelay {
             ctx.stats().count("relay.to_gateway", dgram.wire_len());
             if is_media(dgram) {
                 ctx.stats().count("media.relayed", 1);
-                ctx.obs().counter_add("media.relayed", 1);
             }
             let msg = RelayMsg::RelayData {
                 inner: dgram.clone(),
@@ -301,7 +300,6 @@ impl Process for TurnRelay {
                         ctx.stats().count("relay.fwd", inner.wire_len());
                         if is_media(&inner) {
                             ctx.stats().count("media.relayed", 1);
-                            ctx.obs().counter_add("media.relayed", 1);
                         }
                         ctx.reinject(inner);
                     }
@@ -333,7 +331,7 @@ impl Process for TurnRelay {
             ctx.release_public_addr(relayed);
             ctx.stats().count("relay.alloc_expired", 1);
         }
-        ctx.set_timer(self.cfg.alloc_lifetime, TAG_EXPIRE);
+        ctx.set_timer(ALLOC_LIFETIME, TAG_EXPIRE);
     }
 }
 

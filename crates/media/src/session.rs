@@ -25,18 +25,19 @@ use crate::jitter::JitterBuffer;
 use crate::quality::{evaluate_stream, QualityReport};
 use crate::rtp::{RtcpReport, RtpPacket};
 
+/// Codec to send with — the one the UA's SDP offers.
+const CODEC: Codec = Codec::PCMU;
+/// Jitter buffer playout depth.
+const BUFFER_DEPTH: SimDuration = SimDuration::from_millis(60);
+/// RTCP receiver-report interval (RFC 3550 §6.2 minimum).
+const RTCP_INTERVAL: SimDuration = SimDuration::from_secs(5);
+
 /// Media-plane configuration.
 #[derive(Debug, Clone)]
 pub struct MediaConfig {
     /// RTP port to bind (must match the UA's SDP offer). RTCP is
     /// multiplexed on the same port (RFC 5761 style).
     pub rtp_port: u16,
-    /// Codec to send with.
-    pub codec: Codec,
-    /// Jitter buffer playout depth.
-    pub buffer_depth: SimDuration,
-    /// RTCP receiver-report interval ([`SimDuration::ZERO`] disables RTCP).
-    pub rtcp_interval: SimDuration,
     /// Voice activity detection: when set, the sender alternates between
     /// exponentially distributed talkspurts and silences instead of
     /// clocking frames continuously (Brady's on/off conversation model).
@@ -64,13 +65,10 @@ impl VadModel {
 }
 
 impl MediaConfig {
-    /// PCMU at the given port with a 60 ms buffer.
+    /// PCMU at the given port.
     pub fn pcmu(rtp_port: u16) -> MediaConfig {
         MediaConfig {
             rtp_port,
-            codec: Codec::PCMU,
-            buffer_depth: SimDuration::from_millis(60),
-            rtcp_interval: SimDuration::from_secs(5),
             vad: None,
         }
     }
@@ -186,17 +184,15 @@ impl MediaProcess {
             seq: (ctx.rng().next_u64() & 0x7fff) as u16,
             timestamp: ctx.rng().next_u64() as u32,
             sent: 0,
-            buffer: JitterBuffer::new(self.cfg.buffer_depth),
+            buffer: JitterBuffer::new(BUFFER_DEPTH),
             running: true,
             remote_report: None,
             talking: true,
             vad_until: SimTime::ZERO,
         };
         self.sessions.insert(call_id, session);
-        ctx.set_timer(self.cfg.codec.frame_interval, tok(TAG_FRAME, idx));
-        if !self.cfg.rtcp_interval.is_zero() {
-            ctx.set_timer(self.cfg.rtcp_interval, tok(TAG_RTCP, idx));
-        }
+        ctx.set_timer(CODEC.frame_interval, tok(TAG_FRAME, idx));
+        ctx.set_timer(RTCP_INTERVAL, tok(TAG_RTCP, idx));
     }
 
     fn stop_session(&mut self, ctx: &mut Ctx<'_>, call_id: &str) {
@@ -211,7 +207,7 @@ impl MediaProcess {
             loss_fraction: stats.effective_loss_fraction(),
             mean_delay: stats.mean_delay(),
             jitter_us: stats.jitter_us,
-            quality: evaluate_stream(&self.cfg.codec, stats, self.cfg.buffer_depth),
+            quality: evaluate_stream(&CODEC, stats, BUFFER_DEPTH),
             remote_report: s.remote_report.clone(),
         };
         let _ = ctx;
@@ -219,7 +215,6 @@ impl MediaProcess {
     }
 
     fn send_rtcp(&mut self, ctx: &mut Ctx<'_>, idx: u64) {
-        let interval = self.cfg.rtcp_interval;
         let port = self.cfg.rtp_port;
         let Some(s) = self.sessions.values().find(|s| s.idx == idx) else {
             return;
@@ -235,7 +230,7 @@ impl MediaProcess {
         let bytes = report.to_bytes();
         ctx.stats().count("media.rtcp_tx", bytes.len());
         ctx.send_to(remote, port, bytes);
-        ctx.set_timer(interval, tok(TAG_RTCP, idx));
+        ctx.set_timer(RTCP_INTERVAL, tok(TAG_RTCP, idx));
     }
 
     fn send_frame(&mut self, ctx: &mut Ctx<'_>, idx: u64) {
@@ -261,18 +256,18 @@ impl MediaProcess {
                 s.vad_until = now + SimDuration::from_secs_f64(len);
             }
             if !s.talking {
-                ctx.set_timer(self.cfg.codec.frame_interval, tok(TAG_FRAME, idx));
+                ctx.set_timer(CODEC.frame_interval, tok(TAG_FRAME, idx));
                 return;
             }
         }
         s.seq = s.seq.wrapping_add(1);
-        s.timestamp = s.timestamp.wrapping_add(self.cfg.codec.timestamp_step);
+        s.timestamp = s.timestamp.wrapping_add(CODEC.timestamp_step);
         let mut pkt = RtpPacket {
-            payload_type: self.cfg.codec.payload_type,
+            payload_type: CODEC.payload_type,
             seq: s.seq,
             timestamp: s.timestamp,
             ssrc: s.ssrc,
-            payload: vec![0u8; self.cfg.codec.frame_bytes],
+            payload: vec![0u8; CODEC.frame_bytes],
         };
         pkt.stamp_send_time(now);
         s.sent += 1;
@@ -280,7 +275,7 @@ impl MediaProcess {
         let bytes = pkt.to_bytes();
         ctx.stats().count("media.rtp_tx", bytes.len());
         ctx.send_to(remote, self.cfg.rtp_port, bytes);
-        ctx.set_timer(self.cfg.codec.frame_interval, tok(TAG_FRAME, idx));
+        ctx.set_timer(CODEC.frame_interval, tok(TAG_FRAME, idx));
     }
 }
 

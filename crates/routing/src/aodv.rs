@@ -24,56 +24,31 @@ use siphoc_simnet::process::{Ctx, LocalEvent, Process};
 use siphoc_simnet::route::Route;
 use siphoc_simnet::time::{SimDuration, SimTime};
 
-use crate::handler::{fit_budget, MsgKind, SharedHandler, FLOOD_QUERY_EVENT};
+use crate::handler::{fit_budget, MsgKind, SharedHandler, FLOOD_QUERY_EVENT, PIGGYBACK_BUDGET};
 use crate::wire::{read_entries, write_entries, Reader, WireError, Writer};
 
-/// AODV protocol parameters.
-#[derive(Debug, Clone)]
-pub struct AodvConfig {
-    /// Lifetime of an active route (RFC `ACTIVE_ROUTE_TIMEOUT`).
-    pub active_route_timeout: SimDuration,
-    /// Hello beacon period; [`SimDuration::ZERO`] disables hellos.
-    pub hello_interval: SimDuration,
-    /// Hello periods a neighbor may miss before its link is considered
-    /// broken (RFC `ALLOWED_HELLO_LOSS`).
-    pub allowed_hello_loss: u32,
-    /// Route-discovery retries after the first attempt (RFC `RREQ_RETRIES`).
-    pub rreq_retries: u32,
-    /// Initial TTL of the expanding-ring search (RFC `TTL_START`).
-    pub ttl_start: u8,
-    /// TTL increment per ring (RFC `TTL_INCREMENT`).
-    pub ttl_increment: u8,
-    /// Ring TTL beyond which the search jumps to `net_diameter`
-    /// (RFC `TTL_THRESHOLD`).
-    pub ttl_threshold: u8,
-    /// Network diameter bound (RFC `NET_DIAMETER`).
-    pub net_diameter: u8,
-    /// Per-hop traversal estimate used to size discovery timeouts
-    /// (RFC `NODE_TRAVERSAL_TIME`).
-    pub node_traversal_time: SimDuration,
-    /// Whether intermediate nodes with fresh routes may answer RREQs.
-    pub intermediate_replies: bool,
-    /// Byte budget for piggybacked service entries per control message.
-    pub piggyback_budget: usize,
-}
-
-impl Default for AodvConfig {
-    fn default() -> AodvConfig {
-        AodvConfig {
-            active_route_timeout: SimDuration::from_secs(6),
-            hello_interval: SimDuration::from_secs(1),
-            allowed_hello_loss: 3,
-            rreq_retries: 2,
-            ttl_start: 2,
-            ttl_increment: 2,
-            ttl_threshold: 7,
-            net_diameter: 35,
-            node_traversal_time: SimDuration::from_millis(40),
-            intermediate_replies: true,
-            piggyback_budget: 512,
-        }
-    }
-}
+/// Lifetime of an active route (RFC 3561 §10 `ACTIVE_ROUTE_TIMEOUT`).
+const ACTIVE_ROUTE_TIMEOUT: SimDuration = SimDuration::from_secs(6);
+/// Hello beacon period (§10 `HELLO_INTERVAL`).
+const HELLO_INTERVAL: SimDuration = SimDuration::from_secs(1);
+/// Hello periods a neighbor may miss before its link counts as broken
+/// (§10 `ALLOWED_HELLO_LOSS`; the RFC suggests 2).
+const ALLOWED_HELLO_LOSS: u64 = 3;
+/// Route-discovery retries after the first attempt at `NET_DIAMETER`
+/// (§10 `RREQ_RETRIES`).
+const RREQ_RETRIES: u32 = 2;
+/// Initial TTL of the expanding-ring search (§6.4 `TTL_START`).
+const TTL_START: u8 = 2;
+/// TTL increment per ring (§6.4 `TTL_INCREMENT`).
+const TTL_INCREMENT: u8 = 2;
+/// Ring TTL beyond which the search jumps to `NET_DIAMETER`
+/// (§6.4 `TTL_THRESHOLD`).
+const TTL_THRESHOLD: u8 = 7;
+/// Network diameter bound (§10 `NET_DIAMETER`).
+const NET_DIAMETER: u8 = 35;
+/// Per-hop traversal estimate that sizes discovery timeouts
+/// (§10 `NODE_TRAVERSAL_TIME`).
+const NODE_TRAVERSAL_TIME: SimDuration = SimDuration::from_millis(40);
 
 const TYPE_RREQ: u8 = 1;
 const TYPE_RREP: u8 = 2;
@@ -271,8 +246,8 @@ struct Discovery {
 }
 
 /// The AODV routing process. Spawn exactly one per MANET node.
+#[derive(Default)]
 pub struct AodvProcess {
-    cfg: AodvConfig,
     handler: Option<SharedHandler>,
     seq: u32,
     rreq_id: u32,
@@ -294,20 +269,9 @@ impl std::fmt::Debug for AodvProcess {
 }
 
 impl AodvProcess {
-    /// Creates a process with the given configuration and no piggyback
-    /// handler.
-    pub fn new(cfg: AodvConfig) -> AodvProcess {
-        AodvProcess {
-            cfg,
-            handler: None,
-            seq: 0,
-            rreq_id: 0,
-            hello_seq: 0,
-            pending: BTreeMap::new(),
-            seen_rreq: BTreeMap::new(),
-            neighbors: BTreeMap::new(),
-            generation: 0,
-        }
+    /// Creates a process with no piggyback handler.
+    pub fn new() -> AodvProcess {
+        AodvProcess::default()
     }
 
     /// Attaches the piggyback handler (the libipq-capture analogue).
@@ -322,11 +286,10 @@ impl AodvProcess {
     }
 
     fn collect_piggyback(&mut self, ctx: &mut Ctx<'_>, kind: MsgKind) -> Vec<Vec<u8>> {
-        let budget = self.cfg.piggyback_budget;
         match &self.handler {
             Some(h) => {
-                let entries = h.borrow_mut().collect_outgoing(ctx, kind, budget);
-                let entries = fit_budget(entries, budget);
+                let entries = h.borrow_mut().collect_outgoing(ctx, kind, PIGGYBACK_BUDGET);
+                let entries = fit_budget(entries, PIGGYBACK_BUDGET);
                 let extra: usize = entries.iter().map(|e| e.len() + 2).sum();
                 if extra > 0 {
                     ctx.stats().count("aodv.piggyback", extra);
@@ -423,7 +386,6 @@ impl AodvProcess {
         if self.pending.contains_key(&dst) {
             return;
         }
-        let ttl = self.cfg.ttl_start;
         self.generation += 1;
         let generation = self.generation;
         let span = ctx.span_enter(SpanCat::Routing, "route.discovery");
@@ -436,13 +398,13 @@ impl AodvProcess {
             dst,
             Discovery {
                 retries_used: 0,
-                ttl,
+                ttl: TTL_START,
                 generation,
                 span,
                 started_us,
             },
         );
-        self.send_rreq(ctx, dst, ttl, generation);
+        self.send_rreq(ctx, dst, TTL_START, generation);
     }
 
     fn send_rreq(&mut self, ctx: &mut Ctx<'_>, dst: Addr, ttl: u8, generation: u32) {
@@ -468,7 +430,7 @@ impl AodvProcess {
         self.seen_rreq.insert((ctx.addr(), self.rreq_id), ctx.now());
         self.broadcast(ctx, &msg, "aodv.rreq");
         // RFC ring traversal time: 2 * NTT * (TTL + 2).
-        let timeout = self.cfg.node_traversal_time * 2 * (ttl as u64 + 2);
+        let timeout = NODE_TRAVERSAL_TIME * 2 * (ttl as u64 + 2);
         ctx.set_timer(timeout, discovery_token(dst, generation));
     }
 
@@ -477,11 +439,11 @@ impl AodvProcess {
         self.rreq_id = self.rreq_id.wrapping_add(1);
         let mut entries = vec![query];
         entries.extend(self.collect_piggyback(ctx, MsgKind::AodvRreq));
-        let entries = fit_budget(entries, self.cfg.piggyback_budget.max(64));
+        let entries = fit_budget(entries, PIGGYBACK_BUDGET);
         let msg = AodvMsg::Rreq {
             flags: FLAG_UNKNOWN_SEQ | FLAG_SERVICE,
             hop_count: 0,
-            ttl: self.cfg.net_diameter,
+            ttl: NET_DIAMETER,
             rreq_id: self.rreq_id,
             dst: Addr::UNSPECIFIED,
             dst_seq: 0,
@@ -512,7 +474,7 @@ impl AodvProcess {
             return;
         }
         // Route to the link sender.
-        self.update_route(ctx, from, from, 1, 0, self.cfg.active_route_timeout);
+        self.update_route(ctx, from, from, 1, 0, ACTIVE_ROUTE_TIMEOUT);
         // Duplicate suppression.
         if self.seen_rreq.contains_key(&(orig, rreq_id)) {
             return;
@@ -525,7 +487,7 @@ impl AodvProcess {
             from,
             hop_count.saturating_add(1),
             orig_seq,
-            self.cfg.active_route_timeout,
+            ACTIVE_ROUTE_TIMEOUT,
         );
 
         let answers = self.handler_incoming(ctx, MsgKind::AodvRreq, from, orig, &entries);
@@ -540,8 +502,8 @@ impl AodvProcess {
                     dst: ctx.addr(),
                     dst_seq: self.seq,
                     orig,
-                    lifetime: self.cfg.active_route_timeout,
-                    entries: fit_budget(answers, self.cfg.piggyback_budget.max(64)),
+                    lifetime: ACTIVE_ROUTE_TIMEOUT,
+                    entries: fit_budget(answers, PIGGYBACK_BUDGET),
                 };
                 self.unicast(ctx, from, &reply, "aodv.rrep_service");
             }
@@ -574,14 +536,14 @@ impl AodvProcess {
                 dst,
                 dst_seq: self.seq,
                 orig,
-                lifetime: self.cfg.active_route_timeout,
+                lifetime: ACTIVE_ROUTE_TIMEOUT,
                 entries: self.collect_piggyback(ctx, MsgKind::AodvRrep),
             };
             self.unicast(ctx, from, &reply, "aodv.rrep");
             return;
         }
 
-        if self.cfg.intermediate_replies && flags & FLAG_UNKNOWN_SEQ == 0 {
+        if flags & FLAG_UNKNOWN_SEQ == 0 {
             if let Some(r) = ctx.routes_ref().lookup_specific(dst, ctx.now()) {
                 if !seq_newer(dst_seq, r.seq) && r.seq != 0 {
                     let reply = AodvMsg::Rrep {
@@ -628,7 +590,7 @@ impl AodvProcess {
         else {
             return;
         };
-        self.update_route(ctx, from, from, 1, 0, self.cfg.active_route_timeout);
+        self.update_route(ctx, from, from, 1, 0, ACTIVE_ROUTE_TIMEOUT);
         self.update_route(
             ctx,
             dst,
@@ -701,7 +663,7 @@ impl AodvProcess {
 
     fn on_hello_timer(&mut self, ctx: &mut Ctx<'_>) {
         // Expire silent neighbors.
-        let hold = self.cfg.hello_interval * self.cfg.allowed_hello_loss as u64;
+        let hold = HELLO_INTERVAL * ALLOWED_HELLO_LOSS;
         let now = ctx.now();
         let stale: Vec<Addr> = self
             .neighbors
@@ -722,7 +684,7 @@ impl AodvProcess {
             entries: self.collect_piggyback(ctx, MsgKind::AodvHello),
         };
         self.broadcast(ctx, &msg, "aodv.hello");
-        ctx.set_timer(self.cfg.hello_interval, TAG_HELLO);
+        ctx.set_timer(HELLO_INTERVAL, TAG_HELLO);
     }
 }
 
@@ -734,15 +696,10 @@ impl Process for AodvProcess {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.bind(ports::AODV);
         // RFC 3561 §6.2: data traffic over a route extends its lifetime.
-        ctx.routes()
-            .set_keepalive(Some(self.cfg.active_route_timeout));
-        if !self.cfg.hello_interval.is_zero() {
-            // Stagger first hellos to avoid network-wide synchronization.
-            let jitter = ctx
-                .rng()
-                .range_u64(0, self.cfg.hello_interval.as_micros().max(1));
-            ctx.set_timer(SimDuration::from_micros(jitter), TAG_HELLO);
-        }
+        ctx.routes().set_keepalive(Some(ACTIVE_ROUTE_TIMEOUT));
+        // Stagger first hellos to avoid network-wide synchronization.
+        let jitter = ctx.rng().range_u64(0, HELLO_INTERVAL.as_micros());
+        ctx.set_timer(SimDuration::from_micros(jitter), TAG_HELLO);
     }
 
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: &Datagram) {
@@ -760,7 +717,7 @@ impl Process for AodvProcess {
             AodvMsg::Rerr { dests } => self.on_rerr(ctx, from, dests),
             AodvMsg::Hello { entries, .. } => {
                 self.neighbors.insert(from, ctx.now());
-                let hold = self.cfg.hello_interval * (self.cfg.allowed_hello_loss as u64 + 1);
+                let hold = HELLO_INTERVAL * (ALLOWED_HELLO_LOSS + 1);
                 self.update_route(ctx, from, from, 1, 0, hold);
                 let _ = self.handler_incoming(ctx, MsgKind::AodvHello, from, from, &entries);
             }
@@ -790,8 +747,8 @@ impl Process for AodvProcess {
                 let d = self.pending.get_mut(&dst).expect("pending entry vanished");
                 // RFC 3561 §6.4: ring escalation is free; only attempts at
                 // NET_DIAMETER count against RREQ_RETRIES.
-                if d.ttl >= self.cfg.net_diameter {
-                    if d.retries_used >= self.cfg.rreq_retries {
+                if d.ttl >= NET_DIAMETER {
+                    if d.retries_used >= RREQ_RETRIES {
                         if let Some(d) = self.pending.remove(&dst) {
                             ctx.span_exit(d.span, false);
                         }
@@ -801,10 +758,10 @@ impl Process for AodvProcess {
                     }
                     d.retries_used += 1;
                 }
-                let next_ttl = if d.ttl >= self.cfg.ttl_threshold {
-                    self.cfg.net_diameter
+                let next_ttl = if d.ttl >= TTL_THRESHOLD {
+                    NET_DIAMETER
                 } else {
-                    d.ttl.saturating_add(self.cfg.ttl_increment)
+                    d.ttl.saturating_add(TTL_INCREMENT)
                 };
                 d.ttl = next_ttl;
                 self.generation += 1;
@@ -831,9 +788,7 @@ impl Process for AodvProcess {
                 }
                 self.seen_rreq.clear();
                 self.neighbors.clear();
-                if !self.cfg.hello_interval.is_zero() {
-                    ctx.set_timer(SimDuration::from_micros(1), TAG_HELLO);
-                }
+                ctx.set_timer(SimDuration::from_micros(1), TAG_HELLO);
             }
             LocalEvent::Custom { kind, data } if *kind == FLOOD_QUERY_EVENT => {
                 self.flood_service_query(ctx, data.clone());
@@ -856,7 +811,7 @@ mod tests {
             .map(|i| w.add_node(NodeConfig::manet(i as f64 * spacing, 0.0)))
             .collect();
         for &id in &ids {
-            w.spawn(id, Box::new(AodvProcess::new(AodvConfig::default())));
+            w.spawn(id, Box::new(AodvProcess::new()));
         }
         (w, ids)
     }
@@ -1067,6 +1022,78 @@ mod tests {
     }
 
     #[test]
+    fn ring_search_follows_the_rfc_3561_schedule() {
+        use siphoc_simnet::process::Effect;
+        let (own, ghost) = (Addr::manet(0), Addr::manet(77));
+        let mut p = AodvProcess::new();
+        let mut rng = SimRng::from_seed_and_stream(1, 1);
+        let mut routes = RoutingTable::new();
+        let mut stats = Default::default();
+        let mut obs = Default::default();
+        let mut now = SimTime::ZERO;
+        // `(RREQ TTL, time until the next attempt)` per round.
+        let mut rounds = Vec::new();
+        let mut pending = None;
+        loop {
+            let mut fx = Vec::new();
+            let mut ctx = Ctx::for_test(
+                now,
+                NodeId(0),
+                own,
+                &mut rng,
+                &mut routes,
+                &mut stats,
+                &mut obs,
+                &mut fx,
+            );
+            match pending {
+                None => p.on_local_event(&mut ctx, &LocalEvent::RouteNeeded { dst: ghost }),
+                Some(token) => p.on_timer(&mut ctx, token),
+            }
+            let sent = fx.iter().find_map(|e| match e {
+                Effect::SendLink { dgram, .. } => match AodvMsg::parse(&dgram.payload) {
+                    Ok(AodvMsg::Rreq { ttl, dst, .. }) if dst == ghost => Some(ttl),
+                    _ => None,
+                },
+                _ => None,
+            });
+            let Some(ttl) = sent else {
+                let lost = LocalEvent::RouteLost { dst: ghost };
+                assert!(fx
+                    .iter()
+                    .any(|e| matches!(e, Effect::Emit(ev) if *ev == lost)));
+                break;
+            };
+            let (delay, token) = fx
+                .iter()
+                .find_map(|e| match e {
+                    Effect::SetTimer { delay, token } => Some((*delay, *token)),
+                    _ => None,
+                })
+                .expect("every RREQ arms its ring timer");
+            rounds.push((ttl, delay.as_micros() / 1000));
+            now += delay;
+            pending = Some(token);
+        }
+        // TTL_START 2, TTL_INCREMENT 2 up to TTL_THRESHOLD 7, then
+        // NET_DIAMETER 35 once plus RREQ_RETRIES = 2 more; each round
+        // lasts 2 × NODE_TRAVERSAL_TIME (40 ms) × (TTL + 2).
+        assert_eq!(
+            rounds,
+            [
+                (2, 320),
+                (4, 480),
+                (6, 640),
+                (8, 800),
+                (35, 2960),
+                (35, 2960),
+                (35, 2960)
+            ]
+        );
+        assert_eq!(stats.get("aodv.discovery_failed").packets, 1);
+    }
+
+    #[test]
     fn hello_neighbors_are_learned() {
         let (mut w, ids) = chain_world(2, 50.0);
         w.run_for(SimDuration::from_secs(3));
@@ -1125,10 +1152,7 @@ mod tests {
                 answers_seen: a.clone(),
                 answer: (i == 3).then(|| b"bob-is-at-10.0.0.4".to_vec()),
             }));
-            w.spawn(
-                id,
-                Box::new(AodvProcess::new(AodvConfig::default()).with_handler(h.clone())),
-            );
+            w.spawn(id, Box::new(AodvProcess::new().with_handler(h.clone())));
             handlers.push((q, a));
         }
         w.run_for(SimDuration::from_secs(2));

@@ -28,7 +28,7 @@ use siphoc_simnet::process::{Ctx, LocalEvent, Process};
 use siphoc_simnet::route::Route;
 use siphoc_simnet::time::{SimDuration, SimTime};
 
-use crate::handler::{fit_budget, MsgKind, SharedHandler};
+use crate::handler::{fit_budget, MsgKind, SharedHandler, PIGGYBACK_BUDGET};
 use crate::wire::{read_entries, write_entries, Reader, WireError, Writer};
 
 /// UDP port for DSDV updates (RIP's, since DSDV has no assignment).
@@ -37,29 +37,12 @@ pub const DSDV_PORT: u16 = 520;
 /// Metric value meaning unreachable.
 pub const METRIC_INFINITY: u8 = 16;
 
-/// DSDV protocol parameters.
-#[derive(Debug, Clone)]
-pub struct DsdvConfig {
-    /// Period of full-table broadcasts.
-    pub update_interval: SimDuration,
-    /// Delay before a triggered (incremental) update after a change.
-    pub triggered_delay: SimDuration,
-    /// Updates a neighbor may miss before its routes break.
-    pub allowed_update_loss: u32,
-    /// Byte budget for piggybacked service entries per update.
-    pub piggyback_budget: usize,
-}
-
-impl Default for DsdvConfig {
-    fn default() -> DsdvConfig {
-        DsdvConfig {
-            update_interval: SimDuration::from_secs(10),
-            triggered_delay: SimDuration::from_millis(200),
-            allowed_update_loss: 3,
-            piggyback_budget: 512,
-        }
-    }
-}
+/// Period of full-table broadcasts.
+const UPDATE_INTERVAL: SimDuration = SimDuration::from_secs(10);
+/// Delay before a triggered (incremental) update after a change.
+const TRIGGERED_DELAY: SimDuration = SimDuration::from_millis(200);
+/// Updates a neighbor may miss before its routes break.
+const ALLOWED_UPDATE_LOSS: u64 = 3;
 
 /// One advertised route.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,8 +115,8 @@ const TAG_PERIODIC: u64 = 1;
 const TAG_TRIGGERED: u64 = 2;
 
 /// The DSDV routing process. Spawn exactly one per MANET node.
+#[derive(Default)]
 pub struct DsdvProcess {
-    cfg: DsdvConfig,
     handler: Option<SharedHandler>,
     own_seq: u32,
     table: BTreeMap<Addr, TableEntry>,
@@ -151,16 +134,9 @@ impl std::fmt::Debug for DsdvProcess {
 }
 
 impl DsdvProcess {
-    /// Creates a process with the given configuration and no handler.
-    pub fn new(cfg: DsdvConfig) -> DsdvProcess {
-        DsdvProcess {
-            cfg,
-            handler: None,
-            own_seq: 0,
-            table: BTreeMap::new(),
-            dirty: false,
-            triggered_armed: false,
-        }
+    /// Creates a process with no handler.
+    pub fn new() -> DsdvProcess {
+        DsdvProcess::default()
     }
 
     /// Attaches the piggyback handler.
@@ -178,15 +154,14 @@ impl DsdvProcess {
     }
 
     fn collect_piggyback(&mut self, ctx: &mut Ctx<'_>) -> Vec<Vec<u8>> {
-        let budget = self.cfg.piggyback_budget;
         match &self.handler {
             Some(h) => {
                 // DSDV is a proactive vehicle; reuse the OLSR-TC kind so
                 // proactive handlers gossip their full registry.
                 let entries = fit_budget(
                     h.borrow_mut()
-                        .collect_outgoing(ctx, MsgKind::OlsrTc, budget),
-                    budget,
+                        .collect_outgoing(ctx, MsgKind::OlsrTc, PIGGYBACK_BUDGET),
+                    PIGGYBACK_BUDGET,
                 );
                 let extra: usize = entries.iter().map(|e| e.len() + 2).sum();
                 if extra > 0 {
@@ -206,7 +181,7 @@ impl DsdvProcess {
             seq: self.own_seq,
         }];
         let now = ctx.now();
-        let hold = self.cfg.update_interval * self.cfg.allowed_update_loss as u64;
+        let hold = UPDATE_INTERVAL * ALLOWED_UPDATE_LOSS;
         for (dest, e) in &self.table {
             if full || e.metric >= METRIC_INFINITY {
                 // Full dumps carry everything; triggered updates at least
@@ -243,7 +218,7 @@ impl DsdvProcess {
         self.dirty = true;
         if !self.triggered_armed {
             self.triggered_armed = true;
-            ctx.set_timer(self.cfg.triggered_delay, TAG_TRIGGERED);
+            ctx.set_timer(TRIGGERED_DELAY, TAG_TRIGGERED);
         }
     }
 
@@ -296,8 +271,7 @@ impl DsdvProcess {
         let Some(e) = self.table.get(&dest) else {
             return;
         };
-        let expires =
-            ctx.now() + self.cfg.update_interval * (self.cfg.allowed_update_loss as u64 + 1);
+        let expires = ctx.now() + UPDATE_INTERVAL * (ALLOWED_UPDATE_LOSS + 1);
         ctx.routes().insert(
             dest,
             Route {
@@ -353,7 +327,7 @@ impl DsdvProcess {
 
     fn sweep_silent_neighbors(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        let hold = self.cfg.update_interval * self.cfg.allowed_update_loss as u64;
+        let hold = UPDATE_INTERVAL * ALLOWED_UPDATE_LOSS;
         let silent: Vec<Addr> = self
             .table
             .iter()
@@ -373,9 +347,7 @@ impl Process for DsdvProcess {
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.bind(DSDV_PORT);
-        let jitter = ctx
-            .rng()
-            .range_u64(0, self.cfg.update_interval.as_micros().max(1));
+        let jitter = ctx.rng().range_u64(0, UPDATE_INTERVAL.as_micros());
         ctx.set_timer(SimDuration::from_micros(jitter), TAG_PERIODIC);
     }
 
@@ -401,7 +373,7 @@ impl Process for DsdvProcess {
             TAG_PERIODIC => {
                 self.sweep_silent_neighbors(ctx);
                 self.broadcast_update(ctx, true);
-                ctx.set_timer(self.cfg.update_interval, TAG_PERIODIC);
+                ctx.set_timer(UPDATE_INTERVAL, TAG_PERIODIC);
             }
             TAG_TRIGGERED => {
                 self.triggered_armed = false;
@@ -440,7 +412,7 @@ mod tests {
             .map(|i| w.add_node(NodeConfig::manet(i as f64 * 80.0, 0.0)))
             .collect();
         for &id in &ids {
-            w.spawn(id, Box::new(DsdvProcess::new(DsdvConfig::default())));
+            w.spawn(id, Box::new(DsdvProcess::new()));
         }
         (w, ids)
     }
@@ -561,7 +533,7 @@ mod tests {
 
     #[test]
     fn newer_sequence_replaces_worse_metric_only_when_newer() {
-        let mut p = DsdvProcess::new(DsdvConfig::default());
+        let mut p = DsdvProcess::new();
         // Drive `consider` directly through a minimal ctx.
         let mut rng = siphoc_simnet::rng::SimRng::from_seed_and_stream(0, 0);
         let mut routes = siphoc_simnet::route::RoutingTable::new();

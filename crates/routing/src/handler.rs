@@ -89,6 +89,10 @@ pub trait RoutingHandler {
 /// A handler shared between the routing process and its owner.
 pub type SharedHandler = Rc<RefCell<dyn RoutingHandler>>;
 
+/// Byte budget for piggybacked service entries per routing control
+/// message, the same for every protocol.
+pub const PIGGYBACK_BUDGET: usize = 512;
+
 /// Truncates `entries` so their encoded size (1 count byte + 2 length bytes
 /// per entry + payload) fits in `budget` bytes.
 pub fn fit_budget(mut entries: Vec<Vec<u8>>, budget: usize) -> Vec<Vec<u8>> {

@@ -27,33 +27,19 @@ use siphoc_simnet::process::{Ctx, LocalEvent, Process};
 use siphoc_simnet::route::Route;
 use siphoc_simnet::time::{SimDuration, SimTime};
 
-use crate::handler::{fit_budget, MsgKind, SharedHandler};
+use crate::handler::{fit_budget, MsgKind, SharedHandler, PIGGYBACK_BUDGET};
 use crate::wire::{read_entries, write_entries, Reader, WireError, Writer};
 
-/// OLSR protocol parameters.
-#[derive(Debug, Clone)]
-pub struct OlsrConfig {
-    /// HELLO emission period (RFC `HELLO_INTERVAL`).
-    pub hello_interval: SimDuration,
-    /// TC emission period (RFC `TC_INTERVAL`).
-    pub tc_interval: SimDuration,
-    /// Validity multiplier: state learned from a message lives for
-    /// `multiplier × interval` (RFC uses 3).
-    pub hold_multiplier: u32,
-    /// Byte budget for piggybacked service entries per control message.
-    pub piggyback_budget: usize,
-}
-
-impl Default for OlsrConfig {
-    fn default() -> OlsrConfig {
-        OlsrConfig {
-            hello_interval: SimDuration::from_secs(2),
-            tc_interval: SimDuration::from_secs(5),
-            hold_multiplier: 3,
-            piggyback_budget: 512,
-        }
-    }
-}
+/// HELLO emission period (RFC 3626 §18.2 `HELLO_INTERVAL`).
+const HELLO_INTERVAL: SimDuration = SimDuration::from_secs(2);
+/// TC emission period (§18.2 `TC_INTERVAL`).
+const TC_INTERVAL: SimDuration = SimDuration::from_secs(5);
+/// Validity of link state learned from a HELLO, 3 × `HELLO_INTERVAL`
+/// (§18.3 `NEIGHB_HOLD_TIME`).
+const NEIGHB_HOLD_TIME: SimDuration = SimDuration::from_micros(3 * HELLO_INTERVAL.as_micros());
+/// Validity of state learned from a TC, 3 × `TC_INTERVAL`
+/// (§18.3 `TOP_HOLD_TIME`).
+const TOP_HOLD_TIME: SimDuration = SimDuration::from_micros(3 * TC_INTERVAL.as_micros());
 
 const TYPE_HELLO: u8 = 1;
 const TYPE_TC: u8 = 2;
@@ -292,8 +278,8 @@ struct Scratch {
 /// `universe` of every address the state mentions, so walking set bits
 /// upwards visits addresses in ascending order — the order the RFC's
 /// tie-breaks (and this implementation's recorded traces) depend on.
+#[derive(Default)]
 pub struct OlsrProcess {
-    cfg: OlsrConfig,
     handler: Option<SharedHandler>,
     links: BTreeMap<Addr, LinkState>,
     mpr_set: BTreeSet<Addr>,
@@ -331,26 +317,9 @@ impl std::fmt::Debug for OlsrProcess {
 }
 
 impl OlsrProcess {
-    /// Creates a process with the given configuration and no handler.
-    pub fn new(cfg: OlsrConfig) -> OlsrProcess {
-        OlsrProcess {
-            cfg,
-            handler: None,
-            links: BTreeMap::new(),
-            mpr_set: BTreeSet::new(),
-            mpr_selectors: BTreeMap::new(),
-            topology: BTreeMap::new(),
-            ansn_seen: BTreeMap::new(),
-            tc_seen: BTreeMap::new(),
-            msg_seq: 0,
-            ansn: 0,
-            mpr_dirty: false,
-            routes_dirty: false,
-            route_cache: Vec::new(),
-            universe: Vec::new(),
-            scratch: Scratch::default(),
-            heard: Vec::new(),
-        }
+    /// Creates a process with no handler.
+    pub fn new() -> OlsrProcess {
+        OlsrProcess::default()
     }
 
     /// Attaches the piggyback handler.
@@ -369,16 +338,13 @@ impl OlsrProcess {
         self.mpr_selectors.len()
     }
 
-    fn hold(&self, interval: SimDuration) -> SimDuration {
-        interval * self.cfg.hold_multiplier as u64
-    }
-
     fn collect_piggyback(&mut self, ctx: &mut Ctx<'_>, kind: MsgKind) -> Vec<Vec<u8>> {
-        let budget = self.cfg.piggyback_budget;
         match &self.handler {
             Some(h) => {
-                let entries =
-                    fit_budget(h.borrow_mut().collect_outgoing(ctx, kind, budget), budget);
+                let entries = fit_budget(
+                    h.borrow_mut().collect_outgoing(ctx, kind, PIGGYBACK_BUDGET),
+                    PIGGYBACK_BUDGET,
+                );
                 let extra: usize = entries.iter().map(|e| e.len() + 2).sum();
                 if extra > 0 {
                     ctx.stats().count("olsr.piggyback", extra);
@@ -422,10 +388,9 @@ impl OlsrProcess {
     }
 
     fn purge(&mut self, now: SimTime) {
-        let hello_hold = self.hold(self.cfg.hello_interval);
         let mut lost_symmetric = false;
         self.links.retain(|_, l| {
-            let live = now.saturating_since(l.last_heard) <= hello_hold;
+            let live = now.saturating_since(l.last_heard) <= NEIGHB_HOLD_TIME;
             lost_symmetric |= !live && l.symmetric;
             live
         });
@@ -433,7 +398,7 @@ impl OlsrProcess {
             self.neighborhood_changed();
         }
         self.mpr_selectors
-            .retain(|_, t| now.saturating_since(*t) <= hello_hold);
+            .retain(|_, t| now.saturating_since(*t) <= NEIGHB_HOLD_TIME);
         let originators = self.topology.len();
         self.topology.retain(|_, t| t.expires > now);
         self.routes_dirty |= self.topology.len() != originators;
@@ -623,7 +588,7 @@ impl OlsrProcess {
             ctx.obs().counter_add("rt.spf_reused", 1);
         }
         let now = ctx.now();
-        let expires = now + self.hold(self.cfg.tc_interval);
+        let expires = now + TOP_HOLD_TIME;
         for &(dest, next_hop, hops) in &self.route_cache {
             ctx.routes().insert(
                 dest,
@@ -760,7 +725,7 @@ impl OlsrProcess {
             self.heard.clear();
             self.heard.extend_from_slice(&selectors);
             normalize(&mut self.heard);
-            let expires = ctx.now() + self.hold(self.cfg.tc_interval);
+            let expires = ctx.now() + TOP_HOLD_TIME;
             match self.topology.get_mut(&orig) {
                 // The same set again: nothing to recompute, but a fresh TC
                 // always renews its tuples.
@@ -811,13 +776,9 @@ impl Process for OlsrProcess {
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.bind(ports::OLSR);
-        let hj = ctx
-            .rng()
-            .range_u64(0, self.cfg.hello_interval.as_micros().max(1));
+        let hj = ctx.rng().range_u64(0, HELLO_INTERVAL.as_micros());
         ctx.set_timer(SimDuration::from_micros(hj), TAG_HELLO);
-        let tj = ctx
-            .rng()
-            .range_u64(0, self.cfg.tc_interval.as_micros().max(1));
+        let tj = ctx.rng().range_u64(0, TC_INTERVAL.as_micros());
         ctx.set_timer(SimDuration::from_micros(tj), TAG_TC);
     }
 
@@ -843,11 +804,11 @@ impl Process for OlsrProcess {
                 self.select_mprs(ctx);
                 self.send_hello(ctx);
                 self.recompute_routes(ctx);
-                ctx.set_timer(self.cfg.hello_interval, TAG_HELLO);
+                ctx.set_timer(HELLO_INTERVAL, TAG_HELLO);
             }
             TAG_TC => {
                 self.send_tc(ctx);
-                ctx.set_timer(self.cfg.tc_interval, TAG_TC);
+                ctx.set_timer(TC_INTERVAL, TAG_TC);
             }
             _ => {}
         }
@@ -897,7 +858,7 @@ mod tests {
             .map(|i| w.add_node(NodeConfig::manet(i as f64 * spacing, 0.0)))
             .collect();
         for &id in &ids {
-            w.spawn(id, Box::new(OlsrProcess::new(OlsrConfig::default())));
+            w.spawn(id, Box::new(OlsrProcess::new()));
         }
         (w, ids)
     }
@@ -1019,7 +980,7 @@ mod tests {
         let n2 = w.add_node(NodeConfig::manet(80.0, -40.0));
         let n3 = w.add_node(NodeConfig::manet(160.0, 0.0));
         for &id in &[n0, n1, n2, n3] {
-            w.spawn(id, Box::new(OlsrProcess::new(OlsrConfig::default())));
+            w.spawn(id, Box::new(OlsrProcess::new()));
         }
         w.run_for(SimDuration::from_secs(20));
         let d3 = w.node(n3).addr();
@@ -1080,10 +1041,7 @@ mod tests {
                 own,
                 seen: seen.clone(),
             }));
-            w.spawn(
-                id,
-                Box::new(OlsrProcess::new(OlsrConfig::default()).with_handler(h)),
-            );
+            w.spawn(id, Box::new(OlsrProcess::new().with_handler(h)));
             seens.push(seen);
         }
         w.run_for(SimDuration::from_secs(40));
@@ -1108,8 +1066,8 @@ mod tests {
             symmetric: bool,
         }
 
+        #[derive(Default)]
         pub struct RefOlsr {
-            cfg: OlsrConfig,
             links: BTreeMap<Addr, LinkState>,
             two_hop: BTreeMap<Addr, BTreeSet<Addr>>,
             mpr_set: BTreeSet<Addr>,
@@ -1120,30 +1078,13 @@ mod tests {
         }
 
         impl RefOlsr {
-            pub fn new(cfg: OlsrConfig) -> RefOlsr {
-                RefOlsr {
-                    cfg,
-                    links: BTreeMap::new(),
-                    two_hop: BTreeMap::new(),
-                    mpr_set: BTreeSet::new(),
-                    topology: BTreeMap::new(),
-                    ansn_seen: BTreeMap::new(),
-                    tc_seen: BTreeMap::new(),
-                }
-            }
-
             pub fn mpr_set(&self) -> &BTreeSet<Addr> {
                 &self.mpr_set
             }
 
-            fn hold(&self, interval: SimDuration) -> SimDuration {
-                interval * self.cfg.hold_multiplier as u64
-            }
-
             fn purge(&mut self, now: SimTime) {
-                let hello_hold = self.hold(self.cfg.hello_interval);
                 self.links
-                    .retain(|_, l| now.saturating_since(l.last_heard) <= hello_hold);
+                    .retain(|_, l| now.saturating_since(l.last_heard) <= NEIGHB_HOLD_TIME);
                 let live: BTreeSet<Addr> = self.links.keys().copied().collect();
                 self.two_hop.retain(|n, _| live.contains(n));
                 self.topology.retain(|_, exp| *exp > now);
@@ -1229,7 +1170,7 @@ mod tests {
             fn recompute_routes(&mut self, ctx: &mut Ctx<'_>) {
                 let own = ctx.addr();
                 let now = ctx.now();
-                let expires = now + self.hold(self.cfg.tc_interval);
+                let expires = now + TOP_HOLD_TIME;
                 // Edge map: node → directly reachable nodes.
                 let mut edges: BTreeMap<Addr, BTreeSet<Addr>> = BTreeMap::new();
                 let n1 = self.sym_neighbors();
@@ -1327,7 +1268,7 @@ mod tests {
                 if fresh {
                     self.ansn_seen.insert(orig, ansn);
                     self.topology.retain(|(lh, _), _| *lh != orig);
-                    let expires = ctx.now() + self.hold(self.cfg.tc_interval);
+                    let expires = ctx.now() + TOP_HOLD_TIME;
                     for sel in &selectors {
                         self.topology.insert((orig, *sel), expires);
                     }
@@ -1518,8 +1459,8 @@ mod tests {
     impl Pair {
         fn new(own: Addr) -> Pair {
             Pair {
-                new: Rig::new(OlsrProcess::new(OlsrConfig::default()), own),
-                old: Rig::new(reference::RefOlsr::new(OlsrConfig::default()), own),
+                new: Rig::new(OlsrProcess::new(), own),
+                old: Rig::new(reference::RefOlsr::default(), own),
             }
         }
 

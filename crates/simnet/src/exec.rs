@@ -18,6 +18,12 @@ use crate::time::SimDuration;
 use crate::trace::{TraceEntry, TraceKind};
 use crate::world::World;
 
+/// Delay of a node-local loopback delivery.
+const LOOPBACK_DELAY: SimDuration = SimDuration::from_micros(50);
+/// How long a datagram may wait for on-demand route discovery before it
+/// is dropped (`drop.pending_timeout`).
+const PENDING_TIMEOUT: SimDuration = SimDuration::from_secs(2);
+
 /// A queued simulation event; the world's queue orders them by
 /// `(time, seq)`.
 #[derive(Debug)]
@@ -273,7 +279,6 @@ impl World {
     /// Routes a datagram out of `node`. `forwarded` marks transit traffic,
     /// which has its TTL decremented.
     pub(crate) fn route_and_send(&mut self, node: NodeId, dgram: Datagram, forwarded: bool) {
-        let loopback_delay = self.cfg.loopback_delay;
         let n = &mut self.nodes[node.0 as usize];
         if !n.up {
             return;
@@ -287,7 +292,7 @@ impl World {
         if n.is_local_addr(dst.addr) {
             self.record(node, TraceKind::Loopback, None, &dgram);
             self.schedule(
-                loopback_delay,
+                LOOPBACK_DELAY,
                 Event::Deliver {
                     node,
                     dgram,
@@ -334,7 +339,7 @@ impl World {
             return;
         }
         if dst.addr.is_manet() && n.has_radio {
-            let deadline = now + self.cfg.pending_timeout;
+            let deadline = now + PENDING_TIMEOUT;
             let wire = dgram.wire_len();
             let n = &mut self.nodes[node.0 as usize];
             n.pending

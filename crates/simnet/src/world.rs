@@ -37,24 +37,17 @@ pub struct WorldConfig {
     pub wired_latency: SimDuration,
     /// Uniform jitter added to each wired delivery.
     pub wired_jitter: SimDuration,
-    /// Delay of node-local loopback deliveries.
-    pub loopback_delay: SimDuration,
-    /// How long a datagram may wait for on-demand route discovery before
-    /// being dropped.
-    pub pending_timeout: SimDuration,
 }
 
 impl WorldConfig {
     /// Reasonable defaults with the given seed: 802.11b radio, 20 ms ± 5 ms
-    /// backbone, 50 µs loopback, 2 s route-discovery buffer.
+    /// backbone.
     pub fn new(seed: u64) -> WorldConfig {
         WorldConfig {
             seed,
             radio: RadioConfig::default_80211b(),
             wired_latency: SimDuration::from_millis(20),
             wired_jitter: SimDuration::from_millis(5),
-            loopback_delay: SimDuration::from_micros(50),
-            pending_timeout: SimDuration::from_secs(2),
         }
     }
 

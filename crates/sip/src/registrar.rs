@@ -14,6 +14,11 @@ use siphoc_simnet::time::{SimDuration, SimTime};
 use crate::msg::{Method, SipMessage, StatusCode};
 use crate::uri::{Aor, SipUri};
 
+/// Registration lifetime granted when a REGISTER carries neither an
+/// `expires` Contact parameter nor an `Expires` header (RFC 3261
+/// §10.2.1.1 suggests one hour).
+const DEFAULT_EXPIRES_SECS: u32 = 3600;
+
 /// One registered contact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Binding {
@@ -207,17 +212,11 @@ impl BindingTable {
     }
 
     /// Processes a REGISTER request against this table, returning the
-    /// response to send. `default_expiry` applies when the request does not
-    /// carry one.
+    /// response to send.
     ///
     /// Handles refresh, de-registration (`Expires: 0`) and malformed
     /// requests (missing To/Contact → 500, wrong method → 500).
-    pub fn handle_register(
-        &mut self,
-        req: &SipMessage,
-        now: SimTime,
-        default_expiry: SimDuration,
-    ) -> SipMessage {
+    pub fn handle_register(&mut self, req: &SipMessage, now: SimTime) -> SipMessage {
         if req.method() != Some(Method::Register) {
             return SipMessage::response_to(req, StatusCode::SERVER_ERROR);
         }
@@ -231,7 +230,7 @@ impl BindingTable {
         let expires_secs = contact
             .expires_param()
             .or_else(|| req.expires())
-            .unwrap_or(default_expiry.as_micros() as u32 / 1_000_000);
+            .unwrap_or(DEFAULT_EXPIRES_SECS);
         if expires_secs == 0 {
             self.unbind(&aor, &contact.uri);
         } else {
@@ -289,7 +288,7 @@ mod tests {
     fn register_binds_and_expires() {
         let mut t = BindingTable::new();
         let req = register_req("alice@voicehoc.ch", "sip:alice@10.0.0.1:5070", Some(60));
-        let resp = t.handle_register(&req, SimTime::ZERO, SimDuration::from_secs(3600));
+        let resp = t.handle_register(&req, SimTime::ZERO);
         assert_eq!(resp.status(), Some(StatusCode::OK));
         let aor = Aor::new("alice", "voicehoc.ch");
         assert!(t.lookup(&aor, SimTime::from_secs(59)).is_some());
@@ -300,8 +299,8 @@ mod tests {
     fn reregistration_refreshes_not_duplicates() {
         let mut t = BindingTable::new();
         let req = register_req("alice@voicehoc.ch", "sip:alice@10.0.0.1:5070", Some(60));
-        t.handle_register(&req, SimTime::ZERO, SimDuration::from_secs(3600));
-        t.handle_register(&req, SimTime::from_secs(30), SimDuration::from_secs(3600));
+        t.handle_register(&req, SimTime::ZERO);
+        t.handle_register(&req, SimTime::from_secs(30));
         let aor = Aor::new("alice", "voicehoc.ch");
         assert_eq!(t.lookup_all(&aor, SimTime::from_secs(80)).count(), 1);
         assert!(t.lookup(&aor, SimTime::from_secs(89)).is_some());
@@ -313,12 +312,10 @@ mod tests {
         t.handle_register(
             &register_req("alice@voicehoc.ch", "sip:alice@10.0.0.1:5070", Some(60)),
             SimTime::ZERO,
-            SimDuration::from_secs(3600),
         );
         t.handle_register(
             &register_req("alice@voicehoc.ch", "sip:alice@10.0.0.1:5070", Some(0)),
             SimTime::from_secs(1),
-            SimDuration::from_secs(3600),
         );
         assert!(t.is_empty());
     }
@@ -360,7 +357,7 @@ mod tests {
         let mut t = BindingTable::new();
         let mut req = register_req("alice@voicehoc.ch", "sip:alice@10.0.0.1:5070", None);
         req.headers_mut().remove("Contact");
-        let resp = t.handle_register(&req, SimTime::ZERO, SimDuration::from_secs(3600));
+        let resp = t.handle_register(&req, SimTime::ZERO);
         assert_eq!(resp.status(), Some(StatusCode::SERVER_ERROR));
         assert!(t.is_empty());
     }

@@ -37,26 +37,13 @@ use siphoc_simnet::time::SimDuration;
 use crate::headers::{Via, BRANCH_COOKIE};
 use crate::msg::{Method, SipMessage};
 
-/// Transaction timing parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct TxnConfig {
-    /// RTT estimate; base retransmission interval (RFC `T1`, 500 ms).
-    pub t1: SimDuration,
-    /// Retransmission interval cap (RFC `T2`, 4 s).
-    pub t2: SimDuration,
-    /// Overall transaction lifetime in units of T1 (RFC uses 64).
-    pub timeout_t1_multiple: u64,
-}
-
-impl Default for TxnConfig {
-    fn default() -> TxnConfig {
-        TxnConfig {
-            t1: SimDuration::from_millis(500),
-            t2: SimDuration::from_secs(4),
-            timeout_t1_multiple: 64,
-        }
-    }
-}
+/// RTT estimate and base retransmission interval (RFC 3261 §17.1.1.1
+/// `T1`).
+const T1: SimDuration = SimDuration::from_millis(500);
+/// Retransmission interval cap (§17.1.2.2 `T2`).
+const T2: SimDuration = SimDuration::from_secs(4);
+/// Overall transaction lifetime, 64 × `T1` (§17 Timers B, F, H and J).
+pub const TXN_LIFETIME: SimDuration = SimDuration::from_micros(64 * T1.as_micros());
 
 /// Events the transaction layer surfaces to its transaction user.
 /// Branch and key identifiers are shared `Arc<str>`s — the TU stores them
@@ -141,7 +128,6 @@ const KIND_SRV_CLEANUP: u64 = 3;
 
 /// The transaction layer. Embed one per SIP element (UA, registrar).
 pub struct TransactionLayer {
-    cfg: TxnConfig,
     local_port: u16,
     token_base: u64,
     next_id: u64,
@@ -186,9 +172,8 @@ impl TransactionLayer {
     /// `token_base`; the owning process must route those tokens to
     /// [`TransactionLayer::on_timer`]. Pick a base whose low 32 bits are
     /// zero and which does not collide with the owner's own tokens.
-    pub fn new(local_port: u16, token_base: u64, cfg: TxnConfig) -> TransactionLayer {
+    pub fn new(local_port: u16, token_base: u64) -> TransactionLayer {
         TransactionLayer {
-            cfg,
             local_port,
             token_base,
             next_id: 0,
@@ -284,15 +269,12 @@ impl TransactionLayer {
             cseq_method: msg.cseq().map(|c| c.method),
             dst,
             state: ClientState::Trying(msg),
-            interval: self.cfg.t1,
+            interval: T1,
             invite,
             started_us: ctx.now_us(),
         };
-        ctx.set_timer(self.cfg.t1, self.token(id, KIND_RETRANS));
-        ctx.set_timer(
-            self.cfg.t1 * self.cfg.timeout_t1_multiple,
-            self.token(id, KIND_TIMEOUT),
-        );
+        ctx.set_timer(T1, self.token(id, KIND_RETRANS));
+        ctx.set_timer(TXN_LIFETIME, self.token(id, KIND_TIMEOUT));
         self.client_by_id.insert(id, branch.clone());
         self.clients.insert(branch, txn);
     }
@@ -315,12 +297,9 @@ impl TransactionLayer {
         txn.last_response = Some((wire.clone(), status.is_some_and(|s| s.is_success())));
         if is_final {
             if invite {
-                ctx.set_timer(self.cfg.t1, self.token(id, KIND_SRV_RETRANS));
+                ctx.set_timer(T1, self.token(id, KIND_SRV_RETRANS));
             }
-            ctx.set_timer(
-                self.cfg.t1 * self.cfg.timeout_t1_multiple,
-                self.token(id, KIND_SRV_CLEANUP),
-            );
+            ctx.set_timer(TXN_LIFETIME, self.token(id, KIND_SRV_CLEANUP));
         }
         self.send(ctx, target, wire, None);
     }
@@ -387,7 +366,7 @@ impl TransactionLayer {
             last_response: None,
             response_target: via.response_target(),
             state: ServerState::Proceeding,
-            interval: self.cfg.t1,
+            interval: T1,
             invite: method == Method::Invite,
         };
         self.server_by_id.insert(id, key.clone());
@@ -431,7 +410,7 @@ impl TransactionLayer {
                 txn.interval = if txn.invite {
                     txn.interval * 2
                 } else {
-                    (txn.interval * 2).min(self.cfg.t2)
+                    (txn.interval * 2).min(T2)
                 };
                 let (dst, next) = (txn.dst, txn.interval);
                 let wire = Self::render(&mut self.scratch, msg);
@@ -455,7 +434,7 @@ impl TransactionLayer {
                 }
                 let (wire, _) = txn.last_response.as_ref()?;
                 let wire = wire.clone();
-                txn.interval = (txn.interval * 2).min(self.cfg.t2);
+                txn.interval = (txn.interval * 2).min(T2);
                 let (target, next) = (txn.response_target, txn.interval);
                 self.send(ctx, target, wire, Some("sip.txn_retx"));
                 ctx.set_timer(next, self.token(id, KIND_SRV_RETRANS));
@@ -502,7 +481,7 @@ mod tests {
             let log = Rc::new(RefCell::new(Vec::new()));
             (
                 TxnPeer {
-                    layer: TransactionLayer::new(port, 0x1_0000_0000, TxnConfig::default()),
+                    layer: TransactionLayer::new(port, 0x1_0000_0000),
                     port,
                     send_to,
                     method: Method::Options,
@@ -587,7 +566,7 @@ mod tests {
     impl HandDriven {
         fn new() -> HandDriven {
             HandDriven {
-                layer: TransactionLayer::new(5080, 0x1_0000_0000, TxnConfig::default()),
+                layer: TransactionLayer::new(5080, 0x1_0000_0000),
                 rng: SimRng::from_seed_and_stream(7, 0),
                 routes: RoutingTable::new(),
                 stats: Default::default(),

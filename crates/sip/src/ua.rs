@@ -32,7 +32,7 @@ use crate::auth;
 use crate::headers::{CSeq, NameAddr};
 use crate::msg::{Method, SipMessage, StatusCode};
 use crate::sdp::Sdp;
-use crate::txn::{TransactionLayer, TxnConfig, TxnEvent};
+use crate::txn::{TransactionLayer, TxnEvent, TXN_LIFETIME};
 use crate::uri::{Aor, SipUri};
 
 /// Node-local event kind emitted when media should start flowing. The
@@ -71,8 +71,6 @@ pub struct UaConfig {
     pub answer_delay: SimDuration,
     /// Scripted actions.
     pub script: Vec<ScriptedAction>,
-    /// Transaction timing.
-    pub txn: TxnConfig,
     /// Self-certifying identity used to answer registrar REGISTER
     /// challenges (`None` = legacy unauthenticated registration; the UA
     /// then treats a 401 as a registration failure).
@@ -92,7 +90,6 @@ impl UaConfig {
             auto_answer: true,
             answer_delay: SimDuration::from_millis(200),
             script: Vec::new(),
-            txn: TxnConfig::default(),
             identity: None,
         }
     }
@@ -406,7 +403,7 @@ impl UserAgent {
     /// Creates a user agent and the log handle to observe it.
     pub fn new(cfg: UaConfig) -> (UserAgent, UaLogHandle) {
         let log: UaLogHandle = Rc::new(RefCell::new(UaLog::default()));
-        let txn = TransactionLayer::new(cfg.local_port, TXN_TOKEN_BASE, cfg.txn);
+        let txn = TransactionLayer::new(cfg.local_port, TXN_TOKEN_BASE);
         (
             UserAgent {
                 cfg,
@@ -1199,9 +1196,8 @@ impl UserAgent {
     /// linger lapses. A caller whose INVITE was refused waits for its
     /// next handler of any kind.
     fn settle(&mut self, ctx: &mut Ctx<'_>) {
-        let linger = self.cfg.txn.t1 * self.cfg.txn.timeout_t1_multiple;
         while let Some(&(ended, idx)) = self.terminated.front() {
-            if ended + linger > ctx.now() {
+            if ended + TXN_LIFETIME > ctx.now() {
                 break;
             }
             self.terminated.pop_front();

@@ -46,33 +46,16 @@ pub enum Dissemination {
     Proactive,
 }
 
-/// MANET SLP configuration.
-#[derive(Debug, Clone)]
-pub struct ManetSlpConfig {
-    /// Dissemination mode; match it to the routing protocol in use.
-    pub mode: Dissemination,
-    /// How long a lookup waits for a flood round before retrying.
-    pub query_timeout: SimDuration,
-    /// Additional flood rounds before a lookup reports "not found".
-    pub query_retries: u32,
-}
+/// Additional flood rounds before a lookup reports "not found".
+const QUERY_RETRIES: u32 = 2;
 
-impl ManetSlpConfig {
-    /// Defaults for AODV-style deployments.
-    pub fn on_demand() -> ManetSlpConfig {
-        ManetSlpConfig {
-            mode: Dissemination::OnDemand,
-            query_timeout: SimDuration::from_millis(800),
-            query_retries: 2,
-        }
-    }
-
-    /// Defaults for OLSR-style deployments: no floods, wait out gossip.
-    pub fn proactive() -> ManetSlpConfig {
-        ManetSlpConfig {
-            mode: Dissemination::Proactive,
-            query_timeout: SimDuration::from_secs(3),
-            query_retries: 2,
+impl Dissemination {
+    /// How long a lookup waits before retrying: one flood round on
+    /// demand, long enough for gossip to arrive when proactive.
+    fn query_timeout(self) -> SimDuration {
+        match self {
+            Dissemination::OnDemand => SimDuration::from_millis(800),
+            Dissemination::Proactive => SimDuration::from_secs(3),
         }
     }
 }
@@ -254,7 +237,7 @@ struct PendingQuery {
 
 /// The MANET SLP daemon process.
 pub struct ManetSlpProcess {
-    cfg: ManetSlpConfig,
+    mode: Dissemination,
     registry: SharedRegistry,
     pending: Vec<PendingQuery>,
     next_qid: u64,
@@ -273,10 +256,11 @@ impl std::fmt::Debug for ManetSlpProcess {
 }
 
 impl ManetSlpProcess {
-    /// Creates the daemon over a shared registry.
-    pub fn new(cfg: ManetSlpConfig, registry: SharedRegistry) -> ManetSlpProcess {
+    /// Creates the daemon over a shared registry; match `mode` to the
+    /// routing protocol in use.
+    pub fn new(mode: Dissemination, registry: SharedRegistry) -> ManetSlpProcess {
         ManetSlpProcess {
-            cfg,
+            mode,
             registry,
             pending: Vec::new(),
             next_qid: 0,
@@ -348,21 +332,21 @@ impl ManetSlpProcess {
             origin: ctx.addr(),
             qid: self.next_qid,
         };
-        if self.cfg.mode == Dissemination::OnDemand {
+        if self.mode == Dissemination::OnDemand {
             self.flood(ctx, &query);
         }
-        let deadline = now + self.cfg.query_timeout;
+        let deadline = now + self.mode.query_timeout();
         self.pending.push(PendingQuery {
             xid,
             requester: from,
             query,
             deadline,
-            retries_left: self.cfg.query_retries,
+            retries_left: QUERY_RETRIES,
             exhaustive,
             span,
             started_us,
         });
-        ctx.set_timer(self.cfg.query_timeout, TAG_QUERY);
+        ctx.set_timer(self.mode.query_timeout(), TAG_QUERY);
     }
 
     /// Answers any pending query the registry can now satisfy. Exhaustive
@@ -391,7 +375,7 @@ impl ManetSlpProcess {
 
     fn sweep_deadlines(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        let timeout = self.cfg.query_timeout;
+        let timeout = self.mode.query_timeout();
         // (index, finished-sweep?) — sweeps resolve with whatever the
         // registry gathered; ordinary queries give up empty-handed.
         let mut done = Vec::new();
@@ -425,7 +409,7 @@ impl ManetSlpProcess {
             }
             self.reply(ctx, p.requester, p.xid, found);
         }
-        if self.cfg.mode == Dissemination::OnDemand {
+        if self.mode == Dissemination::OnDemand {
             for q in refloods {
                 self.flood(ctx, &q);
                 ctx.set_timer(timeout, TAG_QUERY);
@@ -565,8 +549,8 @@ impl Process for ManetSlpProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use siphoc_routing::aodv::{AodvConfig, AodvProcess};
-    use siphoc_routing::olsr::{OlsrConfig, OlsrProcess};
+    use siphoc_routing::aodv::AodvProcess;
+    use siphoc_routing::olsr::OlsrProcess;
     use siphoc_simnet::prelude::*;
 
     /// Test client that registers a service and/or performs one lookup.
@@ -638,38 +622,30 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
+    /// A node running the routing protocol `mode` pairs with: AODV on
+    /// demand, OLSR proactive.
     fn add_slp_node(
         w: &mut World,
         pos: (f64, f64),
-        aodv: bool,
-        cfg: ManetSlpConfig,
+        mode: Dissemination,
     ) -> (NodeId, SharedRegistry) {
         let id = w.add_node(NodeConfig::manet(pos.0, pos.1));
         let registry = shared_registry();
-        let handler: Rc<RefCell<ManetSlpHandler>> = Rc::new(RefCell::new(ManetSlpHandler::new(
-            registry.clone(),
-            cfg.mode,
-        )));
-        if aodv {
-            w.spawn(
-                id,
-                Box::new(AodvProcess::new(AodvConfig::default()).with_handler(handler)),
-            );
-        } else {
-            w.spawn(
-                id,
-                Box::new(OlsrProcess::new(OlsrConfig::default()).with_handler(handler)),
-            );
-        }
-        w.spawn(id, Box::new(ManetSlpProcess::new(cfg, registry.clone())));
+        let handler: Rc<RefCell<ManetSlpHandler>> =
+            Rc::new(RefCell::new(ManetSlpHandler::new(registry.clone(), mode)));
+        let routing: Box<dyn Process> = match mode {
+            Dissemination::OnDemand => Box::new(AodvProcess::new().with_handler(handler)),
+            Dissemination::Proactive => Box::new(OlsrProcess::new().with_handler(handler)),
+        };
+        w.spawn(id, routing);
+        w.spawn(id, Box::new(ManetSlpProcess::new(mode, registry.clone())));
         (id, registry)
     }
 
     #[test]
     fn local_register_then_local_lookup() {
         let mut w = World::new(WorldConfig::new(31).with_radio(RadioConfig::ideal()));
-        let cfg = ManetSlpConfig::on_demand();
-        let (id, _) = add_slp_node(&mut w, (0.0, 0.0), true, cfg);
+        let (id, _) = add_slp_node(&mut w, (0.0, 0.0), Dissemination::OnDemand);
         let (client, replies) = SlpClient::new(
             Some((
                 "sip".into(),
@@ -689,10 +665,10 @@ mod tests {
     #[test]
     fn aodv_on_demand_lookup_across_three_hops() {
         let mut w = World::new(WorldConfig::new(32).with_radio(RadioConfig::ideal()));
-        let cfg = ManetSlpConfig::on_demand;
         let mut nodes = Vec::new();
         for i in 0..4 {
-            nodes.push(add_slp_node(&mut w, (i as f64 * 80.0, 0.0), true, cfg()));
+            let pos = (i as f64 * 80.0, 0.0);
+            nodes.push(add_slp_node(&mut w, pos, Dissemination::OnDemand));
         }
         // Bob's proxy registers on the far node.
         let (far, _) = nodes[3];
@@ -734,10 +710,10 @@ mod tests {
     #[test]
     fn olsr_proactive_lookup_is_local_after_gossip() {
         let mut w = World::new(WorldConfig::new(33).with_radio(RadioConfig::ideal()));
-        let cfg = ManetSlpConfig::proactive;
         let mut nodes = Vec::new();
         for i in 0..4 {
-            nodes.push(add_slp_node(&mut w, (i as f64 * 80.0, 0.0), false, cfg()));
+            let pos = (i as f64 * 80.0, 0.0);
+            nodes.push(add_slp_node(&mut w, pos, Dissemination::Proactive));
         }
         let (far, _) = nodes[3];
         let (reg_client, _) = SlpClient::new(
@@ -777,23 +753,29 @@ mod tests {
 
     #[test]
     fn lookup_for_unknown_service_reports_empty_after_retries() {
-        let mut w = World::new(WorldConfig::new(34).with_radio(RadioConfig::ideal()));
-        let cfg = ManetSlpConfig::on_demand();
-        let timeout = cfg.query_timeout;
-        let retries = cfg.query_retries;
-        let (id, _) = add_slp_node(&mut w, (0.0, 0.0), true, cfg);
-        let (client, replies) = SlpClient::new(
-            None,
-            Some((SimTime::from_millis(100), "sip".into(), "ghost@v.ch".into())),
-        );
-        w.spawn(id, Box::new(client));
-        w.run_for(SimDuration::from_secs(20));
-        let r = replies.borrow();
-        assert_eq!(r.len(), 1);
-        assert!(r[0].1.is_empty());
-        // It waited out all retries first.
-        let min_wait = timeout * (retries as u64 + 1);
-        let waited = r[0].0.saturating_since(SimTime::from_millis(100));
-        assert!(waited >= min_wait, "gave up too early: {waited}");
+        // The first round plus `QUERY_RETRIES` = 2 more, each one
+        // `query_timeout` long; on demand every round floods a query.
+        for (mode, round_ms, floods) in [
+            (Dissemination::OnDemand, 800, 3),
+            (Dissemination::Proactive, 3000, 0),
+        ] {
+            let mut w = World::new(WorldConfig::new(34).with_radio(RadioConfig::ideal()));
+            let (id, _) = add_slp_node(&mut w, (0.0, 0.0), mode);
+            let asked = SimTime::from_millis(100);
+            let (client, replies) =
+                SlpClient::new(None, Some((asked, "sip".into(), "ghost@v.ch".into())));
+            w.spawn(id, Box::new(client));
+            w.run_for(SimDuration::from_secs(20));
+            let r = replies.borrow();
+            assert_eq!(r.len(), 1, "{mode:?}");
+            assert!(r[0].1.is_empty(), "{mode:?}");
+            // Request and reply each cross the 50 µs loopback once.
+            let loopback = SimDuration::from_micros(2 * 50);
+            let answered = asked + SimDuration::from_millis(3 * round_ms) + loopback;
+            assert_eq!(r[0].0, answered, "{mode:?}");
+            let stats = w.node(id).stats();
+            assert_eq!(stats.get("slp.query_flood").packets, floods, "{mode:?}");
+            assert_eq!(stats.get("slp.lookup_failed").packets, 1, "{mode:?}");
+        }
     }
 }

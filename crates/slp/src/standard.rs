@@ -28,26 +28,12 @@ use crate::msg::SlpMsg;
 use crate::registry::SlpRegistry;
 use crate::service::{ServiceEntry, ServiceQuery};
 
-/// Standard SLP parameters.
-#[derive(Debug, Clone)]
-pub struct StandardSlpConfig {
-    /// Convergence retransmission interval (RFC 2608 `CONFIG_RETRY`).
-    pub retry_interval: SimDuration,
-    /// Number of retransmissions before giving up.
-    pub retries: u32,
-    /// Flood radius of multicast requests.
-    pub flood_ttl: u8,
-}
-
-impl Default for StandardSlpConfig {
-    fn default() -> StandardSlpConfig {
-        StandardSlpConfig {
-            retry_interval: SimDuration::from_secs(2),
-            retries: 2,
-            flood_ttl: 16,
-        }
-    }
-}
+/// Convergence retransmission interval (RFC 2608 §13 `CONFIG_RETRY`).
+const RETRY_INTERVAL: SimDuration = SimDuration::from_secs(2);
+/// Retransmissions before a lookup gives up.
+const RETRIES: u32 = 2;
+/// Flood radius of multicast requests.
+const FLOOD_TTL: u8 = 16;
 
 const TAG_RETRY: u64 = 1;
 const TAG_PURGE: u64 = 2;
@@ -63,8 +49,8 @@ struct PendingLookup {
 }
 
 /// The standard SLP agent process (service agent + user agent in one).
+#[derive(Default)]
 pub struct StandardSlpProcess {
-    cfg: StandardSlpConfig,
     local: SlpRegistry,
     pending: Vec<PendingLookup>,
     seen_floods: BTreeMap<(Addr, u32), SimTime>,
@@ -82,14 +68,8 @@ impl std::fmt::Debug for StandardSlpProcess {
 
 impl StandardSlpProcess {
     /// Creates a standard SLP agent.
-    pub fn new(cfg: StandardSlpConfig) -> StandardSlpProcess {
-        StandardSlpProcess {
-            cfg,
-            local: SlpRegistry::new(),
-            pending: Vec::new(),
-            seen_floods: BTreeMap::new(),
-            next_fid: 0,
-        }
+    pub fn new() -> StandardSlpProcess {
+        StandardSlpProcess::default()
     }
 
     fn reply_local(&self, ctx: &mut Ctx<'_>, to: SocketAddr, xid: u32, entries: Vec<ServiceEntry>) {
@@ -140,7 +120,7 @@ impl StandardSlpProcess {
         let msg = SlpMsg::McastRqst {
             origin: ctx.addr(),
             fid,
-            ttl: self.cfg.flood_ttl,
+            ttl: FLOOD_TTL,
             reply_to: SocketAddr::new(ctx.addr(), ports::SLP),
             service_type,
             key,
@@ -152,10 +132,10 @@ impl StandardSlpProcess {
             requester: from,
             query,
             fid,
-            deadline: now + self.cfg.retry_interval,
-            retries_left: self.cfg.retries,
+            deadline: now + RETRY_INTERVAL,
+            retries_left: RETRIES,
         });
-        ctx.set_timer(self.cfg.retry_interval, TAG_RETRY);
+        ctx.set_timer(RETRY_INTERVAL, TAG_RETRY);
     }
 
     fn on_mcast_rqst(&mut self, ctx: &mut Ctx<'_>, msg: SlpMsg) {
@@ -219,8 +199,6 @@ impl StandardSlpProcess {
 
     fn sweep(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        let interval = self.cfg.retry_interval;
-        let ttl = self.cfg.flood_ttl;
         let own = ctx.addr();
         let mut give_up = Vec::new();
         let mut refloods = Vec::new();
@@ -230,11 +208,11 @@ impl StandardSlpProcess {
             }
             if p.retries_left > 0 {
                 p.retries_left -= 1;
-                p.deadline = now + interval;
+                p.deadline = now + RETRY_INTERVAL;
                 refloods.push(SlpMsg::McastRqst {
                     origin: own,
                     fid: p.fid,
-                    ttl,
+                    ttl: FLOOD_TTL,
                     reply_to: SocketAddr::new(own, ports::SLP),
                     service_type: p.query.service_type.clone(),
                     key: p.query.key.clone(),
@@ -245,7 +223,7 @@ impl StandardSlpProcess {
         }
         for m in refloods {
             self.flood(ctx, &m);
-            ctx.set_timer(interval, TAG_RETRY);
+            ctx.set_timer(RETRY_INTERVAL, TAG_RETRY);
         }
         for i in give_up.into_iter().rev() {
             let p = self.pending.remove(i);
@@ -351,7 +329,7 @@ impl Process for StandardSlpProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use siphoc_routing::aodv::{AodvConfig, AodvProcess};
+    use siphoc_routing::aodv::AodvProcess;
     use siphoc_simnet::prelude::*;
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -412,11 +390,8 @@ mod tests {
             .map(|i| w.add_node(NodeConfig::manet(i as f64 * 80.0, 0.0)))
             .collect();
         for &id in &ids {
-            w.spawn(id, Box::new(AodvProcess::new(AodvConfig::default())));
-            w.spawn(
-                id,
-                Box::new(StandardSlpProcess::new(StandardSlpConfig::default())),
-            );
+            w.spawn(id, Box::new(AodvProcess::new()));
+            w.spawn(id, Box::new(StandardSlpProcess::new()));
         }
         (w, ids)
     }

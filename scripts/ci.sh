@@ -70,3 +70,6 @@ if [ -n "${MSRV}" ] && rustup toolchain list 2>/dev/null | grep -q "^${MSRV}"; t
 else
     echo "ci.sh: MSRV toolchain ${MSRV:-unset} not installed, skipping MSRV check (CI msrv job covers it)"
 fi
+# The numbers ROADMAP tracks per PR (lines, config fields, features,
+# `unsafe`): printed for the PR description, never a gate.
+./scripts/tracked_numbers.sh || true

@@ -1,0 +1,27 @@
+#!/usr/bin/env bash
+# The numbers ROADMAP tracks per PR (aim 2), one per line. Informational:
+# scripts/ci.sh prints them last and never fails on them.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+echo "lines of *.rs under crates/: $(find crates -name '*.rs' -print0 | xargs -0 cat | wc -l)"
+
+# `pub` fields of every `pub struct *Config` under crates/. VoipAppConfig
+# is left out: it is the paper's Fig. 2 account dialog, a file format
+# whose values are a user's deployment settings, not tuning knobs.
+find crates -name '*.rs' -print0 | xargs -0 awk '
+    /^pub struct [A-Za-z]*Config \{/ && $3 != "VoipAppConfig" { inside = 1; fields = 0; next }
+    inside && /^    pub [a-z0-9_]+:/ { fields++ }
+    inside && /^\}/ { inside = 0; total += fields; if (fields) structs++ }
+    END {
+        print "public config fields: " total + 0
+        print "config structs with a public field: " structs + 0
+    }'
+
+# Every key under a [features] table except `default`.
+features=$(find . -name Cargo.toml -not -path './target/*' -not -path './benchmark/*' -print0 |
+    xargs -0 awk '/^\[/ { f = ($0 == "[features]") } f && /^[a-z_-]+ *=/ && $1 != "default"' | wc -l)
+echo "cargo features: ${features}"
+
+unsafe_sites=$(grep -rw unsafe --include='*.rs' crates | grep -vc 'forbid(unsafe_code)' || true)
+echo "unsafe sites: ${unsafe_sites}"

@@ -21,7 +21,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use siphoc_core::adversary::AdversaryConfig;
 use siphoc_core::config::VoipAppConfig;
 use siphoc_core::nodesetup::{deploy, NodeSpec, RoutingProtocol, SiphocNode};
 use siphoc_internet::dns::DnsDirectory;
@@ -62,9 +61,9 @@ pub enum RoutingKind {
 impl RoutingKind {
     fn to_protocol(self) -> RoutingProtocol {
         match self {
-            RoutingKind::Aodv => RoutingProtocol::aodv(),
-            RoutingKind::Olsr => RoutingProtocol::olsr(),
-            RoutingKind::Dsdv => RoutingProtocol::dsdv(),
+            RoutingKind::Aodv => RoutingProtocol::Aodv,
+            RoutingKind::Olsr => RoutingProtocol::Olsr,
+            RoutingKind::Dsdv => RoutingProtocol::Dsdv,
         }
     }
 }
@@ -776,7 +775,7 @@ impl Scenario {
                 spec = spec.with_security();
             }
             if n.adversary {
-                spec = spec.with_adversary(AdversaryConfig::default());
+                spec = spec.with_adversary();
             }
             if let Some(ka) = &self.keepalive {
                 spec = spec.with_keepalive(SimDuration::from_millis(ka.interval_ms), ka.max_missed);

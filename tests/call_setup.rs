@@ -127,7 +127,7 @@ fn multihop_call_over_aodv_chain() {
 #[test]
 fn call_over_olsr_proactive() {
     let mut w = manet_world(103);
-    let mk = |x: f64| NodeSpec::relay(x, 0.0).with_routing(RoutingProtocol::olsr());
+    let mk = |x: f64| NodeSpec::relay(x, 0.0).with_routing(RoutingProtocol::Olsr);
     let alice = deploy(&mut w, mk(0.0).with_user(ua("alice", Some((25, "bob", 6)))));
     let _relay = deploy(&mut w, mk(80.0));
     let bob = deploy(&mut w, mk(160.0).with_user(ua("bob", None)));

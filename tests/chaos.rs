@@ -5,7 +5,6 @@
 //! nothing panics. This is the paper's §1 emergency-response claim
 //! ("any node may leave or crash at any time") made executable.
 
-use wireless_adhoc_voip::core::adversary::AdversaryConfig;
 use wireless_adhoc_voip::core::config::VoipAppConfig;
 use wireless_adhoc_voip::core::nodesetup::{deploy, NodeSpec, RoutingProtocol};
 use wireless_adhoc_voip::internet::dns::DnsDirectory;
@@ -549,7 +548,7 @@ fn rogue_gateway_under_link_churn_hijacks_nothing_with_defenses_on() {
         let secure = |x: f64, y: f64| {
             NodeSpec::relay(x, y)
                 .with_security()
-                .with_routing(RoutingProtocol::olsr())
+                .with_routing(RoutingProtocol::Olsr)
                 .with_standby(0, SimDuration::from_secs(10))
                 .with_dns(dns.clone())
         };
@@ -569,7 +568,7 @@ fn rogue_gateway_under_link_churn_hijacks_nothing_with_defenses_on() {
             &mut w,
             secure(120.0, 0.0)
                 .without_connection_provider()
-                .with_adversary(AdversaryConfig::default()),
+                .with_adversary(),
         );
         let relay_n = deploy(&mut w, secure(110.0, 55.0));
         let relay_s = deploy(&mut w, secure(110.0, -55.0));

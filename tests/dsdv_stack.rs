@@ -10,7 +10,7 @@ use wireless_adhoc_voip::sip::uri::Aor;
 #[test]
 fn multihop_call_over_dsdv() {
     let mut w = World::new(WorldConfig::new(801).with_radio(RadioConfig::ideal()));
-    let mk = |x: f64| NodeSpec::relay(x, 0.0).with_routing(RoutingProtocol::dsdv());
+    let mk = |x: f64| NodeSpec::relay(x, 0.0).with_routing(RoutingProtocol::Dsdv);
     let alice_ua = VoipAppConfig::fig2("alice", "voicehoc.ch")
         .to_ua_config()
         .expect("config")

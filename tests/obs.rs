@@ -10,13 +10,17 @@
 
 use wireless_adhoc_voip::core::config::VoipAppConfig;
 use wireless_adhoc_voip::core::nodesetup::{deploy, NodeSpec, RoutingProtocol};
-use wireless_adhoc_voip::routing::aodv::{AodvConfig, AodvProcess};
+use wireless_adhoc_voip::internet::dns::DnsDirectory;
+use wireless_adhoc_voip::internet::provider::{ProviderConfig, SipProviderProcess};
+use wireless_adhoc_voip::internet::relay::{RelayConfig, TurnRelay};
+use wireless_adhoc_voip::media::session::{MediaConfig, MediaProcess};
+use wireless_adhoc_voip::routing::aodv::AodvProcess;
 use wireless_adhoc_voip::scenario::{
     CallSpec, NodeSpecJson, ObsDump, RadioKind, RoutingKind, Scenario, ScenarioReport,
 };
 use wireless_adhoc_voip::simnet::prelude::*;
 use wireless_adhoc_voip::simnet::trace::TraceKind;
-use wireless_adhoc_voip::sip::ua::{CallEvent, UaConfig, UaLogHandle};
+use wireless_adhoc_voip::sip::ua::{CallEvent, UaConfig, UaLogHandle, UserAgent};
 use wireless_adhoc_voip::sip::uri::Aor;
 
 fn node(x: f64, user: Option<&str>, calls: Vec<CallSpec>) -> NodeSpecJson {
@@ -222,7 +226,7 @@ fn route_discovery_spans_without_piggyback() {
         .map(|i| w.add_node(NodeConfig::manet(i as f64 * 60.0, 0.0)))
         .collect();
     for &id in &ids {
-        w.spawn(id, Box::new(AodvProcess::new(AodvConfig::default())));
+        w.spawn(id, Box::new(AodvProcess::new()));
     }
     w.run_for(SimDuration::from_millis(200));
     let far = w.node(ids[2]).addr();
@@ -282,7 +286,7 @@ fn exported_counters_equal_node_stats() {
             .to_ua_config()
             .expect("localhost proxy resolves")
     };
-    let mk = |x: f64| NodeSpec::relay(x, 0.0).with_routing(RoutingProtocol::olsr());
+    let mk = |x: f64| NodeSpec::relay(x, 0.0).with_routing(RoutingProtocol::Olsr);
     let call = ua("alice").call_at(
         SimTime::from_secs(25),
         Aor::new("bob", "voicehoc.ch"),
@@ -301,7 +305,7 @@ fn exported_counters_equal_node_stats() {
         .map(|i| w.add_node(NodeConfig::manet(i as f64 * 60.0, 0.0)))
         .collect();
     for &id in &ids {
-        w.spawn(id, Box::new(AodvProcess::new(AodvConfig::default())));
+        w.spawn(id, Box::new(AodvProcess::new()));
     }
     w.run_for(SimDuration::from_millis(200));
     let src = SocketAddr::new(w.node(ids[0]).addr(), 9000);
@@ -309,6 +313,72 @@ fn exported_counters_equal_node_stats() {
     w.inject(ids[0], Datagram::new(src, nobody, vec![1, 2, 3]));
     w.run_for(SimDuration::from_secs(30));
     assert!(w.total_stats().get("aodv.discovery_failed").packets >= 1);
+    assert_registry_matches_node_stats(&w);
+
+    // Make-before-break handoff mid-call: alice sits between an open
+    // gateway and one NAT'd behind the TURN-style relay, leases from one,
+    // keeps the other warm, and is promoted onto it when the first dies —
+    // so her media crosses the relay on one side of the handoff.
+    const PROVIDER: Addr = Addr(0x52010101);
+    const RELAY: Addr = Addr(0x5201_0301);
+    let mut w = World::new(WorldConfig::new(1701).with_radio(RadioConfig::ideal()));
+    let dns = DnsDirectory::new().with_record("voicehoc.ch", PROVIDER);
+    let provider = w.add_node(NodeConfig::wired(PROVIDER));
+    let cfg = ProviderConfig::new("voicehoc.ch", dns.clone());
+    w.spawn(provider, Box::new(SipProviderProcess::new(cfg)));
+    let iris = w.add_node(NodeConfig::wired(Addr::new(82, 1, 1, 50)));
+    let iris_ua = UaConfig::new(
+        Aor::new("iris", "voicehoc.ch"),
+        SocketAddr::new(PROVIDER, ports::SIP),
+    );
+    w.spawn(iris, Box::new(UserAgent::new(iris_ua).0));
+    w.spawn(iris, Box::new(MediaProcess::new(MediaConfig::pcmu(8000)).0));
+    let relay = w.add_node(NodeConfig::wired(RELAY));
+    let pool = RelayConfig {
+        pool_base: Addr(RELAY.0 + 100),
+        ..RelayConfig::default()
+    };
+    w.spawn(relay, Box::new(TurnRelay::new(pool)));
+    let mk = |x: f64| {
+        NodeSpec::relay(x, 0.0)
+            .with_keepalive(SimDuration::from_millis(5), 1)
+            .with_standby(1, SimDuration::from_millis(500))
+            .with_dns(dns.clone())
+    };
+    let open = deploy(&mut w, mk(0.0).with_gateway(Addr::new(82, 130, 64, 1)));
+    let call = ua("alice").call_at(
+        SimTime::from_secs(30),
+        Aor::new("iris", "voicehoc.ch"),
+        SimDuration::from_secs(30),
+    );
+    let alice = deploy(&mut w, mk(60.0).with_user(call));
+    let natted = deploy(
+        &mut w,
+        mk(120.0).with_nat_gateway(
+            Addr::new(82, 130, 65, 1),
+            SocketAddr::new(RELAY, ports::TUNNEL),
+        ),
+    );
+    w.run_until(SimTime::from_secs(35));
+    let addrs = w.node(alice.id).local_addrs();
+    let lease: Vec<&Addr> = addrs.iter().filter(|a| a.is_public()).collect();
+    assert_eq!(lease.len(), 1, "one active lease mid-call");
+    let serving = if lease[0].0 >> 8 == RELAY.0 >> 8 {
+        natted.id
+    } else {
+        open.id
+    };
+    w.set_node_up(serving, false);
+    w.run_until(SimTime::from_secs(70));
+    let total = w.total_stats();
+    for name in [
+        "cp.gateway_dead",
+        "cp.promote",
+        "cp.handoff_ok",
+        "media.relayed",
+    ] {
+        assert!(total.get(name).packets >= 1, "{name} never counted");
+    }
     assert_registry_matches_node_stats(&w);
 }
 

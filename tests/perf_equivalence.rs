@@ -183,7 +183,7 @@ fn run_olsr_roam(seed: u64) -> (u64, u64) {
     let mut rng = SimRng::from_seed_and_stream(seed, 1212);
     for i in 0..12 {
         let mut spec = NodeSpec::relay(0.0, 0.0)
-            .with_routing(RoutingProtocol::olsr())
+            .with_routing(RoutingProtocol::Olsr)
             .without_connection_provider();
         if i == 0 || i == 5 {
             let mut ua = VoipAppConfig::fig2(if i == 0 { "a" } else { "b" }, "voicehoc.ch")

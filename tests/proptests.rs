@@ -29,7 +29,7 @@ use wireless_adhoc_voip::simnet::world::{World, WorldConfig};
 use wireless_adhoc_voip::sip::headers::{CSeq, NameAddr, Via};
 use wireless_adhoc_voip::sip::msg::{Method, SipMessage, StatusCode};
 use wireless_adhoc_voip::sip::sdp::Sdp;
-use wireless_adhoc_voip::sip::txn::{TransactionLayer, TxnConfig, TxnEvent};
+use wireless_adhoc_voip::sip::txn::{TransactionLayer, TxnEvent};
 use wireless_adhoc_voip::sip::ua::CallEvent;
 use wireless_adhoc_voip::sip::uri::Aor;
 use wireless_adhoc_voip::sip::uri::SipUri;
@@ -447,7 +447,7 @@ proptest! {
             &mut obs,
             &mut effects,
         );
-        let mut tl = TransactionLayer::new(5060, 0, TxnConfig::default());
+        let mut tl = TransactionLayer::new(5060, 0);
         let inv = chaos_invite("z9hG4bKdup");
         let from = SocketAddr::new(Addr::manet(1), 5060);
 
