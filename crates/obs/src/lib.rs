@@ -76,7 +76,8 @@ pub(crate) fn esc(s: &str) -> String {
 #[derive(Debug, Default)]
 pub struct NodeObs {
     tracing: bool,
-    spans: SpanLog,
+    /// Created by the first span recorded while tracing is on.
+    spans: Option<Box<SpanLog>>,
     counters: NameMap<u64>,
     gauges: NameMap<f64>,
     hists: NameMap<Histogram>,
@@ -134,29 +135,31 @@ impl NodeObs {
         if !self.tracing {
             return SpanId::NONE;
         }
-        self.spans.enter(cat, name, now_us)
+        self.spans.get_or_insert_default().enter(cat, name, now_us)
     }
 
     /// Attaches a correlation key (Call-ID) to an open span.
     #[inline]
     pub fn span_corr(&mut self, id: SpanId, corr: &str) {
-        if !id.is_none() {
-            self.spans.correlate(id, corr);
+        if let Some(spans) = &mut self.spans {
+            spans.correlate(id, corr);
         }
     }
 
     /// Attaches a free-form note to an open span.
     #[inline]
     pub fn span_note(&mut self, id: SpanId, note: &str) {
-        if !id.is_none() {
-            self.spans.note(id, note);
+        if let Some(spans) = &mut self.spans {
+            spans.note(id, note);
         }
     }
 
     /// Closes a span.
     #[inline]
     pub fn span_exit(&mut self, id: SpanId, now_us: u64, ok: bool) {
-        self.spans.exit(id, now_us, ok);
+        if let Some(spans) = &mut self.spans {
+            spans.exit(id, now_us, ok);
+        }
     }
 
     /// Records a point-in-time marker (no-op unless tracing is on).
@@ -169,18 +172,22 @@ impl NodeObs {
         corr: Option<&str>,
     ) {
         if self.tracing {
-            self.spans.instant(cat, name, now_us, corr);
+            self.spans
+                .get_or_insert_default()
+                .instant(cat, name, now_us, corr);
         }
     }
 
     /// Completed spans recorded by this node.
     pub fn spans(&self) -> &[SpanRecord] {
-        self.spans.records()
+        self.spans.as_deref().map_or(&[], SpanLog::records)
     }
 
     /// Still-open spans as unfinished records ending at `now_us`.
     pub fn open_spans(&self, now_us: u64) -> Vec<SpanRecord> {
-        self.spans.open_records(now_us)
+        self.spans
+            .as_deref()
+            .map_or_else(Vec::new, |s| s.open_records(now_us))
     }
 
     /// Merges this shard's metrics into `reg`, labelling each series
@@ -196,16 +203,27 @@ impl NodeObs {
         for (name, h) in self.hists.iter() {
             reg.hist_merge(name, &labels, h);
         }
-        if self.spans.dropped() > 0 {
-            reg.counter_add("obs.spans_dropped", &labels, self.spans.dropped());
+        let dropped = self.spans.as_deref().map_or(0, SpanLog::dropped);
+        if dropped > 0 {
+            reg.counter_add("obs.spans_dropped", &labels, dropped);
         }
     }
 
-    /// Bytes of heap this shard's counters, gauges and histograms occupy,
-    /// by capacity (the span log is not metric state and is not counted).
+    /// Bytes of heap this shard occupies, by capacity: its counters,
+    /// gauges and histograms, and the span log with its record vectors
+    /// once a traced node has one. The shard's own `size_of` is the
+    /// caller's to add.
     pub fn heap_bytes(&self) -> usize {
         let buckets: usize = self.hists.iter().map(|(_, h)| h.heap_bytes()).sum();
-        self.counters.heap_bytes() + self.gauges.heap_bytes() + self.hists.heap_bytes() + buckets
+        let spans = self
+            .spans
+            .as_deref()
+            .map_or(0, |s| std::mem::size_of::<SpanLog>() + s.heap_bytes());
+        self.counters.heap_bytes()
+            + self.gauges.heap_bytes()
+            + self.hists.heap_bytes()
+            + buckets
+            + spans
     }
 }
 
@@ -319,9 +337,55 @@ mod tests {
                 .count(),
             1
         );
-        // One counter slot, one histogram slot, one bucket.
+        // One counter slot, one histogram slot, one bucket — and the span
+        // log with at least one open-slab slot, free-list entry and record.
         let slots = std::mem::size_of::<(&str, u64)>() + std::mem::size_of::<(&str, Histogram)>();
-        assert_eq!(obs.heap_bytes(), slots + 8);
+        let spans = obs.spans.as_deref().expect("a span was recorded");
+        assert!(spans.heap_bytes() > std::mem::size_of::<SpanRecord>());
+        assert_eq!(
+            obs.heap_bytes(),
+            slots + 8 + std::mem::size_of::<SpanLog>() + spans.heap_bytes()
+        );
+    }
+
+    #[cfg(feature = "enabled")]
+    #[test]
+    fn span_log_exists_only_once_a_traced_node_records_a_span() {
+        /// Ceiling on `size_of::<NodeObs>()`: every node carries it inline.
+        const NODE_OBS_INLINE_MAX: usize = 88;
+        assert!(std::mem::size_of::<NodeObs>() <= NODE_OBS_INLINE_MAX);
+
+        let mut traced = NodeObs::default();
+        traced.set_tracing(true);
+        assert!(traced.spans.is_none(), "tracing on, nothing recorded yet");
+        assert!(traced.spans().is_empty() && traced.open_spans(5).is_empty());
+        let id = traced.span_enter(SpanCat::Sip, "sip.invite", 0);
+        traced.span_exit(id, 10, true);
+        assert_eq!(traced.spans().len(), 1);
+
+        // A stale id is inert with tracing off again, and on a node that
+        // never traced it does not even create the log.
+        traced.set_tracing(false);
+        let mut untraced = NodeObs::default();
+        for obs in [&mut traced, &mut untraced] {
+            obs.span_corr(id, "call-1");
+            obs.span_note(id, "late");
+            obs.span_exit(id, 20, false);
+            obs.span_instant(SpanCat::Sip, "sip.ack", 20, None);
+        }
+        assert_eq!(traced.spans().len(), 1);
+        assert_eq!(traced.spans()[0].corr, None);
+        assert!(untraced.spans.is_none() && untraced.heap_bytes() == 0);
+
+        // The retention cap still reports what it dropped.
+        traced.set_tracing(true);
+        traced.spans.as_deref_mut().expect("log exists").set_cap(2);
+        for t in 30..33 {
+            traced.span_instant(SpanCat::Sip, "sip.ack", t, None);
+        }
+        let mut reg = Registry::new();
+        traced.merge_metrics_into(&mut reg, "n0");
+        assert_eq!(reg.counter("obs.spans_dropped", &[("node", "n0")]), 2);
     }
 
     #[cfg(not(feature = "enabled"))]

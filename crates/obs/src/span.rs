@@ -237,6 +237,16 @@ impl SpanLog {
         self.dropped
     }
 
+    /// Bytes of heap the open-span slab, its free list and the completed
+    /// records occupy, by capacity (correlation and note strings are not
+    /// followed).
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.open.capacity() * size_of::<Option<OpenSpan>>()
+            + self.free.capacity() * size_of::<u32>()
+            + self.done.capacity() * size_of::<SpanRecord>()
+    }
+
     /// Changes the retention cap for completed spans.
     pub fn set_cap(&mut self, cap: usize) {
         self.cap = cap;

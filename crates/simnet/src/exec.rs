@@ -212,10 +212,8 @@ impl World {
                 Effect::Bind(port) => {
                     let n = &mut self.nodes[node.0 as usize];
                     let name = n.proc_names[idx];
-                    if let Some(prev) = n.port_bindings.insert(port, idx) {
-                        if prev != idx {
-                            panic!("port {port} on {node} already bound by another process (binder: {name})");
-                        }
+                    if n.port_bindings.bind(port, idx) != idx {
+                        panic!("port {port} on {node} already bound by another process (binder: {name})");
                     }
                 }
                 Effect::Send(dgram) => self.route_and_send(node, dgram, false),
@@ -487,7 +485,7 @@ impl World {
     fn start_tx(&mut self, node: NodeId) {
         let radio = self.cfg.radio;
         let now = self.now;
-        if self.nodes[node.0 as usize].tx_queue.front().is_none() {
+        if self.nodes[node.0 as usize].tx_queue.is_empty() {
             self.nodes[node.0 as usize].tx_busy = false;
             return;
         }
@@ -537,17 +535,20 @@ impl World {
             n.tx_busy = false;
             return;
         }
-        let Some(frame) = n.tx_queue.front().cloned() else {
+        let Some(front) = n.tx_queue.front() else {
             n.tx_busy = false;
             return;
         };
         let pos = n.mobility.position(now);
-        let wire = frame.dgram.wire_len();
+        let wire = front.dgram.wire_len();
 
-        match frame.dst {
+        match front.dst {
             L2Dst::Broadcast => {
-                self.nodes[node.0 as usize].stats.count("radio.tx", wire);
-                self.record(node, TraceKind::RadioTx, None, &frame.dgram);
+                // A broadcast is never retried: the frame leaves the queue
+                // here and its datagram moves into the event scheduled below.
+                let dgram = n.tx_queue.pop_front().expect("front checked").dgram;
+                n.stats.count("radio.tx", wire);
+                self.record(node, TraceKind::RadioTx, None, &dgram);
                 // Per-receiver loss draws below consume the transmitter's
                 // RNG in iteration order, so the candidate order (node id)
                 // is part of the determinism contract. The loss model's
@@ -581,7 +582,7 @@ impl World {
                     };
                     if !lost {
                         if faults_active {
-                            self.deliver_radio_frame(node, rx, frame.dgram.clone(), prop);
+                            self.deliver_radio_frame(node, rx, dgram.clone(), prop);
                         } else {
                             batch.push(rx);
                         }
@@ -594,68 +595,50 @@ impl World {
                     self.schedule(
                         prop,
                         Event::DeliverRadioBatch {
-                            dgram: frame.dgram.clone(),
+                            dgram,
                             receivers: batch,
                         },
                     );
                 }
-                self.finish_frame(node);
+                self.next_frame(node);
             }
             L2Dst::Unicast(neighbor) => {
-                let target = self.node_by_addr(neighbor);
-                let ok = match target {
-                    Some(target) => {
-                        let up_and_in_range = {
-                            let t = &self.hot[target.0 as usize];
-                            t.up && t.has_radio
-                                && !self.link_faulted(node, target)
-                                && crate::mobility::distance(pos, t.position(self.now))
-                                    <= radio.range
-                        };
-                        if up_and_in_range {
-                            let dist = crate::mobility::distance(
-                                pos,
-                                self.hot[target.0 as usize].position(self.now),
-                            );
-                            let n = &mut self.nodes[node.0 as usize];
-                            !radio.loss.sample_loss(dist, radio.range, &mut n.rng)
-                        } else {
-                            false
-                        }
-                    }
-                    None => false,
-                };
-                if ok {
-                    let target = target.expect("delivery succeeded without target");
-                    self.nodes[node.0 as usize].stats.count("radio.tx", wire);
-                    self.record(node, TraceKind::RadioTx, None, &frame.dgram);
-                    self.deliver_radio_frame(node, target, frame.dgram.clone(), prop);
-                    self.finish_frame(node);
-                } else if frame.retries_left > 0 {
-                    let n = &mut self.nodes[node.0 as usize];
+                let retries_left = front.retries_left;
+                // The neighbour, if it is up, in range and the frame
+                // survives the channel (one loss draw, only when in range).
+                let target = self.node_by_addr(neighbor).filter(|&target| {
+                    let t = &self.hot[target.0 as usize];
+                    let dist = crate::mobility::distance(pos, t.position(now));
+                    t.up && t.has_radio
+                        && !self.link_faulted(node, target)
+                        && dist <= radio.range
+                        && !radio.loss.sample_loss(
+                            dist,
+                            radio.range,
+                            &mut self.nodes[node.0 as usize].rng,
+                        )
+                });
+                let n = &mut self.nodes[node.0 as usize];
+                if let Some(target) = target {
+                    let dgram = n.tx_queue.pop_front().expect("front checked").dgram;
+                    n.stats.count("radio.tx", wire);
+                    self.record(node, TraceKind::RadioTx, None, &dgram);
+                    self.deliver_radio_frame(node, target, dgram, prop);
+                    self.next_frame(node);
+                } else if retries_left > 0 {
                     n.stats.count("radio.retx", wire);
                     if let Some(f) = n.tx_queue.front_mut() {
                         f.retries_left -= 1;
                     }
                     // Stay busy: retransmit after another full TX time.
-                    let t = {
-                        let n = &mut self.nodes[node.0 as usize];
-                        let t = radio.tx_time(wire, &mut n.rng);
-                        n.obs.hist_record("radio.airtime_us", t.as_micros());
-                        t
-                    };
-                    self.nodes[node.0 as usize].tx_until = now + t;
+                    let t = radio.tx_time(wire, &mut n.rng);
+                    n.obs.hist_record("radio.airtime_us", t.as_micros());
+                    n.tx_until = now + t;
                     self.schedule(t, Event::TxDone { node });
                 } else {
-                    self.nodes[node.0 as usize]
-                        .stats
-                        .count("drop.l2_fail", wire);
-                    self.record(
-                        node,
-                        TraceKind::Drop,
-                        Some("l2-retries-exhausted"),
-                        &frame.dgram,
-                    );
+                    let dgram = n.tx_queue.pop_front().expect("front checked").dgram;
+                    n.stats.count("drop.l2_fail", wire);
+                    self.record(node, TraceKind::Drop, Some("l2-retries-exhausted"), &dgram);
                     self.schedule(
                         SimDuration::from_micros(1),
                         Event::Local {
@@ -664,7 +647,7 @@ impl World {
                             ev: LocalEvent::LinkTxFailed { neighbor },
                         },
                     );
-                    self.finish_frame(node);
+                    self.next_frame(node);
                 }
             }
         }
@@ -721,25 +704,30 @@ impl World {
                 }
             }
         }
-        for i in 0..copies {
-            // Space duplicate copies slightly apart so they interleave
-            // with other in-flight traffic rather than arriving back to
-            // back in the same microsecond.
+        // Space duplicate copies slightly apart so they interleave with
+        // other in-flight traffic rather than arriving back to back in
+        // the same microsecond. The last copy takes the datagram itself.
+        let mut deliver_copy = |i: u64, dgram: Datagram| {
             let gap = SimDuration::from_micros(i * 150);
             self.schedule(
                 prop + extra + gap,
                 Event::Deliver {
                     node: rx,
-                    dgram: dgram.clone(),
+                    dgram,
                     via: Via::Radio,
                 },
             );
+        };
+        for i in 0..copies - 1 {
+            deliver_copy(i, dgram.clone());
         }
+        deliver_copy(copies - 1, dgram);
     }
 
-    fn finish_frame(&mut self, node: NodeId) {
+    /// Starts on the frame behind the one `tx_done` just took off the
+    /// queue, or goes idle.
+    fn next_frame(&mut self, node: NodeId) {
         let n = &mut self.nodes[node.0 as usize];
-        n.tx_queue.pop_front();
         if n.tx_queue.is_empty() {
             n.tx_busy = false;
         } else {
@@ -790,7 +778,7 @@ impl World {
         let n = &self.nodes[node.0 as usize];
         let dst = dgram.dst;
         if dst.addr.is_broadcast() {
-            if let Some(&idx) = n.port_bindings.get(&dst.port) {
+            if let Some(idx) = n.port_bindings.get(dst.port) {
                 self.call_proc(node, idx, CallKind::Datagram(dgram));
             }
             return;
@@ -800,7 +788,7 @@ impl World {
             return;
         }
         if n.is_local_addr(dst.addr) {
-            if let Some(&idx) = n.port_bindings.get(&dst.port) {
+            if let Some(idx) = n.port_bindings.get(dst.port) {
                 self.call_proc(node, idx, CallKind::Datagram(dgram));
             } else {
                 self.nodes[node.0 as usize]

@@ -11,7 +11,6 @@
 use std::collections::VecDeque;
 
 use crate::fasthash::FastMap;
-
 use crate::mobility::Mobility;
 use crate::net::{Addr, Datagram};
 use crate::process::Process;
@@ -113,6 +112,76 @@ pub(crate) struct PendingPacket {
     pub deadline: SimTime,
 }
 
+/// A node's transmit FIFO. The frame on the air is a field of the node;
+/// the ring behind it is allocated only when a second frame queues up
+/// (never, on a node that beacons; once, on a relay).
+#[derive(Debug, Default)]
+pub(crate) struct TxQueue {
+    head: Option<Frame>,
+    /// Empty whenever `head` is `None`.
+    rest: VecDeque<Frame>,
+}
+
+impl TxQueue {
+    pub(crate) fn front(&self) -> Option<&Frame> {
+        self.head.as_ref()
+    }
+
+    pub(crate) fn front_mut(&mut self) -> Option<&mut Frame> {
+        self.head.as_mut()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.head.is_none()
+    }
+
+    pub(crate) fn push_back(&mut self, frame: Frame) {
+        if self.head.is_none() {
+            self.head = Some(frame);
+        } else {
+            self.rest.push_back(frame);
+        }
+    }
+
+    pub(crate) fn pop_front(&mut self) -> Option<Frame> {
+        let next = self.rest.pop_front();
+        std::mem::replace(&mut self.head, next)
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.head = None;
+        self.rest.clear();
+    }
+}
+
+/// Port → index of the process bound to it, sorted by port: a node binds
+/// a handful of ports once and looks one up on every delivery.
+#[derive(Debug, Default)]
+pub(crate) struct PortMap(Vec<(u16, u32)>);
+
+impl PortMap {
+    /// Position of `port`, or where it would be inserted.
+    fn find(&self, port: u16) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&port, |&(p, _)| p)
+    }
+
+    pub(crate) fn get(&self, port: u16) -> Option<usize> {
+        self.find(port).ok().map(|at| self.0[at].1 as usize)
+    }
+
+    /// Binds `port` to process `idx` unless it is bound already; returns
+    /// the binder that holds it afterwards.
+    pub(crate) fn bind(&mut self, port: u16, idx: usize) -> usize {
+        match self.find(port) {
+            Ok(at) => self.0[at].1 as usize,
+            Err(at) => {
+                self.0.insert(at, (port, idx as u32));
+                idx
+            }
+        }
+    }
+}
+
 /// Cache-hot per-node state, mirrored out of the [`Node`] arena into a
 /// dense SoA-style vector (`World::hot`).
 ///
@@ -185,12 +254,12 @@ pub struct Node {
     pub(crate) mobility: Mobility,
     pub(crate) procs: Vec<Option<Box<dyn Process>>>,
     pub(crate) proc_names: Vec<&'static str>,
-    pub(crate) port_bindings: FastMap<u16, usize>,
+    pub(crate) port_bindings: PortMap,
     pub(crate) addr_handlers: FastMap<Addr, usize>,
     pub(crate) default_handler: Option<usize>,
     pub(crate) routes: RoutingTable,
     pub(crate) pending: FastMap<Addr, Vec<PendingPacket>>,
-    pub(crate) tx_queue: VecDeque<Frame>,
+    pub(crate) tx_queue: TxQueue,
     pub(crate) tx_busy: bool,
     pub(crate) tx_until: SimTime,
     pub(crate) rng: SimRng,
@@ -210,12 +279,12 @@ impl Node {
             mobility: cfg.mobility,
             procs: Vec::new(),
             proc_names: Vec::new(),
-            port_bindings: FastMap::default(),
+            port_bindings: PortMap::default(),
             addr_handlers: FastMap::default(),
             default_handler: None,
             routes: RoutingTable::new(),
             pending: FastMap::default(),
-            tx_queue: VecDeque::new(),
+            tx_queue: TxQueue::default(),
             tx_busy: false,
             tx_until: SimTime::ZERO,
             rng,
@@ -311,6 +380,156 @@ impl std::fmt::Debug for Node {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::{L2Dst, SocketAddr};
+    use crate::process::Ctx;
+    use crate::time::SimDuration;
+    use crate::world::{World, WorldConfig};
+
+    /// Ceiling on `size_of::<Node>()`, with and without the inline obs
+    /// shard: `World::nodes` pays it once per node, used or not.
+    const NODE_INLINE_MAX: usize = if crate::obs_enabled() { 608 } else { 520 };
+
+    #[test]
+    fn node_stays_under_its_inline_ceiling() {
+        assert!(
+            std::mem::size_of::<Node>() <= NODE_INLINE_MAX,
+            "Node is {} B inline",
+            std::mem::size_of::<Node>()
+        );
+    }
+
+    fn frame(tag: u8) -> Frame {
+        let at = SocketAddr::new(Addr::manet(0), 9);
+        Frame {
+            dst: L2Dst::Broadcast,
+            dgram: Datagram::new(at, at, vec![tag]),
+            retries_left: 0,
+        }
+    }
+
+    #[test]
+    fn tx_queue_is_fifo_across_head_and_ring() {
+        for n in 1..=5u8 {
+            let mut q = TxQueue::default();
+            let mut out = Vec::new();
+            for tag in 0..n {
+                q.push_back(frame(tag));
+                assert_eq!(
+                    q.front().expect("queued").dgram.payload[0] as usize,
+                    out.len()
+                );
+                // Pop after every second push, so pops interleave with
+                // frames still arriving behind the head.
+                if tag % 2 == 1 {
+                    out.extend(q.pop_front().map(|f| f.dgram.payload[0]));
+                }
+            }
+            while let Some(f) = q.pop_front() {
+                out.push(f.dgram.payload[0]);
+            }
+            assert_eq!(out, (0..n).collect::<Vec<_>>());
+            assert!(q.is_empty() && q.front_mut().is_none());
+        }
+        let mut q = TxQueue::default();
+        (0..3).for_each(|tag| q.push_back(frame(tag)));
+        q.front_mut().expect("head").retries_left = 7;
+        assert_eq!(q.front().expect("head").retries_left, 7);
+        q.clear();
+        assert!(q.is_empty() && q.rest.is_empty() && q.pop_front().is_none());
+    }
+
+    #[test]
+    fn tx_queue_allocates_no_ring_for_one_frame_at_a_time() {
+        let mut q = TxQueue::default();
+        for tag in 0..1000u32 {
+            q.push_back(frame(tag as u8));
+            assert_eq!(
+                q.pop_front().expect("just pushed").dgram.payload[0],
+                tag as u8
+            );
+        }
+        assert_eq!(q.rest.capacity(), 0);
+    }
+
+    #[test]
+    fn port_map_finds_every_bound_port_and_keeps_the_first_binder() {
+        for ports in [1usize, 6, 97] {
+            let mut map = PortMap::default();
+            // Bound in descending order: lookups rely on the sort.
+            for i in (0..ports).rev() {
+                assert_eq!(map.bind(5000 + 3 * i as u16, i), i);
+            }
+            for i in 0..ports {
+                assert_eq!(map.get(5000 + 3 * i as u16), Some(i));
+                assert_eq!(map.get(5001 + 3 * i as u16), None);
+            }
+            assert_eq!(map.bind(5000, 0), 0, "same process binds again");
+            assert_eq!(
+                map.bind(5000, 42),
+                0,
+                "another process is told who holds it"
+            );
+            assert_eq!(map.0.len(), ports);
+        }
+    }
+
+    /// Broadcasts `burst` beacons at a random phase, then every 500 ms.
+    struct Beacon {
+        burst: usize,
+    }
+
+    impl Process for Beacon {
+        fn name(&self) -> &'static str {
+            "beacon"
+        }
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.bind(7000);
+            let phase = ctx.rng().range_u64(0, 500_000);
+            ctx.set_timer(SimDuration::from_micros(phase), 0);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+            for _ in 0..self.burst {
+                ctx.send_to(SocketAddr::new(Addr::BROADCAST, 7000), 7000, vec![0u8; 64]);
+            }
+            ctx.set_timer(SimDuration::from_millis(500), 0);
+        }
+        fn on_datagram(&mut self, _ctx: &mut Ctx<'_>, _dgram: &Datagram) {}
+    }
+
+    #[test]
+    fn only_a_node_that_queues_behind_its_own_frame_owns_a_ring() {
+        let mut w = World::new(WorldConfig::new(11));
+        let ids: Vec<NodeId> = (0..225)
+            .map(|i| {
+                w.add_node(NodeConfig::manet(
+                    (i % 15) as f64 * 70.0,
+                    (i / 15) as f64 * 70.0,
+                ))
+            })
+            .collect();
+        for &id in &ids[1..] {
+            w.spawn(id, Box::new(Beacon { burst: 1 }));
+        }
+        w.spawn(ids[0], Box::new(Beacon { burst: 3 }));
+        w.run_until(SimTime::from_secs(20));
+        assert!(w.total_stats().get("radio.rx").packets > 10_000);
+        let rings: Vec<NodeId> = ids
+            .iter()
+            .copied()
+            .filter(|&id| w.node(id).tx_queue.rest.capacity() > 0)
+            .collect();
+        assert_eq!(rings, [ids[0]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "port 7000 on n0 already bound by another process (binder: beacon)")]
+    fn binding_a_port_another_process_holds_panics_with_the_binder() {
+        let mut w = World::new(WorldConfig::new(1));
+        let id = w.add_node(NodeConfig::manet(0.0, 0.0));
+        w.spawn(id, Box::new(Beacon { burst: 1 }));
+        w.spawn(id, Box::new(Beacon { burst: 1 }));
+        w.run_until(SimTime::from_secs(1));
+    }
 
     #[test]
     fn config_kinds_set_interfaces() {

@@ -305,12 +305,15 @@ impl World {
     /// count) and `x.y_bytes`, labelled `node="n<id>"`, so the ad-hoc
     /// string counters stay queryable through the typed exporters. World
     /// gauges (`sim.now_us`, `sim.events`, `sim.nodes`) ride along, with
-    /// `sim.obs_bytes`: the heap every node's counters, gauges and
-    /// histograms themselves occupy (`NodeStats` only in an obs-less
-    /// build), so the cost of the instrumentation is in its own output.
+    /// `sim.obs_bytes`: what every node's `NodeStats` and `NodeObs` occupy
+    /// — their inline `size_of` plus the heap behind their counters,
+    /// gauges, histograms and span log, by capacity (`NodeStats` only in
+    /// an obs-less build) — so the cost of the instrumentation is in its
+    /// own output.
     pub fn obs_registry(&self) -> siphoc_obs::Registry {
         let mut reg = siphoc_obs::Registry::new();
-        let mut obs_bytes = 0usize;
+        let inline = std::mem::size_of::<NodeStats>() + std::mem::size_of::<siphoc_obs::NodeObs>();
+        let mut obs_bytes = self.nodes.len() * inline;
         for n in &self.nodes {
             obs_bytes += n.stats.heap_bytes() + n.obs.heap_bytes();
             let label = n.id.to_string();

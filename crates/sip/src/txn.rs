@@ -85,8 +85,9 @@ pub enum TxnEvent {
 
 enum ClientState {
     /// No final yet: the request is retransmitted, and handed back to the
-    /// TU if the transaction times out.
-    Trying(SipMessage),
+    /// TU if the transaction times out. Boxed, so that the table slots of
+    /// lingering `Completed` transactions do not reserve room for it.
+    Trying(Box<SipMessage>),
     /// A final arrived; nothing reads the request any more.
     Completed,
 }
@@ -268,7 +269,7 @@ impl TransactionLayer {
             branch: branch.clone(),
             cseq_method: msg.cseq().map(|c| c.method),
             dst,
-            state: ClientState::Trying(msg),
+            state: ClientState::Trying(Box::new(msg)),
             interval: T1,
             invite,
             started_us: ctx.now_us(),
@@ -422,7 +423,7 @@ impl TransactionLayer {
                 let branch = self.client_by_id.remove(&id)?;
                 let txn = self.clients.remove(&branch)?;
                 match txn.state {
-                    ClientState::Trying(msg) => Some(TxnEvent::Timeout { branch, msg }),
+                    ClientState::Trying(msg) => Some(TxnEvent::Timeout { branch, msg: *msg }),
                     ClientState::Completed => None,
                 }
             }
@@ -459,6 +460,16 @@ mod tests {
     use siphoc_simnet::prelude::*;
     use std::cell::RefCell;
     use std::rc::Rc;
+
+    /// Ceiling on a client-transaction table slot: most slots are
+    /// `Completed` and lingering, so the request is not in them.
+    const CLIENT_TXN_SLOT_MAX: usize = 96;
+
+    #[test]
+    fn a_client_transaction_slot_holds_no_request_inline() {
+        let slot = std::mem::size_of::<(Arc<str>, ClientTxn)>();
+        assert!(slot <= CLIENT_TXN_SLOT_MAX, "slot is {slot} B");
+    }
 
     /// Minimal transaction user: a client that fires one request (OPTIONS
     /// unless `method` is changed) and logs its retransmissions, and a

@@ -358,7 +358,9 @@ pub struct UserAgent {
     cfg: UaConfig,
     txn: TransactionLayer,
     log: UaLogHandle,
-    dialogs: BTreeMap<String, Dialog>,
+    /// Boxed: a B-tree leaf reserves eleven entries, filled or not, so
+    /// inline dialogs cost their size again in slack.
+    dialogs: BTreeMap<String, Box<Dialog>>,
     render: RenderCache,
     /// Dialog index → call-id. Timer tokens carry the dialog index;
     /// this side index resolves them in O(1) instead of a scan.
@@ -590,7 +592,7 @@ impl UserAgent {
             reinvite_cseq: None,
         };
         self.dialog_by_idx.insert(idx, call_id.clone());
-        self.dialogs.insert(call_id.clone(), dialog);
+        self.dialogs.insert(call_id.clone(), Box::new(dialog));
         self.emit_log(ctx, CallEvent::OutgoingCall { call_id, to });
     }
 
@@ -903,7 +905,7 @@ impl UserAgent {
             reinvite_cseq: None,
         };
         self.dialog_by_idx.insert(idx, call_id.clone());
-        self.dialogs.insert(call_id.clone(), dialog);
+        self.dialogs.insert(call_id.clone(), Box::new(dialog));
         self.emit_log(
             ctx,
             CallEvent::IncomingCall {
@@ -1444,6 +1446,16 @@ impl UserAgent {
 mod tests {
     use super::*;
     use siphoc_simnet::prelude::*;
+
+    /// What one call costs the dialog B-tree inline, lingering included
+    /// (eleven entries a leaf): the key and a pointer.
+    const DIALOG_ENTRY_BYTES: usize = 32;
+
+    #[test]
+    fn a_dialog_entry_is_a_key_and_a_pointer() {
+        let entry = std::mem::size_of::<(String, Box<Dialog>)>();
+        assert_eq!(entry, DIALOG_ENTRY_BYTES);
+    }
 
     /// Back-to-back test without a proxy: two UAs pointing their
     /// "outbound proxy" directly at each other's SIP port, with static

@@ -390,14 +390,15 @@ fn city_digests_are_golden_reproducible_and_time_monotone() {
 }
 
 /// Observation state is sized by what it holds, not by what passed through
-/// it: on the same city, the bytes behind every node's counters, gauges
-/// and histograms (`sim.obs_bytes`, by capacity — deterministic, unlike
+/// it: on the same city, the bytes every node's counters, gauges and
+/// histograms occupy (`sim.obs_bytes`: the inline `NodeStats` + `NodeObs`,
+/// 24 + 88 B, and the heap behind them by capacity — deterministic, unlike
 /// RSS) are small once each node has beaconed and stay small under ten
 /// times the traffic. The one thing still allowed to grow is a
 /// histogram's span, up to the width of what it samples: airtime covers
-/// 18 buckets, a node's first six samples about 11 of them (263 B per
-/// node at 2 s, 311 B at 20 s, 313 B at 40 s). With the `obs` feature off
-/// this counts `NodeStats` alone (95 B throughout).
+/// 18 buckets, a node's first six samples about 11 of them (375 B per
+/// node at 2 s, 423 B at 20 s, 425 B at 40 s). With the `obs` feature off
+/// this counts `NodeStats` alone (119 B at 2 s, 120 B at 40 s).
 #[test]
 fn city_observation_bytes_per_node_are_small_and_flat_under_traffic() {
     let mut w = World::new(WorldConfig::new(2301));
