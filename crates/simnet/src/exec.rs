@@ -2,14 +2,14 @@
 //!
 //! Everything that happens *inside* one event — process calls, effect
 //! application, forwarding, the radio channel, delivery — lives here, as
-//! a plain `impl World` block; the event loop, the `(time, seq)` queue
-//! and the global fault state live in [`crate::world`].
+//! a plain `impl World` block; the event loop and the global fault state
+//! live in [`crate::world`], the pending events in [`crate::queue`].
 //!
 //! Dispatch schedules child events straight into the world's queue in
 //! birth order, which is what fixes their `seq` assignment, and records
 //! trace entries in capture order.
 
-use crate::fault::{corrupt_payload, FaultAction, PacketFault, PacketFaultKind};
+use crate::fault::{corrupt_payload, FaultAction, PacketFaultKind};
 use crate::net::{Addr, Datagram, L2Dst};
 use crate::node::{NodeId, PendingPacket};
 use crate::process::{Ctx, Effect, LocalEvent};
@@ -43,7 +43,7 @@ pub(crate) enum Event {
     /// One radio broadcast frame fanned out to every surviving receiver.
     /// All per-receiver `Deliver`s of a frame share one delivery time and
     /// would receive consecutive `seq`s, so nothing can ever sort between
-    /// them — popping them as one heap entry preserves dispatch order
+    /// them — popping them as one queue entry preserves dispatch order
     /// exactly while removing a push+pop per receiver. Only used while no
     /// packet faults are active (faults need per-copy scheduling).
     DeliverRadioBatch {
@@ -662,44 +662,38 @@ impl World {
         let mut dgram = dgram;
         let mut extra = SimDuration::ZERO;
         let mut copies: u64 = 1;
-        if !self.packet_faults.is_empty() {
-            let now = self.now;
-            let faults: Vec<PacketFault> = self
-                .packet_faults
-                .iter()
-                .filter(|f| f.applies(now, tx, rx))
-                .copied()
-                .collect();
-            for f in faults {
-                if !self.fault_rng.chance(f.probability) {
-                    continue;
+        // By index: `PacketFault` is `Copy`, and the arms below need the
+        // rest of `self`.
+        for i in 0..self.packet_faults.len() {
+            let f = self.packet_faults[i];
+            if !f.applies(self.now, tx, rx) || !self.fault_rng.chance(f.probability) {
+                continue;
+            }
+            let wire = dgram.wire_len();
+            match f.kind {
+                PacketFaultKind::Blackhole => {
+                    self.nodes[tx.0 as usize]
+                        .stats
+                        .count("fault.blackhole", wire);
+                    self.record(tx, TraceKind::Drop, Some("fault-blackhole"), &dgram);
+                    return;
                 }
-                let wire = dgram.wire_len();
-                match f.kind {
-                    PacketFaultKind::Blackhole => {
-                        self.nodes[tx.0 as usize]
-                            .stats
-                            .count("fault.blackhole", wire);
-                        self.record(tx, TraceKind::Drop, Some("fault-blackhole"), &dgram);
-                        return;
-                    }
-                    PacketFaultKind::Corrupt => {
-                        corrupt_payload(dgram.payload.make_mut(), &mut self.fault_rng);
-                        self.nodes[tx.0 as usize].stats.count("fault.corrupt", wire);
-                    }
-                    PacketFaultKind::Duplicate => {
-                        copies += 1;
-                        self.nodes[tx.0 as usize]
-                            .stats
-                            .count("fault.duplicate", wire);
-                    }
-                    PacketFaultKind::Reorder { max_extra } => {
-                        let max_us = max_extra.as_micros();
-                        if max_us > 0 {
-                            let jitter = self.fault_rng.range_u64(0, max_us);
-                            extra += SimDuration::from_micros(jitter);
-                            self.nodes[tx.0 as usize].stats.count("fault.reorder", wire);
-                        }
+                PacketFaultKind::Corrupt => {
+                    corrupt_payload(dgram.payload.make_mut(), &mut self.fault_rng);
+                    self.nodes[tx.0 as usize].stats.count("fault.corrupt", wire);
+                }
+                PacketFaultKind::Duplicate => {
+                    copies += 1;
+                    self.nodes[tx.0 as usize]
+                        .stats
+                        .count("fault.duplicate", wire);
+                }
+                PacketFaultKind::Reorder { max_extra } => {
+                    let max_us = max_extra.as_micros();
+                    if max_us > 0 {
+                        let jitter = self.fault_rng.range_u64(0, max_us);
+                        extra += SimDuration::from_micros(jitter);
+                        self.nodes[tx.0 as usize].stats.count("fault.reorder", wire);
                     }
                 }
             }
@@ -817,5 +811,20 @@ impl World {
                 dgram: dgram.clone(),
             });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Ceiling on `size_of::<Event>()`: every queued event pays it, plus
+    /// its 16-byte key, in the queue's slab.
+    const EVENT_INLINE_MAX: usize = 72;
+
+    #[test]
+    fn event_stays_under_its_inline_ceiling() {
+        let size = std::mem::size_of::<Event>();
+        assert!(size <= EVENT_INLINE_MAX, "Event is {size} B inline");
     }
 }

@@ -61,6 +61,7 @@ pub mod net;
 pub mod node;
 pub mod parallel;
 pub mod process;
+mod queue;
 pub mod radio;
 pub mod rng;
 pub mod route;

@@ -5,13 +5,13 @@
 //! in scheduling order, every random draw comes from a seeded stream, and
 //! all internal collections iterate in stable order.
 //!
-//! This file holds the public API, scheduling (the `(time, seq)` queue
-//! and slab) and global fault state; what happens *inside* one event —
-//! process calls, forwarding, the radio channel — is the `impl World`
-//! block in [`crate::exec`].
+//! This file holds the public API, the event loop and global fault
+//! state. The pending events and their `(time, seq)` order belong to
+//! [`crate::queue`]; what happens *inside* one event — process calls,
+//! forwarding, the radio channel — is the `impl World` block in
+//! [`crate::exec`].
 
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BTreeSet;
 
 use crate::exec::{EngineScratch, Event};
 use crate::fasthash::FastMap;
@@ -20,6 +20,7 @@ use crate::grid::NeighborGrid;
 use crate::net::{Addr, Datagram};
 use crate::node::{HotNode, Node, NodeConfig, NodeId};
 use crate::process::{LocalEvent, Process};
+use crate::queue::EventQueue;
 use crate::radio::RadioConfig;
 use crate::rng::SimRng;
 use crate::stats::NodeStats;
@@ -58,33 +59,6 @@ impl WorldConfig {
     }
 }
 
-/// Heap entry: ordering key plus a slot index into the world's event
-/// slab. Keeping the (large) `Event` payload out of the heap makes every
-/// sift move 24 bytes instead of 80, which is a measurable share of the
-/// event loop at scale.
-struct Queued {
-    time: SimTime,
-    seq: u64,
-    slot: u32,
-}
-
-impl PartialEq for Queued {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Queued {}
-impl PartialOrd for Queued {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Queued {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
 /// The simulation world.
 ///
 /// # Examples
@@ -101,12 +75,11 @@ impl Ord for Queued {
 pub struct World {
     pub(crate) cfg: WorldConfig,
     pub(crate) now: SimTime,
-    seq: u64,
     /// Total events dispatched since creation (benchmark harnesses divide
     /// this by wall-clock time to report simulator throughput; batch
     /// fan-outs count per receiver).
     pub(crate) events: u64,
-    queue: BinaryHeap<Reverse<Queued>>,
+    queue: EventQueue,
     pub(crate) nodes: Vec<Node>,
     pub(crate) addr_map: FastMap<Addr, NodeId>,
     pub(crate) trace: PacketTrace,
@@ -133,10 +106,6 @@ pub struct World {
     pub(crate) full_scan: bool,
     /// Reused dispatch hot-path buffers.
     pub(crate) scratch: EngineScratch,
-    /// Backing storage for queued events; `queue` holds only (time, seq,
-    /// slot) keys. `None` slots are free and listed in `free_slots`.
-    slab: Vec<Option<Event>>,
-    free_slots: Vec<u32>,
     /// Dense mirror of per-node liveness + position state (see
     /// [`HotNode`]); kept in lockstep with `nodes` by every mutation
     /// path. Radio fan-out filters read it instead of the full `Node`
@@ -154,9 +123,8 @@ impl World {
         World {
             cfg,
             now: SimTime::ZERO,
-            seq: 0,
             events: 0,
-            queue: BinaryHeap::new(),
+            queue: EventQueue::new(),
             nodes: Vec::new(),
             addr_map: FastMap::default(),
             trace: PacketTrace::new(),
@@ -170,8 +138,6 @@ impl World {
             radio_ids: Vec::new(),
             full_scan: false,
             scratch: EngineScratch::default(),
-            slab: Vec::new(),
-            free_slots: Vec::new(),
             hot: Vec::new(),
             tracing_default: false,
         }
@@ -309,7 +275,10 @@ impl World {
     /// — their inline `size_of` plus the heap behind their counters,
     /// gauges, histograms and span log, by capacity (`NodeStats` only in
     /// an obs-less build) — so the cost of the instrumentation is in its
-    /// own output.
+    /// own output; and the event queue's own account: `sim.queue_len`
+    /// (events queued now), `sim.queue_slots` (the most ever queued at
+    /// once) and `sim.queue_bytes` (slab, near heap, wheels and spill, by
+    /// capacity).
     pub fn obs_registry(&self) -> siphoc_obs::Registry {
         let mut reg = siphoc_obs::Registry::new();
         let inline = std::mem::size_of::<NodeStats>() + std::mem::size_of::<siphoc_obs::NodeObs>();
@@ -327,6 +296,9 @@ impl World {
         reg.gauge_set("sim.events", &[], self.events as f64);
         reg.gauge_set("sim.nodes", &[], self.nodes.len() as f64);
         reg.gauge_set("sim.obs_bytes", &[], obs_bytes as f64);
+        reg.gauge_set("sim.queue_len", &[], self.queue.len() as f64);
+        reg.gauge_set("sim.queue_slots", &[], self.queue.slots() as f64);
+        reg.gauge_set("sim.queue_bytes", &[], self.queue.heap_bytes() as f64);
         reg
     }
 
@@ -536,14 +508,9 @@ impl World {
     /// never moves backwards: a `t` in the past dispatches nothing and
     /// leaves `now()` where it was.
     pub fn run_until(&mut self, t: SimTime) {
-        while let Some(Reverse(q)) = self.queue.peek() {
-            if q.time > t {
-                break;
-            }
-            let Reverse(q) = self.queue.pop().expect("peeked entry vanished");
-            debug_assert!(q.time >= self.now, "event queue went backwards");
-            self.now = q.time;
-            let event = self.take_slot(q.slot);
+        while let Some((time, event)) = self.queue.pop_at_or_before(t) {
+            debug_assert!(time >= self.now, "event queue went backwards");
+            self.now = time;
             self.dispatch(event);
         }
         self.now = self.now.max(t);
@@ -576,37 +543,9 @@ impl World {
     }
 
     /// Queues `event`; a time in the past fires at the current time.
-    /// `seq` is assigned in call order, so equal-time events dispatch in
-    /// the order they were scheduled.
+    /// Equal-time events dispatch in the order they were scheduled.
     pub(crate) fn schedule_at(&mut self, time: SimTime, event: Event) {
-        let time = if time < self.now { self.now } else { time };
-        let seq = self.seq;
-        self.seq += 1;
-        let slot = self.park_slot(event);
-        self.queue.push(Reverse(Queued { time, seq, slot }));
-    }
-
-    /// Parks an event in the slab (reusing freed slots LIFO, which is
-    /// deterministic) and returns its slot; the queue holds only keys.
-    fn park_slot(&mut self, event: Event) -> u32 {
-        match self.free_slots.pop() {
-            Some(slot) => {
-                self.slab[slot as usize] = Some(event);
-                slot
-            }
-            None => {
-                self.slab.push(Some(event));
-                u32::try_from(self.slab.len() - 1).expect("event slab overflow")
-            }
-        }
-    }
-
-    fn take_slot(&mut self, slot: u32) -> Event {
-        let event = self.slab[slot as usize]
-            .take()
-            .expect("queued slot is empty");
-        self.free_slots.push(slot);
-        event
+        self.queue.push(time.max(self.now), event);
     }
 
     /// Re-plans a mobile node's trajectory at one of its waypoints.
@@ -1104,6 +1043,32 @@ mod tests {
         w.run_until(SimTime::from_secs(2));
         w.run_until(SimTime::from_secs(1));
         assert_eq!(w.now(), SimTime::from_secs(2));
+    }
+
+    #[test]
+    fn a_past_event_fires_now_and_a_future_one_waits_for_its_time() {
+        let mut w = ideal_world(16);
+        let a = w.add_node(NodeConfig::manet(0.0, 0.0));
+        w.run_until(SimTime::from_secs(2));
+        let plan = FaultPlan::new()
+            .crash_at(SimTime::from_secs(1), a)
+            .restart_at(SimTime::from_secs(3), a);
+        w.install_fault_plan(plan);
+        w.run_until(SimTime::from_secs(2));
+        assert!(!w.node(a).is_up(), "the crash due at 1 s fired at 2 s");
+        let events = w.events_processed();
+        w.run_until(SimTime::from_micros(2_999_999));
+        assert_eq!(w.events_processed(), events);
+        w.run_until(SimTime::from_secs(3));
+        assert!(w.node(a).is_up());
+    }
+
+    /// The wheels' fixed footprint is what the smallest workload
+    /// (`roam_internet`, 8.2 MB) would see of the queue.
+    #[test]
+    fn an_empty_worlds_queue_owns_under_64_kb() {
+        let bytes = ideal_world(17).queue.heap_bytes();
+        assert!(bytes <= 64 * 1024, "{bytes} B");
     }
 }
 

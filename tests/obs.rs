@@ -399,7 +399,9 @@ fn traced_runs_are_reproducible() {
 /// `sip.txn_active` read the node's live totals (every UA contributes its
 /// share); a retransmitted INVITE and BYE arriving inside the 64×T1
 /// linger are absorbed by the state that lingers for exactly that; and
-/// once the linger of the last call has lapsed both gauges read 0.
+/// once the linger of the last call has lapsed both gauges read 0. The
+/// event queue's own gauges tell the same story from below: timers pile
+/// up while calls linger, the slab remembers the most it ever held.
 #[test]
 fn sip_state_gauges_track_live_calls_and_return_to_zero() {
     const USERS: usize = 8;
@@ -428,11 +430,13 @@ fn sip_state_gauges_track_live_calls_and_return_to_zero() {
     let hub = deploy(&mut w, spec);
     w.trace_mut().set_enabled(true);
 
-    let gauge = |w: &World, name: &str| {
+    let read = |w: &World, name: &str, labels: &[(&str, &str)]| {
         w.obs_registry()
-            .gauge(name, &[("node", &hub.id.to_string())])
+            .gauge(name, labels)
             .unwrap_or_else(|| panic!("{name} never set"))
     };
+    let gauge = |w: &World, name: &str| read(w, name, &[("node", &hub.id.to_string())]);
+    let world_gauge = |w: &World, name: &str| read(w, name, &[]);
     let count = |logs: &[UaLogHandle], pred: fn(&CallEvent) -> bool| -> usize {
         logs.iter().map(|l| l.borrow().count(pred)).sum()
     };
@@ -467,6 +471,9 @@ fn sip_state_gauges_track_live_calls_and_return_to_zero() {
     w.run_until(SimTime::from_secs(20));
     assert_eq!(count(&hub.ua_logs, ended), 2 * CALLS as usize);
     assert_eq!(gauge(&w, "sip.dialogs_live"), (2 * CALLS) as f64);
+    // Every call left timers waiting out the linger in the queue.
+    let lingering = world_gauge(&w, "sim.queue_len");
+    assert!(lingering >= CALLS as f64, "{lingering} events queued");
     for start in [&b"INVITE "[..], &b"BYE "[..]] {
         let to_ua = |port: u16| (6000..6000 + USERS as u16).contains(&port);
         let copy = w
@@ -492,4 +499,13 @@ fn sip_state_gauges_track_live_calls_and_return_to_zero() {
     w.run_until(SimTime::from_secs(46));
     assert_eq!(gauge(&w, "sip.dialogs_live"), 0.0);
     assert_eq!(gauge(&w, "sip.txn_active"), 0.0);
+    // The queue drained with the state it served; the slab keeps its
+    // high-water mark, and 88 B a slot bound its bytes from below.
+    let (len, slots) = (
+        world_gauge(&w, "sim.queue_len"),
+        world_gauge(&w, "sim.queue_slots"),
+    );
+    assert!(len < lingering / 4.0, "{len} of {lingering} still queued");
+    assert!(slots >= lingering && slots < 20.0 * CALLS as f64, "{slots}");
+    assert!(world_gauge(&w, "sim.queue_bytes") >= 88.0 * slots);
 }
