@@ -395,7 +395,7 @@ fn main() {
             cases.push((seed, case));
         }
     }
-    let results = siphoc_simnet::parallel::run_indexed(jobs, cases.len(), |i| {
+    let results = siphoc_bench::parallel::run_indexed(jobs, cases.len(), |i| {
         let (seed, case) = cases[i];
         run_case(seed, case)
     });

@@ -233,7 +233,7 @@ fn main() {
         "p99(ms)"
     );
     let samples: Vec<Sample> =
-        siphoc_simnet::parallel::run_indexed(jobs, specs.len(), |i| best_of(reps, &specs[i]));
+        siphoc_bench::parallel::run_indexed(jobs, specs.len(), |i| best_of(reps, &specs[i]));
     for s in &samples {
         let r = &s.report;
         let (p50, _, p99) = setup_percentiles(r);

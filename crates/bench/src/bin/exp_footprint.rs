@@ -33,12 +33,11 @@ fn run(side: usize, users: usize, routing: RoutingProtocol, label: &str) {
     }
     // Let the network converge; OLSR replicates everything.
     w.run_for(SimDuration::from_secs(60));
-    let now = w.now();
     let mut max_routes = 0usize;
     let mut max_slp = 0usize;
     let mut sum_bytes = 0usize;
     for n in &nodes {
-        let fp = node_footprint(&w, n.id, Some(&n.registry), now);
+        let fp = node_footprint(&w, n.id, Some(&n.registry));
         max_routes = max_routes.max(fp.routing_entries);
         max_slp = max_slp.max(fp.slp_entries);
         sum_bytes += fp.routing_bytes + fp.slp_bytes;

@@ -262,7 +262,7 @@ fn main() {
             cases.push((seed, mode, nat_far));
         }
     }
-    let results = siphoc_simnet::parallel::run_indexed(jobs, cases.len(), |i| {
+    let results = siphoc_bench::parallel::run_indexed(jobs, cases.len(), |i| {
         let (seed, mode, nat_far) = cases[i];
         run_one(seed, mode, nat_far)
     });

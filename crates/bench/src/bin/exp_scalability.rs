@@ -112,7 +112,7 @@ fn main() {
         .iter()
         .flat_map(|&n| SEEDS.iter().map(move |&s| (n, s)))
         .collect();
-    let mut results = siphoc_simnet::parallel::run_indexed(jobs, cases.len(), |i| {
+    let mut results = siphoc_bench::parallel::run_indexed(jobs, cases.len(), |i| {
         let (n, seed) = cases[i];
         run_one(seed, n)
     })

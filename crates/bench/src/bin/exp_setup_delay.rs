@@ -17,7 +17,6 @@
 
 use siphoc_bench::measure::call_measurement;
 use siphoc_bench::topology::{ideal_world, siphoc_chain};
-use siphoc_bench::Series;
 use siphoc_core::nodesetup::RoutingProtocol;
 use siphoc_simnet::prelude::*;
 use siphoc_sip::uri::Aor;
@@ -25,18 +24,17 @@ use siphoc_sip::uri::Aor;
 const SEEDS: [u64; 5] = [1101, 1102, 1103, 1104, 1105];
 const MAX_HOPS: usize = 7;
 
-fn run_one(seed: u64, hops: usize, routing: RoutingProtocol, warm: bool) -> Option<(f64, f64)> {
-    let proactive = routing != RoutingProtocol::Aodv;
+/// Setup time in ms of the measured call, `None` if it never established.
+fn run_one(seed: u64, hops: usize, routing: RoutingProtocol, warm: bool) -> Option<f64> {
     let mut w = ideal_world(seed);
     // Caller on node 0, callee on node `hops`.
-    let mut nodes = siphoc_chain(&mut w, hops + 1, routing, &[(hops, "bob")]);
-    // Give proactive protocols (and their gossip) time to converge; keep
-    // AODV cold by calling before periodic floods spread the binding.
-    // DSDV needs diameter x update-interval.
-    let (first_call, settle) = if proactive {
-        (90u64, 90u64)
+    siphoc_chain(&mut w, hops + 1, routing, &[(hops, "bob")]);
+    // Give OLSR (and its gossip) time to converge; keep AODV cold by
+    // calling before periodic floods spread the binding.
+    let first_call = if routing == RoutingProtocol::Aodv {
+        3u64
     } else {
-        (3u64, 0u64)
+        90u64
     };
     let mut ua = siphoc_bench::topology::bench_ua("alice");
     ua = ua.call_at(
@@ -60,28 +58,25 @@ fn run_one(seed: u64, hops: usize, routing: RoutingProtocol, warm: bool) -> Opti
             .without_connection_provider()
             .with_user(ua),
     );
-    let _ = settle;
-    let _ = &mut nodes;
     w.run_for(SimDuration::from_secs(first_call + 20));
     let k = if warm { 1 } else { 0 };
-    let m = call_measurement(&caller, k);
-    m.setup.map(|d| (hops as f64, d.as_millis_f64()))
+    call_measurement(&caller, k)
+        .setup
+        .map(|d| d.as_millis_f64())
 }
 
-fn sweep(label: &str, routing: RoutingProtocol, warm: bool) -> Series {
-    let mut series = Series::new(label);
-    for hops in 1..=MAX_HOPS {
-        let mut samples = Vec::new();
-        for seed in SEEDS {
-            if let Some((_, ms)) = run_one(seed, hops, routing, warm) {
-                samples.push(ms);
-            }
-        }
-        if let Some(mean) = siphoc_bench::mean(&samples) {
-            series.push(hops as f64, mean);
-        }
-    }
-    series
+/// `(hops, mean setup ms)` for every hop count with at least one
+/// established call.
+fn sweep(routing: RoutingProtocol, warm: bool) -> Vec<(usize, f64)> {
+    (1..=MAX_HOPS)
+        .filter_map(|hops| {
+            let samples: Vec<f64> = SEEDS
+                .iter()
+                .filter_map(|&seed| run_one(seed, hops, routing, warm))
+                .collect();
+            siphoc_bench::mean(&samples).map(|mean| (hops, mean))
+        })
+        .collect()
 }
 
 fn main() {
@@ -89,34 +84,25 @@ fn main() {
         "E1: session establishment time vs hop count ({} seeds per point)\n",
         SEEDS.len()
     );
-    let cold = sweep("aodv-cold", RoutingProtocol::Aodv, false);
-    let warm = sweep("aodv-warm", RoutingProtocol::Aodv, true);
-    let olsr = sweep("olsr", RoutingProtocol::Olsr, false);
-    let dsdv = sweep("dsdv", RoutingProtocol::Dsdv, false);
+    let cold = sweep(RoutingProtocol::Aodv, false);
+    let warm = sweep(RoutingProtocol::Aodv, true);
+    let olsr = sweep(RoutingProtocol::Olsr, false);
 
     println!(
-        "{:>5} {:>12} {:>12} {:>12} {:>12}",
-        "hops", "aodv-cold", "aodv-warm", "olsr", "dsdv"
+        "{:>5} {:>12} {:>12} {:>12}",
+        "hops", "aodv-cold", "aodv-warm", "olsr"
     );
-    println!(
-        "{:>5} {:>12} {:>12} {:>12} {:>12}",
-        "", "(ms)", "(ms)", "(ms)", "(ms)"
-    );
-    for i in 0..cold.points.len() {
-        let h = cold.points[i].0;
-        let c = cold.points[i].1;
-        let find = |s: &Series| {
-            s.points
-                .iter()
+    println!("{:>5} {:>12} {:>12} {:>12}", "", "(ms)", "(ms)", "(ms)");
+    for &(h, c) in &cold {
+        let find = |s: &[(usize, f64)]| {
+            s.iter()
                 .find(|(x, _)| *x == h)
-                .map(|(_, y)| *y)
-                .unwrap_or(f64::NAN)
+                .map_or(f64::NAN, |(_, y)| *y)
         };
         println!(
-            "{h:>5.0} {c:>12.1} {:>12.1} {:>12.1} {:>12.1}",
+            "{h:>5} {c:>12.1} {:>12.1} {:>12.1}",
             find(&warm),
-            find(&olsr),
-            find(&dsdv)
+            find(&olsr)
         );
     }
     println!("\nshape check: cold > warm at every hop count; cold grows with hops.");

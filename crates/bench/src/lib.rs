@@ -9,11 +9,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod city;
 pub mod load;
 pub mod location;
 pub mod measure;
+pub mod parallel;
 pub mod record;
 pub mod topology;
 
-pub use siphoc_core::metrics::{mean, percentile, Series};
+pub use measure::{mean, percentile};

@@ -1,5 +1,5 @@
-//! Measurement helpers: call setup latency, registration propagation,
-//! control-overhead accounting.
+//! Measurement helpers: call setup latency, control-overhead accounting,
+//! sample aggregation.
 
 use siphoc_core::metrics::control_bytes;
 use siphoc_core::nodesetup::SiphocNode;
@@ -61,6 +61,25 @@ pub fn control_bytes_per_node_second(world: &World, duration: SimDuration) -> f6
     control_bytes(&world.total_stats()) as f64 / n as f64 / duration.as_secs_f64()
 }
 
+/// Mean of a slice, `None` when empty.
+pub fn mean(values: &[f64]) -> Option<f64> {
+    if values.is_empty() {
+        return None;
+    }
+    Some(values.iter().sum::<f64>() / values.len() as f64)
+}
+
+/// Percentile via nearest-rank (p in 0..=100), `None` when empty.
+pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
+    if values.is_empty() {
+        return None;
+    }
+    let mut sorted = values.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in measurements"));
+    let rank = ((p / 100.0) * (sorted.len() as f64 - 1.0)).round() as usize;
+    Some(sorted[rank.min(sorted.len() - 1)])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,7 +122,7 @@ mod tests {
     fn control_bytes_counts_routing_traffic() {
         for (routing, prefix) in [
             (RoutingProtocol::Aodv, "aodv."),
-            (RoutingProtocol::Dsdv, "dsdv."),
+            (RoutingProtocol::Olsr, "olsr."),
         ] {
             let mut w = ideal_world(10);
             let _ = siphoc_chain(&mut w, 3, routing, &[]);
@@ -114,5 +133,16 @@ mod tests {
             assert_eq!(control_bytes(&total), routed);
             assert!(control_bytes_per_node_second(&w, SimDuration::from_secs(10)) > 0.0);
         }
+    }
+
+    #[test]
+    fn mean_and_percentile() {
+        let v = vec![1.0, 2.0, 3.0, 4.0, 5.0];
+        assert_eq!(mean(&v), Some(3.0));
+        assert_eq!(percentile(&v, 0.0), Some(1.0));
+        assert_eq!(percentile(&v, 50.0), Some(3.0));
+        assert_eq!(percentile(&v, 100.0), Some(5.0));
+        assert_eq!(mean(&[]), None);
+        assert_eq!(percentile(&[], 50.0), None);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Experiments almost always sweep something embarrassingly parallel —
 //! seeds, node counts, failover modes — where each run builds its own
-//! [`crate::world::World`] from scratch. [`run_indexed`] fans such a
+//! [`siphoc_simnet::world::World`] from scratch. [`run_indexed`] fans such a
 //! sweep out over a bounded worker pool: results come back in input
 //! order, each run is exactly the run a sequential loop would have
 //! produced (worlds share nothing), and `jobs = 1` degenerates to a

@@ -6,7 +6,7 @@ use siphoc_simnet::mobility::{Area, Mobility, WaypointParams};
 use siphoc_simnet::prelude::*;
 use siphoc_simnet::rng::SimRng;
 
-/// Default node spacing along chains and grids: comfortably inside the
+/// Default node spacing along chains: comfortably inside the
 /// clear part of the 100 m radio range.
 pub const SPACING: f64 = 60.0;
 
@@ -54,29 +54,6 @@ pub fn bench_ua(name: &str) -> siphoc_sip::ua::UaConfig {
     ua
 }
 
-/// Deploys a `side × side` grid of SIPHoc nodes; `users` maps node index
-/// (row-major) → user name.
-pub fn siphoc_grid(
-    world: &mut World,
-    side: usize,
-    routing: RoutingProtocol,
-    users: &[(usize, &str)],
-) -> Vec<SiphocNode> {
-    let mut out = Vec::with_capacity(side * side);
-    for i in 0..side * side {
-        let x = (i % side) as f64 * SPACING;
-        let y = (i / side) as f64 * SPACING;
-        let mut spec = NodeSpec::relay(x, y)
-            .with_routing(routing)
-            .without_connection_provider();
-        if let Some((_, name)) = users.iter().find(|(slot, _)| *slot == i) {
-            spec = spec.with_user(bench_ua(name));
-        }
-        out.push(deploy(world, spec));
-    }
-    out
-}
-
 /// Random-waypoint mobility for node `index`, derived deterministically
 /// from the world seed.
 pub fn waypoint(
@@ -110,14 +87,5 @@ mod tests {
         assert_eq!(w.node(nodes[2].id).position(SimTime::ZERO).0, 2.0 * SPACING);
         assert_eq!(nodes[0].ua_logs.len(), 1);
         assert_eq!(nodes[1].ua_logs.len(), 0);
-    }
-
-    #[test]
-    fn grid_is_square() {
-        let mut w = ideal_world(2);
-        let nodes = siphoc_grid(&mut w, 3, RoutingProtocol::Olsr, &[]);
-        assert_eq!(nodes.len(), 9);
-        let p = w.node(nodes[8].id).position(SimTime::ZERO);
-        assert_eq!(p, (2.0 * SPACING, 2.0 * SPACING));
     }
 }

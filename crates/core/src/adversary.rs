@@ -300,7 +300,6 @@ impl Process for Adversary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use siphoc_simnet::node::NodeId;
     use siphoc_simnet::process::Effect;
     use siphoc_simnet::rng::SimRng;
     use siphoc_simnet::route::RoutingTable;
@@ -319,7 +318,6 @@ mod tests {
         let mut effects = Vec::new();
         let mut ctx = Ctx::for_test(
             SimTime::ZERO,
-            NodeId(1),
             Addr::manet(9),
             &mut rng,
             &mut routes,

@@ -314,11 +314,6 @@ impl ConnectionProvider {
         self
     }
 
-    /// The gateway health book (handoff blocklist + attestation pins).
-    pub fn gateway_health(&self) -> &GatewayHealth {
-        &self.gw_health
-    }
-
     /// Whether the node currently holds a tunnel lease (or is a gateway).
     pub fn is_connected(&self) -> bool {
         self.cfg.wired_public.is_some() || matches!(self.state, State::Connected { .. })

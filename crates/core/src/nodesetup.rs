@@ -16,7 +16,6 @@ use siphoc_simnet::world::World;
 use siphoc_internet::dns::DnsDirectory;
 use siphoc_media::session::{MediaConfig, MediaProcess, ReportLog};
 use siphoc_routing::aodv::AodvProcess;
-use siphoc_routing::dsdv::DsdvProcess;
 use siphoc_routing::olsr::OlsrProcess;
 use siphoc_sip::ua::{UaConfig, UaLogHandle, UserAgent};
 use siphoc_slp::manet::{
@@ -41,9 +40,6 @@ pub enum RoutingProtocol {
     Aodv,
     /// OLSR with proactive MANET SLP.
     Olsr,
-    /// DSDV with proactive MANET SLP (extension beyond the paper's two
-    /// shipped handlers, exercising the plugin interface's generality).
-    Dsdv,
 }
 
 impl RoutingProtocol {
@@ -55,7 +51,7 @@ impl RoutingProtocol {
     fn dissemination(self) -> Dissemination {
         match self {
             RoutingProtocol::Aodv => Dissemination::OnDemand,
-            RoutingProtocol::Olsr | RoutingProtocol::Dsdv => Dissemination::Proactive,
+            RoutingProtocol::Olsr => Dissemination::Proactive,
         }
     }
 }
@@ -265,7 +261,6 @@ pub fn deploy(world: &mut World, spec: NodeSpec) -> SiphocNode {
     let routing: Box<dyn Process> = match spec.routing {
         RoutingProtocol::Aodv => Box::new(AodvProcess::new().with_handler(handler)),
         RoutingProtocol::Olsr => Box::new(OlsrProcess::new().with_handler(handler)),
-        RoutingProtocol::Dsdv => Box::new(DsdvProcess::new().with_handler(handler)),
     };
     world.spawn(id, routing);
 

@@ -1,4 +1,4 @@
-//! Chrome `trace_event` export and per-call timeline assembly.
+//! Chrome `trace_event` export.
 //!
 //! The emitted JSON is the "JSON array format" understood by
 //! `chrome://tracing` and [Perfetto](https://ui.perfetto.dev): complete
@@ -24,48 +24,6 @@ pub struct TaggedSpan {
     pub node: String,
     /// The recorded span.
     pub span: SpanRecord,
-}
-
-/// All spans sharing one correlation key, sorted by start time.
-#[derive(Debug, Clone)]
-pub struct CallTimeline {
-    /// The correlation key (Call-ID for call-scoped spans).
-    pub corr: String,
-    /// Earliest span start, sim microseconds.
-    pub start_us: u64,
-    /// Latest span end, sim microseconds.
-    pub end_us: u64,
-    /// The spans, ordered by `(start_us, node)`.
-    pub spans: Vec<TaggedSpan>,
-}
-
-/// Groups spans into per-correlation timelines (uncorrelated spans are
-/// skipped), ordered by first activity.
-pub fn call_timelines(spans: &[TaggedSpan]) -> Vec<CallTimeline> {
-    let mut groups: BTreeMap<&str, Vec<&TaggedSpan>> = BTreeMap::new();
-    for ts in spans {
-        if let Some(corr) = ts.span.corr.as_deref() {
-            groups.entry(corr).or_default().push(ts);
-        }
-    }
-    let mut timelines: Vec<CallTimeline> = groups
-        .into_iter()
-        .map(|(corr, mut members)| {
-            members.sort_by(|a, b| (a.span.start_us, &a.node).cmp(&(b.span.start_us, &b.node)));
-            CallTimeline {
-                corr: corr.to_owned(),
-                start_us: members.iter().map(|t| t.span.start_us).min().unwrap_or(0),
-                end_us: members
-                    .iter()
-                    .map(|t| t.span.start_us + t.span.dur_us)
-                    .max()
-                    .unwrap_or(0),
-                spans: members.into_iter().cloned().collect(),
-            }
-        })
-        .collect();
-    timelines.sort_by(|a, b| (a.start_us, &a.corr).cmp(&(b.start_us, &b.corr)));
-    timelines
 }
 
 /// Renders spans as Chrome `trace_event` JSON (array format).
@@ -202,19 +160,6 @@ mod tests {
         assert!(json.contains(r#""name": "call call-1""#));
         // The uncorrelated discovery span stays in pid 0.
         assert!(json.contains(r#""name": "route.discovery", "cat": "routing", "ph": "X", "ts": 500, "dur": 400, "pid": 0"#));
-    }
-
-    #[test]
-    fn timelines_group_by_corr_and_sort_by_time() {
-        let spans = sample_spans();
-        let timelines = call_timelines(&spans);
-        assert_eq!(timelines.len(), 1);
-        let t = &timelines[0];
-        assert_eq!(t.corr, "call-1");
-        assert_eq!(t.start_us, 1000);
-        assert_eq!(t.end_us, 4200);
-        assert_eq!(t.spans.len(), 2);
-        assert_eq!(t.spans[0].span.name, "sip.invite");
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   `siphoc-simnet`), sized by what it holds.
 //! * [`span`] — structured span tracing on *virtual sim time*, recorded
 //!   out-of-band so traced and untraced runs are event-identical.
-//! * [`chrome`] — Chrome `trace_event` JSON export plus per-call
-//!   timeline assembly (spans correlated by Call-ID), viewable in
+//! * [`chrome`] — Chrome `trace_event` JSON export (spans correlated by
+//!   Call-ID share one lane group per call), viewable in
 //!   `chrome://tracing` or Perfetto.
 //!
 //! # Zero cost when disabled
@@ -34,7 +34,7 @@ pub mod metrics;
 pub mod span;
 pub mod store;
 
-pub use chrome::{call_timelines, chrome_trace_json, CallTimeline, TaggedSpan};
+pub use chrome::{chrome_trace_json, TaggedSpan};
 pub use metrics::{Histogram, MetricKey, Registry};
 pub use span::{SpanCat, SpanId, SpanLog, SpanRecord};
 pub use store::NameMap;

@@ -280,11 +280,6 @@ impl AodvProcess {
         self
     }
 
-    /// Current number of known hello neighbors (diagnostics).
-    pub fn neighbor_count(&self) -> usize {
-        self.neighbors.len()
-    }
-
     fn collect_piggyback(&mut self, ctx: &mut Ctx<'_>, kind: MsgKind) -> Vec<Vec<u8>> {
         match &self.handler {
             Some(h) => {
@@ -1038,7 +1033,6 @@ mod tests {
             let mut fx = Vec::new();
             let mut ctx = Ctx::for_test(
                 now,
-                NodeId(0),
                 own,
                 &mut rng,
                 &mut routes,

@@ -10,7 +10,6 @@
 
 pub mod aodv;
 pub mod dissect;
-pub mod dsdv;
 pub mod handler;
 pub mod olsr;
 pub mod wire;

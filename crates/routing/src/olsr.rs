@@ -333,11 +333,6 @@ impl OlsrProcess {
         &self.mpr_set
     }
 
-    /// Nodes that selected us as MPR (diagnostics / tests).
-    pub fn selector_count(&self) -> usize {
-        self.mpr_selectors.len()
-    }
-
     fn collect_piggyback(&mut self, ctx: &mut Ctx<'_>, kind: MsgKind) -> Vec<Vec<u8>> {
         match &self.handler {
             Some(h) => {
@@ -1417,7 +1412,6 @@ mod tests {
             self.effects.clear();
             let mut ctx = Ctx::for_test(
                 now,
-                NodeId(0),
                 self.own,
                 &mut self.rng,
                 &mut self.routes,

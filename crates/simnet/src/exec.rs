@@ -183,7 +183,6 @@ impl World {
         {
             let mut ctx = Ctx {
                 now,
-                node: n.id,
                 addr: n.addr,
                 has_wired: n.has_wired,
                 proc_index: idx,

@@ -59,7 +59,6 @@ pub mod ident;
 pub mod mobility;
 pub mod net;
 pub mod node;
-pub mod parallel;
 pub mod process;
 mod queue;
 pub mod radio;

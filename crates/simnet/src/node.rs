@@ -92,12 +92,6 @@ impl NodeConfig {
         self
     }
 
-    /// Overrides the automatically assigned address.
-    pub fn with_addr(mut self, addr: Addr) -> NodeConfig {
-        self.addr = Some(addr);
-        self
-    }
-
     /// Replaces the mobility model (radio nodes only).
     pub fn with_mobility(mut self, mobility: Mobility) -> NodeConfig {
         self.mobility = mobility;

@@ -18,8 +18,6 @@ use crate::route::RoutingTable;
 use crate::stats::NodeStats;
 use crate::time::{SimDuration, SimTime};
 
-use crate::node::NodeId;
-
 /// A protocol or application process hosted on a node.
 ///
 /// All callbacks default to no-ops so implementations only override what
@@ -117,7 +115,6 @@ pub enum Effect {
 #[derive(Debug)]
 pub struct Ctx<'a> {
     pub(crate) now: SimTime,
-    pub(crate) node: NodeId,
     pub(crate) addr: Addr,
     pub(crate) has_wired: bool,
     #[allow(dead_code)]
@@ -136,7 +133,6 @@ impl<'a> Ctx<'a> {
     #[allow(clippy::too_many_arguments)]
     pub fn for_test(
         now: SimTime,
-        node: NodeId,
         addr: Addr,
         rng: &'a mut SimRng,
         routes: &'a mut RoutingTable,
@@ -146,7 +142,6 @@ impl<'a> Ctx<'a> {
     ) -> Ctx<'a> {
         Ctx {
             now,
-            node,
             addr,
             has_wired: false,
             proc_index: 0,
@@ -161,11 +156,6 @@ impl<'a> Ctx<'a> {
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// The hosting node's identifier.
-    pub fn node_id(&self) -> NodeId {
-        self.node
     }
 
     /// The node's primary network address.
@@ -353,7 +343,6 @@ mod tests {
         let mut effects = Vec::new();
         let mut ctx = Ctx {
             now: SimTime::ZERO,
-            node: NodeId(0),
             addr: Addr::manet(0),
             has_wired: false,
             proc_index: 0,
@@ -379,7 +368,6 @@ mod tests {
         let mut effects = Vec::new();
         let mut ctx = Ctx {
             now: SimTime::ZERO,
-            node: NodeId(3),
             addr: Addr::manet(3),
             has_wired: false,
             proc_index: 1,
@@ -414,7 +402,6 @@ mod tests {
         let mut effects = Vec::new();
         let mut ctx = Ctx {
             now: SimTime::ZERO,
-            node: NodeId(0),
             addr: Addr::manet(0),
             has_wired: false,
             proc_index: 0,

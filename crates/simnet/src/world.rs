@@ -333,12 +333,6 @@ impl World {
         siphoc_obs::chrome_trace_json(&self.obs_spans())
     }
 
-    /// Per-call timelines: spans grouped by correlation key (call-id),
-    /// ordered by start time. Uncorrelated spans are omitted.
-    pub fn obs_timelines(&self) -> Vec<siphoc_obs::CallTimeline> {
-        siphoc_obs::call_timelines(&self.obs_spans())
-    }
-
     /// Resolves an address to the owning node (primary or claimed).
     pub fn node_by_addr(&self, addr: Addr) -> Option<NodeId> {
         self.addr_map.get(&addr).copied()

@@ -119,14 +119,6 @@ impl BindingTable {
         }
     }
 
-    /// Removes every binding for an AOR.
-    pub fn unbind_all(&mut self, aor: &Aor) {
-        if let Some(list) = self.bindings.get(aor) {
-            self.contacts -= list.len();
-            self.forget(aor);
-        }
-    }
-
     /// The freshest unexpired contact for `aor`.
     pub fn lookup(&self, aor: &Aor, now: SimTime) -> Option<&Binding> {
         self.bindings

@@ -191,11 +191,6 @@ impl TransactionLayer {
         token & !0xffff_ffff == self.token_base
     }
 
-    /// Number of live client transactions.
-    pub fn client_count(&self) -> usize {
-        self.clients.len()
-    }
-
     /// Live transactions in either role — the `sip.txn_active` gauge.
     pub fn active_count(&self) -> usize {
         self.clients.len() + self.servers.len()
@@ -594,7 +589,6 @@ mod tests {
             let mut effects = Vec::new();
             let mut ctx = Ctx::for_test(
                 SimTime::ZERO,
-                NodeId(0),
                 Addr::manet(0),
                 &mut self.rng,
                 &mut self.routes,

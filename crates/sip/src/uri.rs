@@ -89,13 +89,6 @@ impl SipUri {
             .find(|(n, _)| n.eq_ignore_ascii_case(name))
             .and_then(|(_, v)| v.as_deref())
     }
-
-    /// Adds a parameter, returning `self` for chaining.
-    pub fn with_param(mut self, name: &str, value: Option<&str>) -> SipUri {
-        self.params
-            .push((name.to_owned(), value.map(str::to_owned)));
-        self
-    }
 }
 
 impl fmt::Display for SipUri {

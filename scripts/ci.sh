@@ -29,7 +29,8 @@ cargo build --release -p siphoc-bench \
 # storm against the tracked baseline. Event counts must match exactly
 # (the workload is deterministic); wall time is printed, never gated —
 # benchmark/ is the only wall-clock gate. Two concurrent sweep jobs keep
-# the multi-seed parallel runner (`parallel::run_indexed`) exercised.
+# the multi-seed parallel runner (`siphoc_bench::parallel::run_indexed`)
+# exercised.
 ./target/release/exp_call_load --smoke --jobs 2 --check results/BENCH_sip.json
 # Adversarial canary: one seed, both attacks, defenses off then on.
 # Asserts the attacks *work* against the undefended stack (100% hijack /
@@ -70,6 +71,10 @@ if [ -n "${MSRV}" ] && rustup toolchain list 2>/dev/null | grep -q "^${MSRV}"; t
 else
     echo "ci.sh: MSRV toolchain ${MSRV:-unset} not installed, skipping MSRV check (CI msrv job covers it)"
 fi
+# ROADMAP aim 2's module rule: a `pub fn` under crates/ whose name occurs
+# nowhere but at its definition fails the gate; the module table and the
+# test-only class it also prints are informational.
+./scripts/module_audit.sh
 # The numbers ROADMAP tracks per PR (lines, config fields, features,
-# `unsafe`): printed for the PR description, never a gate.
+# external crates, `unsafe`): printed for the PR description, never a gate.
 ./scripts/tracked_numbers.sh || true

@@ -23,6 +23,12 @@ features=$(find . -name Cargo.toml -not -path './target/*' -not -path './benchma
     xargs -0 awk '/^\[/ { f = ($0 == "[features]") } f && /^[a-z_-]+ *=/ && $1 != "default"' | wc -l)
 echo "cargo features: ${features}"
 
+# Entries of [workspace.dependencies] that are not a path into this tree.
+external=$(awk '/^\[/ { d = ($0 == "[workspace.dependencies]") } d && /^[a-z_-]+ *=/ && !/path *=/' Cargo.toml | wc -l)
+echo "external crates: ${external}"
+
+echo "pub mod under crates/: $(grep -rhE '^ *pub mod [a-z_]+;' --include='*.rs' crates | wc -l)"
+
 unsafe_sites=$(grep -rw unsafe --include='*.rs' crates | grep -vc 'forbid(unsafe_code)' || true)
 echo "unsafe sites: ${unsafe_sites}"
 

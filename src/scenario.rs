@@ -54,8 +54,6 @@ pub enum RoutingKind {
     Aodv,
     /// Proactive OLSR.
     Olsr,
-    /// Proactive DSDV.
-    Dsdv,
 }
 
 impl RoutingKind {
@@ -63,7 +61,6 @@ impl RoutingKind {
         match self {
             RoutingKind::Aodv => RoutingProtocol::Aodv,
             RoutingKind::Olsr => RoutingProtocol::Olsr,
-            RoutingKind::Dsdv => RoutingProtocol::Dsdv,
         }
     }
 }

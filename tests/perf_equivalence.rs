@@ -14,7 +14,10 @@
 //!   world must trace identically, including under mobility
 //!   (drift-bounded cell queries) and chaos faults.
 
-use siphoc_bench::city::{build_city, CityParams};
+#[path = "support/city.rs"]
+mod city;
+
+use city::{build_city, CityParams};
 use wireless_adhoc_voip::core::config::VoipAppConfig;
 use wireless_adhoc_voip::core::nodesetup::{deploy, NodeSpec, RoutingProtocol};
 use wireless_adhoc_voip::simnet::prelude::*;
@@ -222,7 +225,7 @@ fn run_olsr_roam(seed: u64) -> (u64, u64) {
     )
 }
 
-/// 1000-node [`siphoc_bench::city`] world (districts, mobile convoys,
+/// 1000-node [`city`] world (districts, mobile convoys,
 /// emergency swarm) beaconing for two simulated seconds: the scale at
 /// which the hot-node mirror, batched fan-out and the mobile-only grid
 /// refresh all engage. The trace ring is widened so nothing is evicted.

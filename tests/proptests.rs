@@ -439,7 +439,6 @@ proptest! {
         let mut effects: Vec<Effect> = Vec::new();
         let mut ctx = Ctx::for_test(
             SimTime::ZERO,
-            NodeId(0),
             Addr::manet(2),
             &mut rng,
             &mut routes,
