@@ -532,7 +532,7 @@ fn main() {
         std::fs::write("results/BENCH_adversarial.json", &json).expect("write results");
         println!("\nwrote results/BENCH_adversarial.json");
     }
-    println!("\nshape check: impersonation forgeries replace honest cache entries when");
+    println!("\nreading: impersonation forgeries replace honest cache entries when");
     println!("nothing is verified, and die at cache-insert against identity pins;");
     println!("the signature layer costs bytes per advert, not call-setup latency.");
 }

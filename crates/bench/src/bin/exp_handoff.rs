@@ -337,7 +337,7 @@ fn main() {
             "the NAT'd seed never re-homed media through the relay"
         );
     }
-    println!("\nshape check: bbm is detection-bounded (keepalive * missed, ~4 s);");
+    println!("\nreading: bbm is detection-bounded (keepalive * missed, ~4 s);");
     println!("mbb promotes a pre-warmed standby lease — one short detection");
     println!("interval, media gap within one jitter buffer, even via the relay.");
 }

@@ -1,16 +1,16 @@
 //! # siphoc-bench
 //!
-//! Shared scaffolding for the experiment binaries that regenerate the
-//! paper's tables and figures (`DESIGN.md` §4 maps each experiment id to
-//! its binary). Each `exp_*` binary builds deterministic worlds through
-//! the helpers here, measures, and prints aligned text tables whose
-//! numbers are recorded in `EXPERIMENTS.md`.
+//! What the four experiment binaries share. `exp_tables` states and
+//! checks the paper's thirteen tables (`DESIGN.md` §4 maps each id to its
+//! workload; its world builders live with it under `src/bin/exp_tables/`);
+//! `exp_call_load`, `exp_handoff` and `exp_adversarial` are the
+//! post-paper harnesses, each with its own `--smoke` canary. All build
+//! deterministic worlds, and `EXPERIMENTS.md` records what they print.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod load;
-pub mod location;
 pub mod measure;
 pub mod parallel;
 pub mod record;

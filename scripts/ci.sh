@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
-# The repo's single gate: build, test, lint. Run before publishing results
-# or merging; scripts/run_experiments.sh calls this first so no numbers are
-# ever generated from a broken tree.
+# The repo's single gate: build, test, lint, then the paper's tables and
+# the canaries. Run before publishing results or merging.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,9 +16,18 @@ cargo clippy --all-targets --all-features -- -D warnings \
     -D clippy::inefficient_to_string \
     -D clippy::string_add \
     -D clippy::unnecessary_to_owned
-# The three experiment binaries the canaries below run.
+# The four experiment binaries the steps below run.
 cargo build --release -p siphoc-bench \
-    --bin exp_handoff --bin exp_call_load --bin exp_adversarial
+    --bin exp_tables --bin exp_handoff --bin exp_call_load --bin exp_adversarial
+# The reproduction gate: all thirteen paper tables (E1-E8, A1, A2, F3, F6,
+# T1), 1.9 s together on the 2-core recorder. `diff` holds every cell to
+# the recorded file; the exit status (pipefail is on) holds every
+# expected-shape claim, which exp_tables evaluates as a predicate over the
+# cells and prints as `shape ok:` / `shape FAILED:` under its table. After
+# an intended behaviour change, regenerate with
+# `./target/release/exp_tables > results/paper_tables.txt` and say in
+# EXPERIMENTS.md which cells moved and why.
+./target/release/exp_tables | diff -u results/paper_tables.txt -
 # Mid-call gateway handoff canary: one seed, both failover modes. Asserts
 # every call survives, break-before-make stays inside the 5 s detection +
 # re-lease budget, and make-before-break (warm standby promotion) keeps

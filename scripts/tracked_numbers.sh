@@ -29,6 +29,9 @@ echo "external crates: ${external}"
 
 echo "pub mod under crates/: $(grep -rhE '^ *pub mod [a-z_]+;' --include='*.rs' crates | wc -l)"
 
+# Targets under crates/bench/src/bin: a file or a directory each.
+echo "bench binaries: $(ls crates/bench/src/bin | wc -l)"
+
 unsafe_sites=$(grep -rw unsafe --include='*.rs' crates | grep -vc 'forbid(unsafe_code)' || true)
 echo "unsafe sites: ${unsafe_sites}"
 
