@@ -15,6 +15,7 @@
 //! versus the pure-routing baseline, and lookup latency.
 
 use siphoc_simnet::prelude::*;
+use siphoc_slp::daemon::Dissemination;
 
 use crate::grid::{within, Cell, Cell::Num, Column, Grid, Section};
 use crate::location::{location_grid, look_up, register, LocationKind};
@@ -29,12 +30,21 @@ const MEASURE_SECS: u64 = 120;
 /// The variants under their row labels; dedicated messages are the
 /// proactive-HELLO baseline at the throttle's own 8 s period.
 const VARIANTS: [(&str, LocationKind); 3] = [
-    ("piggyback (8s throttle)", LocationKind::ManetSlpAodv),
+    (
+        "piggyback (8s throttle)",
+        LocationKind::of(Dissemination::OnDemand),
+    ),
     (
         "piggyback (unthrottled)",
-        LocationKind::ManetSlpAodvUnthrottled,
+        LocationKind {
+            mode: Dissemination::OnDemand,
+            unthrottled: true,
+        },
     ),
-    ("dedicated messages", LocationKind::ProactiveHello(8)),
+    (
+        "dedicated messages",
+        LocationKind::of(Dissemination::Hello(SimDuration::from_secs(8))),
+    ),
 ];
 
 fn dedicated_packets(world: &World) -> u64 {

@@ -2,54 +2,62 @@
 //!
 //! Every location service in the workspace — MANET SLP in both
 //! dissemination modes, standard SLP, broadcast registration, proactive
-//! HELLO — answers the same client API on `127.0.0.1:427`, so one probe
-//! process measures them all interchangeably.
+//! HELLO — is one `SlpDaemon` answering the same client API on
+//! `127.0.0.1:427`, so one probe process measures them all
+//! interchangeably.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use siphoc_core::baselines::{self, BroadcastRegistration};
 use siphoc_routing::aodv::AodvProcess;
-use siphoc_routing::handler::SharedHandler;
 use siphoc_routing::olsr::OlsrProcess;
 use siphoc_simnet::net::{ports, Datagram, SocketAddr};
 use siphoc_simnet::node::NodeConfig;
 use siphoc_simnet::prelude::*;
 use siphoc_simnet::process::{Ctx, Process};
-use siphoc_slp::manet::{shared_registry, Dissemination, ManetSlpHandler, ManetSlpProcess};
+use siphoc_slp::daemon::{Dissemination, SlpDaemon};
+use siphoc_slp::manet::ManetSlpHandler;
 use siphoc_slp::msg::SlpMsg;
-use siphoc_slp::standard::StandardSlpProcess;
+use siphoc_slp::registry::shared_registry;
 
 use crate::grid::Column;
 use crate::worlds::grid_positions;
 
-/// A location service, with the routing protocol it runs over.
+/// A location service under test: what the node's SLP daemon runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LocationKind {
-    /// MANET SLP over AODV (on-demand piggybacking) — SIPHoc's default:
-    /// unchanged entries re-attach to periodic messages at most every 8 s.
-    ManetSlpAodv,
-    /// The same with the throttle off, so entries ride *every* routing
-    /// message — the naive reading of the paper's mechanism (A1 only).
-    ManetSlpAodvUnthrottled,
-    /// MANET SLP over OLSR (proactive piggybacking).
-    ManetSlpOlsr,
-    /// RFC 2608 multicast-convergence SLP (runs over AODV).
-    StandardSlp,
-    /// Broadcast-REGISTER flooding (Leggio et al.; runs over AODV).
-    BroadcastReg,
-    /// Proactive HELLO mapping (Pico SIP; runs over AODV), one dedicated
-    /// message per node every this many seconds.
-    ProactiveHello(u64),
+pub struct LocationKind {
+    /// The daemon's dissemination mode.
+    pub mode: Dissemination,
+    /// MANET SLP only: attach entries to *every* routing message rather
+    /// than re-attaching unchanged ones at most every 8 s — the naive
+    /// reading of the paper's mechanism (A1 only).
+    pub unthrottled: bool,
 }
 
-/// The five services E2, E3 and E7 compare, under their table labels.
+impl LocationKind {
+    /// The service with MANET SLP's default 8 s throttle.
+    pub const fn of(mode: Dissemination) -> LocationKind {
+        LocationKind {
+            mode,
+            unthrottled: false,
+        }
+    }
+}
+
+/// The five services E2, E3 and E7 compare, under their table labels;
+/// proactive HELLOs go out every 10 s.
 pub const SERVICES: [(&str, LocationKind); 5] = [
-    ("manet-slp/aodv", LocationKind::ManetSlpAodv),
-    ("manet-slp/olsr", LocationKind::ManetSlpOlsr),
-    ("standard-slp", LocationKind::StandardSlp),
-    ("bcast-register", LocationKind::BroadcastReg),
-    ("proactive-hello", LocationKind::ProactiveHello(10)),
+    ("manet-slp/aodv", LocationKind::of(Dissemination::OnDemand)),
+    ("manet-slp/olsr", LocationKind::of(Dissemination::Proactive)),
+    ("standard-slp", LocationKind::of(Dissemination::Multicast)),
+    (
+        "bcast-register",
+        LocationKind::of(Dissemination::FloodRegistrations),
+    ),
+    (
+        "proactive-hello",
+        LocationKind::of(Dissemination::Hello(SimDuration::from_secs(10))),
+    ),
 ];
 
 /// The columns of a sweep over [`SERVICES`] (E2, E3): the sweep variable,
@@ -63,40 +71,26 @@ pub fn service_columns(sweep: &'static str, precision: usize) -> Vec<Column> {
 }
 
 /// Spawns routing + the chosen location service on a fresh node at the
-/// given position; returns the node id.
+/// given position; returns the node id. MANET SLP's routing protocol
+/// carries its handler (AODV on demand, OLSR proactive); the three
+/// related-work services run over plain AODV.
 pub fn add_location_node(world: &mut World, kind: LocationKind, x: f64, y: f64) -> NodeId {
-    use LocationKind::*;
     let id = world.add_node(NodeConfig::manet(x, y));
-    // MANET SLP is two halves sharing a registry: the handler the
-    // routing process calls, and the process behind the local API.
-    let manet_slp = |mode| -> (SharedHandler, Box<dyn Process>) {
-        let registry = shared_registry();
-        let mut handler = ManetSlpHandler::new(registry.clone(), mode);
-        if kind == ManetSlpAodvUnthrottled {
+    let registry = shared_registry();
+    let handler = || {
+        let mut handler = ManetSlpHandler::new(registry.clone(), kind.mode);
+        if kind.unthrottled {
             handler = handler.with_min_readvertise(SimDuration::ZERO);
         }
-        let process = ManetSlpProcess::new(mode, registry);
-        (Rc::new(RefCell::new(handler)), Box::new(process))
+        Rc::new(RefCell::new(handler))
     };
-    let aodv = || Box::new(AodvProcess::new());
-    let (routing, service): (Box<dyn Process>, Box<dyn Process>) = match kind {
-        ManetSlpAodv | ManetSlpAodvUnthrottled => {
-            let (handler, slp) = manet_slp(Dissemination::OnDemand);
-            (Box::new(AodvProcess::new().with_handler(handler)), slp)
-        }
-        ManetSlpOlsr => {
-            let (handler, slp) = manet_slp(Dissemination::Proactive);
-            (Box::new(OlsrProcess::new().with_handler(handler)), slp)
-        }
-        StandardSlp => (aodv(), Box::new(StandardSlpProcess::new())),
-        BroadcastReg => (aodv(), Box::new(BroadcastRegistration::new())),
-        ProactiveHello(period) => {
-            let period = SimDuration::from_secs(period);
-            (aodv(), Box::new(baselines::ProactiveHello::new(period)))
-        }
+    let routing: Box<dyn Process> = match kind.mode {
+        Dissemination::OnDemand => Box::new(AodvProcess::new().with_handler(handler())),
+        Dissemination::Proactive => Box::new(OlsrProcess::new().with_handler(handler())),
+        _ => Box::new(AodvProcess::new()),
     };
     world.spawn(id, routing);
-    world.spawn(id, service);
+    world.spawn(id, Box::new(SlpDaemon::new(kind.mode, registry)));
     id
 }
 

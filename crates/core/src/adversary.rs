@@ -40,7 +40,7 @@ use siphoc_simnet::process::{Ctx, LocalEvent, Process};
 use siphoc_simnet::time::SimDuration;
 
 use siphoc_sip::msg::{Method, SipMessage};
-use siphoc_slp::manet::SharedRegistry;
+use siphoc_slp::registry::SharedRegistry;
 use siphoc_slp::service::{service_types, ServiceEntry};
 
 use crate::tunnel::TunnelMsg;
@@ -299,7 +299,7 @@ mod tests {
     use siphoc_simnet::route::RoutingTable;
     use siphoc_simnet::stats::NodeStats;
     use siphoc_simnet::time::SimTime;
-    use siphoc_slp::manet::shared_registry;
+    use siphoc_slp::registry::shared_registry;
 
     fn harness(
         f: impl FnOnce(&mut Ctx<'_>, &mut Adversary),

@@ -23,9 +23,8 @@ use siphoc_simnet::obs::{SpanCat, SpanId};
 use siphoc_simnet::process::{Ctx, LocalEvent, Process};
 use siphoc_simnet::time::{SimDuration, SimTime};
 
-use siphoc_slp::manet::SharedRegistry;
 use siphoc_slp::msg::SlpMsg;
-use siphoc_slp::registry::rank_gateways;
+use siphoc_slp::registry::{rank_gateways, SharedRegistry};
 use siphoc_slp::service::{service_types, ServiceEntry};
 
 use crate::tunnel::TunnelMsg;
@@ -957,7 +956,7 @@ impl Process for ConnectionProvider {
                 }
                 Some(TunnelMsg::Data { inner }) => {
                     ctx.stats().count("cp.tunneled_in", inner.wire_len());
-                    ctx.reinject(inner);
+                    ctx.send(inner);
                 }
                 Some(TunnelMsg::Pong { .. }) => {
                     let mut active = false;

@@ -14,15 +14,15 @@
 //!   to the Internet through any discovered gateway.
 //!
 //! [`nodesetup::deploy`] assembles all of it on a simulated node;
-//! [`baselines`] implements the related-work alternatives the evaluation
-//! compares against; [`metrics`] provides the footprint and overhead
-//! accounting used by the experiment harness.
+//! [`metrics`] provides the footprint and overhead accounting used by the
+//! experiment harness. The related-work location services the evaluation
+//! compares against are dissemination modes of `siphoc-slp`'s one SLP
+//! daemon, behind the same local API as MANET SLP.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adversary;
-pub mod baselines;
 pub mod config;
 pub mod connection;
 pub mod gateway;

@@ -13,7 +13,7 @@ use siphoc_simnet::node::NodeId;
 use siphoc_simnet::stats::NodeStats;
 use siphoc_simnet::world::World;
 
-use siphoc_slp::manet::SharedRegistry;
+use siphoc_slp::registry::SharedRegistry;
 
 /// Estimated in-memory size of one node's middleware state, by component.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -54,9 +54,11 @@ pub fn node_footprint(
 
 /// On-air control bytes in `stats` (one node's, or
 /// `World::total_stats()`): routing control traffic — which carries any
-/// piggybacked SLP — plus the dedicated location-service traffic of the
-/// baselines (standard SLP floods, broadcast registrations, proactive
-/// hellos). The one definition every overhead number is built on.
+/// piggybacked SLP — plus the dedicated transmissions of the related-work
+/// location services (standard SLP's `MRQST` floods and `SRVRPLY`
+/// answers, broadcast REGISTERs, proactive HELLOs). Lookup outcomes are
+/// counted under `slp.` for every service and never sum here. The one
+/// definition every overhead number is built on.
 pub fn control_bytes(stats: &NodeStats) -> u64 {
     ["aodv.", "olsr.", "slp_std.", "bcast_reg.", "phello."]
         .iter()
@@ -78,6 +80,44 @@ mod tests {
         s.count("slp.query_flood", 1000);
         s.count("media.rtp_rx", 1000);
         assert_eq!(control_bytes(&s), 30);
+    }
+
+    #[test]
+    fn a_failed_standard_slp_lookup_costs_only_its_transmissions() {
+        use siphoc_routing::aodv::AodvProcess;
+        use siphoc_simnet::net::{ports, Addr, Datagram, SocketAddr};
+        use siphoc_simnet::prelude::*;
+        use siphoc_slp::daemon::{Dissemination, SlpDaemon};
+        use siphoc_slp::msg::SlpMsg;
+        use siphoc_slp::registry::shared_registry;
+
+        let mut w = World::new(WorldConfig::new(5).with_radio(RadioConfig::ideal()));
+        let mut nodes = Vec::new();
+        for x in [0.0, 80.0] {
+            let id = w.add_node(NodeConfig::manet(x, 0.0));
+            w.spawn(id, Box::new(AodvProcess::new()));
+            let daemon = SlpDaemon::new(Dissemination::Multicast, shared_registry());
+            w.spawn(id, Box::new(daemon));
+            nodes.push(id);
+        }
+        w.run_for(SimDuration::from_secs(1));
+        let rqst = SlpMsg::SrvRqst {
+            xid: 1,
+            service_type: "sip".into(),
+            key: "ghost@v.ch".into(),
+        };
+        let client = SocketAddr::new(Addr::LOOPBACK, 9999);
+        let daemon = SocketAddr::new(Addr::LOOPBACK, ports::SLP);
+        w.inject(nodes[0], Datagram::new(client, daemon, rqst.to_wire()));
+        w.run_for(SimDuration::from_secs(10));
+        let total = w.total_stats();
+        assert_eq!(total.get("slp.lookup_failed").packets, 1);
+        let on_air = total.get("slp_std.mrqst").bytes + total.get("slp_std.rply").bytes;
+        assert!(on_air > 0);
+        assert_eq!(
+            control_bytes(&total),
+            total.sum_prefix("aodv.").bytes + on_air
+        );
     }
 
     #[test]

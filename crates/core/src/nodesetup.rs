@@ -18,9 +18,9 @@ use siphoc_media::session::{MediaConfig, MediaProcess, ReportLog};
 use siphoc_routing::aodv::AodvProcess;
 use siphoc_routing::olsr::OlsrProcess;
 use siphoc_sip::ua::{UaConfig, UaLogHandle, UserAgent};
-use siphoc_slp::manet::{
-    shared_registry, Dissemination, ManetSlpHandler, ManetSlpProcess, SharedRegistry,
-};
+use siphoc_slp::daemon::{Dissemination, SlpDaemon};
+use siphoc_slp::manet::ManetSlpHandler;
+use siphoc_slp::registry::{shared_registry, SharedRegistry};
 
 use crate::adversary::Adversary;
 use crate::connection::{ConnectionProvider, ConnectionProviderConfig};
@@ -265,7 +265,7 @@ pub fn deploy(world: &mut World, spec: NodeSpec) -> SiphocNode {
     world.spawn(id, routing);
 
     // MANET SLP daemon.
-    let mut slp = ManetSlpProcess::new(spec.routing.dissemination(), registry.clone());
+    let mut slp = SlpDaemon::new(spec.routing.dissemination(), registry.clone());
     if let Some(kp) = node_key {
         slp = slp.with_identity(kp);
     }

@@ -328,7 +328,7 @@ impl Process for TunnelServer {
                 }
                 // Client → Internet: re-inject on the wired side.
                 ctx.stats().count("tunnel.to_internet", inner.wire_len());
-                ctx.reinject(inner);
+                ctx.send(inner);
             }
             TunnelMsg::Ping { seq } => {
                 ctx.stats().count("tunnel.ping", 1);

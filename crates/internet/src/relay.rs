@@ -301,7 +301,7 @@ impl Process for TurnRelay {
                         if is_media(&inner) {
                             ctx.stats().count("media.relayed", 1);
                         }
-                        ctx.reinject(inner);
+                        ctx.send(inner);
                     }
                     _ => {
                         ctx.stats().count("relay.bad_fwd", 1);

@@ -13,7 +13,7 @@ use crate::fault::{corrupt_payload, FaultAction, PacketFaultKind};
 use crate::net::{Addr, Datagram, L2Dst};
 use crate::node::{NodeId, PendingPacket};
 use crate::process::{Ctx, Effect, LocalEvent};
-use crate::radio::Frame;
+use crate::radio::{Frame, PROP_DELAY};
 use crate::time::SimDuration;
 use crate::trace::{TraceEntry, TraceKind};
 use crate::world::World;
@@ -525,7 +525,6 @@ impl World {
 
     fn tx_done(&mut self, node: NodeId) {
         let radio = self.cfg.radio;
-        let prop = radio.prop_delay;
         let now = self.now;
         let n = &mut self.nodes[node.0 as usize];
         if !n.up {
@@ -580,7 +579,7 @@ impl World {
                     };
                     if !lost {
                         if faults_active {
-                            self.deliver_radio_frame(node, rx, dgram.clone(), prop);
+                            self.deliver_radio_frame(node, rx, dgram.clone());
                         } else {
                             batch.push(rx);
                         }
@@ -591,7 +590,7 @@ impl World {
                     self.scratch.batch_pool.push(batch);
                 } else {
                     self.schedule(
-                        prop,
+                        PROP_DELAY,
                         Event::DeliverRadioBatch {
                             dgram,
                             receivers: batch,
@@ -621,7 +620,7 @@ impl World {
                     let dgram = n.tx_queue.pop_front().expect("front checked").dgram;
                     n.stats.count("radio.tx", wire);
                     self.record(node, TraceKind::RadioTx, None, &dgram);
-                    self.deliver_radio_frame(node, target, dgram, prop);
+                    self.deliver_radio_frame(node, target, dgram);
                     self.next_frame(node);
                 } else if retries_left > 0 {
                     n.stats.count("radio.retx", wire);
@@ -656,7 +655,7 @@ impl World {
     /// duplicate, reorder). Fault randomness comes from the world's
     /// dedicated fault stream; every applied fault is counted on the
     /// transmitter under the `fault.` prefix.
-    fn deliver_radio_frame(&mut self, tx: NodeId, rx: NodeId, dgram: Datagram, prop: SimDuration) {
+    fn deliver_radio_frame(&mut self, tx: NodeId, rx: NodeId, dgram: Datagram) {
         let mut dgram = dgram;
         let mut extra = SimDuration::ZERO;
         let mut copies: u64 = 1;
@@ -702,7 +701,7 @@ impl World {
         let mut deliver_copy = |i: u64, dgram: Datagram| {
             let gap = SimDuration::from_micros(i * 150);
             self.schedule(
-                prop + extra + gap,
+                PROP_DELAY + extra + gap,
                 Event::Deliver {
                     node: rx,
                     dgram,

@@ -262,6 +262,8 @@ impl<'a> Ctx<'a> {
     /// Sends a datagram through the node's network stack: loopback, radio
     /// (with multihop forwarding), wired uplink or tunnel — whatever the
     /// stack's forwarding rules select.
+    /// Tunnel endpoints forward decapsulated traffic with it, as if the
+    /// inner datagram had just been produced on this node.
     pub fn send(&mut self, dgram: Datagram) {
         self.effects.push(Effect::Send(dgram));
     }
@@ -332,13 +334,6 @@ impl<'a> Ctx<'a> {
     /// tunnel interface.
     pub fn set_default_handler(&mut self, enabled: bool) {
         self.effects.push(Effect::SetDefaultHandler(enabled));
-    }
-
-    /// Re-injects a datagram into the node's forwarding path as if it had
-    /// just been produced locally. Tunnel endpoints use this to forward
-    /// decapsulated traffic.
-    pub fn reinject(&mut self, dgram: Datagram) {
-        self.effects.push(Effect::Send(dgram));
     }
 }
 

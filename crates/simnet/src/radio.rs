@@ -114,19 +114,20 @@ impl PreparedLoss {
     }
 }
 
+/// Link bit rate of every radio: 802.11b's 11 Mb/s.
+pub const BITRATE_BPS: f64 = 11.0e6;
+/// Fixed per-frame MAC/PHY overhead (preamble, IFS, ACK round).
+pub const MAC_OVERHEAD: SimDuration = SimDuration::from_micros(300);
+/// One-hop propagation delay.
+pub const PROP_DELAY: SimDuration = SimDuration::from_micros(1);
+
 /// Static parameters of every radio in the world.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RadioConfig {
     /// Maximum reception distance in meters.
     pub range: f64,
-    /// Link bit rate in bits per second.
-    pub bitrate_bps: f64,
-    /// Fixed per-frame MAC/PHY overhead (preamble, IFS, ACK round).
-    pub mac_overhead: SimDuration,
     /// Upper bound of the uniform random backoff added per transmission.
     pub backoff_max: SimDuration,
-    /// One-hop propagation delay.
-    pub prop_delay: SimDuration,
     /// Number of retransmissions for unicast frames (802.11 retry limit).
     pub unicast_retries: u8,
     /// Loss model.
@@ -144,10 +145,7 @@ impl RadioConfig {
     pub fn default_80211b() -> RadioConfig {
         RadioConfig {
             range: 100.0,
-            bitrate_bps: 11.0e6,
-            mac_overhead: SimDuration::from_micros(300),
             backoff_max: SimDuration::from_micros(400),
-            prop_delay: SimDuration::from_micros(1),
             unicast_retries: 4,
             loss: LossModel::TYPICAL,
             carrier_sense: false,
@@ -166,13 +164,13 @@ impl RadioConfig {
     /// Time to serialize `wire_len` bytes onto the air, including MAC
     /// overhead and a sampled backoff.
     pub fn tx_time(&self, wire_len: usize, rng: &mut SimRng) -> SimDuration {
-        let serialize = SimDuration::from_secs_f64(wire_len as f64 * 8.0 / self.bitrate_bps);
+        let serialize = SimDuration::from_secs_f64(wire_len as f64 * 8.0 / BITRATE_BPS);
         let backoff = if self.backoff_max.is_zero() {
             SimDuration::ZERO
         } else {
             SimDuration::from_micros(rng.range_u64(0, self.backoff_max.as_micros().max(1)))
         };
-        self.mac_overhead + serialize + backoff
+        MAC_OVERHEAD + serialize + backoff
     }
 }
 

@@ -2,22 +2,26 @@
 //!
 //! Service location for the SIPHoc reproduction:
 //!
-//! * [`manet`] — the paper's **MANET SLP**: a fully distributed SLP whose
-//!   dissemination rides on routing-protocol control messages through the
-//!   routing-handler plugin (`siphoc-routing`);
-//! * [`standard`] — the RFC 2608 multicast-convergence baseline whose
-//!   MANET inefficiency the paper's related work reports;
+//! * [`daemon`] — the SLP daemon behind the standard SLP client API on
+//!   `127.0.0.1:427`, for all five location services the evaluation
+//!   compares: the paper's **MANET SLP** on demand (AODV) and proactive
+//!   (OLSR), and the related-work standard SLP (RFC 2608 multicast
+//!   convergence), broadcast REGISTER and proactive HELLO;
+//! * [`manet`] — MANET SLP's routing half: the handler that piggybacks
+//!   entries on routing-protocol control messages (`siphoc-routing`);
 //! * [`registry`], [`service`], [`msg`] — the shared state and wire
 //!   formats.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod daemon;
 pub mod manet;
 pub mod msg;
 pub mod registry;
 pub mod service;
-pub mod standard;
+
+use msg::SlpMsg;
 
 /// Trace dissector for SLP traffic (port 427): shows the message kind and
 /// a terse summary.
@@ -25,8 +29,8 @@ pub fn slp_dissector(port: u16, payload: &[u8]) -> Option<(String, String)> {
     if port != 427 {
         return None;
     }
-    let info = match msg::SlpMsg::parse(payload) {
-        Ok(msg::SlpMsg::SrvReg {
+    let info = match SlpMsg::parse(payload) {
+        Ok(SlpMsg::SrvReg {
             service_type,
             key,
             contact,
@@ -34,18 +38,18 @@ pub fn slp_dissector(port: u16, payload: &[u8]) -> Option<(String, String)> {
         }) => {
             format!("SrvReg {service_type} {key} -> {contact}")
         }
-        Ok(msg::SlpMsg::SrvDeReg {
+        Ok(SlpMsg::SrvDeReg {
             service_type, key, ..
         }) => format!("SrvDeReg {service_type} {key}"),
-        Ok(msg::SlpMsg::SrvAck { xid }) => format!("SrvAck xid={xid}"),
-        Ok(msg::SlpMsg::SrvRqst {
+        Ok(SlpMsg::SrvAck { xid }) => format!("SrvAck xid={xid}"),
+        Ok(SlpMsg::SrvRqst {
             service_type, key, ..
         }) => format!("SrvRqst {service_type} {key}"),
-        Ok(msg::SlpMsg::SrvRqstX {
+        Ok(SlpMsg::SrvRqstX {
             service_type, key, ..
         }) => format!("SrvRqstX {service_type} {key}"),
-        Ok(msg::SlpMsg::SrvRply { entries, .. }) => format!("SrvRply {} entries", entries.len()),
-        Ok(msg::SlpMsg::McastRqst {
+        Ok(SlpMsg::SrvRply { entries, .. }) => format!("SrvRply {} entries", entries.len()),
+        Ok(SlpMsg::McastRqst {
             service_type,
             key,
             ttl,
@@ -53,16 +57,14 @@ pub fn slp_dissector(port: u16, payload: &[u8]) -> Option<(String, String)> {
         }) => {
             format!("McastRqst {service_type} {key} ttl={ttl}")
         }
-        Err(_) => {
-            // Baseline traffic shares the port.
-            let head = String::from_utf8_lossy(payload);
-            let head = head.lines().next().unwrap_or_default();
-            if head.starts_with("BREG") || head.starts_with("PHELLO") {
-                head.chars().take(60).collect()
-            } else {
-                "malformed".to_owned()
-            }
-        }
+        Ok(SlpMsg::FloodReg {
+            origin,
+            ttl,
+            entries,
+            ..
+        }) => format!("BREG from {origin} {} entries ttl={ttl}", entries.len()),
+        Ok(SlpMsg::Hello { entries }) => format!("PHELLO {} entries", entries.len()),
+        Err(_) => "malformed".to_owned(),
     };
     Some(("slp".to_owned(), info))
 }

@@ -1,18 +1,21 @@
 //! SLP message formats.
 //!
-//! Two families share one line-oriented text syntax:
+//! Every message the SLP daemon sends or takes shares one line-oriented
+//! text syntax — a head line, then one [`ServiceEntry`] per line where
+//! the message carries entries. Two families:
 //!
 //! * the **local API** between SLP clients (the SIPHoc proxy, the Gateway
-//!   and Connection Providers) and the SLP daemon on `127.0.0.1:427` —
-//!   `SRVREG` / `SRVDEREG` / `SRVRQST` / `SRVRPLY` / `SRVACK`, and
-//! * the **multicast convergence** messages of the standard-SLP baseline —
-//!   `MRQST` floods and their unicast `SRVRPLY` answers.
-//!
-//! Using the same `SRVRQST`/`SRVRPLY` client API for both the MANET SLP
-//! daemon and the baseline makes them drop-in interchangeable, which the
-//! lookup experiments (E2) rely on.
+//!   and Connection Providers) and the daemon on `127.0.0.1:427` —
+//!   `SRVREG` / `SRVDEREG` / `SRVRQST` / `SRVRQSTX` / `SRVRPLY` /
+//!   `SRVACK`, the same for every location service, which the lookup
+//!   experiments (E2, E7) rely on; and
+//! * the **on-air** messages of the three related-work services (MANET
+//!   SLP itself rides routing traffic instead): standard SLP's `MRQST`
+//!   floods and their unicast `SRVRPLY` answers, broadcast REGISTER's
+//!   `BREG` floods, and Pico SIP's one-hop `PHELLO`.
 
 use std::fmt;
+use std::str::{FromStr, SplitAsciiWhitespace};
 
 use siphoc_simnet::net::{Addr, SocketAddr};
 
@@ -71,9 +74,10 @@ pub enum SlpMsg {
         /// Lookup key (empty = any of the type).
         key: String,
     },
-    /// Lookup result (daemon → client). Empty means not found.
+    /// Lookup result (daemon → client, or a standard-SLP service agent's
+    /// answer to an `MRQST`). Empty means not found.
     SrvRply {
-        /// Echoed exchange id.
+        /// Echoed exchange id (the flood id, answering an `MRQST`).
         xid: u32,
         /// Matching entries.
         entries: Vec<ServiceEntry>,
@@ -93,6 +97,23 @@ pub enum SlpMsg {
         /// Lookup key.
         key: String,
     },
+    /// Broadcast REGISTER (Leggio et al.): the originator's own entries,
+    /// flooded hop by hop.
+    FloodReg {
+        /// Flood originator.
+        origin: Addr,
+        /// Flood id for duplicate suppression.
+        fid: u32,
+        /// Remaining flood radius.
+        ttl: u8,
+        /// The originator's registrations.
+        entries: Vec<ServiceEntry>,
+    },
+    /// Proactive HELLO (Pico SIP): everything the sender knows, one hop.
+    Hello {
+        /// The sender's whole mapping table.
+        entries: Vec<ServiceEntry>,
+    },
 }
 
 fn key_out(key: &str) -> &str {
@@ -103,12 +124,9 @@ fn key_out(key: &str) -> &str {
     }
 }
 
-fn key_in(raw: &str) -> String {
-    if raw == "-" {
-        String::new()
-    } else {
-        raw.to_owned()
-    }
+/// Writes one entry per line after the head line.
+fn entry_lines(f: &mut fmt::Formatter<'_>, entries: &[ServiceEntry]) -> fmt::Result {
+    entries.iter().try_for_each(|e| write!(f, "\n{e}"))
 }
 
 impl fmt::Display for SlpMsg {
@@ -151,10 +169,7 @@ impl fmt::Display for SlpMsg {
             }
             SlpMsg::SrvRply { xid, entries } => {
                 write!(f, "SRVRPLY {xid} {}", entries.len())?;
-                for e in entries {
-                    write!(f, "\n{e}")?;
-                }
-                Ok(())
+                entry_lines(f, entries)
             }
             SlpMsg::McastRqst {
                 origin,
@@ -170,7 +185,49 @@ impl fmt::Display for SlpMsg {
                     key_out(key)
                 )
             }
+            SlpMsg::FloodReg {
+                origin,
+                fid,
+                ttl,
+                entries,
+            } => {
+                write!(f, "BREG {origin} {fid} {ttl}")?;
+                entry_lines(f, entries)
+            }
+            SlpMsg::Hello { entries } => {
+                f.write_str("PHELLO")?;
+                entry_lines(f, entries)
+            }
         }
+    }
+}
+
+/// The words of a head line after its kind, read in order.
+struct Fields<'a>(SplitAsciiWhitespace<'a>);
+
+impl<'a> Fields<'a> {
+    fn word(&mut self, what: &'static str) -> Result<&'a str, ParseEntryError> {
+        self.0.next().ok_or(ParseEntryError::new(what))
+    }
+
+    fn parse<T: FromStr>(&mut self, what: &'static str) -> Result<T, ParseEntryError> {
+        self.word(what)?
+            .parse()
+            .map_err(|_| ParseEntryError::new(what))
+    }
+
+    fn string(&mut self, what: &'static str) -> Result<String, ParseEntryError> {
+        self.word(what).map(str::to_owned)
+    }
+
+    /// A key; `-` is the empty key.
+    fn key(&mut self) -> Result<String, ParseEntryError> {
+        let raw = self.word("key")?;
+        Ok(if raw == "-" {
+            String::new()
+        } else {
+            raw.to_owned()
+        })
     }
 }
 
@@ -189,81 +246,70 @@ impl SlpMsg {
         let text = std::str::from_utf8(bytes).map_err(|_| ParseEntryError::new("utf8"))?;
         let mut lines = text.lines();
         let head = lines.next().ok_or(ParseEntryError::new("empty"))?;
-        let mut it = head.split_ascii_whitespace();
-        let kind = it.next().ok_or(ParseEntryError::new("kind"))?;
-        let mut next = |what: &'static str| it.next().ok_or(ParseEntryError::new(what));
-        match kind {
-            "SRVREG" => Ok(SlpMsg::SrvReg {
-                xid: next("xid")?
-                    .parse()
-                    .map_err(|_| ParseEntryError::new("xid"))?,
-                service_type: next("type")?.to_owned(),
-                key: key_in(next("key")?),
-                contact: next("contact")?
-                    .parse()
-                    .map_err(|_| ParseEntryError::new("contact"))?,
-                lifetime_secs: next("lifetime")?
-                    .parse()
-                    .map_err(|_| ParseEntryError::new("lifetime"))?,
-            }),
-            "SRVDEREG" => Ok(SlpMsg::SrvDeReg {
-                xid: next("xid")?
-                    .parse()
-                    .map_err(|_| ParseEntryError::new("xid"))?,
-                service_type: next("type")?.to_owned(),
-                key: key_in(next("key")?),
-            }),
-            "SRVACK" => Ok(SlpMsg::SrvAck {
-                xid: next("xid")?
-                    .parse()
-                    .map_err(|_| ParseEntryError::new("xid"))?,
-            }),
-            "SRVRQST" => Ok(SlpMsg::SrvRqst {
-                xid: next("xid")?
-                    .parse()
-                    .map_err(|_| ParseEntryError::new("xid"))?,
-                service_type: next("type")?.to_owned(),
-                key: key_in(next("key")?),
-            }),
-            "SRVRQSTX" => Ok(SlpMsg::SrvRqstX {
-                xid: next("xid")?
-                    .parse()
-                    .map_err(|_| ParseEntryError::new("xid"))?,
-                service_type: next("type")?.to_owned(),
-                key: key_in(next("key")?),
-            }),
+        let mut words = head.split_ascii_whitespace();
+        let kind = words.next().ok_or(ParseEntryError::new("kind"))?;
+        let mut f = Fields(words);
+        // Every line after the head is an entry.
+        let rest = |lines: std::str::Lines<'_>| -> Result<Vec<ServiceEntry>, ParseEntryError> {
+            lines.map(str::parse).collect()
+        };
+        Ok(match kind {
+            "SRVREG" => SlpMsg::SrvReg {
+                xid: f.parse("xid")?,
+                service_type: f.string("type")?,
+                key: f.key()?,
+                contact: f.parse("contact")?,
+                lifetime_secs: f.parse("lifetime")?,
+            },
+            "SRVDEREG" => SlpMsg::SrvDeReg {
+                xid: f.parse("xid")?,
+                service_type: f.string("type")?,
+                key: f.key()?,
+            },
+            "SRVACK" => SlpMsg::SrvAck {
+                xid: f.parse("xid")?,
+            },
+            "SRVRQST" => SlpMsg::SrvRqst {
+                xid: f.parse("xid")?,
+                service_type: f.string("type")?,
+                key: f.key()?,
+            },
+            "SRVRQSTX" => SlpMsg::SrvRqstX {
+                xid: f.parse("xid")?,
+                service_type: f.string("type")?,
+                key: f.key()?,
+            },
             "SRVRPLY" => {
-                let xid = next("xid")?
-                    .parse()
-                    .map_err(|_| ParseEntryError::new("xid"))?;
-                let n: usize = next("count")?
-                    .parse()
-                    .map_err(|_| ParseEntryError::new("count"))?;
-                let mut entries = Vec::with_capacity(n);
+                let xid = f.parse("xid")?;
+                let n: usize = f.parse("count")?;
+                // The count comes off the wire: it bounds the loop, not
+                // the allocation.
+                let mut entries = Vec::with_capacity(n.min(64));
                 for _ in 0..n {
                     let line = lines.next().ok_or(ParseEntryError::new("entry line"))?;
                     entries.push(line.parse()?);
                 }
-                Ok(SlpMsg::SrvRply { xid, entries })
+                SlpMsg::SrvRply { xid, entries }
             }
-            "MRQST" => Ok(SlpMsg::McastRqst {
-                origin: next("origin")?
-                    .parse()
-                    .map_err(|_| ParseEntryError::new("origin"))?,
-                fid: next("fid")?
-                    .parse()
-                    .map_err(|_| ParseEntryError::new("fid"))?,
-                ttl: next("ttl")?
-                    .parse()
-                    .map_err(|_| ParseEntryError::new("ttl"))?,
-                reply_to: next("reply_to")?
-                    .parse()
-                    .map_err(|_| ParseEntryError::new("reply_to"))?,
-                service_type: next("type")?.to_owned(),
-                key: key_in(next("key")?),
-            }),
-            _ => Err(ParseEntryError::new("unknown kind")),
-        }
+            "MRQST" => SlpMsg::McastRqst {
+                origin: f.parse("origin")?,
+                fid: f.parse("fid")?,
+                ttl: f.parse("ttl")?,
+                reply_to: f.parse("reply_to")?,
+                service_type: f.string("type")?,
+                key: f.key()?,
+            },
+            "BREG" => SlpMsg::FloodReg {
+                origin: f.parse("origin")?,
+                fid: f.parse("fid")?,
+                ttl: f.parse("ttl")?,
+                entries: rest(lines)?,
+            },
+            "PHELLO" => SlpMsg::Hello {
+                entries: rest(lines)?,
+            },
+            _ => return Err(ParseEntryError::new("unknown kind")),
+        })
     }
 }
 
@@ -306,7 +352,7 @@ mod tests {
             },
             SlpMsg::SrvRply {
                 xid: 5,
-                entries: vec![entry.clone(), entry],
+                entries: vec![entry.clone(), entry.clone()],
             },
             SlpMsg::SrvRply {
                 xid: 6,
@@ -320,11 +366,45 @@ mod tests {
                 service_type: "sip".into(),
                 key: "bob@v.ch".into(),
             },
+            SlpMsg::FloodReg {
+                origin: Addr::manet(3),
+                fid: 2,
+                ttl: 16,
+                entries: vec![entry.clone()],
+            },
+            SlpMsg::Hello { entries: vec![] },
+            SlpMsg::Hello {
+                entries: vec![entry.clone(), entry],
+            },
         ];
         for m in msgs {
             let parsed = SlpMsg::parse(&m.to_wire()).unwrap_or_else(|e| panic!("{m:?}: {e}"));
             assert_eq!(parsed, m);
         }
+    }
+
+    #[test]
+    fn flood_and_hello_render_their_historical_bytes() {
+        let entry = ServiceEntry::sip_binding(
+            "bob@v.ch",
+            "10.0.0.4:5060".parse().unwrap(),
+            Addr::manet(3),
+            1,
+            600,
+        );
+        let line = "SLP1 reg sip bob@v.ch 10.0.0.4:5060 10.0.0.4 1 600";
+        let breg = SlpMsg::FloodReg {
+            origin: Addr::manet(3),
+            fid: 7,
+            ttl: 15,
+            entries: vec![entry.clone()],
+        };
+        assert_eq!(breg.to_string(), format!("BREG 10.0.0.4 7 15\n{line}"));
+        let hello = SlpMsg::Hello {
+            entries: vec![entry],
+        };
+        assert_eq!(hello.to_string(), format!("PHELLO\n{line}"));
+        assert_eq!(SlpMsg::Hello { entries: vec![] }.to_string(), "PHELLO");
     }
 
     #[test]
@@ -344,5 +424,9 @@ mod tests {
         assert!(SlpMsg::parse(b"NOPE 1").is_err());
         assert!(SlpMsg::parse(b"SRVRPLY 1 2\nSLP1 reg sip a 10.0.0.1:5060 10.0.0.1 1 60").is_err());
         assert!(SlpMsg::parse(b"SRVREG x sip a 10.0.0.1:5060 60").is_err());
+        // A count read from the wire is not an allocation size.
+        assert!(SlpMsg::parse(b"SRVRPLY 1 18446744073709551615").is_err());
+        assert!(SlpMsg::parse(b"BREG 10.0.0.1 1").is_err());
+        assert!(SlpMsg::parse(b"PHELLO\nSLP1 reg sip a").is_err());
     }
 }

@@ -1,12 +1,14 @@
 //! The distributed SLP registry state.
 //!
-//! Each node keeps one [`SlpRegistry`], shared (via `Rc<RefCell<_>>`)
-//! between the MANET SLP daemon process and the routing handler that
-//! gossips its contents. Entries are versioned per `(type, key, origin)`
-//! with a sequence number, so epidemic dissemination converges and
-//! refreshes win over staleness.
+//! Each node keeps one [`SlpRegistry`], shared (as a [`SharedRegistry`])
+//! between the SLP daemon process and, under MANET SLP, the routing
+//! handler that gossips its contents. Entries are versioned per
+//! `(type, key, origin)` with a sequence number, so epidemic
+//! dissemination converges and refreshes win over staleness.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use siphoc_simnet::time::SimTime;
 
@@ -332,6 +334,15 @@ impl SlpRegistry {
         let _ = now;
         out
     }
+}
+
+/// A node's registry, shared between the SLP daemon and the routing
+/// handler.
+pub type SharedRegistry = Rc<RefCell<SlpRegistry>>;
+
+/// Creates a fresh shared registry.
+pub fn shared_registry() -> SharedRegistry {
+    Rc::new(RefCell::new(SlpRegistry::new()))
 }
 
 fn refreshed(s: &Stored, now: SimTime) -> ServiceEntry {

@@ -5,9 +5,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # The tree depends on no crate outside it, so every build is offline and
-# holds to the committed Cargo.lock.
+# holds to the committed Cargo.lock. The tests are the whole workspace's:
+# the root package's integration suites, and every crate's unit tests and
+# doctests — the RFC schedule tests, the OLSR differential oracle and the
+# SLP daemon's conformance table live there.
 cargo build --release --offline --locked
-cargo test -q --offline --locked
+cargo test -q --offline --locked --workspace
 # Perf lints ride the warning gate: the simulator hot path is clone- and
 # allocation-sensitive (see DESIGN.md § performance), so regressions that
 # clippy can see should fail CI. --all-features folds the obs-instrumented

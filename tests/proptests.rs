@@ -346,6 +346,66 @@ fn slp_rply_round_trip() {
     });
 }
 
+/// Any SLP message, each kind equally likely.
+fn arb_slp_msg(rng: &mut SimRng) -> SlpMsg {
+    let xid = rng.next_u64() as u32;
+    match usize_in(rng, 0..10) {
+        0 => SlpMsg::SrvReg {
+            xid,
+            service_type: arb_token(rng),
+            key: arb_token(rng),
+            contact: arb_sock(rng),
+            lifetime_secs: rng.next_u64() as u32,
+        },
+        1 => SlpMsg::SrvDeReg {
+            xid,
+            service_type: arb_token(rng),
+            key: arb_token(rng),
+        },
+        2 => SlpMsg::SrvAck { xid },
+        3 => SlpMsg::SrvRqst {
+            xid,
+            service_type: arb_token(rng),
+            key: arb_token(rng),
+        },
+        4 => SlpMsg::SrvRqstX {
+            xid,
+            service_type: arb_token(rng),
+            key: arb_token(rng),
+        },
+        5 => SlpMsg::SrvRply {
+            xid,
+            entries: vec_of(rng, 0..5, arb_entry),
+        },
+        6 => SlpMsg::McastRqst {
+            origin: arb_addr(rng),
+            fid: xid,
+            ttl: rng.next_u64() as u8,
+            reply_to: arb_sock(rng),
+            service_type: arb_token(rng),
+            key: arb_token(rng),
+        },
+        7 | 8 => SlpMsg::FloodReg {
+            origin: arb_addr(rng),
+            fid: xid,
+            ttl: rng.next_u64() as u8,
+            entries: vec_of(rng, 0..5, arb_entry),
+        },
+        _ => SlpMsg::Hello {
+            entries: vec_of(rng, 0..5, arb_entry),
+        },
+    }
+}
+
+/// Every kind, the broadcast REGISTER and HELLO floods included.
+#[test]
+fn slp_msg_round_trip() {
+    check("slp_msg_round_trip", CASES, |rng| {
+        let m = arb_slp_msg(rng);
+        assert_eq!(SlpMsg::parse(&m.to_wire()).unwrap(), m);
+    });
+}
+
 #[test]
 fn aodv_rreq_round_trip() {
     check("aodv_rreq_round_trip", CASES, |rng| {
@@ -421,7 +481,7 @@ fn olsr_parser_total() {
 #[test]
 fn slp_parser_total() {
     check("slp_parser_total", CASES, |rng| {
-        let b = bytes(rng, 0..200);
+        let b = noise_or_mutant(rng, |rng| arb_slp_msg(rng).to_wire());
         let _ = SlpMsg::parse(&b);
         let _ = SlpRecord::parse(&b);
     });
