@@ -23,7 +23,7 @@ use siphoc_simnet::time::{SimDuration, SimTime};
 use siphoc_routing::handler::{MsgKind, RoutingHandler};
 
 use crate::daemon::Dissemination;
-use crate::registry::{Absorb, SharedRegistry};
+use crate::registry::{Absorb, Place, ServiceMap, SharedRegistry};
 use crate::service::{ServiceEntry, SlpRecord};
 
 /// The routing-handler side of MANET SLP.
@@ -31,13 +31,48 @@ use crate::service::{ServiceEntry, SlpRecord};
 pub struct ManetSlpHandler {
     registry: SharedRegistry,
     mode: Dissemination,
+    attach_log: AttachLog,
+}
+
+/// The re-advertisement throttle's memory: when each `(type, key,
+/// origin)` last rode a periodic control message, and with which seq.
+#[derive(Debug)]
+struct AttachLog {
     /// Minimum interval between re-attaching an *unchanged* entry to
     /// periodic control messages. Changed entries (new sequence number)
     /// go out immediately; on-demand messages (AODV RREQ/RREP) always
     /// carry current entries since they are rare and latency-critical.
     min_readvertise: SimDuration,
-    /// `(type, key, origin)` → `(seq, last attached)`.
-    attach_log: std::collections::BTreeMap<(String, String, Addr), (u64, SimTime)>,
+    /// `(type, key, origin)` → `(seq, last attached)`, only for entries
+    /// attached within the last `min_readvertise`.
+    last: ServiceMap<(u64, SimTime)>,
+}
+
+impl AttachLog {
+    /// Whether `e` rides a periodic message at `now`: not when it went
+    /// out unchanged less than `min_readvertise` ago. Logs it if it does.
+    fn admit(&mut self, e: &ServiceEntry, now: SimTime) -> bool {
+        if self.min_readvertise.is_zero() {
+            return true;
+        }
+        let place = self.last.place(&e.service_type, &e.key, e.origin);
+        if let Place::Taken((seq, last)) = &place {
+            if *seq >= e.seq && now.saturating_since(*last) < self.min_readvertise {
+                return false;
+            }
+        }
+        place.set((e.seq, now));
+        true
+    }
+
+    /// Forgets every entry last attached `min_readvertise` or more ago:
+    /// such an entry can never suppress an attach again, so no decision
+    /// changes, and the log holds live state only.
+    fn forget_stale(&mut self, now: SimTime) {
+        let min = self.min_readvertise;
+        self.last
+            .retain(|(_, last)| now.saturating_since(*last) < min);
+    }
 }
 
 impl ManetSlpHandler {
@@ -47,8 +82,10 @@ impl ManetSlpHandler {
         ManetSlpHandler {
             registry,
             mode,
-            min_readvertise: SimDuration::from_secs(8),
-            attach_log: std::collections::BTreeMap::new(),
+            attach_log: AttachLog {
+                min_readvertise: SimDuration::from_secs(8),
+                last: ServiceMap::default(),
+            },
         }
     }
 
@@ -56,33 +93,8 @@ impl ManetSlpHandler {
     /// attaches everything to every message — the A1 ablation's
     /// unthrottled variant).
     pub fn with_min_readvertise(mut self, min: SimDuration) -> ManetSlpHandler {
-        self.min_readvertise = min;
+        self.attach_log.min_readvertise = min;
         self
-    }
-
-    /// Filters `entries` down to those not recently attached unchanged,
-    /// updating the attach log for the survivors.
-    fn throttle(&mut self, entries: Vec<ServiceEntry>, now: SimTime) -> Vec<ServiceEntry> {
-        if self.min_readvertise.is_zero() {
-            return entries;
-        }
-        entries
-            .into_iter()
-            .filter(|e| {
-                let key = (e.service_type.clone(), e.key.clone(), e.origin);
-                match self.attach_log.get(&key) {
-                    Some((seq, last))
-                        if *seq >= e.seq && now.saturating_since(*last) < self.min_readvertise =>
-                    {
-                        false
-                    }
-                    _ => {
-                        self.attach_log.insert(key, (e.seq, now));
-                        true
-                    }
-                }
-            })
-            .collect()
     }
 }
 
@@ -98,30 +110,37 @@ impl RoutingHandler for ManetSlpHandler {
         _budget: usize,
     ) -> Vec<Vec<u8>> {
         let now = ctx.now();
-        let entries = {
-            let reg = self.registry.borrow();
-            match (self.mode, kind) {
-                // Proactive: full gossip on network-wide and one-hop
-                // messages alike; hop-by-hop relay of learned entries is
-                // what replicates the registry everywhere.
-                (
-                    Dissemination::Proactive,
-                    MsgKind::OlsrHello | MsgKind::OlsrTc | MsgKind::AodvHello,
-                ) => reg.all_entries(now),
-                // Own registrations ride originated control messages;
-                // learned ones are served on demand via query replies.
-                _ => reg.local_entries(now),
-            }
-        };
         // Periodic vehicles are throttled; on-demand ones carry current
         // state (a service RREP must answer even if recently advertised).
-        let entries = match kind {
-            MsgKind::AodvHello | MsgKind::OlsrHello | MsgKind::OlsrTc => {
-                self.throttle(entries, now)
-            }
-            MsgKind::AodvRreq | MsgKind::AodvRrep => entries,
+        let periodic = match kind {
+            MsgKind::AodvHello | MsgKind::OlsrHello | MsgKind::OlsrTc => true,
+            MsgKind::AodvRreq | MsgKind::AodvRrep => false,
         };
-        entries.iter().map(ServiceEntry::to_wire).collect()
+        if periodic {
+            self.attach_log.forget_stale(now);
+        }
+        let reg = self.registry.borrow();
+        let mut out = Vec::new();
+        // Each entry is written straight from the registry, with the
+        // lifetime it has left.
+        let mut attach = |(e, lifetime_secs): (&ServiceEntry, u32)| {
+            if !periodic || self.attach_log.admit(e, now) {
+                out.push(e.wire_with_lifetime(lifetime_secs));
+            }
+        };
+        match (self.mode, kind) {
+            // Proactive: full gossip on network-wide and one-hop
+            // messages alike; hop-by-hop relay of learned entries is
+            // what replicates the registry everywhere.
+            (
+                Dissemination::Proactive,
+                MsgKind::OlsrHello | MsgKind::OlsrTc | MsgKind::AodvHello,
+            ) => reg.all_iter(now).for_each(&mut attach),
+            // Own registrations ride originated control messages;
+            // learned ones are served on demand via query replies.
+            _ => reg.local_iter(now).for_each(&mut attach),
+        }
+        out
     }
 
     fn process_incoming(
@@ -149,9 +168,11 @@ impl RoutingHandler for ManetSlpHandler {
                 },
                 Ok(SlpRecord::Query(q)) => {
                     if kind == MsgKind::AodvRreq {
-                        for m in self.registry.borrow().matching(&q, now) {
-                            answers.push(m.to_wire());
-                        }
+                        let reg = self.registry.borrow();
+                        answers.extend(
+                            reg.matching_iter(&q, now)
+                                .map(|(e, lifetime_secs)| e.wire_with_lifetime(lifetime_secs)),
+                        );
                     }
                 }
                 Err(_) => {
@@ -163,5 +184,80 @@ impl RoutingHandler for ManetSlpHandler {
             ctx.emit(LocalEvent::HandlerUpdated);
         }
         answers
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use siphoc_simnet::rng::SimRng;
+
+    /// A log nobody prunes holds every name ever attached, for good.
+    fn unpruned(min_readvertise: SimDuration) -> AttachLog {
+        AttachLog {
+            min_readvertise,
+            last: ServiceMap::default(),
+        }
+    }
+
+    /// A seeded sequence of periodic collects, each offering a random
+    /// subset of twelve names with their current seqs, sometimes bumped:
+    /// the pruned log admits exactly what the unpruned one admits, and
+    /// after each collect holds only the names it attached within
+    /// `min_readvertise`.
+    #[test]
+    fn pruning_the_attach_log_changes_no_decision() {
+        let min = SimDuration::from_secs(8);
+        for seed in [1, 2, 3] {
+            let mut rng = SimRng::from_seed_and_stream(seed, 80);
+            let (mut pruned, mut full) = (unpruned(min), unpruned(min));
+            let mut seqs = [1u64; 12];
+            let mut attached: Vec<(usize, SimTime)> = Vec::new();
+            let mut now = SimTime::ZERO;
+            let (mut admitted, mut held_back) = (0, 0);
+            for _ in 0..2000 {
+                // HELLOs every ~2 s, TCs every ~5 s, and silences long
+                // enough for every log entry to go stale.
+                now += match rng.range_u64(0, 30) {
+                    0 => SimDuration::from_secs(rng.range_u64(8, 20)),
+                    _ => SimDuration::from_millis(rng.range_u64(0, 5000)),
+                };
+                pruned.forget_stale(now);
+                for (i, seq) in seqs.iter_mut().enumerate() {
+                    if !rng.chance(0.6) {
+                        continue;
+                    }
+                    if rng.chance(0.05) {
+                        *seq += 1;
+                    }
+                    let e = ServiceEntry::sip_binding(
+                        &format!("u{i}@v.ch"),
+                        "10.0.0.1:5060".parse().unwrap(),
+                        Addr::manet((i % 3) as u32),
+                        *seq,
+                        60,
+                    );
+                    let admit = pruned.admit(&e, now);
+                    assert_eq!(admit, full.admit(&e, now), "{e} at {now}");
+                    if admit {
+                        attached.push((i, now));
+                        admitted += 1;
+                    } else {
+                        held_back += 1;
+                    }
+                }
+                let recent: std::collections::BTreeSet<usize> = attached
+                    .iter()
+                    .filter(|(_, at)| now.saturating_since(*at) < min)
+                    .map(|(i, _)| *i)
+                    .collect();
+                assert_eq!(pruned.last.len(), recent.len(), "at {now}");
+            }
+            assert!(
+                admitted > 1000 && held_back > 1000,
+                "{admitted} {held_back}"
+            );
+            assert_eq!(full.last.len(), 12);
+        }
     }
 }

@@ -159,23 +159,40 @@ impl ServiceEntry {
 
     /// Encodes the entry as a one-line wire record.
     pub fn to_wire(&self) -> Vec<u8> {
-        self.to_string().into_bytes()
+        self.wire_with_lifetime(self.lifetime_secs)
+    }
+
+    /// The wire record of this entry with `lifetime_secs` in place of its
+    /// own: how a stored entry goes out with its remaining lifetime
+    /// recomputed, without a copy of the entry.
+    pub fn wire_with_lifetime(&self, lifetime_secs: u32) -> Vec<u8> {
+        Wire(self, lifetime_secs).to_string().into_bytes()
+    }
+}
+
+/// An entry's wire line, with the lifetime to write.
+struct Wire<'a>(&'a ServiceEntry, u32);
+
+impl fmt::Display for Wire<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Wire(e, lifetime_secs) = self;
+        // `-` marks the empty key so the field count stays fixed.
+        let key: &str = if e.key.is_empty() { "-" } else { &e.key };
+        write!(
+            f,
+            "SLP1 reg {} {} {} {} {} {}",
+            e.service_type, key, e.contact, e.origin, e.seq, lifetime_secs
+        )?;
+        if let Some(EntryAuth { pk, sig }) = e.auth {
+            write!(f, " {pk:016x} {sig:016x}")?;
+        }
+        Ok(())
     }
 }
 
 impl fmt::Display for ServiceEntry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // `-` marks the empty key so the field count stays fixed.
-        let key: &str = if self.key.is_empty() { "-" } else { &self.key };
-        write!(
-            f,
-            "SLP1 reg {} {} {} {} {} {}",
-            self.service_type, key, self.contact, self.origin, self.seq, self.lifetime_secs
-        )?;
-        if let Some(EntryAuth { pk, sig }) = self.auth {
-            write!(f, " {pk:016x} {sig:016x}")?;
-        }
-        Ok(())
+        Wire(self, self.lifetime_secs).fmt(f)
     }
 }
 

@@ -4,6 +4,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Formatting first, as CI's `fmt` job checks it: the cheapest step to fail.
+cargo fmt --all -- --check
 # The tree depends on no crate outside it, so every build is offline and
 # holds to the committed Cargo.lock. The tests are the whole workspace's:
 # the root package's integration suites, and every crate's unit tests and

@@ -346,9 +346,12 @@ impl FromJson for PacketFaultSpec {
             "kind",
             &[
                 ("duplicate", PacketFaultKind::Duplicate),
-                ("reorder", PacketFaultKind::Reorder {
-                    max_extra: SimDuration::ZERO,
-                }),
+                (
+                    "reorder",
+                    PacketFaultKind::Reorder {
+                        max_extra: SimDuration::ZERO,
+                    },
+                ),
                 ("corrupt", PacketFaultKind::Corrupt),
                 ("blackhole", PacketFaultKind::Blackhole),
             ],

@@ -23,9 +23,9 @@ use wireless_adhoc_voip::simnet::obs::json::{self, Value};
 use wireless_adhoc_voip::simnet::prelude::*;
 #[cfg(feature = "obs")]
 use wireless_adhoc_voip::simnet::trace::TraceKind;
-use wireless_adhoc_voip::sip::ua::{UaConfig, UserAgent};
 #[cfg(feature = "obs")]
 use wireless_adhoc_voip::sip::ua::{CallEvent, UaLogHandle};
+use wireless_adhoc_voip::sip::ua::{UaConfig, UserAgent};
 use wireless_adhoc_voip::sip::uri::Aor;
 
 fn node(x: f64, user: Option<&str>, calls: Vec<CallSpec>) -> NodeSpecJson {

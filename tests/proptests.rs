@@ -41,7 +41,7 @@ use wireless_adhoc_voip::sip::ua::CallEvent;
 use wireless_adhoc_voip::sip::uri::Aor;
 use wireless_adhoc_voip::sip::uri::SipUri;
 use wireless_adhoc_voip::slp::msg::SlpMsg;
-use wireless_adhoc_voip::slp::service::{ServiceEntry, SlpRecord};
+use wireless_adhoc_voip::slp::service::{EntryAuth, ServiceEntry, ServiceQuery, SlpRecord};
 
 /// Cases per property unless the property says otherwise.
 const CASES: u32 = 256;
@@ -485,6 +485,84 @@ fn slp_parser_total() {
         let _ = SlpMsg::parse(&b);
         let _ = SlpRecord::parse(&b);
     });
+}
+
+/// Any piggyback record: an entry, signed or not, or a query, either
+/// with the empty key half of the time.
+fn arb_slp_record(rng: &mut SimRng) -> SlpRecord {
+    let key = |rng: &mut SimRng| maybe(rng, arb_token).unwrap_or_default();
+    if rng.chance(0.5) {
+        SlpRecord::Reg(ServiceEntry {
+            key: key(rng),
+            auth: maybe(rng, |rng| EntryAuth {
+                pk: rng.next_u64(),
+                sig: rng.next_u64(),
+            }),
+            ..arb_entry(rng)
+        })
+    } else {
+        SlpRecord::Query(ServiceQuery {
+            service_type: arb_token(rng),
+            key: key(rng),
+            origin: arb_addr(rng),
+            qid: rng.next_u64(),
+        })
+    }
+}
+
+fn render_slp_record(r: &SlpRecord) -> Vec<u8> {
+    match r {
+        SlpRecord::Reg(e) => e.to_wire(),
+        SlpRecord::Query(q) => q.to_wire(),
+    }
+}
+
+/// A valid record's tokens re-joined by runs of ASCII whitespace, with
+/// zeros or a `+` before some decimal tokens: bytes that parse but are
+/// not what the renderer writes.
+fn respell(rng: &mut SimRng, wire: &[u8]) -> Vec<u8> {
+    let text = String::from_utf8_lossy(wire).into_owned();
+    let mut out = string(rng, " \t\n", 0..3);
+    for token in text.split_ascii_whitespace() {
+        if token.bytes().all(|b| b.is_ascii_digit()) && rng.chance(0.5) {
+            out += if rng.chance(0.5) { "+" } else { "00" };
+        }
+        out += token;
+        out += &string(rng, " \t\n", 1..4);
+    }
+    out.into_bytes()
+}
+
+/// The piggyback record's parser over arbitrary, corrupted and
+/// respelled bytes: whatever parses renders to bytes that parse back to
+/// the same record and render the same again, and the parsed record owns
+/// no more heap than the input is long.
+#[test]
+fn slp_record_parse_render_is_idempotent_and_bounded() {
+    let mut parsed = 0;
+    check("slp_record_parse_render", CASES, |rng| {
+        let b = match usize_in(rng, 0..3) {
+            0 => noise_or_mutant(rng, |rng| render_slp_record(&arb_slp_record(rng))),
+            _ => {
+                let wire = render_slp_record(&arb_slp_record(rng));
+                respell(rng, &wire)
+            }
+        };
+        let Ok(r) = SlpRecord::parse(&b) else {
+            return;
+        };
+        parsed += 1;
+        let heap = match &r {
+            SlpRecord::Reg(e) => e.service_type.capacity() + e.key.capacity(),
+            SlpRecord::Query(q) => q.service_type.capacity() + q.key.capacity(),
+        };
+        assert!(heap <= b.len(), "{heap} heap bytes from {} input", b.len());
+        let wire = render_slp_record(&r);
+        let again = SlpRecord::parse(&wire).unwrap();
+        assert_eq!(again, r);
+        assert_eq!(render_slp_record(&again), wire);
+    });
+    assert!(parsed > CASES / 2, "only {parsed} inputs parsed");
 }
 
 #[test]
