@@ -955,6 +955,17 @@ impl Process for ConnectionProvider {
                     self.on_lease(ctx, dgram.src, public, lifetime_secs);
                 }
                 Some(TunnelMsg::Data { inner }) => {
+                    // A public address other than the active lease is one
+                    // this node gave up at a handoff or renumbering, which
+                    // its old gateway may still map here. Re-injected, it
+                    // would be captured as Internet-bound, tunneled to the
+                    // new gateway and sent back to the old one: a loop
+                    // until the old lease lapses.
+                    let held = matches!(self.state, State::Connected { public, .. } if public == inner.dst.addr);
+                    if inner.dst.addr.is_public() && !held {
+                        ctx.stats().count("cp.stale_lease_drop", inner.wire_len());
+                        return;
+                    }
                     ctx.stats().count("cp.tunneled_in", inner.wire_len());
                     ctx.send(inner);
                 }

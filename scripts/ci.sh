@@ -61,7 +61,7 @@ canary() {
         exit 1
     fi
 }
-canary roam_internet 36de4a94fd409831
+canary roam_internet f98ea5e9553fe781
 canary sip_hub 0d1229618be0aac1
 canary city_beacon 775aa9194117be0e
 canary mesh_calls 4d3cbb2abc99fc19

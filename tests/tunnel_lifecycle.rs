@@ -112,6 +112,133 @@ fn client_reconnects_after_gateway_restart() {
     );
 }
 
+/// A datagram for a lease the client gave up at a mid-call handoff is
+/// dropped where it lands, not looped. The old gateway still maps the old
+/// address to the client; re-injected there, the datagram would be
+/// captured as Internet-bound, tunneled to the new gateway, carried by the
+/// backbone back to the old one and tunneled to the client again — once
+/// per round trip until the old lease lapsed.
+#[test]
+fn datagram_for_a_handed_off_lease_is_dropped_not_looped() {
+    use wireless_adhoc_voip::core::config::VoipAppConfig;
+    use wireless_adhoc_voip::internet::provider::{ProviderConfig, SipProviderProcess};
+    use wireless_adhoc_voip::media::session::{MediaConfig, MediaProcess};
+    use wireless_adhoc_voip::simnet::net::ports;
+    use wireless_adhoc_voip::simnet::node::NodeConfig;
+    use wireless_adhoc_voip::simnet::trace::TraceKind;
+    use wireless_adhoc_voip::sip::ua::{CallEvent, UaConfig, UserAgent};
+    use wireless_adhoc_voip::sip::uri::Aor;
+
+    let provider = Addr::new(82, 1, 1, 1);
+    let peer = Addr::new(82, 1, 1, 50);
+    let mut w = World::new(WorldConfig::new(705).with_radio(RadioConfig::ideal()));
+    let dns = DnsDirectory::new().with_record("voicehoc.ch", provider);
+    let p = w.add_node(NodeConfig::wired(provider));
+    w.spawn(
+        p,
+        Box::new(SipProviderProcess::new(ProviderConfig::new(
+            "voicehoc.ch",
+            dns.clone(),
+        ))),
+    );
+    let peer_node = w.add_node(NodeConfig::wired(peer));
+    let mut iris = UaConfig::new(
+        Aor::new("iris", "voicehoc.ch"),
+        SocketAddr::new(provider, ports::SIP),
+    );
+    iris.answer_delay = SimDuration::ZERO;
+    w.spawn(peer_node, Box::new(UserAgent::new(iris).0));
+    w.spawn(
+        peer_node,
+        Box::new(MediaProcess::new(MediaConfig::pcmu(8000)).0),
+    );
+
+    let gws = [
+        deploy(
+            &mut w,
+            NodeSpec::relay(0.0, 0.0)
+                .with_gateway(GW_PUB)
+                .with_dns(dns.clone()),
+        ),
+        deploy(
+            &mut w,
+            NodeSpec::relay(120.0, 0.0)
+                .with_gateway(Addr::new(82, 130, 65, 1))
+                .with_dns(dns.clone()),
+        ),
+    ];
+    let alice_ua = VoipAppConfig::fig2("alice", "voicehoc.ch")
+        .to_ua_config()
+        .expect("config")
+        .call_at(
+            SimTime::from_secs(25),
+            Aor::new("iris", "voicehoc.ch"),
+            SimDuration::from_secs(30),
+        );
+    let alice = deploy(
+        &mut w,
+        NodeSpec::relay(60.0, 0.0).with_dns(dns).with_user(alice_ua),
+    );
+    let lease = |w: &World| {
+        w.node(alice.id)
+            .local_addrs()
+            .iter()
+            .copied()
+            .find(|a| a.is_public())
+    };
+
+    w.run_until(SimTime::from_secs(35));
+    assert!(
+        alice.ua_logs[0]
+            .borrow()
+            .any(|e| matches!(e, CallEvent::Established { .. })),
+        "the call must be up before the handoff"
+    );
+    let old = lease(&w).expect("leased");
+    let old_gw = if old.0 & 0xffff_ff00 == GW_PUB.0 & 0xffff_ff00 {
+        &gws[0]
+    } else {
+        &gws[1]
+    };
+
+    // Mid-call handoff: the serving gateway drops off long enough for the
+    // keepalives to declare it dead, then comes back with its lease table
+    // intact, still mapping the old address to alice.
+    w.set_node_up(old_gw.id, false);
+    w.run_for(SimDuration::from_secs(5));
+    assert!(w.node(alice.id).stats().get("cp.handoff_ok").packets >= 1);
+    w.set_node_up(old_gw.id, true);
+    w.run_for(SimDuration::from_secs(3));
+    assert_ne!(lease(&w), Some(old), "alice moved to the other gateway");
+
+    // The wired peer sends once to the old address.
+    let marker = b"for the handed-off lease";
+    w.trace_mut().set_enabled(true);
+    w.inject(
+        peer_node,
+        Datagram::new(
+            SocketAddr::new(peer, 8000),
+            SocketAddr::new(old, 8000),
+            marker.to_vec(),
+        ),
+    );
+    w.run_for(SimDuration::from_secs(2));
+    let tunneled_in = w
+        .trace()
+        .find(|e| {
+            e.node == alice.id
+                && e.kind == TraceKind::RadioRx
+                && e.dgram.src.addr == old_gw.addr
+                && e.dgram.payload.windows(marker.len()).any(|x| x == marker)
+        })
+        .len();
+    assert_eq!(
+        tunneled_in, 1,
+        "the old gateway must reach alice with it once, not once per round trip"
+    );
+    assert!(w.node(alice.id).stats().get("cp.stale_lease_drop").packets >= 1);
+}
+
 /// GatewayHealth regression (the merged blocklist + attestation book):
 /// the death blocklist is transient per handoff while identity pins are
 /// permanent, and a pinned gateway presenting a different key is refused
