@@ -15,6 +15,13 @@
 //! (carrying the public address) and [`LocalEvent::InternetDown`]: the
 //! SIPHoc proxy registers its users at their providers on the first, and
 //! the UA re-INVITEs its Internet calls when a handoff changes the address.
+//!
+//! Every lease the node holds, the active one and each warm standby, is
+//! one `Lease` in one `Vec`, its keepalive, refresh and connect-timeout
+//! chains keyed by its id. A lease goes *handshaking → held → active*: the
+//! active one is the held lease `State::Active` names, and it alone owns
+//! the default route and the public alias. A handoff promotes a held
+//! standby by naming it; with none held, `State::Connecting` handshakes.
 
 use std::collections::BTreeMap;
 
@@ -38,6 +45,9 @@ const CHECK_INTERVAL: SimDuration = SimDuration::from_secs(5);
 const CONNECT_TIMEOUT: SimDuration = SimDuration::from_secs(2);
 /// Consecutive refresh failures before declaring the tunnel down.
 const MAX_REFRESH_FAILURES: u32 = 2;
+/// Floor of the lifetime a promoted or standby lease halves into its
+/// refresh period.
+const MIN_REFRESH_LEASE: SimDuration = SimDuration::from_secs(2);
 /// Ceiling for the exponential backoff applied to re-probes after
 /// repeated gateway failures (lease refusals, connect timeouts, refresh
 /// losses). The first retry still happens after `CHECK_INTERVAL`; each
@@ -85,23 +95,21 @@ impl Default for ConnectionProviderConfig {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
     /// No gateway known.
     Idle,
     /// SLP query outstanding.
     Probing { xid: u32 },
-    /// TCONNECT sent, waiting for the lease.
-    Connecting { gateway: SocketAddr, attempts: u32 },
-    /// Tunnel established.
-    Connected {
+    /// TCONNECT sent, waiting for the lease that will become the active
+    /// one; `id` keys this attempt's timeout and then the granted lease.
+    Connecting {
         gateway: SocketAddr,
-        public: Addr,
-        lease: SimDuration,
-        refresh_failures: u32,
-        refresh_outstanding: bool,
-        missed_pings: u32,
+        attempts: u32,
+        id: u64,
     },
+    /// The lease with this id is active.
+    Active(u64),
 }
 
 const TAG_CHECK: u64 = 1;
@@ -109,46 +117,49 @@ const TAG_CONNECT_TIMEOUT: u64 = 2;
 const TAG_REFRESH: u64 = 3;
 const TAG_KEEPALIVE: u64 = 4;
 const TAG_STANDBY_SCAN: u64 = 5;
-const TAG_STANDBY_KA: u64 = 6;
-const TAG_STANDBY_REFRESH: u64 = 7;
-const TAG_STANDBY_TIMEOUT: u64 = 8;
 
-/// Timers cannot be cancelled, so the refresh and keepalive chains carry a
-/// generation in the token's upper bits; a fired timer whose generation no
-/// longer matches is a stale chain and is ignored. Standby chains carry
-/// the standby's id instead — a fired timer whose id no longer names a
-/// live standby is likewise stale.
-const fn tok(tag: u64, gen: u64) -> u64 {
-    tag | (gen << 8)
+/// Timers cannot be cancelled, so a lease's chains carry its id in the
+/// token's upper bits; a fired timer whose id names no lease (or no
+/// pending handshake) is stale and is ignored.
+const fn tok(tag: u64, id: u64) -> u64 {
+    tag | (id << 8)
 }
 
-/// A warm standby: a live lease held on a non-active gateway, pre-warmed
-/// so promotion at handoff time is a state flip, not a handshake.
+/// One tunnel lease: the active one or a warm standby.
 #[derive(Debug, Clone)]
-struct Standby {
-    /// Distinguishes this standby's timer chains from any predecessor's.
+struct Lease {
+    /// Keys this lease's timer chains. Promotion issues a fresh id, so
+    /// the chains the lease ran as a standby die with the old one.
     id: u64,
     /// The gateway's tunnel-server contact.
     gateway: SocketAddr,
     /// The node that advertised the gateway (hop ranking, liveness).
     origin: Addr,
-    /// The leased public address once the standby is warm; `None` while
-    /// the TCONNECT is still outstanding.
+    /// The leased public address once granted; `None` while the TCONNECT
+    /// is still outstanding.
     public: Option<Addr>,
     /// Granted lease lifetime.
     lease: SimDuration,
-    /// When the standby's lease lapses unless refreshed.
+    /// When the lease lapses unless refreshed.
     lease_expires: SimTime,
     /// When the gateway's SLP advert lapses; a standby whose advert
     /// expired is dropped (`cp.standby_expired`) — the gateway stopped
     /// re-announcing and is not worth keeping warm.
     advert_expires: SimTime,
-    /// Consecutive unanswered standby keepalive pings.
+    /// Consecutive unanswered keepalive pings.
     missed_pings: u32,
+    /// Consecutive refreshes that went unanswered (active lease only).
+    refresh_failures: u32,
+    /// Whether the last refresh still awaits its grant (active only).
+    refresh_outstanding: bool,
+    /// When the refresh chain next fires. A grant that changes the
+    /// lifetime re-arms the chain; the superseded timer fires at another
+    /// instant and is ignored.
+    refresh_due: SimTime,
 }
 
-/// A cold standby contact from the last probe: no lease held, just a
-/// ranked fallback for when the registry has nothing better.
+/// A cold contact from the last probe: no lease held, just a ranked
+/// fallback for when the registry has nothing better.
 #[derive(Debug, Clone)]
 struct ColdContact {
     contact: SocketAddr,
@@ -157,9 +168,9 @@ struct ColdContact {
     expires: SimTime,
 }
 
-/// Orders standby contacts for a failover: fewest hops to the
-/// advertising origin first (unreachable last), then the freshest advert,
-/// then origin for a stable total order — the same desirability order as
+/// Orders cold contacts for a failover: fewest hops to the advertising
+/// origin first (unreachable last), then the freshest advert, then origin
+/// for a stable total order — the same desirability order as
 /// `rank_gateways`, applied at failover time instead of insertion time.
 fn rank_cold_contacts(contacts: &mut [ColdContact], mut hops_to: impl FnMut(Addr) -> Option<u8>) {
     contacts.sort_by_key(|c| {
@@ -243,21 +254,19 @@ pub struct ConnectionProvider {
     consecutive_failures: u32,
     handshake_span: SpanId,
     handshake_started_us: u64,
-    /// Generation of the live keepalive timer chain.
-    ka_gen: u64,
-    /// Generation of the live lease-refresh timer chain.
-    refresh_gen: u64,
     ping_seq: u64,
     /// Cold `service:gateway` contacts beyond the one we leased from —
     /// the fallback set a handoff re-ranks when no warm standby survives.
-    standby: Vec<ColdContact>,
-    /// Warm standby leases (make-before-break), at most
-    /// `cfg.standby_target` of them.
-    warm: Vec<Standby>,
-    /// Id generator for standby timer chains.
-    next_standby_id: u64,
-    /// Generation of the live standby maintenance scan chain.
-    scan_gen: u64,
+    cold: Vec<ColdContact>,
+    /// The active lease (while `State::Active`) and every standby, at
+    /// most `cfg.standby_target` of them.
+    leases: Vec<Lease>,
+    /// Id generator for leases and handshakes.
+    next_id: u64,
+    /// When the standby maintenance scan next runs; `None` while no scan
+    /// chain is live. A restarted chain leaves the old timer firing at an
+    /// instant this no longer names.
+    scan_due: Option<SimTime>,
     /// The node's MANET SLP registry, for ranking fresh gateway
     /// candidates at handoff time.
     registry: Option<SharedRegistry>,
@@ -286,13 +295,11 @@ impl ConnectionProvider {
             consecutive_failures: 0,
             handshake_span: SpanId::NONE,
             handshake_started_us: 0,
-            ka_gen: 0,
-            refresh_gen: 0,
             ping_seq: 0,
-            standby: Vec::new(),
-            warm: Vec::new(),
-            next_standby_id: 0,
-            scan_gen: 0,
+            cold: Vec::new(),
+            leases: Vec::new(),
+            next_id: 0,
+            scan_due: None,
             registry: None,
             handoff_span: SpanId::NONE,
             handoff_started_us: 0,
@@ -311,7 +318,22 @@ impl ConnectionProvider {
 
     /// Whether the node currently holds a tunnel lease (or is a gateway).
     pub fn is_connected(&self) -> bool {
-        self.cfg.wired_public.is_some() || matches!(self.state, State::Connected { .. })
+        self.cfg.wired_public.is_some() || matches!(self.state, State::Active(_))
+    }
+
+    /// The active lease's id.
+    fn active_id(&self) -> Option<u64> {
+        match self.state {
+            State::Active(id) => Some(id),
+            _ => None,
+        }
+    }
+
+    /// The active lease's gateway and public address.
+    fn active(&self) -> Option<(SocketAddr, Addr)> {
+        let id = self.active_id()?;
+        let l = self.leases.iter().find(|l| l.id == id)?;
+        Some((l.gateway, l.public?))
     }
 
     fn probe(&mut self, ctx: &mut Ctx<'_>) {
@@ -343,7 +365,13 @@ impl ConnectionProvider {
     }
 
     fn connect(&mut self, ctx: &mut Ctx<'_>, gateway: SocketAddr, attempts: u32) {
-        self.state = State::Connecting { gateway, attempts };
+        self.next_id += 1;
+        let id = self.next_id;
+        self.state = State::Connecting {
+            gateway,
+            attempts,
+            id,
+        };
         if attempts == 0 {
             self.handshake_span = ctx.span_enter(SpanCat::Tunnel, "tunnel.handshake");
             if ctx.obs().tracing() {
@@ -354,7 +382,7 @@ impl ConnectionProvider {
         }
         ctx.stats().count("cp.tconnect", 1);
         ctx.send_to(gateway, ports::TUNNEL, TunnelMsg::Connect.to_wire());
-        ctx.set_timer(CONNECT_TIMEOUT, TAG_CONNECT_TIMEOUT);
+        ctx.set_timer(CONNECT_TIMEOUT, tok(TAG_CONNECT_TIMEOUT, id));
     }
 
     fn teardown(&mut self, ctx: &mut Ctx<'_>) {
@@ -365,15 +393,15 @@ impl ConnectionProvider {
         // Likewise a handoff in flight: give up on it cleanly (emits
         // InternetDown, releases the default handler).
         self.fail_handoff(ctx);
-        self.ka_gen += 1;
-        self.refresh_gen += 1;
-        self.standby.clear();
-        if let State::Connected { public, .. } = self.state {
+        self.cold.clear();
+        if let Some((_, public)) = self.active() {
             ctx.remove_local_addr(public);
             ctx.set_default_handler(false);
             ctx.emit(LocalEvent::InternetDown);
             ctx.stats().count("cp.tunnel_down", 1);
         }
+        // Every lease's chains die with it.
+        self.leases.clear();
         self.state = State::Idle;
     }
 
@@ -414,37 +442,32 @@ impl ConnectionProvider {
         !self.gw_health.entry_dead(e)
     }
 
-    /// Pops the best remaining cold standby contact, dropping entries for
-    /// the gateway that just failed and contacts whose backing advert
-    /// lapsed, then **re-ranking the survivors against current routes** —
-    /// the ranking captured at probe time is stale by the time a failover
+    /// Pops the best remaining cold contact, dropping entries for the
+    /// gateway that just failed and contacts whose backing advert lapsed,
+    /// then **re-ranking the survivors against current routes** — the
+    /// ranking captured at probe time is stale by the time a failover
     /// needs it (nodes moved, routes changed, adverts refreshed).
-    fn next_standby(&mut self, ctx: &mut Ctx<'_>, failed: Addr) -> Option<SocketAddr> {
+    fn next_cold(&mut self, ctx: &mut Ctx<'_>, failed: Addr) -> Option<SocketAddr> {
         let now = ctx.now();
-        self.standby
+        self.cold
             .retain(|c| c.contact.addr != failed && c.origin != failed);
-        let before = self.standby.len();
-        self.standby.retain(|c| c.expires > now);
-        let lapsed = before - self.standby.len();
-        if lapsed > 0 {
-            ctx.stats().count("cp.standby_expired", lapsed);
-        }
+        self.expire_cold(ctx, now);
         {
             let routes = ctx.routes_ref();
-            rank_cold_contacts(&mut self.standby, |a| {
+            rank_cold_contacts(&mut self.cold, |a| {
                 routes.lookup_specific(a, now).map(|r| r.hops)
             });
         }
-        if self.standby.is_empty() {
+        if self.cold.is_empty() {
             None
         } else {
-            Some(self.standby.remove(0).contact)
+            Some(self.cold.remove(0).contact)
         }
     }
 
-    /// Records the tail of a gateway ranking as the cold fallback set.
+    /// Records the tail of a gateway ranking as the cold contacts.
     fn keep_cold(&mut self, entries: &[ServiceEntry], now: SimTime) {
-        self.standby = entries
+        self.cold = entries
             .iter()
             .map(|e| ColdContact {
                 contact: e.contact,
@@ -454,25 +477,40 @@ impl ConnectionProvider {
             .collect();
     }
 
-    /// Drops every warm standby (teardown, declared outage) and kills the
+    /// Drops cold contacts whose advert lapsed, with `cp.standby_expired`.
+    fn expire_cold(&mut self, ctx: &mut Ctx<'_>, now: SimTime) {
+        let before = self.cold.len();
+        self.cold.retain(|c| c.expires > now);
+        let lapsed = before - self.cold.len();
+        if lapsed > 0 {
+            ctx.stats().count("cp.standby_expired", lapsed);
+        }
+    }
+
+    /// Drops every standby (teardown, declared outage) and kills the
     /// maintenance scan chain. Nothing is released on the gateway side:
     /// standby leases are soft state and expire there.
     fn drop_standbys(&mut self, ctx: &mut Ctx<'_>) {
-        let warm = self.warm.iter().filter(|s| s.public.is_some()).count();
+        let active = self.active_id();
+        let warm = self
+            .leases
+            .iter()
+            .filter(|l| Some(l.id) != active && l.public.is_some())
+            .count();
         if warm > 0 {
             ctx.stats().count("cp.standby_drop", warm);
         }
-        self.warm.clear();
-        self.scan_gen += 1;
+        self.leases.retain(|l| Some(l.id) == active);
+        self.scan_due = None;
     }
 
     /// One standby maintenance pass: refresh advert lifetimes from the
     /// registry, expire standbys whose advert or lease lapsed, and
     /// replenish the warm set back to `standby_target` from the current
     /// gateway ranking. Runs on the `TAG_STANDBY_SCAN` chain while a
-    /// lease is held.
+    /// lease is active.
     fn maintain_standbys(&mut self, ctx: &mut Ctx<'_>) {
-        let State::Connected { gateway, .. } = &self.state else {
+        let (Some(active_id), Some((gateway, _))) = (self.active_id(), self.active()) else {
             return;
         };
         let active = gateway.addr;
@@ -480,46 +518,40 @@ impl ConnectionProvider {
         let candidates = self.candidate_gateways(ctx, Some(active));
         // A steadily re-announced gateway must not age out of the warm
         // set: adopt the freshest advert lifetime the registry holds.
-        for s in &mut self.warm {
+        for s in self.leases.iter_mut().filter(|l| l.id != active_id) {
             if let Some(e) = candidates.iter().find(|e| e.origin == s.origin) {
                 s.advert_expires = s.advert_expires.max(e.expires_at(now));
             }
         }
         self.expire_standbys(ctx, now);
-        let before = self.standby.len();
-        self.standby.retain(|c| c.expires > now);
-        let lapsed = before - self.standby.len();
-        if lapsed > 0 {
-            ctx.stats().count("cp.standby_expired", lapsed);
-        }
+        self.expire_cold(ctx, now);
         // Replenish: best-ranked candidates first, cold contacts as a
         // last resort, skipping gateways already in the warm set.
         let mut pool: Vec<(SocketAddr, Addr, SimTime)> = candidates
             .iter()
             .map(|e| (e.contact, e.origin, e.expires_at(now)))
             .collect();
-        for c in &self.standby {
+        for c in &self.cold {
             if c.contact.addr != active && !pool.iter().any(|(ct, ..)| ct.addr == c.contact.addr) {
                 pool.push((c.contact, c.origin, c.expires));
             }
         }
+        // The active lease plus `standby_target` standbys fill the set.
         for (contact, origin, advert_expires) in pool {
-            if self.warm.len() as u32 >= self.cfg.standby_target {
+            if self.leases.len() as u32 > self.cfg.standby_target {
                 break;
             }
-            if self
-                .warm
-                .iter()
-                .any(|s| s.gateway.addr == contact.addr || s.origin == origin)
-            {
+            if self.leases.iter().any(|s| {
+                s.id != active_id && (s.gateway.addr == contact.addr || s.origin == origin)
+            }) {
                 continue;
             }
             if self.gw_health.is_dead(contact.addr) || self.gw_health.is_dead(origin) {
                 continue;
             }
-            self.next_standby_id += 1;
-            let id = self.next_standby_id;
-            self.warm.push(Standby {
+            self.next_id += 1;
+            let id = self.next_id;
+            self.leases.push(Lease {
                 id,
                 gateway: contact,
                 origin,
@@ -528,10 +560,13 @@ impl ConnectionProvider {
                 lease_expires: now,
                 advert_expires,
                 missed_pings: 0,
+                refresh_failures: 0,
+                refresh_outstanding: false,
+                refresh_due: now,
             });
             ctx.stats().count("cp.standby_connect", 1);
             ctx.send_to(contact, ports::TUNNEL, TunnelMsg::Connect.to_wire());
-            ctx.set_timer(CONNECT_TIMEOUT, tok(TAG_STANDBY_TIMEOUT, id));
+            ctx.set_timer(CONNECT_TIMEOUT, tok(TAG_CONNECT_TIMEOUT, id));
         }
         // Still short of the target? The registry holds too few distinct
         // gateways — sweep the network for more. Answers are absorbed into
@@ -539,7 +574,7 @@ impl ConnectionProvider {
         // startup probe races every node's simultaneous discovery and is
         // answered by the *nearest* match, so a multi-homed node must keep
         // looking for alternatives it never heard of.)
-        if (self.warm.len() as u32) < self.cfg.standby_target && now >= self.next_sweep_at {
+        if self.leases.len() as u32 <= self.cfg.standby_target && now >= self.next_sweep_at {
             self.next_sweep_at = now + self.cfg.standby_refresh.max(SimDuration::from_secs(5));
             self.next_xid += 1;
             ctx.stats().count("cp.standby_sweep", 1);
@@ -552,59 +587,78 @@ impl ConnectionProvider {
         }
     }
 
-    /// Drops warm standbys whose SLP advert lifetime (or held lease)
-    /// lapsed, with the `cp.standby_expired` counter.
+    /// Drops standbys whose SLP advert lifetime (or held lease) lapsed,
+    /// with the `cp.standby_expired` counter.
     fn expire_standbys(&mut self, ctx: &mut Ctx<'_>, now: SimTime) {
-        let before = self.warm.len();
-        self.warm
-            .retain(|s| s.advert_expires > now && (s.public.is_none() || s.lease_expires > now));
-        let lapsed = before - self.warm.len();
+        let active = self.active_id();
+        let before = self.leases.len();
+        self.leases.retain(|l| {
+            Some(l.id) == active
+                || (l.advert_expires > now && (l.public.is_none() || l.lease_expires > now))
+        });
+        let lapsed = before - self.leases.len();
         if lapsed > 0 {
             ctx.stats().count("cp.standby_expired", lapsed);
         }
     }
 
-    /// Flips a warm standby into the active lease (make-before-break
-    /// promotion): the standby tunnel is already up, leased and verified
-    /// live, so the handoff completes in the same event that detected the
-    /// death — no handshake on the critical path.
-    fn promote(&mut self, ctx: &mut Ctx<'_>, s: Standby) {
-        let public = s.public.expect("only warm standbys are promoted");
-        let now = ctx.now();
-        let lease = s.lease_expires.saturating_since(now);
-        self.state = State::Connected {
-            gateway: s.gateway,
-            public,
-            lease,
-            refresh_failures: 0,
-            refresh_outstanding: false,
-            missed_pings: 0,
-        };
-        self.consecutive_failures = 0;
+    /// Starts the active lease's refresh chain, then its keepalive chain.
+    fn arm_active(&mut self, ctx: &mut Ctx<'_>, i: usize, refresh_in: SimDuration) {
+        let l = &mut self.leases[i];
+        l.refresh_due = ctx.now() + refresh_in;
+        ctx.set_timer(refresh_in, tok(TAG_REFRESH, l.id));
+        if !self.cfg.keepalive_interval.is_zero() {
+            ctx.set_timer(self.cfg.keepalive_interval, tok(TAG_KEEPALIVE, l.id));
+        }
+    }
+
+    /// Gives the node a public address: alias, default handler, counter,
+    /// then the InternetUp signal.
+    fn install(&mut self, ctx: &mut Ctx<'_>, public: Addr, counter: &'static str) {
         ctx.add_local_addr(public);
         ctx.set_default_handler(true);
-        ctx.stats().count("cp.promote", 1);
+        ctx.stats().count(counter, 1);
         ctx.emit(LocalEvent::InternetUp { public });
-        // Re-anchor the refresh and liveness chains on the promoted
-        // gateway; the standby's own chains died with its removal. The
-        // immediate TCONNECT re-confirms the lease server-side.
-        self.refresh_gen += 1;
-        ctx.stats().count("cp.tconnect", 1);
-        ctx.send_to(s.gateway, ports::TUNNEL, TunnelMsg::Connect.to_wire());
-        let refresh_in = lease.max(SimDuration::from_secs(2)) / 2;
-        ctx.set_timer(refresh_in, tok(TAG_REFRESH, self.refresh_gen));
-        if !self.cfg.keepalive_interval.is_zero() {
-            self.ka_gen += 1;
-            ctx.set_timer(self.cfg.keepalive_interval, tok(TAG_KEEPALIVE, self.ka_gen));
-        }
+    }
+
+    /// Closes an in-flight handoff as a success.
+    fn handoff_done(&mut self, ctx: &mut Ctx<'_>, promoted: bool) {
         if self.handoff_from.take().is_some() {
             ctx.span_exit(self.handoff_span, true);
             self.handoff_span = SpanId::NONE;
             let took = ctx.now_us().saturating_sub(self.handoff_started_us);
             ctx.obs().hist_record("cp.handoff_us", took);
-            ctx.obs().hist_record("cp.promote_us", took);
+            if promoted {
+                ctx.obs().hist_record("cp.promote_us", took);
+            }
             ctx.stats().count("cp.handoff_ok", 1);
         }
+    }
+
+    /// Makes the warm standby `leases[i]` the active lease
+    /// (make-before-break promotion): its tunnel is already up, leased
+    /// and verified live, so the handoff completes in the same event that
+    /// detected the death — no handshake on the critical path.
+    fn promote(&mut self, ctx: &mut Ctx<'_>, i: usize) {
+        self.next_id += 1;
+        let id = self.next_id;
+        let now = ctx.now();
+        let l = &mut self.leases[i];
+        let public = l.public.expect("only warm standbys are promoted");
+        l.id = id;
+        l.lease = l.lease_expires.saturating_since(now);
+        l.missed_pings = 0;
+        l.refresh_failures = 0;
+        l.refresh_outstanding = false;
+        let (gateway, lease) = (l.gateway, l.lease);
+        self.state = State::Active(id);
+        self.consecutive_failures = 0;
+        self.install(ctx, public, "cp.promote");
+        // The immediate TCONNECT re-confirms the lease server-side.
+        ctx.stats().count("cp.tconnect", 1);
+        ctx.send_to(gateway, ports::TUNNEL, TunnelMsg::Connect.to_wire());
+        self.arm_active(ctx, i, lease.max(MIN_REFRESH_LEASE) / 2);
+        self.handoff_done(ctx, true);
     }
 
     /// The serving gateway stopped answering pings: declare it dead and
@@ -613,13 +667,9 @@ impl ConnectionProvider {
     /// successful handoff looks to the upper layers like a lease
     /// renumbering, not an outage.
     fn begin_handoff(&mut self, ctx: &mut Ctx<'_>) {
-        let State::Connected {
-            gateway, public, ..
-        } = &self.state
-        else {
+        let (Some(id), Some((gateway, public))) = (self.active_id(), self.active()) else {
             return;
         };
-        let (gateway, public) = (*gateway, *public);
         ctx.stats().count("cp.gateway_dead", 1);
         self.handoff_span = ctx.span_enter(SpanCat::Tunnel, "tunnel.handoff");
         if ctx.obs().tracing() {
@@ -630,7 +680,7 @@ impl ConnectionProvider {
         // The old lease is dead with its gateway; stop answering for it.
         ctx.remove_local_addr(public);
         self.handoff_from = Some(public);
-        self.ka_gen += 1;
+        self.leases.retain(|l| l.id != id);
         self.gw_health.mark_dead(gateway.addr);
         // First-hand death evidence beats the advert lifetime: drop the
         // dead gateway's cached SLP entries so a fallback lookup floods
@@ -647,22 +697,20 @@ impl ConnectionProvider {
         // warm one — a pre-warmed lease makes the switch a state flip
         // with no handshake on the critical path.
         let now = ctx.now();
-        let rode_dead = self
-            .warm
+        let rode_dead = |s: &Lease| s.gateway.addr == gateway.addr || s.origin == gateway.addr;
+        let warm_dead = self
+            .leases
             .iter()
-            .filter(|s| {
-                (s.gateway.addr == gateway.addr || s.origin == gateway.addr) && s.public.is_some()
-            })
+            .filter(|s| rode_dead(s) && s.public.is_some())
             .count();
-        if rode_dead > 0 {
-            ctx.stats().count("cp.standby_dead", rode_dead);
+        if warm_dead > 0 {
+            ctx.stats().count("cp.standby_dead", warm_dead);
         }
-        self.warm
-            .retain(|s| s.gateway.addr != gateway.addr && s.origin != gateway.addr);
+        self.leases.retain(|s| !rode_dead(s));
         self.expire_standbys(ctx, now);
         {
             let routes = ctx.routes_ref();
-            self.warm.sort_by_key(|s| {
+            self.leases.sort_by_key(|s| {
                 (
                     routes
                         .lookup_specific(s.origin, now)
@@ -673,9 +721,8 @@ impl ConnectionProvider {
                 )
             });
         }
-        if let Some(i) = self.warm.iter().position(|s| s.public.is_some()) {
-            let s = self.warm.remove(i);
-            self.promote(ctx, s);
+        if let Some(i) = self.leases.iter().position(|s| s.public.is_some()) {
+            self.promote(ctx, i);
             return;
         }
         // No warm standby survived: break-before-make fallback through
@@ -685,7 +732,7 @@ impl ConnectionProvider {
             // Stale SLP standby may still name the dead gateway's
             // neighbors; fall back to whatever the last probe ranked,
             // re-ranked against current routes.
-            match self.next_standby(ctx, gateway.addr) {
+            match self.next_cold(ctx, gateway.addr) {
                 Some(best) => self.connect(ctx, best, 0),
                 None => {
                     // No candidate at all — fall back to a fresh SLP
@@ -724,165 +771,240 @@ impl ConnectionProvider {
         self.gw_health.clear_dead();
     }
 
+    /// A lease grant: the handshake's first grant makes the active lease;
+    /// any other grant is for a lease already in the set, active or
+    /// standby.
     fn on_lease(&mut self, ctx: &mut Ctx<'_>, from: SocketAddr, public: Addr, lifetime_secs: u32) {
         let lease = SimDuration::from_secs(lifetime_secs as u64);
-        match &mut self.state {
-            State::Connecting { gateway, .. } if gateway.addr == from.addr => {
-                let gateway = *gateway;
-                self.state = State::Connected {
-                    gateway,
-                    public,
-                    lease,
-                    refresh_failures: 0,
-                    refresh_outstanding: false,
-                    missed_pings: 0,
-                };
-                self.consecutive_failures = 0;
-                // A fresh lease from a (different) gateway ends the
-                // blocklist: if the dead one comes back it re-announces
-                // and competes on equal footing again.
-                self.gw_health.clear_dead();
-                ctx.span_exit(self.handshake_span, true);
-                self.handshake_span = SpanId::NONE;
-                let took = ctx.now_us().saturating_sub(self.handshake_started_us);
-                ctx.obs().hist_record("cp.handshake_us", took);
-                ctx.add_local_addr(public);
-                ctx.set_default_handler(true);
-                ctx.stats().count("cp.tunnel_up", 1);
-                ctx.emit(LocalEvent::InternetUp { public });
-                self.refresh_gen += 1;
-                ctx.set_timer(lease / 2, tok(TAG_REFRESH, self.refresh_gen));
-                if !self.cfg.keepalive_interval.is_zero() {
-                    self.ka_gen += 1;
-                    ctx.set_timer(self.cfg.keepalive_interval, tok(TAG_KEEPALIVE, self.ka_gen));
-                }
-                if self.handoff_from.take().is_some() {
-                    ctx.span_exit(self.handoff_span, true);
-                    self.handoff_span = SpanId::NONE;
-                    let took = ctx.now_us().saturating_sub(self.handoff_started_us);
-                    ctx.obs().hist_record("cp.handoff_us", took);
-                    ctx.stats().count("cp.handoff_ok", 1);
-                }
-                // A standby lease on the now-active gateway merged into
-                // the active one; count it as released, not leaked.
-                let merged = self
-                    .warm
-                    .iter()
-                    .filter(|s| s.gateway.addr == from.addr && s.public.is_some())
-                    .count();
-                if merged > 0 {
-                    ctx.stats().count("cp.standby_drop", merged);
-                }
-                self.warm.retain(|s| s.gateway.addr != from.addr);
-                // Multi-homing: start (or restart) the standby
-                // maintenance chain that keeps `standby_target` warm
-                // leases alongside this one.
-                if self.cfg.standby_target > 0 && !self.cfg.standby_refresh.is_zero() {
-                    self.scan_gen += 1;
-                    ctx.set_timer(
-                        SimDuration::from_millis(10),
-                        tok(TAG_STANDBY_SCAN, self.scan_gen),
-                    );
-                }
-            }
-            State::Connected {
-                gateway,
-                public: cur_public,
-                lease: cur_lease,
-                refresh_outstanding,
-                refresh_failures,
-                missed_pings,
-            } if gateway.addr == from.addr => {
-                *refresh_outstanding = false;
-                *refresh_failures = 0;
-                // A lease grant is proof of life as good as a pong.
-                *missed_pings = 0;
-                // The grant is authoritative: adopt a renumbered public
-                // address and a shortened (or lengthened) lifetime instead
-                // of silently drifting from the server's view.
-                let old_public = *cur_public;
-                *cur_public = public;
-                let lease_changed = *cur_lease != lease;
-                *cur_lease = lease;
-                if old_public != public {
-                    ctx.remove_local_addr(old_public);
-                    ctx.add_local_addr(public);
-                    ctx.stats().count("cp.lease_renumbered", 1);
-                    ctx.emit(LocalEvent::InternetUp { public });
-                }
-                if lease_changed {
-                    self.refresh_gen += 1;
-                    ctx.set_timer(lease / 2, tok(TAG_REFRESH, self.refresh_gen));
-                }
-            }
-            _ => {
-                // Not for the active tunnel: a standby warming up (first
-                // grant) or refreshing. Handled outside the match so the
-                // state borrow is released.
+        if let State::Connecting { gateway, id, .. } = self.state {
+            if gateway.addr == from.addr {
+                self.on_first_grant(ctx, id, gateway, public, lease);
+                return;
             }
         }
-        if !self.standby_owns_lease(from) {
+        let Some(i) = self.leases.iter().position(|l| l.gateway.addr == from.addr) else {
             return;
+        };
+        let now = ctx.now();
+        let active = self.state == State::Active(self.leases[i].id);
+        let l = &mut self.leases[i];
+        let (old_public, old_lease) = (l.public, l.lease);
+        l.public = Some(public);
+        l.lease = lease;
+        l.lease_expires = now + lease;
+        // A lease grant is proof of life as good as a pong.
+        l.missed_pings = 0;
+        let id = l.id;
+        if active {
+            l.refresh_outstanding = false;
+            l.refresh_failures = 0;
+            // The grant is authoritative: adopt a renumbered public
+            // address and a shortened (or lengthened) lifetime instead of
+            // silently drifting from the server's view.
+            if let Some(old) = old_public.filter(|old| *old != public) {
+                ctx.remove_local_addr(old);
+                ctx.add_local_addr(public);
+                ctx.stats().count("cp.lease_renumbered", 1);
+                ctx.emit(LocalEvent::InternetUp { public });
+            }
+            if old_lease != lease {
+                l.refresh_due = now + lease / 2;
+                ctx.set_timer(lease / 2, tok(TAG_REFRESH, id));
+            }
+        } else if old_public.is_none() {
+            // A standby's first grant: it is warm now. The granted public
+            // address is *held*, never installed — the node keeps exactly
+            // one active public alias, so pre-warming is invisible to the
+            // stack until promotion. Its own keepalive and refresh chains
+            // keep it *verified* warm, not merely leased-once.
+            ctx.stats().count("cp.standby_warm", 1);
+            if !self.cfg.keepalive_interval.is_zero() {
+                ctx.set_timer(self.cfg.keepalive_interval, tok(TAG_KEEPALIVE, id));
+            }
+            l.refresh_due = now + lease / 2;
+            ctx.set_timer(lease / 2, tok(TAG_REFRESH, id));
         }
-        self.on_standby_lease(ctx, from, public, lease);
     }
 
-    /// Whether a lease grant from `from` belongs to a warm-set entry (and
-    /// not to the active/connecting tunnel, which consumed it above).
-    fn standby_owns_lease(&self, from: SocketAddr) -> bool {
-        self.warm.iter().any(|s| s.gateway.addr == from.addr)
-    }
-
-    /// A lease grant for a standby: record it warm. The granted public
-    /// address is *held*, never installed — the node keeps exactly one
-    /// active public alias, so pre-warming is invisible to the stack
-    /// until promotion.
-    fn on_standby_lease(
+    /// The grant that ends the handshake: the node is on the Internet.
+    fn on_first_grant(
         &mut self,
         ctx: &mut Ctx<'_>,
-        from: SocketAddr,
+        id: u64,
+        gateway: SocketAddr,
         public: Addr,
         lease: SimDuration,
     ) {
         let now = ctx.now();
-        let ka = self.cfg.keepalive_interval;
-        let Some(s) = self.warm.iter_mut().find(|s| s.gateway.addr == from.addr) else {
-            return;
-        };
-        let newly_warm = s.public.is_none();
-        s.public = Some(public);
-        s.lease = lease;
-        s.lease_expires = now + lease;
-        s.missed_pings = 0;
-        let id = s.id;
-        if newly_warm {
-            ctx.stats().count("cp.standby_warm", 1);
-            // The standby gets its own keepalive and refresh chains so
-            // it is *verified* warm, not merely leased-once.
-            if !ka.is_zero() {
-                ctx.set_timer(ka, tok(TAG_STANDBY_KA, id));
-            }
-            ctx.set_timer(lease / 2, tok(TAG_STANDBY_REFRESH, id));
+        self.state = State::Active(id);
+        self.consecutive_failures = 0;
+        // A fresh lease from a (different) gateway ends the blocklist: if
+        // the dead one comes back it re-announces and competes on equal
+        // footing again.
+        self.gw_health.clear_dead();
+        ctx.span_exit(self.handshake_span, true);
+        self.handshake_span = SpanId::NONE;
+        let took = ctx.now_us().saturating_sub(self.handshake_started_us);
+        ctx.obs().hist_record("cp.handshake_us", took);
+        self.install(ctx, public, "cp.tunnel_up");
+        // A standby lease on the now-active gateway merges into the
+        // active one; count it as released, not leaked.
+        let merged = self
+            .leases
+            .iter()
+            .filter(|s| s.gateway.addr == gateway.addr && s.public.is_some())
+            .count();
+        self.leases.retain(|s| s.gateway.addr != gateway.addr);
+        self.leases.push(Lease {
+            id,
+            gateway,
+            origin: gateway.addr,
+            public: Some(public),
+            lease,
+            lease_expires: now + lease,
+            advert_expires: now,
+            missed_pings: 0,
+            refresh_failures: 0,
+            refresh_outstanding: false,
+            refresh_due: now,
+        });
+        self.arm_active(ctx, self.leases.len() - 1, lease / 2);
+        self.handoff_done(ctx, false);
+        if merged > 0 {
+            ctx.stats().count("cp.standby_drop", merged);
+        }
+        // Multi-homing: start (or restart) the standby maintenance chain
+        // that keeps `standby_target` warm leases alongside this one.
+        if self.cfg.standby_target > 0 && !self.cfg.standby_refresh.is_zero() {
+            let first = SimDuration::from_millis(10);
+            self.scan_due = Some(now + first);
+            ctx.set_timer(first, TAG_STANDBY_SCAN);
         }
     }
 
     /// Captured Internet-bound datagram: NAT the source and tunnel it.
     fn tunnel_out(&mut self, ctx: &mut Ctx<'_>, dgram: &Datagram) {
-        let State::Connected {
-            gateway, public, ..
-        } = &self.state
-        else {
+        let Some((gateway, public)) = self.active() else {
             ctx.stats().count("cp.no_tunnel_drop", dgram.wire_len());
             return;
         };
         let mut inner = dgram.clone();
         if !inner.src.addr.is_public() {
-            inner.src.addr = *public;
+            inner.src.addr = public;
         }
-        let gateway = *gateway;
         let msg = TunnelMsg::Data { inner };
         ctx.stats().count("cp.tunneled_out", dgram.wire_len());
         ctx.send_to(gateway, ports::TUNNEL, msg.to_wire());
+    }
+
+    /// A lease's connect timeout: the active handshake retries, advances
+    /// to the next cold contact or gives up; a standby that never warmed
+    /// is dropped. Any other firing is stale.
+    fn on_connect_timeout(&mut self, ctx: &mut Ctx<'_>, key: u64) {
+        if let State::Connecting {
+            gateway,
+            attempts,
+            id,
+        } = self.state
+        {
+            if id == key {
+                if attempts < 2 {
+                    self.connect(ctx, gateway, attempts + 1);
+                    return;
+                }
+                let next = self.next_cold(ctx, gateway.addr);
+                ctx.span_exit(self.handshake_span, false);
+                self.handshake_span = SpanId::NONE;
+                if let Some(next) = next {
+                    // This gateway never answered; advance through the
+                    // cold ranking before giving up.
+                    ctx.stats().count("cp.standby_advance", 1);
+                    self.connect(ctx, next, 0);
+                } else {
+                    self.fail_handoff(ctx);
+                    self.state = State::Idle;
+                    self.consecutive_failures = self.consecutive_failures.saturating_add(1);
+                    self.schedule_recheck(ctx);
+                }
+                return;
+            }
+        }
+        if let Some(i) = self
+            .leases
+            .iter()
+            .position(|l| l.id == key && l.public.is_none())
+        {
+            self.leases.remove(i);
+            ctx.stats().count("cp.standby_timeout", 1);
+        }
+    }
+
+    /// A lease's refresh chain. The active lease counts unanswered
+    /// refreshes and is torn down after too many; a standby just re-sends
+    /// and lapses on its own if the gateway is gone.
+    fn on_refresh(&mut self, ctx: &mut Ctx<'_>, key: u64) {
+        let now = ctx.now();
+        let Some(i) = self
+            .leases
+            .iter()
+            .position(|l| l.id == key && l.refresh_due == now)
+        else {
+            return;
+        };
+        let active = self.state == State::Active(key);
+        let l = &mut self.leases[i];
+        if active {
+            if l.refresh_outstanding {
+                l.refresh_failures += 1;
+            }
+            if l.refresh_failures > MAX_REFRESH_FAILURES {
+                self.teardown(ctx);
+                self.consecutive_failures = self.consecutive_failures.saturating_add(1);
+                self.schedule_recheck(ctx);
+                return;
+            }
+            l.refresh_outstanding = true;
+        }
+        let (period, counter) = if active {
+            (l.lease / 2, "cp.tconnect")
+        } else {
+            (l.lease.max(MIN_REFRESH_LEASE) / 2, "cp.standby_refresh")
+        };
+        l.refresh_due = now + period;
+        let gateway = l.gateway;
+        ctx.stats().count(counter, 1);
+        ctx.send_to(gateway, ports::TUNNEL, TunnelMsg::Connect.to_wire());
+        ctx.set_timer(period, tok(TAG_REFRESH, key));
+    }
+
+    /// A lease's keepalive chain. Too many unanswered pings start a
+    /// handoff away from the active lease, and drop a standby (the next
+    /// maintenance scan replaces it).
+    fn on_keepalive(&mut self, ctx: &mut Ctx<'_>, key: u64) {
+        let Some(i) = self.leases.iter().position(|l| l.id == key) else {
+            return;
+        };
+        let active = self.state == State::Active(key);
+        if self.leases[i].missed_pings >= self.cfg.keepalive_max_missed {
+            if active {
+                self.begin_handoff(ctx);
+            } else {
+                self.leases.remove(i);
+                ctx.stats().count("cp.standby_dead", 1);
+            }
+            return;
+        }
+        self.leases[i].missed_pings += 1;
+        let gateway = self.leases[i].gateway;
+        self.ping_seq += 1;
+        ctx.stats()
+            .count(if active { "cp.ping" } else { "cp.standby_ping" }, 1);
+        ctx.send_to(
+            gateway,
+            ports::TUNNEL,
+            TunnelMsg::Ping { seq: self.ping_seq }.to_wire(),
+        );
+        ctx.set_timer(self.cfg.keepalive_interval, tok(TAG_KEEPALIVE, key));
     }
 }
 
@@ -912,8 +1034,8 @@ impl Process for ConnectionProvider {
                     if xid == expect {
                         // Rank every offered gateway (hops, then
                         // freshness): lease from the best, keep the rest
-                        // as warm standby for handoff. Neighbor caches may
-                        // still advertise the blocklisted dead gateway.
+                        // as cold contacts for handoff. Neighbor caches
+                        // may still advertise the blocklisted dead gateway.
                         let mut entries: Vec<ServiceEntry> = entries
                             .into_iter()
                             .filter(|e| self.admit_gateway(e))
@@ -961,8 +1083,8 @@ impl Process for ConnectionProvider {
                     // would be captured as Internet-bound, tunneled to the
                     // new gateway and sent back to the old one: a loop
                     // until the old lease lapses.
-                    let held = matches!(self.state, State::Connected { public, .. } if public == inner.dst.addr);
-                    if inner.dst.addr.is_public() && !held {
+                    let held = self.active().map(|(_, public)| public);
+                    if inner.dst.addr.is_public() && held != Some(inner.dst.addr) {
                         ctx.stats().count("cp.stale_lease_drop", inner.wire_len());
                         return;
                     }
@@ -970,28 +1092,12 @@ impl Process for ConnectionProvider {
                     ctx.send(inner);
                 }
                 Some(TunnelMsg::Pong { .. }) => {
-                    let mut active = false;
-                    if let State::Connected {
-                        gateway,
-                        missed_pings,
-                        ..
-                    } = &mut self.state
-                    {
-                        if gateway.addr == dgram.src.addr {
-                            *missed_pings = 0;
-                            active = true;
-                        }
-                    }
-                    if active {
-                        ctx.stats().count("cp.pong", 1);
-                    } else if let Some(s) = self
-                        .warm
-                        .iter_mut()
-                        .find(|s| s.gateway.addr == dgram.src.addr)
-                    {
-                        // A standby answering its keepalive: still warm.
-                        s.missed_pings = 0;
-                        ctx.stats().count("cp.standby_pong", 1);
+                    let from = dgram.src.addr;
+                    if let Some(l) = self.leases.iter_mut().find(|l| l.gateway.addr == from) {
+                        l.missed_pings = 0;
+                        let active = self.state == State::Active(l.id);
+                        ctx.stats()
+                            .count(if active { "cp.pong" } else { "cp.standby_pong" }, 1);
                     }
                 }
                 Some(TunnelMsg::Connect)
@@ -1009,7 +1115,7 @@ impl Process for ConnectionProvider {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        let gen = token >> 8;
+        let key = token >> 8;
         match token & 0xff {
             TAG_CHECK => match self.state {
                 State::Idle => self.probe(ctx),
@@ -1020,145 +1126,19 @@ impl Process for ConnectionProvider {
                 }
                 _ => {}
             },
-            TAG_CONNECT_TIMEOUT => {
-                if let State::Connecting { gateway, attempts } = self.state {
-                    if attempts < 2 {
-                        self.connect(ctx, gateway, attempts + 1);
-                    } else if let Some(next) = self.next_standby(ctx, gateway.addr) {
-                        // This gateway never answered; advance through the
-                        // warm-standby ranking before giving up.
-                        ctx.span_exit(self.handshake_span, false);
-                        self.handshake_span = SpanId::NONE;
-                        ctx.stats().count("cp.standby_advance", 1);
-                        self.connect(ctx, next, 0);
-                    } else {
-                        ctx.span_exit(self.handshake_span, false);
-                        self.handshake_span = SpanId::NONE;
-                        self.fail_handoff(ctx);
-                        self.state = State::Idle;
-                        self.consecutive_failures = self.consecutive_failures.saturating_add(1);
-                        self.schedule_recheck(ctx);
-                    }
-                }
-            }
-            TAG_REFRESH => {
-                if gen != self.refresh_gen {
-                    return;
-                }
-                if let State::Connected {
-                    gateway,
-                    lease,
-                    refresh_failures,
-                    refresh_outstanding,
-                    ..
-                } = &mut self.state
-                {
-                    if *refresh_outstanding {
-                        *refresh_failures += 1;
-                    }
-                    if *refresh_failures > MAX_REFRESH_FAILURES {
-                        self.teardown(ctx);
-                        self.consecutive_failures = self.consecutive_failures.saturating_add(1);
-                        self.schedule_recheck(ctx);
-                        return;
-                    }
-                    *refresh_outstanding = true;
-                    let gateway = *gateway;
-                    let lease = *lease;
-                    ctx.stats().count("cp.tconnect", 1);
-                    ctx.send_to(gateway, ports::TUNNEL, TunnelMsg::Connect.to_wire());
-                    ctx.set_timer(lease / 2, tok(TAG_REFRESH, self.refresh_gen));
-                }
-            }
-            TAG_KEEPALIVE => {
-                if gen != self.ka_gen {
-                    return;
-                }
-                let dead = matches!(
-                    &self.state,
-                    State::Connected { missed_pings, .. }
-                        if *missed_pings >= self.cfg.keepalive_max_missed
-                );
-                if dead {
-                    self.begin_handoff(ctx);
-                    return;
-                }
-                if let State::Connected {
-                    gateway,
-                    missed_pings,
-                    ..
-                } = &mut self.state
-                {
-                    *missed_pings += 1;
-                    let gateway = *gateway;
-                    self.ping_seq += 1;
-                    ctx.stats().count("cp.ping", 1);
-                    ctx.send_to(
-                        gateway,
-                        ports::TUNNEL,
-                        TunnelMsg::Ping { seq: self.ping_seq }.to_wire(),
-                    );
-                    ctx.set_timer(self.cfg.keepalive_interval, tok(TAG_KEEPALIVE, self.ka_gen));
-                }
-            }
+            TAG_CONNECT_TIMEOUT => self.on_connect_timeout(ctx, key),
+            TAG_REFRESH => self.on_refresh(ctx, key),
+            TAG_KEEPALIVE => self.on_keepalive(ctx, key),
             TAG_STANDBY_SCAN => {
-                if gen != self.scan_gen || self.cfg.standby_target == 0 {
+                let now = ctx.now();
+                if self.scan_due != Some(now) {
                     return;
                 }
-                if matches!(self.state, State::Connected { .. }) {
-                    self.maintain_standbys(ctx);
-                }
+                self.maintain_standbys(ctx);
                 // The chain survives Probing/Connecting interludes (a
-                // handoff in flight) and dies only by generation.
-                ctx.set_timer(
-                    self.cfg.standby_refresh,
-                    tok(TAG_STANDBY_SCAN, self.scan_gen),
-                );
-            }
-            TAG_STANDBY_KA => {
-                // `gen` is the standby id; a missing id means the standby
-                // was promoted, dropped or expired — the chain dies here.
-                let Some(i) = self.warm.iter().position(|s| s.id == gen) else {
-                    return;
-                };
-                if self.warm[i].missed_pings >= self.cfg.keepalive_max_missed {
-                    self.warm.remove(i);
-                    ctx.stats().count("cp.standby_dead", 1);
-                    // Replenished by the next maintenance scan.
-                    return;
-                }
-                self.warm[i].missed_pings += 1;
-                let gw = self.warm[i].gateway;
-                self.ping_seq += 1;
-                ctx.stats().count("cp.standby_ping", 1);
-                ctx.send_to(
-                    gw,
-                    ports::TUNNEL,
-                    TunnelMsg::Ping { seq: self.ping_seq }.to_wire(),
-                );
-                ctx.set_timer(self.cfg.keepalive_interval, tok(TAG_STANDBY_KA, gen));
-            }
-            TAG_STANDBY_REFRESH => {
-                let Some(s) = self.warm.iter().find(|s| s.id == gen) else {
-                    return;
-                };
-                let (gw, lease) = (s.gateway, s.lease);
-                ctx.stats().count("cp.standby_refresh", 1);
-                ctx.send_to(gw, ports::TUNNEL, TunnelMsg::Connect.to_wire());
-                let refresh_in = lease.max(SimDuration::from_secs(2)) / 2;
-                ctx.set_timer(refresh_in, tok(TAG_STANDBY_REFRESH, gen));
-            }
-            TAG_STANDBY_TIMEOUT => {
-                // Only meaningful while the standby never warmed: the
-                // TCONNECT went unanswered, so stop waiting for it.
-                if let Some(i) = self
-                    .warm
-                    .iter()
-                    .position(|s| s.id == gen && s.public.is_none())
-                {
-                    self.warm.remove(i);
-                    ctx.stats().count("cp.standby_timeout", 1);
-                }
+                // handoff in flight) and dies only with the warm set.
+                self.scan_due = Some(now + self.cfg.standby_refresh);
+                ctx.set_timer(self.cfg.standby_refresh, TAG_STANDBY_SCAN);
             }
             _ => {}
         }

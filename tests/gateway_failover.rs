@@ -220,6 +220,74 @@ fn promotion_prefers_closest_standby_over_insertion_order() {
     );
 }
 
+/// A promoted standby stops being a standby: its standby keepalive and
+/// refresh chains die at promotion and one active keepalive chain takes
+/// over. Chains that survived promotion would ping the new gateway twice
+/// per interval, once as the active lease and once as the standby.
+#[test]
+fn promoted_standby_runs_one_keepalive_chain() {
+    let mut w = World::new(WorldConfig::new(904).with_radio(RadioConfig::ideal()));
+    let dns = internet_side(&mut w);
+    let gws = [
+        deploy(
+            &mut w,
+            NodeSpec::relay(0.0, 0.0)
+                .with_gateway(Addr::new(82, 130, 64, 1))
+                .with_dns(dns.clone()),
+        ),
+        deploy(
+            &mut w,
+            NodeSpec::relay(120.0, 0.0)
+                .with_gateway(Addr::new(82, 130, 65, 1))
+                .with_dns(dns.clone()),
+        ),
+    ];
+    let alice = deploy(&mut w, NodeSpec::relay(60.0, 0.0).with_dns(dns));
+    w.run_for(SimDuration::from_secs(20));
+    let first = public_leases(&w, &alice);
+    assert_eq!(first.len(), 1, "one lease held");
+    assert!(
+        w.node(alice.id).stats().get("cp.standby_warm").packets >= 1,
+        "the other gateway must be a warm standby"
+    );
+    let (dead, promoted) = if first[0].0 & 0xffff_ff00 == 0x5282_4000 {
+        (&gws[0], &gws[1])
+    } else {
+        (&gws[1], &gws[0])
+    };
+
+    w.set_node_up(dead.id, false);
+    let promoted_in_time = (0..50).any(|_| {
+        w.run_for(SimDuration::from_millis(100));
+        w.node(alice.id).stats().get("cp.promote").packets >= 1
+    });
+    assert!(promoted_in_time, "the standby must be promoted within 5 s");
+
+    let count = |w: &World, node: NodeId, name: &str| w.node(node).stats().get(name).packets;
+    let ping = count(&w, alice.id, "cp.ping");
+    let standby_ping = count(&w, alice.id, "cp.standby_ping");
+    let served = count(&w, promoted.id, "tunnel.ping");
+    w.run_for(SimDuration::from_secs(10));
+    // At most ⌈10 s / 1 s keepalive interval⌉ + 1; fewer than 8 would mean
+    // the active chain never started.
+    let bound = 11;
+    let pings = count(&w, alice.id, "cp.ping") - ping;
+    assert!(
+        (8..=bound).contains(&pings),
+        "{pings} active pings in 10 s after promotion, bound {bound}"
+    );
+    assert_eq!(
+        count(&w, alice.id, "cp.standby_ping"),
+        standby_ping,
+        "the promoted lease must stop its standby keepalives"
+    );
+    let served = count(&w, promoted.id, "tunnel.ping") - served;
+    assert!(
+        served <= bound,
+        "the promoted gateway answered {served} pings in 10 s, bound {bound}"
+    );
+}
+
 /// The tentpole property: a call that is *already up* survives the death
 /// of the gateway carrying it. Keepalives detect the dead gateway, the
 /// Connection Provider re-leases from the survivor, the UA re-INVITEs
