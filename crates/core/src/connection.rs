@@ -855,6 +855,8 @@ impl ConnectionProvider {
             .filter(|s| s.gateway.addr == gateway.addr && s.public.is_some())
             .count();
         self.leases.retain(|s| s.gateway.addr != gateway.addr);
+        // Origin and advert lifetime rank and expire standbys only; an
+        // active lease never becomes one again.
         self.leases.push(Lease {
             id,
             gateway,
