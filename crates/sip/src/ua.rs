@@ -224,12 +224,6 @@ struct Dialog {
     call_id: String,
     local_tag: String,
     remote_tag: Option<String>,
-    /// Rendered `From` value for requests this side sends in the dialog
-    /// (`<sip:user@domain>;tag=local` — fixed for the dialog's lifetime).
-    hdr_from: String,
-    /// Rendered `To` value for requests this side sends; the remote tag
-    /// is appended as soon as it is learned.
-    hdr_to: String,
     remote_aor: Aor,
     remote_target: Option<SipUri>,
     local_seq: u32,
@@ -263,6 +257,16 @@ struct Dialog {
 }
 
 impl Dialog {
+    /// `To` of a request this side sends: the peer's AOR, tagged once
+    /// the peer's tag is known.
+    fn to_value(&self) -> String {
+        let base = name_addr_value(&self.remote_aor);
+        match &self.remote_tag {
+            Some(t) => tagged(&base, t),
+            None => base,
+        }
+    }
+
     /// Ends the dialog: drops what only a live dialog reads and queues it
     /// on `terminated` for removal once the linger has lapsed. Idempotent
     /// — duplicated finals and BYEs reach dialogs that are already over.
@@ -532,11 +536,10 @@ impl UserAgent {
         let local_tag = self.new_tag(ctx);
 
         let hdr_from = tagged(&self.render_cache(ctx).from_base, &local_tag);
-        let hdr_to = name_addr_value(&to);
         let contact = self.render_cache(ctx).contact.clone();
         let mut m = self.base_request(ctx, Method::Invite, to.to_uri());
-        m.headers_mut().push_owned("From", hdr_from.clone());
-        m.headers_mut().push_owned("To", hdr_to.clone());
+        m.headers_mut().push_owned("From", hdr_from);
+        m.headers_mut().push_owned("To", name_addr_value(&to));
         m.headers_mut().push_owned("Call-ID", call_id.clone());
         m.headers_mut().push("CSeq", CSeq::new(1, "INVITE"));
         m.headers_mut().push_owned("Contact", contact);
@@ -558,8 +561,6 @@ impl UserAgent {
             call_id: call_id.clone(),
             local_tag,
             remote_tag: None,
-            hdr_from,
-            hdr_to,
             remote_aor: to.clone(),
             remote_target: None,
             local_seq: 1,
@@ -583,6 +584,7 @@ impl UserAgent {
     }
 
     fn send_ack(&mut self, ctx: &mut Ctx<'_>, call_id: &str) {
+        self.render_cache(ctx);
         let Some(d) = self.dialogs.get(call_id) else {
             return;
         };
@@ -591,7 +593,8 @@ impl UserAgent {
             .clone()
             .unwrap_or_else(|| d.remote_aor.to_uri());
         let branch = d.invite_branch.clone().unwrap_or_else(|| Arc::from(""));
-        let (hdr_from, hdr_to, local_seq) = (d.hdr_from.clone(), d.hdr_to.clone(), d.local_seq);
+        let hdr_from = tagged(&self.render.from_base, &d.local_tag);
+        let (hdr_to, local_seq) = (d.to_value(), d.local_seq);
         let mut m = self.base_request(ctx, Method::Ack, target);
         m.headers_mut().push(
             "Via",
@@ -606,6 +609,7 @@ impl UserAgent {
     }
 
     fn send_bye(&mut self, ctx: &mut Ctx<'_>, call_id: &str) {
+        self.render_cache(ctx);
         let Some(d) = self.dialogs.get_mut(call_id) else {
             return;
         };
@@ -618,7 +622,7 @@ impl UserAgent {
             .remote_target
             .clone()
             .unwrap_or_else(|| d.remote_aor.to_uri());
-        let (hdr_from, hdr_to) = (d.hdr_from.clone(), d.hdr_to.clone());
+        let (hdr_from, hdr_to) = (tagged(&self.render.from_base, &d.local_tag), d.to_value());
         let mut m = self.base_request(ctx, Method::Bye, target);
         m.headers_mut().push_owned("From", hdr_from);
         m.headers_mut().push_owned("To", hdr_to);
@@ -644,6 +648,7 @@ impl UserAgent {
     /// address, so the remote endpoint re-targets signaling and media.
     fn send_reinvite(&mut self, ctx: &mut Ctx<'_>, call_id: &str) {
         let contact = self.local_contact(ctx);
+        self.render_cache(ctx);
         let Some(d) = self.dialogs.get_mut(call_id) else {
             return;
         };
@@ -657,7 +662,7 @@ impl UserAgent {
             .remote_target
             .clone()
             .unwrap_or_else(|| d.remote_aor.to_uri());
-        let (hdr_from, hdr_to) = (d.hdr_from.clone(), d.hdr_to.clone());
+        let (hdr_from, hdr_to) = (tagged(&self.render.from_base, &d.local_tag), d.to_value());
         let mut m = self.base_request(ctx, Method::Invite, target);
         m.headers_mut().push_owned("From", hdr_from);
         m.headers_mut().push_owned("To", hdr_to);
@@ -796,11 +801,9 @@ impl UserAgent {
                     // Rebuild against *this* flight's Via stack — the
                     // stored 200 answers the original (possibly mangled)
                     // request and would route back along dead branches.
-                    // A response's To is the request To plus our tag,
-                    // which is exactly this side's From value.
-                    let hdr_to = d.hdr_from.clone();
+                    let local_tag = d.local_tag.clone();
                     let mut ok = SipMessage::response_to(&msg, StatusCode::OK);
-                    ok.headers_mut().set_owned("To", hdr_to);
+                    set_to_tag(&mut ok, &local_tag);
                     ok.headers_mut().set_owned("Contact", contact);
                     if !body.is_empty() {
                         ok.set_body_string(body, Some("application/sdp"));
@@ -856,18 +859,11 @@ impl UserAgent {
         let remote_aor = from.uri.aor();
         let remote_tag = from.tag().map(str::to_owned);
         let invite_cseq = msg.cseq();
-        let hdr_from = tagged(&self.render_cache(ctx).from_base, &local_tag);
-        let hdr_to = match &remote_tag {
-            Some(t) => tagged(&name_addr_value(&remote_aor), t),
-            None => name_addr_value(&remote_aor),
-        };
         let dialog = Dialog {
             idx,
             call_id: call_id.clone(),
             local_tag,
             remote_tag,
-            hdr_from,
-            hdr_to,
             remote_aor,
             remote_target,
             local_seq: 0,
@@ -1076,15 +1072,7 @@ impl UserAgent {
                 let was_early = d.state == DialogState::Early;
                 let prev_rtp = d.remote_rtp;
                 d.state = DialogState::Confirmed;
-                let new_tag = msg.to_header().and_then(|t| t.tag().map(str::to_owned));
-                if new_tag != d.remote_tag {
-                    d.remote_tag = new_tag;
-                    let base = name_addr_value(&d.remote_aor);
-                    d.hdr_to = match &d.remote_tag {
-                        Some(t) => tagged(&base, t),
-                        None => base,
-                    };
-                }
+                d.remote_tag = msg.to_header().and_then(|t| t.tag().map(str::to_owned));
                 if let Some(c) = msg.contact() {
                     d.remote_target = Some(c.uri);
                 }
