@@ -6,7 +6,6 @@
 //! claim of the paper is meaningful in the reproduction: the user agent and
 //! the SIPHoc proxy interoperate purely through standard bytes.
 
-use std::borrow::Cow;
 use std::fmt;
 use std::fmt::Write as _;
 use std::str::FromStr;
@@ -138,46 +137,10 @@ impl fmt::Display for StatusCode {
     }
 }
 
-/// Interns the header names every message carries as `Cow::Borrowed` so
-/// the signaling hot path allocates nothing for them. Matching is exact
-/// (byte-for-byte) — interning must never canonicalize case, or a parsed
-/// message would re-render differently than it arrived.
-fn intern_name(name: &str) -> Cow<'static, str> {
-    // Dispatch on length first so the common case is a single equality
-    // check instead of a scan over a table.
-    let known: Option<&'static str> = match name.len() {
-        2 if name == "To" => Some("To"),
-        3 if name == "Via" => Some("Via"),
-        4 => match name {
-            "From" => Some("From"),
-            "CSeq" => Some("CSeq"),
-            _ => None,
-        },
-        7 => match name {
-            "Call-ID" => Some("Call-ID"),
-            "Contact" => Some("Contact"),
-            "Expires" => Some("Expires"),
-            _ => None,
-        },
-        10 if name == "User-Agent" => Some("User-Agent"),
-        12 => match name {
-            "Max-Forwards" => Some("Max-Forwards"),
-            "Content-Type" => Some("Content-Type"),
-            _ => None,
-        },
-        14 if name == "Content-Length" => Some("Content-Length"),
-        _ => None,
-    };
-    match known {
-        Some(k) => Cow::Borrowed(k),
-        None => Cow::Owned(name.to_owned()),
-    }
-}
-
 /// An ordered, case-insensitive multimap of SIP headers.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Headers {
-    items: Vec<(Cow<'static, str>, String)>,
+    items: Vec<(String, String)>,
 }
 
 impl Headers {
@@ -195,18 +158,18 @@ impl Headers {
 
     /// Appends a header.
     pub fn push(&mut self, name: &str, value: impl fmt::Display) {
-        self.items.push((intern_name(name), value.to_string()));
+        self.items.push((name.to_owned(), value.to_string()));
     }
 
     /// Appends a header whose value is already rendered, skipping the
     /// `Display` round-trip. Hot-path builders pass cached strings here.
     pub fn push_owned(&mut self, name: &str, value: String) {
-        self.items.push((intern_name(name), value));
+        self.items.push((name.to_owned(), value));
     }
 
     /// Prepends a header (used for Via stacking at proxies).
     pub fn push_front(&mut self, name: &str, value: impl fmt::Display) {
-        self.items.insert(0, (intern_name(name), value.to_string()));
+        self.items.insert(0, (name.to_owned(), value.to_string()));
     }
 
     /// First value of `name`, if any.
@@ -254,7 +217,7 @@ impl Headers {
 
     /// Iterates `(name, value)` pairs in order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.items.iter().map(|(n, v)| (n.as_ref(), v.as_str()))
+        self.items.iter().map(|(n, v)| (n.as_str(), v.as_str()))
     }
 
     /// Number of header lines.
