@@ -175,9 +175,13 @@ impl fmt::Display for NameAddr {
         if let Some(d) = &self.display {
             write!(f, "\"{d}\" ")?;
         }
-        write!(f, "<{}>", self.uri)?;
+        f.write_str("<")?;
+        self.uri.fmt(f)?;
+        f.write_str(">")?;
         for (n, v) in &self.params {
-            write!(f, ";{n}={v}")?;
+            for piece in [";", n, "=", v] {
+                f.write_str(piece)?;
+            }
         }
         Ok(())
     }

@@ -61,23 +61,19 @@ impl Sdp {
 
 impl fmt::Display for Sdp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "v=0\r")?;
-        writeln!(
+        let (user, id, addr) = (&self.origin_user, self.session_id, self.addr);
+        write!(
             f,
-            "o={} {} {} IN IP4 {}\r",
-            self.origin_user, self.session_id, self.session_id, self.addr
+            "v=0\r\no={user} {id} {id} IN IP4 {addr}\r\ns=-\r\nc=IN IP4 {addr}\r\nt=0 0\r\nm=audio {} RTP/AVP ",
+            self.audio_port
         )?;
-        writeln!(f, "s=-\r")?;
-        writeln!(f, "c=IN IP4 {}\r", self.addr)?;
-        writeln!(f, "t=0 0\r")?;
-        let types: Vec<String> = self.payload_types.iter().map(u8::to_string).collect();
-        writeln!(
-            f,
-            "m=audio {} RTP/AVP {}\r",
-            self.audio_port,
-            types.join(" ")
-        )?;
-        Ok(())
+        for (i, pt) in self.payload_types.iter().enumerate() {
+            if i > 0 {
+                f.write_str(" ")?;
+            }
+            write!(f, "{pt}")?;
+        }
+        f.write_str("\r\n")
     }
 }
 

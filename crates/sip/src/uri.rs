@@ -93,11 +93,12 @@ impl SipUri {
 
 impl fmt::Display for SipUri {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "sip:")?;
+        f.write_str("sip:")?;
         if let Some(u) = &self.user {
-            write!(f, "{u}@")?;
+            f.write_str(u)?;
+            f.write_str("@")?;
         }
-        write!(f, "{}", self.host)?;
+        f.write_str(&self.host)?;
         if let Some(p) = self.port {
             write!(f, ":{p}")?;
         }
