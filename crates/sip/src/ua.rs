@@ -257,13 +257,18 @@ struct Dialog {
 }
 
 impl Dialog {
+    /// `From` of a request this side sends in the dialog.
+    fn from_header(&self, aor: &Aor) -> NameAddr {
+        NameAddr::new(aor.to_uri()).with_tag(&self.local_tag)
+    }
+
     /// `To` of a request this side sends: the peer's AOR, tagged once
     /// the peer's tag is known.
-    fn to_value(&self) -> String {
-        let base = name_addr_value(&self.remote_aor);
+    fn to_header(&self) -> NameAddr {
+        let to = NameAddr::new(self.remote_aor.to_uri());
         match &self.remote_tag {
-            Some(t) => tagged(&base, t),
-            None => base,
+            Some(t) => to.with_tag(t),
+            None => to,
         }
     }
 
@@ -290,56 +295,23 @@ fn tok(tag: u64, idx: u64) -> u64 {
     tag | (idx << 8)
 }
 
-/// Renders an AOR as a bare name-addr value (`<sip:user@domain>`),
-/// byte-identical to `NameAddr::new(aor.to_uri()).to_string()` but
-/// without the `fmt::Display` round-trip.
-fn name_addr_value(aor: &Aor) -> String {
-    let mut s = String::with_capacity(aor.user.len() + aor.domain.len() + 7);
-    s.push_str("<sip:");
-    s.push_str(&aor.user);
-    s.push('@');
-    s.push_str(&aor.domain);
-    s.push('>');
-    s
-}
-
-/// Appends `;tag=` to a rendered name-addr value.
-fn tagged(base: &str, tag: &str) -> String {
-    let mut s = String::with_capacity(base.len() + 5 + tag.len());
-    s.push_str(base);
-    s.push_str(";tag=");
-    s.push_str(tag);
-    s
-}
-
-/// Stamps a response's To header with this side's dialog tag. To is
-/// inherited verbatim from the request, so when it carries no tag yet the
-/// value is extended in place — the same bytes `NameAddr` would render —
-/// and only a pre-tagged To pays for the parse-and-replace path.
+/// Stamps a response's To header with this side's dialog tag.
 fn set_to_tag(resp: &mut SipMessage, tag: &str) {
-    let Some(cur) = resp.headers().get("To") else {
-        return;
-    };
-    if !cur.contains(";tag=") {
-        let v = tagged(cur, tag);
-        resp.headers_mut().set_owned("To", v);
-    } else if let Some(mut to) = resp.to_header() {
+    if let Some(mut to) = resp.to_header() {
         to.set_tag(tag);
         resp.headers_mut().set("To", to);
     }
 }
 
-/// Pre-rendered strings that are fixed for a given local address: the
-/// From/To name-addr base, the Contact value, and the SDP body split
-/// around its session id. Rebuilt if a gateway handoff renumbers the
-/// node; every call then splices bytes instead of re-running `Display`.
-#[derive(Default)]
-struct RenderCache {
-    addr: Option<Addr>,
-    from_base: String,
-    contact: String,
-    sdp_head: String,
-    sdp_tail: String,
+fn new_tag(ctx: &mut Ctx<'_>) -> String {
+    format!("{:08x}", ctx.rng().next_u64() as u32)
+}
+
+fn base_request(method: Method, uri: SipUri) -> SipMessage {
+    let mut m = SipMessage::request(method, uri);
+    m.headers_mut().push("Max-Forwards", 70);
+    m.headers_mut().push("User-Agent", "siphoc-ua/0.1");
+    m
 }
 
 /// The user agent process.
@@ -350,7 +322,6 @@ pub struct UserAgent {
     /// Boxed: a B-tree leaf reserves eleven entries, filled or not, so
     /// inline dialogs cost their size again in slack.
     dialogs: BTreeMap<String, Box<Dialog>>,
-    render: RenderCache,
     /// Dialog index → call-id. Timer tokens carry the dialog index;
     /// this side index resolves them in O(1) instead of a scan.
     dialog_by_idx: FastMap<u64, String>,
@@ -402,7 +373,6 @@ impl UserAgent {
                 txn,
                 log: log.clone(),
                 dialogs: BTreeMap::new(),
-                render: RenderCache::default(),
                 dialog_by_idx: FastMap::default(),
                 terminated: VecDeque::new(),
                 reported: (0, 0),
@@ -431,64 +401,15 @@ impl UserAgent {
         )
     }
 
-    fn new_tag(&mut self, ctx: &mut Ctx<'_>) -> String {
-        format!("{:08x}", ctx.rng().next_u64() as u32)
-    }
-
-    fn base_request(&mut self, ctx: &mut Ctx<'_>, method: Method, uri: SipUri) -> SipMessage {
-        let mut m = SipMessage::request(method, uri);
-        m.headers_mut().push("Max-Forwards", 70);
-        m.headers_mut().push("User-Agent", "siphoc-ua/0.1");
-        let _ = ctx;
-        m
-    }
-
-    /// The pre-rendered string cache for the node's current address,
-    /// rebuilding it after a handoff renumbered the node.
-    fn render_cache(&mut self, ctx: &Ctx<'_>) -> &RenderCache {
-        let addr = ctx.addr();
-        if self.render.addr != Some(addr) {
-            let aor = &self.cfg.aor;
-            self.render.addr = Some(addr);
-            self.render.from_base = name_addr_value(aor);
-            self.render.contact = format!("<sip:{}@{}:{}>", aor.user, addr, self.cfg.local_port);
-            self.render.sdp_head = format!("v=0\r\no={} ", aor.user);
-            self.render.sdp_tail = format!(
-                " IN IP4 {addr}\r\ns=-\r\nc=IN IP4 {addr}\r\nt=0 0\r\nm=audio {} RTP/AVP 0\r\n",
-                self.cfg.rtp_port
-            );
-        }
-        &self.render
-    }
-
-    /// Renders an SDP body, splicing the cached template around the
-    /// session id when `sdp` is this UA's canonical single-PCMU-stream
-    /// description (the overwhelmingly common case), and falling back to
-    /// the full serializer otherwise.
-    fn sdp_body(&mut self, ctx: &Ctx<'_>, sdp: &Sdp) -> String {
-        let canonical = sdp.origin_user == self.cfg.aor.user && sdp.audio_port == self.cfg.rtp_port;
-        let cache = self.render_cache(ctx);
-        if canonical && Some(sdp.addr) == cache.addr && sdp.payload_types == [0] {
-            use std::fmt::Write as _;
-            let mut b = String::with_capacity(cache.sdp_head.len() + cache.sdp_tail.len() + 42);
-            b.push_str(&cache.sdp_head);
-            let _ = write!(b, "{0} {0}", sdp.session_id);
-            b.push_str(&cache.sdp_tail);
-            b
-        } else {
-            sdp.to_string()
-        }
-    }
-
     // ------------------------------------------------------------------
     // Registration
     // ------------------------------------------------------------------
 
     fn send_register(&mut self, ctx: &mut Ctx<'_>, expires: u32) {
         let domain_uri = SipUri::host_only(&self.cfg.aor.domain, None);
-        let mut m = self.base_request(ctx, Method::Register, domain_uri);
+        let mut m = base_request(Method::Register, domain_uri);
         self.register_cseq += 1;
-        let tag = self.new_tag(ctx);
+        let tag = new_tag(ctx);
         let id = NameAddr::new(self.cfg.aor.to_uri());
         m.headers_mut().push("From", id.clone().with_tag(&tag));
         m.headers_mut().push("To", &id);
@@ -533,23 +454,24 @@ impl UserAgent {
             idx,
             ctx.rng().next_u64()
         );
-        let local_tag = self.new_tag(ctx);
+        let local_tag = new_tag(ctx);
 
-        let hdr_from = tagged(&self.render_cache(ctx).from_base, &local_tag);
-        let contact = self.render_cache(ctx).contact.clone();
-        let mut m = self.base_request(ctx, Method::Invite, to.to_uri());
-        m.headers_mut().push_owned("From", hdr_from);
-        m.headers_mut().push_owned("To", name_addr_value(&to));
+        let mut m = base_request(Method::Invite, to.to_uri());
+        m.headers_mut().push(
+            "From",
+            NameAddr::new(self.cfg.aor.to_uri()).with_tag(&local_tag),
+        );
+        m.headers_mut().push("To", NameAddr::new(to.to_uri()));
         m.headers_mut().push_owned("Call-ID", call_id.clone());
         m.headers_mut().push("CSeq", CSeq::new(1, "INVITE"));
-        m.headers_mut().push_owned("Contact", contact);
+        m.headers_mut()
+            .push("Contact", NameAddr::new(self.local_contact(ctx)));
         let sdp = Sdp::audio(
             &self.cfg.aor.user,
             ctx.rng().next_u64() >> 1,
             SocketAddr::new(ctx.addr(), self.cfg.rtp_port),
         );
-        let body = self.sdp_body(ctx, &sdp);
-        m.set_body_string(body, Some("application/sdp"));
+        m.set_body_string(sdp.to_string(), Some("application/sdp"));
 
         let span = ctx.span_enter(SpanCat::Sip, "sip.invite");
         ctx.obs().span_corr(span, &call_id);
@@ -584,7 +506,6 @@ impl UserAgent {
     }
 
     fn send_ack(&mut self, ctx: &mut Ctx<'_>, call_id: &str) {
-        self.render_cache(ctx);
         let Some(d) = self.dialogs.get(call_id) else {
             return;
         };
@@ -593,15 +514,15 @@ impl UserAgent {
             .clone()
             .unwrap_or_else(|| d.remote_aor.to_uri());
         let branch = d.invite_branch.clone().unwrap_or_else(|| Arc::from(""));
-        let hdr_from = tagged(&self.render.from_base, &d.local_tag);
-        let (hdr_to, local_seq) = (d.to_value(), d.local_seq);
-        let mut m = self.base_request(ctx, Method::Ack, target);
+        let (from, to) = (d.from_header(&self.cfg.aor), d.to_header());
+        let local_seq = d.local_seq;
+        let mut m = base_request(Method::Ack, target);
         m.headers_mut().push(
             "Via",
             crate::headers::Via::new(SocketAddr::new(ctx.addr(), self.cfg.local_port), &branch),
         );
-        m.headers_mut().push_owned("From", hdr_from);
-        m.headers_mut().push_owned("To", hdr_to);
+        m.headers_mut().push("From", from);
+        m.headers_mut().push("To", to);
         m.headers_mut().push_owned("Call-ID", call_id.to_owned());
         m.headers_mut().push("CSeq", CSeq::new(local_seq, "ACK"));
         self.txn
@@ -609,7 +530,6 @@ impl UserAgent {
     }
 
     fn send_bye(&mut self, ctx: &mut Ctx<'_>, call_id: &str) {
-        self.render_cache(ctx);
         let Some(d) = self.dialogs.get_mut(call_id) else {
             return;
         };
@@ -622,10 +542,10 @@ impl UserAgent {
             .remote_target
             .clone()
             .unwrap_or_else(|| d.remote_aor.to_uri());
-        let (hdr_from, hdr_to) = (tagged(&self.render.from_base, &d.local_tag), d.to_value());
-        let mut m = self.base_request(ctx, Method::Bye, target);
-        m.headers_mut().push_owned("From", hdr_from);
-        m.headers_mut().push_owned("To", hdr_to);
+        let (from, to) = (d.from_header(&self.cfg.aor), d.to_header());
+        let mut m = base_request(Method::Bye, target);
+        m.headers_mut().push("From", from);
+        m.headers_mut().push("To", to);
         m.headers_mut().push_owned("Call-ID", call_id.to_owned());
         m.headers_mut().push("CSeq", CSeq::new(seq, "BYE"));
         self.txn.send_request(ctx, m, self.cfg.outbound_proxy);
@@ -648,7 +568,6 @@ impl UserAgent {
     /// address, so the remote endpoint re-targets signaling and media.
     fn send_reinvite(&mut self, ctx: &mut Ctx<'_>, call_id: &str) {
         let contact = self.local_contact(ctx);
-        self.render_cache(ctx);
         let Some(d) = self.dialogs.get_mut(call_id) else {
             return;
         };
@@ -662,10 +581,10 @@ impl UserAgent {
             .remote_target
             .clone()
             .unwrap_or_else(|| d.remote_aor.to_uri());
-        let (hdr_from, hdr_to) = (tagged(&self.render.from_base, &d.local_tag), d.to_value());
-        let mut m = self.base_request(ctx, Method::Invite, target);
-        m.headers_mut().push_owned("From", hdr_from);
-        m.headers_mut().push_owned("To", hdr_to);
+        let (from, to) = (d.from_header(&self.cfg.aor), d.to_header());
+        let mut m = base_request(Method::Invite, target);
+        m.headers_mut().push("From", from);
+        m.headers_mut().push("To", to);
         m.headers_mut().push_owned("Call-ID", call_id.to_owned());
         m.headers_mut().push("CSeq", CSeq::new(seq, "INVITE"));
         m.headers_mut().push("Contact", NameAddr::new(contact));
@@ -677,8 +596,7 @@ impl UserAgent {
             ctx.now_us(),
             SocketAddr::new(ctx.addr(), self.cfg.rtp_port),
         );
-        let body = self.sdp_body(ctx, &sdp);
-        m.set_body_string(body, Some("application/sdp"));
+        m.set_body_string(sdp.to_string(), Some("application/sdp"));
         ctx.stats().count("sip.reinvite_tx", 1);
         let branch = self.txn.send_request(ctx, m, self.cfg.outbound_proxy);
         if let Some(d) = self.dialogs.get_mut(call_id) {
@@ -692,7 +610,7 @@ impl UserAgent {
     /// endpoint moved.
     fn on_reinvite(&mut self, ctx: &mut Ctx<'_>, key: &Arc<str>, msg: &SipMessage, call_id: &str) {
         ctx.stats().count("sip.reinvite_rx", 1);
-        let contact_value = self.render_cache(ctx).contact.clone();
+        let contact_value = NameAddr::new(self.local_contact(ctx)).to_string();
         let Some(d) = self.dialogs.get_mut(call_id) else {
             return;
         };
@@ -719,7 +637,7 @@ impl UserAgent {
                 ctx.now_us(),
                 SocketAddr::new(ctx.addr(), self.cfg.rtp_port),
             ) {
-                answer_body = self.sdp_body(ctx, &a);
+                answer_body = a.to_string();
                 ok.set_body_string(answer_body.clone(), Some("application/sdp"));
             }
         }
@@ -749,14 +667,10 @@ impl UserAgent {
             return;
         }
         d.cancelled = true;
-        let (remote_aor, local_tag) = (d.remote_aor.clone(), d.local_tag.clone());
-        let mut m = self.base_request(ctx, Method::Cancel, remote_aor.to_uri());
-        m.headers_mut().push(
-            "From",
-            NameAddr::new(self.cfg.aor.to_uri()).with_tag(&local_tag),
-        );
-        m.headers_mut()
-            .push("To", NameAddr::new(remote_aor.to_uri()));
+        let (from, to) = (d.from_header(&self.cfg.aor), d.to_header());
+        let mut m = base_request(Method::Cancel, d.remote_aor.to_uri());
+        m.headers_mut().push("From", from);
+        m.headers_mut().push("To", to);
         m.headers_mut().push("Call-ID", call_id);
         m.headers_mut().push("CSeq", CSeq::new(1, "CANCEL"));
         self.txn.send_request(ctx, m, self.cfg.outbound_proxy);
@@ -846,7 +760,7 @@ impl UserAgent {
         }
         let idx = self.next_dialog;
         self.next_dialog += 1;
-        let local_tag = self.new_tag(ctx);
+        let local_tag = new_tag(ctx);
         let remote_rtp = msg.body().parse::<Sdp>().ok().map(|s| s.rtp_endpoint());
         let remote_target = msg.contact().map(|c| c.uri);
         let span = ctx.span_enter(SpanCat::Sip, "sip.answer");
@@ -926,7 +840,7 @@ impl UserAgent {
         };
         let mut ok = SipMessage::response_to(&invite, StatusCode::OK);
         set_to_tag(&mut ok, &local_tag);
-        let contact = self.render_cache(ctx).contact.clone();
+        let contact = NameAddr::new(self.local_contact(ctx)).to_string();
         ok.headers_mut().push_owned("Contact", contact.clone());
         let mut answer_body = String::new();
         if let Ok(offer) = invite.body().parse::<Sdp>() {
@@ -936,7 +850,7 @@ impl UserAgent {
                 SocketAddr::new(ctx.addr(), self.cfg.rtp_port),
             );
             if let Some(a) = answer {
-                answer_body = self.sdp_body(ctx, &a);
+                answer_body = a.to_string();
                 ok.set_body_string(answer_body.clone(), Some("application/sdp"));
             }
         }
