@@ -176,12 +176,6 @@ impl Headers {
         self.items.push((name.to_owned(), render(value)));
     }
 
-    /// Appends a header whose value is already rendered, skipping the
-    /// `Display` round-trip. Hot-path builders pass cached strings here.
-    pub fn push_owned(&mut self, name: &str, value: String) {
-        self.items.push((name.to_owned(), value));
-    }
-
     /// Prepends a header (used for Via stacking at proxies).
     pub fn push_front(&mut self, name: &str, value: impl fmt::Display) {
         self.items.insert(0, (name.to_owned(), render(value)));
@@ -208,12 +202,6 @@ impl Headers {
     pub fn set(&mut self, name: &str, value: impl fmt::Display) {
         self.remove(name);
         self.push(name, value);
-    }
-
-    /// Like [`Headers::set`] for an already-rendered value.
-    pub fn set_owned(&mut self, name: &str, value: String) {
-        self.remove(name);
-        self.push_owned(name, value);
     }
 
     /// Removes every occurrence of `name`.
@@ -329,15 +317,10 @@ impl SipMessage {
         }
     }
 
-    /// Replaces the body and sets Content-Length (and Content-Type when a
-    /// type is given).
-    pub fn set_body(&mut self, body: &str, content_type: Option<&str>) {
-        self.set_body_string(body.to_owned(), content_type);
-    }
-
-    /// Like [`SipMessage::set_body`] but takes ownership of the body,
-    /// avoiding a copy when the caller already holds a `String`.
-    pub fn set_body_string(&mut self, body: String, content_type: Option<&str>) {
+    /// Replaces the body with `body` rendered and sets Content-Length
+    /// (and Content-Type when a type is given).
+    pub fn set_body(&mut self, body: impl fmt::Display, content_type: Option<&str>) {
+        let body = render(body);
         if let Some(ct) = content_type {
             self.headers_mut().set("Content-Type", ct);
         }

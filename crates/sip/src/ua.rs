@@ -420,7 +420,7 @@ impl UserAgent {
         m.headers_mut()
             .push("CSeq", CSeq::new(self.register_cseq, "REGISTER"));
         let contact_value = NameAddr::new(self.local_contact(ctx)).to_string();
-        m.headers_mut().push_owned("Contact", contact_value.clone());
+        m.headers_mut().push("Contact", &contact_value);
         m.headers_mut().push("Expires", expires);
         self.last_expires = expires;
         // Answer the registrar's outstanding challenge, if any. The
@@ -462,7 +462,7 @@ impl UserAgent {
             NameAddr::new(self.cfg.aor.to_uri()).with_tag(&local_tag),
         );
         m.headers_mut().push("To", NameAddr::new(to.to_uri()));
-        m.headers_mut().push_owned("Call-ID", call_id.clone());
+        m.headers_mut().push("Call-ID", &call_id);
         m.headers_mut().push("CSeq", CSeq::new(1, "INVITE"));
         m.headers_mut()
             .push("Contact", NameAddr::new(self.local_contact(ctx)));
@@ -471,7 +471,7 @@ impl UserAgent {
             ctx.rng().next_u64() >> 1,
             SocketAddr::new(ctx.addr(), self.cfg.rtp_port),
         );
-        m.set_body_string(sdp.to_string(), Some("application/sdp"));
+        m.set_body(sdp, Some("application/sdp"));
 
         let span = ctx.span_enter(SpanCat::Sip, "sip.invite");
         ctx.obs().span_corr(span, &call_id);
@@ -523,7 +523,7 @@ impl UserAgent {
         );
         m.headers_mut().push("From", from);
         m.headers_mut().push("To", to);
-        m.headers_mut().push_owned("Call-ID", call_id.to_owned());
+        m.headers_mut().push("Call-ID", call_id);
         m.headers_mut().push("CSeq", CSeq::new(local_seq, "ACK"));
         self.txn
             .send_request_with_branch(ctx, m, self.cfg.outbound_proxy, branch);
@@ -546,7 +546,7 @@ impl UserAgent {
         let mut m = base_request(Method::Bye, target);
         m.headers_mut().push("From", from);
         m.headers_mut().push("To", to);
-        m.headers_mut().push_owned("Call-ID", call_id.to_owned());
+        m.headers_mut().push("Call-ID", call_id);
         m.headers_mut().push("CSeq", CSeq::new(seq, "BYE"));
         self.txn.send_request(ctx, m, self.cfg.outbound_proxy);
         self.end_media(ctx, call_id);
@@ -585,7 +585,7 @@ impl UserAgent {
         let mut m = base_request(Method::Invite, target);
         m.headers_mut().push("From", from);
         m.headers_mut().push("To", to);
-        m.headers_mut().push_owned("Call-ID", call_id.to_owned());
+        m.headers_mut().push("Call-ID", call_id);
         m.headers_mut().push("CSeq", CSeq::new(seq, "INVITE"));
         m.headers_mut().push("Contact", NameAddr::new(contact));
         // Session id from the clock, not the RNG: re-INVITEs are driven
@@ -596,7 +596,7 @@ impl UserAgent {
             ctx.now_us(),
             SocketAddr::new(ctx.addr(), self.cfg.rtp_port),
         );
-        m.set_body_string(sdp.to_string(), Some("application/sdp"));
+        m.set_body(sdp, Some("application/sdp"));
         ctx.stats().count("sip.reinvite_tx", 1);
         let branch = self.txn.send_request(ctx, m, self.cfg.outbound_proxy);
         if let Some(d) = self.dialogs.get_mut(call_id) {
@@ -626,8 +626,7 @@ impl UserAgent {
         let new_rtp = d.remote_rtp;
         let mut ok = SipMessage::response_to(msg, StatusCode::OK);
         set_to_tag(&mut ok, &local_tag);
-        ok.headers_mut()
-            .push_owned("Contact", contact_value.clone());
+        ok.headers_mut().push("Contact", &contact_value);
         let mut answer_body = String::new();
         if let Some(o) = offer {
             // Clock-derived session id for the same determinism reason as
@@ -638,7 +637,7 @@ impl UserAgent {
                 SocketAddr::new(ctx.addr(), self.cfg.rtp_port),
             ) {
                 answer_body = a.to_string();
-                ok.set_body_string(answer_body.clone(), Some("application/sdp"));
+                ok.set_body(&answer_body, Some("application/sdp"));
             }
         }
         // Store the refreshed transaction state so a retransmitted
@@ -711,16 +710,15 @@ impl UserAgent {
                 && msg.cseq() == d.invite_cseq;
             if retransmit {
                 ctx.stats().count("sip.invite_rebranch", 1);
-                if let Some((contact, body)) = d.answer_resp.clone() {
+                if let Some((contact, body)) = &d.answer_resp {
                     // Rebuild against *this* flight's Via stack — the
                     // stored 200 answers the original (possibly mangled)
                     // request and would route back along dead branches.
-                    let local_tag = d.local_tag.clone();
                     let mut ok = SipMessage::response_to(&msg, StatusCode::OK);
-                    set_to_tag(&mut ok, &local_tag);
-                    ok.headers_mut().set_owned("Contact", contact);
+                    set_to_tag(&mut ok, &d.local_tag);
+                    ok.headers_mut().set("Contact", contact);
                     if !body.is_empty() {
-                        ok.set_body_string(body, Some("application/sdp"));
+                        ok.set_body(body, Some("application/sdp"));
                     }
                     self.txn.respond(ctx, &key, ok);
                 } else {
@@ -841,7 +839,7 @@ impl UserAgent {
         let mut ok = SipMessage::response_to(&invite, StatusCode::OK);
         set_to_tag(&mut ok, &local_tag);
         let contact = NameAddr::new(self.local_contact(ctx)).to_string();
-        ok.headers_mut().push_owned("Contact", contact.clone());
+        ok.headers_mut().push("Contact", &contact);
         let mut answer_body = String::new();
         if let Ok(offer) = invite.body().parse::<Sdp>() {
             let answer = offer.answer(
@@ -851,7 +849,7 @@ impl UserAgent {
             );
             if let Some(a) = answer {
                 answer_body = a.to_string();
-                ok.set_body_string(answer_body.clone(), Some("application/sdp"));
+                ok.set_body(&answer_body, Some("application/sdp"));
             }
         }
         if let Some(d) = self.dialogs.get_mut(&call_id) {
