@@ -258,13 +258,13 @@ struct Dialog {
 
 impl Dialog {
     /// `From` of a request this side sends in the dialog.
-    fn from_header(&self, aor: &Aor) -> NameAddr {
+    fn local_party(&self, aor: &Aor) -> NameAddr {
         NameAddr::new(aor.to_uri()).with_tag(&self.local_tag)
     }
 
     /// `To` of a request this side sends: the peer's AOR, tagged once
     /// the peer's tag is known.
-    fn to_header(&self) -> NameAddr {
+    fn remote_party(&self) -> NameAddr {
         let to = NameAddr::new(self.remote_aor.to_uri());
         match &self.remote_tag {
             Some(t) => to.with_tag(t),
@@ -514,7 +514,7 @@ impl UserAgent {
             .clone()
             .unwrap_or_else(|| d.remote_aor.to_uri());
         let branch = d.invite_branch.clone().unwrap_or_else(|| Arc::from(""));
-        let (from, to) = (d.from_header(&self.cfg.aor), d.to_header());
+        let (from, to) = (d.local_party(&self.cfg.aor), d.remote_party());
         let local_seq = d.local_seq;
         let mut m = base_request(Method::Ack, target);
         m.headers_mut().push(
@@ -542,7 +542,7 @@ impl UserAgent {
             .remote_target
             .clone()
             .unwrap_or_else(|| d.remote_aor.to_uri());
-        let (from, to) = (d.from_header(&self.cfg.aor), d.to_header());
+        let (from, to) = (d.local_party(&self.cfg.aor), d.remote_party());
         let mut m = base_request(Method::Bye, target);
         m.headers_mut().push("From", from);
         m.headers_mut().push("To", to);
@@ -581,7 +581,7 @@ impl UserAgent {
             .remote_target
             .clone()
             .unwrap_or_else(|| d.remote_aor.to_uri());
-        let (from, to) = (d.from_header(&self.cfg.aor), d.to_header());
+        let (from, to) = (d.local_party(&self.cfg.aor), d.remote_party());
         let mut m = base_request(Method::Invite, target);
         m.headers_mut().push("From", from);
         m.headers_mut().push("To", to);
@@ -666,7 +666,7 @@ impl UserAgent {
             return;
         }
         d.cancelled = true;
-        let (from, to) = (d.from_header(&self.cfg.aor), d.to_header());
+        let (from, to) = (d.local_party(&self.cfg.aor), d.remote_party());
         let mut m = base_request(Method::Cancel, d.remote_aor.to_uri());
         m.headers_mut().push("From", from);
         m.headers_mut().push("To", to);
@@ -1319,15 +1319,26 @@ impl UserAgent {
 mod tests {
     use super::*;
     use siphoc_simnet::prelude::*;
+    use siphoc_simnet::trace::TraceKind;
 
     /// What one call costs the dialog B-tree inline, lingering included
     /// (eleven entries a leaf): the key and a pointer.
     const DIALOG_ENTRY_BYTES: usize = 32;
 
+    /// Ceiling on the boxed dialog itself: tags, targets and CSeqs, but
+    /// no pre-rendered header strings.
+    const DIALOG_INLINE_MAX: usize = 512;
+
     #[test]
     fn a_dialog_entry_is_a_key_and_a_pointer() {
         let entry = std::mem::size_of::<(String, Box<Dialog>)>();
         assert_eq!(entry, DIALOG_ENTRY_BYTES);
+    }
+
+    #[test]
+    fn a_dialog_holds_no_rendered_headers() {
+        let dialog = std::mem::size_of::<Dialog>();
+        assert!(dialog <= DIALOG_INLINE_MAX, "dialog is {dialog} B");
     }
 
     /// Back-to-back test without a proxy: two UAs pointing their
@@ -1459,6 +1470,92 @@ mod tests {
         // INVITE, ACK, BYE and the re-ACK the duplicate is still owed —
         // not a second BYE from `HangupAll` finding a revived call.
         assert_eq!(w.node(NodeId(0)).stats().get("sip.txn_tx").packets, 4);
+    }
+
+    /// Every SIP message node `from` put on the air, in order.
+    fn sent_sip(w: &World, from: NodeId) -> Vec<SipMessage> {
+        w.trace()
+            .entries()
+            .filter(|e| e.node == from && e.kind == TraceKind::RadioTx)
+            .filter_map(|e| SipMessage::parse(&String::from_utf8_lossy(&e.dgram.payload)).ok())
+            .collect()
+    }
+
+    /// Relays the caller's requests to the callee, rewriting the Via
+    /// branch of the first INVITE — a first flight mangled in transit.
+    struct BranchMangler {
+        callee: SocketAddr,
+        mangled: bool,
+    }
+
+    const MANGLER_PORT: u16 = 5999;
+
+    impl Process for BranchMangler {
+        fn name(&self) -> &'static str {
+            "branch-mangler"
+        }
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.bind(MANGLER_PORT);
+        }
+        fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: &Datagram) {
+            let mut text = String::from_utf8_lossy(&dgram.payload).into_owned();
+            if !self.mangled && text.starts_with("INVITE ") {
+                self.mangled = true;
+                text = text.replacen("branch=z9hG4bK", "branch=z9hG4bKmangled", 1);
+            }
+            ctx.send_to(self.callee, MANGLER_PORT, text.into_bytes());
+        }
+    }
+
+    #[test]
+    fn rebranched_invite_retransmit_replays_the_first_200() {
+        // The callee answers the mangled first INVITE on a transaction the
+        // caller never matches; the caller's retransmit arrives on a fresh
+        // one and must get the same 200 back.
+        let (mut w, log_a, _log_b) = b2b_world_with(SimDuration::from_secs(5), |mut cfg| {
+            // The mangler listens on the caller's own node.
+            cfg.outbound_proxy = SocketAddr::new(Addr::manet(0), MANGLER_PORT);
+            cfg
+        });
+        let callee = SocketAddr::new(w.node(NodeId(1)).addr(), 5070);
+        w.spawn(
+            NodeId(0),
+            Box::new(BranchMangler {
+                callee,
+                mangled: false,
+            }),
+        );
+        w.trace_mut().set_enabled(true);
+        w.run_for(SimDuration::from_secs(3));
+        assert_eq!(
+            w.node(NodeId(1)).stats().get("sip.invite_rebranch").packets,
+            1
+        );
+        assert!(log_a
+            .borrow()
+            .any(|e| matches!(e, CallEvent::Established { .. })));
+        let oks: Vec<SipMessage> = sent_sip(&w, NodeId(1))
+            .into_iter()
+            .filter(|m| m.status() == Some(StatusCode::OK) && m.method() == Some(Method::Invite))
+            .collect();
+        let mangled = |m: &SipMessage| m.top_via().unwrap().branch.contains("mangled");
+        let first = oks
+            .iter()
+            .find(|m| mangled(m))
+            .expect("200 on the mangled branch");
+        let replay = oks
+            .iter()
+            .find(|m| !mangled(m))
+            .expect("200 on the fresh branch");
+        for name in ["To", "Contact"] {
+            assert_eq!(
+                replay.headers().get(name),
+                first.headers().get(name),
+                "{name}"
+            );
+        }
+        assert!(!first.body().is_empty());
+        assert_eq!(replay.body(), first.body());
     }
 
     #[test]

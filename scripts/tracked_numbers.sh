@@ -36,8 +36,8 @@ unsafe_sites=$(grep -rw unsafe --include='*.rs' crates | grep -vc 'forbid(unsafe
 echo "unsafe sites: ${unsafe_sites}"
 
 # Inline-size ceilings the layout tests pin (the named constants in the
-# test modules beside `Node`, `NodeObs`, `Dialog`, `ClientTxn` and the
-# event queue's slab slot).
+# test modules beside `Node`, `NodeObs`, a dialog's B-tree entry, the
+# boxed `Dialog`, `ClientTxn` and the event queue's slab slot).
 ceiling() { grep -rh "const $1: usize = " crates | sed 's/.*= *\(.*\);/\1/'; }
 node=$(ceiling NODE_INLINE_MAX | sed 's/.*{ \([0-9]*\) } else { \([0-9]*\) }/\1 (\2 without obs)/')
-echo "layout ceilings (bytes): Node ${node}, NodeObs $(ceiling NODE_OBS_INLINE_MAX), dialog entry $(ceiling DIALOG_ENTRY_BYTES), client txn slot $(ceiling CLIENT_TXN_SLOT_MAX), event slot $(ceiling EVENT_SLOT_MAX)"
+echo "layout ceilings (bytes): Node ${node}, NodeObs $(ceiling NODE_OBS_INLINE_MAX), dialog entry $(ceiling DIALOG_ENTRY_BYTES), dialog $(ceiling DIALOG_INLINE_MAX), client txn slot $(ceiling CLIENT_TXN_SLOT_MAX), event slot $(ceiling EVENT_SLOT_MAX)"
