@@ -175,13 +175,9 @@ impl fmt::Display for NameAddr {
         if let Some(d) = &self.display {
             write!(f, "\"{d}\" ")?;
         }
-        f.write_str("<")?;
-        self.uri.fmt(f)?;
-        f.write_str(">")?;
+        write!(f, "<{}>", self.uri)?;
         for (n, v) in &self.params {
-            for piece in [";", n, "=", v] {
-                f.write_str(piece)?;
-            }
+            write!(f, ";{n}={v}")?;
         }
         Ok(())
     }

@@ -6,7 +6,6 @@
 //! claim of the paper is meaningful in the reproduction: the user agent and
 //! the SIPHoc proxy interoperate purely through standard bytes.
 
-use std::cell::RefCell;
 use std::fmt;
 use std::fmt::Write as _;
 use std::str::FromStr;
@@ -138,20 +137,6 @@ impl fmt::Display for StatusCode {
     }
 }
 
-/// Renders a header value or a body through one reused buffer, so a value
-/// written in many pieces costs one exact allocation, not one per doubling
-/// of a growing `String`.
-fn render(value: impl fmt::Display) -> String {
-    thread_local! {
-        static SCRATCH: RefCell<String> = const { RefCell::new(String::new()) };
-    }
-    SCRATCH.with_borrow_mut(|buf| {
-        buf.clear();
-        let _ = write!(buf, "{value}");
-        buf.as_str().to_owned()
-    })
-}
-
 /// An ordered, case-insensitive multimap of SIP headers.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Headers {
@@ -173,12 +158,12 @@ impl Headers {
 
     /// Appends a header.
     pub fn push(&mut self, name: &str, value: impl fmt::Display) {
-        self.items.push((name.to_owned(), render(value)));
+        self.items.push((name.to_owned(), value.to_string()));
     }
 
     /// Prepends a header (used for Via stacking at proxies).
     pub fn push_front(&mut self, name: &str, value: impl fmt::Display) {
-        self.items.insert(0, (name.to_owned(), render(value)));
+        self.items.insert(0, (name.to_owned(), value.to_string()));
     }
 
     /// First value of `name`, if any.
@@ -320,7 +305,7 @@ impl SipMessage {
     /// Replaces the body with `body` rendered and sets Content-Length
     /// (and Content-Type when a type is given).
     pub fn set_body(&mut self, body: impl fmt::Display, content_type: Option<&str>) {
-        let body = render(body);
+        let body = body.to_string();
         if let Some(ct) = content_type {
             self.headers_mut().set("Content-Type", ct);
         }

@@ -93,12 +93,11 @@ impl SipUri {
 
 impl fmt::Display for SipUri {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("sip:")?;
+        write!(f, "sip:")?;
         if let Some(u) = &self.user {
-            f.write_str(u)?;
-            f.write_str("@")?;
+            write!(f, "{u}@")?;
         }
-        f.write_str(&self.host)?;
+        write!(f, "{}", self.host)?;
         if let Some(p) = self.port {
             write!(f, ":{p}")?;
         }
