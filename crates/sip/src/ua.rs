@@ -324,6 +324,7 @@ pub struct UserAgent {
     dialogs: BTreeMap<String, Box<Dialog>>,
     /// Dialog index → call-id. Timer tokens carry the dialog index;
     /// this side index resolves them in O(1) instead of a scan.
+    /// Without it `sip_hub` runs 33.6 % longer (EXPERIMENTS.md "One way to build a SIP message").
     dialog_by_idx: FastMap<u64, String>,
     /// Terminated dialogs in termination order, with when they ended.
     /// Each stays 64×T1 — as long as the transactions that can still
