@@ -506,7 +506,10 @@ impl UserAgent {
         self.emit_log(ctx, CallEvent::OutgoingCall { call_id, to });
     }
 
-    fn send_ack(&mut self, ctx: &mut Ctx<'_>, call_id: &str) {
+    /// Acknowledges a 2xx to the INVITE whose CSeq number is `seq`
+    /// (RFC 3261 §13.2.2.4: the ACK carries the INVITE's CSeq, whatever
+    /// the dialog sent since).
+    fn send_ack(&mut self, ctx: &mut Ctx<'_>, call_id: &str, seq: u32) {
         let Some(d) = self.dialogs.get(call_id) else {
             return;
         };
@@ -516,7 +519,6 @@ impl UserAgent {
             .unwrap_or_else(|| d.remote_aor.to_uri());
         let branch = d.invite_branch.clone().unwrap_or_else(|| Arc::from(""));
         let (from, to) = (d.local_party(&self.cfg.aor), d.remote_party());
-        let local_seq = d.local_seq;
         let mut m = base_request(Method::Ack, target);
         m.headers_mut().push(
             "Via",
@@ -525,7 +527,7 @@ impl UserAgent {
         m.headers_mut().push("From", from);
         m.headers_mut().push("To", to);
         m.headers_mut().push("Call-ID", call_id);
-        m.headers_mut().push("CSeq", CSeq::new(local_seq, "ACK"));
+        m.headers_mut().push("CSeq", CSeq::new(seq, "ACK"));
         self.txn
             .send_request_with_branch(ctx, m, self.cfg.outbound_proxy, branch);
     }
@@ -964,9 +966,9 @@ impl UserAgent {
             return;
         };
         let Some(status) = msg.status() else { return };
-        let method = msg.cseq().map(|c| c.method).unwrap_or_default();
+        let Some(cseq) = msg.cseq() else { return };
 
-        if method == "INVITE" {
+        if cseq.method == "INVITE" {
             let Some(d) = self.dialogs.get_mut(&call_id) else {
                 return;
             };
@@ -979,7 +981,7 @@ impl UserAgent {
                     // A retransmitted 200 that outlived the call (we sent
                     // BYE meanwhile): the peer still wants its ACK, but
                     // the dialog stays over.
-                    self.send_ack(ctx, &call_id);
+                    self.send_ack(ctx, &call_id, cseq.seq);
                     return;
                 }
                 let was_early = d.state == DialogState::Early;
@@ -995,9 +997,8 @@ impl UserAgent {
                 // Only the 200 answering *our* outstanding re-INVITE may
                 // re-home media: a duplicated (or corrupted) retransmit of
                 // the original 200 must stay a bare re-ACK.
-                let reinvite_done = !was_early
-                    && d.reinvite_cseq.is_some()
-                    && d.reinvite_cseq == msg.cseq().map(|c| c.seq);
+                let reinvite_done =
+                    !was_early && d.reinvite_cseq.is_some() && d.reinvite_cseq == Some(cseq.seq);
                 if reinvite_done {
                     d.reinvite_cseq = None;
                 }
@@ -1006,7 +1007,7 @@ impl UserAgent {
                 let idx = d.idx;
                 let (span, started_us) = (d.span, d.setup_started_us);
                 // Always (re-)ACK, also for retransmitted 200s.
-                self.send_ack(ctx, &call_id);
+                self.send_ack(ctx, &call_id, cseq.seq);
                 if reinvite_done {
                     ctx.stats().count("sip.reinvite_ok", 1);
                     if let Some(rtp) = remote_rtp {
@@ -1461,6 +1462,7 @@ mod tests {
             SimTime::ZERO,
             SimTime::MAX,
         ));
+        w.trace_mut().set_enabled(true);
         w.run_for(SimDuration::from_secs(10));
         let terminated = |log: &UaLogHandle| {
             log.borrow()
@@ -1471,6 +1473,13 @@ mod tests {
         // INVITE, ACK, BYE and the re-ACK the duplicate is still owed —
         // not a second BYE from `HangupAll` finding a revived call.
         assert_eq!(w.node(NodeId(0)).stats().get("sip.txn_tx").packets, 4);
+        // Both ACKs carry the INVITE's CSeq, the re-ACK after the BYE too.
+        let acks: Vec<String> = sent_sip(&w, NodeId(0))
+            .iter()
+            .filter(|m| m.method() == Some(Method::Ack))
+            .filter_map(|m| m.headers().get("CSeq").map(str::to_owned))
+            .collect();
+        assert_eq!(acks, ["1 ACK", "1 ACK"]);
     }
 
     /// Every SIP message node `from` put on the air, in order.
