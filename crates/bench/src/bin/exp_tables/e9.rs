@@ -25,7 +25,7 @@
 
 use siphoc_core::nodesetup::{deploy, NodeSpec};
 use siphoc_internet::dns::DnsDirectory;
-use siphoc_internet::relay::{RelayConfig, TurnRelay};
+use siphoc_internet::relay::{AddrPool, RelayConfig, TurnRelay};
 use siphoc_simnet::net::ports;
 use siphoc_simnet::prelude::*;
 use siphoc_sip::ua::CallEvent;
@@ -90,8 +90,7 @@ fn run_one(seed: u64, mode: Mode) -> Option<Run> {
     let relay_node = nat_far.then(|| {
         let id = w.add_node(NodeConfig::wired(RELAY));
         let config = RelayConfig {
-            pool_base: Addr(RELAY.0 + 100),
-            ..RelayConfig::default()
+            pool: AddrPool::new(Addr(RELAY.0 + 100), 64),
         };
         w.spawn(id, Box::new(TurnRelay::new(config)));
         id

@@ -14,6 +14,7 @@ use siphoc_simnet::process::Process;
 use siphoc_simnet::world::World;
 
 use siphoc_internet::dns::DnsDirectory;
+use siphoc_internet::relay::AddrPool;
 use siphoc_media::session::{MediaConfig, MediaProcess, ReportLog};
 use siphoc_routing::aodv::AodvProcess;
 use siphoc_routing::olsr::OlsrProcess;
@@ -302,10 +303,9 @@ pub fn deploy(world: &mut World, spec: NodeSpec) -> SiphocNode {
         // Each gateway leases from its own public block (base + 100), so
         // multiple gateways never hand out colliding addresses.
         let tunnel_cfg = TunnelServerConfig {
-            pool_base: Addr(public.0 + 100),
+            pool: AddrPool::new(Addr(public.0 + 100), 64),
             relay: spec.gateway_relay,
             wired_public: Some(public),
-            ..TunnelServerConfig::default()
         };
         world.spawn(id, Box::new(TunnelServer::new(tunnel_cfg)));
         world.spawn(id, Box::new(GatewayProvider::new()));

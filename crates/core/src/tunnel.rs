@@ -25,7 +25,7 @@
 
 use std::collections::BTreeMap;
 
-use siphoc_internet::relay::{decap, encap, RelayMsg};
+use siphoc_internet::relay::{decap, encap, AddrPool, RelayMsg};
 use siphoc_simnet::net::{ports, Addr, Datagram, SocketAddr};
 use siphoc_simnet::process::{Ctx, Process};
 use siphoc_simnet::time::{SimDuration, SimTime};
@@ -121,10 +121,8 @@ impl TunnelMsg {
 /// Tunnel server configuration.
 #[derive(Debug, Clone)]
 pub struct TunnelServerConfig {
-    /// First address of the public lease pool; subsequent leases count up.
-    pub pool_base: Addr,
-    /// Maximum concurrent leases.
-    pub pool_size: u32,
+    /// The public lease addresses; its size bounds concurrent leases.
+    pub pool: AddrPool,
     /// When set, the gateway is NAT'd: it cannot claim backbone-routable
     /// addresses itself, so leases are allocated on this TURN-style relay
     /// and all Internet traffic is hairpinned through it.
@@ -138,8 +136,7 @@ pub struct TunnelServerConfig {
 impl Default for TunnelServerConfig {
     fn default() -> TunnelServerConfig {
         TunnelServerConfig {
-            pool_base: Addr::new(82, 130, 64, 100),
-            pool_size: 64,
+            pool: AddrPool::new(Addr::new(82, 130, 64, 100), 64),
             relay: None,
             wired_public: None,
         }
@@ -165,7 +162,6 @@ pub struct TunnelServer {
     cfg: TunnelServerConfig,
     /// client MANET address → lease.
     leases: BTreeMap<Addr, Lease>,
-    next_offset: u32,
     /// NAT'd mode: clients whose lease awaits the relay's `AllocOk`,
     /// mapped to the reply address for the eventual `TLEASE`.
     pending_allocs: BTreeMap<Addr, SocketAddr>,
@@ -179,7 +175,6 @@ impl TunnelServer {
         TunnelServer {
             cfg,
             leases: BTreeMap::new(),
-            next_offset: 0,
             pending_allocs: BTreeMap::new(),
             permits_sent: std::collections::BTreeSet::new(),
         }
@@ -209,27 +204,14 @@ impl TunnelServer {
             l.expires = now + LEASE_LIFETIME;
             return Some(l.public);
         }
-        if self.leases.len() as u32 >= self.cfg.pool_size {
-            return None;
-        }
-        // Linear scan for a free pool slot (pool is small).
-        let used: Vec<Addr> = self.leases.values().map(|l| l.public).collect();
-        for i in 0..self.cfg.pool_size {
-            let candidate =
-                Addr(self.cfg.pool_base.0 + ((self.next_offset + i) % self.cfg.pool_size));
-            if !used.contains(&candidate) {
-                self.next_offset = (self.next_offset + i + 1) % self.cfg.pool_size;
-                self.leases.insert(
-                    client,
-                    Lease {
-                        public: candidate,
-                        expires: now + LEASE_LIFETIME,
-                    },
-                );
-                return Some(candidate);
-            }
-        }
-        None
+        let in_use = |a| self.leases.values().any(|l| l.public == a);
+        let public = self.cfg.pool.allocate(in_use)?;
+        let lease = Lease {
+            public,
+            expires: now + LEASE_LIFETIME,
+        };
+        self.leases.insert(client, lease);
+        Some(public)
     }
 }
 
@@ -476,7 +458,7 @@ mod tests {
     #[test]
     fn allocation_is_stable_per_client_and_bounded() {
         let mut s = TunnelServer::new(TunnelServerConfig {
-            pool_size: 2,
+            pool: AddrPool::new(Addr::new(82, 130, 64, 100), 2),
             ..TunnelServerConfig::default()
         });
         let now = SimTime::ZERO;

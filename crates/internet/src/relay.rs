@@ -137,20 +137,48 @@ impl RelayMsg {
     }
 }
 
+/// A block of consecutive public addresses handed out in rotation: a
+/// relay's relayed addresses, and a gateway's tunnel leases.
+#[derive(Debug, Clone)]
+pub struct AddrPool {
+    base: Addr,
+    size: u32,
+    /// Offset the next scan starts at: one past the last address given.
+    next: u32,
+}
+
+impl AddrPool {
+    /// The `size` addresses from `base` up.
+    pub fn new(base: Addr, size: u32) -> AddrPool {
+        AddrPool {
+            base,
+            size,
+            next: 0,
+        }
+    }
+
+    /// The first address, in rotation from the one after the last given,
+    /// that `taken` says is free; `None` when every one is taken.
+    pub fn allocate(&mut self, taken: impl Fn(Addr) -> bool) -> Option<Addr> {
+        let offset = (0..self.size)
+            .map(|i| (self.next + i) % self.size)
+            .find(|&off| !taken(Addr(self.base.0 + off)))?;
+        self.next = (offset + 1) % self.size;
+        Some(Addr(self.base.0 + offset))
+    }
+}
+
 /// Relay configuration.
 #[derive(Debug, Clone)]
 pub struct RelayConfig {
-    /// First address of the relayed pool; allocations count up.
-    pub pool_base: Addr,
-    /// Maximum concurrent allocations.
-    pub pool_size: u32,
+    /// The relayed addresses; its size bounds concurrent allocations.
+    pub pool: AddrPool,
 }
 
 impl Default for RelayConfig {
     fn default() -> RelayConfig {
         RelayConfig {
-            pool_base: Addr::new(82, 130, 66, 100),
-            pool_size: 64,
+            pool: AddrPool::new(Addr::new(82, 130, 66, 100), 64),
         }
     }
 }
@@ -180,7 +208,6 @@ pub struct TurnRelay {
     allocs: BTreeMap<Addr, Alloc>,
     /// (relayed, permitted peer) pairs.
     permits: BTreeSet<(Addr, Addr)>,
-    next_offset: u32,
 }
 
 impl TurnRelay {
@@ -190,7 +217,6 @@ impl TurnRelay {
             cfg,
             allocs: BTreeMap::new(),
             permits: BTreeSet::new(),
-            next_offset: 0,
         }
     }
 
@@ -208,26 +234,14 @@ impl TurnRelay {
             a.expires = now + ALLOC_LIFETIME;
             return Some(*relayed);
         }
-        if self.allocs.len() as u32 >= self.cfg.pool_size {
-            return None;
-        }
-        for i in 0..self.cfg.pool_size {
-            let candidate =
-                Addr(self.cfg.pool_base.0 + ((self.next_offset + i) % self.cfg.pool_size));
-            if !self.allocs.contains_key(&candidate) {
-                self.next_offset = (self.next_offset + i + 1) % self.cfg.pool_size;
-                self.allocs.insert(
-                    candidate,
-                    Alloc {
-                        gateway,
-                        client,
-                        expires: now + ALLOC_LIFETIME,
-                    },
-                );
-                return Some(candidate);
-            }
-        }
-        None
+        let relayed = self.cfg.pool.allocate(|a| self.allocs.contains_key(&a))?;
+        let alloc = Alloc {
+            gateway,
+            client,
+            expires: now + ALLOC_LIFETIME,
+        };
+        self.allocs.insert(relayed, alloc);
+        Some(relayed)
     }
 }
 
@@ -377,8 +391,7 @@ mod tests {
     #[test]
     fn allocation_is_stable_per_client_and_bounded() {
         let mut r = TurnRelay::new(RelayConfig {
-            pool_size: 2,
-            ..RelayConfig::default()
+            pool: AddrPool::new(Addr::new(82, 130, 66, 100), 2),
         });
         let gw: SocketAddr = "82.130.64.1:4271".parse().unwrap();
         let now = SimTime::ZERO;
@@ -389,6 +402,24 @@ mod tests {
         assert_ne!(a, b);
         assert!(r.allocate(gw, Addr::manet(3), now).is_none(), "exhausted");
         assert_eq!(r.alloc_count(), 2);
+    }
+
+    #[test]
+    fn pool_scans_in_rotation_from_the_last_address_given() {
+        let base = Addr::new(82, 130, 66, 100);
+        let at = |off: u32| Addr(base.0 + off);
+        let mut pool = AddrPool::new(base, 3);
+        let mut taken = BTreeSet::new();
+        let mut next = |taken: &mut BTreeSet<Addr>| {
+            let a = pool.allocate(|a| taken.contains(&a));
+            taken.extend(a);
+            a
+        };
+        assert_eq!(next(&mut taken), Some(at(0)));
+        taken.remove(&at(0));
+        // The scan starts after the last address given, not at the base.
+        let rest: Vec<_> = (0..4).map(|_| next(&mut taken)).collect();
+        assert_eq!(rest, [Some(at(1)), Some(at(2)), Some(at(0)), None]);
     }
 
     #[test]

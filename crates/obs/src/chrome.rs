@@ -12,9 +12,8 @@
 //! * **thread (`tid`)** — the node that recorded the span.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
-use crate::json::esc;
+use crate::json::Value;
 use crate::span::SpanRecord;
 
 /// A span plus the node that recorded it.
@@ -26,11 +25,34 @@ pub struct TaggedSpan {
     pub span: SpanRecord,
 }
 
-/// Renders spans as Chrome `trace_event` JSON (array format).
+/// A JSON string.
+fn text(s: &str) -> Value {
+    Value::Str(s.to_owned())
+}
+
+/// A metadata event naming a process (`tid` is `None`) or a thread.
+fn meta(pid: u64, tid: Option<u64>, name: &str) -> Value {
+    let kind = if tid.is_some() {
+        "thread_name"
+    } else {
+        "process_name"
+    };
+    let mut members = vec![
+        ("name", text(kind)),
+        ("ph", text("M")),
+        ("pid", Value::Int(pid)),
+    ];
+    members.extend(tid.map(|tid| ("tid", Value::Int(tid))));
+    members.push(("args", Value::obj([("name", text(name))])));
+    Value::obj(members)
+}
+
+/// Spans as a Chrome `trace_event` document (array format), for
+/// [`Value::to_pretty`].
 ///
 /// Deterministic for a fixed input: pid/tid assignment follows sorted
 /// correlation keys and node labels.
-pub fn chrome_trace_json(spans: &[TaggedSpan]) -> String {
+pub fn chrome_trace_json(spans: &[TaggedSpan]) -> Value {
     // pid 0 = uncorrelated; calls get 1.. in sorted-corr order.
     let mut pids: BTreeMap<&str, u64> = BTreeMap::new();
     let mut tids: BTreeMap<&str, u64> = BTreeMap::new();
@@ -42,89 +64,41 @@ pub fn chrome_trace_json(spans: &[TaggedSpan]) -> String {
         let next = tids.len() as u64;
         tids.entry(ts.node.as_str()).or_insert(next);
     }
-    let mut out = String::from("[\n");
-    let mut first = true;
-    let mut emit = |line: String, first: &mut bool| {
-        if !*first {
-            out.push_str(",\n");
-        }
-        out.push_str("  ");
-        out.push_str(&line);
-        *first = false;
-    };
-    emit(
-        r#"{"name": "process_name", "ph": "M", "pid": 0, "args": {"name": "(uncorrelated)"}}"#
-            .to_owned(),
-        &mut first,
-    );
-    for (corr, pid) in &pids {
-        emit(
-            format!(
-                r#"{{"name": "process_name", "ph": "M", "pid": {}, "args": {{"name": "call {}"}}}}"#,
-                pid,
-                esc(corr)
-            ),
-            &mut first,
-        );
+    let mut events = vec![meta(0, None, "(uncorrelated)")];
+    for (corr, &pid) in &pids {
+        events.push(meta(pid, None, &format!("call {corr}")));
     }
-    for (node, tid) in &tids {
+    for (node, &tid) in &tids {
         // Thread metadata is per-process in the trace model; name the
         // node's lane in every process it appears in.
-        let mut procs: Vec<u64> = vec![0];
-        procs.extend(pids.values().copied());
-        for pid in procs {
-            emit(
-                format!(
-                    r#"{{"name": "thread_name", "ph": "M", "pid": {}, "tid": {}, "args": {{"name": "{}"}}}}"#,
-                    pid,
-                    tid,
-                    esc(node)
-                ),
-                &mut first,
-            );
+        for &pid in std::iter::once(&0).chain(pids.values()) {
+            events.push(meta(pid, Some(tid), node));
         }
     }
     for ts in spans {
-        let pid = ts
-            .span
-            .corr
-            .as_deref()
-            .and_then(|c| pids.get(c).copied())
-            .unwrap_or(0);
+        let span = &ts.span;
+        let corr = span.corr.as_deref();
+        let pid = corr.and_then(|c| pids.get(c).copied()).unwrap_or(0);
         let tid = tids.get(ts.node.as_str()).copied().unwrap_or(0);
-        let mut args = format!(r#""ok": {}, "node": "{}""#, ts.span.ok, esc(&ts.node));
-        if let Some(corr) = ts.span.corr.as_deref() {
-            let _ = write!(args, r#", "corr": "{}""#, esc(corr));
-        }
-        if let Some(note) = ts.span.note.as_deref() {
-            let _ = write!(args, r#", "note": "{}""#, esc(note));
-        }
-        let line = if ts.span.instant {
-            format!(
-                r#"{{"name": "{}", "cat": "{}", "ph": "i", "s": "p", "ts": {}, "pid": {}, "tid": {}, "args": {{{}}}}}"#,
-                esc(ts.span.name),
-                ts.span.cat.as_str(),
-                ts.span.start_us,
-                pid,
-                tid,
-                args
-            )
+        let mut args = vec![("ok", Value::Bool(span.ok)), ("node", text(&ts.node))];
+        args.extend(corr.map(|c| ("corr", text(c))));
+        args.extend(span.note.as_deref().map(|n| ("note", text(n))));
+        let start = ("ts", Value::Int(span.start_us));
+        let phase = if span.instant {
+            [("ph", text("i")), ("s", text("p")), start]
         } else {
-            format!(
-                r#"{{"name": "{}", "cat": "{}", "ph": "X", "ts": {}, "dur": {}, "pid": {}, "tid": {}, "args": {{{}}}}}"#,
-                esc(ts.span.name),
-                ts.span.cat.as_str(),
-                ts.span.start_us,
-                ts.span.dur_us,
-                pid,
-                tid,
-                args
-            )
+            [("ph", text("X")), start, ("dur", Value::Int(span.dur_us))]
         };
-        emit(line, &mut first);
+        let mut event = vec![("name", text(span.name)), ("cat", text(span.cat.as_str()))];
+        event.extend(phase);
+        event.extend([
+            ("pid", Value::Int(pid)),
+            ("tid", Value::Int(tid)),
+            ("args", Value::obj(args)),
+        ]);
+        events.push(Value::obj(event));
     }
-    out.push_str("\n]\n");
-    out
+    Value::Arr(events)
 }
 
 #[cfg(test)]
@@ -151,21 +125,43 @@ mod tests {
 
     #[test]
     fn chrome_trace_is_structured_json() {
-        let json = chrome_trace_json(&sample_spans());
-        assert!(json.starts_with("[\n"));
-        assert!(json.trim_end().ends_with(']'));
-        assert!(json.contains(r#""name": "sip.invite""#));
-        assert!(json.contains(r#""ph": "X""#));
-        assert!(json.contains(r#""ph": "i""#));
-        assert!(json.contains(r#""name": "call call-1""#));
+        let doc = chrome_trace_json(&sample_spans());
+        assert_eq!(crate::json::parse(&doc.to_pretty()), Ok(doc.clone()));
+        let Value::Arr(events) = doc else {
+            panic!("trace_event array format");
+        };
+        let named = |name: &str| {
+            let found = events.iter().find(|e| e.get("name") == Some(&text(name)));
+            found.unwrap_or_else(|| panic!("no {name} event"))
+        };
+        assert_eq!(named("sip.invite").get("ph"), Some(&text("X")));
+        assert_eq!(named("media.start").get("ph"), Some(&text("i")));
+        assert!(events.contains(&meta(1, None, "call call-1")));
         // The uncorrelated discovery span stays in pid 0.
-        assert!(json.contains(r#""name": "route.discovery", "cat": "routing", "ph": "X", "ts": 500, "dur": 400, "pid": 0"#));
+        let discovery = Value::obj([
+            ("name", text("route.discovery")),
+            ("cat", text("routing")),
+            ("ph", text("X")),
+            ("ts", Value::Int(500)),
+            ("dur", Value::Int(400)),
+            ("pid", Value::Int(0)),
+            ("tid", Value::Int(0)),
+            (
+                "args",
+                Value::obj([("ok", Value::Bool(true)), ("node", text("n0"))]),
+            ),
+        ]);
+        assert_eq!(named("route.discovery"), &discovery);
     }
 
     #[test]
     fn empty_input_still_renders_an_array() {
-        let json = chrome_trace_json(&[]);
-        assert!(json.starts_with('['));
-        assert!(json.trim_end().ends_with(']'));
+        let uncorrelated = Value::obj([
+            ("name", text("process_name")),
+            ("ph", text("M")),
+            ("pid", Value::Int(0)),
+            ("args", Value::obj([("name", text("(uncorrelated)"))])),
+        ]);
+        assert_eq!(chrome_trace_json(&[]), Value::Arr(vec![uncorrelated]));
     }
 }

@@ -1,8 +1,9 @@
 //! Hand-written JSON: a value tree, a reader and a pretty writer.
 //!
 //! The stack's configuration is data — the scenario files `siphoc-sim`
-//! reads and Fig. 2's account dialog — and its exporters write JSON, so
-//! the format lives here, beside them, on `std` alone. The reader keeps
+//! reads and Fig. 2's account dialog — and its exporters build a
+//! [`Value`] that [`Value::to_pretty`] writes, so the format lives here,
+//! beside them, on `std` alone. The reader keeps
 //! integers exact up to `u64::MAX` (a scenario's `seed` is one), rejects
 //! a key given twice, and refuses nesting deeper than [`MAX_DEPTH`]
 //! rather than recursing without bound. [`Fields`] reads an object into a
@@ -35,6 +36,15 @@ impl Value {
     /// An object from `(key, value)` pairs, kept in the order given.
     pub fn obj<'k>(pairs: impl IntoIterator<Item = (&'k str, Value)>) -> Value {
         Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+    }
+
+    /// The member `key` of an object; `None` when `self` is not an
+    /// object or has no such member.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        match self {
+            Value::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
     }
 
     /// Renders with two-space indentation, one array element or object
@@ -101,10 +111,8 @@ fn write_members<'a>(
     out.push_str(close);
 }
 
-/// Escapes a string for embedding in a JSON string literal: the one
-/// string writer of this crate's JSON, Chrome trace and Prometheus
-/// output.
-pub(crate) fn esc(s: &str) -> String {
+/// Escapes a string for embedding in a JSON string literal.
+fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -428,7 +436,7 @@ impl<T: FromJson> FromJson for Vec<T> {
 /// asks for are ignored.
 pub struct Fields<'a> {
     at: &'a str,
-    pairs: &'a [(String, Value)],
+    obj: &'a Value,
 }
 
 impl<'a> Fields<'a> {
@@ -436,7 +444,7 @@ impl<'a> Fields<'a> {
     /// `v` is not an object.
     pub fn of(v: &'a Value, at: &'a str) -> Result<Fields<'a>, String> {
         match v {
-            Value::Obj(pairs) => Ok(Fields { at, pairs }),
+            Value::Obj(_) => Ok(Fields { at, obj: v }),
             _ => Err(expected(at, "an object")),
         }
     }
@@ -450,7 +458,7 @@ impl<'a> Fields<'a> {
     }
 
     fn get(&self, key: &str) -> Option<&'a Value> {
-        self.pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+        self.obj.get(key)
     }
 
     /// A key that must be present.

@@ -3,8 +3,8 @@
 //! Five pieces, mirroring what a serving stack ships with:
 //!
 //! * [`metrics`] — a typed registry of counters, gauges and HDR-style
-//!   latency histograms with label support, exportable as Prometheus
-//!   text or JSON. Replaces flat string-counter dumps as the export
+//!   latency histograms with label support, exported as one JSON
+//!   document. Replaces flat string-counter dumps as the export
 //!   surface; the simulator's per-node `NodeStats` shards are merged
 //!   into a [`Registry`] with a `node` label at export time.
 //! * [`store`] — the name-ordered `Vec` store every per-node counter,
@@ -16,8 +16,9 @@
 //!   Call-ID share one lane group per call), viewable in
 //!   `chrome://tracing` or Perfetto.
 //! * [`json`] — the JSON value tree, reader and pretty writer that the
-//!   scenario files and Fig. 2's account dialog go through, and the
-//!   string escaper of every exporter here.
+//!   scenario files and Fig. 2's account dialog go through. Both
+//!   exporters above build a [`json::Value`] and print it with
+//!   [`json::Value::to_pretty`].
 //!
 //! # Zero cost when disabled
 //!

@@ -1,14 +1,15 @@
 //! Typed, hierarchical metrics: counters, gauges and HDR-style latency
-//! histograms with label support, exportable as Prometheus text or JSON.
+//! histograms with label support, exported as one JSON document
+//! ([`Registry::to_json`]).
 //!
-//! Metric names keep the repo's dotted convention (`sip.call_setup_us`);
-//! the Prometheus exporter rewrites dots to underscores since `.` is not
-//! legal in a Prometheus metric name. Labels are sorted key/value pairs;
-//! the per-node aggregation in `siphoc-simnet` attaches a `node` label
-//! when it merges node-local shards into one [`Registry`].
+//! Metric names keep the repo's dotted convention (`sip.call_setup_us`).
+//! Labels are sorted key/value pairs; the per-node aggregation in
+//! `siphoc-simnet` attaches a `node` label when it merges node-local
+//! shards into one [`Registry`].
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+
+use crate::json::Value;
 
 /// Number of sub-bucket bits per octave. 16 sub-buckets bound the
 /// relative quantile error at 1/16 ≈ 6.25% — the classic HDR trade-off.
@@ -66,7 +67,7 @@ fn bucket_index(v: u64) -> usize {
     LINEAR_LIMIT as usize + ((msb - SUB_BITS - 1) as usize) * (1 << SUB_BITS) + sub
 }
 
-/// Inclusive upper bound of a bucket (used for `le` export and quantiles).
+/// Inclusive upper bound of a bucket (used for export and quantiles).
 fn bucket_upper(idx: usize) -> u64 {
     if idx < LINEAR_LIMIT as usize {
         return idx as u64;
@@ -313,190 +314,60 @@ impl Registry {
         self.counters.is_empty() && self.gauges.is_empty() && self.hists.is_empty()
     }
 
-    /// Renders the registry in the Prometheus text exposition format.
-    /// Dots in metric names become underscores; histograms export as
-    /// cumulative `_bucket{le=...}` series plus `_sum` and `_count`.
-    pub fn render_prometheus(&self) -> String {
-        let mut out = String::new();
-        let mut last_name = String::new();
-        for (k, v) in &self.counters {
-            prom_type_line(&mut out, &mut last_name, &k.name, "counter");
-            let _ = writeln!(
-                out,
-                "{}{} {}",
-                prom_name(&k.name),
-                prom_labels(&k.labels, None),
-                v
-            );
-        }
-        for (k, v) in &self.gauges {
-            prom_type_line(&mut out, &mut last_name, &k.name, "gauge");
-            let _ = writeln!(
-                out,
-                "{}{} {}",
-                prom_name(&k.name),
-                prom_labels(&k.labels, None),
-                v
-            );
-        }
-        for (k, h) in &self.hists {
-            prom_type_line(&mut out, &mut last_name, &k.name, "histogram");
-            let name = prom_name(&k.name);
-            let mut cumulative = 0u64;
-            for (upper, count) in h.nonzero_buckets() {
-                cumulative += count;
-                let le = upper.to_string();
-                let _ = writeln!(
-                    out,
-                    "{}_bucket{} {}",
-                    name,
-                    prom_labels(&k.labels, Some(("le", &le))),
-                    cumulative
-                );
-            }
-            let _ = writeln!(
-                out,
-                "{}_bucket{} {}",
-                name,
-                prom_labels(&k.labels, Some(("le", "+Inf"))),
-                h.count()
-            );
-            let _ = writeln!(
-                out,
-                "{}_sum{} {}",
-                name,
-                prom_labels(&k.labels, None),
-                h.sum()
-            );
-            let _ = writeln!(
-                out,
-                "{}_count{} {}",
-                name,
-                prom_labels(&k.labels, None),
-                h.count()
-            );
-        }
-        out
-    }
-
-    /// Renders the registry as a JSON document with `counters`, `gauges`
-    /// and `histograms` sections. Deterministic: keys are emitted in
-    /// `BTreeMap` order.
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        let mut first = true;
-        for (k, v) in &self.counters {
-            let _ = write!(
-                out,
-                "{}\n    \"{}\": {}",
-                if first { "" } else { "," },
-                crate::json::esc(&json_key(k)),
-                v
-            );
-            first = false;
-        }
-        out.push_str(if first { "},\n" } else { "\n  },\n" });
-        out.push_str("  \"gauges\": {");
-        first = true;
-        for (k, v) in &self.gauges {
-            let _ = write!(
-                out,
-                "{}\n    \"{}\": {}",
-                if first { "" } else { "," },
-                crate::json::esc(&json_key(k)),
-                fmt_f64(*v)
-            );
-            first = false;
-        }
-        out.push_str(if first { "},\n" } else { "\n  },\n" });
-        out.push_str("  \"histograms\": {");
-        first = true;
-        for (k, h) in &self.hists {
-            let _ = write!(
-                out,
-                "{}\n    \"{}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
-                 \"mean\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}}}",
-                if first { "" } else { "," },
-                crate::json::esc(&json_key(k)),
-                h.count(),
-                h.sum(),
-                h.min(),
-                h.max(),
-                fmt_f64(h.mean()),
-                h.quantile(0.50),
-                h.quantile(0.95),
-                h.quantile(0.99)
-            );
-            first = false;
-        }
-        out.push_str(if first { "}\n" } else { "\n  }\n" });
-        out.push_str("}\n");
-        out
+    /// The registry as a JSON document, for [`Value::to_pretty`]:
+    /// `counters`, `gauges` and `histograms` objects keyed
+    /// `name{label=value,…}` in key order. A histogram carries its
+    /// summary and its non-empty buckets as `[upper, count]` pairs.
+    pub fn to_json(&self) -> Value {
+        let counters = self
+            .counters
+            .iter()
+            .map(|(k, &v)| (json_key(k), Value::Int(v)));
+        let gauges = self
+            .gauges
+            .iter()
+            .map(|(k, &v)| (json_key(k), Value::Float(v)));
+        let hists = self.hists.iter().map(|(k, h)| (json_key(k), h.to_json()));
+        Value::obj([
+            ("counters", Value::Obj(counters.collect())),
+            ("gauges", Value::Obj(gauges.collect())),
+            ("histograms", Value::Obj(hists.collect())),
+        ])
     }
 }
 
-/// `name{a="x",b="y"}` for a flat JSON key.
+impl Histogram {
+    fn to_json(&self) -> Value {
+        let bucket = |(upper, count)| Value::Arr(vec![Value::Int(upper), Value::Int(count)]);
+        Value::obj([
+            ("count", Value::Int(self.count)),
+            ("sum", Value::Int(self.sum)),
+            ("min", Value::Int(self.min)),
+            ("max", Value::Int(self.max)),
+            ("mean", Value::Float(self.mean())),
+            ("p50", Value::Int(self.quantile(0.50))),
+            ("p95", Value::Int(self.quantile(0.95))),
+            ("p99", Value::Int(self.quantile(0.99))),
+            (
+                "buckets",
+                Value::Arr(self.nonzero_buckets().map(bucket).collect()),
+            ),
+        ])
+    }
+}
+
+/// A metric's key in the JSON document: `name{a=x,b=y}`, or the bare
+/// name when it has no labels.
 fn json_key(k: &MetricKey) -> String {
     if k.labels.is_empty() {
         return k.name.clone();
     }
-    let mut s = k.name.clone();
-    s.push('{');
-    for (i, (lk, lv)) in k.labels.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "{lk}={lv}");
-    }
-    s.push('}');
-    s
-}
-
-/// Formats an `f64` so integers stay integral (`3` not `3.0` is wrong for
-/// JSON gauges — keep one decimal for stability).
-fn fmt_f64(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{v:.1}")
-    } else {
-        format!("{v}")
-    }
-}
-
-/// Prometheus metric name: dots become underscores.
-fn prom_name(name: &str) -> String {
-    name.replace(['.', '-'], "_")
-}
-
-/// Emits one `# TYPE` line per metric name.
-fn prom_type_line(out: &mut String, last: &mut String, name: &str, kind: &str) {
-    if last != name {
-        let _ = writeln!(out, "# TYPE {} {}", prom_name(name), kind);
-        *last = name.to_owned();
-    }
-}
-
-/// Renders a Prometheus label set, optionally with one extra pair.
-fn prom_labels(labels: &[(String, String)], extra: Option<(&str, &str)>) -> String {
-    if labels.is_empty() && extra.is_none() {
-        return String::new();
-    }
-    let mut s = String::from("{");
-    let mut first = true;
-    for (k, v) in labels {
-        if !first {
-            s.push(',');
-        }
-        let _ = write!(s, "{}=\"{}\"", prom_name(k), crate::json::esc(v));
-        first = false;
-    }
-    if let Some((k, v)) = extra {
-        if !first {
-            s.push(',');
-        }
-        let _ = write!(s, "{}=\"{}\"", k, crate::json::esc(v));
-    }
-    s.push('}');
-    s
+    let labels: Vec<String> = k
+        .labels
+        .iter()
+        .map(|(lk, lv)| [lk.as_str(), "=", lv].concat())
+        .collect();
+    [k.name.as_str(), "{", &labels.join(","), "}"].concat()
 }
 
 #[cfg(test)]
@@ -728,43 +599,54 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_snapshot() {
-        let mut r = Registry::new();
-        r.counter_add("sip.txn_tx", &[("node", "n0")], 7);
-        r.gauge_set("world.nodes", &[], 2.0);
-        r.hist_record("sip.call_setup_us", &[], 100);
-        r.hist_record("sip.call_setup_us", &[], 100);
-        let text = r.render_prometheus();
-        let expected = "\
-# TYPE sip_txn_tx counter
-sip_txn_tx{node=\"n0\"} 7
-# TYPE world_nodes gauge
-world_nodes 2
-# TYPE sip_call_setup_us histogram
-sip_call_setup_us_bucket{le=\"103\"} 2
-sip_call_setup_us_bucket{le=\"+Inf\"} 2
-sip_call_setup_us_sum 200
-sip_call_setup_us_count 2
-";
-        assert_eq!(text, expected);
-    }
-
-    #[test]
     fn json_snapshot() {
         let mut r = Registry::new();
         r.counter_add("a.b", &[("node", "n1")], 4);
         r.gauge_set("g", &[], 1.5);
-        r.hist_record("h_us", &[], 8);
-        let json = r.render_json();
-        let expected = "{\n  \"counters\": {\n    \"a.b{node=n1}\": 4\n  },\n  \"gauges\": {\n    \"g\": 1.5\n  },\n  \"histograms\": {\n    \"h_us\": {\"count\": 1, \"sum\": 8, \"min\": 8, \"max\": 8, \"mean\": 8.0, \"p50\": 8, \"p95\": 8, \"p99\": 8}\n  }\n}\n";
-        assert_eq!(json, expected);
+        r.gauge_set("world.nodes", &[], 2.0);
+        for v in [8, 100, 100] {
+            r.hist_record("h_us", &[], v);
+        }
+        let h_us = Value::obj([
+            ("count", Value::Int(3)),
+            ("sum", Value::Int(208)),
+            ("min", Value::Int(8)),
+            ("max", Value::Int(100)),
+            ("mean", Value::Float(208.0 / 3.0)),
+            ("p50", Value::Int(100)),
+            ("p95", Value::Int(100)),
+            ("p99", Value::Int(100)),
+            (
+                "buckets",
+                Value::Arr(vec![
+                    Value::Arr(vec![Value::Int(8), Value::Int(1)]),
+                    Value::Arr(vec![Value::Int(103), Value::Int(2)]),
+                ]),
+            ),
+        ]);
+        let expected = Value::obj([
+            ("counters", Value::obj([("a.b{node=n1}", Value::Int(4))])),
+            (
+                "gauges",
+                Value::obj([("g", Value::Float(1.5)), ("world.nodes", Value::Float(2.0))]),
+            ),
+            ("histograms", Value::obj([("h_us", h_us)])),
+        ]);
+        assert_eq!(r.to_json(), expected);
     }
 
     #[test]
     fn empty_registry_renders_valid_documents() {
         let r = Registry::new();
-        assert_eq!(r.render_prometheus(), "");
-        assert!(r.render_json().contains("\"counters\": {}"));
         assert!(r.is_empty());
+        let doc = r.to_json();
+        let empty = || Value::Obj(Vec::new());
+        let sections = [
+            ("counters", empty()),
+            ("gauges", empty()),
+            ("histograms", empty()),
+        ];
+        assert_eq!(doc, Value::obj(sections));
+        assert_eq!(crate::json::parse(&doc.to_pretty()), Ok(doc));
     }
 }

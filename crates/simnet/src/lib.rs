@@ -40,15 +40,13 @@
 /// Re-export of the observability crate so downstream stack crates can
 /// instrument without their own `siphoc-obs` dependency: `use
 /// siphoc_simnet::obs::{SpanCat, SpanId};`. Every recording method is a
-/// no-op shell unless this crate's `obs` feature is enabled.
+/// no-op shell unless `siphoc-obs`'s `enabled` feature is on.
 pub use siphoc_obs as obs;
 
-/// Whether this build records observability data (`obs` feature).
-///
-/// Bench binaries assert this is `false` so published numbers always
-/// measure the bare hot path.
+/// Whether this build records observability data: `siphoc-obs`'s
+/// `enabled` feature, which the root crate's `obs` feature turns on.
 pub const fn obs_enabled() -> bool {
-    cfg!(feature = "obs")
+    siphoc_obs::enabled()
 }
 
 pub(crate) mod exec;

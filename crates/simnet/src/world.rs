@@ -326,13 +326,6 @@ impl World {
         out
     }
 
-    /// Renders all recorded spans as Chrome `trace_event` JSON (an array of
-    /// events loadable in `about:tracing` or Perfetto). Correlated spans
-    /// (same call-id) are grouped into one "process" row per call.
-    pub fn obs_chrome_trace(&self) -> String {
-        siphoc_obs::chrome_trace_json(&self.obs_spans())
-    }
-
     /// Resolves an address to the owning node (primary or claimed).
     pub fn node_by_addr(&self, addr: Addr) -> Option<NodeId> {
         self.addr_map.get(&addr).copied()

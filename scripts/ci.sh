@@ -13,6 +13,14 @@ cargo fmt --all -- --check
 # SLP daemon's conformance table live there.
 cargo build --release --offline --locked
 cargo test -q --offline --locked --workspace
+# The simulator binary end to end: the tests drive the scenario library,
+# not `siphoc-sim`'s `main`, so run it once with every output flag into a
+# scratch directory. A non-zero exit or a missing document fails the gate.
+sim_out=$(mktemp -d)
+trap 'rm -rf "${sim_out}"' EXIT
+./target/release/siphoc-sim --json --trace-out "${sim_out}/trace.json" \
+    --metrics-out "${sim_out}/metrics.json" scenarios/two_node_call.json >"${sim_out}/report.json"
+test -s "${sim_out}/trace.json" && test -s "${sim_out}/metrics.json"
 # Perf lints ride the warning gate: the simulator hot path is clone- and
 # allocation-sensitive (see DESIGN.md § performance), so regressions that
 # clippy can see should fail CI. --all-features folds the obs-instrumented

@@ -4,15 +4,16 @@
 //! siphoc-sim scenarios/two_node_call.json          # human-readable report
 //! siphoc-sim --json scenarios/two_node_call.json   # machine-readable report
 //! siphoc-sim --trace-out trace.json \
-//!            --metrics-out metrics.prom scenarios/two_node_call.json
+//!            --metrics-out metrics.json scenarios/two_node_call.json
 //! ```
 //!
 //! `--trace-out` writes a Chrome `trace_event` file (open in
 //! `about:tracing` or <https://ui.perfetto.dev>) with one track per node
 //! and one process group per call. `--metrics-out` writes the merged
-//! metrics registry — Prometheus text format, or JSON when the path ends
-//! in `.json`. Either flag turns span tracing on for the run; the report
-//! itself is identical either way.
+//! metrics registry as JSON: `counters`, `gauges` and `histograms`, each
+//! histogram with its summary and its non-empty buckets. Either flag
+//! turns span tracing on for the run; the report itself is identical
+//! either way.
 
 use std::process::ExitCode;
 
@@ -26,7 +27,8 @@ fn main() -> ExitCode {
     let metrics_out = take_flag_value(&mut args, "--metrics-out");
     let Some(path) = args.first() else {
         eprintln!(
-            "usage: siphoc-sim [--json] [--trace-out FILE] [--metrics-out FILE] <scenario.json>"
+            "usage: siphoc-sim [--json] [--trace-out TRACE.json] [--metrics-out METRICS.json] \
+             <scenario.json>"
         );
         return ExitCode::FAILURE;
     };
@@ -63,24 +65,17 @@ fn main() -> ExitCode {
         }
     };
     if let Some(dump) = &dump {
-        if let Some(out) = &trace_out {
-            if let Err(e) = std::fs::write(out, &dump.chrome_trace) {
+        let docs = [
+            (&trace_out, &dump.chrome_trace, "trace"),
+            (&metrics_out, &dump.metrics, "metrics"),
+        ];
+        for (out, doc, what) in docs {
+            let Some(out) = out else { continue };
+            if let Err(e) = std::fs::write(out, format!("{}\n", doc.to_pretty())) {
                 eprintln!("cannot write {out}: {e}");
                 return ExitCode::FAILURE;
             }
-            eprintln!("trace written to {out} (open in about:tracing / ui.perfetto.dev)");
-        }
-        if let Some(out) = &metrics_out {
-            let body = if out.ends_with(".json") {
-                &dump.metrics_json
-            } else {
-                &dump.metrics_prometheus
-            };
-            if let Err(e) = std::fs::write(out, body) {
-                eprintln!("cannot write {out}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("metrics written to {out}");
+            eprintln!("{what} written to {out}");
         }
     }
     if json_out {

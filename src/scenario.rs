@@ -29,10 +29,11 @@ use siphoc_core::config::VoipAppConfig;
 use siphoc_core::nodesetup::{deploy, NodeSpec, RoutingProtocol, SiphocNode};
 use siphoc_internet::dns::DnsDirectory;
 use siphoc_internet::provider::{ProviderConfig, SipProviderProcess};
-use siphoc_internet::relay::{RelayConfig, TurnRelay};
+use siphoc_internet::relay::{AddrPool, RelayConfig, TurnRelay};
 use siphoc_simnet::mobility::{Area, Mobility, WaypointParams};
 use siphoc_simnet::net::{ports, Addr, SocketAddr};
 use siphoc_simnet::node::NodeConfig;
+use siphoc_simnet::obs::chrome_trace_json;
 use siphoc_simnet::obs::json::{self, Fields, FromJson, Value};
 use siphoc_simnet::prelude::*;
 use siphoc_simnet::rng::SimRng;
@@ -532,19 +533,19 @@ impl ScenarioReport {
 
 /// Observability artifacts captured by [`Scenario::run_with_obs`].
 ///
-/// All three strings are self-contained documents: the Chrome trace loads
-/// directly in `about:tracing` / [Perfetto](https://ui.perfetto.dev), the
-/// Prometheus text is scrape-format, and the JSON mirrors the registry.
-/// With the `obs` feature disabled they are still valid documents, just
-/// (near-)empty.
+/// Both are self-contained JSON documents, written with
+/// [`Value::to_pretty`]: the Chrome trace loads directly in
+/// `about:tracing` / [Perfetto](https://ui.perfetto.dev), and the
+/// metrics document mirrors the registry. With the `obs` feature disabled
+/// they are still valid documents, just (near-)empty.
 #[derive(Debug, Clone)]
 pub struct ObsDump {
-    /// Chrome `trace_event` JSON (per-call timelines + per-node tracks).
-    pub chrome_trace: String,
-    /// Prometheus text exposition of the merged metrics registry.
-    pub metrics_prometheus: String,
-    /// JSON rendering of the merged metrics registry.
-    pub metrics_json: String,
+    /// Chrome `trace_event` array (per-call timelines + per-node tracks).
+    pub chrome_trace: Value,
+    /// The merged metrics registry ([`Registry::to_json`]).
+    ///
+    /// [`Registry::to_json`]: siphoc_simnet::obs::Registry::to_json
+    pub metrics: Value,
 }
 
 /// Error running a scenario.
@@ -828,7 +829,7 @@ impl Scenario {
     /// Runs the scenario with span tracing enabled and additionally
     /// returns the observability artifacts: a Chrome trace of every SIP
     /// transaction / SLP lookup / route discovery / tunnel handshake,
-    /// plus the merged metrics registry in both export formats.
+    /// plus the merged metrics registry.
     ///
     /// Tracing is out-of-band: the [`ScenarioReport`] is bit-identical
     /// to what [`Scenario::run`] returns for the same seed.
@@ -838,11 +839,9 @@ impl Scenario {
     /// Returns [`ScenarioError::Invalid`] if validation fails.
     pub fn run_with_obs(&self) -> Result<(ScenarioReport, ObsDump), ScenarioError> {
         let (report, world) = self.run_world(true)?;
-        let registry = world.obs_registry();
         let dump = ObsDump {
-            chrome_trace: world.obs_chrome_trace(),
-            metrics_prometheus: registry.render_prometheus(),
-            metrics_json: registry.render_json(),
+            chrome_trace: chrome_trace_json(&world.obs_spans()),
+            metrics: world.obs_registry().to_json(),
         };
         Ok((report, dump))
     }
@@ -877,8 +876,7 @@ impl Scenario {
             world.spawn(
                 id,
                 Box::new(TurnRelay::new(RelayConfig {
-                    pool_base: Addr(addr.0 + 100),
-                    ..RelayConfig::default()
+                    pool: AddrPool::new(Addr(addr.0 + 100), 64),
                 })),
             );
             relay_endpoint.get_or_insert(SocketAddr::new(addr, ports::TUNNEL));

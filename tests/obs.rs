@@ -1,11 +1,12 @@
 //! End-to-end observability: a traced call-setup run must yield a Chrome
 //! trace covering every stage of Fig. 3 (REGISTER, SLP resolution, the
-//! INVITE transaction, media start), the metrics registry must export in
-//! both formats, and — the determinism contract — tracing must not change
-//! a single reported number.
+//! INVITE transaction, media start), the metrics document must carry the
+//! stack's counters and histograms, and — the determinism contract —
+//! tracing must not change a single reported number.
 //!
 //! The trace and metrics documents must read back through the stack's
-//! own JSON reader.
+//! own JSON reader, and the tests look up what they assert in the
+//! document read back.
 //!
 //! Tests that assert what was recorded need the `obs` feature; the
 //! determinism and `NodeStats`-bridge tests run in both builds.
@@ -14,10 +15,12 @@ use wireless_adhoc_voip::core::config::VoipAppConfig;
 use wireless_adhoc_voip::core::nodesetup::{deploy, NodeSpec, RoutingProtocol};
 use wireless_adhoc_voip::internet::dns::DnsDirectory;
 use wireless_adhoc_voip::internet::provider::{ProviderConfig, SipProviderProcess};
-use wireless_adhoc_voip::internet::relay::{RelayConfig, TurnRelay};
+use wireless_adhoc_voip::internet::relay::{AddrPool, RelayConfig, TurnRelay};
 use wireless_adhoc_voip::media::session::{MediaConfig, MediaProcess};
 use wireless_adhoc_voip::routing::aodv::AodvProcess;
 use wireless_adhoc_voip::scenario::{CallSpec, NodeSpecJson, ObsDump, Scenario, ScenarioReport};
+#[cfg(feature = "obs")]
+use wireless_adhoc_voip::simnet::obs::chrome_trace_json;
 #[cfg(feature = "obs")]
 use wireless_adhoc_voip::simnet::obs::json::{self, Value};
 use wireless_adhoc_voip::simnet::prelude::*;
@@ -78,11 +81,41 @@ fn run_traced() -> (ScenarioReport, ObsDump) {
     call_scenario().run_with_obs().expect("scenario runs")
 }
 
-/// Reads an exported document, failing the test with the reader's
-/// message.
+/// Writes an exported document and reads it back, failing the test
+/// with the reader's message or if it does not read back as written.
 #[cfg(feature = "obs")]
-fn parse_json(doc: &str) -> Value {
-    json::parse(doc).unwrap_or_else(|e| panic!("not JSON ({e}):\n{doc}"))
+fn read_back(doc: &Value) -> Value {
+    let text = doc.to_pretty();
+    let back = json::parse(&text).unwrap_or_else(|e| panic!("not JSON ({e}):\n{text}"));
+    assert_eq!(&back, doc, "the document does not read back as written");
+    back
+}
+
+#[cfg(feature = "obs")]
+fn text(s: &str) -> Value {
+    Value::Str(s.to_owned())
+}
+
+/// The events of a Chrome trace document.
+#[cfg(feature = "obs")]
+fn events(trace: &Value) -> &[Value] {
+    match trace {
+        Value::Arr(events) => events,
+        _ => panic!("trace_event array format"),
+    }
+}
+
+/// The series of metric `name`, whatever their labels, in `section`
+/// (`counters`, `gauges` or `histograms`) of a metrics document.
+#[cfg(feature = "obs")]
+fn series<'d>(metrics: &'d Value, section: &str, name: &str) -> Vec<(&'d str, &'d Value)> {
+    let Some(Value::Obj(members)) = metrics.get(section) else {
+        panic!("metrics document has no {section} object");
+    };
+    let named = members
+        .iter()
+        .filter(|(k, _)| k.split('{').next() == Some(name));
+    named.map(|(k, v)| (k.as_str(), v)).collect()
 }
 
 #[cfg(feature = "obs")]
@@ -105,38 +138,38 @@ fn call_setup_trace_covers_every_stage() {
         alice.timeline
     );
 
-    let trace = &dump.chrome_trace;
-    assert!(
-        matches!(parse_json(trace), Value::Arr(_)),
-        "trace_event array format"
-    );
+    let trace = read_back(&dump.chrome_trace);
+    let events = events(&trace);
+    let has = |key: &str, want: &str| events.iter().any(|e| e.get(key) == Some(&text(want)));
 
     // Every stage of the Fig. 3 walkthrough appears as a span or instant.
     // (Route discovery is deliberately absent: SLP piggybacking on AODV
     // floods pre-populates every route the call needs — the paper's core
     // claim. `route_discovery_spans_without_piggyback` covers that span.)
     for name in [
-        "\"name\": \"sip.register\"",
-        "\"name\": \"slp.lookup\"",  // MANET SLP flood by the daemon
-        "\"name\": \"slp.resolve\"", // proxy-side consult (step 6)
-        "\"name\": \"sip.invite\"",
-        "\"name\": \"sip.answer\"",
-        "\"name\": \"media.start\"",
+        "sip.register",
+        "slp.lookup",  // MANET SLP flood by the daemon
+        "slp.resolve", // proxy-side consult (step 6)
+        "sip.invite",
+        "sip.answer",
+        "media.start",
     ] {
-        assert!(trace.contains(name), "trace missing {name}");
+        assert!(has("name", name), "trace missing {name}");
     }
     // Complete spans, instants and process metadata all present.
-    for ph in ["\"ph\": \"X\"", "\"ph\": \"i\"", "\"ph\": \"M\""] {
-        assert!(trace.contains(ph), "trace missing {ph} events");
+    for ph in ["X", "i", "M"] {
+        assert!(has("ph", ph), "trace missing {ph} events");
     }
     // The INVITE span carries the Call-ID, grouping the call's timeline
     // into its own trace process.
     assert!(
-        trace.contains("\"process_name\""),
+        has("name", "process_name"),
         "per-call process metadata missing"
     );
     assert!(
-        trace.contains("\"corr\": "),
+        events
+            .iter()
+            .any(|e| e.get("args").and_then(|a| a.get("corr")).is_some()),
         "correlation keys missing from span args"
     );
 }
@@ -145,32 +178,47 @@ fn call_setup_trace_covers_every_stage() {
 #[test]
 fn metrics_exports_cover_stack_counters_and_histograms() {
     let (_, dump) = run_traced();
-    let prom = &dump.metrics_prometheus;
-    for needle in [
-        "# TYPE sip_calls_established counter",
-        "sip_call_setup_us_bucket",
-        "sip_call_setup_us_count",
-        "# TYPE sim_events gauge",
-        "sip_txn_rtt_us_count",
+    let metrics = read_back(&dump.metrics);
+    for (section, name) in [
+        ("counters", "sip.calls_established"),
+        ("histograms", "sip.call_setup_us"),
+        ("gauges", "sim.events"),
+        ("histograms", "sip.txn_rtt_us"),
     ] {
         assert!(
-            prom.contains(needle),
-            "prometheus export missing {needle:?}:\n{prom}"
+            !series(&metrics, section, name).is_empty(),
+            "metrics document has no {section} {name:?}"
         );
     }
     // Bridged NodeStats counters carry a node label.
-    assert!(prom.contains("node=\""), "per-node labels missing");
+    let Some(Value::Obj(counters)) = metrics.get("counters") else {
+        panic!("metrics document has no counters object");
+    };
+    assert!(
+        counters.iter().any(|(k, _)| k.contains("{node=")),
+        "per-node labels missing"
+    );
 
-    let json = &dump.metrics_json;
-    assert!(matches!(parse_json(json), Value::Obj(_)));
-    for needle in [
-        "\"counters\"",
-        "\"gauges\"",
-        "\"histograms\"",
-        "sip.call_setup_us",
-        "\"p95\"",
-    ] {
-        assert!(json.contains(needle), "json export missing {needle:?}");
+    // Every histogram's buckets hold exactly its samples.
+    let Some(Value::Obj(hists)) = metrics.get("histograms") else {
+        panic!("metrics document has no histograms object");
+    };
+    for (key, h) in hists {
+        let Some(Value::Arr(buckets)) = h.get("buckets") else {
+            panic!("{key} has no buckets");
+        };
+        let in_buckets: u64 = buckets
+            .iter()
+            .map(|b| match b {
+                Value::Arr(pair) if pair.len() == 2 => match pair[1] {
+                    Value::Int(n) => n,
+                    _ => panic!("{key}: bucket count is not an integer"),
+                },
+                _ => panic!("{key}: a bucket is not [upper, count]"),
+            })
+            .sum();
+        assert_eq!(h.get("count"), Some(&Value::Int(in_buckets)), "{key}");
+        assert!(h.get("p95").is_some(), "{key} has no p95");
     }
 }
 
@@ -220,22 +268,26 @@ fn route_discovery_spans_without_piggyback() {
     );
     w.run_for(SimDuration::from_secs(2));
 
-    let trace = w.obs_chrome_trace();
-    parse_json(&trace);
-    assert!(
-        trace.contains("\"name\": \"route.discovery\""),
-        "discovery span missing:\n{trace}"
-    );
-    assert!(trace.contains("\"cat\": \"routing\""));
-    assert!(
-        trace.contains("\"ok\": true"),
+    let trace = read_back(&chrome_trace_json(&w.obs_spans()));
+    let discovery = events(&trace)
+        .iter()
+        .find(|e| e.get("name") == Some(&text("route.discovery")))
+        .unwrap_or_else(|| panic!("discovery span missing:\n{}", trace.to_pretty()));
+    assert_eq!(discovery.get("cat"), Some(&text("routing")));
+    assert_eq!(
+        discovery.get("args").and_then(|a| a.get("ok")),
+        Some(&Value::Bool(true)),
         "discovery should succeed on an ideal chain"
     );
 
-    let prom = w.obs_registry().render_prometheus();
+    let metrics = read_back(&w.obs_registry().to_json());
+    let latency = series(&metrics, "histograms", "aodv.discovery_us");
     assert!(
-        prom.contains("aodv_discovery_us_count"),
-        "discovery latency histogram missing:\n{prom}"
+        latency
+            .iter()
+            .any(|(_, h)| matches!(h.get("count"), Some(Value::Int(n)) if *n >= 1)),
+        "discovery latency histogram missing:\n{}",
+        metrics.to_pretty()
     );
 }
 
@@ -318,8 +370,7 @@ fn exported_counters_equal_node_stats() {
     w.spawn(iris, Box::new(MediaProcess::new(MediaConfig::pcmu(8000)).0));
     let relay = w.add_node(NodeConfig::wired(RELAY));
     let pool = RelayConfig {
-        pool_base: Addr(RELAY.0 + 100),
-        ..RelayConfig::default()
+        pool: AddrPool::new(Addr(RELAY.0 + 100), 64),
     };
     w.spawn(relay, Box::new(TurnRelay::new(pool)));
     let mk = |x: f64| {
@@ -373,8 +424,7 @@ fn traced_runs_are_reproducible() {
         a.chrome_trace, b.chrome_trace,
         "trace differs between identical seeds"
     );
-    assert_eq!(a.metrics_prometheus, b.metrics_prometheus);
-    assert_eq!(a.metrics_json, b.metrics_json);
+    assert_eq!(a.metrics, b.metrics);
 }
 
 /// SIP state is proportional to live calls: eight UAs on one hub node
