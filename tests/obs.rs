@@ -105,17 +105,22 @@ fn events(trace: &Value) -> &[Value] {
     }
 }
 
-/// The series of metric `name`, whatever their labels, in `section`
-/// (`counters`, `gauges` or `histograms`) of a metrics document.
+/// The members of section `name` (`counters`, `gauges` or
+/// `histograms`) of a metrics document.
 #[cfg(feature = "obs")]
-fn series<'d>(metrics: &'d Value, section: &str, name: &str) -> Vec<(&'d str, &'d Value)> {
-    let Some(Value::Obj(members)) = metrics.get(section) else {
-        panic!("metrics document has no {section} object");
-    };
-    let named = members
-        .iter()
-        .filter(|(k, _)| k.split('{').next() == Some(name));
-    named.map(|(k, v)| (k.as_str(), v)).collect()
+fn section<'d>(metrics: &'d Value, name: &str) -> &'d [(String, Value)] {
+    match metrics.get(name) {
+        Some(Value::Obj(members)) => members,
+        _ => panic!("metrics document has no {name} object"),
+    }
+}
+
+/// The series of metric `name` in section `sec`, whatever their labels.
+#[cfg(feature = "obs")]
+fn series<'d>(metrics: &'d Value, sec: &str, name: &str) -> Vec<&'d Value> {
+    let members = section(metrics, sec).iter();
+    let named = members.filter(|(k, _)| k.split('{').next() == Some(name));
+    named.map(|(_, v)| v).collect()
 }
 
 #[cfg(feature = "obs")]
@@ -191,28 +196,24 @@ fn metrics_exports_cover_stack_counters_and_histograms() {
         );
     }
     // Bridged NodeStats counters carry a node label.
-    let Some(Value::Obj(counters)) = metrics.get("counters") else {
-        panic!("metrics document has no counters object");
-    };
     assert!(
-        counters.iter().any(|(k, _)| k.contains("{node=")),
+        section(&metrics, "counters")
+            .iter()
+            .any(|(k, _)| k.contains("{node=")),
         "per-node labels missing"
     );
 
     // Every histogram's buckets hold exactly its samples.
-    let Some(Value::Obj(hists)) = metrics.get("histograms") else {
-        panic!("metrics document has no histograms object");
-    };
-    for (key, h) in hists {
+    for (key, h) in section(&metrics, "histograms") {
         let Some(Value::Arr(buckets)) = h.get("buckets") else {
             panic!("{key} has no buckets");
         };
         let in_buckets: u64 = buckets
             .iter()
             .map(|b| match b {
-                Value::Arr(pair) if pair.len() == 2 => match pair[1] {
-                    Value::Int(n) => n,
-                    _ => panic!("{key}: bucket count is not an integer"),
+                Value::Arr(pair) => match pair[..] {
+                    [Value::Int(_), Value::Int(n)] => n,
+                    _ => panic!("{key}: a bucket is not [upper, count]"),
                 },
                 _ => panic!("{key}: a bucket is not [upper, count]"),
             })
@@ -285,7 +286,7 @@ fn route_discovery_spans_without_piggyback() {
     assert!(
         latency
             .iter()
-            .any(|(_, h)| matches!(h.get("count"), Some(Value::Int(n)) if *n >= 1)),
+            .any(|h| matches!(h.get("count"), Some(Value::Int(n)) if *n >= 1)),
         "discovery latency histogram missing:\n{}",
         metrics.to_pretty()
     );
