@@ -3,12 +3,12 @@
 //! The stack's configuration is data — the scenario files `siphoc-sim`
 //! reads and Fig. 2's account dialog — and its exporters build a
 //! [`Value`] that [`Value::to_pretty`] writes, so the format lives here,
-//! beside them, on `std` alone. The reader keeps
-//! integers exact up to `u64::MAX` (a scenario's `seed` is one), rejects
-//! a key given twice, and refuses nesting deeper than [`MAX_DEPTH`]
-//! rather than recursing without bound. [`Fields`] reads an object into a
-//! struct: keys nobody asks for are ignored, so a file written for an
-//! older format still reads, and every error names the key it is about.
+//! beside them, on `std` alone. The reader keeps integers exact up to
+//! `u64::MAX` (a scenario's `seed` is one), rejects a key given twice,
+//! and refuses nesting deeper than [`MAX_DEPTH`] rather than recursing
+//! without bound. [`Fields`] reads an object into a struct: keys nobody
+//! asks for are ignored, so a file written for an older format still
+//! reads, and every error names the key it is about.
 
 use std::fmt::Write as _;
 
