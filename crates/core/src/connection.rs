@@ -416,7 +416,7 @@ impl ConnectionProvider {
         let mut entries: Vec<ServiceEntry> = {
             let routes = ctx.routes_ref();
             reg.borrow()
-                .gateway_candidates(now, |a| routes.lookup_specific(a, now).map(|r| r.hops))
+                .gateway_candidates(now, |a| routes.lookup(a, now).map(|r| r.hops))
         };
         entries.retain(|e| exclude != Some(e.contact.addr) && exclude != Some(e.origin));
         let mut kept = Vec::with_capacity(entries.len());
@@ -454,9 +454,7 @@ impl ConnectionProvider {
         self.expire_cold(ctx, now);
         {
             let routes = ctx.routes_ref();
-            rank_cold_contacts(&mut self.cold, |a| {
-                routes.lookup_specific(a, now).map(|r| r.hops)
-            });
+            rank_cold_contacts(&mut self.cold, |a| routes.lookup(a, now).map(|r| r.hops));
         }
         if self.cold.is_empty() {
             None
@@ -713,7 +711,7 @@ impl ConnectionProvider {
             self.leases.sort_by_key(|s| {
                 (
                     routes
-                        .lookup_specific(s.origin, now)
+                        .lookup(s.origin, now)
                         .map(|r| r.hops)
                         .unwrap_or(u8::MAX),
                     std::cmp::Reverse(s.advert_expires),
@@ -1045,9 +1043,7 @@ impl Process for ConnectionProvider {
                         {
                             let now = ctx.now();
                             let routes = ctx.routes_ref();
-                            rank_gateways(&mut entries, |a| {
-                                routes.lookup_specific(a, now).map(|r| r.hops)
-                            });
+                            rank_gateways(&mut entries, |a| routes.lookup(a, now).map(|r| r.hops));
                         }
                         match entries.first() {
                             Some(gw) => {

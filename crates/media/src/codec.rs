@@ -37,71 +37,4 @@ impl Codec {
         ie: 0.0,
         bpl: 25.1,
     };
-
-    /// GSM 06.10 full rate, 20 ms frames — the low-bitrate option for the
-    /// iPAQ handheld deployment.
-    pub const GSM_FR: Codec = Codec {
-        name: "GSM-FR",
-        payload_type: 3,
-        frame_interval: SimDuration::from_millis(20),
-        frame_bytes: 33,
-        timestamp_step: 160,
-        ie: 20.0,
-        bpl: 10.0,
-    };
-
-    /// G.729, 20 ms frames (two 10 ms sub-frames) — the common
-    /// low-bandwidth codec.
-    pub const G729: Codec = Codec {
-        name: "G.729",
-        payload_type: 18,
-        frame_interval: SimDuration::from_millis(20),
-        frame_bytes: 20,
-        timestamp_step: 160,
-        ie: 11.0,
-        bpl: 19.0,
-    };
-
-    /// Looks up a codec by RTP payload type.
-    pub fn from_payload_type(pt: u8) -> Option<Codec> {
-        match pt {
-            0 => Some(Codec::PCMU),
-            3 => Some(Codec::GSM_FR),
-            18 => Some(Codec::G729),
-            _ => None,
-        }
-    }
-
-    /// Packets per second.
-    pub fn packet_rate(&self) -> f64 {
-        1.0 / self.frame_interval.as_secs_f64()
-    }
-
-    /// Application-layer bitrate in bits per second (payload only).
-    pub fn bitrate_bps(&self) -> f64 {
-        self.frame_bytes as f64 * 8.0 * self.packet_rate()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pcmu_is_64_kbps_at_50_pps() {
-        assert_eq!(Codec::PCMU.packet_rate(), 50.0);
-        assert_eq!(Codec::PCMU.bitrate_bps(), 64_000.0);
-    }
-
-    #[test]
-    fn gsm_is_13_2_kbps() {
-        assert!((Codec::GSM_FR.bitrate_bps() - 13_200.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn payload_type_lookup() {
-        assert_eq!(Codec::from_payload_type(0), Some(Codec::PCMU));
-        assert_eq!(Codec::from_payload_type(18), Some(Codec::G729));
-        assert_eq!(Codec::from_payload_type(99), None);
-    }
 }

@@ -118,10 +118,14 @@ mod tests {
     }
 
     #[test]
-    fn low_bitrate_codec_starts_lower_but_degrades_slower_relative() {
+    fn codec_impairment_lowers_mos() {
         let pcmu = evaluate(&Codec::PCMU, SimDuration::from_millis(50), 0.0);
-        let gsm = evaluate(&Codec::GSM_FR, SimDuration::from_millis(50), 0.0);
-        assert!(pcmu.mos > gsm.mos, "GSM has intrinsic Ie impairment");
+        let impaired = Codec {
+            ie: 20.0,
+            ..Codec::PCMU
+        };
+        let worse = evaluate(&impaired, SimDuration::from_millis(50), 0.0);
+        assert!(pcmu.mos > worse.mos, "Ie 20 is an intrinsic impairment");
     }
 
     #[test]

@@ -302,28 +302,26 @@ mod tests {
     const CALL_ID: &str = "c1";
 
     /// A 10 s call over [`media_pair_with`].
-    fn media_pair(loss: LossModel) -> (World, ReportLog, ReportLog) {
+    fn media_pair(loss: f64) -> (World, ReportLog, ReportLog) {
         media_pair_with(55, loss, SimTime::from_secs(11))
     }
 
     /// Two nodes one hop apart, each running media and a [`Driver`] that
     /// starts call [`CALL_ID`] toward the other at 1 s and stops it at
-    /// `stop_at`.
-    fn media_pair_with(
-        seed: u64,
-        loss: LossModel,
-        stop_at: SimTime,
-    ) -> (World, ReportLog, ReportLog) {
-        // No link-layer retries: raw channel loss reaches the media plane
-        // (models congestion-style loss that ARQ cannot mask).
-        let radio = RadioConfig {
-            loss,
-            unicast_retries: 0,
-            ..RadioConfig::ideal()
-        };
-        let mut w = World::new(WorldConfig::new(seed).with_radio(radio));
+    /// `stop_at`. Each frame is dropped with probability `loss` after
+    /// its link-layer exchange, so the loss reaches the media plane
+    /// (congestion-style loss that ARQ cannot mask).
+    fn media_pair_with(seed: u64, loss: f64, stop_at: SimTime) -> (World, ReportLog, ReportLog) {
+        let mut w = World::new(WorldConfig::new(seed).with_radio(RadioConfig::ideal()));
         let a = w.add_node(NodeConfig::manet(0.0, 0.0));
         let b = w.add_node(NodeConfig::manet(50.0, 0.0));
+        w.install_fault_plan(FaultPlan::new().packet_fault(
+            LinkSelector::All,
+            PacketFaultKind::Blackhole,
+            loss,
+            SimTime::ZERO,
+            SimTime::MAX,
+        ));
         let (aa, ba) = (w.node(a).addr(), w.node(b).addr());
         w.install_route(
             a,
@@ -358,7 +356,7 @@ mod tests {
 
     #[test]
     fn clean_link_yields_toll_quality() {
-        let (mut w, ra, rb) = media_pair(LossModel::IDEAL);
+        let (mut w, ra, rb) = media_pair(0.0);
         w.run_for(SimDuration::from_secs(12));
         for log in [&ra, &rb] {
             let reports = log.borrow();
@@ -375,18 +373,13 @@ mod tests {
 
     #[test]
     fn lossy_link_degrades_mos() {
-        let loss = LossModel {
-            base: 0.08,
-            clear_fraction: 1.0,
-            edge_loss: 0.0,
-        };
-        let (mut w, ra, _rb) = media_pair(loss);
+        let (mut w, ra, _rb) = media_pair(0.08);
         w.run_for(SimDuration::from_secs(12));
         let reports = ra.borrow();
         let r = &reports[0];
         assert!(r.loss_fraction > 0.04, "loss {}", r.loss_fraction);
         let (clean_w, clean_ra) = {
-            let (w, ra, _) = media_pair(LossModel::IDEAL);
+            let (w, ra, _) = media_pair(0.0);
             (w, ra)
         };
         let mut clean_w = clean_w;
@@ -401,7 +394,7 @@ mod tests {
 
     #[test]
     fn report_contains_delay_and_jitter() {
-        let (mut w, ra, _rb) = media_pair(LossModel::IDEAL);
+        let (mut w, ra, _rb) = media_pair(0.0);
         w.run_for(SimDuration::from_secs(12));
         let reports = ra.borrow();
         let r = &reports[0];
@@ -419,12 +412,7 @@ mod tests {
 
     #[test]
     fn rtcp_reports_reach_the_sender() {
-        let loss = LossModel {
-            base: 0.05,
-            clear_fraction: 1.0,
-            edge_loss: 0.0,
-        };
-        let (mut w, ra, _rb) = media_pair_with(66, loss, SimTime::from_secs(21));
+        let (mut w, ra, _rb) = media_pair_with(66, 0.05, SimTime::from_secs(21));
         w.run_for(SimDuration::from_secs(22));
         let reports = ra.borrow();
         let r = &reports[0];

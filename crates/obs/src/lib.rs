@@ -131,14 +131,6 @@ impl NodeObs {
         }
     }
 
-    /// Attaches a free-form note to an open span.
-    #[inline]
-    pub fn span_note(&mut self, id: SpanId, note: &str) {
-        if let Some(spans) = &mut self.spans {
-            spans.note(id, note);
-        }
-    }
-
     /// Closes a span.
     #[inline]
     pub fn span_exit(&mut self, id: SpanId, now_us: u64, ok: bool) {
@@ -250,10 +242,6 @@ impl NodeObs {
     #[inline(always)]
     pub fn span_corr(&mut self, _id: SpanId, _corr: &str) {}
 
-    /// Attaches a note (no-op build: compiled away).
-    #[inline(always)]
-    pub fn span_note(&mut self, _id: SpanId, _note: &str) {}
-
     /// Closes a span (no-op build: compiled away).
     #[inline(always)]
     pub fn span_exit(&mut self, _id: SpanId, _now_us: u64, _ok: bool) {}
@@ -348,7 +336,6 @@ mod tests {
         let mut untraced = NodeObs::default();
         for obs in [&mut traced, &mut untraced] {
             obs.span_corr(id, "call-1");
-            obs.span_note(id, "late");
             obs.span_exit(id, 20, false);
             obs.span_instant(SpanCat::Sip, "sip.ack", 20, None);
         }

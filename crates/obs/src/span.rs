@@ -55,7 +55,7 @@ pub struct SpanRecord {
     pub corr: Option<Box<str>>,
     /// Whether the operation succeeded.
     pub ok: bool,
-    /// Free-form annotation.
+    /// `"unfinished"` on a span still open at export; `None` otherwise.
     pub note: Option<Box<str>>,
     /// True for point-in-time markers.
     pub instant: bool,
@@ -67,7 +67,6 @@ struct OpenSpan {
     name: &'static str,
     start_us: u64,
     corr: Option<Box<str>>,
-    note: Option<Box<str>>,
 }
 
 /// Handle to an open span.
@@ -131,7 +130,6 @@ impl SpanLog {
             name,
             start_us: now_us,
             corr: None,
-            note: None,
         };
         match self.free.pop() {
             Some(slot) => {
@@ -155,13 +153,6 @@ impl SpanLog {
         }
     }
 
-    /// Attaches a free-form note to an open span.
-    pub fn note(&mut self, id: SpanId, note: &str) {
-        if let Some(Some(span)) = self.open.get_mut(id.0 as usize) {
-            span.note = Some(note.into());
-        }
-    }
-
     /// Closes a span. No-op for [`SpanId::NONE`] or already-closed ids.
     pub fn exit(&mut self, id: SpanId, now_us: u64, ok: bool) {
         if id.is_none() {
@@ -181,7 +172,7 @@ impl SpanLog {
             dur_us: now_us.saturating_sub(span.start_us),
             corr: span.corr,
             ok,
-            note: span.note,
+            note: None,
             instant: false,
         });
     }

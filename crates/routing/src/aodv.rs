@@ -214,6 +214,9 @@ impl AodvMsg {
 
 const TAG_HELLO: u64 = 1;
 const TAG_DISCOVERY: u64 = 2;
+/// A discovery token carries its generation in its top 24 bits, so the
+/// generation counter wraps there.
+const GENERATION_MASK: u32 = (1 << 24) - 1;
 
 fn discovery_token(dst: Addr, generation: u32) -> u64 {
     TAG_DISCOVERY | ((dst.0 as u64) << 8) | ((generation as u64) << 40)
@@ -342,7 +345,7 @@ impl AodvProcess {
         }
         let now = ctx.now();
         let expires = now + lifetime;
-        let current = ctx.routes().lookup_specific(dst, now);
+        let current = ctx.routes().lookup(dst, now);
         let accept = match current {
             None => true,
             Some(r) => {
@@ -373,12 +376,17 @@ impl AodvProcess {
         }
     }
 
+    /// Advances the discovery generation within what a token carries.
+    fn next_generation(&mut self) -> u32 {
+        self.generation = (self.generation + 1) & GENERATION_MASK;
+        self.generation
+    }
+
     fn start_discovery(&mut self, ctx: &mut Ctx<'_>, dst: Addr) {
         if self.pending.contains_key(&dst) {
             return;
         }
-        self.generation += 1;
-        let generation = self.generation;
+        let generation = self.next_generation();
         let span = ctx.span_enter(SpanCat::Routing, "route.discovery");
         if ctx.obs().tracing() {
             let corr = dst.to_string();
@@ -401,7 +409,7 @@ impl AodvProcess {
     fn send_rreq(&mut self, ctx: &mut Ctx<'_>, dst: Addr, ttl: u8, generation: u32) {
         self.seq = self.seq.wrapping_add(1);
         self.rreq_id = self.rreq_id.wrapping_add(1);
-        let known = ctx.routes_ref().lookup_specific(dst, ctx.now());
+        let known = ctx.routes_ref().lookup(dst, ctx.now());
         let (dst_seq, flags) = match known {
             Some(r) => (r.seq, 0),
             None => (0, FLAG_UNKNOWN_SEQ),
@@ -535,7 +543,7 @@ impl AodvProcess {
         }
 
         if flags & FLAG_UNKNOWN_SEQ == 0 {
-            if let Some(r) = ctx.routes_ref().lookup_specific(dst, ctx.now()) {
+            if let Some(r) = ctx.routes_ref().lookup(dst, ctx.now()) {
                 if !seq_newer(dst_seq, r.seq) && r.seq != 0 {
                     let reply = AodvMsg::Rrep {
                         flags: 0,
@@ -602,7 +610,7 @@ impl AodvProcess {
             return;
         }
         // Forward along the reverse path.
-        if let Some(r) = ctx.routes_ref().lookup_specific(orig, ctx.now()) {
+        if let Some(r) = ctx.routes_ref().lookup(orig, ctx.now()) {
             let fwd = AodvMsg::Rrep {
                 flags,
                 hop_count: hop_count.saturating_add(1),
@@ -622,7 +630,7 @@ impl AodvProcess {
         let mut propagate = Vec::new();
         for (dst, seq) in dests {
             let now = ctx.now();
-            if let Some(r) = ctx.routes_ref().lookup_specific(dst, now) {
+            if let Some(r) = ctx.routes_ref().lookup(dst, now) {
                 if r.next_hop == from {
                     ctx.routes().remove(dst);
                     propagate.push((dst, seq));
@@ -722,7 +730,7 @@ impl Process for AodvProcess {
                 if d.generation != generation {
                     return; // Stale timer from a superseded attempt.
                 }
-                if ctx.routes_ref().lookup_specific(dst, ctx.now()).is_some() {
+                if ctx.routes_ref().lookup(dst, ctx.now()).is_some() {
                     if let Some(d) = self.pending.remove(&dst) {
                         ctx.span_exit(d.span, true);
                         let waited = ctx.now_us().saturating_sub(d.started_us);
@@ -749,8 +757,7 @@ impl Process for AodvProcess {
                     d.ttl.saturating_add(TTL_INCREMENT)
                 };
                 d.ttl = next_ttl;
-                self.generation += 1;
-                let generation = self.generation;
+                let generation = self.next_generation();
                 self.pending
                     .get_mut(&dst)
                     .expect("pending entry vanished")
@@ -889,7 +896,7 @@ mod tests {
         let r = w
             .node(ids[0])
             .routes()
-            .lookup_specific(dst, w.now())
+            .lookup(dst, w.now())
             .expect("route installed");
         assert_eq!(r.hops, 3);
         assert_eq!(r.next_hop, w.node(ids[1]).addr());
@@ -921,11 +928,7 @@ mod tests {
         w.run_for(SimDuration::from_secs(5));
         assert_eq!(got.borrow().len(), 1);
         assert_eq!(
-            w.node(ids[0])
-                .routes()
-                .lookup_specific(dst, w.now())
-                .unwrap()
-                .hops,
+            w.node(ids[0]).routes().lookup(dst, w.now()).unwrap().hops,
             6
         );
     }
@@ -963,11 +966,7 @@ mod tests {
         w.run_for(SimDuration::from_secs(4));
         // No alternate path exists, so the packet is dropped — but the
         // stale route must be gone.
-        assert!(w
-            .node(ids[0])
-            .routes()
-            .lookup_specific(dst, w.now())
-            .is_none());
+        assert!(w.node(ids[0]).routes().lookup(dst, w.now()).is_none());
         assert_eq!(got.borrow().len(), 1);
         // Bring the relay back: rediscovery must succeed.
         w.set_node_up(ids[2], true);
@@ -992,16 +991,33 @@ mod tests {
             ),
         );
         w.run_for(SimDuration::from_secs(20));
-        assert!(w
-            .node(ids[0])
-            .routes()
-            .lookup_specific(ghost, w.now())
-            .is_none());
+        assert!(w.node(ids[0]).routes().lookup(ghost, w.now()).is_none());
         assert_eq!(
             w.node(ids[0]).stats().get("aodv.discovery_failed").packets,
             1
         );
         assert_eq!(w.node(ids[0]).pending_packets(), 0, "buffered packet swept");
+    }
+
+    #[test]
+    fn discovery_still_fails_once_the_generation_wraps() {
+        let mut w = World::new(WorldConfig::new(99).with_radio(RadioConfig::ideal()));
+        let a = w.add_node(NodeConfig::manet(0.0, 0.0));
+        let mut aodv = AodvProcess::new();
+        aodv.generation = GENERATION_MASK;
+        w.spawn(a, Box::new(aodv));
+        let src = w.node(a).addr();
+        w.inject(
+            a,
+            Datagram::new(
+                SocketAddr::new(src, 9000),
+                SocketAddr::new(Addr::manet(77), 9000),
+                b"?".to_vec(),
+            ),
+        );
+        w.run_for(SimDuration::from_secs(20));
+        let failed = w.node(a).stats().get("aodv.discovery_failed").packets;
+        assert_eq!(failed, 1, "every ring timer was read as superseded");
     }
 
     #[test]
@@ -1076,7 +1092,7 @@ mod tests {
         let (mut w, ids) = chain_world(2, 50.0);
         w.run_for(SimDuration::from_secs(3));
         let b = w.node(ids[1]).addr();
-        let r = w.node(ids[0]).routes().lookup_specific(b, w.now());
+        let r = w.node(ids[0]).routes().lookup(b, w.now());
         assert!(r.is_some(), "hello should install neighbor route");
         assert_eq!(r.unwrap().hops, 1);
     }
@@ -1164,10 +1180,6 @@ mod tests {
         );
         // Bonus: originator also learned the route to the answering node.
         let bob_addr = w.node(ids[3]).addr();
-        assert!(w
-            .node(ids[0])
-            .routes()
-            .lookup_specific(bob_addr, w.now())
-            .is_some());
+        assert!(w.node(ids[0]).routes().lookup(bob_addr, w.now()).is_some());
     }
 }

@@ -43,17 +43,6 @@ pub enum MsgKind {
     OlsrTc,
 }
 
-impl MsgKind {
-    /// Whether messages of this kind propagate beyond one hop — handlers
-    /// use this to decide which messages are worth piggybacking on.
-    pub fn is_network_wide(self) -> bool {
-        matches!(
-            self,
-            MsgKind::AodvRreq | MsgKind::AodvRrep | MsgKind::OlsrTc
-        )
-    }
-}
-
 /// A plugin invoked on every routing control message.
 ///
 /// Handlers are shared between the routing process (which calls them) and a
@@ -113,15 +102,6 @@ pub fn fit_budget(mut entries: Vec<Vec<u8>>, budget: usize) -> Vec<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn network_wide_classification() {
-        assert!(MsgKind::AodvRreq.is_network_wide());
-        assert!(MsgKind::AodvRrep.is_network_wide());
-        assert!(MsgKind::OlsrTc.is_network_wide());
-        assert!(!MsgKind::AodvHello.is_network_wide());
-        assert!(!MsgKind::OlsrHello.is_network_wide());
-    }
 
     #[test]
     fn fit_budget_truncates_greedily() {

@@ -912,18 +912,14 @@ mod tests {
                 }
                 let dst = w.node(b).addr();
                 assert!(
-                    w.node(a).routes().lookup_specific(dst, w.now()).is_some(),
+                    w.node(a).routes().lookup(dst, w.now()).is_some(),
                     "missing route {a}->{b}"
                 );
             }
         }
         let far = w.node(ids[4]).addr();
         assert_eq!(
-            w.node(ids[0])
-                .routes()
-                .lookup_specific(far, w.now())
-                .unwrap()
-                .hops,
+            w.node(ids[0]).routes().lookup(far, w.now()).unwrap().hops,
             4
         );
     }
@@ -954,11 +950,7 @@ mod tests {
         let (mut w, ids) = chain_world(3, 80.0);
         w.run_for(SimDuration::from_secs(20));
         let a2 = w.node(ids[2]).addr();
-        let r = w
-            .node(ids[0])
-            .routes()
-            .lookup_specific(a2, w.now())
-            .unwrap();
+        let r = w.node(ids[0]).routes().lookup(a2, w.now()).unwrap();
         assert_eq!(r.next_hop, w.node(ids[1]).addr());
         assert_eq!(r.hops, 2);
     }
@@ -976,13 +968,13 @@ mod tests {
         }
         w.run_for(SimDuration::from_secs(20));
         let d3 = w.node(n3).addr();
-        assert!(w.node(n0).routes().lookup_specific(d3, w.now()).is_some());
+        assert!(w.node(n0).routes().lookup(d3, w.now()).is_some());
         w.set_node_up(n1, false);
         w.run_for(SimDuration::from_secs(15));
         let r = w
             .node(n0)
             .routes()
-            .lookup_specific(d3, w.now())
+            .lookup(d3, w.now())
             .expect("healed route");
         assert_eq!(r.next_hop, w.node(n2).addr(), "must detour via n2");
     }
@@ -1505,7 +1497,7 @@ mod tests {
         let a_says = [(own, LinkStatus::Sym), (b, LinkStatus::Sym)];
         p.apply(secs(0), &hello(a, &a_says));
         p.apply(secs(1), &tc(a, b, 1, &[c]));
-        let reached = p.new.routes.lookup_specific(c, secs(1)).expect("c via a");
+        let reached = p.new.routes.lookup(c, secs(1)).expect("c via a");
         assert_eq!((reached.next_hop, reached.hops), (a, 3));
         assert_eq!(reached.expires, secs(16));
         // b withdraws c; a keeps talking, so a and b are re-stamped by
@@ -1514,17 +1506,13 @@ mod tests {
         for t in (3..16).step_by(2) {
             p.apply(secs(t), &hello(a, &a_says));
             p.apply(secs(t), &Step::HelloTimer);
-            let stale = p
-                .new
-                .routes
-                .lookup_specific(c, secs(t))
-                .expect("not yet expired");
+            let stale = p.new.routes.lookup(c, secs(t)).expect("not yet expired");
             assert_eq!(stale.expires, secs(16));
-            let kept = p.new.routes.lookup_specific(b, secs(t)).expect("b via a");
+            let kept = p.new.routes.lookup(b, secs(t)).expect("b via a");
             assert_eq!(kept.expires, secs(t + 15));
         }
         p.apply(secs(17), &hello(a, &a_says));
-        assert_eq!(p.new.routes.lookup_specific(c, secs(17)), None);
+        assert_eq!(p.new.routes.lookup(c, secs(17)), None);
         assert_eq!(p.new.table().len(), 2);
     }
 

@@ -13,7 +13,7 @@ use crate::fault::{corrupt_payload, FaultAction, PacketFaultKind};
 use crate::net::{Addr, Datagram, L2Dst};
 use crate::node::{NodeId, PendingPacket};
 use crate::process::{Ctx, Effect, LocalEvent};
-use crate::radio::{Frame, PROP_DELAY};
+use crate::radio::{tx_time, Frame, BACKOFF_MAX, PROP_DELAY, UNICAST_RETRIES};
 use crate::time::SimDuration;
 use crate::trace::{TraceEntry, TraceKind};
 use crate::world::World;
@@ -431,7 +431,6 @@ impl World {
     // ------------------------------------------------------------------
 
     fn enqueue_frame(&mut self, node: NodeId, dst: L2Dst, dgram: Datagram) {
-        let retries = self.cfg.radio.unicast_retries;
         let n = &mut self.nodes[node.0 as usize];
         if !n.has_radio {
             n.stats.count("drop.no_radio", dgram.wire_len());
@@ -440,7 +439,7 @@ impl World {
         n.tx_queue.push_back(Frame {
             dst,
             dgram,
-            retries_left: retries,
+            retries_left: UNICAST_RETRIES,
         });
         if !n.tx_busy {
             n.tx_busy = true;
@@ -506,8 +505,7 @@ impl World {
             if let Some(until) = busy_until {
                 let backoff = {
                     let n = &mut self.nodes[node.0 as usize];
-                    let max = radio.backoff_max.as_micros().max(1);
-                    SimDuration::from_micros(n.rng.range_u64(0, max))
+                    SimDuration::from_micros(n.rng.range_u64(0, BACKOFF_MAX.as_micros()))
                 };
                 self.nodes[node.0 as usize].stats.count("radio.cs_defer", 0);
                 self.schedule_at(until + backoff, Event::TxStart { node });
@@ -517,7 +515,7 @@ impl World {
         let n = &mut self.nodes[node.0 as usize];
         let front = n.tx_queue.front().expect("checked above");
         let wire = front.dgram.wire_len();
-        let t = radio.tx_time(wire, &mut n.rng);
+        let t = tx_time(wire, &mut n.rng);
         n.obs.hist_record("radio.airtime_us", t.as_micros());
         n.tx_until = now + t;
         self.schedule(t, Event::TxDone { node });
@@ -609,11 +607,10 @@ impl World {
                     t.up && t.has_radio
                         && !self.link_faulted(node, target)
                         && dist <= radio.range
-                        && !radio.loss.sample_loss(
-                            dist,
-                            radio.range,
-                            &mut self.nodes[node.0 as usize].rng,
-                        )
+                        && !radio
+                            .loss
+                            .prepare(radio.range)
+                            .sample_loss(dist, &mut self.nodes[node.0 as usize].rng)
                 });
                 let n = &mut self.nodes[node.0 as usize];
                 if let Some(target) = target {
@@ -628,7 +625,7 @@ impl World {
                         f.retries_left -= 1;
                     }
                     // Stay busy: retransmit after another full TX time.
-                    let t = radio.tx_time(wire, &mut n.rng);
+                    let t = tx_time(wire, &mut n.rng);
                     n.obs.hist_record("radio.airtime_us", t.as_micros());
                     n.tx_until = now + t;
                     self.schedule(t, Event::TxDone { node });

@@ -205,8 +205,6 @@ pub mod ports {
     pub const SIPHOC_PROXY: u16 = 5060;
     /// SIPHoc layer-2 tunnel server (gateway side).
     pub const TUNNEL: u16 = 7077;
-    /// Base port for RTP media sessions; RTCP uses `RTP + 1`.
-    pub const RTP_BASE: u16 = 8000;
 }
 
 /// Per-datagram time-to-live used when a datagram is forwarded hop by hop.

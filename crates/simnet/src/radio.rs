@@ -49,12 +49,11 @@ impl LossModel {
     };
 
     /// Precomputes the per-range invariants (clear radius, ramp
-    /// denominator) so per-receiver calls in the broadcast loop skip the
-    /// redundant recomputation. The prepared model performs *the exact
-    /// same float operations* on the hot path — in particular the ramp
-    /// stays a division by the precomputed `range - clear`, never an
-    /// inverse multiply — so loss probabilities are bit-identical to
-    /// [`LossModel::loss_probability`] and seeded traces do not drift.
+    /// denominator), the one way to sample this model: the broadcast
+    /// fan-out prepares once per transmission, a unicast hop once per
+    /// draw. The ramp stays a division by the precomputed
+    /// `range - clear`, never an inverse multiply, so seeded traces do
+    /// not drift.
     pub fn prepare(&self, range: f64) -> PreparedLoss {
         let clear = range * self.clear_fraction;
         PreparedLoss {
@@ -65,22 +64,10 @@ impl LossModel {
             denom: range - clear,
         }
     }
-
-    /// Loss probability for a receiver at `dist` when the radio range is
-    /// `range`. Distances beyond `range` always lose the frame.
-    pub fn loss_probability(&self, dist: f64, range: f64) -> f64 {
-        self.prepare(range).loss_probability(dist)
-    }
-
-    /// Samples whether a frame at `dist` is lost.
-    pub fn sample_loss(&self, dist: f64, range: f64, rng: &mut SimRng) -> bool {
-        rng.chance(self.loss_probability(dist, range))
-    }
 }
 
 /// A [`LossModel`] with its per-range invariants hoisted out of the
-/// per-receiver sampling loop. Build one per transmission with
-/// [`LossModel::prepare`].
+/// per-receiver sampling loop. Build one with [`LossModel::prepare`].
 #[derive(Debug, Clone, Copy)]
 pub struct PreparedLoss {
     base: f64,
@@ -93,8 +80,8 @@ pub struct PreparedLoss {
 }
 
 impl PreparedLoss {
-    /// Loss probability for a receiver at `dist`; bit-identical to the
-    /// unprepared [`LossModel::loss_probability`].
+    /// Loss probability for a receiver at `dist`. Distances beyond the
+    /// range always lose the frame.
     pub fn loss_probability(&self, dist: f64) -> f64 {
         if dist > self.range {
             return 1.0;
@@ -120,16 +107,16 @@ pub const BITRATE_BPS: f64 = 11.0e6;
 pub const MAC_OVERHEAD: SimDuration = SimDuration::from_micros(300);
 /// One-hop propagation delay.
 pub const PROP_DELAY: SimDuration = SimDuration::from_micros(1);
+/// Upper bound of the uniform random backoff added per transmission.
+pub const BACKOFF_MAX: SimDuration = SimDuration::from_micros(400);
+/// Retransmissions of a unicast frame (802.11 retry limit).
+pub const UNICAST_RETRIES: u8 = 4;
 
 /// Static parameters of every radio in the world.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RadioConfig {
     /// Maximum reception distance in meters.
     pub range: f64,
-    /// Upper bound of the uniform random backoff added per transmission.
-    pub backoff_max: SimDuration,
-    /// Number of retransmissions for unicast frames (802.11 retry limit).
-    pub unicast_retries: u8,
     /// Loss model.
     pub loss: LossModel,
     /// Carrier sensing: when enabled, a node defers its transmission while
@@ -140,13 +127,11 @@ pub struct RadioConfig {
 }
 
 impl RadioConfig {
-    /// 802.11b-flavored defaults: 100 m range, 11 Mb/s, 4 retries,
-    /// [`LossModel::TYPICAL`].
+    /// 802.11b-flavored defaults: 100 m range and [`LossModel::TYPICAL`]
+    /// (the bit rate, backoff and retry limit are this module's constants).
     pub fn default_80211b() -> RadioConfig {
         RadioConfig {
             range: 100.0,
-            backoff_max: SimDuration::from_micros(400),
-            unicast_retries: 4,
             loss: LossModel::TYPICAL,
             carrier_sense: false,
         }
@@ -160,18 +145,14 @@ impl RadioConfig {
             ..RadioConfig::default_80211b()
         }
     }
+}
 
-    /// Time to serialize `wire_len` bytes onto the air, including MAC
-    /// overhead and a sampled backoff.
-    pub fn tx_time(&self, wire_len: usize, rng: &mut SimRng) -> SimDuration {
-        let serialize = SimDuration::from_secs_f64(wire_len as f64 * 8.0 / BITRATE_BPS);
-        let backoff = if self.backoff_max.is_zero() {
-            SimDuration::ZERO
-        } else {
-            SimDuration::from_micros(rng.range_u64(0, self.backoff_max.as_micros().max(1)))
-        };
-        MAC_OVERHEAD + serialize + backoff
-    }
+/// Time to serialize `wire_len` bytes onto the air, including MAC
+/// overhead and a sampled backoff below [`BACKOFF_MAX`].
+pub fn tx_time(wire_len: usize, rng: &mut SimRng) -> SimDuration {
+    let serialize = SimDuration::from_secs_f64(wire_len as f64 * 8.0 / BITRATE_BPS);
+    let backoff = SimDuration::from_micros(rng.range_u64(0, BACKOFF_MAX.as_micros()));
+    MAC_OVERHEAD + serialize + backoff
 }
 
 impl Default for RadioConfig {
@@ -196,34 +177,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn prepared_loss_is_bit_identical() {
-        for model in [LossModel::IDEAL, LossModel::TYPICAL] {
-            for range in [50.0, 100.0, 250.0] {
-                let prepared = model.prepare(range);
-                let mut dist = 0.0;
-                while dist <= range + 10.0 {
-                    let a = model.loss_probability(dist, range);
-                    let b = prepared.loss_probability(dist);
-                    assert_eq!(a.to_bits(), b.to_bits(), "dist {dist} range {range}");
-                    dist += 0.37;
-                }
-            }
-        }
-    }
-
-    #[test]
     fn ideal_model_never_loses_in_range() {
-        let m = LossModel::IDEAL;
-        assert_eq!(m.loss_probability(99.9, 100.0), 0.0);
-        assert_eq!(m.loss_probability(100.1, 100.0), 1.0);
+        let m = LossModel::IDEAL.prepare(100.0);
+        assert_eq!(m.loss_probability(99.9), 0.0);
+        assert_eq!(m.loss_probability(100.1), 1.0);
     }
 
     #[test]
     fn typical_model_ramps_toward_edge() {
-        let m = LossModel::TYPICAL;
-        let near = m.loss_probability(10.0, 100.0);
-        let mid = m.loss_probability(85.0, 100.0);
-        let edge = m.loss_probability(100.0, 100.0);
+        let m = LossModel::TYPICAL.prepare(100.0);
+        let near = m.loss_probability(10.0);
+        let mid = m.loss_probability(85.0);
+        let edge = m.loss_probability(100.0);
         assert!(near < mid && mid < edge, "{near} {mid} {edge}");
         assert!((near - 0.01).abs() < 1e-9);
         assert!((edge - 0.61).abs() < 1e-9);
@@ -231,17 +196,17 @@ mod tests {
 
     #[test]
     fn tx_time_scales_with_size() {
-        let cfg = RadioConfig {
-            backoff_max: SimDuration::ZERO,
-            ..RadioConfig::ideal()
-        };
         let mut rng = SimRng::from_seed_and_stream(0, 0);
-        let small = cfg.tx_time(100, &mut rng);
-        let large = cfg.tx_time(1000, &mut rng);
-        assert!(large > small);
-        // 1000 bytes at 11 Mb/s is ~727 us plus 300 us overhead.
-        let expect = 300 + (1000.0 * 8.0 / 11.0e6 * 1e6) as u64;
-        assert!((large.as_micros() as i64 - expect as i64).abs() <= 1);
+        // 100 and 1000 bytes at 11 Mb/s are ~73 and ~727 us, each plus
+        // 300 us overhead and a backoff below BACKOFF_MAX.
+        for (bytes, airtime) in [(100, 72), (1000, 727)] {
+            let t = tx_time(bytes, &mut rng).as_micros();
+            let floor = 300 + airtime;
+            assert!(
+                t >= floor && t <= floor + 1 + BACKOFF_MAX.as_micros(),
+                "{bytes} B: {t} us"
+            );
+        }
     }
 
     #[test]
@@ -250,12 +215,11 @@ mod tests {
             base: 0.25,
             clear_fraction: 1.0,
             edge_loss: 0.0,
-        };
+        }
+        .prepare(100.0);
         let mut rng = SimRng::from_seed_and_stream(4, 4);
         let n = 20_000;
-        let losses = (0..n)
-            .filter(|_| m.sample_loss(10.0, 100.0, &mut rng))
-            .count();
+        let losses = (0..n).filter(|_| m.sample_loss(10.0, &mut rng)).count();
         let rate = losses as f64 / n as f64;
         assert!((rate - 0.25).abs() < 0.02, "rate {rate}");
     }

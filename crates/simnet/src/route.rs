@@ -4,7 +4,9 @@
 //! whichever routing protocol process runs on the node (AODV installs routes
 //! on demand, OLSR keeps them proactively). This mirrors the split between
 //! the kernel FIB and the user-space routing daemon in the paper's Linux
-//! deployment.
+//! deployment. The table holds per-destination routes only: the paper's
+//! default route onto the SIPHoc tunnel is the node's default handler
+//! (`Ctx::set_default_handler`), not an entry here.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -42,7 +44,6 @@ pub struct Route {
 #[derive(Debug, Clone, Default)]
 pub struct RoutingTable {
     entries: BTreeMap<Addr, Route>,
-    default_route: Option<Route>,
     keepalive: Option<crate::time::SimDuration>,
 }
 
@@ -62,16 +63,12 @@ impl RoutingTable {
         self.entries.remove(&dst)
     }
 
-    /// Looks up an unexpired route for `dst` at time `now`.
-    ///
-    /// Falls back to the default route when no specific entry exists.
+    /// Looks up an unexpired route for `dst` at time `now`; there is no
+    /// fallback entry.
     pub fn lookup(&self, dst: Addr, now: SimTime) -> Option<Route> {
         match self.entries.get(&dst) {
             Some(r) if r.expires > now => Some(*r),
-            _ => match self.default_route {
-                Some(r) if r.expires > now => Some(r),
-                _ => None,
-            },
+            _ => None,
         }
     }
 
@@ -105,32 +102,10 @@ impl RoutingTable {
         self.lookup(dst, now)
     }
 
-    /// Looks up a specific (non-default) unexpired route for `dst`.
-    pub fn lookup_specific(&self, dst: Addr, now: SimTime) -> Option<Route> {
-        match self.entries.get(&dst) {
-            Some(r) if r.expires > now => Some(*r),
-            _ => None,
-        }
-    }
-
     /// Returns a mutable reference to the entry for `dst`, if present
     /// (expired entries included, so callers can refresh them).
     pub fn get_mut(&mut self, dst: Addr) -> Option<&mut Route> {
         self.entries.get_mut(&dst)
-    }
-
-    /// Sets or clears the default route (used by the Connection Provider to
-    /// point Internet-bound traffic at the SIPHoc tunnel).
-    pub fn set_default(&mut self, route: Option<Route>) {
-        self.default_route = route;
-    }
-
-    /// Returns the default route, if one is installed and unexpired.
-    pub fn default_route(&self, now: SimTime) -> Option<Route> {
-        match self.default_route {
-            Some(r) if r.expires > now => Some(r),
-            _ => None,
-        }
     }
 
     /// Drops every entry whose next hop is `neighbor`, returning the
@@ -151,25 +126,19 @@ impl RoutingTable {
     /// Removes all expired entries.
     pub fn purge_expired(&mut self, now: SimTime) {
         self.entries.retain(|_, r| r.expires > now);
-        if let Some(r) = self.default_route {
-            if r.expires <= now {
-                self.default_route = None;
-            }
-        }
     }
 
-    /// Removes every entry including the default route.
+    /// Removes every entry.
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.default_route = None;
     }
 
-    /// Number of specific (non-default) entries, including expired ones.
+    /// Number of entries, including expired ones.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// Returns `true` when no specific entries exist.
+    /// Returns `true` when the table has no entries.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
@@ -190,15 +159,6 @@ impl fmt::Display for RoutingTable {
                 f,
                 "{:<16} {:<16} {:<4} {}",
                 dst.to_string(),
-                r.next_hop.to_string(),
-                r.hops,
-                r.seq
-            )?;
-        }
-        if let Some(r) = self.default_route {
-            writeln!(
-                f,
-                "default          {:<16} {:<4} {}",
                 r.next_hop.to_string(),
                 r.hops,
                 r.seq
@@ -232,22 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn default_route_is_fallback_only() {
-        let mut t = RoutingTable::new();
-        let dst = Addr::manet(9);
-        t.set_default(Some(route(3, 1, SimTime::MAX)));
-        assert_eq!(
-            t.lookup(dst, SimTime::ZERO).unwrap().next_hop,
-            Addr::manet(3)
-        );
-        t.insert(dst, route(1, 2, SimTime::MAX));
-        assert_eq!(
-            t.lookup(dst, SimTime::ZERO).unwrap().next_hop,
-            Addr::manet(1)
-        );
-    }
-
-    #[test]
     fn invalidate_via_removes_matching_entries() {
         let mut t = RoutingTable::new();
         t.insert(Addr::manet(5), route(1, 2, SimTime::MAX));
@@ -260,15 +204,13 @@ mod tests {
     }
 
     #[test]
-    fn purge_expired_removes_stale_entries_and_default() {
+    fn purge_expired_removes_stale_entries() {
         let mut t = RoutingTable::new();
         let now = SimTime::from_secs(100);
         t.insert(Addr::manet(1), route(1, 1, SimTime::from_secs(50)));
         t.insert(Addr::manet(2), route(2, 1, now + SimDuration::from_secs(1)));
-        t.set_default(Some(route(3, 1, SimTime::from_secs(50))));
         t.purge_expired(now);
         assert_eq!(t.len(), 1);
-        assert!(t.default_route(now).is_none());
     }
 
     #[test]

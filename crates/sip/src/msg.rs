@@ -71,8 +71,6 @@ impl FromStr for Method {
 pub struct StatusCode(pub u16);
 
 impl StatusCode {
-    /// 100 Trying.
-    pub const TRYING: StatusCode = StatusCode(100);
     /// 180 Ringing.
     pub const RINGING: StatusCode = StatusCode(180);
     /// 200 OK.
@@ -83,10 +81,6 @@ impl StatusCode {
     pub const FORBIDDEN: StatusCode = StatusCode(403);
     /// 404 Not Found.
     pub const NOT_FOUND: StatusCode = StatusCode(404);
-    /// 408 Request Timeout.
-    pub const REQUEST_TIMEOUT: StatusCode = StatusCode(408);
-    /// 480 Temporarily Unavailable.
-    pub const UNAVAILABLE: StatusCode = StatusCode(480);
     /// 486 Busy Here.
     pub const BUSY: StatusCode = StatusCode(486);
     /// 487 Request Terminated.
@@ -113,11 +107,6 @@ impl StatusCode {
             503 => "Service Unavailable",
             _ => "Unknown",
         }
-    }
-
-    /// `true` for 1xx.
-    pub fn is_provisional(self) -> bool {
-        (100..200).contains(&self.0)
     }
 
     /// `true` for anything ≥ 200.
@@ -618,8 +607,7 @@ mod tests {
 
     #[test]
     fn status_classification() {
-        assert!(StatusCode::TRYING.is_provisional());
-        assert!(!StatusCode::TRYING.is_final());
+        assert!(!StatusCode::RINGING.is_final());
         assert!(StatusCode::OK.is_success());
         assert!(StatusCode::NOT_FOUND.is_final());
         assert!(!StatusCode::NOT_FOUND.is_success());

@@ -81,14 +81,6 @@ impl SipUri {
         let addr: Addr = self.host.parse().ok()?;
         Some(SocketAddr::new(addr, self.port.unwrap_or(default_port)))
     }
-
-    /// Returns the value of parameter `name`, if present.
-    pub fn param(&self, name: &str) -> Option<&str> {
-        self.params
-            .iter()
-            .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .and_then(|(_, v)| v.as_deref())
-    }
 }
 
 impl fmt::Display for SipUri {
@@ -244,9 +236,13 @@ mod tests {
         assert_eq!(u.user.as_deref(), Some("bob"));
         assert_eq!(u.host, "10.0.0.2");
         assert_eq!(u.port, Some(5060));
-        assert_eq!(u.param("transport"), Some("udp"));
-        assert_eq!(u.param("lr"), None);
-        assert!(u.params.iter().any(|(n, _)| n == "lr"));
+        assert_eq!(
+            u.params,
+            [
+                ("transport".into(), Some("udp".into())),
+                ("lr".into(), None)
+            ]
+        );
     }
 
     #[test]

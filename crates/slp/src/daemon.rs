@@ -859,7 +859,7 @@ mod tests {
                 Dissemination::OnDemand => assert!(w
                     .node(near)
                     .routes()
-                    .lookup_specific(Addr::manet(3), w.now())
+                    .lookup(Addr::manet(3), w.now())
                     .is_some()),
                 // Both middle nodes forwarded the flood.
                 Dissemination::Multicast => {

@@ -98,7 +98,7 @@ fn main() {
         let hops = world
             .node(caller.id)
             .routes()
-            .lookup_specific(callee.addr, world.now())
+            .lookup(callee.addr, world.now())
             .map(|r| r.hops.to_string())
             .unwrap_or_else(|| "-".to_owned());
         let reports = caller.media_reports.as_ref().expect("media runs").borrow();

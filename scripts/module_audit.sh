@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # ROADMAP aim 2's module rule as a script: who calls each module under
-# crates/, and which `pub fn`s nobody calls. A name is matched as a whole
-# word wherever it occurs (comments and same-named methods of other
-# types included), which over-counts callers, so a reported zero is a
-# real zero. Exits 1 when class "none" is non-empty (scripts/ci.sh gates
+# crates/, and which `pub fn`s and `pub const`s nobody names. A name is
+# matched as a whole word wherever it occurs (comments and same-named
+# items of other types included), which over-counts callers, so a
+# reported zero is a real zero. Exits 1 when class "none" is non-empty (scripts/ci.sh gates
 # on that); the module table and class "test-only" are informational.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -35,15 +35,17 @@ for file in $(find crates -path '*/src/*.rs' -not -path '*/bin/*' -not -name lib
 done
 
 echo
-echo "pub fn under crates/ by class:"
+echo "pub fn and pub const under crates/ by class:"
 report=$(find crates src tests examples benchmark/src -name '*.rs' | sort | xargs awk '
     FNR == 1 { intest = (FILENAME ~ /^tests\//) }
     /^#\[cfg\(test\)\]/ { intest = 1 }
     {
         line = $0
         if (!intest && FILENAME ~ /^crates\// &&
-            match(line, /pub (const )?fn [A-Za-z0-9_]+/)) {
+            (match(line, /pub (const )?fn [A-Za-z0-9_]+/) ||
+             match(line, /pub const [A-Za-z0-9_]+ *:/))) {
             name = substr(line, RSTART, RLENGTH)
+            sub(/ *:$/, "", name)
             sub(/.* /, "", name)
             defs[name]++
             where[name] = where[name] " " FILENAME ":" FNR
@@ -66,5 +68,5 @@ report=$(find crates src tests examples benchmark/src -name '*.rs' | sort | xarg
     }' | sort)
 echo "$report"
 none=$(echo "$report" | grep -c '^none:' || true)
-echo "pub fn with no caller: ${none}"
+echo "pub fn/const with no caller: ${none}"
 [ "$none" -eq 0 ]

@@ -103,7 +103,7 @@ fn multihop_call_over_aodv_chain() {
     let route = w
         .node(alice.id)
         .routes()
-        .lookup_specific(bob.addr, w.now())
+        .lookup(bob.addr, w.now())
         .expect("route to bob's node");
     assert_eq!(route.hops, 3);
 

@@ -49,6 +49,11 @@ impl Fnv {
 /// Hashes every field of every trace entry plus the world's dispatched
 /// event count. Any behavioral difference in the hot path shows up here.
 fn world_digest(w: &World) -> u64 {
+    assert_eq!(
+        w.trace().evicted(),
+        0,
+        "the capture ring evicted entries: the digest would hash only its tail"
+    );
     let mut h = Fnv::new();
     h.write_u64(w.events_processed());
     for e in w.trace().entries() {

@@ -50,7 +50,7 @@ fn relay_crash_mid_call_heals_via_alternate_path() {
         .any(|e| matches!(e, CallEvent::Established { .. })));
 
     // Kill whichever relay carries the media path.
-    let bob_route = w.node(alice.id).routes().lookup_specific(bob.addr, w.now());
+    let bob_route = w.node(alice.id).routes().lookup(bob.addr, w.now());
     let victim = bob_route.map(|r| r.next_hop);
     let victim_id = victim.and_then(|a| w.node_by_addr(a)).unwrap_or(ra);
     w.set_node_up(victim_id, false);
