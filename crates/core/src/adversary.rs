@@ -36,7 +36,7 @@
 use siphoc_simnet::fault::MaliciousKind;
 use siphoc_simnet::ident::KeyPair;
 use siphoc_simnet::net::{ports, Addr, Datagram, SocketAddr};
-use siphoc_simnet::process::{Ctx, LocalEvent, Process};
+use siphoc_simnet::process::{Ctx, LocalEvent, LocalKind, Process};
 use siphoc_simnet::time::SimDuration;
 
 use siphoc_sip::msg::{Method, SipMessage};
@@ -255,6 +255,10 @@ impl Adversary {
 impl Process for Adversary {
     fn name(&self) -> &'static str {
         "adversary"
+    }
+
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.take_local(&[LocalKind::Compromise]);
     }
 
     fn on_local_event(&mut self, ctx: &mut Ctx<'_>, ev: &LocalEvent) {

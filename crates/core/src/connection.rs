@@ -27,7 +27,7 @@ use std::collections::BTreeMap;
 
 use siphoc_simnet::net::{ports, Addr, Datagram, SocketAddr};
 use siphoc_simnet::obs::{SpanCat, SpanId};
-use siphoc_simnet::process::{Ctx, LocalEvent, Process};
+use siphoc_simnet::process::{Ctx, LocalEvent, LocalKind, Process};
 use siphoc_simnet::time::{SimDuration, SimTime};
 
 use siphoc_slp::msg::SlpMsg;
@@ -1015,6 +1015,7 @@ impl Process for ConnectionProvider {
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.bind(CP_SLP_PORT);
+        ctx.take_local(&[LocalKind::NodeRestarted]);
         if let Some(public) = self.cfg.wired_public {
             // Gateways are attached by definition; the tunnel port belongs
             // to their tunnel *server*.

@@ -7,7 +7,7 @@
 //! [`crate::tunnel`]; this process owns the advertisement lifecycle.
 
 use siphoc_simnet::net::{ports, SocketAddr};
-use siphoc_simnet::process::{Ctx, LocalEvent, Process};
+use siphoc_simnet::process::{Ctx, LocalEvent, LocalKind, Process};
 use siphoc_simnet::time::SimDuration;
 
 use siphoc_slp::msg::SlpMsg;
@@ -67,6 +67,7 @@ impl Process for GatewayProvider {
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.bind(GW_SLP_PORT);
+        ctx.take_local(&[LocalKind::NodeRestarted]);
         self.advertise(ctx);
         ctx.set_timer(ADVERT_INTERVAL, TAG_ADVERT);
     }

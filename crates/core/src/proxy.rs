@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 
 use siphoc_simnet::net::{ports, Addr, Datagram, SocketAddr};
 use siphoc_simnet::obs::{SpanCat, SpanId};
-use siphoc_simnet::process::{Ctx, LocalEvent, Process};
+use siphoc_simnet::process::{Ctx, LocalEvent, LocalKind, Process};
 use siphoc_simnet::time::{SimDuration, SimTime};
 
 use siphoc_internet::dns::DnsDirectory;
@@ -511,6 +511,11 @@ impl Process for SiphocProxy {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.bind(ports::SIPHOC_PROXY);
         ctx.bind(PROXY_SLP_PORT);
+        ctx.take_local(&[
+            LocalKind::InternetUp,
+            LocalKind::InternetDown,
+            LocalKind::NodeRestarted,
+        ]);
         ctx.set_timer(READVERT_INTERVAL, TAG_READVERT);
     }
 

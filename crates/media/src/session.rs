@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use siphoc_simnet::net::{Datagram, SocketAddr};
-use siphoc_simnet::process::{Ctx, LocalEvent, Process};
+use siphoc_simnet::process::{Ctx, LocalEvent, LocalKind, Process};
 use siphoc_simnet::time::SimDuration;
 
 use crate::codec::Codec;
@@ -225,6 +225,7 @@ impl Process for MediaProcess {
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.bind(self.cfg.rtp_port);
+        ctx.take_local(&[LocalKind::MediaStart, LocalKind::MediaStop]);
     }
 
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: &Datagram) {

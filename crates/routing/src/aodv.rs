@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 
 use siphoc_simnet::net::{ports, Addr, Datagram, L2Dst, SocketAddr};
 use siphoc_simnet::obs::{SpanCat, SpanId};
-use siphoc_simnet::process::{Ctx, LocalEvent, Process};
+use siphoc_simnet::process::{Ctx, LocalEvent, LocalKind, Process};
 use siphoc_simnet::route::Route;
 use siphoc_simnet::time::{SimDuration, SimTime};
 
@@ -689,6 +689,12 @@ impl Process for AodvProcess {
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.bind(ports::AODV);
+        ctx.take_local(&[
+            LocalKind::RouteNeeded,
+            LocalKind::LinkTxFailed,
+            LocalKind::NodeRestarted,
+            LocalKind::FloodQuery,
+        ]);
         // RFC 3561 §6.2: data traffic over a route extends its lifetime.
         ctx.routes().set_keepalive(Some(ACTIVE_ROUTE_TIMEOUT));
         // Stagger first hellos to avoid network-wide synchronization.

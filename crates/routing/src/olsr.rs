@@ -23,7 +23,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use siphoc_simnet::net::{ports, Addr, Datagram, L2Dst, SocketAddr};
-use siphoc_simnet::process::{Ctx, LocalEvent, Process};
+use siphoc_simnet::process::{Ctx, LocalEvent, LocalKind, Process};
 use siphoc_simnet::route::Route;
 use siphoc_simnet::time::{SimDuration, SimTime};
 
@@ -771,6 +771,7 @@ impl Process for OlsrProcess {
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.bind(ports::OLSR);
+        ctx.take_local(&[LocalKind::LinkTxFailed, LocalKind::NodeRestarted]);
         let hj = ctx.rng().range_u64(0, HELLO_INTERVAL.as_micros());
         ctx.set_timer(SimDuration::from_micros(hj), TAG_HELLO);
         let tj = ctx.rng().range_u64(0, TC_INTERVAL.as_micros());
@@ -1264,6 +1265,10 @@ mod tests {
         impl Process for RefOlsr {
             fn name(&self) -> &'static str {
                 "olsr-reference"
+            }
+
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                ctx.take_local(&[LocalKind::LinkTxFailed, LocalKind::NodeRestarted]);
             }
 
             fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: &Datagram) {

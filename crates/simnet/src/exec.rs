@@ -131,9 +131,11 @@ impl World {
                 node
             }
             Event::Local { node, exclude, ev } => {
+                let bit = ev.kind().bit();
                 let count = self.nodes[node.0 as usize].procs.len();
                 for idx in 0..count {
-                    if Some(idx) != exclude {
+                    let taken = self.nodes[node.0 as usize].procs[idx].1 & bit != 0;
+                    if taken && Some(idx) != exclude {
                         self.call_proc(node, idx, CallKind::Local(&ev));
                     }
                 }
@@ -172,7 +174,7 @@ impl World {
         if !n.up || idx >= n.procs.len() {
             return;
         }
-        let Some(mut proc) = n.procs[idx].take() else {
+        let Some(mut proc) = n.procs[idx].0.take() else {
             return;
         };
         // Effects are collected into the reused scratch buffer; process
@@ -198,7 +200,7 @@ impl World {
                 CallKind::Local(ev) => proc.on_local_event(&mut ctx, ev),
             }
         }
-        self.nodes[node.0 as usize].procs[idx] = Some(proc);
+        self.nodes[node.0 as usize].procs[idx].0 = Some(proc);
         self.apply_effects(node, idx, &mut effects);
         effects.clear();
         self.scratch.effects = effects;
@@ -236,6 +238,7 @@ impl World {
                         },
                     );
                 }
+                Effect::TakeLocal(mask) => self.nodes[node.0 as usize].procs[idx].1 = mask,
                 Effect::AddLocalAddr(a) => {
                     let n = &mut self.nodes[node.0 as usize];
                     if !n.local_addrs.contains(&a) {

@@ -75,7 +75,7 @@ pub mod prelude {
     pub use crate::mobility::{Area, Mobility, WaypointParams};
     pub use crate::net::{ports, Addr, Datagram, L2Dst, Payload, SocketAddr};
     pub use crate::node::{NodeConfig, NodeId};
-    pub use crate::process::{Ctx, LocalEvent, Process};
+    pub use crate::process::{Ctx, LocalEvent, LocalKind, Process};
     pub use crate::radio::{LossModel, RadioConfig};
     pub use crate::rng::SimRng;
     pub use crate::route::{Route, RoutingTable};

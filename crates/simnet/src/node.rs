@@ -246,7 +246,9 @@ pub struct Node {
     pub(crate) has_wired: bool,
     pub(crate) up: bool,
     pub(crate) mobility: Mobility,
-    pub(crate) procs: Vec<Option<Box<dyn Process>>>,
+    /// Each process, taken out while it runs, beside the
+    /// [`LocalKind`](crate::process::LocalKind) mask it subscribed with.
+    pub(crate) procs: Vec<(Option<Box<dyn Process>>, u16)>,
     pub(crate) proc_names: Vec<&'static str>,
     pub(crate) port_bindings: PortMap,
     pub(crate) addr_handlers: FastMap<Addr, usize>,

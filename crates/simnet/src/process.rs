@@ -7,7 +7,9 @@
 //! same node) and node-local [`LocalEvent`] signals — the analogue of the
 //! netlink/ioctl and local-socket channels the Linux deployment used. A
 //! signal never leaves its node, so it is a typed value, not bytes: each
-//! one the stack uses is its own variant.
+//! one the stack uses is its own variant, and a process names the
+//! variants it takes ([`Ctx::take_local`]) so dispatch visits only those
+//! processes.
 //!
 //! Processes are driven by callbacks and act on the world exclusively through
 //! the [`Ctx`] handed to each callback. Side effects (sends, timers) are
@@ -46,7 +48,8 @@ pub trait Process {
     }
 
     /// Called for node-local events emitted by other processes on this node
-    /// or by the network stack.
+    /// or by the network stack — only for the kinds the process took with
+    /// [`Ctx::take_local`].
     fn on_local_event(&mut self, ctx: &mut Ctx<'_>, ev: &LocalEvent) {
         let _ = (ctx, ev);
     }
@@ -112,6 +115,57 @@ pub enum LocalEvent {
     Compromise(MaliciousKind),
 }
 
+/// A [`LocalEvent`]'s variant without its payload: what a process
+/// subscribes to with [`Ctx::take_local`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LocalKind {
+    /// [`LocalEvent::RouteNeeded`].
+    RouteNeeded,
+    /// [`LocalEvent::LinkTxFailed`].
+    LinkTxFailed,
+    /// [`LocalEvent::NodeRestarted`].
+    NodeRestarted,
+    /// [`LocalEvent::InternetUp`].
+    InternetUp,
+    /// [`LocalEvent::InternetDown`].
+    InternetDown,
+    /// [`LocalEvent::MediaStart`].
+    MediaStart,
+    /// [`LocalEvent::MediaStop`].
+    MediaStop,
+    /// [`LocalEvent::FloodQuery`].
+    FloodQuery,
+    /// [`LocalEvent::HandlerUpdated`].
+    HandlerUpdated,
+    /// [`LocalEvent::Compromise`].
+    Compromise,
+}
+
+impl LocalKind {
+    /// This kind's bit in a subscription mask.
+    pub fn bit(self) -> u16 {
+        1 << self as u16
+    }
+}
+
+impl LocalEvent {
+    /// The event's variant.
+    pub fn kind(&self) -> LocalKind {
+        match self {
+            LocalEvent::RouteNeeded { .. } => LocalKind::RouteNeeded,
+            LocalEvent::LinkTxFailed { .. } => LocalKind::LinkTxFailed,
+            LocalEvent::NodeRestarted => LocalKind::NodeRestarted,
+            LocalEvent::InternetUp { .. } => LocalKind::InternetUp,
+            LocalEvent::InternetDown => LocalKind::InternetDown,
+            LocalEvent::MediaStart { .. } => LocalKind::MediaStart,
+            LocalEvent::MediaStop { .. } => LocalKind::MediaStop,
+            LocalEvent::FloodQuery { .. } => LocalKind::FloodQuery,
+            LocalEvent::HandlerUpdated => LocalKind::HandlerUpdated,
+            LocalEvent::Compromise(_) => LocalKind::Compromise,
+        }
+    }
+}
+
 /// Side effects queued by a [`Ctx`]; applied by the world after dispatch.
 /// Public only so external unit tests can hold the effect buffer
 /// [`Ctx::for_test`] borrows; not part of the stable API.
@@ -123,6 +177,7 @@ pub enum Effect {
     SendLink { dst: L2Dst, dgram: Datagram },
     SetTimer { delay: SimDuration, token: u64 },
     Emit(LocalEvent),
+    TakeLocal(u16),
     AddLocalAddr(Addr),
     RemoveLocalAddr(Addr),
     ClaimPublicAddr(Addr),
@@ -296,10 +351,21 @@ impl<'a> Ctx<'a> {
         self.effects.push(Effect::SetTimer { delay, token });
     }
 
-    /// Emits a node-local event to every *other* process on this node,
-    /// 1 µs later, in process-index order.
+    /// Emits a node-local event, 1 µs later, to every *other* process on
+    /// this node that took its kind with [`Ctx::take_local`], in
+    /// process-index order.
     pub fn emit(&mut self, ev: LocalEvent) {
         self.effects.push(Effect::Emit(ev));
+    }
+
+    /// Declares the local-event kinds this process takes, replacing any
+    /// earlier declaration. A process calls it once, in
+    /// [`Process::on_start`]; [`Process::on_local_event`] then sees those
+    /// kinds only. A process that never calls it sees none. The
+    /// subscription survives a crash and restart of the node.
+    pub fn take_local(&mut self, kinds: &[LocalKind]) {
+        let mask = kinds.iter().fold(0, |m, k| m | k.bit());
+        self.effects.push(Effect::TakeLocal(mask));
     }
 
     /// Adds an alias address to this node (e.g. the public address leased to

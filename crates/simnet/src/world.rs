@@ -225,7 +225,9 @@ impl World {
         let n = self.node_mut(node);
         let idx = n.procs.len();
         n.proc_names.push(proc.name());
-        n.procs.push(Some(proc));
+        // One slot per process: most nodes run one, and a slot is 24 B.
+        n.procs.reserve_exact(1);
+        n.procs.push((Some(proc), 0));
         self.schedule(SimDuration::ZERO, Event::Start { node, proc: idx });
         idx
     }
@@ -356,8 +358,8 @@ impl World {
     }
 
     /// Powers a node down (dropping its queued frames) or back up. On
-    /// power-up every process receives [`LocalEvent::NodeRestarted`] so it
-    /// can re-arm its timers.
+    /// power-up every process that takes [`LocalEvent::NodeRestarted`]
+    /// receives it, so it can re-arm its timers.
     pub fn set_node_up(&mut self, id: NodeId, up: bool) {
         let n = self.node_mut(id);
         if n.up == up {
@@ -572,7 +574,7 @@ fn norm_pair(a: NodeId, b: NodeId) -> (u32, u32) {
 mod tests {
     use super::*;
     use crate::net::{ports, SocketAddr};
-    use crate::process::{Ctx, LocalEvent};
+    use crate::process::{Ctx, LocalEvent, LocalKind};
     use crate::route::Route;
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -616,6 +618,11 @@ mod tests {
         }
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
             ctx.bind(self.port);
+            ctx.take_local(&[
+                LocalKind::RouteNeeded,
+                LocalKind::LinkTxFailed,
+                LocalKind::NodeRestarted,
+            ]);
             if let Some(d) = self.send_at_start.take() {
                 ctx.send(d);
             }
@@ -897,12 +904,15 @@ mod tests {
             .any(|e| matches!(e, LocalEvent::NodeRestarted)));
     }
 
+    type SignalLog = Rc<RefCell<Vec<(SimTime, usize, LocalEvent)>>>;
+
     /// Logs `(time, process index, event)` for each local event it
-    /// receives; emits `emit` from `on_start`.
+    /// receives of the kinds in `takes`; emits `emit` from `on_start`.
     struct Signal {
         idx: usize,
+        takes: &'static [LocalKind],
         emit: Option<LocalEvent>,
-        log: Rc<RefCell<Vec<(SimTime, usize, LocalEvent)>>>,
+        log: SignalLog,
     }
 
     impl Process for Signal {
@@ -910,6 +920,7 @@ mod tests {
             "signal"
         }
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.take_local(self.takes);
             if let Some(ev) = self.emit.take() {
                 ctx.emit(ev);
             }
@@ -921,25 +932,86 @@ mod tests {
         }
     }
 
+    /// Spawns one `Signal` per entry of `takes` on `node`; `emit` names
+    /// the one that emits an event from its `on_start`, and the event.
+    fn spawn_signals(
+        w: &mut World,
+        node: NodeId,
+        takes: &[&'static [LocalKind]],
+        emit: Option<(usize, &LocalEvent)>,
+    ) -> SignalLog {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        for (idx, &takes) in takes.iter().enumerate() {
+            let emit = emit.filter(|&(at, _)| at == idx).map(|(_, ev)| ev.clone());
+            let log = log.clone();
+            w.spawn(
+                node,
+                Box::new(Signal {
+                    idx,
+                    takes,
+                    emit,
+                    log,
+                }),
+            );
+        }
+        log
+    }
+
+    const UP: &[LocalKind] = &[LocalKind::InternetUp];
+
     #[test]
-    fn emit_reaches_every_other_process_1us_later_in_index_order() {
+    fn emit_reaches_every_other_taker_1us_later_in_index_order() {
         let mut w = ideal_world(12);
         let a = w.add_node(NodeConfig::manet(0.0, 0.0));
         w.run_for(SimDuration::from_millis(3));
         let up = LocalEvent::InternetUp {
             public: Addr::new(82, 1, 1, 9),
         };
-        let log = Rc::new(RefCell::new(Vec::new()));
-        for idx in 0..4 {
-            let emit = (idx == 1).then(|| up.clone());
-            let log = log.clone();
-            w.spawn(a, Box::new(Signal { idx, emit, log }));
-        }
+        let log = spawn_signals(&mut w, a, &[UP, UP, UP, UP], Some((1, &up)));
         w.run_for(SimDuration::from_millis(1));
         let at = SimTime::from_micros(3_001);
         assert_eq!(
             *log.borrow(),
             [(at, 0, up.clone()), (at, 2, up.clone()), (at, 3, up)]
+        );
+    }
+
+    #[test]
+    fn a_process_that_does_not_take_a_kind_is_never_called_with_it() {
+        let mut w = ideal_world(12);
+        let a = w.add_node(NodeConfig::manet(0.0, 0.0));
+        let up = LocalEvent::InternetUp {
+            public: Addr::new(82, 1, 1, 9),
+        };
+        let down: &'static [LocalKind] = &[LocalKind::InternetDown];
+        let log = spawn_signals(&mut w, a, &[down, UP, &[], UP, down], Some((3, &up)));
+        w.run_for(SimDuration::from_millis(1));
+        // The world's own signals go to takers only as well.
+        w.set_node_up(a, false);
+        w.set_node_up(a, true);
+        w.run_for(SimDuration::from_millis(1));
+        let at = SimTime::from_micros(1);
+        assert_eq!(*log.borrow(), [(at, 1, up)]);
+    }
+
+    #[test]
+    fn a_subscription_survives_crash_and_restart() {
+        let mut w = ideal_world(12);
+        let a = w.add_node(NodeConfig::manet(0.0, 0.0));
+        let restart: &'static [LocalKind] = &[LocalKind::NodeRestarted];
+        let log = spawn_signals(&mut w, a, &[restart, &[], restart], None);
+        w.run_for(SimDuration::from_millis(1));
+        w.set_node_up(a, false);
+        w.run_for(SimDuration::from_millis(1));
+        w.set_node_up(a, true);
+        w.run_for(SimDuration::from_millis(1));
+        let at = SimTime::from_millis(2);
+        assert_eq!(
+            *log.borrow(),
+            [
+                (at, 0, LocalEvent::NodeRestarted),
+                (at, 2, LocalEvent::NodeRestarted)
+            ]
         );
     }
 

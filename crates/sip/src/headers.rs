@@ -1,9 +1,11 @@
 //! Typed SIP header values.
 //!
-//! Headers are stored as text in [`crate::msg::Headers`]; this module
-//! provides the structured views the stack actually computes with: `Via`
-//! (routing of responses), name-addr values (`From`/`To`/`Contact` with
-//! tags) and `CSeq`.
+//! A message's headers are one text buffer and a span index into it
+//! ([`crate::msg::Headers`]): a lookup returns a slice of that text, and
+//! nothing is parsed until a caller asks for a typed view. This module
+//! provides the views the stack actually computes with: `Via` (routing
+//! of responses), name-addr values (`From`/`To`/`Contact` with tags) and
+//! `CSeq`. Each parses from, and renders back to, one header value.
 
 use std::fmt;
 use std::str::FromStr;

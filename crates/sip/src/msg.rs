@@ -126,10 +126,55 @@ impl fmt::Display for StatusCode {
     }
 }
 
-/// An ordered, case-insensitive multimap of SIP headers.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// An ordered, case-insensitive multimap of SIP headers: one text buffer
+/// and a span index into it.
+///
+/// `text` holds each line's name and value back to back; `items` holds,
+/// per line in order, where its name starts, where the name ends and the
+/// value starts, and where the value ends. Edits append to `text` and
+/// rewrite `items`; the text of a removed or replaced line stays until
+/// the set is dropped. Names match case-insensitively, and a compact
+/// form (RFC 3261 § 7.3.3) matches its long form; a line keeps the
+/// spelling it was written with.
+#[derive(Clone, Default)]
 pub struct Headers {
-    items: Vec<(String, String)>,
+    text: String,
+    items: Vec<Span>,
+}
+
+/// A header line in [`Headers`]' text: name start, name end (the value's
+/// start), value end.
+type Span = (u32, u32, u32);
+
+/// The long form of a compact header name (RFC 3261 § 7.3.3, and the
+/// RFC 3262/3265/3903/4028 names beside it), or `name` itself.
+fn long_form(name: &str) -> &str {
+    let [c] = name.as_bytes() else {
+        return name;
+    };
+    match c.to_ascii_lowercase() {
+        b'c' => "Content-Type",
+        b'e' => "Content-Encoding",
+        b'f' => "From",
+        b'i' => "Call-ID",
+        b'k' => "Supported",
+        b'l' => "Content-Length",
+        b'm' => "Contact",
+        b's' => "Subject",
+        b't' => "To",
+        b'v' => "Via",
+        _ => name,
+    }
+}
+
+/// Whether the line at `span` of `text` is named `long`, a long form.
+fn named(text: &str, &(start, mid, _): &Span, long: &str) -> bool {
+    long_form(&text[start as usize..mid as usize]).eq_ignore_ascii_case(long)
+}
+
+/// `n` as a text offset.
+fn offset(n: usize) -> u32 {
+    u32::try_from(n).expect("header text stays under 4 GiB")
 }
 
 impl Headers {
@@ -138,38 +183,71 @@ impl Headers {
         Headers::default()
     }
 
-    /// Empty header set with room for `n` lines (hot-path constructors).
-    fn with_capacity(n: usize) -> Headers {
+    /// Empty header set with room for `lines` lines of `text` bytes.
+    fn with_capacity(lines: usize, text: usize) -> Headers {
         Headers {
-            items: Vec::with_capacity(n),
+            text: String::with_capacity(text),
+            items: Vec::with_capacity(lines),
         }
+    }
+
+    fn name(&self, &(start, mid, _): &Span) -> &str {
+        &self.text[start as usize..mid as usize]
+    }
+
+    fn value(&self, &(_, mid, end): &Span) -> &str {
+        &self.text[mid as usize..end as usize]
+    }
+
+    /// Appends `name`, then what `value` writes, to the text; returns
+    /// the line's span.
+    fn append(&mut self, name: &str, value: impl FnOnce(&mut String)) -> Span {
+        let start = offset(self.text.len());
+        self.text.push_str(name);
+        let mid = offset(self.text.len());
+        value(&mut self.text);
+        (start, mid, offset(self.text.len()))
+    }
+
+    /// Appends a line whose value is text already.
+    fn push_line(&mut self, name: &str, value: &str) {
+        let span = self.append(name, |text| text.push_str(value));
+        self.items.push(span);
     }
 
     /// Appends a header.
     pub fn push(&mut self, name: &str, value: impl fmt::Display) {
-        self.items.push((name.to_owned(), value.to_string()));
+        let span = self.append(name, |text| {
+            let _ = write!(text, "{value}");
+        });
+        self.items.push(span);
     }
 
     /// Prepends a header (used for Via stacking at proxies).
     pub fn push_front(&mut self, name: &str, value: impl fmt::Display) {
-        self.items.insert(0, (name.to_owned(), value.to_string()));
+        let span = self.append(name, |text| {
+            let _ = write!(text, "{value}");
+        });
+        self.items.insert(0, span);
     }
 
     /// First value of `name`, if any.
     pub fn get(&self, name: &str) -> Option<&str> {
-        self.items
+        let long = long_form(name);
+        let span = self
+            .items
             .iter()
-            .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+            .find(|span| named(&self.text, span, long))?;
+        Some(self.value(span))
     }
 
     /// All values of `name`, in order.
-    pub fn get_all(&self, name: &str) -> Vec<&str> {
+    pub fn get_all<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a str> + 'a {
+        let long = long_form(name);
         self.items
             .iter()
-            .filter(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
-            .collect()
+            .filter(move |span| named(&self.text, span, long))
+            .map(|span| self.value(span))
     }
 
     /// Replaces every occurrence of `name` with a single value.
@@ -180,21 +258,27 @@ impl Headers {
 
     /// Removes every occurrence of `name`.
     pub fn remove(&mut self, name: &str) {
-        self.items.retain(|(n, _)| !n.eq_ignore_ascii_case(name));
+        let long = long_form(name);
+        self.items.retain(|span| !named(&self.text, span, long));
     }
 
-    /// Removes and returns the *first* occurrence of `name` (Via popping).
-    pub fn remove_first(&mut self, name: &str) -> Option<String> {
+    /// Removes the *first* occurrence of `name` (Via popping) and returns
+    /// its value.
+    pub fn remove_first(&mut self, name: &str) -> Option<&str> {
+        let long = long_form(name);
         let idx = self
             .items
             .iter()
-            .position(|(n, _)| n.eq_ignore_ascii_case(name))?;
-        Some(self.items.remove(idx).1)
+            .position(|span| named(&self.text, span, long))?;
+        let span = self.items.remove(idx);
+        Some(self.value(&span))
     }
 
     /// Iterates `(name, value)` pairs in order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.items.iter().map(|(n, v)| (n.as_str(), v.as_str()))
+        self.items
+            .iter()
+            .map(|span| (self.name(span), self.value(span)))
     }
 
     /// Number of header lines.
@@ -205,6 +289,27 @@ impl Headers {
     /// `true` when no headers are present.
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
+    }
+
+    /// Bytes the set holds on the heap: its text buffer and its index.
+    pub fn heap_bytes(&self) -> usize {
+        self.text.capacity() + self.items.capacity() * std::mem::size_of::<Span>()
+    }
+}
+
+/// Two sets are equal when they hold the same lines in the same order,
+/// whatever text their edits left behind.
+impl PartialEq for Headers {
+    fn eq(&self, other: &Headers) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Headers {}
+
+impl fmt::Debug for Headers {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -254,13 +359,13 @@ impl SipMessage {
         let SipMessage::Request { headers, .. } = req else {
             panic!("response_to called on a response");
         };
-        let mut h = Headers::with_capacity(8);
+        let mut h = Headers::with_capacity(8, headers.text.len());
         for via in headers.get_all("Via") {
-            h.push("Via", via);
+            h.push_line("Via", via);
         }
         for name in ["From", "To", "Call-ID", "CSeq"] {
             if let Some(v) = headers.get(name) {
-                h.push(name, v);
+                h.push_line(name, v);
             }
         }
         SipMessage::Response {
@@ -430,12 +535,17 @@ impl SipMessage {
             Some((h, b)) => (h, b),
             None => (input.trim_end_matches("\r\n"), ""),
         };
+        if u32::try_from(head.len()).is_err() {
+            return Err(ParseMsgError::new("header section too long"));
+        }
         let mut lines = head.split("\r\n");
         let start = lines
             .next()
             .ok_or_else(|| ParseMsgError::new("empty message"))?;
 
-        let mut headers = Headers::with_capacity(8);
+        // One index slot per line feed: exact for CRLF-only text.
+        let line_feeds = head.bytes().filter(|&b| b == b'\n').count();
+        let mut headers = Headers::with_capacity(line_feeds, head.len());
         for line in lines {
             if line.is_empty() {
                 continue;
@@ -443,7 +553,7 @@ impl SipMessage {
             let (n, v) = line
                 .split_once(':')
                 .ok_or_else(|| ParseMsgError::new("header line without colon"))?;
-            headers.push(n.trim(), v.trim());
+            headers.push_line(n.trim(), v.trim());
         }
 
         if let Some(rest) = start.strip_prefix("SIP/2.0 ") {
@@ -509,6 +619,16 @@ impl std::error::Error for ParseMsgError {}
 mod tests {
     use super::*;
 
+    /// Ceiling on a message inline: the start line's parts, the header
+    /// text and its span index, and the body.
+    const SIP_MESSAGE_INLINE_MAX: usize = 160;
+
+    #[test]
+    fn a_sip_message_is_its_parts_inline() {
+        let size = std::mem::size_of::<SipMessage>();
+        assert!(size <= SIP_MESSAGE_INLINE_MAX, "SipMessage is {size} B");
+    }
+
     fn sample_invite() -> SipMessage {
         let mut m = SipMessage::request(Method::Invite, "sip:bob@voicehoc.ch".parse().unwrap());
         m.headers_mut()
@@ -554,7 +674,7 @@ mod tests {
         let resp = SipMessage::response_to(&req, StatusCode::OK);
         assert_eq!(resp.call_id(), Some("a84b4c76e66710"));
         assert_eq!(resp.cseq().unwrap(), CSeq::new(314159, "INVITE"));
-        assert_eq!(resp.headers().get_all("Via").len(), 1);
+        assert_eq!(resp.headers().get_all("Via").count(), 1);
         assert_eq!(resp.from_header().unwrap().tag(), Some("1928"));
     }
 
@@ -563,7 +683,7 @@ mod tests {
         let mut m = sample_invite();
         m.headers_mut()
             .push_front("Via", "SIP/2.0/UDP 10.0.0.9:5060;branch=z9hG4bKproxy");
-        let vias = m.headers().get_all("Via");
+        let vias: Vec<&str> = m.headers().get_all("Via").collect();
         assert_eq!(vias.len(), 2);
         assert!(vias[0].contains("10.0.0.9"));
         let popped = m.headers_mut().remove_first("Via").unwrap();
@@ -597,6 +717,43 @@ mod tests {
         let m = sample_invite();
         assert_eq!(m.headers().get("call-id"), Some("a84b4c76e66710"));
         assert_eq!(m.headers().get("CALL-ID"), Some("a84b4c76e66710"));
+    }
+
+    /// RFC 3261 § 7.3.3: a compact name is the same header as its long
+    /// form, for every lookup and edit, and is rendered as written.
+    #[test]
+    fn compact_header_names_are_their_long_forms() {
+        let wire = "INVITE sip:bob@voicehoc.ch SIP/2.0\r\n\
+            v: SIP/2.0/UDP 10.0.0.1:5070;branch=z9hG4bKc1\r\n\
+            Via: SIP/2.0/UDP 10.0.0.7:5060;branch=z9hG4bKc2\r\n\
+            f: <sip:alice@voicehoc.ch>;tag=1\r\n\
+            T: <sip:bob@voicehoc.ch>\r\n\
+            i: c1@10.0.0.1\r\n\
+            CSeq: 1 INVITE\r\n\
+            m: <sip:alice@10.0.0.1:5070>\r\n\
+            l: 0\r\n\r\n";
+        let mut m = SipMessage::parse(wire).unwrap();
+        assert_eq!(m.top_via().unwrap().branch, "z9hG4bKc1");
+        assert_eq!(m.headers().get_all("via").count(), 2);
+        assert_eq!(m.headers().get("V"), m.headers().get("Via"));
+        assert_eq!(m.from_header().unwrap().tag(), Some("1"));
+        assert!(m.to_header().is_some());
+        assert_eq!(m.call_id(), Some("c1@10.0.0.1"));
+        assert!(m.contact().is_some());
+        assert_eq!(m.headers().get("Content-Length"), Some("0"));
+        assert_eq!(m.to_wire(), wire);
+        let resp = SipMessage::response_to(&m, StatusCode::OK);
+        assert_eq!(resp.headers().get_all("Via").count(), 2);
+        assert_eq!(resp.call_id(), Some("c1@10.0.0.1"));
+        m.headers_mut().set("Content-Length", 3);
+        assert_eq!(m.headers().get_all("l").collect::<Vec<_>>(), ["3"]);
+        assert_eq!(
+            m.headers_mut().remove_first("VIA"),
+            Some("SIP/2.0/UDP 10.0.0.1:5070;branch=z9hG4bKc1")
+        );
+        m.headers_mut().remove("v");
+        assert!(m.top_via().is_none());
+        assert_eq!(m.headers().len(), 6);
     }
 
     #[test]

@@ -127,7 +127,7 @@ mod tests {
             panic!("should forward");
         };
         assert_eq!(fwd.max_forwards(), Some(69));
-        let vias = fwd.headers().get_all("Via");
+        let vias: Vec<&str> = fwd.headers().get_all("Via").collect();
         assert_eq!(vias.len(), 2);
         assert!(vias[0].contains("10.0.0.5:5060"));
         assert!(vias[0].contains(&derive_branch("z9hG4bKorig")));
@@ -154,7 +154,7 @@ mod tests {
         let resp = SipMessage::response_to(&fwd, StatusCode::OK);
         let (popped, target) = prepare_forward_response(resp).unwrap();
         assert_eq!(target.to_string(), "10.0.0.1:5070");
-        assert_eq!(popped.headers().get_all("Via").len(), 1);
+        assert_eq!(popped.headers().get_all("Via").count(), 1);
         // A response with a single Via has nowhere further to go.
         let resp2 = popped;
         assert!(prepare_forward_response(resp2).is_none());

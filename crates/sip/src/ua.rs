@@ -21,7 +21,7 @@ use std::rc::Rc;
 use siphoc_simnet::fasthash::FastMap;
 use siphoc_simnet::net::{Addr, Datagram, SocketAddr};
 use siphoc_simnet::obs::{SpanCat, SpanId};
-use siphoc_simnet::process::{Ctx, LocalEvent, Process};
+use siphoc_simnet::process::{Ctx, LocalEvent, LocalKind, Process};
 use siphoc_simnet::time::{SimDuration, SimTime};
 
 use std::sync::Arc;
@@ -230,8 +230,9 @@ struct Dialog {
     invite_branch: Option<Arc<str>>,
     invite_key: Option<Arc<str>>,
     /// The peer's INVITE, held while the dialog is `Early` — the only
-    /// state that still builds responses (200, 487) from it.
-    pending_invite: Option<SipMessage>,
+    /// state that still builds responses (200, 487) from it. Boxed: it
+    /// is dropped at the ACK, so a confirmed dialog carries one pointer.
+    pending_invite: Option<Box<SipMessage>>,
     /// CSeq of the peer's latest INVITE: tells a retransmit from a
     /// re-INVITE for as long as the dialog exists.
     invite_cseq: Option<CSeq>,
@@ -726,7 +727,7 @@ impl UserAgent {
                     if let Some(d) = self.dialogs.get_mut(&call_id) {
                         // Answer on the clean transaction when it fires.
                         d.invite_key = Some(key.clone());
-                        d.pending_invite = Some(msg.clone());
+                        d.pending_invite = Some(Box::new(msg.clone()));
                     }
                     let mut ringing = SipMessage::response_to(&msg, StatusCode::RINGING);
                     set_to_tag(&mut ringing, &local_tag);
@@ -784,7 +785,7 @@ impl UserAgent {
             remote_rtp,
             invite_branch: None,
             invite_key: Some(key.clone()),
-            pending_invite: Some(msg),
+            pending_invite: Some(Box::new(msg)),
             invite_cseq,
             answer_resp: None,
             duration: None,
@@ -1133,6 +1134,7 @@ impl Process for UserAgent {
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.bind(self.cfg.local_port);
+        ctx.take_local(&[LocalKind::InternetUp]);
         self.send_register(
             ctx,
             self.cfg.register_expires.as_micros() as u32 / 1_000_000,
@@ -1323,8 +1325,8 @@ mod tests {
     const DIALOG_ENTRY_BYTES: usize = 32;
 
     /// Ceiling on the boxed dialog itself: tags, targets and CSeqs, but
-    /// no pre-rendered header strings.
-    const DIALOG_INLINE_MAX: usize = 512;
+    /// no pre-rendered header strings and no inline INVITE.
+    const DIALOG_INLINE_MAX: usize = 384;
 
     #[test]
     fn a_dialog_entry_is_a_key_and_a_pointer() {
@@ -1626,6 +1628,9 @@ mod tests {
         impl Process for MediaProbe {
             fn name(&self) -> &'static str {
                 "media-probe"
+            }
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                ctx.take_local(&[LocalKind::MediaStart, LocalKind::MediaStop]);
             }
             fn on_local_event(&mut self, _ctx: &mut Ctx<'_>, ev: &LocalEvent) {
                 if matches!(

@@ -25,7 +25,7 @@ use std::collections::btree_map::{BTreeMap, Entry};
 use siphoc_simnet::ident::KeyPair;
 use siphoc_simnet::net::{ports, Addr, Datagram, L2Dst, SocketAddr};
 use siphoc_simnet::obs::{SpanCat, SpanId};
-use siphoc_simnet::process::{Ctx, LocalEvent, Process};
+use siphoc_simnet::process::{Ctx, LocalEvent, LocalKind, Process};
 use siphoc_simnet::time::{SimDuration, SimTime};
 
 use crate::msg::SlpMsg;
@@ -409,6 +409,7 @@ impl Process for SlpDaemon {
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.bind(ports::SLP);
+        ctx.take_local(&[LocalKind::HandlerUpdated, LocalKind::NodeRestarted]);
         // The service's own broadcast starts at a random phase of its
         // period.
         if let Some(period) = self.mode.period() {

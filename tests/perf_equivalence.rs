@@ -250,7 +250,8 @@ fn run_city(seed: u64) -> World {
 /// INVITE is retransmitted on the T1 schedule (each copy replayed a 180)
 /// and the client transaction times out at 64×T1. Covers what the radio
 /// goldens barely touch: transaction timers, media start/stop events
-/// fanning out to every process on the node, and loopback dispatch.
+/// emitted on a node with no process that takes them, and loopback
+/// dispatch.
 /// Returns the digest and the caller-side established / failed counts.
 fn run_sip_hub(seed: u64) -> (u64, usize, usize) {
     const USERS: usize = 8;

@@ -565,6 +565,139 @@ fn slp_record_parse_render_is_idempotent_and_bounded() {
     assert!(parsed > CASES / 2, "only {parsed} inputs parsed");
 }
 
+/// An arbitrary request, or a response to one, with a Via stack,
+/// extension headers and maybe a body.
+fn arb_sip_message(rng: &mut SimRng) -> SipMessage {
+    let user = string(rng, "a-z", 1..9);
+    let host = string(rng, "a-z.", 1..13);
+    let method = arb_method(rng);
+    let mut m = SipMessage::request(method, SipUri::new(&user, &host));
+    for _ in 0..usize_in(rng, 1..4) {
+        m.headers_mut()
+            .push("Via", Via::new(arb_sock(rng), &arb_token(rng)));
+    }
+    m.headers_mut().push("Max-Forwards", rng.range_u64(0, 71));
+    m.headers_mut().push(
+        "From",
+        format!("<sip:{user}@{host}>;tag={}", arb_token(rng)),
+    );
+    m.headers_mut().push("To", format!("<sip:{user}@{host}>"));
+    m.headers_mut().push("Call-ID", arb_token(rng));
+    m.headers_mut()
+        .push("CSeq", CSeq::new(rng.next_u64() as u32, method.as_str()));
+    if rng.chance(0.5) {
+        m = SipMessage::response_to(&m, StatusCode(rng.range_u64(100, 700) as u16));
+    }
+    m.headers_mut()
+        .push("Contact", format!("<sip:{user}@{}>", arb_sock(rng)));
+    for (name, value) in arb_extras(rng) {
+        m.headers_mut().push(&name, value);
+    }
+    let body = string(rng, " -~", 0..81);
+    if !body.is_empty() {
+        m.set_body(&body, Some("application/sdp"));
+    }
+    m
+}
+
+/// Header names with an RFC 3261 § 7.3.3 compact form.
+const COMPACT: [(&str, &str); 7] = [
+    ("Via", "v"),
+    ("From", "f"),
+    ("To", "t"),
+    ("Call-ID", "i"),
+    ("Contact", "m"),
+    ("Content-Length", "l"),
+    ("Content-Type", "c"),
+];
+
+/// A rendered message with every header name in compact form or in
+/// random case, blanks around the colon and after the value, and a
+/// response's reason phrase rewritten: text that parses but is not what
+/// the renderer writes.
+fn respell_sip(rng: &mut SimRng, wire: &str) -> String {
+    let (head, body) = wire.split_once("\r\n\r\n").expect("rendered head");
+    let mut lines = head.split("\r\n");
+    let start = lines.next().expect("start line");
+    let mut out = match start.strip_prefix("SIP/2.0 ") {
+        Some(status) => format!("SIP/2.0 {} {}", &status[..3], string(rng, " -~", 0..16)),
+        None => start.to_owned(),
+    };
+    for line in lines {
+        let (name, value) = line.split_once(": ").expect("rendered header");
+        let compact = COMPACT.iter().find(|(long, _)| *long == name);
+        let name = match compact {
+            Some((_, short)) if rng.chance(0.5) => short.to_string(),
+            _ => name
+                .chars()
+                .map(|c| {
+                    if rng.chance(0.5) {
+                        c.to_ascii_uppercase()
+                    } else {
+                        c.to_ascii_lowercase()
+                    }
+                })
+                .collect(),
+        };
+        out += "\r\n";
+        out += &name;
+        out += &string(rng, " \t", 0..3);
+        out += ":";
+        out += &string(rng, " \t", 0..3);
+        out += value;
+        out += &string(rng, " \t", 0..3);
+    }
+    out + "\r\n\r\n" + body
+}
+
+/// The SIP parser over arbitrary, corrupted and respelled messages:
+/// whatever parses renders to text that parses back to the same message
+/// and renders the same again, a respelled message reads as the one it
+/// respells, and the parsed headers own no more heap than the input is
+/// long plus one 12-byte span per line.
+#[test]
+fn sip_msg_parse_render_is_idempotent_and_bounded() {
+    let mut parsed = 0;
+    check("sip_msg_parse_render", CASES, |rng| {
+        let (text, original) = match usize_in(rng, 0..3) {
+            0 => {
+                let b = noise_or_mutant(rng, |rng| arb_sip_message(rng).to_bytes());
+                (String::from_utf8_lossy(&b).into_owned(), None)
+            }
+            _ => {
+                let m = arb_sip_message(rng);
+                (respell_sip(rng, &m.to_wire()), Some(m))
+            }
+        };
+        let Ok(m) = SipMessage::parse(&text) else {
+            assert!(original.is_none(), "respelled text did not parse: {text:?}");
+            return;
+        };
+        parsed += 1;
+        let heap = m.headers().heap_bytes();
+        let bound = text.len() + 12 * text.matches('\n').count();
+        assert!(heap <= bound, "{heap} heap bytes from {} input", text.len());
+        if let Some(original) = original {
+            assert_eq!(m.top_via(), original.top_via());
+            assert_eq!(
+                m.headers().get_all("Via").count(),
+                original.headers().get_all("Via").count()
+            );
+            assert_eq!(m.from_header(), original.from_header());
+            assert_eq!(m.to_header(), original.to_header());
+            assert_eq!(m.call_id(), original.call_id());
+            assert_eq!(m.cseq(), original.cseq());
+            assert_eq!(m.contact(), original.contact());
+            assert_eq!(m.body(), original.body());
+        }
+        let wire = m.to_wire();
+        let again = SipMessage::parse(&wire).unwrap();
+        assert_eq!(again, m);
+        assert_eq!(again.to_wire(), wire);
+    });
+    assert!(parsed > CASES / 2, "only {parsed} inputs parsed");
+}
+
 #[test]
 fn rtp_parser_total() {
     check("rtp_parser_total", CASES, |rng| {
