@@ -259,6 +259,10 @@ impl Process for Adversary {
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.take_local(&[LocalKind::Compromise]);
+        // A compromise outlives a crash; its poison chain did not.
+        if self.active.is_some() {
+            ctx.set_timer(REPOISON, TAG_POISON);
+        }
     }
 
     fn on_local_event(&mut self, ctx: &mut Ctx<'_>, ev: &LocalEvent) {

@@ -27,7 +27,7 @@ use std::collections::BTreeMap;
 
 use siphoc_simnet::net::{ports, Addr, Datagram, SocketAddr};
 use siphoc_simnet::obs::{SpanCat, SpanId};
-use siphoc_simnet::process::{Ctx, LocalEvent, LocalKind, Process};
+use siphoc_simnet::process::{Ctx, LocalEvent, Process};
 use siphoc_simnet::time::{SimDuration, SimTime};
 
 use siphoc_slp::msg::SlpMsg;
@@ -1015,7 +1015,11 @@ impl Process for ConnectionProvider {
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.bind(CP_SLP_PORT);
-        ctx.take_local(&[LocalKind::NodeRestarted]);
+        // A crash keeps the node's aliases and default handler, but the
+        // gateway side of its lease is gone: tear down before starting
+        // over, or a restarted node NATs through a dead tunnel.
+        self.teardown(ctx);
+        self.consecutive_failures = 0;
         if let Some(public) = self.cfg.wired_public {
             // Gateways are attached by definition; the tunnel port belongs
             // to their tunnel *server*.
@@ -1140,22 +1144,6 @@ impl Process for ConnectionProvider {
                 ctx.set_timer(self.cfg.standby_refresh, TAG_STANDBY_SCAN);
             }
             _ => {}
-        }
-    }
-
-    fn on_local_event(&mut self, ctx: &mut Ctx<'_>, ev: &LocalEvent) {
-        if matches!(ev, LocalEvent::NodeRestarted) {
-            // A crash does not clear the node's address aliases or
-            // default-handler registration, and the gateway side of any
-            // pre-crash lease is gone; tear everything down before
-            // starting over so the restarted node does not keep NATing
-            // through a dead tunnel.
-            self.teardown(ctx);
-            self.consecutive_failures = 0;
-            match self.cfg.wired_public {
-                Some(public) => ctx.emit(LocalEvent::InternetUp { public }),
-                None => ctx.set_timer(SimDuration::from_millis(100), TAG_CHECK),
-            }
         }
     }
 }

@@ -7,7 +7,7 @@
 //! [`crate::tunnel`]; this process owns the advertisement lifecycle.
 
 use siphoc_simnet::net::{ports, SocketAddr};
-use siphoc_simnet::process::{Ctx, LocalEvent, LocalKind, Process};
+use siphoc_simnet::process::{Ctx, Process};
 use siphoc_simnet::time::SimDuration;
 
 use siphoc_slp::msg::SlpMsg;
@@ -67,20 +67,12 @@ impl Process for GatewayProvider {
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.bind(GW_SLP_PORT);
-        ctx.take_local(&[LocalKind::NodeRestarted]);
         self.advertise(ctx);
         ctx.set_timer(ADVERT_INTERVAL, TAG_ADVERT);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         if token == TAG_ADVERT {
-            self.advertise(ctx);
-            ctx.set_timer(ADVERT_INTERVAL, TAG_ADVERT);
-        }
-    }
-
-    fn on_local_event(&mut self, ctx: &mut Ctx<'_>, ev: &LocalEvent) {
-        if matches!(ev, LocalEvent::NodeRestarted) {
             self.advertise(ctx);
             ctx.set_timer(ADVERT_INTERVAL, TAG_ADVERT);
         }

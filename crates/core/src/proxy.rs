@@ -511,11 +511,11 @@ impl Process for SiphocProxy {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.bind(ports::SIPHOC_PROXY);
         ctx.bind(PROXY_SLP_PORT);
-        ctx.take_local(&[
-            LocalKind::InternetUp,
-            LocalKind::InternetDown,
-            LocalKind::NodeRestarted,
-        ]);
+        ctx.take_local(&[LocalKind::InternetUp, LocalKind::InternetDown]);
+        // Lookups parked before a crash wait for replies that died with it.
+        for (_, parked) in std::mem::take(&mut self.pending) {
+            ctx.span_exit(parked.span, false);
+        }
         ctx.set_timer(READVERT_INTERVAL, TAG_READVERT);
     }
 
@@ -566,12 +566,6 @@ impl Process for SiphocProxy {
             LocalEvent::InternetDown => {
                 self.internet = None;
                 ctx.stats().count("proxy.internet_down", 1);
-            }
-            LocalEvent::NodeRestarted => {
-                for (_, parked) in std::mem::take(&mut self.pending) {
-                    ctx.span_exit(parked.span, false);
-                }
-                ctx.set_timer(READVERT_INTERVAL, TAG_READVERT);
             }
             _ => {}
         }

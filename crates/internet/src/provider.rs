@@ -202,6 +202,9 @@ impl Process for SipProviderProcess {
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.bind(ports::SIP);
+        // Transactions lose their timers in a crash; bindings expire on
+        // their own clock and stay.
+        self.txn = TransactionLayer::new(ports::SIP);
     }
 
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: &Datagram) {

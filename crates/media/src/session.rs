@@ -82,7 +82,6 @@ struct ActiveSession {
     timestamp: u32,
     sent: u64,
     buffer: JitterBuffer,
-    running: bool,
     remote_report: Option<RtcpReport>,
 }
 
@@ -146,7 +145,6 @@ impl MediaProcess {
             timestamp: ctx.rng().next_u64() as u32,
             sent: 0,
             buffer: JitterBuffer::new(BUFFER_DEPTH),
-            running: true,
             remote_report: None,
         };
         self.sessions.insert(call_id.to_owned(), session);
@@ -196,9 +194,6 @@ impl MediaProcess {
         let Some(s) = self.sessions.values_mut().find(|s| s.idx == idx) else {
             return;
         };
-        if !s.running {
-            return;
-        }
         s.seq = s.seq.wrapping_add(1);
         s.timestamp = s.timestamp.wrapping_add(CODEC.timestamp_step);
         let mut pkt = RtpPacket {
@@ -226,6 +221,10 @@ impl Process for MediaProcess {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.bind(self.cfg.rtp_port);
         ctx.take_local(&[LocalKind::MediaStart, LocalKind::MediaStop]);
+        // A crash stopped every stream: freeze each report, as on `MediaStop`.
+        while let Some(call_id) = self.sessions.keys().next().cloned() {
+            self.stop_session(&call_id);
+        }
     }
 
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: &Datagram) {

@@ -692,9 +692,14 @@ impl Process for AodvProcess {
         ctx.take_local(&[
             LocalKind::RouteNeeded,
             LocalKind::LinkTxFailed,
-            LocalKind::NodeRestarted,
             LocalKind::FloodQuery,
         ]);
+        // A restart forgets what it learned; its sequence numbers go on.
+        for (_, d) in std::mem::take(&mut self.pending) {
+            ctx.span_exit(d.span, false);
+        }
+        self.seen_rreq.clear();
+        self.neighbors.clear();
         // RFC 3561 §6.2: data traffic over a route extends its lifetime.
         ctx.routes().set_keepalive(Some(ACTIVE_ROUTE_TIMEOUT));
         // Stagger first hellos to avoid network-wide synchronization.
@@ -780,14 +785,6 @@ impl Process for AodvProcess {
                 self.start_discovery(ctx, *dst);
             }
             LocalEvent::LinkTxFailed { neighbor } => self.on_link_break(ctx, *neighbor),
-            LocalEvent::NodeRestarted => {
-                for (_, d) in std::mem::take(&mut self.pending) {
-                    ctx.span_exit(d.span, false);
-                }
-                self.seen_rreq.clear();
-                self.neighbors.clear();
-                ctx.set_timer(SimDuration::from_micros(1), TAG_HELLO);
-            }
             LocalEvent::FloodQuery { query } => self.flood_service_query(ctx, query.clone()),
             _ => {}
         }

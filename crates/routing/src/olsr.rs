@@ -771,7 +771,14 @@ impl Process for OlsrProcess {
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.bind(ports::OLSR);
-        ctx.take_local(&[LocalKind::LinkTxFailed, LocalKind::NodeRestarted]);
+        ctx.take_local(&[LocalKind::LinkTxFailed]);
+        // A restart forgets all it learned; its sequence numbers go on.
+        *self = OlsrProcess {
+            handler: self.handler.take(),
+            msg_seq: self.msg_seq,
+            ansn: self.ansn,
+            ..OlsrProcess::default()
+        };
         let hj = ctx.rng().range_u64(0, HELLO_INTERVAL.as_micros());
         ctx.set_timer(SimDuration::from_micros(hj), TAG_HELLO);
         let tj = ctx.rng().range_u64(0, TC_INTERVAL.as_micros());
@@ -811,30 +818,16 @@ impl Process for OlsrProcess {
     }
 
     fn on_local_event(&mut self, ctx: &mut Ctx<'_>, ev: &LocalEvent) {
-        match ev {
-            LocalEvent::LinkTxFailed { neighbor } => {
-                if self.links.remove(neighbor).is_some_and(|l| l.symmetric) {
-                    self.neighborhood_changed();
-                }
-                self.mpr_selectors.remove(neighbor);
-                ctx.routes().invalidate_via(*neighbor);
-                self.select_mprs(ctx);
-                self.recompute_routes(ctx);
-            }
-            LocalEvent::NodeRestarted => {
-                self.links.clear();
-                self.mpr_set.clear();
-                self.mpr_selectors.clear();
-                self.topology.clear();
-                self.ansn_seen.clear();
-                self.tc_seen.clear();
-                self.route_cache.clear();
-                self.universe.clear();
-                ctx.set_timer(SimDuration::from_micros(1), TAG_HELLO);
-                ctx.set_timer(SimDuration::from_millis(10), TAG_TC);
-            }
-            _ => {}
+        let LocalEvent::LinkTxFailed { neighbor } = ev else {
+            return;
+        };
+        if self.links.remove(neighbor).is_some_and(|l| l.symmetric) {
+            self.neighborhood_changed();
         }
+        self.mpr_selectors.remove(neighbor);
+        ctx.routes().invalidate_via(*neighbor);
+        self.select_mprs(ctx);
+        self.recompute_routes(ctx);
     }
 }
 
@@ -1268,7 +1261,8 @@ mod tests {
             }
 
             fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                ctx.take_local(&[LocalKind::LinkTxFailed, LocalKind::NodeRestarted]);
+                ctx.take_local(&[LocalKind::LinkTxFailed]);
+                *self = RefOlsr::default();
             }
 
             fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: &Datagram) {
@@ -1292,24 +1286,14 @@ mod tests {
             }
 
             fn on_local_event(&mut self, ctx: &mut Ctx<'_>, ev: &LocalEvent) {
-                match ev {
-                    LocalEvent::LinkTxFailed { neighbor } => {
-                        self.links.remove(neighbor);
-                        self.two_hop.remove(neighbor);
-                        ctx.routes().invalidate_via(*neighbor);
-                        self.select_mprs(ctx.addr());
-                        self.recompute_routes(ctx);
-                    }
-                    LocalEvent::NodeRestarted => {
-                        self.links.clear();
-                        self.two_hop.clear();
-                        self.mpr_set.clear();
-                        self.topology.clear();
-                        self.ansn_seen.clear();
-                        self.tc_seen.clear();
-                    }
-                    _ => {}
-                }
+                let LocalEvent::LinkTxFailed { neighbor } = ev else {
+                    return;
+                };
+                self.links.remove(neighbor);
+                self.two_hop.remove(neighbor);
+                ctx.routes().invalidate_via(*neighbor);
+                self.select_mprs(ctx.addr());
+                self.recompute_routes(ctx);
             }
         }
     }
@@ -1427,9 +1411,7 @@ mod tests {
                         neighbor: *neighbor,
                     },
                 ),
-                Step::Restart => self
-                    .proc
-                    .on_local_event(&mut ctx, &LocalEvent::NodeRestarted),
+                Step::Restart => self.proc.on_start(&mut ctx),
             }
         }
 

@@ -25,15 +25,19 @@ const LOOPBACK_DELAY: SimDuration = SimDuration::from_micros(50);
 const PENDING_TIMEOUT: SimDuration = SimDuration::from_secs(2);
 
 /// A queued simulation event; the world's queue orders them by
-/// `(time, seq)`.
+/// `(time, seq)`. The events a node arms for itself (starts, timers,
+/// `TxStart`, `TxDone`) carry the incarnation they were armed in
+/// (`inc`); dispatch drops one from before the node's last crash.
 #[derive(Debug)]
 pub(crate) enum Event {
     Start {
         node: NodeId,
+        inc: u32,
         proc: usize,
     },
     TxStart {
         node: NodeId,
+        inc: u32,
     },
     Deliver {
         node: NodeId,
@@ -52,9 +56,11 @@ pub(crate) enum Event {
     },
     TxDone {
         node: NodeId,
+        inc: u32,
     },
     Timer {
         node: NodeId,
+        inc: u32,
         proc: usize,
         token: u64,
     },
@@ -107,15 +113,31 @@ impl World {
     pub(crate) fn dispatch(&mut self, event: Event) {
         self.events += 1;
         let node = match event {
-            Event::Start { node, proc } => {
+            // Armed in an incarnation that a crash has since ended.
+            Event::Start { node, inc, .. }
+            | Event::TxStart { node, inc }
+            | Event::TxDone { node, inc }
+            | Event::Timer { node, inc, .. }
+                if self.nodes[node.0 as usize].incarnation != inc =>
+            {
+                if matches!(event, Event::Timer { .. }) {
+                    self.nodes[node.0 as usize]
+                        .stats
+                        .count("timer.stale_crash", 0);
+                }
+                node
+            }
+            Event::Start { node, proc, .. } => {
                 self.call_proc(node, proc, CallKind::Start);
                 node
             }
-            Event::TxStart { node } => {
+            Event::TxStart { node, .. } => {
                 self.start_tx(node);
                 node
             }
-            Event::Timer { node, proc, token } => {
+            Event::Timer {
+                node, proc, token, ..
+            } => {
                 self.call_proc(node, proc, CallKind::Timer(token));
                 node
             }
@@ -126,7 +148,7 @@ impl World {
             Event::DeliverRadioBatch { dgram, receivers } => {
                 return self.deliver_batch(dgram, receivers)
             }
-            Event::TxDone { node } => {
+            Event::TxDone { node, .. } => {
                 self.tx_done(node);
                 node
             }
@@ -219,10 +241,12 @@ impl World {
                 Effect::Send(dgram) => self.route_and_send(node, dgram, false),
                 Effect::SendLink { dst, dgram } => self.enqueue_frame(node, dst, dgram),
                 Effect::SetTimer { delay, token } => {
+                    let inc = self.nodes[node.0 as usize].incarnation;
                     self.schedule(
                         delay,
                         Event::Timer {
                             node,
+                            inc,
                             proc: idx,
                             token,
                         },
@@ -510,8 +534,10 @@ impl World {
                     let n = &mut self.nodes[node.0 as usize];
                     SimDuration::from_micros(n.rng.range_u64(0, BACKOFF_MAX.as_micros()))
                 };
-                self.nodes[node.0 as usize].stats.count("radio.cs_defer", 0);
-                self.schedule_at(until + backoff, Event::TxStart { node });
+                let n = &mut self.nodes[node.0 as usize];
+                n.stats.count("radio.cs_defer", 0);
+                let inc = n.incarnation;
+                self.schedule_at(until + backoff, Event::TxStart { node, inc });
                 return;
             }
         }
@@ -521,18 +547,14 @@ impl World {
         let t = tx_time(wire, &mut n.rng);
         n.obs.hist_record("radio.airtime_us", t.as_micros());
         n.tx_until = now + t;
-        self.schedule(t, Event::TxDone { node });
+        let inc = n.incarnation;
+        self.schedule(t, Event::TxDone { node, inc });
     }
 
     fn tx_done(&mut self, node: NodeId) {
         let radio = self.cfg.radio;
         let now = self.now;
         let n = &mut self.nodes[node.0 as usize];
-        if !n.up {
-            n.tx_queue.clear();
-            n.tx_busy = false;
-            return;
-        }
         let Some(front) = n.tx_queue.front() else {
             n.tx_busy = false;
             return;
@@ -631,7 +653,8 @@ impl World {
                     let t = tx_time(wire, &mut n.rng);
                     n.obs.hist_record("radio.airtime_us", t.as_micros());
                     n.tx_until = now + t;
-                    self.schedule(t, Event::TxDone { node });
+                    let inc = n.incarnation;
+                    self.schedule(t, Event::TxDone { node, inc });
                 } else {
                     let dgram = n.tx_queue.pop_front().expect("front checked").dgram;
                     n.stats.count("drop.l2_fail", wire);

@@ -146,10 +146,11 @@ pub enum MaliciousKind {
 /// One scheduled topology fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultAction {
-    /// Power a node down (its queues, routes and pending traffic drop).
+    /// Power a node down: its queues, routes, pending traffic and timers
+    /// drop (see [`crate::world::World::set_node_up`]).
     NodeCrash(NodeId),
-    /// Power a node back up; its processes see
-    /// [`crate::process::LocalEvent::NodeRestarted`].
+    /// Power a node back up; each of its processes starts again with
+    /// [`crate::process::Process::on_start`].
     NodeRestart(NodeId),
     /// Administratively cut the radio link between two nodes (both
     /// directions). The transmitter's retries fail as if out of range.

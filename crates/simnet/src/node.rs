@@ -245,6 +245,8 @@ pub struct Node {
     pub(crate) has_radio: bool,
     pub(crate) has_wired: bool,
     pub(crate) up: bool,
+    /// Which life of the node this is; a crash ends one (see `exec::Event`).
+    pub(crate) incarnation: u32,
     pub(crate) mobility: Mobility,
     /// Each process, taken out while it runs, beside the
     /// [`LocalKind`](crate::process::LocalKind) mask it subscribed with.
@@ -272,6 +274,7 @@ impl Node {
             has_radio: cfg.radio,
             has_wired: cfg.wired,
             up: true,
+            incarnation: 0,
             mobility: cfg.mobility,
             procs: Vec::new(),
             proc_names: Vec::new(),

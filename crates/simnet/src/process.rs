@@ -26,13 +26,19 @@ use crate::time::{SimDuration, SimTime};
 /// A protocol or application process hosted on a node.
 ///
 /// All callbacks default to no-ops so implementations only override what
-/// they react to. Implementations should treat timer tokens they no longer
-/// expect as stale and ignore them — timers cannot be cancelled.
+/// they react to.
+///
+/// A crash drops every timer the process armed, and power-up runs
+/// [`Process::on_start`] again. So `on_start` begins an incarnation: it
+/// arms every timer chain the process runs, drops the state whose
+/// timers the crash took (transactions, discoveries, sessions), and
+/// keeps configuration and what the node itself advertises.
 pub trait Process {
     /// Short name used in traces and diagnostics (e.g. `"aodv"`, `"proxy"`).
     fn name(&self) -> &'static str;
 
-    /// Called once when the process is started.
+    /// Called when the process is spawned, and again each time its node
+    /// powers back up after a crash.
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         let _ = ctx;
     }
@@ -57,9 +63,9 @@ pub trait Process {
 
 /// Node-local signals between processes and the network stack.
 ///
-/// The first three come from the network stack and model what the real
+/// The first two come from the network stack and model what the real
 /// deployment learned from its kernel (a `libipq` no-route verdict, 802.11
-/// TX status, power-up); the rest model the local IPC between its daemons.
+/// TX status); the rest model the local IPC between its daemons.
 /// Every payload is a typed value built from simnet's own types, so a
 /// receiver matches a variant and parses nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,9 +82,6 @@ pub enum LocalEvent {
         /// The unreachable neighbor.
         neighbor: Addr,
     },
-    /// The node was powered back up after a failure; processes should re-arm
-    /// their periodic timers.
-    NodeRestarted,
     /// Connection Provider → proxy and UA: the node is attached to the
     /// Internet under `public` (its wired address, or a tunnel lease; a
     /// new value after a gateway handoff renumbers the node).
@@ -123,8 +126,6 @@ pub enum LocalKind {
     RouteNeeded,
     /// [`LocalEvent::LinkTxFailed`].
     LinkTxFailed,
-    /// [`LocalEvent::NodeRestarted`].
-    NodeRestarted,
     /// [`LocalEvent::InternetUp`].
     InternetUp,
     /// [`LocalEvent::InternetDown`].
@@ -154,7 +155,6 @@ impl LocalEvent {
         match self {
             LocalEvent::RouteNeeded { .. } => LocalKind::RouteNeeded,
             LocalEvent::LinkTxFailed { .. } => LocalKind::LinkTxFailed,
-            LocalEvent::NodeRestarted => LocalKind::NodeRestarted,
             LocalEvent::InternetUp { .. } => LocalKind::InternetUp,
             LocalEvent::InternetDown => LocalKind::InternetDown,
             LocalEvent::MediaStart { .. } => LocalKind::MediaStart,
@@ -345,8 +345,10 @@ impl<'a> Ctx<'a> {
 
     /// Schedules [`Process::on_timer`] with `token` after `delay`.
     ///
-    /// Timers cannot be cancelled; keep per-token generation counters and
-    /// ignore stale firings instead.
+    /// A timer belongs to the node's current incarnation: a crash drops
+    /// it unseen. Within one incarnation a timer cannot be cancelled, so
+    /// an owner that re-arms a chain before the old timer fires ignores
+    /// the superseded token (as AODV's discovery generation does).
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
         self.effects.push(Effect::SetTimer { delay, token });
     }
@@ -361,8 +363,7 @@ impl<'a> Ctx<'a> {
     /// Declares the local-event kinds this process takes, replacing any
     /// earlier declaration. A process calls it once, in
     /// [`Process::on_start`]; [`Process::on_local_event`] then sees those
-    /// kinds only. A process that never calls it sees none. The
-    /// subscription survives a crash and restart of the node.
+    /// kinds only. A process that never calls it sees none.
     pub fn take_local(&mut self, kinds: &[LocalKind]) {
         let mask = kinds.iter().fold(0, |m, k| m | k.bit());
         self.effects.push(Effect::TakeLocal(mask));
@@ -415,53 +416,46 @@ mod tests {
         }
     }
 
-    #[test]
-    fn default_callbacks_are_noops() {
-        // Exercises the default Process impls through a minimal Ctx.
+    /// Runs `f` on a context for the node at `addr`; returns the effects
+    /// it queued.
+    fn effects_of(addr: Addr, f: impl FnOnce(&mut Ctx<'_>)) -> Vec<Effect> {
         let mut rng = SimRng::from_seed_and_stream(0, 0);
         let mut routes = RoutingTable::new();
         let mut stats = NodeStats::default();
         let mut obs = siphoc_obs::NodeObs::default();
         let mut effects = Vec::new();
-        let mut ctx = Ctx {
-            now: SimTime::ZERO,
-            addr: Addr::manet(0),
-            has_wired: false,
-            rng: &mut rng,
-            routes: &mut routes,
-            stats: &mut stats,
-            obs: &mut obs,
-            effects: &mut effects,
-        };
-        let mut p = Probe;
-        p.on_start(&mut ctx);
-        p.on_timer(&mut ctx, 1);
-        p.on_local_event(&mut ctx, &LocalEvent::NodeRestarted);
+        f(&mut Ctx::for_test(
+            SimTime::ZERO,
+            addr,
+            &mut rng,
+            &mut routes,
+            &mut stats,
+            &mut obs,
+            &mut effects,
+        ));
+        effects
+    }
+
+    #[test]
+    fn default_callbacks_are_noops() {
+        let effects = effects_of(Addr::manet(0), |ctx| {
+            let mut p = Probe;
+            p.on_start(ctx);
+            p.on_timer(ctx, 1);
+            p.on_local_event(ctx, &LocalEvent::InternetDown);
+        });
         assert!(effects.is_empty());
     }
 
     #[test]
     fn ctx_queues_effects() {
-        let mut rng = SimRng::from_seed_and_stream(0, 0);
-        let mut routes = RoutingTable::new();
-        let mut stats = NodeStats::default();
-        let mut obs = siphoc_obs::NodeObs::default();
-        let mut effects = Vec::new();
-        let mut ctx = Ctx {
-            now: SimTime::ZERO,
-            addr: Addr::manet(3),
-            has_wired: false,
-            rng: &mut rng,
-            routes: &mut routes,
-            stats: &mut stats,
-            obs: &mut obs,
-            effects: &mut effects,
-        };
-        ctx.bind(5060);
-        ctx.send_to(SocketAddr::new(Addr::manet(1), 5060), 5060, b"hi".to_vec());
-        ctx.set_timer(SimDuration::from_secs(1), 42);
-        ctx.emit(LocalEvent::RouteNeeded {
-            dst: Addr::manet(9),
+        let effects = effects_of(Addr::manet(3), |ctx| {
+            ctx.bind(5060);
+            ctx.send_to(SocketAddr::new(Addr::manet(1), 5060), 5060, b"hi".to_vec());
+            ctx.set_timer(SimDuration::from_secs(1), 42);
+            ctx.emit(LocalEvent::RouteNeeded {
+                dst: Addr::manet(9),
+            });
         });
         assert_eq!(effects.len(), 4);
         match &effects[1] {
@@ -475,22 +469,9 @@ mod tests {
 
     #[test]
     fn send_local_uses_loopback_endpoints() {
-        let mut rng = SimRng::from_seed_and_stream(0, 0);
-        let mut routes = RoutingTable::new();
-        let mut stats = NodeStats::default();
-        let mut obs = siphoc_obs::NodeObs::default();
-        let mut effects = Vec::new();
-        let mut ctx = Ctx {
-            now: SimTime::ZERO,
-            addr: Addr::manet(0),
-            has_wired: false,
-            rng: &mut rng,
-            routes: &mut routes,
-            stats: &mut stats,
-            obs: &mut obs,
-            effects: &mut effects,
-        };
-        ctx.send_local(427, 5555, b"q".to_vec());
+        let effects = effects_of(Addr::manet(0), |ctx| {
+            ctx.send_local(427, 5555, b"q".to_vec());
+        });
         match &effects[0] {
             Effect::Send(d) => {
                 assert!(d.src.addr.is_loopback());

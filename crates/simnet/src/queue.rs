@@ -325,6 +325,7 @@ mod tests {
     fn push(q: &mut EventQueue, time: u64) {
         let event = Event::Timer {
             node: NodeId(0),
+            inc: 0,
             proc: 0,
             token: q.seq,
         };

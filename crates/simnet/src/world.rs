@@ -219,8 +219,9 @@ impl World {
         self.hot[id.0 as usize] = HotNode::of(&self.nodes[id.0 as usize]);
     }
 
-    /// Starts a process on `node`; `on_start` runs at the current time.
-    /// Returns the process index on that node.
+    /// Starts a process on `node`; `on_start` runs at the current time,
+    /// or when the node next powers up if it is down. Returns the process
+    /// index on that node.
     pub fn spawn(&mut self, node: NodeId, proc: Box<dyn Process>) -> usize {
         let n = self.node_mut(node);
         let idx = n.procs.len();
@@ -228,8 +229,17 @@ impl World {
         // One slot per process: most nodes run one, and a slot is 24 B.
         n.procs.reserve_exact(1);
         n.procs.push((Some(proc), 0));
-        self.schedule(SimDuration::ZERO, Event::Start { node, proc: idx });
+        if n.up {
+            self.start_process(node, idx);
+        }
         idx
+    }
+
+    /// Queues process `proc`'s `on_start` in the node's current
+    /// incarnation: at spawn, and at every power-up.
+    fn start_process(&mut self, node: NodeId, proc: usize) {
+        let inc = self.nodes[node.0 as usize].incarnation;
+        self.schedule(SimDuration::ZERO, Event::Start { node, inc, proc });
     }
 
     /// Immutable access to a node.
@@ -357,31 +367,31 @@ impl World {
         total
     }
 
-    /// Powers a node down (dropping its queued frames) or back up. On
-    /// power-up every process that takes [`LocalEvent::NodeRestarted`]
-    /// receives it, so it can re-arm its timers.
+    /// Powers a node down or back up. Going down ends the node's
+    /// incarnation: its transmit queue, parked datagrams and routes are
+    /// lost, and every timer or radio event it armed is dropped when due.
+    /// Its processes and their ports survive. Power-up runs every
+    /// process's [`Process::on_start`] again, in index order, as
+    /// [`World::spawn`] ran it first.
     pub fn set_node_up(&mut self, id: NodeId, up: bool) {
-        let n = self.node_mut(id);
+        let n = &mut self.nodes[id.0 as usize];
         if n.up == up {
             return;
         }
         n.up = up;
+        self.hot[id.0 as usize].up = up;
         if !up {
+            n.incarnation = n.incarnation.wrapping_add(1);
             n.tx_queue.clear();
             n.tx_busy = false;
+            n.tx_until = SimTime::ZERO;
             n.pending.clear();
             n.routes.clear();
         } else {
-            self.schedule(
-                SimDuration::ZERO,
-                Event::Local {
-                    node: id,
-                    exclude: None,
-                    ev: LocalEvent::NodeRestarted,
-                },
-            );
+            for proc in 0..n.procs.len() {
+                self.start_process(id, proc);
+            }
         }
-        self.hot[id.0 as usize].up = up;
     }
 
     /// Installs a chaos plan: schedules its fault events into the event
@@ -579,36 +589,24 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    /// Test process that records everything it receives and can send one
-    /// datagram at start.
+    type Log<T> = Rc<RefCell<Vec<T>>>;
+
+    /// Test process that records everything it receives.
     struct Echo {
         port: u16,
-        received: Rc<RefCell<Vec<Datagram>>>,
-        events: Rc<RefCell<Vec<LocalEvent>>>,
-        send_at_start: Option<Datagram>,
+        received: Log<Datagram>,
+        events: Log<LocalEvent>,
     }
 
     impl Echo {
-        #[allow(clippy::type_complexity)]
-        fn new(
-            port: u16,
-        ) -> (
-            Echo,
-            Rc<RefCell<Vec<Datagram>>>,
-            Rc<RefCell<Vec<LocalEvent>>>,
-        ) {
-            let received = Rc::new(RefCell::new(Vec::new()));
-            let events = Rc::new(RefCell::new(Vec::new()));
-            (
-                Echo {
-                    port,
-                    received: received.clone(),
-                    events: events.clone(),
-                    send_at_start: None,
-                },
-                received,
-                events,
-            )
+        fn new(port: u16) -> (Echo, Log<Datagram>, Log<LocalEvent>) {
+            let (received, events) = (Log::default(), Log::default());
+            let echo = Echo {
+                port,
+                received: Rc::clone(&received),
+                events: Rc::clone(&events),
+            };
+            (echo, received, events)
         }
     }
 
@@ -618,14 +616,7 @@ mod tests {
         }
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
             ctx.bind(self.port);
-            ctx.take_local(&[
-                LocalKind::RouteNeeded,
-                LocalKind::LinkTxFailed,
-                LocalKind::NodeRestarted,
-            ]);
-            if let Some(d) = self.send_at_start.take() {
-                ctx.send(d);
-            }
+            ctx.take_local(&[LocalKind::RouteNeeded, LocalKind::LinkTxFailed]);
         }
         fn on_datagram(&mut self, _ctx: &mut Ctx<'_>, dgram: &Datagram) {
             self.received.borrow_mut().push(dgram.clone());
@@ -641,6 +632,16 @@ mod tests {
             SocketAddr::new(dst, port),
             payload.to_vec(),
         )
+    }
+
+    /// A route through `next_hop`, `hops` away, that never expires.
+    pub(super) fn via(next_hop: Addr, hops: u8) -> Route {
+        Route {
+            next_hop,
+            hops,
+            expires: SimTime::MAX,
+            seq: 0,
+        }
     }
 
     fn ideal_world(seed: u64) -> World {
@@ -673,16 +674,7 @@ mod tests {
         w.run_for(SimDuration::from_millis(1));
         // Install a direct route a -> b.
         let baddr = w.node(b).addr();
-        let n = w.node_mut(a);
-        n.routes.insert(
-            baddr,
-            Route {
-                next_hop: baddr,
-                hops: 1,
-                expires: SimTime::MAX,
-                seq: 0,
-            },
-        );
+        w.install_route(a, baddr, via(baddr, 1));
         let aaddr = w.node(a).addr();
         w.inject(a, dgram(aaddr, baddr, 9000, b"hello"));
         w.run_for(SimDuration::from_millis(10));
@@ -699,24 +691,8 @@ mod tests {
         w.spawn(b, Box::new(echo));
         w.run_for(SimDuration::from_millis(1));
         let (aa, ra, ba) = (w.node(a).addr(), w.node(r).addr(), w.node(b).addr());
-        w.node_mut(a).routes.insert(
-            ba,
-            Route {
-                next_hop: ra,
-                hops: 2,
-                expires: SimTime::MAX,
-                seq: 0,
-            },
-        );
-        w.node_mut(r).routes.insert(
-            ba,
-            Route {
-                next_hop: ba,
-                hops: 1,
-                expires: SimTime::MAX,
-                seq: 0,
-            },
-        );
+        w.install_route(a, ba, via(ra, 2));
+        w.install_route(r, ba, via(ba, 1));
         w.inject(a, dgram(aa, ba, 9000, b"via relay"));
         w.run_for(SimDuration::from_millis(10));
         assert_eq!(recv.borrow().len(), 1);
@@ -743,15 +719,7 @@ mod tests {
             .iter()
             .any(|e| matches!(e, LocalEvent::RouteNeeded { dst } if *dst == ba)));
         // Installing a route flushes the parked packet.
-        w.node_mut(a).routes.insert(
-            ba,
-            Route {
-                next_hop: ba,
-                hops: 1,
-                expires: SimTime::MAX,
-                seq: 0,
-            },
-        );
+        w.install_route(a, ba, via(ba, 1));
         // Any event on the node triggers the flush; use a local event.
         w.inject(a, dgram(Addr::LOOPBACK, Addr::LOOPBACK, 9001, b"tick"));
         w.run_for(SimDuration::from_millis(10));
@@ -804,15 +772,7 @@ mod tests {
         w.spawn(a, Box::new(ea));
         w.run_for(SimDuration::from_millis(1));
         let (aa, ba) = (w.node(a).addr(), w.node(b).addr());
-        w.node_mut(a).routes.insert(
-            ba,
-            Route {
-                next_hop: ba,
-                hops: 1,
-                expires: SimTime::MAX,
-                seq: 0,
-            },
-        );
+        w.install_route(a, ba, via(ba, 1));
         // Move b out of range, then send.
         w.move_node(b, 10_000.0, 0.0);
         w.inject(a, dgram(aa, ba, 9000, b"lost"));
@@ -875,36 +835,113 @@ mod tests {
     }
 
     #[test]
-    fn node_down_drops_everything_and_restart_signals() {
+    fn node_down_drops_everything_and_keeps_its_ports_across_restart() {
         let mut w = ideal_world(11);
         let a = w.add_node(NodeConfig::manet(0.0, 0.0));
         let b = w.add_node(NodeConfig::manet(50.0, 0.0));
-        let (eb, rb, events_b) = Echo::new(9000);
+        let (eb, rb, _) = Echo::new(9000);
         w.spawn(b, Box::new(eb));
         w.run_for(SimDuration::from_millis(1));
         w.set_node_up(b, false);
         let (aa, ba) = (w.node(a).addr(), w.node(b).addr());
-        w.node_mut(a).routes.insert(
-            ba,
-            Route {
-                next_hop: ba,
-                hops: 1,
-                expires: SimTime::MAX,
-                seq: 0,
-            },
-        );
+        w.install_route(a, ba, via(ba, 1));
         w.inject(a, dgram(aa, ba, 9000, b"to the void"));
         w.run_for(SimDuration::from_millis(100));
         assert_eq!(rb.borrow().len(), 0);
         w.set_node_up(b, true);
+        w.inject(a, dgram(aa, ba, 9000, b"back"));
         w.run_for(SimDuration::from_millis(10));
-        assert!(events_b
-            .borrow()
-            .iter()
-            .any(|e| matches!(e, LocalEvent::NodeRestarted)));
+        assert_eq!(rb.borrow().len(), 1);
+        assert_eq!(rb.borrow()[0].payload, b"back");
     }
 
-    type SignalLog = Rc<RefCell<Vec<(SimTime, usize, LocalEvent)>>>;
+    type LifeLog = Log<(SimTime, usize, Option<u64>)>;
+
+    /// Logs `(time, process index, None)` at each start and
+    /// `(time, index, Some(token))` at each firing of the timer chain
+    /// that `on_start` begins, one link every `period`.
+    struct Life {
+        idx: usize,
+        period: SimDuration,
+        log: LifeLog,
+    }
+
+    impl Process for Life {
+        fn name(&self) -> &'static str {
+            "life"
+        }
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            self.log.borrow_mut().push((ctx.now(), self.idx, None));
+            ctx.set_timer(self.period, 0);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            self.log
+                .borrow_mut()
+                .push((ctx.now(), self.idx, Some(token)));
+            ctx.set_timer(self.period, token + 1);
+        }
+    }
+
+    #[test]
+    fn restart_reruns_on_start_in_index_order_and_drops_the_old_chains() {
+        let mut w = ideal_world(12);
+        let a = w.add_node(NodeConfig::manet(0.0, 0.0));
+        let log = LifeLog::default();
+        for idx in 0..2 {
+            let (period, log) = (SimDuration::from_millis(100), log.clone());
+            w.spawn(a, Box::new(Life { idx, period, log }));
+        }
+        w.run_until(SimTime::from_millis(250));
+        // Down for 10 ms, shorter than a period: both chains' next
+        // firings (at 300 ms) fall after the restart.
+        w.set_node_up(a, false);
+        w.run_until(SimTime::from_millis(260));
+        w.set_node_up(a, true);
+        w.run_until(SimTime::from_millis(470));
+        // Each start and firing, in both processes in index order; none at
+        // 300 or 400 ms, where the pre-crash chains were due.
+        let want: Vec<_> = [0, 100, 200, 260, 360, 460]
+            .into_iter()
+            .zip([None, Some(0), Some(1), None, Some(0), Some(1)])
+            .flat_map(|(t, token)| [0, 1].map(|idx| (SimTime::from_millis(t), idx, token)))
+            .collect();
+        assert_eq!(*log.borrow(), want);
+        assert_eq!(w.node(a).stats().get("timer.stale_crash").packets, 2);
+    }
+
+    #[test]
+    fn a_frame_queued_after_a_restart_gets_its_own_airtime() {
+        use crate::radio::{BITRATE_BPS, MAC_OVERHEAD};
+        use crate::trace::TraceKind;
+        let mut w = ideal_world(13);
+        let a = w.add_node(NodeConfig::manet(0.0, 0.0));
+        w.add_node(NodeConfig::manet(50.0, 0.0));
+        w.trace_mut().set_enabled(true);
+        w.run_until(SimTime::from_millis(1));
+        let aa = w.node(a).addr();
+        // A short frame goes on the air; the node crashes and restarts
+        // before its `TxDone`, then queues a long one.
+        w.inject(a, dgram(aa, Addr::BROADCAST, 9000, &[1; 10]));
+        w.run_until(SimTime::from_micros(1_050));
+        w.set_node_up(a, false);
+        w.run_until(SimTime::from_micros(1_060));
+        w.set_node_up(a, true);
+        let queued = w.now();
+        let long = dgram(aa, Addr::BROADCAST, 9000, &[2; 1400]);
+        let airtime =
+            MAC_OVERHEAD + SimDuration::from_secs_f64(long.wire_len() as f64 * 8.0 / BITRATE_BPS);
+        w.inject(a, long);
+        w.run_until(SimTime::from_millis(10));
+        let mut sent = w.trace().entries().filter(|e| e.kind == TraceKind::RadioTx);
+        let at = sent.next().expect("the long frame went out").time;
+        assert!(sent.next().is_none(), "the crash dropped the short frame");
+        assert!(
+            at >= queued + airtime,
+            "sent at {at:?}, {airtime:?} airtime"
+        );
+    }
+
+    type SignalLog = Log<(SimTime, usize, LocalEvent)>;
 
     /// Logs `(time, process index, event)` for each local event it
     /// receives of the kinds in `takes`; emits `emit` from `on_start`.
@@ -986,33 +1023,8 @@ mod tests {
         let down: &'static [LocalKind] = &[LocalKind::InternetDown];
         let log = spawn_signals(&mut w, a, &[down, UP, &[], UP, down], Some((3, &up)));
         w.run_for(SimDuration::from_millis(1));
-        // The world's own signals go to takers only as well.
-        w.set_node_up(a, false);
-        w.set_node_up(a, true);
-        w.run_for(SimDuration::from_millis(1));
         let at = SimTime::from_micros(1);
         assert_eq!(*log.borrow(), [(at, 1, up)]);
-    }
-
-    #[test]
-    fn a_subscription_survives_crash_and_restart() {
-        let mut w = ideal_world(12);
-        let a = w.add_node(NodeConfig::manet(0.0, 0.0));
-        let restart: &'static [LocalKind] = &[LocalKind::NodeRestarted];
-        let log = spawn_signals(&mut w, a, &[restart, &[], restart], None);
-        w.run_for(SimDuration::from_millis(1));
-        w.set_node_up(a, false);
-        w.run_for(SimDuration::from_millis(1));
-        w.set_node_up(a, true);
-        w.run_for(SimDuration::from_millis(1));
-        let at = SimTime::from_millis(2);
-        assert_eq!(
-            *log.borrow(),
-            [
-                (at, 0, LocalEvent::NodeRestarted),
-                (at, 2, LocalEvent::NodeRestarted)
-            ]
-        );
     }
 
     #[test]
@@ -1114,24 +1126,8 @@ mod tests {
         let (aa, ba) = (w.node(a).addr(), w.node(b).addr());
         let target = Addr::manet(99);
         // Deliberate two-node routing loop for `target`.
-        w.node_mut(a).routes.insert(
-            target,
-            Route {
-                next_hop: ba,
-                hops: 1,
-                expires: SimTime::MAX,
-                seq: 0,
-            },
-        );
-        w.node_mut(b).routes.insert(
-            target,
-            Route {
-                next_hop: aa,
-                hops: 1,
-                expires: SimTime::MAX,
-                seq: 0,
-            },
-        );
+        w.install_route(a, target, via(ba, 1));
+        w.install_route(b, target, via(aa, 1));
         w.inject(a, dgram(aa, target, 9000, b"looping"));
         w.run_for(SimDuration::from_secs(2));
         let drops =
@@ -1180,7 +1176,7 @@ mod fault_tests {
     use crate::fault::{LinkSelector, PacketFaultKind};
     use crate::net::SocketAddr;
     use crate::process::Ctx;
-    use crate::route::Route;
+    use crate::world::tests::via;
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -1230,15 +1226,7 @@ mod fault_tests {
         w.spawn(b, Box::new(sink));
         w.run_for(SimDuration::from_millis(1));
         let ba = w.node(b).addr();
-        w.node_mut(a).routes.insert(
-            ba,
-            Route {
-                next_hop: ba,
-                hops: 1,
-                expires: SimTime::MAX,
-                seq: 0,
-            },
-        );
+        w.install_route(a, ba, via(ba, 1));
         (w, a, b, recv)
     }
 

@@ -1135,13 +1135,35 @@ impl Process for UserAgent {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.bind(self.cfg.local_port);
         ctx.take_local(&[LocalKind::InternetUp]);
+        // After a crash (a REGISTER went out before), every transaction
+        // and dialog lost its timers: drop them all, and register anew.
+        let restart = self.register_cseq > 0;
+        for d in self.dialogs.values() {
+            if d.state == DialogState::Early {
+                ctx.span_exit(d.span, false);
+            }
+        }
+        self.dialogs.clear();
+        self.dialog_by_idx.clear();
+        self.terminated.clear();
+        self.txn = TransactionLayer::new(self.cfg.local_port);
+        ctx.span_exit(self.register_span, false);
+        self.register_span = SpanId::NONE;
+        self.registered = false;
+        self.auth_inflight = false;
+        self.settle(ctx);
         self.send_register(
             ctx,
             self.cfg.register_expires.as_micros() as u32 / 1_000_000,
         );
         // Refresh at half-life.
         ctx.set_timer(self.cfg.register_expires / 2, tok(TAG_REGISTER, 0));
+        // A restart arms only actions still ahead: one whose time has come
+        // ran before the crash or fell in the outage, never twice.
         for (i, action) in self.cfg.script.iter().enumerate() {
+            if restart && action.at <= ctx.now() {
+                continue;
+            }
             let delay = action.at.saturating_since(ctx.now());
             ctx.set_timer(delay, tok(TAG_SCRIPT, i as u64));
         }

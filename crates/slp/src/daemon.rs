@@ -409,7 +409,16 @@ impl Process for SlpDaemon {
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.bind(ports::SLP);
-        ctx.take_local(&[LocalKind::HandlerUpdated, LocalKind::NodeRestarted]);
+        ctx.take_local(&[LocalKind::HandlerUpdated]);
+        for p in self.pending.drain(..) {
+            ctx.span_exit(p.span, false);
+        }
+        // After a crash, learned entries may name nodes that left (the
+        // paper's churn): keep only the node's own; gossip re-fills.
+        let dropped = self.registry.borrow_mut().drop_remote();
+        if dropped > 0 {
+            ctx.stats().count("slp.purged_restart", dropped);
+        }
         // The service's own broadcast starts at a random phase of its
         // period.
         if let Some(period) = self.mode.period() {
@@ -588,24 +597,9 @@ impl Process for SlpDaemon {
     }
 
     fn on_local_event(&mut self, ctx: &mut Ctx<'_>, ev: &LocalEvent) {
-        match ev {
-            // MANET SLP's handler absorbed fresh piggybacked entries.
-            LocalEvent::HandlerUpdated => self.drain(ctx),
-            LocalEvent::NodeRestarted => {
-                for p in self.pending.drain(..) {
-                    ctx.span_exit(p.span, false);
-                }
-                // Entries learned before the crash may describe a network
-                // that no longer exists (the paper's churn scenario: nodes
-                // and gateways leave at any time). Keep only what this
-                // node itself advertises; fresh gossip re-fills the rest.
-                let dropped = self.registry.borrow_mut().drop_remote();
-                if dropped > 0 {
-                    ctx.stats().count("slp.purged_restart", dropped);
-                }
-                ctx.set_timer(PURGE_INTERVAL, TAG_PURGE);
-            }
-            _ => {}
+        // MANET SLP's handler absorbed fresh piggybacked entries.
+        if *ev == LocalEvent::HandlerUpdated {
+            self.drain(ctx);
         }
     }
 }

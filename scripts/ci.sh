@@ -34,7 +34,7 @@ LINTS=(-D warnings
     -D clippy::unnecessary_to_owned)
 cargo clippy --offline --locked --all-targets --all-features -- "${LINTS[@]}"
 cargo clippy --offline --locked -p siphoc-bench --all-targets -- "${LINTS[@]}"
-# The experiment binary the step below runs.
+# The experiment binary the step below runs, with obs off.
 cargo build --release --offline --locked -p siphoc-bench --bin exp_tables
 # The reproduction gate: every simulated table — the paper's thirteen
 # (E1-E8, A1, A2, F3, F6, T1), gateway handoff (E9), signalling load (E11)
@@ -45,6 +45,11 @@ cargo build --release --offline --locked -p siphoc-bench --bin exp_tables
 # under its table. After an intended behaviour change, regenerate with
 # `./target/release/exp_tables > results/paper_tables.txt` and say in
 # EXPERIMENTS.md which cells moved and why.
+./target/release/exp_tables | diff -u results/paper_tables.txt -
+# The same gate with obs on: a `--workspace` build turns on the root
+# crate's default `obs` feature for every crate, and re-links the same
+# binary. Instrumentation must not change a cell.
+cargo build --release --offline --locked --workspace --bin exp_tables
 ./target/release/exp_tables | diff -u results/paper_tables.txt -
 # Acceptance benchmark canary: benchmark/ is a package of its own that
 # nothing above compiles, so a change to the public API its README lists

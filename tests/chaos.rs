@@ -12,6 +12,7 @@ use wireless_adhoc_voip::internet::provider::{ProviderConfig, SipProviderProcess
 use wireless_adhoc_voip::simnet::net::ports;
 use wireless_adhoc_voip::simnet::node::NodeConfig;
 use wireless_adhoc_voip::simnet::prelude::*;
+use wireless_adhoc_voip::simnet::trace::TraceKind;
 use wireless_adhoc_voip::sip::ua::{CallEvent, UaConfig, UserAgent};
 use wireless_adhoc_voip::sip::uri::Aor;
 
@@ -204,8 +205,8 @@ fn forced_duplication_and_reordering_yield_single_dialog() {
 }
 
 /// A crash-restarted node must not keep NATing through its dead lease:
-/// the Connection Provider tears down the stale public alias on
-/// `NodeRestarted` and then leases afresh.
+/// the Connection Provider's `on_start` tears down the stale public
+/// alias when the node restarts, and then leases afresh.
 #[test]
 fn restarted_node_drops_stale_lease_then_releases() {
     let mut w = World::new(WorldConfig::new(1301).with_radio(RadioConfig::ideal()));
@@ -223,8 +224,9 @@ fn restarted_node_drops_stale_lease_then_releases() {
             .crash_at(w.now() + SimDuration::from_secs(1), alice.id)
             .restart_at(w.now() + SimDuration::from_secs(3), alice.id),
     );
-    // 50 ms after the restart: the NodeRestarted teardown has run but the
-    // 100 ms re-probe has not, so the pre-crash alias must be gone.
+    // 50 ms after the restart: the teardown has run but the first
+    // re-probe, at a random phase of the 5 s check interval, has not, so
+    // the pre-crash alias must be gone.
     w.run_for(SimDuration::from_secs(3) + SimDuration::from_millis(50));
     assert!(
         !leased(&w),
@@ -669,4 +671,121 @@ fn rogue_gateway_under_link_churn_hijacks_nothing_with_defenses_on() {
             a.events()
         );
     }
+}
+
+/// HELLOs the second of two idle nodes sends in t = 20–40 s, after it was
+/// down from t = 10.3 s for `outage` (seed 7, ideal radio).
+fn hellos_after_outage(routing: RoutingProtocol, outage: SimDuration) -> u64 {
+    let mut w = World::new(WorldConfig::new(7).with_radio(RadioConfig::ideal()));
+    deploy(&mut w, NodeSpec::relay(0.0, 0.0).with_routing(routing));
+    let probe = deploy(&mut w, NodeSpec::relay(60.0, 0.0).with_routing(routing)).id;
+    let down = SimTime::from_millis(10_300);
+    w.install_fault_plan(
+        FaultPlan::new()
+            .crash_at(down, probe)
+            .restart_at(down + outage, probe),
+    );
+    let counter = match routing {
+        RoutingProtocol::Aodv => "aodv.hello",
+        RoutingProtocol::Olsr => "olsr.hello",
+    };
+    w.run_until(SimTime::from_secs(20));
+    let before = w.node(probe).stats().get(counter).packets;
+    w.run_until(SimTime::from_secs(40));
+    w.node(probe).stats().get(counter).packets - before
+}
+
+/// A restart starts one HELLO chain, whether or not the pre-crash
+/// timer would have fired after it: AODV says hello every second and
+/// OLSR every two, after a 200 ms outage as after a 5 s one.
+#[test]
+fn a_restart_leaves_one_hello_chain() {
+    for outage in [SimDuration::from_millis(200), SimDuration::from_secs(5)] {
+        assert_eq!(
+            hellos_after_outage(RoutingProtocol::Aodv, outage),
+            20,
+            "AODV after {outage:?}"
+        );
+        assert_eq!(
+            hellos_after_outage(RoutingProtocol::Olsr, outage),
+            10,
+            "OLSR after {outage:?}"
+        );
+    }
+}
+
+/// A UA whose REGISTER refresh fell in the outage registers again at
+/// restart, and keeps refreshing.
+#[test]
+fn a_restarted_ua_registers_again() {
+    let mut w = World::new(WorldConfig::new(1501).with_radio(RadioConfig::ideal()));
+    let mut ua = user("alice", None);
+    // Refresh every 10 s; the one due at 10 s falls in the outage.
+    ua.register_expires = SimDuration::from_secs(20);
+    let alice = deploy(&mut w, NodeSpec::relay(0.0, 0.0).with_user(ua));
+    w.trace_mut().set_enabled(true);
+    w.install_fault_plan(
+        FaultPlan::new()
+            .crash_at(SimTime::from_secs(8), alice.id)
+            .restart_at(SimTime::from_secs(12), alice.id),
+    );
+    w.run_until(SimTime::from_secs(40));
+    let sent: Vec<u64> = w
+        .trace()
+        .entries()
+        .filter(|e| e.kind == TraceKind::Loopback && e.dgram.payload.starts_with(b"REGISTER "))
+        .map(|e| e.time.as_micros() / 1_000_000)
+        .collect();
+    assert_eq!(sent, [0, 12, 22, 32], "REGISTERs sent, by second");
+    let log = alice.ua_logs[0].borrow();
+    let registered: Vec<SimTime> = log
+        .events()
+        .iter()
+        .filter(|(_, e)| matches!(e, CallEvent::Registered))
+        .map(|(t, _)| *t)
+        .collect();
+    assert_eq!(registered.len(), 2, "registered at {registered:?}");
+    assert!(registered[1] >= SimTime::from_secs(12));
+}
+
+/// A restart re-arms only the scripted actions still ahead: the call
+/// placed before the crash is not placed again, the later one is placed
+/// once.
+#[test]
+fn a_restarted_ua_does_not_place_a_past_call_again() {
+    let mut w = World::new(WorldConfig::new(1502).with_radio(RadioConfig::ideal()));
+    let bob = user("bob", None);
+    let alice = user("alice", Some((5, "bob", 3))).call_at(
+        SimTime::from_secs(15),
+        Aor::new("bob", "voicehoc.ch"),
+        SimDuration::from_secs(3),
+    );
+    let alice = deploy(&mut w, NodeSpec::relay(0.0, 0.0).with_user(alice));
+    let bob = deploy(&mut w, NodeSpec::relay(60.0, 0.0).with_user(bob));
+    w.install_fault_plan(
+        FaultPlan::new()
+            .crash_at(SimTime::from_secs(6), alice.id)
+            .restart_at(SimTime::from_secs(8), alice.id),
+    );
+    w.run_until(SimTime::from_secs(30));
+    let a = alice.ua_logs[0].borrow();
+    let placed: Vec<SimTime> = a
+        .events()
+        .iter()
+        .filter(|(_, e)| matches!(e, CallEvent::OutgoingCall { .. }))
+        .map(|(t, _)| *t)
+        .collect();
+    assert_eq!(
+        placed,
+        [SimTime::from_secs(5), SimTime::from_secs(15)],
+        "{:?}",
+        a.events()
+    );
+    let b = bob.ua_logs[0].borrow();
+    assert_eq!(
+        b.count(|e| matches!(e, CallEvent::IncomingCall { .. })),
+        2,
+        "bob: {:?}",
+        b.events()
+    );
 }

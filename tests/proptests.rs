@@ -439,16 +439,20 @@ fn olsr_tc_round_trip() {
     });
 }
 
+fn arb_rtp(rng: &mut SimRng) -> RtpPacket {
+    RtpPacket {
+        payload_type: rng.range_u64(0, 128) as u8,
+        seq: rng.next_u64() as u16,
+        timestamp: rng.next_u64() as u32,
+        ssrc: rng.next_u64() as u32,
+        payload: bytes(rng, 0..200),
+    }
+}
+
 #[test]
 fn rtp_round_trip() {
     check("rtp_round_trip", CASES, |rng| {
-        let p = RtpPacket {
-            payload_type: rng.range_u64(0, 128) as u8,
-            seq: rng.next_u64() as u16,
-            timestamp: rng.next_u64() as u32,
-            ssrc: rng.next_u64() as u32,
-            payload: bytes(rng, 0..200),
-        };
+        let p = arb_rtp(rng);
         assert_eq!(RtpPacket::parse(&p.to_bytes()).unwrap(), p);
     });
 }
@@ -565,6 +569,85 @@ fn slp_record_parse_render_is_idempotent_and_bounded() {
     assert!(parsed > CASES / 2, "only {parsed} inputs parsed");
 }
 
+/// The tunnel codec, relay messages included, over arbitrary and
+/// corrupted bytes: whatever parses renders to bytes that parse back to
+/// the same message and render the same again, and an encapsulated
+/// datagram holds no more payload than the input is long.
+#[test]
+fn tunnel_msg_parse_render_is_idempotent_and_bounded() {
+    let mut parsed = 0;
+    check("tunnel_msg_parse_render", CASES, |rng| {
+        let b = match usize_in(rng, 0..3) {
+            0 => noise_or_mutant(rng, |rng| arb_tunnel_msg(rng).to_wire()),
+            _ => arb_tunnel_msg(rng).to_wire(),
+        };
+        let Some(m) = TunnelMsg::parse(&b) else {
+            return;
+        };
+        parsed += 1;
+        let held = match &m {
+            TunnelMsg::Data { inner }
+            | TunnelMsg::Relay(RelayMsg::RelayFwd { inner } | RelayMsg::RelayData { inner }) => {
+                inner.payload.len()
+            }
+            _ => 0,
+        };
+        assert!(
+            held <= b.len(),
+            "{held} payload bytes from {} input",
+            b.len()
+        );
+        let wire = m.to_wire();
+        let again = TunnelMsg::parse(&wire).unwrap();
+        assert_eq!(again, m);
+        assert_eq!(again.to_wire(), wire);
+    });
+    assert!(parsed > CASES / 2, "only {parsed} inputs parsed");
+}
+
+/// RTP and RTCP over arbitrary and corrupted bytes: whatever parses
+/// renders to bytes that parse back to the same packet and render the
+/// same again, and a packet's payload is no longer than its input.
+#[test]
+fn rtp_parse_render_is_idempotent_and_bounded() {
+    let mut parsed = 0;
+    check("rtp_parse_render", CASES, |rng| {
+        let b = match usize_in(rng, 0..3) {
+            0 => bytes(rng, 0..200),
+            1 => {
+                let wire = arb_rtp(rng).to_bytes();
+                mutate(rng, wire)
+            }
+            _ => {
+                let report = RtcpReport {
+                    ssrc: rng.next_u64() as u32,
+                    lost: rng.next_u64() as u32,
+                    highest_seq: rng.next_u64() as u32,
+                    jitter: rng.next_u64() as u32,
+                };
+                mutate(rng, report.to_bytes())
+            }
+        };
+        if let Ok(p) = RtpPacket::parse(&b) {
+            parsed += 1;
+            let heap = p.payload.capacity();
+            assert!(heap <= b.len(), "{heap} heap bytes from {} input", b.len());
+            let wire = p.to_bytes();
+            let again = RtpPacket::parse(&wire).unwrap();
+            assert_eq!(again, p);
+            assert_eq!(again.to_bytes(), wire);
+        }
+        if let Ok(r) = RtcpReport::parse(&b) {
+            parsed += 1;
+            let wire = r.to_bytes();
+            let again = RtcpReport::parse(&wire).unwrap();
+            assert_eq!(again, r);
+            assert_eq!(again.to_bytes(), wire);
+        }
+    });
+    assert!(parsed > CASES / 2, "only {parsed} inputs parsed");
+}
+
 /// An arbitrary request, or a response to one, with a Via stack,
 /// extension headers and maybe a body.
 fn arb_sip_message(rng: &mut SimRng) -> SipMessage {
@@ -647,7 +730,9 @@ fn respell_sip(rng: &mut SimRng, wire: &str) -> String {
         out += value;
         out += &string(rng, " \t", 0..3);
     }
-    out + "\r\n\r\n" + body
+    out += "\r\n\r\n";
+    out += body;
+    out
 }
 
 /// The SIP parser over arbitrary, corrupted and respelled messages:
@@ -718,29 +803,30 @@ fn uri_parser_total() {
     });
 }
 
+fn arb_tunnel_msg(rng: &mut SimRng) -> TunnelMsg {
+    match usize_in(rng, 0..6) {
+        0 => TunnelMsg::Connect,
+        1 => TunnelMsg::Lease {
+            public: arb_addr(rng),
+            lifetime_secs: rng.next_u64() as u32,
+        },
+        2 => TunnelMsg::Data {
+            inner: arb_datagram(rng),
+        },
+        3 => TunnelMsg::Ping {
+            seq: rng.next_u64(),
+        },
+        4 => TunnelMsg::Pong {
+            seq: rng.next_u64(),
+        },
+        _ => TunnelMsg::Relay(arb_relay_msg(rng)),
+    }
+}
+
 #[test]
 fn tunnel_parser_total() {
     check("tunnel_parser_total", CASES, |rng| {
-        let b = noise_or_mutant(rng, |rng| {
-            let m = match usize_in(rng, 0..6) {
-                0 => TunnelMsg::Connect,
-                1 => TunnelMsg::Lease {
-                    public: arb_addr(rng),
-                    lifetime_secs: rng.next_u64() as u32,
-                },
-                2 => TunnelMsg::Data {
-                    inner: arb_datagram(rng),
-                },
-                3 => TunnelMsg::Ping {
-                    seq: rng.next_u64(),
-                },
-                4 => TunnelMsg::Pong {
-                    seq: rng.next_u64(),
-                },
-                _ => TunnelMsg::Relay(arb_relay_msg(rng)),
-            };
-            m.to_wire()
-        });
+        let b = noise_or_mutant(rng, |rng| arb_tunnel_msg(rng).to_wire());
         let _ = TunnelMsg::parse(&b);
     });
 }

@@ -80,6 +80,30 @@ fn dead_client_lease_expires_and_backbone_traffic_is_dropped() {
     assert_eq!(before, after, "expired lease must not forward");
 }
 
+/// The server's lease sweep runs every 60 s from its start. A gateway
+/// restart whose outage spans a sweep starts the chain again, so a dead
+/// client's lease is still swept.
+#[test]
+fn restarted_gateway_still_sweeps_an_expired_lease() {
+    let (mut w, gw, clients) = world_with_gateway(704, 1);
+    w.run_for(SimDuration::from_secs(15));
+    assert!(w
+        .node(clients[0])
+        .local_addrs()
+        .iter()
+        .any(|a| a.is_public()));
+    // The client dies for good; its lease lapses by t = 75 s. The
+    // gateway is down across the sweep due at 60 s.
+    w.set_node_up(clients[0], false);
+    w.install_fault_plan(
+        FaultPlan::new()
+            .crash_at(SimTime::from_secs(55), gw)
+            .restart_at(SimTime::from_secs(65), gw),
+    );
+    w.run_until(SimTime::from_secs(200));
+    assert_eq!(w.node(gw).stats().get("tunnel.lease_expired").packets, 1);
+}
+
 #[test]
 fn client_reconnects_after_gateway_restart() {
     let (mut w, gw, clients) = world_with_gateway(703, 1);
