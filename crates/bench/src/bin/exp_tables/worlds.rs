@@ -268,7 +268,7 @@ mod tests {
         let mut w = ideal_world(1);
         let nodes = siphoc_chain(&mut w, 3, RoutingProtocol::Aodv, &[(0, "a"), (2, "b")]);
         assert_eq!(nodes.len(), 3);
-        assert_eq!(w.node(nodes[2].id).position(SimTime::ZERO).0, 2.0 * SPACING);
+        assert_eq!(w.position(nodes[2].id).0, 2.0 * SPACING);
         assert_eq!(nodes[0].ua_logs.len(), 1);
         assert_eq!(nodes[1].ua_logs.len(), 0);
         let grid: Vec<_> = grid_positions(2).collect();

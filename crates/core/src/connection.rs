@@ -120,7 +120,8 @@ const TAG_STANDBY_SCAN: u64 = 5;
 
 /// Timers cannot be cancelled, so a lease's chains carry its id in the
 /// token's upper bits; a fired timer whose id names no lease (or no
-/// pending handshake) is stale and is ignored.
+/// pending handshake) is superseded: it is ignored and counted as the
+/// obs counter `timer.superseded`.
 const fn tok(tag: u64, id: u64) -> u64 {
     tag | (id << 8)
 }
@@ -936,6 +937,8 @@ impl ConnectionProvider {
         {
             self.leases.remove(i);
             ctx.stats().count("cp.standby_timeout", 1);
+        } else {
+            ctx.obs().counter_add("timer.superseded", 1);
         }
     }
 
@@ -949,6 +952,7 @@ impl ConnectionProvider {
             .iter()
             .position(|l| l.id == key && l.refresh_due == now)
         else {
+            ctx.obs().counter_add("timer.superseded", 1);
             return;
         };
         let active = self.state == State::Active(key);
@@ -982,6 +986,7 @@ impl ConnectionProvider {
     /// maintenance scan replaces it).
     fn on_keepalive(&mut self, ctx: &mut Ctx<'_>, key: u64) {
         let Some(i) = self.leases.iter().position(|l| l.id == key) else {
+            ctx.obs().counter_add("timer.superseded", 1);
             return;
         };
         let active = self.state == State::Active(key);

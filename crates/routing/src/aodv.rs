@@ -739,7 +739,9 @@ impl Process for AodvProcess {
                     return;
                 };
                 if d.generation != generation {
-                    return; // Stale timer from a superseded attempt.
+                    // Stale timer from a superseded attempt.
+                    ctx.obs().counter_add("timer.superseded", 1);
+                    return;
                 }
                 if ctx.routes_ref().lookup(dst, ctx.now()).is_some() {
                     if let Some(d) = self.pending.remove(&dst) {
@@ -1021,6 +1023,13 @@ mod tests {
         w.run_for(SimDuration::from_secs(20));
         let failed = w.node(a).stats().get("aodv.discovery_failed").packets;
         assert_eq!(failed, 1, "every ring timer was read as superseded");
+        if siphoc_simnet::obs_enabled() {
+            let node = a.to_string();
+            let superseded = w
+                .obs_registry()
+                .counter("timer.superseded", &[("node", &node)]);
+            assert_eq!(superseded, 0);
+        }
     }
 
     #[test]

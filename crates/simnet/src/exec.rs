@@ -20,25 +20,27 @@ use crate::world::World;
 
 /// Delay of a node-local loopback delivery.
 const LOOPBACK_DELAY: SimDuration = SimDuration::from_micros(50);
+/// Delay of a local signal, and of a datagram handed to the node's
+/// default handler.
+const SIGNAL_DELAY: SimDuration = SimDuration::from_micros(1);
 /// How long a datagram may wait for on-demand route discovery before it
 /// is dropped (`drop.pending_timeout`).
 const PENDING_TIMEOUT: SimDuration = SimDuration::from_secs(2);
 
 /// A queued simulation event; the world's queue orders them by
-/// `(time, seq)`. The events a node arms for itself (starts, timers,
-/// `TxStart`, `TxDone`) carry the incarnation they were armed in
-/// (`inc`); dispatch drops one from before the node's last crash.
+/// `(time, seq)`.
 #[derive(Debug)]
 pub(crate) enum Event {
-    Start {
+    /// An event `node` armed for itself, in the incarnation `inc` it was
+    /// armed in; dispatch drops it unseen once a crash has ended that
+    /// incarnation. [`World::arm`] is its one constructor.
+    Own {
         node: NodeId,
         inc: u32,
-        proc: usize,
+        ev: Own,
     },
-    TxStart {
-        node: NodeId,
-        inc: u32,
-    },
+    /// A datagram from another node, over the radio or the backbone; it
+    /// reaches the node if the node is up when it arrives.
     Deliver {
         node: NodeId,
         dgram: Datagram,
@@ -54,30 +56,41 @@ pub(crate) enum Event {
         dgram: Datagram,
         receivers: Vec<NodeId>,
     },
-    TxDone {
-        node: NodeId,
-        inc: u32,
-    },
-    Timer {
-        node: NodeId,
-        inc: u32,
-        proc: usize,
-        token: u64,
-    },
-    Local {
-        node: NodeId,
-        exclude: Option<usize>,
-        ev: LocalEvent,
-    },
     Replan {
-        node: NodeId,
-    },
-    PendingSweep {
         node: NodeId,
     },
     Fault(FaultAction),
 }
 
+/// What a node arms for itself (see [`Event::Own`]).
+#[derive(Debug)]
+pub(crate) enum Own {
+    /// A process's `on_start`.
+    Start(usize),
+    Timer {
+        proc: usize,
+        token: u64,
+    },
+    TxStart,
+    TxDone,
+    /// A datagram the node sent to itself: over loopback, or to the
+    /// process that handles its default route.
+    Deliver {
+        dgram: Datagram,
+        via: Via,
+    },
+    /// A signal a process emitted (`exclude` names it) or the engine
+    /// raised for the node.
+    Local {
+        exclude: Option<usize>,
+        ev: LocalEvent,
+    },
+    PendingSweep,
+}
+
+/// How a datagram reaches a node: from another node over the `Radio` or
+/// the backbone (`Wired`) in an [`Event::Deliver`], or from itself over
+/// `Loopback` or to its default `Handler` in an [`Own::Deliver`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Via {
     Loopback,
@@ -109,36 +122,20 @@ impl World {
     /// Dispatches one popped event, then flushes the pending queue of the
     /// node it ran on. Batch deliveries flush each receiver inline;
     /// mobility replans and fault actions change global state and park
-    /// nothing.
+    /// nothing. An [`Event::Own`] from an ended incarnation is dropped
+    /// unseen, but still counts as an event and still flushes.
     pub(crate) fn dispatch(&mut self, event: Event) {
         self.events += 1;
         let node = match event {
-            // Armed in an incarnation that a crash has since ended.
-            Event::Start { node, inc, .. }
-            | Event::TxStart { node, inc }
-            | Event::TxDone { node, inc }
-            | Event::Timer { node, inc, .. }
-                if self.nodes[node.0 as usize].incarnation != inc =>
-            {
-                if matches!(event, Event::Timer { .. }) {
+            Event::Own { node, inc, ev } => {
+                if self.hot[node.0 as usize].inc == inc {
+                    self.dispatch_own(node, ev);
+                } else if matches!(ev, Own::Timer { .. }) {
+                    // Armed in an incarnation that a crash has since ended.
                     self.nodes[node.0 as usize]
                         .stats
                         .count("timer.stale_crash", 0);
                 }
-                node
-            }
-            Event::Start { node, proc, .. } => {
-                self.call_proc(node, proc, CallKind::Start);
-                node
-            }
-            Event::TxStart { node, .. } => {
-                self.start_tx(node);
-                node
-            }
-            Event::Timer {
-                node, proc, token, ..
-            } => {
-                self.call_proc(node, proc, CallKind::Timer(token));
                 node
             }
             Event::Deliver { node, dgram, via } => {
@@ -148,11 +145,20 @@ impl World {
             Event::DeliverRadioBatch { dgram, receivers } => {
                 return self.deliver_batch(dgram, receivers)
             }
-            Event::TxDone { node, .. } => {
-                self.tx_done(node);
-                node
-            }
-            Event::Local { node, exclude, ev } => {
+            Event::Replan { node } => return self.replan(node),
+            Event::Fault(action) => return self.apply_fault(action),
+        };
+        self.flush_pending(node);
+    }
+
+    fn dispatch_own(&mut self, node: NodeId, ev: Own) {
+        match ev {
+            Own::Start(proc) => self.call_proc(node, proc, CallKind::Start),
+            Own::Timer { proc, token } => self.call_proc(node, proc, CallKind::Timer(token)),
+            Own::TxStart => self.start_tx(node),
+            Own::TxDone => self.tx_done(node),
+            Own::Deliver { dgram, via } => self.deliver(node, dgram, via),
+            Own::Local { exclude, ev } => {
                 let bit = ev.kind().bit();
                 let count = self.nodes[node.0 as usize].procs.len();
                 for idx in 0..count {
@@ -161,16 +167,9 @@ impl World {
                         self.call_proc(node, idx, CallKind::Local(&ev));
                     }
                 }
-                node
             }
-            Event::PendingSweep { node } => {
-                self.sweep_pending(node);
-                node
-            }
-            Event::Replan { node } => return self.replan(node),
-            Event::Fault(action) => return self.apply_fault(action),
-        };
-        self.flush_pending(node);
+            Own::PendingSweep => self.sweep_pending(node),
+        }
     }
 
     /// Drops parked datagrams whose route-discovery deadline has passed.
@@ -193,7 +192,7 @@ impl World {
     fn call_proc(&mut self, node: NodeId, idx: usize, kind: CallKind<'_>) {
         let now = self.now;
         let n = &mut self.nodes[node.0 as usize];
-        if !n.up || idx >= n.procs.len() {
+        if !self.hot[node.0 as usize].up || idx >= n.procs.len() {
             return;
         }
         let Some(mut proc) = n.procs[idx].0.take() else {
@@ -241,26 +240,11 @@ impl World {
                 Effect::Send(dgram) => self.route_and_send(node, dgram, false),
                 Effect::SendLink { dst, dgram } => self.enqueue_frame(node, dst, dgram),
                 Effect::SetTimer { delay, token } => {
-                    let inc = self.nodes[node.0 as usize].incarnation;
-                    self.schedule(
-                        delay,
-                        Event::Timer {
-                            node,
-                            inc,
-                            proc: idx,
-                            token,
-                        },
-                    );
+                    self.arm(delay, node, Own::Timer { proc: idx, token });
                 }
                 Effect::Emit(ev) => {
-                    self.schedule(
-                        SimDuration::from_micros(1),
-                        Event::Local {
-                            node,
-                            exclude: Some(idx),
-                            ev,
-                        },
-                    );
+                    let exclude = Some(idx);
+                    self.arm(SIGNAL_DELAY, node, Own::Local { exclude, ev });
                 }
                 Effect::TakeLocal(mask) => self.nodes[node.0 as usize].procs[idx].1 = mask,
                 Effect::AddLocalAddr(a) => {
@@ -302,10 +286,10 @@ impl World {
     /// Routes a datagram out of `node`. `forwarded` marks transit traffic,
     /// which has its TTL decremented.
     pub(crate) fn route_and_send(&mut self, node: NodeId, dgram: Datagram, forwarded: bool) {
-        let n = &mut self.nodes[node.0 as usize];
-        if !n.up {
+        if !self.hot[node.0 as usize].up {
             return;
         }
+        let n = &mut self.nodes[node.0 as usize];
         let dst = dgram.dst;
         if dst.addr.is_broadcast() {
             n.stats.count("radio.bcast_tx", dgram.wire_len());
@@ -314,14 +298,8 @@ impl World {
         }
         if n.is_local_addr(dst.addr) {
             self.record(node, TraceKind::Loopback, None, &dgram);
-            self.schedule(
-                LOOPBACK_DELAY,
-                Event::Deliver {
-                    node,
-                    dgram,
-                    via: Via::Loopback,
-                },
-            );
+            let via = Via::Loopback;
+            self.arm(LOOPBACK_DELAY, node, Own::Deliver { dgram, via });
             return;
         }
 
@@ -348,14 +326,8 @@ impl World {
         }
         if dst.addr.is_public() {
             if let Some(h) = n.default_handler {
-                self.schedule(
-                    SimDuration::from_micros(1),
-                    Event::Deliver {
-                        node,
-                        dgram,
-                        via: Via::Handler(h),
-                    },
-                );
+                let via = Via::Handler(h);
+                self.arm(SIGNAL_DELAY, node, Own::Deliver { dgram, via });
             } else {
                 n.stats.count("drop.no_uplink", dgram.wire_len());
             }
@@ -370,15 +342,9 @@ impl World {
                 .or_default()
                 .push(PendingPacket { dgram, deadline });
             n.stats.count("pending.queued", wire);
-            self.schedule_at(deadline, Event::PendingSweep { node });
-            self.schedule(
-                SimDuration::from_micros(1),
-                Event::Local {
-                    node,
-                    exclude: None,
-                    ev: LocalEvent::RouteNeeded { dst: dst.addr },
-                },
-            );
+            self.arm_at(deadline, node, Own::PendingSweep);
+            let ev = LocalEvent::RouteNeeded { dst: dst.addr };
+            self.arm(SIGNAL_DELAY, node, Own::Local { exclude: None, ev });
             return;
         }
         n.stats.count("drop.no_route", dgram.wire_len());
@@ -489,7 +455,7 @@ impl World {
         out.clear();
         if !self.full_scan {
             self.grid.candidates_into(
-                &self.nodes,
+                &self.hot,
                 node,
                 pos,
                 self.cfg.radio.range,
@@ -515,7 +481,7 @@ impl World {
         }
         // Carrier sense: defer while any node in range is on the air.
         if radio.carrier_sense {
-            let pos = self.nodes[node.0 as usize].mobility.position(now);
+            let pos = self.hot[node.0 as usize].position(now);
             let candidates = self.radio_candidates(node, pos);
             let busy_until = candidates
                 .iter()
@@ -534,10 +500,8 @@ impl World {
                     let n = &mut self.nodes[node.0 as usize];
                     SimDuration::from_micros(n.rng.range_u64(0, BACKOFF_MAX.as_micros()))
                 };
-                let n = &mut self.nodes[node.0 as usize];
-                n.stats.count("radio.cs_defer", 0);
-                let inc = n.incarnation;
-                self.schedule_at(until + backoff, Event::TxStart { node, inc });
+                self.nodes[node.0 as usize].stats.count("radio.cs_defer", 0);
+                self.arm_at(until + backoff, node, Own::TxStart);
                 return;
             }
         }
@@ -547,8 +511,7 @@ impl World {
         let t = tx_time(wire, &mut n.rng);
         n.obs.hist_record("radio.airtime_us", t.as_micros());
         n.tx_until = now + t;
-        let inc = n.incarnation;
-        self.schedule(t, Event::TxDone { node, inc });
+        self.arm(t, node, Own::TxDone);
     }
 
     fn tx_done(&mut self, node: NodeId) {
@@ -559,7 +522,7 @@ impl World {
             n.tx_busy = false;
             return;
         };
-        let pos = n.mobility.position(now);
+        let pos = self.hot[node.0 as usize].position(now);
         let wire = front.dgram.wire_len();
 
         match front.dst {
@@ -586,7 +549,7 @@ impl World {
                 for &rx in &candidates {
                     // Liveness + position come from the hot arena: the
                     // fan-out filter is the innermost loop of city-scale
-                    // runs, and 56-byte `HotNode`s keep it in cache where
+                    // runs, and 64-byte `HotNode`s keep it in cache where
                     // the full `Node` structs cannot.
                     let r = &self.hot[rx.0 as usize];
                     if !r.up {
@@ -653,20 +616,13 @@ impl World {
                     let t = tx_time(wire, &mut n.rng);
                     n.obs.hist_record("radio.airtime_us", t.as_micros());
                     n.tx_until = now + t;
-                    let inc = n.incarnation;
-                    self.schedule(t, Event::TxDone { node, inc });
+                    self.arm(t, node, Own::TxDone);
                 } else {
                     let dgram = n.tx_queue.pop_front().expect("front checked").dgram;
                     n.stats.count("drop.l2_fail", wire);
                     self.record(node, TraceKind::Drop, Some("l2-retries-exhausted"), &dgram);
-                    self.schedule(
-                        SimDuration::from_micros(1),
-                        Event::Local {
-                            node,
-                            exclude: None,
-                            ev: LocalEvent::LinkTxFailed { neighbor },
-                        },
-                    );
+                    let ev = LocalEvent::LinkTxFailed { neighbor };
+                    self.arm(SIGNAL_DELAY, node, Own::Local { exclude: None, ev });
                     self.next_frame(node);
                 }
             }
@@ -769,10 +725,10 @@ impl World {
     }
 
     fn deliver(&mut self, node: NodeId, dgram: Datagram, via: Via) {
-        let n = &mut self.nodes[node.0 as usize];
-        if !n.up {
+        if !self.hot[node.0 as usize].up {
             return;
         }
+        let n = &mut self.nodes[node.0 as usize];
         match via {
             Via::Radio => {
                 n.stats.count("radio.rx", dgram.wire_len());

@@ -18,7 +18,8 @@
 //! * candidates are sorted by node id before being returned, matching the
 //!   full scan's creation-order iteration; volatile predicates (`up`,
 //!   link faults, exact distance at the current time) are applied by the
-//!   caller against live node state, never against cached data.
+//!   caller against the node arena (`node::HotNode`), never against
+//!   cached data.
 //! * staleness is drift-bounded rather than forbidden: the grid records
 //!   the fastest mobility speed in the world at build time, and each
 //!   query inflates its radius by `max_speed × (now − built_at)` — the
@@ -44,7 +45,7 @@
 //! block whenever its true cell lies inside the unclamped one.
 
 use crate::mobility::Position;
-use crate::node::{Node, NodeId};
+use crate::node::{HotNode, NodeId};
 use crate::time::SimTime;
 
 /// How much drift slack (as a fraction of the cell size) a query tolerates
@@ -55,7 +56,7 @@ const MAX_DRIFT_FRACTION: f64 = 0.25;
 /// Uniform-grid spatial index over node positions.
 ///
 /// See the module docs for the determinism contract. All methods are
-/// deterministic functions of the node list and simulation time; the
+/// deterministic functions of the node arena and simulation time; the
 /// index holds no RNG state.
 #[derive(Debug)]
 pub struct NeighborGrid {
@@ -128,12 +129,12 @@ impl NeighborGrid {
     /// built bounding box. O(bucket) instead of the O(n) full rebuild the
     /// blanket [`invalidate`](Self::invalidate) forces. Falls back to a
     /// full rebuild when the node is unknown to the current build.
-    pub fn invalidate_node(&mut self, nodes: &[Node], id: NodeId, now: SimTime) {
+    pub fn invalidate_node(&mut self, hot: &[HotNode], id: NodeId, now: SimTime) {
         if self.dirty {
             return;
         }
         let idx = id.0 as usize;
-        let Some(n) = nodes.get(idx) else {
+        let Some(n) = hot.get(idx) else {
             self.dirty = true;
             return;
         };
@@ -147,15 +148,15 @@ impl NeighborGrid {
         // Monotone overestimate: a faster mobility model raises the drift
         // bound immediately (queries over-scan, stay supersets); the exact
         // bound is restored at the next refresh or rebuild.
-        self.max_speed = self.max_speed.max(n.mobility.max_speed());
-        let c = self.clamped_cell(n.mobility.position(now));
+        self.max_speed = self.max_speed.max(n.max_speed);
+        let c = self.clamped_cell(n.position(now));
         let old = self.node_cell[idx];
         if c != old {
             self.remove_from_bucket(old, id);
             self.insert_into_bucket(c, id);
             self.node_cell[idx] = c;
         }
-        let mobile = n.mobility.max_speed() > 0.0;
+        let mobile = n.max_speed > 0.0;
         if mobile && !self.is_mobile[idx] {
             self.is_mobile[idx] = true;
             self.mobile.push(id);
@@ -163,12 +164,6 @@ impl NeighborGrid {
             self.is_mobile[idx] = false;
             self.mobile.retain(|&m| m != id);
         }
-    }
-
-    /// Whether the next query at `now` would rebuild the cells first:
-    /// the index is dirty, or accumulated drift exceeds the slack budget.
-    pub fn needs_rebuild(&self, now: SimTime) -> bool {
-        self.dirty || self.drift(now) > self.cell * MAX_DRIFT_FRACTION
     }
 
     /// Brings the index up to date for a query at `now`. When a refresh
@@ -179,11 +174,11 @@ impl NeighborGrid {
     ///
     /// A dirty index (structural change) takes the full O(n) rebuild; a
     /// merely *drifted* one re-bins only the mobile nodes.
-    fn ensure_fresh(&mut self, nodes: &[Node], now: SimTime) {
+    fn ensure_fresh(&mut self, hot: &[HotNode], now: SimTime) {
         if self.dirty {
-            self.rebuild(nodes, now);
+            self.rebuild(hot, now);
         } else if self.drift(now) > self.cell * MAX_DRIFT_FRACTION {
-            self.refresh_mobile(nodes, now);
+            self.refresh_mobile(hot, now);
         }
     }
 
@@ -194,14 +189,14 @@ impl NeighborGrid {
     /// positions at `now`. Also recomputes the exact mobility bound,
     /// undoing any monotone overestimate left by
     /// [`invalidate_node`](Self::invalidate_node).
-    fn refresh_mobile(&mut self, nodes: &[Node], now: SimTime) {
+    fn refresh_mobile(&mut self, hot: &[HotNode], now: SimTime) {
         let mut max_speed = 0.0f64;
         for i in 0..self.mobile.len() {
             let id = self.mobile[i];
             let idx = id.0 as usize;
-            let n = &nodes[idx];
-            max_speed = max_speed.max(n.mobility.max_speed());
-            let c = self.clamped_cell(n.mobility.position(now));
+            let n = &hot[idx];
+            max_speed = max_speed.max(n.max_speed);
+            let c = self.clamped_cell(n.position(now));
             let old = self.node_cell[idx];
             if c != old {
                 self.remove_from_bucket(old, id);
@@ -255,26 +250,26 @@ impl NeighborGrid {
         b.insert(i, id);
     }
 
-    fn rebuild(&mut self, nodes: &[Node], now: SimTime) {
+    fn rebuild(&mut self, hot: &[HotNode], now: SimTime) {
         for b in &mut self.buckets {
             b.clear();
         }
         self.node_cell.clear();
-        self.node_cell.resize(nodes.len(), NO_CELL);
+        self.node_cell.resize(hot.len(), NO_CELL);
         self.is_mobile.clear();
-        self.is_mobile.resize(nodes.len(), false);
+        self.is_mobile.resize(hot.len(), false);
         self.mobile.clear();
         self.max_speed = 0.0;
         // Bounding box of radio-node cells; positions are recomputed in
         // the placement pass below (cheap, and keeps this single-pass
         // logic obvious).
         let (mut lo, mut hi): (Option<(i64, i64)>, (i64, i64)) = (None, (0, 0));
-        for n in nodes {
+        for n in hot {
             if !n.has_radio {
                 continue;
             }
-            self.max_speed = self.max_speed.max(n.mobility.max_speed());
-            let c = self.cell_of(n.mobility.position(now));
+            self.max_speed = self.max_speed.max(n.max_speed);
+            let c = self.cell_of(n.position(now));
             match &mut lo {
                 None => {
                     lo = Some(c);
@@ -304,56 +299,42 @@ impl NeighborGrid {
         if self.buckets.len() < want {
             self.buckets.resize_with(want, Vec::new);
         }
-        for n in nodes {
+        for (i, n) in hot.iter().enumerate() {
             if !n.has_radio {
                 continue;
             }
-            let c = self.cell_of(n.mobility.position(now));
+            let id = NodeId(i as u32);
+            let c = self.cell_of(n.position(now));
             let idx = (c.1 - origin.1) * self.cols + (c.0 - origin.0);
-            self.buckets[idx as usize].push(n.id);
-            self.node_cell[n.id.0 as usize] = c;
-            if n.mobility.max_speed() > 0.0 {
-                self.is_mobile[n.id.0 as usize] = true;
-                self.mobile.push(n.id);
+            self.buckets[idx as usize].push(id);
+            self.node_cell[i] = c;
+            if n.max_speed > 0.0 {
+                self.is_mobile[i] = true;
+                self.mobile.push(id);
             }
         }
         self.built_at = now;
         self.dirty = false;
     }
 
-    /// Returns the ids of all radio nodes whose current position *may* be
+    /// Appends the ids of all radio nodes whose current position *may* be
     /// within `range` of `pos`, excluding `node`, sorted by node id — a
-    /// guaranteed superset of the true in-range set. The caller must
-    /// re-check exact distance (and any volatile predicates such as `up`
-    /// or link faults) against live node state.
+    /// guaranteed superset of the true in-range set — to `out`, a
+    /// caller-owned buffer the event loop reuses across transmissions.
+    /// The caller must re-check exact distance (and any volatile
+    /// predicates such as `up` or link faults) against the arena.
     ///
     /// Rebuilds the index first if it is dirty or has drifted too far.
-    pub fn candidates(
-        &mut self,
-        nodes: &[Node],
-        node: NodeId,
-        pos: Position,
-        range: f64,
-        now: SimTime,
-    ) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        self.candidates_into(nodes, node, pos, range, now, &mut out);
-        out
-    }
-
-    /// As [`candidates`](Self::candidates), but appends into a
-    /// caller-owned buffer so the event loop can reuse one allocation
-    /// across transmissions.
     pub fn candidates_into(
         &mut self,
-        nodes: &[Node],
+        hot: &[HotNode],
         node: NodeId,
         pos: Position,
         range: f64,
         now: SimTime,
         out: &mut Vec<NodeId>,
     ) {
-        self.ensure_fresh(nodes, now);
+        self.ensure_fresh(hot, now);
         if self.cols == 0 {
             return;
         }
@@ -383,41 +364,91 @@ impl NeighborGrid {
 mod tests {
     use super::*;
     use crate::mobility::{distance, Area, Mobility, WaypointParams};
-    use crate::node::NodeConfig;
     use crate::rng::SimRng;
     use crate::time::SimDuration;
 
-    fn mk_nodes(positions: &[(f64, f64)]) -> Vec<Node> {
+    fn mk_nodes(positions: &[(f64, f64)]) -> Vec<HotNode> {
         positions
             .iter()
-            .enumerate()
-            .map(|(i, &(x, y))| {
-                let id = NodeId(i as u32);
-                let rng = SimRng::from_seed_and_stream(1, 1000 + i as u64);
-                Node::new(
-                    id,
-                    crate::net::Addr::manet(i as u32),
-                    NodeConfig::manet(x, y),
-                    rng,
-                )
-            })
+            .map(|&(x, y)| placed(Mobility::fixed(x, y)))
             .collect()
     }
 
+    fn placed(mobility: Mobility) -> HotNode {
+        let mut h = HotNode::new(true);
+        h.place(mobility);
+        h
+    }
+
+    /// A node racing along random waypoints at 30 m/s from `start`.
+    fn racer(start: (f64, f64), area: Area, rng: &mut SimRng) -> HotNode {
+        let params = WaypointParams::new(30.0, 30.0, SimDuration::ZERO);
+        placed(Mobility::random_waypoint(
+            start,
+            params,
+            area,
+            SimTime::ZERO,
+            rng,
+        ))
+    }
+
+    /// Whether the next query at `now` would rebuild the cells first:
+    /// the index is dirty, or accumulated drift exceeds the slack budget.
+    fn needs_rebuild(grid: &NeighborGrid, now: SimTime) -> bool {
+        grid.dirty || grid.drift(now) > grid.cell * MAX_DRIFT_FRACTION
+    }
+
+    impl NeighborGrid {
+        fn candidates(
+            &mut self,
+            hot: &[HotNode],
+            node: NodeId,
+            pos: Position,
+            range: f64,
+            now: SimTime,
+        ) -> Vec<NodeId> {
+            let mut out = Vec::new();
+            self.candidates_into(hot, node, pos, range, now, &mut out);
+            out
+        }
+    }
+
+    fn ids(nodes: &[HotNode]) -> impl Iterator<Item = NodeId> {
+        (0..nodes.len() as u32).map(NodeId)
+    }
+
     fn full_scan(
-        nodes: &[Node],
+        nodes: &[HotNode],
         node: NodeId,
         pos: (f64, f64),
         range: f64,
         now: SimTime,
     ) -> Vec<NodeId> {
-        nodes
-            .iter()
-            .filter(|n| {
-                n.id != node && n.has_radio && distance(pos, n.mobility.position(now)) <= range
+        ids(nodes)
+            .filter(|&id| {
+                let n = &nodes[id.0 as usize];
+                id != node && n.has_radio && distance(pos, n.position(now)) <= range
             })
-            .map(|n| n.id)
             .collect()
+    }
+
+    /// Every node's grid candidates, trimmed to exact range, equal the
+    /// full scan's at `now`.
+    fn assert_every_query_matches_the_scan(
+        grid: &mut NeighborGrid,
+        nodes: &[HotNode],
+        range: f64,
+        now: SimTime,
+    ) {
+        for id in ids(nodes) {
+            let pos = nodes[id.0 as usize].position(now);
+            let cand = grid.candidates(nodes, id, pos, range, now);
+            let exact: Vec<NodeId> = cand
+                .into_iter()
+                .filter(|&c| distance(pos, nodes[c.0 as usize].position(now)) <= range)
+                .collect();
+            assert_eq!(exact, full_scan(nodes, id, pos, range, now));
+        }
     }
 
     #[test]
@@ -427,18 +458,8 @@ mod tests {
             .map(|_| (rng.range_f64(0.0, 500.0), rng.range_f64(0.0, 500.0)))
             .collect();
         let nodes = mk_nodes(&positions);
-        let range = 100.0;
-        let mut grid = NeighborGrid::new(range);
-        let now = SimTime::ZERO;
-        for n in &nodes {
-            let pos = n.mobility.position(now);
-            let cand = grid.candidates(&nodes, n.id, pos, range, now);
-            let exact: Vec<NodeId> = cand
-                .into_iter()
-                .filter(|&id| distance(pos, nodes[id.0 as usize].mobility.position(now)) <= range)
-                .collect();
-            assert_eq!(exact, full_scan(&nodes, n.id, pos, range, now));
-        }
+        let mut grid = NeighborGrid::new(100.0);
+        assert_every_query_matches_the_scan(&mut grid, &nodes, 100.0, SimTime::ZERO);
     }
 
     #[test]
@@ -458,19 +479,16 @@ mod tests {
     fn drift_inflation_keeps_moving_nodes_visible() {
         // One waypoint node racing away from its build-time cell: the
         // stale grid must still report it while it remains in true range.
-        let mut nodes = mk_nodes(&[(0.0, 0.0), (10.0, 0.0)]);
-        let area = Area::new(1000.0, 1000.0);
-        let params = WaypointParams::new(30.0, 30.0, SimDuration::ZERO);
+        let mut nodes = mk_nodes(&[(0.0, 0.0)]);
         let mut rng = SimRng::from_seed_and_stream(5, 5);
-        nodes[1].mobility =
-            Mobility::random_waypoint((10.0, 0.0), params, area, SimTime::ZERO, &mut rng);
+        nodes.push(racer((10.0, 0.0), Area::new(1000.0, 1000.0), &mut rng));
         let range = 100.0;
         let mut grid = NeighborGrid::new(range);
         // Build at t=0, query at t=2s: node 1 may be up to 60 m away from
         // its indexed position but must still be a candidate.
         grid.candidates(&nodes, NodeId(0), (0.0, 0.0), range, SimTime::ZERO);
         let later = SimTime::from_secs(2);
-        let pos1 = nodes[1].mobility.position(later);
+        let pos1 = nodes[1].position(later);
         if distance((0.0, 0.0), pos1) <= range {
             let cand = grid.candidates(&nodes, NodeId(0), (0.0, 0.0), range, later);
             assert!(
@@ -500,19 +518,11 @@ mod tests {
             (17, (5.0, 395.0)),
             (41, (2000.0, 2000.0)),
         ] {
-            nodes[i].mobility = Mobility::fixed(to.0, to.1);
+            nodes[i].place(Mobility::fixed(to.0, to.1));
             grid.invalidate_node(&nodes, NodeId(i as u32), now);
         }
-        assert!(!grid.needs_rebuild(now), "incremental path went dirty");
-        for n in &nodes {
-            let pos = n.mobility.position(now);
-            let cand = grid.candidates(&nodes, n.id, pos, range, now);
-            let exact: Vec<NodeId> = cand
-                .into_iter()
-                .filter(|&id| distance(pos, nodes[id.0 as usize].mobility.position(now)) <= range)
-                .collect();
-            assert_eq!(exact, full_scan(&nodes, n.id, pos, range, now));
-        }
+        assert!(!needs_rebuild(&grid, now), "incremental path went dirty");
+        assert_every_query_matches_the_scan(&mut grid, &nodes, range, now);
     }
 
     #[test]
@@ -520,30 +530,19 @@ mod tests {
         // A static field plus one fast waypoint node: once drift exceeds
         // the slack budget the refresh must re-bin the mover (queries stay
         // exact-equivalent to a full scan) and reset the drift clock.
-        let mut nodes = mk_nodes(&[(0.0, 0.0), (10.0, 0.0), (250.0, 250.0), (400.0, 0.0)]);
-        let area = Area::new(500.0, 500.0);
-        let params = WaypointParams::new(30.0, 30.0, SimDuration::ZERO);
+        let mut nodes = mk_nodes(&[(0.0, 0.0), (250.0, 250.0), (400.0, 0.0)]);
         let mut rng = SimRng::from_seed_and_stream(5, 6);
-        nodes[1].mobility =
-            Mobility::random_waypoint((10.0, 0.0), params, area, SimTime::ZERO, &mut rng);
+        nodes.insert(1, racer((10.0, 0.0), Area::new(500.0, 500.0), &mut rng));
         let range = 100.0;
         let mut grid = NeighborGrid::new(range);
         grid.candidates(&nodes, NodeId(0), (0.0, 0.0), range, SimTime::ZERO);
         // 30 m/s for 2 s = 60 m of drift > 25 m slack: the next query
         // takes the mobile-refresh path, not the full rebuild.
         let later = SimTime::from_secs(2);
-        assert!(grid.needs_rebuild(later));
-        for n in &nodes {
-            let pos = n.mobility.position(later);
-            let cand = grid.candidates(&nodes, n.id, pos, range, later);
-            let exact: Vec<NodeId> = cand
-                .into_iter()
-                .filter(|&id| distance(pos, nodes[id.0 as usize].mobility.position(later)) <= range)
-                .collect();
-            assert_eq!(exact, full_scan(&nodes, n.id, pos, range, later));
-        }
+        assert!(needs_rebuild(&grid, later));
+        assert_every_query_matches_the_scan(&mut grid, &nodes, range, later);
         assert!(
-            !grid.needs_rebuild(later),
+            !needs_rebuild(&grid, later),
             "refresh must reset the drift clock"
         );
     }
@@ -556,7 +555,7 @@ mod tests {
         assert!(none.is_empty());
         // Teleport node 1 next to node 0; without invalidation the stale
         // static grid would keep it in the far cell forever.
-        nodes[1].mobility = Mobility::fixed(50.0, 0.0);
+        nodes[1].place(Mobility::fixed(50.0, 0.0));
         grid.invalidate();
         let cand = grid.candidates(&nodes, NodeId(0), (0.0, 0.0), 100.0, SimTime::ZERO);
         assert_eq!(cand, vec![NodeId(1)]);

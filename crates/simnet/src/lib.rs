@@ -52,7 +52,7 @@ pub const fn obs_enabled() -> bool {
 pub(crate) mod exec;
 pub mod fasthash;
 pub mod fault;
-pub mod grid;
+pub(crate) mod grid;
 pub mod ident;
 pub mod mobility;
 pub mod net;

@@ -1,9 +1,12 @@
 //! Node mobility models.
 //!
-//! Radio nodes carry a [`Mobility`] descriptor from which the world computes
-//! positions lazily at transmission time, so mobility costs nothing while no
-//! packets flow. The random-waypoint model drives experiment E4 (call
-//! success under mobility).
+//! A [`Mobility`] is what a node is given, at creation or by
+//! `World::set_mobility`, and the world splits it at once: the current
+//! [`Leg`] goes into the node's arena entry (`node::HotNode`), from which
+//! positions are computed lazily at transmission time, so mobility costs
+//! nothing while no packets flow; a waypoint node's parameters and area
+//! stay on the `Node` for its next replan. The random-waypoint model
+//! drives experiment E4 (call success under mobility).
 
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
@@ -16,31 +19,6 @@ pub fn distance(a: Position, b: Position) -> f64 {
     let dx = a.0 - b.0;
     let dy = a.1 - b.1;
     (dx * dx + dy * dy).sqrt()
-}
-
-/// Linear interpolation along one waypoint leg.
-///
-/// Shared by [`Mobility::position`] and the hot-node arena
-/// (`node::HotNode`) so both paths produce bit-identical positions —
-/// the deterministic trace digests depend on that.
-#[inline]
-pub(crate) fn leg_position(
-    from: Position,
-    to: Position,
-    start: SimTime,
-    arrive: SimTime,
-    now: SimTime,
-) -> Position {
-    if now >= arrive {
-        to
-    } else if now <= start {
-        from
-    } else {
-        let total = (arrive - start).as_secs_f64();
-        let done = (now - start).as_secs_f64();
-        let f = if total > 0.0 { done / total } else { 1.0 };
-        (from.0 + (to.0 - from.0) * f, from.1 + (to.1 - from.1) * f)
-    }
 }
 
 /// The rectangular area nodes move within.
@@ -126,8 +104,9 @@ pub enum Mobility {
     },
 }
 
-/// One segment of waypoint travel.
-#[derive(Debug, Clone)]
+/// One segment of waypoint travel. Movement resumes, with the next leg,
+/// the waypoint model's pause after `arrive`.
+#[derive(Debug, Clone, Copy)]
 pub struct Leg {
     /// Position at `start`.
     pub from: Position,
@@ -137,8 +116,51 @@ pub struct Leg {
     pub start: SimTime,
     /// Instant the node reaches `to` (pause excluded).
     pub arrive: SimTime,
-    /// Instant movement resumes (`arrive + pause`).
-    pub resume: SimTime,
+}
+
+impl Leg {
+    /// The leg of a node that never moves: it arrived at `pos` at time
+    /// zero.
+    pub(crate) fn parked(pos: Position) -> Leg {
+        Leg {
+            from: pos,
+            to: pos,
+            start: SimTime::ZERO,
+            arrive: SimTime::ZERO,
+        }
+    }
+
+    /// Position at `now`, by linear interpolation; `to` from `arrive` on.
+    #[inline]
+    pub(crate) fn position(&self, now: SimTime) -> Position {
+        let Leg {
+            from,
+            to,
+            start,
+            arrive,
+        } = *self;
+        if now >= arrive {
+            to
+        } else if now <= start {
+            from
+        } else {
+            let total = (arrive - start).as_secs_f64();
+            let done = (now - start).as_secs_f64();
+            let f = if total > 0.0 { done / total } else { 1.0 };
+            (from.0 + (to.0 - from.0) * f, from.1 + (to.1 - from.1) * f)
+        }
+    }
+
+    /// The leg after this one, from its waypoint, sampled at `now`.
+    pub(crate) fn next(
+        &self,
+        params: WaypointParams,
+        area: Area,
+        now: SimTime,
+        rng: &mut SimRng,
+    ) -> Leg {
+        sample_leg(self.to, params, area, now, rng)
+    }
 }
 
 impl Mobility {
@@ -159,45 +181,6 @@ impl Mobility {
         let leg = sample_leg(start, params, area, now, rng);
         Mobility::RandomWaypoint { params, area, leg }
     }
-
-    /// Position at time `now`.
-    pub fn position(&self, now: SimTime) -> Position {
-        match self {
-            Mobility::Static { pos } => *pos,
-            Mobility::RandomWaypoint { leg, .. } => {
-                leg_position(leg.from, leg.to, leg.start, leg.arrive, now)
-            }
-        }
-    }
-
-    /// Upper bound on this node's speed in m/s, at any time: 0 for static
-    /// nodes, the configured `max_speed` for waypoint movement. The
-    /// spatial neighbor index uses this to bound how far positions can
-    /// drift from their indexed cells between rebuilds.
-    pub fn max_speed(&self) -> f64 {
-        match self {
-            Mobility::Static { .. } => 0.0,
-            Mobility::RandomWaypoint { params, .. } => params.max_speed.max(params.min_speed),
-        }
-    }
-
-    /// The instant at which the world should call [`Mobility::replan`], or
-    /// `None` for immobile nodes.
-    pub fn next_replan(&self) -> Option<SimTime> {
-        match self {
-            Mobility::Static { .. } => None,
-            Mobility::RandomWaypoint { leg, .. } => Some(leg.resume),
-        }
-    }
-
-    /// Samples the next leg of travel. Call at or after the current leg's
-    /// resume time.
-    pub fn replan(&mut self, now: SimTime, rng: &mut SimRng) {
-        if let Mobility::RandomWaypoint { params, area, leg } = self {
-            let from = leg.to;
-            *leg = sample_leg(from, *params, *area, now, rng);
-        }
-    }
 }
 
 fn sample_leg(
@@ -214,13 +197,11 @@ fn sample_leg(
     );
     let dist = distance(from, to);
     let travel = SimDuration::from_secs_f64(dist / speed);
-    let arrive = now + travel;
     Leg {
         from,
         to,
         start: now,
-        arrive,
-        resume: arrive + params.pause,
+        arrive: now + travel,
     }
 }
 
@@ -230,10 +211,16 @@ mod tests {
 
     #[test]
     fn static_node_never_moves() {
-        let m = Mobility::fixed(3.0, 4.0);
-        assert_eq!(m.position(SimTime::ZERO), (3.0, 4.0));
-        assert_eq!(m.position(SimTime::from_secs(100)), (3.0, 4.0));
-        assert!(m.next_replan().is_none());
+        let leg = Leg::parked((3.0, 4.0));
+        assert_eq!(leg.position(SimTime::ZERO), (3.0, 4.0));
+        assert_eq!(leg.position(SimTime::from_secs(100)), (3.0, 4.0));
+    }
+
+    fn first_leg(m: &Mobility) -> Leg {
+        match m {
+            Mobility::RandomWaypoint { leg, .. } => *leg,
+            Mobility::Static { .. } => panic!("expected waypoint mobility"),
+        }
     }
 
     #[test]
@@ -241,18 +228,20 @@ mod tests {
         let mut rng = SimRng::from_seed_and_stream(1, 1);
         let params = WaypointParams::new(1.0, 1.0, SimDuration::ZERO);
         let area = Area::new(100.0, 100.0);
-        let m = Mobility::random_waypoint((0.0, 0.0), params, area, SimTime::ZERO, &mut rng);
-        if let Mobility::RandomWaypoint { leg, .. } = &m {
-            let mid = SimTime::from_micros((leg.arrive.as_micros()) / 2);
-            let p = m.position(mid);
-            let expect = ((leg.to.0) / 2.0, (leg.to.1) / 2.0);
-            assert!((p.0 - expect.0).abs() < 1e-6);
-            assert!((p.1 - expect.1).abs() < 1e-6);
-            // After arrival the node stays at the waypoint until replanned.
-            assert_eq!(m.position(leg.arrive + SimDuration::from_secs(5)), leg.to);
-        } else {
-            panic!("expected waypoint mobility");
-        }
+        let leg = first_leg(&Mobility::random_waypoint(
+            (0.0, 0.0),
+            params,
+            area,
+            SimTime::ZERO,
+            &mut rng,
+        ));
+        let mid = SimTime::from_micros((leg.arrive.as_micros()) / 2);
+        let p = leg.position(mid);
+        let expect = ((leg.to.0) / 2.0, (leg.to.1) / 2.0);
+        assert!((p.0 - expect.0).abs() < 1e-6);
+        assert!((p.1 - expect.1).abs() < 1e-6);
+        // After arrival the node stays at the waypoint until replanned.
+        assert_eq!(leg.position(leg.arrive + SimDuration::from_secs(5)), leg.to);
     }
 
     #[test]
@@ -260,22 +249,13 @@ mod tests {
         let mut rng = SimRng::from_seed_and_stream(2, 2);
         let params = WaypointParams::new(1.0, 5.0, SimDuration::from_secs(1));
         let area = Area::new(50.0, 50.0);
-        let mut m = Mobility::random_waypoint((0.0, 0.0), params, area, SimTime::ZERO, &mut rng);
-        let first_to = match &m {
-            Mobility::RandomWaypoint { leg, .. } => leg.to,
-            _ => unreachable!(),
-        };
-        let resume = m.next_replan().unwrap();
-        m.replan(resume, &mut rng);
-        match &m {
-            Mobility::RandomWaypoint { leg, .. } => {
-                assert_eq!(leg.from, first_to);
-                assert_eq!(leg.start, resume);
-                assert!(leg.arrive >= leg.start);
-                assert_eq!(leg.resume, leg.arrive + params.pause);
-            }
-            _ => unreachable!(),
-        }
+        let m = Mobility::random_waypoint((0.0, 0.0), params, area, SimTime::ZERO, &mut rng);
+        let first = first_leg(&m);
+        let resume = first.arrive + params.pause;
+        let next = first.next(params, area, resume, &mut rng);
+        assert_eq!(next.from, first.to);
+        assert_eq!(next.start, resume);
+        assert!(next.arrive >= next.start);
     }
 
     #[test]
@@ -283,11 +263,11 @@ mod tests {
         let mut rng = SimRng::from_seed_and_stream(3, 3);
         let params = WaypointParams::new(0.5, 2.0, SimDuration::ZERO);
         let area = Area::new(30.0, 20.0);
-        let mut m = Mobility::random_waypoint((10.0, 10.0), params, area, SimTime::ZERO, &mut rng);
+        let m = Mobility::random_waypoint((10.0, 10.0), params, area, SimTime::ZERO, &mut rng);
+        let mut leg = first_leg(&m);
         for _ in 0..50 {
-            let t = m.next_replan().unwrap();
-            m.replan(t, &mut rng);
-            let (x, y) = m.position(t + SimDuration::from_secs(1000));
+            leg = leg.next(params, area, leg.arrive, &mut rng);
+            let (x, y) = leg.position(leg.arrive + SimDuration::from_secs(1000));
             assert!((0.0..=30.0).contains(&x), "x out of area: {x}");
             assert!((0.0..=20.0).contains(&y), "y out of area: {y}");
         }

@@ -11,7 +11,7 @@
 use std::collections::VecDeque;
 
 use crate::fasthash::FastMap;
-use crate::mobility::Mobility;
+use crate::mobility::{Area, Leg, Mobility, Position, WaypointParams};
 use crate::net::{Addr, Datagram};
 use crate::process::Process;
 use crate::radio::Frame;
@@ -176,63 +176,67 @@ impl PortMap {
     }
 }
 
-/// Cache-hot per-node state, mirrored out of the [`Node`] arena into a
-/// dense SoA-style vector (`World::hot`).
+/// The facts about a node that change after its creation — whether it
+/// is up, which incarnation it is in, and the leg it is on — in the
+/// dense arena `World::hot`, one entry per node and their only home.
 ///
-/// Radio fan-out touches `up` + position of every candidate receiver; at
-/// city scale those reads dominate, and pulling them through the full
-/// `Node` struct (several cache lines, pointer-rich) thrashes the cache.
-/// `HotNode` packs exactly the broadcast-filter fields into 56 bytes.
-///
-/// Positions are interpolated by the same `mobility::leg_position`
-/// function the authoritative `Mobility` model uses, so both paths are
-/// bit-identical. Entries are rewritten by every path that changes a
-/// node's liveness or trajectory (`add_node`, `set_node_up`, replans,
-/// explicit moves).
+/// Radio fan-out touches `up` and the position of every candidate
+/// receiver; at city scale those reads dominate, and pulling them
+/// through the full `Node` struct (several cache lines, pointer-rich)
+/// thrashes the cache. An entry packs them into 64 bytes, beside the
+/// interface flag fixed at creation and the speed bound the spatial
+/// index needs.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct HotNode {
+    /// Whether the node is powered on.
     pub up: bool,
+    /// As `Node::has_radio`; fixed at creation.
     pub has_radio: bool,
-    /// Whether the node is on a waypoint leg (false = parked at `from`).
-    moving: bool,
-    from: (f64, f64),
-    to: (f64, f64),
-    start: SimTime,
-    arrive: SimTime,
+    /// Which life of the node this is; a crash ends one (see
+    /// `exec::Event::Own`).
+    pub inc: u32,
+    /// Bound on the node's speed in m/s: 0 for a static node, the
+    /// waypoint model's top speed otherwise. It bounds how far the node
+    /// can drift from its cell in [`crate::grid`].
+    pub max_speed: f64,
+    /// The leg the node is on; a static node is parked on one.
+    pub leg: Leg,
 }
 
 impl HotNode {
-    /// Snapshots the hot fields of `n`.
-    pub(crate) fn of(n: &Node) -> HotNode {
-        match &n.mobility {
-            Mobility::Static { pos } => HotNode {
-                up: n.up,
-                has_radio: n.has_radio,
-                moving: false,
-                from: *pos,
-                to: *pos,
-                start: SimTime::ZERO,
-                arrive: SimTime::ZERO,
-            },
-            Mobility::RandomWaypoint { leg, .. } => HotNode {
-                up: n.up,
-                has_radio: n.has_radio,
-                moving: true,
-                from: leg.from,
-                to: leg.to,
-                start: leg.start,
-                arrive: leg.arrive,
-            },
+    /// An up node in its first incarnation, parked at the origin until
+    /// [`HotNode::place`] moves it.
+    pub(crate) fn new(has_radio: bool) -> HotNode {
+        HotNode {
+            up: true,
+            has_radio,
+            inc: 0,
+            max_speed: 0.0,
+            leg: Leg::parked((0.0, 0.0)),
         }
     }
 
-    /// Position at `now`; identical to `Node::position(now)`.
+    /// Position at `now`.
     #[inline]
-    pub(crate) fn position(&self, now: SimTime) -> (f64, f64) {
-        if !self.moving {
-            return self.from;
+    pub(crate) fn position(&self, now: SimTime) -> Position {
+        self.leg.position(now)
+    }
+
+    /// Puts the node on `mobility`'s leg, with its speed bound; returns
+    /// what the node's next replan draws from, if it has one.
+    pub(crate) fn place(&mut self, mobility: Mobility) -> Option<(WaypointParams, Area)> {
+        match mobility {
+            Mobility::Static { pos } => {
+                self.leg = Leg::parked(pos);
+                self.max_speed = 0.0;
+                None
+            }
+            Mobility::RandomWaypoint { params, area, leg } => {
+                self.leg = leg;
+                self.max_speed = params.max_speed.max(params.min_speed);
+                Some((params, area))
+            }
         }
-        crate::mobility::leg_position(self.from, self.to, self.start, self.arrive, now)
     }
 }
 
@@ -244,10 +248,9 @@ pub struct Node {
     pub(crate) local_addrs: Vec<Addr>,
     pub(crate) has_radio: bool,
     pub(crate) has_wired: bool,
-    pub(crate) up: bool,
-    /// Which life of the node this is; a crash ends one (see `exec::Event`).
-    pub(crate) incarnation: u32,
-    pub(crate) mobility: Mobility,
+    /// What a random-waypoint node draws its next leg from; `None` for
+    /// a static node. Its current leg is in its arena entry ([`HotNode`]).
+    pub(crate) waypoint: Option<Box<(WaypointParams, Area)>>,
     /// Each process, taken out while it runs, beside the
     /// [`LocalKind`](crate::process::LocalKind) mask it subscribed with.
     pub(crate) procs: Vec<(Option<Box<dyn Process>>, u16)>,
@@ -266,16 +269,14 @@ pub struct Node {
 }
 
 impl Node {
-    pub(crate) fn new(id: NodeId, addr: Addr, cfg: NodeConfig, rng: SimRng) -> Node {
+    pub(crate) fn new(id: NodeId, addr: Addr, cfg: &NodeConfig, rng: SimRng) -> Node {
         Node {
             id,
             addr,
             local_addrs: vec![addr],
             has_radio: cfg.radio,
             has_wired: cfg.wired,
-            up: true,
-            incarnation: 0,
-            mobility: cfg.mobility,
+            waypoint: None,
             procs: Vec::new(),
             proc_names: Vec::new(),
             port_bindings: PortMap::default(),
@@ -325,11 +326,6 @@ impl Node {
         self.has_wired
     }
 
-    /// Whether the node is powered on.
-    pub fn is_up(&self) -> bool {
-        self.up
-    }
-
     /// The node's forwarding table.
     pub fn routes(&self) -> &RoutingTable {
         &self.routes
@@ -344,12 +340,6 @@ impl Node {
     /// unless the `obs` feature is enabled.
     pub fn obs(&self) -> &siphoc_obs::NodeObs {
         &self.obs
-    }
-
-    /// Position at `now` (radio nodes; wired nodes report their fixed
-    /// placeholder position).
-    pub fn position(&self, now: SimTime) -> (f64, f64) {
-        self.mobility.position(now)
     }
 
     /// Names of the processes hosted on this node, in spawn order.
@@ -370,7 +360,6 @@ impl std::fmt::Debug for Node {
             .field("addr", &self.addr)
             .field("radio", &self.has_radio)
             .field("wired", &self.has_wired)
-            .field("up", &self.up)
             .field("procs", &self.proc_names)
             .finish_non_exhaustive()
     }
@@ -386,7 +375,11 @@ mod tests {
 
     /// Ceiling on `size_of::<Node>()`, with and without the inline obs
     /// shard: `World::nodes` pays it once per node, used or not.
-    const NODE_INLINE_MAX: usize = if crate::obs_enabled() { 608 } else { 520 };
+    const NODE_INLINE_MAX: usize = if crate::obs_enabled() { 480 } else { 392 };
+
+    /// Ceiling on `size_of::<HotNode>()`: every radio fan-out reads one
+    /// per candidate receiver.
+    const HOT_NODE_INLINE_MAX: usize = 64;
 
     #[test]
     fn node_stays_under_its_inline_ceiling() {
@@ -395,6 +388,12 @@ mod tests {
             "Node is {} B inline",
             std::mem::size_of::<Node>()
         );
+    }
+
+    #[test]
+    fn an_arena_entry_stays_under_its_inline_ceiling() {
+        let size = std::mem::size_of::<HotNode>();
+        assert!(size <= HOT_NODE_INLINE_MAX, "HotNode is {size} B inline");
     }
 
     fn frame(tag: u8) -> Frame {
@@ -547,44 +546,12 @@ mod tests {
     }
 
     #[test]
-    fn hot_node_positions_match_mobility_exactly() {
-        use crate::mobility::{Area, Mobility, WaypointParams};
-        use crate::time::SimDuration;
-        let mut rng = SimRng::from_seed_and_stream(7, 7);
-        let params = WaypointParams::new(1.0, 9.0, SimDuration::from_secs(1));
-        let area = Area::new(300.0, 300.0);
-        let mob = Mobility::random_waypoint((5.0, 5.0), params, area, SimTime::ZERO, &mut rng);
-        let mut n = Node::new(
-            NodeId(0),
-            Addr::manet(0),
-            NodeConfig::manet(0.0, 0.0).with_mobility(mob),
-            SimRng::from_seed_and_stream(0, 0),
-        );
-        n.up = false;
-        let h = HotNode::of(&n);
-        assert!(!h.up && h.has_radio);
-        for us in [0u64, 1, 500_000, 1_234_567, 60_000_000] {
-            let t = SimTime::from_micros(us);
-            // Bit-identical, not approximately equal: trace digests
-            // depend on the hot arena never diverging from the model.
-            assert_eq!(h.position(t), n.position(t));
-        }
-        let stat = HotNode::of(&Node::new(
-            NodeId(1),
-            Addr::manet(1),
-            NodeConfig::manet(3.0, 4.0),
-            SimRng::from_seed_and_stream(1, 1),
-        ));
-        assert_eq!(stat.position(SimTime::from_secs(42)), (3.0, 4.0));
-    }
-
-    #[test]
     fn node_answers_to_aliases_and_loopback() {
         let cfg = NodeConfig::manet(0.0, 0.0);
         let mut n = Node::new(
             NodeId(0),
             Addr::manet(0),
-            cfg,
+            &cfg,
             SimRng::from_seed_and_stream(0, 0),
         );
         assert!(n.is_local_addr(Addr::manet(0)));

@@ -28,7 +28,8 @@ use crate::time::{SimDuration, SimTime};
 /// All callbacks default to no-ops so implementations only override what
 /// they react to.
 ///
-/// A crash drops every timer the process armed, and power-up runs
+/// A crash drops every timer the process armed and every datagram or
+/// signal its node had in flight to itself, and power-up runs
 /// [`Process::on_start`] again. So `on_start` begins an incarnation: it
 /// arms every timer chain the process runs, drops the state whose
 /// timers the crash took (transactions, discoveries, sessions), and
@@ -330,7 +331,8 @@ impl<'a> Ctx<'a> {
         self.send(Datagram::new(src, dst, payload));
     }
 
-    /// Sends a datagram to another process on this same node via loopback.
+    /// Sends a datagram to another process on this same node via
+    /// loopback, 50 µs later; a crash in between drops it.
     pub fn send_local(&mut self, dst_port: u16, src_port: u16, payload: Vec<u8>) {
         let src = SocketAddr::new(Addr::LOOPBACK, src_port);
         let dst = SocketAddr::new(Addr::LOOPBACK, dst_port);
@@ -348,14 +350,15 @@ impl<'a> Ctx<'a> {
     /// A timer belongs to the node's current incarnation: a crash drops
     /// it unseen. Within one incarnation a timer cannot be cancelled, so
     /// an owner that re-arms a chain before the old timer fires ignores
-    /// the superseded token (as AODV's discovery generation does).
+    /// the superseded token (as AODV's discovery generation does) and
+    /// counts it as the obs counter `timer.superseded`.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
         self.effects.push(Effect::SetTimer { delay, token });
     }
 
     /// Emits a node-local event, 1 µs later, to every *other* process on
     /// this node that took its kind with [`Ctx::take_local`], in
-    /// process-index order.
+    /// process-index order; a crash in between drops it.
     pub fn emit(&mut self, ev: LocalEvent) {
         self.effects.push(Effect::Emit(ev));
     }

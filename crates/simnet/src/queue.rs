@@ -308,6 +308,7 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Own;
     use crate::node::NodeId;
     use crate::rng::SimRng;
 
@@ -323,18 +324,23 @@ mod tests {
 
     /// An event whose token is the queue's `seq` for it (pushes so far).
     fn push(q: &mut EventQueue, time: u64) {
-        let event = Event::Timer {
+        let event = Event::Own {
             node: NodeId(0),
             inc: 0,
-            proc: 0,
-            token: q.seq,
+            ev: Own::Timer {
+                proc: 0,
+                token: q.seq,
+            },
         };
         q.push(SimTime::from_micros(time), event);
     }
 
     fn pop(q: &mut EventQueue, t: SimTime) -> Option<(u64, u64)> {
         q.pop_at_or_before(t).map(|(time, event)| match event {
-            Event::Timer { token, .. } => (time.as_micros(), token),
+            Event::Own {
+                ev: Own::Timer { token, .. },
+                ..
+            } => (time.as_micros(), token),
             other => panic!("pushed only timers, popped {other:?}"),
         })
     }

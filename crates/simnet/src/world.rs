@@ -13,10 +13,11 @@
 
 use std::collections::BTreeSet;
 
-use crate::exec::{EngineScratch, Event};
+use crate::exec::{EngineScratch, Event, Own};
 use crate::fasthash::FastMap;
 use crate::fault::{FaultAction, FaultPlan, PacketFault};
 use crate::grid::NeighborGrid;
+use crate::mobility::{Mobility, Position};
 use crate::net::{Addr, Datagram};
 use crate::node::{HotNode, Node, NodeConfig, NodeId};
 use crate::process::{LocalEvent, Process};
@@ -106,10 +107,9 @@ pub struct World {
     pub(crate) full_scan: bool,
     /// Reused dispatch hot-path buffers.
     pub(crate) scratch: EngineScratch,
-    /// Dense mirror of per-node liveness + position state (see
-    /// [`HotNode`]); kept in lockstep with `nodes` by every mutation
-    /// path. Radio fan-out filters read it instead of the full `Node`
-    /// structs.
+    /// Each node's liveness, incarnation and leg, indexed like `nodes`
+    /// and their only home (see [`HotNode`]). Radio fan-out filters read
+    /// it instead of the full `Node` structs.
     pub(crate) hot: Vec<HotNode>,
     tracing_default: bool,
 }
@@ -188,10 +188,9 @@ impl World {
             "address {addr} already assigned"
         );
         let rng = SimRng::from_seed_and_stream(self.cfg.seed, 1000 + id.0 as u64);
-        let alias = cfg.public_alias;
-        let mut node = Node::new(id, addr, cfg, rng);
+        let mut node = Node::new(id, addr, &cfg, rng);
         node.obs.set_tracing(self.tracing_default);
-        if let Some(alias) = alias {
+        if let Some(alias) = cfg.public_alias {
             assert!(alias.is_public(), "public alias {alias} must be public");
             assert!(
                 !self.addr_map.contains_key(&alias),
@@ -200,23 +199,15 @@ impl World {
             node.local_addrs.push(alias);
             self.addr_map.insert(alias, id);
         }
-        if let Some(t) = node.mobility.next_replan() {
-            self.schedule_at(t, Event::Replan { node: id });
-        }
         if node.has_radio {
             self.radio_ids.push(id);
         }
         self.addr_map.insert(addr, id);
-        self.hot.push(HotNode::of(&node));
         self.nodes.push(node);
+        self.hot.push(HotNode::new(cfg.radio));
         self.grid.invalidate();
+        self.set_mobility(id, cfg.mobility);
         id
-    }
-
-    /// Re-mirrors a node's hot fields after a mutation of its liveness
-    /// or mobility.
-    fn refresh_hot(&mut self, id: NodeId) {
-        self.hot[id.0 as usize] = HotNode::of(&self.nodes[id.0 as usize]);
     }
 
     /// Starts a process on `node`; `on_start` runs at the current time,
@@ -229,7 +220,7 @@ impl World {
         // One slot per process: most nodes run one, and a slot is 24 B.
         n.procs.reserve_exact(1);
         n.procs.push((Some(proc), 0));
-        if n.up {
+        if self.is_up(node) {
             self.start_process(node, idx);
         }
         idx
@@ -238,8 +229,7 @@ impl World {
     /// Queues process `proc`'s `on_start` in the node's current
     /// incarnation: at spawn, and at every power-up.
     fn start_process(&mut self, node: NodeId, proc: usize) {
-        let inc = self.nodes[node.0 as usize].incarnation;
-        self.schedule(SimDuration::ZERO, Event::Start { node, inc, proc });
+        self.arm(SimDuration::ZERO, node, Own::Start(proc));
     }
 
     /// Immutable access to a node.
@@ -253,6 +243,24 @@ impl World {
 
     fn node_mut(&mut self, id: NodeId) -> &mut Node {
         &mut self.nodes[id.0 as usize]
+    }
+
+    /// Whether a node is powered on.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown id.
+    pub fn is_up(&self, id: NodeId) -> bool {
+        self.hot[id.0 as usize].up
+    }
+
+    /// A node's position now (wired nodes report a fixed placeholder).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown id.
+    pub fn position(&self, id: NodeId) -> Position {
+        self.hot[id.0 as usize].position(self.now)
     }
 
     /// All node ids in creation order.
@@ -369,19 +377,21 @@ impl World {
 
     /// Powers a node down or back up. Going down ends the node's
     /// incarnation: its transmit queue, parked datagrams and routes are
-    /// lost, and every timer or radio event it armed is dropped when due.
+    /// lost, and every event it armed for itself (timers, its radio's,
+    /// datagrams to itself, local signals, the pending sweep) is dropped
+    /// when due.
     /// Its processes and their ports survive. Power-up runs every
     /// process's [`Process::on_start`] again, in index order, as
     /// [`World::spawn`] ran it first.
     pub fn set_node_up(&mut self, id: NodeId, up: bool) {
-        let n = &mut self.nodes[id.0 as usize];
-        if n.up == up {
+        let h = &mut self.hot[id.0 as usize];
+        if h.up == up {
             return;
         }
-        n.up = up;
-        self.hot[id.0 as usize].up = up;
+        h.up = up;
+        let n = &mut self.nodes[id.0 as usize];
         if !up {
-            n.incarnation = n.incarnation.wrapping_add(1);
+            h.inc = h.inc.wrapping_add(1);
             n.tx_queue.clear();
             n.tx_busy = false;
             n.tx_until = SimTime::ZERO;
@@ -416,13 +426,13 @@ impl World {
     pub fn apply_fault(&mut self, action: FaultAction) {
         match action {
             FaultAction::NodeCrash(n) => {
-                if self.node(n).up {
+                if self.is_up(n) {
                     self.node_mut(n).stats.count("fault.crash", 0);
                     self.set_node_up(n, false);
                 }
             }
             FaultAction::NodeRestart(n) => {
-                if !self.node(n).up {
+                if !self.is_up(n) {
                     self.node_mut(n).stats.count("fault.restart", 0);
                     self.set_node_up(n, true);
                 }
@@ -458,10 +468,10 @@ impl World {
                 // The world only flags the node; its (pre-deployed,
                 // dormant) adversary processes act on the event.
                 self.node_mut(n).stats.count("fault.compromise", 0);
-                self.schedule(
+                self.arm(
                     SimDuration::ZERO,
-                    Event::Local {
-                        node: n,
+                    n,
+                    Own::Local {
                         exclude: None,
                         ev: LocalEvent::Compromise(kind),
                     },
@@ -482,22 +492,21 @@ impl World {
         }
     }
 
-    /// Teleports a (static) node to a new position.
+    /// Teleports a node to a new position, where it stays.
     pub fn move_node(&mut self, id: NodeId, x: f64, y: f64) {
-        self.node_mut(id).mobility = crate::mobility::Mobility::fixed(x, y);
-        self.refresh_hot(id);
-        self.grid.invalidate_node(&self.nodes, id, self.now);
+        self.set_mobility(id, Mobility::fixed(x, y));
     }
 
     /// Replaces a node's mobility model, scheduling its replan events.
-    pub fn set_mobility(&mut self, id: NodeId, mobility: crate::mobility::Mobility) {
-        let next = mobility.next_replan();
-        self.node_mut(id).mobility = mobility;
-        self.refresh_hot(id);
-        self.grid.invalidate_node(&self.nodes, id, self.now);
-        if let Some(t) = next {
-            self.schedule_at(t, Event::Replan { node: id });
+    pub fn set_mobility(&mut self, id: NodeId, mobility: Mobility) {
+        let h = &mut self.hot[id.0 as usize];
+        let waypoint = h.place(mobility);
+        if let Some((params, _)) = waypoint {
+            let replan = h.leg.arrive + params.pause;
+            self.schedule_at(replan, Event::Replan { node: id });
         }
+        self.node_mut(id).waypoint = waypoint.map(Box::new);
+        self.grid.invalidate_node(&self.hot, id, self.now);
     }
 
     /// Runs the event loop until (and including) time `t`. The clock
@@ -544,20 +553,34 @@ impl World {
         self.queue.push(time.max(self.now), event);
     }
 
+    /// Queues `ev` on `node` for `delay` from now, in the node's current
+    /// incarnation.
+    pub(crate) fn arm(&mut self, delay: SimDuration, node: NodeId, ev: Own) {
+        self.arm_at(self.now + delay, node, ev);
+    }
+
+    /// As [`World::arm`], at `time`.
+    pub(crate) fn arm_at(&mut self, time: SimTime, node: NodeId, ev: Own) {
+        let inc = self.hot[node.0 as usize].inc;
+        self.schedule_at(time, Event::Own { node, inc, ev });
+    }
+
     /// Re-plans a mobile node's trajectory at one of its waypoints.
+    /// A replan due after the node was parked does nothing.
     pub(crate) fn replan(&mut self, node: NodeId) {
         let now = self.now;
-        let n = self.node_mut(node);
-        n.mobility.replan(now, &mut n.rng);
-        if let Some(t) = n.mobility.next_replan() {
-            self.schedule_at(t, Event::Replan { node });
-        }
-        // The node's trajectory changed: re-mirror its hot state and
-        // re-bin just this node in the spatial index — replans are
+        let n = &mut self.nodes[node.0 as usize];
+        let Some(&(params, area)) = n.waypoint.as_deref() else {
+            return;
+        };
+        let h = &mut self.hot[node.0 as usize];
+        h.leg = h.leg.next(params, area, now, &mut n.rng);
+        let replan = h.leg.arrive + params.pause;
+        self.schedule_at(replan, Event::Replan { node });
+        // Re-bin just this node in the spatial index — replans are
         // per-node events, and a full rebuild here made one roaming node
         // cost O(n) per waypoint in an otherwise static city.
-        self.refresh_hot(node);
-        self.grid.invalidate_node(&self.nodes, node, now);
+        self.grid.invalidate_node(&self.hot, node, now);
     }
 }
 
@@ -1014,6 +1037,35 @@ mod tests {
     }
 
     #[test]
+    fn a_restart_receives_nothing_its_last_incarnation_sent_itself() {
+        let mut w = ideal_world(18);
+        let a = w.add_node(NodeConfig::manet(0.0, 0.0));
+        let (echo, recv, events) = Echo::new(9000);
+        w.spawn(a, Box::new(echo));
+        let up = LocalEvent::InternetUp {
+            public: Addr::new(82, 1, 1, 9),
+        };
+        let log = spawn_signals(&mut w, a, &[UP, &[]], Some((1, &up)));
+        // The starts run, and the second signal process emits its signal,
+        // once (due in 1 µs); the node sends itself a datagram over
+        // loopback (50 µs) and one that needs a route (`RouteNeeded` in
+        // 1 µs). Then it crashes and restarts before any of them is due.
+        w.run_until(SimTime::ZERO);
+        let aa = w.node(a).addr();
+        w.inject(a, dgram(Addr::LOOPBACK, Addr::LOOPBACK, 9000, b"old"));
+        w.inject(a, dgram(aa, Addr::manet(77), 9000, b"unrouted"));
+        w.set_node_up(a, false);
+        w.set_node_up(a, true);
+        w.run_until(SimTime::from_millis(1));
+        assert!(
+            recv.borrow().is_empty(),
+            "the loopback datagram was dropped"
+        );
+        assert!(events.borrow().is_empty(), "so was the RouteNeeded");
+        assert!(log.borrow().is_empty(), "and the emitted signal");
+    }
+
+    #[test]
     fn a_process_that_does_not_take_a_kind_is_never_called_with_it() {
         let mut w = ideal_world(12);
         let a = w.add_node(NodeConfig::manet(0.0, 0.0));
@@ -1153,12 +1205,12 @@ mod tests {
             .restart_at(SimTime::from_secs(3), a);
         w.install_fault_plan(plan);
         w.run_until(SimTime::from_secs(2));
-        assert!(!w.node(a).is_up(), "the crash due at 1 s fired at 2 s");
+        assert!(!w.is_up(a), "the crash due at 1 s fired at 2 s");
         let events = w.events_processed();
         w.run_until(SimTime::from_micros(2_999_999));
         assert_eq!(w.events_processed(), events);
         w.run_until(SimTime::from_secs(3));
-        assert!(w.node(a).is_up());
+        assert!(w.is_up(a));
     }
 
     /// The wheels' fixed footprint is what the smallest workload
@@ -1238,11 +1290,11 @@ mod fault_tests {
             .restart_at(SimTime::from_secs(2), b);
         w.install_fault_plan(plan);
         w.run_until(SimTime::from_millis(1500));
-        assert!(!w.node(b).is_up(), "crashed at t=1s");
+        assert!(!w.is_up(b), "crashed at t=1s");
         let (aa, ba) = (w.node(a).addr(), w.node(b).addr());
         w.inject(a, dgram(aa, ba, 9000, b"into the void"));
         w.run_until(SimTime::from_secs(3));
-        assert!(w.node(b).is_up(), "restarted at t=2s");
+        assert!(w.is_up(b), "restarted at t=2s");
         assert_eq!(recv.borrow().len(), 0, "nothing delivered while down");
         assert_eq!(w.node(b).stats().get("fault.crash").packets, 1);
         assert_eq!(w.node(b).stats().get("fault.restart").packets, 1);

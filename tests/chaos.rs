@@ -70,7 +70,7 @@ fn chaos_mesh_calls_survive_churn_partition_and_packet_faults() {
         let island: Vec<NodeId> = w
             .node_ids()
             .into_iter()
-            .filter(|&id| w.node(id).position(w.now()).0 <= 60.0)
+            .filter(|&id| w.position(id).0 <= 60.0)
             .collect();
         assert_eq!(island.len(), 8);
 
@@ -80,7 +80,7 @@ fn chaos_mesh_calls_survive_churn_partition_and_packet_faults() {
             .iter()
             .map(|n| n.id)
             .filter(|&id| {
-                let (x, y) = w.node(id).position(w.now());
+                let (x, y) = w.position(id);
                 (110.0..=165.0).contains(&x) && (55.0..=110.0).contains(&y)
             })
             .collect();

@@ -1354,12 +1354,23 @@ fn spatial_index_never_changes_the_trace() {
     });
 }
 
-/// As [`beacon_mesh_fingerprint`], but nodes move: a random subset is
-/// teleported between run segments and another subset walks random
-/// waypoints, so the spatial index must re-bin cells incrementally
-/// (`move_node`/`set_mobility`/replan all dirty single cells, never the
-/// whole index).
-fn mobile_mesh_fingerprint(seed: u64, n: usize, moves: &[(usize, f64, f64)], spatial: bool) -> u64 {
+/// A change [`mobile_mesh_fingerprint`] makes to one node between run
+/// segments; the index is taken modulo the node count.
+#[derive(Debug, Clone, Copy)]
+enum Mutation {
+    /// Park the node at `(x, y)`.
+    Teleport(usize, f64, f64),
+    /// Crash the node if it is up, restart it if it is down.
+    Power(usize),
+}
+
+/// As [`beacon_mesh_fingerprint`], but nodes move and fail: between run
+/// segments a random node is teleported or crashed or restarted, and a
+/// few nodes walk random waypoints, so the spatial index must re-bin
+/// cells incrementally (`move_node`/`set_mobility`/replan all dirty
+/// single cells, never the whole index) and the radio must read
+/// liveness from the arena.
+fn mobile_mesh_fingerprint(seed: u64, n: usize, muts: &[Mutation], spatial: bool) -> u64 {
     use wireless_adhoc_voip::simnet::mobility::{Area, Mobility, WaypointParams};
     let mut w = mesh_world(seed, spatial);
     let mut rng = SimRng::from_seed_and_stream(seed, 4242);
@@ -1381,13 +1392,18 @@ fn mobile_mesh_fingerprint(seed: u64, n: usize, moves: &[(usize, f64, f64)], spa
     }
     w.trace_mut().set_enabled(true);
     let mut t_ms = 0u64;
-    let mut next_move = 0usize;
+    let mut next_mut = 0usize;
     while t_ms < 2_000 {
         w.run_until(SimTime::from_millis(t_ms));
-        if let Some(&(idx, x, y)) = moves.get(next_move) {
-            w.move_node(ids[idx % ids.len()], x, y);
-            next_move += 1;
+        match muts.get(next_mut) {
+            Some(&Mutation::Teleport(idx, x, y)) => w.move_node(ids[idx % ids.len()], x, y),
+            Some(&Mutation::Power(idx)) => {
+                let id = ids[idx % ids.len()];
+                w.set_node_up(id, !w.is_up(id));
+            }
+            None => {}
         }
+        next_mut += 1;
         for &id in &ids {
             let src = SocketAddr::new(w.node(id).addr(), 9900);
             let dst = SocketAddr::new(Addr::BROADCAST, 9900);
@@ -1400,28 +1416,33 @@ fn mobile_mesh_fingerprint(seed: u64, n: usize, moves: &[(usize, f64, f64)], spa
 }
 
 /// Per-cell incremental grid maintenance is trace-invisible: under
-/// arbitrary teleports and waypoint mobility, the incrementally
-/// maintained index and the full-scan reference agree byte-for-byte,
-/// and the run reproduces exactly.
+/// arbitrary teleports, crashes, restarts and waypoint mobility, the
+/// incrementally maintained index and the full-scan reference agree
+/// byte-for-byte, and the run reproduces exactly.
 #[test]
 fn incremental_grid_never_changes_the_trace() {
     check("incremental_grid_never_changes_the_trace", 10, |rng| {
         let seed = rng.range_u64(0, 100_000);
         let n = usize_in(rng, 4..16);
-        let moves = vec_of(rng, 0..6, |rng| {
-            (
-                rng.next_u64() as usize,
-                rng.range_f64(-50.0, 350.0),
-                rng.range_f64(-50.0, 350.0),
-            )
+        let muts = vec_of(rng, 0..8, |rng| {
+            let idx = rng.next_u64() as usize;
+            if rng.chance(0.4) {
+                Mutation::Power(idx)
+            } else {
+                Mutation::Teleport(
+                    idx,
+                    rng.range_f64(-50.0, 350.0),
+                    rng.range_f64(-50.0, 350.0),
+                )
+            }
         });
-        let grid = mobile_mesh_fingerprint(seed, n, &moves, true);
-        let scan = mobile_mesh_fingerprint(seed, n, &moves, false);
+        let grid = mobile_mesh_fingerprint(seed, n, &muts, true);
+        let scan = mobile_mesh_fingerprint(seed, n, &muts, false);
         assert_eq!(
             grid, scan,
             "incremental grid diverged from full scan (seed {seed}, n {n})"
         );
-        let again = mobile_mesh_fingerprint(seed, n, &moves, true);
+        let again = mobile_mesh_fingerprint(seed, n, &muts, true);
         assert_eq!(
             grid, again,
             "same seed not reproducible (seed {seed}, n {n})"
