@@ -150,7 +150,8 @@ impl AodvMsg {
                 w.addr(*dst)
                     .u32(*dst_seq)
                     .addr(*orig)
-                    .u32(lifetime.as_micros() as u32 / 1000);
+                    // Milliseconds; whatever does not fit reads as the longest.
+                    .u32(u32::try_from(lifetime.as_micros() / 1000).unwrap_or(u32::MAX));
                 write_entries(&mut w, entries);
             }
             AodvMsg::Rerr { dests } => {

@@ -10,8 +10,8 @@
 //!   the MPR forwarding rule with ANSN freshness,
 //! * shortest-path route computation over the learned topology —
 //!   change-tracked, so a control message that alters no input only
-//!   re-stamps the cached routes, and run over `u64` bitset rows when one
-//!   does (see [`OlsrProcess`]),
+//!   re-stamps the cached routes, and run over `u64` bitset rows, kept
+//!   across computations, when one does (see [`OlsrProcess`]),
 //! * **piggybacking**: an optional [`RoutingHandler`] attaches service
 //!   entries to HELLOs (one hop) and TCs (network-wide). Because OLSR
 //!   disseminates proactively, MANET SLP registrations replicate to every
@@ -211,10 +211,16 @@ fn normalize(addrs: &mut Vec<Addr>) {
     addrs.dedup();
 }
 
-/// Adds `addr` to the sorted universe unless it is there already.
-fn intern(universe: &mut Vec<Addr>, addr: Addr) {
-    if let Err(at) = universe.binary_search(&addr) {
-        universe.insert(at, addr);
+/// Adds `addr` to the sorted universe unless it is there already;
+/// `true` when it was added, which shifts the rank of every address above
+/// it.
+fn intern(universe: &mut Vec<Addr>, addr: Addr) -> bool {
+    match universe.binary_search(&addr) {
+        Ok(_) => false,
+        Err(at) => {
+            universe.insert(at, addr);
+            true
+        }
     }
 }
 
@@ -227,6 +233,14 @@ fn rank(universe: &[Addr], addr: &Addr) -> usize {
 
 fn set_bit(row: &mut [u64], bit: usize) {
     row[bit / 64] |= 1 << (bit % 64);
+}
+
+fn clear_bit(row: &mut [u64], bit: usize) {
+    row[bit / 64] &= !(1 << (bit % 64));
+}
+
+fn has_bit(row: &[u64], bit: usize) -> bool {
+    row[bit / 64] & 1 << (bit % 64) != 0
 }
 
 /// Clears in `dst` every bit set in `src`.
@@ -245,14 +259,108 @@ fn for_each_bit(mut word: u64, base: usize, mut f: impl FnMut(usize)) {
     }
 }
 
+/// The inputs of both kernels as bitset rows over `universe`, kept
+/// across computations. A row is `words` `u64`s wide and bit *i* stands
+/// for `universe[i]`; row *r* of a matrix belongs to `universe[r]`.
+///
+/// A message rewrites only the row it changes. A change of the universe
+/// moves ranks under every row, so it marks them all `stale`, and the
+/// next computation rebuilds both matrices before it reads one.
+#[derive(Debug, Default)]
+struct Rows {
+    stale: bool,
+    words: usize,
+    /// Per TC originator: the selectors it advertised.
+    topology: Vec<u64>,
+    /// Per link, symmetric or not: the neighbor's 2-hop set.
+    links: Vec<u64>,
+    /// One row: the symmetric neighbors.
+    sym: Vec<u64>,
+}
+
+impl Rows {
+    /// Builds every row from the state.
+    fn rebuild(
+        &mut self,
+        universe: &[Addr],
+        links: &BTreeMap<Addr, LinkState>,
+        topology: &BTreeMap<Addr, TcTuples>,
+    ) {
+        let words = universe.len().div_ceil(64);
+        self.words = words;
+        for matrix in [&mut self.topology, &mut self.links] {
+            matrix.clear();
+            // Exactly one row per address: every process pays for these
+            // two matrices between computations.
+            matrix.reserve_exact(universe.len() * words);
+            matrix.resize(universe.len() * words, 0);
+        }
+        self.sym.clear();
+        self.sym.resize(words, 0);
+        self.stale = false;
+        for (a, l) in links {
+            self.set_link(a, universe, &l.two_hop, l.symmetric);
+        }
+        for (orig, t) in topology {
+            self.set_topology(orig, universe, &t.selectors);
+        }
+    }
+
+    /// The selectors of the originator of rank `r`.
+    fn topology_row(&self, r: usize) -> &[u64] {
+        &self.topology[r * self.words..][..self.words]
+    }
+
+    /// The 2-hop set of the link of rank `r`.
+    fn link_row(&self, r: usize) -> &[u64] {
+        &self.links[r * self.words..][..self.words]
+    }
+
+    /// Originator `orig` now advertises `selectors` (none once its tuples
+    /// are gone), unless every row is rebuilt before the next read anyway.
+    fn set_topology(&mut self, orig: &Addr, universe: &[Addr], selectors: &[Addr]) {
+        if !self.stale {
+            let r = rank(universe, orig);
+            fill(
+                &mut self.topology[r * self.words..][..self.words],
+                universe,
+                selectors,
+            );
+        }
+    }
+
+    /// The link to `neighbor` now lists `two_hop` and is symmetric or not
+    /// (a lost link lists nothing and is not), unless every row is rebuilt
+    /// before the next read anyway.
+    fn set_link(&mut self, neighbor: &Addr, universe: &[Addr], two_hop: &[Addr], symmetric: bool) {
+        if !self.stale {
+            let r = rank(universe, neighbor);
+            fill(
+                &mut self.links[r * self.words..][..self.words],
+                universe,
+                two_hop,
+            );
+            if symmetric {
+                set_bit(&mut self.sym, r);
+            } else {
+                clear_bit(&mut self.sym, r);
+            }
+        }
+    }
+}
+
+/// Sets exactly the bits of `addrs` in `row`.
+fn fill(row: &mut [u64], universe: &[Addr], addrs: &[Addr]) {
+    row.fill(0);
+    for a in addrs {
+        set_bit(row, rank(universe, a));
+    }
+}
+
 /// Reusable buffers of the two dense kernels; contents never outlive one
-/// call. Bitset rows are `words` `u64`s wide, bit *i* standing for
-/// `universe[i]`.
+/// call. Bitsets are [`Rows::words`] wide.
 #[derive(Debug, Default)]
 struct Scratch {
-    /// Adjacency rows, one per universe rank (routes) or one per symmetric
-    /// neighbor (MPR selection).
-    rows: Vec<u64>,
     /// Routes: reached so far. MPR selection: not yet covered.
     mask: Vec<u64>,
     /// MPR selection: 2-hop nodes seen through ≥ 1 / ≥ 2 neighbors.
@@ -277,7 +385,9 @@ struct Scratch {
 /// computation runs over bitsets indexed by *address rank* in the sorted
 /// `universe` of every address the state mentions, so walking set bits
 /// upwards visits addresses in ascending order — the order the RFC's
-/// tie-breaks (and this implementation's recorded traces) depend on.
+/// tie-breaks (and this implementation's recorded traces) depend on. The
+/// rows it reads persist: a message rewrites the one row it changed, and
+/// only a change of the universe rebuilds them all (see [`Rows`]).
 #[derive(Default)]
 pub struct OlsrProcess {
     handler: Option<SharedHandler>,
@@ -295,11 +405,14 @@ pub struct OlsrProcess {
     /// An input of MPR selection / route computation changed since it ran.
     mpr_dirty: bool,
     routes_dirty: bool,
-    /// `(dest, next_hop, hops)` of the last route computation.
+    /// `(dest, next_hop, hops)` of the last route computation, ascending
+    /// by destination.
     route_cache: Vec<(Addr, Addr, u8)>,
     /// Every address in `links` and `topology`, ascending: rebuilt from
     /// them at each purge, extended in between as addresses are heard.
     universe: Vec<Addr>,
+    /// `links` and `topology` as bitset rows over `universe`.
+    rows: Rows,
     scratch: Scratch,
     /// Staging area for an incoming address list.
     heard: Vec<Addr>,
@@ -382,11 +495,15 @@ impl OlsrProcess {
         self.routes_dirty = true;
     }
 
-    fn purge(&mut self, now: SimTime) {
+    fn purge(&mut self, ctx: &mut Ctx<'_>) {
+        let now = ctx.now();
         let mut lost_symmetric = false;
-        self.links.retain(|_, l| {
+        self.links.retain(|a, l| {
             let live = now.saturating_since(l.last_heard) <= NEIGHB_HOLD_TIME;
-            lost_symmetric |= !live && l.symmetric;
+            if !live {
+                lost_symmetric |= l.symmetric;
+                self.rows.set_link(a, &self.universe, &[], false);
+            }
             live
         });
         if lost_symmetric {
@@ -395,23 +512,55 @@ impl OlsrProcess {
         self.mpr_selectors
             .retain(|_, t| now.saturating_since(*t) <= NEIGHB_HOLD_TIME);
         let originators = self.topology.len();
-        self.topology.retain(|_, t| t.expires > now);
+        self.topology.retain(|orig, t| {
+            let live = t.expires > now;
+            if !live {
+                self.rows.set_topology(orig, &self.universe, &[]);
+            }
+            live
+        });
         self.routes_dirty |= self.topology.len() != originators;
         self.tc_seen
             .retain(|_, t| now.saturating_since(*t) <= SimDuration::from_secs(30));
 
         // Forget addresses nothing mentions any more, so the universe (and
-        // the scratch rows sized by it) follows live state, not history.
-        self.universe.clear();
-        for (a, l) in &self.links {
-            self.universe.push(*a);
-            self.universe.extend_from_slice(&l.two_hop);
+        // the rows sized by it) follows live state, not history. An address
+        // is live when a row lists it, when it owns a topology row (never
+        // empty), or when it is a link (whose row may be).
+        self.refresh_rows(ctx);
+        let rows = &self.rows;
+        let live = &mut self.scratch.mask;
+        live.clear();
+        live.resize(rows.words, 0);
+        for r in 0..self.universe.len() {
+            let selectors = rows.topology_row(r);
+            if selectors.iter().any(|w| *w != 0) {
+                set_bit(live, r);
+            }
+            let two_hop = rows.link_row(r);
+            for ((l, s), t) in live.iter_mut().zip(selectors).zip(two_hop) {
+                *l |= s | t;
+            }
         }
-        for (orig, t) in &self.topology {
-            self.universe.push(*orig);
-            self.universe.extend_from_slice(&t.selectors);
+        for a in self.links.keys() {
+            set_bit(live, rank(&self.universe, a));
         }
-        normalize(&mut self.universe);
+        let known = self.universe.len();
+        let mut r = 0;
+        self.universe.retain(|_| {
+            r += 1;
+            has_bit(live, r - 1)
+        });
+        self.rows.stale |= self.universe.len() != known;
+    }
+
+    /// Brings the rows up to date with the universe.
+    fn refresh_rows(&mut self, ctx: &mut Ctx<'_>) {
+        if self.rows.stale {
+            self.rows
+                .rebuild(&self.universe, &self.links, &self.topology);
+            ctx.obs().counter_add("rt.rows_rebuilt", 1);
+        }
     }
 
     /// RFC 3626 §8.3.1 greedy MPR heuristic; a no-op while its inputs are
@@ -423,11 +572,10 @@ impl OlsrProcess {
         }
         self.mpr_dirty = false;
         ctx.obs().counter_add("rt.mpr_full", 1);
+        self.refresh_rows(ctx);
 
-        let universe = &self.universe;
-        let words = universe.len().div_ceil(64);
+        let rows = &self.rows;
         let Scratch {
-            rows,
             mask: uncovered,
             order: neighbors,
             once,
@@ -435,38 +583,30 @@ impl OlsrProcess {
             chosen,
             ..
         } = &mut self.scratch;
-        for buf in [&mut *uncovered, &mut *once, &mut *twice] {
+        for buf in [&mut *once, &mut *twice] {
             buf.clear();
-            buf.resize(words, 0);
+            buf.resize(rows.words, 0);
         }
-        // One row per symmetric neighbor, in address order: its 2-hop set.
-        // `once` / `twice` collect what one / several of them reach.
+        // The symmetric neighbors in address order, and the 2-hop nodes
+        // one / several of them reach.
         neighbors.clear();
-        rows.clear();
-        for (a, l) in self.links.iter().filter(|(_, l)| l.symmetric) {
-            let n = rank(universe, a);
-            neighbors.push(n);
-            set_bit(uncovered, n);
-            let at = rows.len();
-            rows.resize(at + words, 0);
-            let row = &mut rows[at..];
-            for t in &l.two_hop {
-                set_bit(row, rank(universe, t));
-            }
+        for (w, word) in rows.sym.iter().enumerate() {
+            for_each_bit(*word, w * 64, |n| neighbors.push(n));
+        }
+        for &n in &*neighbors {
+            let row = rows.link_row(n);
             for ((r, once), twice) in row.iter().zip(&mut *once).zip(&mut *twice) {
                 *twice |= *once & r;
                 *once |= r;
             }
         }
-        // Strict 2-hop set: not us (never stored), not a 1-hop neighbor
-        // (which is what `uncovered` held until here).
-        for (once, u) in once.iter_mut().zip(&mut *uncovered) {
-            *once &= !*u;
-            *u = *once;
-        }
+        // Strict 2-hop set: not us (never stored), not a 1-hop neighbor.
+        and_not(once, &rows.sym);
+        uncovered.clone_from(once);
         // First pass: neighbors that are the *only* path to some 2-hop node.
         chosen.clear();
-        for row in rows.chunks_exact(words.max(1)) {
+        for &n in &*neighbors {
+            let row = rows.link_row(n);
             let sole = (row.iter().zip(&*once).zip(&*twice)).any(|((r, o), t)| r & o & !t != 0);
             if sole {
                 and_not(uncovered, row);
@@ -474,14 +614,15 @@ impl OlsrProcess {
             chosen.push(sole);
         }
         // Greedy passes: max coverage first, ties broken by address order
-        // (rows are in address order, and only a strictly better one wins).
+        // (neighbors are in address order, and only a strictly better one
+        // wins).
         while uncovered.iter().any(|w| *w != 0) {
             let mut best = (0, usize::MAX);
-            for (i, row) in rows.chunks_exact(words.max(1)).enumerate() {
+            for (i, &n) in neighbors.iter().enumerate() {
                 if chosen[i] {
                     continue;
                 }
-                let cover: u32 = (row.iter().zip(&*uncovered))
+                let cover: u32 = (rows.link_row(n).iter().zip(&*uncovered))
                     .map(|(r, u)| (r & u).count_ones())
                     .sum();
                 if cover > best.0 {
@@ -493,67 +634,56 @@ impl OlsrProcess {
                 break;
             }
             chosen[i] = true;
-            and_not(uncovered, &rows[i * words..][..words]);
+            and_not(uncovered, rows.link_row(neighbors[i]));
         }
         self.mpr_set = (neighbors.iter().zip(&*chosen))
             .filter(|(_, chosen)| **chosen)
-            .map(|(n, _)| universe[*n])
+            .map(|(n, _)| self.universe[*n])
             .collect();
     }
 
     /// Shortest-path (hop count) routes over neighbors + topology tuples:
     /// BFS from the symmetric neighbors, lower address first among equals.
+    /// Reads the rows as they are; the caller refreshes them.
     fn compute_routes(&mut self, own: Addr) {
         let universe = &self.universe;
         let n = universe.len();
-        let words = n.div_ceil(64);
+        let rows = &self.rows;
         let Scratch {
-            rows,
             mask: reached,
             order: queue,
             first_hop,
             hops,
             ..
         } = &mut self.scratch;
-        rows.clear();
-        rows.resize(n * words, 0);
-        reached.clear();
-        reached.resize(words, 0);
+        reached.clone_from(&rows.sym);
         first_hop.clear();
         first_hop.resize(n, 0);
         hops.clear();
         hops.resize(n, 0);
         queue.clear();
-
-        // Edges: originator → selector, symmetric neighbor → its 2-hop set.
-        for (orig, t) in &self.topology {
-            let row = &mut rows[rank(universe, orig) * words..];
-            for sel in &t.selectors {
-                set_bit(row, rank(universe, sel));
-            }
-        }
-        for (a, l) in self.links.iter().filter(|(_, l)| l.symmetric) {
-            let r = rank(universe, a);
-            let row = &mut rows[r * words..];
-            for t in &l.two_hop {
-                set_bit(row, rank(universe, t));
-            }
-            set_bit(reached, r);
-            first_hop[r] = r;
-            hops[r] = 1;
-            queue.push(r);
+        for (w, word) in rows.sym.iter().enumerate() {
+            for_each_bit(*word, w * 64, |r| {
+                first_hop[r] = r;
+                hops[r] = 1;
+                queue.push(r);
+            });
         }
         // Never a route to ourselves.
-        if let Ok(r) = universe.binary_search(&own) {
+        let own_rank = universe.binary_search(&own).ok();
+        if let Some(r) = own_rank {
             set_bit(reached, r);
         }
+        // Edges: originator → selector, symmetric neighbor → its 2-hop set.
         let mut head = 0;
         while head < queue.len() {
             let node = queue[head];
             head += 1;
             let (via, dist) = (first_hop[node], hops[node].saturating_add(1));
-            for w in 0..words {
-                let new = rows[node * words + w] & !reached[w];
+            let two_hop = has_bit(&rows.sym, node).then(|| rows.link_row(node));
+            for (w, selectors) in rows.topology_row(node).iter().enumerate() {
+                let edges = selectors | two_hop.map_or(0, |t| t[w]);
+                let new = edges & !reached[w];
                 reached[w] |= new;
                 for_each_bit(new, w * 64, |r| {
                     first_hop[r] = via;
@@ -562,12 +692,18 @@ impl OlsrProcess {
                 });
             }
         }
+        // Every rank reached but our own has a route, and ascending ranks
+        // are ascending destinations.
+        if let Some(r) = own_rank {
+            clear_bit(reached, r);
+        }
         self.route_cache.clear();
-        self.route_cache.extend(
-            queue
-                .iter()
-                .map(|&r| (universe[r], universe[first_hop[r]], hops[r])),
-        );
+        for (w, word) in reached.iter().enumerate() {
+            for_each_bit(*word, w * 64, |r| {
+                self.route_cache
+                    .push((universe[r], universe[first_hop[r]], hops[r]));
+            });
+        }
     }
 
     /// Installs the routes. They are computed only when an input changed,
@@ -577,6 +713,7 @@ impl OlsrProcess {
     fn recompute_routes(&mut self, ctx: &mut Ctx<'_>) {
         if self.routes_dirty {
             self.routes_dirty = false;
+            self.refresh_rows(ctx);
             self.compute_routes(ctx.addr());
             ctx.obs().counter_add("rt.spf_full", 1);
         } else {
@@ -584,17 +721,16 @@ impl OlsrProcess {
         }
         let now = ctx.now();
         let expires = now + TOP_HOLD_TIME;
-        for &(dest, next_hop, hops) in &self.route_cache {
-            ctx.routes().insert(
-                dest,
-                Route {
-                    next_hop,
-                    hops,
-                    expires,
-                    seq: 0,
-                },
-            );
-        }
+        let routes = (self.route_cache.iter()).map(|&(dest, next_hop, hops)| {
+            let route = Route {
+                next_hop,
+                hops,
+                expires,
+                seq: 0,
+            };
+            (dest, route)
+        });
+        ctx.routes().insert_ascending(routes);
         ctx.routes().purge_expired(now);
     }
 
@@ -656,24 +792,27 @@ impl OlsrProcess {
                 .map(|(a, _)| *a),
         );
         normalize(&mut self.heard);
-        intern(&mut self.universe, from);
+        self.rows.stale |= intern(&mut self.universe, from);
         let link = self.links.entry(from).or_insert(LinkState {
             last_heard: now,
             symmetric: false,
             two_hop: Vec::new(),
         });
         link.last_heard = now;
-        let mut changed = link.symmetric != hears_us;
+        let toggled = link.symmetric != hears_us;
         link.symmetric = hears_us;
-        if link.two_hop != self.heard {
+        let relisted = link.two_hop != self.heard;
+        if relisted {
             link.two_hop.clone_from(&self.heard);
             for a in &self.heard {
-                intern(&mut self.universe, *a);
+                self.rows.stale |= intern(&mut self.universe, *a);
             }
-            // Only a symmetric neighbor's 2-hop set is an input.
-            changed |= hears_us;
         }
-        if changed {
+        if toggled || relisted {
+            (self.rows).set_link(&from, &self.universe, &self.heard, hears_us);
+        }
+        // Only a symmetric neighbor's 2-hop set is an input.
+        if toggled || (relisted && hears_us) {
             self.neighborhood_changed();
         }
         // MPR selector tracking.
@@ -731,9 +870,9 @@ impl OlsrProcess {
                     if self.heard.is_empty() {
                         self.topology.remove(&orig);
                     } else {
-                        intern(&mut self.universe, orig);
+                        self.rows.stale |= intern(&mut self.universe, orig);
                         for a in &self.heard {
-                            intern(&mut self.universe, *a);
+                            self.rows.stale |= intern(&mut self.universe, *a);
                         }
                         self.topology.insert(
                             orig,
@@ -743,6 +882,7 @@ impl OlsrProcess {
                             },
                         );
                     }
+                    (self.rows).set_topology(&orig, &self.universe, &self.heard);
                 }
             }
             self.recompute_routes(ctx);
@@ -803,7 +943,7 @@ impl Process for OlsrProcess {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         match token {
             TAG_HELLO => {
-                self.purge(ctx.now());
+                self.purge(ctx);
                 self.select_mprs(ctx);
                 self.send_hello(ctx);
                 self.recompute_routes(ctx);
@@ -821,8 +961,11 @@ impl Process for OlsrProcess {
         let LocalEvent::LinkTxFailed { neighbor } = ev else {
             return;
         };
-        if self.links.remove(neighbor).is_some_and(|l| l.symmetric) {
-            self.neighborhood_changed();
+        if let Some(link) = self.links.remove(neighbor) {
+            if link.symmetric {
+                self.neighborhood_changed();
+            }
+            self.rows.set_link(neighbor, &self.universe, &[], false);
         }
         self.mpr_selectors.remove(neighbor);
         ctx.routes().invalidate_via(*neighbor);
@@ -1420,10 +1563,52 @@ mod tests {
         }
     }
 
-    /// The process and its oracle, fed the same inputs.
+    /// The process and its oracle, fed the same inputs, and what the
+    /// inputs made the process's rows go through.
     struct Pair {
         new: Rig<OlsrProcess>,
         old: Rig<reference::RefOlsr>,
+        /// A step moved the universe under a row it left as it was, and a
+        /// computation in the same step read that row at its new rank.
+        moved_a_kept_row: bool,
+        /// A hello-timer purge dropped addresses from the universe.
+        purge_shrank: bool,
+    }
+
+    /// Every row's contents by what it belongs to: a link (whether it is
+    /// symmetric, and its 2-hop set) or a TC originator (`None`, and its
+    /// selectors).
+    fn row_inputs(proc: &OlsrProcess) -> BTreeSet<(Addr, Option<bool>, Vec<Addr>)> {
+        let links = (proc.links.iter()).map(|(a, l)| (*a, Some(l.symmetric), l.two_hop.clone()));
+        let topology = (proc.topology.iter()).map(|(a, t)| (*a, None, t.selectors.clone()));
+        links.chain(topology).collect()
+    }
+
+    /// Holds the rows, unless they are marked stale, to what a rebuild
+    /// from the process's state writes.
+    fn assert_rows_current(proc: &OlsrProcess, at: SimTime, step: &Step) {
+        if proc.rows.stale {
+            return;
+        }
+        let mut rebuilt = Rows::default();
+        rebuilt.rebuild(&proc.universe, &proc.links, &proc.topology);
+        let Rows {
+            words,
+            topology,
+            links,
+            sym,
+            ..
+        } = &proc.rows;
+        assert_eq!(
+            (words, topology, links, sym),
+            (
+                &rebuilt.words,
+                &rebuilt.topology,
+                &rebuilt.links,
+                &rebuilt.sym
+            ),
+            "rows out of date at {at} after {step:?}"
+        );
     }
 
     impl Pair {
@@ -1431,14 +1616,32 @@ mod tests {
             Pair {
                 new: Rig::new(OlsrProcess::new(), own),
                 old: Rig::new(reference::RefOlsr::default(), own),
+                moved_a_kept_row: false,
+                purge_shrank: false,
             }
         }
 
         /// Applies `step` to both and holds them to the same MPR set and
         /// the same routing table, expiries included.
         fn apply(&mut self, now: SimTime, step: &Step) {
+            let universe = self.new.proc.universe.clone();
+            let inputs = row_inputs(&self.new.proc);
             self.new.apply(now, step);
             self.old.apply(now, step);
+            let proc = &self.new.proc;
+            assert_rows_current(proc, now, step);
+            if proc.universe != universe && !proc.rows.stale {
+                self.moved_a_kept_row |= (inputs.intersection(&row_inputs(proc)))
+                    .any(|(a, ..)| universe.binary_search(a) != proc.universe.binary_search(a));
+            }
+            if matches!(step, Step::HelloTimer) {
+                self.purge_shrank |= proc.universe.len() < universe.len();
+                let mut live: Vec<Addr> = (row_inputs(proc).into_iter())
+                    .flat_map(|(a, _, listed)| std::iter::once(a).chain(listed))
+                    .collect();
+                normalize(&mut live);
+                assert_eq!(proc.universe, live, "universe after the purge at {now}");
+            }
             assert_eq!(
                 self.new.proc.mprs(),
                 self.old.proc.mprs(),
@@ -1602,6 +1805,11 @@ mod tests {
             "rows never spanned two words ({widest} addresses)"
         );
         assert!(most_routes > 64, "never more than {most_routes} routes");
+        assert!(
+            p.moved_a_kept_row,
+            "the universe never moved under a row that a computation reused"
+        );
+        assert!(p.purge_shrank, "no purge ever shrank the universe");
     }
 
     #[test]

@@ -38,7 +38,7 @@ echo "unsafe sites: ${unsafe_sites}"
 # Inline-size ceilings the layout tests pin (the named constants in the
 # test modules beside `Node`, its arena entry `HotNode`, `NodeObs`, a
 # dialog's B-tree entry, the boxed `Dialog`, `ClientTxn`, the event
-# queue's slab slot and `SipMessage`).
+# queue's slab slot, `SipMessage` and a routing-table entry).
 ceiling() { grep -rh "const $1: usize = " crates | sed 's/.*= *\(.*\);/\1/'; }
 node=$(ceiling NODE_INLINE_MAX | sed 's/.*{ \([0-9]*\) } else { \([0-9]*\) }/\1 (\2 without obs)/')
-echo "layout ceilings (bytes): Node ${node}, arena entry $(ceiling HOT_NODE_INLINE_MAX), NodeObs $(ceiling NODE_OBS_INLINE_MAX), dialog entry $(ceiling DIALOG_ENTRY_BYTES), dialog $(ceiling DIALOG_INLINE_MAX), client txn slot $(ceiling CLIENT_TXN_SLOT_MAX), event slot $(ceiling EVENT_SLOT_MAX), SIP message $(ceiling SIP_MESSAGE_INLINE_MAX)"
+echo "layout ceilings (bytes): Node ${node}, arena entry $(ceiling HOT_NODE_INLINE_MAX), NodeObs $(ceiling NODE_OBS_INLINE_MAX), dialog entry $(ceiling DIALOG_ENTRY_BYTES), dialog $(ceiling DIALOG_INLINE_MAX), client txn slot $(ceiling CLIENT_TXN_SLOT_MAX), event slot $(ceiling EVENT_SLOT_MAX), SIP message $(ceiling SIP_MESSAGE_INLINE_MAX), route entry $(ceiling ROUTE_ENTRY_INLINE_MAX)"

@@ -22,7 +22,7 @@ use wireless_adhoc_voip::media::jitter::JitterBuffer;
 use wireless_adhoc_voip::media::quality;
 use wireless_adhoc_voip::media::rtp::{RtcpReport, RtpPacket};
 use wireless_adhoc_voip::routing::aodv::AodvMsg;
-use wireless_adhoc_voip::routing::olsr::OlsrMsg;
+use wireless_adhoc_voip::routing::olsr::{LinkStatus, OlsrMsg};
 use wireless_adhoc_voip::simnet::fault::{FaultPlan, LinkSelector, PacketFaultKind};
 use wireless_adhoc_voip::simnet::net::{Addr, Datagram, SocketAddr};
 use wireless_adhoc_voip::simnet::node::{NodeConfig, NodeId};
@@ -642,6 +642,132 @@ fn rtp_parse_render_is_idempotent_and_bounded() {
             let wire = r.to_bytes();
             let again = RtcpReport::parse(&wire).unwrap();
             assert_eq!(again, r);
+            assert_eq!(again.to_bytes(), wire);
+        }
+    });
+    assert!(parsed > CASES / 2, "only {parsed} inputs parsed");
+}
+
+/// Piggybacked entries as the routing codecs carry them.
+fn arb_entries(rng: &mut SimRng) -> Vec<Vec<u8>> {
+    vec_of(rng, 0..4, |rng| bytes(rng, 0..40))
+}
+
+/// Any AODV message kind.
+fn arb_aodv_msg(rng: &mut SimRng) -> AodvMsg {
+    match usize_in(rng, 0..4) {
+        0 => AodvMsg::Rreq {
+            flags: rng.next_u64() as u8,
+            hop_count: rng.next_u64() as u8,
+            ttl: rng.next_u64() as u8,
+            rreq_id: rng.next_u64() as u32,
+            dst: arb_addr(rng),
+            dst_seq: rng.next_u64() as u32,
+            orig: arb_addr(rng),
+            orig_seq: rng.next_u64() as u32,
+            entries: arb_entries(rng),
+        },
+        1 => AodvMsg::Rrep {
+            flags: rng.next_u64() as u8,
+            hop_count: rng.next_u64() as u8,
+            dst: arb_addr(rng),
+            dst_seq: rng.next_u64() as u32,
+            orig: arb_addr(rng),
+            lifetime: SimDuration::from_millis(rng.next_u64() as u32 as u64),
+            entries: arb_entries(rng),
+        },
+        2 => AodvMsg::Rerr {
+            dests: vec_of(rng, 0..6, |rng| (arb_addr(rng), rng.next_u64() as u32)),
+        },
+        _ => AodvMsg::Hello {
+            seq: rng.next_u64() as u32,
+            entries: arb_entries(rng),
+        },
+    }
+}
+
+/// Either OLSR message kind.
+fn arb_olsr_msg(rng: &mut SimRng) -> OlsrMsg {
+    let status = |rng: &mut SimRng| match usize_in(rng, 0..3) {
+        0 => LinkStatus::Heard,
+        1 => LinkStatus::Sym,
+        _ => LinkStatus::Mpr,
+    };
+    if rng.chance(0.5) {
+        OlsrMsg::Hello {
+            neighbors: vec_of(rng, 0..10, |rng| (arb_addr(rng), status(rng))),
+            entries: arb_entries(rng),
+        }
+    } else {
+        OlsrMsg::Tc {
+            orig: arb_addr(rng),
+            msg_seq: rng.next_u64() as u16,
+            ansn: rng.next_u64() as u16,
+            ttl: rng.next_u64() as u8,
+            selectors: vec_of(rng, 0..10, arb_addr),
+            entries: arb_entries(rng),
+        }
+    }
+}
+
+/// Heap bytes a parsed list of piggybacked entries owns.
+fn entries_heap(entries: &Vec<Vec<u8>>) -> usize {
+    let blocks: usize = entries.iter().map(Vec::capacity).sum();
+    entries.capacity() * std::mem::size_of::<Vec<u8>>() + blocks
+}
+
+/// Most heap bytes a parsed routing message may own per input byte: an
+/// entry's two-byte length prefix becomes a 24-byte `Vec` in the list.
+const ROUTING_HEAP_PER_INPUT_BYTE: usize = 12;
+
+/// Both routing codecs (`routing::wire` underneath) over arbitrary,
+/// corrupted and valid bytes: whatever parses renders to bytes that parse
+/// back to the same message and render the same again, and the parsed
+/// message owns at most `ROUTING_HEAP_PER_INPUT_BYTE` heap bytes per
+/// input byte.
+#[test]
+fn routing_msg_parse_render_is_idempotent_and_bounded() {
+    let mut parsed = 0;
+    check("routing_msg_parse_render", CASES, |rng| {
+        let aodv = rng.chance(0.5);
+        let valid = |rng: &mut SimRng| match aodv {
+            true => arb_aodv_msg(rng).to_bytes(),
+            false => arb_olsr_msg(rng).to_bytes(),
+        };
+        let b = match usize_in(rng, 0..3) {
+            0 => noise_or_mutant(rng, valid),
+            _ => valid(rng),
+        };
+        let bound = ROUTING_HEAP_PER_INPUT_BYTE * b.len();
+        if let Ok(m) = AodvMsg::parse(&b) {
+            parsed += 1;
+            let heap = match &m {
+                AodvMsg::Rreq { entries, .. }
+                | AodvMsg::Rrep { entries, .. }
+                | AodvMsg::Hello { entries, .. } => entries_heap(entries),
+                AodvMsg::Rerr { dests } => dests.capacity() * std::mem::size_of::<(Addr, u32)>(),
+            };
+            assert!(heap <= bound, "{heap} heap bytes from {} input", b.len());
+            let wire = m.to_bytes();
+            let again = AodvMsg::parse(&wire).unwrap();
+            assert_eq!(again, m);
+            assert_eq!(again.to_bytes(), wire);
+        }
+        if let Ok(m) = OlsrMsg::parse(&b) {
+            parsed += 1;
+            let heap = match &m {
+                OlsrMsg::Hello { neighbors, entries } => {
+                    neighbors.capacity() * std::mem::size_of::<(Addr, LinkStatus)>()
+                        + entries_heap(entries)
+                }
+                OlsrMsg::Tc {
+                    selectors, entries, ..
+                } => selectors.capacity() * std::mem::size_of::<Addr>() + entries_heap(entries),
+            };
+            assert!(heap <= bound, "{heap} heap bytes from {} input", b.len());
+            let wire = m.to_bytes();
+            let again = OlsrMsg::parse(&wire).unwrap();
+            assert_eq!(again, m);
             assert_eq!(again.to_bytes(), wire);
         }
     });
