@@ -29,7 +29,7 @@ use std::sync::Arc;
 use siphoc_simnet::ident::KeyPair;
 
 use crate::auth;
-use crate::headers::{CSeq, NameAddr};
+use crate::headers::{CSeq, NameAddr, Via};
 use crate::msg::{Method, SipMessage, StatusCode};
 use crate::sdp::Sdp;
 use crate::txn::{TransactionLayer, TxnEvent, TXN_LIFETIME};
@@ -82,6 +82,11 @@ impl UaConfig {
     pub fn with_identity(mut self, kp: KeyPair) -> UaConfig {
         self.identity = Some(kp);
         self
+    }
+
+    /// This UA's SIP contact on a node at `at`.
+    fn contact(&self, at: Addr) -> SipUri {
+        SipUri::from_socket(Some(&self.aor.user), SocketAddr::new(at, self.local_port))
     }
 
     /// Adds a scripted call.
@@ -216,6 +221,19 @@ enum Role {
     Callee,
 }
 
+/// How a dialog ended: what [`UserAgent::end`] stops and logs.
+#[derive(Debug, Clone, Copy)]
+enum Ending {
+    /// A BYE, sent or received: the call's media stops.
+    Bye { by_remote: bool },
+    /// The peer's CANCEL of its INVITE.
+    Cancelled,
+    /// A non-2xx final to our INVITE: the 487 to our CANCEL, or a refusal.
+    Refused(u16),
+    /// Our INVITE's transaction timed out.
+    TimedOut,
+}
+
 struct Dialog {
     idx: u64,
     call_id: String,
@@ -245,7 +263,11 @@ struct Dialog {
     answer_resp: Option<(String, String)>,
     duration: Option<SimDuration>,
     cancelled: bool,
-    /// Open observability span covering call setup (INVITE->ACK).
+    /// Whether a 180 was logged: ringing is a milestone, not one per
+    /// replayed 180.
+    rang: bool,
+    /// Open observability span covering call setup (INVITE->ACK);
+    /// `SpanId::NONE` once setup is over, either way.
     span: SpanId,
     /// When setup started, for the `sip.call_setup_us` histogram.
     setup_started_us: u64,
@@ -255,32 +277,102 @@ struct Dialog {
 }
 
 impl Dialog {
-    /// `From` of a request this side sends in the dialog.
-    fn local_party(&self, aor: &Aor) -> NameAddr {
-        NameAddr::new(aor.to_uri()).with_tag(&self.local_tag)
-    }
-
-    /// `To` of a request this side sends: the peer's AOR, tagged once
-    /// the peer's tag is known.
-    fn remote_party(&self) -> NameAddr {
-        let to = NameAddr::new(self.remote_aor.to_uri());
-        match &self.remote_tag {
-            Some(t) => to.with_tag(t),
-            None => to,
+    /// A dialog being set up, with its setup span open: the caller's
+    /// `sip.invite` or the callee's `sip.answer`.
+    fn early(
+        ctx: &mut Ctx<'_>,
+        idx: u64,
+        call_id: &str,
+        local_tag: String,
+        remote_aor: Aor,
+        role: Role,
+    ) -> Dialog {
+        let name = match role {
+            Role::Caller => "sip.invite",
+            Role::Callee => "sip.answer",
+        };
+        let span = ctx.span_enter(SpanCat::Sip, name);
+        ctx.obs().span_corr(span, call_id);
+        Dialog {
+            idx,
+            call_id: call_id.to_owned(),
+            local_tag,
+            remote_tag: None,
+            remote_aor,
+            remote_target: None,
+            local_seq: 0,
+            state: DialogState::Early,
+            role,
+            remote_rtp: None,
+            invite_branch: None,
+            invite_key: None,
+            pending_invite: None,
+            invite_cseq: None,
+            answer_resp: None,
+            duration: None,
+            cancelled: false,
+            rang: false,
+            span,
+            setup_started_us: ctx.now_us(),
+            reinvite_cseq: None,
         }
     }
 
+    /// Every request this side sends in the dialog (RFC 3261 § 12.2.1.1):
+    /// to the peer's target, From us, To the peer, on the dialog's
+    /// Call-ID with CSeq `seq`. Only the 2xx ACK brings its own `via`, on
+    /// its INVITE's branch; it goes third, after User-Agent.
+    fn request(&self, method: Method, seq: u32, aor: &Aor, via: Option<Via>) -> SipMessage {
+        let target = self.remote_target.clone();
+        let mut m = base_request(method, target.unwrap_or_else(|| self.remote_aor.to_uri()));
+        let h = m.headers_mut();
+        if let Some(via) = via {
+            h.push("Via", via);
+        }
+        h.push(
+            "From",
+            NameAddr::new(aor.to_uri()).with_tag(&self.local_tag),
+        );
+        let to = NameAddr::new(self.remote_aor.to_uri());
+        match &self.remote_tag {
+            Some(t) => h.push("To", to.with_tag(t)),
+            None => h.push("To", to),
+        }
+        h.push("Call-ID", &self.call_id);
+        h.push("CSeq", CSeq::new(seq, method.as_str()));
+        m
+    }
+
+    /// This side's INVITE at the dialog's current CSeq, the first or a
+    /// re-INVITE: our Contact, and an SDP offer with session id `session`.
+    fn invite(&self, cfg: &UaConfig, at: Addr, session: u64) -> SipMessage {
+        let mut m = self.request(Method::Invite, self.local_seq, &cfg.aor, None);
+        m.headers_mut()
+            .push("Contact", NameAddr::new(cfg.contact(at)));
+        let sdp = Sdp::audio(&cfg.aor.user, session, SocketAddr::new(at, cfg.rtp_port));
+        m.set_body(sdp, Some("application/sdp"));
+        m
+    }
+
+    /// Whether this is the callee side of a call not yet confirmed: the
+    /// peer's INVITE is still answerable, cancellable and ACKable.
+    fn early_callee(&self) -> bool {
+        self.state == DialogState::Early && self.role == Role::Callee
+    }
+
     /// Ends the dialog: drops what only a live dialog reads and queues it
-    /// on `terminated` for removal once the linger has lapsed. Idempotent
-    /// — duplicated finals and BYEs reach dialogs that are already over.
-    fn terminate(&mut self, now: SimTime, terminated: &mut VecDeque<(SimTime, u64)>) {
+    /// on `terminated` for removal once the linger has lapsed. Returns
+    /// whether it was live: duplicated finals and BYEs reach dialogs that
+    /// are already over, and change nothing.
+    fn terminate(&mut self, now: SimTime, terminated: &mut VecDeque<(SimTime, u64)>) -> bool {
         if self.state == DialogState::Terminated {
-            return;
+            return false;
         }
         self.state = DialogState::Terminated;
         self.pending_invite = None;
         self.answer_resp = None;
         terminated.push_back((now, self.idx));
+        true
     }
 }
 
@@ -293,12 +385,26 @@ fn tok(tag: u64, idx: u64) -> u64 {
     tag | (idx << 8)
 }
 
-/// Stamps a response's To header with this side's dialog tag.
-fn set_to_tag(resp: &mut SipMessage, tag: &str) {
+/// A response to `req` whose To carries this side's dialog tag.
+fn tagged_response(req: &SipMessage, code: StatusCode, tag: &str) -> SipMessage {
+    let mut resp = SipMessage::response_to(req, code);
     if let Some(mut to) = resp.to_header() {
         to.set_tag(tag);
         resp.headers_mut().set("To", to);
     }
+    resp
+}
+
+/// Every 2xx that answers an INVITE in a dialog tagged `tag` — a first
+/// answer, a re-INVITE's, and the replay on a rebranched retransmit: our
+/// Contact, and the SDP answer when there is one.
+fn answer_ok(invite: &SipMessage, tag: &str, (contact, body): &(String, String)) -> SipMessage {
+    let mut ok = tagged_response(invite, StatusCode::OK, tag);
+    ok.headers_mut().push("Contact", contact);
+    if !body.is_empty() {
+        ok.set_body(body, Some("application/sdp"));
+    }
+    ok
 }
 
 fn new_tag(ctx: &mut Ctx<'_>) -> String {
@@ -393,13 +499,6 @@ impl UserAgent {
         self.log.borrow_mut().events.push((ctx.now(), ev));
     }
 
-    fn local_contact(&self, ctx: &Ctx<'_>) -> SipUri {
-        SipUri::from_socket(
-            Some(&self.cfg.aor.user),
-            SocketAddr::new(ctx.addr(), self.cfg.local_port),
-        )
-    }
-
     // ------------------------------------------------------------------
     // Registration
     // ------------------------------------------------------------------
@@ -418,7 +517,7 @@ impl UserAgent {
         );
         m.headers_mut()
             .push("CSeq", CSeq::new(self.register_cseq, "REGISTER"));
-        let contact_value = NameAddr::new(self.local_contact(ctx)).to_string();
+        let contact_value = NameAddr::new(self.cfg.contact(ctx.addr())).to_string();
         m.headers_mut().push("Contact", &contact_value);
         m.headers_mut().push("Expires", expires);
         self.last_expires = expires;
@@ -454,51 +553,15 @@ impl UserAgent {
             ctx.rng().next_u64()
         );
         let local_tag = new_tag(ctx);
-
-        let mut m = base_request(Method::Invite, to.to_uri());
-        m.headers_mut().push(
-            "From",
-            NameAddr::new(self.cfg.aor.to_uri()).with_tag(&local_tag),
-        );
-        m.headers_mut().push("To", NameAddr::new(to.to_uri()));
-        m.headers_mut().push("Call-ID", &call_id);
-        m.headers_mut().push("CSeq", CSeq::new(1, "INVITE"));
-        m.headers_mut()
-            .push("Contact", NameAddr::new(self.local_contact(ctx)));
-        let sdp = Sdp::audio(
-            &self.cfg.aor.user,
-            ctx.rng().next_u64() >> 1,
-            SocketAddr::new(ctx.addr(), self.cfg.rtp_port),
-        );
-        m.set_body(sdp, Some("application/sdp"));
-
-        let span = ctx.span_enter(SpanCat::Sip, "sip.invite");
-        ctx.obs().span_corr(span, &call_id);
-        ctx.obs().counter_add("sip.calls_placed", 1);
-        let setup_started_us = ctx.now_us();
-        let branch = self.txn.send_request(ctx, m, self.cfg.outbound_proxy);
-        let dialog = Dialog {
-            idx,
-            call_id: call_id.clone(),
-            local_tag,
-            remote_tag: None,
-            remote_aor: to.clone(),
-            remote_target: None,
+        let session = ctx.rng().next_u64() >> 1;
+        let mut dialog = Dialog {
             local_seq: 1,
-            state: DialogState::Early,
-            role: Role::Caller,
-            remote_rtp: None,
-            invite_branch: Some(branch),
-            invite_key: None,
-            pending_invite: None,
-            invite_cseq: None,
-            answer_resp: None,
             duration: Some(duration),
-            cancelled: false,
-            span,
-            setup_started_us,
-            reinvite_cseq: None,
+            ..Dialog::early(ctx, idx, &call_id, local_tag, to.clone(), Role::Caller)
         };
+        ctx.obs().counter_add("sip.calls_placed", 1);
+        let invite = dialog.invite(&self.cfg, ctx.addr(), session);
+        dialog.invite_branch = Some(self.txn.send_request(ctx, invite, self.cfg.outbound_proxy));
         self.dialog_by_idx.insert(idx, call_id.clone());
         self.dialogs.insert(call_id.clone(), Box::new(dialog));
         self.emit_log(ctx, CallEvent::OutgoingCall { call_id, to });
@@ -511,149 +574,41 @@ impl UserAgent {
         let Some(d) = self.dialogs.get(call_id) else {
             return;
         };
-        let target = d
-            .remote_target
-            .clone()
-            .unwrap_or_else(|| d.remote_aor.to_uri());
         let branch = d.invite_branch.clone().unwrap_or_else(|| Arc::from(""));
-        let (from, to) = (d.local_party(&self.cfg.aor), d.remote_party());
-        let mut m = base_request(Method::Ack, target);
-        m.headers_mut().push(
-            "Via",
-            crate::headers::Via::new(SocketAddr::new(ctx.addr(), self.cfg.local_port), &branch),
-        );
-        m.headers_mut().push("From", from);
-        m.headers_mut().push("To", to);
-        m.headers_mut().push("Call-ID", call_id);
-        m.headers_mut().push("CSeq", CSeq::new(seq, "ACK"));
+        let via = Via::new(SocketAddr::new(ctx.addr(), self.cfg.local_port), &branch);
+        let m = d.request(Method::Ack, seq, &self.cfg.aor, Some(via));
         self.txn
             .send_request_with_branch(ctx, m, self.cfg.outbound_proxy, branch);
     }
 
+    /// Hangs up a confirmed call.
     fn send_bye(&mut self, ctx: &mut Ctx<'_>, call_id: &str) {
         let Some(d) = self.dialogs.get_mut(call_id) else {
             return;
         };
-        if d.state != DialogState::Confirmed {
-            return;
-        }
         d.local_seq += 1;
-        let seq = d.local_seq;
-        let target = d
-            .remote_target
-            .clone()
-            .unwrap_or_else(|| d.remote_aor.to_uri());
-        let (from, to) = (d.local_party(&self.cfg.aor), d.remote_party());
-        let mut m = base_request(Method::Bye, target);
-        m.headers_mut().push("From", from);
-        m.headers_mut().push("To", to);
-        m.headers_mut().push("Call-ID", call_id);
-        m.headers_mut().push("CSeq", CSeq::new(seq, "BYE"));
+        let m = d.request(Method::Bye, d.local_seq, &self.cfg.aor, None);
         self.txn.send_request(ctx, m, self.cfg.outbound_proxy);
-        self.end_media(ctx, call_id);
-        if let Some(d) = self.dialogs.get_mut(call_id) {
-            d.terminate(ctx.now(), &mut self.terminated);
-        }
-        self.emit_log(
-            ctx,
-            CallEvent::Terminated {
-                call_id: call_id.to_owned(),
-                by_remote: false,
-            },
-        );
+        self.end(ctx, call_id, Ending::Bye { by_remote: false });
     }
 
-    /// Sends an in-dialog re-INVITE (RFC 3261 §14) refreshing this side's
-    /// Contact and SDP. Used after a gateway handoff renumbered the node:
-    /// the outbound proxy's ALG rewrites Contact/SDP to the *new* public
-    /// address, so the remote endpoint re-targets signaling and media.
+    /// Sends an in-dialog re-INVITE (RFC 3261 §14) on a confirmed call,
+    /// refreshing this side's Contact and SDP. Used after a gateway
+    /// handoff renumbered the node: the outbound proxy's ALG rewrites
+    /// Contact/SDP to the *new* public address, so the remote endpoint
+    /// re-targets signaling and media.
     fn send_reinvite(&mut self, ctx: &mut Ctx<'_>, call_id: &str) {
-        let contact = self.local_contact(ctx);
         let Some(d) = self.dialogs.get_mut(call_id) else {
             return;
         };
-        if d.state != DialogState::Confirmed {
-            return;
-        }
         d.local_seq += 1;
-        let seq = d.local_seq;
-        d.reinvite_cseq = Some(seq);
-        let target = d
-            .remote_target
-            .clone()
-            .unwrap_or_else(|| d.remote_aor.to_uri());
-        let (from, to) = (d.local_party(&self.cfg.aor), d.remote_party());
-        let mut m = base_request(Method::Invite, target);
-        m.headers_mut().push("From", from);
-        m.headers_mut().push("To", to);
-        m.headers_mut().push("Call-ID", call_id);
-        m.headers_mut().push("CSeq", CSeq::new(seq, "INVITE"));
-        m.headers_mut().push("Contact", NameAddr::new(contact));
+        d.reinvite_cseq = Some(d.local_seq);
         // Session id from the clock, not the RNG: re-INVITEs are driven
         // by connectivity events and must not perturb the RNG stream of
         // runs where they never fire.
-        let sdp = Sdp::audio(
-            &self.cfg.aor.user,
-            ctx.now_us(),
-            SocketAddr::new(ctx.addr(), self.cfg.rtp_port),
-        );
-        m.set_body(sdp, Some("application/sdp"));
+        let invite = d.invite(&self.cfg, ctx.addr(), ctx.now_us());
         ctx.stats().count("sip.reinvite_tx", 1);
-        let branch = self.txn.send_request(ctx, m, self.cfg.outbound_proxy);
-        if let Some(d) = self.dialogs.get_mut(call_id) {
-            d.invite_branch = Some(branch);
-        }
-    }
-
-    /// Handles an in-dialog re-INVITE on the callee side: adopt the
-    /// peer's refreshed Contact/SDP, answer 200 with our current
-    /// endpoints, and re-home the media session if the peer's RTP
-    /// endpoint moved.
-    fn on_reinvite(&mut self, ctx: &mut Ctx<'_>, key: &Arc<str>, msg: &SipMessage, call_id: &str) {
-        ctx.stats().count("sip.reinvite_rx", 1);
-        let contact_value = NameAddr::new(self.local_contact(ctx)).to_string();
-        let Some(d) = self.dialogs.get_mut(call_id) else {
-            return;
-        };
-        let prev_rtp = d.remote_rtp;
-        if let Some(c) = msg.contact() {
-            d.remote_target = Some(c.uri);
-        }
-        let offer = msg.body().parse::<Sdp>().ok();
-        if let Some(o) = &offer {
-            d.remote_rtp = Some(o.rtp_endpoint());
-        }
-        let local_tag = d.local_tag.clone();
-        let new_rtp = d.remote_rtp;
-        let mut ok = SipMessage::response_to(msg, StatusCode::OK);
-        set_to_tag(&mut ok, &local_tag);
-        ok.headers_mut().push("Contact", &contact_value);
-        let mut answer_body = String::new();
-        if let Some(o) = offer {
-            // Clock-derived session id for the same determinism reason as
-            // `send_reinvite`.
-            if let Some(a) = o.answer(
-                &self.cfg.aor.user,
-                ctx.now_us(),
-                SocketAddr::new(ctx.addr(), self.cfg.rtp_port),
-            ) {
-                answer_body = a.to_string();
-                ok.set_body(&answer_body, Some("application/sdp"));
-            }
-        }
-        // Store the refreshed transaction state so a retransmitted
-        // re-INVITE replays this 200 (the existing rebranch path).
-        if let Some(d) = self.dialogs.get_mut(call_id) {
-            d.invite_cseq = msg.cseq();
-            d.answer_resp = Some((contact_value, answer_body));
-            d.invite_key = Some(key.clone());
-        }
-        self.txn.respond(ctx, key, ok);
-        if let Some(rtp) = new_rtp {
-            if prev_rtp != new_rtp {
-                self.start_media(ctx, call_id, rtp);
-            }
-        }
+        d.invite_branch = Some(self.txn.send_request(ctx, invite, self.cfg.outbound_proxy));
     }
 
     /// Cancels a caller-side dialog that is still ringing (RFC 3261 §9):
@@ -663,17 +618,66 @@ impl UserAgent {
         let Some(d) = self.dialogs.get_mut(call_id) else {
             return;
         };
-        if d.state != DialogState::Early || d.role != Role::Caller || d.cancelled {
-            return;
-        }
         d.cancelled = true;
-        let (from, to) = (d.local_party(&self.cfg.aor), d.remote_party());
-        let mut m = base_request(Method::Cancel, d.remote_aor.to_uri());
-        m.headers_mut().push("From", from);
-        m.headers_mut().push("To", to);
-        m.headers_mut().push("Call-ID", call_id);
-        m.headers_mut().push("CSeq", CSeq::new(1, "CANCEL"));
+        let m = d.request(Method::Cancel, d.local_seq, &self.cfg.aor, None);
         self.txn.send_request(ctx, m, self.cfg.outbound_proxy);
+    }
+
+    /// Answers `invite` with 200 on transaction `key`: our Contact and the
+    /// SDP answer to its offer, built by [`answer_ok`] and kept for the
+    /// rebranch replay. `session` gives the answer's session id, asked
+    /// only when the offer parses: the RNG for a first answer, the clock
+    /// for a re-INVITE.
+    fn answer(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        call_id: &str,
+        key: &str,
+        invite: &SipMessage,
+        session: impl FnOnce(&mut Ctx<'_>) -> u64,
+    ) {
+        let contact = NameAddr::new(self.cfg.contact(ctx.addr())).to_string();
+        let mut body = String::new();
+        if let Ok(offer) = invite.body().parse::<Sdp>() {
+            let session = session(ctx);
+            let rtp = SocketAddr::new(ctx.addr(), self.cfg.rtp_port);
+            if let Some(a) = offer.answer(&self.cfg.aor.user, session, rtp) {
+                body = a.to_string();
+            }
+        }
+        let Some(d) = self.dialogs.get_mut(call_id) else {
+            return;
+        };
+        let ok = answer_ok(invite, &d.local_tag, d.answer_resp.insert((contact, body)));
+        self.txn.respond(ctx, key, ok);
+    }
+
+    /// Handles an in-dialog re-INVITE on the callee side: adopt the
+    /// peer's refreshed Contact/SDP, answer 200 with our current
+    /// endpoints, and re-home the media session if the peer's RTP
+    /// endpoint moved.
+    fn on_reinvite(&mut self, ctx: &mut Ctx<'_>, key: &Arc<str>, msg: &SipMessage, call_id: &str) {
+        ctx.stats().count("sip.reinvite_rx", 1);
+        let Some(d) = self.dialogs.get_mut(call_id) else {
+            return;
+        };
+        let prev_rtp = d.remote_rtp;
+        if let Some(c) = msg.contact() {
+            d.remote_target = Some(c.uri);
+        }
+        if let Ok(offer) = msg.body().parse::<Sdp>() {
+            d.remote_rtp = Some(offer.rtp_endpoint());
+        }
+        let new_rtp = d.remote_rtp;
+        // A retransmitted re-INVITE replays this 200 (the rebranch path).
+        d.invite_cseq = msg.cseq();
+        d.invite_key = Some(key.clone());
+        // Clock-derived session id for the same determinism reason as
+        // `send_reinvite`.
+        self.answer(ctx, call_id, key, msg, |ctx| ctx.now_us());
+        if let Some(rtp) = new_rtp.filter(|_| prev_rtp != new_rtp) {
+            self.start_media(ctx, call_id, rtp);
+        }
     }
 
     fn start_media(&self, ctx: &mut Ctx<'_>, call_id: &str, remote: SocketAddr) {
@@ -682,10 +686,89 @@ impl UserAgent {
         ctx.emit(LocalEvent::MediaStart { call_id, remote });
     }
 
-    fn end_media(&self, ctx: &mut Ctx<'_>, call_id: &str) {
-        ctx.span_instant(SpanCat::Media, "media.stop", Some(call_id));
+    // ------------------------------------------------------------------
+    // Milestones
+    // ------------------------------------------------------------------
+
+    /// Confirms dialog `call_id`: the one place a call is established,
+    /// the caller's on a 200 it has ACKed, the callee's on the ACK of its
+    /// 200. Closes the setup span, ok only when the peer's SDP named an
+    /// RTP endpoint. With one, counts the call, records its setup time,
+    /// starts media and logs `Established`. A caller then arms its
+    /// hang-up.
+    fn establish(&mut self, ctx: &mut Ctx<'_>, call_id: &str) {
+        let Some(d) = self.dialogs.get_mut(call_id) else {
+            return;
+        };
+        d.state = DialogState::Confirmed;
+        d.pending_invite = None;
+        let span = std::mem::replace(&mut d.span, SpanId::NONE);
+        let (remote_rtp, duration, idx) = (d.remote_rtp, d.duration, d.idx);
+        let setup = ctx.now_us().saturating_sub(d.setup_started_us);
+        ctx.span_exit(span, remote_rtp.is_some());
+        if let Some(rtp) = remote_rtp {
+            ctx.obs().counter_add("sip.calls_established", 1);
+            ctx.obs().hist_record("sip.call_setup_us", setup);
+            self.start_media(ctx, call_id, rtp);
+            let call_id = call_id.to_owned();
+            let ev = CallEvent::Established {
+                call_id,
+                remote_rtp: rtp,
+            };
+            self.emit_log(ctx, ev);
+        }
+        if let Some(dur) = duration {
+            ctx.set_timer(dur, tok(TAG_BYE, idx));
+        }
+    }
+
+    /// Ends dialog `call_id` the way `ending` says: the one place a call
+    /// ends. Terminates the dialog, stops media after a BYE, closes a
+    /// setup span still open, and logs `Terminated` or `Failed`. A dialog
+    /// already over is left as it is.
+    fn end(&mut self, ctx: &mut Ctx<'_>, call_id: &str, ending: Ending) {
+        let Some(d) = self.dialogs.get_mut(call_id) else {
+            return;
+        };
+        if !d.terminate(ctx.now(), &mut self.terminated) {
+            return;
+        }
+        // `Ok(by_remote)` for a call torn down, `Err(code)` for a setup
+        // that failed.
+        let outcome = match ending {
+            Ending::Bye { by_remote } => Ok(by_remote),
+            Ending::Cancelled => Ok(true),
+            Ending::Refused(_) if d.cancelled => Ok(false),
+            Ending::Refused(code) => Err(Some(code)),
+            Ending::TimedOut => Err(None),
+        };
+        let span = std::mem::replace(&mut d.span, SpanId::NONE);
+        if let Ending::Bye { .. } = ending {
+            ctx.span_instant(SpanCat::Media, "media.stop", Some(call_id));
+            let call_id = call_id.to_owned();
+            ctx.emit(LocalEvent::MediaStop { call_id });
+        }
+        ctx.span_exit(span, false);
         let call_id = call_id.to_owned();
-        ctx.emit(LocalEvent::MediaStop { call_id });
+        let ev = match outcome {
+            Ok(by_remote) => CallEvent::Terminated { call_id, by_remote },
+            Err(code) => CallEvent::Failed { call_id, code },
+        };
+        self.emit_log(ctx, ev);
+    }
+
+    /// The Call-IDs of every dialog `pred` holds for, in Call-ID order.
+    fn call_ids(&self, pred: impl Fn(&Dialog) -> bool) -> Vec<String> {
+        let matching = self.dialogs.values().filter(|d| pred(d));
+        matching.map(|d| d.call_id.clone()).collect()
+    }
+
+    /// The Call-ID of dialog `idx`, while it lives and `pred` holds for
+    /// it: what a dialog's timer token resolves to.
+    fn call_id_at(&self, idx: u64, pred: impl Fn(&Dialog) -> bool) -> Option<String> {
+        let call_id = self.dialog_by_idx.get(&idx)?;
+        let d = self.dialogs.get(call_id)?;
+        pred(d).then(|| call_id.clone())
     }
 
     // ------------------------------------------------------------------
@@ -705,32 +788,26 @@ impl UserAgent {
             // in transit: same dialog, different key. Detect it by From
             // tag + CSeq and replay our current response on the fresh
             // transaction so the caller can still reach us.
+            let same_peer = from.tag() == d.remote_tag.as_deref();
             let retransmit = d.role == Role::Callee
                 && d.state != DialogState::Terminated
-                && from.tag().map(str::to_owned) == d.remote_tag
+                && same_peer
                 && msg.cseq() == d.invite_cseq;
             if retransmit {
                 ctx.stats().count("sip.invite_rebranch", 1);
-                if let Some((contact, body)) = &d.answer_resp {
+                if let Some(answer) = &d.answer_resp {
                     // Rebuild against *this* flight's Via stack — the
                     // stored 200 answers the original (possibly mangled)
                     // request and would route back along dead branches.
-                    let mut ok = SipMessage::response_to(&msg, StatusCode::OK);
-                    set_to_tag(&mut ok, &d.local_tag);
-                    ok.headers_mut().set("Contact", contact);
-                    if !body.is_empty() {
-                        ok.set_body(body, Some("application/sdp"));
-                    }
+                    let ok = answer_ok(&msg, &d.local_tag, answer);
                     self.txn.respond(ctx, &key, ok);
                 } else {
-                    let local_tag = d.local_tag.clone();
+                    let ringing = tagged_response(&msg, StatusCode::RINGING, &d.local_tag);
                     if let Some(d) = self.dialogs.get_mut(&call_id) {
                         // Answer on the clean transaction when it fires.
                         d.invite_key = Some(key.clone());
-                        d.pending_invite = Some(Box::new(msg.clone()));
+                        d.pending_invite = Some(Box::new(msg));
                     }
-                    let mut ringing = SipMessage::response_to(&msg, StatusCode::RINGING);
-                    set_to_tag(&mut ringing, &local_tag);
                     self.txn.respond(ctx, &key, ringing);
                 }
             } else {
@@ -739,7 +816,7 @@ impl UserAgent {
                 // original INVITE. Anything else (spurious mid-setup
                 // INVITE, mangled tag) still busies out.
                 let in_dialog = d.state == DialogState::Confirmed
-                    && from.tag().map(str::to_owned) == d.remote_tag
+                    && same_peer
                     && match (msg.cseq(), &d.invite_cseq) {
                         (Some(new), Some(orig)) => new.seq > orig.seq,
                         // Caller-side dialogs never stored a peer INVITE:
@@ -760,39 +837,18 @@ impl UserAgent {
         let idx = self.next_dialog;
         self.next_dialog += 1;
         let local_tag = new_tag(ctx);
-        let remote_rtp = msg.body().parse::<Sdp>().ok().map(|s| s.rtp_endpoint());
-        let remote_target = msg.contact().map(|c| c.uri);
-        let span = ctx.span_enter(SpanCat::Sip, "sip.answer");
-        ctx.obs().span_corr(span, &call_id);
-        let setup_started_us = ctx.now_us();
         // Build the ringing response before the INVITE moves into the
         // dialog — the pending request is stored, never cloned.
-        let mut ringing = SipMessage::response_to(&msg, StatusCode::RINGING);
-        set_to_tag(&mut ringing, &local_tag);
+        let ringing = tagged_response(&msg, StatusCode::RINGING, &local_tag);
         let remote_aor = from.uri.aor();
-        let remote_tag = from.tag().map(str::to_owned);
-        let invite_cseq = msg.cseq();
         let dialog = Dialog {
-            idx,
-            call_id: call_id.clone(),
-            local_tag,
-            remote_tag,
-            remote_aor,
-            remote_target,
-            local_seq: 0,
-            state: DialogState::Early,
-            role: Role::Callee,
-            remote_rtp,
-            invite_branch: None,
+            remote_tag: from.tag().map(str::to_owned),
+            remote_target: msg.contact().map(|c| c.uri),
+            remote_rtp: msg.body().parse::<Sdp>().ok().map(|s| s.rtp_endpoint()),
             invite_key: Some(key.clone()),
+            invite_cseq: msg.cseq(),
             pending_invite: Some(Box::new(msg)),
-            invite_cseq,
-            answer_resp: None,
-            duration: None,
-            cancelled: false,
-            span,
-            setup_started_us,
-            reinvite_cseq: None,
+            ..Dialog::early(ctx, idx, &call_id, local_tag, remote_aor, Role::Callee)
         };
         self.dialog_by_idx.insert(idx, call_id.clone());
         self.dialogs.insert(call_id.clone(), Box::new(dialog));
@@ -810,114 +866,52 @@ impl UserAgent {
         }
     }
 
+    /// Answers a call still ringing; it is established when the ACK
+    /// arrives.
     fn answer_call(&mut self, ctx: &mut Ctx<'_>, idx: u64) {
-        let Some(call_id) = self
-            .dialog_by_idx
-            .get(&idx)
-            .filter(|id| {
-                self.dialogs
-                    .get(id.as_str())
-                    .is_some_and(|d| d.state == DialogState::Early && d.role == Role::Callee)
-            })
-            .cloned()
-        else {
+        let Some(call_id) = self.call_id_at(idx, Dialog::early_callee) else {
             return;
         };
-        let (key, invite, local_tag) = {
-            let Some(d) = self.dialogs.get_mut(&call_id) else {
-                return;
-            };
-            let Some(key) = d.invite_key.clone() else {
-                return;
-            };
-            // Borrow the stored INVITE by moving it out for the duration
-            // of the answer build; it is put back below.
-            let Some(invite) = d.pending_invite.take() else {
-                return;
-            };
-            (key, invite, d.local_tag.clone())
+        let Some(d) = self.dialogs.get_mut(&call_id) else {
+            return;
         };
-        let mut ok = SipMessage::response_to(&invite, StatusCode::OK);
-        set_to_tag(&mut ok, &local_tag);
-        let contact = NameAddr::new(self.local_contact(ctx)).to_string();
-        ok.headers_mut().push("Contact", &contact);
-        let mut answer_body = String::new();
-        if let Ok(offer) = invite.body().parse::<Sdp>() {
-            let answer = offer.answer(
-                &self.cfg.aor.user,
-                ctx.rng().next_u64() >> 1,
-                SocketAddr::new(ctx.addr(), self.cfg.rtp_port),
-            );
-            if let Some(a) = answer {
-                answer_body = a.to_string();
-                ok.set_body(&answer_body, Some("application/sdp"));
-            }
-        }
+        let Some(key) = d.invite_key.clone() else {
+            return;
+        };
+        // Move the stored INVITE out for the answer; it goes back below.
+        let Some(invite) = d.pending_invite.take() else {
+            return;
+        };
+        self.answer(ctx, &call_id, &key, &invite, |ctx| {
+            ctx.rng().next_u64() >> 1
+        });
         if let Some(d) = self.dialogs.get_mut(&call_id) {
             d.pending_invite = Some(invite);
-            d.answer_resp = Some((contact, answer_body));
         }
-        self.txn.respond(ctx, &key, ok);
-        // Established is logged when the ACK arrives.
     }
 
     fn on_bye(&mut self, ctx: &mut Ctx<'_>, key: Arc<str>, msg: SipMessage) {
         let resp = SipMessage::response_to(&msg, StatusCode::OK);
         self.txn.respond(ctx, &key, resp);
-        if let Some(call_id) = msg.call_id().map(str::to_owned) {
-            if let Some(d) = self.dialogs.get_mut(&call_id) {
-                if d.state != DialogState::Terminated {
-                    d.terminate(ctx.now(), &mut self.terminated);
-                    self.end_media(ctx, &call_id);
-                    self.emit_log(
-                        ctx,
-                        CallEvent::Terminated {
-                            call_id,
-                            by_remote: true,
-                        },
-                    );
-                }
-            }
+        if let Some(call_id) = msg.call_id() {
+            self.end(ctx, call_id, Ending::Bye { by_remote: true });
         }
     }
 
     fn on_cancel(&mut self, ctx: &mut Ctx<'_>, key: Arc<str>, msg: SipMessage) {
         let resp = SipMessage::response_to(&msg, StatusCode::OK);
         self.txn.respond(ctx, &key, resp);
-        if let Some(call_id) = msg.call_id().map(str::to_owned) {
-            let early_callee = self
-                .dialogs
-                .get(&call_id)
-                .map(|d| d.state == DialogState::Early && d.role == Role::Callee)
-                .unwrap_or(false);
-            if early_callee {
-                let (ikey, invite, tag) = {
-                    let d = &self.dialogs[&call_id];
-                    (
-                        d.invite_key.clone(),
-                        d.pending_invite.clone(),
-                        d.local_tag.clone(),
-                    )
-                };
-                if let (Some(ikey), Some(invite)) = (ikey, invite) {
-                    let mut resp = SipMessage::response_to(&invite, StatusCode::TERMINATED);
-                    set_to_tag(&mut resp, &tag);
-                    self.txn.respond(ctx, &ikey, resp);
-                }
-                if let Some(d) = self.dialogs.get_mut(&call_id) {
-                    d.terminate(ctx.now(), &mut self.terminated);
-                    let span = d.span;
-                    ctx.span_exit(span, false);
-                }
-                self.emit_log(
-                    ctx,
-                    CallEvent::Terminated {
-                        call_id,
-                        by_remote: true,
-                    },
-                );
-            }
+        let Some(call_id) = msg.call_id() else {
+            return;
+        };
+        let Some(d) = self.dialogs.get(call_id).filter(|d| d.early_callee()) else {
+            return;
+        };
+        if let (Some(ikey), Some(invite)) = (&d.invite_key, &d.pending_invite) {
+            let resp = tagged_response(invite, StatusCode::TERMINATED, &d.local_tag);
+            self.txn.respond(ctx, ikey, resp);
         }
+        self.end(ctx, call_id, Ending::Cancelled);
     }
 
     // ------------------------------------------------------------------
@@ -965,110 +959,62 @@ impl UserAgent {
         };
         let Some(status) = msg.status() else { return };
         let Some(cseq) = msg.cseq() else { return };
-
-        if cseq.method == "INVITE" {
-            let Some(d) = self.dialogs.get_mut(&call_id) else {
-                return;
-            };
-            if status == StatusCode::RINGING && d.state == DialogState::Early {
+        if cseq.method != "INVITE" {
+            // BYE and other in-dialog responses need no action.
+            return;
+        }
+        let Some(d) = self.dialogs.get_mut(&call_id) else {
+            return;
+        };
+        if status == StatusCode::RINGING && d.state == DialogState::Early {
+            if !std::mem::replace(&mut d.rang, true) {
                 self.emit_log(ctx, CallEvent::Ringing { call_id });
+            }
+        } else if status.is_success() {
+            if d.state == DialogState::Terminated {
+                // A retransmitted 200 that outlived the call (we sent
+                // BYE meanwhile): the peer still wants its ACK, but
+                // the dialog stays over.
+                self.send_ack(ctx, &call_id, cseq.seq);
                 return;
             }
-            if status.is_success() {
-                if d.state == DialogState::Terminated {
-                    // A retransmitted 200 that outlived the call (we sent
-                    // BYE meanwhile): the peer still wants its ACK, but
-                    // the dialog stays over.
-                    self.send_ack(ctx, &call_id, cseq.seq);
-                    return;
+            let was_early = d.state == DialogState::Early;
+            let prev_rtp = d.remote_rtp;
+            d.remote_tag = msg.to_header().and_then(|t| t.tag().map(str::to_owned));
+            if let Some(c) = msg.contact() {
+                d.remote_target = Some(c.uri);
+            }
+            if let Ok(sdp) = msg.body().parse::<Sdp>() {
+                d.remote_rtp = Some(sdp.rtp_endpoint());
+            }
+            // Only the 200 answering *our* outstanding re-INVITE may
+            // re-home media: a duplicated (or corrupted) retransmit of
+            // the original 200 must stay a bare re-ACK.
+            let reinvite_done = !was_early && d.reinvite_cseq == Some(cseq.seq);
+            if reinvite_done {
+                d.reinvite_cseq = None;
+            }
+            let remote_rtp = d.remote_rtp;
+            // Always (re-)ACK, also for retransmitted 200s.
+            self.send_ack(ctx, &call_id, cseq.seq);
+            if was_early {
+                self.establish(ctx, &call_id);
+            } else if reinvite_done {
+                ctx.stats().count("sip.reinvite_ok", 1);
+                if let Some(rtp) = remote_rtp.filter(|_| prev_rtp != remote_rtp) {
+                    self.start_media(ctx, &call_id, rtp);
                 }
-                let was_early = d.state == DialogState::Early;
-                let prev_rtp = d.remote_rtp;
-                d.state = DialogState::Confirmed;
-                d.remote_tag = msg.to_header().and_then(|t| t.tag().map(str::to_owned));
-                if let Some(c) = msg.contact() {
-                    d.remote_target = Some(c.uri);
-                }
-                if let Ok(sdp) = msg.body().parse::<Sdp>() {
-                    d.remote_rtp = Some(sdp.rtp_endpoint());
-                }
-                // Only the 200 answering *our* outstanding re-INVITE may
-                // re-home media: a duplicated (or corrupted) retransmit of
-                // the original 200 must stay a bare re-ACK.
-                let reinvite_done =
-                    !was_early && d.reinvite_cseq.is_some() && d.reinvite_cseq == Some(cseq.seq);
-                if reinvite_done {
-                    d.reinvite_cseq = None;
-                }
-                let remote_rtp = d.remote_rtp;
-                let duration = d.duration;
-                let idx = d.idx;
-                let (span, started_us) = (d.span, d.setup_started_us);
-                // Always (re-)ACK, also for retransmitted 200s.
-                self.send_ack(ctx, &call_id, cseq.seq);
-                if reinvite_done {
-                    ctx.stats().count("sip.reinvite_ok", 1);
-                    if let Some(rtp) = remote_rtp {
-                        if prev_rtp != remote_rtp {
-                            self.start_media(ctx, &call_id, rtp);
-                        }
-                    }
-                }
-                if was_early {
-                    ctx.span_exit(span, true);
-                    ctx.obs().counter_add("sip.calls_established", 1);
-                    let setup = ctx.now_us().saturating_sub(started_us);
-                    ctx.obs().hist_record("sip.call_setup_us", setup);
-                    if let Some(rtp) = remote_rtp {
-                        self.start_media(ctx, &call_id, rtp);
-                        self.emit_log(
-                            ctx,
-                            CallEvent::Established {
-                                call_id: call_id.clone(),
-                                remote_rtp: rtp,
-                            },
-                        );
-                    }
-                    if let Some(dur) = duration {
-                        ctx.set_timer(dur, tok(TAG_BYE, idx));
-                    }
-                }
-            } else if status.is_final() {
-                // Duplicated or reordered finals can race dialog teardown;
-                // a missing dialog is a drop, not a crash.
-                let Some(d) = self.dialogs.get_mut(&call_id) else {
-                    ctx.stats().count("sip.malformed_dropped", 1);
-                    return;
-                };
-                let (ended, cancelled) = {
-                    let was_early = d.state == DialogState::Early;
-                    d.terminate(ctx.now(), &mut self.terminated);
-                    (was_early, d.cancelled)
-                };
-                let span = d.span;
-                if ended {
-                    ctx.span_exit(span, false);
-                    if cancelled {
-                        self.emit_log(
-                            ctx,
-                            CallEvent::Terminated {
-                                call_id,
-                                by_remote: false,
-                            },
-                        );
-                    } else {
-                        self.emit_log(
-                            ctx,
-                            CallEvent::Failed {
-                                call_id,
-                                code: Some(status.0),
-                            },
-                        );
-                    }
-                }
+            }
+        } else if status.is_final() {
+            if d.state == DialogState::Early {
+                self.end(ctx, &call_id, Ending::Refused(status.0));
+            } else {
+                // A refused re-INVITE ends the dialog too, unlogged and
+                // with media left running — RFC 3261 § 14.1 would keep
+                // the dialog as it was.
+                d.terminate(ctx.now(), &mut self.terminated);
             }
         }
-        // BYE and other in-dialog responses need no further action.
     }
 
     /// Closes every datagram and timer handler: removes the dialogs whose
@@ -1106,23 +1052,18 @@ impl UserAgent {
             self.emit_log(ctx, CallEvent::RegisterFailed);
             return;
         }
-        if msg.method() == Some(Method::Invite) {
-            if let Some(call_id) = msg.call_id().map(str::to_owned) {
-                if let Some(d) = self.dialogs.get_mut(&call_id) {
-                    if d.state == DialogState::Early {
-                        d.terminate(ctx.now(), &mut self.terminated);
-                        let span = d.span;
-                        ctx.span_exit(span, false);
-                        self.emit_log(
-                            ctx,
-                            CallEvent::Failed {
-                                call_id,
-                                code: None,
-                            },
-                        );
-                    }
-                }
-            }
+        if msg.method() != Some(Method::Invite) {
+            return;
+        }
+        let Some(call_id) = msg.call_id() else {
+            return;
+        };
+        if self
+            .dialogs
+            .get(call_id)
+            .is_some_and(|d| d.state == DialogState::Early)
+        {
+            self.end(ctx, call_id, Ending::TimedOut);
         }
     }
 }
@@ -1139,9 +1080,7 @@ impl Process for UserAgent {
         // and dialog lost its timers: drop them all, and register anew.
         let restart = self.register_cseq > 0;
         for d in self.dialogs.values() {
-            if d.state == DialogState::Early {
-                ctx.span_exit(d.span, false);
-            }
+            ctx.span_exit(d.span, false);
         }
         self.dialogs.clear();
         self.dialog_by_idx.clear();
@@ -1190,29 +1129,9 @@ impl Process for UserAgent {
             },
             Some(TxnEvent::Ack { msg }) => {
                 // Our 200 was acknowledged: the callee-side dialog is live.
-                if let Some(call_id) = msg.call_id().map(str::to_owned) {
-                    let info = self.dialogs.get_mut(&call_id).and_then(|d| {
-                        if d.state == DialogState::Early && d.role == Role::Callee {
-                            d.state = DialogState::Confirmed;
-                            d.pending_invite = None;
-                            d.remote_rtp.map(|rtp| (rtp, d.span, d.setup_started_us))
-                        } else {
-                            None
-                        }
-                    });
-                    if let Some((rtp, span, started_us)) = info {
-                        ctx.span_exit(span, true);
-                        ctx.obs().counter_add("sip.calls_established", 1);
-                        let setup = ctx.now_us().saturating_sub(started_us);
-                        ctx.obs().hist_record("sip.call_setup_us", setup);
-                        self.start_media(ctx, &call_id, rtp);
-                        self.emit_log(
-                            ctx,
-                            CallEvent::Established {
-                                call_id,
-                                remote_rtp: rtp,
-                            },
-                        );
+                if let Some(call_id) = msg.call_id() {
+                    if self.dialogs.get(call_id).is_some_and(|d| d.early_callee()) {
+                        self.establish(ctx, call_id);
                     }
                 }
             }
@@ -1235,15 +1154,9 @@ impl Process for UserAgent {
         // confirmed Internet call still names the dead lease in its
         // Contact/SDP on the remote side; re-INVITE so the proxy ALG
         // stamps the new public address and the peer re-targets media.
-        let internet_calls: Vec<String> = self
-            .dialogs
-            .values()
-            .filter(|d| {
-                d.state == DialogState::Confirmed
-                    && d.remote_rtp.is_some_and(|r| r.addr.is_public())
-            })
-            .map(|d| d.call_id.clone())
-            .collect();
+        let internet_calls = self.call_ids(|d| {
+            d.state == DialogState::Confirmed && d.remote_rtp.is_some_and(|r| r.addr.is_public())
+        });
         for call_id in internet_calls {
             self.send_reinvite(ctx, &call_id);
         }
@@ -1265,6 +1178,7 @@ impl UserAgent {
     fn on_own_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         let tag = token & 0xff;
         let idx = token >> 8;
+        let confirmed = |d: &Dialog| d.state == DialogState::Confirmed;
         match tag {
             TAG_REGISTER => {
                 self.send_register(
@@ -1280,33 +1194,18 @@ impl UserAgent {
                 match action.kind {
                     ActionKind::Call { to, duration } => self.place_call(ctx, to, duration),
                     ActionKind::HangupAll => {
-                        let confirmed: Vec<String> = self
-                            .dialogs
-                            .values()
-                            .filter(|d| d.state == DialogState::Confirmed)
-                            .map(|d| d.call_id.clone())
-                            .collect();
-                        for id in confirmed {
+                        for id in self.call_ids(confirmed) {
                             self.send_bye(ctx, &id);
                         }
-                        let ringing: Vec<String> = self
-                            .dialogs
-                            .values()
-                            .filter(|d| d.state == DialogState::Early && d.role == Role::Caller)
-                            .map(|d| d.call_id.clone())
-                            .collect();
-                        for id in ringing {
+                        let ringing = |d: &Dialog| {
+                            d.state == DialogState::Early && d.role == Role::Caller && !d.cancelled
+                        };
+                        for id in self.call_ids(ringing) {
                             self.send_cancel(ctx, &id);
                         }
                     }
                     ActionKind::ReinviteAll => {
-                        let confirmed: Vec<String> = self
-                            .dialogs
-                            .values()
-                            .filter(|d| d.state == DialogState::Confirmed)
-                            .map(|d| d.call_id.clone())
-                            .collect();
-                        for id in confirmed {
+                        for id in self.call_ids(confirmed) {
                             self.send_reinvite(ctx, &id);
                         }
                     }
@@ -1318,16 +1217,7 @@ impl UserAgent {
             }
             TAG_ANSWER => self.answer_call(ctx, idx),
             TAG_BYE => {
-                if let Some(call_id) = self
-                    .dialog_by_idx
-                    .get(&idx)
-                    .filter(|id| {
-                        self.dialogs
-                            .get(id.as_str())
-                            .is_some_and(|d| d.state == DialogState::Confirmed)
-                    })
-                    .cloned()
-                {
+                if let Some(call_id) = self.call_id_at(idx, confirmed) {
                     self.send_bye(ctx, &call_id);
                 }
             }
@@ -1368,45 +1258,36 @@ mod tests {
     /// is no registrar: each UA's REGISTER reaches the peer UA, which
     /// answers 500.
     fn b2b_world() -> (World, UaLogHandle, UaLogHandle) {
-        b2b_world_with(SimDuration::from_secs(5), |cfg| cfg)
+        b2b_world_with(SimDuration::from_secs(5), |cfg| cfg, |cfg| cfg)
     }
 
     /// [`b2b_world`] with the scripted call lasting `talk`, and the
-    /// caller's configuration passed through `caller` last.
+    /// caller's and the callee's configurations passed through `caller`
+    /// and `callee` last.
     fn b2b_world_with(
         talk: SimDuration,
         caller: impl FnOnce(UaConfig) -> UaConfig,
+        callee: impl FnOnce(UaConfig) -> UaConfig,
     ) -> (World, UaLogHandle, UaLogHandle) {
         let mut w = World::new(WorldConfig::new(21).with_radio(RadioConfig::ideal()));
         let a = w.add_node(NodeConfig::manet(0.0, 0.0));
         let b = w.add_node(NodeConfig::manet(50.0, 0.0));
         let (aa, ba) = (w.node(a).addr(), w.node(b).addr());
-        w.install_route(
-            a,
-            ba,
-            Route {
-                next_hop: ba,
+        for (from, next_hop) in [(a, ba), (b, aa)] {
+            let route = Route {
+                next_hop,
                 hops: 1,
                 expires: SimTime::MAX,
                 seq: 0,
-            },
-        );
-        w.install_route(
-            b,
-            aa,
-            Route {
-                next_hop: aa,
-                hops: 1,
-                expires: SimTime::MAX,
-                seq: 0,
-            },
-        );
+            };
+            w.install_route(from, next_hop, route);
+        }
 
         let alice = Aor::new("alice", "voicehoc.ch");
         let bob = Aor::new("bob", "voicehoc.ch");
         let cfg_a = UaConfig::new(alice, SocketAddr::new(ba, 5070));
         let cfg_a = caller(cfg_a.call_at(SimTime::from_secs(1), bob.clone(), talk));
-        let cfg_b = UaConfig::new(bob, SocketAddr::new(aa, 5070));
+        let cfg_b = callee(UaConfig::new(bob, SocketAddr::new(aa, 5070)));
         let (ua_a, log_a) = UserAgent::new(cfg_a);
         let (ua_b, log_b) = UserAgent::new(cfg_b);
         w.spawn(a, Box::new(ua_a));
@@ -1467,13 +1348,11 @@ mod tests {
         // A zero-length call: the caller's BYE leaves in the instant its
         // ACK does, so the duplicate of the 200 (every callee frame is
         // delivered twice, 150 µs apart) finds the dialog terminated.
-        let (mut w, log_a, log_b) = b2b_world_with(SimDuration::ZERO, |mut cfg| {
-            cfg.script.push(ScriptedAction {
-                at: SimTime::from_secs(3),
-                kind: ActionKind::HangupAll,
-            });
-            cfg
-        });
+        let (mut w, log_a, log_b) = b2b_world_with(
+            SimDuration::ZERO,
+            |cfg| then(cfg, SimTime::from_secs(3), ActionKind::HangupAll),
+            |cfg| cfg,
+        );
         w.install_fault_plan(FaultPlan::new().packet_fault(
             LinkSelector::From(NodeId(1)),
             PacketFaultKind::Duplicate,
@@ -1498,6 +1377,12 @@ mod tests {
             .filter(|cseq| !cseq.ends_with(" REGISTER"))
             .collect();
         assert_eq!(call, ["1 INVITE", "1 ACK", "2 BYE", "1 ACK"]);
+    }
+
+    /// `cfg` with `kind` scripted at `at`.
+    fn then(mut cfg: UaConfig, at: SimTime, kind: ActionKind) -> UaConfig {
+        cfg.script.push(ScriptedAction { at, kind });
+        cfg
     }
 
     /// Every SIP message node `from` put on the air, in order.
@@ -1535,16 +1420,17 @@ mod tests {
         }
     }
 
-    #[test]
-    fn rebranched_invite_retransmit_replays_the_first_200() {
-        // The callee answers the mangled first INVITE on a transaction the
-        // caller never matches; the caller's retransmit arrives on a fresh
-        // one and must get the same 200 back.
-        let (mut w, log_a, _log_b) = b2b_world_with(SimDuration::from_secs(5), |mut cfg| {
-            // The mangler listens on the caller's own node.
-            cfg.outbound_proxy = SocketAddr::new(Addr::manet(0), MANGLER_PORT);
-            cfg
-        });
+    /// [`b2b_world`] with the caller's requests relayed through a
+    /// [`BranchMangler`] on its own node, traced.
+    fn rebranch_world() -> (World, UaLogHandle) {
+        let (mut w, log_a, _log_b) = b2b_world_with(
+            SimDuration::from_secs(5),
+            |mut cfg| {
+                cfg.outbound_proxy = SocketAddr::new(Addr::manet(0), MANGLER_PORT);
+                cfg
+            },
+            |cfg| cfg,
+        );
         let callee = SocketAddr::new(w.node(NodeId(1)).addr(), 5070);
         w.spawn(
             NodeId(0),
@@ -1554,6 +1440,15 @@ mod tests {
             }),
         );
         w.trace_mut().set_enabled(true);
+        (w, log_a)
+    }
+
+    #[test]
+    fn rebranched_invite_retransmit_replays_the_first_200() {
+        // The callee answers the mangled first INVITE on a transaction the
+        // caller never matches; the caller's retransmit arrives on a fresh
+        // one and must get the same 200 back.
+        let (mut w, log_a) = rebranch_world();
         w.run_for(SimDuration::from_secs(3));
         assert_eq!(
             w.node(NodeId(1)).stats().get("sip.invite_rebranch").packets,
@@ -1584,6 +1479,86 @@ mod tests {
         }
         assert!(!first.body().is_empty());
         assert_eq!(replay.body(), first.body());
+    }
+
+    /// The bytes of the messages no golden digest pins: a CANCEL while
+    /// ringing, its 200 and the 487; a re-INVITE on a confirmed call, its
+    /// 200 and the ACK; and the 200 replayed on a rebranched INVITE. One
+    /// FNV-1a over every SIP payload the three flows put on the air.
+    #[test]
+    fn cancel_reinvite_and_replay_keep_their_bytes() {
+        const PINNED: u64 = 0x9d4a_9b65_2a8b_5b26;
+        let mut air = Vec::new();
+        let mut run = |mut w: World| {
+            w.trace_mut().set_enabled(true);
+            w.run_for(SimDuration::from_secs(4));
+            let mut lines = Vec::new();
+            for e in w.trace().entries().filter(|e| e.kind == TraceKind::RadioTx) {
+                air.extend_from_slice(&e.dgram.payload);
+                let text = String::from_utf8_lossy(&e.dgram.payload).into_owned();
+                let cseq = SipMessage::parse(&text).ok().and_then(|m| m.cseq());
+                let first = text.lines().next().unwrap_or("").to_owned();
+                lines.push((first, cseq.map(|c| c.to_string()).unwrap_or_default()));
+            }
+            lines
+        };
+        let sent = |lines: &[(String, String)], start: &str, cseq: &str| {
+            lines.iter().any(|(l, c)| l.starts_with(start) && c == cseq)
+        };
+
+        // The caller hangs up 100 ms into the callee's 200 ms ring.
+        let hangup = |cfg| then(cfg, SimTime::from_millis(1_100), ActionKind::HangupAll);
+        let (w, _, _) = b2b_world_with(SimDuration::from_secs(5), hangup, |cfg| cfg);
+        let lines = run(w);
+        assert!(sent(&lines, "CANCEL ", "1 CANCEL"), "{lines:?}");
+        assert!(sent(&lines, "SIP/2.0 200", "1 CANCEL"), "{lines:?}");
+        assert!(sent(&lines, "SIP/2.0 487", "1 INVITE"), "{lines:?}");
+
+        let reinvite = |cfg| then(cfg, SimTime::from_secs(2), ActionKind::ReinviteAll);
+        let (w, _, _) = b2b_world_with(SimDuration::from_secs(5), reinvite, |cfg| cfg);
+        let lines = run(w);
+        assert!(sent(&lines, "INVITE ", "2 INVITE"), "{lines:?}");
+        assert!(sent(&lines, "SIP/2.0 200", "2 INVITE"), "{lines:?}");
+        assert!(sent(&lines, "ACK ", "2 ACK"), "{lines:?}");
+
+        let (w, _) = rebranch_world();
+        let lines = run(w);
+        let oks = lines
+            .iter()
+            .filter(|(l, c)| l.starts_with("SIP/2.0 200") && c == "1 INVITE");
+        assert!(oks.count() >= 2, "{lines:?}");
+
+        let got = siphoc_simnet::ident::h64(&air);
+        assert_eq!(got, PINNED, "got {got:#018x}");
+    }
+
+    #[test]
+    fn ringing_is_logged_once_per_dialog() {
+        // The callee never answers: each INVITE retransmit draws another
+        // 180 until the INVITE times out.
+        let (mut w, log_a, _log_b) = b2b_world_with(
+            SimDuration::from_secs(5),
+            |cfg| cfg,
+            |mut cfg| {
+                cfg.auto_answer = false;
+                cfg
+            },
+        );
+        w.trace_mut().set_enabled(true);
+        w.run_for(SimDuration::from_secs(40));
+        let ringing = sent_sip(&w, NodeId(1))
+            .iter()
+            .filter(|m| m.status() == Some(StatusCode::RINGING))
+            .count();
+        assert!(ringing > 1, "{ringing} 180s");
+        let a = log_a.borrow();
+        assert_eq!(
+            a.count(|e| matches!(e, CallEvent::Ringing { .. })),
+            1,
+            "{:?}",
+            a.events()
+        );
+        assert!(a.any(|e| matches!(e, CallEvent::Failed { code: None, .. })));
     }
 
     #[test]

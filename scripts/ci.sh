@@ -63,8 +63,9 @@ cargo build --release --offline --locked --workspace --bin exp_tables
 # here, so a behaviour change fails this gate before it reaches the
 # acceptance benchmark. After an intended change, re-pin from that line
 # and say in EXPERIMENTS.md why the digest moved. `canary WORKLOAD DIGEST
-# [SEED]` runs seed 7 unless told otherwise; roam_internet, the only
-# workload that runs OLSR, is pinned at a second seed.
+# [SEED]` runs seed 7 unless told otherwise. Two workloads are pinned at
+# a second seed as well: roam_internet, the only one that runs OLSR, and
+# sip_hub, the one whose work is the SIP user agent's.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 canary() {
     local out
@@ -79,6 +80,7 @@ canary() {
 canary roam_internet f98ea5e9553fe781
 canary roam_internet 3749b1d1b8a8cd81 4242
 canary sip_hub 0d1229618be0aac1
+canary sip_hub c99c5167573a73b5 4242
 canary city_beacon 775aa9194117be0e
 canary mesh_calls 4d3cbb2abc99fc19
 # Supply-chain audit (deny.toml: advisories, licenses, bans, sources).

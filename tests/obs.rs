@@ -544,3 +544,71 @@ fn sip_state_gauges_track_live_calls_and_return_to_zero() {
     assert!(slots >= lingering && slots < 20.0 * CALLS as f64, "{slots}");
     assert!(world_gauge(&w, "sim.queue_bytes") >= 88.0 * slots);
 }
+
+/// A call whose INVITE carried no SDP still ends its setup: the ACK that
+/// confirms it closes the callee's `sip.answer` span (not ok, since no
+/// media can start), and `sip.calls_established` counts only what the
+/// UA's log calls established. The INVITE and its ACK are injected.
+#[cfg(feature = "obs")]
+#[test]
+fn an_sdp_less_call_closes_its_answer_span() {
+    let mut w = World::new(WorldConfig::new(7));
+    let id = w.add_node(NodeConfig::manet(0.0, 0.0));
+    let addr = w.node(id).addr();
+    let (ua, log) = UserAgent::new(UaConfig::new(
+        Aor::new("bob", "voicehoc.ch"),
+        SocketAddr::new(addr, ports::SIPHOC_PROXY),
+    ));
+    w.spawn(id, Box::new(ua));
+    w.set_tracing(true);
+    w.trace_mut().set_enabled(true);
+    w.run_for(SimDuration::from_secs(1));
+
+    // The peer's port is bound by nobody: its responses are dropped.
+    let (ua_at, peer) = (SocketAddr::new(addr, 5070), SocketAddr::new(addr, 5999));
+    let request = |start: &str, to: &str, cseq: &str| {
+        let text = format!(
+            "{start} sip:bob@{ua_at} SIP/2.0\r\n\
+             Via: SIP/2.0/UDP {peer};branch=z9hG4bKsdpless\r\n\
+             From: <sip:alice@voicehoc.ch>;tag=a1\r\nTo: {to}\r\n\
+             Call-ID: sdp-less\r\nCSeq: {cseq}\r\n\
+             Contact: <sip:alice@{peer}>\r\nContent-Length: 0\r\n\r\n"
+        );
+        Datagram::new(peer, ua_at, text.into_bytes())
+    };
+    w.inject(id, request("INVITE", "<sip:bob@voicehoc.ch>", "1 INVITE"));
+    w.run_for(SimDuration::from_secs(1));
+    let oks = |w: &World| -> Vec<String> {
+        let sent = w.trace().find(|e| e.dgram.dst == peer);
+        let text = sent
+            .iter()
+            .map(|e| String::from_utf8_lossy(&e.dgram.payload));
+        text.filter(|t| t.starts_with("SIP/2.0 200"))
+            .map(|t| t.into_owned())
+            .collect()
+    };
+    let answered = oks(&w).len();
+    let to = oks(&w)[0]
+        .lines()
+        .find_map(|l| l.strip_prefix("To: "))
+        .expect("the UA answered with a To")
+        .to_owned();
+    w.inject(id, request("ACK", &to, "1 ACK"));
+    w.run_for(SimDuration::from_secs(2));
+    assert_eq!(oks(&w).len(), answered, "the ACK stops the 200");
+
+    let spans = w.obs_spans();
+    let answer = spans
+        .iter()
+        .find(|s| s.span.name == "sip.answer" && s.span.corr.as_deref() == Some("sdp-less"))
+        .expect("the call opened a sip.answer span");
+    assert_eq!(answer.span.note, None, "sip.answer left open: {answer:?}");
+    assert!(!answer.span.ok);
+    let established = log
+        .borrow()
+        .count(|e| matches!(e, CallEvent::Established { .. }));
+    let counted = w
+        .obs_registry()
+        .counter("sip.calls_established", &[("node", &id.to_string())]);
+    assert_eq!(counted, established as u64);
+}
