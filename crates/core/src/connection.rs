@@ -16,13 +16,16 @@
 //! SIPHoc proxy registers its users at their providers on the first, and
 //! the UA re-INVITEs its Internet calls when a handoff changes the address.
 //!
-//! Every lease the node holds, the active one and each warm standby, is
-//! one `Lease` in one `Vec`, its keepalive, refresh and connect-timeout
-//! chains keyed by its id. A lease goes *handshaking → held → active*: the
-//! active one is the held lease `State::Active` names, and it alone owns
-//! the default route and the public alias. A handoff promotes a held
-//! standby by naming it; with none held, `State::Connecting` handshakes.
+//! A gateway the node might use is one `Candidate`, and every list of
+//! them is ordered by the one key in `rank`. Every lease the node holds,
+//! the active one and each warm standby, is one `Lease` in one `Vec`, its
+//! keepalive, refresh and connect-timeout chains keyed by its id. A lease
+//! goes *handshaking → held → active*: the active one is the held lease
+//! `State::Active` names, and it alone owns the default route and the
+//! public alias. A handoff promotes a held standby by naming it; with none
+//! held, `State::Connecting` handshakes.
 
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
 use siphoc_simnet::net::{ports, Addr, Datagram, SocketAddr};
@@ -31,7 +34,7 @@ use siphoc_simnet::process::{Ctx, LocalEvent, Process};
 use siphoc_simnet::time::{SimDuration, SimTime};
 
 use siphoc_slp::msg::SlpMsg;
-use siphoc_slp::registry::{rank_gateways, SharedRegistry};
+use siphoc_slp::registry::SharedRegistry;
 use siphoc_slp::service::{service_types, ServiceEntry};
 
 use crate::tunnel::TunnelMsg;
@@ -43,10 +46,11 @@ const CP_SLP_PORT: u16 = 4271;
 const CHECK_INTERVAL: SimDuration = SimDuration::from_secs(5);
 /// How long to wait for a lease reply before retrying.
 const CONNECT_TIMEOUT: SimDuration = SimDuration::from_secs(2);
-/// Consecutive refresh failures before declaring the tunnel down.
+/// Unanswered refreshes the active lease survives: when the next one is
+/// due after more than this many, the tunnel is down.
 const MAX_REFRESH_FAILURES: u32 = 2;
-/// Floor of the lifetime a promoted or standby lease halves into its
-/// refresh period.
+/// Floor of the lifetime a lease halves into its refresh period, so a
+/// zero or one-second grant cannot spin the refresh chain.
 const MIN_REFRESH_LEASE: SimDuration = SimDuration::from_secs(2);
 /// Ceiling for the exponential backoff applied to re-probes after
 /// repeated gateway failures (lease refusals, connect timeouts, refresh
@@ -101,10 +105,10 @@ enum State {
     Idle,
     /// SLP query outstanding.
     Probing { xid: u32 },
-    /// TCONNECT sent, waiting for the lease that will become the active
-    /// one; `id` keys this attempt's timeout and then the granted lease.
+    /// TCONNECT sent to `gw`, waiting for the lease that will become the
+    /// active one; `id` keys this attempt's timeout and then the lease.
     Connecting {
-        gateway: SocketAddr,
+        gw: Candidate,
         attempts: u32,
         id: u64,
     },
@@ -126,16 +130,81 @@ const fn tok(tag: u64, id: u64) -> u64 {
     tag | (id << 8)
 }
 
+/// A gateway the node might lease from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Candidate {
+    /// The gateway's tunnel-server contact.
+    contact: SocketAddr,
+    /// The node that advertised the gateway (hop ranking, liveness).
+    origin: Addr,
+    /// When the gateway's SLP advert lapses; a candidate whose advert
+    /// expired is dropped (`cp.standby_expired`) — the gateway stopped
+    /// re-announcing.
+    advert_expires: SimTime,
+}
+
+impl Candidate {
+    /// The candidate an SLP gateway entry read at `now` names.
+    fn of(e: &ServiceEntry, now: SimTime) -> Candidate {
+        Candidate {
+            contact: e.contact,
+            origin: e.origin,
+            advert_expires: e.expires_at(now),
+        }
+    }
+
+    /// Whether `addr` is this gateway or the node that advertised it.
+    fn involves(&self, addr: Addr) -> bool {
+        self.contact.addr == addr || self.origin == addr
+    }
+}
+
+/// Orders gateway candidates best first by the one ranking key: fewest
+/// hops to the advertising origin (unreachable last), then the later
+/// advert expiry (a fresher advert is likelier to be alive), then the
+/// origin for a stable total order. Applied when a list is used, against
+/// current routes: a ranking taken earlier is stale by then.
+fn rank<T>(items: &mut [T], hops_to: impl Fn(Addr) -> Option<u8>, gw: impl Fn(&T) -> Candidate) {
+    items.sort_by_key(|t| {
+        let c = gw(t);
+        let hops = hops_to(c.origin).unwrap_or(u8::MAX);
+        (hops, Reverse(c.advert_expires), c.origin)
+    });
+}
+
+/// This node's current hop count to an address, for `rank`.
+fn hops_to<'a>(ctx: &'a Ctx<'_>) -> impl Fn(Addr) -> Option<u8> + 'a {
+    let (now, routes) = (ctx.now(), ctx.routes_ref());
+    move |a| routes.lookup(a, now).map(|r| r.hops)
+}
+
+/// The one expiry pass: drops the members of `set` that are not `live`
+/// (cold contacts and standbys whose advert or held lease lapsed),
+/// counting them as `cp.standby_expired`.
+fn expire<T>(ctx: &mut Ctx<'_>, set: &mut Vec<T>, live: impl FnMut(&T) -> bool) {
+    let before = set.len();
+    set.retain(live);
+    let lapsed = before - set.len();
+    if lapsed > 0 {
+        ctx.stats().count("cp.standby_expired", lapsed);
+    }
+}
+
+/// Sends a TCONNECT (a fresh lease request or a refresh) to `gateway`.
+fn send_connect(ctx: &mut Ctx<'_>, gateway: SocketAddr, counter: &'static str) {
+    ctx.stats().count(counter, 1);
+    ctx.send_to(gateway, ports::TUNNEL, TunnelMsg::Connect.to_wire());
+}
+
 /// One tunnel lease: the active one or a warm standby.
 #[derive(Debug, Clone)]
 struct Lease {
     /// Keys this lease's timer chains. Promotion issues a fresh id, so
     /// the chains the lease ran as a standby die with the old one.
     id: u64,
-    /// The gateway's tunnel-server contact.
-    gateway: SocketAddr,
-    /// The node that advertised the gateway (hop ranking, liveness).
-    origin: Addr,
+    /// The gateway the lease is held on. Its origin and advert expiry
+    /// rank and expire standbys only.
+    gw: Candidate,
     /// The leased public address once granted; `None` while the TCONNECT
     /// is still outstanding.
     public: Option<Addr>,
@@ -143,44 +212,70 @@ struct Lease {
     lease: SimDuration,
     /// When the lease lapses unless refreshed.
     lease_expires: SimTime,
-    /// When the gateway's SLP advert lapses; a standby whose advert
-    /// expired is dropped (`cp.standby_expired`) — the gateway stopped
-    /// re-announcing and is not worth keeping warm.
-    advert_expires: SimTime,
     /// Consecutive unanswered keepalive pings.
     missed_pings: u32,
-    /// Consecutive refreshes that went unanswered (active lease only).
-    refresh_failures: u32,
-    /// Whether the last refresh still awaits its grant (active only).
-    refresh_outstanding: bool,
+    /// Refreshes sent since the last grant (active lease only).
+    unanswered_refreshes: u32,
     /// When the refresh chain next fires. A grant that changes the
     /// lifetime re-arms the chain; the superseded timer fires at another
     /// instant and is ignored.
     refresh_due: SimTime,
 }
 
-/// A cold contact from the last probe: no lease held, just a ranked
-/// fallback for when the registry has nothing better.
-#[derive(Debug, Clone)]
-struct ColdContact {
-    contact: SocketAddr,
-    origin: Addr,
-    /// When the advert backing this contact lapses.
-    expires: SimTime,
+impl Lease {
+    /// A lease on `gw` whose TCONNECT is outstanding.
+    fn pending(id: u64, gw: Candidate, now: SimTime) -> Lease {
+        Lease {
+            id,
+            gw,
+            public: None,
+            lease: SimDuration::ZERO,
+            lease_expires: now,
+            missed_pings: 0,
+            unanswered_refreshes: 0,
+            refresh_due: now,
+        }
+    }
+
+    /// Whether neither the advert nor a held lease has lapsed.
+    fn live(&self, now: SimTime) -> bool {
+        self.gw.advert_expires > now && (self.public.is_none() || self.lease_expires > now)
+    }
+
+    /// (Re-)arms the refresh chain: every lease refreshes at half its
+    /// lifetime, floored at half of `MIN_REFRESH_LEASE`.
+    fn arm_refresh(&mut self, ctx: &mut Ctx<'_>) {
+        let period = self.lease.max(MIN_REFRESH_LEASE) / 2;
+        self.refresh_due = ctx.now() + period;
+        ctx.set_timer(period, tok(TAG_REFRESH, self.id));
+    }
 }
 
-/// Orders cold contacts for a failover: fewest hops to the advertising
-/// origin first (unreachable last), then the freshest advert, then origin
-/// for a stable total order — the same desirability order as
-/// `rank_gateways`, applied at failover time instead of insertion time.
-fn rank_cold_contacts(contacts: &mut [ColdContact], mut hops_to: impl FnMut(Addr) -> Option<u8>) {
-    contacts.sort_by_key(|c| {
-        (
-            hops_to(c.origin).unwrap_or(u8::MAX),
-            std::cmp::Reverse(c.expires),
-            c.origin,
-        )
-    });
+/// A span in flight and when it began: the tunnel handshake or a handoff.
+#[derive(Debug)]
+struct Timed {
+    span: SpanId,
+    started_us: u64,
+}
+
+impl Timed {
+    /// Opens the span `name`, correlated with the gateway it concerns.
+    fn open(ctx: &mut Ctx<'_>, name: &'static str, gateway: Addr) -> Timed {
+        let span = ctx.span_enter(SpanCat::Tunnel, name);
+        if ctx.obs().tracing() {
+            ctx.obs().span_corr(span, &gateway.to_string());
+        }
+        Timed {
+            span,
+            started_us: ctx.now_us(),
+        }
+    }
+
+    /// Closes the span and returns how long it ran, in µs.
+    fn close(self, ctx: &mut Ctx<'_>, ok: bool) -> u64 {
+        ctx.span_exit(self.span, ok);
+        ctx.now_us().saturating_sub(self.started_us)
+    }
 }
 
 /// Per-gateway health book: one struct owning both the handoff
@@ -207,10 +302,10 @@ impl GatewayHealth {
         self.dead == Some(addr)
     }
 
-    /// Whether a gateway entry names the blocklisted dead one (by tunnel
+    /// Whether a candidate names the blocklisted dead gateway (by tunnel
     /// contact or by advertising origin).
-    pub fn entry_dead(&self, e: &ServiceEntry) -> bool {
-        self.is_dead(e.contact.addr) || self.is_dead(e.origin)
+    fn blocks(&self, gw: &Candidate) -> bool {
+        self.is_dead(gw.contact.addr) || self.is_dead(gw.origin)
     }
 
     /// Blocklists `addr` for the duration of the current handoff.
@@ -253,12 +348,13 @@ pub struct ConnectionProvider {
     state: State,
     next_xid: u32,
     consecutive_failures: u32,
-    handshake_span: SpanId,
-    handshake_started_us: u64,
+    /// The handshake span, open from the first TCONNECT to a gateway
+    /// until its grant or until the provider gives that gateway up.
+    handshake: Option<Timed>,
     ping_seq: u64,
     /// Cold `service:gateway` contacts beyond the one we leased from —
     /// the fallback set a handoff re-ranks when no warm standby survives.
-    cold: Vec<ColdContact>,
+    cold: Vec<Candidate>,
     /// The active lease (while `State::Active`) and every standby, at
     /// most `cfg.standby_target` of them.
     leases: Vec<Lease>,
@@ -271,11 +367,8 @@ pub struct ConnectionProvider {
     /// The node's MANET SLP registry, for ranking fresh gateway
     /// candidates at handoff time.
     registry: Option<SharedRegistry>,
-    handoff_span: SpanId,
-    handoff_started_us: u64,
-    /// The public address held when the current handoff began; `Some`
-    /// exactly while a handoff is in flight.
-    handoff_from: Option<Addr>,
+    /// The handoff span; `Some` exactly while a handoff is in flight.
+    handoff: Option<Timed>,
     /// Dead-gateway blocklist and attestation pins, one book.
     gw_health: GatewayHealth,
     /// Earliest time the next exhaustive gateway sweep may run. The
@@ -294,17 +387,14 @@ impl ConnectionProvider {
             state: State::Idle,
             next_xid: 0,
             consecutive_failures: 0,
-            handshake_span: SpanId::NONE,
-            handshake_started_us: 0,
+            handshake: None,
             ping_seq: 0,
             cold: Vec::new(),
             leases: Vec::new(),
             next_id: 0,
             scan_due: None,
             registry: None,
-            handoff_span: SpanId::NONE,
-            handoff_started_us: 0,
-            handoff_from: None,
+            handoff: None,
             gw_health: GatewayHealth::default(),
             next_sweep_at: SimTime::ZERO,
         }
@@ -334,7 +424,7 @@ impl ConnectionProvider {
     fn active(&self) -> Option<(SocketAddr, Addr)> {
         let id = self.active_id()?;
         let l = self.leases.iter().find(|l| l.id == id)?;
-        Some((l.gateway, l.public?))
+        Some((l.gw.contact, l.public?))
     }
 
     fn probe(&mut self, ctx: &mut Ctx<'_>) {
@@ -365,131 +455,39 @@ impl ConnectionProvider {
         ctx.set_timer(SimDuration::from_micros(delay), TAG_CHECK);
     }
 
-    fn connect(&mut self, ctx: &mut Ctx<'_>, gateway: SocketAddr, attempts: u32) {
+    fn connect(&mut self, ctx: &mut Ctx<'_>, gw: Candidate, attempts: u32) {
         self.next_id += 1;
         let id = self.next_id;
-        self.state = State::Connecting {
-            gateway,
-            attempts,
-            id,
-        };
+        self.state = State::Connecting { gw, attempts, id };
         if attempts == 0 {
-            self.handshake_span = ctx.span_enter(SpanCat::Tunnel, "tunnel.handshake");
-            if ctx.obs().tracing() {
-                let corr = gateway.addr.to_string();
-                ctx.obs().span_corr(self.handshake_span, &corr);
-            }
-            self.handshake_started_us = ctx.now_us();
+            self.handshake = Some(Timed::open(ctx, "tunnel.handshake", gw.contact.addr));
         }
-        ctx.stats().count("cp.tconnect", 1);
-        ctx.send_to(gateway, ports::TUNNEL, TunnelMsg::Connect.to_wire());
+        send_connect(ctx, gw.contact, "cp.tconnect");
         ctx.set_timer(CONNECT_TIMEOUT, tok(TAG_CONNECT_TIMEOUT, id));
     }
 
+    /// Handshakes with the head of `ranked` and keeps the tail as the
+    /// cold contacts; `false`, touching nothing, when `ranked` is empty.
+    fn connect_best(&mut self, ctx: &mut Ctx<'_>, mut ranked: Vec<Candidate>) -> bool {
+        if ranked.is_empty() {
+            return false;
+        }
+        let best = ranked.remove(0);
+        self.cold = ranked;
+        self.connect(ctx, best, 0);
+        true
+    }
+
+    /// Ends everything the provider holds: the handshake or handoff in
+    /// flight, every lease with its chains, the cold contacts and the
+    /// standby scan. A node that was online (a lease active or a handoff
+    /// in flight) releases the default handler and tells the stack.
     fn teardown(&mut self, ctx: &mut Ctx<'_>) {
-        // A handshake abandoned mid-flight (e.g. restart while Connecting)
-        // must not linger as an open span.
-        ctx.span_exit(self.handshake_span, false);
-        self.handshake_span = SpanId::NONE;
-        // Likewise a handoff in flight: give up on it cleanly (emits
-        // InternetDown, releases the default handler).
-        self.fail_handoff(ctx);
-        self.cold.clear();
-        if let Some((_, public)) = self.active() {
-            ctx.remove_local_addr(public);
-            ctx.set_default_handler(false);
-            ctx.emit(LocalEvent::InternetDown);
-            ctx.stats().count("cp.tunnel_down", 1);
+        if let Some(h) = self.handshake.take() {
+            h.close(ctx, false);
         }
-        // Every lease's chains die with it.
-        self.leases.clear();
-        self.state = State::Idle;
-    }
-
-    /// Ranked `service:gateway` entries for every live advert the node
-    /// knows, best first, excluding `exclude` (the gateway just declared
-    /// dead).
-    fn candidate_gateways(&mut self, ctx: &Ctx<'_>, exclude: Option<Addr>) -> Vec<ServiceEntry> {
-        let Some(reg) = self.registry.clone() else {
-            return Vec::new();
-        };
-        let now = ctx.now();
-        let mut entries: Vec<ServiceEntry> = {
-            let routes = ctx.routes_ref();
-            reg.borrow()
-                .gateway_candidates(now, |a| routes.lookup(a, now).map(|r| r.hops))
-        };
-        entries.retain(|e| exclude != Some(e.contact.addr) && exclude != Some(e.origin));
-        let mut kept = Vec::with_capacity(entries.len());
-        for e in entries {
-            if self.admit_gateway(&e) {
-                kept.push(e);
-            }
-        }
-        kept
-    }
-
-    /// Judges one offered gateway entry: signed adverts must pass
-    /// attestation (trust-on-first-use identity pin — a pinned gateway
-    /// that changed keys is marked dead here), and the handoff blocklist
-    /// refuses the gateway just watched die. Unsigned entries skip
-    /// attestation, keeping the legacy path byte-identical.
-    fn admit_gateway(&mut self, e: &ServiceEntry) -> bool {
-        if let Some(identity) = e.advertiser_identity() {
-            if !self.gw_health.attest(e.contact.addr, identity) {
-                return false;
-            }
-        }
-        !self.gw_health.entry_dead(e)
-    }
-
-    /// Pops the best remaining cold contact, dropping entries for the
-    /// gateway that just failed and contacts whose backing advert lapsed,
-    /// then **re-ranking the survivors against current routes** — the
-    /// ranking captured at probe time is stale by the time a failover
-    /// needs it (nodes moved, routes changed, adverts refreshed).
-    fn next_cold(&mut self, ctx: &mut Ctx<'_>, failed: Addr) -> Option<SocketAddr> {
-        let now = ctx.now();
-        self.cold
-            .retain(|c| c.contact.addr != failed && c.origin != failed);
-        self.expire_cold(ctx, now);
-        {
-            let routes = ctx.routes_ref();
-            rank_cold_contacts(&mut self.cold, |a| routes.lookup(a, now).map(|r| r.hops));
-        }
-        if self.cold.is_empty() {
-            None
-        } else {
-            Some(self.cold.remove(0).contact)
-        }
-    }
-
-    /// Records the tail of a gateway ranking as the cold contacts.
-    fn keep_cold(&mut self, entries: &[ServiceEntry], now: SimTime) {
-        self.cold = entries
-            .iter()
-            .map(|e| ColdContact {
-                contact: e.contact,
-                origin: e.origin,
-                expires: e.expires_at(now),
-            })
-            .collect();
-    }
-
-    /// Drops cold contacts whose advert lapsed, with `cp.standby_expired`.
-    fn expire_cold(&mut self, ctx: &mut Ctx<'_>, now: SimTime) {
-        let before = self.cold.len();
-        self.cold.retain(|c| c.expires > now);
-        let lapsed = before - self.cold.len();
-        if lapsed > 0 {
-            ctx.stats().count("cp.standby_expired", lapsed);
-        }
-    }
-
-    /// Drops every standby (teardown, declared outage) and kills the
-    /// maintenance scan chain. Nothing is released on the gateway side:
-    /// standby leases are soft state and expire there.
-    fn drop_standbys(&mut self, ctx: &mut Ctx<'_>) {
+        // Nothing is released on the gateway side: standby leases are soft
+        // state and expire there.
         let active = self.active_id();
         let warm = self
             .leases
@@ -499,8 +497,89 @@ impl ConnectionProvider {
         if warm > 0 {
             ctx.stats().count("cp.standby_drop", warm);
         }
-        self.leases.retain(|l| Some(l.id) == active);
+        let mut online = false;
+        if let Some(h) = self.handoff.take() {
+            h.close(ctx, false);
+            online = true;
+        }
+        if let Some((_, public)) = self.active() {
+            ctx.remove_local_addr(public);
+            online = true;
+        }
+        if online {
+            ctx.set_default_handler(false);
+            ctx.emit(LocalEvent::InternetDown);
+            ctx.stats().count("cp.tunnel_down", 1);
+        }
+        // The blocklist exists to keep a *handoff* from re-picking the
+        // gateway it just watched die. Offline, normal probing resumes —
+        // and must be allowed to find that same gateway again after it
+        // restarts (its purged adverts can only reappear through a fresh
+        // announcement). Attestation pins persist: the restarted gateway
+        // is re-leasable only under its original key.
+        self.gw_health.clear_dead();
+        self.cold.clear();
+        self.leases.clear();
         self.scan_due = None;
+        self.state = State::Idle;
+    }
+
+    /// The one way offline: no gateway answered, none was found, or the
+    /// active one stopped granting. Tears down, counts the failure and
+    /// schedules the backed-off re-check.
+    fn go_offline(&mut self, ctx: &mut Ctx<'_>) {
+        self.teardown(ctx);
+        self.consecutive_failures = self.consecutive_failures.saturating_add(1);
+        self.schedule_recheck(ctx);
+    }
+
+    /// Judges one offered gateway entry: signed adverts must pass
+    /// attestation (trust-on-first-use identity pin — a pinned gateway
+    /// that changed keys is marked dead here), and the handoff blocklist
+    /// refuses the gateway just watched die. Unsigned entries skip
+    /// attestation, keeping the legacy path byte-identical.
+    fn admit(&mut self, e: &ServiceEntry, now: SimTime) -> Option<Candidate> {
+        if let Some(identity) = e.advertiser_identity() {
+            if !self.gw_health.attest(e.contact.addr, identity) {
+                return None;
+            }
+        }
+        let gw = Candidate::of(e, now);
+        (!self.gw_health.blocks(&gw)).then_some(gw)
+    }
+
+    /// Every gateway with a live advert in the registry, ranked, without
+    /// the one involving `exclude` (the gateway just declared dead).
+    fn candidate_gateways(&mut self, ctx: &Ctx<'_>, exclude: Addr) -> Vec<Candidate> {
+        let Some(reg) = self.registry.clone() else {
+            return Vec::new();
+        };
+        let now = ctx.now();
+        let mut entries = reg.borrow().gateway_candidates(now);
+        rank(&mut entries, hops_to(ctx), |e| Candidate::of(e, now));
+        entries
+            .iter()
+            .filter(|e| !Candidate::of(e, now).involves(exclude))
+            .filter_map(|e| self.admit(e, now))
+            .collect()
+    }
+
+    /// Pops the best remaining cold contact, dropping entries for the
+    /// gateway that just failed and contacts whose advert lapsed.
+    fn next_cold(&mut self, ctx: &mut Ctx<'_>, failed: Addr) -> Option<Candidate> {
+        let now = ctx.now();
+        self.cold.retain(|c| !c.involves(failed));
+        expire(ctx, &mut self.cold, |c| c.advert_expires > now);
+        rank(&mut self.cold, hops_to(ctx), |c| *c);
+        (!self.cold.is_empty()).then(|| self.cold.remove(0))
+    }
+
+    /// Drops standbys whose advert or held lease lapsed.
+    fn expire_standbys(&mut self, ctx: &mut Ctx<'_>) {
+        let (now, active) = (ctx.now(), self.active_id());
+        expire(ctx, &mut self.leases, |l| {
+            Some(l.id) == active || l.live(now)
+        });
     }
 
     /// One standby maintenance pass: refresh advert lifetimes from the
@@ -514,57 +593,39 @@ impl ConnectionProvider {
         };
         let active = gateway.addr;
         let now = ctx.now();
-        let candidates = self.candidate_gateways(ctx, Some(active));
+        let mut pool = self.candidate_gateways(ctx, active);
         // A steadily re-announced gateway must not age out of the warm
         // set: adopt the freshest advert lifetime the registry holds.
         for s in self.leases.iter_mut().filter(|l| l.id != active_id) {
-            if let Some(e) = candidates.iter().find(|e| e.origin == s.origin) {
-                s.advert_expires = s.advert_expires.max(e.expires_at(now));
+            if let Some(c) = pool.iter().find(|c| c.origin == s.gw.origin) {
+                s.gw.advert_expires = s.gw.advert_expires.max(c.advert_expires);
             }
         }
-        self.expire_standbys(ctx, now);
-        self.expire_cold(ctx, now);
+        self.expire_standbys(ctx);
+        expire(ctx, &mut self.cold, |c| c.advert_expires > now);
         // Replenish: best-ranked candidates first, cold contacts as a
         // last resort, skipping gateways already in the warm set.
-        let mut pool: Vec<(SocketAddr, Addr, SimTime)> = candidates
-            .iter()
-            .map(|e| (e.contact, e.origin, e.expires_at(now)))
-            .collect();
         for c in &self.cold {
-            if c.contact.addr != active && !pool.iter().any(|(ct, ..)| ct.addr == c.contact.addr) {
-                pool.push((c.contact, c.origin, c.expires));
+            if c.contact.addr != active && !pool.iter().any(|p| p.contact.addr == c.contact.addr) {
+                pool.push(*c);
             }
         }
         // The active lease plus `standby_target` standbys fill the set.
-        for (contact, origin, advert_expires) in pool {
+        for gw in pool {
             if self.leases.len() as u32 > self.cfg.standby_target {
                 break;
             }
             if self.leases.iter().any(|s| {
-                s.id != active_id && (s.gateway.addr == contact.addr || s.origin == origin)
-            }) {
-                continue;
-            }
-            if self.gw_health.is_dead(contact.addr) || self.gw_health.is_dead(origin) {
+                s.id != active_id
+                    && (s.gw.contact.addr == gw.contact.addr || s.gw.origin == gw.origin)
+            }) || self.gw_health.blocks(&gw)
+            {
                 continue;
             }
             self.next_id += 1;
             let id = self.next_id;
-            self.leases.push(Lease {
-                id,
-                gateway: contact,
-                origin,
-                public: None,
-                lease: SimDuration::ZERO,
-                lease_expires: now,
-                advert_expires,
-                missed_pings: 0,
-                refresh_failures: 0,
-                refresh_outstanding: false,
-                refresh_due: now,
-            });
-            ctx.stats().count("cp.standby_connect", 1);
-            ctx.send_to(contact, ports::TUNNEL, TunnelMsg::Connect.to_wire());
+            self.leases.push(Lease::pending(id, gw, now));
+            send_connect(ctx, gw.contact, "cp.standby_connect");
             ctx.set_timer(CONNECT_TIMEOUT, tok(TAG_CONNECT_TIMEOUT, id));
         }
         // Still short of the target? The registry holds too few distinct
@@ -586,26 +647,10 @@ impl ConnectionProvider {
         }
     }
 
-    /// Drops standbys whose SLP advert lifetime (or held lease) lapsed,
-    /// with the `cp.standby_expired` counter.
-    fn expire_standbys(&mut self, ctx: &mut Ctx<'_>, now: SimTime) {
-        let active = self.active_id();
-        let before = self.leases.len();
-        self.leases.retain(|l| {
-            Some(l.id) == active
-                || (l.advert_expires > now && (l.public.is_none() || l.lease_expires > now))
-        });
-        let lapsed = before - self.leases.len();
-        if lapsed > 0 {
-            ctx.stats().count("cp.standby_expired", lapsed);
-        }
-    }
-
     /// Starts the active lease's refresh chain, then its keepalive chain.
-    fn arm_active(&mut self, ctx: &mut Ctx<'_>, i: usize, refresh_in: SimDuration) {
+    fn arm_active(&mut self, ctx: &mut Ctx<'_>, i: usize) {
         let l = &mut self.leases[i];
-        l.refresh_due = ctx.now() + refresh_in;
-        ctx.set_timer(refresh_in, tok(TAG_REFRESH, l.id));
+        l.arm_refresh(ctx);
         if !self.cfg.keepalive_interval.is_zero() {
             ctx.set_timer(self.cfg.keepalive_interval, tok(TAG_KEEPALIVE, l.id));
         }
@@ -622,10 +667,8 @@ impl ConnectionProvider {
 
     /// Closes an in-flight handoff as a success.
     fn handoff_done(&mut self, ctx: &mut Ctx<'_>, promoted: bool) {
-        if self.handoff_from.take().is_some() {
-            ctx.span_exit(self.handoff_span, true);
-            self.handoff_span = SpanId::NONE;
-            let took = ctx.now_us().saturating_sub(self.handoff_started_us);
+        if let Some(h) = self.handoff.take() {
+            let took = h.close(ctx, true);
             ctx.obs().hist_record("cp.handoff_us", took);
             if promoted {
                 ctx.obs().hist_record("cp.promote_us", took);
@@ -647,16 +690,14 @@ impl ConnectionProvider {
         l.id = id;
         l.lease = l.lease_expires.saturating_since(now);
         l.missed_pings = 0;
-        l.refresh_failures = 0;
-        l.refresh_outstanding = false;
-        let (gateway, lease) = (l.gateway, l.lease);
+        l.unanswered_refreshes = 0;
+        let gateway = l.gw.contact;
         self.state = State::Active(id);
         self.consecutive_failures = 0;
         self.install(ctx, public, "cp.promote");
         // The immediate TCONNECT re-confirms the lease server-side.
-        ctx.stats().count("cp.tconnect", 1);
-        ctx.send_to(gateway, ports::TUNNEL, TunnelMsg::Connect.to_wire());
-        self.arm_active(ctx, i, lease.max(MIN_REFRESH_LEASE) / 2);
+        send_connect(ctx, gateway, "cp.tconnect");
+        self.arm_active(ctx, i);
         self.handoff_done(ctx, true);
     }
 
@@ -669,105 +710,54 @@ impl ConnectionProvider {
         let (Some(id), Some((gateway, public))) = (self.active_id(), self.active()) else {
             return;
         };
+        let dead = gateway.addr;
         ctx.stats().count("cp.gateway_dead", 1);
-        self.handoff_span = ctx.span_enter(SpanCat::Tunnel, "tunnel.handoff");
-        if ctx.obs().tracing() {
-            let corr = gateway.addr.to_string();
-            ctx.obs().span_corr(self.handoff_span, &corr);
-        }
-        self.handoff_started_us = ctx.now_us();
+        self.handoff = Some(Timed::open(ctx, "tunnel.handoff", dead));
         // The old lease is dead with its gateway; stop answering for it.
         ctx.remove_local_addr(public);
-        self.handoff_from = Some(public);
         self.leases.retain(|l| l.id != id);
-        self.gw_health.mark_dead(gateway.addr);
+        self.gw_health.mark_dead(dead);
         // First-hand death evidence beats the advert lifetime: drop the
         // dead gateway's cached SLP entries so a fallback lookup floods
         // for survivors instead of hitting the stale cache until expiry.
         if let Some(reg) = &self.registry {
-            let purged = reg.borrow_mut().purge_origin(gateway.addr);
+            let purged = reg.borrow_mut().purge_origin(dead);
             if purged > 0 {
                 ctx.stats().count("cp.slp_purged", purged);
             }
         }
         // Make-before-break: drop standbys that rode the dead gateway,
-        // expire the stale, re-rank the survivors against *current*
-        // routes (hops, then advert freshness) and promote the hottest
+        // expire the stale, re-rank the survivors and promote the hottest
         // warm one — a pre-warmed lease makes the switch a state flip
         // with no handshake on the critical path.
-        let now = ctx.now();
-        let rode_dead = |s: &Lease| s.gateway.addr == gateway.addr || s.origin == gateway.addr;
         let warm_dead = self
             .leases
             .iter()
-            .filter(|s| rode_dead(s) && s.public.is_some())
+            .filter(|s| s.gw.involves(dead) && s.public.is_some())
             .count();
         if warm_dead > 0 {
             ctx.stats().count("cp.standby_dead", warm_dead);
         }
-        self.leases.retain(|s| !rode_dead(s));
-        self.expire_standbys(ctx, now);
-        {
-            let routes = ctx.routes_ref();
-            self.leases.sort_by_key(|s| {
-                (
-                    routes
-                        .lookup(s.origin, now)
-                        .map(|r| r.hops)
-                        .unwrap_or(u8::MAX),
-                    std::cmp::Reverse(s.advert_expires),
-                    s.origin,
-                )
-            });
-        }
+        self.leases.retain(|s| !s.gw.involves(dead));
+        self.expire_standbys(ctx);
+        rank(&mut self.leases, hops_to(ctx), |s| s.gw);
         if let Some(i) = self.leases.iter().position(|s| s.public.is_some()) {
             self.promote(ctx, i);
             return;
         }
         // No warm standby survived: break-before-make fallback through
         // the registry ranking, then the cold contacts, then a probe.
-        let mut candidates = self.candidate_gateways(ctx, Some(gateway.addr));
-        if candidates.is_empty() {
-            // Stale SLP standby may still name the dead gateway's
-            // neighbors; fall back to whatever the last probe ranked,
-            // re-ranked against current routes.
-            match self.next_cold(ctx, gateway.addr) {
+        let candidates = self.candidate_gateways(ctx, dead);
+        if !self.connect_best(ctx, candidates) {
+            match self.next_cold(ctx, dead) {
                 Some(best) => self.connect(ctx, best, 0),
-                None => {
-                    // No candidate at all — fall back to a fresh SLP
-                    // probe. The handoff stays in flight (`handoff_from`
-                    // kept): the probe is its continuation, and only an
-                    // empty or exhausted probe declares the node offline.
-                    self.probe(ctx);
-                }
+                // No candidate at all — fall back to a fresh SLP probe.
+                // The handoff stays in flight: the probe is its
+                // continuation, and only an empty or exhausted probe
+                // declares the node offline.
+                None => self.probe(ctx),
             }
-            return;
         }
-        let best = candidates.remove(0);
-        self.keep_cold(&candidates, now);
-        self.connect(ctx, best.contact, 0);
-    }
-
-    /// Gives up an in-flight handoff: the node is genuinely offline now,
-    /// so release the default handler and tell the stack.
-    fn fail_handoff(&mut self, ctx: &mut Ctx<'_>) {
-        // Whatever the outcome, the warm set does not survive going
-        // offline — standbys are maintained only alongside a live lease.
-        self.drop_standbys(ctx);
-        if self.handoff_from.take().is_some() {
-            ctx.span_exit(self.handoff_span, false);
-            self.handoff_span = SpanId::NONE;
-            ctx.set_default_handler(false);
-            ctx.emit(LocalEvent::InternetDown);
-            ctx.stats().count("cp.tunnel_down", 1);
-        }
-        // The blocklist exists to keep the *handoff* from re-picking the
-        // gateway it just watched die. Once the outage is declared, normal
-        // probing resumes — and must be allowed to find that same gateway
-        // again after it restarts (its purged adverts can only reappear
-        // through a fresh announcement). Attestation pins persist: the
-        // restarted gateway is re-leasable only under its original key.
-        self.gw_health.clear_dead();
     }
 
     /// A lease grant: the handshake's first grant makes the active lease;
@@ -775,13 +765,17 @@ impl ConnectionProvider {
     /// standby.
     fn on_lease(&mut self, ctx: &mut Ctx<'_>, from: SocketAddr, public: Addr, lifetime_secs: u32) {
         let lease = SimDuration::from_secs(lifetime_secs as u64);
-        if let State::Connecting { gateway, id, .. } = self.state {
-            if gateway.addr == from.addr {
-                self.on_first_grant(ctx, id, gateway, public, lease);
+        if let State::Connecting { gw, id, .. } = self.state {
+            if gw.contact.addr == from.addr {
+                self.on_first_grant(ctx, id, gw, public, lease);
                 return;
             }
         }
-        let Some(i) = self.leases.iter().position(|l| l.gateway.addr == from.addr) else {
+        let Some(i) = self
+            .leases
+            .iter()
+            .position(|l| l.gw.contact.addr == from.addr)
+        else {
             return;
         };
         let now = ctx.now();
@@ -793,10 +787,8 @@ impl ConnectionProvider {
         l.lease_expires = now + lease;
         // A lease grant is proof of life as good as a pong.
         l.missed_pings = 0;
-        let id = l.id;
         if active {
-            l.refresh_outstanding = false;
-            l.refresh_failures = 0;
+            l.unanswered_refreshes = 0;
             // The grant is authoritative: adopt a renumbered public
             // address and a shortened (or lengthened) lifetime instead of
             // silently drifting from the server's view.
@@ -807,8 +799,7 @@ impl ConnectionProvider {
                 ctx.emit(LocalEvent::InternetUp { public });
             }
             if old_lease != lease {
-                l.refresh_due = now + lease / 2;
-                ctx.set_timer(lease / 2, tok(TAG_REFRESH, id));
+                l.arm_refresh(ctx);
             }
         } else if old_public.is_none() {
             // A standby's first grant: it is warm now. The granted public
@@ -818,10 +809,9 @@ impl ConnectionProvider {
             // keep it *verified* warm, not merely leased-once.
             ctx.stats().count("cp.standby_warm", 1);
             if !self.cfg.keepalive_interval.is_zero() {
-                ctx.set_timer(self.cfg.keepalive_interval, tok(TAG_KEEPALIVE, id));
+                ctx.set_timer(self.cfg.keepalive_interval, tok(TAG_KEEPALIVE, l.id));
             }
-            l.refresh_due = now + lease / 2;
-            ctx.set_timer(lease / 2, tok(TAG_REFRESH, id));
+            l.arm_refresh(ctx);
         }
     }
 
@@ -830,7 +820,7 @@ impl ConnectionProvider {
         &mut self,
         ctx: &mut Ctx<'_>,
         id: u64,
-        gateway: SocketAddr,
+        gw: Candidate,
         public: Addr,
         lease: SimDuration,
     ) {
@@ -841,35 +831,27 @@ impl ConnectionProvider {
         // the dead one comes back it re-announces and competes on equal
         // footing again.
         self.gw_health.clear_dead();
-        ctx.span_exit(self.handshake_span, true);
-        self.handshake_span = SpanId::NONE;
-        let took = ctx.now_us().saturating_sub(self.handshake_started_us);
-        ctx.obs().hist_record("cp.handshake_us", took);
+        if let Some(h) = self.handshake.take() {
+            let took = h.close(ctx, true);
+            ctx.obs().hist_record("cp.handshake_us", took);
+        }
         self.install(ctx, public, "cp.tunnel_up");
         // A standby lease on the now-active gateway merges into the
         // active one; count it as released, not leaked.
+        let same = |s: &Lease| s.gw.contact.addr == gw.contact.addr;
         let merged = self
             .leases
             .iter()
-            .filter(|s| s.gateway.addr == gateway.addr && s.public.is_some())
+            .filter(|s| same(s) && s.public.is_some())
             .count();
-        self.leases.retain(|s| s.gateway.addr != gateway.addr);
-        // Origin and advert lifetime rank and expire standbys only; an
-        // active lease never becomes one again.
+        self.leases.retain(|s| !same(s));
         self.leases.push(Lease {
-            id,
-            gateway,
-            origin: gateway.addr,
             public: Some(public),
             lease,
             lease_expires: now + lease,
-            advert_expires: now,
-            missed_pings: 0,
-            refresh_failures: 0,
-            refresh_outstanding: false,
-            refresh_due: now,
+            ..Lease::pending(id, gw, now)
         });
-        self.arm_active(ctx, self.leases.len() - 1, lease / 2);
+        self.arm_active(ctx, self.leases.len() - 1);
         self.handoff_done(ctx, false);
         if merged > 0 {
             ctx.stats().count("cp.standby_drop", merged);
@@ -902,30 +884,24 @@ impl ConnectionProvider {
     /// to the next cold contact or gives up; a standby that never warmed
     /// is dropped. Any other firing is stale.
     fn on_connect_timeout(&mut self, ctx: &mut Ctx<'_>, key: u64) {
-        if let State::Connecting {
-            gateway,
-            attempts,
-            id,
-        } = self.state
-        {
+        if let State::Connecting { gw, attempts, id } = self.state {
             if id == key {
                 if attempts < 2 {
-                    self.connect(ctx, gateway, attempts + 1);
+                    self.connect(ctx, gw, attempts + 1);
                     return;
                 }
-                let next = self.next_cold(ctx, gateway.addr);
-                ctx.span_exit(self.handshake_span, false);
-                self.handshake_span = SpanId::NONE;
-                if let Some(next) = next {
+                let next = self.next_cold(ctx, gw.contact.addr);
+                if let Some(h) = self.handshake.take() {
+                    h.close(ctx, false);
+                }
+                match next {
                     // This gateway never answered; advance through the
                     // cold ranking before giving up.
-                    ctx.stats().count("cp.standby_advance", 1);
-                    self.connect(ctx, next, 0);
-                } else {
-                    self.fail_handoff(ctx);
-                    self.state = State::Idle;
-                    self.consecutive_failures = self.consecutive_failures.saturating_add(1);
-                    self.schedule_recheck(ctx);
+                    Some(next) => {
+                        ctx.stats().count("cp.standby_advance", 1);
+                        self.connect(ctx, next, 0);
+                    }
+                    None => self.go_offline(ctx),
                 }
                 return;
             }
@@ -943,7 +919,7 @@ impl ConnectionProvider {
     }
 
     /// A lease's refresh chain. The active lease counts unanswered
-    /// refreshes and is torn down after too many; a standby just re-sends
+    /// refreshes and goes offline after too many; a standby just re-sends
     /// and lapses on its own if the gateway is gone.
     fn on_refresh(&mut self, ctx: &mut Ctx<'_>, key: u64) {
         let now = ctx.now();
@@ -958,27 +934,19 @@ impl ConnectionProvider {
         let active = self.state == State::Active(key);
         let l = &mut self.leases[i];
         if active {
-            if l.refresh_outstanding {
-                l.refresh_failures += 1;
-            }
-            if l.refresh_failures > MAX_REFRESH_FAILURES {
-                self.teardown(ctx);
-                self.consecutive_failures = self.consecutive_failures.saturating_add(1);
-                self.schedule_recheck(ctx);
+            if l.unanswered_refreshes > MAX_REFRESH_FAILURES {
+                self.go_offline(ctx);
                 return;
             }
-            l.refresh_outstanding = true;
+            l.unanswered_refreshes += 1;
         }
-        let (period, counter) = if active {
-            (l.lease / 2, "cp.tconnect")
+        let counter = if active {
+            "cp.tconnect"
         } else {
-            (l.lease.max(MIN_REFRESH_LEASE) / 2, "cp.standby_refresh")
+            "cp.standby_refresh"
         };
-        l.refresh_due = now + period;
-        let gateway = l.gateway;
-        ctx.stats().count(counter, 1);
-        ctx.send_to(gateway, ports::TUNNEL, TunnelMsg::Connect.to_wire());
-        ctx.set_timer(period, tok(TAG_REFRESH, key));
+        send_connect(ctx, l.gw.contact, counter);
+        l.arm_refresh(ctx);
     }
 
     /// A lease's keepalive chain. Too many unanswered pings start a
@@ -1000,15 +968,11 @@ impl ConnectionProvider {
             return;
         }
         self.leases[i].missed_pings += 1;
-        let gateway = self.leases[i].gateway;
         self.ping_seq += 1;
-        ctx.stats()
-            .count(if active { "cp.ping" } else { "cp.standby_ping" }, 1);
-        ctx.send_to(
-            gateway,
-            ports::TUNNEL,
-            TunnelMsg::Ping { seq: self.ping_seq }.to_wire(),
-        );
+        let ping = TunnelMsg::Ping { seq: self.ping_seq };
+        let counter = if active { "cp.ping" } else { "cp.standby_ping" };
+        ctx.stats().count(counter, 1);
+        ctx.send_to(self.leases[i].gw.contact, ports::TUNNEL, ping.to_wire());
         ctx.set_timer(self.cfg.keepalive_interval, tok(TAG_KEEPALIVE, key));
     }
 }
@@ -1040,36 +1004,16 @@ impl Process for ConnectionProvider {
         // SLP replies to our gateway probes.
         if dgram.dst.port == CP_SLP_PORT {
             if let Ok(SlpMsg::SrvRply { xid, entries }) = SlpMsg::parse(&dgram.payload) {
-                if let State::Probing { xid: expect } = self.state {
-                    if xid == expect {
-                        // Rank every offered gateway (hops, then
-                        // freshness): lease from the best, keep the rest
-                        // as cold contacts for handoff. Neighbor caches
-                        // may still advertise the blocklisted dead gateway.
-                        let mut entries: Vec<ServiceEntry> = entries
-                            .into_iter()
-                            .filter(|e| self.admit_gateway(e))
-                            .collect::<Vec<_>>();
-                        {
-                            let now = ctx.now();
-                            let routes = ctx.routes_ref();
-                            rank_gateways(&mut entries, |a| routes.lookup(a, now).map(|r| r.hops));
-                        }
-                        match entries.first() {
-                            Some(gw) => {
-                                let best = gw.contact;
-                                let now = ctx.now();
-                                self.keep_cold(&entries[1..], now);
-                                self.connect(ctx, best, 0);
-                            }
-                            None => {
-                                self.fail_handoff(ctx);
-                                self.state = State::Idle;
-                                self.consecutive_failures =
-                                    self.consecutive_failures.saturating_add(1);
-                                self.schedule_recheck(ctx);
-                            }
-                        }
+                if self.state == (State::Probing { xid }) {
+                    // Lease from the best offered gateway and keep the
+                    // rest as cold contacts for handoff. Neighbor caches
+                    // may still advertise the blocklisted dead gateway.
+                    let now = ctx.now();
+                    let mut offered: Vec<Candidate> =
+                        entries.iter().filter_map(|e| self.admit(e, now)).collect();
+                    rank(&mut offered, hops_to(ctx), |c| *c);
+                    if !self.connect_best(ctx, offered) {
+                        self.go_offline(ctx);
                     }
                 }
             }
@@ -1101,17 +1045,14 @@ impl Process for ConnectionProvider {
                 }
                 Some(TunnelMsg::Pong { .. }) => {
                     let from = dgram.src.addr;
-                    if let Some(l) = self.leases.iter_mut().find(|l| l.gateway.addr == from) {
+                    if let Some(l) = self.leases.iter_mut().find(|l| l.gw.contact.addr == from) {
                         l.missed_pings = 0;
                         let active = self.state == State::Active(l.id);
                         ctx.stats()
                             .count(if active { "cp.pong" } else { "cp.standby_pong" }, 1);
                     }
                 }
-                Some(TunnelMsg::Connect)
-                | Some(TunnelMsg::Ping { .. })
-                | Some(TunnelMsg::Relay(_))
-                | None => {
+                Some(TunnelMsg::Connect | TunnelMsg::Ping { .. } | TunnelMsg::Relay(_)) | None => {
                     ctx.stats().count("cp.unexpected_msg", dgram.payload.len());
                 }
             }
@@ -1125,15 +1066,11 @@ impl Process for ConnectionProvider {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         let key = token >> 8;
         match token & 0xff {
-            TAG_CHECK => match self.state {
-                State::Idle => self.probe(ctx),
-                State::Probing { .. } => {
-                    // SLP lookup never answered (should not happen — the
-                    // daemon always replies); retry.
-                    self.probe(ctx);
-                }
-                _ => {}
-            },
+            // A probe still outstanding was never answered (should not
+            // happen — the daemon always replies): retry.
+            TAG_CHECK if matches!(self.state, State::Idle | State::Probing { .. }) => {
+                self.probe(ctx)
+            }
             TAG_CONNECT_TIMEOUT => self.on_connect_timeout(ctx, key),
             TAG_REFRESH => self.on_refresh(ctx, key),
             TAG_KEEPALIVE => self.on_keepalive(ctx, key),
@@ -1172,36 +1109,65 @@ mod tests {
         assert!(!cp.is_connected());
     }
 
-    fn cold(n: u32, now: SimTime, life: u64) -> ColdContact {
-        ColdContact {
+    fn gw(n: u32, now: SimTime, life: u64) -> Candidate {
+        Candidate {
             contact: SocketAddr::new(Addr::manet(n), ports::TUNNEL),
             origin: Addr::manet(n),
-            expires: now + SimDuration::from_secs(life),
+            advert_expires: now + SimDuration::from_secs(life),
         }
     }
 
-    /// Regression: standby contacts used to be popped in insertion order,
+    fn origins(ranked: &[Candidate]) -> Vec<Addr> {
+        ranked.iter().map(|c| c.origin).collect()
+    }
+
+    /// Regression: cold contacts used to be popped in insertion order,
     /// so a failover could chase a gateway that had drifted three hops
     /// away while a one-hop candidate sat later in the list. The ranking
-    /// must be recomputed against current routes at failover time.
+    /// must be recomputed against current routes when a list is used.
     #[test]
-    fn cold_contacts_rerank_by_current_hops_not_insertion_order() {
+    fn candidates_rerank_by_current_hops_not_insertion_order() {
         let now = SimTime::from_secs(100);
         // Inserted far-first (the ranking at probe time); by failover
         // time node 2 is nearest and node 3 is unreachable.
-        let mut contacts = vec![cold(1, now, 30), cold(2, now, 30), cold(3, now, 30)];
-        rank_cold_contacts(&mut contacts, |a| {
-            if a == Addr::manet(1) {
-                Some(3)
-            } else if a == Addr::manet(2) {
-                Some(1)
-            } else {
-                None
-            }
-        });
-        assert_eq!(contacts[0].origin, Addr::manet(2), "nearest first");
-        assert_eq!(contacts[1].origin, Addr::manet(1));
-        assert_eq!(contacts[2].origin, Addr::manet(3), "unreachable last");
+        let mut cands = vec![gw(1, now, 30), gw(2, now, 30), gw(3, now, 30)];
+        let hops = |a| match a {
+            a if a == Addr::manet(1) => Some(3),
+            a if a == Addr::manet(2) => Some(1),
+            _ => None,
+        };
+        rank(&mut cands, hops, |c| *c);
+        let want = [Addr::manet(2), Addr::manet(1), Addr::manet(3)];
+        assert_eq!(origins(&cands), want, "nearest first, unreachable last");
+    }
+
+    #[test]
+    fn candidates_tiebreak_on_advert_freshness_then_origin() {
+        let now = SimTime::from_secs(100);
+        let mut cands = vec![gw(3, now, 50), gw(1, now, 10), gw(2, now, 50)];
+        rank(&mut cands, |_| Some(2), |c| *c);
+        let want = [Addr::manet(2), Addr::manet(3), Addr::manet(1)];
+        assert_eq!(origins(&cands), want, "equal hops: fresher advert wins");
+    }
+
+    /// The key is the candidate's, whatever holds it: an SLP entry ranks
+    /// by the expiry its remaining lifetime gives.
+    #[test]
+    fn entries_rank_by_the_candidate_they_name() {
+        let now = SimTime::from_secs(100);
+        let entry = |n: u32, life| {
+            ServiceEntry::gateway(
+                SocketAddr::new(Addr::manet(n), ports::TUNNEL),
+                Addr::manet(n),
+                1,
+                life,
+            )
+        };
+        let mut entries = vec![entry(1, 60), entry(2, 30), entry(3, 60)];
+        let hops = |a| (a != Addr::manet(3)).then_some(1);
+        rank(&mut entries, hops, |e| Candidate::of(e, now));
+        let got: Vec<Addr> = entries.iter().map(|e| e.origin).collect();
+        assert_eq!(got, [Addr::manet(1), Addr::manet(2), Addr::manet(3)]);
     }
 
     #[test]
@@ -1234,15 +1200,21 @@ mod tests {
         assert_eq!(h.pinned(gw), Some(0x1111));
     }
 
+    /// The blocklist refuses a candidate by its contact or its origin.
     #[test]
-    fn cold_contacts_tiebreak_on_advert_freshness() {
-        let now = SimTime::from_secs(100);
-        let mut contacts = vec![cold(1, now, 10), cold(2, now, 50)];
-        rank_cold_contacts(&mut contacts, |_| Some(2));
-        assert_eq!(
-            contacts[0].origin,
-            Addr::manet(2),
-            "equal hops: fresher advert wins"
-        );
+    fn gateway_health_blocks_by_contact_or_origin() {
+        let now = SimTime::ZERO;
+        let mut h = GatewayHealth::default();
+        let relayed = Candidate {
+            origin: Addr::manet(9),
+            ..gw(4, now, 60)
+        };
+        assert!(!h.blocks(&relayed));
+        h.mark_dead(Addr::manet(4));
+        assert!(h.blocks(&relayed));
+        h.mark_dead(Addr::manet(9));
+        assert!(h.blocks(&relayed));
+        h.mark_dead(Addr::manet(5));
+        assert!(!h.blocks(&relayed));
     }
 }

@@ -199,10 +199,31 @@ impl TunnelServer {
         ctx.send(Datagram::new(src, relay, payload));
     }
 
+    /// Extends the lease `client` holds, if any, by a full lifetime from
+    /// `now`; returns its public address.
+    fn renew(&mut self, client: Addr, now: SimTime) -> Option<Addr> {
+        let l = self.leases.get_mut(&client)?;
+        l.expires = now + LEASE_LIFETIME;
+        Some(l.public)
+    }
+
+    /// Tunnels `inner` to the client whose lease holds its public
+    /// destination, counted as `counter`; with no such lease it is dropped.
+    fn to_holder(&self, ctx: &mut Ctx<'_>, inner: Datagram, counter: &'static str) {
+        let len = inner.wire_len();
+        let holder = self.leases.iter().find(|(_, l)| l.public == inner.dst.addr);
+        let Some((&client, _)) = holder else {
+            ctx.stats().count("tunnel.expired_lease_drop", len);
+            return;
+        };
+        ctx.stats().count(counter, len);
+        let to = SocketAddr::new(client, ports::TUNNEL);
+        ctx.send_to(to, ports::TUNNEL, TunnelMsg::Data { inner }.to_wire());
+    }
+
     fn allocate(&mut self, client: Addr, now: SimTime) -> Option<Addr> {
-        if let Some(l) = self.leases.get_mut(&client) {
-            l.expires = now + LEASE_LIFETIME;
-            return Some(l.public);
+        if let Some(public) = self.renew(client, now) {
+            return Some(public);
         }
         let in_use = |a| self.leases.values().any(|l| l.public == a);
         let public = self.cfg.pool.allocate(in_use)?;
@@ -233,25 +254,7 @@ impl Process for TunnelServer {
             && dgram.dst.addr.is_public()
             && self.cfg.relay != Some(dgram.src)
         {
-            let client = self
-                .leases
-                .iter()
-                .find(|(_, l)| l.public == dgram.dst.addr)
-                .map(|(c, _)| *c);
-            if let Some(client) = client {
-                let msg = TunnelMsg::Data {
-                    inner: dgram.clone(),
-                };
-                ctx.stats().count("tunnel.to_client", dgram.wire_len());
-                ctx.send_to(
-                    SocketAddr::new(client, ports::TUNNEL),
-                    ports::TUNNEL,
-                    msg.to_wire(),
-                );
-            } else {
-                ctx.stats()
-                    .count("tunnel.expired_lease_drop", dgram.wire_len());
-            }
+            self.to_holder(ctx, dgram.clone(), "tunnel.to_client");
             return;
         }
         let Some(msg) = TunnelMsg::parse(&dgram.payload) else {
@@ -267,9 +270,7 @@ impl Process for TunnelServer {
                     // refresh is answered from local soft state at once;
                     // a fresh connect waits for the relay's AllocOk.
                     // Either way the relay-side allocation is renewed.
-                    if let Some(l) = self.leases.get_mut(&client) {
-                        l.expires = now + LEASE_LIFETIME;
-                        let public = l.public;
+                    if let Some(public) = self.renew(client, now) {
                         ctx.stats().count("tunnel.lease", 1);
                         self.send_lease(ctx, dgram.src, public);
                     } else {
@@ -336,26 +337,7 @@ impl Process for TunnelServer {
             TunnelMsg::Relay(RelayMsg::RelayData { inner })
                 if self.cfg.relay == Some(dgram.src) =>
             {
-                let client = self
-                    .leases
-                    .iter()
-                    .find(|(_, l)| l.public == inner.dst.addr)
-                    .map(|(c, _)| *c);
-                match client {
-                    Some(client) => {
-                        ctx.stats().count("tunnel.from_relay", inner.wire_len());
-                        let msg = TunnelMsg::Data { inner };
-                        ctx.send_to(
-                            SocketAddr::new(client, ports::TUNNEL),
-                            ports::TUNNEL,
-                            msg.to_wire(),
-                        );
-                    }
-                    None => {
-                        ctx.stats()
-                            .count("tunnel.expired_lease_drop", inner.wire_len());
-                    }
-                }
+                self.to_holder(ctx, inner, "tunnel.from_relay");
             }
             _ => {
                 ctx.stats().count("tunnel.unexpected_msg", 1);

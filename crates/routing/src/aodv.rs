@@ -24,7 +24,7 @@ use siphoc_simnet::process::{Ctx, LocalEvent, LocalKind, Process};
 use siphoc_simnet::route::Route;
 use siphoc_simnet::time::{SimDuration, SimTime};
 
-use crate::handler::{fit_budget, MsgKind, SharedHandler, PIGGYBACK_BUDGET};
+use crate::handler::{fit_budget, MsgKind, Piggyback, SharedHandler, PIGGYBACK_BUDGET};
 use crate::wire::{read_entries, write_entries, Reader, WireError, Writer};
 
 /// Lifetime of an active route (RFC 3561 §10 `ACTIVE_ROUTE_TIMEOUT`).
@@ -252,7 +252,7 @@ struct Discovery {
 /// The AODV routing process. Spawn exactly one per MANET node.
 #[derive(Default)]
 pub struct AodvProcess {
-    handler: Option<SharedHandler>,
+    handler: Piggyback,
     seq: u32,
     rreq_id: u32,
     hello_seq: u32,
@@ -280,39 +280,8 @@ impl AodvProcess {
 
     /// Attaches the piggyback handler (the libipq-capture analogue).
     pub fn with_handler(mut self, handler: SharedHandler) -> AodvProcess {
-        self.handler = Some(handler);
+        self.handler = Piggyback(Some(handler));
         self
-    }
-
-    fn collect_piggyback(&mut self, ctx: &mut Ctx<'_>, kind: MsgKind) -> Vec<Vec<u8>> {
-        match &self.handler {
-            Some(h) => {
-                let entries = h.borrow_mut().collect_outgoing(ctx, kind, PIGGYBACK_BUDGET);
-                let entries = fit_budget(entries, PIGGYBACK_BUDGET);
-                let extra: usize = entries.iter().map(|e| e.len() + 2).sum();
-                if extra > 0 {
-                    ctx.stats().count("aodv.piggyback", extra);
-                }
-                entries
-            }
-            None => Vec::new(),
-        }
-    }
-
-    fn handler_incoming(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        kind: MsgKind,
-        from: Addr,
-        origin: Addr,
-        entries: &[Vec<u8>],
-    ) -> Vec<Vec<u8>> {
-        match &self.handler {
-            Some(h) if !entries.is_empty() => h
-                .borrow_mut()
-                .process_incoming(ctx, kind, from, origin, entries),
-            _ => Vec::new(),
-        }
     }
 
     fn broadcast(&mut self, ctx: &mut Ctx<'_>, msg: &AodvMsg, counter: &'static str) {
@@ -415,7 +384,7 @@ impl AodvProcess {
             Some(r) => (r.seq, 0),
             None => (0, FLAG_UNKNOWN_SEQ),
         };
-        let entries = self.collect_piggyback(ctx, MsgKind::AodvRreq);
+        let entries = self.handler.collect(ctx, MsgKind::AodvRreq);
         let msg = AodvMsg::Rreq {
             flags,
             hop_count: 0,
@@ -438,7 +407,7 @@ impl AodvProcess {
         self.seq = self.seq.wrapping_add(1);
         self.rreq_id = self.rreq_id.wrapping_add(1);
         let mut entries = vec![query];
-        entries.extend(self.collect_piggyback(ctx, MsgKind::AodvRreq));
+        entries.extend(self.handler.collect(ctx, MsgKind::AodvRreq));
         let entries = fit_budget(entries, PIGGYBACK_BUDGET);
         let msg = AodvMsg::Rreq {
             flags: FLAG_UNKNOWN_SEQ | FLAG_SERVICE,
@@ -490,7 +459,9 @@ impl AodvProcess {
             ACTIVE_ROUTE_TIMEOUT,
         );
 
-        let answers = self.handler_incoming(ctx, MsgKind::AodvRreq, from, orig, &entries);
+        let answers = self
+            .handler
+            .deliver(ctx, MsgKind::AodvRreq, from, orig, &entries);
 
         let service = flags & FLAG_SERVICE != 0;
         if service {
@@ -537,7 +508,7 @@ impl AodvProcess {
                 dst_seq: self.seq,
                 orig,
                 lifetime: ACTIVE_ROUTE_TIMEOUT,
-                entries: self.collect_piggyback(ctx, MsgKind::AodvRrep),
+                entries: self.handler.collect(ctx, MsgKind::AodvRrep),
             };
             self.unicast(ctx, from, &reply, "aodv.rrep");
             return;
@@ -599,7 +570,9 @@ impl AodvProcess {
             dst_seq,
             lifetime,
         );
-        let _ = self.handler_incoming(ctx, MsgKind::AodvRrep, from, dst, &entries);
+        let _ = self
+            .handler
+            .deliver(ctx, MsgKind::AodvRrep, from, dst, &entries);
         let _ = flags;
 
         if orig == ctx.addr() {
@@ -676,7 +649,7 @@ impl AodvProcess {
         self.hello_seq = self.hello_seq.wrapping_add(1);
         let msg = AodvMsg::Hello {
             seq: self.hello_seq,
-            entries: self.collect_piggyback(ctx, MsgKind::AodvHello),
+            entries: self.handler.collect(ctx, MsgKind::AodvHello),
         };
         self.broadcast(ctx, &msg, "aodv.hello");
         ctx.set_timer(HELLO_INTERVAL, TAG_HELLO);
@@ -725,7 +698,9 @@ impl Process for AodvProcess {
                 self.neighbors.insert(from, ctx.now());
                 let hold = HELLO_INTERVAL * (ALLOWED_HELLO_LOSS + 1);
                 self.update_route(ctx, from, from, 1, 0, hold);
-                let _ = self.handler_incoming(ctx, MsgKind::AodvHello, from, from, &entries);
+                let _ = self
+                    .handler
+                    .deliver(ctx, MsgKind::AodvHello, from, from, &entries);
             }
         }
     }

@@ -99,6 +99,52 @@ pub fn fit_budget(mut entries: Vec<Vec<u8>>, budget: usize) -> Vec<Vec<u8>> {
     entries
 }
 
+/// A routing process's piggyback handler, if one is attached: the one
+/// path both protocols take to attach entries to an outgoing message and
+/// to hand received ones over.
+#[derive(Default)]
+pub(crate) struct Piggyback(pub(crate) Option<SharedHandler>);
+
+impl Piggyback {
+    /// Entries the handler attaches to an outgoing `kind` message, cut to
+    /// [`PIGGYBACK_BUDGET`] and counted as `<protocol>.piggyback` at 2
+    /// length bytes plus the payload each; none without a handler.
+    pub(crate) fn collect(&self, ctx: &mut Ctx<'_>, kind: MsgKind) -> Vec<Vec<u8>> {
+        let Some(h) = &self.0 else {
+            return Vec::new();
+        };
+        let entries = h.borrow_mut().collect_outgoing(ctx, kind, PIGGYBACK_BUDGET);
+        let entries = fit_budget(entries, PIGGYBACK_BUDGET);
+        let extra: usize = entries.iter().map(|e| e.len() + 2).sum();
+        if extra > 0 {
+            let counter = match kind {
+                MsgKind::AodvRreq | MsgKind::AodvRrep | MsgKind::AodvHello => "aodv.piggyback",
+                MsgKind::OlsrHello | MsgKind::OlsrTc => "olsr.piggyback",
+            };
+            ctx.stats().count(counter, extra);
+        }
+        entries
+    }
+
+    /// Hands the entries received on a `kind` message to the handler and
+    /// returns its answers; an empty list is not handed over.
+    pub(crate) fn deliver(
+        &self,
+        ctx: &mut Ctx<'_>,
+        kind: MsgKind,
+        from: Addr,
+        origin: Addr,
+        entries: &[Vec<u8>],
+    ) -> Vec<Vec<u8>> {
+        match &self.0 {
+            Some(h) if !entries.is_empty() => h
+                .borrow_mut()
+                .process_incoming(ctx, kind, from, origin, entries),
+            _ => Vec::new(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -27,7 +27,7 @@ use siphoc_simnet::process::{Ctx, LocalEvent, LocalKind, Process};
 use siphoc_simnet::route::Route;
 use siphoc_simnet::time::{SimDuration, SimTime};
 
-use crate::handler::{fit_budget, MsgKind, SharedHandler, PIGGYBACK_BUDGET};
+use crate::handler::{MsgKind, Piggyback, SharedHandler};
 use crate::wire::{read_entries, write_entries, Reader, WireError, Writer};
 
 /// HELLO emission period (RFC 3626 §18.2 `HELLO_INTERVAL`).
@@ -390,7 +390,7 @@ struct Scratch {
 /// only a change of the universe rebuilds them all (see [`Rows`]).
 #[derive(Default)]
 pub struct OlsrProcess {
-    handler: Option<SharedHandler>,
+    handler: Piggyback,
     links: BTreeMap<Addr, LinkState>,
     mpr_set: BTreeSet<Addr>,
     mpr_selectors: BTreeMap<Addr, SimTime>,
@@ -437,47 +437,13 @@ impl OlsrProcess {
 
     /// Attaches the piggyback handler.
     pub fn with_handler(mut self, handler: SharedHandler) -> OlsrProcess {
-        self.handler = Some(handler);
+        self.handler = Piggyback(Some(handler));
         self
     }
 
     /// The currently selected MPR set (diagnostics / tests).
     pub fn mpr_set(&self) -> &BTreeSet<Addr> {
         &self.mpr_set
-    }
-
-    fn collect_piggyback(&mut self, ctx: &mut Ctx<'_>, kind: MsgKind) -> Vec<Vec<u8>> {
-        match &self.handler {
-            Some(h) => {
-                let entries = fit_budget(
-                    h.borrow_mut().collect_outgoing(ctx, kind, PIGGYBACK_BUDGET),
-                    PIGGYBACK_BUDGET,
-                );
-                let extra: usize = entries.iter().map(|e| e.len() + 2).sum();
-                if extra > 0 {
-                    ctx.stats().count("olsr.piggyback", extra);
-                }
-                entries
-            }
-            None => Vec::new(),
-        }
-    }
-
-    fn handler_incoming(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        kind: MsgKind,
-        from: Addr,
-        origin: Addr,
-        entries: &[Vec<u8>],
-    ) {
-        if let Some(h) = &self.handler {
-            if !entries.is_empty() {
-                let _ = h
-                    .borrow_mut()
-                    .process_incoming(ctx, kind, from, origin, entries);
-            }
-        }
     }
 
     fn broadcast(&mut self, ctx: &mut Ctx<'_>, msg: &OlsrMsg, counter: &'static str) {
@@ -746,13 +712,13 @@ impl OlsrProcess {
             };
             neighbors.push((*a, status));
         }
-        let entries = self.collect_piggyback(ctx, MsgKind::OlsrHello);
+        let entries = self.handler.collect(ctx, MsgKind::OlsrHello);
         let msg = OlsrMsg::Hello { neighbors, entries };
         self.broadcast(ctx, &msg, "olsr.hello");
     }
 
     fn send_tc(&mut self, ctx: &mut Ctx<'_>) {
-        let entries = self.collect_piggyback(ctx, MsgKind::OlsrTc);
+        let entries = self.handler.collect(ctx, MsgKind::OlsrTc);
         // RFC: emit TCs while we have MPR selectors. Also emit when the
         // handler has entries to spread — the piggyback vehicle must run
         // even in fully meshed topologies where nobody needs MPRs.
@@ -824,7 +790,8 @@ impl OlsrProcess {
         } else {
             self.mpr_selectors.remove(&from);
         }
-        self.handler_incoming(ctx, MsgKind::OlsrHello, from, from, &entries);
+        self.handler
+            .deliver(ctx, MsgKind::OlsrHello, from, from, &entries);
         self.select_mprs(ctx);
         self.recompute_routes(ctx);
     }
@@ -887,7 +854,8 @@ impl OlsrProcess {
             }
             self.recompute_routes(ctx);
         }
-        self.handler_incoming(ctx, MsgKind::OlsrTc, from, orig, &entries);
+        self.handler
+            .deliver(ctx, MsgKind::OlsrTc, from, orig, &entries);
 
         // MPR forwarding rule: retransmit only if the sender selected us.
         if ttl > 1 && self.mpr_selectors.contains_key(&from) {
@@ -914,7 +882,7 @@ impl Process for OlsrProcess {
         ctx.take_local(&[LocalKind::LinkTxFailed]);
         // A restart forgets all it learned; its sequence numbers go on.
         *self = OlsrProcess {
-            handler: self.handler.take(),
+            handler: std::mem::take(&mut self.handler),
             msg_seq: self.msg_seq,
             ansn: self.ansn,
             ..OlsrProcess::default()

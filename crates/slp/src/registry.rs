@@ -492,24 +492,15 @@ impl SlpRegistry {
         self.all_iter(now).map(refreshed).collect()
     }
 
-    /// All unexpired `service:gateway` entries ranked for lease candidacy:
-    /// fewest hops first (per `hops_to`; unreachable sorts last), then the
-    /// longest remaining lifetime, then origin for a stable total order.
-    /// The Connection Provider leases from the head and keeps the tail as
-    /// warm standby for mid-call handoff.
-    pub fn gateway_candidates(
-        &self,
-        now: SimTime,
-        hops_to: impl FnMut(Addr) -> Option<u8>,
-    ) -> Vec<ServiceEntry> {
-        let mut out: Vec<ServiceEntry> = self
-            .entries
+    /// All unexpired `service:gateway` entries, lifetimes recomputed, in
+    /// origin order. The Connection Provider ranks them for lease
+    /// candidacy.
+    pub fn gateway_candidates(&self, now: SimTime) -> Vec<ServiceEntry> {
+        self.entries
             .range(crate::service::service_types::GATEWAY, "")
             .filter_map(|s| s.live(now))
             .map(refreshed)
-            .collect();
-        rank_gateways(&mut out, hops_to);
-        out
+            .collect()
     }
 
     /// Removes every learned entry announced by `origin` — used when the
@@ -586,20 +577,6 @@ fn refreshed((e, lifetime_secs): (&ServiceEntry, u32)) -> ServiceEntry {
     }
 }
 
-/// Orders gateway entries by lease desirability: hop count to the origin
-/// ascending (no route = `u8::MAX`, last), remaining lifetime descending
-/// (fresher adverts are likelier to still be alive), origin ascending as a
-/// deterministic tiebreak.
-pub fn rank_gateways(entries: &mut [ServiceEntry], mut hops_to: impl FnMut(Addr) -> Option<u8>) {
-    entries.sort_by_key(|e| {
-        (
-            hops_to(e.origin).unwrap_or(u8::MAX),
-            std::cmp::Reverse(e.lifetime_secs),
-            e.origin,
-        )
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -665,37 +642,30 @@ mod tests {
     }
 
     #[test]
-    fn gateway_candidates_rank_by_hops_then_freshness() {
+    fn gateway_candidates_read_live_gateways_in_origin_order() {
         let mut r = SlpRegistry::new();
         let now = SimTime::ZERO;
-        let gw = |origin: u32, seq, lifetime| {
+        let gw = |origin: u32, lifetime| {
             ServiceEntry::gateway(
                 format!("82.130.{origin}.1:7077").parse().unwrap(),
                 Addr::manet(origin),
-                seq,
+                1,
                 lifetime,
             )
         };
-        r.absorb(gw(1, 1, 60), now); // 3 hops
-        r.absorb(gw(2, 1, 60), now); // 1 hop
-        r.absorb(gw(3, 1, 30), now); // 1 hop but staler
-        r.absorb(gw(4, 1, 60), now); // unreachable
+        r.absorb(gw(4, 60), now);
+        r.absorb(gw(1, 60), now);
+        r.absorb(gw(3, 30), now); // lapsed by the read
+        r.absorb(gw(2, 90), now);
         r.absorb(sip("alice@v.ch", 9, 1, 60), now); // not a gateway
-        let hops = |a: Addr| match a {
-            a if a == Addr::manet(1) => Some(3),
-            a if a == Addr::manet(2) => Some(1),
-            a if a == Addr::manet(3) => Some(1),
-            _ => None,
-        };
-        let ranked = r.gateway_candidates(now, hops);
-        let origins: Vec<Addr> = ranked.iter().map(|e| e.origin).collect();
+        let read = r.gateway_candidates(SimTime::from_secs(40));
+        let got: Vec<(Addr, u32)> = read.iter().map(|e| (e.origin, e.lifetime_secs)).collect();
         assert_eq!(
-            origins,
+            got,
             vec![
-                Addr::manet(2),
-                Addr::manet(3),
-                Addr::manet(1),
-                Addr::manet(4)
+                (Addr::manet(1), 20),
+                (Addr::manet(2), 50),
+                (Addr::manet(4), 20)
             ]
         );
     }
@@ -962,18 +932,11 @@ mod tests {
             self.live(now).map(|s| old_refreshed(s, now)).collect()
         }
 
-        fn gateway_candidates(
-            &self,
-            now: SimTime,
-            hops_to: impl FnMut(Addr) -> Option<u8>,
-        ) -> Vec<ServiceEntry> {
-            let mut out: Vec<ServiceEntry> = self
-                .live(now)
+        fn gateway_candidates(&self, now: SimTime) -> Vec<ServiceEntry> {
+            self.live(now)
                 .filter(|s| s.entry.service_type == crate::service::service_types::GATEWAY)
                 .map(|s| old_refreshed(s, now))
-                .collect();
-            rank_gateways(&mut out, hops_to);
-            out
+                .collect()
         }
 
         fn purge_origin(&mut self, origin: Addr) -> usize {
@@ -1036,7 +999,6 @@ mod tests {
     const ORIGINS: u32 = 4;
 
     fn assert_same(r: &SlpRegistry, o: &ScanOracle, now: SimTime, step: usize) {
-        let hops = |a: Addr| (a.0 % 3 != 0).then_some((a.0 % 5) as u8);
         for t in TYPES {
             for k in KEYS {
                 let q = ServiceQuery {
@@ -1060,8 +1022,8 @@ mod tests {
         assert_eq!(r.local_entries(now), o.local_entries(now), "step {step}");
         assert_eq!(r.all_entries(now), o.all_entries(now), "step {step}");
         assert_eq!(
-            r.gateway_candidates(now, hops),
-            o.gateway_candidates(now, hops),
+            r.gateway_candidates(now),
+            o.gateway_candidates(now),
             "step {step}"
         );
         assert_eq!(r.len(), o.entries.len(), "step {step}");

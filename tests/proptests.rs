@@ -909,6 +909,89 @@ fn sip_msg_parse_render_is_idempotent_and_bounded() {
     assert!(parsed > CASES / 2, "only {parsed} inputs parsed");
 }
 
+/// Any single-stream SDP body with one to four payload types.
+fn arb_sdp(rng: &mut SimRng) -> Sdp {
+    Sdp {
+        origin_user: string(rng, "a-zA-Z0-9._-", 1..12),
+        session_id: rng.next_u64(),
+        addr: arb_addr(rng),
+        audio_port: rng.next_u64() as u16,
+        payload_types: vec_of(rng, 1..5, |rng| rng.next_u64() as u8),
+    }
+}
+
+/// An SDP body as another softphone might spell it: bare `\n` line ends,
+/// runs of blanks between the `o=` and `m=` fields, `+` or zeros before
+/// their numbers (the user name excepted) and attribute lines the parser
+/// skips.
+fn respell_sdp(rng: &mut SimRng, sdp: &Sdp) -> String {
+    let mut out = String::new();
+    for line in sdp.to_string().lines() {
+        let (head, fields) = match (line.strip_prefix("o="), line.strip_prefix("m=audio ")) {
+            (Some(rest), _) => ("o=", rest),
+            (_, Some(rest)) => ("m=audio ", rest),
+            _ => (line, ""),
+        };
+        out += head;
+        for (i, field) in fields.split(' ').filter(|f| !f.is_empty()).enumerate() {
+            if i > 0 {
+                out += &string(rng, " \t", 1..4);
+            }
+            let user = head == "o=" && i == 0;
+            if !user && field.bytes().all(|b| b.is_ascii_digit()) && rng.chance(0.5) {
+                out += if rng.chance(0.5) { "+" } else { "00" };
+            }
+            out += field;
+        }
+        out += if rng.chance(0.5) { "\r\n" } else { "\n" };
+        if rng.chance(0.25) {
+            out += "a=rtpmap:0 PCMU/8000\r\n";
+        }
+    }
+    out
+}
+
+/// The SDP parser over arbitrary, corrupted and respelled bodies:
+/// whatever parses renders to text that parses back to the same
+/// description and renders the same again, a respelled body reads as the
+/// one it respells, and the description owns no more heap than the input
+/// is long.
+#[test]
+fn sdp_parse_render_is_idempotent_and_bounded() {
+    let mut parsed = 0;
+    check("sdp_parse_render", CASES, |rng| {
+        let (text, original) = match usize_in(rng, 0..3) {
+            0 => {
+                let b = noise_or_mutant(rng, |rng| arb_sdp(rng).to_string().into_bytes());
+                (String::from_utf8_lossy(&b).into_owned(), None)
+            }
+            _ => {
+                let sdp = arb_sdp(rng);
+                (respell_sdp(rng, &sdp), Some(sdp))
+            }
+        };
+        let Ok(sdp) = text.parse::<Sdp>() else {
+            assert!(original.is_none(), "respelled body did not parse: {text:?}");
+            return;
+        };
+        parsed += 1;
+        let heap = sdp.origin_user.capacity() + sdp.payload_types.capacity();
+        assert!(
+            heap <= text.len(),
+            "{heap} heap bytes from {} input",
+            text.len()
+        );
+        if let Some(original) = original {
+            assert_eq!(sdp, original, "{text:?}");
+        }
+        let wire = sdp.to_string();
+        let again: Sdp = wire.parse().unwrap();
+        assert_eq!(again, sdp);
+        assert_eq!(again.to_string(), wire);
+    });
+    assert!(parsed > CASES / 2, "only {parsed} inputs parsed");
+}
+
 #[test]
 fn rtp_parser_total() {
     check("rtp_parser_total", CASES, |rng| {

@@ -356,3 +356,234 @@ fn secure_client_releases_restarted_gateway_under_original_key() {
         "re-attestation under the pinned identity must allow the re-lease"
     );
 }
+
+/// Records, with its instant, every `InternetUp` and `InternetDown` the
+/// node's Connection Provider emits.
+struct Connectivity(std::rc::Rc<std::cell::RefCell<Vec<u8>>>);
+
+impl Process for Connectivity {
+    fn name(&self) -> &'static str {
+        "connectivity-log"
+    }
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.take_local(&[LocalKind::InternetUp, LocalKind::InternetDown]);
+    }
+    fn on_local_event(&mut self, ctx: &mut Ctx<'_>, ev: &LocalEvent) {
+        let line = match ev {
+            LocalEvent::InternetUp { public } => format!("{} up {public}\n", ctx.now_us()),
+            LocalEvent::InternetDown => format!("{} down\n", ctx.now_us()),
+            _ => return,
+        };
+        self.0.borrow_mut().extend_from_slice(line.as_bytes());
+    }
+}
+
+/// Port the Connection Provider sends its SLP gateway queries from.
+const CP_SLP_PORT: u16 = 4271;
+
+/// A traced world with the given gateways (`(x, y)` each, pools
+/// 82.130.64+i.0/24) and one client at (60, 0) built by `client`; returns
+/// the world, the gateways, the client and its connectivity log.
+fn cp_world(
+    seed: u64,
+    gateways: &[(f64, f64)],
+    client: impl FnOnce(NodeSpec) -> NodeSpec,
+) -> (
+    World,
+    Vec<wireless_adhoc_voip::core::nodesetup::SiphocNode>,
+    wireless_adhoc_voip::core::nodesetup::SiphocNode,
+    std::rc::Rc<std::cell::RefCell<Vec<u8>>>,
+) {
+    let mut w = World::new(WorldConfig::new(seed).with_radio(RadioConfig::ideal()));
+    let gws = gateways
+        .iter()
+        .enumerate()
+        .map(|(i, &(x, y))| {
+            deploy(
+                &mut w,
+                NodeSpec::relay(x, y)
+                    .with_gateway(Addr::new(82, 130, 64 + i as u8, 1))
+                    .with_dns(DnsDirectory::new()),
+            )
+        })
+        .collect();
+    let c = deploy(&mut w, client(NodeSpec::relay(60.0, 0.0)));
+    let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+    w.spawn(c.id, Box::new(Connectivity(log.clone())));
+    w.trace_mut().set_capacity(1 << 20);
+    w.trace_mut().set_enabled(true);
+    (w, gws, c, log)
+}
+
+/// The gateway whose pool the client's public alias comes from.
+fn serving(
+    w: &World,
+    gws: &[wireless_adhoc_voip::core::nodesetup::SiphocNode],
+    client: NodeId,
+) -> NodeId {
+    let public = w
+        .node(client)
+        .local_addrs()
+        .iter()
+        .copied()
+        .find(|a| a.is_public())
+        .expect("client leased");
+    let i = (public.0 >> 8 & 0xff) as usize - 64;
+    gws[i].id
+}
+
+/// Appends to `out`, each with its capture instant, every payload the
+/// client's Connection Provider put on the air or on loopback, then the
+/// connectivity log.
+fn cp_bytes(w: &World, client: NodeId, log: &std::cell::RefCell<Vec<u8>>, out: &mut Vec<u8>) {
+    use wireless_adhoc_voip::simnet::trace::TraceKind;
+    assert_eq!(
+        w.trace().evicted(),
+        0,
+        "the capture must hold the whole run"
+    );
+    let own = w.node(client).addr();
+    for e in w.trace().entries() {
+        let d = &e.dgram;
+        if e.node == client
+            && matches!(e.kind, TraceKind::RadioTx | TraceKind::Loopback)
+            && d.src.addr == own
+            && (d.src.port == ports::TUNNEL || d.src.port == CP_SLP_PORT)
+        {
+            out.extend_from_slice(&e.time.as_micros().to_le_bytes());
+            out.extend_from_slice(&d.payload);
+        }
+    }
+    out.extend_from_slice(&log.borrow());
+}
+
+/// The bytes of the Connection Provider's decisions no golden digest
+/// pins: a warm standby promoted, a break-before-make fallback, an
+/// advance through cold contacts after connect timeouts, a probe that
+/// finds no gateway, a teardown after refresh failures and a renumbered
+/// lease. One FNV-1a over every payload the provider sends and every
+/// connectivity signal it emits, with their instants.
+#[test]
+fn connection_provider_keeps_its_bytes() {
+    const PINNED: u64 = 0xa288_bcbd_0c09_4322;
+    let two = [(0.0, 0.0), (120.0, 0.0)];
+    let mut bytes = Vec::new();
+    let count = |w: &World, n: NodeId, name: &str| w.node(n).stats().get(name).packets;
+
+    // Warm promotion: the standby takes over in the event that saw the
+    // serving gateway die.
+    let (mut w, gws, c, log) = cp_world(801, &two, |s| s);
+    w.run_for(SimDuration::from_secs(20));
+    let dead = serving(&w, &gws, c.id);
+    w.set_node_up(dead, false);
+    w.run_for(SimDuration::from_secs(10));
+    assert!(count(&w, c.id, "cp.promote") >= 1);
+    cp_bytes(&w, c.id, &log, &mut bytes);
+
+    // Break-before-make: no standby, so the handoff handshakes with the
+    // best ranked survivor.
+    let cold = |s: NodeSpec| s.with_standby(0, SimDuration::from_secs(10));
+    let (mut w, gws, c, log) = cp_world(802, &two, cold);
+    w.run_for(SimDuration::from_secs(20));
+    let dead = serving(&w, &gws, c.id);
+    w.set_node_up(dead, false);
+    w.run_for(SimDuration::from_secs(10));
+    assert_eq!(count(&w, c.id, "cp.promote"), 0);
+    assert!(count(&w, c.id, "cp.handoff_ok") >= 1);
+    cp_bytes(&w, c.id, &log, &mut bytes);
+
+    // Every gateway dies: each candidate times out in turn, the provider
+    // advances through the cold contacts and then goes offline.
+    let three = [(0.0, 0.0), (120.0, 0.0), (60.0, 60.0)];
+    let (mut w, gws, c, log) = cp_world(803, &three, cold);
+    w.run_for(SimDuration::from_secs(20));
+    for g in &gws {
+        w.set_node_up(g.id, false);
+    }
+    w.run_for(SimDuration::from_secs(30));
+    assert!(count(&w, c.id, "cp.standby_advance") >= 1);
+    assert!(count(&w, c.id, "cp.tunnel_down") >= 1);
+    cp_bytes(&w, c.id, &log, &mut bytes);
+
+    // The only gateway dies: no candidate, so the handoff probes, finds
+    // nothing and declares the node offline.
+    let (mut w, gws, c, log) = cp_world(804, &two[..1], cold);
+    w.run_for(SimDuration::from_secs(20));
+    w.set_node_up(gws[0].id, false);
+    w.run_for(SimDuration::from_secs(20));
+    assert!(count(&w, c.id, "cp.probe") >= 2);
+    assert!(count(&w, c.id, "cp.tunnel_down") >= 1);
+    cp_bytes(&w, c.id, &log, &mut bytes);
+
+    // Without keepalives the refresh chain alone notices the dead gateway.
+    let quiet = |s: NodeSpec| s.with_keepalive(SimDuration::ZERO, 3);
+    let (mut w, gws, c, log) = cp_world(805, &two[..1], quiet);
+    w.run_for(SimDuration::from_secs(15));
+    w.set_node_up(gws[0].id, false);
+    w.run_for(SimDuration::from_secs(135));
+    assert_eq!(count(&w, c.id, "cp.tunnel_down"), 1);
+    cp_bytes(&w, c.id, &log, &mut bytes);
+
+    // The gateway renumbers the lease; a later refresh grants the old
+    // address back.
+    let (mut w, gws, c, log) = cp_world(806, &two[..1], |s| s);
+    w.run_for(SimDuration::from_secs(15));
+    let grant = wireless_adhoc_voip::core::tunnel::TunnelMsg::Lease {
+        public: Addr::new(82, 130, 64, 200),
+        lifetime_secs: 60,
+    };
+    w.inject(
+        gws[0].id,
+        Datagram::new(
+            SocketAddr::new(gws[0].addr, ports::TUNNEL),
+            SocketAddr::new(c.addr, ports::TUNNEL),
+            grant.to_wire(),
+        ),
+    );
+    w.run_for(SimDuration::from_secs(40));
+    assert!(count(&w, c.id, "cp.lease_renumbered") >= 1);
+    cp_bytes(&w, c.id, &log, &mut bytes);
+
+    let got = wireless_adhoc_voip::simnet::ident::h64(&bytes);
+    assert_eq!(got, PINNED, "got {got:#018x}");
+}
+
+/// A grant of lifetime zero (one corrupted byte of "60" can make one)
+/// must not spin the refresh chain: every refresh period is at least half
+/// of `MIN_REFRESH_LEASE`, so the tunnel survives the grant.
+#[test]
+fn a_zero_lifetime_grant_keeps_the_tunnel_up() {
+    let (mut w, gw, clients) = world_with_gateway(703, 1);
+    w.run_for(SimDuration::from_secs(15));
+    let c = clients[0];
+    let public = w
+        .node(c)
+        .local_addrs()
+        .iter()
+        .copied()
+        .find(|a| a.is_public())
+        .expect("client leased");
+    let tconnects = w.node(c).stats().get("cp.tconnect").packets;
+    let grant = wireless_adhoc_voip::core::tunnel::TunnelMsg::Lease {
+        public,
+        lifetime_secs: 0,
+    };
+    let gw_addr = w.node(gw).addr();
+    w.inject(
+        gw,
+        Datagram::new(
+            SocketAddr::new(gw_addr, ports::TUNNEL),
+            SocketAddr::new(w.node(c).addr(), ports::TUNNEL),
+            grant.to_wire(),
+        ),
+    );
+    w.run_for(SimDuration::from_millis(100));
+    let stats = w.node(c).stats();
+    assert_eq!(stats.get("cp.tconnect").packets, tconnects);
+    assert_eq!(stats.get("cp.tunnel_down").packets, 0);
+    assert!(w.node(c).local_addrs().contains(&public));
+    // The next refresh renews the lease at its usual lifetime.
+    w.run_for(SimDuration::from_secs(5));
+    assert_eq!(w.node(c).stats().get("cp.tunnel_down").packets, 0);
+    assert!(w.node(c).local_addrs().contains(&public));
+}
