@@ -30,15 +30,12 @@ use std::collections::BTreeMap;
 use siphoc_simnet::net::{ports, Addr, Datagram, SocketAddr};
 use siphoc_simnet::obs::{SpanCat, SpanId};
 use siphoc_simnet::process::{Ctx, LocalEvent, LocalKind, Process};
-use siphoc_simnet::time::{SimDuration, SimTime};
+use siphoc_simnet::time::SimDuration;
 
 use siphoc_internet::dns::DnsDirectory;
 use siphoc_sip::auth::{self, RegisterAuth, RegisterAuthOutcome};
 use siphoc_sip::msg::{Method, SipMessage, StatusCode};
-use siphoc_sip::proxy::{
-    prepare_forward_request, prepare_forward_response, response_target, stateless_response,
-    ForwardDecision,
-};
+use siphoc_sip::proxy::{Counters, StatelessProxy};
 use siphoc_sip::registrar::BindingTable;
 use siphoc_sip::sdp::Sdp;
 use siphoc_sip::uri::{Aor, SipUri};
@@ -52,6 +49,13 @@ const PROXY_SLP_PORT: u16 = 4270;
 const SLP_LIFETIME_SECS: u32 = 120;
 /// Advertisements are renewed at half their lifetime.
 const READVERT_INTERVAL: SimDuration = SimDuration::from_secs(SLP_LIFETIME_SECS as u64 / 2);
+
+/// The proxy's counters as a stateless element.
+const COUNTERS: Counters = Counters {
+    tx: "proxy.tx",
+    max_forwards_exhausted: "proxy.max_forwards_exhausted",
+    misrouted: "proxy.misrouted_response",
+};
 
 /// SIPHoc proxy configuration.
 #[derive(Debug, Clone, Default)]
@@ -80,14 +84,13 @@ pub struct SiphocProxy {
     register_cache: BTreeMap<String, SipMessage>,
     pending: BTreeMap<u32, Parked>,
     next_xid: u32,
-    internet: Option<Addr>,
+    /// The stateless element; its public alias is the Internet lease,
+    /// set while the Connection Provider reports connectivity.
+    sip: StatelessProxy,
     /// REGISTER challenge/pin state, lazily created on the first local
     /// REGISTER when `cfg.auth` is on (the nonce salt needs the node
     /// address, unavailable at construction).
     reg_auth: Option<RegisterAuth>,
-    /// Reusable render buffer: each transmit serializes here and copies
-    /// the bytes once, into the datagram payload.
-    scratch: String,
 }
 
 impl std::fmt::Debug for SiphocProxy {
@@ -95,8 +98,49 @@ impl std::fmt::Debug for SiphocProxy {
         f.debug_struct("SiphocProxy")
             .field("local_bindings", &self.local.len())
             .field("pending_lookups", &self.pending.len())
-            .field("internet", &self.internet)
+            .field("internet", &self.sip.public())
             .finish_non_exhaustive()
+    }
+}
+
+/// The ALG step for messages leaving toward the Internet: rewrites
+/// private SDP connection addresses *and* private Contact URIs to the
+/// public lease. A real layer-2 tunnel deployment gets the former for
+/// free from the DHCP-assigned tunnel interface address; the Contact
+/// rewrite points in-dialog requests from the Internet back at this
+/// proxy, which re-targets them to the local user.
+fn internet_alg(msg: &mut SipMessage, public: Option<Addr>, dst: SocketAddr) {
+    if !dst.addr.is_public() {
+        return;
+    }
+    let Some(public) = public else {
+        return;
+    };
+    if let Some(contact) = msg.contact() {
+        let private = contact
+            .uri
+            .socket_addr(ports::SIP)
+            .is_some_and(|sa| !sa.addr.is_public());
+        if private {
+            let user = contact.uri.user.unwrap_or_default();
+            let rewritten =
+                SipUri::from_socket(Some(&user), SocketAddr::new(public, ports::SIPHOC_PROXY));
+            msg.headers_mut().set("Contact", format!("<{rewritten}>"));
+        }
+    }
+    let is_sdp = msg
+        .headers()
+        .get("Content-Type")
+        .is_some_and(|ct| ct.eq_ignore_ascii_case("application/sdp"));
+    if !is_sdp {
+        return;
+    }
+    if let Ok(mut sdp) = msg.body().parse::<Sdp>() {
+        if !sdp.addr.is_public() {
+            sdp.addr = public;
+            let text = sdp.to_string();
+            msg.set_body(&text, Some("application/sdp"));
+        }
     }
 }
 
@@ -109,9 +153,8 @@ impl SiphocProxy {
             register_cache: BTreeMap::new(),
             pending: BTreeMap::new(),
             next_xid: 0,
-            internet: None,
+            sip: StatelessProxy::new(ports::SIPHOC_PROXY, COUNTERS).with_edit(internet_alg),
             reg_auth: None,
-            scratch: String::new(),
         }
     }
 
@@ -125,104 +168,32 @@ impl SiphocProxy {
         &self.local
     }
 
-    fn is_local_source(&self, ctx: &Ctx<'_>, src: SocketAddr) -> bool {
-        src.addr.is_loopback() || src.addr == ctx.addr() || Some(src.addr) == self.internet
-    }
-
-    /// Transmits a SIP message, choosing the correct source address: the
-    /// public lease for Internet-bound traffic, the MANET address
-    /// otherwise.
-    fn transmit(&mut self, ctx: &mut Ctx<'_>, msg: &SipMessage, dst: SocketAddr) {
-        let src_addr = if dst.addr.is_public() {
-            self.internet.unwrap_or_else(|| ctx.addr())
-        } else {
-            ctx.addr()
-        };
-        msg.render_into(&mut self.scratch);
-        ctx.stats().count("proxy.tx", self.scratch.len());
-        let src = SocketAddr::new(src_addr, ports::SIPHOC_PROXY);
-        ctx.send(Datagram::new(src, dst, self.scratch.as_bytes()));
-    }
-
-    /// The Via sent-by the proxy stamps when forwarding toward `dst`.
-    fn sent_by_for(&self, ctx: &Ctx<'_>, dst: SocketAddr) -> SocketAddr {
-        let addr = if dst.addr.is_public() {
-            self.internet.unwrap_or_else(|| ctx.addr())
-        } else {
-            ctx.addr()
-        };
-        SocketAddr::new(addr, ports::SIPHOC_PROXY)
-    }
-
-    /// The ALG step for messages leaving toward the Internet: rewrites
-    /// private SDP connection addresses *and* private Contact URIs to the
-    /// public lease. A real layer-2 tunnel deployment gets the former for
-    /// free from the DHCP-assigned tunnel interface address; the Contact
-    /// rewrite points in-dialog requests from the Internet back at this
-    /// proxy, which re-targets them to the local user.
-    fn apply_internet_alg(&self, ctx: &Ctx<'_>, msg: &mut SipMessage, dst: SocketAddr) {
-        if !dst.addr.is_public() {
-            return;
-        }
-        let Some(public) = self.internet else {
-            return;
-        };
-        if let Some(contact) = msg.contact() {
-            let private = contact
-                .uri
-                .socket_addr(ports::SIP)
-                .map(|sa| !sa.addr.is_public())
-                .unwrap_or(false);
-            if private {
-                let user = contact.uri.user.unwrap_or_default();
-                let rewritten =
-                    SipUri::from_socket(Some(&user), SocketAddr::new(public, ports::SIPHOC_PROXY));
-                msg.headers_mut().set("Contact", format!("<{rewritten}>"));
-            }
-        }
-        let _ = ctx;
-        let is_sdp = msg
-            .headers()
-            .get("Content-Type")
-            .map(|ct| ct.eq_ignore_ascii_case("application/sdp"))
-            .unwrap_or(false);
-        if !is_sdp {
-            return;
-        }
-        if let Ok(mut sdp) = msg.body().parse::<Sdp>() {
-            if !sdp.addr.is_public() {
-                sdp.addr = public;
-                let text = sdp.to_string();
-                msg.set_body(&text, Some("application/sdp"));
-            }
-        }
-    }
-
-    fn forward(&mut self, ctx: &mut Ctx<'_>, msg: SipMessage, dst: SocketAddr) {
-        let sent_by = self.sent_by_for(ctx, dst);
-        match prepare_forward_request(msg, sent_by) {
-            ForwardDecision::Forward(mut fwd) => {
-                self.apply_internet_alg(ctx, &mut fwd, dst);
-                self.transmit(ctx, &fwd, dst);
-            }
-            ForwardDecision::Reject(_) => {
-                ctx.stats().count("proxy.max_forwards_exhausted", 1);
-            }
-        }
-    }
-
-    fn respond(&mut self, ctx: &mut Ctx<'_>, req: &SipMessage, code: StatusCode) {
-        if req.method() == Some(Method::Ack) {
-            return;
-        }
-        let resp = stateless_response(req, code, ctx);
-        if let Some(target) = response_target(req) {
-            self.transmit(ctx, &resp, target);
-        }
-    }
-
     fn slp_request(&mut self, ctx: &mut Ctx<'_>, msg: SlpMsg) {
         ctx.send_local(ports::SLP, PROXY_SLP_PORT, msg.to_wire());
+    }
+
+    /// Advertises through MANET SLP this proxy as the contact for `key`,
+    /// or with `withdraw` takes that advert back.
+    fn advertise(&mut self, ctx: &mut Ctx<'_>, key: String, withdraw: bool) {
+        self.next_xid += 1;
+        let xid = self.next_xid;
+        let service_type = service_types::SIP.to_owned();
+        let msg = if withdraw {
+            SlpMsg::SrvDeReg {
+                xid,
+                service_type,
+                key,
+            }
+        } else {
+            SlpMsg::SrvReg {
+                xid,
+                service_type,
+                key,
+                contact: SocketAddr::new(ctx.addr(), ports::SIPHOC_PROXY),
+                lifetime_secs: SLP_LIFETIME_SECS,
+            }
+        };
+        self.slp_request(ctx, msg);
     }
 
     // ------------------------------------------------------------------
@@ -237,117 +208,75 @@ impl SiphocProxy {
                 RegisterAuthOutcome::Accept { .. } => {}
                 RegisterAuthOutcome::Challenge { nonce } => {
                     ctx.stats().count("proxy.auth_challenge", 1);
-                    let mut resp = stateless_response(&msg, StatusCode::UNAUTHORIZED, ctx);
-                    resp.headers_mut()
-                        .push(auth::WWW_AUTHENTICATE, auth::Challenge { nonce });
-                    if let Some(target) = response_target(&msg) {
-                        self.transmit(ctx, &resp, target);
-                    }
+                    let challenge = auth::Challenge { nonce };
+                    let header = (auth::WWW_AUTHENTICATE, &challenge as _);
+                    self.sip
+                        .answer(ctx, &msg, StatusCode::UNAUTHORIZED, Some(header));
                     return;
                 }
                 RegisterAuthOutcome::Reject => {
                     ctx.stats().count("proxy.auth_reject", 1);
-                    self.respond(ctx, &msg, StatusCode::FORBIDDEN);
+                    self.sip.answer(ctx, &msg, StatusCode::FORBIDDEN, None);
                     return;
                 }
             }
         }
-        let now = ctx.now();
-        let resp = self.local.handle_register(&msg, now);
-        let accepted = resp.status() == Some(StatusCode::OK);
-        if let Some(target) = response_target(&msg) {
-            self.transmit(ctx, &resp, target);
-        }
-        if !accepted {
-            return;
-        }
+        let (resp, accepted) = self.local.handle_register(&msg, ctx.now());
+        self.sip.reply(ctx, &msg, &resp);
+        let Some(accepted) = accepted else { return };
         ctx.stats().count("proxy.register_local", 1);
-        let Some(to) = msg.to_header() else { return };
-        let aor = to.uri.aor();
-        let expires = msg
-            .contact()
-            .and_then(|c| c.expires_param())
-            .or_else(|| msg.expires());
 
         // Step 2: advertise (or withdraw) through MANET SLP — the proxy's
         // own endpoint is the responsible contact for the user (Fig. 4).
-        self.next_xid += 1;
-        let slp_msg = if expires == Some(0) {
-            self.register_cache.remove(&aor.to_string());
-            SlpMsg::SrvDeReg {
-                xid: self.next_xid,
-                service_type: service_types::SIP.to_owned(),
-                key: aor.to_string(),
-            }
+        let key = accepted.aor.to_string();
+        let withdraw = accepted.expires_secs == 0;
+        if withdraw {
+            self.register_cache.remove(&key);
         } else {
-            self.register_cache.insert(aor.to_string(), msg.clone());
-            SlpMsg::SrvReg {
-                xid: self.next_xid,
-                service_type: service_types::SIP.to_owned(),
-                key: aor.to_string(),
-                contact: SocketAddr::new(ctx.addr(), ports::SIPHOC_PROXY),
-                lifetime_secs: SLP_LIFETIME_SECS,
-            }
-        };
+            self.register_cache.insert(key.clone(), msg.clone());
+        }
         ctx.stats().count("proxy.slp_advertise", 1);
-        self.slp_request(ctx, slp_msg);
+        self.advertise(ctx, key, withdraw);
 
         // §3.2: with Internet connectivity, also register at the real
         // provider under the public lease.
-        if self.internet.is_some() && expires != Some(0) {
+        if self.sip.public().is_some() && !withdraw {
             self.forward_register_to_provider(ctx, &msg);
         }
     }
 
     fn forward_register_to_provider(&mut self, ctx: &mut Ctx<'_>, msg: &SipMessage) {
-        let Some(public) = self.internet else { return };
         let Some(to) = msg.to_header() else { return };
-        let domain = to.uri.aor().domain;
-        let Some(provider) = self.cfg.dns.resolve(&domain) else {
+        let Some(provider) = self.cfg.dns.resolve(&to.uri.aor().domain) else {
             // The polyphone.ethz.ch case: the provider needs an outbound
             // proxy we have overwritten, so its domain is not a usable
             // next hop (open issue acknowledged in the paper).
             ctx.stats().count("proxy.provider_unresolvable", 1);
             return;
         };
+        let provider = SocketAddr::new(provider, ports::SIP);
+        // Rewritten here, before the forward re-sets Max-Forwards, the
+        // Contact stays ahead of Max-Forwards on the wire; the forward's
+        // ALG then finds it public and leaves it.
         let mut fwd = msg.clone();
-        let user = to.uri.aor().user;
-        let contact_uri =
-            SipUri::from_socket(Some(&user), SocketAddr::new(public, ports::SIPHOC_PROXY));
-        fwd.headers_mut().set("Contact", format!("<{contact_uri}>"));
+        internet_alg(&mut fwd, self.sip.public(), provider);
         ctx.stats().count("proxy.register_provider", 1);
-        self.forward(ctx, fwd, SocketAddr::new(provider, ports::SIP));
+        self.sip.forward(ctx, fwd, provider);
     }
 
     // ------------------------------------------------------------------
     // Request routing (Fig. 3 steps 5–8)
     // ------------------------------------------------------------------
 
-    /// Resolves the live local binding for `user`: the rewritten
-    /// Request-URI and the socket to forward to. Resolving before moving
-    /// the message keeps the forwarding path clone-free.
-    fn local_target(&self, user: &str, now: SimTime) -> Option<(SipUri, SocketAddr)> {
-        let binding = self
-            .local
-            .lookup_by_user(user)
-            .and_then(|aor| self.local.lookup(aor, now))?;
-        let dst = binding.contact.socket_addr(ports::SIP)?;
-        Some((binding.contact.clone(), dst))
-    }
-
     fn on_request(&mut self, ctx: &mut Ctx<'_>, mut msg: SipMessage, from: SocketAddr) {
-        let local_src = self.is_local_source(ctx, from);
         // A corrupted datagram can parse as a response (or a request whose
         // mandatory parts were mangled); drop it rather than panic.
-        let method = match &msg {
-            SipMessage::Request { method, .. } => *method,
-            SipMessage::Response { .. } => {
-                ctx.stats().count("sip.malformed_dropped", 1);
-                return;
-            }
+        let SipMessage::Request { method, uri, .. } = &msg else {
+            ctx.stats().count("sip.malformed_dropped", 1);
+            return;
         };
-
-        if method == Method::Register && local_src {
+        let local_src = from.addr.is_loopback() || self.sip.is_own(ctx, from.addr);
+        if *method == Method::Register && local_src {
             self.on_local_register(ctx, msg);
             return;
         }
@@ -361,35 +290,29 @@ impl SiphocProxy {
             Slp(Aor),
         }
         let now = ctx.now();
-        let route = {
-            let SipMessage::Request { uri, .. } = &msg else {
-                unreachable!("responses rejected above")
-            };
+        let route = if let Some(dst) = uri.socket_addr(ports::SIP) {
             // Numeric Request-URIs: either one of our own advertised
-            // endpoints (deliver to the local user named in the URI) or a
-            // direct forward.
-            if let Some(dst) = uri.socket_addr(ports::SIP) {
-                let ours = dst.addr == ctx.addr() || Some(dst.addr) == self.internet;
-                if ours {
-                    let user = uri.user.as_deref().unwrap_or("");
-                    match self.local_target(user, now) {
-                        Some((contact, dst)) => RouteTo::Local(contact, dst),
-                        None => RouteTo::NotFound,
-                    }
-                } else {
-                    RouteTo::Direct(dst)
+            // endpoints, which names the local user by its user part
+            // alone, or a direct forward.
+            if self.sip.is_own(ctx, dst.addr) {
+                let user = uri.user.as_deref().unwrap_or("");
+                match self
+                    .local
+                    .lookup_by_user(user)
+                    .and_then(|aor| self.local.resolve(aor, now))
+                {
+                    Some((contact, dst)) => RouteTo::Local(contact.clone(), dst),
+                    None => RouteTo::NotFound,
                 }
             } else {
-                // Domain Request-URI.
-                let aor = uri.aor();
-                if self.local.lookup(&aor, now).is_some() {
-                    match self.local_target(&aor.user, now) {
-                        Some((contact, dst)) => RouteTo::Local(contact, dst),
-                        None => RouteTo::NotFound,
-                    }
-                } else {
-                    RouteTo::Slp(aor)
-                }
+                RouteTo::Direct(dst)
+            }
+        } else {
+            // Domain Request-URI: a local user by its AOR, else SLP.
+            let aor = uri.aor();
+            match self.local.resolve(&aor, now) {
+                Some((contact, dst)) => RouteTo::Local(contact.clone(), dst),
+                None => RouteTo::Slp(aor),
             }
         };
 
@@ -399,10 +322,10 @@ impl SiphocProxy {
                     *uri = contact;
                 }
                 ctx.stats().count("proxy.deliver_local", 1);
-                self.forward(ctx, msg, dst);
+                self.sip.forward(ctx, msg, dst);
             }
-            RouteTo::Direct(dst) => self.forward(ctx, msg, dst),
-            RouteTo::NotFound => self.respond(ctx, &msg, StatusCode::NOT_FOUND),
+            RouteTo::Direct(dst) => self.sip.forward(ctx, msg, dst),
+            RouteTo::NotFound => self.sip.answer(ctx, &msg, StatusCode::NOT_FOUND, None),
             RouteTo::Slp(aor) => {
                 // Step 6: consult MANET SLP for the responsible proxy.
                 self.next_xid += 1;
@@ -445,16 +368,17 @@ impl SiphocProxy {
             // Step 7: forward to the responsible remote proxy.
             ctx.span_exit(parked.span, true);
             ctx.stats().count("proxy.fwd_to_remote_proxy", 1);
-            self.forward(ctx, msg, dst);
+            self.sip.forward(ctx, msg, dst);
             return;
         }
         // MANET miss: try the Internet (§3.2).
-        if self.internet.is_some() {
+        if self.sip.public().is_some() {
             if let SipMessage::Request { uri, .. } = &msg {
                 if let Some(provider) = self.cfg.dns.resolve(&uri.host) {
                     ctx.span_exit(parked.span, true);
                     ctx.stats().count("proxy.fwd_to_provider", 1);
-                    self.forward(ctx, msg, SocketAddr::new(provider, ports::SIP));
+                    self.sip
+                        .forward(ctx, msg, SocketAddr::new(provider, ports::SIP));
                     return;
                 }
                 ctx.stats().count("proxy.provider_unresolvable", 1);
@@ -462,22 +386,7 @@ impl SiphocProxy {
         }
         ctx.span_exit(parked.span, false);
         ctx.stats().count("proxy.lookup_failed", 1);
-        self.respond(ctx, &msg, StatusCode::NOT_FOUND);
-    }
-
-    fn on_response(&mut self, ctx: &mut Ctx<'_>, msg: SipMessage) {
-        let ours = msg
-            .top_via()
-            .map(|v| v.sent_by.addr == ctx.addr() || Some(v.sent_by.addr) == self.internet)
-            .unwrap_or(false);
-        if !ours {
-            ctx.stats().count("proxy.misrouted_response", 1);
-            return;
-        }
-        if let Some((mut fwd, target)) = prepare_forward_response(msg) {
-            self.apply_internet_alg(ctx, &mut fwd, target);
-            self.transmit(ctx, &fwd, target);
-        }
+        self.sip.answer(ctx, &msg, StatusCode::NOT_FOUND, None);
     }
 
     /// Refreshes the SLP advertisements for all live local bindings.
@@ -490,15 +399,7 @@ impl SiphocProxy {
             .map(|(aor, _)| aor.to_string())
             .collect();
         for key in adverts {
-            self.next_xid += 1;
-            let m = SlpMsg::SrvReg {
-                xid: self.next_xid,
-                service_type: service_types::SIP.to_owned(),
-                key,
-                contact: SocketAddr::new(ctx.addr(), ports::SIPHOC_PROXY),
-                lifetime_secs: SLP_LIFETIME_SECS,
-            };
-            self.slp_request(ctx, m);
+            self.advertise(ctx, key, false);
         }
     }
 }
@@ -537,7 +438,7 @@ impl Process for SiphocProxy {
         if msg.is_request() {
             self.on_request(ctx, msg, dgram.src);
         } else {
-            self.on_response(ctx, msg);
+            self.sip.relay(ctx, msg);
         }
     }
 
@@ -555,7 +456,7 @@ impl Process for SiphocProxy {
     fn on_local_event(&mut self, ctx: &mut Ctx<'_>, ev: &LocalEvent) {
         match ev {
             LocalEvent::InternetUp { public } => {
-                self.internet = Some(*public);
+                self.sip.set_public(Some(*public));
                 ctx.stats().count("proxy.internet_up", 1);
                 // Register every cached local user at its provider.
                 let cached: Vec<SipMessage> = self.register_cache.values().cloned().collect();
@@ -564,7 +465,7 @@ impl Process for SiphocProxy {
                 }
             }
             LocalEvent::InternetDown => {
-                self.internet = None;
+                self.sip.set_public(None);
                 ctx.stats().count("proxy.internet_down", 1);
             }
             _ => {}
@@ -580,6 +481,6 @@ mod tests {
     fn fresh_proxy_has_no_bindings_or_internet() {
         let p = SiphocProxy::new(SiphocProxyConfig::default());
         assert!(p.local_bindings().is_empty());
-        assert!(p.internet.is_none());
+        assert!(p.sip.public().is_none());
     }
 }

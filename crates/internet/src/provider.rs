@@ -10,21 +10,27 @@
 //! usable next hop — the documented interop failure).
 //!
 //! The provider answers REGISTER statefully (transaction layer, binding
-//! table) and forwards everything else statelessly.
+//! table). Everything else goes through its stateless element
+//! ([`StatelessProxy`]); the provider owns only the routing: a bound user
+//! of its domain, DNS toward other domains, 404 for an unbound user and
+//! 503 for a domain DNS cannot resolve.
 
 use siphoc_simnet::net::{ports, Datagram, SocketAddr};
 use siphoc_simnet::process::{Ctx, Process};
 
 use siphoc_sip::msg::{Method, SipMessage, StatusCode};
-use siphoc_sip::proxy::{
-    prepare_forward_request, prepare_forward_response, response_target, stateless_response,
-    transmit, ForwardDecision,
-};
+use siphoc_sip::proxy::{Counters, StatelessProxy};
 use siphoc_sip::registrar::BindingTable;
 use siphoc_sip::txn::{TransactionLayer, TxnEvent};
-use siphoc_sip::uri::SipUri;
 
 use crate::dns::DnsDirectory;
+
+/// The provider's counters as a stateless element.
+const COUNTERS: Counters = Counters {
+    tx: "sip.proxy_fwd",
+    max_forwards_exhausted: "provider.reject",
+    misrouted: "provider.misrouted_response",
+};
 
 /// Provider configuration.
 #[derive(Debug, Clone)]
@@ -50,6 +56,7 @@ pub struct SipProviderProcess {
     cfg: ProviderConfig,
     bindings: BindingTable,
     txn: TransactionLayer,
+    sip: StatelessProxy,
 }
 
 impl std::fmt::Debug for SipProviderProcess {
@@ -68,6 +75,7 @@ impl SipProviderProcess {
             cfg,
             bindings: BindingTable::new(),
             txn: TransactionLayer::new(ports::SIP),
+            sip: StatelessProxy::new(ports::SIP, COUNTERS),
         }
     }
 
@@ -76,122 +84,47 @@ impl SipProviderProcess {
         &self.bindings
     }
 
-    fn is_our_domain(&self, uri: &SipUri) -> bool {
-        uri.host.eq_ignore_ascii_case(&self.cfg.domain)
-    }
-
-    /// Decides where a request should go next. `None` means it was
-    /// answered locally.
-    fn route_request(&mut self, ctx: &mut Ctx<'_>, msg: &SipMessage) -> Option<SocketAddr> {
-        let SipMessage::Request { uri, method, .. } = msg else {
-            return None;
+    fn on_request(&mut self, ctx: &mut Ctx<'_>, mut msg: SipMessage, from: SocketAddr) {
+        let SipMessage::Request { method, uri, .. } = &msg else {
+            return;
         };
-        // Numeric host: direct.
-        if let Some(dst) = uri.socket_addr(ports::SIP) {
-            return Some(dst);
-        }
-        if self.is_our_domain(uri) {
-            let aor = uri.aor();
-            let now = ctx.now();
-            match self.bindings.lookup(&aor, now) {
-                Some(b) => {
-                    let dst = b.contact.socket_addr(ports::SIP);
-                    match dst {
-                        Some(d) => Some(d),
-                        None => {
-                            ctx.stats().count("provider.bad_contact", 1);
-                            None
-                        }
-                    }
-                }
-                None => {
-                    if *method != Method::Ack {
-                        let resp = stateless_response(msg, StatusCode::NOT_FOUND, ctx);
-                        if let Some(t) = response_target(msg) {
-                            transmit(ctx, ports::SIP, &resp, t);
-                        }
-                    }
-                    None
-                }
-            }
-        } else {
-            match self.cfg.dns.resolve(&uri.host) {
-                Some(addr) => Some(SocketAddr::new(addr, ports::SIP)),
-                None => {
-                    if *method != Method::Ack {
-                        let resp = stateless_response(msg, StatusCode::SERVICE_UNAVAILABLE, ctx);
-                        if let Some(t) = response_target(msg) {
-                            transmit(ctx, ports::SIP, &resp, t);
-                        }
-                    }
-                    ctx.stats().count("provider.unresolvable_domain", 1);
-                    None
-                }
-            }
-        }
-    }
-
-    fn on_request(&mut self, ctx: &mut Ctx<'_>, msg: SipMessage, from: SocketAddr) {
-        let method = msg.method().expect("requests have methods");
-        let register_for_us = method == Method::Register
+        let register_for_us = *method == Method::Register
             && msg
                 .to_header()
-                .map(|t| t.uri.host.eq_ignore_ascii_case(&self.cfg.domain))
-                .unwrap_or(false);
-
+                .is_some_and(|t| t.uri.host.eq_ignore_ascii_case(&self.cfg.domain));
         if register_for_us {
             // Stateful: absorb retransmissions through a server txn.
-            match self.txn.on_datagram(ctx, msg, from) {
-                Some(TxnEvent::Request { key, msg, .. }) => {
-                    let now = ctx.now();
-                    ctx.stats().count("provider.register", 1);
-                    let resp = self.bindings.handle_register(&msg, now);
-                    self.txn.respond(ctx, &key, resp);
-                }
-                _ => { /* retransmission replayed internally */ }
+            if let Some(TxnEvent::Request { key, msg, .. }) = self.txn.on_datagram(ctx, msg, from) {
+                ctx.stats().count("provider.register", 1);
+                let (resp, _) = self.bindings.handle_register(&msg, ctx.now());
+                self.txn.respond(ctx, &key, resp);
             }
             return;
         }
 
-        let Some(dst) = self.route_request(ctx, &msg) else {
+        let dst = if let Some(dst) = uri.socket_addr(ports::SIP) {
+            dst
+        } else if uri.host.eq_ignore_ascii_case(&self.cfg.domain) {
+            let Some((contact, dst)) = self.bindings.resolve(&uri.aor(), ctx.now()) else {
+                self.sip.answer(ctx, &msg, StatusCode::NOT_FOUND, None);
+                return;
+            };
+            // Into our own domain the Request-URI becomes the registered
+            // contact, so downstream elements route numerically.
+            let contact = contact.clone();
+            if let SipMessage::Request { uri, .. } = &mut msg {
+                *uri = contact;
+            }
+            dst
+        } else if let Some(addr) = self.cfg.dns.resolve(&uri.host) {
+            SocketAddr::new(addr, ports::SIP)
+        } else {
+            self.sip
+                .answer(ctx, &msg, StatusCode::SERVICE_UNAVAILABLE, None);
+            ctx.stats().count("provider.unresolvable_domain", 1);
             return;
         };
-        let sent_by = SocketAddr::new(ctx.addr(), ports::SIP);
-        // Rewrite the Request-URI to the registered contact when routing
-        // into our own domain, so downstream elements route numerically.
-        let mut msg = msg;
-        if let SipMessage::Request { uri, .. } = &mut msg {
-            if self.is_our_domain(uri) {
-                let aor = uri.aor();
-                if let Some(b) = self.bindings.lookup(&aor, ctx.now()) {
-                    *uri = b.contact.clone();
-                }
-            }
-        }
-        match prepare_forward_request(msg, sent_by) {
-            ForwardDecision::Forward(fwd) => transmit(ctx, ports::SIP, &fwd, dst),
-            ForwardDecision::Reject(code) => {
-                ctx.stats().count("provider.reject", 1);
-                let _ = code;
-            }
-        }
-    }
-
-    fn on_response(&mut self, ctx: &mut Ctx<'_>, msg: SipMessage, from: SocketAddr) {
-        // Try our own (registrar) client transactions first — the provider
-        // sends none today, but the layer also absorbs strays cleanly.
-        let own_via = msg
-            .top_via()
-            .map(|v| v.sent_by.addr == ctx.addr())
-            .unwrap_or(false);
-        if !own_via {
-            ctx.stats().count("provider.misrouted_response", 1);
-            return;
-        }
-        let _ = from;
-        if let Some((fwd, target)) = prepare_forward_response(msg) {
-            transmit(ctx, ports::SIP, &fwd, target);
-        }
+        self.sip.forward(ctx, msg, dst);
     }
 }
 
@@ -215,7 +148,7 @@ impl Process for SipProviderProcess {
         if msg.is_request() {
             self.on_request(ctx, msg, dgram.src);
         } else {
-            self.on_response(ctx, msg, dgram.src);
+            self.sip.relay(ctx, msg);
         }
     }
 

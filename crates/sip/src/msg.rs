@@ -81,6 +81,8 @@ impl StatusCode {
     pub const FORBIDDEN: StatusCode = StatusCode(403);
     /// 404 Not Found.
     pub const NOT_FOUND: StatusCode = StatusCode(404);
+    /// 483 Too Many Hops.
+    pub const TOO_MANY_HOPS: StatusCode = StatusCode(483);
     /// 486 Busy Here.
     pub const BUSY: StatusCode = StatusCode(486);
     /// 487 Request Terminated.
@@ -101,6 +103,7 @@ impl StatusCode {
             404 => "Not Found",
             408 => "Request Timeout",
             480 => "Temporarily Unavailable",
+            483 => "Too Many Hops",
             486 => "Busy Here",
             487 => "Request Terminated",
             500 => "Server Internal Error",

@@ -1,19 +1,26 @@
-//! Stateless proxy primitives (RFC 3261 §16.11).
+//! The stateless SIP element (RFC 3261 §16.11).
 //!
 //! Both the SIPHoc proxy (`siphoc-core`) and the simulated Internet
-//! providers (`siphoc-internet`) forward requests and responses
-//! statelessly: requests gain a Via whose branch is **derived
+//! providers (`siphoc-internet`) are one [`StatelessProxy`] plus a
+//! routing policy. The element does the rest, each in one place: it
+//! sends, forwards a request, answers one, and relays a response.
+//! A forwarded request gains a Via whose branch is **derived
 //! deterministically from the incoming top branch**, so retransmissions
 //! and the ACK of a 2xx take the same path and keep matching downstream
-//! server transactions; responses pop the proxy's Via and follow the next
-//! one. End-to-end reliability stays with the user agents' transaction
-//! layers.
+//! server transactions; a relayed response pops the element's Via and
+//! follows the next one. End-to-end reliability stays with the user
+//! agents' transaction layers.
 
-use siphoc_simnet::net::SocketAddr;
+use std::fmt;
+
+use siphoc_simnet::net::{Addr, Datagram, SocketAddr};
 use siphoc_simnet::process::Ctx;
 
 use crate::headers::{Via, BRANCH_COOKIE};
-use crate::msg::{SipMessage, StatusCode};
+use crate::msg::{Method, SipMessage, StatusCode};
+
+/// Max-Forwards assumed when a request carries none (RFC 3261 §8.1.1.6).
+const DEFAULT_MAX_FORWARDS: u32 = 70;
 
 /// Derives the deterministic branch a stateless proxy uses when
 /// forwarding a request whose top Via carries `incoming_branch`.
@@ -28,86 +35,167 @@ pub fn derive_branch(incoming_branch: &str) -> String {
     format!("{BRANCH_COOKIE}p{h:016x}")
 }
 
-/// Outcome of [`prepare_forward_request`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ForwardDecision {
-    /// Forward the (rewritten) request.
-    Forward(SipMessage),
-    /// Max-Forwards exhausted: answer 483/processing error instead.
-    Reject(StatusCode),
+/// The counter names an element reports under.
+#[derive(Debug, Clone, Copy)]
+pub struct Counters {
+    /// Every message sent, with its rendered length.
+    pub tx: &'static str,
+    /// A request not forwarded because its Max-Forwards was 0.
+    pub max_forwards_exhausted: &'static str,
+    /// A response dropped because its top Via is not the element's.
+    pub misrouted: &'static str,
 }
 
-/// Prepares a request for stateless forwarding from `sent_by`:
-/// decrements Max-Forwards and pushes the proxy's Via with a derived
-/// branch. Does not transmit.
-pub fn prepare_forward_request(mut msg: SipMessage, sent_by: SocketAddr) -> ForwardDecision {
-    let mf = msg.max_forwards().unwrap_or(70);
-    if mf == 0 {
-        return ForwardDecision::Reject(StatusCode::SERVER_ERROR);
-    }
-    msg.headers_mut().set("Max-Forwards", mf - 1);
-    let incoming = msg.top_via().map(|v| v.branch).unwrap_or_default();
-    let via = Via::new(sent_by, &derive_branch(&incoming));
-    msg.headers_mut().push_front("Via", via);
-    ForwardDecision::Forward(msg)
+/// An edit applied to every message the element forwards or relays, just
+/// before it is sent: the message, the element's public alias and the
+/// destination.
+pub type Edit = fn(&mut SipMessage, Option<Addr>, SocketAddr);
+
+/// One stateless SIP element on one port.
+#[derive(Debug)]
+pub struct StatelessProxy {
+    port: u16,
+    counters: Counters,
+    edit: Option<Edit>,
+    /// A second address of the element's node, when it has one: the
+    /// source of whatever it sends toward a public destination.
+    public: Option<Addr>,
+    /// Reusable render buffer: each send serializes here and copies the
+    /// bytes once, into the datagram payload.
+    scratch: String,
 }
 
-/// Prepares a response for stateless forwarding: pops the top Via (which
-/// must be the proxy's own) and returns the message plus where to send it
-/// (the next Via's response target). Returns `None` when no Via remains —
-/// the response was addressed to the proxy itself or is malformed.
-pub fn prepare_forward_response(mut msg: SipMessage) -> Option<(SipMessage, SocketAddr)> {
-    msg.headers_mut().remove_first("Via")?;
-    let next = msg.top_via()?;
-    let target = next.response_target();
-    Some((msg, target))
-}
-
-/// Transmits a SIP message from `port` on the current node.
-pub fn transmit(ctx: &mut Ctx<'_>, port: u16, msg: &SipMessage, dst: SocketAddr) {
-    let wire = msg.to_bytes();
-    ctx.stats().count("sip.proxy_fwd", wire.len());
-    ctx.send_to(dst, port, wire);
-}
-
-/// Builds a stateless response to `req` (no server transaction): mirrors
-/// the mandatory headers and adds a To tag if missing.
-pub fn stateless_response(req: &SipMessage, code: StatusCode, ctx: &mut Ctx<'_>) -> SipMessage {
-    let mut resp = SipMessage::response_to(req, code);
-    if let Some(mut to) = resp.to_header() {
-        if to.tag().is_none() {
-            to.set_tag(&format!("{:08x}", ctx.rng().next_u64() as u32));
-            resp.headers_mut().set("To", to);
+impl StatelessProxy {
+    /// An element sending from `port` and counting under `counters`.
+    pub fn new(port: u16, counters: Counters) -> StatelessProxy {
+        StatelessProxy {
+            port,
+            counters,
+            edit: None,
+            public: None,
+            scratch: String::new(),
         }
     }
-    resp
-}
 
-/// Where a stateless element sends a response it originates: the top
-/// Via's response target.
-pub fn response_target(req: &SipMessage) -> Option<SocketAddr> {
-    req.top_via().map(|v| v.response_target())
+    /// Applies `edit` to every forwarded request and relayed response.
+    pub fn with_edit(mut self, edit: Edit) -> StatelessProxy {
+        self.edit = Some(edit);
+        self
+    }
+
+    /// The element's public alias, if it has one.
+    pub fn public(&self) -> Option<Addr> {
+        self.public
+    }
+
+    /// Gives the element a public alias (`Some`) or takes it away.
+    pub fn set_public(&mut self, public: Option<Addr>) {
+        self.public = public;
+    }
+
+    /// `true` when `addr` is one of the element's own addresses.
+    pub fn is_own(&self, ctx: &Ctx<'_>, addr: Addr) -> bool {
+        addr == ctx.addr() || Some(addr) == self.public
+    }
+
+    /// The socket the element sends from toward `dst`: its public alias
+    /// toward a public destination, the node's address otherwise. It is
+    /// also the sent-by of the Via a forwarded request gains.
+    fn source(&self, ctx: &Ctx<'_>, dst: SocketAddr) -> SocketAddr {
+        let addr = match self.public {
+            Some(public) if dst.addr.is_public() => public,
+            _ => ctx.addr(),
+        };
+        SocketAddr::new(addr, self.port)
+    }
+
+    /// Sends `msg` to `dst`.
+    pub fn send(&mut self, ctx: &mut Ctx<'_>, msg: &SipMessage, dst: SocketAddr) {
+        msg.render_into(&mut self.scratch);
+        ctx.stats().count(self.counters.tx, self.scratch.len());
+        let src = self.source(ctx, dst);
+        ctx.send(Datagram::new(src, dst, self.scratch.as_bytes()));
+    }
+
+    /// Sends `resp` to where `req`'s top Via asks responses to go.
+    pub fn reply(&mut self, ctx: &mut Ctx<'_>, req: &SipMessage, resp: &SipMessage) {
+        if let Some(via) = req.top_via() {
+            self.send(ctx, resp, via.response_target());
+        }
+    }
+
+    /// Answers `req` statelessly with `code` (and `header`, if given),
+    /// adding a To tag if it has none. An ACK is never answered.
+    pub fn answer(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        req: &SipMessage,
+        code: StatusCode,
+        header: Option<(&str, &dyn fmt::Display)>,
+    ) {
+        if req.method() == Some(Method::Ack) {
+            return;
+        }
+        let mut resp = SipMessage::response_to(req, code);
+        if let Some(mut to) = resp.to_header() {
+            if to.tag().is_none() {
+                to.set_tag(&format!("{:08x}", ctx.rng().next_u64() as u32));
+                resp.headers_mut().set("To", to);
+            }
+        }
+        if let Some((name, value)) = header {
+            resp.headers_mut().push(name, value);
+        }
+        self.reply(ctx, req, &resp);
+    }
+
+    /// Forwards a request to `dst`: decrements Max-Forwards, pushes the
+    /// element's Via with the derived branch, applies the edit and sends.
+    /// A request whose Max-Forwards is already 0 is answered 483 instead
+    /// (RFC 3261 §16.3 step 3).
+    pub fn forward(&mut self, ctx: &mut Ctx<'_>, mut msg: SipMessage, dst: SocketAddr) {
+        let mf = msg.max_forwards().unwrap_or(DEFAULT_MAX_FORWARDS);
+        if mf == 0 {
+            ctx.stats().count(self.counters.max_forwards_exhausted, 1);
+            self.answer(ctx, &msg, StatusCode::TOO_MANY_HOPS, None);
+            return;
+        }
+        msg.headers_mut().set("Max-Forwards", mf - 1);
+        let incoming = msg.top_via().map(|v| v.branch).unwrap_or_default();
+        let via = Via::new(self.source(ctx, dst), &derive_branch(&incoming));
+        msg.headers_mut().push_front("Via", via);
+        self.edited_send(ctx, msg, dst);
+    }
+
+    /// Relays a response: pops the element's own top Via and sends the
+    /// response on to the next Via's response target. A response whose
+    /// top Via is not the element's is counted and dropped, and so is one
+    /// with no Via left.
+    pub fn relay(&mut self, ctx: &mut Ctx<'_>, mut msg: SipMessage) {
+        let ours = msg
+            .top_via()
+            .is_some_and(|v| self.is_own(ctx, v.sent_by.addr));
+        if !ours {
+            ctx.stats().count(self.counters.misrouted, 1);
+            return;
+        }
+        msg.headers_mut().remove_first("Via");
+        if let Some(next) = msg.top_via() {
+            self.edited_send(ctx, msg, next.response_target());
+        }
+    }
+
+    fn edited_send(&mut self, ctx: &mut Ctx<'_>, mut msg: SipMessage, dst: SocketAddr) {
+        if let Some(edit) = self.edit {
+            edit(&mut msg, self.public, dst);
+        }
+        self.send(ctx, &msg, dst);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msg::Method;
-    use crate::uri::SipUri;
-
-    fn req_with_via(branch: &str) -> SipMessage {
-        let uri: SipUri = "sip:bob@voicehoc.ch".parse().unwrap();
-        let mut m = SipMessage::request(Method::Invite, uri);
-        m.headers_mut()
-            .push("Via", format!("SIP/2.0/UDP 10.0.0.1:5070;branch={branch}"));
-        m.headers_mut().push("Max-Forwards", 70);
-        m.headers_mut()
-            .push("From", "<sip:alice@voicehoc.ch>;tag=a");
-        m.headers_mut().push("To", "<sip:bob@voicehoc.ch>");
-        m.headers_mut().push("Call-ID", "c1");
-        m.headers_mut().push("CSeq", "1 INVITE");
-        m
-    }
 
     #[test]
     fn derive_branch_is_deterministic_and_distinct() {
@@ -117,46 +205,5 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert!(a.starts_with(BRANCH_COOKIE));
-    }
-
-    #[test]
-    fn forward_request_stacks_via_and_decrements_mf() {
-        let req = req_with_via("z9hG4bKorig");
-        let sent_by: SocketAddr = "10.0.0.5:5060".parse().unwrap();
-        let ForwardDecision::Forward(fwd) = prepare_forward_request(req, sent_by) else {
-            panic!("should forward");
-        };
-        assert_eq!(fwd.max_forwards(), Some(69));
-        let vias: Vec<&str> = fwd.headers().get_all("Via").collect();
-        assert_eq!(vias.len(), 2);
-        assert!(vias[0].contains("10.0.0.5:5060"));
-        assert!(vias[0].contains(&derive_branch("z9hG4bKorig")));
-    }
-
-    #[test]
-    fn exhausted_max_forwards_rejected() {
-        let mut req = req_with_via("z9hG4bKorig");
-        req.headers_mut().set("Max-Forwards", 0);
-        let sent_by: SocketAddr = "10.0.0.5:5060".parse().unwrap();
-        assert!(matches!(
-            prepare_forward_request(req, sent_by),
-            ForwardDecision::Reject(_)
-        ));
-    }
-
-    #[test]
-    fn forward_response_pops_and_targets_next_via() {
-        let req = req_with_via("z9hG4bKorig");
-        let sent_by: SocketAddr = "10.0.0.5:5060".parse().unwrap();
-        let ForwardDecision::Forward(fwd) = prepare_forward_request(req, sent_by) else {
-            panic!();
-        };
-        let resp = SipMessage::response_to(&fwd, StatusCode::OK);
-        let (popped, target) = prepare_forward_response(resp).unwrap();
-        assert_eq!(target.to_string(), "10.0.0.1:5070");
-        assert_eq!(popped.headers().get_all("Via").count(), 1);
-        // A response with a single Via has nowhere further to go.
-        let resp2 = popped;
-        assert!(prepare_forward_response(resp2).is_none());
     }
 }

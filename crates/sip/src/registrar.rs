@@ -1,14 +1,15 @@
 //! Registration bindings (RFC 3261 §10).
 //!
 //! A [`BindingTable`] maps an address-of-record to its current contacts
-//! with expiry. Three components reuse it: the SIPHoc proxy (local user
-//! registrations it then advertises through MANET SLP), the simulated
-//! Internet SIP providers, and the broadcast-registration baseline.
+//! with expiry. Two components use it: the SIPHoc proxy (local user
+//! registrations it then advertises through MANET SLP) and the simulated
+//! Internet SIP providers.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use siphoc_simnet::fasthash::FastMap;
+use siphoc_simnet::net::{ports, SocketAddr};
 use siphoc_simnet::time::{SimDuration, SimTime};
 
 use crate::msg::{Method, SipMessage, StatusCode};
@@ -26,6 +27,15 @@ pub struct Binding {
     pub contact: SipUri,
     /// When the binding lapses.
     pub expires: SimTime,
+}
+
+/// What a registrar accepted from a REGISTER.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Accepted {
+    /// The address-of-record registered (its To URI).
+    pub aor: Aor,
+    /// The lifetime granted, in seconds; 0 removed the contact.
+    pub expires_secs: u32,
 }
 
 /// The registrar's binding store.
@@ -57,7 +67,8 @@ pub struct BindingTable {
     /// re-checks the live contact list.
     expiry: BinaryHeap<Reverse<(SimTime, Aor)>>,
     /// User part → its AORs (sorted), so "first AOR with this user" — the
-    /// proxy's local-delivery lookup — is O(1) instead of a table scan.
+    /// proxy's lookup for a Request-URI naming the proxy itself — is O(1)
+    /// instead of a table scan.
     by_user: FastMap<String, Vec<Aor>>,
     /// Total contact bindings across all AORs (the `sip.bindings` gauge).
     contacts: usize,
@@ -128,8 +139,17 @@ impl BindingTable {
             .max_by_key(|b| b.expires)
     }
 
+    /// Where a request for `aor` goes: its freshest live contact and the
+    /// socket that contact names (port 5060 when it names none). `None`
+    /// when nothing live is bound, or the contact's host is not numeric.
+    pub fn resolve(&self, aor: &Aor, now: SimTime) -> Option<(&SipUri, SocketAddr)> {
+        let contact = &self.lookup(aor, now)?.contact;
+        Some((contact, contact.socket_addr(ports::SIP)?))
+    }
+
     /// The first AOR (in table order) whose user part is `user` — the
-    /// proxy's local-delivery lookup.
+    /// proxy's lookup for a Request-URI that names the proxy itself and
+    /// carries nothing but a user part.
     pub fn lookup_by_user(&self, user: &str) -> Option<&Aor> {
         self.by_user.get(user).and_then(|v| v.first())
     }
@@ -163,12 +183,6 @@ impl BindingTable {
         removed
     }
 
-    /// Drops expired bindings. Every binding has a wheel entry at its
-    /// exact deadline, so this is the eager sweep under the old name.
-    pub fn purge(&mut self, now: SimTime) {
-        self.sweep(now);
-    }
-
     /// Number of AORs with at least one binding (expired included until
     /// swept).
     pub fn len(&self) -> usize {
@@ -192,19 +206,25 @@ impl BindingTable {
     }
 
     /// Processes a REGISTER request against this table, returning the
-    /// response to send.
+    /// response to send and, when the request was accepted, what it
+    /// registered.
     ///
     /// Handles refresh, de-registration (`Expires: 0`) and malformed
     /// requests (missing To/Contact → 500, wrong method → 500).
-    pub fn handle_register(&mut self, req: &SipMessage, now: SimTime) -> SipMessage {
+    pub fn handle_register(
+        &mut self,
+        req: &SipMessage,
+        now: SimTime,
+    ) -> (SipMessage, Option<Accepted>) {
+        let error = || (SipMessage::response_to(req, StatusCode::SERVER_ERROR), None);
         if req.method() != Some(Method::Register) {
-            return SipMessage::response_to(req, StatusCode::SERVER_ERROR);
+            return error();
         }
         let Some(to) = req.to_header() else {
-            return SipMessage::response_to(req, StatusCode::SERVER_ERROR);
+            return error();
         };
         let Some(contact) = req.contact() else {
-            return SipMessage::response_to(req, StatusCode::SERVER_ERROR);
+            return error();
         };
         let aor = to.uri.aor();
         let expires_secs = contact
@@ -215,7 +235,7 @@ impl BindingTable {
             self.unbind(&aor, &contact.uri);
         } else {
             self.bind(
-                aor,
+                aor.clone(),
                 contact.uri.clone(),
                 now + SimDuration::from_secs(expires_secs as u64),
             );
@@ -223,7 +243,7 @@ impl BindingTable {
         let mut resp = SipMessage::response_to(req, StatusCode::OK);
         resp.headers_mut().push("Contact", &contact);
         resp.headers_mut().push("Expires", expires_secs);
-        resp
+        (resp, Some(Accepted { aor, expires_secs }))
     }
 }
 
@@ -268,9 +288,11 @@ mod tests {
     fn register_binds_and_expires() {
         let mut t = BindingTable::new();
         let req = register_req("alice@voicehoc.ch", "sip:alice@10.0.0.1:5070", Some(60));
-        let resp = t.handle_register(&req, SimTime::ZERO);
+        let (resp, accepted) = t.handle_register(&req, SimTime::ZERO);
         assert_eq!(resp.status(), Some(StatusCode::OK));
         let aor = Aor::new("alice", "voicehoc.ch");
+        let accepted = accepted.map(|a| (a.aor, a.expires_secs));
+        assert_eq!(accepted, Some((aor.clone(), 60)));
         assert!(t.lookup(&aor, SimTime::from_secs(59)).is_some());
         assert!(t.lookup(&aor, SimTime::from_secs(61)).is_none());
     }
@@ -293,11 +315,34 @@ mod tests {
             &register_req("alice@voicehoc.ch", "sip:alice@10.0.0.1:5070", Some(60)),
             SimTime::ZERO,
         );
-        t.handle_register(
+        let (_, accepted) = t.handle_register(
             &register_req("alice@voicehoc.ch", "sip:alice@10.0.0.1:5070", Some(0)),
             SimTime::from_secs(1),
         );
+        assert_eq!(accepted.map(|a| a.expires_secs), Some(0));
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn resolve_names_the_live_contact_and_its_socket() {
+        let mut t = BindingTable::new();
+        let alice = Aor::new("alice", "voicehoc.ch");
+        let bob = Aor::new("bob", "voicehoc.ch");
+        t.bind(
+            alice.clone(),
+            "sip:alice@10.0.0.1:5070".parse().unwrap(),
+            SimTime::from_secs(10),
+        );
+        t.bind(
+            bob.clone(),
+            "sip:bob@phone.example".parse().unwrap(),
+            SimTime::from_secs(10),
+        );
+        let (contact, dst) = t.resolve(&alice, SimTime::ZERO).unwrap();
+        assert_eq!(contact.to_string(), "sip:alice@10.0.0.1:5070");
+        assert_eq!(dst.to_string(), "10.0.0.1:5070");
+        assert!(t.resolve(&alice, SimTime::from_secs(10)).is_none());
+        assert!(t.resolve(&bob, SimTime::ZERO).is_none());
     }
 
     #[test]
@@ -320,7 +365,7 @@ mod tests {
     }
 
     #[test]
-    fn purge_drops_expired() {
+    fn sweep_drops_expired() {
         let mut t = BindingTable::new();
         let aor = Aor::new("bob", "voicehoc.ch");
         t.bind(
@@ -328,7 +373,7 @@ mod tests {
             "sip:bob@10.0.0.2:5070".parse().unwrap(),
             SimTime::from_secs(10),
         );
-        t.purge(SimTime::from_secs(11));
+        assert_eq!(t.sweep(SimTime::from_secs(11)), 1);
         assert!(t.is_empty());
     }
 
@@ -337,8 +382,9 @@ mod tests {
         let mut t = BindingTable::new();
         let mut req = register_req("alice@voicehoc.ch", "sip:alice@10.0.0.1:5070", None);
         req.headers_mut().remove("Contact");
-        let resp = t.handle_register(&req, SimTime::ZERO);
+        let (resp, accepted) = t.handle_register(&req, SimTime::ZERO);
         assert_eq!(resp.status(), Some(StatusCode::SERVER_ERROR));
+        assert_eq!(accepted, None);
         assert!(t.is_empty());
     }
 }
