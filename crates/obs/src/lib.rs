@@ -49,6 +49,17 @@ pub const fn enabled() -> bool {
     cfg!(feature = "enabled")
 }
 
+/// Host nanoseconds on the monotonic clock since the first reading in
+/// this process: the one host-clock read under `crates/`. The
+/// simulator's host-time ledger takes it as its meter; nothing that
+/// decides what a run does may read it.
+#[allow(clippy::disallowed_methods)]
+pub fn host_ns() -> u64 {
+    static BASE: std::sync::OnceLock<std::time::Instant> = std::sync::OnceLock::new();
+    let now = std::time::Instant::now();
+    now.duration_since(*BASE.get_or_init(|| now)).as_nanos() as u64
+}
+
 /// Per-node observability shard: metric counters/gauges/histograms plus
 /// the span log, all keyed by `&'static str` so the hot path never
 /// allocates a metric name.

@@ -62,6 +62,48 @@ pub(crate) enum Event {
     Fault(FaultAction),
 }
 
+/// The kinds the host-time ledger files events under, as
+/// `sim.host_ns{kind=…}` and `sim.events{kind=…}`; `Event::kind` picks
+/// one.
+pub(crate) const EVENT_KINDS: [&str; 13] = [
+    "Start",
+    "Timer",
+    "TxStart",
+    "TxDone",
+    "DeliverLoopback",
+    "DeliverHandler",
+    "Local",
+    "PendingSweep",
+    "DeliverRadio",
+    "DeliverWired",
+    "DeliverRadioBatch",
+    "Replan",
+    "Fault",
+];
+
+impl Event {
+    /// This event's index in [`EVENT_KINDS`].
+    pub(crate) fn kind(&self) -> usize {
+        match self {
+            Event::Own { ev, .. } => match ev {
+                Own::Start(_) => 0,
+                Own::Timer { .. } => 1,
+                Own::TxStart => 2,
+                Own::TxDone => 3,
+                Own::Deliver { via, .. } if *via == Via::Loopback => 4,
+                Own::Deliver { .. } => 5,
+                Own::Local { .. } => 6,
+                Own::PendingSweep => 7,
+            },
+            Event::Deliver { via, .. } if *via == Via::Radio => 8,
+            Event::Deliver { .. } => 9,
+            Event::DeliverRadioBatch { .. } => 10,
+            Event::Replan { .. } => 11,
+            Event::Fault(_) => 12,
+        }
+    }
+}
+
 /// What a node arms for itself (see [`Event::Own`]).
 #[derive(Debug)]
 pub(crate) enum Own {

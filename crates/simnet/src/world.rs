@@ -13,7 +13,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::exec::{EngineScratch, Event, Own};
+use crate::exec::{EngineScratch, Event, Own, EVENT_KINDS};
 use crate::fasthash::FastMap;
 use crate::fault::{FaultAction, FaultPlan, PacketFault};
 use crate::grid::NeighborGrid;
@@ -24,7 +24,7 @@ use crate::process::{LocalEvent, Process};
 use crate::queue::EventQueue;
 use crate::radio::RadioConfig;
 use crate::rng::SimRng;
-use crate::stats::NodeStats;
+use crate::stats::{Ledger, NodeStats};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::PacketTrace;
 
@@ -111,6 +111,8 @@ pub struct World {
     /// and their only home (see [`HotNode`]). Radio fan-out filters read
     /// it instead of the full `Node` structs.
     pub(crate) hot: Vec<HotNode>,
+    /// Host time and event count by event kind (obs builds).
+    ledger: Ledger<{ EVENT_KINDS.len() }>,
     tracing_default: bool,
 }
 
@@ -139,6 +141,7 @@ impl World {
             full_scan: false,
             scratch: EngineScratch::default(),
             hot: Vec::new(),
+            ledger: Ledger::new(siphoc_obs::host_ns),
             tracing_default: false,
         }
     }
@@ -298,7 +301,13 @@ impl World {
     /// own output; and the event queue's own account: `sim.queue_len`
     /// (events queued now), `sim.queue_slots` (the most ever queued at
     /// once) and `sim.queue_bytes` (slab, near heap, wheels and spill, by
-    /// capacity).
+    /// capacity). In an obs build the event loop's ledger adds, for each
+    /// event kind that ran, `sim.events{kind=…}` (events dispatched, a
+    /// radio batch counting once per receiver; they sum to the
+    /// `sim.events` gauge) and `sim.host_ns{kind=…}` (host nanoseconds,
+    /// metered on one dispatch in 64 and scaled up to all). The host-time
+    /// rows are the only ones in the registry that are not a function of
+    /// the seed.
     pub fn obs_registry(&self) -> siphoc_obs::Registry {
         let mut reg = siphoc_obs::Registry::new();
         let inline = std::mem::size_of::<NodeStats>() + std::mem::size_of::<siphoc_obs::NodeObs>();
@@ -319,6 +328,7 @@ impl World {
         reg.gauge_set("sim.queue_len", &[], self.queue.len() as f64);
         reg.gauge_set("sim.queue_slots", &[], self.queue.slots() as f64);
         reg.gauge_set("sim.queue_bytes", &[], self.queue.heap_bytes() as f64);
+        self.ledger.export(&EVENT_KINDS, &mut reg);
         reg
     }
 
@@ -513,10 +523,16 @@ impl World {
     /// never moves backwards: a `t` in the past dispatches nothing and
     /// leaves `now()` where it was.
     pub fn run_until(&mut self, t: SimTime) {
-        while let Some((time, event)) = self.queue.pop_at_or_before(t) {
+        loop {
+            let start = self.ledger.start();
+            let Some((time, event)) = self.queue.pop_at_or_before(t) else {
+                break;
+            };
             debug_assert!(time >= self.now, "event queue went backwards");
             self.now = time;
+            let (kind, before) = (event.kind(), self.events);
             self.dispatch(event);
+            self.ledger.record(kind, self.events - before, start);
         }
         self.now = self.now.max(t);
     }
@@ -1211,6 +1227,36 @@ mod tests {
         assert_eq!(w.events_processed(), events);
         w.run_until(SimTime::from_secs(3));
         assert!(w.is_up(a));
+    }
+
+    /// The ledger's event rows partition the event count by kind, and the
+    /// kinds that ran often enough to be metered show host time.
+    #[test]
+    fn the_ledgers_rows_sum_to_the_event_count() {
+        let mut w = ideal_world(19);
+        let ids: Vec<NodeId> = (0..3)
+            .map(|i| w.add_node(NodeConfig::manet(i as f64 * 40.0, 0.0)))
+            .collect();
+        for &id in &ids {
+            w.spawn(id, Box::new(Echo::new(9000).0));
+        }
+        w.run_for(SimDuration::from_millis(1));
+        let src = w.node(ids[0]).addr();
+        for i in 0..200u8 {
+            w.inject(ids[0], dgram(src, Addr::BROADCAST, 9000, &[i; 32]));
+        }
+        w.run_for(SimDuration::from_secs(1));
+        let reg = w.obs_registry();
+        let row = |name, kind| reg.counter(name, &[("kind", kind)]);
+        let events: u64 = EVENT_KINDS.iter().map(|k| row("sim.events", k)).sum();
+        if !crate::obs_enabled() {
+            assert_eq!(events + reg.sum_prefix("sim.host_ns"), 0);
+            return;
+        }
+        assert_eq!(events, w.events_processed());
+        assert_eq!(row("sim.events", "DeliverRadioBatch"), 2 * 200);
+        assert_eq!(row("sim.events", "TxDone"), 200);
+        assert!(row("sim.host_ns", "DeliverRadioBatch") > 0);
     }
 
     /// The wheels' fixed footprint is what the smallest workload

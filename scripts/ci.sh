@@ -63,10 +63,11 @@ cargo build --release --offline --locked --workspace --bin exp_tables
 # here, so a behaviour change fails this gate before it reaches the
 # acceptance benchmark. After an intended change, re-pin from that line
 # and say in EXPERIMENTS.md why the digest moved. `canary WORKLOAD DIGEST
-# [SEED]` runs seed 7 unless told otherwise. Three workloads are pinned at
+# [SEED]` runs seed 7 unless told otherwise. Every workload is pinned at
 # a second seed as well: roam_internet, the only one that runs OLSR;
-# sip_hub, the one whose work is the SIP user agent's; and mesh_calls,
-# whose calls go proxy → MANET SLP → remote proxy.
+# sip_hub, the one whose work is the SIP user agent's; city_beacon, whose
+# work is the simulator's own receive path; and mesh_calls, whose calls
+# go proxy → MANET SLP → remote proxy.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 canary() {
     local out
@@ -83,6 +84,7 @@ canary roam_internet 3749b1d1b8a8cd81 4242
 canary sip_hub 0d1229618be0aac1
 canary sip_hub c99c5167573a73b5 4242
 canary city_beacon 775aa9194117be0e
+canary city_beacon adbee9dc5111f44c 4242
 canary mesh_calls 4d3cbb2abc99fc19
 canary mesh_calls 0fc143bbf1aa4f9c 4242
 # Supply-chain audit (deny.toml: advisories, licenses, bans, sources).
