@@ -167,7 +167,7 @@ fn run_hijack(seed: u64, secure: bool, attack: bool) -> Outcome {
     w.run_until(SimTime::from_secs(80));
 
     let log = alice.ua_logs[0].borrow();
-    let rogue = w.node(mallory.id).stats();
+    let rogue = w.stats(mallory.id);
     Outcome {
         calls: log.count(|e| matches!(e, CallEvent::OutgoingCall { .. })),
         established: log.count(|e| matches!(e, CallEvent::Established { .. })),
@@ -241,7 +241,7 @@ fn run_rogue(seed: u64, secure: bool) -> Outcome {
         after.iter().any(elsewhere)
     });
     let log = alice.ua_logs[0].borrow();
-    let rogue = w.node(mallory.id).stats();
+    let rogue = w.stats(mallory.id);
     Outcome {
         calls: log.count(|e| matches!(e, CallEvent::OutgoingCall { .. })),
         established: log.count(|e| matches!(e, CallEvent::Established { .. })),

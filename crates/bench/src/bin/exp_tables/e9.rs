@@ -146,7 +146,7 @@ fn run_one(seed: u64, mode: Mode) -> Option<Run> {
     } else {
         gw_far.id
     };
-    let rtp_before = w.node(alice.id).stats().get("media.rtp_rx").packets;
+    let rtp_before = w.stats(alice.id).get("media.rtp_rx").packets;
 
     // Kill the serving gateway mid-call; watch for the new lease and the
     // worst RTP receive stall. mbb polls at 5 ms so sub-100 ms handoffs
@@ -167,7 +167,7 @@ fn run_one(seed: u64, mode: Mode) -> Option<Run> {
     for _ in 0..steps {
         w.run_for(poll);
         let now = w.now();
-        let rtp = w.node(alice.id).stats().get("media.rtp_rx").packets;
+        let rtp = w.stats(alice.id).get("media.rtp_rx").packets;
         if rtp > last_rtp {
             max_gap = max_gap.max(now.saturating_since(last_rx_at));
             last_rtp = rtp;
@@ -187,7 +187,7 @@ fn run_one(seed: u64, mode: Mode) -> Option<Run> {
     let failed = alice.ua_logs[0]
         .borrow()
         .any(|e| matches!(e, CallEvent::Failed { .. }));
-    let stats = w.node(alice.id).stats();
+    let stats = w.stats(alice.id);
     Some(Run {
         handoff_ms,
         stall_ms: (max_gap.as_secs_f64() * 1e3 - PTIME_MS).max(0.0),
@@ -195,7 +195,7 @@ fn run_one(seed: u64, mode: Mode) -> Option<Run> {
             && stats.get("media.rtp_rx").packets > rtp_before
             && stats.get("cp.handoff_ok").packets >= 1,
         promoted: stats.get("cp.promote").packets,
-        relayed: relay_node.map(|id| w.node(id).stats().get("media.relayed").packets),
+        relayed: relay_node.map(|id| w.stats(id).get("media.relayed").packets),
     })
 }
 

@@ -423,6 +423,6 @@ mod tests {
         assert!(remote.lost < 200, "remote lost {}", remote.lost);
         assert!(remote.highest_seq > 0);
         // RTCP itself was cheap: ~4 reports each way over 20 s.
-        assert!(w.node(NodeId(0)).stats().get("media.rtcp_tx").packets >= 3);
+        assert!(w.stats(NodeId(0)).get("media.rtcp_tx").packets >= 3);
     }
 }

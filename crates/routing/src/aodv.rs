@@ -973,10 +973,7 @@ mod tests {
         );
         w.run_for(SimDuration::from_secs(20));
         assert!(w.node(ids[0]).routes().lookup(ghost, w.now()).is_none());
-        assert_eq!(
-            w.node(ids[0]).stats().get("aodv.discovery_failed").packets,
-            1
-        );
+        assert_eq!(w.stats(ids[0]).get("aodv.discovery_failed").packets, 1);
         assert_eq!(w.node(ids[0]).pending_packets(), 0, "buffered packet swept");
     }
 
@@ -997,7 +994,7 @@ mod tests {
             ),
         );
         w.run_for(SimDuration::from_secs(20));
-        let failed = w.node(a).stats().get("aodv.discovery_failed").packets;
+        let failed = w.stats(a).get("aodv.discovery_failed").packets;
         assert_eq!(failed, 1, "every ring timer was read as superseded");
         if siphoc_simnet::obs_enabled() {
             let node = a.to_string();

@@ -9,9 +9,11 @@
 //! birth order, which is what fixes their `seq` assignment, and records
 //! trace entries in capture order.
 
+use std::borrow::Cow;
+
 use crate::fault::{corrupt_payload, FaultAction, PacketFaultKind};
 use crate::net::{Addr, Datagram, L2Dst};
-use crate::node::{NodeId, PendingPacket};
+use crate::node::{NodeId, PendingPacket, NO_PROC};
 use crate::process::{Ctx, Effect, LocalEvent};
 use crate::radio::{tx_time, Frame, BACKOFF_MAX, PROP_DELAY, UNICAST_RETRIES};
 use crate::time::SimDuration;
@@ -104,13 +106,14 @@ impl Event {
     }
 }
 
-/// What a node arms for itself (see [`Event::Own`]).
+/// What a node arms for itself (see [`Event::Own`]). A process is named
+/// by its slot in the world's arena (`World::procs`).
 #[derive(Debug)]
 pub(crate) enum Own {
     /// A process's `on_start`.
-    Start(usize),
+    Start(u32),
     Timer {
-        proc: usize,
+        proc: u32,
         token: u64,
     },
     TxStart,
@@ -124,7 +127,7 @@ pub(crate) enum Own {
     /// A signal a process emitted (`exclude` names it) or the engine
     /// raised for the node.
     Local {
-        exclude: Option<usize>,
+        exclude: Option<u32>,
         ev: LocalEvent,
     },
     PendingSweep,
@@ -138,12 +141,12 @@ pub(crate) enum Via {
     Loopback,
     Wired,
     Radio,
-    Handler(usize),
+    Handler(u32),
 }
 
 enum CallKind<'a> {
     Start,
-    Datagram(Datagram),
+    Datagram(&'a Datagram),
     Timer(u64),
     Local(&'a LocalEvent),
 }
@@ -181,7 +184,7 @@ impl World {
                 node
             }
             Event::Deliver { node, dgram, via } => {
-                self.deliver(node, dgram, via);
+                self.deliver(node, Cow::Owned(dgram), via);
                 node
             }
             Event::DeliverRadioBatch { dgram, receivers } => {
@@ -199,14 +202,15 @@ impl World {
             Own::Timer { proc, token } => self.call_proc(node, proc, CallKind::Timer(token)),
             Own::TxStart => self.start_tx(node),
             Own::TxDone => self.tx_done(node),
-            Own::Deliver { dgram, via } => self.deliver(node, dgram, via),
+            Own::Deliver { dgram, via } => self.deliver(node, Cow::Owned(dgram), via),
             Own::Local { exclude, ev } => {
                 let bit = ev.kind().bit();
-                let count = self.nodes[node.0 as usize].procs.len();
-                for idx in 0..count {
-                    let taken = self.nodes[node.0 as usize].procs[idx].1 & bit != 0;
-                    if taken && Some(idx) != exclude {
-                        self.call_proc(node, idx, CallKind::Local(&ev));
+                for idx in 0.. {
+                    let Some(slot) = self.proc_slot(node, idx) else {
+                        break;
+                    };
+                    if self.procs[slot as usize].takes & bit != 0 && Some(slot) != exclude {
+                        self.call_proc(node, slot, CallKind::Local(&ev));
                     }
                 }
             }
@@ -231,15 +235,23 @@ impl World {
         });
     }
 
-    fn call_proc(&mut self, node: NodeId, idx: usize, kind: CallKind<'_>) {
+    /// Runs one callback of the process in arena slot `slot` on `node`.
+    /// What it needs before the process runs comes from the dense
+    /// columns: its liveness and `has_wired` from `hot`, its address
+    /// from `recv`. The `Ctx` borrows the node's RNG, routes and
+    /// counters, which only a process that uses them reads.
+    fn call_proc(&mut self, node: NodeId, slot: u32, kind: CallKind<'_>) {
         let now = self.now;
-        let n = &mut self.nodes[node.0 as usize];
-        if !self.hot[node.0 as usize].up || idx >= n.procs.len() {
+        let h = &self.hot[node.0 as usize];
+        let (up, has_wired) = (h.up, h.has_wired);
+        if !up {
             return;
         }
-        let Some(mut proc) = n.procs[idx].0.take() else {
+        let Some(mut proc) = self.procs[slot as usize].proc.take() else {
             return;
         };
+        let addr = self.recv[node.0 as usize].addr;
+        let n = &mut self.nodes[node.0 as usize];
         // Effects are collected into the reused scratch buffer; process
         // calls never nest (effect application only schedules), so one
         // buffer suffices.
@@ -248,8 +260,8 @@ impl World {
         {
             let mut ctx = Ctx {
                 now,
-                addr: n.addr,
-                has_wired: n.has_wired,
+                addr,
+                has_wired,
                 rng: &mut n.rng,
                 routes: &mut n.routes,
                 stats: &mut n.stats,
@@ -258,37 +270,31 @@ impl World {
             };
             match kind {
                 CallKind::Start => proc.on_start(&mut ctx),
-                CallKind::Datagram(d) => proc.on_datagram(&mut ctx, &d),
+                CallKind::Datagram(d) => proc.on_datagram(&mut ctx, d),
                 CallKind::Timer(token) => proc.on_timer(&mut ctx, token),
                 CallKind::Local(ev) => proc.on_local_event(&mut ctx, ev),
             }
         }
-        self.nodes[node.0 as usize].procs[idx].0 = Some(proc);
-        self.apply_effects(node, idx, &mut effects);
+        self.procs[slot as usize].proc = Some(proc);
+        self.apply_effects(node, slot, &mut effects);
         effects.clear();
         self.scratch.effects = effects;
     }
 
-    fn apply_effects(&mut self, node: NodeId, idx: usize, effects: &mut Vec<Effect>) {
+    fn apply_effects(&mut self, node: NodeId, slot: u32, effects: &mut Vec<Effect>) {
         for effect in effects.drain(..) {
             match effect {
-                Effect::Bind(port) => {
-                    let n = &mut self.nodes[node.0 as usize];
-                    let name = n.proc_names[idx];
-                    if n.port_bindings.bind(port, idx) != idx {
-                        panic!("port {port} on {node} already bound by another process (binder: {name})");
-                    }
-                }
+                Effect::Bind(port) => self.bind(node, port, slot),
                 Effect::Send(dgram) => self.route_and_send(node, dgram, false),
                 Effect::SendLink { dst, dgram } => self.enqueue_frame(node, dst, dgram),
                 Effect::SetTimer { delay, token } => {
-                    self.arm(delay, node, Own::Timer { proc: idx, token });
+                    self.arm(delay, node, Own::Timer { proc: slot, token });
                 }
                 Effect::Emit(ev) => {
-                    let exclude = Some(idx);
+                    let exclude = Some(slot);
                     self.arm(SIGNAL_DELAY, node, Own::Local { exclude, ev });
                 }
-                Effect::TakeLocal(mask) => self.nodes[node.0 as usize].procs[idx].1 = mask,
+                Effect::TakeLocal(mask) => self.procs[slot as usize].takes = mask,
                 Effect::AddLocalAddr(a) => {
                     let n = &mut self.nodes[node.0 as usize];
                     if !n.local_addrs.contains(&a) {
@@ -301,7 +307,7 @@ impl World {
                 }
                 Effect::ClaimPublicAddr(a) => {
                     self.addr_map.insert(a, node);
-                    self.nodes[node.0 as usize].addr_handlers.insert(a, idx);
+                    self.nodes[node.0 as usize].addr_handlers.insert(a, slot);
                 }
                 Effect::ReleasePublicAddr(a) => {
                     if self.node_by_addr(a) == Some(node) {
@@ -312,12 +318,50 @@ impl World {
                 Effect::SetDefaultHandler(enabled) => {
                     let n = &mut self.nodes[node.0 as usize];
                     if enabled {
-                        n.default_handler = Some(idx);
-                    } else if n.default_handler == Some(idx) {
+                        n.default_handler = Some(slot);
+                    } else if n.default_handler == Some(slot) {
                         n.default_handler = None;
                     }
                 }
             }
+        }
+    }
+
+    /// Binds `port` on `node` to the process in `slot`: the node's first
+    /// binding goes to its `RecvEntry`, later ones to its port map.
+    ///
+    /// # Panics
+    ///
+    /// Panics if another process on the node holds `port`, naming the
+    /// process that asked.
+    fn bind(&mut self, node: NodeId, port: u16, slot: u32) {
+        let r = &mut self.recv[node.0 as usize];
+        let holder = if r.port_proc == NO_PROC {
+            (r.port, r.port_proc) = (port, slot);
+            slot
+        } else if r.port == port {
+            r.port_proc
+        } else {
+            self.nodes[node.0 as usize].port_bindings.bind(port, slot)
+        };
+        if holder != slot {
+            let name = self.procs[slot as usize]
+                .proc
+                .as_ref()
+                .map_or("?", |p| p.name());
+            panic!("port {port} on {node} already bound by another process (binder: {name})");
+        }
+    }
+
+    /// Arena slot of the process bound to `port` on `node`.
+    fn bound(&self, node: NodeId, port: u16) -> Option<u32> {
+        let r = &self.recv[node.0 as usize];
+        if r.port_proc == NO_PROC {
+            None
+        } else if r.port == port {
+            Some(r.port_proc)
+        } else {
+            self.nodes[node.0 as usize].port_bindings.get(port)
         }
     }
 
@@ -384,6 +428,7 @@ impl World {
                 .or_default()
                 .push(PendingPacket { dgram, deadline });
             n.stats.count("pending.queued", wire);
+            self.hot[node.0 as usize].parked = true;
             self.arm_at(deadline, node, Own::PendingSweep);
             let ev = LocalEvent::RouteNeeded { dst: dst.addr };
             self.arm(SIGNAL_DELAY, node, Own::Local { exclude: None, ev });
@@ -393,12 +438,13 @@ impl World {
     }
 
     /// Re-sends parked datagrams for destinations that acquired a route.
+    /// A node with nothing parked returns on its `HotNode` flag.
     fn flush_pending(&mut self, node: NodeId) {
-        let now = self.now;
-        let n = &mut self.nodes[node.0 as usize];
-        if n.pending.is_empty() {
+        if !self.hot[node.0 as usize].parked {
             return;
         }
+        let now = self.now;
+        let n = &mut self.nodes[node.0 as usize];
         // Destination list goes through the reused scratch buffer
         // (route_and_send below never re-enters flush_pending).
         let mut ready = std::mem::take(&mut self.scratch.ready);
@@ -424,6 +470,7 @@ impl World {
         }
         ready.clear();
         self.scratch.ready = ready;
+        self.hot[node.0 as usize].parked = !self.nodes[node.0 as usize].pending.is_empty();
     }
 
     fn wired_send(&mut self, node: NodeId, dgram: Datagram) {
@@ -433,7 +480,7 @@ impl World {
                 .count("drop.wired_unroutable", dgram.wire_len());
             return;
         };
-        if !self.nodes[target.0 as usize].has_wired {
+        if !self.hot[target.0 as usize].has_wired {
             self.nodes[node.0 as usize]
                 .stats
                 .count("drop.wired_unroutable", dgram.wire_len());
@@ -755,53 +802,57 @@ impl World {
     /// delivery, processed exactly as the per-receiver `Deliver` events it
     /// replaces (including the per-event pending flush and the event
     /// meter, which counts logical events so throughput numbers stay
-    /// comparable with per-event scheduling).
+    /// comparable with per-event scheduling). Every receiver's process
+    /// reads the batch's one datagram; only a forward copies it.
     fn deliver_batch(&mut self, dgram: Datagram, mut receivers: Vec<NodeId>) {
         self.events += receivers.len() as u64 - 1;
         for &rx in &receivers {
-            self.deliver(rx, dgram.clone(), Via::Radio);
+            self.deliver(rx, Cow::Borrowed(&dgram), Via::Radio);
             self.flush_pending(rx);
         }
         receivers.clear();
         self.scratch.batch_pool.push(receivers);
     }
 
-    fn deliver(&mut self, node: NodeId, dgram: Datagram, via: Via) {
+    /// Delivers `dgram` to `node`. A radio broadcast reads only the
+    /// dense columns (`hot`, `recv`, the process arena) unless the node
+    /// bound the frame's port after its first binding.
+    fn deliver(&mut self, node: NodeId, dgram: Cow<'_, Datagram>, via: Via) {
         if !self.hot[node.0 as usize].up {
             return;
         }
-        let n = &mut self.nodes[node.0 as usize];
         match via {
             Via::Radio => {
-                n.stats.count("radio.rx", dgram.wire_len());
+                self.recv[node.0 as usize].rx.add(dgram.wire_len());
                 self.record(node, TraceKind::RadioRx, None, &dgram);
             }
             Via::Wired => {
+                let n = &mut self.nodes[node.0 as usize];
                 n.stats.count("wired.rx", dgram.wire_len());
                 self.record(node, TraceKind::WiredRx, None, &dgram);
             }
-            Via::Handler(h) => {
-                self.call_proc(node, h, CallKind::Datagram(dgram));
+            Via::Handler(slot) => {
+                self.call_proc(node, slot, CallKind::Datagram(&dgram));
                 return;
             }
             Via::Loopback => {}
         }
 
-        let n = &self.nodes[node.0 as usize];
         let dst = dgram.dst;
         if dst.addr.is_broadcast() {
-            if let Some(idx) = n.port_bindings.get(dst.port) {
-                self.call_proc(node, idx, CallKind::Datagram(dgram));
+            if let Some(slot) = self.bound(node, dst.port) {
+                self.call_proc(node, slot, CallKind::Datagram(&dgram));
             }
             return;
         }
-        if let Some(&idx) = n.addr_handlers.get(&dst.addr) {
-            self.call_proc(node, idx, CallKind::Datagram(dgram));
+        let n = &self.nodes[node.0 as usize];
+        if let Some(&slot) = n.addr_handlers.get(&dst.addr) {
+            self.call_proc(node, slot, CallKind::Datagram(&dgram));
             return;
         }
         if n.is_local_addr(dst.addr) {
-            if let Some(idx) = n.port_bindings.get(dst.port) {
-                self.call_proc(node, idx, CallKind::Datagram(dgram));
+            if let Some(slot) = self.bound(node, dst.port) {
+                self.call_proc(node, slot, CallKind::Datagram(&dgram));
             } else {
                 self.nodes[node.0 as usize]
                     .stats
@@ -810,7 +861,7 @@ impl World {
             return;
         }
         // Transit traffic: forward.
-        self.route_and_send(node, dgram, true);
+        self.route_and_send(node, dgram.into_owned(), true);
     }
 
     fn record(
@@ -835,6 +886,15 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::SocketAddr;
+    use crate::node::{NodeConfig, NodeId};
+    use crate::process::{LocalKind, Process};
+    use crate::radio::RadioConfig;
+    use crate::route::Route;
+    use crate::time::SimTime;
+    use crate::world::WorldConfig;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     /// Ceiling on `size_of::<Event>()`: every queued event pays it, plus
     /// its 16-byte key, in the queue's slab.
@@ -844,5 +904,251 @@ mod tests {
     fn event_stays_under_its_inline_ceiling() {
         let size = std::mem::size_of::<Event>();
         assert!(size <= EVENT_INLINE_MAX, "Event is {size} B inline");
+    }
+
+    /// What a [`Multi`] saw: `(process index, port)` per datagram, with
+    /// port 0 for a `RouteNeeded` signal.
+    type Seen = Rc<RefCell<Vec<(usize, u16)>>>;
+
+    /// Binds `ports` in the order given, takes `RouteNeeded`, and
+    /// optionally claims a public address or handles the default route.
+    struct Multi {
+        name: &'static str,
+        idx: usize,
+        ports: Vec<u16>,
+        claim: Option<Addr>,
+        default: bool,
+        seen: Seen,
+    }
+
+    impl Process for Multi {
+        fn name(&self) -> &'static str {
+            self.name
+        }
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            for &port in &self.ports {
+                ctx.bind(port);
+            }
+            ctx.take_local(&[LocalKind::RouteNeeded]);
+            if let Some(addr) = self.claim {
+                ctx.claim_public_addr(addr);
+            }
+            if self.default {
+                ctx.set_default_handler(true);
+            }
+        }
+        fn on_datagram(&mut self, _ctx: &mut Ctx<'_>, dgram: &Datagram) {
+            self.seen.borrow_mut().push((self.idx, dgram.dst.port));
+        }
+        fn on_local_event(&mut self, _ctx: &mut Ctx<'_>, _ev: &LocalEvent) {
+            self.seen.borrow_mut().push((self.idx, 0));
+        }
+    }
+
+    fn multi(idx: usize, ports: &[u16], seen: &Seen) -> Multi {
+        Multi {
+            name: "multi",
+            idx,
+            ports: ports.to_vec(),
+            claim: None,
+            default: false,
+            seen: Rc::clone(seen),
+        }
+    }
+
+    fn dgram(src: Addr, dst: Addr, port: u16) -> Datagram {
+        Datagram::new(
+            SocketAddr::new(src, port),
+            SocketAddr::new(dst, port),
+            vec![7; 16],
+        )
+    }
+
+    fn direct(next_hop: Addr) -> Route {
+        Route {
+            next_hop,
+            hops: 1,
+            expires: SimTime::MAX,
+            seq: 0,
+        }
+    }
+
+    const CLAIMED: Addr = Addr::new(82, 130, 0, 9);
+
+    /// Every way a datagram reaches a process, across the boundary
+    /// between a node's first port binding (in its receive column entry)
+    /// and its later ones (in its port map), for four processes whose
+    /// five ports are bound in six orders; then the same after a restart.
+    #[test]
+    fn each_delivery_reaches_the_process_bound_to_it_in_any_binding_order() {
+        let ports = [7000u16, 7001, 7002, 7003, 7004];
+        // Which ports each of processes 0..3 binds, in its binding order;
+        // the node's first binding is process 0's first port.
+        let layouts: [[&[u16]; 4]; 6] = [
+            [&[7003, 7001], &[7000], &[7002, 7004], &[]],
+            [&[7000], &[7004, 7001], &[7003], &[7002]],
+            [&[7004, 7003, 7002], &[7001], &[], &[7000]],
+            [&[], &[7002, 7000], &[7004], &[7001, 7003]],
+            [&[7001], &[7003], &[7000, 7002], &[7004]],
+            [&[7002], &[], &[7001, 7004, 7000], &[7003]],
+        ];
+        for (case, layout) in layouts.iter().enumerate() {
+            let mut w =
+                World::new(WorldConfig::new(40 + case as u64).with_radio(RadioConfig::ideal()));
+            let a = w.add_node(NodeConfig::manet(0.0, 0.0));
+            let b = w.add_node(NodeConfig::manet(50.0, 0.0));
+            let seen = Seen::default();
+            for (idx, bound) in layout.iter().enumerate() {
+                let mut p = multi(idx, bound, &seen);
+                p.claim = (idx == 2).then_some(CLAIMED);
+                p.default = idx == 3;
+                w.spawn(a, Box::new(p));
+            }
+            let binder = |port: u16| layout.iter().position(|b| b.contains(&port)).unwrap();
+            let (aa, ba) = (w.node(a).addr(), w.node(b).addr());
+            w.install_route(b, aa, direct(aa));
+            w.run_for(SimDuration::from_millis(1));
+            for life in 0..2 {
+                let mut want = Vec::new();
+                for &port in &ports {
+                    w.inject(b, dgram(ba, Addr::BROADCAST, port));
+                    w.inject(b, dgram(ba, aa, port));
+                    w.inject(a, dgram(Addr::LOOPBACK, Addr::LOOPBACK, port));
+                    want.extend([(binder(port), port); 3]);
+                }
+                // A port nobody bound is nobody's.
+                w.inject(b, dgram(ba, Addr::BROADCAST, 7009));
+                // The claimed address reaches its claimant (2), any other
+                // public address the default handler (3).
+                w.inject(a, dgram(aa, CLAIMED, 5060));
+                w.inject(a, dgram(aa, Addr::new(82, 1, 1, 1), 5061));
+                want.extend([(2, 5060), (3, 5061)]);
+                w.run_for(SimDuration::from_millis(200));
+                let mut got = std::mem::take(&mut *seen.borrow_mut());
+                got.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(got, want, "layout {case}, life {life}");
+                assert_eq!(w.stats(a).get("drop.no_listener").packets, 0);
+
+                // A signal reaches every taker in process-index order.
+                w.inject(a, dgram(aa, Addr::manet(77), 9));
+                w.run_for(SimDuration::from_millis(1));
+                let signalled = std::mem::take(&mut *seen.borrow_mut());
+                assert_eq!(signalled, [(0, 0), (1, 0), (2, 0), (3, 0)], "layout {case}");
+
+                // A restart re-runs every `on_start`, which binds again.
+                w.set_node_up(a, false);
+                w.set_node_up(a, true);
+                w.run_for(SimDuration::from_millis(1));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "port 7001 on n0 already bound by another process (binder: rogue)")]
+    fn binding_a_port_held_in_the_port_map_panics_and_names_the_binder() {
+        let mut w = World::new(WorldConfig::new(1));
+        let id = w.add_node(NodeConfig::manet(0.0, 0.0));
+        let seen = Seen::default();
+        w.spawn(id, Box::new(multi(0, &[7000, 7001], &seen)));
+        let mut rogue = multi(1, &[7001], &seen);
+        rogue.name = "rogue";
+        w.spawn(id, Box::new(rogue));
+        w.run_until(SimTime::from_secs(1));
+    }
+
+    /// `a` parks a datagram for `b` (two hops away at 160 m, no route);
+    /// `c`, beside `a`, runs nothing.
+    fn parked_world(seed: u64) -> (World, [NodeId; 3], Seen) {
+        let mut w = World::new(WorldConfig::new(seed).with_radio(RadioConfig::ideal()));
+        let a = w.add_node(NodeConfig::manet(0.0, 0.0));
+        let b = w.add_node(NodeConfig::manet(80.0, 0.0));
+        let c = w.add_node(NodeConfig::manet(-50.0, 0.0));
+        let seen = Seen::default();
+        w.spawn(b, Box::new(multi(0, &[9000], &seen)));
+        w.run_for(SimDuration::from_millis(1));
+        let (aa, ba) = (w.node(a).addr(), w.node(b).addr());
+        w.inject(a, dgram(aa, ba, 9000));
+        w.run_for(SimDuration::from_millis(5));
+        assert_eq!(w.node(a).pending_packets(), 1);
+        assert!(w.hot[a.0 as usize].parked);
+        (w, [a, b, c], seen)
+    }
+
+    /// Once a route exists, the next event on the node flushes what it
+    /// parked, and a broadcast reception delivered in a batch is one.
+    #[test]
+    fn a_batch_delivery_flushes_a_datagram_parked_for_a_route() {
+        let (mut w, [a, b, c], seen) = parked_world(50);
+        let ba = w.node(b).addr();
+        w.install_route(a, ba, direct(ba));
+        let ca = w.node(c).addr();
+        w.inject(c, dgram(ca, Addr::BROADCAST, 9001));
+        w.run_for(SimDuration::from_millis(20));
+        assert_eq!(*seen.borrow(), [(0, 9000)]);
+        assert_eq!(w.node(a).pending_packets(), 0);
+        assert!(!w.hot[a.0 as usize].parked);
+        assert!(w.now() < SimTime::from_secs(1), "before the sweep");
+    }
+
+    #[test]
+    fn a_sweep_and_a_crash_each_clear_the_parked_flag() {
+        let (mut w, [a, ..], _) = parked_world(51);
+        w.run_for(SimDuration::from_secs(3));
+        assert_eq!(w.stats(a).get("drop.pending_timeout").packets, 1);
+        assert!(!w.hot[a.0 as usize].parked, "the sweep emptied it");
+
+        let (mut w, [a, ..], _) = parked_world(52);
+        w.set_node_up(a, false);
+        assert_eq!(w.node(a).pending_packets(), 0);
+        assert!(!w.hot[a.0 as usize].parked, "the crash emptied it");
+    }
+
+    /// `radio.rx` lives in the receive column; each node's registry row,
+    /// and its `World::stats`, count exactly its `RadioRx` trace entries
+    /// — broadcasts in batches, unicasts one by one, lossy channel.
+    #[test]
+    fn each_nodes_radio_rx_row_counts_its_radio_receptions() {
+        let mut w = World::new(WorldConfig::new(53));
+        w.trace_mut().set_enabled(true);
+        let ids: Vec<NodeId> = (0..12)
+            .map(|i| {
+                w.add_node(NodeConfig::manet(
+                    (i % 4) as f64 * 60.0,
+                    (i / 4) as f64 * 60.0,
+                ))
+            })
+            .collect();
+        let seen = Seen::default();
+        for (idx, &id) in ids.iter().enumerate() {
+            w.spawn(id, Box::new(multi(idx, &[9000], &seen)));
+        }
+        w.run_for(SimDuration::from_millis(1));
+        for (k, &id) in ids.iter().enumerate() {
+            let src = w.node(id).addr();
+            let next = w.node(ids[(k + 1) % ids.len()]).addr();
+            w.install_route(id, next, direct(next));
+            for _ in 0..5 {
+                w.inject(id, dgram(src, Addr::BROADCAST, 9000));
+                w.inject(id, dgram(src, next, 9000));
+            }
+        }
+        w.run_for(SimDuration::from_secs(2));
+        assert_eq!(w.trace().evicted(), 0);
+        let reg = w.obs_registry();
+        let mut total = 0;
+        for &id in &ids {
+            let traced = w
+                .trace()
+                .entries()
+                .filter(|e| e.node == id && e.kind == TraceKind::RadioRx)
+                .count() as u64;
+            let label = id.to_string();
+            assert_eq!(reg.counter("radio.rx", &[("node", &label)]), traced, "{id}");
+            assert_eq!(w.stats(id).get("radio.rx").packets, traced, "{id}");
+            total += traced;
+        }
+        assert!(total > 100, "{total} receptions");
+        assert_eq!(w.total_stats().get("radio.rx").packets, total);
     }
 }

@@ -364,6 +364,7 @@ impl NeighborGrid {
 mod tests {
     use super::*;
     use crate::mobility::{distance, Area, Mobility, WaypointParams};
+    use crate::node::NodeConfig;
     use crate::rng::SimRng;
     use crate::time::SimDuration;
 
@@ -375,7 +376,7 @@ mod tests {
     }
 
     fn placed(mobility: Mobility) -> HotNode {
-        let mut h = HotNode::new(true);
+        let mut h = HotNode::new(&NodeConfig::manet(0.0, 0.0));
         h.place(mobility);
         h
     }

@@ -17,7 +17,7 @@ use crate::process::Process;
 use crate::radio::Frame;
 use crate::rng::SimRng;
 use crate::route::RoutingTable;
-use crate::stats::NodeStats;
+use crate::stats::{Counter, NodeStats};
 use crate::time::SimTime;
 
 /// Identifier of a node within a world; indexes are dense and start at 0.
@@ -148,8 +148,10 @@ impl TxQueue {
     }
 }
 
-/// Port → index of the process bound to it, sorted by port: a node binds
-/// a handful of ports once and looks one up on every delivery.
+/// Port → arena slot of the process bound to it, sorted by port, for a
+/// node's second and later bindings (its first is in its [`RecvEntry`]):
+/// a node binds a handful of ports once and looks one up on every
+/// delivery.
 #[derive(Debug, Default)]
 pub(crate) struct PortMap(Vec<(u16, u32)>);
 
@@ -159,19 +161,69 @@ impl PortMap {
         self.0.binary_search_by_key(&port, |&(p, _)| p)
     }
 
-    pub(crate) fn get(&self, port: u16) -> Option<usize> {
-        self.find(port).ok().map(|at| self.0[at].1 as usize)
+    pub(crate) fn get(&self, port: u16) -> Option<u32> {
+        self.find(port).ok().map(|at| self.0[at].1)
     }
 
-    /// Binds `port` to process `idx` unless it is bound already; returns
+    /// Binds `port` to process `slot` unless it is bound already; returns
     /// the binder that holds it afterwards.
-    pub(crate) fn bind(&mut self, port: u16, idx: usize) -> usize {
+    pub(crate) fn bind(&mut self, port: u16, slot: u32) -> u32 {
         match self.find(port) {
-            Ok(at) => self.0[at].1 as usize,
+            Ok(at) => self.0[at].1,
             Err(at) => {
-                self.0.insert(at, (port, idx as u32));
-                idx
+                self.0.insert(at, (port, slot));
+                slot
             }
+        }
+    }
+}
+
+/// A process in the world's arena (`World::procs`), beside the
+/// [`LocalKind`](crate::process::LocalKind) mask it subscribed with. The
+/// process is taken out while it runs.
+pub(crate) struct ProcSlot {
+    pub proc: Option<Box<dyn Process>>,
+    pub takes: u16,
+}
+
+/// "No process": the [`RecvEntry`] slots of a node that has none.
+pub(crate) const NO_PROC: u32 = u32::MAX;
+
+/// What a delivery needs of a node before its process runs, in the
+/// dense column `World::recv`, one entry per node.
+///
+/// A broadcast reaches every node in range, and at city scale most of
+/// them receive it on the port they bound first, with the process they
+/// spawned first. Reading the full `Node` (several cache lines) and the
+/// heap blocks behind its counters, port map and process list for each
+/// of them dominated the receive path; an entry packs what that path
+/// reads into 32 bytes. The `radio.rx` counter lives here and nowhere
+/// else; the address is a copy of `Node::addr`, fixed at creation.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RecvEntry {
+    /// Frames received over the radio; `World::stats` and the
+    /// registry report it as `radio.rx`.
+    pub rx: Counter,
+    /// As `Node::addr`.
+    pub addr: Addr,
+    /// Arena slot of the node's process 0; [`NO_PROC`] until one is
+    /// spawned. Processes 1.. are in `Node::procs`.
+    pub proc0: u32,
+    /// Arena slot of the process bound to `port`, the node's first
+    /// binding; [`NO_PROC`] until it binds one. Later bindings are in
+    /// `Node::port_bindings`.
+    pub port_proc: u32,
+    pub port: u16,
+}
+
+impl RecvEntry {
+    pub(crate) fn new(addr: Addr) -> RecvEntry {
+        RecvEntry {
+            rx: Counter::default(),
+            addr,
+            proc0: NO_PROC,
+            port_proc: NO_PROC,
+            port: 0,
         }
     }
 }
@@ -184,14 +236,21 @@ impl PortMap {
 /// receiver; at city scale those reads dominate, and pulling them
 /// through the full `Node` struct (several cache lines, pointer-rich)
 /// thrashes the cache. An entry packs them into 64 bytes, beside the
-/// interface flag fixed at creation and the speed bound the spatial
-/// index needs.
+/// interface flags fixed at creation, whether the node has datagrams
+/// parked, and the speed bound the spatial index needs.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct HotNode {
     /// Whether the node is powered on.
     pub up: bool,
     /// As `Node::has_radio`; fixed at creation.
     pub has_radio: bool,
+    /// As `Node::has_wired`; fixed at creation.
+    pub has_wired: bool,
+    /// Whether `Node::pending` holds anything, between events: set when
+    /// a datagram parks, cleared by a crash and by the flush that ends
+    /// every event on the node (a sweep's too) once nothing is left. A
+    /// delivery flushes only a node that has it set.
+    pub parked: bool,
     /// Which life of the node this is; a crash ends one (see
     /// `exec::Event::Own`).
     pub inc: u32,
@@ -206,10 +265,12 @@ pub(crate) struct HotNode {
 impl HotNode {
     /// An up node in its first incarnation, parked at the origin until
     /// [`HotNode::place`] moves it.
-    pub(crate) fn new(has_radio: bool) -> HotNode {
+    pub(crate) fn new(cfg: &NodeConfig) -> HotNode {
         HotNode {
             up: true,
-            has_radio,
+            has_radio: cfg.radio,
+            has_wired: cfg.wired,
+            parked: false,
             inc: 0,
             max_speed: 0.0,
             leg: Leg::parked((0.0, 0.0)),
@@ -251,19 +312,23 @@ pub struct Node {
     /// What a random-waypoint node draws its next leg from; `None` for
     /// a static node. Its current leg is in its arena entry ([`HotNode`]).
     pub(crate) waypoint: Option<Box<(WaypointParams, Area)>>,
-    /// Each process, taken out while it runs, beside the
-    /// [`LocalKind`](crate::process::LocalKind) mask it subscribed with.
-    pub(crate) procs: Vec<(Option<Box<dyn Process>>, u16)>,
+    /// Arena slots (`World::procs`) of processes 1.., in spawn order;
+    /// process 0's is in the node's [`RecvEntry`].
+    pub(crate) procs: Vec<u32>,
     pub(crate) proc_names: Vec<&'static str>,
     pub(crate) port_bindings: PortMap,
-    pub(crate) addr_handlers: FastMap<Addr, usize>,
-    pub(crate) default_handler: Option<usize>,
+    /// Public addresses claimed by a process, with its arena slot.
+    pub(crate) addr_handlers: FastMap<Addr, u32>,
+    /// Arena slot of the process that handles the default route.
+    pub(crate) default_handler: Option<u32>,
     pub(crate) routes: RoutingTable,
     pub(crate) pending: FastMap<Addr, Vec<PendingPacket>>,
     pub(crate) tx_queue: TxQueue,
     pub(crate) tx_busy: bool,
     pub(crate) tx_until: SimTime,
     pub(crate) rng: SimRng,
+    /// Every counter but `radio.rx`, which is in the node's
+    /// [`RecvEntry`]; `World::stats` reports both.
     pub(crate) stats: NodeStats,
     pub(crate) obs: siphoc_obs::NodeObs,
 }
@@ -331,11 +396,6 @@ impl Node {
         &self.routes
     }
 
-    /// The node's traffic counters.
-    pub fn stats(&self) -> &NodeStats {
-        &self.stats
-    }
-
     /// The node's observability shard (metrics + spans). A no-op shell
     /// unless the `obs` feature is enabled.
     pub fn obs(&self) -> &siphoc_obs::NodeObs {
@@ -375,11 +435,15 @@ mod tests {
 
     /// Ceiling on `size_of::<Node>()`, with and without the inline obs
     /// shard: `World::nodes` pays it once per node, used or not.
-    const NODE_INLINE_MAX: usize = if crate::obs_enabled() { 480 } else { 392 };
+    const NODE_INLINE_MAX: usize = if crate::obs_enabled() { 472 } else { 384 };
 
     /// Ceiling on `size_of::<HotNode>()`: every radio fan-out reads one
     /// per candidate receiver.
     const HOT_NODE_INLINE_MAX: usize = 64;
+
+    /// Ceiling on `size_of::<RecvEntry>()`: every radio reception reads
+    /// one, two to a cache line.
+    const RECV_ENTRY_INLINE_MAX: usize = 32;
 
     #[test]
     fn node_stays_under_its_inline_ceiling() {
@@ -394,6 +458,15 @@ mod tests {
     fn an_arena_entry_stays_under_its_inline_ceiling() {
         let size = std::mem::size_of::<HotNode>();
         assert!(size <= HOT_NODE_INLINE_MAX, "HotNode is {size} B inline");
+    }
+
+    #[test]
+    fn a_receive_column_entry_stays_under_its_inline_ceiling() {
+        let size = std::mem::size_of::<RecvEntry>();
+        assert!(
+            size <= RECV_ENTRY_INLINE_MAX,
+            "RecvEntry is {size} B inline"
+        );
     }
 
     fn frame(tag: u8) -> Frame {
@@ -454,10 +527,10 @@ mod tests {
         for ports in [1usize, 6, 97] {
             let mut map = PortMap::default();
             // Bound in descending order: lookups rely on the sort.
-            for i in (0..ports).rev() {
+            for i in (0..ports as u32).rev() {
                 assert_eq!(map.bind(5000 + 3 * i as u16, i), i);
             }
-            for i in 0..ports {
+            for i in 0..ports as u32 {
                 assert_eq!(map.get(5000 + 3 * i as u16), Some(i));
                 assert_eq!(map.get(5001 + 3 * i as u16), None);
             }
@@ -494,6 +567,8 @@ mod tests {
         fn on_datagram(&mut self, _ctx: &mut Ctx<'_>, _dgram: &Datagram) {}
     }
 
+    /// Also: a node that runs one process on one port allocates no
+    /// process list and no port map.
     #[test]
     fn only_a_node_that_queues_behind_its_own_frame_owns_a_ring() {
         let mut w = World::new(WorldConfig::new(11));
@@ -517,6 +592,9 @@ mod tests {
             .filter(|&id| w.node(id).tx_queue.rest.capacity() > 0)
             .collect();
         assert_eq!(rings, [ids[0]]);
+        // One process, one port: neither spills out of the columns.
+        let n = w.node(ids[1]);
+        assert_eq!((n.procs.capacity(), n.port_bindings.0.capacity()), (0, 0));
     }
 
     #[test]

@@ -77,6 +77,13 @@ impl NodeStats {
         self.counters.iter().map(|(n, c)| (n, *c))
     }
 
+    /// Merges `c` into the named counter, unless it counted nothing.
+    pub(crate) fn add(&mut self, name: &'static str, c: Counter) {
+        if c.packets > 0 {
+            self.counters.entry(name).merge(c);
+        }
+    }
+
     /// Merges all counters of `other` into this instance.
     pub fn merge(&mut self, other: &NodeStats) {
         for (name, c) in other.iter() {

@@ -19,12 +19,12 @@ use crate::fault::{FaultAction, FaultPlan, PacketFault};
 use crate::grid::NeighborGrid;
 use crate::mobility::{Mobility, Position};
 use crate::net::{Addr, Datagram};
-use crate::node::{HotNode, Node, NodeConfig, NodeId};
+use crate::node::{HotNode, Node, NodeConfig, NodeId, ProcSlot, RecvEntry, NO_PROC};
 use crate::process::{LocalEvent, Process};
 use crate::queue::EventQueue;
 use crate::radio::RadioConfig;
 use crate::rng::SimRng;
-use crate::stats::{Ledger, NodeStats};
+use crate::stats::{Counter, Ledger, NodeStats};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::PacketTrace;
 
@@ -111,6 +111,13 @@ pub struct World {
     /// and their only home (see [`HotNode`]). Radio fan-out filters read
     /// it instead of the full `Node` structs.
     pub(crate) hot: Vec<HotNode>,
+    /// What a delivery reads of each node before its process runs,
+    /// indexed like `nodes` (see [`RecvEntry`]).
+    pub(crate) recv: Vec<RecvEntry>,
+    /// Every process of every node, in spawn order. A node reaches its
+    /// own through its `RecvEntry` and `Node::procs`; events, port
+    /// bindings and handlers name a process by its slot here.
+    pub(crate) procs: Vec<ProcSlot>,
     /// Host time and event count by event kind (obs builds).
     ledger: Ledger<{ EVENT_KINDS.len() }>,
     tracing_default: bool,
@@ -141,6 +148,8 @@ impl World {
             full_scan: false,
             scratch: EngineScratch::default(),
             hot: Vec::new(),
+            recv: Vec::new(),
+            procs: Vec::new(),
             ledger: Ledger::new(siphoc_obs::host_ns),
             tracing_default: false,
         }
@@ -207,7 +216,8 @@ impl World {
         }
         self.addr_map.insert(addr, id);
         self.nodes.push(node);
-        self.hot.push(HotNode::new(cfg.radio));
+        self.hot.push(HotNode::new(&cfg));
+        self.recv.push(RecvEntry::new(addr));
         self.grid.invalidate();
         self.set_mobility(id, cfg.mobility);
         id
@@ -217,22 +227,41 @@ impl World {
     /// or when the node next powers up if it is down. Returns the process
     /// index on that node.
     pub fn spawn(&mut self, node: NodeId, proc: Box<dyn Process>) -> usize {
-        let n = self.node_mut(node);
-        let idx = n.procs.len();
+        let slot = self.procs.len() as u32;
+        let n = &mut self.nodes[node.0 as usize];
+        let idx = n.proc_names.len();
+        // Most nodes run one process: no spare capacity in either list.
+        n.proc_names.reserve_exact(1);
         n.proc_names.push(proc.name());
-        // One slot per process: most nodes run one, and a slot is 24 B.
-        n.procs.reserve_exact(1);
-        n.procs.push((Some(proc), 0));
+        if idx == 0 {
+            self.recv[node.0 as usize].proc0 = slot;
+        } else {
+            n.procs.reserve_exact(1);
+            n.procs.push(slot);
+        }
+        self.procs.push(ProcSlot {
+            proc: Some(proc),
+            takes: 0,
+        });
         if self.is_up(node) {
-            self.start_process(node, idx);
+            self.start_process(node, slot);
         }
         idx
     }
 
-    /// Queues process `proc`'s `on_start` in the node's current
-    /// incarnation: at spawn, and at every power-up.
-    fn start_process(&mut self, node: NodeId, proc: usize) {
-        self.arm(SimDuration::ZERO, node, Own::Start(proc));
+    /// Arena slot of process `idx` on `node`, if it has that many.
+    pub(crate) fn proc_slot(&self, node: NodeId, idx: usize) -> Option<u32> {
+        match (self.recv[node.0 as usize].proc0, idx) {
+            (NO_PROC, _) => None,
+            (slot, 0) => Some(slot),
+            _ => self.nodes[node.0 as usize].procs.get(idx - 1).copied(),
+        }
+    }
+
+    /// Queues the `on_start` of the process in arena slot `slot` in the
+    /// node's current incarnation: at spawn, and at every power-up.
+    fn start_process(&mut self, node: NodeId, slot: u32) {
+        self.arm(SimDuration::ZERO, node, Own::Start(slot));
     }
 
     /// Immutable access to a node.
@@ -310,13 +339,15 @@ impl World {
     /// the seed.
     pub fn obs_registry(&self) -> siphoc_obs::Registry {
         let mut reg = siphoc_obs::Registry::new();
-        let inline = std::mem::size_of::<NodeStats>() + std::mem::size_of::<siphoc_obs::NodeObs>();
+        let inline = std::mem::size_of::<NodeStats>()
+            + std::mem::size_of::<Counter>()
+            + std::mem::size_of::<siphoc_obs::NodeObs>();
         let mut obs_bytes = self.nodes.len() * inline;
         for n in &self.nodes {
             obs_bytes += n.stats.heap_bytes() + n.obs.heap_bytes();
             let label = n.id.to_string();
             n.obs.merge_metrics_into(&mut reg, &label);
-            for (name, c) in n.stats.iter() {
+            for (name, c) in self.stats(n.id).iter() {
                 reg.counter_add(name, &[("node", &label)], c.packets);
                 reg.counter_add(&format!("{name}_bytes"), &[("node", &label)], c.bytes);
             }
@@ -376,12 +407,26 @@ impl World {
         &mut self.workload_rng
     }
 
+    /// A node's traffic counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown id.
+    pub fn stats(&self, id: NodeId) -> NodeStats {
+        let mut stats = self.nodes[id.0 as usize].stats.clone();
+        stats.add("radio.rx", self.recv[id.0 as usize].rx);
+        stats
+    }
+
     /// Aggregated counters across every node.
     pub fn total_stats(&self) -> NodeStats {
         let mut total = NodeStats::default();
-        for n in &self.nodes {
+        let mut rx = Counter::default();
+        for (n, r) in self.nodes.iter().zip(&self.recv) {
             total.merge(&n.stats);
+            rx.merge(r.rx);
         }
+        total.add("radio.rx", rx);
         total
     }
 
@@ -402,14 +447,18 @@ impl World {
         let n = &mut self.nodes[id.0 as usize];
         if !up {
             h.inc = h.inc.wrapping_add(1);
+            h.parked = false;
             n.tx_queue.clear();
             n.tx_busy = false;
             n.tx_until = SimTime::ZERO;
             n.pending.clear();
             n.routes.clear();
         } else {
-            for proc in 0..n.procs.len() {
-                self.start_process(id, proc);
+            for idx in 0.. {
+                let Some(slot) = self.proc_slot(id, idx) else {
+                    break;
+                };
+                self.start_process(id, slot);
             }
         }
     }
@@ -736,7 +785,7 @@ mod tests {
         w.run_for(SimDuration::from_millis(10));
         assert_eq!(recv.borrow().len(), 1);
         // The relay counted forwarded traffic.
-        assert_eq!(w.node(r).stats().get("fwd").packets, 1);
+        assert_eq!(w.stats(r).get("fwd").packets, 1);
     }
 
     #[test]
@@ -779,7 +828,7 @@ mod tests {
         w.inject(a, dgram(aa, ba, 9000, b"doomed!"));
         w.run_for(SimDuration::from_secs(3));
         assert_eq!(w.node(a).pending_packets(), 0);
-        let dropped = w.node(a).stats().get("drop.pending_timeout");
+        let dropped = w.stats(a).get("drop.pending_timeout");
         let bytes = (6 + 7 + 2 * crate::net::UDP_IP_OVERHEAD) as u64;
         assert_eq!((dropped.packets, dropped.bytes), (2, bytes));
     }
@@ -820,8 +869,8 @@ mod tests {
             .borrow()
             .iter()
             .any(|e| matches!(e, LocalEvent::LinkTxFailed { neighbor } if *neighbor == ba)));
-        assert_eq!(w.node(a).stats().get("drop.l2_fail").packets, 1);
-        assert!(w.node(a).stats().get("radio.retx").packets >= 4);
+        assert_eq!(w.stats(a).get("drop.l2_fail").packets, 1);
+        assert!(w.stats(a).get("radio.retx").packets >= 4);
     }
 
     #[test]
@@ -844,7 +893,7 @@ mod tests {
         w.run_for(SimDuration::from_millis(100));
         assert_eq!(recv.borrow().len(), 1);
         // Wired latency applied: delivery happened, but not instantly.
-        assert_eq!(w.node(p1).stats().get("wired.tx").packets, 1);
+        assert_eq!(w.stats(p1).get("wired.tx").packets, 1);
     }
 
     #[test]
@@ -855,7 +904,7 @@ mod tests {
         let aa = w.node(a).addr();
         w.inject(a, dgram(aa, Addr::new(82, 1, 1, 1), 5060, b"INVITE"));
         w.run_for(SimDuration::from_millis(10));
-        assert_eq!(w.node(a).stats().get("drop.no_uplink").packets, 1);
+        assert_eq!(w.stats(a).get("drop.no_uplink").packets, 1);
     }
 
     #[test]
@@ -945,7 +994,7 @@ mod tests {
             .flat_map(|(t, token)| [0, 1].map(|idx| (SimTime::from_millis(t), idx, token)))
             .collect();
         assert_eq!(*log.borrow(), want);
-        assert_eq!(w.node(a).stats().get("timer.stale_crash").packets, 2);
+        assert_eq!(w.stats(a).get("timer.stale_crash").packets, 2);
     }
 
     #[test]
@@ -1198,8 +1247,7 @@ mod tests {
         w.install_route(b, target, via(aa, 1));
         w.inject(a, dgram(aa, target, 9000, b"looping"));
         w.run_for(SimDuration::from_secs(2));
-        let drops =
-            w.node(a).stats().get("drop.ttl").packets + w.node(b).stats().get("drop.ttl").packets;
+        let drops = w.stats(a).get("drop.ttl").packets + w.stats(b).get("drop.ttl").packets;
         assert_eq!(drops, 1, "loop must terminate via TTL");
     }
 
@@ -1342,8 +1390,8 @@ mod fault_tests {
         w.run_until(SimTime::from_secs(3));
         assert!(w.is_up(b), "restarted at t=2s");
         assert_eq!(recv.borrow().len(), 0, "nothing delivered while down");
-        assert_eq!(w.node(b).stats().get("fault.crash").packets, 1);
-        assert_eq!(w.node(b).stats().get("fault.restart").packets, 1);
+        assert_eq!(w.stats(b).get("fault.crash").packets, 1);
+        assert_eq!(w.stats(b).get("fault.restart").packets, 1);
     }
 
     #[test]
@@ -1354,13 +1402,13 @@ mod fault_tests {
         w.inject(a, dgram(aa, ba, 9000, b"blocked"));
         w.run_for(SimDuration::from_millis(100));
         assert_eq!(recv.borrow().len(), 0);
-        assert_eq!(w.node(a).stats().get("drop.l2_fail").packets, 1);
+        assert_eq!(w.stats(a).get("drop.l2_fail").packets, 1);
         w.apply_fault(FaultAction::LinkUp(a, b));
         w.inject(a, dgram(aa, ba, 9000, b"through"));
         w.run_for(SimDuration::from_millis(100));
         assert_eq!(recv.borrow().len(), 1);
-        assert_eq!(w.node(a).stats().get("fault.link_down").packets, 1);
-        assert_eq!(w.node(a).stats().get("fault.link_up").packets, 1);
+        assert_eq!(w.stats(a).get("fault.link_down").packets, 1);
+        assert_eq!(w.stats(a).get("fault.link_up").packets, 1);
     }
 
     #[test]
@@ -1378,8 +1426,8 @@ mod fault_tests {
         w.inject(a, dgram(aa, Addr::BROADCAST, 9000, b"healed"));
         w.run_for(SimDuration::from_millis(50));
         assert_eq!(recv.borrow().len(), 1);
-        assert_eq!(w.node(a).stats().get("fault.partition").packets, 1);
-        assert_eq!(w.node(a).stats().get("fault.heal").packets, 1);
+        assert_eq!(w.stats(a).get("fault.partition").packets, 1);
+        assert_eq!(w.stats(a).get("fault.heal").packets, 1);
     }
 
     #[test]
@@ -1396,14 +1444,14 @@ mod fault_tests {
         w.inject(a, dgram(aa, ba, 9000, b"swallowed"));
         w.run_for(SimDuration::from_millis(100));
         assert_eq!(recv.borrow().len(), 0);
-        assert_eq!(w.node(a).stats().get("fault.blackhole").packets, 1);
+        assert_eq!(w.stats(a).get("fault.blackhole").packets, 1);
         assert_eq!(
-            w.node(a).stats().get("radio.tx").packets,
+            w.stats(a).get("radio.tx").packets,
             1,
             "link layer saw success"
         );
         assert_eq!(
-            w.node(a).stats().get("radio.retx").packets,
+            w.stats(a).get("radio.retx").packets,
             0,
             "no retries for blackholed frames"
         );
@@ -1424,7 +1472,7 @@ mod fault_tests {
         w.run_for(SimDuration::from_millis(100));
         assert_eq!(recv.borrow().len(), 2);
         assert_eq!(recv.borrow()[0].payload, recv.borrow()[1].payload);
-        assert_eq!(w.node(a).stats().get("fault.duplicate").packets, 1);
+        assert_eq!(w.stats(a).get("fault.duplicate").packets, 1);
     }
 
     #[test]
@@ -1442,7 +1490,7 @@ mod fault_tests {
         w.run_for(SimDuration::from_millis(100));
         assert_eq!(recv.borrow().len(), 1, "corrupt frames still arrive");
         assert_ne!(recv.borrow()[0].payload, b"pristine bytes here".to_vec());
-        assert_eq!(w.node(a).stats().get("fault.corrupt").packets, 1);
+        assert_eq!(w.stats(a).get("fault.corrupt").packets, 1);
     }
 
     #[test]
@@ -1466,7 +1514,7 @@ mod fault_tests {
         w.run_for(SimDuration::from_secs(1));
         let got: Vec<Vec<u8>> = recv.borrow().iter().map(|d| d.payload.to_vec()).collect();
         assert_eq!(got.len(), 2);
-        assert!(w.node(a).stats().get("fault.reorder").packets >= 1);
+        assert!(w.stats(a).get("fault.reorder").packets >= 1);
     }
 
     #[test]
@@ -1569,10 +1617,9 @@ mod carrier_sense_tests {
                 }
             }
             w.run_for(SimDuration::from_secs(5));
-            let defers = w.node(a).stats().get("radio.cs_defer").packets
-                + w.node(b).stats().get("radio.cs_defer").packets;
-            let sent = w.node(a).stats().get("radio.tx").packets
-                + w.node(b).stats().get("radio.tx").packets;
+            let defers =
+                w.stats(a).get("radio.cs_defer").packets + w.stats(b).get("radio.cs_defer").packets;
+            let sent = w.stats(a).get("radio.tx").packets + w.stats(b).get("radio.tx").packets;
             (defers, sent)
         }
         let (defers_on, sent_on) = run(true);
@@ -1601,8 +1648,8 @@ mod carrier_sense_tests {
             }
         }
         w.run_for(SimDuration::from_secs(5));
-        let defers = w.node(a).stats().get("radio.cs_defer").packets
-            + w.node(b).stats().get("radio.cs_defer").packets;
+        let defers =
+            w.stats(a).get("radio.cs_defer").packets + w.stats(b).get("radio.cs_defer").packets;
         assert_eq!(defers, 0);
     }
 }

@@ -1450,10 +1450,7 @@ mod tests {
         // one and must get the same 200 back.
         let (mut w, log_a) = rebranch_world();
         w.run_for(SimDuration::from_secs(3));
-        assert_eq!(
-            w.node(NodeId(1)).stats().get("sip.invite_rebranch").packets,
-            1
-        );
+        assert_eq!(w.stats(NodeId(1)).get("sip.invite_rebranch").packets, 1);
         assert!(log_a
             .borrow()
             .any(|e| matches!(e, CallEvent::Established { .. })));

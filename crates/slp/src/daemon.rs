@@ -766,7 +766,7 @@ mod tests {
                 ),
             ];
             assert_eq!(*log.borrow(), expected, "{mode:?}");
-            let stats = w.node(nodes[0].0).stats();
+            let stats = w.stats(nodes[0].0);
             for (counter, n) in [
                 ("slp.lookup_hit", 1),
                 ("slp.lookup_miss", 1),
@@ -800,7 +800,7 @@ mod tests {
                 entries: vec![],
             };
             assert_eq!(*log.borrow(), vec![(answered, empty)], "{mode:?}");
-            let stats = w.node(nodes[0].0).stats();
+            let stats = w.stats(nodes[0].0);
             assert_eq!(stats.get(flood).packets, floods, "{mode:?}");
             assert_eq!(stats.get("slp.lookup_failed").packets, 1, "{mode:?}");
         }
@@ -859,7 +859,7 @@ mod tests {
                 // Both middle nodes forwarded the flood.
                 Dissemination::Multicast => {
                     for &(id, _) in &nodes[1..3] {
-                        assert!(w.node(id).stats().get("slp_std.mrqst").packets >= 1);
+                        assert!(w.stats(id).get("slp_std.mrqst").packets >= 1);
                     }
                 }
                 _ => {}
@@ -872,6 +872,6 @@ mod tests {
         let (mut w, nodes) = chain(SERVICES[4], 2);
         w.run_for(SimDuration::from_secs(10));
         // The cited inefficiency: resources burned with zero users.
-        assert!(w.node(nodes[0].0).stats().get("phello.hello").packets >= 4);
+        assert!(w.stats(nodes[0].0).get("phello.hello").packets >= 4);
     }
 }

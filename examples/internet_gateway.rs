@@ -110,7 +110,7 @@ fn main() {
     }
 
     // ---- Gateway accounting -------------------------------------------
-    let st = world.node(gw.id).stats();
+    let st = world.stats(gw.id);
     println!("\n=== gateway tunnel accounting ===");
     for name in ["tunnel.lease", "tunnel.to_internet", "tunnel.to_client"] {
         let c = st.get(name);

@@ -145,7 +145,7 @@ fn call_over_olsr_proactive() {
 
     // Proactive mode: bob's binding had replicated to alice's registry
     // before the call, so the lookup was local.
-    assert!(w.node(alice.id).stats().get("slp.lookup_hit").packets >= 1);
+    assert!(w.stats(alice.id).get("slp.lookup_hit").packets >= 1);
 }
 
 #[test]

@@ -237,11 +237,11 @@ fn restarted_node_drops_stale_lease_then_releases() {
     w.run_for(SimDuration::from_secs(30));
     assert!(leased(&w), "restarted node re-leases");
     assert!(
-        w.node(gw.id).stats().get("tunnel.lease").packets >= 2,
+        w.stats(gw.id).get("tunnel.lease").packets >= 2,
         "gateway granted a fresh lease after the restart"
     );
-    assert!(w.node(alice.id).stats().get("fault.crash").packets >= 1);
-    assert!(w.node(alice.id).stats().get("fault.restart").packets >= 1);
+    assert!(w.stats(alice.id).get("fault.crash").packets >= 1);
+    assert!(w.stats(alice.id).get("fault.restart").packets >= 1);
 }
 
 /// A restarted node's MANET SLP registry keeps only what the node itself
@@ -279,7 +279,7 @@ fn restart_purges_learned_slp_entries() {
         .filter(|e| e.origin != alice.addr)
         .count();
     assert_eq!(learned_after, 0, "learned entries purged on restart");
-    assert!(w.node(alice.id).stats().get("slp.purged_restart").packets >= 1);
+    assert!(w.stats(alice.id).get("slp.purged_restart").packets >= 1);
 }
 
 /// Poisson churn on the gateways themselves: the serving gateway dies and
@@ -341,7 +341,7 @@ fn gateway_churn_client_recovers_and_calls_after() {
     w.install_fault_plan(plan);
     w.run_until(SimTime::from_secs(140));
 
-    let st = w.node(alice.id).stats();
+    let st = w.stats(alice.id);
     assert!(
         st.get("cp.gateway_dead").packets >= 1,
         "keepalives must catch at least one gateway death"
@@ -439,7 +439,7 @@ fn double_kill_of_serving_gateway_and_top_standby_lands_on_third() {
         "nearest gateway serves first"
     );
     assert!(
-        w.node(alice.id).stats().get("cp.standby_warm").packets >= 2,
+        w.stats(alice.id).get("cp.standby_warm").packets >= 2,
         "both alternatives must be warm before the kill"
     );
 
@@ -464,7 +464,7 @@ fn double_kill_of_serving_gateway_and_top_standby_lands_on_third() {
         took <= SimDuration::from_secs(12),
         "double handoff took {took:?}, budget is two detection windows"
     );
-    let st = w.node(alice.id).stats();
+    let st = w.stats(alice.id);
     assert!(st.get("cp.gateway_dead").packets >= 1);
     assert!(
         st.get("cp.promote").packets >= 1,
@@ -502,7 +502,7 @@ fn gateway_probes_back_off_when_no_gateway_exists() {
     let bob = deploy(&mut w, NodeSpec::relay(50.0, 0.0));
     let _ = bob;
     w.run_for(SimDuration::from_secs(120));
-    let probes = w.node(alice.id).stats().get("cp.probe").packets;
+    let probes = w.stats(alice.id).get("cp.probe").packets;
     // A fixed 5 s interval would fire ~24 probes in 120 s; capped
     // exponential backoff (5, 10, 20, 40, 60, 60...) stays far below
     // that while still probing occasionally.
@@ -633,7 +633,7 @@ fn rogue_gateway_under_link_churn_hijacks_nothing_with_defenses_on() {
         // Zero hijacks: the attacker's fake tunnel server never granted a
         // lease, never blackholed a packet, and alice never held a
         // TEST-NET-3 address.
-        let mal = w.node(mallory.id).stats();
+        let mal = w.stats(mallory.id);
         assert_eq!(
             mal.get("rogue.lease").packets,
             0,
@@ -690,9 +690,9 @@ fn hellos_after_outage(routing: RoutingProtocol, outage: SimDuration) -> u64 {
         RoutingProtocol::Olsr => "olsr.hello",
     };
     w.run_until(SimTime::from_secs(20));
-    let before = w.node(probe).stats().get(counter).packets;
+    let before = w.stats(probe).get(counter).packets;
     w.run_until(SimTime::from_secs(40));
-    w.node(probe).stats().get(counter).packets - before
+    w.stats(probe).get(counter).packets - before
 }
 
 /// A restart starts one HELLO chain, whether or not the pre-crash

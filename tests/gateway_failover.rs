@@ -119,8 +119,8 @@ fn client_fails_over_to_second_gateway_within_five_seconds() {
         second_lease[0], first_lease[0],
         "lease must come from the other pool"
     );
-    assert!(w.node(alive).stats().get("tunnel.lease").packets >= 1);
-    assert!(w.node(alice.id).stats().get("cp.gateway_dead").packets >= 1);
+    assert!(w.stats(alive).get("tunnel.lease").packets >= 1);
+    assert!(w.stats(alice.id).get("cp.gateway_dead").packets >= 1);
     let _ = killed_at;
 
     // And the Internet call at t=40 succeeds through the new gateway.
@@ -178,7 +178,7 @@ fn promotion_prefers_closest_standby_over_insertion_order() {
         "nearest gateway must serve first"
     );
     assert!(
-        w.node(alice.id).stats().get("cp.standby_warm").packets >= 1,
+        w.stats(alice.id).get("cp.standby_warm").packets >= 1,
         "the far gateway must be pre-warmed"
     );
 
@@ -192,7 +192,7 @@ fn promotion_prefers_closest_standby_over_insertion_order() {
     );
     w.run_for(SimDuration::from_secs(15));
     assert!(
-        w.node(alice.id).stats().get("cp.standby_warm").packets >= 2,
+        w.stats(alice.id).get("cp.standby_warm").packets >= 2,
         "both alternatives must be warm before the kill"
     );
 
@@ -202,13 +202,13 @@ fn promotion_prefers_closest_standby_over_insertion_order() {
     let mut promoted = false;
     for _ in 0..50 {
         w.run_for(SimDuration::from_millis(100));
-        if w.node(alice.id).stats().get("cp.handoff_ok").packets >= 1 {
+        if w.stats(alice.id).get("cp.handoff_ok").packets >= 1 {
             promoted = true;
             break;
         }
     }
     assert!(promoted, "handoff must complete within 5 s of the kill");
-    assert!(w.node(alice.id).stats().get("cp.promote").packets >= 1);
+    assert!(w.stats(alice.id).get("cp.promote").packets >= 1);
     let second_lease = public_leases(&w, &alice);
     assert_eq!(second_lease.len(), 1, "exactly one lease after promotion");
     assert_eq!(
@@ -247,7 +247,7 @@ fn promoted_standby_runs_one_keepalive_chain() {
     let first = public_leases(&w, &alice);
     assert_eq!(first.len(), 1, "one lease held");
     assert!(
-        w.node(alice.id).stats().get("cp.standby_warm").packets >= 1,
+        w.stats(alice.id).get("cp.standby_warm").packets >= 1,
         "the other gateway must be a warm standby"
     );
     let (dead, promoted) = if first[0].0 & 0xffff_ff00 == 0x5282_4000 {
@@ -259,11 +259,11 @@ fn promoted_standby_runs_one_keepalive_chain() {
     w.set_node_up(dead.id, false);
     let promoted_in_time = (0..50).any(|_| {
         w.run_for(SimDuration::from_millis(100));
-        w.node(alice.id).stats().get("cp.promote").packets >= 1
+        w.stats(alice.id).get("cp.promote").packets >= 1
     });
     assert!(promoted_in_time, "the standby must be promoted within 5 s");
 
-    let count = |w: &World, node: NodeId, name: &str| w.node(node).stats().get(name).packets;
+    let count = |w: &World, node: NodeId, name: &str| w.stats(node).get(name).packets;
     let ping = count(&w, alice.id, "cp.ping");
     let standby_ping = count(&w, alice.id, "cp.standby_ping");
     let served = count(&w, promoted.id, "tunnel.ping");
@@ -351,25 +351,25 @@ fn established_call_survives_gateway_death() {
     let mut handed_off = false;
     for _ in 0..50 {
         w.run_for(SimDuration::from_millis(100));
-        if w.node(alice.id).stats().get("cp.handoff_ok").packets >= 1 {
+        if w.stats(alice.id).get("cp.handoff_ok").packets >= 1 {
             handed_off = true;
             break;
         }
     }
     assert!(handed_off, "handoff must complete within 5 s of the kill");
-    assert!(w.node(alice.id).stats().get("cp.gateway_dead").packets >= 1);
+    assert!(w.stats(alice.id).get("cp.gateway_dead").packets >= 1);
     // ...as a renumbering, not an outage: the tunnel never reported down.
     assert_eq!(
-        w.node(alice.id).stats().get("cp.tunnel_down").packets,
+        w.stats(alice.id).get("cp.tunnel_down").packets,
         0,
         "a successful handoff must not report an Internet outage"
     );
 
     // RTP resumes on the new path: packets received by alice keep
     // growing well after the old gateway (and its leased address) died.
-    let rtp_mid = w.node(alice.id).stats().get("media.rtp_rx").packets;
+    let rtp_mid = w.stats(alice.id).get("media.rtp_rx").packets;
     w.run_until(SimTime::from_secs(50));
-    let rtp_late = w.node(alice.id).stats().get("media.rtp_rx").packets;
+    let rtp_late = w.stats(alice.id).get("media.rtp_rx").packets;
     assert!(
         rtp_late > rtp_mid + 50,
         "media must keep flowing after the handoff ({rtp_mid} -> {rtp_late})"
@@ -377,7 +377,7 @@ fn established_call_survives_gateway_death() {
     // The re-homing was driven by an in-dialog re-INVITE, and the call
     // was never torn down.
     assert!(
-        w.node(alice.id).stats().get("sip.reinvite_tx").packets >= 1,
+        w.stats(alice.id).get("sip.reinvite_tx").packets >= 1,
         "UA must re-INVITE with the new public contact"
     );
     w.run_until(SimTime::from_secs(70));

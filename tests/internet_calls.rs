@@ -113,7 +113,7 @@ fn manet_user_registers_at_provider_through_tunnel() {
     // Internet-side lookup would now resolve her. We verify indirectly:
     // the gateway leased an address and tunneled the REGISTER.
     let gw = NodeId(2); // provider, iris, then the gateway
-    let st = s.world.node(gw).stats();
+    let st = s.world.stats(gw);
     assert!(st.get("tunnel.lease").packets >= 1, "no lease granted");
     assert!(
         st.get("tunnel.to_internet").packets >= 1,
@@ -192,7 +192,7 @@ fn media_crosses_the_tunnel_with_usable_quality() {
     );
     drop(a);
     // RTP flowed both ways across the tunnel: check stats on alice's node.
-    let st = s.world.node(s.alice_node).stats();
+    let st = s.world.stats(s.alice_node);
     assert!(
         st.get("media.rtp_tx").packets > 300,
         "tx {}",

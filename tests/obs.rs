@@ -547,7 +547,7 @@ fn sip_state_gauges_track_live_calls_and_return_to_zero() {
         w.inject(hub.id, copy);
     }
     w.run_for(SimDuration::from_secs(1));
-    assert_eq!(w.node(hub.id).stats().get("sip.txn_replay").packets, 2);
+    assert_eq!(w.stats(hub.id).get("sip.txn_replay").packets, 2);
     assert_eq!(count(&hub.ua_logs, rang), CALLS as usize, "no second ring");
     assert_eq!(count(&hub.ua_logs, ended), 2 * CALLS as usize);
     assert_eq!(gauge(&w, "sip.dialogs_live"), (2 * CALLS) as f64);

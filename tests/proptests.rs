@@ -1415,7 +1415,7 @@ fn gateway_churn_never_doubles_leases_or_leaks_keepalives() {
             // Standby conservation: promotions and deaths only come out of
             // warmed leases, and whatever is unaccounted is still warm — at
             // most the configured target.
-            let st = w.node(alice.id).stats();
+            let st = w.stats(alice.id);
             let warmed = st.get("cp.standby_warm").packets;
             let promoted = st.get("cp.promote").packets;
             let dead = st.get("cp.standby_dead").packets;
@@ -1443,10 +1443,10 @@ fn gateway_churn_never_doubles_leases_or_leaks_keepalives() {
             });
             assert!(offline, "outage must be declared once no gateway exists");
             w.run_for(SimDuration::from_secs(5));
-            let st = w.node(alice.id).stats();
+            let st = w.stats(alice.id);
             let (ping0, sping0) = (st.get("cp.ping").packets, st.get("cp.standby_ping").packets);
             w.run_for(SimDuration::from_secs(10));
-            let st = w.node(alice.id).stats();
+            let st = w.stats(alice.id);
             assert_eq!(
                 st.get("cp.ping").packets,
                 ping0,

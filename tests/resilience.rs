@@ -193,15 +193,8 @@ fn proxy_survives_malformed_sip_and_slp_traffic() {
         .borrow()
         .lookup("sip", "alice@voicehoc.ch", w.now())
         .is_empty());
-    let malformed = w
-        .node(alice.id)
-        .stats()
-        .sum_prefix("proxy.malformed")
-        .packets
-        + w.node(alice.id).stats().sum_prefix("slp.malformed").packets
-        + w.node(alice.id)
-            .stats()
-            .sum_prefix("aodv.malformed")
-            .packets;
+    let malformed = w.stats(alice.id).sum_prefix("proxy.malformed").packets
+        + w.stats(alice.id).sum_prefix("slp.malformed").packets
+        + w.stats(alice.id).sum_prefix("aodv.malformed").packets;
     assert!(malformed > 0, "garbage must be counted, not crash");
 }

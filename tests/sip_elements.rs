@@ -293,7 +293,7 @@ fn siphoc_proxy_answers_exhausted_max_forwards_483() {
         answer.starts_with("SIP/2.0 483 Too Many Hops\r\n"),
         "{answer}"
     );
-    let exhausted = w.node(n.id).stats().get("proxy.max_forwards_exhausted");
+    let exhausted = w.stats(n.id).get("proxy.max_forwards_exhausted");
     assert_eq!(exhausted.packets, 1);
 }
 
@@ -319,7 +319,7 @@ fn provider_answers_exhausted_max_forwards_483() {
         answer.starts_with("SIP/2.0 483 Too Many Hops\r\n"),
         "{answer}"
     );
-    assert_eq!(w.node(p).stats().get("provider.reject").packets, 1);
+    assert_eq!(w.stats(p).get("provider.reject").packets, 1);
 }
 
 /// `bob@a.ch` and `bob@b.ch` are both bound on one SIPHoc proxy: an
@@ -378,7 +378,7 @@ fn a_response_with_only_the_elements_via_is_dropped() {
     w.inject(n, Datagram::new(from, element, text.as_bytes()));
     w.run_for(SimDuration::from_secs(1));
     assert!(!w.trace().entries().any(|e| e.dgram.src == element));
-    let stats = w.node(p).stats();
+    let stats = w.stats(p);
     assert_eq!(stats.get("sip.proxy_fwd").packets, 0);
     assert_eq!(stats.get("provider.misrouted_response").packets, 0);
 }

@@ -28,7 +28,7 @@ fn world_with_gateway(seed: u64, clients: usize) -> (World, NodeId, Vec<NodeId>)
 fn every_client_gets_a_distinct_lease() {
     let (mut w, gw, clients) = world_with_gateway(701, 3);
     w.run_for(SimDuration::from_secs(20));
-    assert!(w.node(gw).stats().get("tunnel.lease").packets >= 3);
+    assert!(w.stats(gw).get("tunnel.lease").packets >= 3);
     let mut leases = Vec::new();
     for &c in &clients {
         let aliases: Vec<Addr> = w
@@ -61,9 +61,9 @@ fn dead_client_lease_expires_and_backbone_traffic_is_dropped() {
     // must have expired it.
     w.set_node_up(clients[0], false);
     w.run_for(SimDuration::from_secs(130));
-    assert!(w.node(gw).stats().get("tunnel.lease_expired").packets >= 1);
+    assert!(w.stats(gw).get("tunnel.lease_expired").packets >= 1);
     // Backbone traffic for the stale lease is dropped, not tunneled.
-    let before = w.node(gw).stats().get("tunnel.to_client").packets;
+    let before = w.stats(gw).get("tunnel.to_client").packets;
     let srv = w.add_node(wireless_adhoc_voip::simnet::node::NodeConfig::wired(
         Addr::new(82, 1, 1, 1),
     ));
@@ -76,7 +76,7 @@ fn dead_client_lease_expires_and_backbone_traffic_is_dropped() {
         ),
     );
     w.run_for(SimDuration::from_secs(2));
-    let after = w.node(gw).stats().get("tunnel.to_client").packets;
+    let after = w.stats(gw).get("tunnel.to_client").packets;
     assert_eq!(before, after, "expired lease must not forward");
 }
 
@@ -101,7 +101,7 @@ fn restarted_gateway_still_sweeps_an_expired_lease() {
             .restart_at(SimTime::from_secs(65), gw),
     );
     w.run_until(SimTime::from_secs(200));
-    assert_eq!(w.node(gw).stats().get("tunnel.lease_expired").packets, 1);
+    assert_eq!(w.stats(gw).get("tunnel.lease_expired").packets, 1);
 }
 
 #[test]
@@ -230,7 +230,7 @@ fn datagram_for_a_handed_off_lease_is_dropped_not_looped() {
     // intact, still mapping the old address to alice.
     w.set_node_up(old_gw.id, false);
     w.run_for(SimDuration::from_secs(5));
-    assert!(w.node(alice.id).stats().get("cp.handoff_ok").packets >= 1);
+    assert!(w.stats(alice.id).get("cp.handoff_ok").packets >= 1);
     w.set_node_up(old_gw.id, true);
     w.run_for(SimDuration::from_secs(3));
     assert_ne!(lease(&w), Some(old), "alice moved to the other gateway");
@@ -260,7 +260,7 @@ fn datagram_for_a_handed_off_lease_is_dropped_not_looped() {
         tunneled_in, 1,
         "the old gateway must reach alice with it once, not once per round trip"
     );
-    assert!(w.node(alice.id).stats().get("cp.stale_lease_drop").packets >= 1);
+    assert!(w.stats(alice.id).get("cp.stale_lease_drop").packets >= 1);
 }
 
 /// GatewayHealth regression (the merged blocklist + attestation book):
@@ -468,7 +468,7 @@ fn connection_provider_keeps_its_bytes() {
     const PINNED: u64 = 0xa288_bcbd_0c09_4322;
     let two = [(0.0, 0.0), (120.0, 0.0)];
     let mut bytes = Vec::new();
-    let count = |w: &World, n: NodeId, name: &str| w.node(n).stats().get(name).packets;
+    let count = |w: &World, n: NodeId, name: &str| w.stats(n).get(name).packets;
 
     // Warm promotion: the standby takes over in the event that saw the
     // serving gateway die.
@@ -563,7 +563,7 @@ fn a_zero_lifetime_grant_keeps_the_tunnel_up() {
         .copied()
         .find(|a| a.is_public())
         .expect("client leased");
-    let tconnects = w.node(c).stats().get("cp.tconnect").packets;
+    let tconnects = w.stats(c).get("cp.tconnect").packets;
     let grant = wireless_adhoc_voip::core::tunnel::TunnelMsg::Lease {
         public,
         lifetime_secs: 0,
@@ -578,12 +578,12 @@ fn a_zero_lifetime_grant_keeps_the_tunnel_up() {
         ),
     );
     w.run_for(SimDuration::from_millis(100));
-    let stats = w.node(c).stats();
+    let stats = w.stats(c);
     assert_eq!(stats.get("cp.tconnect").packets, tconnects);
     assert_eq!(stats.get("cp.tunnel_down").packets, 0);
     assert!(w.node(c).local_addrs().contains(&public));
     // The next refresh renews the lease at its usual lifetime.
     w.run_for(SimDuration::from_secs(5));
-    assert_eq!(w.node(c).stats().get("cp.tunnel_down").packets, 0);
+    assert_eq!(w.stats(c).get("cp.tunnel_down").packets, 0);
     assert!(w.node(c).local_addrs().contains(&public));
 }
