@@ -194,10 +194,10 @@ pub(crate) const NO_PROC: u32 = u32::MAX;
 ///
 /// A broadcast reaches every node in range, and at city scale most of
 /// them receive it on the port they bound first, with the process they
-/// spawned first. Reading the full `Node` (several cache lines) and the
-/// heap blocks behind its counters, port map and process list for each
-/// of them dominated the receive path; an entry packs what that path
-/// reads into 32 bytes. The `radio.rx` counter lives here and nowhere
+/// spawned first. Reading that through the full `Node` (several cache
+/// lines) and the heap blocks behind its counters, port map and process
+/// list costs each receiver several cache misses; an entry packs what
+/// the receive path reads into 32 bytes, two to a cache line. The `radio.rx` counter lives here and nowhere
 /// else; the address is a copy of `Node::addr`, fixed at creation.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RecvEntry {

@@ -314,7 +314,7 @@ mod tests {
 
     /// Ceiling on a slab slot: the `(time, seq)` key beside the largest
     /// `Event`. Every queued event pays it.
-    const EVENT_SLOT_MAX: usize = 88;
+    const EVENT_SLOT_MAX: usize = 80;
 
     #[test]
     fn slab_slot_stays_under_its_ceiling() {

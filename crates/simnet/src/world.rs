@@ -107,9 +107,10 @@ pub struct World {
     pub(crate) full_scan: bool,
     /// Reused dispatch hot-path buffers.
     pub(crate) scratch: EngineScratch,
-    /// Each node's liveness, incarnation and leg, indexed like `nodes`
-    /// and their only home (see [`HotNode`]). Radio fan-out filters read
-    /// it instead of the full `Node` structs.
+    /// Each node's liveness, incarnation, leg and parked flag, indexed
+    /// like `nodes` and their only home (see [`HotNode`]). Radio fan-out
+    /// filters and every dispatch read it instead of the full `Node`
+    /// structs.
     pub(crate) hot: Vec<HotNode>,
     /// What a delivery reads of each node before its process runs,
     /// indexed like `nodes` (see [`RecvEntry`]).
