@@ -1,7 +1,8 @@
 //! Nodes: the hosts of the simulated network.
 //!
 //! A node bundles a network stack (addresses, port bindings, forwarding
-//! table, transmit queue) with the set of [`Process`]es running on it. Nodes
+//! table, transmit queue) with the set of [`Process`]es running on it,
+//! which the world keeps in one arena (`World::procs`). Nodes
 //! come in three kinds, mirroring the paper's deployment:
 //!
 //! * **MANET** nodes — radio only (the laptops/iPAQs),
