@@ -152,15 +152,16 @@ enum CallKind<'a> {
 }
 
 /// Reusable buffers for the per-event hot path: radio-range candidates,
-/// process effects, pending-flush destinations and recycled batch
-/// receiver vectors. Owned by the world, so steady-state dispatch
-/// allocates nothing.
+/// process effects, pending-flush destinations, recycled batch receiver
+/// vectors and the process slots a local event visits. Owned by the
+/// world, so steady-state dispatch allocates nothing.
 #[derive(Default)]
 pub(crate) struct EngineScratch {
     pub candidates: Vec<NodeId>,
     pub effects: Vec<Effect>,
     pub ready: Vec<Addr>,
     pub batch_pool: Vec<Vec<NodeId>>,
+    pub slots: Vec<u32>,
 }
 
 impl World {
@@ -204,15 +205,23 @@ impl World {
             Own::TxDone => self.tx_done(node),
             Own::Deliver { dgram, via } => self.deliver(node, Cow::Owned(dgram), via),
             Own::Local { exclude, ev } => {
+                // The node's processes, read once: process 0's slot from
+                // the receive column, the rest from `Node::procs`. Whether
+                // a process takes the kind is read as its turn comes.
                 let bit = ev.kind().bit();
-                for idx in 0.. {
-                    let Some(slot) = self.proc_slot(node, idx) else {
-                        break;
-                    };
+                let mut slots = std::mem::take(&mut self.scratch.slots);
+                slots.clear();
+                let proc0 = self.recv[node.0 as usize].proc0;
+                if proc0 != NO_PROC {
+                    slots.push(proc0);
+                    slots.extend_from_slice(&self.nodes[node.0 as usize].procs);
+                }
+                for &slot in &slots {
                     if self.procs[slot as usize].takes & bit != 0 && Some(slot) != exclude {
                         self.call_proc(node, slot, CallKind::Local(&ev));
                     }
                 }
+                self.scratch.slots = slots;
             }
             Own::PendingSweep => self.sweep_pending(node),
         }
@@ -529,30 +538,22 @@ impl World {
         }
     }
 
-    /// Radio-range candidate set around `pos`, excluding `node` itself and
-    /// non-radio nodes, sorted by node id. This inspects only nearby grid
-    /// cells; a [`World::with_full_scan_reference`] world lists every
-    /// other radio node instead. Either way the result
-    /// is a superset of the true in-range set in the same order, and the
+    /// Radio-range candidates of `node`: its neighbour list (see
+    /// [`crate::grid`]), or every other radio node in a
+    /// [`World::with_full_scan_reference`] world. Either way the result
+    /// is a superset of the true in-range set, sorted by node id, and the
     /// caller must still apply exact distance and liveness filters —
     /// which is what makes the two paths trace-identical.
     /// Takes the reusable candidate buffer filled for `node`;
     /// return it with [`World::recycle_candidates`] when done so the
     /// next transmission reuses the allocation.
-    fn radio_candidates(&mut self, node: NodeId, pos: crate::mobility::Position) -> Vec<NodeId> {
+    fn radio_candidates(&mut self, node: NodeId) -> Vec<NodeId> {
         let mut out = std::mem::take(&mut self.scratch.candidates);
         out.clear();
-        if !self.full_scan {
-            self.grid.candidates_into(
-                &self.hot,
-                node,
-                pos,
-                self.cfg.radio.range,
-                self.now,
-                &mut out,
-            );
-        } else {
+        if self.full_scan {
             out.extend(self.radio_ids.iter().copied().filter(|&id| id != node));
+        } else {
+            out.extend_from_slice(self.grid.neighbors(&self.hot, node, self.now));
         }
         out
     }
@@ -571,7 +572,7 @@ impl World {
         // Carrier sense: defer while any node in range is on the air.
         if radio.carrier_sense {
             let pos = self.hot[node.0 as usize].position(now);
-            let candidates = self.radio_candidates(node, pos);
+            let candidates = self.radio_candidates(node);
             let busy_until = candidates
                 .iter()
                 .filter_map(|&id| {
@@ -626,7 +627,7 @@ impl World {
                 // is part of the determinism contract. The loss model's
                 // per-range invariants are hoisted out of the loop;
                 // sampling stays bit-identical.
-                let candidates = self.radio_candidates(node, pos);
+                let candidates = self.radio_candidates(node);
                 let loss = radio.loss.prepare(radio.range);
                 // Without packet faults every surviving receiver gets the
                 // identical frame at the identical time, so the fan-out is

@@ -1,362 +1,385 @@
-//! Spatial neighbor index for the radio channel model.
+//! Radio neighbour lists for the channel model.
 //!
-//! The simulator's radio hot path — carrier sense in `World::start_tx` and
-//! receiver discovery in `World::tx_done` — historically scanned every
-//! node per transmission, making dense broadcast workloads O(n²) per
-//! beacon interval. [`NeighborGrid`] buckets nodes into a uniform grid
-//! with cell size equal to the radio range, so a range query inspects at
-//! most the 3×3 block of cells around the transmitter instead of the
-//! whole world.
+//! The radio hot path — carrier sense in `World::start_tx` and receiver
+//! discovery in `World::tx_done` — needs, per transmission, every radio
+//! node that may be in range of the transmitter. [`NeighborGrid`] keeps
+//! one candidate list per node, all of them in one CSR (`start`, `ids`),
+//! so a transmission reads one slice instead of searching space. In a
+//! city most nodes never move: their lists are derived once and read on
+//! every beacon.
 //!
 //! # Determinism contract
 //!
-//! The grid is a pure accelerator: for any query it must yield *exactly*
-//! the node set the full scan would, in the *same order*, because
-//! downstream per-receiver loss sampling consumes RNG draws in iteration
-//! order. Two mechanisms guarantee this:
+//! The lists are a pure accelerator: after the caller's filters, a
+//! transmission reaches *exactly* the node set the full scan would, in
+//! the *same order*, because per-receiver loss sampling consumes RNG
+//! draws in iteration order. Three rules guarantee this:
 //!
-//! * candidates are sorted by node id before being returned, matching the
-//!   full scan's creation-order iteration; volatile predicates (`up`,
-//!   link faults, exact distance at the current time) are applied by the
-//!   caller against the node arena (`node::HotNode`), never against
-//!   cached data.
-//! * staleness is drift-bounded rather than forbidden: the grid records
-//!   the fastest mobility speed in the world at build time, and each
-//!   query inflates its radius by `max_speed × (now − built_at)` — the
-//!   farthest any node can have strayed from its indexed cell. The
-//!   inflated query therefore always returns a superset of the true
-//!   in-range set, and the caller's exact distance filter trims it.
+//! * each list holds radio nodes only, sorted by node id — the full
+//!   scan's creation order; volatile predicates (`up`, link faults, exact
+//!   distance at the current time) are applied by the caller against the
+//!   node arena (`node::HotNode`), never against the lists.
+//! * each list is a superset of its node's in-range set at every instant
+//!   up to the *horizon*. With `v` a node's speed bound and `v_max` the
+//!   fastest bound of any radio node, the horizon is
+//!   H = `MAX_DRIFT_FRACTION` × cell ÷ `v_max` past the derivation, the
+//!   cell being the radio range (unbounded in a static world). At
+//!   derivation a pair `a, b` is listed when its distance is at most
+//!   range + (v_a + v_b)·H — the pair's *skin* — plus a pad of
+//!   `PAD_FRACTION` of a cell against rounding. Before the horizon the
+//!   two can have closed at most (v_a + v_b)·H of the gap, so a pair in
+//!   range then was listed. A static pair's skin is zero: it is listed
+//!   exactly, and its distance never changes.
+//! * only a discontinuity invalidates. Adding a node re-derives every
+//!   list ([`invalidate`](NeighborGrid::invalidate)); replacing a node's
+//!   mobility — a teleport, a speed change — marks that node
+//!   ([`touch`](NeighborGrid::touch)), and so does a replan that fires
+//!   before its node's leg ended (a replan chain left over from an
+//!   earlier mobility model jumps the node to its waypoint). A replan on
+//!   schedule continues from where the node stands, within its speed
+//!   bound, and touches nothing.
 //!
-//! The grid maintains itself incrementally: structural mutations (adding
-//! nodes) mark the whole index dirty and force a full rebuild, but
-//! per-node position changes (teleports, mobility swaps, waypoint
-//! replans) move just that node between cells via
-//! [`invalidate_node`](NeighborGrid::invalidate_node). When accumulated
-//! drift would inflate the query radius past a fraction of the cell size
-//! (at which point the 3×3 block no longer suffices and a wider scan is
-//! needed), only the *mobile* nodes are re-binned — a 100k-node city with
-//! a handful of convoys refreshes in O(#mobile), not O(n). Static worlds
-//! never drift, so after warm-up they never rebuild.
+//! When the horizon passes, or a node was marked, only the pairs that
+//! touch a mobile or marked node are re-derived and spliced in; the
+//! static pairs stay until the next structural change. A refresh of a
+//! 100k-node city with 15k convoys costs about 24 ms: one pass over the
+//! arena, 15k range queries and one copy of the lists.
 //!
-//! Nodes that wander outside the build-time bounding box are clamped to
-//! the nearest edge cell. This preserves the superset guarantee: the
-//! query block is clamped to the same box, and clamping is monotone per
-//! axis, so a node's clamped cell always lies inside the clamped query
-//! block whenever its true cell lies inside the unclamped one.
+//! The range queries run on a transient cell-sorted CSR of the radio
+//! nodes' positions (cell side = radio range), with the widest skin any
+//! partner could need as their reach. It is read only while lists are
+//! derived; between derivations it keeps its buffers' capacity.
 
 use crate::mobility::Position;
 use crate::node::{HotNode, NodeId};
 use crate::time::SimTime;
 
-/// How much drift slack (as a fraction of the cell size) a query tolerates
-/// before forcing a rebuild. Below this, stale cells are served with an
-/// inflated radius; above it, rebuilding is cheaper than over-scanning.
+/// How far, as a fraction of the cell, the fastest node may drift before
+/// the lists expire. Larger horizons refresh less often but widen every
+/// skin, and with it every list a transmission reads.
 const MAX_DRIFT_FRACTION: f64 = 0.25;
 
-/// Uniform-grid spatial index over node positions.
+/// Slack, as a fraction of the cell, added to every pair's listing
+/// distance. It covers float rounding in the skin and the sub-microsecond
+/// rounding of a waypoint leg's travel time (a node can run up to 0.5 µs
+/// ahead of its speed bound per leg); it only ever adds candidates.
+const PAD_FRACTION: f64 = 1e-3;
+
+/// Every radio node's candidate receivers, valid up to a drift horizon.
 ///
 /// See the module docs for the determinism contract. All methods are
 /// deterministic functions of the node arena and simulation time; the
-/// index holds no RNG state.
+/// lists hold no RNG state.
 #[derive(Debug)]
 pub struct NeighborGrid {
-    /// Cell edge length; set to the radio range so any receiver lies in
-    /// the 3×3 cell block around the transmitter (modulo drift slack).
-    cell: f64,
-    /// When the cells were last rebuilt.
-    built_at: SimTime,
-    /// Fastest mobility bound across all indexed nodes at build time;
-    /// bounds position drift since `built_at`.
-    max_speed: f64,
-    /// Cell coordinates of `buckets[0]` (the build-time bounding box's
-    /// lower-left cell).
-    origin: (i64, i64),
-    /// Bounding-box extent in cells.
-    cols: i64,
-    rows: i64,
-    /// Row-major buckets of node ids whose *assigned* position fell in
-    /// that cell. Each bucket is id-sorted: rebuilds iterate nodes in
-    /// creation order and incremental moves use sorted insertion. A flat
-    /// array (not a hash map) so the 3×3 query does plain indexing.
-    buckets: Vec<Vec<NodeId>>,
-    /// Per-node assigned cell (clamped to the built bounding box), indexed
-    /// by node id. Sentinel for nodes outside the build (non-radio).
-    node_cell: Vec<(i64, i64)>,
-    /// Whether each node had a nonzero mobility bound at its last
-    /// assignment, indexed by node id. Mirrors membership in `mobile`.
-    is_mobile: Vec<bool>,
-    /// Ids of indexed nodes with nonzero mobility bound — the only nodes a
-    /// drift refresh must re-bin.
-    mobile: Vec<NodeId>,
-    /// Set when topology mutated structurally (node added); forces a full
-    /// rebuild on the next query.
+    /// Radio range: the listing distance of a static pair.
+    range: f64,
+    /// Node `i`'s list is `ids[start[i]..start[i + 1]]`; one entry per
+    /// node at the last derivation, plus one.
+    start: Vec<u32>,
+    ids: Vec<NodeId>,
+    /// First instant the lists no longer cover: the horizon past the last
+    /// derivation, [`SimTime::MAX`] in a static world, and
+    /// [`SimTime::ZERO`] while a change waits to be derived.
+    expires: SimTime,
+    /// Set by a structural change: the next derivation rebuilds every list.
     dirty: bool,
+    /// Nodes whose mobility changed discontinuously since the last
+    /// derivation; their pairs are re-derived with the mobile ones.
+    touched: Vec<NodeId>,
+    /// Derivations so far: full builds plus horizon refreshes.
+    rebuilds: u64,
+    /// The transient grid the lists are derived from.
+    cells: Cells,
 }
 
-/// Assigned-cell sentinel for nodes the current build does not index.
-const NO_CELL: (i64, i64) = (i64::MIN, i64::MIN);
-
 impl NeighborGrid {
-    /// Creates an empty, dirty index with the given cell size (radio
-    /// range). The first query triggers a build.
-    pub fn new(cell: f64) -> NeighborGrid {
+    /// Creates empty lists for a radio range; the first read builds them.
+    pub fn new(range: f64) -> NeighborGrid {
         NeighborGrid {
-            cell: if cell > 0.0 { cell } else { 1.0 },
-            built_at: SimTime::ZERO,
-            max_speed: 0.0,
+            range,
+            start: Vec::new(),
+            ids: Vec::new(),
+            expires: SimTime::ZERO,
+            dirty: true,
+            touched: Vec::new(),
+            rebuilds: 0,
+            cells: Cells::new(if range > 0.0 { range } else { 1.0 }),
+        }
+    }
+
+    /// Marks every list stale. Call on structural mutations (node added).
+    pub fn invalidate(&mut self) {
+        self.dirty = true;
+        self.touched.clear();
+        self.expires = SimTime::ZERO;
+    }
+
+    /// Marks `id`'s pairs stale after a discontinuous change of its
+    /// mobility: a teleport, a new speed bound, a replan off schedule.
+    /// The next read re-derives them with the mobile nodes' pairs.
+    pub fn touch(&mut self, id: NodeId) {
+        if self.dirty {
+            return;
+        }
+        // Re-deriving as many nodes as exist is a full build.
+        if self.touched.len() >= self.start.len() {
+            return self.invalidate();
+        }
+        self.touched.push(id);
+        self.expires = SimTime::ZERO;
+    }
+
+    /// The radio nodes that *may* be within range of `node` at `now`,
+    /// excluding `node`, sorted by id — a superset of the true in-range
+    /// set. The caller re-checks exact distance and any volatile
+    /// predicates (`up`, link faults) against the arena.
+    ///
+    /// Re-derives the lists first if a change is pending or the horizon
+    /// has passed.
+    pub fn neighbors(&mut self, hot: &[HotNode], node: NodeId, now: SimTime) -> &[NodeId] {
+        if now >= self.expires {
+            self.derive(hot, now);
+        }
+        let i = node.0 as usize;
+        &self.ids[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+
+    /// Derivations so far: full builds plus horizon refreshes.
+    pub fn rebuilds(&self) -> u64 {
+        self.rebuilds
+    }
+
+    /// Heap bytes of the lists and the transient grid, by capacity.
+    pub fn heap_bytes(&self) -> usize {
+        let words = self.start.capacity()
+            + self.ids.capacity()
+            + self.touched.capacity()
+            + self.cells.start.capacity()
+            + self.cells.ids.capacity();
+        words * std::mem::size_of::<u32>()
+    }
+
+    /// Brings every list up to date at `now`. A structural change
+    /// rebuilds all of them; otherwise only the nodes that can move or
+    /// were touched (the *redone* nodes) are queried, and every other
+    /// list keeps its partners that were not redone and gains the redone
+    /// nodes whose fresh lists name it — the listing relation is
+    /// symmetric.
+    fn derive(&mut self, hot: &[HotNode], now: SimTime) {
+        let n = hot.len();
+        let full = self.dirty || self.start.len() != n + 1;
+        let mut redo = vec![full; n];
+        for id in self.touched.drain(..) {
+            redo[id.0 as usize] = true;
+        }
+        let v_max = self.cells.bin(hot, now, &mut redo);
+        let horizon = if v_max > 0.0 {
+            MAX_DRIFT_FRACTION * self.cells.side / v_max
+        } else {
+            0.0
+        };
+        let pad = PAD_FRACTION * self.cells.side;
+
+        // A redone node's fresh list: every radio node that may meet it
+        // before the horizon. The query's reach is the widest skin any
+        // partner could need; each candidate is held to its own. Queries
+        // run in cell order, so consecutive ones share cells and arena
+        // lines (a city refresh took ≈ 22 ms this way and ≈ 27 ms in id
+        // order); `slot[m]` is where redone node `m`'s list is in
+        // `fresh_start`.
+        let mut slot = vec![u32::MAX; n];
+        let mut fresh_start = vec![0u32];
+        let mut fresh = Vec::new();
+        for &a in self.cells.ids.iter().filter(|a| redo[a.0 as usize]) {
+            let h = &hot[a.0 as usize];
+            let p = h.position(now);
+            let from = fresh.len();
+            let reach = self.range + (h.max_speed + v_max) * horizon + pad;
+            for row in self.cells.rows_near(p, reach) {
+                for &b in row {
+                    let hb = &hot[b.0 as usize];
+                    let q = hb.position(now);
+                    // Squared distances: the pad absorbs the rounding.
+                    let limit = self.range + (h.max_speed + hb.max_speed) * horizon + pad;
+                    let (dx, dy) = (p.0 - q.0, p.1 - q.1);
+                    if dx * dx + dy * dy <= limit * limit && b != a {
+                        fresh.push(b);
+                    }
+                }
+            }
+            fresh[from..].sort_unstable_by_key(|id| id.0);
+            slot[a.0 as usize] = fresh_start.len() as u32 - 1;
+            fresh_start.push(fresh.len() as u32);
+        }
+        let list = |start: &[u32], i: usize| start[i] as usize..start[i + 1] as usize;
+        let fresh_of = |m: usize| match slot[m] {
+            u32::MAX => &[][..],
+            k => &fresh[list(&fresh_start, k as usize)],
+        };
+
+        // `back`: for each node not redone, the redone nodes whose fresh
+        // lists name it. A counting sort by listed node; visiting `m` in
+        // id order leaves each node's entries sorted.
+        let redone = || (0..n).filter(|&m| redo[m]);
+        let mut back_start = vec![0u32; n + 2];
+        for m in redone() {
+            for &a in fresh_of(m).iter().filter(|a| !redo[a.0 as usize]) {
+                back_start[a.0 as usize + 2] += 1;
+            }
+        }
+        for i in 1..back_start.len() {
+            back_start[i] += back_start[i - 1];
+        }
+        let mut back = vec![NodeId(0); back_start[n + 1] as usize];
+        for m in redone() {
+            for &a in fresh_of(m).iter().filter(|a| !redo[a.0 as usize]) {
+                let at = &mut back_start[a.0 as usize + 1];
+                back[*at as usize] = NodeId(m as u32);
+                *at += 1;
+            }
+        }
+
+        // Every new entry is an old one kept, a fresh one or a gained
+        // one; capacity never written stays out of the resident set.
+        let mut start = Vec::with_capacity(n + 1);
+        let old = if full { 0 } else { self.ids.len() };
+        let mut ids = Vec::with_capacity(old + fresh.len() + back.len());
+        start.push(0u32);
+        for a in 0..n {
+            if redo[a] {
+                ids.extend_from_slice(fresh_of(a));
+            } else {
+                // Merge the kept partners with the gained ones, both sorted.
+                let kept = self.ids[list(&self.start, a)].iter();
+                let mut gained = back[list(&back_start, a)].iter().peekable();
+                for &b in kept.filter(|b| !redo[b.0 as usize]) {
+                    while let Some(&g) = gained.next_if(|g| g.0 < b.0) {
+                        ids.push(g);
+                    }
+                    ids.push(b);
+                }
+                ids.extend(gained);
+            }
+            start.push(ids.len() as u32);
+        }
+        ids.shrink_to_fit();
+        self.start = start;
+        self.ids = ids;
+        self.dirty = false;
+        self.rebuilds += 1;
+        self.expires = if v_max > 0.0 {
+            // Whole microseconds at or inside the horizon.
+            let h_us = (horizon * 1e6) as u64;
+            SimTime::from_micros(now.as_micros().saturating_add(h_us).saturating_add(1))
+        } else {
+            SimTime::MAX
+        };
+    }
+}
+
+/// Radio nodes binned by their cell at one instant, as a CSR: cell `c`
+/// (row-major over the radio nodes' bounding box) holds
+/// `ids[start[c]..start[c + 1]]`, in id order.
+#[derive(Debug)]
+struct Cells {
+    /// Cell side: the radio range.
+    side: f64,
+    /// `1 / side`.
+    per_side: f64,
+    /// Cell coordinates of the bounding box's lower-left cell.
+    origin: (i64, i64),
+    cols: i64,
+    rows: i64,
+    start: Vec<u32>,
+    ids: Vec<NodeId>,
+}
+
+impl Cells {
+    fn new(side: f64) -> Cells {
+        Cells {
+            side,
+            per_side: 1.0 / side,
             origin: (0, 0),
             cols: 0,
             rows: 0,
-            buckets: Vec::new(),
-            node_cell: Vec::new(),
-            is_mobile: Vec::new(),
-            mobile: Vec::new(),
-            dirty: true,
+            start: Vec::new(),
+            ids: Vec::new(),
         }
     }
 
-    /// Marks the whole index stale. Call on structural mutations (node
-    /// added) where the bounding box itself may need to grow. Per-node
-    /// position changes should use [`invalidate_node`](Self::invalidate_node)
-    /// instead.
-    pub fn invalidate(&mut self) {
-        self.dirty = true;
-    }
-
-    /// Re-bins a single node after a discontinuous position change
-    /// (teleport, mobility swap, waypoint replan): moves it from its
-    /// assigned cell to the cell of its position at `now`, clamped to the
-    /// built bounding box. O(bucket) instead of the O(n) full rebuild the
-    /// blanket [`invalidate`](Self::invalidate) forces. Falls back to a
-    /// full rebuild when the node is unknown to the current build.
-    pub fn invalidate_node(&mut self, hot: &[HotNode], id: NodeId, now: SimTime) {
-        if self.dirty {
-            return;
-        }
-        let idx = id.0 as usize;
-        let Some(n) = hot.get(idx) else {
-            self.dirty = true;
-            return;
-        };
-        if !n.has_radio {
-            return;
-        }
-        if self.cols == 0 || idx >= self.node_cell.len() || self.node_cell[idx] == NO_CELL {
-            self.dirty = true;
-            return;
-        }
-        // Monotone overestimate: a faster mobility model raises the drift
-        // bound immediately (queries over-scan, stay supersets); the exact
-        // bound is restored at the next refresh or rebuild.
-        self.max_speed = self.max_speed.max(n.max_speed);
-        let c = self.clamped_cell(n.position(now));
-        let old = self.node_cell[idx];
-        if c != old {
-            self.remove_from_bucket(old, id);
-            self.insert_into_bucket(c, id);
-            self.node_cell[idx] = c;
-        }
-        let mobile = n.max_speed > 0.0;
-        if mobile && !self.is_mobile[idx] {
-            self.is_mobile[idx] = true;
-            self.mobile.push(id);
-        } else if !mobile && self.is_mobile[idx] {
-            self.is_mobile[idx] = false;
-            self.mobile.retain(|&m| m != id);
-        }
-    }
-
-    /// Brings the index up to date for a query at `now`. When a refresh
-    /// lands is invisible in the trace: queries return drift-inflated
-    /// *supersets* that the callers trim with exact distance checks
-    /// before anything observable (RNG draws, deliveries) happens (the
-    /// grid↔full-scan equivalence tests pin exactly this).
-    ///
-    /// A dirty index (structural change) takes the full O(n) rebuild; a
-    /// merely *drifted* one re-bins only the mobile nodes.
-    fn ensure_fresh(&mut self, hot: &[HotNode], now: SimTime) {
-        if self.dirty {
-            self.rebuild(hot, now);
-        } else if self.drift(now) > self.cell * MAX_DRIFT_FRACTION {
-            self.refresh_mobile(hot, now);
-        }
-    }
-
-    /// Re-bins every mobile node to its cell at `now` and resets the
-    /// drift clock. Sound because static cells are exact (those nodes
-    /// have not moved since assignment) and every node that *can* move is
-    /// on the mobile list, so after the pass all assigned cells reflect
-    /// positions at `now`. Also recomputes the exact mobility bound,
-    /// undoing any monotone overestimate left by
-    /// [`invalidate_node`](Self::invalidate_node).
-    fn refresh_mobile(&mut self, hot: &[HotNode], now: SimTime) {
-        let mut max_speed = 0.0f64;
-        for i in 0..self.mobile.len() {
-            let id = self.mobile[i];
-            let idx = id.0 as usize;
-            let n = &hot[idx];
-            max_speed = max_speed.max(n.max_speed);
-            let c = self.clamped_cell(n.position(now));
-            let old = self.node_cell[idx];
-            if c != old {
-                self.remove_from_bucket(old, id);
-                self.insert_into_bucket(c, id);
-                self.node_cell[idx] = c;
-            }
-        }
-        self.max_speed = max_speed;
-        self.built_at = now;
-    }
-
-    /// Worst-case distance any node may have moved since the last build.
-    fn drift(&self, now: SimTime) -> f64 {
-        let age = now.as_micros().saturating_sub(self.built_at.as_micros());
-        self.max_speed * (age as f64 / 1_000_000.0)
+    /// `floor(x / side)`, without a libm call or a division. Past
+    /// `i32` it saturates, which keeps the map monotone: any monotone map
+    /// serves, since a query covers every cell between its reach's ends.
+    fn coord(&self, x: f64) -> i64 {
+        let q = x * self.per_side;
+        let t = q as i32;
+        i64::from(t.saturating_sub(i32::from(f64::from(t) > q)))
     }
 
     fn cell_of(&self, pos: Position) -> (i64, i64) {
-        (
-            (pos.0 / self.cell).floor() as i64,
-            (pos.1 / self.cell).floor() as i64,
-        )
+        (self.coord(pos.0), self.coord(pos.1))
     }
 
-    /// Cell of `pos`, clamped into the built bounding box (see the module
-    /// docs for why clamping preserves the superset guarantee).
-    fn clamped_cell(&self, pos: Position) -> (i64, i64) {
-        let c = self.cell_of(pos);
-        (
-            c.0.clamp(self.origin.0, self.origin.0 + self.cols - 1),
-            c.1.clamp(self.origin.1, self.origin.1 + self.rows - 1),
-        )
+    /// Bins every radio node by its position at `now`, marks in `mobile`
+    /// each one that can move, and returns the fastest speed bound.
+    fn bin(&mut self, hot: &[HotNode], now: SimTime, mobile: &mut [bool]) -> f64 {
+        // One pass over the arena; the counting sort reads the cells back.
+        let mut at = Vec::with_capacity(hot.len());
+        let (mut lo, mut hi) = ((i64::MAX, i64::MAX), (i64::MIN, i64::MIN));
+        let mut v_max = 0.0f64;
+        for (i, h) in hot.iter().enumerate().filter(|(_, h)| h.has_radio) {
+            let c = self.cell_of(h.position(now));
+            lo = (lo.0.min(c.0), lo.1.min(c.1));
+            hi = (hi.0.max(c.0), hi.1.max(c.1));
+            v_max = v_max.max(h.max_speed);
+            mobile[i] |= h.max_speed > 0.0;
+            at.push((NodeId(i as u32), c.0 as i32, c.1 as i32));
+        }
+        self.start.clear();
+        self.ids.clear();
+        if at.is_empty() {
+            (self.cols, self.rows) = (0, 0);
+            return v_max;
+        }
+        self.origin = lo;
+        (self.cols, self.rows) = (hi.0 - lo.0 + 1, hi.1 - lo.1 + 1);
+        let index =
+            |x: i32, y: i32| ((i64::from(y) - lo.1) * self.cols + (i64::from(x) - lo.0)) as usize;
+        // Cell `c`'s count goes to `start[c + 2]`; after the prefix sum
+        // `start[c + 1]` is its first slot, and placing its nodes
+        // advances it to the next cell's, which leaves `start[c]` the
+        // start of every cell `c`.
+        let cells = (self.cols * self.rows) as usize;
+        self.start.resize(cells + 2, 0);
+        for &(_, x, y) in &at {
+            self.start[index(x, y) + 2] += 1;
+        }
+        for c in 1..self.start.len() {
+            self.start[c] += self.start[c - 1];
+        }
+        self.ids.resize(at.len(), NodeId(0));
+        for &(id, x, y) in &at {
+            let slot = &mut self.start[index(x, y) + 1];
+            self.ids[*slot as usize] = id;
+            *slot += 1;
+        }
+        self.start.truncate(cells + 1);
+        v_max
     }
 
-    fn bucket_idx(&self, c: (i64, i64)) -> usize {
-        ((c.1 - self.origin.1) * self.cols + (c.0 - self.origin.0)) as usize
-    }
-
-    fn remove_from_bucket(&mut self, c: (i64, i64), id: NodeId) {
-        let idx = self.bucket_idx(c);
-        let b = &mut self.buckets[idx];
-        if let Ok(i) = b.binary_search_by_key(&id.0, |n| n.0) {
-            b.remove(i);
-        }
-    }
-
-    fn insert_into_bucket(&mut self, c: (i64, i64), id: NodeId) {
-        let idx = self.bucket_idx(c);
-        let b = &mut self.buckets[idx];
-        let i = b.binary_search_by_key(&id.0, |n| n.0).unwrap_or_else(|i| i);
-        b.insert(i, id);
-    }
-
-    fn rebuild(&mut self, hot: &[HotNode], now: SimTime) {
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.node_cell.clear();
-        self.node_cell.resize(hot.len(), NO_CELL);
-        self.is_mobile.clear();
-        self.is_mobile.resize(hot.len(), false);
-        self.mobile.clear();
-        self.max_speed = 0.0;
-        // Bounding box of radio-node cells; positions are recomputed in
-        // the placement pass below (cheap, and keeps this single-pass
-        // logic obvious).
-        let (mut lo, mut hi): (Option<(i64, i64)>, (i64, i64)) = (None, (0, 0));
-        for n in hot {
-            if !n.has_radio {
-                continue;
-            }
-            self.max_speed = self.max_speed.max(n.max_speed);
-            let c = self.cell_of(n.position(now));
-            match &mut lo {
-                None => {
-                    lo = Some(c);
-                    hi = c;
-                }
-                Some(lo) => {
-                    lo.0 = lo.0.min(c.0);
-                    lo.1 = lo.1.min(c.1);
-                    hi.0 = hi.0.max(c.0);
-                    hi.1 = hi.1.max(c.1);
-                }
-            }
-        }
-        let Some(origin) = lo else {
-            // No radio nodes: empty grid.
-            self.origin = (0, 0);
-            self.cols = 0;
-            self.rows = 0;
-            self.built_at = now;
-            self.dirty = false;
-            return;
-        };
-        self.origin = origin;
-        self.cols = hi.0 - origin.0 + 1;
-        self.rows = hi.1 - origin.1 + 1;
-        let want = (self.cols * self.rows) as usize;
-        if self.buckets.len() < want {
-            self.buckets.resize_with(want, Vec::new);
-        }
-        for (i, n) in hot.iter().enumerate() {
-            if !n.has_radio {
-                continue;
-            }
-            let id = NodeId(i as u32);
-            let c = self.cell_of(n.position(now));
-            let idx = (c.1 - origin.1) * self.cols + (c.0 - origin.0);
-            self.buckets[idx as usize].push(id);
-            self.node_cell[i] = c;
-            if n.max_speed > 0.0 {
-                self.is_mobile[i] = true;
-                self.mobile.push(id);
-            }
-        }
-        self.built_at = now;
-        self.dirty = false;
-    }
-
-    /// Appends the ids of all radio nodes whose current position *may* be
-    /// within `range` of `pos`, excluding `node`, sorted by node id — a
-    /// guaranteed superset of the true in-range set — to `out`, a
-    /// caller-owned buffer the event loop reuses across transmissions.
-    /// The caller must re-check exact distance (and any volatile
-    /// predicates such as `up` or link faults) against the arena.
-    ///
-    /// Rebuilds the index first if it is dirty or has drifted too far.
-    pub fn candidates_into(
-        &mut self,
-        hot: &[HotNode],
-        node: NodeId,
-        pos: Position,
-        range: f64,
-        now: SimTime,
-        out: &mut Vec<NodeId>,
-    ) {
-        self.ensure_fresh(hot, now);
-        if self.cols == 0 {
-            return;
-        }
-        let r = range + self.drift(now);
-        // Clamp the query block to the built bounding box: every indexed
-        // node lies inside it by construction.
-        let (qx0, qy0) = self.cell_of((pos.0 - r, pos.1 - r));
-        let (qx1, qy1) = self.cell_of((pos.0 + r, pos.1 + r));
-        let cx0 = (qx0 - self.origin.0).clamp(0, self.cols - 1);
-        let cx1 = (qx1 - self.origin.0).clamp(0, self.cols - 1);
-        let cy0 = (qy0 - self.origin.1).clamp(0, self.rows - 1);
-        let cy1 = (qy1 - self.origin.1).clamp(0, self.rows - 1);
-        for cy in cy0..=cy1 {
-            let row = cy * self.cols;
-            for cx in cx0..=cx1 {
-                let bucket = &self.buckets[(row + cx) as usize];
-                out.extend(bucket.iter().copied().filter(|&id| id != node));
-            }
-        }
-        // Buckets are visited in cell order, not id order; restore the
-        // full scan's creation-order iteration.
-        out.sort_unstable_by_key(|id| id.0);
+    /// The binned nodes of the cells that meet the square of half-side
+    /// `reach` around `pos` (a binned position), one slice per cell row.
+    fn rows_near(&self, pos: Position, reach: f64) -> impl Iterator<Item = &[NodeId]> + '_ {
+        let col = |x: f64| (self.coord(x) - self.origin.0).clamp(0, self.cols - 1);
+        let row = |y: f64| (self.coord(y) - self.origin.1).clamp(0, self.rows - 1);
+        let (x0, x1) = (col(pos.0 - reach), col(pos.0 + reach));
+        (row(pos.1 - reach)..=row(pos.1 + reach)).map(move |y| {
+            let row = y * self.cols;
+            let from = self.start[(row + x0) as usize] as usize;
+            let to = self.start[(row + x1 + 1) as usize] as usize;
+            &self.ids[from..to]
+        })
     }
 }
 
@@ -365,8 +388,14 @@ mod tests {
     use super::*;
     use crate::mobility::{distance, Area, Mobility, WaypointParams};
     use crate::node::NodeConfig;
+    use crate::radio::RadioConfig;
     use crate::rng::SimRng;
     use crate::time::SimDuration;
+    use crate::world::{World, WorldConfig};
+
+    /// Heap bytes per node of the lists and their transient grid on a
+    /// district-density world (`neighbor_bytes_per_node_stays_under_its_ceiling`).
+    const NEIGHBOR_BYTES_PER_NODE_MAX: usize = 32;
 
     fn mk_nodes(positions: &[(f64, f64)]) -> Vec<HotNode> {
         positions
@@ -393,38 +422,20 @@ mod tests {
         ))
     }
 
-    /// Whether the next query at `now` would rebuild the cells first:
-    /// the index is dirty, or accumulated drift exceeds the slack budget.
-    fn needs_rebuild(grid: &NeighborGrid, now: SimTime) -> bool {
-        grid.dirty || grid.drift(now) > grid.cell * MAX_DRIFT_FRACTION
-    }
-
-    impl NeighborGrid {
-        fn candidates(
-            &mut self,
-            hot: &[HotNode],
-            node: NodeId,
-            pos: Position,
-            range: f64,
-            now: SimTime,
-        ) -> Vec<NodeId> {
-            let mut out = Vec::new();
-            self.candidates_into(hot, node, pos, range, now, &mut out);
-            out
-        }
+    fn random_field(seed: u64, n: usize, side: f64) -> Vec<(f64, f64)> {
+        let mut rng = SimRng::from_seed_and_stream(seed, 7);
+        (0..n)
+            .map(|_| (rng.range_f64(0.0, side), rng.range_f64(0.0, side)))
+            .collect()
     }
 
     fn ids(nodes: &[HotNode]) -> impl Iterator<Item = NodeId> {
         (0..nodes.len() as u32).map(NodeId)
     }
 
-    fn full_scan(
-        nodes: &[HotNode],
-        node: NodeId,
-        pos: (f64, f64),
-        range: f64,
-        now: SimTime,
-    ) -> Vec<NodeId> {
+    /// The radio nodes within `range` of `node` at `now`, by id.
+    fn full_scan(nodes: &[HotNode], node: NodeId, range: f64, now: SimTime) -> Vec<NodeId> {
+        let pos = nodes[node.0 as usize].position(now);
         ids(nodes)
             .filter(|&id| {
                 let n = &nodes[id.0 as usize];
@@ -433,132 +444,239 @@ mod tests {
             .collect()
     }
 
-    /// Every node's grid candidates, trimmed to exact range, equal the
-    /// full scan's at `now`.
-    fn assert_every_query_matches_the_scan(
-        grid: &mut NeighborGrid,
-        nodes: &[HotNode],
-        range: f64,
-        now: SimTime,
-    ) {
+    /// Every node's list is id-sorted and, trimmed to exact range at
+    /// `now`, equals the full scan's in-range set.
+    fn assert_lists_cover(grid: &mut NeighborGrid, nodes: &[HotNode], range: f64, now: SimTime) {
         for id in ids(nodes) {
             let pos = nodes[id.0 as usize].position(now);
-            let cand = grid.candidates(nodes, id, pos, range, now);
-            let exact: Vec<NodeId> = cand
+            let list = grid.neighbors(nodes, id, now).to_vec();
+            assert!(list.windows(2).all(|w| w[0].0 < w[1].0), "{id} unsorted");
+            let exact: Vec<NodeId> = list
                 .into_iter()
                 .filter(|&c| distance(pos, nodes[c.0 as usize].position(now)) <= range)
                 .collect();
-            assert_eq!(exact, full_scan(nodes, id, pos, range, now));
+            assert_eq!(exact, full_scan(nodes, id, range, now), "{id} at {now:?}");
         }
     }
 
     #[test]
-    fn candidates_superset_matches_full_scan_after_exact_filter() {
-        let mut rng = SimRng::from_seed_and_stream(42, 7);
-        let positions: Vec<(f64, f64)> = (0..80)
-            .map(|_| (rng.range_f64(0.0, 500.0), rng.range_f64(0.0, 500.0)))
-            .collect();
-        let nodes = mk_nodes(&positions);
+    fn lists_match_the_full_scan_after_the_exact_filter() {
+        let nodes = mk_nodes(&random_field(42, 80, 500.0));
         let mut grid = NeighborGrid::new(100.0);
-        assert_every_query_matches_the_scan(&mut grid, &nodes, 100.0, SimTime::ZERO);
+        assert_lists_cover(&mut grid, &nodes, 100.0, SimTime::ZERO);
+        // A static world derives once, and never again.
+        assert_lists_cover(&mut grid, &nodes, 100.0, SimTime::from_secs(10_000));
+        assert_eq!(grid.rebuilds(), 1);
     }
 
     #[test]
-    fn candidates_are_sorted_and_exclude_self() {
+    fn lists_are_sorted_and_exclude_self() {
         let nodes = mk_nodes(&[(0.0, 0.0), (10.0, 0.0), (20.0, 0.0), (500.0, 500.0)]);
         let mut grid = NeighborGrid::new(100.0);
-        let cand = grid.candidates(&nodes, NodeId(1), (10.0, 0.0), 100.0, SimTime::ZERO);
-        assert!(!cand.contains(&NodeId(1)));
-        let mut sorted = cand.clone();
-        sorted.sort_unstable_by_key(|id| id.0);
-        assert_eq!(cand, sorted);
-        assert!(cand.contains(&NodeId(0)) && cand.contains(&NodeId(2)));
-        assert!(!cand.contains(&NodeId(3)));
+        let list = grid.neighbors(&nodes, NodeId(1), SimTime::ZERO);
+        assert_eq!(list, [NodeId(0), NodeId(2)]);
     }
 
     #[test]
-    fn drift_inflation_keeps_moving_nodes_visible() {
-        // One waypoint node racing away from its build-time cell: the
-        // stale grid must still report it while it remains in true range.
-        let mut nodes = mk_nodes(&[(0.0, 0.0)]);
-        let mut rng = SimRng::from_seed_and_stream(5, 5);
-        nodes.push(racer((10.0, 0.0), Area::new(1000.0, 1000.0), &mut rng));
+    fn lists_cover_the_in_range_set_at_every_instant_up_to_the_horizon() {
+        // A static field crossed by six 30 m/s racers: the horizon is
+        // 25 m / 30 m/s ≈ 0.83 s, and a racer's skin against a static
+        // node 25 m, against another racer 50 m.
+        let mut nodes = mk_nodes(&random_field(9, 60, 400.0));
+        let mut rng = SimRng::from_seed_and_stream(5, 6);
+        let area = Area::new(400.0, 400.0);
+        for _ in 0..6 {
+            let start = area.sample(&mut rng);
+            nodes.push(racer(start, area, &mut rng));
+        }
         let range = 100.0;
         let mut grid = NeighborGrid::new(range);
-        // Build at t=0, query at t=2s: node 1 may be up to 60 m away from
-        // its indexed position but must still be a candidate.
-        grid.candidates(&nodes, NodeId(0), (0.0, 0.0), range, SimTime::ZERO);
-        let later = SimTime::from_secs(2);
-        let pos1 = nodes[1].position(later);
-        if distance((0.0, 0.0), pos1) <= range {
-            let cand = grid.candidates(&nodes, NodeId(0), (0.0, 0.0), range, later);
-            assert!(
-                cand.contains(&NodeId(1)),
-                "drifted node missing from candidates"
-            );
+        assert_lists_cover(&mut grid, &nodes, range, SimTime::ZERO);
+        let expires = grid.expires;
+        assert_eq!(expires.as_micros(), 833_334);
+        let mut t = 0;
+        while t < expires.as_micros() {
+            assert_lists_cover(&mut grid, &nodes, range, SimTime::from_micros(t));
+            t += 7_919;
+        }
+        let last = SimTime::from_micros(expires.as_micros() - 1);
+        assert_lists_cover(&mut grid, &nodes, range, last);
+        assert_eq!(
+            grid.rebuilds(),
+            1,
+            "a list was re-derived inside the horizon"
+        );
+        // At the horizon only the racers' pairs are re-derived; three
+        // more horizons keep the lists covering.
+        for k in 1..=3 {
+            let at = SimTime::from_micros(k * expires.as_micros());
+            assert_lists_cover(&mut grid, &nodes, range, at);
+            assert_eq!(grid.rebuilds(), 1 + k);
         }
     }
 
     #[test]
-    fn per_node_invalidation_matches_full_scan() {
-        let mut rng = SimRng::from_seed_and_stream(9, 9);
-        let positions: Vec<(f64, f64)> = (0..60)
-            .map(|_| (rng.range_f64(0.0, 400.0), rng.range_f64(0.0, 400.0)))
-            .collect();
-        let mut nodes = mk_nodes(&positions);
+    fn a_touched_node_is_rederived_at_its_new_position() {
+        let mut nodes = mk_nodes(&random_field(3, 60, 400.0));
         let range = 100.0;
-        let now = SimTime::ZERO;
         let mut grid = NeighborGrid::new(range);
-        // Initial full build.
-        grid.candidates(&nodes, NodeId(0), positions[0], range, now);
-        // Teleport a handful of nodes — including one outside the built
-        // bounding box (exercises edge-cell clamping) — and re-bin each
-        // incrementally instead of rebuilding.
+        assert_lists_cover(&mut grid, &nodes, range, SimTime::ZERO);
+        // Park three nodes elsewhere — one outside the first build's
+        // bounding box — and mark each instead of rebuilding.
         for (i, to) in [
-            (3usize, (390.0, 10.0)),
+            (3, (390.0, 10.0)),
             (17, (5.0, 395.0)),
             (41, (2000.0, 2000.0)),
         ] {
             nodes[i].place(Mobility::fixed(to.0, to.1));
-            grid.invalidate_node(&nodes, NodeId(i as u32), now);
+            grid.touch(NodeId(i as u32));
         }
-        assert!(!needs_rebuild(&grid, now), "incremental path went dirty");
-        assert_every_query_matches_the_scan(&mut grid, &nodes, range, now);
-    }
-
-    #[test]
-    fn drift_refresh_rebins_only_mobile_nodes_and_resets_clock() {
-        // A static field plus one fast waypoint node: once drift exceeds
-        // the slack budget the refresh must re-bin the mover (queries stay
-        // exact-equivalent to a full scan) and reset the drift clock.
-        let mut nodes = mk_nodes(&[(0.0, 0.0), (250.0, 250.0), (400.0, 0.0)]);
-        let mut rng = SimRng::from_seed_and_stream(5, 6);
-        nodes.insert(1, racer((10.0, 0.0), Area::new(500.0, 500.0), &mut rng));
-        let range = 100.0;
-        let mut grid = NeighborGrid::new(range);
-        grid.candidates(&nodes, NodeId(0), (0.0, 0.0), range, SimTime::ZERO);
-        // 30 m/s for 2 s = 60 m of drift > 25 m slack: the next query
-        // takes the mobile-refresh path, not the full rebuild.
-        let later = SimTime::from_secs(2);
-        assert!(needs_rebuild(&grid, later));
-        assert_every_query_matches_the_scan(&mut grid, &nodes, range, later);
-        assert!(
-            !needs_rebuild(&grid, later),
-            "refresh must reset the drift clock"
+        assert!(!grid.dirty, "a touch forced a full build");
+        assert_lists_cover(&mut grid, &nodes, range, SimTime::ZERO);
+        assert_eq!(grid.rebuilds(), 2);
+        // A node that starts moving is re-derived as a mobile one.
+        let mut rng = SimRng::from_seed_and_stream(3, 3);
+        nodes[8] = racer(
+            nodes[8].position(SimTime::ZERO),
+            Area::new(400.0, 400.0),
+            &mut rng,
         );
+        grid.touch(NodeId(8));
+        for ms in [0, 300, 800] {
+            assert_lists_cover(&mut grid, &nodes, range, SimTime::from_millis(ms));
+        }
+        assert_eq!(grid.rebuilds(), 3);
     }
 
     #[test]
-    fn invalidate_forces_rebuild_visibility() {
+    fn invalidate_rebuilds_every_list() {
         let mut nodes = mk_nodes(&[(0.0, 0.0), (5000.0, 5000.0)]);
         let mut grid = NeighborGrid::new(100.0);
-        let none = grid.candidates(&nodes, NodeId(0), (0.0, 0.0), 100.0, SimTime::ZERO);
-        assert!(none.is_empty());
-        // Teleport node 1 next to node 0; without invalidation the stale
-        // static grid would keep it in the far cell forever.
-        nodes[1].place(Mobility::fixed(50.0, 0.0));
+        assert!(grid.neighbors(&nodes, NodeId(0), SimTime::ZERO).is_empty());
+        nodes.push(placed(Mobility::fixed(50.0, 0.0)));
         grid.invalidate();
-        let cand = grid.candidates(&nodes, NodeId(0), (0.0, 0.0), 100.0, SimTime::ZERO);
-        assert_eq!(cand, vec![NodeId(1)]);
+        let list = grid.neighbors(&nodes, NodeId(0), SimTime::ZERO);
+        assert_eq!(list, [NodeId(2)]);
+    }
+
+    fn ideal_world(seed: u64) -> World {
+        World::new(WorldConfig::new(seed).with_radio(RadioConfig::ideal()))
+    }
+
+    #[test]
+    fn a_replan_leaves_neighbor_rebuilds_unchanged() {
+        let mut w = ideal_world(11);
+        for i in 0..6 {
+            w.add_node(NodeConfig::manet(i as f64 * 40.0, 0.0));
+        }
+        // 5 m/s in a 10 m square: a leg lasts about a second, the horizon
+        // 25 m / 5 m/s = 5 s.
+        let walker = w.add_node(NodeConfig::manet(0.0, 0.0));
+        let mut rng = SimRng::from_seed_and_stream(11, 1);
+        let params = WaypointParams::new(5.0, 5.0, SimDuration::ZERO);
+        let area = Area::new(10.0, 10.0);
+        w.set_mobility(
+            walker,
+            Mobility::random_waypoint((0.0, 0.0), params, area, SimTime::ZERO, &mut rng),
+        );
+        let range = w.config().radio.range;
+        assert_lists_cover(&mut w.grid, &w.hot, range, w.now);
+        let first_leg = w.hot[walker.0 as usize].leg;
+        w.run_until(SimTime::from_millis(4_500));
+        let leg = w.hot[walker.0 as usize].leg;
+        assert!(leg.start > first_leg.arrive, "no replan ran");
+        assert_lists_cover(&mut w.grid, &w.hot, range, w.now);
+        assert_eq!(w.grid.rebuilds(), 1);
+        // Replacing the mobility, by contrast, re-derives.
+        w.move_node(walker, 5.0, 5.0);
+        assert_lists_cover(&mut w.grid, &w.hot, range, w.now);
+        assert_eq!(w.grid.rebuilds(), 2);
+    }
+
+    #[test]
+    fn a_leftover_replan_that_jumps_its_node_re_derives_it() {
+        // A walker under a 50 m lattice of static nodes is given a second,
+        // slower model mid-leg; the first model's replan stays queued and
+        // fires while the second leg is under way, jumping the node to
+        // that leg's waypoint.
+        let mut w = ideal_world(13);
+        for i in 0..21 {
+            for j in 0..21 {
+                w.add_node(NodeConfig::manet(i as f64 * 50.0, j as f64 * 50.0));
+            }
+        }
+        let walker = w.add_node(NodeConfig::manet(500.0, 500.0));
+        let mut rng = SimRng::from_seed_and_stream(13, 1);
+        let area = Area::new(1000.0, 1000.0);
+        let brisk = WaypointParams::new(1.0, 1.0, SimDuration::ZERO);
+        let start = Mobility::random_waypoint((500.0, 500.0), brisk, area, SimTime::ZERO, &mut rng);
+        w.set_mobility(walker, start);
+        let first = w.hot[walker.0 as usize].leg;
+        w.run_until(SimTime::from_secs(1));
+        let slow = WaypointParams::new(0.5, 0.5, SimDuration::ZERO);
+        let here = w.position(walker);
+        let second = Mobility::random_waypoint(here, slow, area, w.now, &mut rng);
+        w.set_mobility(walker, second);
+        let leg = w.hot[walker.0 as usize].leg;
+        assert!(leg.arrive > first.arrive, "the second leg ends first");
+        let range = w.config().radio.range;
+        w.run_until(SimTime::from_micros(first.arrive.as_micros() - 1));
+        assert_lists_cover(&mut w.grid, &w.hot, range, w.now);
+        let (before, rebuilds) = (w.position(walker), w.grid.rebuilds());
+        w.run_until(first.arrive);
+        let jump = distance(before, w.position(walker));
+        assert!(jump > range, "the node moved {jump} m");
+        assert_lists_cover(&mut w.grid, &w.hot, range, w.now);
+        assert_eq!(w.grid.rebuilds(), rebuilds + 1);
+    }
+
+    #[test]
+    fn a_teleported_node_is_heard_by_its_new_neighbours_on_the_next_broadcast() {
+        use crate::net::{Addr, Datagram, SocketAddr};
+        let mut w = ideal_world(12);
+        let a = w.add_node(NodeConfig::manet(0.0, 0.0));
+        let b = w.add_node(NodeConfig::manet(60.0, 0.0));
+        let c = w.add_node(NodeConfig::manet(1_000.0, 0.0));
+        let beacon = |w: &mut World, from: NodeId| {
+            let src = SocketAddr::new(w.node(from).addr(), 9000);
+            let dst = SocketAddr::new(Addr::BROADCAST, 9000);
+            w.inject(from, Datagram::new(src, dst, vec![1u8; 8]));
+            w.run_for(SimDuration::from_millis(50));
+        };
+        let rx = |w: &World, id: NodeId| w.stats(id).get("radio.rx").packets;
+        beacon(&mut w, c);
+        assert_eq!((rx(&w, a), rx(&w, b)), (0, 0));
+        w.move_node(c, 30.0, 0.0);
+        beacon(&mut w, c);
+        assert_eq!((rx(&w, a), rx(&w, b)), (1, 1));
+        beacon(&mut w, a);
+        assert_eq!(rx(&w, c), 1);
+        assert_eq!(w.grid.rebuilds(), 2);
+    }
+
+    #[test]
+    fn neighbor_bytes_per_node_stays_under_its_ceiling() {
+        // Sixteen 25-node districts at `city_beacon`'s density: a 5 × 5
+        // block at 70 m pitch with ±15 m jitter, on a 600 m super-grid.
+        let mut rng = SimRng::from_seed_and_stream(21, 21);
+        let mut positions = Vec::new();
+        for d in 0..16 {
+            for k in 0..25 {
+                let x = (d % 4) as f64 * 600.0 + (k % 5) as f64 * 70.0;
+                let y = (d / 4) as f64 * 600.0 + (k / 5) as f64 * 70.0;
+                positions.push((
+                    x + rng.range_f64(-15.0, 15.0),
+                    y + rng.range_f64(-15.0, 15.0),
+                ));
+            }
+        }
+        let nodes = mk_nodes(&positions);
+        let mut grid = NeighborGrid::new(100.0);
+        assert_lists_cover(&mut grid, &nodes, 100.0, SimTime::ZERO);
+        let per_node = grid.heap_bytes() / nodes.len();
+        assert!(
+            per_node <= NEIGHBOR_BYTES_PER_NODE_MAX,
+            "{per_node} B per node"
+        );
     }
 }

@@ -256,8 +256,8 @@ pub(crate) struct HotNode {
     /// `exec::Event::Own`).
     pub inc: u32,
     /// Bound on the node's speed in m/s: 0 for a static node, the
-    /// waypoint model's top speed otherwise. It bounds how far the node
-    /// can drift from its cell in [`crate::grid`].
+    /// waypoint model's top speed otherwise. It sets the node's skin and
+    /// the drift horizon of the neighbour lists in [`crate::grid`].
     pub max_speed: f64,
     /// The leg the node is on; a static node is parked on one.
     pub leg: Leg,

@@ -96,8 +96,8 @@ pub struct World {
     /// Dedicated RNG stream for packet-fault sampling, so chaos draws
     /// never perturb node or workload streams.
     pub(crate) fault_rng: SimRng,
-    /// Spatial index over node positions serving radio range queries;
-    /// lazily rebuilt (see [`crate::grid`]).
+    /// Every radio node's candidate receivers, valid up to a drift
+    /// horizon and lazily re-derived (see [`crate::grid`]).
     pub(crate) grid: NeighborGrid,
     /// Ids of every radio node in creation order: the candidate list of
     /// the full-scan reference. Interface flags are fixed at creation,
@@ -157,8 +157,8 @@ impl World {
     }
 
     /// Test support: a world whose radio range queries scan every radio
-    /// node instead of the spatial grid — the reference implementation
-    /// the equivalence tests compare the grid against. Trace-identical
+    /// node instead of the neighbour lists — the reference implementation
+    /// the equivalence tests compare the lists against. Trace-identical
     /// to [`World::new`] by construction.
     #[doc(hidden)]
     pub fn with_full_scan_reference(cfg: WorldConfig) -> World {
@@ -331,8 +331,11 @@ impl World {
     /// own output; and the event queue's own account: `sim.queue_len`
     /// (events queued now), `sim.queue_slots` (the most ever queued at
     /// once) and `sim.queue_bytes` (slab, near heap, wheels and spill, by
-    /// capacity). In an obs build the event loop's ledger adds, for each
-    /// event kind that ran, `sim.events{kind=…}` (events dispatched, a
+    /// capacity); and the neighbour lists' own: `sim.neighbor_rebuilds`
+    /// (full builds plus horizon refreshes) and `sim.neighbor_bytes` (the
+    /// lists and their transient grid, by capacity). In an obs build the
+    /// event loop's ledger adds, for each event kind that ran,
+    /// `sim.events{kind=…}` (events dispatched, a
     /// radio batch counting once per receiver; they sum to the
     /// `sim.events` gauge) and `sim.host_ns{kind=…}` (host nanoseconds,
     /// metered on one dispatch in 64 and scaled up to all). The host-time
@@ -360,6 +363,8 @@ impl World {
         reg.gauge_set("sim.queue_len", &[], self.queue.len() as f64);
         reg.gauge_set("sim.queue_slots", &[], self.queue.slots() as f64);
         reg.gauge_set("sim.queue_bytes", &[], self.queue.heap_bytes() as f64);
+        reg.gauge_set("sim.neighbor_rebuilds", &[], self.grid.rebuilds() as f64);
+        reg.gauge_set("sim.neighbor_bytes", &[], self.grid.heap_bytes() as f64);
         self.ledger.export(&EVENT_KINDS, &mut reg);
         reg
     }
@@ -566,7 +571,7 @@ impl World {
             self.schedule_at(replan, Event::Replan { node: id });
         }
         self.node_mut(id).waypoint = waypoint.map(Box::new);
-        self.grid.invalidate_node(&self.hot, id, self.now);
+        self.grid.touch(id);
     }
 
     /// Runs the event loop until (and including) time `t`. The clock
@@ -640,13 +645,17 @@ impl World {
             return;
         };
         let h = &mut self.hot[node.0 as usize];
+        // A replan on schedule fires at or after its leg's arrival and
+        // continues from where the node stands, which the neighbour lists
+        // already cover. One left over from an earlier mobility model can
+        // fire mid-leg: the node then jumps to its waypoint.
+        let jumps = now < h.leg.arrive;
         h.leg = h.leg.next(params, area, now, &mut n.rng);
         let replan = h.leg.arrive + params.pause;
         self.schedule_at(replan, Event::Replan { node });
-        // Re-bin just this node in the spatial index — replans are
-        // per-node events, and a full rebuild here made one roaming node
-        // cost O(n) per waypoint in an otherwise static city.
-        self.grid.invalidate_node(&self.hot, node, now);
+        if jumps {
+            self.grid.touch(node);
+        }
     }
 }
 

@@ -119,7 +119,7 @@ fn run_bcast_mesh(seed: u64, spatial: bool) -> u64 {
 }
 
 /// Full SIPHoc stack under mobility and chaos: waypoint movement forces
-/// grid rebuilds, AODV/SLP exercise unicast + piggyback paths, duplicate
+/// neighbour-list refreshes, AODV/SLP exercise unicast + piggyback paths, duplicate
 /// and corrupt packet faults exercise the fault delivery path (including
 /// payload copy-on-write).
 fn run_mobile_chaos(seed: u64, spatial: bool) -> u64 {
@@ -232,8 +232,8 @@ fn run_olsr_roam(seed: u64) -> (u64, u64) {
 
 /// 1000-node [`city`] world (districts, mobile convoys,
 /// emergency swarm) beaconing for two simulated seconds: the scale at
-/// which the hot-node mirror, batched fan-out and the mobile-only grid
-/// refresh all engage. The trace ring is widened so nothing is evicted.
+/// which the hot-node mirror, batched fan-out and the neighbour lists'
+/// mobile-only refresh all engage. The trace ring is widened so nothing is evicted.
 fn run_city(seed: u64) -> World {
     let mut w = World::new(WorldConfig::new(seed));
     build_city(&mut w, CityParams::with_nodes(1000));

@@ -1563,23 +1563,34 @@ fn spatial_index_never_changes_the_trace() {
     });
 }
 
-/// A change [`mobile_mesh_fingerprint`] makes to one node between run
-/// segments; the index is taken modulo the node count.
+/// A change [`mobile_mesh_fingerprint`] makes between run segments; a
+/// node index is taken modulo the mutable nodes.
 #[derive(Debug, Clone, Copy)]
 enum Mutation {
     /// Park the node at `(x, y)`.
     Teleport(usize, f64, f64),
     /// Crash the node if it is up, restart it if it is down.
     Power(usize),
+    /// Set the node walking random waypoints from where it stands, at up
+    /// to the given speed: static → waypoint, or a waypoint node onto a
+    /// new speed bound (its old replan chain stays live).
+    Walk(usize, f64),
+    /// Stop the node where it stands: waypoint → static without a jump.
+    Park(usize),
+    /// Add a node at `(x, y)`.
+    Join(f64, f64),
 }
 
-/// As [`beacon_mesh_fingerprint`], but nodes move and fail: between run
-/// segments a random node is teleported or crashed or restarted, and a
-/// few nodes walk random waypoints, so the spatial index must re-bin
-/// cells incrementally (`move_node`/`set_mobility`/replan all dirty
-/// single cells, never the whole index) and the radio must read
-/// liveness from the arena.
-fn mobile_mesh_fingerprint(seed: u64, n: usize, muts: &[Mutation], spatial: bool) -> u64 {
+/// As [`beacon_mesh_fingerprint`], but nodes move, fail and arrive:
+/// between run segments a random node is teleported, crashed or
+/// restarted, set walking or parked, or a node joins, while a few nodes
+/// walk random waypoints throughout. A pacer walking at 20 m/s, which no
+/// mutation touches, keeps the neighbour lists' horizon at most 1.25 s,
+/// so the 5 s run crosses at least three horizons; every mutation and
+/// every horizon re-derives lists between broadcasts, and the radio must
+/// read liveness from the arena. Returns the trace fingerprint and the
+/// world's `sim.neighbor_rebuilds`.
+fn mobile_mesh_fingerprint(seed: u64, n: usize, muts: &[Mutation], spatial: bool) -> (u64, f64) {
     use wireless_adhoc_voip::simnet::mobility::{Area, Mobility, WaypointParams};
     let mut w = mesh_world(seed, spatial);
     let mut rng = SimRng::from_seed_and_stream(seed, 4242);
@@ -1589,7 +1600,7 @@ fn mobile_mesh_fingerprint(seed: u64, n: usize, muts: &[Mutation], spatial: bool
         let y = (i / 4) as f64 * 70.0 + rng.range_f64(-15.0, 15.0);
         ids.push(w.add_node(NodeConfig::manet(x, y)));
     }
-    // A couple of waypoint walkers exercise replan-driven re-binning.
+    // A couple of waypoint walkers exercise on-schedule replans.
     let area = Area::new(300.0, 300.0);
     let wp = WaypointParams::new(5.0, 20.0, SimDuration::from_millis(100));
     for &id in ids.iter().take(2) {
@@ -1599,59 +1610,82 @@ fn mobile_mesh_fingerprint(seed: u64, n: usize, muts: &[Mutation], spatial: bool
             Mobility::random_waypoint(start, wp, area, SimTime::ZERO, &mut rng),
         );
     }
+    let pacer = w.add_node(NodeConfig::manet(150.0, 150.0));
+    let fast = WaypointParams::new(20.0, 20.0, SimDuration::ZERO);
+    w.set_mobility(
+        pacer,
+        Mobility::random_waypoint((150.0, 150.0), fast, area, SimTime::ZERO, &mut rng),
+    );
     w.trace_mut().set_enabled(true);
     let mut t_ms = 0u64;
     let mut next_mut = 0usize;
-    while t_ms < 2_000 {
+    while t_ms < 5_000 {
         w.run_until(SimTime::from_millis(t_ms));
+        let pick = |idx: usize| ids[idx % ids.len()];
         match muts.get(next_mut) {
-            Some(&Mutation::Teleport(idx, x, y)) => w.move_node(ids[idx % ids.len()], x, y),
+            Some(&Mutation::Teleport(idx, x, y)) => w.move_node(pick(idx), x, y),
             Some(&Mutation::Power(idx)) => {
-                let id = ids[idx % ids.len()];
+                let id = pick(idx);
                 w.set_node_up(id, !w.is_up(id));
             }
+            Some(&Mutation::Walk(idx, top)) => {
+                let id = pick(idx);
+                let params = WaypointParams::new(top / 2.0, top, SimDuration::from_millis(100));
+                let mobility =
+                    Mobility::random_waypoint(w.position(id), params, area, w.now(), &mut rng);
+                w.set_mobility(id, mobility);
+            }
+            Some(&Mutation::Park(idx)) => {
+                let id = pick(idx);
+                let (x, y) = w.position(id);
+                w.set_mobility(id, Mobility::fixed(x, y));
+            }
+            Some(&Mutation::Join(x, y)) => ids.push(w.add_node(NodeConfig::manet(x, y))),
             None => {}
         }
         next_mut += 1;
-        for &id in &ids {
+        for &id in ids.iter().chain([&pacer]) {
             let src = SocketAddr::new(w.node(id).addr(), 9900);
             let dst = SocketAddr::new(Addr::BROADCAST, 9900);
             w.inject(id, Datagram::new(src, dst, id_payload(id)));
         }
         t_ms += 250;
     }
-    w.run_until(SimTime::from_millis(2_000));
-    trace_fingerprint(&w)
+    w.run_until(SimTime::from_millis(5_000));
+    let rebuilds = w.obs_registry().gauge("sim.neighbor_rebuilds", &[]);
+    (trace_fingerprint(&w), rebuilds.unwrap_or(0.0))
 }
 
-/// Per-cell incremental grid maintenance is trace-invisible: under
-/// arbitrary teleports, crashes, restarts and waypoint mobility, the
-/// incrementally maintained index and the full-scan reference agree
-/// byte-for-byte, and the run reproduces exactly.
+/// Neighbour-list maintenance is trace-invisible: under arbitrary
+/// teleports, crashes, restarts, changes of mobility model and speed
+/// bound, nodes joining mid-run and runs that cross several drift
+/// horizons, the lists and the full-scan reference agree byte-for-byte,
+/// and the run reproduces exactly.
 #[test]
 fn incremental_grid_never_changes_the_trace() {
     check("incremental_grid_never_changes_the_trace", 10, |rng| {
         let seed = rng.range_u64(0, 100_000);
         let n = usize_in(rng, 4..16);
-        let muts = vec_of(rng, 0..8, |rng| {
+        let muts = vec_of(rng, 0..12, |rng| {
             let idx = rng.next_u64() as usize;
-            if rng.chance(0.4) {
-                Mutation::Power(idx)
-            } else {
-                Mutation::Teleport(
-                    idx,
-                    rng.range_f64(-50.0, 350.0),
-                    rng.range_f64(-50.0, 350.0),
-                )
+            let (x, y) = (rng.range_f64(-50.0, 350.0), rng.range_f64(-50.0, 350.0));
+            match rng.range_u64(0, 10) {
+                0..=2 => Mutation::Power(idx),
+                3..=5 => Mutation::Teleport(idx, x, y),
+                6 | 7 => Mutation::Walk(idx, rng.range_f64(5.0, 40.0)),
+                8 => Mutation::Park(idx),
+                _ => Mutation::Join(x, y),
             }
         });
-        let grid = mobile_mesh_fingerprint(seed, n, &muts, true);
-        let scan = mobile_mesh_fingerprint(seed, n, &muts, false);
+        let (grid, rebuilds) = mobile_mesh_fingerprint(seed, n, &muts, true);
+        let (scan, _) = mobile_mesh_fingerprint(seed, n, &muts, false);
         assert_eq!(
             grid, scan,
-            "incremental grid diverged from full scan (seed {seed}, n {n})"
+            "incremental grid diverged from full scan (seed {seed}, n {n}, {muts:?})"
         );
-        let again = mobile_mesh_fingerprint(seed, n, &muts, true);
+        // One build and at least three horizon refreshes.
+        assert!(rebuilds >= 4.0, "{rebuilds} derivations (seed {seed})");
+        let (again, _) = mobile_mesh_fingerprint(seed, n, &muts, true);
         assert_eq!(
             grid, again,
             "same seed not reproducible (seed {seed}, n {n})"
