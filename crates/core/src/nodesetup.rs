@@ -361,7 +361,7 @@ mod tests {
         let mut w = World::new(WorldConfig::new(71).with_radio(RadioConfig::ideal()));
         let spec = NodeSpec::relay(0.0, 0.0);
         let n = deploy(&mut w, spec);
-        let names = w.node(n.id).process_names().to_vec();
+        let names = w.process_names(n.id);
         assert!(names.contains(&"aodv"));
         assert!(names.contains(&"manet-slp"));
         assert!(names.contains(&"siphoc-proxy"));
@@ -375,7 +375,7 @@ mod tests {
         let spec = NodeSpec::relay(0.0, 0.0).with_security().with_adversary();
         let n = deploy(&mut w, spec);
         assert!(n.registry.borrow().require_signed());
-        let names = w.node(n.id).process_names().to_vec();
+        let names = w.process_names(n.id);
         assert!(names.contains(&"adversary"));
         // Insecure deploys keep the legacy policy.
         let plain = deploy(&mut w, NodeSpec::relay(10.0, 0.0));
@@ -387,10 +387,10 @@ mod tests {
         let mut w = World::new(WorldConfig::new(72).with_radio(RadioConfig::ideal()));
         let spec = NodeSpec::relay(0.0, 0.0).with_gateway(Addr::new(82, 130, 64, 1));
         let n = deploy(&mut w, spec);
-        let names = w.node(n.id).process_names().to_vec();
+        let names = w.process_names(n.id);
         assert!(names.contains(&"tunnel-server"));
         assert!(names.contains(&"gateway-provider"));
-        assert!(w.node(n.id).has_wired());
+        assert!(w.has_wired(n.id));
         assert!(w
             .node(n.id)
             .local_addrs()

@@ -58,8 +58,12 @@ pub(crate) enum Event {
         dgram: Datagram,
         receivers: Vec<NodeId>,
     },
+    /// The next leg of `node`'s waypoint walk, under the mobility model
+    /// `gen` it was armed in (`Node::mobility_gen`); dispatch drops it
+    /// once `World::set_mobility` has replaced that model.
     Replan {
         node: NodeId,
+        gen: u32,
     },
     Fault(FaultAction),
 }
@@ -191,7 +195,7 @@ impl World {
             Event::DeliverRadioBatch { dgram, receivers } => {
                 return self.deliver_batch(dgram, receivers)
             }
-            Event::Replan { node } => return self.replan(node),
+            Event::Replan { node, gen } => return self.replan(node, gen),
             Event::Fault(action) => return self.apply_fault(action),
         };
         self.flush_pending(node);
@@ -415,7 +419,7 @@ impl World {
             return;
         }
 
-        if dst.addr.is_public() && n.has_wired {
+        if dst.addr.is_public() && self.hot[node.0 as usize].has_wired {
             self.wired_send(node, dgram);
             return;
         }
@@ -527,13 +531,13 @@ impl World {
             n.stats.count("drop.no_radio", dgram.wire_len());
             return;
         }
+        let idle = n.tx_queue.is_empty();
         n.tx_queue.push_back(Frame {
             dst,
             dgram,
             retries_left: UNICAST_RETRIES,
         });
-        if !n.tx_busy {
-            n.tx_busy = true;
+        if idle {
             self.start_tx(node);
         }
     }
@@ -551,7 +555,9 @@ impl World {
         let mut out = std::mem::take(&mut self.scratch.candidates);
         out.clear();
         if self.full_scan {
-            out.extend(self.radio_ids.iter().copied().filter(|&id| id != node));
+            let radio = self.hot.iter().enumerate();
+            let others = radio.filter(|&(i, h)| h.has_radio && i != node.0 as usize);
+            out.extend(others.map(|(i, _)| NodeId(i as u32)));
         } else {
             out.extend_from_slice(self.grid.neighbors(&self.hot, node, self.now));
         }
@@ -562,11 +568,12 @@ impl World {
         self.scratch.candidates = buf;
     }
 
+    /// Puts the frame at the head of `node`'s queue on the air, or defers
+    /// it while the carrier is busy; an empty queue leaves the radio idle.
     fn start_tx(&mut self, node: NodeId) {
         let radio = self.cfg.radio;
         let now = self.now;
         if self.nodes[node.0 as usize].tx_queue.is_empty() {
-            self.nodes[node.0 as usize].tx_busy = false;
             return;
         }
         // Carrier sense: defer while any node in range is on the air.
@@ -609,7 +616,6 @@ impl World {
         let now = self.now;
         let n = &mut self.nodes[node.0 as usize];
         let Some(front) = n.tx_queue.front() else {
-            n.tx_busy = false;
             return;
         };
         let pos = self.hot[node.0 as usize].position(now);
@@ -673,7 +679,7 @@ impl World {
                         },
                     );
                 }
-                self.next_frame(node);
+                self.start_tx(node);
             }
             L2Dst::Unicast(neighbor) => {
                 let retries_left = front.retries_left;
@@ -696,7 +702,7 @@ impl World {
                     n.stats.count("radio.tx", wire);
                     self.record(node, TraceKind::RadioTx, None, &dgram);
                     self.deliver_radio_frame(node, target, dgram);
-                    self.next_frame(node);
+                    self.start_tx(node);
                 } else if retries_left > 0 {
                     n.stats.count("radio.retx", wire);
                     if let Some(f) = n.tx_queue.front_mut() {
@@ -713,7 +719,7 @@ impl World {
                     self.record(node, TraceKind::Drop, Some("l2-retries-exhausted"), &dgram);
                     let ev = LocalEvent::LinkTxFailed { neighbor };
                     self.arm(SIGNAL_DELAY, node, Own::Local { exclude: None, ev });
-                    self.next_frame(node);
+                    self.start_tx(node);
                 }
             }
         }
@@ -782,17 +788,6 @@ impl World {
             deliver_copy(i, dgram.clone());
         }
         deliver_copy(copies - 1, dgram);
-    }
-
-    /// Starts on the frame behind the one `tx_done` just took off the
-    /// queue, or goes idle.
-    fn next_frame(&mut self, node: NodeId) {
-        let n = &mut self.nodes[node.0 as usize];
-        if n.tx_queue.is_empty() {
-            n.tx_busy = false;
-        } else {
-            self.start_tx(node);
-        }
     }
 
     // ------------------------------------------------------------------

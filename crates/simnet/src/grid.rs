@@ -30,20 +30,18 @@
 //!   two can have closed at most (v_a + v_b)·H of the gap, so a pair in
 //!   range then was listed. A static pair's skin is zero: it is listed
 //!   exactly, and its distance never changes.
-//! * only a discontinuity invalidates. Adding a node re-derives every
-//!   list ([`invalidate`](NeighborGrid::invalidate)); replacing a node's
-//!   mobility — a teleport, a speed change — marks that node
-//!   ([`touch`](NeighborGrid::touch)), and so does a replan that fires
-//!   before its node's leg ended (a replan chain left over from an
-//!   earlier mobility model jumps the node to its waypoint). A replan on
-//!   schedule continues from where the node stands, within its speed
-//!   bound, and touches nothing.
+//! * only a discontinuity invalidates. Adding a node and replacing a
+//!   node's mobility — a teleport, a speed change — re-derive every list
+//!   ([`invalidate`](NeighborGrid::invalidate)); no workload does either
+//!   mid-run. A replan continues from where its node stands, within its
+//!   speed bound (`World::set_mobility` ends the replans of the model it
+//!   replaces), and invalidates nothing.
 //!
-//! When the horizon passes, or a node was marked, only the pairs that
-//! touch a mobile or marked node are re-derived and spliced in; the
-//! static pairs stay until the next structural change. A refresh of a
-//! 100k-node city with 15k convoys costs about 24 ms: one pass over the
-//! arena, 15k range queries and one copy of the lists.
+//! When the horizon passes, only the pairs that touch a mobile node are
+//! re-derived and spliced in; the static pairs stay until the next
+//! discontinuity. A refresh of a 100k-node city with 15k convoys costs
+//! about 24 ms: one pass over the arena, 15k range queries and one copy
+//! of the lists.
 //!
 //! The range queries run on a transient cell-sorted CSR of the radio
 //! nodes' positions (cell side = radio range), with the widest skin any
@@ -84,9 +82,6 @@ pub struct NeighborGrid {
     expires: SimTime,
     /// Set by a structural change: the next derivation rebuilds every list.
     dirty: bool,
-    /// Nodes whose mobility changed discontinuously since the last
-    /// derivation; their pairs are re-derived with the mobile ones.
-    touched: Vec<NodeId>,
     /// Derivations so far: full builds plus horizon refreshes.
     rebuilds: u64,
     /// The transient grid the lists are derived from.
@@ -102,31 +97,15 @@ impl NeighborGrid {
             ids: Vec::new(),
             expires: SimTime::ZERO,
             dirty: true,
-            touched: Vec::new(),
             rebuilds: 0,
             cells: Cells::new(if range > 0.0 { range } else { 1.0 }),
         }
     }
 
-    /// Marks every list stale. Call on structural mutations (node added).
+    /// Marks every list stale. Call on a discontinuity: a node added, a
+    /// node's mobility replaced.
     pub fn invalidate(&mut self) {
         self.dirty = true;
-        self.touched.clear();
-        self.expires = SimTime::ZERO;
-    }
-
-    /// Marks `id`'s pairs stale after a discontinuous change of its
-    /// mobility: a teleport, a new speed bound, a replan off schedule.
-    /// The next read re-derives them with the mobile nodes' pairs.
-    pub fn touch(&mut self, id: NodeId) {
-        if self.dirty {
-            return;
-        }
-        // Re-deriving as many nodes as exist is a full build.
-        if self.touched.len() >= self.start.len() {
-            return self.invalidate();
-        }
-        self.touched.push(id);
         self.expires = SimTime::ZERO;
     }
 
@@ -154,25 +133,20 @@ impl NeighborGrid {
     pub fn heap_bytes(&self) -> usize {
         let words = self.start.capacity()
             + self.ids.capacity()
-            + self.touched.capacity()
             + self.cells.start.capacity()
             + self.cells.ids.capacity();
         words * std::mem::size_of::<u32>()
     }
 
     /// Brings every list up to date at `now`. A structural change
-    /// rebuilds all of them; otherwise only the nodes that can move or
-    /// were touched (the *redone* nodes) are queried, and every other
-    /// list keeps its partners that were not redone and gains the redone
-    /// nodes whose fresh lists name it — the listing relation is
-    /// symmetric.
+    /// rebuilds all of them; otherwise only the nodes that can move (the
+    /// *redone* nodes) are queried, and every other list keeps its
+    /// partners that were not redone and gains the redone nodes whose
+    /// fresh lists name it — the listing relation is symmetric.
     fn derive(&mut self, hot: &[HotNode], now: SimTime) {
         let n = hot.len();
         let full = self.dirty || self.start.len() != n + 1;
         let mut redo = vec![full; n];
-        for id in self.touched.drain(..) {
-            redo[id.0 as usize] = true;
-        }
         let v_max = self.cells.bin(hot, now, &mut redo);
         let horizon = if v_max > 0.0 {
             MAX_DRIFT_FRACTION * self.cells.side / v_max
@@ -516,39 +490,6 @@ mod tests {
     }
 
     #[test]
-    fn a_touched_node_is_rederived_at_its_new_position() {
-        let mut nodes = mk_nodes(&random_field(3, 60, 400.0));
-        let range = 100.0;
-        let mut grid = NeighborGrid::new(range);
-        assert_lists_cover(&mut grid, &nodes, range, SimTime::ZERO);
-        // Park three nodes elsewhere — one outside the first build's
-        // bounding box — and mark each instead of rebuilding.
-        for (i, to) in [
-            (3, (390.0, 10.0)),
-            (17, (5.0, 395.0)),
-            (41, (2000.0, 2000.0)),
-        ] {
-            nodes[i].place(Mobility::fixed(to.0, to.1));
-            grid.touch(NodeId(i as u32));
-        }
-        assert!(!grid.dirty, "a touch forced a full build");
-        assert_lists_cover(&mut grid, &nodes, range, SimTime::ZERO);
-        assert_eq!(grid.rebuilds(), 2);
-        // A node that starts moving is re-derived as a mobile one.
-        let mut rng = SimRng::from_seed_and_stream(3, 3);
-        nodes[8] = racer(
-            nodes[8].position(SimTime::ZERO),
-            Area::new(400.0, 400.0),
-            &mut rng,
-        );
-        grid.touch(NodeId(8));
-        for ms in [0, 300, 800] {
-            assert_lists_cover(&mut grid, &nodes, range, SimTime::from_millis(ms));
-        }
-        assert_eq!(grid.rebuilds(), 3);
-    }
-
-    #[test]
     fn invalidate_rebuilds_every_list() {
         let mut nodes = mk_nodes(&[(0.0, 0.0), (5000.0, 5000.0)]);
         let mut grid = NeighborGrid::new(100.0);
@@ -588,46 +529,42 @@ mod tests {
         assert_lists_cover(&mut w.grid, &w.hot, range, w.now);
         assert_eq!(w.grid.rebuilds(), 1);
         // Replacing the mobility, by contrast, re-derives.
-        w.move_node(walker, 5.0, 5.0);
+        w.set_mobility(walker, Mobility::fixed(5.0, 5.0));
         assert_lists_cover(&mut w.grid, &w.hot, range, w.now);
         assert_eq!(w.grid.rebuilds(), 2);
     }
 
     #[test]
-    fn a_leftover_replan_that_jumps_its_node_re_derives_it() {
-        // A walker under a 50 m lattice of static nodes is given a second,
-        // slower model mid-leg; the first model's replan stays queued and
-        // fires while the second leg is under way, jumping the node to
-        // that leg's waypoint.
-        let mut w = ideal_world(13);
-        for i in 0..21 {
-            for j in 0..21 {
-                w.add_node(NodeConfig::manet(i as f64 * 50.0, j as f64 * 50.0));
-            }
+    fn a_node_given_new_mobility_is_rederived_at_its_new_position() {
+        let mut w = ideal_world(3);
+        for (x, y) in random_field(3, 60, 400.0) {
+            w.add_node(NodeConfig::manet(x, y));
         }
-        let walker = w.add_node(NodeConfig::manet(500.0, 500.0));
-        let mut rng = SimRng::from_seed_and_stream(13, 1);
-        let area = Area::new(1000.0, 1000.0);
-        let brisk = WaypointParams::new(1.0, 1.0, SimDuration::ZERO);
-        let start = Mobility::random_waypoint((500.0, 500.0), brisk, area, SimTime::ZERO, &mut rng);
-        w.set_mobility(walker, start);
-        let first = w.hot[walker.0 as usize].leg;
-        w.run_until(SimTime::from_secs(1));
-        let slow = WaypointParams::new(0.5, 0.5, SimDuration::ZERO);
-        let here = w.position(walker);
-        let second = Mobility::random_waypoint(here, slow, area, w.now, &mut rng);
-        w.set_mobility(walker, second);
-        let leg = w.hot[walker.0 as usize].leg;
-        assert!(leg.arrive > first.arrive, "the second leg ends first");
         let range = w.config().radio.range;
-        w.run_until(SimTime::from_micros(first.arrive.as_micros() - 1));
         assert_lists_cover(&mut w.grid, &w.hot, range, w.now);
-        let (before, rebuilds) = (w.position(walker), w.grid.rebuilds());
-        w.run_until(first.arrive);
-        let jump = distance(before, w.position(walker));
-        assert!(jump > range, "the node moved {jump} m");
+        // Park three nodes elsewhere, one outside the first build's
+        // bounding box.
+        for (i, to) in [
+            (3, (390.0, 10.0)),
+            (17, (5.0, 395.0)),
+            (41, (2000.0, 2000.0)),
+        ] {
+            w.set_mobility(NodeId(i), Mobility::fixed(to.0, to.1));
+        }
         assert_lists_cover(&mut w.grid, &w.hot, range, w.now);
-        assert_eq!(w.grid.rebuilds(), rebuilds + 1);
+        assert_eq!(w.grid.rebuilds(), 2);
+        // A node that starts moving is re-derived as a mobile one.
+        let mut rng = SimRng::from_seed_and_stream(3, 3);
+        let params = WaypointParams::new(30.0, 30.0, SimDuration::ZERO);
+        let area = Area::new(400.0, 400.0);
+        let here = w.position(NodeId(8));
+        let walk = Mobility::random_waypoint(here, params, area, w.now, &mut rng);
+        w.set_mobility(NodeId(8), walk);
+        for ms in [0, 300, 800] {
+            w.run_until(SimTime::from_millis(ms));
+            assert_lists_cover(&mut w.grid, &w.hot, range, w.now);
+        }
+        assert_eq!(w.grid.rebuilds(), 3);
     }
 
     #[test]
@@ -646,7 +583,7 @@ mod tests {
         let rx = |w: &World, id: NodeId| w.stats(id).get("radio.rx").packets;
         beacon(&mut w, c);
         assert_eq!((rx(&w, a), rx(&w, b)), (0, 0));
-        w.move_node(c, 30.0, 0.0);
+        w.set_mobility(c, Mobility::fixed(30.0, 0.0));
         beacon(&mut w, c);
         assert_eq!((rx(&w, a), rx(&w, b)), (1, 1));
         beacon(&mut w, a);

@@ -5,7 +5,10 @@
 //! [`Leg`] goes into the node's arena entry (`node::HotNode`), from which
 //! positions are computed lazily at transmission time, so mobility costs
 //! nothing while no packets flow; a waypoint node's parameters and area
-//! stay on the `Node` for its next replan. The random-waypoint model
+//! stay on the `Node` for its next replan. Each `set_mobility` starts a
+//! new generation of the node's model, and a replan queued under an
+//! earlier one is dropped when due, so between two such calls a node
+//! moves continuously, within its speed bound. The random-waypoint model
 //! drives experiment E4 (call success under mobility).
 
 use crate::rng::SimRng;

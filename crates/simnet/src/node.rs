@@ -245,7 +245,8 @@ pub(crate) struct HotNode {
     pub up: bool,
     /// As `Node::has_radio`; fixed at creation.
     pub has_radio: bool,
-    /// As `Node::has_wired`; fixed at creation.
+    /// Whether the node has a wired (Internet) interface, and this its
+    /// only home; fixed at creation.
     pub has_wired: bool,
     /// Whether `Node::pending` holds anything, between events: set when
     /// a datagram parks, cleared by a crash and by the flush that ends
@@ -304,19 +305,24 @@ impl HotNode {
 
 /// A host in the simulated network. Public accessors expose read-only state
 /// for tests and experiment harnesses; mutation happens through the world.
+///
+/// A node's id is its index in `World::nodes`; its liveness, leg and
+/// `has_wired` are in its [`HotNode`], and its processes, names
+/// included, in the world's arena.
 pub struct Node {
-    pub(crate) id: NodeId,
     pub(crate) addr: Addr,
     pub(crate) local_addrs: Vec<Addr>,
     pub(crate) has_radio: bool,
-    pub(crate) has_wired: bool,
     /// What a random-waypoint node draws its next leg from; `None` for
     /// a static node. Its current leg is in its arena entry ([`HotNode`]).
     pub(crate) waypoint: Option<Box<(WaypointParams, Area)>>,
+    /// Which mobility model the node is on: `World::set_mobility` bumps
+    /// it, and a replan armed under an earlier one is dropped (see
+    /// `exec::Event::Replan`).
+    pub(crate) mobility_gen: u32,
     /// Arena slots (`World::procs`) of processes 1.., in spawn order;
     /// process 0's is in the node's [`RecvEntry`].
     pub(crate) procs: Vec<u32>,
-    pub(crate) proc_names: Vec<&'static str>,
     pub(crate) port_bindings: PortMap,
     /// Public addresses claimed by a process, with its arena slot.
     pub(crate) addr_handlers: FastMap<Addr, u32>,
@@ -324,8 +330,9 @@ pub struct Node {
     pub(crate) default_handler: Option<u32>,
     pub(crate) routes: RoutingTable,
     pub(crate) pending: FastMap<Addr, Vec<PendingPacket>>,
+    /// The frame on the air or waiting for the carrier first; the radio
+    /// is busy exactly while it is not empty.
     pub(crate) tx_queue: TxQueue,
-    pub(crate) tx_busy: bool,
     pub(crate) tx_until: SimTime,
     pub(crate) rng: SimRng,
     /// Every counter but `radio.rx`, which is in the node's
@@ -335,33 +342,25 @@ pub struct Node {
 }
 
 impl Node {
-    pub(crate) fn new(id: NodeId, addr: Addr, cfg: &NodeConfig, rng: SimRng) -> Node {
+    pub(crate) fn new(addr: Addr, cfg: &NodeConfig, rng: SimRng) -> Node {
         Node {
-            id,
             addr,
             local_addrs: vec![addr],
             has_radio: cfg.radio,
-            has_wired: cfg.wired,
             waypoint: None,
+            mobility_gen: 0,
             procs: Vec::new(),
-            proc_names: Vec::new(),
             port_bindings: PortMap::default(),
             addr_handlers: FastMap::default(),
             default_handler: None,
             routes: RoutingTable::new(),
             pending: FastMap::default(),
             tx_queue: TxQueue::default(),
-            tx_busy: false,
             tx_until: SimTime::ZERO,
             rng,
             stats: NodeStats::default(),
             obs: Default::default(),
         }
-    }
-
-    /// The node identifier.
-    pub fn id(&self) -> NodeId {
-        self.id
     }
 
     /// The node's primary address.
@@ -387,11 +386,6 @@ impl Node {
         self.has_radio
     }
 
-    /// Whether the node has a wired (Internet) interface.
-    pub fn has_wired(&self) -> bool {
-        self.has_wired
-    }
-
     /// The node's forwarding table.
     pub fn routes(&self) -> &RoutingTable {
         &self.routes
@@ -403,11 +397,6 @@ impl Node {
         &self.obs
     }
 
-    /// Names of the processes hosted on this node, in spawn order.
-    pub fn process_names(&self) -> &[&'static str] {
-        &self.proc_names
-    }
-
     /// Number of datagrams parked awaiting route discovery.
     pub fn pending_packets(&self) -> usize {
         self.pending.values().map(Vec::len).sum()
@@ -417,11 +406,8 @@ impl Node {
 impl std::fmt::Debug for Node {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Node")
-            .field("id", &self.id)
             .field("addr", &self.addr)
             .field("radio", &self.has_radio)
-            .field("wired", &self.has_wired)
-            .field("procs", &self.proc_names)
             .finish_non_exhaustive()
     }
 }
@@ -436,7 +422,7 @@ mod tests {
 
     /// Ceiling on `size_of::<Node>()`, with and without the inline obs
     /// shard: `World::nodes` pays it once per node, used or not.
-    const NODE_INLINE_MAX: usize = if crate::obs_enabled() { 472 } else { 384 };
+    const NODE_INLINE_MAX: usize = if crate::obs_enabled() { 448 } else { 360 };
 
     /// Ceiling on `size_of::<HotNode>()`: every radio fan-out reads one
     /// per candidate receiver.
@@ -627,12 +613,7 @@ mod tests {
     #[test]
     fn node_answers_to_aliases_and_loopback() {
         let cfg = NodeConfig::manet(0.0, 0.0);
-        let mut n = Node::new(
-            NodeId(0),
-            Addr::manet(0),
-            &cfg,
-            SimRng::from_seed_and_stream(0, 0),
-        );
+        let mut n = Node::new(Addr::manet(0), &cfg, SimRng::from_seed_and_stream(0, 0));
         assert!(n.is_local_addr(Addr::manet(0)));
         assert!(n.is_local_addr(Addr::LOOPBACK));
         assert!(!n.is_local_addr(Addr::manet(1)));

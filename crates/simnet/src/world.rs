@@ -99,10 +99,6 @@ pub struct World {
     /// Every radio node's candidate receivers, valid up to a drift
     /// horizon and lazily re-derived (see [`crate::grid`]).
     pub(crate) grid: NeighborGrid,
-    /// Ids of every radio node in creation order: the candidate list of
-    /// the full-scan reference. Interface flags are fixed at creation,
-    /// so [`World::add_node`] maintains this incrementally.
-    pub(crate) radio_ids: Vec<NodeId>,
     /// Set only by [`World::with_full_scan_reference`].
     pub(crate) full_scan: bool,
     /// Reused dispatch hot-path buffers.
@@ -145,7 +141,6 @@ impl World {
             packet_faults: Vec::new(),
             fault_rng,
             grid,
-            radio_ids: Vec::new(),
             full_scan: false,
             scratch: EngineScratch::default(),
             hot: Vec::new(),
@@ -201,7 +196,7 @@ impl World {
             "address {addr} already assigned"
         );
         let rng = SimRng::from_seed_and_stream(self.cfg.seed, 1000 + id.0 as u64);
-        let mut node = Node::new(id, addr, &cfg, rng);
+        let mut node = Node::new(addr, &cfg, rng);
         node.obs.set_tracing(self.tracing_default);
         if let Some(alias) = cfg.public_alias {
             assert!(alias.is_public(), "public alias {alias} must be public");
@@ -211,9 +206,6 @@ impl World {
             );
             node.local_addrs.push(alias);
             self.addr_map.insert(alias, id);
-        }
-        if node.has_radio {
-            self.radio_ids.push(id);
         }
         self.addr_map.insert(addr, id);
         self.nodes.push(node);
@@ -229,17 +221,16 @@ impl World {
     /// index on that node.
     pub fn spawn(&mut self, node: NodeId, proc: Box<dyn Process>) -> usize {
         let slot = self.procs.len() as u32;
-        let n = &mut self.nodes[node.0 as usize];
-        let idx = n.proc_names.len();
-        // Most nodes run one process: no spare capacity in either list.
-        n.proc_names.reserve_exact(1);
-        n.proc_names.push(proc.name());
-        if idx == 0 {
+        let idx = if self.recv[node.0 as usize].proc0 == NO_PROC {
             self.recv[node.0 as usize].proc0 = slot;
+            0
         } else {
-            n.procs.reserve_exact(1);
-            n.procs.push(slot);
-        }
+            // Most nodes run one process: no spare capacity in the list.
+            let procs = &mut self.nodes[node.0 as usize].procs;
+            procs.reserve_exact(1);
+            procs.push(slot);
+            procs.len()
+        };
         self.procs.push(ProcSlot {
             proc: Some(proc),
             takes: 0,
@@ -265,6 +256,19 @@ impl World {
         self.arm(SimDuration::ZERO, node, Own::Start(slot));
     }
 
+    /// Names of the processes hosted on `node`, in spawn order.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown id.
+    pub fn process_names(&self, node: NodeId) -> Vec<&'static str> {
+        (0..)
+            .map_while(|idx| self.proc_slot(node, idx))
+            .filter_map(|slot| self.procs[slot as usize].proc.as_ref())
+            .map(|proc| proc.name())
+            .collect()
+    }
+
     /// Immutable access to a node.
     ///
     /// # Panics
@@ -285,6 +289,15 @@ impl World {
     /// Panics on an unknown id.
     pub fn is_up(&self, id: NodeId) -> bool {
         self.hot[id.0 as usize].up
+    }
+
+    /// Whether a node has a wired (Internet) interface.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown id.
+    pub fn has_wired(&self, id: NodeId) -> bool {
+        self.hot[id.0 as usize].has_wired
     }
 
     /// A node's position now (wired nodes report a fixed placeholder).
@@ -347,11 +360,12 @@ impl World {
             + std::mem::size_of::<Counter>()
             + std::mem::size_of::<siphoc_obs::NodeObs>();
         let mut obs_bytes = self.nodes.len() * inline;
-        for n in &self.nodes {
+        for (i, n) in self.nodes.iter().enumerate() {
+            let id = NodeId(i as u32);
             obs_bytes += n.stats.heap_bytes() + n.obs.heap_bytes();
-            let label = n.id.to_string();
+            let label = id.to_string();
             n.obs.merge_metrics_into(&mut reg, &label);
-            for (name, c) in self.stats(n.id).iter() {
+            for (name, c) in self.stats(id).iter() {
                 reg.counter_add(name, &[("node", &label)], c.packets);
                 reg.counter_add(&format!("{name}_bytes"), &[("node", &label)], c.bytes);
             }
@@ -375,8 +389,8 @@ impl World {
     pub fn obs_spans(&self) -> Vec<siphoc_obs::TaggedSpan> {
         let now_us = self.now.as_micros();
         let mut out = Vec::new();
-        for n in &self.nodes {
-            let label = n.id.to_string();
+        for (i, n) in self.nodes.iter().enumerate() {
+            let label = NodeId(i as u32).to_string();
             for span in n.obs.spans() {
                 out.push(siphoc_obs::TaggedSpan {
                     node: label.clone(),
@@ -455,7 +469,6 @@ impl World {
             h.inc = h.inc.wrapping_add(1);
             h.parked = false;
             n.tx_queue.clear();
-            n.tx_busy = false;
             n.tx_until = SimTime::ZERO;
             n.pending.clear();
             n.routes.clear();
@@ -557,21 +570,22 @@ impl World {
         }
     }
 
-    /// Teleports a node to a new position, where it stays.
-    pub fn move_node(&mut self, id: NodeId, x: f64, y: f64) {
-        self.set_mobility(id, Mobility::fixed(x, y));
-    }
-
-    /// Replaces a node's mobility model, scheduling its replan events.
+    /// Replaces a node's mobility model, scheduling its replan events;
+    /// the replans still queued under the model it replaces are dropped
+    /// when due. The neighbour lists are re-derived on the next
+    /// transmission.
     pub fn set_mobility(&mut self, id: NodeId, mobility: Mobility) {
         let h = &mut self.hot[id.0 as usize];
         let waypoint = h.place(mobility);
-        if let Some((params, _)) = waypoint {
-            let replan = h.leg.arrive + params.pause;
-            self.schedule_at(replan, Event::Replan { node: id });
+        let replan = waypoint.map(|(params, _)| h.leg.arrive + params.pause);
+        let n = &mut self.nodes[id.0 as usize];
+        n.mobility_gen = n.mobility_gen.wrapping_add(1);
+        n.waypoint = waypoint.map(Box::new);
+        let gen = n.mobility_gen;
+        if let Some(time) = replan {
+            self.schedule_at(time, Event::Replan { node: id, gen });
         }
-        self.node_mut(id).waypoint = waypoint.map(Box::new);
-        self.grid.touch(id);
+        self.grid.invalidate();
     }
 
     /// Runs the event loop until (and including) time `t`. The clock
@@ -636,26 +650,21 @@ impl World {
         self.schedule_at(time, Event::Own { node, inc, ev });
     }
 
-    /// Re-plans a mobile node's trajectory at one of its waypoints.
-    /// A replan due after the node was parked does nothing.
-    pub(crate) fn replan(&mut self, node: NodeId) {
-        let now = self.now;
+    /// Re-plans a mobile node's trajectory at one of its waypoints,
+    /// under mobility model `gen`. A replan armed under a model that
+    /// [`World::set_mobility`] has since replaced does nothing, so every
+    /// replan that runs fires at or after its leg's arrival and continues
+    /// from where the node stands, within its speed bound.
+    pub(crate) fn replan(&mut self, node: NodeId, gen: u32) {
         let n = &mut self.nodes[node.0 as usize];
-        let Some(&(params, area)) = n.waypoint.as_deref() else {
+        if gen != n.mobility_gen {
             return;
-        };
-        let h = &mut self.hot[node.0 as usize];
-        // A replan on schedule fires at or after its leg's arrival and
-        // continues from where the node stands, which the neighbour lists
-        // already cover. One left over from an earlier mobility model can
-        // fire mid-leg: the node then jumps to its waypoint.
-        let jumps = now < h.leg.arrive;
-        h.leg = h.leg.next(params, area, now, &mut n.rng);
-        let replan = h.leg.arrive + params.pause;
-        self.schedule_at(replan, Event::Replan { node });
-        if jumps {
-            self.grid.touch(node);
         }
+        let (params, area) = *n.waypoint.as_deref().expect("a replan walks its node");
+        let h = &mut self.hot[node.0 as usize];
+        h.leg = h.leg.next(params, area, self.now, &mut n.rng);
+        let replan = h.leg.arrive + params.pause;
+        self.schedule_at(replan, Event::Replan { node, gen });
     }
 }
 
@@ -872,7 +881,7 @@ mod tests {
         let (aa, ba) = (w.node(a).addr(), w.node(b).addr());
         w.install_route(a, ba, via(ba, 1));
         // Move b out of range, then send.
-        w.move_node(b, 10_000.0, 0.0);
+        w.set_mobility(b, Mobility::fixed(10_000.0, 0.0));
         w.inject(a, dgram(aa, ba, 9000, b"lost"));
         w.run_for(SimDuration::from_millis(100));
         assert!(events

@@ -37,7 +37,7 @@ fn main() {
     println!("deployed alice on {} and bob on {}", alice.addr, bob.addr);
     println!(
         "processes on alice's node: {:?}\n",
-        world.node(alice.id).process_names()
+        world.process_names(alice.id)
     );
 
     // ---- Run: registration, call, talk, hang up ----------------------

@@ -35,6 +35,12 @@ echo "bench binaries: $(ls crates/bench/src/bin | wc -l)"
 unsafe_sites=$(grep -rw unsafe --include='*.rs' crates | grep -vc 'forbid(unsafe_code)' || true)
 echo "unsafe sites: ${unsafe_sites}"
 
+# Class "test-only" of scripts/module_audit.sh: public API under crates/
+# that nothing but tests calls. The audit's own exit status gates class
+# "none" in scripts/ci.sh, not here.
+test_only=$({ scripts/module_audit.sh || true; } | grep -c '^test-only:' || true)
+echo "pub fn/const only tests call: ${test_only}"
+
 # Inline-size ceilings the layout tests pin (the named constants in the
 # test modules beside `Node`, its arena entry `HotNode`, its receive
 # column entry `RecvEntry`, `NodeObs`, a

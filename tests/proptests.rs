@@ -1573,7 +1573,8 @@ enum Mutation {
     Power(usize),
     /// Set the node walking random waypoints from where it stands, at up
     /// to the given speed: static → waypoint, or a waypoint node onto a
-    /// new speed bound (its old replan chain stays live).
+    /// new speed bound, whose replans queued under the old model must
+    /// not move it.
     Walk(usize, f64),
     /// Stop the node where it stands: waypoint → static without a jump.
     Park(usize),
@@ -1588,10 +1589,11 @@ enum Mutation {
 /// mutation touches, keeps the neighbour lists' horizon at most 1.25 s,
 /// so the 5 s run crosses at least three horizons; every mutation and
 /// every horizon re-derives lists between broadcasts, and the radio must
-/// read liveness from the arena. Returns the trace fingerprint and the
-/// world's `sim.neighbor_rebuilds`.
+/// read liveness from the arena. Asserts that between two segments no
+/// node moves farther than its speed bound allows. Returns the trace
+/// fingerprint and the world's `sim.neighbor_rebuilds`.
 fn mobile_mesh_fingerprint(seed: u64, n: usize, muts: &[Mutation], spatial: bool) -> (u64, f64) {
-    use wireless_adhoc_voip::simnet::mobility::{Area, Mobility, WaypointParams};
+    use wireless_adhoc_voip::simnet::mobility::{distance, Area, Mobility, WaypointParams};
     let mut w = mesh_world(seed, spatial);
     let mut rng = SimRng::from_seed_and_stream(seed, 4242);
     let mut ids = Vec::with_capacity(n);
@@ -1617,13 +1619,35 @@ fn mobile_mesh_fingerprint(seed: u64, n: usize, muts: &[Mutation], spatial: bool
         Mobility::random_waypoint((150.0, 150.0), fast, area, SimTime::ZERO, &mut rng),
     );
     w.trace_mut().set_enabled(true);
+    // Each node's speed bound, by id, and where it stood after the last
+    // mutation: between two steps no node outruns its bound by more than
+    // the neighbour lists' rounding pad.
+    let mut top_speed = vec![0.0; w.node_count()];
+    for &id in ids.iter().take(2) {
+        top_speed[id.0 as usize] = wp.max_speed;
+    }
+    top_speed[pacer.0 as usize] = fast.max_speed;
+    let pad = 1e-3 * w.config().radio.range;
+    let mut stood: Vec<(f64, f64)> = Vec::new();
     let mut t_ms = 0u64;
     let mut next_mut = 0usize;
     while t_ms < 5_000 {
         w.run_until(SimTime::from_millis(t_ms));
+        for (i, &from) in stood.iter().enumerate() {
+            let moved = distance(from, w.position(NodeId(i as u32)));
+            let reach = top_speed[i] * 0.25 + pad;
+            assert!(
+                moved <= reach,
+                "n{i} moved {moved} m in 250 ms, bound {reach} m"
+            );
+        }
         let pick = |idx: usize| ids[idx % ids.len()];
         match muts.get(next_mut) {
-            Some(&Mutation::Teleport(idx, x, y)) => w.move_node(pick(idx), x, y),
+            Some(&Mutation::Teleport(idx, x, y)) => {
+                let id = pick(idx);
+                w.set_mobility(id, Mobility::fixed(x, y));
+                top_speed[id.0 as usize] = 0.0;
+            }
             Some(&Mutation::Power(idx)) => {
                 let id = pick(idx);
                 w.set_node_up(id, !w.is_up(id));
@@ -1634,16 +1658,24 @@ fn mobile_mesh_fingerprint(seed: u64, n: usize, muts: &[Mutation], spatial: bool
                 let mobility =
                     Mobility::random_waypoint(w.position(id), params, area, w.now(), &mut rng);
                 w.set_mobility(id, mobility);
+                top_speed[id.0 as usize] = top;
             }
             Some(&Mutation::Park(idx)) => {
                 let id = pick(idx);
                 let (x, y) = w.position(id);
                 w.set_mobility(id, Mobility::fixed(x, y));
+                top_speed[id.0 as usize] = 0.0;
             }
-            Some(&Mutation::Join(x, y)) => ids.push(w.add_node(NodeConfig::manet(x, y))),
+            Some(&Mutation::Join(x, y)) => {
+                ids.push(w.add_node(NodeConfig::manet(x, y)));
+                top_speed.push(0.0);
+            }
             None => {}
         }
         next_mut += 1;
+        stood = (0..w.node_count() as u32)
+            .map(|i| w.position(NodeId(i)))
+            .collect();
         for &id in ids.iter().chain([&pacer]) {
             let src = SocketAddr::new(w.node(id).addr(), 9900);
             let dst = SocketAddr::new(Addr::BROADCAST, 9900);
@@ -1660,7 +1692,7 @@ fn mobile_mesh_fingerprint(seed: u64, n: usize, muts: &[Mutation], spatial: bool
 /// teleports, crashes, restarts, changes of mobility model and speed
 /// bound, nodes joining mid-run and runs that cross several drift
 /// horizons, the lists and the full-scan reference agree byte-for-byte,
-/// and the run reproduces exactly.
+/// no node outruns its speed bound, and the run reproduces exactly.
 #[test]
 fn incremental_grid_never_changes_the_trace() {
     check("incremental_grid_never_changes_the_trace", 10, |rng| {

@@ -152,7 +152,7 @@ fn partitioned_network_fails_calls_then_recovers_on_merge() {
 
     // Bob walks into range; a later call succeeds. Drive the second call
     // via a fresh UA script by moving the node and re-calling.
-    w.move_node(bob.id, 60.0, 0.0);
+    w.set_mobility(bob.id, Mobility::fixed(60.0, 0.0));
     w.run_for(SimDuration::from_secs(5));
     // Re-register fresh state propagates; place a manual second call by
     // deploying carol next to alice who calls bob.
