@@ -29,8 +29,8 @@ use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
 use siphoc_simnet::net::{ports, Addr, Datagram, SocketAddr};
-use siphoc_simnet::obs::{SpanCat, SpanId};
-use siphoc_simnet::process::{Ctx, LocalEvent, Process};
+use siphoc_simnet::obs::SpanCat;
+use siphoc_simnet::process::{Ctx, LocalEvent, Process, Timed};
 use siphoc_simnet::time::{SimDuration, SimTime};
 
 use siphoc_slp::msg::SlpMsg;
@@ -251,33 +251,6 @@ impl Lease {
     }
 }
 
-/// A span in flight and when it began: the tunnel handshake or a handoff.
-#[derive(Debug)]
-struct Timed {
-    span: SpanId,
-    started_us: u64,
-}
-
-impl Timed {
-    /// Opens the span `name`, correlated with the gateway it concerns.
-    fn open(ctx: &mut Ctx<'_>, name: &'static str, gateway: Addr) -> Timed {
-        let span = ctx.span_enter(SpanCat::Tunnel, name);
-        if ctx.obs().tracing() {
-            ctx.obs().span_corr(span, &gateway.to_string());
-        }
-        Timed {
-            span,
-            started_us: ctx.now_us(),
-        }
-    }
-
-    /// Closes the span and returns how long it ran, in µs.
-    fn close(self, ctx: &mut Ctx<'_>, ok: bool) -> u64 {
-        ctx.span_exit(self.span, ok);
-        ctx.now_us().saturating_sub(self.started_us)
-    }
-}
-
 /// Per-gateway health book: one struct owning both the handoff
 /// blocklist (the gateway just watched die) and the attestation pins
 /// (trust-on-first-use identity per gateway address). Keeping them
@@ -460,7 +433,8 @@ impl ConnectionProvider {
         let id = self.next_id;
         self.state = State::Connecting { gw, attempts, id };
         if attempts == 0 {
-            self.handshake = Some(Timed::open(ctx, "tunnel.handshake", gw.contact.addr));
+            self.handshake =
+                Some(ctx.span_timed(SpanCat::Tunnel, "tunnel.handshake", gw.contact.addr));
         }
         send_connect(ctx, gw.contact, "cp.tconnect");
         ctx.set_timer(CONNECT_TIMEOUT, tok(TAG_CONNECT_TIMEOUT, id));
@@ -483,7 +457,7 @@ impl ConnectionProvider {
     /// standby scan. A node that was online (a lease active or a handoff
     /// in flight) releases the default handler and tells the stack.
     fn teardown(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some(h) = self.handshake.take() {
+        if let Some(mut h) = self.handshake.take() {
             h.close(ctx, false);
         }
         // Nothing is released on the gateway side: standby leases are soft
@@ -498,7 +472,7 @@ impl ConnectionProvider {
             ctx.stats().count("cp.standby_drop", warm);
         }
         let mut online = false;
-        if let Some(h) = self.handoff.take() {
+        if let Some(mut h) = self.handoff.take() {
             h.close(ctx, false);
             online = true;
         }
@@ -667,7 +641,7 @@ impl ConnectionProvider {
 
     /// Closes an in-flight handoff as a success.
     fn handoff_done(&mut self, ctx: &mut Ctx<'_>, promoted: bool) {
-        if let Some(h) = self.handoff.take() {
+        if let Some(mut h) = self.handoff.take() {
             let took = h.close(ctx, true);
             ctx.obs().hist_record("cp.handoff_us", took);
             if promoted {
@@ -712,7 +686,7 @@ impl ConnectionProvider {
         };
         let dead = gateway.addr;
         ctx.stats().count("cp.gateway_dead", 1);
-        self.handoff = Some(Timed::open(ctx, "tunnel.handoff", dead));
+        self.handoff = Some(ctx.span_timed(SpanCat::Tunnel, "tunnel.handoff", dead));
         // The old lease is dead with its gateway; stop answering for it.
         ctx.remove_local_addr(public);
         self.leases.retain(|l| l.id != id);
@@ -831,7 +805,7 @@ impl ConnectionProvider {
         // the dead one comes back it re-announces and competes on equal
         // footing again.
         self.gw_health.clear_dead();
-        if let Some(h) = self.handshake.take() {
+        if let Some(mut h) = self.handshake.take() {
             let took = h.close(ctx, true);
             ctx.obs().hist_record("cp.handshake_us", took);
         }
@@ -891,7 +865,7 @@ impl ConnectionProvider {
                     return;
                 }
                 let next = self.next_cold(ctx, gw.contact.addr);
-                if let Some(h) = self.handshake.take() {
+                if let Some(mut h) = self.handshake.take() {
                     h.close(ctx, false);
                 }
                 match next {

@@ -18,14 +18,17 @@
 
 use std::collections::BTreeMap;
 
-use siphoc_simnet::net::{ports, Addr, Datagram, L2Dst, SocketAddr};
-use siphoc_simnet::obs::{SpanCat, SpanId};
-use siphoc_simnet::process::{Ctx, LocalEvent, LocalKind, Process};
+use siphoc_simnet::net::{ports, Addr, Datagram, L2Dst};
+use siphoc_simnet::obs::SpanCat;
+use siphoc_simnet::process::{Ctx, LocalEvent, LocalKind, Process, Timed};
 use siphoc_simnet::route::Route;
 use siphoc_simnet::time::{SimDuration, SimTime};
 
 use crate::handler::{fit_budget, MsgKind, Piggyback, SharedHandler, PIGGYBACK_BUDGET};
-use crate::wire::{read_entries, write_entries, Reader, WireError, Writer};
+use crate::wire::{
+    read_entries, send_control, write_entries, Control, FloodMemory, Reader, Retention, WireError,
+    Writer,
+};
 
 /// Lifetime of an active route (RFC 3561 §10 `ACTIVE_ROUTE_TIMEOUT`).
 const ACTIVE_ROUTE_TIMEOUT: SimDuration = SimDuration::from_secs(6);
@@ -213,6 +216,13 @@ impl AodvMsg {
     }
 }
 
+impl Control for AodvMsg {
+    const PORT: u16 = ports::AODV;
+    fn encode(&self) -> Vec<u8> {
+        self.to_bytes()
+    }
+}
+
 const TAG_HELLO: u64 = 1;
 const TAG_DISCOVERY: u64 = 2;
 /// A discovery token carries its generation in its top 24 bits, so the
@@ -240,13 +250,34 @@ fn seq_newer(a: u32, b: u32) -> bool {
     (a.wrapping_sub(b) as i32) > 0
 }
 
+/// How long a handled RREQ is remembered: RFC 3561 §10's
+/// `PATH_DISCOVERY_TIME` (≈ 5.6 s here) rounded up to 10 s. One exactly
+/// 10 s old is forgotten.
+pub const RREQ_RETENTION: Retention = Retention::Below(SimDuration::from_secs(10));
+
+/// Advances a discovery generation within what a token carries.
+fn next_generation(generation: &mut u32) -> u32 {
+    *generation = (*generation + 1) & GENERATION_MASK;
+    *generation
+}
+
 #[derive(Debug)]
 struct Discovery {
     retries_used: u32,
     ttl: u8,
     generation: u32,
-    span: SpanId,
-    started_us: u64,
+    span: Timed,
+}
+
+/// How a route discovery ends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum End {
+    /// A route to the destination is in the table.
+    Found,
+    /// The last ring at `NET_DIAMETER` went unanswered.
+    GaveUp,
+    /// The node restarted.
+    Restarted,
 }
 
 /// The AODV routing process. Spawn exactly one per MANET node.
@@ -257,7 +288,7 @@ pub struct AodvProcess {
     rreq_id: u32,
     hello_seq: u32,
     pending: BTreeMap<Addr, Discovery>,
-    seen_rreq: BTreeMap<(Addr, u32), SimTime>,
+    seen_rreq: FloodMemory,
     neighbors: BTreeMap<Addr, SimTime>,
     generation: u32,
 }
@@ -282,22 +313,6 @@ impl AodvProcess {
     pub fn with_handler(mut self, handler: SharedHandler) -> AodvProcess {
         self.handler = Piggyback(Some(handler));
         self
-    }
-
-    fn broadcast(&mut self, ctx: &mut Ctx<'_>, msg: &AodvMsg, counter: &'static str) {
-        let payload = msg.to_bytes();
-        ctx.stats().count(counter, payload.len());
-        let src = SocketAddr::new(ctx.addr(), ports::AODV);
-        let dst = SocketAddr::new(Addr::BROADCAST, ports::AODV);
-        ctx.send_link(L2Dst::Broadcast, Datagram::new(src, dst, payload));
-    }
-
-    fn unicast(&mut self, ctx: &mut Ctx<'_>, next_hop: Addr, msg: &AodvMsg, counter: &'static str) {
-        let payload = msg.to_bytes();
-        ctx.stats().count(counter, payload.len());
-        let src = SocketAddr::new(ctx.addr(), ports::AODV);
-        let dst = SocketAddr::new(next_hop, ports::AODV);
-        ctx.send_link(L2Dst::Unicast(next_hop), Datagram::new(src, dst, payload));
     }
 
     /// Installs or refreshes a route if the AODV update rules allow it.
@@ -346,45 +361,50 @@ impl AodvProcess {
         }
     }
 
-    /// Advances the discovery generation within what a token carries.
-    fn next_generation(&mut self) -> u32 {
-        self.generation = (self.generation + 1) & GENERATION_MASK;
-        self.generation
-    }
-
     fn start_discovery(&mut self, ctx: &mut Ctx<'_>, dst: Addr) {
         if self.pending.contains_key(&dst) {
             return;
         }
-        let generation = self.next_generation();
-        let span = ctx.span_enter(SpanCat::Routing, "route.discovery");
-        if ctx.obs().tracing() {
-            let corr = dst.to_string();
-            ctx.obs().span_corr(span, &corr);
-        }
-        let started_us = ctx.now_us();
-        self.pending.insert(
-            dst,
-            Discovery {
-                retries_used: 0,
-                ttl: TTL_START,
-                generation,
-                span,
-                started_us,
-            },
-        );
-        self.send_rreq(ctx, dst, TTL_START, generation);
+        let generation = next_generation(&mut self.generation);
+        let span = ctx.span_timed(SpanCat::Routing, "route.discovery", dst);
+        let d = Discovery {
+            retries_used: 0,
+            ttl: TTL_START,
+            generation,
+            span,
+        };
+        self.pending.insert(dst, d);
+        self.send_rreq(ctx, dst, TTL_START, None);
     }
 
-    fn send_rreq(&mut self, ctx: &mut Ctx<'_>, dst: Addr, ttl: u8, generation: u32) {
+    /// Ends `dst`'s discovery, if one is open: closes its span, ok when a
+    /// route was found, and records how long finding it took; one that
+    /// gave up counts as `aodv.discovery_failed`.
+    fn end_discovery(&mut self, ctx: &mut Ctx<'_>, dst: Addr, end: End) {
+        let Some(mut d) = self.pending.remove(&dst) else {
+            return;
+        };
+        let waited = d.span.close(ctx, end == End::Found);
+        match end {
+            End::Found => ctx.obs().hist_record("aodv.discovery_us", waited),
+            End::GaveUp => ctx.stats().count("aodv.discovery_failed", 1),
+            End::Restarted => {}
+        }
+    }
+
+    /// Originates a RREQ: a ring `ttl` hops out of `dst`'s open discovery,
+    /// which arms the ring's timer, or, with a `query`, a service query to
+    /// whoever can answer it.
+    fn send_rreq(&mut self, ctx: &mut Ctx<'_>, dst: Addr, ttl: u8, query: Option<Vec<u8>>) {
         self.seq = self.seq.wrapping_add(1);
         self.rreq_id = self.rreq_id.wrapping_add(1);
-        let known = ctx.routes_ref().lookup(dst, ctx.now());
-        let (dst_seq, flags) = match known {
-            Some(r) => (r.seq, 0),
-            None => (0, FLAG_UNKNOWN_SEQ),
+        let (flags, dst_seq, counter) = match (&query, ctx.routes_ref().lookup(dst, ctx.now())) {
+            (Some(_), _) => (FLAG_UNKNOWN_SEQ | FLAG_SERVICE, 0, "aodv.rreq_service"),
+            (None, Some(r)) => (0, r.seq, "aodv.rreq"),
+            (None, None) => (FLAG_UNKNOWN_SEQ, 0, "aodv.rreq"),
         };
-        let entries = self.handler.collect(ctx, MsgKind::AodvRreq);
+        let mut entries: Vec<Vec<u8>> = query.into_iter().collect();
+        entries.extend(self.handler.collect(ctx, MsgKind::AodvRreq));
         let msg = AodvMsg::Rreq {
             flags,
             hop_count: 0,
@@ -394,61 +414,41 @@ impl AodvProcess {
             dst_seq,
             orig: ctx.addr(),
             orig_seq: self.seq,
-            entries,
+            entries: fit_budget(entries, PIGGYBACK_BUDGET),
         };
-        self.seen_rreq.insert((ctx.addr(), self.rreq_id), ctx.now());
-        self.broadcast(ctx, &msg, "aodv.rreq");
-        // RFC ring traversal time: 2 * NTT * (TTL + 2).
-        let timeout = NODE_TRAVERSAL_TIME * 2 * (ttl as u64 + 2);
-        ctx.set_timer(timeout, discovery_token(dst, generation));
+        send_control(ctx, L2Dst::Broadcast, counter, &msg);
+        if let Some(d) = self.pending.get(&dst) {
+            // RFC ring traversal time: 2 * NTT * (TTL + 2).
+            let timeout = NODE_TRAVERSAL_TIME * 2 * (ttl as u64 + 2);
+            ctx.set_timer(timeout, discovery_token(dst, d.generation));
+        }
     }
 
-    fn flood_service_query(&mut self, ctx: &mut Ctx<'_>, query: Vec<u8>) {
-        self.seq = self.seq.wrapping_add(1);
-        self.rreq_id = self.rreq_id.wrapping_add(1);
-        let mut entries = vec![query];
-        entries.extend(self.handler.collect(ctx, MsgKind::AodvRreq));
-        let entries = fit_budget(entries, PIGGYBACK_BUDGET);
-        let msg = AodvMsg::Rreq {
-            flags: FLAG_UNKNOWN_SEQ | FLAG_SERVICE,
-            hop_count: 0,
-            ttl: NET_DIAMETER,
-            rreq_id: self.rreq_id,
-            dst: Addr::UNSPECIFIED,
-            dst_seq: 0,
-            orig: ctx.addr(),
-            orig_seq: self.seq,
-            entries,
-        };
-        self.seen_rreq.insert((ctx.addr(), self.rreq_id), ctx.now());
-        self.broadcast(ctx, &msg, "aodv.rreq_service");
-    }
-
-    fn on_rreq(&mut self, ctx: &mut Ctx<'_>, from: Addr, msg: AodvMsg) {
+    fn on_rreq(&mut self, ctx: &mut Ctx<'_>, from: Addr, mut msg: AodvMsg) {
         let AodvMsg::Rreq {
             flags,
-            hop_count,
-            ttl,
+            ref mut hop_count,
+            ref mut ttl,
             rreq_id,
             dst,
             dst_seq,
             orig,
             orig_seq,
-            entries,
+            ref entries,
         } = msg
         else {
             return;
         };
-        if orig == ctx.addr() {
+        let (own, now) = (ctx.addr(), ctx.now());
+        if orig == own {
             return;
         }
         // Route to the link sender.
         self.update_route(ctx, from, from, 1, 0, ACTIVE_ROUTE_TIMEOUT);
         // Duplicate suppression.
-        if self.seen_rreq.contains_key(&(orig, rreq_id)) {
+        if !self.seen_rreq.first_sight(own, orig, rreq_id, now) {
             return;
         }
-        self.seen_rreq.insert((orig, rreq_id), ctx.now());
         // Reverse route to the originator.
         self.update_route(
             ctx,
@@ -459,9 +459,7 @@ impl AodvProcess {
             ACTIVE_ROUTE_TIMEOUT,
         );
 
-        let answers = self
-            .handler
-            .deliver(ctx, MsgKind::AodvRreq, from, orig, &entries);
+        let answers = self.handler.deliver(ctx, MsgKind::AodvRreq, entries);
 
         let service = flags & FLAG_SERVICE != 0;
         if service {
@@ -470,32 +468,15 @@ impl AodvProcess {
                 let reply = AodvMsg::Rrep {
                     flags: FLAG_SERVICE,
                     hop_count: 0,
-                    dst: ctx.addr(),
+                    dst: own,
                     dst_seq: self.seq,
                     orig,
                     lifetime: ACTIVE_ROUTE_TIMEOUT,
                     entries: fit_budget(answers, PIGGYBACK_BUDGET),
                 };
-                self.unicast(ctx, from, &reply, "aodv.rrep_service");
+                send_control(ctx, L2Dst::Unicast(from), "aodv.rrep_service", &reply);
             }
-            if ttl > 1 {
-                let fwd = AodvMsg::Rreq {
-                    flags,
-                    hop_count: hop_count.saturating_add(1),
-                    ttl: ttl - 1,
-                    rreq_id,
-                    dst,
-                    dst_seq,
-                    orig,
-                    orig_seq,
-                    entries,
-                };
-                self.broadcast(ctx, &fwd, "aodv.rreq_service");
-            }
-            return;
-        }
-
-        if dst == ctx.addr() {
+        } else if dst == own {
             // RFC 3561 §6.6.1: destination replies with max(own, requested).
             if seq_newer(dst_seq, self.seq) {
                 self.seq = dst_seq;
@@ -510,53 +491,49 @@ impl AodvProcess {
                 lifetime: ACTIVE_ROUTE_TIMEOUT,
                 entries: self.handler.collect(ctx, MsgKind::AodvRrep),
             };
-            self.unicast(ctx, from, &reply, "aodv.rrep");
+            send_control(ctx, L2Dst::Unicast(from), "aodv.rrep", &reply);
+            return;
+        } else if let Some(r) = ctx
+            .routes_ref()
+            .lookup(dst, now)
+            .filter(|r| flags & FLAG_UNKNOWN_SEQ == 0 && r.seq != 0 && !seq_newer(dst_seq, r.seq))
+        {
+            // RFC 3561 §6.6.2: an intermediate node answers from a route
+            // at least as fresh as the one requested.
+            let reply = AodvMsg::Rrep {
+                flags: 0,
+                hop_count: r.hops,
+                dst,
+                dst_seq: r.seq,
+                orig,
+                lifetime: r.expires.saturating_since(now),
+                entries: Vec::new(),
+            };
+            send_control(ctx, L2Dst::Unicast(from), "aodv.rrep", &reply);
             return;
         }
 
-        if flags & FLAG_UNKNOWN_SEQ == 0 {
-            if let Some(r) = ctx.routes_ref().lookup(dst, ctx.now()) {
-                if !seq_newer(dst_seq, r.seq) && r.seq != 0 {
-                    let reply = AodvMsg::Rrep {
-                        flags: 0,
-                        hop_count: r.hops,
-                        dst,
-                        dst_seq: r.seq,
-                        orig,
-                        lifetime: r.expires.saturating_since(ctx.now()),
-                        entries: Vec::new(),
-                    };
-                    self.unicast(ctx, from, &reply, "aodv.rrep");
-                    return;
-                }
-            }
-        }
-
-        if ttl > 1 {
-            let fwd = AodvMsg::Rreq {
-                flags,
-                hop_count: hop_count.saturating_add(1),
-                ttl: ttl - 1,
-                rreq_id,
-                dst,
-                dst_seq,
-                orig,
-                orig_seq,
-                entries,
+        if *ttl > 1 {
+            *hop_count = hop_count.saturating_add(1);
+            *ttl -= 1;
+            let counter = if service {
+                "aodv.rreq_service"
+            } else {
+                "aodv.rreq"
             };
-            self.broadcast(ctx, &fwd, "aodv.rreq");
+            send_control(ctx, L2Dst::Broadcast, counter, &msg);
         }
     }
 
-    fn on_rrep(&mut self, ctx: &mut Ctx<'_>, from: Addr, msg: AodvMsg) {
+    fn on_rrep(&mut self, ctx: &mut Ctx<'_>, from: Addr, mut msg: AodvMsg) {
         let AodvMsg::Rrep {
-            flags,
-            hop_count,
+            ref mut hop_count,
             dst,
             dst_seq,
             orig,
             lifetime,
-            entries,
+            ref entries,
+            ..
         } = msg
         else {
             return;
@@ -570,31 +547,16 @@ impl AodvProcess {
             dst_seq,
             lifetime,
         );
-        let _ = self
-            .handler
-            .deliver(ctx, MsgKind::AodvRrep, from, dst, &entries);
-        let _ = flags;
+        let _ = self.handler.deliver(ctx, MsgKind::AodvRrep, entries);
 
         if orig == ctx.addr() {
-            if let Some(d) = self.pending.remove(&dst) {
-                ctx.span_exit(d.span, true);
-                let waited = ctx.now_us().saturating_sub(d.started_us);
-                ctx.obs().hist_record("aodv.discovery_us", waited);
-            }
+            self.end_discovery(ctx, dst, End::Found);
             return;
         }
         // Forward along the reverse path.
         if let Some(r) = ctx.routes_ref().lookup(orig, ctx.now()) {
-            let fwd = AodvMsg::Rrep {
-                flags,
-                hop_count: hop_count.saturating_add(1),
-                dst,
-                dst_seq,
-                orig,
-                lifetime,
-                entries,
-            };
-            self.unicast(ctx, r.next_hop, &fwd, "aodv.rrep");
+            *hop_count = hop_count.saturating_add(1);
+            send_control(ctx, L2Dst::Unicast(r.next_hop), "aodv.rrep", &msg);
         } else {
             ctx.stats().count("aodv.rrep_no_reverse", 1);
         }
@@ -613,7 +575,7 @@ impl AodvProcess {
         }
         if !propagate.is_empty() {
             let msg = AodvMsg::Rerr { dests: propagate };
-            self.broadcast(ctx, &msg, "aodv.rerr");
+            send_control(ctx, L2Dst::Broadcast, "aodv.rerr", &msg);
         }
     }
 
@@ -626,7 +588,7 @@ impl AodvProcess {
         // Seq unknown after loss; receivers match on next-hop.
         let dests = lost.into_iter().map(|dst| (dst, 0)).collect();
         let msg = AodvMsg::Rerr { dests };
-        self.broadcast(ctx, &msg, "aodv.rerr");
+        send_control(ctx, L2Dst::Broadcast, "aodv.rerr", &msg);
     }
 
     fn on_hello_timer(&mut self, ctx: &mut Ctx<'_>) {
@@ -642,16 +604,14 @@ impl AodvProcess {
         for n in stale {
             self.on_link_break(ctx, n);
         }
-        // Purge the duplicate cache (PATH_DISCOVERY_TIME ~ 5.6 s; use 10 s).
-        self.seen_rreq
-            .retain(|_, t| now.saturating_since(*t) < SimDuration::from_secs(10));
+        self.seen_rreq.forget(now, RREQ_RETENTION);
 
         self.hello_seq = self.hello_seq.wrapping_add(1);
         let msg = AodvMsg::Hello {
             seq: self.hello_seq,
             entries: self.handler.collect(ctx, MsgKind::AodvHello),
         };
-        self.broadcast(ctx, &msg, "aodv.hello");
+        send_control(ctx, L2Dst::Broadcast, "aodv.hello", &msg);
         ctx.set_timer(HELLO_INTERVAL, TAG_HELLO);
     }
 }
@@ -669,10 +629,10 @@ impl Process for AodvProcess {
             LocalKind::FloodQuery,
         ]);
         // A restart forgets what it learned; its sequence numbers go on.
-        for (_, d) in std::mem::take(&mut self.pending) {
-            ctx.span_exit(d.span, false);
+        while let Some((&dst, _)) = self.pending.first_key_value() {
+            self.end_discovery(ctx, dst, End::Restarted);
         }
-        self.seen_rreq.clear();
+        self.seen_rreq = FloodMemory::default();
         self.neighbors.clear();
         // RFC 3561 §6.2: data traffic over a route extends its lifetime.
         ctx.routes().set_keepalive(Some(ACTIVE_ROUTE_TIMEOUT));
@@ -698,9 +658,7 @@ impl Process for AodvProcess {
                 self.neighbors.insert(from, ctx.now());
                 let hold = HELLO_INTERVAL * (ALLOWED_HELLO_LOSS + 1);
                 self.update_route(ctx, from, from, 1, 0, hold);
-                let _ = self
-                    .handler
-                    .deliver(ctx, MsgKind::AodvHello, from, from, &entries);
+                let _ = self.handler.deliver(ctx, MsgKind::AodvHello, &entries);
             }
         }
     }
@@ -710,48 +668,33 @@ impl Process for AodvProcess {
             TAG_HELLO => self.on_hello_timer(ctx),
             TAG_DISCOVERY => {
                 let dst = token_dst(token);
-                let generation = token_generation(token);
-                let Some(d) = self.pending.get(&dst) else {
+                let Some(d) = self.pending.get_mut(&dst) else {
                     return;
                 };
-                if d.generation != generation {
+                if d.generation != token_generation(token) {
                     // Stale timer from a superseded attempt.
                     ctx.obs().counter_add("timer.superseded", 1);
                     return;
                 }
                 if ctx.routes_ref().lookup(dst, ctx.now()).is_some() {
-                    if let Some(d) = self.pending.remove(&dst) {
-                        ctx.span_exit(d.span, true);
-                        let waited = ctx.now_us().saturating_sub(d.started_us);
-                        ctx.obs().hist_record("aodv.discovery_us", waited);
-                    }
-                    return;
+                    return self.end_discovery(ctx, dst, End::Found);
                 }
-                let d = self.pending.get_mut(&dst).expect("pending entry vanished");
                 // RFC 3561 §6.4: ring escalation is free; only attempts at
                 // NET_DIAMETER count against RREQ_RETRIES.
                 if d.ttl >= NET_DIAMETER {
                     if d.retries_used >= RREQ_RETRIES {
-                        if let Some(d) = self.pending.remove(&dst) {
-                            ctx.span_exit(d.span, false);
-                        }
-                        ctx.stats().count("aodv.discovery_failed", 1);
-                        return;
+                        return self.end_discovery(ctx, dst, End::GaveUp);
                     }
                     d.retries_used += 1;
                 }
-                let next_ttl = if d.ttl >= TTL_THRESHOLD {
+                d.ttl = if d.ttl >= TTL_THRESHOLD {
                     NET_DIAMETER
                 } else {
                     d.ttl.saturating_add(TTL_INCREMENT)
                 };
-                d.ttl = next_ttl;
-                let generation = self.next_generation();
-                self.pending
-                    .get_mut(&dst)
-                    .expect("pending entry vanished")
-                    .generation = generation;
-                self.send_rreq(ctx, dst, next_ttl, generation);
+                d.generation = next_generation(&mut self.generation);
+                let ttl = d.ttl;
+                self.send_rreq(ctx, dst, ttl, None);
             }
             _ => {}
         }
@@ -763,7 +706,9 @@ impl Process for AodvProcess {
                 self.start_discovery(ctx, *dst);
             }
             LocalEvent::LinkTxFailed { neighbor } => self.on_link_break(ctx, *neighbor),
-            LocalEvent::FloodQuery { query } => self.flood_service_query(ctx, query.clone()),
+            LocalEvent::FloodQuery { query } => {
+                self.send_rreq(ctx, Addr::UNSPECIFIED, NET_DIAMETER, Some(query.clone()));
+            }
             _ => {}
         }
     }
@@ -1089,18 +1034,13 @@ mod tests {
         answer: Option<Vec<u8>>,
     }
     impl crate::handler::RoutingHandler for AnswerBob {
-        fn name(&self) -> &'static str {
-            "answer-bob"
-        }
-        fn collect_outgoing(&mut self, _ctx: &mut Ctx<'_>, _k: MsgKind, _b: usize) -> Vec<Vec<u8>> {
+        fn collect_outgoing(&mut self, _ctx: &mut Ctx<'_>, _k: MsgKind) -> Vec<Vec<u8>> {
             Vec::new()
         }
         fn process_incoming(
             &mut self,
             _ctx: &mut Ctx<'_>,
             kind: MsgKind,
-            _from: Addr,
-            _origin: Addr,
             entries: &[Vec<u8>],
         ) -> Vec<Vec<u8>> {
             if kind == MsgKind::AodvRreq && entries.iter().any(|e| e == b"who-is-bob") {

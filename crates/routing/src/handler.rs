@@ -12,11 +12,16 @@
 //!
 //! * just before serializing an outgoing control message
 //!   ([`RoutingHandler::collect_outgoing`]) so the handler can attach opaque
-//!   service entries, and
-//! * for every received control message
+//!   service entries, of which the process keeps what fits in
+//!   [`PIGGYBACK_BUDGET`], and
+//! * for every received control message that carries entries
 //!   ([`RoutingHandler::process_incoming`]) so the handler can absorb
-//!   entries — and, for request/reply protocols like AODV, return answer
-//!   entries that ride back toward the origin on the route reply.
+//!   them — and, on an AODV RREQ, return answer entries that ride back
+//!   toward the request's originator on a service route reply.
+//!
+//! A handler is told the message's kind and its entries, nothing more:
+//! not the link sender, not the originator. What it absorbs names its own
+//! origin.
 //!
 //! The entries themselves are opaque byte blobs; the `siphoc-slp` crate
 //! defines their content. This keeps the routing crate service-agnostic,
@@ -25,7 +30,6 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use siphoc_simnet::net::Addr;
 use siphoc_simnet::process::Ctx;
 
 /// The kind of routing control message a handler is invoked for.
@@ -49,28 +53,20 @@ pub enum MsgKind {
 /// service process such as MANET SLP (which owns the state behind them), so
 /// they are passed around as [`SharedHandler`].
 pub trait RoutingHandler {
-    /// Short name for diagnostics.
-    fn name(&self) -> &'static str;
-
     /// Returns entries to attach to an outgoing message of `kind`. The
-    /// total encoded size of the returned entries should stay within
-    /// `budget` bytes; the routing process truncates the list otherwise.
-    fn collect_outgoing(&mut self, ctx: &mut Ctx<'_>, kind: MsgKind, budget: usize)
-        -> Vec<Vec<u8>>;
+    /// routing process keeps the longest prefix of the list that fits in
+    /// [`PIGGYBACK_BUDGET`].
+    fn collect_outgoing(&mut self, ctx: &mut Ctx<'_>, kind: MsgKind) -> Vec<Vec<u8>>;
 
-    /// Processes entries received on a message of `kind`. `from` is the
-    /// link-layer sender, `origin` the node that originated the message.
+    /// Processes entries received on a message of `kind`.
     ///
-    /// The returned entries, if any, are *answers*: on AODV the routing
-    /// process generates a service reply carrying them back toward
-    /// `origin`. Protocols without a reply primitive ignore the return
-    /// value.
+    /// The returned entries, if any, are *answers*: on an AODV RREQ the
+    /// routing process sends a service reply carrying them back toward
+    /// the request's originator. Other messages ignore the return value.
     fn process_incoming(
         &mut self,
         ctx: &mut Ctx<'_>,
         kind: MsgKind,
-        from: Addr,
-        origin: Addr,
         entries: &[Vec<u8>],
     ) -> Vec<Vec<u8>>;
 }
@@ -113,8 +109,7 @@ impl Piggyback {
         let Some(h) = &self.0 else {
             return Vec::new();
         };
-        let entries = h.borrow_mut().collect_outgoing(ctx, kind, PIGGYBACK_BUDGET);
-        let entries = fit_budget(entries, PIGGYBACK_BUDGET);
+        let entries = fit_budget(h.borrow_mut().collect_outgoing(ctx, kind), PIGGYBACK_BUDGET);
         let extra: usize = entries.iter().map(|e| e.len() + 2).sum();
         if extra > 0 {
             let counter = match kind {
@@ -132,14 +127,10 @@ impl Piggyback {
         &self,
         ctx: &mut Ctx<'_>,
         kind: MsgKind,
-        from: Addr,
-        origin: Addr,
         entries: &[Vec<u8>],
     ) -> Vec<Vec<u8>> {
         match &self.0 {
-            Some(h) if !entries.is_empty() => h
-                .borrow_mut()
-                .process_incoming(ctx, kind, from, origin, entries),
+            Some(h) if !entries.is_empty() => h.borrow_mut().process_incoming(ctx, kind, entries),
             _ => Vec::new(),
         }
     }

@@ -22,13 +22,16 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use siphoc_simnet::net::{ports, Addr, Datagram, L2Dst, SocketAddr};
+use siphoc_simnet::net::{ports, Addr, Datagram, L2Dst};
 use siphoc_simnet::process::{Ctx, LocalEvent, LocalKind, Process};
 use siphoc_simnet::route::Route;
 use siphoc_simnet::time::{SimDuration, SimTime};
 
 use crate::handler::{MsgKind, Piggyback, SharedHandler};
-use crate::wire::{read_entries, write_entries, Reader, WireError, Writer};
+use crate::wire::{
+    read_entries, send_control, write_entries, Control, FloodMemory, Reader, Retention, WireError,
+    Writer,
+};
 
 /// HELLO emission period (RFC 3626 §18.2 `HELLO_INTERVAL`).
 const HELLO_INTERVAL: SimDuration = SimDuration::from_secs(2);
@@ -40,6 +43,9 @@ const NEIGHB_HOLD_TIME: SimDuration = SimDuration::from_micros(3 * HELLO_INTERVA
 /// Validity of state learned from a TC, 3 × `TC_INTERVAL`
 /// (§18.3 `TOP_HOLD_TIME`).
 const TOP_HOLD_TIME: SimDuration = SimDuration::from_micros(3 * TC_INTERVAL.as_micros());
+/// How long a handled TC is remembered (§18.3 `DUP_HOLD_TIME`). One
+/// exactly 30 s old is still remembered.
+pub const TC_RETENTION: Retention = Retention::UpTo(SimDuration::from_secs(30));
 
 const TYPE_HELLO: u8 = 1;
 const TYPE_TC: u8 = 2;
@@ -179,6 +185,13 @@ impl OlsrMsg {
             }
             _ => Err(WireError::new("unknown OLSR message type")),
         }
+    }
+}
+
+impl Control for OlsrMsg {
+    const PORT: u16 = ports::OLSR;
+    fn encode(&self) -> Vec<u8> {
+        self.to_bytes()
     }
 }
 
@@ -399,7 +412,7 @@ pub struct OlsrProcess {
     /// Latest accepted ANSN per originator.
     ansn_seen: BTreeMap<Addr, u16>,
     /// Duplicate set for TC flooding.
-    tc_seen: BTreeMap<(Addr, u16), SimTime>,
+    tc_seen: FloodMemory,
     msg_seq: u16,
     ansn: u16,
     /// An input of MPR selection / route computation changed since it ran.
@@ -446,14 +459,6 @@ impl OlsrProcess {
         &self.mpr_set
     }
 
-    fn broadcast(&mut self, ctx: &mut Ctx<'_>, msg: &OlsrMsg, counter: &'static str) {
-        let payload = msg.to_bytes();
-        ctx.stats().count(counter, payload.len());
-        let src = SocketAddr::new(ctx.addr(), ports::OLSR);
-        let dst = SocketAddr::new(Addr::BROADCAST, ports::OLSR);
-        ctx.send_link(L2Dst::Broadcast, Datagram::new(src, dst, payload));
-    }
-
     /// A symmetric link appeared or went, or a symmetric neighbor's 2-hop
     /// set changed: both computations have a new input.
     fn neighborhood_changed(&mut self) {
@@ -486,8 +491,7 @@ impl OlsrProcess {
             live
         });
         self.routes_dirty |= self.topology.len() != originators;
-        self.tc_seen
-            .retain(|_, t| now.saturating_since(*t) <= SimDuration::from_secs(30));
+        self.tc_seen.forget(now, TC_RETENTION);
 
         // Forget addresses nothing mentions any more, so the universe (and
         // the rows sized by it) follows live state, not history. An address
@@ -714,7 +718,7 @@ impl OlsrProcess {
         }
         let entries = self.handler.collect(ctx, MsgKind::OlsrHello);
         let msg = OlsrMsg::Hello { neighbors, entries };
-        self.broadcast(ctx, &msg, "olsr.hello");
+        send_control(ctx, L2Dst::Broadcast, "olsr.hello", &msg);
     }
 
     fn send_tc(&mut self, ctx: &mut Ctx<'_>) {
@@ -735,8 +739,7 @@ impl OlsrProcess {
             selectors: self.mpr_selectors.keys().copied().collect(),
             entries,
         };
-        self.tc_seen.insert((ctx.addr(), self.msg_seq), ctx.now());
-        self.broadcast(ctx, &msg, "olsr.tc");
+        send_control(ctx, L2Dst::Broadcast, "olsr.tc", &msg);
     }
 
     fn on_hello(
@@ -790,31 +793,29 @@ impl OlsrProcess {
         } else {
             self.mpr_selectors.remove(&from);
         }
-        self.handler
-            .deliver(ctx, MsgKind::OlsrHello, from, from, &entries);
+        self.handler.deliver(ctx, MsgKind::OlsrHello, &entries);
         self.select_mprs(ctx);
         self.recompute_routes(ctx);
     }
 
-    fn on_tc(&mut self, ctx: &mut Ctx<'_>, from: Addr, msg: OlsrMsg) {
+    fn on_tc(&mut self, ctx: &mut Ctx<'_>, from: Addr, mut msg: OlsrMsg) {
         let OlsrMsg::Tc {
             orig,
             msg_seq,
             ansn,
-            ttl,
-            selectors,
-            entries,
+            ref mut ttl,
+            ref selectors,
+            ref entries,
         } = msg
         else {
             return;
         };
-        if orig == ctx.addr() {
+        if !self
+            .tc_seen
+            .first_sight(ctx.addr(), orig, msg_seq.into(), ctx.now())
+        {
             return;
         }
-        if self.tc_seen.contains_key(&(orig, msg_seq)) {
-            return;
-        }
-        self.tc_seen.insert((orig, msg_seq), ctx.now());
 
         // ANSN freshness: ignore stale topology, accept newer.
         let fresh = match self.ansn_seen.get(&orig) {
@@ -824,7 +825,7 @@ impl OlsrProcess {
         if fresh {
             self.ansn_seen.insert(orig, ansn);
             self.heard.clear();
-            self.heard.extend_from_slice(&selectors);
+            self.heard.extend_from_slice(selectors);
             normalize(&mut self.heard);
             let expires = ctx.now() + TOP_HOLD_TIME;
             match self.topology.get_mut(&orig) {
@@ -854,20 +855,12 @@ impl OlsrProcess {
             }
             self.recompute_routes(ctx);
         }
-        self.handler
-            .deliver(ctx, MsgKind::OlsrTc, from, orig, &entries);
+        self.handler.deliver(ctx, MsgKind::OlsrTc, entries);
 
         // MPR forwarding rule: retransmit only if the sender selected us.
-        if ttl > 1 && self.mpr_selectors.contains_key(&from) {
-            let fwd = OlsrMsg::Tc {
-                orig,
-                msg_seq,
-                ansn,
-                ttl: ttl - 1,
-                selectors,
-                entries,
-            };
-            self.broadcast(ctx, &fwd, "olsr.tc_fwd");
+        if *ttl > 1 && self.mpr_selectors.contains_key(&from) {
+            *ttl -= 1;
+            send_control(ctx, L2Dst::Broadcast, "olsr.tc_fwd", &msg);
         }
     }
 }
@@ -1090,15 +1083,7 @@ mod tests {
         seen: Rc<RefCell<std::collections::BTreeSet<Vec<u8>>>>,
     }
     impl crate::handler::RoutingHandler for Gossip {
-        fn name(&self) -> &'static str {
-            "gossip"
-        }
-        fn collect_outgoing(
-            &mut self,
-            _ctx: &mut Ctx<'_>,
-            _kind: MsgKind,
-            _b: usize,
-        ) -> Vec<Vec<u8>> {
+        fn collect_outgoing(&mut self, _ctx: &mut Ctx<'_>, _kind: MsgKind) -> Vec<Vec<u8>> {
             let mut out: Vec<Vec<u8>> = self.own.iter().cloned().collect();
             out.extend(self.seen.borrow().iter().cloned());
             out
@@ -1107,8 +1092,6 @@ mod tests {
             &mut self,
             _ctx: &mut Ctx<'_>,
             _kind: MsgKind,
-            _from: Addr,
-            _origin: Addr,
             entries: &[Vec<u8>],
         ) -> Vec<Vec<u8>> {
             self.seen.borrow_mut().extend(entries.iter().cloned());

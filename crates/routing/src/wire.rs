@@ -1,13 +1,17 @@
-//! Compact binary encoding for routing control messages.
+//! Control traffic on the wire: its encoding, its one send, and the
+//! memory of floods already handled.
 //!
 //! Both AODV and OLSR messages (and the piggybacked service entries they
 //! carry) are serialized with the little [`Writer`]/[`Reader`] pair below —
 //! a length-prefixed, big-endian format chosen for simplicity and stable
 //! byte counts, which the overhead experiments (E3) rely on.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
-use siphoc_simnet::net::Addr;
+use siphoc_simnet::net::{Addr, Datagram, L2Dst, SocketAddr};
+use siphoc_simnet::process::Ctx;
+use siphoc_simnet::time::{SimDuration, SimTime};
 
 /// Error returned when decoding a malformed routing message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -195,6 +199,71 @@ pub fn read_entries(r: &mut Reader<'_>) -> Result<Vec<Vec<u8>>, WireError> {
         out.push(r.bytes("entry")?);
     }
     Ok(out)
+}
+
+/// A control message of AODV, OLSR or the SLP daemon: the port it
+/// travels between, and its bytes.
+pub trait Control {
+    /// The port both ends bind.
+    const PORT: u16;
+    /// The message's encoding.
+    fn encode(&self) -> Vec<u8>;
+}
+
+/// Sends `msg` one radio hop, from and to its port (every neighbour's on
+/// a broadcast), counted under `counter` at its encoded length.
+pub fn send_control<M: Control>(ctx: &mut Ctx<'_>, link: L2Dst, counter: &'static str, msg: &M) {
+    let payload = msg.encode();
+    ctx.stats().count(counter, payload.len());
+    let to = match link {
+        L2Dst::Broadcast => Addr::BROADCAST,
+        L2Dst::Unicast(neighbor) => neighbor,
+    };
+    let src = SocketAddr::new(ctx.addr(), M::PORT);
+    ctx.send_link(
+        link,
+        Datagram::new(src, SocketAddr::new(to, M::PORT), payload),
+    );
+}
+
+/// How long a [`FloodMemory`] keeps a flood, by its age at a purge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Retention {
+    /// Kept while younger than this.
+    Below(SimDuration),
+    /// Kept while at most this old.
+    UpTo(SimDuration),
+}
+
+/// The floods a node has handled, by `(origin, id)`, each with when it
+/// was first seen: what keeps a relayed flood from being handled twice.
+/// A node's own floods are never a first sight and are not stored.
+#[derive(Debug, Default)]
+pub struct FloodMemory {
+    seen: BTreeMap<(Addr, u32), SimTime>,
+}
+
+impl FloodMemory {
+    /// Whether flood `(origin, id)` is one another node than `own` sent
+    /// and this one has not seen; records it at `now` if so.
+    pub fn first_sight(&mut self, own: Addr, origin: Addr, id: u32, now: SimTime) -> bool {
+        if origin == own || self.seen.contains_key(&(origin, id)) {
+            return false;
+        }
+        self.seen.insert((origin, id), now);
+        true
+    }
+
+    /// Forgets every flood `keep` no longer keeps at `now`.
+    pub fn forget(&mut self, now: SimTime, keep: Retention) {
+        self.seen.retain(|_, t| {
+            let age = now.saturating_since(*t);
+            match keep {
+                Retention::Below(d) => age < d,
+                Retention::UpTo(d) => age <= d,
+            }
+        });
+    }
 }
 
 #[cfg(test)]

@@ -295,6 +295,28 @@ impl<'a> Ctx<'a> {
         self.obs.span_exit(id, t, ok);
     }
 
+    /// Opens a span whose duration its owner reads when it closes it
+    /// ([`Timed::close`]), correlated with `corr` while tracing; an empty
+    /// `corr` correlates nothing.
+    pub fn span_timed(
+        &mut self,
+        cat: siphoc_obs::SpanCat,
+        name: &'static str,
+        corr: impl std::fmt::Display,
+    ) -> Timed {
+        let span = self.span_enter(cat, name);
+        if self.obs.tracing() {
+            let corr = corr.to_string();
+            if !corr.is_empty() {
+                self.obs.span_corr(span, &corr);
+            }
+        }
+        Timed {
+            span,
+            started_us: self.now_us(),
+        }
+    }
+
     /// Records a zero-duration instant event at the current sim time.
     pub fn span_instant(
         &mut self,
@@ -404,6 +426,25 @@ impl<'a> Ctx<'a> {
     /// tunnel interface.
     pub fn set_default_handler(&mut self, enabled: bool) {
         self.effects.push(Effect::SetDefaultHandler(enabled));
+    }
+}
+
+/// A span and when it opened, held by an operation that records its own
+/// duration; [`Ctx::span_timed`] opens one. Packed to 4-byte alignment,
+/// so its 12 bytes share a word with a holder's next 4-byte field.
+#[derive(Debug)]
+#[repr(C, packed(4))]
+pub struct Timed {
+    span: siphoc_obs::SpanId,
+    started_us: u64,
+}
+
+impl Timed {
+    /// Closes the span, if still open, and returns how long since it
+    /// opened, in µs.
+    pub fn close(&mut self, ctx: &mut Ctx<'_>, ok: bool) -> u64 {
+        ctx.span_exit(std::mem::take(&mut self.span), ok);
+        ctx.now_us().saturating_sub(self.started_us)
     }
 }
 

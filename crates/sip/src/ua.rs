@@ -21,7 +21,7 @@ use std::rc::Rc;
 use siphoc_simnet::fasthash::FastMap;
 use siphoc_simnet::net::{Addr, Datagram, SocketAddr};
 use siphoc_simnet::obs::{SpanCat, SpanId};
-use siphoc_simnet::process::{Ctx, LocalEvent, LocalKind, Process};
+use siphoc_simnet::process::{Ctx, LocalEvent, LocalKind, Process, Timed};
 use siphoc_simnet::time::{SimDuration, SimTime};
 
 use std::sync::Arc;
@@ -266,11 +266,9 @@ struct Dialog {
     /// Whether a 180 was logged: ringing is a milestone, not one per
     /// replayed 180.
     rang: bool,
-    /// Open observability span covering call setup (INVITE->ACK);
-    /// `SpanId::NONE` once setup is over, either way.
-    span: SpanId,
-    /// When setup started, for the `sip.call_setup_us` histogram.
-    setup_started_us: u64,
+    /// Call setup (INVITE->ACK): its span, open until setup is over
+    /// either way, and its start for the `sip.call_setup_us` histogram.
+    setup: Timed,
     /// CSeq of an in-flight outgoing re-INVITE (gateway handoff re-homing);
     /// `None` when no re-INVITE is outstanding.
     reinvite_cseq: Option<u32>,
@@ -291,8 +289,7 @@ impl Dialog {
             Role::Caller => "sip.invite",
             Role::Callee => "sip.answer",
         };
-        let span = ctx.span_enter(SpanCat::Sip, name);
-        ctx.obs().span_corr(span, call_id);
+        let setup = ctx.span_timed(SpanCat::Sip, name, call_id);
         Dialog {
             idx,
             call_id: call_id.to_owned(),
@@ -312,8 +309,7 @@ impl Dialog {
             duration: None,
             cancelled: false,
             rang: false,
-            span,
-            setup_started_us: ctx.now_us(),
+            setup,
             reinvite_cseq: None,
         }
     }
@@ -702,10 +698,8 @@ impl UserAgent {
         };
         d.state = DialogState::Confirmed;
         d.pending_invite = None;
-        let span = std::mem::replace(&mut d.span, SpanId::NONE);
         let (remote_rtp, duration, idx) = (d.remote_rtp, d.duration, d.idx);
-        let setup = ctx.now_us().saturating_sub(d.setup_started_us);
-        ctx.span_exit(span, remote_rtp.is_some());
+        let setup = d.setup.close(ctx, remote_rtp.is_some());
         if let Some(rtp) = remote_rtp {
             ctx.obs().counter_add("sip.calls_established", 1);
             ctx.obs().hist_record("sip.call_setup_us", setup);
@@ -742,13 +736,12 @@ impl UserAgent {
             Ending::Refused(code) => Err(Some(code)),
             Ending::TimedOut => Err(None),
         };
-        let span = std::mem::replace(&mut d.span, SpanId::NONE);
         if let Ending::Bye { .. } = ending {
             ctx.span_instant(SpanCat::Media, "media.stop", Some(call_id));
             let call_id = call_id.to_owned();
             ctx.emit(LocalEvent::MediaStop { call_id });
         }
-        ctx.span_exit(span, false);
+        d.setup.close(ctx, false);
         let call_id = call_id.to_owned();
         let ev = match outcome {
             Ok(by_remote) => CallEvent::Terminated { call_id, by_remote },
@@ -1079,8 +1072,8 @@ impl Process for UserAgent {
         // After a crash (a REGISTER went out before), every transaction
         // and dialog lost its timers: drop them all, and register anew.
         let restart = self.register_cseq > 0;
-        for d in self.dialogs.values() {
-            ctx.span_exit(d.span, false);
+        for d in self.dialogs.values_mut() {
+            d.setup.close(ctx, false);
         }
         self.dialogs.clear();
         self.dialog_by_idx.clear();

@@ -20,12 +20,11 @@
 //! | `FloodRegistrations` | floods a `BREG` at once | waits for the replica | `BREG` re-flood, 10 s | `BREG` |
 //! | `Hello(period)` | waits for the next HELLO | waits for the replica | `PHELLO`, every period | `PHELLO` |
 
-use std::collections::btree_map::{BTreeMap, Entry};
-
+use siphoc_routing::wire::{send_control, FloodMemory, Retention};
 use siphoc_simnet::ident::KeyPair;
 use siphoc_simnet::net::{ports, Addr, Datagram, L2Dst, SocketAddr};
-use siphoc_simnet::obs::{SpanCat, SpanId};
-use siphoc_simnet::process::{Ctx, LocalEvent, LocalKind, Process};
+use siphoc_simnet::obs::SpanCat;
+use siphoc_simnet::process::{Ctx, LocalEvent, LocalKind, Process, Timed};
 use siphoc_simnet::time::{SimDuration, SimTime};
 
 use crate::msg::SlpMsg;
@@ -96,8 +95,9 @@ const FLOOD_TTL: u8 = 16;
 const REFLOOD_INTERVAL: SimDuration = SimDuration::from_secs(10);
 /// Period of the registry purge.
 const PURGE_INTERVAL: SimDuration = SimDuration::from_secs(10);
-/// How long a handled flood is remembered.
-const SEEN_RETENTION: SimDuration = SimDuration::from_secs(60);
+/// How long a handled flood is remembered. One exactly 60 s old is
+/// forgotten.
+const SEEN_RETENTION: Retention = Retention::Below(SimDuration::from_secs(60));
 
 const TAG_QUERY: u64 = 1;
 const TAG_PURGE: u64 = 2;
@@ -116,10 +116,9 @@ struct Pending {
     /// already holds matches, and the reply waits for the full deadline
     /// so late answers from distant providers are included.
     exhaustive: bool,
-    /// Open observability span covering the lookup.
-    span: SpanId,
-    /// When the lookup started, for the `slp.lookup_us` histogram.
-    started_us: u64,
+    /// The lookup's span, and its start for the `slp.lookup_us`
+    /// histogram.
+    span: Timed,
 }
 
 /// The SLP daemon process.
@@ -131,8 +130,8 @@ pub struct SlpDaemon {
     /// Id of the last flood this node originated: a query, an `MRQST` or
     /// a `BREG`.
     last_flood: u32,
-    /// Other nodes' floods already handled, by `(origin, id)`.
-    seen: BTreeMap<(Addr, u32), SimTime>,
+    /// Other nodes' floods already handled.
+    seen: FloodMemory,
     /// When set, every local registration is signed with this key at
     /// creation time (the daemon is the single choke point where entries
     /// are born, so proxy and gateway adverts both come out signed).
@@ -149,7 +148,7 @@ impl SlpDaemon {
             registry,
             pending: Vec::new(),
             last_flood: 0,
-            seen: BTreeMap::new(),
+            seen: FloodMemory::default(),
             identity: None,
         }
     }
@@ -195,14 +194,9 @@ impl SlpDaemon {
         } else {
             ctx.stats().count("slp.lookup_sweep", 1);
         }
-        let span = ctx.span_enter(SpanCat::Slp, "slp.lookup");
-        // Wildcard lookups (e.g. the gateway probe's empty key) have no
-        // meaningful correlation; an empty key would render as its own
-        // bogus per-call group in the Chrome trace.
-        if !key.is_empty() {
-            ctx.obs().span_corr(span, &key);
-        }
-        let started_us = ctx.now_us();
+        // A wildcard lookup (the gateway probe's empty key) correlates
+        // with nothing.
+        let span = ctx.span_timed(SpanCat::Slp, "slp.lookup", &key);
         let qid = if self.mode.floods_lookups() {
             self.last_flood += 1;
             self.last_flood
@@ -225,7 +219,6 @@ impl SlpDaemon {
             retries_left: rounds - 1,
             exhaustive,
             span,
-            started_us,
         });
         ctx.set_timer(round, TAG_QUERY);
     }
@@ -322,22 +315,7 @@ impl SlpDaemon {
             ttl: FLOOD_TTL,
             entries,
         };
-        broadcast(ctx, "bcast_reg.flood", &msg);
-    }
-
-    /// Whether another node's flood `(origin, fid)` is new here; records
-    /// it if so.
-    fn first_sight(&mut self, ctx: &Ctx<'_>, origin: Addr, fid: u32) -> bool {
-        if origin == ctx.addr() {
-            return false;
-        }
-        match self.seen.entry((origin, fid)) {
-            Entry::Occupied(_) => false,
-            Entry::Vacant(slot) => {
-                slot.insert(ctx.now());
-                true
-            }
-        }
+        send_control(ctx, L2Dst::Broadcast, "bcast_reg.flood", &msg);
     }
 }
 
@@ -360,19 +338,18 @@ fn flood_lookup(ctx: &mut Ctx<'_>, mode: Dissemination, query: &ServiceQuery) {
                 service_type: query.service_type.clone(),
                 key: query.key.clone(),
             };
-            broadcast(ctx, "slp_std.mrqst", &msg);
+            send_control(ctx, L2Dst::Broadcast, "slp_std.mrqst", &msg);
         }
         _ => {}
     }
 }
 
 /// Answers a waiting lookup; empty `entries` means not found.
-fn answer(ctx: &mut Ctx<'_>, p: Pending, entries: Vec<ServiceEntry>) {
-    ctx.span_exit(p.span, !entries.is_empty());
+fn answer(ctx: &mut Ctx<'_>, mut p: Pending, entries: Vec<ServiceEntry>) {
+    let waited = p.span.close(ctx, !entries.is_empty());
     if entries.is_empty() && !p.exhaustive {
         ctx.stats().count("slp.lookup_failed", 1);
     } else {
-        let waited = ctx.now_us().saturating_sub(p.started_us);
         ctx.obs().hist_record("slp.lookup_us", waited);
     }
     reply(ctx, p.requester, p.xid, entries);
@@ -388,15 +365,6 @@ fn loopback_api() -> SocketAddr {
     SocketAddr::new(Addr::LOOPBACK, ports::SLP)
 }
 
-/// Broadcasts `msg` to the neighbours' daemons, counted under `counter`.
-fn broadcast(ctx: &mut Ctx<'_>, counter: &'static str, msg: &SlpMsg) {
-    let payload = msg.to_wire();
-    ctx.stats().count(counter, payload.len());
-    let src = SocketAddr::new(ctx.addr(), ports::SLP);
-    let dst = SocketAddr::new(Addr::BROADCAST, ports::SLP);
-    ctx.send_link(L2Dst::Broadcast, Datagram::new(src, dst, payload));
-}
-
 impl Process for SlpDaemon {
     fn name(&self) -> &'static str {
         match self.mode {
@@ -410,8 +378,8 @@ impl Process for SlpDaemon {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.bind(ports::SLP);
         ctx.take_local(&[LocalKind::HandlerUpdated]);
-        for p in self.pending.drain(..) {
-            ctx.span_exit(p.span, false);
+        for mut p in self.pending.drain(..) {
+            p.span.close(ctx, false);
         }
         // After a crash, learned entries may name nodes that left (the
         // paper's churn): keep only the node's own; gossip re-fills.
@@ -429,7 +397,7 @@ impl Process for SlpDaemon {
     }
 
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: &Datagram) {
-        let Ok(msg) = SlpMsg::parse(&dgram.payload) else {
+        let Ok(mut msg) = SlpMsg::parse(&dgram.payload) else {
             ctx.stats().count("slp.malformed", dgram.payload.len());
             return;
         };
@@ -491,17 +459,17 @@ impl Process for SlpDaemon {
             SlpMsg::McastRqst {
                 origin,
                 fid,
-                ttl,
+                ref mut ttl,
                 reply_to,
-                service_type,
-                key,
+                ref service_type,
+                ref key,
             } if self.mode == Dissemination::Multicast => {
-                if !self.first_sight(ctx, origin, fid) {
+                if !self.seen.first_sight(ctx.addr(), origin, fid, ctx.now()) {
                     return;
                 }
                 // Standard SLP service agents speak for themselves: the
                 // registry holds local registrations only.
-                let found = self.stored(&service_type, &key, ctx.now());
+                let found = self.stored(service_type, key, ctx.now());
                 if !found.is_empty() {
                     let rply = SlpMsg::SrvRply {
                         xid: fid,
@@ -513,16 +481,9 @@ impl Process for SlpDaemon {
                     // discovery.
                     ctx.send_to(reply_to, ports::SLP, rply);
                 }
-                if ttl > 1 {
-                    let fwd = SlpMsg::McastRqst {
-                        origin,
-                        fid,
-                        ttl: ttl - 1,
-                        reply_to,
-                        service_type,
-                        key,
-                    };
-                    broadcast(ctx, "slp_std.mrqst", &fwd);
+                if *ttl > 1 {
+                    *ttl -= 1;
+                    send_control(ctx, L2Dst::Broadcast, "slp_std.mrqst", &msg);
                 }
             }
             SlpMsg::SrvRply { xid, entries } if self.mode == Dissemination::Multicast => {
@@ -537,23 +498,18 @@ impl Process for SlpDaemon {
             SlpMsg::FloodReg {
                 origin,
                 fid,
-                ttl,
-                entries,
+                ref mut ttl,
+                ref entries,
             } if self.mode == Dissemination::FloodRegistrations => {
-                if !self.first_sight(ctx, origin, fid) {
+                if !self.seen.first_sight(ctx.addr(), origin, fid, ctx.now()) {
                     return;
                 }
-                for e in &entries {
+                for e in entries {
                     self.absorb(ctx, e.clone());
                 }
-                if ttl > 1 {
-                    let fwd = SlpMsg::FloodReg {
-                        origin,
-                        fid,
-                        ttl: ttl - 1,
-                        entries,
-                    };
-                    broadcast(ctx, "bcast_reg.flood", &fwd);
+                if *ttl > 1 {
+                    *ttl -= 1;
+                    send_control(ctx, L2Dst::Broadcast, "bcast_reg.flood", &msg);
                 }
             }
             SlpMsg::Hello { entries } if matches!(self.mode, Dissemination::Hello(_)) => {
@@ -573,8 +529,7 @@ impl Process for SlpDaemon {
             TAG_PURGE => {
                 let now = ctx.now();
                 self.registry.borrow_mut().purge(now);
-                self.seen
-                    .retain(|_, t| now.saturating_since(*t) < SEEN_RETENTION);
+                self.seen.forget(now, SEEN_RETENTION);
                 ctx.set_timer(PURGE_INTERVAL, TAG_PURGE);
             }
             TAG_PERIOD => {
@@ -588,7 +543,8 @@ impl Process for SlpDaemon {
                     // utilization of resources if the mappings remain
                     // unused" is the measured claim.
                     let entries = self.registry.borrow().all_entries(ctx.now());
-                    broadcast(ctx, "phello.hello", &SlpMsg::Hello { entries });
+                    let msg = SlpMsg::Hello { entries };
+                    send_control(ctx, L2Dst::Broadcast, "phello.hello", &msg);
                 }
                 ctx.set_timer(period, TAG_PERIOD);
             }
@@ -873,5 +829,37 @@ mod tests {
         w.run_for(SimDuration::from_secs(10));
         // The cited inefficiency: resources burned with zero users.
         assert!(w.stats(nodes[0].0).get("phello.hello").packets >= 4);
+    }
+
+    /// The flood memory under each caller's rule, at the boundary: AODV
+    /// forgets a RREQ exactly 10 s old, OLSR still holds a TC exactly
+    /// 30 s old and forgets it 1 µs later, and this daemon forgets a flood
+    /// exactly 60 s old. None takes a repeat, or the node's own flood, for
+    /// a first sight.
+    #[test]
+    fn each_flood_memory_keeps_its_callers_retention() {
+        use siphoc_routing::{aodv::RREQ_RETENTION, olsr::TC_RETENTION};
+        let (own, other) = (Addr::manet(0), Addr::manet(1));
+        let t0 = SimTime::from_secs(5);
+        // `(rule, the oldest age still held)`, in µs.
+        for (keep, held) in [
+            (RREQ_RETENTION, 9_999_999),
+            (TC_RETENTION, 30_000_000),
+            (SEEN_RETENTION, 59_999_999),
+        ] {
+            for (age, kept) in [(held, true), (held + 1, false)] {
+                let mut m = FloodMemory::default();
+                assert!(m.first_sight(own, other, 7, t0));
+                assert!(!m.first_sight(own, other, 7, t0), "a repeat");
+                assert!(!m.first_sight(own, own, 7, t0), "the node's own flood");
+                let now = t0 + SimDuration::from_micros(age);
+                m.forget(now, keep);
+                assert_eq!(
+                    m.first_sight(own, other, 7, now),
+                    !kept,
+                    "{keep:?} at {age} µs"
+                );
+            }
+        }
     }
 }

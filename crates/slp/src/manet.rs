@@ -7,6 +7,11 @@
 //! handler"). The handler piggybacks registrations onto routing control
 //! messages, absorbs the ones it sees, and — on AODV service-query RREQs
 //! — produces answers that ride back on the route reply (paper Fig. 5).
+//! It reads only a message's kind and entries: `collect_outgoing` offers
+//! every registration that may ride a message of that kind, and the
+//! routing process keeps what fits its piggyback budget;
+//! `process_incoming` needs neither the link sender nor the originator,
+//! since every record names its own origin.
 //!
 //! Dissemination style follows the routing protocol: with **AODV** the
 //! handler attaches the node's *own* registrations to originated control
@@ -16,7 +21,6 @@
 //! fully replicates and lookups are local
 //! ([`Dissemination::Proactive`]). Experiment E7 contrasts the two.
 
-use siphoc_simnet::net::Addr;
 use siphoc_simnet::process::{Ctx, LocalEvent};
 use siphoc_simnet::time::{SimDuration, SimTime};
 
@@ -99,16 +103,7 @@ impl ManetSlpHandler {
 }
 
 impl RoutingHandler for ManetSlpHandler {
-    fn name(&self) -> &'static str {
-        "manet-slp"
-    }
-
-    fn collect_outgoing(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        kind: MsgKind,
-        _budget: usize,
-    ) -> Vec<Vec<u8>> {
+    fn collect_outgoing(&mut self, ctx: &mut Ctx<'_>, kind: MsgKind) -> Vec<Vec<u8>> {
         let now = ctx.now();
         // Periodic vehicles are throttled; on-demand ones carry current
         // state (a service RREP must answer even if recently advertised).
@@ -147,8 +142,6 @@ impl RoutingHandler for ManetSlpHandler {
         &mut self,
         ctx: &mut Ctx<'_>,
         kind: MsgKind,
-        _from: Addr,
-        _origin: Addr,
         entries: &[Vec<u8>],
     ) -> Vec<Vec<u8>> {
         let now = ctx.now();
@@ -190,6 +183,7 @@ impl RoutingHandler for ManetSlpHandler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use siphoc_simnet::net::Addr;
     use siphoc_simnet::rng::SimRng;
 
     /// A log nobody prunes holds every name ever attached, for good.

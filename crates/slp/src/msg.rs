@@ -17,7 +17,8 @@
 use std::fmt;
 use std::str::{FromStr, SplitAsciiWhitespace};
 
-use siphoc_simnet::net::{Addr, SocketAddr};
+use siphoc_routing::wire::Control;
+use siphoc_simnet::net::{ports, Addr, SocketAddr};
 
 use crate::service::{ParseEntryError, ServiceEntry};
 
@@ -310,6 +311,13 @@ impl SlpMsg {
             },
             _ => return Err(ParseEntryError::new("unknown kind")),
         })
+    }
+}
+
+impl Control for SlpMsg {
+    const PORT: u16 = ports::SLP;
+    fn encode(&self) -> Vec<u8> {
+        self.to_wire()
     }
 }
 

@@ -6,6 +6,13 @@ cd "$(dirname "$0")/.."
 
 echo "lines of *.rs under crates/: $(find crates -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 
+# The same files, each counted up to its first `#[cfg(test)]`: the code
+# that ships, without the unit tests beside it.
+shipped=$(find crates -name '*.rs' -print0 |
+    xargs -0 awk 'FNR == 1 { t = 0 } /^[[:space:]]*#\[cfg\(test\)\]/ { t = 1 } !t { n++ } END { print n + 0 }' |
+    awk '{ s += $1 } END { print s + 0 }')
+echo "non-test lines of *.rs under crates/: ${shipped}"
+
 # `pub` fields of every `pub struct *Config` under crates/. VoipAppConfig
 # is left out: it is the paper's Fig. 2 account dialog, a file format
 # whose values are a user's deployment settings, not tuning knobs.

@@ -247,49 +247,86 @@ fn tracing_does_not_change_the_report() {
 }
 
 /// Without SLP piggyback traffic, a unicast toward an unknown address
-/// must go through real AODV route discovery — and leave a span plus a
-/// latency histogram behind.
+/// must go through real AODV route discovery. Each of the four ways a
+/// discovery ends closes its `route.discovery` span once: ok, with one
+/// `aodv.discovery_us` sample, when a RREP arrives or a ring's timer
+/// finds a route; not ok and with no sample when it gives up (counted as
+/// `aodv.discovery_failed`) or its node restarts (not counted).
 #[cfg(feature = "obs")]
 #[test]
 fn route_discovery_spans_without_piggyback() {
-    let mut w = World::new(WorldConfig::new(42).with_radio(RadioConfig::ideal()));
-    w.set_tracing(true);
-    let ids: Vec<NodeId> = (0..3)
-        .map(|i| w.add_node(NodeConfig::manet(i as f64 * 60.0, 0.0)))
-        .collect();
-    for &id in &ids {
-        w.spawn(id, Box::new(AodvProcess::new()));
-    }
-    w.run_for(SimDuration::from_millis(200));
-    let far = w.node(ids[2]).addr();
-    let src = SocketAddr::new(w.node(ids[0]).addr(), 9000);
-    w.inject(
-        ids[0],
-        Datagram::new(src, SocketAddr::new(far, 9000), vec![1, 2, 3]),
-    );
-    w.run_for(SimDuration::from_secs(2));
+    for end in ["rrep", "timer", "give up", "restart"] {
+        let mut w = World::new(WorldConfig::new(42).with_radio(RadioConfig::ideal()));
+        w.set_tracing(true);
+        let ids: Vec<NodeId> = (0..3)
+            .map(|i| w.add_node(NodeConfig::manet(i as f64 * 60.0, 0.0)))
+            .collect();
+        for &id in &ids {
+            w.spawn(id, Box::new(AodvProcess::new()));
+        }
+        w.run_for(SimDuration::from_millis(200));
+        // The chain's far end answers; nobody answers for manet(99).
+        let dst = match end {
+            "rrep" => w.node(ids[2]).addr(),
+            _ => Addr::manet(99),
+        };
+        let src = SocketAddr::new(w.node(ids[0]).addr(), 9000);
+        w.inject(
+            ids[0],
+            Datagram::new(src, SocketAddr::new(dst, 9000), vec![1, 2, 3]),
+        );
+        match end {
+            // A route turns up before the first ring's timer, 320 ms on.
+            "timer" => {
+                w.run_for(SimDuration::from_millis(100));
+                let route = Route {
+                    next_hop: w.node(ids[1]).addr(),
+                    hops: 2,
+                    expires: w.now() + SimDuration::from_secs(6),
+                    seq: 1,
+                };
+                w.install_route(ids[0], dst, route);
+            }
+            "restart" => {
+                w.run_for(SimDuration::from_secs(1));
+                w.set_node_up(ids[0], false);
+                w.set_node_up(ids[0], true);
+            }
+            _ => {}
+        }
+        w.run_for(SimDuration::from_secs(30));
+        let found = matches!(end, "rrep" | "timer");
 
-    let trace = read_back(&chrome_trace_json(&w.obs_spans()));
-    let discovery = events(&trace)
-        .iter()
-        .find(|e| e.get("name") == Some(&text("route.discovery")))
-        .unwrap_or_else(|| panic!("discovery span missing:\n{}", trace.to_pretty()));
-    assert_eq!(discovery.get("cat"), Some(&text("routing")));
-    assert_eq!(
-        discovery.get("args").and_then(|a| a.get("ok")),
-        Some(&Value::Bool(true)),
-        "discovery should succeed on an ideal chain"
-    );
-
-    let metrics = read_back(&w.obs_registry().to_json());
-    let latency = series(&metrics, "histograms", "aodv.discovery_us");
-    assert!(
-        latency
+        let trace = read_back(&chrome_trace_json(&w.obs_spans()));
+        // Only the source's own discovery: in "timer", the relay that the
+        // installed route names starts one of its own.
+        let spans: Vec<&Value> = events(&trace)
             .iter()
-            .any(|h| matches!(h.get("count"), Some(Value::Int(n)) if *n >= 1)),
-        "discovery latency histogram missing:\n{}",
-        metrics.to_pretty()
-    );
+            .filter(|e| e.get("name") == Some(&text("route.discovery")))
+            .filter(|e| e.get("args").and_then(|a| a.get("node")) == Some(&text("n0")))
+            .collect();
+        assert_eq!(spans.len(), 1, "{end}:\n{}", trace.to_pretty());
+        let args = spans[0].get("args");
+        assert_eq!(spans[0].get("cat"), Some(&text("routing")));
+        assert_eq!(args.and_then(|a| a.get("note")), None, "{end}: left open");
+        assert_eq!(
+            args.and_then(|a| a.get("ok")),
+            Some(&Value::Bool(found)),
+            "{end}"
+        );
+
+        let metrics = read_back(&w.obs_registry().to_json());
+        let samples: u64 = series(&metrics, "histograms", "aodv.discovery_us")
+            .iter()
+            .map(|h| match h.get("count") {
+                Some(Value::Int(n)) => *n,
+                _ => 0,
+            })
+            .sum();
+        assert_eq!(samples, u64::from(found), "{end}");
+        let failed = w.stats(ids[0]).get("aodv.discovery_failed").packets;
+        assert_eq!(failed, u64::from(end == "give up"), "{end}");
+    }
 }
 
 /// Every `NodeStats` counter is bridged into the registry under its own
