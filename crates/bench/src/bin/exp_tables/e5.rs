@@ -63,7 +63,7 @@ fn run_one(seed: u64, hops: usize) -> Option<[f64; 2]> {
         .map(|step| SimTime::from_millis(100 * step))
         .find(|at| {
             w.run_until(*at);
-            w.node(alice.id).local_addrs().len() > 1
+            w.node(alice.id).local_addrs().nth(1).is_some()
         })?;
     w.run_until(SimTime::from_secs(60));
     let setup = call_setup(&alice, 0)?;

@@ -54,7 +54,7 @@ pub fn pool_of(lease: Addr) -> Addr {
 
 /// The public addresses `node` holds now: its gateway leases.
 pub fn public_addrs(world: &World, node: NodeId) -> Vec<Addr> {
-    let addrs = world.node(node).local_addrs().iter().copied();
+    let addrs = world.node(node).local_addrs();
     addrs.filter(|a| a.is_public()).collect()
 }
 

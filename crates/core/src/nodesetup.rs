@@ -394,6 +394,6 @@ mod tests {
         assert!(w
             .node(n.id)
             .local_addrs()
-            .contains(&Addr::new(82, 130, 64, 1)));
+            .any(|a| a == Addr::new(82, 130, 64, 1)));
     }
 }

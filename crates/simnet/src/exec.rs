@@ -14,7 +14,7 @@ use std::borrow::Cow;
 use crate::fault::{corrupt_payload, FaultAction, PacketFaultKind};
 use crate::net::{Addr, Datagram, L2Dst};
 use crate::node::{NodeId, PendingPacket, NO_PROC};
-use crate::process::{Ctx, Effect, LocalEvent};
+use crate::process::{Ctx, Effect, LocalEvent, Routes};
 use crate::radio::{tx_time, Frame, BACKOFF_MAX, PROP_DELAY, UNICAST_RETRIES};
 use crate::time::SimDuration;
 use crate::trace::{TraceEntry, TraceKind};
@@ -210,15 +210,18 @@ impl World {
             Own::Deliver { dgram, via } => self.deliver(node, Cow::Owned(dgram), via),
             Own::Local { exclude, ev } => {
                 // The node's processes, read once: process 0's slot from
-                // the receive column, the rest from `Node::procs`. Whether
-                // a process takes the kind is read as its turn comes.
+                // the receive column, the rest from `ProtoState::procs`.
+                // Whether a process takes the kind is read as its turn
+                // comes.
                 let bit = ev.kind().bit();
                 let mut slots = std::mem::take(&mut self.scratch.slots);
                 slots.clear();
                 let proc0 = self.recv[node.0 as usize].proc0;
                 if proc0 != NO_PROC {
                     slots.push(proc0);
-                    slots.extend_from_slice(&self.nodes[node.0 as usize].procs);
+                    if let Some(p) = &self.nodes[node.0 as usize].proto {
+                        slots.extend_from_slice(&p.procs);
+                    }
                 }
                 for &slot in &slots {
                     if self.procs[slot as usize].takes & bit != 0 && Some(slot) != exclude {
@@ -235,8 +238,11 @@ impl World {
     fn sweep_pending(&mut self, node: NodeId) {
         let now = self.now;
         let n = &mut self.nodes[node.0 as usize];
+        let Some(p) = n.proto.as_deref_mut() else {
+            return;
+        };
         let stats = &mut n.stats;
-        n.pending.retain(|_, pkts| {
+        p.pending.retain(|_, pkts| {
             pkts.retain(|p| {
                 let keep = p.deadline > now;
                 if !keep {
@@ -252,7 +258,10 @@ impl World {
     /// What it needs before the process runs comes from the dense
     /// columns: its liveness and `has_wired` from `hot`, its address
     /// from `recv`. The `Ctx` borrows the node's RNG, routes and
-    /// counters, which only a process that uses them reads.
+    /// counters, which only a process that uses them reads; a node's
+    /// first mutable use of its routes boxes its [`ProtoState`].
+    ///
+    /// [`ProtoState`]: crate::node::ProtoState
     fn call_proc(&mut self, node: NodeId, slot: u32, kind: CallKind<'_>) {
         let now = self.now;
         let h = &self.hot[node.0 as usize];
@@ -275,8 +284,8 @@ impl World {
                 now,
                 addr,
                 has_wired,
-                rng: &mut n.rng,
-                routes: &mut n.routes,
+                rng: &mut n.tx.rng,
+                routes: Routes::Node(&mut n.proto),
                 stats: &mut n.stats,
                 obs: &mut n.obs,
                 effects: &mut effects,
@@ -298,7 +307,7 @@ impl World {
         for effect in effects.drain(..) {
             match effect {
                 Effect::Bind(port) => self.bind(node, port, slot),
-                Effect::Send(dgram) => self.route_and_send(node, dgram, false),
+                Effect::Send(dgram) => self.route_and_send(node, dgram),
                 Effect::SendLink { dst, dgram } => self.enqueue_frame(node, dst, dgram),
                 Effect::SetTimer { delay, token } => {
                     self.arm(delay, node, Own::Timer { proc: slot, token });
@@ -310,30 +319,39 @@ impl World {
                 Effect::TakeLocal(mask) => self.procs[slot as usize].takes = mask,
                 Effect::AddLocalAddr(a) => {
                     let n = &mut self.nodes[node.0 as usize];
-                    if !n.local_addrs.contains(&a) {
-                        n.local_addrs.push(a);
+                    if a != n.addr {
+                        let aliases = &mut n.proto_mut().aliases;
+                        if !aliases.contains(&a) {
+                            aliases.push(a);
+                        }
                     }
                 }
                 Effect::RemoveLocalAddr(a) => {
-                    let n = &mut self.nodes[node.0 as usize];
-                    n.local_addrs.retain(|x| *x != a);
+                    if let Some(p) = &mut self.nodes[node.0 as usize].proto {
+                        p.aliases.retain(|x| *x != a);
+                    }
                 }
                 Effect::ClaimPublicAddr(a) => {
                     self.addr_map.insert(a, node);
-                    self.nodes[node.0 as usize].addr_handlers.insert(a, slot);
+                    let n = &mut self.nodes[node.0 as usize];
+                    n.proto_mut().addr_handlers.insert(a, slot);
                 }
                 Effect::ReleasePublicAddr(a) => {
                     if self.node_by_addr(a) == Some(node) {
                         self.addr_map.remove(&a);
                     }
-                    self.nodes[node.0 as usize].addr_handlers.remove(&a);
+                    if let Some(p) = &mut self.nodes[node.0 as usize].proto {
+                        p.addr_handlers.remove(&a);
+                    }
                 }
-                Effect::SetDefaultHandler(enabled) => {
-                    let n = &mut self.nodes[node.0 as usize];
-                    if enabled {
-                        n.default_handler = Some(slot);
-                    } else if n.default_handler == Some(slot) {
-                        n.default_handler = None;
+                Effect::SetDefaultHandler(true) => {
+                    self.nodes[node.0 as usize].proto_mut().default_handler = Some(slot);
+                }
+                Effect::SetDefaultHandler(false) => {
+                    if let Some(p) = &mut self.nodes[node.0 as usize].proto {
+                        if p.default_handler == Some(slot) {
+                            p.default_handler = None;
+                        }
                     }
                 }
             }
@@ -341,7 +359,8 @@ impl World {
     }
 
     /// Binds `port` on `node` to the process in `slot`: the node's first
-    /// binding goes to its `RecvEntry`, later ones to its port map.
+    /// binding goes to its `RecvEntry`, later ones to the port map in its
+    /// `ProtoState`.
     ///
     /// # Panics
     ///
@@ -355,7 +374,10 @@ impl World {
         } else if r.port == port {
             r.port_proc
         } else {
-            self.nodes[node.0 as usize].port_bindings.bind(port, slot)
+            self.nodes[node.0 as usize]
+                .proto_mut()
+                .port_bindings
+                .bind(port, slot)
         };
         if holder != slot {
             let name = self.procs[slot as usize]
@@ -374,7 +396,8 @@ impl World {
         } else if r.port == port {
             Some(r.port_proc)
         } else {
-            self.nodes[node.0 as usize].port_bindings.get(port)
+            let proto = self.nodes[node.0 as usize].proto.as_deref();
+            proto.and_then(|p| p.port_bindings.get(port))
         }
     }
 
@@ -382,39 +405,51 @@ impl World {
     // Forwarding
     // ------------------------------------------------------------------
 
-    /// Routes a datagram out of `node`. `forwarded` marks transit traffic,
-    /// which has its TTL decremented.
-    pub(crate) fn route_and_send(&mut self, node: NodeId, dgram: Datagram, forwarded: bool) {
+    /// Sends a datagram that starts at `node`: one a process sent, a test
+    /// injected or a route discovery released. A broadcast goes on the
+    /// air, a datagram for the node itself over loopback, and anything
+    /// else to [`World::route`].
+    pub(crate) fn route_and_send(&mut self, node: NodeId, dgram: Datagram) {
         if !self.hot[node.0 as usize].up {
             return;
         }
         let n = &mut self.nodes[node.0 as usize];
-        let dst = dgram.dst;
-        if dst.addr.is_broadcast() {
-            n.stats.count("radio.bcast_tx", dgram.wire_len());
+        if dgram.dst.addr.is_broadcast() {
+            n.tx.bcast_tx.add(dgram.wire_len());
             self.enqueue_frame(node, L2Dst::Broadcast, dgram);
             return;
         }
-        if n.is_local_addr(dst.addr) {
+        if n.is_local_addr(dgram.dst.addr) {
             self.record(node, TraceKind::Loopback, None, &dgram);
             let via = Via::Loopback;
             self.arm(LOOPBACK_DELAY, node, Own::Deliver { dgram, via });
             return;
         }
+        self.route(node, dgram);
+    }
 
-        let mut dgram = dgram;
-        if forwarded {
-            if dgram.ttl <= 1 {
-                n.stats.count("drop.ttl", dgram.wire_len());
-                return;
-            }
-            dgram.ttl -= 1;
-            n.stats.count("fwd", dgram.wire_len());
-        }
-
-        let now = self.now;
+    /// Forwards transit traffic, which [`World::deliver`] found to be
+    /// neither a broadcast nor for `node`: steps its TTL and routes it.
+    fn forward(&mut self, node: NodeId, mut dgram: Datagram) {
         let n = &mut self.nodes[node.0 as usize];
-        if let Some(route) = n.routes.lookup_active(dst.addr, now) {
+        if dgram.ttl <= 1 {
+            n.stats.count("drop.ttl", dgram.wire_len());
+            return;
+        }
+        dgram.ttl -= 1;
+        n.tx.fwd.add(dgram.wire_len());
+        self.route(node, dgram);
+    }
+
+    /// Routes a unicast datagram that is not for `node`: to the next hop
+    /// of an active route, over the uplink or to the default handler if
+    /// its destination is public, or parked while a route is discovered.
+    fn route(&mut self, node: NodeId, dgram: Datagram) {
+        let now = self.now;
+        let dst = dgram.dst;
+        let n = &mut self.nodes[node.0 as usize];
+        let proto = n.proto.as_deref_mut();
+        if let Some(route) = proto.and_then(|p| p.routes.lookup_active(dst.addr, now)) {
             self.enqueue_frame(node, L2Dst::Unicast(route.next_hop), dgram);
             return;
         }
@@ -424,7 +459,7 @@ impl World {
             return;
         }
         if dst.addr.is_public() {
-            if let Some(h) = n.default_handler {
+            if let Some(h) = n.proto.as_deref().and_then(|p| p.default_handler) {
                 let via = Via::Handler(h);
                 self.arm(SIGNAL_DELAY, node, Own::Deliver { dgram, via });
             } else {
@@ -435,8 +470,8 @@ impl World {
         if dst.addr.is_manet() && n.has_radio {
             let deadline = now + PENDING_TIMEOUT;
             let wire = dgram.wire_len();
-            let n = &mut self.nodes[node.0 as usize];
-            n.pending
+            n.proto_mut()
+                .pending
                 .entry(dst.addr)
                 .or_default()
                 .push(PendingPacket { dgram, deadline });
@@ -457,33 +492,35 @@ impl World {
             return;
         }
         let now = self.now;
-        let n = &mut self.nodes[node.0 as usize];
+        // Parking a datagram boxed the node's state.
+        let Some(p) = self.nodes[node.0 as usize].proto.as_deref() else {
+            return;
+        };
         // Destination list goes through the reused scratch buffer
         // (route_and_send below never re-enters flush_pending).
         let mut ready = std::mem::take(&mut self.scratch.ready);
         debug_assert!(ready.is_empty());
         ready.extend(
-            n.pending
+            p.pending
                 .keys()
-                .filter(|d| n.routes.lookup(**d, now).is_some())
+                .filter(|d| p.routes.lookup(**d, now).is_some())
                 .copied(),
         );
         // `pending` is a hash map; fix the flush order so re-sends (and
         // the events they schedule) are independent of hasher internals.
         ready.sort_unstable();
         for &dst in &ready {
-            let pkts = self.nodes[node.0 as usize]
-                .pending
-                .remove(&dst)
-                .unwrap_or_default();
-            for p in pkts {
+            let proto = self.nodes[node.0 as usize].proto.as_deref_mut();
+            let pkts = proto.and_then(|p| p.pending.remove(&dst));
+            for p in pkts.unwrap_or_default() {
                 // TTL was already decremented (if transit) before parking.
-                self.route_and_send(node, p.dgram, false);
+                self.route_and_send(node, p.dgram);
             }
         }
         ready.clear();
         self.scratch.ready = ready;
-        self.hot[node.0 as usize].parked = !self.nodes[node.0 as usize].pending.is_empty();
+        let proto = self.nodes[node.0 as usize].proto.as_deref();
+        self.hot[node.0 as usize].parked = proto.is_some_and(|p| !p.pending.is_empty());
     }
 
     fn wired_send(&mut self, node: NodeId, dgram: Datagram) {
@@ -506,7 +543,7 @@ impl World {
             if max == 0 {
                 0
             } else {
-                n.rng.range_u64(0, max)
+                n.tx.rng.range_u64(0, max)
             }
         };
         self.nodes[node.0 as usize].stats.count("wired.tx", wire);
@@ -531,8 +568,8 @@ impl World {
             n.stats.count("drop.no_radio", dgram.wire_len());
             return;
         }
-        let idle = n.tx_queue.is_empty();
-        n.tx_queue.push_back(Frame {
+        let idle = n.tx.queue.is_empty();
+        n.tx.queue.push_back(Frame {
             dst,
             dgram,
             retries_left: UNICAST_RETRIES,
@@ -573,7 +610,7 @@ impl World {
     fn start_tx(&mut self, node: NodeId) {
         let radio = self.cfg.radio;
         let now = self.now;
-        if self.nodes[node.0 as usize].tx_queue.is_empty() {
+        if self.nodes[node.0 as usize].tx.queue.is_empty() {
             return;
         }
         // Carrier sense: defer while any node in range is on the air.
@@ -584,7 +621,7 @@ impl World {
                 .iter()
                 .filter_map(|&id| {
                     let h = &self.hot[id.0 as usize];
-                    let until = self.nodes[id.0 as usize].tx_until;
+                    let until = self.nodes[id.0 as usize].tx.until;
                     (h.up
                         && until > now
                         && crate::mobility::distance(pos, h.position(now)) <= radio.range)
@@ -595,7 +632,7 @@ impl World {
             if let Some(until) = busy_until {
                 let backoff = {
                     let n = &mut self.nodes[node.0 as usize];
-                    SimDuration::from_micros(n.rng.range_u64(0, BACKOFF_MAX.as_micros()))
+                    SimDuration::from_micros(n.tx.rng.range_u64(0, BACKOFF_MAX.as_micros()))
                 };
                 self.nodes[node.0 as usize].stats.count("radio.cs_defer", 0);
                 self.arm_at(until + backoff, node, Own::TxStart);
@@ -603,11 +640,11 @@ impl World {
             }
         }
         let n = &mut self.nodes[node.0 as usize];
-        let front = n.tx_queue.front().expect("checked above");
+        let front = n.tx.queue.front().expect("checked above");
         let wire = front.dgram.wire_len();
-        let t = tx_time(wire, &mut n.rng);
+        let t = tx_time(wire, &mut n.tx.rng);
         n.obs.hist_record("radio.airtime_us", t.as_micros());
-        n.tx_until = now + t;
+        n.tx.until = now + t;
         self.arm(t, node, Own::TxDone);
     }
 
@@ -615,7 +652,7 @@ impl World {
         let radio = self.cfg.radio;
         let now = self.now;
         let n = &mut self.nodes[node.0 as usize];
-        let Some(front) = n.tx_queue.front() else {
+        let Some(front) = n.tx.queue.front() else {
             return;
         };
         let pos = self.hot[node.0 as usize].position(now);
@@ -625,8 +662,8 @@ impl World {
             L2Dst::Broadcast => {
                 // A broadcast is never retried: the frame leaves the queue
                 // here and its datagram moves into the event scheduled below.
-                let dgram = n.tx_queue.pop_front().expect("front checked").dgram;
-                n.stats.count("radio.tx", wire);
+                let dgram = n.tx.queue.pop_front().expect("front checked").dgram;
+                n.tx.tx.add(wire);
                 self.record(node, TraceKind::RadioTx, None, &dgram);
                 // Per-receiver loss draws below consume the transmitter's
                 // RNG in iteration order, so the candidate order (node id)
@@ -657,7 +694,7 @@ impl World {
                     }
                     let lost = {
                         let n = &mut self.nodes[node.0 as usize];
-                        loss.sample_loss(dist, &mut n.rng)
+                        loss.sample_loss(dist, &mut n.tx.rng)
                     };
                     if !lost {
                         if faults_active {
@@ -694,27 +731,27 @@ impl World {
                         && !radio
                             .loss
                             .prepare(radio.range)
-                            .sample_loss(dist, &mut self.nodes[node.0 as usize].rng)
+                            .sample_loss(dist, &mut self.nodes[node.0 as usize].tx.rng)
                 });
                 let n = &mut self.nodes[node.0 as usize];
                 if let Some(target) = target {
-                    let dgram = n.tx_queue.pop_front().expect("front checked").dgram;
-                    n.stats.count("radio.tx", wire);
+                    let dgram = n.tx.queue.pop_front().expect("front checked").dgram;
+                    n.tx.tx.add(wire);
                     self.record(node, TraceKind::RadioTx, None, &dgram);
                     self.deliver_radio_frame(node, target, dgram);
                     self.start_tx(node);
                 } else if retries_left > 0 {
-                    n.stats.count("radio.retx", wire);
-                    if let Some(f) = n.tx_queue.front_mut() {
+                    n.tx.retx.add(wire);
+                    if let Some(f) = n.tx.queue.front_mut() {
                         f.retries_left -= 1;
                     }
                     // Stay busy: retransmit after another full TX time.
-                    let t = tx_time(wire, &mut n.rng);
+                    let t = tx_time(wire, &mut n.tx.rng);
                     n.obs.hist_record("radio.airtime_us", t.as_micros());
-                    n.tx_until = now + t;
+                    n.tx.until = now + t;
                     self.arm(t, node, Own::TxDone);
                 } else {
-                    let dgram = n.tx_queue.pop_front().expect("front checked").dgram;
+                    let dgram = n.tx.queue.pop_front().expect("front checked").dgram;
                     n.stats.count("drop.l2_fail", wire);
                     self.record(node, TraceKind::Drop, Some("l2-retries-exhausted"), &dgram);
                     let ev = LocalEvent::LinkTxFailed { neighbor };
@@ -812,7 +849,9 @@ impl World {
 
     /// Delivers `dgram` to `node`. A radio broadcast reads only the
     /// dense columns (`hot`, `recv`, the process arena) unless the node
-    /// bound the frame's port after its first binding.
+    /// bound the frame's port after its first binding. A unicast is
+    /// checked for locality here, once: what is not for the node is
+    /// forwarded unchecked.
     fn deliver(&mut self, node: NodeId, dgram: Cow<'_, Datagram>, via: Via) {
         if !self.hot[node.0 as usize].up {
             return;
@@ -842,11 +881,15 @@ impl World {
             return;
         }
         let n = &self.nodes[node.0 as usize];
-        if let Some(&slot) = n.addr_handlers.get(&dst.addr) {
+        let claimed = n
+            .proto
+            .as_deref()
+            .and_then(|p| p.addr_handlers.get(&dst.addr));
+        if let Some(&slot) = claimed {
             self.call_proc(node, slot, CallKind::Datagram(&dgram));
             return;
         }
-        if n.is_local_addr(dst.addr) {
+        if n.answers_to(dst.addr) {
             if let Some(slot) = self.bound(node, dst.port) {
                 self.call_proc(node, slot, CallKind::Datagram(&dgram));
             } else {
@@ -857,7 +900,7 @@ impl World {
             return;
         }
         // Transit traffic: forward.
-        self.route_and_send(node, dgram.into_owned(), true);
+        self.forward(node, dgram.into_owned());
     }
 
     fn record(
@@ -1102,7 +1145,11 @@ mod tests {
 
     /// `radio.rx` lives in the receive column; each node's registry row,
     /// and its `World::stats`, count exactly its `RadioRx` trace entries
-    /// — broadcasts in batches, unicasts one by one, lossy channel.
+    /// — broadcasts in batches, unicasts one by one, lossy channel. The
+    /// four counters in `Transmit` (`radio.bcast_tx`, `radio.tx`,
+    /// `radio.retx`, `fwd`) each count here, and `World::stats`,
+    /// `total_stats` and the registry report each under its name; a node
+    /// that never sent reports none of the four, not a zero.
     #[test]
     fn each_nodes_radio_rx_row_counts_its_radio_receptions() {
         let mut w = World::new(WorldConfig::new(53));
@@ -1115,8 +1162,9 @@ mod tests {
                 ))
             })
             .collect();
+        let silent = w.add_node(NodeConfig::manet(90.0, 30.0));
         let seen = Seen::default();
-        for (idx, &id) in ids.iter().enumerate() {
+        for (idx, &id) in ids.iter().chain([&silent]).enumerate() {
             w.spawn(id, Box::new(multi(idx, &[9000], &seen)));
         }
         w.run_for(SimDuration::from_millis(1));
@@ -1129,22 +1177,62 @@ mod tests {
                 w.inject(id, dgram(src, next, 9000));
             }
         }
+        // Two hops: node 1 forwards what node 0 sends to node 2.
+        let [a0, a1, a2] = [0, 1, 2].map(|k| w.node(ids[k]).addr());
+        w.install_route(
+            ids[0],
+            a2,
+            Route {
+                hops: 2,
+                ..direct(a1)
+            },
+        );
+        for _ in 0..5 {
+            w.inject(ids[0], dgram(a0, a2, 9000));
+        }
         w.run_for(SimDuration::from_secs(2));
         assert_eq!(w.trace().evicted(), 0);
         let reg = w.obs_registry();
+        let traced = |id: NodeId, kind: TraceKind| {
+            let entries = w.trace().entries();
+            entries.filter(|e| e.node == id && e.kind == kind).count() as u64
+        };
         let mut total = 0;
-        for &id in &ids {
-            let traced = w
-                .trace()
-                .entries()
-                .filter(|e| e.node == id && e.kind == TraceKind::RadioRx)
-                .count() as u64;
+        for &id in ids.iter().chain([&silent]) {
+            let rx = traced(id, TraceKind::RadioRx);
             let label = id.to_string();
-            assert_eq!(reg.counter("radio.rx", &[("node", &label)]), traced, "{id}");
-            assert_eq!(w.stats(id).get("radio.rx").packets, traced, "{id}");
-            total += traced;
+            assert_eq!(reg.counter("radio.rx", &[("node", &label)]), rx, "{id}");
+            assert_eq!(w.stats(id).get("radio.rx").packets, rx, "{id}");
+            let tx = traced(id, TraceKind::RadioTx);
+            assert_eq!(reg.counter("radio.tx", &[("node", &label)]), tx, "{id}");
+            total += rx;
         }
         assert!(total > 100, "{total} receptions");
         assert_eq!(w.total_stats().get("radio.rx").packets, total);
+
+        let sent = crate::node::Transmit::NAMES;
+        for name in sent {
+            let mut sum = crate::stats::Counter::default();
+            for &id in &ids {
+                let c = w.stats(id).get(name);
+                let label = id.to_string();
+                let labels = [("node", label.as_str())];
+                assert_eq!(reg.counter(name, &labels), c.packets, "{name} {id}");
+                assert_eq!(reg.counter(&format!("{name}_bytes"), &labels), c.bytes);
+                sum.merge(c);
+            }
+            assert!(sum.packets > 0, "{name} never counted");
+            assert_eq!(w.total_stats().get(name), sum, "{name}");
+        }
+
+        assert!(w.stats(silent).get("radio.rx").packets > 0);
+        let names: Vec<&str> = w.stats(silent).iter().map(|(n, _)| n).collect();
+        assert_eq!(names, ["radio.rx"]);
+        let doc = reg.to_json();
+        let counters = doc.get("counters").expect("counters");
+        for name in sent {
+            let key = format!("{name}{{node={silent}}}");
+            assert!(counters.get(&key).is_none(), "{key} is reported");
+        }
     }
 }

@@ -2,7 +2,13 @@
 //!
 //! A node bundles a network stack (addresses, port bindings, forwarding
 //! table, transmit queue) with the set of [`Process`]es running on it,
-//! which the world keeps in one arena (`World::procs`). Nodes
+//! which the world keeps in one arena (`World::procs`). What every radio
+//! node uses on every frame — its transmit queue, its RNG and the
+//! counters a send writes — is inline in its [`Node`], in one
+//! [`Transmit`]; what only a node that runs a protocol stack uses —
+//! aliases, a second port or process, claimed addresses, the default
+//! handler, routes and parked datagrams — is in one [`ProtoState`]
+//! box, created on first use. A beacon node never creates it. Nodes
 //! come in three kinds, mirroring the paper's deployment:
 //!
 //! * **MANET** nodes — radio only (the laptops/iPAQs),
@@ -208,11 +214,11 @@ pub(crate) struct RecvEntry {
     /// As `Node::addr`.
     pub addr: Addr,
     /// Arena slot of the node's process 0; [`NO_PROC`] until one is
-    /// spawned. Processes 1.. are in `Node::procs`.
+    /// spawned. Processes 1.. are in `ProtoState::procs`.
     pub proc0: u32,
     /// Arena slot of the process bound to `port`, the node's first
     /// binding; [`NO_PROC`] until it binds one. Later bindings are in
-    /// `Node::port_bindings`.
+    /// `ProtoState::port_bindings`.
     pub port_proc: u32,
     pub port: u16,
 }
@@ -248,7 +254,7 @@ pub(crate) struct HotNode {
     /// Whether the node has a wired (Internet) interface, and this its
     /// only home; fixed at creation.
     pub has_wired: bool,
-    /// Whether `Node::pending` holds anything, between events: set when
+    /// Whether `ProtoState::pending` holds anything, between events: set when
     /// a datagram parks, cleared by a crash and by the flush that ends
     /// every event on the node (a sweep's too) once nothing is left. A
     /// delivery flushes only a node that has it set.
@@ -303,6 +309,80 @@ impl HotNode {
     }
 }
 
+/// What a radio send touches of its node, inline in the [`Node`]: the
+/// transmit queue, the end of the frame on the air, the RNG that draws
+/// airtime and loss, and the four counters `simnet::exec` writes once
+/// per frame. `World::stats` reports each counter under its name once
+/// it has counted, as if it were in the node's [`NodeStats`].
+#[derive(Debug)]
+pub(crate) struct Transmit {
+    /// The frame on the air or waiting for the carrier first; the radio
+    /// is busy exactly while it is not empty.
+    pub queue: TxQueue,
+    pub until: SimTime,
+    pub rng: SimRng,
+    /// `radio.bcast_tx`: broadcasts handed to the radio.
+    pub bcast_tx: Counter,
+    /// `radio.tx`: frames that left the radio.
+    pub tx: Counter,
+    /// `radio.retx`: unicast retransmissions.
+    pub retx: Counter,
+    /// `fwd`: transit datagrams routed on.
+    pub fwd: Counter,
+}
+
+impl Transmit {
+    /// The names [`Transmit::counters`] are reported under, in order.
+    pub(crate) const NAMES: [&'static str; 4] = ["radio.bcast_tx", "radio.tx", "radio.retx", "fwd"];
+
+    pub(crate) fn counters(&self) -> [Counter; 4] {
+        [self.bcast_tx, self.tx, self.retx, self.fwd]
+    }
+}
+
+/// What a node holds only once it runs more than a one-process,
+/// one-port, route-less radio stack, behind one box in `Node::proto`:
+/// created by the first alias, second process or binding, claimed
+/// address, default handler, route (`Ctx::routes`,
+/// `World::install_route`) or parked datagram, and kept for the rest of
+/// the run.
+#[derive(Debug, Default)]
+pub(crate) struct ProtoState {
+    /// Addresses the node answers to besides `Node::addr`, such as a
+    /// leased tunnel address.
+    pub aliases: Vec<Addr>,
+    /// Arena slots (`World::procs`) of processes 1.., in spawn order;
+    /// process 0's is in the node's [`RecvEntry`].
+    pub procs: Vec<u32>,
+    pub port_bindings: PortMap,
+    /// Public addresses claimed by a process, with its arena slot.
+    pub addr_handlers: FastMap<Addr, u32>,
+    /// Arena slot of the process that handles the default route.
+    pub default_handler: Option<u32>,
+    pub routes: RoutingTable,
+    pub pending: FastMap<Addr, Vec<PendingPacket>>,
+}
+
+impl ProtoState {
+    /// Bytes of heap the box and what it holds occupy, by capacity.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let parked: usize = self.pending.values().map(Vec::capacity).sum();
+        size_of::<ProtoState>()
+            + self.aliases.capacity() * size_of::<Addr>()
+            + self.procs.capacity() * size_of::<u32>()
+            + self.port_bindings.0.capacity() * size_of::<(u16, u32)>()
+            + self.addr_handlers.capacity() * size_of::<(Addr, u32)>()
+            + self.routes.heap_bytes()
+            + self.pending.capacity() * size_of::<(Addr, Vec<PendingPacket>)>()
+            + parked * size_of::<PendingPacket>()
+    }
+}
+
+/// The table `Node::routes` and `Ctx::routes_ref` read on a node that
+/// has no [`ProtoState`].
+pub(crate) static NO_ROUTES: RoutingTable = RoutingTable::new();
+
 /// A host in the simulated network. Public accessors expose read-only state
 /// for tests and experiment harnesses; mutation happens through the world.
 ///
@@ -311,32 +391,20 @@ impl HotNode {
 /// included, in the world's arena.
 pub struct Node {
     pub(crate) addr: Addr,
-    pub(crate) local_addrs: Vec<Addr>,
     pub(crate) has_radio: bool,
-    /// What a random-waypoint node draws its next leg from; `None` for
-    /// a static node. Its current leg is in its arena entry ([`HotNode`]).
-    pub(crate) waypoint: Option<Box<(WaypointParams, Area)>>,
     /// Which mobility model the node is on: `World::set_mobility` bumps
     /// it, and a replan armed under an earlier one is dropped (see
     /// `exec::Event::Replan`).
     pub(crate) mobility_gen: u32,
-    /// Arena slots (`World::procs`) of processes 1.., in spawn order;
-    /// process 0's is in the node's [`RecvEntry`].
-    pub(crate) procs: Vec<u32>,
-    pub(crate) port_bindings: PortMap,
-    /// Public addresses claimed by a process, with its arena slot.
-    pub(crate) addr_handlers: FastMap<Addr, u32>,
-    /// Arena slot of the process that handles the default route.
-    pub(crate) default_handler: Option<u32>,
-    pub(crate) routes: RoutingTable,
-    pub(crate) pending: FastMap<Addr, Vec<PendingPacket>>,
-    /// The frame on the air or waiting for the carrier first; the radio
-    /// is busy exactly while it is not empty.
-    pub(crate) tx_queue: TxQueue,
-    pub(crate) tx_until: SimTime,
-    pub(crate) rng: SimRng,
+    /// What a random-waypoint node draws its next leg from; `None` for
+    /// a static node. Its current leg is in its arena entry ([`HotNode`]).
+    pub(crate) waypoint: Option<Box<(WaypointParams, Area)>>,
+    pub(crate) tx: Transmit,
+    /// `None` until the node first needs it (see [`ProtoState`]).
+    pub(crate) proto: Option<Box<ProtoState>>,
     /// Every counter but `radio.rx`, which is in the node's
-    /// [`RecvEntry`]; `World::stats` reports both.
+    /// [`RecvEntry`], and the four in its [`Transmit`]; `World::stats`
+    /// reports them all.
     pub(crate) stats: NodeStats,
     pub(crate) obs: siphoc_obs::NodeObs,
 }
@@ -345,22 +413,27 @@ impl Node {
     pub(crate) fn new(addr: Addr, cfg: &NodeConfig, rng: SimRng) -> Node {
         Node {
             addr,
-            local_addrs: vec![addr],
             has_radio: cfg.radio,
-            waypoint: None,
             mobility_gen: 0,
-            procs: Vec::new(),
-            port_bindings: PortMap::default(),
-            addr_handlers: FastMap::default(),
-            default_handler: None,
-            routes: RoutingTable::new(),
-            pending: FastMap::default(),
-            tx_queue: TxQueue::default(),
-            tx_until: SimTime::ZERO,
-            rng,
+            waypoint: None,
+            tx: Transmit {
+                queue: TxQueue::default(),
+                until: SimTime::ZERO,
+                rng,
+                bcast_tx: Counter::default(),
+                tx: Counter::default(),
+                retx: Counter::default(),
+                fwd: Counter::default(),
+            },
+            proto: None,
             stats: NodeStats::default(),
             obs: Default::default(),
         }
+    }
+
+    /// The node's [`ProtoState`], boxed now if it has none yet.
+    pub(crate) fn proto_mut(&mut self) -> &mut ProtoState {
+        self.proto.get_or_insert_with(Box::default)
     }
 
     /// The node's primary address.
@@ -368,17 +441,32 @@ impl Node {
         self.addr
     }
 
-    /// Every address the node currently answers to (primary plus aliases
-    /// such as a leased tunnel address).
-    pub fn local_addrs(&self) -> &[Addr] {
-        &self.local_addrs
+    /// Every address the node currently answers to: the primary, then
+    /// its aliases (such as a leased tunnel address) in the order they
+    /// were added.
+    pub fn local_addrs(&self) -> impl Iterator<Item = Addr> + '_ {
+        let aliases = self.proto.as_deref().map_or(&[][..], |p| &p.aliases);
+        std::iter::once(self.addr).chain(aliases.iter().copied())
+    }
+
+    /// Whether `addr` is the loopback, the primary or an alias: every
+    /// local address but a claimed one.
+    pub(crate) fn answers_to(&self, addr: Addr) -> bool {
+        addr.is_loopback()
+            || addr == self.addr
+            || self
+                .proto
+                .as_deref()
+                .is_some_and(|p| p.aliases.contains(&addr))
     }
 
     /// Whether `addr` is delivered locally on this node.
     pub fn is_local_addr(&self, addr: Addr) -> bool {
-        addr.is_loopback()
-            || self.local_addrs.contains(&addr)
-            || self.addr_handlers.contains_key(&addr)
+        self.answers_to(addr)
+            || self
+                .proto
+                .as_deref()
+                .is_some_and(|p| p.addr_handlers.contains_key(&addr))
     }
 
     /// Whether the node has a radio interface.
@@ -386,9 +474,9 @@ impl Node {
         self.has_radio
     }
 
-    /// The node's forwarding table.
+    /// The node's forwarding table (an empty one until it has routes).
     pub fn routes(&self) -> &RoutingTable {
-        &self.routes
+        self.proto.as_deref().map_or(&NO_ROUTES, |p| &p.routes)
     }
 
     /// The node's observability shard (metrics + spans). A no-op shell
@@ -399,7 +487,9 @@ impl Node {
 
     /// Number of datagrams parked awaiting route discovery.
     pub fn pending_packets(&self) -> usize {
-        self.pending.values().map(Vec::len).sum()
+        self.proto
+            .as_deref()
+            .map_or(0, |p| p.pending.values().map(Vec::len).sum())
     }
 }
 
@@ -422,7 +512,11 @@ mod tests {
 
     /// Ceiling on `size_of::<Node>()`, with and without the inline obs
     /// shard: `World::nodes` pays it once per node, used or not.
-    const NODE_INLINE_MAX: usize = if crate::obs_enabled() { 448 } else { 360 };
+    const NODE_INLINE_MAX: usize = if crate::obs_enabled() { 336 } else { 248 };
+
+    /// Ceiling on `size_of::<ProtoState>()`: a node that runs a protocol
+    /// stack pays it once, in its box.
+    const PROTO_STATE_INLINE_MAX: usize = 184;
 
     /// Ceiling on `size_of::<HotNode>()`: every radio fan-out reads one
     /// per candidate receiver.
@@ -439,6 +533,12 @@ mod tests {
             "Node is {} B inline",
             std::mem::size_of::<Node>()
         );
+    }
+
+    #[test]
+    fn the_protocol_state_box_stays_under_its_inline_ceiling() {
+        let size = std::mem::size_of::<ProtoState>();
+        assert!(size <= PROTO_STATE_INLINE_MAX, "ProtoState is {size} B");
     }
 
     #[test]
@@ -554,8 +654,6 @@ mod tests {
         fn on_datagram(&mut self, _ctx: &mut Ctx<'_>, _dgram: &Datagram) {}
     }
 
-    /// Also: a node that runs one process on one port allocates no
-    /// process list and no port map.
     #[test]
     fn only_a_node_that_queues_behind_its_own_frame_owns_a_ring() {
         let mut w = World::new(WorldConfig::new(11));
@@ -576,12 +674,70 @@ mod tests {
         let rings: Vec<NodeId> = ids
             .iter()
             .copied()
-            .filter(|&id| w.node(id).tx_queue.rest.capacity() > 0)
+            .filter(|&id| w.node(id).tx.queue.rest.capacity() > 0)
             .collect();
         assert_eq!(rings, [ids[0]]);
-        // One process, one port: neither spills out of the columns.
-        let n = w.node(ids[1]);
-        assert_eq!((n.procs.capacity(), n.port_bindings.0.capacity()), (0, 0));
+    }
+
+    /// A radio node that runs one process on one port and has no route
+    /// keeps everything in its `Node` and the columns: no `ProtoState`
+    /// box and no named counter, though it sent and received. Each thing
+    /// that does box the state boxes it on the node that does it.
+    #[test]
+    fn a_beacon_node_boxes_no_state_and_names_no_counter() {
+        let mut w = World::new(WorldConfig::new(12));
+        let ids: Vec<NodeId> = (0..100)
+            .map(|i| {
+                w.add_node(NodeConfig::manet(
+                    (i % 10) as f64 * 70.0,
+                    (i / 10) as f64 * 70.0,
+                ))
+            })
+            .collect();
+        for &id in &ids {
+            w.spawn(id, Box::new(Beacon { burst: 1 }));
+        }
+        // Node 1 runs a second process, node 2 gets a route.
+        w.spawn(ids[1], Box::new(Listener { port: 7001 }));
+        let route = crate::route::Route {
+            next_hop: Addr::manet(3),
+            hops: 1,
+            expires: SimTime::MAX,
+            seq: 0,
+        };
+        w.install_route(ids[2], Addr::manet(3), route);
+        w.run_until(SimTime::from_secs(3));
+        let stats = w.total_stats();
+        assert!(stats.get("radio.bcast_tx").packets >= 500);
+        assert!(stats.get("radio.rx").packets > 1_000);
+        let boxed: Vec<NodeId> = ids
+            .iter()
+            .copied()
+            .filter(|&id| w.node(id).proto.is_some())
+            .collect();
+        assert_eq!(boxed, [ids[1], ids[2]]);
+        for &id in &ids {
+            let n = w.node(id);
+            assert_eq!(n.stats.heap_bytes(), 0, "{id} named a counter");
+            assert!(n.tx.tx.packets > 0, "{id} sent");
+            assert_eq!(n.local_addrs().collect::<Vec<_>>(), [n.addr()]);
+        }
+        assert!(w.node(ids[0]).routes().is_empty());
+        assert_eq!(w.node(ids[2]).routes().len(), 1);
+    }
+
+    /// Binds `port` and listens.
+    struct Listener {
+        port: u16,
+    }
+
+    impl Process for Listener {
+        fn name(&self) -> &'static str {
+            "listener"
+        }
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.bind(self.port);
+        }
     }
 
     #[test]
@@ -617,7 +773,12 @@ mod tests {
         assert!(n.is_local_addr(Addr::manet(0)));
         assert!(n.is_local_addr(Addr::LOOPBACK));
         assert!(!n.is_local_addr(Addr::manet(1)));
-        n.local_addrs.push(Addr::new(82, 1, 1, 9));
+        assert!(n.proto.is_none());
+        n.proto_mut().aliases.push(Addr::new(82, 1, 1, 9));
         assert!(n.is_local_addr(Addr::new(82, 1, 1, 9)));
+        assert_eq!(
+            n.local_addrs().collect::<Vec<_>>(),
+            [Addr::manet(0), Addr::new(82, 1, 1, 9)]
+        );
     }
 }

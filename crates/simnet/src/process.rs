@@ -18,6 +18,7 @@
 
 use crate::fault::MaliciousKind;
 use crate::net::{Addr, Datagram, L2Dst, Payload, SocketAddr};
+use crate::node::{ProtoState, NO_ROUTES};
 use crate::rng::SimRng;
 use crate::route::RoutingTable;
 use crate::stats::NodeStats;
@@ -197,10 +198,19 @@ pub struct Ctx<'a> {
     pub(crate) addr: Addr,
     pub(crate) has_wired: bool,
     pub(crate) rng: &'a mut SimRng,
-    pub(crate) routes: &'a mut RoutingTable,
+    pub(crate) routes: Routes<'a>,
     pub(crate) stats: &'a mut NodeStats,
     pub(crate) obs: &'a mut siphoc_obs::NodeObs,
     pub(crate) effects: &'a mut Vec<Effect>,
+}
+
+/// Where a [`Ctx`]'s forwarding table lives.
+#[derive(Debug)]
+pub(crate) enum Routes<'a> {
+    /// In the node's [`ProtoState`], which the first mutable use boxes.
+    Node(&'a mut Option<Box<ProtoState>>),
+    /// In a table [`Ctx::for_test`] was lent.
+    Lent(&'a mut RoutingTable),
 }
 
 impl<'a> Ctx<'a> {
@@ -222,7 +232,7 @@ impl<'a> Ctx<'a> {
             addr,
             has_wired: false,
             rng,
-            routes,
+            routes: Routes::Lent(routes),
             stats,
             obs,
             effects,
@@ -252,12 +262,19 @@ impl<'a> Ctx<'a> {
 
     /// The node's forwarding table (shared with the network stack).
     pub fn routes(&mut self) -> &mut RoutingTable {
-        self.routes
+        match &mut self.routes {
+            Routes::Node(proto) => &mut proto.get_or_insert_with(Box::default).routes,
+            Routes::Lent(table) => table,
+        }
     }
 
-    /// Read-only view of the forwarding table.
+    /// Read-only view of the forwarding table; an empty one on a node
+    /// that never had routes.
     pub fn routes_ref(&self) -> &RoutingTable {
-        self.routes
+        match &self.routes {
+            Routes::Node(proto) => proto.as_deref().map_or(&NO_ROUTES, |p| &p.routes),
+            Routes::Lent(table) => table,
+        }
     }
 
     /// The node's traffic counters.

@@ -51,8 +51,16 @@ pub struct RoutingTable {
 
 impl RoutingTable {
     /// Creates an empty table.
-    pub fn new() -> RoutingTable {
-        RoutingTable::default()
+    pub const fn new() -> RoutingTable {
+        RoutingTable {
+            entries: Vec::new(),
+            keepalive: None,
+        }
+    }
+
+    /// Bytes of heap the entries occupy, by capacity.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.entries.capacity() * std::mem::size_of::<(Addr, Route)>()
     }
 
     /// Where `dst` sits in `entries`, or where it would be inserted.

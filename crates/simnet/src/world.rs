@@ -19,7 +19,9 @@ use crate::fault::{FaultAction, FaultPlan, PacketFault};
 use crate::grid::NeighborGrid;
 use crate::mobility::{Mobility, Position};
 use crate::net::{Addr, Datagram};
-use crate::node::{HotNode, Node, NodeConfig, NodeId, ProcSlot, RecvEntry, NO_PROC};
+use crate::node::{
+    HotNode, Node, NodeConfig, NodeId, ProcSlot, ProtoState, RecvEntry, Transmit, NO_PROC,
+};
 use crate::process::{LocalEvent, Process};
 use crate::queue::EventQueue;
 use crate::radio::RadioConfig;
@@ -112,7 +114,7 @@ pub struct World {
     /// indexed like `nodes` (see [`RecvEntry`]).
     pub(crate) recv: Vec<RecvEntry>,
     /// Every process of every node, in spawn order. A node reaches its
-    /// own through its `RecvEntry` and `Node::procs`; events, port
+    /// own through its `RecvEntry` and `ProtoState::procs`; events, port
     /// bindings and handlers name a process by its slot here.
     pub(crate) procs: Vec<ProcSlot>,
     /// Host time and event count by event kind (obs builds).
@@ -204,7 +206,7 @@ impl World {
                 !self.addr_map.contains_key(&alias),
                 "address {alias} already assigned"
             );
-            node.local_addrs.push(alias);
+            node.proto_mut().aliases.push(alias);
             self.addr_map.insert(alias, id);
         }
         self.addr_map.insert(addr, id);
@@ -226,7 +228,7 @@ impl World {
             0
         } else {
             // Most nodes run one process: no spare capacity in the list.
-            let procs = &mut self.nodes[node.0 as usize].procs;
+            let procs = &mut self.nodes[node.0 as usize].proto_mut().procs;
             procs.reserve_exact(1);
             procs.push(slot);
             procs.len()
@@ -246,7 +248,10 @@ impl World {
         match (self.recv[node.0 as usize].proc0, idx) {
             (NO_PROC, _) => None,
             (slot, 0) => Some(slot),
-            _ => self.nodes[node.0 as usize].procs.get(idx - 1).copied(),
+            _ => {
+                let proto = self.nodes[node.0 as usize].proto.as_deref();
+                proto.and_then(|p| p.procs.get(idx - 1).copied())
+            }
         }
     }
 
@@ -337,11 +342,16 @@ impl World {
     /// count) and `x.y_bytes`, labelled `node="n<id>"`, so the ad-hoc
     /// string counters stay queryable through the typed exporters. World
     /// gauges (`sim.now_us`, `sim.events`, `sim.nodes`) ride along, with
-    /// `sim.obs_bytes`: what every node's `NodeStats` and `NodeObs` occupy
-    /// — their inline `size_of` plus the heap behind their counters,
-    /// gauges, histograms and span log, by capacity (`NodeStats` only in
-    /// an obs-less build) — so the cost of the instrumentation is in its
-    /// own output; and the event queue's own account: `sim.queue_len`
+    /// `sim.obs_bytes`: what every node's counters and `NodeObs` occupy
+    /// — the inline `size_of` of its `NodeStats`, its five engine
+    /// counters (`radio.rx` in the receive column, four in `Transmit`)
+    /// and its shard, plus the heap behind its named counters, gauges,
+    /// histograms and span log, by capacity (no shard in an obs-less
+    /// build) — so the cost of the instrumentation is in its own output;
+    /// `sim.node_bytes`: what the nodes themselves occupy — the `Node`s,
+    /// `HotNode`s and `RecvEntry`s by their columns' capacity, plus each
+    /// `ProtoState` box and its heap (its inline shards are in
+    /// `sim.obs_bytes` too); and the event queue's own account: `sim.queue_len`
     /// (events queued now), `sim.queue_slots` (the most ever queued at
     /// once) and `sim.queue_bytes` (slab, near heap, wheels and spill, by
     /// capacity); and the neighbour lists' own: `sim.neighbor_rebuilds`
@@ -355,14 +365,19 @@ impl World {
     /// rows are the only ones in the registry that are not a function of
     /// the seed.
     pub fn obs_registry(&self) -> siphoc_obs::Registry {
+        use std::mem::size_of;
         let mut reg = siphoc_obs::Registry::new();
-        let inline = std::mem::size_of::<NodeStats>()
-            + std::mem::size_of::<Counter>()
-            + std::mem::size_of::<siphoc_obs::NodeObs>();
+        let inline = size_of::<NodeStats>()
+            + (1 + Transmit::NAMES.len()) * size_of::<Counter>()
+            + size_of::<siphoc_obs::NodeObs>();
         let mut obs_bytes = self.nodes.len() * inline;
+        let mut node_bytes = self.nodes.capacity() * size_of::<Node>()
+            + self.hot.capacity() * size_of::<HotNode>()
+            + self.recv.capacity() * size_of::<RecvEntry>();
         for (i, n) in self.nodes.iter().enumerate() {
             let id = NodeId(i as u32);
             obs_bytes += n.stats.heap_bytes() + n.obs.heap_bytes();
+            node_bytes += n.proto.as_deref().map_or(0, ProtoState::heap_bytes);
             let label = id.to_string();
             n.obs.merge_metrics_into(&mut reg, &label);
             for (name, c) in self.stats(id).iter() {
@@ -374,6 +389,7 @@ impl World {
         reg.gauge_set("sim.events", &[], self.events as f64);
         reg.gauge_set("sim.nodes", &[], self.nodes.len() as f64);
         reg.gauge_set("sim.obs_bytes", &[], obs_bytes as f64);
+        reg.gauge_set("sim.node_bytes", &[], node_bytes as f64);
         reg.gauge_set("sim.queue_len", &[], self.queue.len() as f64);
         reg.gauge_set("sim.queue_slots", &[], self.queue.slots() as f64);
         reg.gauge_set("sim.queue_bytes", &[], self.queue.heap_bytes() as f64);
@@ -433,7 +449,11 @@ impl World {
     ///
     /// Panics on an unknown id.
     pub fn stats(&self, id: NodeId) -> NodeStats {
-        let mut stats = self.nodes[id.0 as usize].stats.clone();
+        let n = &self.nodes[id.0 as usize];
+        let mut stats = n.stats.clone();
+        for (name, c) in Transmit::NAMES.into_iter().zip(n.tx.counters()) {
+            stats.add(name, c);
+        }
         stats.add("radio.rx", self.recv[id.0 as usize].rx);
         stats
     }
@@ -441,10 +461,17 @@ impl World {
     /// Aggregated counters across every node.
     pub fn total_stats(&self) -> NodeStats {
         let mut total = NodeStats::default();
+        let mut tx = [Counter::default(); Transmit::NAMES.len()];
         let mut rx = Counter::default();
         for (n, r) in self.nodes.iter().zip(&self.recv) {
             total.merge(&n.stats);
+            for (sum, c) in tx.iter_mut().zip(n.tx.counters()) {
+                sum.merge(c);
+            }
             rx.merge(r.rx);
+        }
+        for (name, c) in Transmit::NAMES.into_iter().zip(tx) {
+            total.add(name, c);
         }
         total.add("radio.rx", rx);
         total
@@ -468,10 +495,12 @@ impl World {
         if !up {
             h.inc = h.inc.wrapping_add(1);
             h.parked = false;
-            n.tx_queue.clear();
-            n.tx_until = SimTime::ZERO;
-            n.pending.clear();
-            n.routes.clear();
+            n.tx.queue.clear();
+            n.tx.until = SimTime::ZERO;
+            if let Some(p) = &mut n.proto {
+                p.pending.clear();
+                p.routes.clear();
+            }
         } else {
             for idx in 0.. {
                 let Some(slot) = self.proc_slot(id, idx) else {
@@ -614,14 +643,14 @@ impl World {
     /// Injects a datagram as if a process on `node` had sent it.
     /// Useful for tests and workload drivers.
     pub fn inject(&mut self, node: NodeId, dgram: Datagram) {
-        self.route_and_send(node, dgram, false);
+        self.route_and_send(node, dgram);
     }
 
     /// Installs a static route on a node. Intended for tests and
     /// experiment setup that want fixed topologies without running a
     /// routing protocol.
     pub fn install_route(&mut self, node: NodeId, dst: Addr, route: crate::route::Route) {
-        self.node_mut(node).routes.insert(dst, route);
+        self.node_mut(node).proto_mut().routes.insert(dst, route);
     }
 
     // ------------------------------------------------------------------
@@ -662,7 +691,7 @@ impl World {
         }
         let (params, area) = *n.waypoint.as_deref().expect("a replan walks its node");
         let h = &mut self.hot[node.0 as usize];
-        h.leg = h.leg.next(params, area, self.now, &mut n.rng);
+        h.leg = h.leg.next(params, area, self.now, &mut n.tx.rng);
         let replan = h.leg.arrive + params.pause;
         self.schedule_at(replan, Event::Replan { node, gen });
     }

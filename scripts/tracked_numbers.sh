@@ -49,12 +49,12 @@ test_only=$({ scripts/module_audit.sh || true; } | grep -c '^test-only:' || true
 echo "pub fn/const only tests call: ${test_only}"
 
 # Inline-size ceilings the layout tests pin (the named constants in the
-# test modules beside `Node`, its arena entry `HotNode`, its receive
-# column entry `RecvEntry`, `NodeObs`, a
+# test modules beside `Node`, its protocol-state box `ProtoState`, its
+# arena entry `HotNode`, its receive column entry `RecvEntry`, `NodeObs`, a
 # dialog's B-tree entry, the boxed `Dialog`, `ClientTxn`, the event
 # queue's slab slot, `SipMessage` and a routing-table entry), and the
 # heap bytes per node of the radio neighbour lists on a district-density
 # world.
 ceiling() { grep -rh "const $1: usize = " crates | sed 's/.*= *\(.*\);/\1/'; }
 node=$(ceiling NODE_INLINE_MAX | sed 's/.*{ \([0-9]*\) } else { \([0-9]*\) }/\1 (\2 without obs)/')
-echo "layout ceilings (bytes): Node ${node}, arena entry $(ceiling HOT_NODE_INLINE_MAX), receive column entry $(ceiling RECV_ENTRY_INLINE_MAX), NodeObs $(ceiling NODE_OBS_INLINE_MAX), dialog entry $(ceiling DIALOG_ENTRY_BYTES), dialog $(ceiling DIALOG_INLINE_MAX), client txn slot $(ceiling CLIENT_TXN_SLOT_MAX), event slot $(ceiling EVENT_SLOT_MAX), SIP message $(ceiling SIP_MESSAGE_INLINE_MAX), route entry $(ceiling ROUTE_ENTRY_INLINE_MAX), neighbour lists per node $(ceiling NEIGHBOR_BYTES_PER_NODE_MAX)"
+echo "layout ceilings (bytes): Node ${node}, protocol state box $(ceiling PROTO_STATE_INLINE_MAX), arena entry $(ceiling HOT_NODE_INLINE_MAX), receive column entry $(ceiling RECV_ENTRY_INLINE_MAX), NodeObs $(ceiling NODE_OBS_INLINE_MAX), dialog entry $(ceiling DIALOG_ENTRY_BYTES), dialog $(ceiling DIALOG_INLINE_MAX), client txn slot $(ceiling CLIENT_TXN_SLOT_MAX), event slot $(ceiling EVENT_SLOT_MAX), SIP message $(ceiling SIP_MESSAGE_INLINE_MAX), route entry $(ceiling ROUTE_ENTRY_INLINE_MAX), neighbour lists per node $(ceiling NEIGHBOR_BYTES_PER_NODE_MAX)"

@@ -216,7 +216,7 @@ fn restarted_node_drops_stale_lease_then_releases() {
     );
     let alice = deploy(&mut w, NodeSpec::relay(60.0, 0.0));
     w.run_for(SimDuration::from_secs(20));
-    let leased = |w: &World| w.node(alice.id).local_addrs().iter().any(|a| a.is_public());
+    let leased = |w: &World| w.node(alice.id).local_addrs().any(|a| a.is_public());
     assert!(leased(&w), "client must lease before the crash");
 
     w.install_fault_plan(
@@ -231,7 +231,7 @@ fn restarted_node_drops_stale_lease_then_releases() {
     assert!(
         !leased(&w),
         "stale public alias must not survive a restart: {:?}",
-        w.node(alice.id).local_addrs()
+        w.node(alice.id).local_addrs().collect::<Vec<_>>()
     );
 
     w.run_for(SimDuration::from_secs(30));
@@ -348,7 +348,7 @@ fn gateway_churn_client_recovers_and_calls_after() {
     );
     assert!(w.total_stats().get("fault.crash").packets >= 1);
     assert!(
-        w.node(alice.id).local_addrs().iter().any(|a| a.is_public()),
+        w.node(alice.id).local_addrs().any(|a| a.is_public()),
         "client must hold a lease after the churn window"
     );
     let a = alice.ua_logs[0].borrow();
@@ -423,8 +423,6 @@ fn double_kill_of_serving_gateway_and_top_standby_lands_on_third() {
     let leases = |w: &World| -> Vec<Addr> {
         w.node(alice.id)
             .local_addrs()
-            .iter()
-            .copied()
             .filter(|a| a.is_public())
             .collect()
     };
@@ -617,8 +615,6 @@ fn rogue_gateway_under_link_churn_hijacks_nothing_with_defenses_on() {
         let first: Vec<Addr> = w
             .node(alice.id)
             .local_addrs()
-            .iter()
-            .copied()
             .filter(|a| a.is_public())
             .collect();
         assert_eq!(first.len(), 1, "seed {seed}: no lease before the kill");
@@ -652,16 +648,14 @@ fn rogue_gateway_under_link_churn_hijacks_nothing_with_defenses_on() {
         assert!(
             !w.node(alice.id)
                 .local_addrs()
-                .iter()
-                .any(|a| pool(*a) == bogus_pool),
+                .any(|a| pool(a) == bogus_pool),
             "seed {seed}: client holds a TEST-NET-3 lease"
         );
         // And the client re-homed to the surviving *real* gateway.
         assert!(
             w.node(alice.id)
                 .local_addrs()
-                .iter()
-                .any(|a| a.is_public() && pool(*a) != pool(first[0])),
+                .any(|a| a.is_public() && pool(a) != pool(first[0])),
             "seed {seed}: client never re-homed to the survivor"
         );
         let a = alice.ua_logs[0].borrow();

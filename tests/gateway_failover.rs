@@ -46,8 +46,6 @@ fn internet_side(w: &mut World) -> DnsDirectory {
 fn public_leases(w: &World, node: &SiphocNode) -> Vec<Addr> {
     w.node(node.id)
         .local_addrs()
-        .iter()
-        .copied()
         .filter(|a| a.is_public())
         .collect()
 }

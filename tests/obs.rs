@@ -433,7 +433,7 @@ fn exported_counters_equal_node_stats() {
     );
     w.run_until(SimTime::from_secs(35));
     let addrs = w.node(alice.id).local_addrs();
-    let lease: Vec<&Addr> = addrs.iter().filter(|a| a.is_public()).collect();
+    let lease: Vec<Addr> = addrs.filter(|a| a.is_public()).collect();
     assert_eq!(lease.len(), 1, "one active lease mid-call");
     let serving = if lease[0].0 >> 8 == RELAY.0 >> 8 {
         natted.id
