@@ -26,14 +26,42 @@
 //! so enabling signatures cannot perturb the RNG streams of runs that
 //! never verify anything.
 
+/// FNV-1a's offset basis: the state every fold starts from.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 /// FNV-1a over a byte slice. Stable across platforms and runs.
 #[inline]
 #[must_use]
 pub fn h64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    bytes
+        .iter()
+        .fold(FNV_OFFSET, |h, &b| fnv1a_word(h, u64::from(b)))
+}
+
+/// One FNV-1a step taking a whole `u64` as its input unit: [`h64`]
+/// takes it once per byte, the packet trace's fold once per field.
+#[inline]
+#[must_use]
+pub(crate) fn fnv1a_word(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(FNV_PRIME)
+}
+
+/// [`fnv1a_word`] over `bytes` read as little-endian words, the last one
+/// zero-padded: a multiply per eight bytes where [`h64`] takes one per
+/// byte. The padding makes `b"a"` and `b"a\0"` fold alike, so a caller
+/// folds the length as well.
+#[must_use]
+pub(crate) fn fnv1a_words(mut h: u64, bytes: &[u8]) -> u64 {
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        h = fnv1a_word(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h = fnv1a_word(h, u64::from_le_bytes(last));
     }
     h
 }

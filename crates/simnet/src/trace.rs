@@ -6,13 +6,26 @@
 //! facility: when enabled, every frame transmission, delivery and drop is
 //! recorded and can be rendered as a Wireshark-style text listing through a
 //! pluggable [`Dissector`].
+//!
+//! The capture is also the run's fingerprint: every entry it records is
+//! folded into a running FNV-1a whether or not the ring keeps it, and
+//! the fold closes a [`Checkpoint`] at each whole second of simulated
+//! time, so two runs that part ways can be told apart by the first
+//! second at which they differ.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
-use crate::net::Datagram;
+use crate::ident::{fnv1a_word, fnv1a_words, FNV_OFFSET};
+use crate::net::{Datagram, Payload};
 use crate::node::NodeId;
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
+
+/// Simulated time between two checkpoints of the run fingerprint.
+pub const CHECKPOINT_INTERVAL: SimDuration = SimDuration::from_secs(1);
+
+/// Slots of the fold's payload-hash cache.
+const PAYLOAD_SLOTS: usize = 64;
 
 /// What happened to a captured packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,6 +64,17 @@ pub struct TraceEntry {
 /// info columns.
 pub type Dissector = fn(port: u16, payload: &[u8]) -> Option<(String, String)>;
 
+/// The run fingerprint at a whole second of simulated time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Checkpoint {
+    /// The second the checkpoint closed at. It covers every entry and
+    /// event before this instant, none at it.
+    pub at: SimTime,
+    /// The fold of those entries, chained from the checkpoint before,
+    /// and of the count of events dispatched by then.
+    pub digest: u64,
+}
+
 /// A bounded in-memory packet capture.
 ///
 /// The capture is a ring buffer: once `capacity` entries are retained,
@@ -60,7 +84,11 @@ pub type Dissector = fn(port: u16, payload: &[u8]) -> Option<(String, String)>;
 /// \(`PacketTrace::render`) are absolute capture indices — they keep
 /// counting across evictions, so the same packet renders under the same
 /// number no matter how much was evicted after it.
-#[derive(Debug, Default)]
+///
+/// Every recorded entry is also folded into the run fingerprint
+/// ([`PacketTrace::digest`], [`PacketTrace::checkpoints`]), evicted or
+/// not: at capacity 0 the trace keeps nothing but the fingerprint.
+#[derive(Debug)]
 pub struct PacketTrace {
     enabled: bool,
     entries: VecDeque<TraceEntry>,
@@ -68,6 +96,24 @@ pub struct PacketTrace {
     /// Entries evicted from the front so far; also the absolute index of
     /// the oldest retained entry.
     evicted: u64,
+    /// FNV-1a over every entry recorded, chained through the checkpoints.
+    fold: u64,
+    /// Events dispatched by the end of the last traced `World::run_until`.
+    events: u64,
+    checkpoints: Vec<Checkpoint>,
+    /// The earliest instant the next checkpoint may close at.
+    next_checkpoint: SimTime,
+    /// Payloads hashed lately and their hashes, by buffer address: a
+    /// frame's hops and receptions share one buffer, so most entries find
+    /// theirs here. Holding the clone keeps its address from being reused
+    /// by another buffer. Empty until the first record.
+    payload_hashes: Vec<Option<(Payload, u64)>>,
+}
+
+impl Default for PacketTrace {
+    fn default() -> PacketTrace {
+        PacketTrace::new()
+    }
 }
 
 impl PacketTrace {
@@ -78,6 +124,11 @@ impl PacketTrace {
             entries: VecDeque::new(),
             capacity: 100_000,
             evicted: 0,
+            fold: FNV_OFFSET,
+            events: 0,
+            checkpoints: Vec::new(),
+            next_checkpoint: SimTime::ZERO,
+            payload_hashes: Vec::new(),
         }
     }
 
@@ -102,12 +153,15 @@ impl PacketTrace {
         }
     }
 
-    /// Records an event if capturing is enabled, evicting the oldest
-    /// retained entry once the ring is full.
+    /// Records an event if capturing is enabled: folds it into the run
+    /// fingerprint, then retains it, evicting the oldest retained entry
+    /// once the ring is full.
     pub fn record(&mut self, entry: TraceEntry) {
         if !self.enabled {
             return;
         }
+        let payload = self.payload_hash(&entry.dgram.payload);
+        self.fold = fold_entry(self.fold, &entry, payload);
         if self.capacity == 0 {
             self.evicted += 1;
             return;
@@ -142,9 +196,75 @@ impl PacketTrace {
     }
 
     /// Discards all captured entries and resets the absolute numbering.
+    /// The run fingerprint is kept.
     pub fn clear(&mut self) {
         self.entries.clear();
         self.evicted = 0;
+    }
+
+    /// FNV-1a of `payload`'s length, then of its bytes a word at a time.
+    fn payload_hash(&mut self, payload: &Payload) -> u64 {
+        if self.payload_hashes.is_empty() {
+            self.payload_hashes.resize(PAYLOAD_SLOTS, None);
+        }
+        let slot = &mut self.payload_hashes[(payload.as_ptr() as usize >> 4) % PAYLOAD_SLOTS];
+        match slot {
+            Some((seen, h)) if std::ptr::eq::<[u8]>(&**seen, &**payload) => *h,
+            _ => {
+                let h = fnv1a_words(fnv1a_word(FNV_OFFSET, payload.len() as u64), payload);
+                *slot = Some((payload.clone(), h));
+                h
+            }
+        }
+    }
+
+    /// The run fingerprint: the fold of every entry recorded so far,
+    /// chained through the checkpoints, and of the count of events
+    /// dispatched by the end of the last traced `World::run_until`.
+    pub fn digest(&self) -> u64 {
+        fnv1a_word(self.fold, self.events)
+    }
+
+    /// The checkpoints closed so far, oldest first: one at each whole
+    /// second the world ran through with the trace enabled (a run whose
+    /// queue drains stops after the next one).
+    pub fn checkpoints(&self) -> &[Checkpoint] {
+        &self.checkpoints
+    }
+
+    /// The instant the next checkpoint closes at, if the trace is
+    /// enabled and a run from `now` through `until` reaches it. The
+    /// world dispatches every event before it, then calls
+    /// [`PacketTrace::close_checkpoint`].
+    pub(crate) fn checkpoint_due(&self, now: SimTime, until: SimTime) -> Option<SimTime> {
+        if !self.enabled {
+            return None;
+        }
+        // A trace enabled mid-run starts at the first whole second after
+        // `now`: the events at `now` may already have run.
+        let step = CHECKPOINT_INTERVAL.as_micros();
+        let after_now = SimTime::from_micros((now.as_micros() / step + 1) * step);
+        let at = self.next_checkpoint.max(after_now);
+        (at <= until).then_some(at)
+    }
+
+    /// Closes the checkpoint at `at`, folding in the `events` dispatched
+    /// before it.
+    pub(crate) fn close_checkpoint(&mut self, at: SimTime, events: u64) {
+        self.fold = fnv1a_word(self.fold, events);
+        self.checkpoints.push(Checkpoint {
+            at,
+            digest: self.fold,
+        });
+        self.next_checkpoint = at + CHECKPOINT_INTERVAL;
+    }
+
+    /// Notes the `events` dispatched by the end of a run, for
+    /// [`PacketTrace::digest`]; a disabled trace notes nothing.
+    pub(crate) fn note_events(&mut self, events: u64) {
+        if self.enabled {
+            self.events = events;
+        }
     }
 
     /// Renders the capture as a Wireshark-style text listing using the given
@@ -200,6 +320,36 @@ impl PacketTrace {
     }
 }
 
+/// Folds one entry in five words: its time; its node, kind, TTL and
+/// drop reason's length; each endpoint's address and port; and the
+/// `payload` hash. Then a drop's reason. A field packed into a word's
+/// upper half moves only the upper half of the state, but one differing
+/// field always moves the fingerprint: each step is a bijection of the
+/// state.
+fn fold_entry(h: u64, e: &TraceEntry, payload: u64) -> u64 {
+    let d = &e.dgram;
+    let reason = e.reason.map_or(0, str::len) as u64;
+    let kind: u64 = match e.kind {
+        TraceKind::RadioTx => 1,
+        TraceKind::RadioRx => 2,
+        TraceKind::WiredRx => 3,
+        TraceKind::Loopback => 4,
+        TraceKind::Drop => 5,
+    };
+    let words = [
+        e.time.as_micros(),
+        u64::from(e.node.0) | kind << 32 | u64::from(d.ttl) << 40 | reason << 48,
+        u64::from(d.src.addr.0) | u64::from(d.src.port) << 32,
+        u64::from(d.dst.addr.0) | u64::from(d.dst.port) << 32,
+        payload,
+    ];
+    let h = words.into_iter().fold(h, fnv1a_word);
+    match e.reason {
+        Some(r) => fnv1a_words(h, r.as_bytes()),
+        None => h,
+    }
+}
+
 fn dissect(dissectors: &[Dissector], dgram: &Datagram) -> (String, String) {
     for d in dissectors {
         if let Some((proto, info)) = d(dgram.dst.port, &dgram.payload) {
@@ -212,7 +362,10 @@ fn dissect(dissectors: &[Dissector], dgram: &Datagram) -> (String, String) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
     use crate::net::{Addr, SocketAddr};
+    use crate::node::NodeConfig;
+    use crate::world::{World, WorldConfig};
 
     fn entry(kind: TraceKind, port: u16) -> TraceEntry {
         TraceEntry {
@@ -235,11 +388,118 @@ mod tests {
     #[test]
     fn disabled_trace_records_nothing() {
         let mut t = PacketTrace::new();
+        let empty = t.digest();
         t.record(entry(TraceKind::RadioTx, 5060));
         assert!(t.is_empty());
+        assert_eq!(t.digest(), empty, "a disabled trace folded an entry");
         t.set_enabled(true);
         t.record(entry(TraceKind::RadioTx, 5060));
         assert_eq!(t.len(), 1);
+        assert_ne!(t.digest(), empty);
+    }
+
+    /// Four nodes in range of one another, each broadcasting a beacon
+    /// every 500 ms for 4 s, traced into a ring of `capacity` entries.
+    /// Node 0's beacon at `odd_at_ms` has one byte flipped; `plan` is
+    /// installed before the run.
+    fn beacon_run(capacity: usize, odd_at_ms: Option<u64>, plan: FaultPlan) -> World {
+        let mut w = World::new(WorldConfig::new(7));
+        let ids: Vec<NodeId> = (0..4)
+            .map(|i| w.add_node(NodeConfig::manet(30.0 * f64::from(i), 0.0)))
+            .collect();
+        w.install_fault_plan(plan);
+        w.trace_mut().set_capacity(capacity);
+        w.trace_mut().set_enabled(true);
+        for t_ms in (0..4_000).step_by(500) {
+            w.run_until(SimTime::from_millis(t_ms));
+            for &id in &ids {
+                let mut payload = vec![id.0 as u8; 24];
+                if id == ids[0] && odd_at_ms == Some(t_ms) {
+                    payload[5] ^= 1;
+                }
+                let src = SocketAddr::new(w.node(id).addr(), 9900);
+                let dst = SocketAddr::new(Addr::BROADCAST, 9900);
+                w.inject(id, Datagram::new(src, dst, payload));
+            }
+        }
+        w.run_until(SimTime::from_secs(4));
+        w
+    }
+
+    fn checkpoint_digests(w: &World) -> Vec<u64> {
+        w.trace().checkpoints().iter().map(|c| c.digest).collect()
+    }
+
+    #[test]
+    fn the_fold_covers_evicted_entries() {
+        let full = beacon_run(usize::MAX, None, FaultPlan::new());
+        assert_eq!(full.trace().evicted(), 0);
+        assert!(full.trace().len() > 16, "{} entries", full.trace().len());
+        let at: Vec<SimTime> = full.trace().checkpoints().iter().map(|c| c.at).collect();
+        assert_eq!(at, (1..=4).map(SimTime::from_secs).collect::<Vec<_>>());
+        for capacity in [0, 16] {
+            let w = beacon_run(capacity, None, FaultPlan::new());
+            assert_eq!(w.trace().len(), capacity);
+            assert_eq!(
+                w.trace().digest(),
+                full.trace().digest(),
+                "capacity {capacity}"
+            );
+            assert_eq!(w.trace().checkpoints(), full.trace().checkpoints());
+        }
+    }
+
+    #[test]
+    fn checkpoints_part_at_the_first_second_after_a_change() {
+        let base = checkpoint_digests(&beacon_run(0, None, FaultPlan::new()));
+        let odd = checkpoint_digests(&beacon_run(0, Some(2_500), FaultPlan::new()));
+        assert_eq!(base[..2], odd[..2], "checkpoints at 1 s and 2 s");
+        for (i, (a, b)) in base.iter().zip(&odd).enumerate().skip(2) {
+            assert_ne!(a, b, "checkpoint at {} s", i + 1);
+        }
+    }
+
+    #[test]
+    fn an_event_that_sends_nothing_moves_the_fingerprint() {
+        let base = beacon_run(usize::MAX, None, FaultPlan::new());
+        // A heal with no partition in place: one event, no packet, at
+        // 2 s sharp, which the checkpoint at 2 s does not cover.
+        let heal = FaultPlan::new().heal_at(SimTime::from_secs(2));
+        let extra = beacon_run(usize::MAX, None, heal);
+        assert_eq!(extra.events_processed(), base.events_processed() + 1);
+        assert_eq!(extra.trace().len(), base.trace().len());
+        assert_ne!(extra.trace().digest(), base.trace().digest());
+        let (a, b) = (checkpoint_digests(&base), checkpoint_digests(&extra));
+        assert_eq!(a[..2], b[..2], "checkpoints at 1 s and 2 s");
+        assert_ne!(a[2], b[2], "checkpoint at 3 s");
+    }
+
+    #[test]
+    fn every_field_of_an_entry_moves_the_digest() {
+        let digest = |e: TraceEntry| {
+            let mut t = PacketTrace::new();
+            t.set_enabled(true);
+            t.record(e);
+            t.digest()
+        };
+        let base = entry(TraceKind::Drop, 5060);
+        let edits: [fn(&mut TraceEntry); 10] = [
+            |e| e.time = SimTime::from_micros(12_001),
+            |e| e.node = NodeId(2),
+            |e| e.kind = TraceKind::RadioTx,
+            |e| e.reason = Some("no_route"),
+            |e| e.dgram.src.addr = Addr::manet(7),
+            |e| e.dgram.src.port += 1,
+            |e| e.dgram.dst.addr = Addr::manet(7),
+            |e| e.dgram.dst.port += 1,
+            |e| e.dgram.ttl -= 1,
+            |e| e.dgram.payload = b"xyz\0".into(),
+        ];
+        for (i, edit) in edits.iter().enumerate() {
+            let mut e = base.clone();
+            edit(&mut e);
+            assert_ne!(digest(e), digest(base.clone()), "edit {i}");
+        }
     }
 
     #[test]

@@ -621,6 +621,24 @@ impl World {
     /// never moves backwards: a `t` in the past dispatches nothing and
     /// leaves `now()` where it was.
     pub fn run_until(&mut self, t: SimTime) {
+        // With the packet trace enabled the loop pauses before each whole
+        // second it reaches, so the trace can close a checkpoint over
+        // everything before it.
+        while let Some(at) = self.trace.checkpoint_due(self.now, t) {
+            self.dispatch_through(SimTime::from_micros(at.as_micros() - 1));
+            self.trace.close_checkpoint(at, self.events);
+            if self.queue.len() == 0 {
+                // Drained: no checkpoint for each idle second up to `t`.
+                break;
+            }
+        }
+        self.dispatch_through(t);
+        self.now = self.now.max(t);
+        self.trace.note_events(self.events);
+    }
+
+    /// Dispatches every queued event due at or before `t`.
+    fn dispatch_through(&mut self, t: SimTime) {
         loop {
             let start = self.ledger.start();
             let Some((time, event)) = self.queue.pop_at_or_before(t) else {
@@ -632,7 +650,6 @@ impl World {
             self.dispatch(event);
             self.ledger.record(kind, self.events - before, start);
         }
-        self.now = self.now.max(t);
     }
 
     /// Runs the event loop for `d` simulated time.

@@ -13,6 +13,7 @@
 
 use std::fmt;
 
+use siphoc_simnet::ident::h64;
 use siphoc_simnet::net::{Addr, Datagram, SocketAddr};
 use siphoc_simnet::process::Ctx;
 
@@ -27,11 +28,7 @@ const DEFAULT_MAX_FORWARDS: u32 = 70;
 pub fn derive_branch(incoming_branch: &str) -> String {
     // FNV-1a over the incoming branch: stable, cheap, collision-unlikely
     // at simulation scale.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in incoming_branch.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let h = h64(incoming_branch.as_bytes());
     format!("{BRANCH_COOKIE}p{h:016x}")
 }
 

@@ -6,6 +6,14 @@ cd "$(dirname "$0")/.."
 
 # Formatting first, as CI's `fmt` job checks it: the cheapest step to fail.
 cargo fmt --all -- --check
+# FNV-1a has one home, `simnet::ident`: its offset basis spelled anywhere
+# else under crates/, src/ or tests/ is a second copy of the fold.
+# (`benchmark/` keeps its own, frozen with the rest of that package.)
+if grep -rnIiE 'c_?b_?f_?2_?9_?c_?e_?4_?8_?4_?2_?2_?2_?3_?2_?5' crates src tests |
+    grep -v '^crates/simnet/src/ident\.rs:'; then
+    echo "ci.sh: FNV-1a outside simnet::ident (above); call ident::h64 instead" >&2
+    exit 1
+fi
 # The tree depends on no crate outside it, so every build is offline and
 # holds to the committed Cargo.lock. The tests are the whole workspace's:
 # the root package's integration suites, and every crate's unit tests and

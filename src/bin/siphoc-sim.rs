@@ -13,7 +13,8 @@
 //! metrics registry as JSON: `counters`, `gauges` and `histograms`, each
 //! histogram with its summary and its non-empty buckets. Either flag
 //! turns span tracing on for the run; the report itself is identical
-//! either way.
+//! either way. `--json` also carries the run fingerprint: the packet
+//! trace's final digest and its per-second checkpoints, in hex.
 
 use std::process::ExitCode;
 

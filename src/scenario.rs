@@ -499,13 +499,20 @@ pub struct ScenarioReport {
     /// Fault-engine firings: topology events executed plus packet faults
     /// applied (`fault.*` counters summed over all nodes).
     pub faults_injected: u64,
+    /// The run fingerprint: the packet trace's final digest.
+    pub fingerprint: u64,
+    /// The trace's checkpoint digests, one per simulated second: the
+    /// i-th covers everything before i + 1 s.
+    pub checkpoints: Vec<u64>,
 }
 
 impl ScenarioReport {
     /// The report as a JSON document, members in field order (what
-    /// `siphoc-sim --json` prints).
+    /// `siphoc-sim --json` prints); the fingerprint and checkpoints are
+    /// 16-digit hex strings.
     pub fn to_json(&self) -> String {
         let count = |n: usize| Value::Int(n as u64);
+        let hex = |h: u64| Value::Str(format!("{h:016x}"));
         let users = self.users.iter().map(|u| {
             Value::obj([
                 ("user", Value::Str(u.user.clone())),
@@ -526,6 +533,11 @@ impl ScenarioReport {
             ("control_bytes", Value::Int(self.control_bytes)),
             ("rtp_packets", Value::Int(self.rtp_packets)),
             ("faults_injected", Value::Int(self.faults_injected)),
+            ("fingerprint", hex(self.fingerprint)),
+            (
+                "checkpoints",
+                Value::Arr(self.checkpoints.iter().map(|&h| hex(h)).collect()),
+            ),
         ])
         .to_pretty()
     }
@@ -850,6 +862,10 @@ impl Scenario {
         self.validate()?;
         let mut world = World::new(WorldConfig::new(self.seed).with_radio(self.radio));
         world.set_tracing(tracing);
+        // The packet trace keeps nothing but the run fingerprint; like
+        // span tracing it schedules no event and draws no randomness.
+        world.trace_mut().set_capacity(0);
+        world.trace_mut().set_enabled(true);
 
         // DNS + providers.
         let mut dns = DnsDirectory::new();
@@ -987,6 +1003,13 @@ impl Scenario {
                 control_bytes,
                 rtp_packets,
                 faults_injected,
+                fingerprint: world.trace().digest(),
+                checkpoints: world
+                    .trace()
+                    .checkpoints()
+                    .iter()
+                    .map(|c| c.digest)
+                    .collect(),
             },
             world,
         ))
@@ -1024,8 +1047,12 @@ mod tests {
         assert_eq!(bob.calls_received, 1);
         assert!(alice.worst_mos.unwrap() > 4.0);
         assert!(report.rtp_packets > 700);
-        // The report itself serializes (machine-readable output).
-        assert!(report.to_json().contains("\"calls_established\": 1"));
+        // The report itself serializes (machine-readable output), with
+        // the run fingerprint and one checkpoint per simulated second.
+        let json = report.to_json();
+        assert!(json.contains("\"calls_established\": 1"));
+        assert!(json.contains(&format!("\"fingerprint\": \"{:016x}\"", report.fingerprint)));
+        assert_eq!(report.checkpoints.len(), 25);
     }
 
     #[test]

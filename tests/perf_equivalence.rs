@@ -6,76 +6,28 @@
 //! simulator and (b) the retained full-scan reference path. These tests
 //! pin both properties:
 //!
-//! * golden digests — FNV-1a hashes of the full packet trace (every field,
-//!   payload bytes included). Any drift in receiver discovery order, RNG
+//! * golden digests — the packet trace's run fingerprint, which folds
+//!   every field of every entry (payload bytes included) and the
+//!   dispatched event count. Any drift in receiver discovery order, RNG
 //!   draw order, loss sampling or fault handling changes the digest.
 //! * grid ↔ full-scan equivalence — the same scenario run on
 //!   `World::new` and on the `World::with_full_scan_reference` test
 //!   world must trace identically, including under mobility
-//!   (drift-bounded cell queries) and chaos faults.
+//!   (drift-bounded cell queries) and chaos faults. A mismatch names the
+//!   first second whose checkpoint differs.
 
 #[path = "support/city.rs"]
 mod city;
+#[path = "support/fingerprint.rs"]
+mod fingerprint;
 
 use city::{build_city, CityParams};
+use fingerprint::{assert_same_run, start_fingerprint, Fingerprint};
 use wireless_adhoc_voip::core::config::VoipAppConfig;
 use wireless_adhoc_voip::core::nodesetup::{deploy, NodeSpec, RoutingProtocol};
 use wireless_adhoc_voip::simnet::prelude::*;
-use wireless_adhoc_voip::simnet::trace::TraceKind;
 use wireless_adhoc_voip::sip::ua::{ActionKind, CallEvent, ScriptedAction, UaConfig};
 use wireless_adhoc_voip::sip::uri::Aor;
-
-// ----------------------------------------------------------------------
-// Digest machinery
-// ----------------------------------------------------------------------
-
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-}
-
-/// Hashes every field of every trace entry plus the world's dispatched
-/// event count. Any behavioral difference in the hot path shows up here.
-fn world_digest(w: &World) -> u64 {
-    assert_eq!(
-        w.trace().evicted(),
-        0,
-        "the capture ring evicted entries: the digest would hash only its tail"
-    );
-    let mut h = Fnv::new();
-    h.write_u64(w.events_processed());
-    for e in w.trace().entries() {
-        h.write_u64(e.time.as_micros());
-        h.write_u64(e.node.0 as u64);
-        h.write_u64(match e.kind {
-            TraceKind::RadioTx => 1,
-            TraceKind::RadioRx => 2,
-            TraceKind::WiredRx => 3,
-            TraceKind::Loopback => 4,
-            TraceKind::Drop => 5,
-        });
-        h.write(e.reason.unwrap_or("").as_bytes());
-        h.write_u64(e.dgram.src.addr.0 as u64);
-        h.write_u64(e.dgram.src.port as u64);
-        h.write_u64(e.dgram.dst.addr.0 as u64);
-        h.write_u64(e.dgram.dst.port as u64);
-        h.write_u64(e.dgram.ttl as u64);
-        h.write(&e.dgram.payload);
-    }
-    h.0
-}
 
 // ----------------------------------------------------------------------
 // Scenarios
@@ -94,7 +46,7 @@ fn world(seed: u64, spatial: bool) -> World {
 /// Broadcast-heavy static mesh on the lossy radio: every node beacons
 /// every 200 ms; per-receiver loss draws make the digest sensitive to
 /// receiver-iteration order.
-fn run_bcast_mesh(seed: u64, spatial: bool) -> u64 {
+fn run_bcast_mesh(seed: u64, spatial: bool) -> Fingerprint {
     let mut w = world(seed, spatial);
     let mut rng = SimRng::from_seed_and_stream(seed, 4242);
     let mut ids = Vec::new();
@@ -103,7 +55,7 @@ fn run_bcast_mesh(seed: u64, spatial: bool) -> u64 {
         let y = (i / 5) as f64 * 70.0 + rng.range_f64(-15.0, 15.0);
         ids.push(w.add_node(NodeConfig::manet(x, y)));
     }
-    w.trace_mut().set_enabled(true);
+    start_fingerprint(&mut w);
     let mut t_ms = 0u64;
     while t_ms < 5_000 {
         w.run_until(SimTime::from_millis(t_ms));
@@ -115,14 +67,14 @@ fn run_bcast_mesh(seed: u64, spatial: bool) -> u64 {
         t_ms += 200;
     }
     w.run_until(SimTime::from_millis(5_000));
-    world_digest(&w)
+    Fingerprint::of(&w)
 }
 
 /// Full SIPHoc stack under mobility and chaos: waypoint movement forces
 /// neighbour-list refreshes, AODV/SLP exercise unicast + piggyback paths, duplicate
 /// and corrupt packet faults exercise the fault delivery path (including
 /// payload copy-on-write).
-fn run_mobile_chaos(seed: u64, spatial: bool) -> u64 {
+fn run_mobile_chaos(seed: u64, spatial: bool) -> Fingerprint {
     let mut w = world(seed, spatial);
     let area = Area::new(300.0, 300.0);
     let params = WaypointParams::new(1.0, 15.0, SimDuration::from_secs(1));
@@ -155,7 +107,7 @@ fn run_mobile_chaos(seed: u64, spatial: bool) -> u64 {
         ));
         deploy(&mut w, spec);
     }
-    w.trace_mut().set_enabled(true);
+    start_fingerprint(&mut w);
     let plan = FaultPlan::new()
         .crash_at(SimTime::from_secs(6), NodeId(7))
         .restart_at(SimTime::from_secs(8), NodeId(7))
@@ -175,7 +127,7 @@ fn run_mobile_chaos(seed: u64, spatial: bool) -> u64 {
         );
     w.install_fault_plan(plan);
     w.run_for(SimDuration::from_secs(12));
-    world_digest(&w)
+    Fingerprint::of(&w)
 }
 
 /// Full SIPHoc stack over **OLSR** on the lossy default radio: twelve
@@ -217,7 +169,7 @@ fn run_olsr_roam(seed: u64) -> (u64, u64) {
         ));
         deploy(&mut w, spec);
     }
-    w.trace_mut().set_enabled(true);
+    start_fingerprint(&mut w);
     w.install_fault_plan(
         FaultPlan::new()
             .crash_at(SimTime::from_secs(24), NodeId(5))
@@ -225,7 +177,7 @@ fn run_olsr_roam(seed: u64) -> (u64, u64) {
     );
     w.run_for(SimDuration::from_secs(36));
     (
-        world_digest(&w),
+        w.trace().digest(),
         w.total_stats().get("drop.l2_fail").packets,
     )
 }
@@ -233,7 +185,8 @@ fn run_olsr_roam(seed: u64) -> (u64, u64) {
 /// 1000-node [`city`] world (districts, mobile convoys,
 /// emergency swarm) beaconing for two simulated seconds: the scale at
 /// which the hot-node mirror, batched fan-out and the neighbour lists'
-/// mobile-only refresh all engage. The trace ring is widened so nothing is evicted.
+/// mobile-only refresh all engage. The trace ring is widened so the
+/// time-order check reads every entry.
 fn run_city(seed: u64) -> World {
     let mut w = World::new(WorldConfig::new(seed));
     build_city(&mut w, CityParams::with_nodes(1000));
@@ -285,9 +238,8 @@ fn run_sip_hub(seed: u64) -> (u64, usize, usize) {
     let mut spec = NodeSpec::relay(0.0, 0.0).without_connection_provider();
     spec.users = uas;
     let hub = deploy(&mut w, spec);
-    w.trace_mut().set_enabled(true);
+    start_fingerprint(&mut w);
     w.run_until(SimTime::from_secs(45));
-    assert_eq!(w.trace().evicted(), 0, "trace ring too small for the hub");
 
     let (mut established, mut failed) = (0, 0);
     for log in &hub.ua_logs {
@@ -310,7 +262,7 @@ fn run_sip_hub(seed: u64) -> (u64, usize, usize) {
             }
         }
     }
-    (world_digest(&w), established, failed)
+    (w.trace().digest(), established, failed)
 }
 
 // ----------------------------------------------------------------------
@@ -334,20 +286,34 @@ fn run_sip_hub(seed: u64) -> (u64, usize, usize) {
 /// period, as at spawn, instead of 1 µs after the restart. The first
 /// differing entry is that early HELLO's `RadioTx` on n7 at 8.000452 s
 /// (seed 2301) and 8.000508 s (seed 2302), which only the old run has.
+///
+/// All ten `GOLDEN*` values were re-pinned once more, with no run
+/// changed, when the digest moved from a whole-trace FNV-1a written in
+/// this file into the packet trace's own run fingerprint
+/// (`PacketTrace::digest`). Proof, with the old digest computed beside
+/// the new one in the same runs: every run still reproduced its old value (`0x05558af32b531dc2` and `0x256b9f935b1694a2`
+/// here for seed 2301, `0x1a54aec88506258a` and `0x1f9c63fe2a92d878` for
+/// 2302), and across these ten runs and eleven perturbed ones (a payload
+/// byte, a 1 µs later send, a 1 µs later timer, a source port, an extra
+/// event that sends nothing, the full-scan reference, …) two runs had
+/// equal old digests exactly when they had equal fingerprints, but for
+/// one pair: the same extra event at 2.5 s and at 5 s, which only the
+/// fingerprint's per-second checkpoints tell apart. The table is in
+/// CHANGES.md.
 const GOLDEN: [(u64, u64, u64); 2] = [
-    (2301, 0x05558af32b531dc2, 0x256b9f935b1694a2),
-    (2302, 0x1a54aec88506258a, 0x1f9c63fe2a92d878),
+    (2301, 0x10da6b75bd98191b, 0x1fbf10a4cc8b69e4),
+    (2302, 0x7760572249fd070b, 0xf47e96acd5374cc6),
 ];
 
 #[test]
 fn golden_trace_digests_are_reproduced() {
     for (seed, want_bcast, want_chaos) in GOLDEN {
-        let got_bcast = run_bcast_mesh(seed, true);
+        let got_bcast = run_bcast_mesh(seed, true).digest;
         assert_eq!(
             got_bcast, want_bcast,
             "bcast mesh digest drifted for seed {seed}: got {got_bcast:#018x}"
         );
-        let got_chaos = run_mobile_chaos(seed, true);
+        let got_chaos = run_mobile_chaos(seed, true).digest;
         assert_eq!(
             got_chaos, want_chaos,
             "mobile chaos digest drifted for seed {seed}: got {got_chaos:#018x}"
@@ -366,8 +332,9 @@ fn golden_trace_digests_are_reproduced() {
 /// And again when a restart became a second `on_start`: the callee's UA
 /// registers anew as n5 comes back. The first differing entry is that
 /// REGISTER's `Loopback` on n5 at 27.000000 s, which only the new run
-/// has.
-const GOLDEN_OLSR: [(u64, u64); 2] = [(2301, 0x4bee00d4f1b59d8c), (2302, 0xce5bd46f7b0032d6)];
+/// has. Re-pinned with [`GOLDEN`] for the run fingerprint, from
+/// `0x4bee00d4f1b59d8c` and `0xce5bd46f7b0032d6`.
+const GOLDEN_OLSR: [(u64, u64); 2] = [(2301, 0x924b1586a251f571), (2302, 0x48e5a542bab424ad)];
 
 #[test]
 fn golden_olsr_digests_are_reproduced() {
@@ -385,8 +352,10 @@ fn golden_olsr_digests_are_reproduced() {
 }
 
 /// `(seed, city digest)` for [`run_city`], recorded on the same commit
-/// and with the same `rand` stand-in as [`GOLDEN`].
-const GOLDEN_CITY: [(u64, u64); 2] = [(2301, 0xc64df2e7e19a055b), (2302, 0xcf52c244d7931ed7)];
+/// and with the same `rand` stand-in as [`GOLDEN`]. Re-pinned with
+/// [`GOLDEN`] for the run fingerprint, from `0xc64df2e7e19a055b` and
+/// `0xcf52c244d7931ed7`.
+const GOLDEN_CITY: [(u64, u64); 2] = [(2301, 0x54b9f9026c9e5818), (2302, 0xe8800aef89a6e2a9)];
 
 /// City scale: the golden digests hold, the same seed reproduces its
 /// digest, and trace timestamps never go backwards.
@@ -394,15 +363,16 @@ const GOLDEN_CITY: [(u64, u64); 2] = [(2301, 0xc64df2e7e19a055b), (2302, 0xcf52c
 fn city_digests_are_golden_reproducible_and_time_monotone() {
     for (seed, want) in GOLDEN_CITY {
         let w = run_city(seed);
-        let got = world_digest(&w);
+        let got = Fingerprint::of(&w);
         assert_eq!(
-            got, want,
-            "city digest drifted for seed {seed}: got {got:#018x}"
+            got.digest, want,
+            "city digest drifted for seed {seed}: got {:#018x}",
+            got.digest
         );
-        assert_eq!(
-            world_digest(&run_city(seed)),
-            got,
-            "seed {seed}: same seed must reproduce exactly"
+        assert_same_run(
+            &Fingerprint::of(&run_city(seed)),
+            &got,
+            &format!("seed {seed}: same seed must reproduce exactly"),
         );
         let mut last = SimTime::ZERO;
         for e in w.trace().entries() {
@@ -455,8 +425,9 @@ fn city_observation_bytes_per_node_are_small_and_flat_under_traffic() {
 /// the per-event dispatch view and output buffer were deleted; all three
 /// are pure simplifications of the default configuration and must
 /// reproduce them bit-for-bit. Captured with the `rand` stand-in under
-/// `benchmark/stubs/`.
-const GOLDEN_HUB: [(u64, u64); 2] = [(2301, 0x7cf4c6875de06658), (2302, 0xb0a4272a05ef3216)];
+/// `benchmark/stubs/`. Re-pinned with [`GOLDEN`] for the run
+/// fingerprint, from `0x7cf4c6875de06658` and `0xb0a4272a05ef3216`.
+const GOLDEN_HUB: [(u64, u64); 2] = [(2301, 0x6ba16f52a0daa03e), (2302, 0xf557d22074920d8f)];
 
 #[test]
 fn golden_hub_digests_are_reproduced() {
@@ -480,22 +451,30 @@ fn golden_hub_digests_are_reproduced() {
 #[test]
 fn grid_and_full_scan_trace_identically() {
     for seed in [9301u64, 9302, 9303] {
-        assert_eq!(
-            run_bcast_mesh(seed, true),
-            run_bcast_mesh(seed, false),
-            "bcast mesh: grid vs full scan diverged for seed {seed}"
+        assert_same_run(
+            &run_bcast_mesh(seed, true),
+            &run_bcast_mesh(seed, false),
+            &format!("bcast mesh: grid vs full scan diverged for seed {seed}"),
         );
-        assert_eq!(
-            run_mobile_chaos(seed, true),
-            run_mobile_chaos(seed, false),
-            "mobile chaos: grid vs full scan diverged for seed {seed}"
+        assert_same_run(
+            &run_mobile_chaos(seed, true),
+            &run_mobile_chaos(seed, false),
+            &format!("mobile chaos: grid vs full scan diverged for seed {seed}"),
         );
     }
 }
 
 #[test]
 fn same_seed_is_deterministic_across_runs() {
-    assert_eq!(run_bcast_mesh(4401, true), run_bcast_mesh(4401, true));
-    assert_eq!(run_mobile_chaos(4402, true), run_mobile_chaos(4402, true));
+    assert_same_run(
+        &run_bcast_mesh(4401, true),
+        &run_bcast_mesh(4401, true),
+        "bcast mesh: same seed",
+    );
+    assert_same_run(
+        &run_mobile_chaos(4402, true),
+        &run_mobile_chaos(4402, true),
+        "mobile chaos: same seed",
+    );
     assert_ne!(run_bcast_mesh(4401, true), run_bcast_mesh(4403, true));
 }

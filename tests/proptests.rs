@@ -9,10 +9,13 @@
 
 #[path = "support/check.rs"]
 mod check;
+#[path = "support/fingerprint.rs"]
+mod fingerprint;
 
 use std::collections::BTreeSet;
 
 use check::{bytes, check, maybe, mutate, string, usize_in, vec_of};
+use fingerprint::{assert_same_run, start_fingerprint, Fingerprint};
 use wireless_adhoc_voip::core::config::VoipAppConfig;
 use wireless_adhoc_voip::core::nodesetup::{deploy, NodeSpec};
 use wireless_adhoc_voip::core::tunnel::TunnelMsg;
@@ -1465,37 +1468,6 @@ fn gateway_churn_never_doubles_leases_or_leaks_keepalives() {
 // optimizations
 // ----------------------------------------------------------------------
 
-/// FNV-1a over every captured trace field plus the dispatched event
-/// count. Any divergence in receiver discovery, iteration order or RNG
-/// draw order between two runs shows up as a different fingerprint.
-fn trace_fingerprint(w: &World) -> u64 {
-    use wireless_adhoc_voip::simnet::trace::TraceKind;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let eat = |h: &mut u64, bytes: &[u8]| {
-        for &b in bytes {
-            *h ^= b as u64;
-            *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(&mut h, &w.events_processed().to_le_bytes());
-    for e in w.trace().entries() {
-        eat(&mut h, &e.time.as_micros().to_le_bytes());
-        eat(&mut h, &e.node.0.to_le_bytes());
-        let kind: u8 = match e.kind {
-            TraceKind::RadioTx => 1,
-            TraceKind::RadioRx => 2,
-            TraceKind::WiredRx => 3,
-            TraceKind::Loopback => 4,
-            TraceKind::Drop => 5,
-        };
-        eat(&mut h, &[kind]);
-        eat(&mut h, e.reason.unwrap_or("").as_bytes());
-        eat(&mut h, &e.dgram.ttl.to_le_bytes());
-        eat(&mut h, &e.dgram.payload);
-    }
-    h
-}
-
 /// The world under test, or the full-scan reference it must equal.
 fn mesh_world(seed: u64, spatial: bool) -> World {
     let cfg = WorldConfig::new(seed);
@@ -1508,7 +1480,7 @@ fn mesh_world(seed: u64, spatial: bool) -> World {
 
 /// Broadcast-heavy mesh on the default (lossy) radio; per-receiver loss
 /// draws make the fingerprint sensitive to receiver-iteration order.
-fn beacon_mesh_fingerprint(seed: u64, n: usize, spatial: bool) -> u64 {
+fn beacon_mesh_fingerprint(seed: u64, n: usize, spatial: bool) -> Fingerprint {
     let mut w = mesh_world(seed, spatial);
     let mut rng = SimRng::from_seed_and_stream(seed, 4242);
     let mut ids = Vec::with_capacity(n);
@@ -1517,7 +1489,7 @@ fn beacon_mesh_fingerprint(seed: u64, n: usize, spatial: bool) -> u64 {
         let y = (i / 4) as f64 * 70.0 + rng.range_f64(-15.0, 15.0);
         ids.push(w.add_node(NodeConfig::manet(x, y)));
     }
-    w.trace_mut().set_enabled(true);
+    start_fingerprint(&mut w);
     let mut t_ms = 0u64;
     while t_ms < 2_000 {
         w.run_until(SimTime::from_millis(t_ms));
@@ -1529,7 +1501,7 @@ fn beacon_mesh_fingerprint(seed: u64, n: usize, spatial: bool) -> u64 {
         t_ms += 250;
     }
     w.run_until(SimTime::from_millis(2_000));
-    trace_fingerprint(&w)
+    Fingerprint::of(&w)
 }
 
 /// Per-sender payload so a swapped receiver/sender ordering cannot
@@ -1550,14 +1522,16 @@ fn spatial_index_never_changes_the_trace() {
         let n = usize_in(rng, 2..18);
         let grid = beacon_mesh_fingerprint(seed, n, true);
         let scan = beacon_mesh_fingerprint(seed, n, false);
-        assert_eq!(
-            grid, scan,
-            "grid vs full scan diverged (seed {seed}, n {n})"
+        assert_same_run(
+            &grid,
+            &scan,
+            &format!("grid vs full scan diverged (seed {seed}, n {n})"),
         );
         let again = beacon_mesh_fingerprint(seed, n, true);
-        assert_eq!(
-            grid, again,
-            "same seed not reproducible (seed {seed}, n {n})"
+        assert_same_run(
+            &grid,
+            &again,
+            &format!("same seed not reproducible (seed {seed}, n {n})"),
         );
     });
 }
@@ -1591,7 +1565,12 @@ enum Mutation {
 /// read liveness from the arena. Asserts that between two segments no
 /// node moves farther than its speed bound allows. Returns the trace
 /// fingerprint and the world's `sim.neighbor_rebuilds`.
-fn mobile_mesh_fingerprint(seed: u64, n: usize, muts: &[Mutation], spatial: bool) -> (u64, f64) {
+fn mobile_mesh_fingerprint(
+    seed: u64,
+    n: usize,
+    muts: &[Mutation],
+    spatial: bool,
+) -> (Fingerprint, f64) {
     use wireless_adhoc_voip::simnet::mobility::{distance, Area, Mobility, WaypointParams};
     let mut w = mesh_world(seed, spatial);
     let mut rng = SimRng::from_seed_and_stream(seed, 4242);
@@ -1617,7 +1596,7 @@ fn mobile_mesh_fingerprint(seed: u64, n: usize, muts: &[Mutation], spatial: bool
         pacer,
         Mobility::random_waypoint((150.0, 150.0), fast, area, SimTime::ZERO, &mut rng),
     );
-    w.trace_mut().set_enabled(true);
+    start_fingerprint(&mut w);
     // Each node's speed bound, by id, and where it stood after the last
     // mutation: between two steps no node outruns its bound by more than
     // the neighbour lists' rounding pad.
@@ -1684,7 +1663,7 @@ fn mobile_mesh_fingerprint(seed: u64, n: usize, muts: &[Mutation], spatial: bool
     }
     w.run_until(SimTime::from_millis(5_000));
     let rebuilds = w.obs_registry().gauge("sim.neighbor_rebuilds", &[]);
-    (trace_fingerprint(&w), rebuilds.unwrap_or(0.0))
+    (Fingerprint::of(&w), rebuilds.unwrap_or(0.0))
 }
 
 /// Neighbour-list maintenance is trace-invisible: under arbitrary
@@ -1710,16 +1689,18 @@ fn incremental_grid_never_changes_the_trace() {
         });
         let (grid, rebuilds) = mobile_mesh_fingerprint(seed, n, &muts, true);
         let (scan, _) = mobile_mesh_fingerprint(seed, n, &muts, false);
-        assert_eq!(
-            grid, scan,
-            "incremental grid diverged from full scan (seed {seed}, n {n}, {muts:?})"
+        assert_same_run(
+            &grid,
+            &scan,
+            &format!("incremental grid diverged from full scan (seed {seed}, n {n}, {muts:?})"),
         );
         // One build and at least three horizon refreshes.
         assert!(rebuilds >= 4.0, "{rebuilds} derivations (seed {seed})");
         let (again, _) = mobile_mesh_fingerprint(seed, n, &muts, true);
-        assert_eq!(
-            grid, again,
-            "same seed not reproducible (seed {seed}, n {n})"
+        assert_same_run(
+            &grid,
+            &again,
+            &format!("same seed not reproducible (seed {seed}, n {n})"),
         );
     });
 }

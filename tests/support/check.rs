@@ -11,15 +11,14 @@
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
+use siphoc_simnet::ident::h64;
 use siphoc_simnet::rng::SimRng;
 
 /// Runs `property` over `cases` seeded cases, failing on the first case
 /// that panics.
 pub fn check(name: &str, cases: u32, mut property: impl FnMut(&mut SimRng)) {
     // FNV-1a of the name: each property draws its own cases.
-    let base = name.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    });
+    let base = h64(name.as_bytes());
     for case in 0..cases {
         let seed = base.wrapping_add(u64::from(case));
         if let Err(panic) = catch_unwind(AssertUnwindSafe(|| replay(seed, &mut property))) {
