@@ -40,28 +40,39 @@ pub fn h64(bytes: &[u8]) -> u64 {
 }
 
 /// One FNV-1a step taking a whole `u64` as its input unit: [`h64`]
-/// takes it once per byte, the packet trace's fold once per field.
+/// takes it once per byte.
 #[inline]
 #[must_use]
 pub(crate) fn fnv1a_word(h: u64, word: u64) -> u64 {
     (h ^ word).wrapping_mul(FNV_PRIME)
 }
 
-/// [`fnv1a_word`] over `bytes` read as little-endian words, the last one
+/// One step of the packet trace's fold: [`fnv1a_word`], then a rotation.
+/// The multiply carries a difference only upwards, so without the
+/// rotation a difference confined to bit 63 would stay exactly bit 63
+/// and a second one there would cancel it; the rotation brings the top
+/// bits down where the next multiply spreads them.
+#[inline]
+#[must_use]
+pub(crate) fn fold_word(h: u64, word: u64) -> u64 {
+    fnv1a_word(h, word).rotate_left(29)
+}
+
+/// [`fold_word`] over `bytes` read as little-endian words, the last one
 /// zero-padded: a multiply per eight bytes where [`h64`] takes one per
 /// byte. The padding makes `b"a"` and `b"a\0"` fold alike, so a caller
 /// folds the length as well.
 #[must_use]
-pub(crate) fn fnv1a_words(mut h: u64, bytes: &[u8]) -> u64 {
+pub(crate) fn fold_words(mut h: u64, bytes: &[u8]) -> u64 {
     let mut words = bytes.chunks_exact(8);
     for w in &mut words {
-        h = fnv1a_word(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        h = fold_word(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
     }
     let tail = words.remainder();
     if !tail.is_empty() {
         let mut last = [0u8; 8];
         last[..tail.len()].copy_from_slice(tail);
-        h = fnv1a_word(h, u64::from_le_bytes(last));
+        h = fold_word(h, u64::from_le_bytes(last));
     }
     h
 }

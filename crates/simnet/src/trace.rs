@@ -8,15 +8,16 @@
 //! pluggable [`Dissector`].
 //!
 //! The capture is also the run's fingerprint: every entry it records is
-//! folded into a running FNV-1a whether or not the ring keeps it, and
-//! the fold closes a [`Checkpoint`] at each whole second of simulated
-//! time, so two runs that part ways can be told apart by the first
-//! second at which they differ.
+//! folded into a running hash (FNV-1a steps, each followed by a
+//! rotation) whether or not the ring keeps it, and the fold closes a
+//! [`Checkpoint`] at each whole second of simulated time in which
+//! something happened, so two runs that part ways can be told apart by
+//! the first second at which they differ.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
-use crate::ident::{fnv1a_word, fnv1a_words, FNV_OFFSET};
+use crate::ident::{fold_word, fold_words, FNV_OFFSET};
 use crate::net::{Datagram, Payload};
 use crate::node::NodeId;
 use crate::time::{SimDuration, SimTime};
@@ -96,17 +97,22 @@ pub struct PacketTrace {
     /// Entries evicted from the front so far; also the absolute index of
     /// the oldest retained entry.
     evicted: u64,
-    /// FNV-1a over every entry recorded, chained through the checkpoints.
+    /// The fold ([`fold_word`]) of every entry recorded, chained through
+    /// the checkpoints.
     fold: u64,
     /// Events dispatched by the end of the last traced `World::run_until`.
     events: u64,
     checkpoints: Vec<Checkpoint>,
+    /// Events dispatched by the last checkpoint closed.
+    checkpoint_events: Option<u64>,
     /// The earliest instant the next checkpoint may close at.
     next_checkpoint: SimTime,
-    /// Payloads hashed lately and their hashes, by buffer address: a
-    /// frame's hops and receptions share one buffer, so most entries find
-    /// theirs here. Holding the clone keeps its address from being reused
-    /// by another buffer. Empty until the first record.
+    /// Payloads hashed lately and their hashes, by buffer address. A
+    /// frame's hops and receptions share one buffer, so on a radio mesh
+    /// most entries find theirs here. The held clone keeps the address
+    /// from being reused by another buffer (and makes a fault's
+    /// `Payload::make_mut` copy a buffer it could have edited in place).
+    /// Empty until the first record.
     payload_hashes: Vec<Option<(Payload, u64)>>,
 }
 
@@ -127,6 +133,7 @@ impl PacketTrace {
             fold: FNV_OFFSET,
             events: 0,
             checkpoints: Vec::new(),
+            checkpoint_events: None,
             next_checkpoint: SimTime::ZERO,
             payload_hashes: Vec::new(),
         }
@@ -202,7 +209,8 @@ impl PacketTrace {
         self.evicted = 0;
     }
 
-    /// FNV-1a of `payload`'s length, then of its bytes a word at a time.
+    /// The fold of `payload`'s length, then of its bytes a word at a
+    /// time, looked up by buffer before it is computed.
     fn payload_hash(&mut self, payload: &Payload) -> u64 {
         if self.payload_hashes.is_empty() {
             self.payload_hashes.resize(PAYLOAD_SLOTS, None);
@@ -211,7 +219,7 @@ impl PacketTrace {
         match slot {
             Some((seen, h)) if std::ptr::eq::<[u8]>(&**seen, &**payload) => *h,
             _ => {
-                let h = fnv1a_words(fnv1a_word(FNV_OFFSET, payload.len() as u64), payload);
+                let h = fold_words(fold_word(FNV_OFFSET, payload.len() as u64), payload);
                 *slot = Some((payload.clone(), h));
                 h
             }
@@ -222,12 +230,15 @@ impl PacketTrace {
     /// chained through the checkpoints, and of the count of events
     /// dispatched by the end of the last traced `World::run_until`.
     pub fn digest(&self) -> u64 {
-        fnv1a_word(self.fold, self.events)
+        fold_word(self.fold, self.events)
     }
 
     /// The checkpoints closed so far, oldest first: one at each whole
-    /// second the world ran through with the trace enabled (a run whose
-    /// queue drains stops after the next one).
+    /// second the world ran through with the trace enabled, unless no
+    /// event was dispatched in the second before it. An idle second
+    /// closes none, so the list, like [`PacketTrace::digest`], depends on
+    /// the events alone and not on how a run is sliced into
+    /// `World::run_until` calls.
     pub fn checkpoints(&self) -> &[Checkpoint] {
         &self.checkpoints
     }
@@ -249,14 +260,18 @@ impl PacketTrace {
     }
 
     /// Closes the checkpoint at `at`, folding in the `events` dispatched
-    /// before it.
+    /// before it, unless none was dispatched since the last one closed.
     pub(crate) fn close_checkpoint(&mut self, at: SimTime, events: u64) {
-        self.fold = fnv1a_word(self.fold, events);
+        self.next_checkpoint = at + CHECKPOINT_INTERVAL;
+        if self.checkpoint_events == Some(events) {
+            return;
+        }
+        self.checkpoint_events = Some(events);
+        self.fold = fold_word(self.fold, events);
         self.checkpoints.push(Checkpoint {
             at,
             digest: self.fold,
         });
-        self.next_checkpoint = at + CHECKPOINT_INTERVAL;
     }
 
     /// Notes the `events` dispatched by the end of a run, for
@@ -322,10 +337,10 @@ impl PacketTrace {
 
 /// Folds one entry in five words: its time; its node, kind, TTL and
 /// drop reason's length; each endpoint's address and port; and the
-/// `payload` hash. Then a drop's reason. A field packed into a word's
-/// upper half moves only the upper half of the state, but one differing
-/// field always moves the fingerprint: each step is a bijection of the
-/// state.
+/// `payload` hash. Then a drop's reason. Each step is a bijection of
+/// the state, so one differing field always moves the fingerprint, and
+/// [`fold_word`]'s rotation keeps two differences in the same bits of
+/// later words from cancelling.
 fn fold_entry(h: u64, e: &TraceEntry, payload: u64) -> u64 {
     let d = &e.dgram;
     let reason = e.reason.map_or(0, str::len) as u64;
@@ -343,9 +358,9 @@ fn fold_entry(h: u64, e: &TraceEntry, payload: u64) -> u64 {
         u64::from(d.dst.addr.0) | u64::from(d.dst.port) << 32,
         payload,
     ];
-    let h = words.into_iter().fold(h, fnv1a_word);
+    let h = words.into_iter().fold(h, fold_word);
     match e.reason {
-        Some(r) => fnv1a_words(h, r.as_bytes()),
+        Some(r) => fold_words(h, r.as_bytes()),
         None => h,
     }
 }
@@ -500,6 +515,67 @@ mod tests {
             edit(&mut e);
             assert_ne!(digest(e), digest(base.clone()), "edit {i}");
         }
+    }
+
+    #[test]
+    fn differences_in_the_top_bits_do_not_cancel() {
+        // A frame is recorded once as sent and once per receiver, from
+        // one buffer; a plain FNV-1a step would carry a difference in bit
+        // 63 through unchanged, and the second record would undo it.
+        let twice = |edit: fn(&mut TraceEntry)| {
+            let mut e = entry(TraceKind::RadioTx, 5060);
+            e.dgram.payload = (0u8..24).collect::<Vec<u8>>().into();
+            edit(&mut e);
+            let mut t = PacketTrace::new();
+            t.set_enabled(true);
+            t.record(e.clone());
+            e.kind = TraceKind::RadioRx;
+            t.record(e);
+            t.digest()
+        };
+        let base = twice(|_| {});
+        let edits: [fn(&mut TraceEntry); 4] = [
+            |e| e.dgram.payload.make_mut()[7] ^= 0x80,
+            |e| {
+                let p = e.dgram.payload.make_mut();
+                p[7] ^= 0x80;
+                p[15] ^= 0x80;
+            },
+            |e| e.dgram.src.port ^= 0x8000,
+            |e| e.dgram.ttl ^= 0x80,
+        ];
+        for (i, edit) in edits.iter().enumerate() {
+            assert_ne!(twice(*edit), base, "edit {i}");
+        }
+    }
+
+    #[test]
+    fn the_fingerprint_does_not_depend_on_how_a_run_is_sliced() {
+        // Two beacon rounds, then a queue that drains long before 10 s.
+        let run = |slices: u64| {
+            let mut w = World::new(WorldConfig::new(7));
+            let ids: Vec<NodeId> = (0..3)
+                .map(|i| w.add_node(NodeConfig::manet(30.0 * f64::from(i), 0.0)))
+                .collect();
+            w.trace_mut().set_capacity(0);
+            w.trace_mut().set_enabled(true);
+            for round in 0..2 {
+                w.run_until(SimTime::from_millis(1_500 * round));
+                for &id in &ids {
+                    let src = SocketAddr::new(w.node(id).addr(), 9900);
+                    let dst = SocketAddr::new(Addr::BROADCAST, 9900);
+                    w.inject(id, Datagram::new(src, dst, vec![1; 24]));
+                }
+            }
+            for i in 1..=slices {
+                w.run_until(SimTime::from_secs(2 + 8 * i / slices));
+            }
+            (w.trace().checkpoints().to_vec(), w.trace().digest())
+        };
+        let whole = run(1);
+        let at: Vec<SimTime> = whole.0.iter().map(|c| c.at).collect();
+        assert_eq!(at, [SimTime::from_secs(1), SimTime::from_secs(2)]);
+        assert_eq!(run(8), whole);
     }
 
     #[test]

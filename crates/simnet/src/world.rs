@@ -628,7 +628,7 @@ impl World {
             self.dispatch_through(SimTime::from_micros(at.as_micros() - 1));
             self.trace.close_checkpoint(at, self.events);
             if self.queue.len() == 0 {
-                // Drained: no checkpoint for each idle second up to `t`.
+                // Drained: every second up to `t` is idle and closes none.
                 break;
             }
         }

@@ -14,7 +14,8 @@
 //! histogram with its summary and its non-empty buckets. Either flag
 //! turns span tracing on for the run; the report itself is identical
 //! either way. `--json` also carries the run fingerprint: the packet
-//! trace's final digest and its per-second checkpoints, in hex.
+//! trace's final digest and its per-second checkpoints, each digest in
+//! hex beside its second.
 
 use std::process::ExitCode;
 

@@ -37,6 +37,7 @@ use siphoc_simnet::obs::chrome_trace_json;
 use siphoc_simnet::obs::json::{self, Fields, FromJson, Value};
 use siphoc_simnet::prelude::*;
 use siphoc_simnet::rng::SimRng;
+use siphoc_simnet::trace::Checkpoint;
 use siphoc_sip::ua::CallEvent;
 use siphoc_sip::uri::Aor;
 
@@ -501,15 +502,15 @@ pub struct ScenarioReport {
     pub faults_injected: u64,
     /// The run fingerprint: the packet trace's final digest.
     pub fingerprint: u64,
-    /// The trace's checkpoint digests, one per simulated second: the
-    /// i-th covers everything before i + 1 s.
-    pub checkpoints: Vec<u64>,
+    /// The trace's checkpoints, one per simulated second in which
+    /// something happened: each covers everything before its `at`.
+    pub checkpoints: Vec<Checkpoint>,
 }
 
 impl ScenarioReport {
     /// The report as a JSON document, members in field order (what
-    /// `siphoc-sim --json` prints); the fingerprint and checkpoints are
-    /// 16-digit hex strings.
+    /// `siphoc-sim --json` prints); the fingerprint and each checkpoint's
+    /// digest are 16-digit hex strings, beside the checkpoint's second.
     pub fn to_json(&self) -> String {
         let count = |n: usize| Value::Int(n as u64);
         let hex = |h: u64| Value::Str(format!("{h:016x}"));
@@ -536,7 +537,17 @@ impl ScenarioReport {
             ("fingerprint", hex(self.fingerprint)),
             (
                 "checkpoints",
-                Value::Arr(self.checkpoints.iter().map(|&h| hex(h)).collect()),
+                Value::Arr(
+                    self.checkpoints
+                        .iter()
+                        .map(|c| {
+                            Value::obj([
+                                ("at_s", Value::Int(c.at.as_micros() / 1_000_000)),
+                                ("digest", hex(c.digest)),
+                            ])
+                        })
+                        .collect(),
+                ),
             ),
         ])
         .to_pretty()
@@ -1004,12 +1015,7 @@ impl Scenario {
                 rtp_packets,
                 faults_injected,
                 fingerprint: world.trace().digest(),
-                checkpoints: world
-                    .trace()
-                    .checkpoints()
-                    .iter()
-                    .map(|c| c.digest)
-                    .collect(),
+                checkpoints: world.trace().checkpoints().to_vec(),
             },
             world,
         ))
@@ -1053,6 +1059,10 @@ mod tests {
         assert!(json.contains("\"calls_established\": 1"));
         assert!(json.contains(&format!("\"fingerprint\": \"{:016x}\"", report.fingerprint)));
         assert_eq!(report.checkpoints.len(), 25);
+        let last = report.checkpoints.last().unwrap();
+        assert_eq!(last.at, SimTime::from_secs(25));
+        assert!(json.contains("\"at_s\": 25,"));
+        assert!(json.contains(&format!("\"digest\": \"{:016x}\"", last.digest)));
     }
 
     #[test]

@@ -291,18 +291,19 @@ fn run_sip_hub(seed: u64) -> (u64, usize, usize) {
 /// changed, when the digest moved from a whole-trace FNV-1a written in
 /// this file into the packet trace's own run fingerprint
 /// (`PacketTrace::digest`). Proof, with the old digest computed beside
-/// the new one in the same runs: every run still reproduced its old value (`0x05558af32b531dc2` and `0x256b9f935b1694a2`
-/// here for seed 2301, `0x1a54aec88506258a` and `0x1f9c63fe2a92d878` for
-/// 2302), and across these ten runs and eleven perturbed ones (a payload
-/// byte, a 1 µs later send, a 1 µs later timer, a source port, an extra
-/// event that sends nothing, the full-scan reference, …) two runs had
-/// equal old digests exactly when they had equal fingerprints, but for
-/// one pair: the same extra event at 2.5 s and at 5 s, which only the
-/// fingerprint's per-second checkpoints tell apart. The table is in
-/// CHANGES.md.
+/// the new one in the same runs: every run still reproduced its old
+/// value (`0x05558af32b531dc2` and `0x256b9f935b1694a2` here for seed
+/// 2301, `0x1a54aec88506258a` and `0x1f9c63fe2a92d878` for 2302), and
+/// across these ten runs and thirteen others (the full-scan references,
+/// a payload byte, bit 7 of payload byte 7 and of bytes 7 and 15, a 1 µs
+/// later send, a 1 µs later timer, a source port, an extra event that
+/// sends nothing, …) two runs had equal old digests exactly when they
+/// had equal fingerprints, but for one pair: the same extra event at
+/// 2.5 s and at 5 s, which only the fingerprint's per-second checkpoints
+/// tell apart. The table is in CHANGES.md.
 const GOLDEN: [(u64, u64, u64); 2] = [
-    (2301, 0x10da6b75bd98191b, 0x1fbf10a4cc8b69e4),
-    (2302, 0x7760572249fd070b, 0xf47e96acd5374cc6),
+    (2301, 0x7ccb1937eecbb781, 0x88677da617a3aeab),
+    (2302, 0x2b1d587b307965e1, 0x40f17d269bbea7dd),
 ];
 
 #[test]
@@ -334,7 +335,7 @@ fn golden_trace_digests_are_reproduced() {
 /// REGISTER's `Loopback` on n5 at 27.000000 s, which only the new run
 /// has. Re-pinned with [`GOLDEN`] for the run fingerprint, from
 /// `0x4bee00d4f1b59d8c` and `0xce5bd46f7b0032d6`.
-const GOLDEN_OLSR: [(u64, u64); 2] = [(2301, 0x924b1586a251f571), (2302, 0x48e5a542bab424ad)];
+const GOLDEN_OLSR: [(u64, u64); 2] = [(2301, 0x4e1f49f6f990a95c), (2302, 0x8f4ece4a3ab7b71f)];
 
 #[test]
 fn golden_olsr_digests_are_reproduced() {
@@ -355,7 +356,7 @@ fn golden_olsr_digests_are_reproduced() {
 /// and with the same `rand` stand-in as [`GOLDEN`]. Re-pinned with
 /// [`GOLDEN`] for the run fingerprint, from `0xc64df2e7e19a055b` and
 /// `0xcf52c244d7931ed7`.
-const GOLDEN_CITY: [(u64, u64); 2] = [(2301, 0x54b9f9026c9e5818), (2302, 0xe8800aef89a6e2a9)];
+const GOLDEN_CITY: [(u64, u64); 2] = [(2301, 0x4ec4715ea809ec51), (2302, 0xfd7ff4a1d5d030c2)];
 
 /// City scale: the golden digests hold, the same seed reproduces its
 /// digest, and trace timestamps never go backwards.
@@ -427,7 +428,7 @@ fn city_observation_bytes_per_node_are_small_and_flat_under_traffic() {
 /// reproduce them bit-for-bit. Captured with the `rand` stand-in under
 /// `benchmark/stubs/`. Re-pinned with [`GOLDEN`] for the run
 /// fingerprint, from `0x7cf4c6875de06658` and `0xb0a4272a05ef3216`.
-const GOLDEN_HUB: [(u64, u64); 2] = [(2301, 0x6ba16f52a0daa03e), (2302, 0xf557d22074920d8f)];
+const GOLDEN_HUB: [(u64, u64); 2] = [(2301, 0x7c640dfaa1a97585), (2302, 0x4c930a32dd59881f)];
 
 #[test]
 fn golden_hub_digests_are_reproduced() {
