@@ -216,6 +216,9 @@ struct Lease {
     missed_pings: u32,
     /// Refreshes sent since the last grant (active lease only).
     unanswered_refreshes: u32,
+    /// TCONNECTs sent to the gateway for this lease that no grant has
+    /// answered yet; a grant with none outstanding is not applied.
+    asked: u32,
     /// When the refresh chain next fires. A grant that changes the
     /// lifetime re-arms the chain; the superseded timer fires at another
     /// instant and is ignored.
@@ -223,7 +226,7 @@ struct Lease {
 }
 
 impl Lease {
-    /// A lease on `gw` whose TCONNECT is outstanding.
+    /// A lease on `gw` whose TCONNECT is yet to be sent ([`Lease::ask`]).
     fn pending(id: u64, gw: Candidate, now: SimTime) -> Lease {
         Lease {
             id,
@@ -233,8 +236,16 @@ impl Lease {
             lease_expires: now,
             missed_pings: 0,
             unanswered_refreshes: 0,
+            asked: 0,
             refresh_due: now,
         }
+    }
+
+    /// Sends a TCONNECT for this lease (its connect, a refresh or a
+    /// re-confirmation), which one more grant may now answer.
+    fn ask(&mut self, ctx: &mut Ctx<'_>, counter: &'static str) {
+        send_connect(ctx, self.gw.contact, counter);
+        self.asked += 1;
     }
 
     /// Whether neither the advert nor a held lease has lapsed.
@@ -378,11 +389,6 @@ impl ConnectionProvider {
     pub fn with_registry(mut self, registry: SharedRegistry) -> ConnectionProvider {
         self.registry = Some(registry);
         self
-    }
-
-    /// Whether the node currently holds a tunnel lease (or is a gateway).
-    pub fn is_connected(&self) -> bool {
-        self.cfg.wired_public.is_some() || matches!(self.state, State::Active(_))
     }
 
     /// The active lease's id.
@@ -598,8 +604,9 @@ impl ConnectionProvider {
             }
             self.next_id += 1;
             let id = self.next_id;
-            self.leases.push(Lease::pending(id, gw, now));
-            send_connect(ctx, gw.contact, "cp.standby_connect");
+            let mut standby = Lease::pending(id, gw, now);
+            standby.ask(ctx, "cp.standby_connect");
+            self.leases.push(standby);
             ctx.set_timer(CONNECT_TIMEOUT, tok(TAG_CONNECT_TIMEOUT, id));
         }
         // Still short of the target? The registry holds too few distinct
@@ -665,12 +672,11 @@ impl ConnectionProvider {
         l.lease = l.lease_expires.saturating_since(now);
         l.missed_pings = 0;
         l.unanswered_refreshes = 0;
-        let gateway = l.gw.contact;
         self.state = State::Active(id);
         self.consecutive_failures = 0;
         self.install(ctx, public, "cp.promote");
         // The immediate TCONNECT re-confirms the lease server-side.
-        send_connect(ctx, gateway, "cp.tconnect");
+        self.leases[i].ask(ctx, "cp.tconnect");
         self.arm_active(ctx, i);
         self.handoff_done(ctx, true);
     }
@@ -735,13 +741,18 @@ impl ConnectionProvider {
     }
 
     /// A lease grant: the handshake's first grant makes the active lease;
-    /// any other grant is for a lease already in the set, active or
-    /// standby.
+    /// any other grant answers a TCONNECT sent for a lease already in the
+    /// set, active or standby. A grant for a held lease with no TCONNECT
+    /// outstanding (forged, or a copy of one already applied) changes
+    /// nothing and is counted as `cp.lease_unsolicited`. A grant from a
+    /// gateway the set holds no lease on is a late answer to one given
+    /// up (a standby connect that timed out, a gateway left behind) and
+    /// is dropped.
     fn on_lease(&mut self, ctx: &mut Ctx<'_>, from: SocketAddr, public: Addr, lifetime_secs: u32) {
         let lease = SimDuration::from_secs(lifetime_secs as u64);
-        if let State::Connecting { gw, id, .. } = self.state {
+        if let State::Connecting { gw, id, attempts } = self.state {
             if gw.contact.addr == from.addr {
-                self.on_first_grant(ctx, id, gw, public, lease);
+                self.on_first_grant(ctx, id, gw, attempts, public, lease);
                 return;
             }
         }
@@ -752,6 +763,11 @@ impl ConnectionProvider {
         else {
             return;
         };
+        if self.leases[i].asked == 0 {
+            ctx.stats().count("cp.lease_unsolicited", 1);
+            return;
+        }
+        self.leases[i].asked -= 1;
         let now = ctx.now();
         let active = self.state == State::Active(self.leases[i].id);
         let l = &mut self.leases[i];
@@ -790,11 +806,13 @@ impl ConnectionProvider {
     }
 
     /// The grant that ends the handshake: the node is on the Internet.
+    /// The handshake's `attempts` retries may each still be answered.
     fn on_first_grant(
         &mut self,
         ctx: &mut Ctx<'_>,
         id: u64,
         gw: Candidate,
+        attempts: u32,
         public: Addr,
         lease: SimDuration,
     ) {
@@ -818,11 +836,14 @@ impl ConnectionProvider {
             .iter()
             .filter(|s| same(s) && s.public.is_some())
             .count();
+        let asked = self.leases.iter().filter(|s| same(s)).map(|s| s.asked);
+        let asked = attempts + asked.sum::<u32>();
         self.leases.retain(|s| !same(s));
         self.leases.push(Lease {
             public: Some(public),
             lease,
             lease_expires: now + lease,
+            asked,
             ..Lease::pending(id, gw, now)
         });
         self.arm_active(ctx, self.leases.len() - 1);
@@ -919,7 +940,7 @@ impl ConnectionProvider {
         } else {
             "cp.standby_refresh"
         };
-        send_connect(ctx, l.gw.contact, counter);
+        l.ask(ctx, counter);
         l.arm_refresh(ctx);
     }
 
@@ -1068,19 +1089,24 @@ impl Process for ConnectionProvider {
 mod tests {
     use super::*;
 
+    /// Whether the node holds a tunnel lease or is a gateway.
+    fn connected(cp: &ConnectionProvider) -> bool {
+        cp.cfg.wired_public.is_some() || cp.active_id().is_some()
+    }
+
     #[test]
     fn gateway_node_reports_connected_immediately() {
         let cp = ConnectionProvider::new(ConnectionProviderConfig {
             wired_public: Some(Addr::new(82, 130, 64, 1)),
             ..ConnectionProviderConfig::default()
         });
-        assert!(cp.is_connected());
+        assert!(connected(&cp));
     }
 
     #[test]
     fn fresh_provider_is_disconnected() {
         let cp = ConnectionProvider::new(ConnectionProviderConfig::default());
-        assert!(!cp.is_connected());
+        assert!(!connected(&cp));
     }
 
     fn gw(n: u32, now: SimTime, life: u64) -> Candidate {

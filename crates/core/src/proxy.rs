@@ -28,8 +28,8 @@
 use std::collections::BTreeMap;
 
 use siphoc_simnet::net::{ports, Addr, Datagram, SocketAddr};
-use siphoc_simnet::obs::{SpanCat, SpanId};
-use siphoc_simnet::process::{Ctx, LocalEvent, LocalKind, Process};
+use siphoc_simnet::obs::SpanCat;
+use siphoc_simnet::process::{Ctx, LocalEvent, LocalKind, Process, Timed};
 use siphoc_simnet::time::SimDuration;
 
 use siphoc_internet::dns::DnsDirectory;
@@ -71,7 +71,8 @@ pub struct SiphocProxyConfig {
 #[derive(Debug)]
 struct Parked {
     msg: SipMessage,
-    span: SpanId,
+    /// The `slp.resolve` span, open until the lookup ends either way.
+    span: Timed,
 }
 
 const TAG_READVERT: u64 = 1;
@@ -331,13 +332,8 @@ impl SiphocProxy {
                 self.next_xid += 1;
                 let xid = self.next_xid;
                 ctx.stats().count("proxy.slp_lookup", 1);
-                let span = ctx.span_enter(SpanCat::Slp, "slp.resolve");
-                if ctx.obs().tracing() {
-                    if let Some(call_id) = msg.call_id() {
-                        let corr = call_id.to_owned();
-                        ctx.obs().span_corr(span, &corr);
-                    }
-                }
+                let call_id = msg.call_id().unwrap_or_default();
+                let span = ctx.span_timed(SpanCat::Slp, "slp.resolve", call_id);
                 self.pending.insert(xid, Parked { msg, span });
                 self.slp_request(
                     ctx,
@@ -357,16 +353,15 @@ impl SiphocProxy {
         xid: u32,
         entries: Vec<siphoc_slp::service::ServiceEntry>,
     ) {
-        let Some(parked) = self.pending.remove(&xid) else {
+        let Some(Parked { msg, mut span }) = self.pending.remove(&xid) else {
             return;
         };
-        let msg = parked.msg;
         // Ignore our own advertisement — local bindings were checked first.
         let own = ctx.addr();
         let target = entries.iter().find(|e| e.origin != own).map(|e| e.contact);
         if let Some(dst) = target {
             // Step 7: forward to the responsible remote proxy.
-            ctx.span_exit(parked.span, true);
+            span.close(ctx, true);
             ctx.stats().count("proxy.fwd_to_remote_proxy", 1);
             self.sip.forward(ctx, msg, dst);
             return;
@@ -375,7 +370,7 @@ impl SiphocProxy {
         if self.sip.public().is_some() {
             if let SipMessage::Request { uri, .. } = &msg {
                 if let Some(provider) = self.cfg.dns.resolve(&uri.host) {
-                    ctx.span_exit(parked.span, true);
+                    span.close(ctx, true);
                     ctx.stats().count("proxy.fwd_to_provider", 1);
                     self.sip
                         .forward(ctx, msg, SocketAddr::new(provider, ports::SIP));
@@ -384,7 +379,7 @@ impl SiphocProxy {
                 ctx.stats().count("proxy.provider_unresolvable", 1);
             }
         }
-        ctx.span_exit(parked.span, false);
+        span.close(ctx, false);
         ctx.stats().count("proxy.lookup_failed", 1);
         self.sip.answer(ctx, &msg, StatusCode::NOT_FOUND, None);
     }
@@ -414,8 +409,8 @@ impl Process for SiphocProxy {
         ctx.bind(PROXY_SLP_PORT);
         ctx.take_local(&[LocalKind::InternetUp, LocalKind::InternetDown]);
         // Lookups parked before a crash wait for replies that died with it.
-        for (_, parked) in std::mem::take(&mut self.pending) {
-            ctx.span_exit(parked.span, false);
+        for (_, mut parked) in std::mem::take(&mut self.pending) {
+            parked.span.close(ctx, false);
         }
         ctx.set_timer(READVERT_INTERVAL, TAG_READVERT);
     }
@@ -446,8 +441,6 @@ impl Process for SiphocProxy {
         if token == TAG_READVERT {
             let now = ctx.now();
             self.local.sweep(now);
-            ctx.obs()
-                .gauge_set("sip.bindings", self.local.bindings_len() as f64);
             self.readvertise(ctx);
             ctx.set_timer(READVERT_INTERVAL, TAG_READVERT);
         }
@@ -470,6 +463,12 @@ impl Process for SiphocProxy {
             }
             _ => {}
         }
+    }
+
+    /// `sip.bindings`: the contacts the local registrar holds now, an
+    /// expired one until the next sweep removes it.
+    fn gauges(&self, report: &mut dyn FnMut(&'static str, f64)) {
+        report("sip.bindings", self.local.bindings_len() as f64);
     }
 }
 

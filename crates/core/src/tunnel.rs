@@ -180,11 +180,6 @@ impl TunnelServer {
         }
     }
 
-    /// Current number of active leases.
-    pub fn lease_count(&self) -> usize {
-        self.leases.len()
-    }
-
     fn send_lease(&self, ctx: &mut Ctx<'_>, to: SocketAddr, public: Addr) {
         let lease = TunnelMsg::Lease {
             public,
@@ -450,6 +445,6 @@ mod tests {
         let b = s.allocate(Addr::manet(2), now).unwrap();
         assert_ne!(a, b);
         assert!(s.allocate(Addr::manet(3), now).is_none(), "pool exhausted");
-        assert_eq!(s.lease_count(), 2);
+        assert_eq!(s.leases.len(), 2);
     }
 }

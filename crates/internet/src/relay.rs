@@ -220,11 +220,6 @@ impl TurnRelay {
         }
     }
 
-    /// Current number of live allocations.
-    pub fn alloc_count(&self) -> usize {
-        self.allocs.len()
-    }
-
     fn allocate(&mut self, gateway: SocketAddr, client: Addr, now: SimTime) -> Option<Addr> {
         if let Some((relayed, a)) = self
             .allocs
@@ -401,7 +396,7 @@ mod tests {
         let b = r.allocate(gw, Addr::manet(2), now).unwrap();
         assert_ne!(a, b);
         assert!(r.allocate(gw, Addr::manet(3), now).is_none(), "exhausted");
-        assert_eq!(r.alloc_count(), 2);
+        assert_eq!(r.allocs.len(), 2);
     }
 
     #[test]

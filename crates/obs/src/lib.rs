@@ -6,9 +6,13 @@
 //!   latency histograms with label support, exported as one JSON
 //!   document. Replaces flat string-counter dumps as the export
 //!   surface; the simulator's per-node `NodeStats` shards are merged
-//!   into a [`Registry`] with a `node` label at export time.
-//! * [`store`] — the name-ordered `Vec` store every per-node counter,
-//!   gauge and histogram lives in (`NodeObs` here, `NodeStats` in
+//!   into a [`Registry`] with a `node` label at export time. A gauge is
+//!   never kept per node: the simulator reads each one from the state
+//!   it measures (a UA's transactions and dialogs, a proxy's bindings)
+//!   when it exports, so gauges read the same whether this crate's
+//!   `enabled` feature is on or off.
+//! * [`store`] — the name-ordered `Vec` store every per-node counter and
+//!   histogram lives in (`NodeObs` here, `NodeStats` in
 //!   `siphoc-simnet`), sized by what it holds.
 //! * [`span`] — structured span tracing on *virtual sim time*, recorded
 //!   out-of-band so traced and untraced runs are event-identical.
@@ -40,7 +44,7 @@ pub mod span;
 pub mod store;
 
 pub use chrome::{chrome_trace_json, TaggedSpan};
-pub use metrics::{Histogram, MetricKey, Registry};
+pub use metrics::{Histogram, Registry};
 pub use span::{SpanCat, SpanId, SpanLog, SpanRecord};
 pub use store::NameMap;
 
@@ -60,7 +64,7 @@ pub fn host_ns() -> u64 {
     now.duration_since(*BASE.get_or_init(|| now)).as_nanos() as u64
 }
 
-/// Per-node observability shard: metric counters/gauges/histograms plus
+/// Per-node observability shard: metric counters and histograms plus
 /// the span log, all keyed by `&'static str` so the hot path never
 /// allocates a metric name.
 ///
@@ -75,7 +79,6 @@ pub struct NodeObs {
     /// Created by the first span recorded while tracing is on.
     spans: Option<Box<SpanLog>>,
     counters: NameMap<u64>,
-    gauges: NameMap<f64>,
     hists: NameMap<Histogram>,
 }
 
@@ -103,19 +106,6 @@ impl NodeObs {
     #[inline]
     pub fn counter_add(&mut self, name: &'static str, v: u64) {
         *self.counters.entry(name) += v;
-    }
-
-    /// Sets a node-local gauge.
-    #[inline]
-    pub fn gauge_set(&mut self, name: &'static str, v: f64) {
-        *self.gauges.entry(name) = v;
-    }
-
-    /// Adds `delta` to a node-local gauge (unset reads as 0), for a gauge
-    /// several processes on the node each contribute a share to.
-    #[inline]
-    pub fn gauge_add(&mut self, name: &'static str, delta: f64) {
-        *self.gauges.entry(name) += delta;
     }
 
     /// Records one sample into a node-local histogram.
@@ -185,9 +175,6 @@ impl NodeObs {
         for (name, v) in self.counters.iter() {
             reg.counter_add(name, &labels, *v);
         }
-        for (name, v) in self.gauges.iter() {
-            reg.gauge_set(name, &labels, *v);
-        }
         for (name, h) in self.hists.iter() {
             reg.hist_merge(name, &labels, h);
         }
@@ -197,8 +184,8 @@ impl NodeObs {
         }
     }
 
-    /// Bytes of heap this shard occupies, by capacity: its counters,
-    /// gauges and histograms, and the span log with its record vectors
+    /// Bytes of heap this shard occupies, by capacity: its counters and
+    /// histograms, and the span log with its record vectors
     /// once a traced node has one. The shard's own `size_of` is the
     /// caller's to add.
     pub fn heap_bytes(&self) -> usize {
@@ -207,11 +194,7 @@ impl NodeObs {
             .spans
             .as_deref()
             .map_or(0, |s| std::mem::size_of::<SpanLog>() + s.heap_bytes());
-        self.counters.heap_bytes()
-            + self.gauges.heap_bytes()
-            + self.hists.heap_bytes()
-            + buckets
-            + spans
+        self.counters.heap_bytes() + self.hists.heap_bytes() + buckets + spans
     }
 }
 
@@ -230,14 +213,6 @@ impl NodeObs {
     /// Adds to a counter (no-op build: compiled away).
     #[inline(always)]
     pub fn counter_add(&mut self, _name: &'static str, _v: u64) {}
-
-    /// Sets a gauge (no-op build: compiled away).
-    #[inline(always)]
-    pub fn gauge_set(&mut self, _name: &'static str, _v: f64) {}
-
-    /// Adds to a gauge (no-op build: compiled away).
-    #[inline(always)]
-    pub fn gauge_add(&mut self, _name: &'static str, _delta: f64) {}
 
     /// Records a histogram sample (no-op build: compiled away).
     #[inline(always)]
@@ -330,7 +305,7 @@ mod tests {
     #[test]
     fn span_log_exists_only_once_a_traced_node_records_a_span() {
         /// Ceiling on `size_of::<NodeObs>()`: every node carries it inline.
-        const NODE_OBS_INLINE_MAX: usize = 88;
+        const NODE_OBS_INLINE_MAX: usize = 64;
         assert!(std::mem::size_of::<NodeObs>() <= NODE_OBS_INLINE_MAX);
 
         let mut traced = NodeObs::default();

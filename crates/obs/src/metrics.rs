@@ -200,16 +200,16 @@ impl Histogram {
 
 /// A metric identity: dotted name plus sorted `(key, value)` labels.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct MetricKey {
+struct MetricKey {
     /// Dotted metric name, e.g. `sip.call_setup_us`.
-    pub name: String,
+    name: String,
     /// Sorted label pairs.
-    pub labels: Vec<(String, String)>,
+    labels: Vec<(String, String)>,
 }
 
 impl MetricKey {
     /// Builds a key, sorting the labels.
-    pub fn new(name: &str, labels: &[(&str, &str)]) -> MetricKey {
+    fn new(name: &str, labels: &[(&str, &str)]) -> MetricKey {
         let mut labels: Vec<(String, String)> = labels
             .iter()
             .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
@@ -253,14 +253,6 @@ impl Registry {
         self.gauges.insert(MetricKey::new(name, labels), v);
     }
 
-    /// Records one histogram sample.
-    pub fn hist_record(&mut self, name: &str, labels: &[(&str, &str)], v: u64) {
-        self.hists
-            .entry(MetricKey::new(name, labels))
-            .or_default()
-            .record(v);
-    }
-
     /// Merges a pre-built histogram (node-shard export path).
     pub fn hist_merge(&mut self, name: &str, labels: &[(&str, &str)], h: &Histogram) {
         self.hists
@@ -294,19 +286,6 @@ impl Registry {
             .filter(|(k, _)| k.name.starts_with(prefix))
             .map(|(_, v)| *v)
             .sum()
-    }
-
-    /// Merges every metric of `other` into this registry.
-    pub fn merge(&mut self, other: &Registry) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_default() += v;
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
-        }
-        for (k, h) in &other.hists {
-            self.hists.entry(k.clone()).or_default().merge(h);
-        }
     }
 
     /// Whether the registry holds no metrics at all.
@@ -584,29 +563,16 @@ mod tests {
     }
 
     #[test]
-    fn registry_merge_accumulates() {
-        let mut a = Registry::new();
-        a.counter_add("x", &[], 1);
-        a.hist_record("h", &[], 10);
-        let mut b = Registry::new();
-        b.counter_add("x", &[], 2);
-        b.gauge_set("g", &[], 4.0);
-        b.hist_record("h", &[], 20);
-        a.merge(&b);
-        assert_eq!(a.counter("x", &[]), 3);
-        assert_eq!(a.gauge("g", &[]), Some(4.0));
-        assert_eq!(a.hist("h", &[]).unwrap().count(), 2);
-    }
-
-    #[test]
     fn json_snapshot() {
         let mut r = Registry::new();
         r.counter_add("a.b", &[("node", "n1")], 4);
         r.gauge_set("g", &[], 1.5);
         r.gauge_set("world.nodes", &[], 2.0);
+        let mut h = Histogram::default();
         for v in [8, 100, 100] {
-            r.hist_record("h_us", &[], v);
+            h.record(v);
         }
+        r.hist_merge("h_us", &[], &h);
         let h_us = Value::obj([
             ("count", Value::Int(3)),
             ("sum", Value::Int(208)),

@@ -239,7 +239,8 @@ impl SpanLog {
     }
 
     /// Changes the retention cap for completed spans.
-    pub fn set_cap(&mut self, cap: usize) {
+    #[cfg(test)]
+    pub(crate) fn set_cap(&mut self, cap: usize) {
         self.cap = cap;
     }
 }

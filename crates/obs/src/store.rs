@@ -1,5 +1,5 @@
-//! The one per-node store behind every named counter, gauge and
-//! histogram: a `Vec` of `(name, value)` kept in name order.
+//! The one per-node store behind every named counter and histogram: a
+//! `Vec` of `(name, value)` kept in name order.
 //!
 //! A node touches a handful of names (three on a beacon-only node, up to
 //! about fifty under the full stack), so a vector costs its entries and

@@ -1210,7 +1210,7 @@ mod tests {
         assert!(total > 100, "{total} receptions");
         assert_eq!(w.total_stats().get("radio.rx").packets, total);
 
-        let sent = crate::node::Transmit::NAMES;
+        let sent = ["radio.bcast_tx", "radio.tx", "radio.retx", "fwd"];
         for name in sent {
             let mut sum = crate::stats::Counter::default();
             for &id in &ids {

@@ -331,15 +331,6 @@ pub(crate) struct Transmit {
     pub fwd: Counter,
 }
 
-impl Transmit {
-    /// The names [`Transmit::counters`] are reported under, in order.
-    pub(crate) const NAMES: [&'static str; 4] = ["radio.bcast_tx", "radio.tx", "radio.retx", "fwd"];
-
-    pub(crate) fn counters(&self) -> [Counter; 4] {
-        [self.bcast_tx, self.tx, self.retx, self.fwd]
-    }
-}
-
 /// What a node holds only once it runs more than a one-process,
 /// one-port, route-less radio stack, behind one box in `Node::proto`:
 /// created by the first alias, second process or binding, claimed
@@ -512,7 +503,7 @@ mod tests {
 
     /// Ceiling on `size_of::<Node>()`, with and without the inline obs
     /// shard: `World::nodes` pays it once per node, used or not.
-    const NODE_INLINE_MAX: usize = if crate::obs_enabled() { 336 } else { 248 };
+    const NODE_INLINE_MAX: usize = if crate::obs_enabled() { 312 } else { 248 };
 
     /// Ceiling on `size_of::<ProtoState>()`: a node that runs a protocol
     /// stack pays it once, in its box.

@@ -61,6 +61,15 @@ pub trait Process {
     fn on_local_event(&mut self, ctx: &mut Ctx<'_>, ev: &LocalEvent) {
         let _ = (ctx, ev);
     }
+
+    /// Reports the process's gauges, one `report(name, value)` call each,
+    /// read from the state they measure (a UA's live transactions, say).
+    /// `World::obs_registry` asks every process at export and writes each
+    /// name's sum over the node's processes under its `node` label, in
+    /// every build; a process keeps no copy of what it reports.
+    fn gauges(&self, report: &mut dyn FnMut(&'static str, f64)) {
+        let _ = report;
+    }
 }
 
 /// Node-local signals between processes and the network stack.
@@ -294,34 +303,20 @@ impl<'a> Ctx<'a> {
         self.now.as_micros()
     }
 
-    /// Opens an observability span at the current sim time. Returns
-    /// `SpanId::NONE` (and records nothing) unless tracing is enabled on an
-    /// obs build, so call sites need no guards.
-    pub fn span_enter(
-        &mut self,
-        cat: siphoc_obs::SpanCat,
-        name: &'static str,
-    ) -> siphoc_obs::SpanId {
-        let t = self.now.as_micros();
-        self.obs.span_enter(cat, name, t)
-    }
-
-    /// Closes a span at the current sim time; safe on `SpanId::NONE`.
-    pub fn span_exit(&mut self, id: siphoc_obs::SpanId, ok: bool) {
-        let t = self.now.as_micros();
-        self.obs.span_exit(id, t, ok);
-    }
-
-    /// Opens a span whose duration its owner reads when it closes it
-    /// ([`Timed::close`]), correlated with `corr` while tracing; an empty
-    /// `corr` correlates nothing.
+    /// Opens a span at the current sim time, the one way a process
+    /// opens one: its owner holds the returned [`Timed`] and closes it
+    /// with [`Timed::close`], which also reads its duration. `corr` (a
+    /// Call-ID, say) is rendered and attached only while tracing; an
+    /// empty `corr` correlates nothing. Records nothing unless tracing is
+    /// on in an obs build, so call sites need no guards.
     pub fn span_timed(
         &mut self,
         cat: siphoc_obs::SpanCat,
         name: &'static str,
         corr: impl std::fmt::Display,
     ) -> Timed {
-        let span = self.span_enter(cat, name);
+        let now_us = self.now_us();
+        let span = self.obs.span_enter(cat, name, now_us);
         if self.obs.tracing() {
             let corr = corr.to_string();
             if !corr.is_empty() {
@@ -330,7 +325,7 @@ impl<'a> Ctx<'a> {
         }
         Timed {
             span,
-            started_us: self.now_us(),
+            started_us: now_us,
         }
     }
 
@@ -460,8 +455,10 @@ impl Timed {
     /// Closes the span, if still open, and returns how long since it
     /// opened, in µs.
     pub fn close(&mut self, ctx: &mut Ctx<'_>, ok: bool) -> u64 {
-        ctx.span_exit(std::mem::take(&mut self.span), ok);
-        ctx.now_us().saturating_sub(self.started_us)
+        let now_us = ctx.now_us();
+        ctx.obs
+            .span_exit(std::mem::take(&mut self.span), now_us, ok);
+        now_us.saturating_sub(self.started_us)
     }
 }
 

@@ -84,13 +84,6 @@ impl NodeStats {
         }
     }
 
-    /// Merges all counters of `other` into this instance.
-    pub fn merge(&mut self, other: &NodeStats) {
-        for (name, c) in other.iter() {
-            self.counters.entry(name).merge(c);
-        }
-    }
-
     /// Resets every counter to zero.
     pub fn clear(&mut self) {
         self.counters.clear();
@@ -228,19 +221,6 @@ mod tests {
         assert_eq!(s.sum_prefix("").bytes, 60);
     }
 
-    #[test]
-    fn merge_accumulates() {
-        let mut a = NodeStats::default();
-        a.count("x", 1);
-        let mut b = NodeStats::default();
-        b.count("x", 2);
-        b.count("y", 3);
-        a.merge(&b);
-        assert_eq!(a.get("x").bytes, 3);
-        assert_eq!(a.get("x").packets, 2);
-        assert_eq!(a.get("y").bytes, 3);
-    }
-
     /// `NodeStats` against the `BTreeMap` it used to be, fed the same
     /// counts in three insertion orders.
     #[test]
@@ -281,16 +261,6 @@ mod tests {
                 assert_eq!(s.sum_prefix(prefix), sum, "prefix {prefix:?}");
             }
             assert_eq!(s.heap_bytes(), want.len() * 32, "grown exactly");
-
-            // Merging into a store that holds other names interleaves them.
-            let mut total = NodeStats::default();
-            total.count("olsr.hello", 30);
-            total.count("aodv.rreq", 2);
-            total.merge(&s);
-            assert_eq!(total.get("aodv.rreq").bytes, 98);
-            assert_eq!(total.get("olsr.hello").packets, 1);
-            assert_eq!(total.iter().count(), want.len() + 1);
-            assert!(total.iter().map(|(n, _)| n).is_sorted());
 
             s.clear();
             assert_eq!(s.iter().count(), 0);

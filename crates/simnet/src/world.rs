@@ -19,9 +19,7 @@ use crate::fault::{FaultAction, FaultPlan, PacketFault};
 use crate::grid::NeighborGrid;
 use crate::mobility::{Mobility, Position};
 use crate::net::{Addr, Datagram};
-use crate::node::{
-    HotNode, Node, NodeConfig, NodeId, ProcSlot, ProtoState, RecvEntry, Transmit, NO_PROC,
-};
+use crate::node::{HotNode, Node, NodeConfig, NodeId, ProcSlot, ProtoState, RecvEntry, NO_PROC};
 use crate::process::{LocalEvent, Process};
 use crate::queue::EventQueue;
 use crate::radio::RadioConfig;
@@ -29,6 +27,10 @@ use crate::rng::SimRng;
 use crate::stats::{Counter, Ledger, NodeStats};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::PacketTrace;
+
+/// How many counters the engine keeps per node outside its `NodeStats`:
+/// four in its `Transmit`, `radio.rx` in its receive column.
+const ENGINE_COUNTERS: usize = 5;
 
 /// Global world parameters.
 #[derive(Debug, Clone)]
@@ -267,11 +269,14 @@ impl World {
     ///
     /// Panics on an unknown id.
     pub fn process_names(&self, node: NodeId) -> Vec<&'static str> {
+        self.processes(node).map(|proc| proc.name()).collect()
+    }
+
+    /// The processes hosted on `node`, in spawn order.
+    fn processes(&self, node: NodeId) -> impl Iterator<Item = &dyn Process> + '_ {
         (0..)
-            .map_while(|idx| self.proc_slot(node, idx))
-            .filter_map(|slot| self.procs[slot as usize].proc.as_ref())
-            .map(|proc| proc.name())
-            .collect()
+            .map_while(move |idx| self.proc_slot(node, idx))
+            .filter_map(|slot| self.procs[slot as usize].proc.as_deref())
     }
 
     /// Immutable access to a node.
@@ -338,14 +343,20 @@ impl World {
     /// Aggregates every node's observability shard plus the legacy
     /// [`NodeStats`] counters into one labelled [`siphoc_obs::Registry`].
     ///
-    /// Each `NodeStats` counter `x.y` is bridged as counter `x.y` (packet
-    /// count) and `x.y_bytes`, labelled `node="n<id>"`, so the ad-hoc
-    /// string counters stay queryable through the typed exporters. World
-    /// gauges (`sim.now_us`, `sim.events`, `sim.nodes`) ride along, with
+    /// Each of a node's counters `x.y` (its `NodeStats` rows and the
+    /// engine's five, as [`World::stats`] reports them) is bridged as
+    /// counter `x.y` (packet count) and `x.y_bytes`, labelled
+    /// `node="n<id>"`, so the ad-hoc string counters stay queryable
+    /// through the typed exporters. Every process is asked for its
+    /// gauges ([`Process::gauges`]), and each name's sum over a node's
+    /// processes is written under the node's label: `sip.txn_active`,
+    /// `sip.dialogs_live` and `sip.bindings` read the state they measure
+    /// now, in every build. World gauges (`sim.now_us`, `sim.events`,
+    /// `sim.nodes`) ride along, with
     /// `sim.obs_bytes`: what every node's counters and `NodeObs` occupy
     /// — the inline `size_of` of its `NodeStats`, its five engine
     /// counters (`radio.rx` in the receive column, four in `Transmit`)
-    /// and its shard, plus the heap behind its named counters, gauges,
+    /// and its shard, plus the heap behind its named counters,
     /// histograms and span log, by capacity (no shard in an obs-less
     /// build) — so the cost of the instrumentation is in its own output;
     /// `sim.node_bytes`: what the nodes themselves occupy — the `Node`s,
@@ -368,21 +379,30 @@ impl World {
         use std::mem::size_of;
         let mut reg = siphoc_obs::Registry::new();
         let inline = size_of::<NodeStats>()
-            + (1 + Transmit::NAMES.len()) * size_of::<Counter>()
+            + ENGINE_COUNTERS * size_of::<Counter>()
             + size_of::<siphoc_obs::NodeObs>();
         let mut obs_bytes = self.nodes.len() * inline;
         let mut node_bytes = self.nodes.capacity() * size_of::<Node>()
             + self.hot.capacity() * size_of::<HotNode>()
             + self.recv.capacity() * size_of::<RecvEntry>();
+        let mut gauges = siphoc_obs::NameMap::<f64>::default();
         for (i, n) in self.nodes.iter().enumerate() {
             let id = NodeId(i as u32);
             obs_bytes += n.stats.heap_bytes() + n.obs.heap_bytes();
             node_bytes += n.proto.as_deref().map_or(0, ProtoState::heap_bytes);
             let label = id.to_string();
+            let labels = [("node", label.as_str())];
             n.obs.merge_metrics_into(&mut reg, &label);
-            for (name, c) in self.stats(id).iter() {
-                reg.counter_add(name, &[("node", &label)], c.packets);
-                reg.counter_add(&format!("{name}_bytes"), &[("node", &label)], c.bytes);
+            for (name, c) in self.counters(id) {
+                reg.counter_add(name, &labels, c.packets);
+                reg.counter_add(&format!("{name}_bytes"), &labels, c.bytes);
+            }
+            gauges.clear();
+            for proc in self.processes(id) {
+                proc.gauges(&mut |name, v| *gauges.entry(name) += v);
+            }
+            for (name, v) in gauges.iter() {
+                reg.gauge_set(name, &labels, *v);
             }
         }
         reg.gauge_set("sim.now_us", &[], self.now.as_micros() as f64);
@@ -443,38 +463,49 @@ impl World {
         &mut self.workload_rng
     }
 
-    /// A node's traffic counters.
+    /// A node's traffic counters: its [`NodeStats`] rows and, once each
+    /// has counted, the engine's five (`radio.rx`, `radio.tx`,
+    /// `radio.bcast_tx`, `radio.retx`, `fwd`), which the node keeps
+    /// apart from its `NodeStats`.
     ///
     /// # Panics
     ///
     /// Panics on an unknown id.
     pub fn stats(&self, id: NodeId) -> NodeStats {
-        let n = &self.nodes[id.0 as usize];
-        let mut stats = n.stats.clone();
-        for (name, c) in Transmit::NAMES.into_iter().zip(n.tx.counters()) {
+        let mut stats = NodeStats::default();
+        for (name, c) in self.counters(id) {
             stats.add(name, c);
         }
-        stats.add("radio.rx", self.recv[id.0 as usize].rx);
         stats
     }
 
     /// Aggregated counters across every node.
     pub fn total_stats(&self) -> NodeStats {
         let mut total = NodeStats::default();
-        let mut tx = [Counter::default(); Transmit::NAMES.len()];
-        let mut rx = Counter::default();
-        for (n, r) in self.nodes.iter().zip(&self.recv) {
-            total.merge(&n.stats);
-            for (sum, c) in tx.iter_mut().zip(n.tx.counters()) {
-                sum.merge(c);
+        for i in 0..self.nodes.len() {
+            for (name, c) in self.counters(NodeId(i as u32)) {
+                total.add(name, c);
             }
-            rx.merge(r.rx);
         }
-        for (name, c) in Transmit::NAMES.into_iter().zip(tx) {
-            total.add(name, c);
-        }
-        total.add("radio.rx", rx);
         total
+    }
+
+    /// A node's counters: its `NodeStats` rows, then those of the
+    /// engine's that counted — four in its `Transmit`, `radio.rx` in its
+    /// receive column. The one place the two meet; [`World::stats`],
+    /// [`World::total_stats`] and [`World::obs_registry`] all read it,
+    /// and each files what it reads by name.
+    fn counters(&self, id: NodeId) -> impl Iterator<Item = (&'static str, Counter)> + '_ {
+        let (n, rx) = (&self.nodes[id.0 as usize], self.recv[id.0 as usize].rx);
+        let engine: [_; ENGINE_COUNTERS] = [
+            ("radio.bcast_tx", n.tx.bcast_tx),
+            ("radio.tx", n.tx.tx),
+            ("radio.retx", n.tx.retx),
+            ("fwd", n.tx.fwd),
+            ("radio.rx", rx),
+        ];
+        let engine = engine.into_iter().filter(|(_, c)| c.packets > 0);
+        n.stats.iter().chain(engine)
     }
 
     /// Powers a node down or back up. Going down ends the node's
@@ -1370,6 +1401,39 @@ mod tests {
         assert_eq!(row("sim.events", "DeliverRadioBatch"), 2 * 200);
         assert_eq!(row("sim.events", "TxDone"), 200);
         assert!(row("sim.host_ns", "DeliverRadioBatch") > 0);
+    }
+
+    /// A process that reports fixed gauges.
+    struct Gauges(&'static [(&'static str, f64)]);
+
+    impl Process for Gauges {
+        fn name(&self) -> &'static str {
+            "gauges"
+        }
+        fn gauges(&self, report: &mut dyn FnMut(&'static str, f64)) {
+            for &(name, v) in self.0 {
+                report(name, v);
+            }
+        }
+    }
+
+    /// The registry writes each gauge name's sum over a node's processes
+    /// under the node's label, and no row for a node whose processes
+    /// report none.
+    #[test]
+    fn a_nodes_gauges_sum_over_its_processes() {
+        let mut w = ideal_world(3);
+        let a = w.add_node(NodeConfig::manet(0.0, 0.0));
+        let b = w.add_node(NodeConfig::manet(50.0, 0.0));
+        w.spawn(a, Box::new(Gauges(&[("x.live", 2.0), ("y.held", 1.0)])));
+        w.spawn(a, Box::new(Echo::new(9000).0));
+        w.spawn(a, Box::new(Gauges(&[("x.live", 3.0)])));
+        w.spawn(b, Box::new(Echo::new(9000).0));
+        let reg = w.obs_registry();
+        let gauge = |id: NodeId, name| reg.gauge(name, &[("node", &id.to_string())]);
+        assert_eq!(gauge(a, "x.live"), Some(5.0));
+        assert_eq!(gauge(a, "y.held"), Some(1.0));
+        assert_eq!(gauge(b, "x.live"), None);
     }
 
     /// The wheels' fixed footprint is what the smallest workload

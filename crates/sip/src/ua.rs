@@ -20,7 +20,7 @@ use std::rc::Rc;
 
 use siphoc_simnet::fasthash::FastMap;
 use siphoc_simnet::net::{Addr, Datagram, SocketAddr};
-use siphoc_simnet::obs::{SpanCat, SpanId};
+use siphoc_simnet::obs::SpanCat;
 use siphoc_simnet::process::{Ctx, LocalEvent, LocalKind, Process, Timed};
 use siphoc_simnet::time::{SimDuration, SimTime};
 
@@ -431,15 +431,12 @@ pub struct UserAgent {
     /// deliver a retransmission to it — and is then removed by
     /// [`UserAgent::settle`].
     terminated: VecDeque<(SimTime, u64)>,
-    /// `(transactions, dialogs)` last added into the node's
-    /// `sip.txn_active` / `sip.dialogs_live` gauges; UAs sharing a node
-    /// each contribute their delta, so the gauges read the node total.
-    reported: (usize, usize),
     next_dialog: u64,
     register_branch: Option<Arc<str>>,
     register_cseq: u32,
     registered: bool,
-    register_span: SpanId,
+    /// The `sip.register` span of the REGISTER in flight.
+    register_span: Option<Timed>,
     /// Nonce from the registrar's last 401 challenge; included (signed)
     /// in every subsequent REGISTER until the registrar rotates it.
     auth_nonce: Option<u64>,
@@ -476,12 +473,11 @@ impl UserAgent {
                 dialogs: BTreeMap::new(),
                 dialog_by_idx: FastMap::default(),
                 terminated: VecDeque::new(),
-                reported: (0, 0),
                 next_dialog: 0,
                 register_branch: None,
                 register_cseq: 0,
                 registered: false,
-                register_span: SpanId::NONE,
+                register_span: None,
                 auth_nonce: None,
                 auth_inflight: false,
                 last_expires: 0,
@@ -525,12 +521,14 @@ impl UserAgent {
             let cred = auth::Credential::answer(kp, nonce, &aor_s, &contact_value);
             m.headers_mut().push(auth::AUTHORIZATION, cred);
         }
-        ctx.span_exit(self.register_span, true);
-        self.register_span = ctx.span_enter(SpanCat::Sip, "sip.register");
-        ctx.obs().span_corr(
-            self.register_span,
-            &format!("reg-{}-{}", self.cfg.aor.user, self.cfg.local_port),
+        self.close_register_span(ctx, true);
+        let (user, port) = (&self.cfg.aor.user, self.cfg.local_port);
+        let span = ctx.span_timed(
+            SpanCat::Sip,
+            "sip.register",
+            format_args!("reg-{user}-{port}"),
         );
+        self.register_span = Some(span);
         let branch = self.txn.send_request(ctx, m, self.cfg.outbound_proxy);
         self.register_branch = Some(branch);
     }
@@ -933,16 +931,14 @@ impl UserAgent {
             }
             if status.is_success() {
                 self.auth_inflight = false;
-                ctx.span_exit(self.register_span, true);
-                self.register_span = SpanId::NONE;
+                self.close_register_span(ctx, true);
                 if !self.registered {
                     self.registered = true;
                     self.emit_log(ctx, CallEvent::Registered);
                 }
             } else if status.is_final() {
                 self.auth_inflight = false;
-                ctx.span_exit(self.register_span, false);
-                self.register_span = SpanId::NONE;
+                self.close_register_span(ctx, false);
                 self.emit_log(ctx, CallEvent::RegisterFailed);
             }
             return;
@@ -1011,8 +1007,8 @@ impl UserAgent {
     }
 
     /// Closes every datagram and timer handler: removes the dialogs whose
-    /// linger has lapsed and publishes what is still live. Riding on the
-    /// handlers costs no timer of its own. It is prompt for a call that
+    /// linger has lapsed. Riding on the handlers costs no timer of its
+    /// own. It is prompt for a call that
     /// ended with BYE or a refusal we sent: that transaction starts as the
     /// dialog ends, so its 64×T1 cleanup timer lands here just as the
     /// linger lapses. A caller whose INVITE was refused waits for its
@@ -1027,21 +1023,18 @@ impl UserAgent {
                 self.dialogs.remove(&call_id);
             }
         }
-        let live = (self.txn.active_count(), self.dialogs.len());
-        if live != self.reported {
-            let delta = |now: usize, before: usize| now as f64 - before as f64;
-            ctx.obs()
-                .gauge_add("sip.txn_active", delta(live.0, self.reported.0));
-            ctx.obs()
-                .gauge_add("sip.dialogs_live", delta(live.1, self.reported.1));
-            self.reported = live;
+    }
+
+    /// Closes the `sip.register` span, if one is open.
+    fn close_register_span(&mut self, ctx: &mut Ctx<'_>, ok: bool) {
+        if let Some(mut span) = self.register_span.take() {
+            span.close(ctx, ok);
         }
     }
 
     fn on_txn_timeout(&mut self, ctx: &mut Ctx<'_>, branch: Arc<str>, msg: SipMessage) {
         if Some(&branch) == self.register_branch.as_ref() {
-            ctx.span_exit(self.register_span, false);
-            self.register_span = SpanId::NONE;
+            self.close_register_span(ctx, false);
             self.emit_log(ctx, CallEvent::RegisterFailed);
             return;
         }
@@ -1079,8 +1072,7 @@ impl Process for UserAgent {
         self.dialog_by_idx.clear();
         self.terminated.clear();
         self.txn = TransactionLayer::new(self.cfg.local_port);
-        ctx.span_exit(self.register_span, false);
-        self.register_span = SpanId::NONE;
+        self.close_register_span(ctx, false);
         self.registered = false;
         self.auth_inflight = false;
         self.settle(ctx);
@@ -1164,6 +1156,13 @@ impl Process for UserAgent {
             self.on_own_timer(ctx, token);
         }
         self.settle(ctx);
+    }
+
+    /// `sip.txn_active` and `sip.dialogs_live`: the transactions and
+    /// dialogs this UA holds now, lingering ones included.
+    fn gauges(&self, report: &mut dyn FnMut(&'static str, f64)) {
+        report("sip.txn_active", self.txn.active_count() as f64);
+        report("sip.dialogs_live", self.dialogs.len() as f64);
     }
 }
 

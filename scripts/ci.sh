@@ -29,6 +29,15 @@ trap 'rm -rf "${sim_out}"' EXIT
 ./target/release/siphoc-sim --json --trace-out "${sim_out}/trace.json" \
     --metrics-out "${sim_out}/metrics.json" scenarios/two_node_call.json >"${sim_out}/report.json"
 test -s "${sim_out}/trace.json" && test -s "${sim_out}/metrics.json"
+# A non-empty document is not yet a registry with rows in it: each UA
+# node's live transactions and dialogs, which `World::obs_registry` pulls
+# from the user agents, must be there.
+for gauge in sip.txn_active sip.dialogs_live; do
+    if ! grep -q "\"${gauge}{node=n[0-9]*}\"" "${sim_out}/metrics.json"; then
+        echo "ci.sh: siphoc-sim's metrics document has no ${gauge}{node=…} row" >&2
+        exit 1
+    fi
+done
 # Perf lints ride the warning gate: the simulator hot path is clone- and
 # allocation-sensitive (see DESIGN.md § performance), so regressions that
 # clippy can see should fail CI. --all-features folds the obs-instrumented

@@ -9,7 +9,9 @@
 //! document read back.
 //!
 //! Tests that assert what was recorded need the `obs` feature; the
-//! determinism and `NodeStats`-bridge tests run in both builds.
+//! determinism, `NodeStats`-bridge and gauge tests run in both builds:
+//! a gauge is read from the state it measures when the registry is
+//! exported, with or without the feature.
 
 use wireless_adhoc_voip::core::config::VoipAppConfig;
 use wireless_adhoc_voip::core::nodesetup::{deploy, NodeSpec, RoutingProtocol};
@@ -24,11 +26,8 @@ use wireless_adhoc_voip::simnet::obs::chrome_trace_json;
 #[cfg(feature = "obs")]
 use wireless_adhoc_voip::simnet::obs::json::{self, Value};
 use wireless_adhoc_voip::simnet::prelude::*;
-#[cfg(feature = "obs")]
 use wireless_adhoc_voip::simnet::trace::TraceKind;
-#[cfg(feature = "obs")]
-use wireless_adhoc_voip::sip::ua::{CallEvent, UaLogHandle};
-use wireless_adhoc_voip::sip::ua::{UaConfig, UserAgent};
+use wireless_adhoc_voip::sip::ua::{CallEvent, UaConfig, UaLogHandle, UserAgent};
 use wireless_adhoc_voip::sip::uri::Aor;
 
 fn node(x: f64, user: Option<&str>, calls: Vec<CallSpec>) -> NodeSpecJson {
@@ -495,7 +494,6 @@ fn without_host_time(
 /// once the linger of the last call has lapsed both gauges read 0. The
 /// event queue's own gauges tell the same story from below: timers pile
 /// up while calls linger, the slab remembers the most it ever held.
-#[cfg(feature = "obs")]
 #[test]
 fn sip_state_gauges_track_live_calls_and_return_to_zero() {
     const USERS: usize = 8;
@@ -602,6 +600,70 @@ fn sip_state_gauges_track_live_calls_and_return_to_zero() {
     assert!(len < lingering / 4.0, "{len} of {lingering} still queued");
     assert!(slots >= lingering && slots < 20.0 * CALLS as f64, "{slots}");
     assert!(world_gauge(&w, "sim.queue_bytes") >= 88.0 * slots);
+}
+
+/// A node's gauge reads the state its processes hold now: the SIPHoc
+/// proxy's `sip.bindings` counts the binding the moment the REGISTER
+/// that made it succeeds, not at the proxy's next re-advertisement.
+#[test]
+fn a_binding_is_reported_as_soon_as_its_register_succeeds() {
+    let mut w = World::new(WorldConfig::new(5));
+    let ua = VoipAppConfig::fig2("alice", "voicehoc.ch")
+        .to_ua_config()
+        .expect("localhost proxy resolves");
+    let node = deploy(&mut w, NodeSpec::relay(0.0, 0.0).with_user(ua));
+    let label = node.id.to_string();
+    let gauge = |w: &World, name: &str| w.obs_registry().gauge(name, &[("node", &label)]);
+    let registered = |e: &CallEvent| matches!(e, CallEvent::Registered);
+    while node.ua_logs[0].borrow().count(registered) == 0 {
+        assert!(w.now() < SimTime::from_secs(1), "alice never registered");
+        w.run_for(SimDuration::from_millis(1));
+    }
+    assert_eq!(gauge(&w, "sip.bindings"), Some(1.0));
+    // Her REGISTER transaction lingers; she holds no dialog.
+    assert_eq!(gauge(&w, "sip.txn_active"), Some(1.0));
+    assert_eq!(gauge(&w, "sip.dialogs_live"), Some(0.0));
+}
+
+/// Two UAs on one node: each gauge reads the sum of what both hold — a
+/// REGISTER transaction each after registering, and a dialog each while
+/// one calls the other.
+#[test]
+fn a_nodes_gauges_sum_its_user_agents() {
+    let proxy = SocketAddr::new(Addr::LOOPBACK, ports::SIPHOC_PROXY);
+    let aor = |user: &str| Aor::new(user, "voicehoc.ch");
+    let mut alice = UaConfig::new(aor("alice"), proxy);
+    (alice.local_port, alice.rtp_port) = (6000, 20_000);
+    alice = alice.call_at(SimTime::from_secs(2), aor("bob"), SimDuration::from_secs(5));
+    let mut bob = UaConfig::new(aor("bob"), proxy);
+    (bob.local_port, bob.rtp_port) = (6001, 20_001);
+    let mut w = World::new(WorldConfig::new(9));
+    let mut spec = NodeSpec::relay(0.0, 0.0).without_connection_provider();
+    spec.users = vec![alice, bob];
+    let hub = deploy(&mut w, spec);
+    let label = hub.id.to_string();
+    let gauge = |w: &World, name: &str| w.obs_registry().gauge(name, &[("node", &label)]);
+
+    w.run_until(SimTime::from_secs(1));
+    assert_eq!(gauge(&w, "sip.txn_active"), Some(2.0));
+    assert_eq!(gauge(&w, "sip.dialogs_live"), Some(0.0));
+    assert_eq!(gauge(&w, "sip.bindings"), Some(2.0));
+
+    w.run_until(SimTime::from_secs(4));
+    let established = |e: &CallEvent| matches!(e, CallEvent::Established { .. });
+    let calls: usize = hub
+        .ua_logs
+        .iter()
+        .map(|l| l.borrow().count(established))
+        .sum();
+    assert_eq!(calls, 2, "both ends logged the call");
+    assert_eq!(gauge(&w, "sip.dialogs_live"), Some(2.0));
+
+    // 64×T1 after the BYE, nothing is left but the bindings.
+    w.run_until(SimTime::from_secs(45));
+    assert_eq!(gauge(&w, "sip.txn_active"), Some(0.0));
+    assert_eq!(gauge(&w, "sip.dialogs_live"), Some(0.0));
+    assert_eq!(gauge(&w, "sip.bindings"), Some(2.0));
 }
 
 /// A call whose INVITE carried no SDP still ends its setup: the ACK that

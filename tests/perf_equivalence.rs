@@ -389,16 +389,16 @@ fn city_digests_are_golden_reproducible_and_time_monotone() {
 }
 
 /// Observation state is sized by what it holds, not by what passed through
-/// it: on the same city, the bytes every node's counters, gauges and
-/// histograms occupy (`sim.obs_bytes`: the inline `NodeStats`, five
-/// engine counters and `NodeObs`, 24 + 80 + 88 B, and the heap behind
-/// them by capacity — deterministic, unlike RSS) are small once each node
-/// has beaconed and stay small under ten times the traffic. The one thing
-/// still allowed to grow is a histogram's span, up to the width of what
-/// it samples: airtime covers 18 buckets, a node's first six samples
-/// about 11 of them (361 B per node at 2 s, 407 B at 20 s, 409 B at
-/// 40 s). With the `obs` feature off this counts the counters alone: a
-/// beacon node names none, so 104 B, flat.
+/// it: on the same city, the bytes every node's counters and histograms
+/// occupy (`sim.obs_bytes`: the inline `NodeStats`, five engine counters
+/// and `NodeObs`, 24 + 80 + 64 B, and the heap behind them by capacity —
+/// deterministic, unlike RSS) are small once each node has beaconed and
+/// stay small under ten times the traffic. The one thing still allowed to
+/// grow is a histogram's span, up to the width of what it samples:
+/// airtime covers 18 buckets, a node's first six samples about 11 of them
+/// (337 B per node at 2 s, 383 B at 20 s, 385 B at 40 s). With the `obs`
+/// feature off this counts the counters alone: a beacon node names none,
+/// so 104 B, flat.
 #[test]
 fn city_observation_bytes_per_node_are_small_and_flat_under_traffic() {
     let mut w = World::new(WorldConfig::new(2301));

@@ -418,15 +418,36 @@ fn cp_bytes(w: &World, client: NodeId, log: &std::cell::RefCell<Vec<u8>>, out: &
     out.extend_from_slice(&log.borrow());
 }
 
+/// Injects, as if the gateway `gw` had sent it, a grant of
+/// 82.130.64.200 for 60 s to the client `c`, which asked for none.
+fn inject_unsolicited_grant(
+    w: &mut World,
+    gw: &wireless_adhoc_voip::core::nodesetup::SiphocNode,
+    c: &wireless_adhoc_voip::core::nodesetup::SiphocNode,
+) {
+    let grant = wireless_adhoc_voip::core::tunnel::TunnelMsg::Lease {
+        public: Addr::new(82, 130, 64, 200),
+        lifetime_secs: 60,
+    };
+    w.inject(
+        gw.id,
+        Datagram::new(
+            SocketAddr::new(gw.addr, ports::TUNNEL),
+            SocketAddr::new(c.addr, ports::TUNNEL),
+            grant.to_wire(),
+        ),
+    );
+}
+
 /// The bytes of the Connection Provider's decisions no golden digest
 /// pins: a warm standby promoted, a break-before-make fallback, an
 /// advance through cold contacts after connect timeouts, a probe that
-/// finds no gateway, a teardown after refresh failures and a renumbered
-/// lease. One FNV-1a over every payload the provider sends and every
-/// connectivity signal it emits, with their instants.
+/// finds no gateway, a teardown after refresh failures and an
+/// unsolicited grant dropped. One FNV-1a over every payload the provider
+/// sends and every connectivity signal it emits, with their instants.
 #[test]
 fn connection_provider_keeps_its_bytes() {
-    const PINNED: u64 = 0xa288_bcbd_0c09_4322;
+    const PINNED: u64 = 0x5bb2_2c97_9826_2f2e;
     let two = [(0.0, 0.0), (120.0, 0.0)];
     let mut bytes = Vec::new();
     let count = |w: &World, n: NodeId, name: &str| w.stats(n).get(name).packets;
@@ -485,33 +506,53 @@ fn connection_provider_keeps_its_bytes() {
     assert_eq!(count(&w, c.id, "cp.tunnel_down"), 1);
     cp_bytes(&w, c.id, &log, &mut bytes);
 
-    // The gateway renumbers the lease; a later refresh grants the old
-    // address back.
+    // A grant from the gateway's address that answers no TCONNECT
+    // changes nothing.
     let (mut w, gws, c, log) = cp_world(806, &two[..1], |s| s);
     w.run_for(SimDuration::from_secs(15));
-    let grant = wireless_adhoc_voip::core::tunnel::TunnelMsg::Lease {
-        public: Addr::new(82, 130, 64, 200),
-        lifetime_secs: 60,
-    };
-    w.inject(
-        gws[0].id,
-        Datagram::new(
-            SocketAddr::new(gws[0].addr, ports::TUNNEL),
-            SocketAddr::new(c.addr, ports::TUNNEL),
-            grant.to_wire(),
-        ),
-    );
+    inject_unsolicited_grant(&mut w, &gws[0], &c);
     w.run_for(SimDuration::from_secs(40));
-    assert!(count(&w, c.id, "cp.lease_renumbered") >= 1);
+    assert_eq!(count(&w, c.id, "cp.lease_renumbered"), 0);
+    assert_eq!(count(&w, c.id, "cp.lease_unsolicited"), 1);
     cp_bytes(&w, c.id, &log, &mut bytes);
 
     let got = wireless_adhoc_voip::simnet::ident::h64(&bytes);
     assert_eq!(got, PINNED, "got {got:#018x}");
 }
 
+/// A grant the client did not ask for, from its serving gateway's
+/// address (flow 6 above), is dropped: the client keeps its public
+/// address and announces nothing, and the gateway's own grants keep
+/// refreshing the lease.
+#[test]
+fn an_unsolicited_grant_does_not_renumber_the_client() {
+    let (mut w, gws, c, log) = cp_world(806, &[(0.0, 0.0)], |s| s);
+    let public = |w: &World| w.node(c.id).local_addrs().find(|a| a.is_public());
+    let count = |w: &World, name: &str| w.stats(c.id).get(name).packets;
+    w.run_for(SimDuration::from_secs(15));
+    let leased = public(&w).expect("client leased");
+    let announced = log.borrow().clone();
+    let refreshes = count(&w, "cp.tconnect");
+
+    inject_unsolicited_grant(&mut w, &gws[0], &c);
+    w.run_for(SimDuration::from_millis(100));
+    assert_eq!(public(&w), Some(leased));
+    assert_eq!(count(&w, "cp.lease_unsolicited"), 1);
+
+    w.run_for(SimDuration::from_secs(40));
+    assert!(count(&w, "cp.tconnect") > refreshes, "a refresh went out");
+    assert_eq!(public(&w), Some(leased));
+    assert_eq!(count(&w, "cp.lease_renumbered"), 0);
+    assert_eq!(count(&w, "cp.lease_unsolicited"), 1);
+    assert_eq!(count(&w, "cp.tunnel_down"), 0);
+    assert_eq!(*log.borrow(), announced, "no InternetUp after the grant");
+}
+
 /// A grant of lifetime zero (one corrupted byte of "60" can make one)
 /// must not spin the refresh chain: every refresh period is at least half
-/// of `MIN_REFRESH_LEASE`, so the tunnel survives the grant.
+/// of `MIN_REFRESH_LEASE`, so the tunnel survives the grant. The grant is
+/// injected just after a refresh went out, so it is the one that answers
+/// it, and the gateway's own answer finds nothing left to answer.
 #[test]
 fn a_zero_lifetime_grant_keeps_the_tunnel_up() {
     let (mut w, gw, clients) = world_with_gateway(703, 1);
@@ -522,7 +563,11 @@ fn a_zero_lifetime_grant_keeps_the_tunnel_up() {
         .local_addrs()
         .find(|a| a.is_public())
         .expect("client leased");
-    let tconnects = w.stats(c).get("cp.tconnect").packets;
+    let before = w.stats(c).get("cp.tconnect").packets;
+    while w.stats(c).get("cp.tconnect").packets == before {
+        w.run_for(SimDuration::from_micros(100));
+    }
+    let tconnects = before + 1;
     let grant = wireless_adhoc_voip::core::tunnel::TunnelMsg::Lease {
         public,
         lifetime_secs: 0,
@@ -539,6 +584,7 @@ fn a_zero_lifetime_grant_keeps_the_tunnel_up() {
     w.run_for(SimDuration::from_millis(100));
     let stats = w.stats(c);
     assert_eq!(stats.get("cp.tconnect").packets, tconnects);
+    assert_eq!(stats.get("cp.lease_unsolicited").packets, 1);
     assert_eq!(stats.get("cp.tunnel_down").packets, 0);
     assert!(w.node(c).local_addrs().any(|a| a == public));
     // The next refresh renews the lease at its usual lifetime.
